@@ -322,6 +322,7 @@ impl AdminApi {
         match self.server.durability_counters() {
             Some(c) => HttpResponse::ok(Json::obj([
                 ("appends", Json::Num(c.appends as f64)),
+                ("commits", Json::Num(c.commits as f64)),
                 ("append_failures", Json::Num(c.append_failures as f64)),
                 ("fsyncs", Json::Num(c.fsyncs as f64)),
                 ("fsync_failures", Json::Num(c.fsync_failures as f64)),

@@ -183,6 +183,16 @@ impl AuditLog {
         self.inner.read().entries.iter().cloned().collect()
     }
 
+    /// Visit all retained entries in order without cloning them
+    /// (snapshot encoding); returns the dropped counter as it stood for
+    /// that visit. The log stays read-locked throughout, so `f` must not
+    /// call back into it.
+    pub fn for_each(&self, f: impl FnMut(&AuditEntry)) -> u64 {
+        let inner = self.inner.read();
+        inner.entries.iter().for_each(f);
+        inner.dropped
+    }
+
     /// Replace the log's contents and dropped counter (crash recovery).
     /// The cap is preserved; if the recovered set exceeds it, the oldest
     /// entries are evicted exactly as live appends would have.

@@ -16,7 +16,9 @@
 //! moves forward (`max`-merge), so replay nullification cannot regress
 //! whatever order records landed in.
 
-use super::wal::{decode_stream, WalRecord, WalTail};
+use super::wal::{
+    action_tag, decode_stream, frame_into, put_audit, snapshot_user_frame_into, WalRecord, WalTail,
+};
 use super::{StorageBackend, StorageError};
 use crate::audit::{AuditEntry, AuditLog};
 use crate::store::{TokenPairing, UserTokenRecord};
@@ -95,43 +97,81 @@ pub fn encode_snapshot(
 ) -> Vec<u8> {
     let mut out = Vec::new();
     for (user, rec) in users {
-        out.extend_from_slice(&WalRecord::snapshot_user(user, rec).encode_frame());
+        snapshot_user_frame_into(&mut out, user, rec);
     }
     for entry in audit_entries {
-        out.extend_from_slice(&WalRecord::audit(entry).encode_frame());
+        audit_frame_into(&mut out, entry);
     }
-    for (nonce, expires_at) in resume_consumed {
-        out.extend_from_slice(
-            &WalRecord::ResumeConsume {
-                user: String::new(),
-                nonce: *nonce,
-                expires_at: *expires_at,
-            }
-            .encode_frame(),
-        );
-    }
-    out.extend_from_slice(
-        &WalRecord::SnapshotSeal {
-            users: users.len() as u64,
-            audits: audit_entries.len() as u64,
-            audit_dropped,
-            resumes: resume_consumed.len() as u64,
-        }
-        .encode_frame(),
-    );
-    out
+    finish_snapshot(
+        out,
+        users.len(),
+        audit_entries.len(),
+        audit_dropped,
+        resume_consumed,
+    )
 }
 
-/// Convenience: snapshot a live store + audit log + resume ledger (used
-/// by compaction).
+/// Snapshot a live store + audit log + resume ledger (what compaction
+/// installs): the bytes [`encode_snapshot`] gives for their exports,
+/// encoded straight from the live records. A compaction holds every
+/// commit off for as long as this takes, so nothing is cloned first.
 pub fn snapshot_live(
     store: &crate::store::TokenStore,
     audit: &AuditLog,
     resume_consumed: &BTreeMap<[u8; 16], u64>,
 ) -> Vec<u8> {
-    let users = store.export_all();
-    let entries = audit.export_all();
-    encode_snapshot(&users, &entries, audit.dropped(), resume_consumed)
+    let mut out = Vec::new();
+    let mut users = 0;
+    store.for_each_sorted(|user, rec| {
+        snapshot_user_frame_into(&mut out, user, rec);
+        users += 1;
+    });
+    let mut audits = 0;
+    let audit_dropped = audit.for_each(|entry| {
+        audit_frame_into(&mut out, entry);
+        audits += 1;
+    });
+    finish_snapshot(out, users, audits, audit_dropped, resume_consumed)
+}
+
+fn audit_frame_into(out: &mut Vec<u8>, entry: &AuditEntry) {
+    frame_into(out, |out| {
+        put_audit(
+            out,
+            entry.at,
+            &entry.username,
+            action_tag(entry.action),
+            entry.success,
+            &entry.detail,
+        )
+    });
+}
+
+/// Close a snapshot whose user and audit frames are in `out`: the resume
+/// ledger, then the seal with the counts.
+fn finish_snapshot(
+    mut out: Vec<u8>,
+    users: usize,
+    audits: usize,
+    audit_dropped: u64,
+    resume_consumed: &BTreeMap<[u8; 16], u64>,
+) -> Vec<u8> {
+    for (nonce, expires_at) in resume_consumed {
+        WalRecord::ResumeConsume {
+            user: String::new(),
+            nonce: *nonce,
+            expires_at: *expires_at,
+        }
+        .encode_frame_into(&mut out);
+    }
+    WalRecord::SnapshotSeal {
+        users: users as u64,
+        audits: audits as u64,
+        audit_dropped,
+        resumes: resume_consumed.len() as u64,
+    }
+    .encode_frame_into(&mut out);
+    out
 }
 
 /// What a valid snapshot blob decodes to.

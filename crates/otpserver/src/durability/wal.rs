@@ -19,7 +19,7 @@
 //! CRC-32 is linear in its input, so a single flipped bit always changes
 //! the checksum — a property the codec proptests pin down.
 
-use crate::audit::{AuditAction, AuditEntry};
+use crate::audit::AuditAction;
 use crate::sms::PhoneNumber;
 use crate::store::{PendingSmsCode, TokenPairing, TotpProvenance, UserTokenRecord};
 use hpcmfa_crypto::HashAlg;
@@ -34,16 +34,33 @@ pub const MAX_RECORD_LEN: u32 = 1 << 20;
 /// Bytes of framing overhead per record (length + checksum).
 pub const FRAME_HEADER_LEN: usize = 8;
 
-/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), bitwise — speed is
-/// irrelevant next to the fsync each frame pays for.
+/// The CRC of each byte value on its own: the bitwise recurrence run at
+/// compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), a table lookup per
+/// byte. A commit's frames are small next to the fsync it waits for, but
+/// a compaction checksums the whole snapshot (a few hundred KB) while it
+/// holds every commit off.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = 0xffff_ffff;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -93,31 +110,36 @@ pub enum PairingImage {
 impl PairingImage {
     /// Capture a live pairing.
     pub fn of(pairing: &TokenPairing) -> Self {
-        match pairing {
-            TokenPairing::Totp {
-                totp,
-                provenance,
+        match PairingFields::from(pairing) {
+            PairingFields::Totp {
+                secret,
+                digits,
+                step_secs,
+                t0,
+                alg,
+                hard,
                 serial,
                 last_step,
                 drift_steps,
             } => PairingImage::Totp {
-                secret: totp.secret.bytes().to_vec(),
-                digits: totp.params.digits,
-                step_secs: totp.params.step_secs,
-                t0: totp.params.t0,
-                alg: totp.params.alg.name().to_string(),
-                hard: *provenance == TotpProvenance::Hard,
-                serial: serial.clone(),
-                last_step: *last_step,
-                drift_steps: *drift_steps,
+                secret: secret.to_vec(),
+                digits,
+                step_secs,
+                t0,
+                alg: alg.to_string(),
+                hard,
+                serial: serial.map(str::to_string),
+                last_step,
+                drift_steps,
             },
-            TokenPairing::Sms { phone, pending } => PairingImage::Sms {
-                phone: phone.as_str().to_string(),
+            PairingFields::Sms { phone, pending } => PairingImage::Sms {
+                phone: phone.to_string(),
                 pending: pending
-                    .as_ref()
-                    .map(|p| (p.code.clone(), p.sent_at, p.expires_at)),
+                    .map(|(code, sent_at, expires_at)| (code.to_string(), sent_at, expires_at)),
             },
-            TokenPairing::Static { code } => PairingImage::Static { code: code.clone() },
+            PairingFields::Static { code } => PairingImage::Static {
+                code: code.to_string(),
+            },
         }
     }
 
@@ -168,6 +190,96 @@ impl PairingImage {
                     }),
             }),
             PairingImage::Static { code } => Some(TokenPairing::Static { code: code.clone() }),
+        }
+    }
+}
+
+/// A pairing's durable fields, borrowed from an owned [`PairingImage`]
+/// or straight from a live [`TokenPairing`]: the one shape the pairing
+/// encoder reads, so a compaction serialises the store without cloning it.
+enum PairingFields<'a> {
+    Totp {
+        secret: &'a [u8],
+        digits: u32,
+        step_secs: u64,
+        t0: u64,
+        alg: &'a str,
+        hard: bool,
+        serial: Option<&'a str>,
+        last_step: Option<u64>,
+        drift_steps: i64,
+    },
+    Sms {
+        phone: &'a str,
+        pending: Option<(&'a str, u64, u64)>,
+    },
+    Static {
+        code: &'a str,
+    },
+}
+
+impl<'a> From<&'a TokenPairing> for PairingFields<'a> {
+    fn from(pairing: &'a TokenPairing) -> Self {
+        match pairing {
+            TokenPairing::Totp {
+                totp,
+                provenance,
+                serial,
+                last_step,
+                drift_steps,
+            } => PairingFields::Totp {
+                secret: totp.secret.bytes(),
+                digits: totp.params.digits,
+                step_secs: totp.params.step_secs,
+                t0: totp.params.t0,
+                alg: totp.params.alg.name(),
+                hard: *provenance == TotpProvenance::Hard,
+                serial: serial.as_deref(),
+                last_step: *last_step,
+                drift_steps: *drift_steps,
+            },
+            TokenPairing::Sms { phone, pending } => PairingFields::Sms {
+                phone: phone.as_str(),
+                pending: pending
+                    .as_ref()
+                    .map(|p| (p.code.as_str(), p.sent_at, p.expires_at)),
+            },
+            TokenPairing::Static { code } => PairingFields::Static { code },
+        }
+    }
+}
+
+impl<'a> From<&'a PairingImage> for PairingFields<'a> {
+    fn from(image: &'a PairingImage) -> Self {
+        match image {
+            PairingImage::Totp {
+                secret,
+                digits,
+                step_secs,
+                t0,
+                alg,
+                hard,
+                serial,
+                last_step,
+                drift_steps,
+            } => PairingFields::Totp {
+                secret,
+                digits: *digits,
+                step_secs: *step_secs,
+                t0: *t0,
+                alg,
+                hard: *hard,
+                serial: serial.as_deref(),
+                last_step: *last_step,
+                drift_steps: *drift_steps,
+            },
+            PairingImage::Sms { phone, pending } => PairingFields::Sms {
+                phone,
+                pending: pending
+                    .as_ref()
+                    .map(|(code, sent_at, expires_at)| (code.as_str(), *sent_at, *expires_at)),
+            },
+            PairingImage::Static { code } => PairingFields::Static { code },
         }
     }
 }
@@ -307,29 +419,6 @@ pub fn action_from_tag(tag: u8) -> Option<AuditAction> {
     })
 }
 
-impl WalRecord {
-    /// Build the audit-record variant from a live entry.
-    pub fn audit(entry: &AuditEntry) -> Self {
-        WalRecord::Audit {
-            at: entry.at,
-            user: entry.username.clone(),
-            action: action_tag(entry.action),
-            success: entry.success,
-            detail: entry.detail.clone(),
-        }
-    }
-
-    /// Build the snapshot-user variant from a live store record.
-    pub fn snapshot_user(user: &str, rec: &UserTokenRecord) -> Self {
-        WalRecord::SnapshotUser {
-            user: user.to_string(),
-            pairing: PairingImage::of(&rec.pairing),
-            fail_count: rec.fail_count,
-            active: rec.active,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Payload encoding
 // ---------------------------------------------------------------------
@@ -380,7 +469,7 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn put_opt_str(out: &mut Vec<u8>, v: &Option<String>) {
+fn put_opt_str(out: &mut Vec<u8>, v: Option<&str>) {
     match v {
         Some(s) => {
             out.push(1);
@@ -390,9 +479,9 @@ fn put_opt_str(out: &mut Vec<u8>, v: &Option<String>) {
     }
 }
 
-fn put_pairing(out: &mut Vec<u8>, p: &PairingImage) {
+fn put_pairing(out: &mut Vec<u8>, p: PairingFields<'_>) {
     match p {
-        PairingImage::Totp {
+        PairingFields::Totp {
             secret,
             digits,
             step_secs,
@@ -405,70 +494,139 @@ fn put_pairing(out: &mut Vec<u8>, p: &PairingImage) {
         } => {
             out.push(PAIR_TOTP);
             put_bytes(out, secret);
-            put_u32(out, *digits);
-            put_u64(out, *step_secs);
-            put_u64(out, *t0);
+            put_u32(out, digits);
+            put_u64(out, step_secs);
+            put_u64(out, t0);
             put_str(out, alg);
-            out.push(u8::from(*hard));
+            out.push(u8::from(hard));
             put_opt_str(out, serial);
-            put_opt_u64(out, *last_step);
-            put_i64(out, *drift_steps);
+            put_opt_u64(out, last_step);
+            put_i64(out, drift_steps);
         }
-        PairingImage::Sms { phone, pending } => {
+        PairingFields::Sms { phone, pending } => {
             out.push(PAIR_SMS);
             put_str(out, phone);
             match pending {
                 Some((code, sent_at, expires_at)) => {
                     out.push(1);
                     put_str(out, code);
-                    put_u64(out, *sent_at);
-                    put_u64(out, *expires_at);
+                    put_u64(out, sent_at);
+                    put_u64(out, expires_at);
                 }
                 None => out.push(0),
             }
         }
-        PairingImage::Static { code } => {
+        PairingFields::Static { code } => {
             out.push(PAIR_STATIC);
             put_str(out, code);
         }
     }
 }
 
+/// The [`WalRecord::SnapshotUser`] payload.
+fn put_snapshot_user(
+    out: &mut Vec<u8>,
+    user: &str,
+    pairing: PairingFields<'_>,
+    fail_count: u32,
+    active: bool,
+) {
+    out.push(TAG_SNAP_USER);
+    put_str(out, user);
+    put_pairing(out, pairing);
+    put_u32(out, fail_count);
+    out.push(u8::from(active));
+}
+
+/// Append the [`WalRecord::SnapshotUser`] frame of a live store record.
+pub(crate) fn snapshot_user_frame_into(out: &mut Vec<u8>, user: &str, rec: &UserTokenRecord) {
+    frame_into(out, |out| {
+        put_snapshot_user(out, user, (&rec.pairing).into(), rec.fail_count, rec.active)
+    });
+}
+
+/// The [`WalRecord::ValState`] payload from borrowed fields — the commit
+/// path writes it straight into its frame buffer without building the
+/// owned record.
+pub(crate) fn put_val_state(
+    out: &mut Vec<u8>,
+    user: &str,
+    last_step: Option<u64>,
+    fail_count: u32,
+    active: bool,
+) {
+    out.push(TAG_VALSTATE);
+    put_str(out, user);
+    put_opt_u64(out, last_step);
+    put_u32(out, fail_count);
+    out.push(u8::from(active));
+}
+
+/// The [`WalRecord::Audit`] payload from borrowed fields.
+pub(crate) fn put_audit(
+    out: &mut Vec<u8>,
+    at: u64,
+    user: &str,
+    action: u8,
+    success: bool,
+    detail: &str,
+) {
+    out.push(TAG_AUDIT);
+    put_u64(out, at);
+    put_str(out, user);
+    out.push(action);
+    out.push(u8::from(success));
+    put_str(out, detail);
+}
+
+/// Append one frame to `out`: reserve the header, let `payload` write the
+/// body in place, then fill in its length and checksum.
+pub(crate) fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+    payload(out);
+    let body = start + FRAME_HEADER_LEN;
+    let len = (out.len() - body) as u32;
+    let crc = crc32(&out[body..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+}
+
 impl WalRecord {
     /// Encode the payload (no frame header).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_payload_into(&mut out);
+        out
+    }
+
+    /// Append the payload (no frame header) to `out`.
+    fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Enroll { user, pairing } => {
                 out.push(TAG_ENROLL);
-                put_str(&mut out, user);
-                put_pairing(&mut out, pairing);
+                put_str(out, user);
+                put_pairing(out, pairing.into());
             }
             WalRecord::Remove { user } => {
                 out.push(TAG_REMOVE);
-                put_str(&mut out, user);
+                put_str(out, user);
             }
             WalRecord::ValState {
                 user,
                 last_step,
                 fail_count,
                 active,
-            } => {
-                out.push(TAG_VALSTATE);
-                put_str(&mut out, user);
-                put_opt_u64(&mut out, *last_step);
-                put_u32(&mut out, *fail_count);
-                out.push(u8::from(*active));
-            }
+            } => put_val_state(out, user, *last_step, *fail_count, *active),
             WalRecord::Resync {
                 user,
                 drift_steps,
                 last_step,
             } => {
                 out.push(TAG_RESYNC);
-                put_str(&mut out, user);
-                put_i64(&mut out, *drift_steps);
-                put_u64(&mut out, *last_step);
+                put_str(out, user);
+                put_i64(out, *drift_steps);
+                put_u64(out, *last_step);
             }
             WalRecord::SmsIssue {
                 user,
@@ -477,14 +635,14 @@ impl WalRecord {
                 expires_at,
             } => {
                 out.push(TAG_SMS_ISSUE);
-                put_str(&mut out, user);
-                put_str(&mut out, code);
-                put_u64(&mut out, *sent_at);
-                put_u64(&mut out, *expires_at);
+                put_str(out, user);
+                put_str(out, code);
+                put_u64(out, *sent_at);
+                put_u64(out, *expires_at);
             }
             WalRecord::SmsClear { user } => {
                 out.push(TAG_SMS_CLEAR);
-                put_str(&mut out, user);
+                put_str(out, user);
             }
             WalRecord::Audit {
                 at,
@@ -492,35 +650,22 @@ impl WalRecord {
                 action,
                 success,
                 detail,
-            } => {
-                out.push(TAG_AUDIT);
-                put_u64(&mut out, *at);
-                put_str(&mut out, user);
-                out.push(*action);
-                out.push(u8::from(*success));
-                put_str(&mut out, detail);
-            }
+            } => put_audit(out, *at, user, *action, *success, detail),
             WalRecord::SnapshotUser {
                 user,
                 pairing,
                 fail_count,
                 active,
-            } => {
-                out.push(TAG_SNAP_USER);
-                put_str(&mut out, user);
-                put_pairing(&mut out, pairing);
-                put_u32(&mut out, *fail_count);
-                out.push(u8::from(*active));
-            }
+            } => put_snapshot_user(out, user, pairing.into(), *fail_count, *active),
             WalRecord::ResumeConsume {
                 user,
                 nonce,
                 expires_at,
             } => {
                 out.push(TAG_RESUME_CONSUME);
-                put_str(&mut out, user);
+                put_str(out, user);
                 out.extend_from_slice(nonce);
-                put_u64(&mut out, *expires_at);
+                put_u64(out, *expires_at);
             }
             WalRecord::SnapshotSeal {
                 users,
@@ -529,23 +674,25 @@ impl WalRecord {
                 resumes,
             } => {
                 out.push(TAG_SNAP_SEAL);
-                put_u64(&mut out, *users);
-                put_u64(&mut out, *audits);
-                put_u64(&mut out, *audit_dropped);
-                put_u64(&mut out, *resumes);
+                put_u64(out, *users);
+                put_u64(out, *audits);
+                put_u64(out, *audit_dropped);
+                put_u64(out, *resumes);
             }
         }
-        out
     }
 
     /// Encode a full frame: header + payload.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        put_u32(&mut out, payload.len() as u32);
-        put_u32(&mut out, crc32(&payload));
-        out.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        self.encode_frame_into(&mut out);
         out
+    }
+
+    /// Append a full frame (header + payload) to `out` — how a commit
+    /// lays several records back to back in one buffer.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
+        frame_into(out, |out| self.encode_payload_into(out));
     }
 }
 

@@ -2,18 +2,18 @@
 //! 20-failure lockout, SMS triggering, and admin operations.
 //!
 //! When built [`with_storage`](LinotpServer::with_storage), every
-//! security-relevant mutation appends a WAL record through the
-//! [`durability`](crate::durability) layer *before* the operation is
-//! acknowledged: an accepted code whose replay mark cannot be persisted is
-//! answered [`ValidationOutcome::Unavailable`] (deny), never `Success` —
-//! the fail-safe direction for an authentication service.
+//! operation's state record and audit row go to the WAL as one commit
+//! through the [`durability`](crate::durability) layer and are synced
+//! *before* the operation is acknowledged: an accepted code whose replay
+//! mark cannot be persisted is answered [`ValidationOutcome::Unavailable`]
+//! (deny), never `Success` — the fail-safe direction for an
+//! authentication service.
 
 use crate::audit::{AuditAction, AuditLog};
 use crate::durability::snapshot::snapshot_live;
-use crate::durability::wal::action_tag;
 use crate::durability::{
-    recover, DurabilityCounters, Persistence, RecoverError, RecoveryReport, StorageBackend,
-    WalRecord,
+    recover, Commit, DurabilityCounters, PairingImage, Persistence, RecoverError, RecoveryReport,
+    StorageBackend, WalRecord,
 };
 use crate::overload::{AdmissionController, OverloadConfig};
 use crate::sms::{PhoneNumber, SmsMessage, SmsProvider};
@@ -27,6 +27,7 @@ use hpcmfa_telemetry::{
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -107,8 +108,10 @@ pub struct ServerConfig {
     pub resync_window_steps: u64,
     /// Audit-log retention cap (ring semantics; oldest entries evicted).
     pub audit_cap: usize,
-    /// WAL appends between compacting snapshots when a storage backend is
-    /// attached (0 = never compact).
+    /// WAL *records* (not commits: a validate writes two, its state
+    /// record and its audit row) between compacting snapshots when a
+    /// storage backend is attached (0 = never compact). Bounds WAL size
+    /// and recovery replay time.
     pub snapshot_every_appends: u64,
     /// Telemetry registry receiving validation counters, latency
     /// histograms, durability counters, and spans. Defaults to a private
@@ -156,11 +159,57 @@ pub struct LinotpServer {
 /// Audit detail with the request's trace id appended, when one rode in on
 /// the RADIUS hop — `grep trace=<hex>` then joins the OTP audit log with
 /// the PAM and RADIUS spans of the same login.
-fn traced_detail(detail: &str, trace: Option<TraceId>) -> String {
+fn traced_detail(detail: &str, trace: Option<TraceId>) -> Cow<'_, str> {
     match trace {
-        Some(t) if detail.is_empty() => format!("trace={t}"),
-        Some(t) => format!("{detail} trace={t}"),
-        None => detail.to_string(),
+        Some(t) if detail.is_empty() => format!("trace={t}").into(),
+        Some(t) => format!("{detail} trace={t}").into(),
+        None => detail.into(),
+    }
+}
+
+/// The audit detail of a validation outcome.
+fn validation_detail(outcome: ValidationOutcome) -> &'static str {
+    match outcome {
+        ValidationOutcome::Success => "ok",
+        ValidationOutcome::WrongCode => "wrong code",
+        ValidationOutcome::Replayed => "replayed code",
+        ValidationOutcome::Locked => "account locked",
+        ValidationOutcome::NoToken => "no pairing",
+        ValidationOutcome::Unavailable => "durability unavailable",
+    }
+}
+
+/// The durable side of one operation: its WAL commit on a server with
+/// storage, nothing (every method a no-op) on a volatile one. Opened
+/// before the store or ledger lock the operation mutates under and
+/// dropped once its audit rows are in the ring — that span is what the
+/// compactor is fenced against.
+struct Txn<'a>(Option<Commit<'a>>);
+
+impl Txn<'_> {
+    /// Add the record `build` returns (not called on a volatile server).
+    fn record(&mut self, build: impl FnOnce() -> WalRecord) {
+        if let Some(c) = &mut self.0 {
+            c.record(&build());
+        }
+    }
+
+    fn val_state(&mut self, user: &str, last_step: Option<u64>, fail_count: u32, active: bool) {
+        if let Some(c) = &mut self.0 {
+            c.val_state(user, last_step, fail_count, active);
+        }
+    }
+
+    fn audit(&mut self, at: u64, user: &str, action: AuditAction, success: bool, detail: &str) {
+        if let Some(c) = &mut self.0 {
+            c.audit(at, user, action, success, detail);
+        }
+    }
+
+    /// Make what was added durable. `false` only on a persistence
+    /// failure — the caller decides how that gates the ack.
+    fn flush(&mut self) -> bool {
+        self.0.as_mut().is_none_or(|c| c.flush().is_ok())
     }
 }
 
@@ -304,6 +353,7 @@ impl LinotpServer {
                 "no storage backend attached".into(),
             )));
         };
+        let _quiet = p.quiesce();
         self.store.clear();
         self.audit.clear();
         self.resume_consumed.lock().clear();
@@ -331,17 +381,31 @@ impl LinotpServer {
         &self.metrics
     }
 
-    /// Append `record` if a backend is attached. Returns `false` only on a
-    /// persistence failure — the caller decides how that gates the ack.
-    fn persist(&self, record: &WalRecord) -> bool {
-        match &self.persistence {
-            Some(p) => p.append(record).is_ok(),
-            None => true,
-        }
+    /// Open the operation's [`Txn`]. Never while another is open on this
+    /// thread (see [`Persistence::begin`]).
+    fn txn(&self) -> Txn<'_> {
+        Txn(self.persistence.as_ref().map(Persistence::begin))
     }
 
-    /// Persist + record one audit event. Audit persistence failures are
-    /// counted but never gate the operation that produced the event.
+    /// Commit one audit row on its own and record it in the ring — for
+    /// rows no state record rides with, and for the denial row after a
+    /// failed commit. Audit persistence failures are counted but never
+    /// gate the operation that produced the row.
+    fn log_row(
+        &self,
+        txn: &mut Txn<'_>,
+        at: u64,
+        username: &str,
+        action: AuditAction,
+        success: bool,
+        detail: &str,
+    ) {
+        txn.audit(at, username, action, success, detail);
+        txn.flush();
+        self.audit.record(at, username, action, success, detail);
+    }
+
+    /// [`Self::log_row`] as an operation of its own.
     fn audit_event(
         &self,
         at: u64,
@@ -350,35 +414,33 @@ impl LinotpServer {
         success: bool,
         detail: &str,
     ) {
-        self.persist(&WalRecord::Audit {
-            at,
-            user: username.to_string(),
-            action: action_tag(action),
-            success,
-            detail: detail.to_string(),
-        });
-        self.audit.record(at, username, action, success, detail);
+        self.log_row(&mut self.txn(), at, username, action, success, detail);
     }
 
-    /// Compact if enough appends have accumulated. Called outside the
-    /// store lock (snapshotting re-reads the store). Expired SMS codes are
-    /// purged first so they never land in durable state.
+    /// Compact if enough records have accumulated and no other thread has
+    /// claimed the compaction. Called with no [`Txn`] open: the claim
+    /// waits out every commit in flight and holds new ones off, so the
+    /// exported state and the WAL it replaces cannot diverge. Expired SMS
+    /// codes are purged first so they never land in durable state.
     fn maybe_compact(&self, now: u64) {
-        if let Some(p) = &self.persistence {
-            if p.wants_snapshot() {
-                self.store.purge_expired_sms(now);
-                // Expired nonces fall out of durable state here: past
-                // their expiry the stateless step-window check rejects
-                // the token anyway, so the ledger may forget them.
-                let consumed = {
-                    let mut ledger = self.resume_consumed.lock();
-                    ledger.retain(|_, expires_at| *expires_at > now);
-                    ledger.clone()
-                };
-                let bytes = snapshot_live(&self.store, &self.audit, &consumed);
-                let _ = p.install_snapshot(&bytes);
-            }
-        }
+        let Some(compaction) = self
+            .persistence
+            .as_ref()
+            .and_then(Persistence::claim_compaction)
+        else {
+            return;
+        };
+        self.store.purge_expired_sms(now);
+        // Expired nonces fall out of durable state here: past their
+        // expiry the stateless step-window check rejects the token
+        // anyway, so the ledger may forget them.
+        let consumed = {
+            let mut ledger = self.resume_consumed.lock();
+            ledger.retain(|_, expires_at| *expires_at > now);
+            ledger.clone()
+        };
+        let bytes = snapshot_live(&self.store, &self.audit, &consumed);
+        let _ = compaction.install(&bytes);
     }
 
     /// The token store (shared with the admin API).
@@ -405,14 +467,20 @@ impl LinotpServer {
     // Enrollment (driven by the portal through the admin API)
     // ------------------------------------------------------------------
 
-    /// Enroll `pairing`, writing the WAL record before the store mutation.
+    /// Enroll `pairing`, committing the WAL record and its audit row
+    /// before the store mutation.
     fn enroll_pairing(&self, username: &str, pairing: TokenPairing, now: u64, detail: &str) {
-        self.persist(&WalRecord::Enroll {
+        let mut txn = self.txn();
+        txn.record(|| WalRecord::Enroll {
             user: username.to_string(),
-            pairing: crate::durability::PairingImage::of(&pairing),
+            pairing: PairingImage::of(&pairing),
         });
+        txn.audit(now, username, AuditAction::Enroll, true, detail);
+        txn.flush();
         self.store.enroll(username, pairing);
-        self.audit_event(now, username, AuditAction::Enroll, true, detail);
+        self.audit
+            .record(now, username, AuditAction::Enroll, true, detail);
+        drop(txn);
         self.maybe_compact(now);
     }
 
@@ -478,13 +546,19 @@ impl LinotpServer {
 
     /// Remove a pairing.
     pub fn remove_pairing(&self, username: &str, now: u64) -> bool {
-        // A Remove record for an absent user replays as a no-op, so the
-        // append can precede the existence check.
-        self.persist(&WalRecord::Remove {
+        let mut txn = self.txn();
+        let existed = self.store.has_pairing(username);
+        // A Remove record for an absent user replays as a no-op, so it is
+        // written either way, ahead of the store mutation.
+        txn.record(|| WalRecord::Remove {
             user: username.to_string(),
         });
-        let existed = self.store.remove(username);
-        self.audit_event(now, username, AuditAction::Remove, existed, "");
+        txn.audit(now, username, AuditAction::Remove, existed, "");
+        txn.flush();
+        self.store.remove(username);
+        self.audit
+            .record(now, username, AuditAction::Remove, existed, "");
+        drop(txn);
         self.maybe_compact(now);
         existed
     }
@@ -498,10 +572,11 @@ impl LinotpServer {
     /// consecutive-failure lockout.
     ///
     /// With a storage backend attached, the post-attempt security state
-    /// (replay mark, failure counter, active flag) is appended to the WAL
-    /// *inside* the store lock — WAL order matches mutation order — and a
-    /// matching code whose record cannot be persisted is answered
-    /// [`ValidationOutcome::Unavailable`], not `Success`.
+    /// (replay mark, failure counter, active flag) and the attempt's audit
+    /// row are committed to the WAL *inside* the store lock — WAL order
+    /// matches mutation order — and a matching code whose commit cannot be
+    /// made durable is answered [`ValidationOutcome::Unavailable`], not
+    /// `Success`.
     pub fn validate(&self, username: &str, code: &str, now: u64) -> ValidationOutcome {
         self.validate_traced(username, code, now, None)
     }
@@ -690,11 +765,14 @@ impl LinotpServer {
         let started = std::time::Instant::now();
         let threshold = self.config.lockout_threshold;
         let drift = self.config.drift_tolerance_secs;
-        let (outcome, locked_now) = self
+        let lockout_detail = || traced_detail("threshold reached", trace);
+        let mut txn = self.txn();
+        // `committed`: the attempt's audit rows rode a commit that held.
+        let (outcome, locked_now, committed) = self
             .store
             .with_record(username, |rec| {
                 if !rec.active {
-                    return (ValidationOutcome::Locked, false);
+                    return (ValidationOutcome::Locked, false, false);
                 }
                 let mut purged_sms = false;
                 let outcome = match &mut rec.pairing {
@@ -775,83 +853,81 @@ impl LinotpServer {
                     }
                     _ => {}
                 }
-                // Persist the post-attempt state before the ack leaves the
-                // lock. A consumed or expired pending SMS code is cleared
-                // durably too.
+                // Commit the post-attempt state and the attempt's audit
+                // rows before the ack leaves the lock. A consumed or
+                // expired pending SMS code is cleared durably too. Every
+                // outcome that reaches here is Success, WrongCode or
+                // Replayed.
                 if purged_sms {
-                    self.persist(&WalRecord::SmsClear {
+                    txn.record(|| WalRecord::SmsClear {
                         user: username.to_string(),
                     });
                 }
-                let persisted = match outcome {
-                    ValidationOutcome::Success
-                    | ValidationOutcome::WrongCode
-                    | ValidationOutcome::Replayed => {
-                        let fsync = tctx.filter(|_| self.persistence.is_some()).map(|c| {
-                            let g = self.metrics.tracer().start(c, "otp", "wal_fsync");
-                            c.clock.advance_us(span_cost::WAL_FSYNC_US);
-                            g
-                        });
-                        let ok = self.persist(&WalRecord::ValState {
-                            user: username.to_string(),
-                            last_step: match (&rec.pairing, outcome) {
-                                (
-                                    TokenPairing::Totp { last_step, .. },
-                                    ValidationOutcome::Success,
-                                ) => *last_step,
-                                _ => None,
-                            },
-                            fail_count: rec.fail_count,
-                            active: rec.active,
-                        });
-                        if let Some(mut g) = fsync {
-                            if !ok {
-                                g.set_status(SpanStatus::Error);
-                                g.set_detail("append failed");
-                            }
+                txn.val_state(
+                    username,
+                    match (&rec.pairing, outcome) {
+                        (TokenPairing::Totp { last_step, .. }, ValidationOutcome::Success) => {
+                            *last_step
                         }
-                        ok
+                        _ => None,
+                    },
+                    rec.fail_count,
+                    rec.active,
+                );
+                txn.audit(
+                    now,
+                    username,
+                    AuditAction::Validate,
+                    outcome.is_success(),
+                    &traced_detail(validation_detail(outcome), trace),
+                );
+                if locked_now {
+                    txn.audit(now, username, AuditAction::Lockout, true, &lockout_detail());
+                }
+                let fsync = tctx.filter(|_| self.persistence.is_some()).map(|c| {
+                    let g = self.metrics.tracer().start(c, "otp", "wal_fsync");
+                    c.clock.advance_us(span_cost::WAL_FSYNC_US);
+                    g
+                });
+                let persisted = txn.flush();
+                if let Some(mut g) = fsync {
+                    if !persisted {
+                        g.set_status(SpanStatus::Error);
+                        g.set_detail("append failed");
                     }
-                    _ => true,
-                };
+                }
                 // An accepted code whose nullification is not durable must
                 // not be acknowledged: after a crash the WAL would re-open
                 // its replay window. The in-memory mark stays advanced
                 // (deny-safe) and the caller sees Unavailable.
                 if outcome == ValidationOutcome::Success && !persisted {
-                    (ValidationOutcome::Unavailable, locked_now)
+                    (ValidationOutcome::Unavailable, locked_now, false)
                 } else {
-                    (outcome, locked_now)
+                    (outcome, locked_now, persisted)
                 }
             })
-            .unwrap_or((ValidationOutcome::NoToken, false));
+            .unwrap_or((ValidationOutcome::NoToken, false, false));
 
-        self.audit_event(
-            now,
-            username,
-            AuditAction::Validate,
-            outcome.is_success(),
-            &traced_detail(
-                match outcome {
-                    ValidationOutcome::Success => "ok",
-                    ValidationOutcome::WrongCode => "wrong code",
-                    ValidationOutcome::Replayed => "replayed code",
-                    ValidationOutcome::Locked => "account locked",
-                    ValidationOutcome::NoToken => "no pairing",
-                    ValidationOutcome::Unavailable => "durability unavailable",
-                },
-                trace,
-            ),
-        );
-        if locked_now {
-            self.audit_event(
-                now,
-                username,
-                AuditAction::Lockout,
-                true,
-                &traced_detail("threshold reached", trace),
-            );
+        let success = outcome.is_success();
+        let detail = traced_detail(validation_detail(outcome), trace);
+        if !committed {
+            // No commit carried these rows (the store lock was never
+            // taken, or left early) or the one that did failed: they get
+            // a best-effort commit of their own, saying what the caller
+            // was told.
+            txn.audit(now, username, AuditAction::Validate, success, &detail);
+            if locked_now {
+                txn.audit(now, username, AuditAction::Lockout, true, &lockout_detail());
+            }
+            txn.flush();
         }
+        self.audit
+            .record(now, username, AuditAction::Validate, success, &detail);
+        if locked_now {
+            self.audit
+                .record(now, username, AuditAction::Lockout, true, &lockout_detail());
+        }
+        drop(txn);
         // Events carry the enclosing validate span (`tctx.parent` is the
         // validate span's id), so every alert joins the trace tree.
         let span = tctx.and_then(|c| c.parent);
@@ -920,21 +996,28 @@ impl LinotpServer {
         if let Some(c) = ctx {
             c.clock.advance_us(span_cost::OTP_BASE_US);
         }
+        let mut txn = self.txn();
         let outcome = {
             let mut ledger = self.resume_consumed.lock();
             if let std::collections::btree_map::Entry::Vacant(slot) = ledger.entry(nonce) {
                 slot.insert(expires_at);
-                if ctx.is_some() && self.persistence.is_some() {
-                    // The nonce consume is one WAL append on the durable path.
-                    if let Some(c) = ctx {
-                        c.clock.advance_us(span_cost::WAL_FSYNC_US);
-                    }
+                // The nonce consume is one WAL commit on the durable path.
+                if let Some(c) = ctx.filter(|_| self.persistence.is_some()) {
+                    c.clock.advance_us(span_cost::WAL_FSYNC_US);
                 }
-                if self.persist(&WalRecord::ResumeConsume {
+                txn.record(|| WalRecord::ResumeConsume {
                     user: username.to_string(),
                     nonce,
                     expires_at,
-                }) {
+                });
+                txn.audit(
+                    now,
+                    username,
+                    AuditAction::Validate,
+                    true,
+                    &traced_detail("resume token accepted", trace),
+                );
+                if txn.flush() {
                     ResumeConsumeOutcome::Fresh
                 } else {
                     ResumeConsumeOutcome::Unavailable
@@ -950,13 +1033,22 @@ impl LinotpServer {
                 ("unavailable", "resume consume not durable, denied", false)
             }
         };
-        self.audit_event(
-            now,
-            username,
-            AuditAction::Validate,
-            success,
-            &traced_detail(detail, trace),
-        );
+        let detail = traced_detail(detail, trace);
+        if success {
+            // The row rode the consume's commit.
+            self.audit
+                .record(now, username, AuditAction::Validate, true, &detail);
+        } else {
+            self.log_row(
+                &mut txn,
+                now,
+                username,
+                AuditAction::Validate,
+                false,
+                &detail,
+            );
+        }
+        drop(txn);
         self.metrics
             .counter("hpcmfa_otp_resume_consumes_total", &[("outcome", label)])
             .inc();
@@ -1040,6 +1132,8 @@ impl LinotpServer {
         let span = tctx.and_then(|c| c.parent);
         let validity = self.config.sms_validity_secs;
         let code = format!("{:06}", self.rng.lock().random_range(0..1_000_000u32));
+        let sent_detail = traced_detail("", trace);
+        let mut txn = self.txn();
         let decision = self
             .store
             .with_record(username, |rec| {
@@ -1052,19 +1146,22 @@ impl LinotpServer {
                             SmsDecision::AlreadyActive
                         } else {
                             let expires_at = now + validity;
-                            // The issue record must be durable before the
-                            // provider is handed the message.
+                            // The issue record (and its audit row) must be
+                            // durable before the provider is handed the
+                            // message.
                             if let Some(c) = tctx.filter(|_| self.persistence.is_some()) {
                                 let fsync = self.metrics.tracer().start(c, "otp", "wal_fsync");
                                 c.clock.advance_us(span_cost::WAL_FSYNC_US);
                                 fsync.finish();
                             }
-                            if !self.persist(&WalRecord::SmsIssue {
+                            txn.record(|| WalRecord::SmsIssue {
                                 user: username.to_string(),
                                 code: code.clone(),
                                 sent_at: now,
                                 expires_at,
-                            }) {
+                            });
+                            txn.audit(now, username, AuditAction::SmsTriggered, true, &sent_detail);
+                            if !txn.flush() {
                                 SmsDecision::Unavailable
                             } else {
                                 *pending = Some(PendingSmsCode {
@@ -1093,17 +1190,14 @@ impl LinotpServer {
                 } else {
                     self.sms.send(&phone, &body, now)
                 };
-                self.audit_event(
-                    now,
-                    username,
-                    AuditAction::SmsTriggered,
-                    true,
-                    &traced_detail("", trace),
-                );
+                // The row rode the issue's commit.
+                self.audit
+                    .record(now, username, AuditAction::SmsTriggered, true, &sent_detail);
                 SmsTrigger::Sent(msg)
             }
             SmsDecision::AlreadyActive => {
-                self.audit_event(
+                self.log_row(
+                    &mut txn,
                     now,
                     username,
                     AuditAction::SmsSuppressed,
@@ -1123,7 +1217,8 @@ impl LinotpServer {
             SmsDecision::NoToken => SmsTrigger::NoToken,
             SmsDecision::Locked => SmsTrigger::Locked,
             SmsDecision::Unavailable => {
-                self.audit_event(
+                self.log_row(
+                    &mut txn,
                     now,
                     username,
                     AuditAction::SmsTriggered,
@@ -1140,6 +1235,7 @@ impl LinotpServer {
                 SmsTrigger::Unavailable
             }
         };
+        drop(txn);
         self.metrics
             .counter(
                 "hpcmfa_otp_sms_triggers_total",
@@ -1156,20 +1252,31 @@ impl LinotpServer {
 
     /// Clear a user's failure counter and reactivate (staff action, §3.1).
     pub fn reset_failcount(&self, username: &str, now: u64) -> bool {
+        let mut txn = self.txn();
         let ok = self
             .store
             .with_record(username, |rec| {
-                self.persist(&WalRecord::ValState {
-                    user: username.to_string(),
-                    last_step: None,
-                    fail_count: 0,
-                    active: true,
-                });
+                txn.val_state(username, None, 0, true);
+                txn.audit(now, username, AuditAction::ResetFailCount, true, "");
+                txn.flush();
                 rec.fail_count = 0;
                 rec.active = true;
             })
             .is_some();
-        self.audit_event(now, username, AuditAction::ResetFailCount, ok, "");
+        if ok {
+            self.audit
+                .record(now, username, AuditAction::ResetFailCount, true, "");
+        } else {
+            self.log_row(
+                &mut txn,
+                now,
+                username,
+                AuditAction::ResetFailCount,
+                false,
+                "",
+            );
+        }
+        drop(txn);
         self.maybe_compact(now);
         ok
     }
@@ -1181,6 +1288,7 @@ impl LinotpServer {
     /// offset so future validations are centered correctly.
     pub fn resync(&self, username: &str, code1: &str, code2: &str, now: u64) -> bool {
         let window = self.config.resync_window_steps;
+        let mut txn = self.txn();
         let ok = self
             .store
             .with_record(username, |rec| {
@@ -1208,15 +1316,20 @@ impl LinotpServer {
                             // The resync burns both codes (last_step lands
                             // past them) — that must be durable before the
                             // ack, or a crash would let them replay.
-                            if !self.persist(&WalRecord::Resync {
+                            txn.record(|| WalRecord::Resync {
                                 user: username.to_string(),
                                 drift_steps: step as i64 + 1 - center as i64,
                                 last_step: step + 1,
-                            }) {
+                            });
+                            txn.audit(now, username, AuditAction::Resync, true, "");
+                            if !txn.flush() {
                                 return false;
                             }
                             *drift_steps = step as i64 + 1 - center as i64;
-                            *last_step = Some(step + 1);
+                            // Forward only, as recovery merges the record: a
+                            // resync from codes older than the last accepted
+                            // one must not re-open the steps in between.
+                            *last_step = Some(last_step.map_or(step + 1, |ls| ls.max(step + 1)));
                             rec.fail_count = 0;
                             rec.active = true;
                             return true;
@@ -1226,7 +1339,13 @@ impl LinotpServer {
                 false
             })
             .unwrap_or(false);
-        self.audit_event(now, username, AuditAction::Resync, ok, "");
+        if ok {
+            self.audit
+                .record(now, username, AuditAction::Resync, true, "");
+        } else {
+            self.log_row(&mut txn, now, username, AuditAction::Resync, false, "");
+        }
+        drop(txn);
         self.maybe_compact(now);
         ok
     }
@@ -1509,6 +1628,28 @@ mod tests {
         // Fob codes now validate at its own pace.
         let c3 = fob.displayed_code(fob_time + 60);
         assert!(srv.validate("carol", &c3, NOW + 60).is_success());
+    }
+
+    #[test]
+    fn resync_never_moves_the_replay_mark_back() {
+        let srv = server();
+        let secret = Secret::from_bytes(*b"12345678901234567890");
+        srv.enroll_hard("carol", "TACC-0042", secret.clone(), NOW);
+        let fob = soft_device(&secret);
+        let used = fob.displayed_code(NOW);
+        assert!(srv.validate("carol", &used, NOW).is_success());
+        // A resync from the two codes before the one just used.
+        let c1 = fob.displayed_code(NOW - 90);
+        let c2 = fob.displayed_code(NOW - 60);
+        assert!(srv.resync("carol", &c1, &c2, NOW));
+        // Whatever the new offset makes of the window, the used code and
+        // the one before it stay burnt.
+        for at in [NOW, NOW + 30, NOW + 60] {
+            assert!(!srv.validate("carol", &used, at).is_success());
+            assert!(!srv
+                .validate("carol", &fob.displayed_code(NOW - 30), at)
+                .is_success());
+        }
     }
 
     #[test]

@@ -427,6 +427,26 @@ impl TokenStore {
         out
     }
 
+    /// Visit every record in sorted key order — the order of
+    /// [`TokenStore::export_all`] — without cloning any (snapshot
+    /// encoding). Every shard stays read-locked for the whole visit, so
+    /// `f` must not call back into the store.
+    pub fn for_each_sorted(&self, mut f: impl FnMut(&str, &UserTokenRecord)) {
+        let shards: Vec<_> = self
+            .inner
+            .shards
+            .iter()
+            .map(|shard| shard.users.read())
+            .collect();
+        let mut all: Vec<(&String, &UserTokenRecord)> =
+            shards.iter().flat_map(|users| users.iter()).collect();
+        // One sorted run per shard: the stable sort merges them.
+        all.sort_by(|a, b| a.0.cmp(b.0));
+        for (name, rec) in all {
+            f(name, rec);
+        }
+    }
+
     /// Replace the full user map (crash recovery). Gauges and expiry
     /// floors are rebuilt from scratch.
     pub fn load_all(&self, users: BTreeMap<String, UserTokenRecord>) {

@@ -1,7 +1,10 @@
 //! Crash-point sweep: run a scripted admin + login sequence against a
 //! durable server, then simulate a crash after **every individual WAL
-//! append** (every frame boundary) and at **every byte offset** (torn
-//! tails), and assert the recovery invariants at each point:
+//! record** (every frame boundary — between commits and, since one
+//! operation's records share a commit, inside them: what a crash between
+//! a commit's append and its sync can leave behind) and at **every byte
+//! offset** (torn tails), and assert the recovery invariants at each
+//! point:
 //!
 //! - a TOTP code the server accepted before the crash point never
 //!   validates again on the recovered server (replay nullification

@@ -7,6 +7,8 @@
 
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
+use hpcmfa_otpserver::audit::{AuditAction, AuditLog};
+use hpcmfa_otpserver::durability::snapshot::{encode_snapshot, snapshot_live};
 use hpcmfa_otpserver::sms::PhoneNumber;
 use hpcmfa_otpserver::store::{
     shard_of_name, PendingSmsCode, TokenPairing, TokenStore, TotpProvenance, SHARD_COUNT,
@@ -256,6 +258,44 @@ proptest! {
         }
         // Final gauge read agrees with a from-scratch census.
         prop_assert_eq!(store.gauge_counts(1_000), model.gauges(1_000));
+        // The borrowed visit sees what the cloned export holds, in its order.
+        let mut visited = Vec::new();
+        store.for_each_sorted(|name, rec| visited.push((name.to_string(), rec.clone())));
+        prop_assert_eq!(visited, model.users.into_iter().collect::<Vec<_>>());
+    }
+
+    /// A compaction encodes straight from the live records; its bytes are
+    /// those of the cloned exports, whatever pairings the store holds and
+    /// however far the audit ring has wrapped.
+    #[test]
+    fn snapshot_live_equals_the_encoded_exports(
+        ops in prop::collection::vec(arb_op(), 0..40),
+        audit_rows in 0usize..8,
+        nonces in prop::collection::btree_map(any::<[u8; 16]>(), any::<u64>(), 0..3),
+    ) {
+        let store = TokenStore::new();
+        for op in ops {
+            match op {
+                Op::EnrollTotp { user, hard } => store.enroll(&user, mk_totp(hard)),
+                Op::EnrollSms { user, pending } => store.enroll(&user, mk_sms(pending)),
+                Op::SetActive { user, active } => {
+                    store.with_record(&user, |r| r.active = active);
+                }
+                Op::BumpFail { user } => {
+                    store.with_record(&user, |r| r.fail_count += 1);
+                }
+                _ => {}
+            }
+        }
+        store.enroll("trainee", TokenPairing::Static { code: "000000".into() });
+        let audit = AuditLog::with_cap(5);
+        for i in 0..audit_rows {
+            audit.record(i as u64, "user", AuditAction::Validate, i % 2 == 0, "detail");
+        }
+        prop_assert_eq!(
+            snapshot_live(&store, &audit, &nonces),
+            encode_snapshot(&store.export_all(), &audit.export_all(), audit.dropped(), &nonces)
+        );
     }
 
     #[test]

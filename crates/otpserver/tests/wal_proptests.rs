@@ -5,8 +5,12 @@
 //! frame always fails its checksum instead of parsing into something
 //! plausible).
 
-use hpcmfa_otpserver::durability::wal::{crc32, decode_stream, PairingImage, WalRecord, WalTail};
+use hpcmfa_otpserver::durability::wal::{
+    action_from_tag, crc32, decode_stream, PairingImage, WalRecord, WalTail,
+};
+use hpcmfa_otpserver::{MemoryBackend, Persistence, StorageBackend};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_user() -> BoxedStrategy<String> {
     "[a-z][a-z0-9_.-]{0,14}".boxed()
@@ -132,6 +136,57 @@ proptest! {
         let (decoded, tail) = decode_stream(&stream);
         prop_assert_eq!(tail, WalTail::Clean);
         prop_assert_eq!(decoded, records);
+    }
+
+    /// `encode_frame_into` appends, after whatever the buffer already
+    /// holds, exactly the frame `encode_frame` returns, and that frame is
+    /// `[len][crc32(payload)][payload]` — the byte format did not move
+    /// when frames started sharing a buffer.
+    #[test]
+    fn encode_frame_into_matches_encode_frame(
+        records in prop::collection::vec(arb_record(), 1..6),
+        prefix in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut shared = prefix.clone();
+        let mut expect = prefix;
+        for r in &records {
+            r.encode_frame_into(&mut shared);
+            let payload = r.encode_payload();
+            expect.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expect.extend_from_slice(&crc32(&payload).to_le_bytes());
+            expect.extend_from_slice(&payload);
+            prop_assert!(expect.ends_with(&r.encode_frame()));
+        }
+        prop_assert_eq!(shared, expect);
+    }
+
+    /// A commit built from borrowed fields, or from owned records, puts
+    /// on disk the same bytes as the records' own frames back to back.
+    #[test]
+    fn a_commit_is_its_records_frames_back_to_back(
+        records in prop::collection::vec(arb_record(), 1..6),
+    ) {
+        let backend = MemoryBackend::healthy();
+        let pump = Persistence::new(Arc::clone(&backend) as Arc<dyn StorageBackend>, 0);
+        let mut commit = pump.begin();
+        for r in &records {
+            match r {
+                WalRecord::ValState { user, last_step, fail_count, active } => {
+                    commit.val_state(user, *last_step, *fail_count, *active)
+                }
+                WalRecord::Audit { at, user, action, success, detail } => commit.audit(
+                    *at,
+                    user,
+                    action_from_tag(*action).expect("arb_record draws valid tags"),
+                    *success,
+                    detail,
+                ),
+                other => commit.record(other),
+            }
+        }
+        commit.flush().expect("a healthy backend commits");
+        let frames: Vec<u8> = records.iter().flat_map(|r| r.encode_frame()).collect();
+        prop_assert_eq!(backend.durable_wal(), frames);
     }
 
     /// A stream cut at any byte decodes exactly the whole frames before

@@ -212,6 +212,7 @@ fn durability_json_and_prometheus_report_the_same_counters() {
     let snap = c.metrics_snapshot();
     for (key, family) in [
         ("appends", "hpcmfa_otp_wal_appends_total"),
+        ("commits", "hpcmfa_otp_wal_commits_total"),
         ("fsyncs", "hpcmfa_otp_wal_fsyncs_total"),
         ("snapshots", "hpcmfa_otp_snapshot_writes_total"),
         ("recoveries", "hpcmfa_otp_recoveries_total"),
