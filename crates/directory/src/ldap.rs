@@ -6,17 +6,29 @@
 //! boolean composition. Attribute names compare case-insensitively, values
 //! case-sensitively (like `caseExactMatch` syntaxes; token pairing labels
 //! are lower case by convention).
+//!
+//! Every login asks the one question "which entry has this `uid`?"
+//! (`pam_unix`, the token module's pairing lookup, the portal), so the
+//! directory keeps an equality index on `uid` and answers a filter that
+//! pins one from it; any other filter scans. Entries are stored once,
+//! behind an [`Arc`], and a search hands out those shared entries.
 
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+
+/// The one indexed attribute.
+const UID: &str = "uid";
 
 /// A directory entry: a DN plus multi-valued attributes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// Distinguished name, e.g. `uid=alice,ou=people,dc=tacc`.
     pub dn: String,
-    attrs: BTreeMap<String, Vec<String>>,
+    /// `(lower-cased name, values)`, sorted by name. An entry has a
+    /// handful of attributes: a sorted vector holds them in less memory
+    /// than the one node of a map, which is what pays for the index.
+    attrs: Vec<(String, Vec<String>)>,
 }
 
 impl Entry {
@@ -24,8 +36,28 @@ impl Entry {
     pub fn new(dn: impl Into<String>) -> Self {
         Entry {
             dn: dn.into(),
-            attrs: BTreeMap::new(),
+            attrs: Vec::new(),
         }
+    }
+
+    /// Where `name` is (`Ok`) or belongs (`Err`) among the attributes.
+    /// Compares case-insensitively without building a lower-cased copy.
+    fn slot(&self, name: &str) -> Result<usize, usize> {
+        self.attrs.binary_search_by(|(stored, _)| {
+            stored
+                .bytes()
+                .cmp(name.bytes().map(|b| b.to_ascii_lowercase()))
+        })
+    }
+
+    /// The values of `name`, created empty if the attribute is absent.
+    fn values_mut(&mut self, name: &str) -> &mut Vec<String> {
+        let at = self.slot(name).unwrap_or_else(|at| {
+            self.attrs
+                .insert(at, (name.to_ascii_lowercase(), Vec::new()));
+            at
+        });
+        &mut self.attrs[at].1
     }
 
     /// Builder-style attribute addition.
@@ -36,28 +68,22 @@ impl Entry {
 
     /// Add one value to an attribute.
     pub fn add_attr(&mut self, name: &str, value: &str) {
-        self.attrs
-            .entry(name.to_ascii_lowercase())
-            .or_default()
-            .push(value.to_string());
+        self.values_mut(name).push(value.to_string());
     }
 
     /// Replace all values of an attribute.
     pub fn set_attr(&mut self, name: &str, values: Vec<String>) {
-        self.attrs.insert(name.to_ascii_lowercase(), values);
+        *self.values_mut(name) = values;
     }
 
     /// Remove an attribute entirely. Returns whether it existed.
     pub fn remove_attr(&mut self, name: &str) -> bool {
-        self.attrs.remove(&name.to_ascii_lowercase()).is_some()
+        self.slot(name).map(|i| self.attrs.remove(i)).is_ok()
     }
 
     /// All values of `name`, empty if absent.
     pub fn get(&self, name: &str) -> &[String] {
-        self.attrs
-            .get(&name.to_ascii_lowercase())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.slot(name).map_or(&[], |i| &self.attrs[i].1)
     }
 
     /// First value of `name`, if any.
@@ -245,6 +271,27 @@ impl Filter {
             Filter::Not(f) => !f.matches(entry),
         }
     }
+
+    /// The `uid` value every match of this filter must carry, if it names
+    /// one: `(uid=v)` itself, or a conjunction with such a term.
+    fn pinned_uid(&self) -> Option<&str> {
+        match self {
+            Filter::Eq(a, v) if a.eq_ignore_ascii_case(UID) => Some(v),
+            Filter::And(fs) => fs.iter().find_map(Filter::pinned_uid),
+            _ => None,
+        }
+    }
+}
+
+/// Whether `dn` is `base` or lies below it. A base ends on a component
+/// boundary: `ou=people,dc=tacc` holds neither `uid=x,xou=people,dc=tacc`
+/// nor anything a bare `people,dc=tacc` would have matched. The empty
+/// base is the root and holds everything.
+fn dn_under(dn: &str, base: &str) -> bool {
+    base.is_empty()
+        || dn
+            .strip_suffix(base)
+            .is_some_and(|above| above.is_empty() || above.ends_with(','))
 }
 
 /// Directory operation errors.
@@ -267,10 +314,47 @@ impl std::fmt::Display for DirectoryError {
 
 impl std::error::Error for DirectoryError {}
 
+/// The entries and the `uid` index over them; [`Store::insert`] and
+/// [`Store::remove`] are the only writers, so the two cannot disagree.
+#[derive(Default)]
+struct Store {
+    /// Every entry, once, in DN order.
+    by_dn: BTreeMap<String, Arc<Entry>>,
+    /// `uid` value → the entries carrying it, each list in DN order.
+    by_uid: HashMap<String, Vec<Arc<Entry>>>,
+}
+
+impl Store {
+    fn insert(&mut self, entry: Entry) {
+        let entry = Arc::new(entry);
+        for uid in entry.get(UID) {
+            let sharing = self.by_uid.entry(uid.clone()).or_default();
+            // `Ok` is this entry again: it lists the value twice.
+            if let Err(at) = sharing.binary_search_by(|e| e.dn.cmp(&entry.dn)) {
+                sharing.insert(at, Arc::clone(&entry));
+            }
+        }
+        self.by_dn.insert(entry.dn.clone(), entry);
+    }
+
+    fn remove(&mut self, dn: &str) -> Option<Arc<Entry>> {
+        let entry = self.by_dn.remove(dn)?;
+        for uid in entry.get(UID) {
+            if let Some(sharing) = self.by_uid.get_mut(uid) {
+                sharing.retain(|e| e.dn != dn);
+                if sharing.is_empty() {
+                    self.by_uid.remove(uid);
+                }
+            }
+        }
+        Some(entry)
+    }
+}
+
 /// A thread-safe directory instance, cheap to clone (shared state).
 #[derive(Clone, Default)]
 pub struct Directory {
-    inner: Arc<RwLock<BTreeMap<String, Entry>>>,
+    inner: Arc<RwLock<Store>>,
 }
 
 impl Directory {
@@ -281,17 +365,17 @@ impl Directory {
 
     /// Add a new entry. Fails if the DN exists.
     pub fn add(&self, entry: Entry) -> Result<(), DirectoryError> {
-        let mut map = self.inner.write();
-        if map.contains_key(&entry.dn) {
+        let mut store = self.inner.write();
+        if store.by_dn.contains_key(&entry.dn) {
             return Err(DirectoryError::AlreadyExists(entry.dn));
         }
-        map.insert(entry.dn.clone(), entry);
+        store.insert(entry);
         Ok(())
     }
 
-    /// Fetch an entry by exact DN.
+    /// Fetch a copy of the entry at exactly `dn`.
     pub fn get(&self, dn: &str) -> Option<Entry> {
-        self.inner.read().get(dn).cloned()
+        self.inner.read().by_dn.get(dn).map(|e| Entry::clone(e))
     }
 
     /// Delete an entry by DN.
@@ -303,34 +387,53 @@ impl Directory {
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.to_string()))
     }
 
-    /// Apply `f` to the entry at `dn` under the write lock.
+    /// Apply `f` to a copy of the entry at `dn` under the write lock, then
+    /// store the copy in the entry's place. `f` may change anything,
+    /// `uid` and `dn` included: the entry is filed under what it says
+    /// afterwards. If it names a DN another entry holds, nothing changes.
     pub fn modify(&self, dn: &str, f: impl FnOnce(&mut Entry)) -> Result<(), DirectoryError> {
-        let mut map = self.inner.write();
-        let entry = map
-            .get_mut(dn)
+        let mut store = self.inner.write();
+        let mut entry = store
+            .by_dn
+            .get(dn)
+            .map(|e| Entry::clone(e))
             .ok_or_else(|| DirectoryError::NoSuchEntry(dn.to_string()))?;
-        f(entry);
+        f(&mut entry);
+        if entry.dn != dn && store.by_dn.contains_key(&entry.dn) {
+            return Err(DirectoryError::AlreadyExists(entry.dn));
+        }
+        store.remove(dn);
+        store.insert(entry);
         Ok(())
     }
 
-    /// Search all entries under `base` (DN suffix match) with `filter`.
-    pub fn search(&self, base: &str, filter: &Filter) -> Vec<Entry> {
-        self.inner
-            .read()
-            .values()
-            .filter(|e| e.dn.ends_with(base) && filter.matches(e))
-            .cloned()
-            .collect()
+    /// The entries at or below `base` that `filter` matches, in DN order.
+    /// They are the directory's own, shared: a later `modify` replaces an
+    /// entry and leaves the one handed out here as it was.
+    pub fn search(&self, base: &str, filter: &Filter) -> Vec<Arc<Entry>> {
+        let store = self.inner.read();
+        let hit = |e: &&Arc<Entry>| dn_under(&e.dn, base) && filter.matches(e);
+        match filter.pinned_uid() {
+            Some(uid) => store
+                .by_uid
+                .get(uid)
+                .into_iter()
+                .flatten()
+                .filter(hit)
+                .cloned()
+                .collect(),
+            None => store.by_dn.values().filter(hit).cloned().collect(),
+        }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.inner.read().by_dn.len()
     }
 
     /// Whether the directory is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.inner.read().by_dn.is_empty()
     }
 }
 
@@ -477,6 +580,105 @@ mod tests {
             dir.search("dc=tacc", &Filter::Present("uid".into())).len(),
             5
         );
+    }
+
+    #[test]
+    fn base_ends_on_a_component_boundary() {
+        let dir = people_dir();
+        dir.add(Entry::new("uid=x,xou=people,dc=tacc").with_attr("uid", "x"))
+            .unwrap();
+        let any = Filter::Present("uid".into());
+        // `xou=people` is not `ou=people`, on the scan and on the index.
+        assert_eq!(dir.search("ou=people,dc=tacc", &any).len(), 4);
+        assert!(dir
+            .search("ou=people,dc=tacc", &Filter::eq("uid", "x"))
+            .is_empty());
+        // Half a component is no base at all.
+        assert!(dir.search("people,dc=tacc", &any).is_empty());
+        assert!(dir
+            .search("people,dc=tacc", &Filter::eq("uid", "alice"))
+            .is_empty());
+        // An entry is under its own DN, and everything is under the root.
+        assert_eq!(dir.search("uid=alice,ou=people,dc=tacc", &any).len(), 1);
+        assert_eq!(dir.search("", &any).len(), 5);
+    }
+
+    #[test]
+    fn modify_refiles_a_renamed_uid() {
+        let dir = people_dir();
+        dir.modify("uid=carol,ou=people,dc=tacc", |e| {
+            e.set_attr("uid", vec!["caroline".into()]);
+        })
+        .unwrap();
+        assert!(dir
+            .search("dc=tacc", &Filter::eq("uid", "carol"))
+            .is_empty());
+        let hits = dir.search("dc=tacc", &Filter::eq("uid", "caroline"));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].dn, "uid=carol,ou=people,dc=tacc");
+    }
+
+    #[test]
+    fn modify_rekeys_a_changed_dn() {
+        let dir = people_dir();
+        let (old, new) = ("uid=carol,ou=people,dc=tacc", "uid=carol,ou=staff,dc=tacc");
+        dir.modify(old, |e| e.dn = new.into()).unwrap();
+        assert_eq!(dir.get(old), None);
+        assert_eq!(dir.get(new).unwrap().get_one("uid"), Some("carol"));
+        assert_eq!(dir.len(), 4);
+        let hits = dir.search("ou=staff,dc=tacc", &Filter::eq("uid", "carol"));
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].dn, new);
+
+        // A DN another entry holds is refused, and nothing is changed.
+        let taken = "uid=alice,ou=people,dc=tacc";
+        let before = dir.get(new);
+        assert_eq!(
+            dir.modify(new, |e| {
+                e.dn = taken.into();
+                e.set_attr("uid", vec!["mallory".into()]);
+            }),
+            Err(DirectoryError::AlreadyExists(taken.into()))
+        );
+        assert_eq!(dir.get(new), before);
+        assert_eq!(dir.get(taken).unwrap().get_one("mfaPairing"), Some("soft"));
+        assert!(dir
+            .search("dc=tacc", &Filter::eq("uid", "mallory"))
+            .is_empty());
+    }
+
+    #[test]
+    fn uid_search_keeps_dn_order_and_the_rest_of_the_filter() {
+        let dir = people_dir();
+        // The same uid in two subtrees, added out of DN order, one of
+        // them listing the value twice.
+        dir.add(
+            Entry::new("uid=alice,ou=services,dc=tacc")
+                .with_attr("UID", "alice")
+                .with_attr("uid", "alice"),
+        )
+        .unwrap();
+        dir.add(Entry::new("cn=alias,dc=tacc").with_attr("uid", "alice"))
+            .unwrap();
+        let dns = |f: &Filter| -> Vec<String> {
+            dir.search("dc=tacc", f)
+                .iter()
+                .map(|e| e.dn.clone())
+                .collect()
+        };
+        assert_eq!(
+            dns(&Filter::eq("uId", "alice")),
+            [
+                "cn=alias,dc=tacc",
+                "uid=alice,ou=people,dc=tacc",
+                "uid=alice,ou=services,dc=tacc"
+            ]
+        );
+        let paired = Filter::parse("(&(mfaPairing=*)(uid=alice))").unwrap();
+        assert_eq!(dns(&paired), ["uid=alice,ou=people,dc=tacc"]);
+        dir.delete("uid=alice,ou=people,dc=tacc").unwrap();
+        assert!(dns(&paired).is_empty());
+        assert_eq!(dns(&Filter::eq("uid", "alice")).len(), 2);
     }
 
     #[test]

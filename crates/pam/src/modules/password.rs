@@ -34,6 +34,13 @@ pub fn verify_password(candidate: &str, stored: &str) -> bool {
     hpcmfa_crypto::ct::ct_eq_str(&hash_password(candidate, salt), stored)
 }
 
+/// What the password of a user the directory does not hold is checked
+/// against: `hash_password("no such user", "nobody")`. With the lookup a
+/// constant-time index probe, answering an unknown name before any hash
+/// would tell it from a known one by the clock alone.
+const NOBODY_RECORD: &str =
+    "{SSHA256}nobody$3e3d73710f2685a3f95312e66611eef2d47e1d5d5f5071e4508af8641c271b06";
+
 /// The password-checking module.
 pub struct UnixPasswordModule {
     directory: Directory,
@@ -63,13 +70,14 @@ impl PamModule for UnixPasswordModule {
         let hits = self
             .directory
             .search(&self.base, &Filter::eq("uid", &ctx.username));
-        let Some(entry) = hits.first() else {
-            // Unknown user: indistinguishable from a bad password.
-            return PamResult::AuthErr;
-        };
-        match entry.get_one(PASSWORD_ATTR) {
-            Some(stored) if verify_password(&answer, stored) => PamResult::Success,
-            _ => PamResult::AuthErr,
+        let stored = hits.first().and_then(|e| e.get_one(PASSWORD_ATTR));
+        // Unknown user: indistinguishable from a bad password, in the
+        // verdict and in the work done for it.
+        let matches = verify_password(&answer, stored.unwrap_or(NOBODY_RECORD));
+        if matches && stored.is_some() {
+            PamResult::Success
+        } else {
+            PamResult::AuthErr
         }
     }
 }
@@ -81,6 +89,9 @@ mod tests {
     use hpcmfa_directory::ldap::Entry;
     use hpcmfa_otp::clock::SimClock;
     use std::net::Ipv4Addr;
+
+    /// The password [`NOBODY_RECORD`] was hashed from.
+    const NOBODY_PASSWORD: &str = "no such user";
 
     fn directory_with(user: &str, password: &str) -> Directory {
         let dir = Directory::new();
@@ -138,6 +149,24 @@ mod tests {
         let dir = directory_with("alice", "pw");
         let m = UnixPasswordModule::new(dir, "dc=tacc");
         assert_eq!(run(&m, "mallory", vec!["pw"]), PamResult::AuthErr);
+    }
+
+    #[test]
+    fn the_nobody_record_is_well_formed() {
+        // It takes the whole hash-and-compare path, not an early return.
+        assert!(verify_password(NOBODY_PASSWORD, NOBODY_RECORD));
+    }
+
+    #[test]
+    fn nobody_logs_in_with_the_nobody_password() {
+        let dir = directory_with("alice", "pw");
+        dir.add(Entry::new("uid=nopass,ou=people,dc=tacc").with_attr("uid", "nopass"))
+            .unwrap();
+        let m = UnixPasswordModule::new(dir, "dc=tacc");
+        // Absent from the directory, and present without a password.
+        for user in ["mallory", "nopass"] {
+            assert_eq!(run(&m, user, vec![NOBODY_PASSWORD]), PamResult::AuthErr);
+        }
     }
 
     #[test]

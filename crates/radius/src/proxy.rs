@@ -338,7 +338,7 @@ mod tests {
         // proxy forward ← upstream request ← upstream attempt.
         let root = spans.iter().find(|s| s.parent.is_none()).unwrap();
         assert_eq!(
-            (root.component.as_str(), root.label.as_str()),
+            (root.component, root.label),
             ("radius.client", "authenticate")
         );
         let forward = spans

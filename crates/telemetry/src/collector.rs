@@ -45,9 +45,9 @@ pub struct CriticalHop {
     /// The hop's span id.
     pub span: SpanId,
     /// Component that recorded it.
-    pub component: String,
+    pub component: &'static str,
     /// Operation label.
-    pub label: String,
+    pub label: &'static str,
     /// Duration of the hop's span, µs.
     pub duration_us: u64,
     /// The hop's self-time (duration minus direct children), µs.
@@ -120,8 +120,8 @@ impl TraceTree {
         loop {
             path.push(CriticalHop {
                 span: cur.id,
-                component: cur.component.clone(),
-                label: cur.label.clone(),
+                component: cur.component,
+                label: cur.label,
                 duration_us: cur.duration_us(),
                 self_time_us: self.self_time_us(cur.id),
             });
@@ -142,11 +142,11 @@ impl TraceTree {
 
     /// Self-time summed per component, sorted by component name.
     pub fn self_time_by_component(&self) -> Vec<(String, u64)> {
-        let mut by: BTreeMap<String, u64> = BTreeMap::new();
+        let mut by: BTreeMap<&str, u64> = BTreeMap::new();
         for s in &self.spans {
-            *by.entry(s.component.clone()).or_default() += self.self_time_us(s.id);
+            *by.entry(s.component).or_default() += self.self_time_us(s.id);
         }
-        by.into_iter().collect()
+        by.into_iter().map(|(c, us)| (c.to_string(), us)).collect()
     }
 }
 
@@ -405,8 +405,8 @@ mod tests {
             trace,
             id: SpanId::from_u64(10),
             parent: Some(SpanId::from_u64(99)),
-            component: "otp".into(),
-            label: "validate".into(),
+            component: "otp",
+            label: "validate",
             detail: String::new(),
             status: SpanStatus::Ok,
             start_us: 5,

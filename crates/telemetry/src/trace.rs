@@ -27,7 +27,7 @@
 //! (see `hpcmfa-radius`'s `tracewire`), so a cross-site trace tree has one
 //! monotone time basis and self-times partition the end-to-end duration.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -284,10 +284,10 @@ pub struct SpanRecord {
     pub parent: Option<SpanId>,
     /// Which component recorded it (`ssh`, `pam`, `radius.client`,
     /// `radius.proxy`, `radius.realm`, `otp`).
-    pub component: String,
+    pub component: &'static str,
     /// Short operation label (`session`, `authenticate`, `forward`,
     /// `validate`, `wal_fsync`, …).
-    pub label: String,
+    pub label: &'static str,
     /// Free-form detail (outcome, server name, attempt count; never
     /// secrets or token codes).
     pub detail: String,
@@ -313,14 +313,79 @@ impl SpanRecord {
 /// the ring as a truncated tree.
 const EVICTED_MEMORY: usize = 1_024;
 
+/// What the tracer holds for one trace id.
+enum Held {
+    /// Its retained spans, in recording order.
+    Spans(Vec<SpanRecord>),
+    /// Nothing: the trace was evicted recently, and its stragglers are
+    /// dropped rather than retained as a truncated tree.
+    Tombstone,
+}
+
+/// The ring, grouped per trace so that evicting one is a pop and one
+/// removal however many spans the others hold.
 struct TracerInner {
-    spans: VecDeque<SpanRecord>,
+    traces: BTreeMap<TraceId, Held>,
+    /// The traces with retained spans, by the arrival of their first:
+    /// the front is the next victim.
+    arrival: VecDeque<TraceId>,
+    /// The tombstoned traces (at most [`EVICTED_MEMORY`]), oldest first:
+    /// the front is the next forgotten.
+    evicted: VecDeque<TraceId>,
+    /// Retained spans over all traces.
+    len: usize,
     cap: usize,
     dropped: u64,
-    /// Recently evicted trace ids (bounded, oldest forgotten first):
-    /// their straggler spans are dropped rather than retained as
-    /// truncated trees.
-    evicted: VecDeque<TraceId>,
+}
+
+impl TracerInner {
+    fn spans_of(&self, trace: TraceId) -> &[SpanRecord] {
+        match self.traces.get(&trace) {
+            Some(Held::Spans(spans)) => spans,
+            _ => &[],
+        }
+    }
+
+    /// Evict the oldest retained trace whole and leave its tombstone.
+    fn evict_oldest(&mut self) -> Option<TraceId> {
+        let victim = self.arrival.pop_front()?;
+        if let Some(Held::Spans(spans)) = self.traces.insert(victim, Held::Tombstone) {
+            self.len -= spans.len();
+            self.dropped += spans.len() as u64;
+        }
+        if self.evicted.len() >= EVICTED_MEMORY {
+            if let Some(forgotten) = self.evicted.pop_front() {
+                self.traces.remove(&forgotten);
+            }
+        }
+        self.evicted.push_back(victim);
+        Some(victim)
+    }
+
+    /// Insert a finished span, evicting whole traces (oldest first) past
+    /// the cap. If the incoming span's own trace is the oldest and the
+    /// ring is full, the entire trace — incoming span included — is
+    /// dropped. Stragglers of any recently evicted trace are dropped
+    /// too, so retained trees are never truncated.
+    fn insert(&mut self, rec: SpanRecord) {
+        if self.cap == 0 || matches!(self.traces.get(&rec.trace), Some(Held::Tombstone)) {
+            self.dropped += 1;
+            return;
+        }
+        while self.len >= self.cap {
+            if self.evict_oldest() == Some(rec.trace) {
+                self.dropped += 1;
+                return;
+            }
+        }
+        self.len += 1;
+        if let Some(Held::Spans(spans)) = self.traces.get_mut(&rec.trace) {
+            spans.push(rec);
+        } else {
+            self.arrival.push_back(rec.trace);
+            self.traces.insert(rec.trace, Held::Spans(vec![rec]));
+        }
+    }
 }
 
 /// A bounded, thread-safe span buffer shared by every component on the
@@ -360,10 +425,12 @@ impl Tracer {
     pub fn with_cap(cap: usize) -> Self {
         Tracer {
             inner: Mutex::new(TracerInner {
-                spans: VecDeque::new(),
+                traces: BTreeMap::new(),
+                arrival: VecDeque::new(),
+                evicted: VecDeque::new(),
+                len: 0,
                 cap,
                 dropped: 0,
-                evicted: VecDeque::new(),
             }),
             ns: AtomicU64::new(namespace("tracer")),
             seq: AtomicU64::new(0),
@@ -460,17 +527,17 @@ impl Tracer {
     /// Record one point span for `trace` (no parent, zero duration).
     /// Retained for ad-hoc annotations and tests; instrumented paths use
     /// [`Tracer::start`].
-    pub fn span(&self, trace: TraceId, component: &str, label: &str, detail: &str) {
+    pub fn span(&self, trace: TraceId, component: &'static str, label: &'static str, detail: &str) {
         if !self.is_enabled() {
             return;
         }
         let id = self.next_id(trace);
-        self.insert(SpanRecord {
+        self.lock().insert(SpanRecord {
             trace,
             id,
             parent: None,
-            component: component.to_string(),
-            label: label.to_string(),
+            component,
+            label,
             detail: detail.to_string(),
             status: SpanStatus::Ok,
             start_us: 0,
@@ -479,51 +546,10 @@ impl Tracer {
         });
     }
 
-    /// Insert a finished span, evicting whole traces (oldest first) past
-    /// the cap. If the incoming span's own trace is the oldest and the
-    /// ring is full, the entire trace — incoming span included — is
-    /// dropped. Stragglers of any recently evicted trace are dropped
-    /// too, so retained trees are never truncated.
-    fn insert(&self, rec: SpanRecord) {
-        let mut inner = self.lock();
-        if inner.cap == 0 {
-            inner.dropped += 1;
-            return;
-        }
-        if inner.evicted.contains(&rec.trace) {
-            inner.dropped += 1;
-            return;
-        }
-        while inner.spans.len() >= inner.cap {
-            let victim = inner
-                .spans
-                .front()
-                .expect("len >= cap >= 1 implies non-empty")
-                .trace;
-            let before = inner.spans.len();
-            inner.spans.retain(|s| s.trace != victim);
-            inner.dropped += (before - inner.spans.len()) as u64;
-            if inner.evicted.len() >= EVICTED_MEMORY {
-                inner.evicted.pop_front();
-            }
-            inner.evicted.push_back(victim);
-            if victim == rec.trace {
-                inner.dropped += 1;
-                return;
-            }
-        }
-        inner.spans.push_back(rec);
-    }
-
     /// All retained spans for `trace`, in recording order (children
     /// close — and therefore record — before their parents).
     pub fn spans_for(&self, trace: TraceId) -> Vec<SpanRecord> {
-        self.lock()
-            .spans
-            .iter()
-            .filter(|s| s.trace == trace)
-            .cloned()
-            .collect()
+        self.lock().spans_of(trace).to_vec()
     }
 
     /// The distinct components that recorded spans for `trace`, in
@@ -531,14 +557,13 @@ impl Tracer {
     /// contract: report sections built from this list are byte-stable
     /// across shard interleavings.
     pub fn components_for(&self, trace: TraceId) -> Vec<String> {
-        self.lock()
-            .spans
+        let components: BTreeSet<&str> = self
+            .lock()
+            .spans_of(trace)
             .iter()
-            .filter(|s| s.trace == trace)
-            .map(|s| s.component.clone())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect()
+            .map(|s| s.component)
+            .collect();
+        components.into_iter().map(str::to_string).collect()
     }
 
     /// The distinct trace ids with retained spans, in sorted (ascending
@@ -546,22 +571,21 @@ impl Tracer {
     /// is a documented contract, not an accident of storage.
     pub fn trace_ids(&self) -> Vec<TraceId> {
         self.lock()
-            .spans
+            .traces
             .iter()
-            .map(|s| s.trace)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
+            .filter(|(_, held)| matches!(held, Held::Spans(_)))
+            .map(|(trace, _)| *trace)
             .collect()
     }
 
     /// Retained span count.
     pub fn len(&self) -> usize {
-        self.lock().spans.len()
+        self.lock().len
     }
 
     /// Whether no spans are retained.
     pub fn is_empty(&self) -> bool {
-        self.lock().spans.is_empty()
+        self.len() == 0
     }
 
     /// Spans evicted by the ring cap since creation.
@@ -573,8 +597,10 @@ impl Tracer {
     /// dropped counter is kept).
     pub fn clear(&self) {
         let mut inner = self.lock();
-        inner.spans.clear();
+        inner.traces.clear();
+        inner.arrival.clear();
         inner.evicted.clear();
+        inner.len = 0;
     }
 }
 
@@ -654,12 +680,12 @@ impl Drop for SpanGuard<'_> {
             return;
         }
         let end_us = self.clock.now_us().max(self.start_us);
-        self.tracer.insert(SpanRecord {
+        self.tracer.lock().insert(SpanRecord {
             trace: self.trace,
             id: self.id,
             parent: self.parent,
-            component: self.component.to_string(),
-            label: self.label.to_string(),
+            component: self.component,
+            label: self.label,
             detail: std::mem::take(&mut self.detail),
             status: self.status,
             start_us: self.start_us,

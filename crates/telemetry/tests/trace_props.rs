@@ -12,10 +12,132 @@
 //! 3. **Documented orders** — `trace_ids()` (ascending numeric) and
 //!    `components_for()` (ascending lexicographic) are sorted contracts,
 //!    not storage accidents.
+//! 4. **The ring it replaced** — the per-trace ring retains, drops and
+//!    lists exactly what the arrival-ordered `VecDeque` + `retain` tracer
+//!    before it did ([`RetainRing`], kept here as the model), span for
+//!    span, under interleaved traces, stragglers, oversized traces and
+//!    forgotten tombstones.
 
+use hpcmfa_telemetry::trace::DEFAULT_TRACER_CAP;
 use hpcmfa_telemetry::{MetricsRegistry, SpanCtx, TraceClock, TraceCollector, TraceId, Tracer};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
+
+/// The tracer's own (private) tombstone bound.
+const EVICTED_MEMORY: usize = 1_024;
+
+/// The tracer as it was before spans were grouped per trace: one queue
+/// of spans in arrival order, the oldest span's trace evicted by a
+/// `retain` over the whole queue, tombstones in a list searched span by
+/// span. A span is its trace and its detail.
+struct RetainRing {
+    spans: VecDeque<(TraceId, String)>,
+    cap: usize,
+    dropped: u64,
+    evicted: VecDeque<TraceId>,
+}
+
+impl RetainRing {
+    fn with_cap(cap: usize) -> Self {
+        RetainRing {
+            spans: VecDeque::new(),
+            cap,
+            dropped: 0,
+            evicted: VecDeque::new(),
+        }
+    }
+
+    fn insert(&mut self, trace: TraceId, detail: String) {
+        if self.cap == 0 {
+            self.dropped += 1;
+            return;
+        }
+        if self.evicted.contains(&trace) {
+            self.dropped += 1;
+            return;
+        }
+        while self.spans.len() >= self.cap {
+            let victim = self.spans.front().expect("len >= cap >= 1").0;
+            let before = self.spans.len();
+            self.spans.retain(|s| s.0 != victim);
+            self.dropped += (before - self.spans.len()) as u64;
+            if self.evicted.len() >= EVICTED_MEMORY {
+                self.evicted.pop_front();
+            }
+            self.evicted.push_back(victim);
+            if victim == trace {
+                self.dropped += 1;
+                return;
+            }
+        }
+        self.spans.push_back((trace, detail));
+    }
+
+    fn spans_for(&self, trace: TraceId) -> Vec<String> {
+        self.spans
+            .iter()
+            .filter(|s| s.0 == trace)
+            .map(|s| s.1.clone())
+            .collect()
+    }
+
+    fn trace_ids(&self) -> Vec<TraceId> {
+        let ids: BTreeSet<TraceId> = self.spans.iter().map(|s| s.0).collect();
+        ids.into_iter().collect()
+    }
+}
+
+/// A tracer and its model fed the same spans, compared after each one.
+struct Pair {
+    tracer: Tracer,
+    model: RetainRing,
+    /// Every trace id either has been handed.
+    seen: BTreeSet<TraceId>,
+    recorded: u64,
+}
+
+impl Pair {
+    fn with_cap(cap: usize) -> Self {
+        Pair {
+            tracer: Tracer::with_cap(cap),
+            model: RetainRing::with_cap(cap),
+            seen: BTreeSet::new(),
+            recorded: 0,
+        }
+    }
+
+    fn span(&mut self, trace: u64) {
+        let trace = TraceId::from_u64(trace);
+        let detail = self.recorded.to_string();
+        self.recorded += 1;
+        self.seen.insert(trace);
+        self.tracer.span(trace, "t", "op", &detail);
+        self.model.insert(trace, detail);
+
+        let at = self.recorded;
+        assert_eq!(self.tracer.len(), self.model.spans.len(), "len, span {at}");
+        assert_eq!(
+            self.tracer.dropped(),
+            self.model.dropped,
+            "dropped, span {at}"
+        );
+        assert_eq!(
+            self.tracer.len() as u64 + self.tracer.dropped(),
+            self.recorded
+        );
+        assert_eq!(self.tracer.trace_ids(), self.model.trace_ids(), "span {at}");
+        for &id in &self.seen {
+            let held: Vec<String> = self
+                .tracer
+                .spans_for(id)
+                .into_iter()
+                .map(|s| s.detail)
+                .collect();
+            assert_eq!(held, self.model.spans_for(id), "trace {id}, span {at}");
+        }
+    }
+}
 
 /// A randomly shaped span tree: virtual-clock advances before and after
 /// the children, up to depth 4 and fan-out 4.
@@ -121,6 +243,30 @@ proptest! {
         }
     }
 
+    /// Two logins in flight at any time, their spans interleaved; a
+    /// finished login's trace still gets the odd straggler. With caps
+    /// this small some logins outgrow the ring, and most stragglers find
+    /// their trace evicted.
+    fn per_trace_ring_matches_the_retain_ring(
+        cap in 0usize..12,
+        script in prop::collection::vec((0u8..10, any::<u8>()), 1..160),
+    ) {
+        let mut pair = Pair::with_cap(cap);
+        let mut in_flight = [1u64, 2];
+        let mut next = 3;
+        for (kind, pick) in script {
+            let slot = usize::from(pick % 2);
+            match kind {
+                0..=6 => pair.span(in_flight[slot]),
+                7 => {
+                    in_flight[slot] = next;
+                    next += 1;
+                }
+                _ => pair.span(1 + u64::from(pick) % next),
+            }
+        }
+    }
+
     /// `trace_ids()` is ascending numeric and `components_for()` is
     /// ascending lexicographic, regardless of recording order.
     fn listing_orders_are_sorted(seeds in prop::collection::vec(0u64..1_000, 1..20)) {
@@ -138,5 +284,74 @@ proptest! {
                 "components_for not sorted: {:?}", cs
             );
         }
+    }
+}
+
+/// Past `EVICTED_MEMORY` evictions the oldest tombstones are forgotten:
+/// a straggler of a forgotten trace is retained again as a trace of its
+/// own, one of a remembered trace is still dropped — on both sides.
+#[test]
+fn forgotten_tombstones_match_the_retain_ring() {
+    let mut pair = Pair::with_cap(6);
+    // Two interleaved logins, the second longer than the ring.
+    for _ in 0..3 {
+        pair.span(1);
+        pair.span(2);
+    }
+    for _ in 0..8 {
+        pair.span(2);
+    }
+    // One-span traces: every one past the cap evicts another.
+    let churn = 10 + EVICTED_MEMORY as u64 + 40;
+    for trace in 10..churn {
+        pair.span(trace);
+        if trace % 97 == 0 {
+            pair.span(trace - 50); // evicted and remembered
+        }
+    }
+    assert!(pair.model.dropped > EVICTED_MEMORY as u64);
+    let before = pair.tracer.len();
+    pair.span(1); // evicted first, forgotten by now
+    pair.span(1);
+    assert_eq!(pair.tracer.spans_for(TraceId::from_u64(1)).len(), 2);
+    pair.span(churn - 20); // evicted, still remembered
+    assert!(pair
+        .tracer
+        .spans_for(TraceId::from_u64(churn - 20))
+        .is_empty());
+    assert_eq!(pair.tracer.len(), before);
+}
+
+/// Complexity guard, run by name under `timeout` from `scripts/ci.sh`: a
+/// million spans, 16 to a trace as an ssh login's are, through a ring of
+/// the default size, which is full for all but the first 65 536. Evicting
+/// with `retain` moved every retained span once per trace, about a
+/// minute of this; grouped per trace it is well under a second. The
+/// assertions are counts, the stopwatch is CI's.
+#[test]
+fn a_full_default_ring_takes_a_million_spans() {
+    const PER_TRACE: usize = 16;
+    const TRACES: usize = 1_000_000 / PER_TRACE;
+    let tracer = Tracer::new();
+    let clock = TraceClock::at(0);
+    for trace in 0..TRACES {
+        let ctx = SpanCtx::root(TraceId::from_u64(trace as u64), clock.clone());
+        for _ in 0..PER_TRACE {
+            tracer.start(&ctx, "t", "op").finish();
+        }
+    }
+    assert_eq!(tracer.len(), DEFAULT_TRACER_CAP);
+    assert_eq!(
+        tracer.len() as u64 + tracer.dropped(),
+        (TRACES * PER_TRACE) as u64
+    );
+    // The survivors are the newest traces, every one of them whole.
+    let kept = DEFAULT_TRACER_CAP / PER_TRACE;
+    let newest: Vec<TraceId> = (TRACES - kept..TRACES)
+        .map(|t| TraceId::from_u64(t as u64))
+        .collect();
+    assert_eq!(tracer.trace_ids(), newest);
+    for trace in newest {
+        assert_eq!(tracer.spans_for(trace).len(), PER_TRACE);
     }
 }

@@ -40,10 +40,21 @@ echo "==> alerting: rule engine, event stream, deterministic timelines"
 cargo test -q --offline --test alerting
 cargo test -q --offline -p hpcmfa-radius --test tracewire_props
 
-echo "==> hot path: midstate/store equivalence props, concurrency smoke"
+echo "==> hot path: midstate/store/uid-index equivalence props, concurrency smoke"
 cargo test -q --offline -p hpcmfa-crypto --test hmac_midstate_props
 cargo test -q --offline -p hpcmfa-otpserver --test store_proptests
 cargo test -q --offline -p hpcmfa-otpserver --test concurrency_smoke
+cargo test -q --offline -p hpcmfa-directory --test index_props
+
+echo "==> complexity guards: a full default span ring, uid search over 100 000 entries"
+# Neither test holds a stopwatch: linear-per-operation code (a minute and
+# several minutes of work respectively) runs into the timeout instead.
+cargo test -q --offline --release --no-run \
+    -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props
+timeout 20 cargo test -q --offline --release -p hpcmfa-telemetry --test trace_props \
+    a_full_default_ring_takes_a_million_spans
+timeout 20 cargo test -q --offline --release -p hpcmfa-directory --test index_props \
+    uid_search_does_not_grow_with_the_directory
 
 echo "==> replication: codec/fence proptests + failover acceptance suite"
 cargo test -q --offline -p hpcmfa-otpserver --test replication_proptests
