@@ -1,11 +1,10 @@
-//! Shared harness for the figure-regeneration binaries and the criterion
-//! benchmarks.
+//! Shared harness for the figure-regeneration binaries.
 //!
 //! Each paper table/figure has a binary (`fig3` … `fig6`, `table1`,
 //! `sms_cost`) that runs the rollout simulator and prints the same series
 //! the paper plots, next to the paper's reported values where the paper
-//! gives numbers. Criterion benches cover the component costs and the
-//! DESIGN.md ablations.
+//! gives numbers. Performance is measured by `loginbench` (`benchmark/`),
+//! not here.
 
 use hpcmfa_otp::date::Date;
 use hpcmfa_workload::rollout::{RolloutParams, RolloutSim, SimOutput};

@@ -7,7 +7,7 @@
 //! nodes whose sshd hands authentication to the Figure 1 PAM stack.
 //!
 //! Everything runs against one shared [`SimClock`], so integration tests,
-//! examples, benches, and the five-month rollout simulation in
+//! examples, and the five-month rollout simulation in
 //! `hpcmfa-workload` are deterministic and fast.
 
 pub mod center;

@@ -1832,6 +1832,7 @@ mod tests {
             snap.counter("hpcmfa_otp_validations_total{outcome=\"success\"}"),
             1
         );
+        assert_eq!(snap.counter("hpcmfa_otp_window_scans_total"), 1);
         assert!(snap.histogram_family("hpcmfa_otp_validate_wall_us").count() >= 1);
     }
 

@@ -48,8 +48,8 @@ pub const SHARD_COUNT: usize = 1 << SHARD_BITS;
 const NO_FLOOR: u64 = u64::MAX;
 
 /// Deterministic shard index for `name`: FNV-1a over the bytes, folded and
-/// masked to [`SHARD_COUNT`]. Public so schedulers (the throughput harness)
-/// can partition users by shard and provably never contend on a shard lock.
+/// masked to [`SHARD_COUNT`]. Public so tests can partition users by shard
+/// and provably never contend on a shard lock.
 pub fn shard_of_name(name: &str) -> usize {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in name.as_bytes() {
@@ -681,8 +681,7 @@ mod tests {
     #[test]
     fn shard_of_name_is_stable_and_in_range() {
         // Pinned values: any change to the hash would silently re-partition
-        // durable stores and break the throughput harness's disjointness
-        // argument.
+        // durable stores.
         assert_eq!(shard_of_name("alice"), shard_of_name("alice"));
         for name in ["", "alice", "bob", "user0123", "üñí"] {
             assert!(shard_of_name(name) < SHARD_COUNT);

@@ -26,7 +26,6 @@
 
 use hpcmfa_otp::date::Date;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -272,77 +271,6 @@ impl AccessConfig {
     }
 }
 
-/// A pre-indexed variant of [`AccessConfig`] for large rule sets: rules are
-/// bucketed per explicit username (plus an `ALL`-users bucket), and the
-/// earliest matching rule index across buckets wins, preserving
-/// first-match-wins semantics exactly. The `exemption_acl` bench compares
-/// this against the linear scan — the DESIGN.md ablation #1.
-pub struct AccessIndex {
-    by_user: HashMap<String, Vec<usize>>,
-    all_users: Vec<usize>,
-    entries: Vec<AccessEntry>,
-}
-
-impl AccessIndex {
-    /// Build the index from a parsed config.
-    pub fn build(config: &AccessConfig) -> Self {
-        let mut by_user: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut all_users = Vec::new();
-        for (i, e) in config.entries.iter().enumerate() {
-            match &e.users {
-                UserPattern::All => all_users.push(i),
-                UserPattern::Named(names) => {
-                    for n in names {
-                        by_user.entry(n.clone()).or_default().push(i);
-                    }
-                }
-            }
-        }
-        AccessIndex {
-            by_user,
-            all_users,
-            entries: config.entries.clone(),
-        }
-    }
-
-    /// Decision equivalent to [`AccessConfig::decide`].
-    pub fn decide(&self, user: &str, ip: Ipv4Addr, now: u64) -> AccessDecision {
-        let user_rules = self.by_user.get(user).map(Vec::as_slice).unwrap_or(&[]);
-        // Merge the two sorted index lists, testing in global order.
-        let (mut a, mut b) = (0usize, 0usize);
-        loop {
-            let next = match (user_rules.get(a), self.all_users.get(b)) {
-                (Some(&x), Some(&y)) => {
-                    if x < y {
-                        a += 1;
-                        x
-                    } else {
-                        b += 1;
-                        y
-                    }
-                }
-                (Some(&x), None) => {
-                    a += 1;
-                    x
-                }
-                (None, Some(&y)) => {
-                    b += 1;
-                    y
-                }
-                (None, None) => return AccessDecision::NotExempt,
-            };
-            let e = &self.entries[next];
-            if e.matches(user, ip, now) {
-                return if e.grant {
-                    AccessDecision::Exempt
-                } else {
-                    AccessDecision::NotExempt
-                };
-            }
-        }
-    }
-}
-
 /// A hot-reloadable config handle: "changes take effect immediately upon
 /// write to disk" (§3.4). The PAM exemption module holds one of these; the
 /// sysadmin (or a test) calls [`WatchedAccessConfig::reload`].
@@ -528,31 +456,6 @@ mod tests {
         assert!(AccessConfig::parse("+ : a : ALL : 2016-13-01\n").is_err());
         assert!(AccessConfig::parse("+ :  : ALL : ALL\n").is_err());
         assert!(AccessConfig::parse("+ : a :  : ALL\n").is_err());
-    }
-
-    #[test]
-    fn index_matches_linear_semantics() {
-        let cfg = AccessConfig::parse(
-            "- : u5 : ALL : ALL\n\
-             + : u1 u2 u3 : 10.0.0.0/8 : ALL\n\
-             + : ALL : 129.114.0.0/16 : ALL\n\
-             + : u5 u6 : ALL : 2016-10-18\n",
-        )
-        .unwrap();
-        let index = AccessIndex::build(&cfg);
-        let ips = ["10.1.2.3", "129.114.9.9", "8.8.8.8"];
-        let users = ["u1", "u2", "u3", "u4", "u5", "u6", "nobody"];
-        for u in users {
-            for i in ips {
-                for t in [0u64, SEP_2016, 2_000_000_000] {
-                    assert_eq!(
-                        cfg.decide(u, ip(i), t),
-                        index.decide(u, ip(i), t),
-                        "user={u} ip={i} t={t}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

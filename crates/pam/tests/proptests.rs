@@ -1,53 +1,10 @@
 //! Property-based tests for the exemption ACL machinery.
 
-use hpcmfa_pam::access::{AccessConfig, AccessIndex, Cidr};
+use hpcmfa_pam::access::{AccessConfig, Cidr};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
-/// Generate an ACL line with constrained but varied structure.
-fn arb_line() -> impl Strategy<Value = String> {
-    let action = prop::sample::select(vec!["+", "-"]);
-    let users = prop_oneof![
-        Just("ALL".to_string()),
-        proptest::collection::vec(0u32..40, 1..4).prop_map(|ids| ids
-            .iter()
-            .map(|i| format!("user{i}"))
-            .collect::<Vec<_>>()
-            .join(" ")),
-    ];
-    let origins = prop_oneof![
-        Just("ALL".to_string()),
-        (any::<[u8; 4]>(), 8u8..=32).prop_map(|(o, p)| { format!("{}/{}", Ipv4Addr::from(o), p) }),
-    ];
-    let expiry = prop_oneof![
-        Just("ALL".to_string()),
-        (2016u32..2018, 1u32..=12, 1u32..=28).prop_map(|(y, m, d)| format!("{y:04}-{m:02}-{d:02}")),
-    ];
-    (action, users, origins, expiry).prop_map(|(a, u, o, e)| format!("{a} : {u} : {o} : {e}"))
-}
-
-fn arb_config() -> impl Strategy<Value = AccessConfig> {
-    proptest::collection::vec(arb_line(), 0..20)
-        .prop_map(|lines| AccessConfig::parse(&lines.join("\n")).expect("generated lines parse"))
-}
-
 proptest! {
-    /// The indexed decision structure must agree with the linear
-    /// first-match scan on every input — this is the correctness side of
-    /// the `exemption_acl` ablation bench.
-    #[test]
-    fn index_equals_linear(
-        config in arb_config(),
-        user_id in 0u32..50,
-        ip in any::<[u8; 4]>(),
-        now in 1_400_000_000u64..1_600_000_000,
-    ) {
-        let index = AccessIndex::build(&config);
-        let user = format!("user{user_id}");
-        let ip = Ipv4Addr::from(ip);
-        prop_assert_eq!(config.decide(&user, ip, now), index.decide(&user, ip, now));
-    }
-
     /// Arbitrary text never panics the parser.
     #[test]
     fn parse_never_panics(text in "\\PC{0,300}") {

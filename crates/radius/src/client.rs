@@ -208,7 +208,7 @@ pub enum Outcome {
     },
 }
 
-/// Failover counters for the resiliency benches.
+/// Failover counters.
 #[derive(Default)]
 pub struct ClientStats {
     /// Total requests issued by callers.

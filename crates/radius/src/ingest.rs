@@ -1,10 +1,11 @@
 //! Wire-rate batched UDP ingest for the RADIUS server (DESIGN.md §16).
 //!
-//! The single-threaded [`RadiusServer::serve_udp`] loop does one
-//! recv → process → send round per datagram: every datagram pays a
-//! syscall pair plus full request processing before the socket is read
-//! again, so a login storm queues in the kernel and overflows the socket
-//! buffer. This module splits the loop into an event-loop pipeline:
+//! The RADIUS server's one UDP front end. A loop that did one
+//! recv → process → send round per datagram would make every datagram
+//! wait for the full processing of the one before it, so a login storm
+//! queues in the kernel and overflows the socket buffer. This module is
+//! an event-loop pipeline instead (`workers: 1, batch_max: 1` is that
+//! simple loop, for callers that want it):
 //!
 //! * a **receiver** thread drains the socket in batches — one blocking
 //!   wait (bounded by [`IngestConfig::poll_wait`]) for the first

@@ -21,7 +21,7 @@
 //!   proxy handler for the "proxy chaining across servers" deployment
 //!   pattern (§3.2) ([`proxy`]);
 //! * transports: deterministic in-memory (with fault injection, used by the
-//!   rollout simulator and benches) and real UDP ([`transport`]);
+//!   rollout simulator) and real UDP ([`transport`]);
 //! * a wire-rate batched UDP front end — event-loop socket draining,
 //!   zero-copy [`packet::PacketView`] decode, bounded worker pool, lane
 //!   fairness ([`ingest`], DESIGN.md §16).

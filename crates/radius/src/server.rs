@@ -10,8 +10,7 @@
 use crate::attribute::{Attribute, AttributeType};
 use crate::auth::{recover_password_into, seal_wire};
 use crate::packet::{Code, Packet, PacketView};
-use std::net::UdpSocket;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a handler decides about an Access-Request.
@@ -55,7 +54,7 @@ where
     }
 }
 
-/// Counters exposed for capacity benches.
+/// Traffic counters.
 #[derive(Default)]
 pub struct ServerStats {
     /// Datagrams received.
@@ -164,35 +163,6 @@ impl RadiusServer {
     /// The shared secret (used by proxies re-hiding passwords upstream).
     pub fn secret(&self) -> &[u8] {
         &self.secret
-    }
-
-    /// Serve on a bound UDP socket until `shutdown` is set. Returns the
-    /// join handle; the socket read timeout bounds shutdown latency.
-    pub fn serve_udp(
-        self: &Arc<Self>,
-        socket: UdpSocket,
-        shutdown: Arc<AtomicBool>,
-    ) -> std::thread::JoinHandle<()> {
-        let server = Arc::clone(self);
-        socket
-            .set_read_timeout(Some(std::time::Duration::from_millis(50)))
-            .expect("set_read_timeout");
-        std::thread::spawn(move || {
-            let mut buf = [0u8; crate::MAX_PACKET_LEN];
-            while !shutdown.load(Ordering::SeqCst) {
-                match socket.recv_from(&mut buf) {
-                    Ok((n, peer)) => {
-                        if let Some(reply) = server.process_datagram(&buf[..n]) {
-                            let _ = socket.send_to(&reply, peer);
-                        }
-                    }
-                    Err(ref e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut => {}
-                    Err(_) => break,
-                }
-            }
-        })
     }
 }
 

@@ -5,7 +5,7 @@
 //! * [`InMemoryTransport`] — deterministic, in-process delivery to a
 //!   [`RadiusServer`], with a [`FaultPlan`]
 //!   for outage/packet-loss injection. The rollout simulator and the
-//!   failover benches use this.
+//!   chaos harness use this.
 //! * [`UdpTransport`] — real UDP datagrams, used by integration tests to
 //!   prove the wire format is sound end to end.
 
@@ -72,7 +72,7 @@ pub trait Transport: Send + Sync {
 
 /// Deterministic fault injection for [`InMemoryTransport`].
 ///
-/// All knobs are atomics so tests, benches and the chaos harness can flip
+/// All knobs are atomics so tests and the chaos harness can flip
 /// them while clients run on other threads — exactly the "specific RADIUS
 /// servers are unavailable" scenario §3.4 designs for.
 ///

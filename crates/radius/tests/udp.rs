@@ -1,10 +1,10 @@
 //! End-to-end RADIUS over real UDP sockets: proves the wire format, the
-//! serve loops (single-threaded and batched) and the batch fairness quota
-//! work outside the in-memory harness.
+//! batched serve loop (one worker up to a full pool) and the batch fairness
+//! quota work outside the in-memory harness.
 
 use hpcmfa_radius::attribute::{Attribute, AttributeType};
 use hpcmfa_radius::client::{ClientConfig, Outcome, RadiusClient};
-use hpcmfa_radius::ingest::{BatchedUdpServer, IngestConfig, Lane};
+use hpcmfa_radius::ingest::{BatchedUdpServer, IngestConfig, IngestHandle, Lane};
 use hpcmfa_radius::packet::{Code, Packet};
 use hpcmfa_radius::server::{RadiusServer, ServerDecision};
 use hpcmfa_radius::transport::{Transport, UdpTransport};
@@ -18,11 +18,9 @@ use std::time::Duration;
 
 const SECRET: &[u8] = b"udp-secret";
 
-fn spawn_server() -> (
-    std::net::SocketAddr,
-    Arc<AtomicBool>,
-    std::thread::JoinHandle<()>,
-) {
+/// The simplest front end the ingest loop can be: one worker, one
+/// datagram per drain.
+fn spawn_server() -> (std::net::SocketAddr, Arc<AtomicBool>, IngestHandle) {
     let handler = Arc::new(|_req: &Packet, pw: Option<&[u8]>| match pw {
         Some(b"") => ServerDecision::Challenge(vec![
             Attribute::new(AttributeType::State, b"udp-state".to_vec()),
@@ -38,7 +36,13 @@ fn spawn_server() -> (
     let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
     let addr = socket.local_addr().unwrap();
     let shutdown = Arc::new(AtomicBool::new(false));
-    let handle = server.serve_udp(socket, Arc::clone(&shutdown));
+    let config = IngestConfig {
+        workers: 1,
+        batch_max: 1,
+        ..IngestConfig::default()
+    };
+    let handle = BatchedUdpServer::with_config(server, Arc::new(MetricsRegistry::new()), config)
+        .serve(socket, Arc::clone(&shutdown));
     (addr, shutdown, handle)
 }
 
@@ -69,7 +73,7 @@ fn udp_full_challenge_flow() {
     assert!(matches!(bad, Outcome::Reject { message: Some(m) } if m == "Authentication error"));
 
     shutdown.store(true, Ordering::SeqCst);
-    handle.join().unwrap();
+    handle.join();
 }
 
 #[test]
@@ -157,7 +161,7 @@ fn udp_garbled_reply_fails_over_to_healthy_server() {
     junk_stop.store(true, Ordering::SeqCst);
     good_stop.store(true, Ordering::SeqCst);
     junk_handle.join().unwrap();
-    good_handle.join().unwrap();
+    good_handle.join();
 }
 
 #[test]
@@ -333,5 +337,5 @@ fn udp_concurrent_clients() {
         j.join().unwrap();
     }
     shutdown.store(true, Ordering::SeqCst);
-    handle.join().unwrap();
+    handle.join();
 }

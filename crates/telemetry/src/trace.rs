@@ -22,14 +22,13 @@
 //!
 //! Timestamps are *virtual* microseconds read from the per-login
 //! [`TraceClock`] threaded through the stack in a [`SpanCtx`]. Components
-//! advance the clock by their modeled costs (the same convention the
-//! benches use), and the RADIUS wire carries the clock value across hops
+//! advance the clock by their modeled costs, and the RADIUS wire carries the clock value across hops
 //! (see `hpcmfa-radius`'s `tracewire`), so a cross-site trace tree has one
 //! monotone time basis and self-times partition the end-to-end duration.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Spans retained by a [`Tracer`] before the oldest traces are evicted.
@@ -404,8 +403,6 @@ pub struct Tracer {
     ns: AtomicU64,
     /// Per-tracer span-id sequence.
     seq: AtomicU64,
-    /// `false` for the no-op tracer the overhead bench compares against.
-    enabled: AtomicBool,
 }
 
 impl Default for Tracer {
@@ -434,31 +431,7 @@ impl Tracer {
             }),
             ns: AtomicU64::new(namespace("tracer")),
             seq: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
-    }
-
-    /// A tracer that records nothing and allocates nothing — the
-    /// baseline the `trace_overhead` bench compares the instrumented hot
-    /// path against.
-    pub fn disabled() -> Self {
-        let t = Self::with_cap(0);
-        t.enabled.store(false, Ordering::Relaxed);
-        t
-    }
-
-    /// Whether spans are recorded (false only for [`Tracer::disabled`]
-    /// or after [`Tracer::disable`]).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn span recording off: [`Tracer::start`] hands out inert guards
-    /// that never lock or allocate. The overhead bench disables the
-    /// tracer on an otherwise identical registry to measure the
-    /// instrumented hot path against its no-op baseline.
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
     }
 
     /// Name the tracer's span-id namespace (e.g. the site name), so
@@ -492,22 +465,6 @@ impl Tracer {
         component: &'static str,
         label: &'static str,
     ) -> SpanGuard<'t> {
-        if !self.is_enabled() {
-            return SpanGuard {
-                tracer: self,
-                trace: ctx.trace,
-                id: SpanId::from_u64(1),
-                parent: None,
-                component,
-                label,
-                clock: ctx.clock.clone(),
-                start_us: 0,
-                status: SpanStatus::Ok,
-                detail: String::new(),
-                attrs: Vec::new(),
-                active: false,
-            };
-        }
         SpanGuard {
             tracer: self,
             trace: ctx.trace,
@@ -520,7 +477,6 @@ impl Tracer {
             status: SpanStatus::Ok,
             detail: String::new(),
             attrs: Vec::new(),
-            active: true,
         }
     }
 
@@ -528,9 +484,6 @@ impl Tracer {
     /// Retained for ad-hoc annotations and tests; instrumented paths use
     /// [`Tracer::start`].
     pub fn span(&self, trace: TraceId, component: &'static str, label: &'static str, detail: &str) {
-        if !self.is_enabled() {
-            return;
-        }
         let id = self.next_id(trace);
         self.lock().insert(SpanRecord {
             trace,
@@ -620,7 +573,6 @@ pub struct SpanGuard<'t> {
     status: SpanStatus,
     detail: String,
     attrs: Vec<(String, AttrValue)>,
-    active: bool,
 }
 
 impl SpanGuard<'_> {
@@ -676,9 +628,6 @@ impl SpanGuard<'_> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
         let end_us = self.clock.now_us().max(self.start_us);
         self.tracer.lock().insert(SpanRecord {
             trace: self.trace,
@@ -869,20 +818,6 @@ mod tests {
         };
         assert_eq!(mk("tacc"), mk("tacc"), "same site, same seq, same id");
         assert_ne!(mk("tacc"), mk("psc"), "sites never collide");
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::disabled();
-        assert!(!t.is_enabled());
-        let ctx = SpanCtx::root(TraceId::from_u64(1), TraceClock::at(0));
-        {
-            let mut g = t.start(&ctx, "otp", "validate");
-            g.set_detail("ignored");
-        }
-        t.span(TraceId::from_u64(1), "pam", "x", "");
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0, "disabled is a no-op, not a drop");
     }
 
     #[test]

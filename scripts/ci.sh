@@ -3,6 +3,17 @@
 #
 # Everything runs --offline: dependencies resolve to the path shims under
 # shims/, so this must pass on a machine with no crate-registry access.
+#
+# `cargo test --workspace` runs every suite once; each later stanza adds
+# something that run cannot:
+#   complexity guards  the two tests that are only meaningful optimised and
+#                      under a timeout (linear-per-operation code runs into it)
+#   stuffing storm     the workspace run's overload test again, alone and under
+#                      a timeout, so a storm that is no longer shed cheaply
+#                      fails here by name instead of slowing the whole run
+#   results/           the figure bins' stdout against the committed captures
+#   loginbench         benchmark/ is its own workspace, which --workspace skips
+#   clippy             lints, all targets
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,37 +26,6 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> durability acceptance + crash-point sweep"
-cargo test -q --offline --test durability
-cargo test -q --offline -p hpcmfa-otpserver --test crash_sweep
-cargo test -q --offline -p hpcmfa-otpserver --test wal_proptests
-
-echo "==> group commit (shared syncs, failed group denied) + compaction race"
-cargo test -q --offline -p hpcmfa-otpserver --test group_commit
-cargo test -q --offline -p hpcmfa-otpserver --test group_commit \
-    compaction_never_erases_an_acknowledged_record
-
-echo "==> telemetry: histogram properties, tracing, metrics scrape"
-cargo test -q --offline -p hpcmfa-telemetry
-cargo test -q --offline -p hpcmfa-telemetry --test histogram_props
-cargo test -q --offline -p hpcmfa-telemetry --test trace_props
-cargo test -q --offline --test tracing
-cargo test -q --offline --test telemetry
-
-echo "==> cross-site trace join (one trace id, three sites, x5 identical)"
-cargo test -q --offline --test tracing federation_transit_trace_joins_spans_from_all_three_sites
-cargo test -q --offline --test tracing transit_critical_path
-
-echo "==> alerting: rule engine, event stream, deterministic timelines"
-cargo test -q --offline --test alerting
-cargo test -q --offline -p hpcmfa-radius --test tracewire_props
-
-echo "==> hot path: midstate/store/uid-index equivalence props, concurrency smoke"
-cargo test -q --offline -p hpcmfa-crypto --test hmac_midstate_props
-cargo test -q --offline -p hpcmfa-otpserver --test store_proptests
-cargo test -q --offline -p hpcmfa-otpserver --test concurrency_smoke
-cargo test -q --offline -p hpcmfa-directory --test index_props
-
 echo "==> complexity guards: a full default span ring, uid search over 100 000 entries"
 # Neither test holds a stopwatch: linear-per-operation code (a minute and
 # several minutes of work respectively) runs into the timeout instead.
@@ -56,75 +36,19 @@ timeout 20 cargo test -q --offline --release -p hpcmfa-telemetry --test trace_pr
 timeout 20 cargo test -q --offline --release -p hpcmfa-directory --test index_props \
     uid_search_does_not_grow_with_the_directory
 
-echo "==> replication: codec/fence proptests + failover acceptance suite"
-cargo test -q --offline -p hpcmfa-otpserver --test replication_proptests
-cargo test -q --offline --test failover
-
-echo "==> recovery smoke (WAL replay vs population) + BENCH_recovery.json schema"
-cargo build --release --offline -q -p hpcmfa-bench --bin recovery
-./target/release/recovery --users 32,128 --logins 2 \
-    --out target/BENCH_recovery_smoke.json --check >/dev/null
-for key in '"bench":"recovery"' '"runs":' '"wal_records":' \
-    '"recovered_users":' '"replay_secs":'; do
-    grep -q "$key" target/BENCH_recovery_smoke.json \
-        || { echo "BENCH_recovery_smoke.json missing $key"; exit 1; }
-done
-
-echo "==> adversarial harness: attack acceptance suite"
-cargo test -q --offline --test attacks
-
 echo "==> stuffing-storm smoke (sheds fire, zero benign lockouts, p99 SLO)"
 timeout 30 cargo test -q --offline --test attacks stuffing_storm_smoke
 
-echo "==> federation: realm routing + resumption acceptance suite"
-cargo test -q --offline --test federation
-cargo test -q --offline -p hpcmfa-federation --test token_proptests
-cargo test -q --offline -p hpcmfa-otpserver --test resume_proptests
-
-echo "==> resume-bench smoke (O(1), single-use, >=5x) + BENCH_resume.json schema"
-cargo build --release --offline -q -p hpcmfa-bench --bin resume
-./target/release/resume --users 64 --logins 4 \
-    --out target/BENCH_resume_smoke.json --check >/dev/null
-for key in '"bench":"resume"' '"full":' '"resume":' \
-    '"window_scans":' '"resume_speedup_vs_full":'; do
-    grep -q "$key" target/BENCH_resume_smoke.json \
-        || { echo "BENCH_resume_smoke.json missing $key"; exit 1; }
-done
-
-echo "==> throughput smoke (threads=2) + BENCH_throughput.json schema"
-cargo build --release --offline -q -p hpcmfa-bench --bin throughput
-./target/release/throughput --threads 1,2 --users 64 --logins 8 \
-    --out target/BENCH_throughput_smoke.json --check >/dev/null
-for key in '"bench":"throughput"' '"runs":' '"logins_per_sec":' \
-    '"virtual_elapsed_us":' '"max_speedup_vs_1":'; do
-    grep -q "$key" target/BENCH_throughput_smoke.json \
-        || { echo "BENCH_throughput_smoke.json missing $key"; exit 1; }
-done
-
-echo "==> trace-overhead smoke (recording vs no-op tracer) + BENCH_trace.json schema"
-cargo build --release --offline -q -p hpcmfa-bench --bin trace_overhead
-./target/release/trace_overhead --users 64 --logins 8 --reps 5 \
-    --out target/BENCH_trace_smoke.json >/dev/null
-for key in '"bench":"trace_overhead"' '"noop":' '"instrumented":' \
-    '"spans_recorded":' '"overhead_pct":'; do
-    grep -q "$key" target/BENCH_trace_smoke.json \
-        || { echo "BENCH_trace_smoke.json missing $key"; exit 1; }
-done
-
-echo "==> zero-copy decode parity props + batched ingest acceptance"
-cargo test -q --offline -p hpcmfa-radius --test view_props
-cargo test -q --offline -p hpcmfa-radius --test udp udp_batch_fairness_flood_does_not_starve_trusted
-cargo test -q --offline --test udp_ingest
-
-echo "==> udp-bench smoke (>=3x vs thread-per-request, zero-alloc decode) + BENCH_udp.json schema"
-cargo build --release --offline -q -p hpcmfa-bench --bin udp
-./target/release/udp --datagrams 4000 \
-    --out target/BENCH_udp_smoke.json --check >/dev/null
-for key in '"bench":"udp"' '"thread_per_request":' '"batched":' \
-    '"view_allocs_total":0' '"speedup_vs_thread_per_request":'; do
-    grep -q "$key" target/BENCH_udp_smoke.json \
-        || { echo "BENCH_udp_smoke.json missing $key"; exit 1; }
-done
+echo "==> results/: table1, sms_cost and detection reproduce their committed captures"
+# The other five captures come from the same seeded simulator but take
+# minutes together (fig5 alone 80 s); regenerate them by hand (EXPERIMENTS.md).
+reproduces() { # <bin> <capture under results/>
+    "./target/release/$1" 2>/dev/null | diff "results/$2" - \
+        || { echo "results/$2 is stale: the lines marked > are what $1 prints now"; exit 1; }
+}
+reproduces table1 table1.txt
+reproduces sms_cost sms_cost.txt
+reproduces detection detection_report.txt
 
 echo "==> loginbench compiles against this tree and its own unit tests pass"
 # benchmark/ is frozen between benchmark-only PRs: an API drift of
