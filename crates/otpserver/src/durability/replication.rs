@@ -830,7 +830,7 @@ impl OtpCluster {
             .advance_us(crate::server::span_cost::FAILOVER_PROMOTE_US);
         let span_id = span.id();
         span.finish();
-        self.core.metrics.emit_event_spanned(
+        self.core.metrics.emit_event(
             SecurityEventKind::Failover,
             Some(trace),
             Some(span_id),

@@ -23,7 +23,7 @@ use hpcmfa_radius::attribute::{Attribute, AttributeType};
 use hpcmfa_radius::packet::{Packet, PacketView};
 use hpcmfa_radius::server::{Handler, ServerDecision};
 use hpcmfa_radius::tracewire::{self, WireTraceCtx};
-use hpcmfa_telemetry::{SecurityEventKind, SpanCtx, SpanStatus, TraceClock};
+use hpcmfa_telemetry::{SecurityEventKind, SpanCtx, SpanStatus};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -187,7 +187,7 @@ impl OtpRadiusHandler {
                     // stolen-token shape (RFC 9000 §8.1.4): the MAC passed,
                     // so someone holds a real token somewhere it was never
                     // issued to.
-                    metrics.emit_event_spanned(
+                    metrics.emit_event(
                         SecurityEventKind::ResumeReplay,
                         trace,
                         span.as_ref().map(|g| g.id()),
@@ -221,29 +221,6 @@ impl OtpRadiusHandler {
         )])
     }
 
-    /// Append the responder's trace-clock reading to the reply so the
-    /// requesting client fast-forwards its shared clock past the modeled
-    /// server time — the propagation half of monotone cross-hop spans.
-    /// Discards carry nothing (no reply datagram exists to carry it).
-    fn stamp_clock(decision: ServerDecision, ctx: Option<&SpanCtx>) -> ServerDecision {
-        let Some(c) = ctx else { return decision };
-        let attr = tracewire::clock_attribute(c.clock.now_us());
-        match decision {
-            ServerDecision::Accept(mut attrs) => {
-                attrs.push(attr);
-                ServerDecision::Accept(attrs)
-            }
-            ServerDecision::Reject(mut attrs) => {
-                attrs.push(attr);
-                ServerDecision::Reject(attrs)
-            }
-            ServerDecision::Challenge(mut attrs) => {
-                attrs.push(attr);
-                ServerDecision::Challenge(attrs)
-            }
-            other => other,
-        }
-    }
     /// The decision logic shared by both [`Handler`] entry points. All
     /// request fields arrive pre-extracted as borrows, so the zero-copy
     /// [`PacketView`] path and the owned [`Packet`] path converge here
@@ -272,13 +249,8 @@ impl OtpRadiusHandler {
         // wire: the trace id threads the audit rows, the parent span id
         // hangs the responder's spans under the requesting attempt, and
         // the clock reading keeps virtual timestamps monotone across the
-        // hop. A v1 (bare trace id) attribute yields a parentless context
-        // rooted at this site's own clock origin.
-        let ctx = wire_ctx.map(|w| SpanCtx {
-            trace: w.trace,
-            parent: w.parent,
-            clock: TraceClock::at(w.clock_us),
-        });
+        // hop.
+        let ctx = wire_ctx.map(|w| w.span_ctx());
         let ctx = ctx.as_ref();
         // The client's source address (Calling-Station-Id) feeds the
         // per-network admission control when overload protection is on.
@@ -295,15 +267,15 @@ impl OtpRadiusHandler {
                 SmsTrigger::NotSmsUser | SmsTrigger::NoToken => self.challenge(TOKEN_PROMPT),
                 SmsTrigger::Locked | SmsTrigger::Unavailable => Self::reject(),
             };
-            return Self::stamp_clock(decision, ctx);
+            return decision.with_clock(ctx);
         }
 
         let Ok(code) = std::str::from_utf8(password) else {
-            return Self::stamp_clock(Self::reject(), ctx);
+            return Self::reject().with_clock(ctx);
         };
         if ResumeAuthority::is_token(code) {
             let decision = self.handle_resume(username, code, source, now, ctx);
-            return Self::stamp_clock(decision, ctx);
+            return decision.with_clock(ctx);
         }
         let decision = if self
             .server
@@ -339,7 +311,7 @@ impl OtpRadiusHandler {
         } else {
             Self::reject()
         };
-        Self::stamp_clock(decision, ctx)
+        decision.with_clock(ctx)
     }
 }
 
@@ -534,6 +506,39 @@ mod tests {
         let handler = OtpRadiusHandler::new(Arc::clone(&rig.linotp), Arc::new(SimClock::at(NOW)));
         let server = RadiusServer::new(SECRET, handler);
         assert_eq!(server.process_datagram(&req.encode()), None);
+    }
+
+    #[test]
+    fn retired_flat_id_attribute_is_served_untraced() {
+        use hpcmfa_radius::auth::{fixture_authenticator, hide_password};
+        use hpcmfa_radius::packet::Code;
+        use hpcmfa_radius::tracewire::{TRACE_VENDOR_ID, TRACE_VENDOR_TYPE};
+        let rig = rig();
+        rig.linotp.enroll_soft("alice", NOW);
+        let handler = OtpRadiusHandler::new(Arc::clone(&rig.linotp), Arc::new(SimClock::at(NOW)));
+        let server = RadiusServer::new(SECRET, handler);
+        let ra = fixture_authenticator("x");
+        let plain = Packet::new(Code::AccessRequest, 1, ra)
+            .with_attribute(Attribute::text(AttributeType::UserName, "alice"))
+            .with_attribute(Attribute::new(
+                AttributeType::UserPassword,
+                hide_password(b"000000", &ra, SECRET),
+            ));
+        // What a pre-span sender put on the wire: the bare 8-byte trace id.
+        let mut flat_id = TRACE_VENDOR_ID.to_be_bytes().to_vec();
+        flat_id.extend([TRACE_VENDOR_TYPE, 10]);
+        flat_id.extend(0xabcd_u64.to_be_bytes());
+        let flat = plain
+            .clone()
+            .with_attribute(Attribute::new(AttributeType::VendorSpecific, flat_id));
+        // Same reply to the byte, no span, no trace id in the audit rows.
+        let untraced = server.process_datagram(&plain.encode());
+        assert!(untraced.is_some());
+        assert_eq!(server.process_datagram(&flat.encode()), untraced);
+        assert!(rig.linotp.metrics().tracer().is_empty());
+        let rows = rig.linotp.audit().for_user("alice");
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|e| !e.detail.contains("trace=")));
     }
 
     #[test]

@@ -130,12 +130,15 @@ impl Json {
 
     /// Parse a JSON document. The entire input must be one value.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let bytes = s.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text: s,
+            bytes: s.as_bytes(),
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != s.len() {
             return Err(JsonError {
                 at: p.pos,
                 reason: "trailing characters",
@@ -189,7 +192,11 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    /// The document, and the same bytes for single-octet lookahead.
+    text: &'a str,
     bytes: &'a [u8],
+    /// Always on a character boundary of `text`: it only ever steps over
+    /// ASCII octets or one whole scalar.
     pos: usize,
 }
 
@@ -283,10 +290,11 @@ impl<'a> Parser<'a> {
                 Some(&b) if b < 0x20 => return Err(self.err("control char in string")),
                 Some(_) => {
                     // Consume one UTF-8 scalar.
-                    let start = self.pos;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -317,8 +325,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }

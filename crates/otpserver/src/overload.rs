@@ -250,7 +250,7 @@ impl AdmissionController {
             ShedReason::QueueFull => self.shed_queue_full.inc(),
         }
         let octets = source.octets();
-        self.metrics.emit_event_spanned(
+        self.metrics.emit_event(
             SecurityEventKind::OverloadShed,
             trace,
             span,

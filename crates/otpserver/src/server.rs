@@ -15,15 +15,13 @@ use crate::durability::{
     recover, Commit, DurabilityCounters, PairingImage, Persistence, RecoverError, RecoveryReport,
     StorageBackend, WalRecord,
 };
-use crate::overload::{AdmissionController, OverloadConfig};
+use crate::overload::{AdmissionController, OverloadConfig, ShedReason};
 use crate::sms::{PhoneNumber, SmsMessage, SmsProvider};
 use crate::store::{PendingSmsCode, TokenPairing, TokenStore, TotpProvenance, UserTokenStatus};
 use crate::{DRIFT_TOLERANCE_SECS, LOCKOUT_THRESHOLD, SMS_CODE_VALIDITY_SECS};
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
-use hpcmfa_telemetry::{
-    MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus, TraceClock, TraceId,
-};
+use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus, TraceId};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -213,6 +211,17 @@ impl Txn<'_> {
     }
 }
 
+/// The names one admission-guarded operation goes by.
+struct Guarded {
+    /// Span label, and the operation named to admission control.
+    label: &'static str,
+    /// Audit action of the row a shed request leaves.
+    action: AuditAction,
+    /// Counter family and label key that count a shed request as
+    /// `unavailable`.
+    counter: (&'static str, &'static str),
+}
+
 /// The `outcome` label used for counters and span details.
 fn validation_label(outcome: ValidationOutcome) -> &'static str {
     match outcome {
@@ -370,11 +379,6 @@ impl LinotpServer {
         self.persistence.as_ref().map(|p| p.stats().counters())
     }
 
-    /// Whether a storage backend is attached.
-    pub fn has_storage(&self) -> bool {
-        self.persistence.is_some()
-    }
-
     /// The telemetry registry (shared with the admin API's
     /// `GET /system/metrics` route).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
@@ -451,11 +455,6 @@ impl LinotpServer {
     /// The audit log.
     pub fn audit(&self) -> &AuditLog {
         &self.audit
-    }
-
-    /// The SMS provider.
-    pub fn sms_provider(&self) -> &Arc<dyn SmsProvider> {
-        &self.sms
     }
 
     /// Active configuration.
@@ -578,7 +577,7 @@ impl LinotpServer {
     /// made durable is answered [`ValidationOutcome::Unavailable`], not
     /// `Success`.
     pub fn validate(&self, username: &str, code: &str, now: u64) -> ValidationOutcome {
-        self.validate_traced(username, code, now, None)
+        self.validate_guarded(username, code, now, None, None)
     }
 
     /// The admission controller, when overload protection is configured.
@@ -586,18 +585,72 @@ impl LinotpServer {
         self.admission.as_ref()
     }
 
-    /// [`LinotpServer::validate_spanned`] behind admission control: the
-    /// request's source address (the RADIUS `Calling-Station-Id`) is
-    /// checked against the per-network token bucket and the bounded
-    /// queue first. A shed request is denied fail-safe with
-    /// [`ValidationOutcome::Unavailable`] — the store is never touched,
-    /// so a flood cannot inflate a victim's failure counter. A
+    /// What every guarded operation does first: open its timed `otp` span
+    /// when traced, charge the engine's modeled base cost to the trace
+    /// clock, and put the request to admission control when that is
+    /// configured and the source known. `Err` is a shed request — its
+    /// audit row written, counted as `unavailable`, the span closed as
+    /// shed — and the caller answers its fail-safe denial. An admitted
+    /// request's queue wait becomes an `admission` child span charging its
+    /// virtual delay to the trace clock, so the critical path can name it.
+    fn admit(
+        &self,
+        op: &Guarded,
+        username: &str,
+        now: u64,
+        ctx: Option<&SpanCtx>,
+        source: Option<std::net::Ipv4Addr>,
+    ) -> Result<Option<hpcmfa_telemetry::SpanGuard<'_>>, ShedReason> {
+        let trace = ctx.map(|c| c.trace);
+        let mut guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", op.label));
+        if let Some(c) = ctx {
+            c.clock.advance_us(span_cost::OTP_BASE_US);
+        }
+        if let (Some(adm), Some(src)) = (&self.admission, source) {
+            let span = guard.as_ref().map(|g| g.id());
+            match adm.admit(src, now, trace, span, op.label) {
+                Err(reason) => {
+                    let shed = format!("shed: {}", reason.label());
+                    self.audit_event(
+                        now,
+                        username,
+                        op.action,
+                        false,
+                        &traced_detail(&shed, trace),
+                    );
+                    let (family, key) = op.counter;
+                    self.metrics.counter(family, &[(key, "unavailable")]).inc();
+                    if let Some(g) = guard.as_mut() {
+                        g.set_status(SpanStatus::Shed);
+                        g.set_detail(shed);
+                    }
+                    return Err(reason);
+                }
+                Ok(wait_us) => {
+                    if let Some(c) = guard.as_ref().map(|g| g.child_ctx()) {
+                        let mut adm_span = self.metrics.tracer().start(&c, "otp", "admission");
+                        adm_span.attr_u64("wait_us", wait_us);
+                        c.clock.advance_us(wait_us);
+                        adm_span.finish();
+                    }
+                }
+            }
+        }
+        Ok(guard)
+    }
+
+    /// [`LinotpServer::validate`] under an optional propagated span
+    /// context and behind admission control. With `ctx` the operation is a
+    /// timed `otp`/`validate` span under `ctx.parent`, with `window_scan` /
+    /// `wal_fsync` children naming the dominant stage, and the audit
+    /// detail carries the trace id, so one login's PAM, RADIUS and OTP
+    /// records can be joined. With `source` (the RADIUS
+    /// `Calling-Station-Id`) and overload protection configured, the
+    /// address is first checked against the per-network token bucket and
+    /// the bounded queue: a shed request is denied fail-safe with
+    /// [`ValidationOutcome::Unavailable`] — the store is never touched, so
+    /// a flood cannot inflate a victim's failure counter — and a
     /// successful validation marks the source network trusted.
-    ///
-    /// With a span context the whole operation is recorded as a timed
-    /// `otp`/`validate` span; the admission queue wait becomes an
-    /// `admission` child span charging its virtual delay to the shared
-    /// trace clock, so the critical path can name it.
     pub fn validate_guarded(
         &self,
         username: &str,
@@ -606,46 +659,16 @@ impl LinotpServer {
         ctx: Option<&SpanCtx>,
         source: Option<std::net::Ipv4Addr>,
     ) -> ValidationOutcome {
-        let trace = ctx.map(|c| c.trace);
-        let mut guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", "validate"));
+        const OP: Guarded = Guarded {
+            label: "validate",
+            action: AuditAction::Validate,
+            counter: ("hpcmfa_otp_validations_total", "outcome"),
+        };
+        let Ok(mut guard) = self.admit(&OP, username, now, ctx, source) else {
+            return ValidationOutcome::Unavailable;
+        };
         let tctx = guard.as_ref().map(|g| g.child_ctx());
-        if let Some(c) = ctx {
-            c.clock.advance_us(span_cost::OTP_BASE_US);
-        }
-        if let (Some(adm), Some(src)) = (&self.admission, source) {
-            let span = guard.as_ref().map(|g| g.id());
-            match adm.admit(src, now, trace, span, "validate") {
-                Err(reason) => {
-                    self.audit_event(
-                        now,
-                        username,
-                        AuditAction::Validate,
-                        false,
-                        &traced_detail(&format!("shed: {}", reason.label()), trace),
-                    );
-                    self.metrics
-                        .counter(
-                            "hpcmfa_otp_validations_total",
-                            &[("outcome", "unavailable")],
-                        )
-                        .inc();
-                    if let Some(g) = guard.as_mut() {
-                        g.set_status(SpanStatus::Shed);
-                        g.set_detail(format!("shed: {}", reason.label()));
-                    }
-                    return ValidationOutcome::Unavailable;
-                }
-                Ok(wait_us) => {
-                    if let Some(c) = tctx.as_ref() {
-                        let mut adm_span = self.metrics.tracer().start(c, "otp", "admission");
-                        adm_span.attr_u64("wait_us", wait_us);
-                        c.clock.advance_us(wait_us);
-                        adm_span.finish();
-                    }
-                }
-            }
-        }
-        let outcome = self.validate_core(username, code, now, trace, tctx.as_ref());
+        let outcome = self.validate_core(username, code, now, ctx.map(|c| c.trace), tctx.as_ref());
         if outcome.is_success() {
             if let (Some(adm), Some(src)) = (&self.admission, source) {
                 adm.note_success(src, now);
@@ -655,9 +678,12 @@ impl LinotpServer {
         outcome
     }
 
-    /// [`LinotpServer::trigger_sms_spanned`] behind admission control: a
-    /// shed null request sends nothing (no Twilio cost to an SMS flood)
-    /// and reports [`SmsTrigger::Unavailable`] — fail-safe deny.
+    /// [`LinotpServer::trigger_sms`] under an optional propagated span
+    /// context (a timed `otp`/`sms` span with `wal_fsync` and
+    /// `sms_dispatch` children) and behind the same admission control as
+    /// [`LinotpServer::validate_guarded`]: a shed null request sends
+    /// nothing (no Twilio cost to an SMS flood) and reports
+    /// [`SmsTrigger::Unavailable`] — fail-safe deny.
     pub fn trigger_sms_guarded(
         &self,
         username: &str,
@@ -665,89 +691,18 @@ impl LinotpServer {
         ctx: Option<&SpanCtx>,
         source: Option<std::net::Ipv4Addr>,
     ) -> SmsTrigger {
-        let trace = ctx.map(|c| c.trace);
-        let mut guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", "sms"));
+        const OP: Guarded = Guarded {
+            label: "sms",
+            action: AuditAction::SmsTriggered,
+            counter: ("hpcmfa_otp_sms_triggers_total", "result"),
+        };
+        let Ok(mut guard) = self.admit(&OP, username, now, ctx, source) else {
+            return SmsTrigger::Unavailable;
+        };
         let tctx = guard.as_ref().map(|g| g.child_ctx());
-        if let Some(c) = ctx {
-            c.clock.advance_us(span_cost::OTP_BASE_US);
-        }
-        if let (Some(adm), Some(src)) = (&self.admission, source) {
-            let span = guard.as_ref().map(|g| g.id());
-            match adm.admit(src, now, trace, span, "sms") {
-                Err(reason) => {
-                    self.audit_event(
-                        now,
-                        username,
-                        AuditAction::SmsTriggered,
-                        false,
-                        &traced_detail(&format!("shed: {}", reason.label()), trace),
-                    );
-                    self.metrics
-                        .counter(
-                            "hpcmfa_otp_sms_triggers_total",
-                            &[("result", "unavailable")],
-                        )
-                        .inc();
-                    if let Some(g) = guard.as_mut() {
-                        g.set_status(SpanStatus::Shed);
-                        g.set_detail(format!("shed: {}", reason.label()));
-                    }
-                    return SmsTrigger::Unavailable;
-                }
-                Ok(wait_us) => {
-                    if let Some(c) = tctx.as_ref() {
-                        let mut adm_span = self.metrics.tracer().start(c, "otp", "admission");
-                        adm_span.attr_u64("wait_us", wait_us);
-                        c.clock.advance_us(wait_us);
-                        adm_span.finish();
-                    }
-                }
-            }
-        }
-        let trigger = self.trigger_sms_core(username, now, trace, tctx.as_ref());
+        let trigger = self.trigger_sms_core(username, now, ctx.map(|c| c.trace), tctx.as_ref());
         stamp_sms_span(&mut guard, &trigger);
         trigger
-    }
-
-    /// [`LinotpServer::validate`] with an optional trace id: the outcome is
-    /// recorded as an `otp` span and the audit detail carries the id, so
-    /// one login's PAM, RADIUS, and OTP records can be joined. The span is
-    /// rooted at virtual second `now` on a fresh trace clock; callers that
-    /// already hold a propagated [`SpanCtx`] (the RADIUS handler) use
-    /// [`LinotpServer::validate_spanned`] instead so the span lands under
-    /// the login-node parent.
-    pub fn validate_traced(
-        &self,
-        username: &str,
-        code: &str,
-        now: u64,
-        trace: Option<TraceId>,
-    ) -> ValidationOutcome {
-        let ctx = trace.map(|t| SpanCtx::root(t, TraceClock::at(now.saturating_mul(1_000_000))));
-        self.validate_spanned(username, code, now, ctx.as_ref())
-    }
-
-    /// [`LinotpServer::validate`] under a propagated span context: opens a
-    /// timed `otp`/`validate` span (child of `ctx.parent`), charges the
-    /// engine's modeled costs to the shared trace clock, and records
-    /// `window_scan`/`wal_fsync` child spans so the critical path can name
-    /// the dominant stage.
-    pub fn validate_spanned(
-        &self,
-        username: &str,
-        code: &str,
-        now: u64,
-        ctx: Option<&SpanCtx>,
-    ) -> ValidationOutcome {
-        let trace = ctx.map(|c| c.trace);
-        let mut guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", "validate"));
-        let tctx = guard.as_ref().map(|g| g.child_ctx());
-        if let Some(c) = ctx {
-            c.clock.advance_us(span_cost::OTP_BASE_US);
-        }
-        let outcome = self.validate_core(username, code, now, trace, tctx.as_ref());
-        stamp_validation_span(&mut guard, outcome);
-        outcome
     }
 
     /// The validation engine proper. `trace` threads the audit detail and
@@ -939,7 +894,7 @@ impl LinotpServer {
             .inc();
         if locked_now {
             self.metrics.counter("hpcmfa_otp_lockouts_total", &[]).inc();
-            self.metrics.emit_event_spanned(
+            self.metrics.emit_event(
                 SecurityEventKind::LockoutStorm,
                 trace,
                 span,
@@ -948,14 +903,14 @@ impl LinotpServer {
             );
         }
         match outcome {
-            ValidationOutcome::Replayed => self.metrics.emit_event_spanned(
+            ValidationOutcome::Replayed => self.metrics.emit_event(
                 SecurityEventKind::ReplayAttempt,
                 trace,
                 span,
                 now,
                 format!("user={username} consumed code resubmitted"),
             ),
-            ValidationOutcome::Unavailable => self.metrics.emit_event_spanned(
+            ValidationOutcome::Unavailable => self.metrics.emit_event(
                 SecurityEventKind::WalFsyncDegraded,
                 trace,
                 span,
@@ -1053,14 +1008,14 @@ impl LinotpServer {
             .counter("hpcmfa_otp_resume_consumes_total", &[("outcome", label)])
             .inc();
         match outcome {
-            ResumeConsumeOutcome::Replayed => self.metrics.emit_event_spanned(
+            ResumeConsumeOutcome::Replayed => self.metrics.emit_event(
                 SecurityEventKind::ResumeReplay,
                 trace,
                 span,
                 now,
                 format!("user={username} resumption nonce replayed"),
             ),
-            ResumeConsumeOutcome::Unavailable => self.metrics.emit_event_spanned(
+            ResumeConsumeOutcome::Unavailable => self.metrics.emit_event(
                 SecurityEventKind::WalFsyncDegraded,
                 trace,
                 span,
@@ -1083,41 +1038,7 @@ impl LinotpServer {
 
     /// Trigger an SMS code for `username` (the "null request" path).
     pub fn trigger_sms(&self, username: &str, now: u64) -> SmsTrigger {
-        self.trigger_sms_traced(username, now, None)
-    }
-
-    /// [`LinotpServer::trigger_sms`] with an optional trace id carried into
-    /// the span and audit detail. The span roots at virtual second `now`;
-    /// callers holding a propagated context use
-    /// [`LinotpServer::trigger_sms_spanned`].
-    pub fn trigger_sms_traced(
-        &self,
-        username: &str,
-        now: u64,
-        trace: Option<TraceId>,
-    ) -> SmsTrigger {
-        let ctx = trace.map(|t| SpanCtx::root(t, TraceClock::at(now.saturating_mul(1_000_000))));
-        self.trigger_sms_spanned(username, now, ctx.as_ref())
-    }
-
-    /// [`LinotpServer::trigger_sms`] under a propagated span context:
-    /// records a timed `otp`/`sms` span with `wal_fsync` and
-    /// `sms_dispatch` children charging modeled costs to the trace clock.
-    pub fn trigger_sms_spanned(
-        &self,
-        username: &str,
-        now: u64,
-        ctx: Option<&SpanCtx>,
-    ) -> SmsTrigger {
-        let trace = ctx.map(|c| c.trace);
-        let mut guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", "sms"));
-        let tctx = guard.as_ref().map(|g| g.child_ctx());
-        if let Some(c) = ctx {
-            c.clock.advance_us(span_cost::OTP_BASE_US);
-        }
-        let trigger = self.trigger_sms_core(username, now, trace, tctx.as_ref());
-        stamp_sms_span(&mut guard, &trigger);
-        trigger
+        self.trigger_sms_guarded(username, now, None, None)
     }
 
     /// The SMS-trigger engine proper; `tctx` parents the sub-spans, its
@@ -1204,7 +1125,7 @@ impl LinotpServer {
                     true,
                     &traced_detail("code active", trace),
                 );
-                self.metrics.emit_event_spanned(
+                self.metrics.emit_event(
                     SecurityEventKind::SmsAbuse,
                     trace,
                     span,
@@ -1225,7 +1146,7 @@ impl LinotpServer {
                     false,
                     &traced_detail("durability unavailable", trace),
                 );
-                self.metrics.emit_event_spanned(
+                self.metrics.emit_event(
                     SecurityEventKind::WalFsyncDegraded,
                     trace,
                     span,
@@ -1807,8 +1728,9 @@ mod tests {
         let secret = srv.enroll_soft("alice", NOW);
         let code = soft_device(&secret).displayed_code(NOW);
         let id = TraceId::from_u64(0xabcd);
+        let ctx = SpanCtx::root(id, hpcmfa_telemetry::TraceClock::at(NOW * 1_000_000));
         assert!(srv
-            .validate_traced("alice", &code, NOW, Some(id))
+            .validate_guarded("alice", &code, NOW, Some(&ctx), None)
             .is_success());
         // The audit row carries the trace id; joinable with PAM/RADIUS spans.
         assert!(srv

@@ -23,6 +23,16 @@ fn arb_json() -> impl Strategy<Value = Json> {
     })
 }
 
+/// One 4 MiB string parses in one pass over it. No stopwatch: a parser
+/// that re-validates the rest of the input for every character takes
+/// minutes at this size and runs into the timeout `ci.sh` runs this under.
+#[test]
+fn json_string_parse_is_linear() {
+    let body = "é☕abc".repeat((4 << 20) / 8);
+    let parsed = Json::parse(&format!("\"{body}\"")).unwrap();
+    assert_eq!(parsed.as_str().map(str::len), Some(4 << 20));
+}
+
 proptest! {
     #[test]
     fn json_round_trips(value in arb_json()) {

@@ -205,7 +205,7 @@ impl TokenModule {
         let opening = {
             let mut rng = self.rng.lock();
             self.radius
-                .authenticate_spanned(&mut *rng, &ctx.username, b"", &rhost, &span_ctx)
+                .request(&mut *rng, &ctx.username, b"", &rhost, None, Some(&span_ctx))
         };
         let (state, prompt_text) = match opening {
             Ok(Outcome::Challenge { state, message }) => {
@@ -231,13 +231,13 @@ impl TokenModule {
 
         let answer = {
             let mut rng = self.rng.lock();
-            self.radius.respond_to_challenge_spanned(
+            self.radius.request(
                 &mut *rng,
                 &ctx.username,
                 code.as_bytes(),
                 &rhost,
-                &state,
-                &span_ctx,
+                Some(&state),
+                Some(&span_ctx),
             )
         };
         match answer {
@@ -439,6 +439,20 @@ mod tests {
         let (r, texts) = run(&rig, "alice", vec!["000000".into()]);
         assert_eq!(r, PamResult::AuthErr);
         assert!(texts.iter().any(|t| t == "Authentication error"));
+    }
+
+    #[test]
+    fn overlong_answer_is_denied_without_reaching_the_wire() {
+        let rig = rig(EnforcementMode::Paired);
+        add_user(&rig, "alice", Some("soft"));
+        rig.linotp.enroll_soft("alice", NOW);
+        // One character more than a User-Password can carry.
+        let (r, _) = run(&rig, "alice", vec!["1".repeat(129)]);
+        assert_eq!(r, PamResult::AuthErr);
+        // The opening null request is the only one that went out: the
+        // answer cost the pool no attempt.
+        let attempts = &rig.module.radius.stats.attempts;
+        assert_eq!(attempts.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     #[test]

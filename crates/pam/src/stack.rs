@@ -150,16 +150,13 @@ impl PamStack {
         self.run(ctx, None)
     }
 
-    /// Evaluate while appending per-module lines to `trace`.
-    pub fn authenticate_traced(
+    /// Evaluate the stack, appending one line per module to `trace` when
+    /// given (the path listings of Figures 1 and 2).
+    pub fn run(
         &self,
         ctx: &mut PamContext<'_>,
-        trace: &mut Vec<StackTraceLine>,
+        trace: Option<&mut Vec<StackTraceLine>>,
     ) -> PamVerdict {
-        self.run(ctx, Some(trace))
-    }
-
-    fn run(&self, ctx: &mut PamContext<'_>, trace: Option<&mut Vec<StackTraceLine>>) -> PamVerdict {
         let Some(metrics) = self.metrics.clone() else {
             return self.eval(ctx, trace);
         };
@@ -190,7 +187,7 @@ impl PamStack {
             PamVerdict::Denied => {
                 let streak = self.denied_streak.fetch_add(1, Ordering::Relaxed) + 1;
                 if streak == FAILURE_BURST_THRESHOLD {
-                    metrics.emit_event_spanned(
+                    metrics.emit_event(
                         SecurityEventKind::AuthFailureBurst,
                         Some(ctx.trace_id),
                         Some(pam_span),
@@ -563,7 +560,7 @@ mod tests {
             &mut conv,
         );
         let mut trace = Vec::new();
-        let v = s.authenticate_traced(&mut ctx, &mut trace);
+        let v = s.run(&mut ctx, Some(&mut trace));
         assert_eq!(v, PamVerdict::Granted);
         assert_eq!(trace.len(), 3);
         assert!(!trace[0].skipped);

@@ -631,6 +631,43 @@ mod tests {
     }
 
     #[test]
+    fn sms_unpair_with_a_requested_code() {
+        let r = rig();
+        let phone = PhoneNumber::parse("5125551234").unwrap();
+        let read_code = |r: &Rig| {
+            r.clock.advance(15);
+            let inbox = r.twilio.inbox(&phone, r.clock.now());
+            inbox
+                .last()
+                .unwrap()
+                .body
+                .rsplit(' ')
+                .next()
+                .unwrap()
+                .to_string()
+        };
+        r.portal.begin_sms_pairing("bob", "5125551234").unwrap();
+        r.portal.confirm_pairing("bob", &read_code(&r)).unwrap();
+
+        // The pairing code is spent; unpairing needs a fresh one.
+        r.portal.request_unpair_code("bob").unwrap();
+        assert_eq!(r.twilio.sent_count(), 2);
+        r.portal.remove_pairing("bob", &read_code(&r)).unwrap();
+        assert_eq!(r.identity.get("bob").unwrap().pairing, None);
+        assert_eq!(ldap_pairing(&r, "bob"), None);
+
+        // A soft-token user has nothing to text: the back end refuses.
+        let qr = r.portal.begin_soft_pairing("alice").unwrap();
+        let device = SoftToken::from_uri(qr.payload()).unwrap();
+        let code = device.displayed_code(r.clock.now());
+        r.portal.confirm_pairing("alice", &code).unwrap();
+        assert_eq!(
+            r.portal.request_unpair_code("alice").unwrap_err(),
+            PortalError::Backend("SMS trigger failed".into())
+        );
+    }
+
+    #[test]
     fn unpair_without_pairing_fails() {
         let r = rig();
         assert_eq!(

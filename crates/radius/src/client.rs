@@ -29,8 +29,7 @@ use crate::packet::{Code, Packet};
 use crate::tracewire;
 use crate::transport::{Transport, TransportError};
 use hpcmfa_telemetry::{
-    Counter, Histogram, MetricsRegistry, SecurityEventKind, SpanCtx, SpanId, SpanStatus,
-    TraceClock, TraceId,
+    Counter, Histogram, MetricsRegistry, SecurityEventKind, SpanCtx, SpanId, SpanStatus, TraceId,
 };
 use rand::RngCore;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -167,6 +166,12 @@ pub enum ClientError {
     },
     /// No transports configured.
     NoServers,
+    /// A request field is longer than its attribute can carry; nothing
+    /// was sent.
+    FieldTooLong {
+        /// The attribute it was meant for.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -180,6 +185,9 @@ impl std::fmt::Display for ClientError {
                 write!(f, "identifier mismatch: sent {expected}, got {got}")
             }
             ClientError::NoServers => write!(f, "no RADIUS servers configured"),
+            ClientError::FieldTooLong { field } => {
+                write!(f, "{field} is longer than a RADIUS attribute can carry")
+            }
         }
     }
 }
@@ -418,40 +426,6 @@ impl RadiusClient {
         self.request(rng, username, password, calling_station, None, None)
     }
 
-    /// [`authenticate`](Self::authenticate) carrying a trace id: the
-    /// context is encoded as a vendor attribute on the wire and a timed
-    /// `radius.client` span tree is recorded. The span opens as a root of
-    /// `trace` on a clock seeded from this client's vclock; callers with
-    /// a login-wide span open use
-    /// [`authenticate_spanned`](Self::authenticate_spanned) instead.
-    pub fn authenticate_traced<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        username: &str,
-        password: &[u8],
-        calling_station: &str,
-        trace: Option<TraceId>,
-    ) -> Result<Outcome, ClientError> {
-        let ctx = trace.map(|t| self.root_ctx(t));
-        self.request(rng, username, password, calling_station, None, ctx.as_ref())
-    }
-
-    /// [`authenticate`](Self::authenticate) inside an existing span
-    /// context: the request span parents under `ctx.parent` and stamps
-    /// itself from `ctx.clock`, which is advanced by the same virtual
-    /// costs the client charges its own vclock (and fast-forwarded past
-    /// the responder's processing time when the reply carries a clock).
-    pub fn authenticate_spanned<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        username: &str,
-        password: &[u8],
-        calling_station: &str,
-        ctx: &SpanCtx,
-    ) -> Result<Outcome, ClientError> {
-        self.request(rng, username, password, calling_station, None, Some(ctx))
-    }
-
     /// Continue a challenge with the user's answer and the echoed state.
     pub fn respond_to_challenge<R: RngCore + ?Sized>(
         &self,
@@ -464,70 +438,24 @@ impl RadiusClient {
         self.request(rng, username, answer, calling_station, Some(state), None)
     }
 
-    /// [`respond_to_challenge`](Self::respond_to_challenge) carrying a
-    /// trace id.
-    pub fn respond_to_challenge_traced<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        username: &str,
-        answer: &[u8],
-        calling_station: &str,
-        state: &[u8],
-        trace: Option<TraceId>,
-    ) -> Result<Outcome, ClientError> {
-        let ctx = trace.map(|t| self.root_ctx(t));
-        self.request(
-            rng,
-            username,
-            answer,
-            calling_station,
-            Some(state),
-            ctx.as_ref(),
-        )
-    }
-
-    /// [`respond_to_challenge`](Self::respond_to_challenge) inside an
-    /// existing span context (see
-    /// [`authenticate_spanned`](Self::authenticate_spanned)).
-    pub fn respond_to_challenge_spanned<R: RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        username: &str,
-        answer: &[u8],
-        calling_station: &str,
-        state: &[u8],
-        ctx: &SpanCtx,
-    ) -> Result<Outcome, ClientError> {
-        self.request(
-            rng,
-            username,
-            answer,
-            calling_station,
-            Some(state),
-            Some(ctx),
-        )
-    }
-
-    /// The ad-hoc root context the bare `_traced` entry points run under:
-    /// a fresh root of `trace` on a clock seeded from this client's
-    /// vclock, so span durations line up with the request-duration
-    /// histogram.
-    fn root_ctx(&self, trace: TraceId) -> SpanCtx {
-        SpanCtx {
-            trace,
-            parent: None,
-            clock: TraceClock::at(self.vclock_us()),
-        }
-    }
-
-    /// Issue one request and record its telemetry: a virtual-time latency
-    /// sample (deterministic — the vclock only moves by attempt costs), an
-    /// outcome counter, and a timed span tree when traced (one request
-    /// span, one child per exchange attempt, plus backoff / breaker-wait
-    /// children). Under concurrent logins the shared vclock interleaves,
-    /// so per-request deltas are upper bounds; single-threaded simulations
-    /// get exact figures.
-    fn request<R: RngCore + ?Sized>(
+    /// Issue one request — an opening [`authenticate`](Self::authenticate)
+    /// or, with the echoed `state`, a
+    /// [`respond_to_challenge`](Self::respond_to_challenge) — and record
+    /// its telemetry: a virtual-time latency sample (deterministic — the
+    /// vclock only moves by attempt costs) and an outcome counter. Under
+    /// concurrent logins the shared vclock interleaves, so per-request
+    /// deltas are upper bounds; single-threaded simulations get exact
+    /// figures. A field longer than its attribute can carry is refused
+    /// with [`ClientError::FieldTooLong`] before any of that.
+    ///
+    /// Inside a span context the request is traced: the context is encoded
+    /// as a vendor attribute on the wire and a timed `radius.client` span
+    /// tree is recorded (one request span under `ctx.parent`, one child
+    /// per exchange attempt, plus backoff / breaker-wait children), stamped
+    /// from `ctx.clock`, which is advanced by the same virtual costs the
+    /// client charges its own vclock and fast-forwarded past the
+    /// responder's processing time when the reply carries a clock.
+    pub fn request<R: RngCore + ?Sized>(
         &self,
         rng: &mut R,
         username: &str,
@@ -536,6 +464,20 @@ impl RadiusClient {
         state: Option<&[u8]>,
         ctx: Option<&SpanCtx>,
     ) -> Result<Outcome, ClientError> {
+        // These become attribute values whose length is one octet (RFC 2865
+        // §5: at most 253 of value, 128 of password): a longer one would
+        // wrap it and have its tail parsed as attributes of the sender's
+        // choosing. Refused before anything is counted, charged or sent.
+        for (field, len, max) in [
+            ("User-Name", username.len(), 253),
+            ("User-Password", password.len(), 128),
+            ("Calling-Station-Id", calling_station.len(), 253),
+            ("State", state.map_or(0, <[u8]>::len), 253),
+        ] {
+            if len > max {
+                return Err(ClientError::FieldTooLong { field });
+            }
+        }
         let t0 = self.vclock_us();
         let label = if state.is_some() {
             "challenge_response"
@@ -884,7 +826,7 @@ impl RadiusClient {
                 )
                 .inc();
             if after == BreakerState::Open {
-                self.metrics.emit_event_spanned(
+                self.metrics.emit_event(
                     SecurityEventKind::BreakerFlap,
                     trace,
                     span,
@@ -926,11 +868,6 @@ impl RadiusClient {
             }
             Code::AccessRequest => Interpreted::Fatal(ClientError::BadAuthenticator),
         }
-    }
-
-    /// Number of configured servers.
-    pub fn server_count(&self) -> usize {
-        self.transports.len()
     }
 }
 
@@ -1170,6 +1107,121 @@ mod tests {
         );
     }
 
+    /// Requests as the handler was given them, with the recovered password.
+    type Seen = Vec<(Packet, Vec<u8>)>;
+
+    /// One accept-all server behind a client, recording what it is sent.
+    struct Recording {
+        client: RadiusClient,
+        server: Arc<RadiusServer>,
+        seen: Arc<parking_lot::Mutex<Seen>>,
+    }
+
+    fn recording() -> Recording {
+        let seen = Arc::new(parking_lot::Mutex::new(Seen::new()));
+        let seen2 = Arc::clone(&seen);
+        let handler: Arc<dyn Handler> = Arc::new(move |req: &Packet, pw: Option<&[u8]>| {
+            seen2
+                .lock()
+                .push((req.clone(), pw.unwrap_or_default().to_vec()));
+            ServerDecision::Accept(vec![])
+        });
+        let server = Arc::new(RadiusServer::new(SECRET, handler));
+        let transport: Arc<dyn Transport> = Arc::new(InMemoryTransport::new(
+            "radius0",
+            Arc::clone(&server),
+            FaultPlan::healthy(),
+        ));
+        let client = RadiusClient::new(ClientConfig::new(SECRET, "login1"), vec![transport]);
+        Recording {
+            client,
+            server,
+            seen,
+        }
+    }
+
+    impl Recording {
+        /// No datagram reached the server, and the refusal cost nothing:
+        /// no request or attempt counted, no virtual time, no breaker
+        /// failure.
+        fn assert_nothing_sent(&self) {
+            assert_eq!(self.server.stats.received.load(Ordering::SeqCst), 0);
+            assert_eq!(self.client.stats.requests.load(Ordering::SeqCst), 0);
+            assert_eq!(self.client.stats.attempts.load(Ordering::SeqCst), 0);
+            assert_eq!(self.client.vclock_us(), 0);
+            let health = self.client.server_health();
+            assert!(health.iter().all(|h| h.attempts == 0 && h.failures == 0));
+        }
+    }
+
+    #[test]
+    fn overlong_username_cannot_rewrite_the_request() {
+        // 261 octets. Encoded unchecked, the length octet wraps to 7
+        // ("alice") and the tail parses as a forged Calling-Station-Id
+        // ahead of the true one, then two filler attributes sized so the
+        // packet stays well-formed — and the server accepts it.
+        let mut name = b"alice".to_vec();
+        name.extend([31, 13]);
+        name.extend(b"129.114.0.1");
+        name.extend([b'a', 0x7f]);
+        name.extend([b'a'; 125]);
+        name.extend([b'a', 116]);
+        name.extend([b'a'; 114]);
+        assert_eq!(name.len(), 261);
+        let name = String::from_utf8(name).unwrap();
+        let rig = recording();
+        let mut rng = StdRng::seed_from_u64(31);
+        let err = rig
+            .client
+            .authenticate(&mut rng, &name, b"123456", "203.0.113.9")
+            .unwrap_err();
+        assert_eq!(err, ClientError::FieldTooLong { field: "User-Name" });
+        rig.assert_nothing_sent();
+    }
+
+    #[test]
+    fn field_limits_are_what_one_attribute_carries() {
+        let rig = recording();
+        let mut rng = StdRng::seed_from_u64(32);
+        let x = |n: usize| "x".repeat(n);
+        // One octet over: refused by name, nothing sent.
+        for (field, user, password, calling, state) in [
+            ("User-Name", x(254), x(6), x(9), None),
+            ("User-Password", x(5), x(129), x(9), None),
+            ("Calling-Station-Id", x(5), x(6), x(254), None),
+            ("State", x(5), x(6), x(9), Some(x(254))),
+        ] {
+            let state = state.as_deref().map(str::as_bytes);
+            let err = rig
+                .client
+                .request(&mut rng, &user, password.as_bytes(), &calling, state, None)
+                .unwrap_err();
+            assert_eq!(err, ClientError::FieldTooLong { field });
+        }
+        rig.assert_nothing_sent();
+        // At the limit: sent, and every value arrives whole.
+        let (user, password, calling, state) = (x(253), x(128), x(253), x(253));
+        let out = rig.client.respond_to_challenge(
+            &mut rng,
+            &user,
+            password.as_bytes(),
+            &calling,
+            state.as_bytes(),
+        );
+        assert!(matches!(out, Ok(Outcome::Accept { .. })));
+        let seen = rig.seen.lock();
+        let (req, got_password) = &seen[0];
+        assert_eq!(req.attributes.len(), 5);
+        assert_eq!(req.text(AttributeType::UserName), Some(user.as_str()));
+        assert_eq!(got_password, password.as_bytes());
+        assert_eq!(
+            req.text(AttributeType::CallingStationId),
+            Some(calling.as_str())
+        );
+        let got_state = req.attribute(AttributeType::State).unwrap();
+        assert_eq!(got_state.value, state.as_bytes());
+    }
+
     #[test]
     fn identifiers_cycle() {
         let (client, _) = pool(1);
@@ -1213,6 +1265,7 @@ mod tests {
     #[test]
     fn traced_requests_carry_the_id_and_record_spans() {
         use hpcmfa_telemetry::trace::namespace;
+        use hpcmfa_telemetry::TraceClock;
         // A handler that proves the vendor attribute reached the server.
         let seen: Arc<parking_lot::Mutex<Vec<Option<TraceId>>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -1230,8 +1283,9 @@ mod tests {
         let client = RadiusClient::new(ClientConfig::new(SECRET, "login1"), vec![transport]);
         let mut rng = StdRng::seed_from_u64(22);
         let id = TraceId::derive(namespace("login1"), 0);
+        let ctx = SpanCtx::root(id, TraceClock::at(client.vclock_us()));
         client
-            .authenticate_traced(&mut rng, "alice", b"123456", "10.0.0.1", Some(id))
+            .request(&mut rng, "alice", b"123456", "10.0.0.1", None, Some(&ctx))
             .unwrap();
         client
             .authenticate(&mut rng, "alice", b"123456", "10.0.0.1")

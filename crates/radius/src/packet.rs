@@ -211,12 +211,6 @@ impl Packet {
             attributes,
         })
     }
-
-    /// Borrow this packet's attributes as views (construction-side
-    /// counterpart of [`PacketView::attributes`]).
-    pub fn attribute_views(&self) -> impl Iterator<Item = AttrView<'_>> {
-        self.attributes.iter().map(Attribute::as_view)
-    }
 }
 
 /// A zero-copy decoded RADIUS packet: header fields plus a validated

@@ -7,13 +7,12 @@
 //! In the paper's deployment the FreeRADIUS tier proxies between login nodes
 //! and the LinOTP host exactly this way.
 
-use crate::attribute::Attribute;
-use crate::attribute::AttributeType;
-use crate::client::{ClientError, Outcome, RadiusClient};
+use crate::attribute::{Attribute, AttributeType};
+use crate::client::{Outcome, RadiusClient};
 use crate::packet::Packet;
 use crate::server::{Handler, ServerDecision};
 use crate::tracewire;
-use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus, TraceClock};
+use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanStatus};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,6 +61,104 @@ impl ProxyHandler {
     }
 }
 
+/// The names one forwarding hop goes by.
+pub(crate) struct Hop<'a> {
+    /// Span component: `radius.proxy` / `radius.realm`.
+    pub component: &'static str,
+    /// What the hop's name is filed under in the span attributes and the
+    /// failure event: `proxy` / `realm`.
+    pub key: &'static str,
+    /// The proxy id / realm name.
+    pub name: &'a str,
+    /// Span detail of a forward the upstream pool did not answer.
+    pub failed: &'static str,
+    /// The event such a failure raises, and what its detail says after
+    /// `key=name`.
+    pub event: (SecurityEventKind, &'static str),
+}
+
+/// Relay one Access-Request to `upstream` and turn the verified outcome
+/// back into a reply: `Some` of the outcome's label and the decision, or
+/// `None` when the pool gave no usable answer — the span is closed in
+/// error and the hop's event raised; what the downstream client is told
+/// then is the caller's policy.
+///
+/// The caller's trace context is re-forwarded upstream so the home
+/// server's audit rows carry the id the login node minted: the `forward`
+/// span opens on the caller's wire clock under the caller's attempt span,
+/// and the upstream client's request span nests under it in turn.
+pub(crate) fn forward(
+    metrics: &MetricsRegistry,
+    upstream: &RadiusClient,
+    rng: &Mutex<StdRng>,
+    hop: &Hop<'_>,
+    request: &Packet,
+    password: &[u8],
+) -> Option<(&'static str, ServerDecision)> {
+    let username = request.text(AttributeType::UserName).unwrap_or_default();
+    let calling = request
+        .text(AttributeType::CallingStationId)
+        .unwrap_or_default();
+    let state = request.attribute(AttributeType::State);
+    let wire_ctx = tracewire::trace_ctx_of(request);
+
+    let mut guard = wire_ctx.map(|w| {
+        let mut g = metrics
+            .tracer()
+            .start(&w.span_ctx(), hop.component, "forward");
+        g.attr_str(hop.key, hop.name);
+        g
+    });
+    let span_id = guard.as_ref().map(|g| g.id());
+    let child_ctx = guard.as_ref().map(|g| g.child_ctx());
+    let result = upstream.request(
+        &mut *rng.lock(),
+        username,
+        password,
+        calling,
+        state.map(|a| a.value.as_slice()),
+        child_ctx.as_ref(),
+    );
+
+    let label = match &result {
+        Ok(Outcome::Accept { .. }) => "accept",
+        Ok(Outcome::Reject { .. }) => "reject",
+        Ok(Outcome::Challenge { .. }) => "challenge",
+        Err(_) => hop.failed,
+    };
+    if let Some(g) = guard.as_mut() {
+        g.set_detail(label);
+        if result.is_err() {
+            g.set_status(SpanStatus::Error);
+        }
+    }
+    drop(guard);
+
+    let decision = match result {
+        Ok(Outcome::Accept { message }) => ServerDecision::Accept(reply_attrs(message)),
+        Ok(Outcome::Reject { message }) => ServerDecision::Reject(reply_attrs(message)),
+        Ok(Outcome::Challenge { state, message }) => {
+            let mut attrs = reply_attrs(message);
+            attrs.push(Attribute::new(AttributeType::State, state));
+            ServerDecision::Challenge(attrs)
+        }
+        Err(_) => {
+            let (kind, what) = hop.event;
+            metrics.emit_event(
+                kind,
+                wire_ctx.map(|w| w.trace),
+                span_id,
+                upstream.vclock_us(),
+                format!("{}={} {what}", hop.key, hop.name),
+            );
+            return None;
+        }
+    };
+    // Report our trace clock (advanced by the upstream exchange) back to
+    // the caller so its attempt span encloses this whole hop.
+    Some((label, decision.with_clock(child_ctx.as_ref())))
+}
+
 impl Handler for ProxyHandler {
     fn handle(&self, request: &Packet, password: Option<&[u8]>) -> ServerDecision {
         // A proxy cannot forward a password it cannot decrypt; RFC behaviour
@@ -70,112 +167,34 @@ impl Handler for ProxyHandler {
         let Some(password) = password else {
             return ServerDecision::Discard;
         };
-        let username = request
-            .text(AttributeType::UserName)
-            .unwrap_or_default()
-            .to_string();
-        let calling = request
-            .text(AttributeType::CallingStationId)
-            .unwrap_or_default()
-            .to_string();
-        let state = request
-            .attribute(AttributeType::State)
-            .map(|a| a.value.clone());
-        // Re-forward the caller's trace context upstream so the home
-        // server's audit rows carry the id the login node minted, and our
-        // forward span slots between the caller's attempt span and the
-        // upstream client's request span.
-        let wire_ctx = tracewire::trace_ctx_of(request);
-        let trace = wire_ctx.map(|w| w.trace);
-
+        let proxy = [("proxy", self.proxy_id.as_str())];
         self.forwarded.fetch_add(1, Ordering::Relaxed);
         self.metrics
-            .counter(
-                "hpcmfa_radius_proxy_forwarded_total",
-                &[("proxy", &self.proxy_id)],
-            )
+            .counter("hpcmfa_radius_proxy_forwarded_total", &proxy)
             .inc();
-        let mut guard = wire_ctx.map(|w| {
-            let ctx = SpanCtx {
-                trace: w.trace,
-                parent: w.parent,
-                clock: TraceClock::at(w.clock_us),
-            };
-            let mut g = self.metrics.tracer().start(&ctx, "radius.proxy", "forward");
-            g.attr_str("proxy", self.proxy_id.clone());
-            g
-        });
-        let span_id = guard.as_ref().map(|g| g.id());
-        let child_ctx = guard.as_ref().map(|g| g.child_ctx());
-        let mut rng = self.rng.lock();
-        let result = match (state, child_ctx.as_ref()) {
-            (Some(s), Some(c)) => self
-                .upstream
-                .respond_to_challenge_spanned(&mut *rng, &username, password, &calling, &s, c),
-            (Some(s), None) => self
-                .upstream
-                .respond_to_challenge(&mut *rng, &username, password, &calling, &s),
-            (None, Some(c)) => self
-                .upstream
-                .authenticate_spanned(&mut *rng, &username, password, &calling, c),
-            (None, None) => self
-                .upstream
-                .authenticate(&mut *rng, &username, password, &calling),
+        let hop = Hop {
+            component: "radius.proxy",
+            key: "proxy",
+            name: &self.proxy_id,
+            failed: "upstream_failed",
+            event: (SecurityEventKind::BreakerFlap, "upstream_failed"),
         };
-        drop(rng);
-
-        let detail = match &result {
-            Ok(Outcome::Accept { .. }) => "accept",
-            Ok(Outcome::Reject { .. }) => "reject",
-            Ok(Outcome::Challenge { .. }) => "challenge",
-            Err(_) => "upstream_failed",
-        };
-        if let Some(g) = guard.as_mut() {
-            g.set_detail(detail);
-            if result.is_err() {
-                g.set_status(SpanStatus::Error);
-            }
-        }
-        drop(guard);
-        // Report our trace clock (advanced by the upstream exchange) back
-        // to the caller so its attempt span encloses this whole hop.
-        let clock_attr = child_ctx.map(|c| tracewire::clock_attribute(c.clock.now_us()));
-        let with_clock = |mut attrs: Vec<Attribute>| {
-            if let Some(a) = clock_attr.clone() {
-                attrs.push(a);
-            }
-            attrs
-        };
-
-        match result {
-            Ok(Outcome::Accept { message }) => {
-                ServerDecision::Accept(with_clock(reply_attrs(message)))
-            }
-            Ok(Outcome::Reject { message }) => {
-                ServerDecision::Reject(with_clock(reply_attrs(message)))
-            }
-            Ok(Outcome::Challenge { state, message }) => {
-                let mut attrs = reply_attrs(message);
-                attrs.push(Attribute::new(AttributeType::State, state));
-                ServerDecision::Challenge(with_clock(attrs))
-            }
-            Err(ClientError::AllServersFailed { .. }) | Err(_) => {
+        match forward(
+            &self.metrics,
+            &self.upstream,
+            &self.rng,
+            &hop,
+            request,
+            password,
+        ) {
+            Some((_, decision)) => decision,
+            None => {
                 // RFC: a proxy that cannot reach its home server stays
                 // silent; the NAS will fail over to another proxy.
                 self.upstream_failures.fetch_add(1, Ordering::Relaxed);
                 self.metrics
-                    .counter(
-                        "hpcmfa_radius_proxy_upstream_failures_total",
-                        &[("proxy", &self.proxy_id)],
-                    )
+                    .counter("hpcmfa_radius_proxy_upstream_failures_total", &proxy)
                     .inc();
-                self.metrics.emit_event_spanned(
-                    SecurityEventKind::BreakerFlap,
-                    trace,
-                    span_id,
-                    self.upstream.vclock_us(),
-                    format!("proxy={} upstream_failed", self.proxy_id),
-                );
                 ServerDecision::Discard
             }
         }
@@ -199,10 +218,9 @@ fn reply_attrs(message: Option<String>) -> Vec<Attribute> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ClientConfig;
+    use crate::client::{ClientConfig, ClientError};
     use crate::server::RadiusServer;
     use crate::transport::{FaultPlan, InMemoryTransport, Transport};
-    use rand::rngs::StdRng;
 
     const HOME_SECRET: &[u8] = b"home-secret";
     const EDGE_SECRET: &[u8] = b"edge-secret";
@@ -293,7 +311,7 @@ mod tests {
 
     #[test]
     fn trace_id_survives_the_proxy_hop() {
-        use hpcmfa_telemetry::{MetricsRegistry, TraceId};
+        use hpcmfa_telemetry::{SpanCtx, TraceClock, TraceId};
         // Home handler that records the trace id it saw on the wire.
         let seen: Arc<Mutex<Vec<Option<TraceId>>>> = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
@@ -323,8 +341,9 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(7);
         let id = TraceId::from_u64(0xfeed);
+        let ctx = SpanCtx::root(id, TraceClock::at(client.vclock_us()));
         let out = client
-            .authenticate_traced(&mut rng, "alice", b"123456", "1.2.3.4", Some(id))
+            .request(&mut rng, "alice", b"123456", "1.2.3.4", None, Some(&ctx))
             .unwrap();
         assert!(matches!(out, Outcome::Accept { .. }));
         assert_eq!(seen.lock().as_slice(), &[Some(id)], "id did not reach home");

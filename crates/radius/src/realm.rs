@@ -22,12 +22,13 @@
 //! operational page, not a silent reject counter.
 
 use crate::attribute::{Attribute, AttributeType};
-use crate::client::{ClientError, Outcome, RadiusClient};
+use crate::client::RadiusClient;
 use crate::packet::Packet;
+use crate::proxy::{forward, Hop};
 use crate::server::{Handler, ServerDecision};
 use crate::tracewire;
 use hpcmfa_federation::{split_principal, RealmDegradation, RealmPolicy, TrustConfig};
-use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus, TraceClock};
+use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,7 +102,8 @@ impl RealmRouter {
             .inc();
     }
 
-    /// Forward to a peer realm's pool, degrading per policy on failure.
+    /// Forward to a peer realm's pool — the proxy tier's forward, on a
+    /// `radius.realm` span — degrading per policy on failure.
     fn forward(
         &self,
         realm: &str,
@@ -110,94 +112,23 @@ impl RealmRouter {
         request: &Packet,
         password: &[u8],
     ) -> ServerDecision {
-        let username = request
-            .text(AttributeType::UserName)
-            .unwrap_or_default()
-            .to_string();
-        let calling = request
-            .text(AttributeType::CallingStationId)
-            .unwrap_or_default()
-            .to_string();
-        let state = request
-            .attribute(AttributeType::State)
-            .map(|a| a.value.clone());
-        let wire_ctx = tracewire::trace_ctx_of(request);
-        let trace = wire_ctx.map(|w| w.trace);
-
-        // The realm hop's span opens on the caller's wire clock, parented
-        // under the caller's attempt span; the peer realm's spans nest
-        // under the upstream client's attempt in turn.
-        let mut guard = wire_ctx.map(|w| {
-            let ctx = SpanCtx {
-                trace: w.trace,
-                parent: w.parent,
-                clock: TraceClock::at(w.clock_us),
-            };
-            let mut g = self.metrics.tracer().start(&ctx, "radius.realm", "forward");
-            g.attr_str("realm", realm.to_string());
-            g
-        });
-        let span_id = guard.as_ref().map(|g| g.id());
-        let child_ctx = guard.as_ref().map(|g| g.child_ctx());
-        let mut rng = self.rng.lock();
-        let result = match (state, child_ctx.as_ref()) {
-            (Some(s), Some(c)) => upstream
-                .respond_to_challenge_spanned(&mut *rng, &username, password, &calling, &s, c),
-            (Some(s), None) => {
-                upstream.respond_to_challenge(&mut *rng, &username, password, &calling, &s)
-            }
-            (None, Some(c)) => {
-                upstream.authenticate_spanned(&mut *rng, &username, password, &calling, c)
-            }
-            (None, None) => upstream.authenticate(&mut *rng, &username, password, &calling),
+        let hop = Hop {
+            component: "radius.realm",
+            key: "realm",
+            name: realm,
+            failed: "realm_unreachable",
+            event: (
+                SecurityEventKind::RealmUnreachable,
+                "upstream pool unreachable",
+            ),
         };
-        drop(rng);
-
-        let detail = match &result {
-            Ok(Outcome::Accept { .. }) => "accept",
-            Ok(Outcome::Reject { .. }) => "reject",
-            Ok(Outcome::Challenge { .. }) => "challenge",
-            Err(_) => "realm_unreachable",
-        };
-        if let Some(g) = guard.as_mut() {
-            g.set_detail(detail);
-            if result.is_err() {
-                g.set_status(SpanStatus::Error);
+        match forward(&self.metrics, upstream, &self.rng, &hop, request, password) {
+            Some((outcome, decision)) => {
+                self.count(realm, outcome);
+                decision
             }
-        }
-        drop(guard);
-        let clock_attr = child_ctx.map(|c| tracewire::clock_attribute(c.clock.now_us()));
-        let with_clock = |mut attrs: Vec<Attribute>| {
-            if let Some(a) = clock_attr.clone() {
-                attrs.push(a);
-            }
-            attrs
-        };
-
-        match result {
-            Ok(Outcome::Accept { message }) => {
-                self.count(realm, "accept");
-                ServerDecision::Accept(with_clock(reply_attrs(message)))
-            }
-            Ok(Outcome::Reject { message }) => {
-                self.count(realm, "reject");
-                ServerDecision::Reject(with_clock(reply_attrs(message)))
-            }
-            Ok(Outcome::Challenge { state, message }) => {
-                self.count(realm, "challenge");
-                let mut attrs = reply_attrs(message);
-                attrs.push(Attribute::new(AttributeType::State, state));
-                ServerDecision::Challenge(with_clock(attrs))
-            }
-            Err(ClientError::AllServersFailed { .. }) | Err(_) => {
+            None => {
                 self.count(realm, "unreachable");
-                self.metrics.emit_event_spanned(
-                    SecurityEventKind::RealmUnreachable,
-                    trace,
-                    span_id,
-                    upstream.vclock_us(),
-                    format!("realm={realm} upstream pool unreachable"),
-                );
                 match policy.degradation {
                     RealmDegradation::FailClosed => ServerDecision::Reject(vec![Attribute::text(
                         AttributeType::ReplyMessage,
@@ -255,6 +186,7 @@ impl Handler for RealmRouter {
                         self.metrics.emit_event(
                             SecurityEventKind::RealmUnreachable,
                             tracewire::trace_id_of(request),
+                            None,
                             0,
                             format!("realm={realm} no upstream pool configured"),
                         );
@@ -269,16 +201,10 @@ impl Handler for RealmRouter {
     }
 }
 
-fn reply_attrs(message: Option<String>) -> Vec<Attribute> {
-    message
-        .map(|m| vec![Attribute::text(AttributeType::ReplyMessage, &m)])
-        .unwrap_or_default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ClientConfig;
+    use crate::client::{ClientConfig, ClientError, Outcome};
     use crate::server::RadiusServer;
     use crate::transport::{FaultPlan, InMemoryTransport, Transport};
     use hpcmfa_federation::RealmPeer;

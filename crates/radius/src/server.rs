@@ -10,6 +10,8 @@
 use crate::attribute::{Attribute, AttributeType};
 use crate::auth::{recover_password_into, seal_wire};
 use crate::packet::{Code, Packet, PacketView};
+use crate::tracewire;
+use hpcmfa_telemetry::SpanCtx;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,6 +27,26 @@ pub enum ServerDecision {
     /// Silently discard (malformed or unauthorized source) — the RFC's
     /// response to unparseable requests, surfacing client-side as a timeout.
     Discard,
+}
+
+impl ServerDecision {
+    /// Append the responder's trace-clock reading to the reply, when the
+    /// request was traced, so the requesting client fast-forwards its
+    /// shared clock past the modeled server time — the propagation half
+    /// of monotone cross-hop spans. Discards carry nothing (no reply
+    /// datagram exists to carry it).
+    pub fn with_clock(mut self, ctx: Option<&SpanCtx>) -> ServerDecision {
+        if let (
+            Some(c),
+            ServerDecision::Accept(attrs)
+            | ServerDecision::Reject(attrs)
+            | ServerDecision::Challenge(attrs),
+        ) = (ctx, &mut self)
+        {
+            attrs.push(tracewire::clock_attribute(c.clock.now_us()));
+        }
+        self
+    }
 }
 
 /// An authentication decision point.

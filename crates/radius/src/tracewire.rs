@@ -1,6 +1,6 @@
 //! Trace-context propagation over the RADIUS wire.
 //!
-//! The telemetry [`TraceId`] rides requests as a Vendor-Specific attribute
+//! The trace context rides requests as a Vendor-Specific attribute
 //! (IANA type 26, RFC 2865 §5.26): a 4-byte vendor id, a 1-byte
 //! vendor-type, a 1-byte vendor-length, then the big-endian payload.
 //! The vendor id is 32473 — the enterprise number RFC 5612 reserves for
@@ -10,26 +10,21 @@
 //! copies it upstream so the home server's audit rows carry the same id
 //! the login node minted.
 //!
-//! Two payload versions coexist under vendor-type 1, distinguished by
-//! the vendor-length byte:
-//!
-//! * **v1** (`vendor-length 10`, 8-byte payload): the bare trace id —
-//!   what pre-hierarchical senders emitted; still decoded.
-//! * **v2** (`vendor-length 26`, 24-byte payload): trace id, parent
-//!   [`SpanId`] (0 = none), and the sender's [`TraceClock`] value in µs —
-//!   everything a downstream hop needs to open a correctly parented,
-//!   correctly timed child span.
+//! Requests carry vendor-type 1 (`vendor-length 26`, 24-byte payload):
+//! trace id, parent [`SpanId`] (0 = none), and the sender's
+//! [`TraceClock`] value in µs — everything a downstream hop needs to
+//! open a correctly parented, correctly timed child span. A vendor-type 1
+//! payload of any other length is not ours: it is ignored like a foreign
+//! VSA and the request is served untraced.
 //!
 //! Responses carry a second sub-attribute (vendor-type 2, 8-byte
 //! payload): the responder's clock after its processing costs, so the
 //! caller fast-forwards its trace clock and the assembled cross-site
 //! tree keeps one monotone time basis.
-//!
-//! [`TraceClock`]: hpcmfa_telemetry::TraceClock
 
 use crate::attribute::{Attribute, AttributeType};
 use crate::packet::{Packet, PacketView};
-use hpcmfa_telemetry::{SpanId, TraceId};
+use hpcmfa_telemetry::{SpanCtx, SpanId, TraceClock, TraceId};
 
 /// RFC 5612 documentation enterprise number, used as our vendor id.
 pub const TRACE_VENDOR_ID: u32 = 32473;
@@ -47,24 +42,27 @@ pub struct WireTraceCtx {
     /// The request's trace id.
     pub trace: TraceId,
     /// The sender's open span, to parent the receiver's spans under
-    /// (`None` from a v1 sender or a root).
+    /// (`None` from a root).
     pub parent: Option<SpanId>,
-    /// The sender's trace-clock value at send time, µs (0 from v1).
+    /// The sender's trace-clock value at send time, µs.
     pub clock_us: u64,
 }
 
-/// Encode `trace` alone as a v1 Vendor-Specific attribute (bare id; no
-/// parent span or clock).
-pub fn trace_attribute(trace: TraceId) -> Attribute {
-    let mut value = Vec::with_capacity(14);
-    value.extend_from_slice(&TRACE_VENDOR_ID.to_be_bytes());
-    value.push(TRACE_VENDOR_TYPE);
-    value.push(10); // vendor-length: type + len + 8-byte id
-    value.extend_from_slice(&trace.as_u64().to_be_bytes());
-    Attribute::new(AttributeType::VendorSpecific, value)
+impl WireTraceCtx {
+    /// The context the receiving hop opens its spans under: the sender's
+    /// trace, parented under the sender's open span, on a clock that
+    /// starts at the sender's reading so virtual timestamps stay monotone
+    /// across the hop.
+    pub fn span_ctx(&self) -> SpanCtx {
+        SpanCtx {
+            trace: self.trace,
+            parent: self.parent,
+            clock: TraceClock::at(self.clock_us),
+        }
+    }
 }
 
-/// Encode the full v2 trace context: trace id, parent span (0 encodes
+/// Encode the trace context: trace id, parent span (0 encodes
 /// `None`), and the sender's clock in µs.
 pub fn trace_ctx_attribute(trace: TraceId, parent: Option<SpanId>, clock_us: u64) -> Attribute {
     let mut value = Vec::with_capacity(30);
@@ -77,14 +75,8 @@ pub fn trace_ctx_attribute(trace: TraceId, parent: Option<SpanId>, clock_us: u64
     Attribute::new(AttributeType::VendorSpecific, value)
 }
 
-/// Decode the trace id from one Vendor-Specific attribute, if it is ours
-/// (either payload version).
-pub fn decode_trace(attr: &Attribute) -> Option<TraceId> {
-    decode_trace_ctx(attr).map(|c| c.trace)
-}
-
-/// Decode the full trace context from one Vendor-Specific attribute, if
-/// it is ours. v1 payloads decode with no parent and clock 0.
+/// Decode the trace context from one Vendor-Specific attribute, if it is
+/// ours.
 pub fn decode_trace_ctx(attr: &Attribute) -> Option<WireTraceCtx> {
     if attr.ty != AttributeType::VendorSpecific {
         return None;
@@ -97,25 +89,14 @@ pub fn decode_trace_ctx(attr: &Attribute) -> Option<WireTraceCtx> {
 /// [`Attribute`] ever exists there). Parity with the owned path is
 /// property tested.
 pub fn decode_trace_ctx_bytes(v: &[u8]) -> Option<WireTraceCtx> {
-    if v.len() != 14 && v.len() != 30 {
+    if v.len() != 30 {
         return None;
     }
     let vendor = u32::from_be_bytes(v[0..4].try_into().ok()?);
-    if vendor != TRACE_VENDOR_ID || v[4] != TRACE_VENDOR_TYPE {
-        return None;
-    }
-    let expected_len = (v.len() - 4) as u8;
-    if v[5] != expected_len {
+    if vendor != TRACE_VENDOR_ID || v[4] != TRACE_VENDOR_TYPE || v[5] != 26 {
         return None;
     }
     let trace = TraceId::from_u64(u64::from_be_bytes(v[6..14].try_into().ok()?));
-    if v.len() == 14 {
-        return Some(WireTraceCtx {
-            trace,
-            parent: None,
-            clock_us: 0,
-        });
-    }
     let parent_raw = u64::from_be_bytes(v[14..22].try_into().ok()?);
     let clock_us = u64::from_be_bytes(v[22..30].try_into().ok()?);
     let parent = if parent_raw == 0 {
@@ -203,24 +184,6 @@ mod tests {
     use crate::packet::Code;
 
     #[test]
-    fn v1_round_trip_through_attribute() {
-        let id = TraceId::from_u64(0x0123_4567_89ab_cdef);
-        let attr = trace_attribute(id);
-        assert_eq!(attr.ty, AttributeType::VendorSpecific);
-        assert_eq!(attr.value.len(), 14);
-        assert_eq!(decode_trace(&attr), Some(id));
-        // v1 decodes as a context with no parent and clock 0.
-        assert_eq!(
-            decode_trace_ctx(&attr),
-            Some(WireTraceCtx {
-                trace: id,
-                parent: None,
-                clock_us: 0
-            })
-        );
-    }
-
-    #[test]
     fn v2_round_trips_parent_and_clock() {
         let trace = TraceId::from_u64(42);
         let parent = SpanId::from_u64(0xdead_beef);
@@ -233,8 +196,6 @@ mod tests {
         // No parent encodes as zero and decodes back to None.
         let root = trace_ctx_attribute(trace, None, 7);
         assert_eq!(decode_trace_ctx(&root).unwrap().parent, None);
-        // The bare-id view still works on a v2 payload.
-        assert_eq!(decode_trace(&attr), Some(trace));
     }
 
     #[test]
@@ -256,7 +217,10 @@ mod tests {
         assert_eq!(decode_clock(&attr), Some(987_654));
         // The clock sub-attribute is not a trace context and vice versa.
         assert_eq!(decode_trace_ctx(&attr), None);
-        assert_eq!(decode_clock(&trace_attribute(TraceId::from_u64(1))), None);
+        assert_eq!(
+            decode_clock(&trace_ctx_attribute(TraceId::from_u64(1), None, 0)),
+            None
+        );
         let pkt = Packet::new(Code::AccessAccept, 1, [0u8; 16]).with_attribute(clock_attribute(55));
         let decoded = Packet::decode(&pkt.encode()).unwrap();
         assert_eq!(clock_of(&decoded), Some(55));
@@ -265,21 +229,19 @@ mod tests {
 
     #[test]
     fn foreign_vsas_are_ignored() {
-        // Wrong vendor id.
-        let mut value = 9u32.to_be_bytes().to_vec();
-        value.push(TRACE_VENDOR_TYPE);
-        value.push(10);
-        value.extend_from_slice(&7u64.to_be_bytes());
+        // Wrong vendor id on an otherwise well-formed payload.
+        let mut value = trace_ctx_attribute(TraceId::from_u64(7), None, 0).value;
+        value[0..4].copy_from_slice(&9u32.to_be_bytes());
         let foreign = Attribute::new(AttributeType::VendorSpecific, value);
-        assert_eq!(decode_trace(&foreign), None);
+        assert_eq!(decode_trace_ctx(&foreign), None);
         // Truncated payload.
         let short = Attribute::new(AttributeType::VendorSpecific, vec![1, 2, 3]);
-        assert_eq!(decode_trace(&short), None);
+        assert_eq!(decode_trace_ctx(&short), None);
         // Wrong vendor-length byte for the payload size.
         let mut bad_len = trace_ctx_attribute(TraceId::from_u64(3), None, 0).value;
         bad_len[5] = 10;
         assert_eq!(
-            decode_trace(&Attribute::new(AttributeType::VendorSpecific, bad_len)),
+            decode_trace_ctx(&Attribute::new(AttributeType::VendorSpecific, bad_len)),
             None
         );
         // A packet with only foreign VSAs carries no trace.
@@ -287,7 +249,7 @@ mod tests {
         assert_eq!(trace_id_of(&pkt), None);
         // But ours is still found after a foreign one.
         let id = TraceId::from_u64(5);
-        let pkt = pkt.with_attribute(trace_attribute(id));
+        let pkt = pkt.with_attribute(trace_ctx_attribute(id, None, 0));
         assert_eq!(trace_id_of(&pkt), Some(id));
     }
 }

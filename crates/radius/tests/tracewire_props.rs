@@ -3,15 +3,15 @@
 //! The decoder sits on the untrusted side of the wire: every login node
 //! and proxy runs it against attacker-controllable attribute bytes, so it
 //! must reject truncated, oversized, and garbled VSAs without panicking
-//! and never confuse a foreign vendor's attribute for ours. Two payload
-//! versions coexist (v1 bare id, 14 bytes; v2 id + parent span + clock,
-//! 30 bytes) plus the response-clock sub-attribute, and each must only
-//! decode from its exact well-formed envelope.
+//! and never confuse a foreign vendor's attribute for ours. There is one
+//! request payload (id + parent span + clock, 30 bytes) plus the
+//! response-clock sub-attribute, and each must only decode from its
+//! exact well-formed envelope.
 
 use hpcmfa_radius::attribute::{Attribute, AttributeType};
 use hpcmfa_radius::packet::{Code, Packet};
 use hpcmfa_radius::tracewire::{
-    clock_attribute, clock_of, decode_clock, decode_trace, decode_trace_ctx, trace_attribute,
+    clock_attribute, clock_of, decode_clock, decode_trace_ctx, decode_trace_ctx_bytes,
     trace_ctx_attribute, trace_id_of, CLOCK_VENDOR_TYPE, TRACE_VENDOR_ID, TRACE_VENDOR_TYPE,
 };
 use hpcmfa_telemetry::{SpanId, TraceId};
@@ -27,20 +27,7 @@ fn parent_of(raw: u64) -> Option<SpanId> {
 }
 
 proptest! {
-    /// Every 64-bit id survives a v1 encode → decode exactly, and decodes
-    /// as a context with no parent and clock 0.
-    #[test]
-    fn v1_attribute_round_trips(id in any::<u64>()) {
-        let trace = TraceId::from_u64(id);
-        let attr = trace_attribute(trace);
-        prop_assert_eq!(decode_trace(&attr), Some(trace));
-        let ctx = decode_trace_ctx(&attr).unwrap();
-        prop_assert_eq!(ctx.trace, trace);
-        prop_assert_eq!(ctx.parent, None);
-        prop_assert_eq!(ctx.clock_us, 0);
-    }
-
-    /// Every (trace, parent, clock) triple survives a v2 encode → decode.
+    /// Every (trace, parent, clock) triple survives an encode → decode.
     #[test]
     fn v2_attribute_round_trips(
         id in any::<u64>(),
@@ -54,7 +41,6 @@ proptest! {
         prop_assert_eq!(ctx.trace, trace);
         prop_assert_eq!(ctx.parent, parent);
         prop_assert_eq!(ctx.clock_us, clock);
-        prop_assert_eq!(decode_trace(&attr), Some(trace));
     }
 
     /// The response clock survives encode → decode and never parses as a
@@ -93,15 +79,15 @@ proptest! {
 
     /// Arbitrary VSA payloads never panic the decoder, and only a payload
     /// that is byte-for-byte well-formed (our vendor id, our vendor-type,
-    /// the vendor-length matching its size, exactly 14 or 30 bytes)
-    /// decodes to Some.
+    /// the vendor-length matching its size, exactly 30 bytes — 14 for the
+    /// clock) decodes to Some.
     #[test]
     fn garbled_vsa_never_panics_and_only_wellformed_decodes(
         value in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let attr = Attribute::new(AttributeType::VendorSpecific, value.clone());
         let decoded = decode_trace_ctx(&attr);
-        let wellformed = (value.len() == 14 || value.len() == 30)
+        let wellformed = value.len() == 30
             && value[0..4] == TRACE_VENDOR_ID.to_be_bytes()
             && value[4] == TRACE_VENDOR_TYPE
             && value[5] == (value.len() - 4) as u8;
@@ -114,11 +100,8 @@ proptest! {
         prop_assert_eq!(clock_decoded.is_some(), clock_wellformed);
     }
 
-    /// Truncating a valid v2 attribute's payload at any point kills the
-    /// decode — unless the cut lands exactly on the 14-byte v1 envelope
-    /// *and* the vendor-length byte happens to read 10, which a real v2
-    /// payload (vendor-length 26) never does. A short read can never
-    /// yield a (wrong) context.
+    /// Truncating a valid attribute's payload at any point kills the
+    /// decode: a short read can never yield a (wrong) context.
     #[test]
     fn truncated_vsa_is_rejected(
         id in any::<u64>(),
@@ -131,7 +114,7 @@ proptest! {
         prop_assert_eq!(decode_trace_ctx(&short), None);
     }
 
-    /// Flipping any single byte of a valid v2 payload either breaks the
+    /// Flipping any single byte of a valid payload either breaks the
     /// envelope (→ None) or lands inside the 24 payload bytes, in which
     /// case it must decode to a *different* context — never silently the
     /// original.
@@ -165,5 +148,25 @@ proptest! {
         let payload = trace_ctx_attribute(TraceId::from_u64(id), None, 7).value;
         let not_vsa = Attribute::new(AttributeType::ReplyMessage, payload);
         prop_assert_eq!(decode_trace_ctx(&not_vsa), None);
+    }
+}
+
+/// The retired flat-id payload (8 bytes under vendor-type 1) and every
+/// other length but the one we send are not ours: ignored whatever the
+/// vendor-length octet claims, never mis-read as a context.
+#[test]
+fn only_the_24_byte_payload_is_a_trace_context() {
+    for payload in (0..=64u8).filter(|&n| n != 24) {
+        // Consistent with the payload, off by one, and the real payload's.
+        for vendor_len in [payload + 2, payload + 3, 26] {
+            let mut value = TRACE_VENDOR_ID.to_be_bytes().to_vec();
+            value.extend([TRACE_VENDOR_TYPE, vendor_len]);
+            value.extend((0..payload).map(|i| i ^ 0xa5));
+            assert_eq!(
+                decode_trace_ctx_bytes(&value),
+                None,
+                "payload {payload}, vendor-length {vendor_len}"
+            );
+        }
     }
 }

@@ -9,9 +9,7 @@
 use crate::geo::{CountryCode, GeoDb};
 use hpcmfa_pam::context::PamContext;
 use hpcmfa_pam::stack::{PamModule, PamResult};
-use hpcmfa_telemetry::{
-    Counter, Gauge, MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus, TraceClock, TraceId,
-};
+use hpcmfa_telemetry::{Counter, Gauge, MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -177,22 +175,7 @@ impl RiskEngine {
 
     /// Score an attempt and update history. Call once per login attempt.
     pub fn assess(&self, user: &str, ip: Ipv4Addr, now: u64) -> (u32, RiskDecision) {
-        self.assess_traced(user, ip, now, None)
-    }
-
-    /// [`RiskEngine::assess`] with the in-flight request's trace id, so
-    /// emitted step-up/deny events link back to the login's spans. The
-    /// span roots at virtual second `now`; callers already holding a
-    /// propagated context use [`RiskEngine::assess_spanned`].
-    pub fn assess_traced(
-        &self,
-        user: &str,
-        ip: Ipv4Addr,
-        now: u64,
-        trace: Option<TraceId>,
-    ) -> (u32, RiskDecision) {
-        let ctx = trace.map(|t| SpanCtx::root(t, TraceClock::at(now.saturating_mul(1_000_000))));
-        self.assess_spanned(user, ip, now, ctx.as_ref())
+        self.assess_spanned(user, ip, now, None)
     }
 
     /// [`RiskEngine::assess`] under a propagated span context: the scoring
@@ -291,7 +274,7 @@ impl RiskEngine {
                 RiskDecision::Allow => None,
             };
             if let Some(kind) = kind {
-                m.registry.emit_event_spanned(
+                m.registry.emit_event(
                     kind,
                     trace,
                     span.as_ref().map(|g| g.id()),

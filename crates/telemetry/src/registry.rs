@@ -227,22 +227,10 @@ impl MetricsRegistry {
 
     /// Emit one security event: append it to the ring and bump
     /// `hpcmfa_security_events_total{kind=…}`. `at` is the emitter's
-    /// virtual-clock timestamp; `trace` is the triggering request.
-    /// Emitters with a span in scope use
-    /// [`MetricsRegistry::emit_event_spanned`] instead.
+    /// virtual-clock timestamp; `trace` is the triggering request and
+    /// `span` the emitter's open span, when it has them, so an alert →
+    /// event → span → parent-chain walk needs no grep.
     pub fn emit_event(
-        &self,
-        kind: SecurityEventKind,
-        trace: Option<TraceId>,
-        at: u64,
-        detail: impl Into<String>,
-    ) {
-        self.emit_event_spanned(kind, trace, None, at, detail);
-    }
-
-    /// [`MetricsRegistry::emit_event`] with the emitting span stamped,
-    /// so an alert → event → span → parent-chain walk needs no grep.
-    pub fn emit_event_spanned(
         &self,
         kind: SecurityEventKind,
         trace: Option<TraceId>,
@@ -546,9 +534,27 @@ mod tests {
     fn emit_event_feeds_ring_and_counter() {
         let reg = MetricsRegistry::new();
         let t = crate::TraceId::from_u64(7);
-        reg.emit_event(SecurityEventKind::ReplayAttempt, Some(t), 100, "user=alice");
-        reg.emit_event(SecurityEventKind::ReplayAttempt, Some(t), 130, "user=alice");
-        reg.emit_event(SecurityEventKind::BreakerFlap, None, 140, "server=radius0");
+        reg.emit_event(
+            SecurityEventKind::ReplayAttempt,
+            Some(t),
+            None,
+            100,
+            "user=alice",
+        );
+        reg.emit_event(
+            SecurityEventKind::ReplayAttempt,
+            Some(t),
+            None,
+            130,
+            "user=alice",
+        );
+        reg.emit_event(
+            SecurityEventKind::BreakerFlap,
+            None,
+            None,
+            140,
+            "server=radius0",
+        );
         assert_eq!(reg.security_events().len(), 3);
         assert_eq!(
             reg.security_events()
@@ -607,7 +613,7 @@ mod tests {
             tight
                 .tracer()
                 .span(crate::TraceId::from_u64(i), "pam", "x", "");
-            tight.emit_event(SecurityEventKind::SmsAbuse, None, i, "");
+            tight.emit_event(SecurityEventKind::SmsAbuse, None, None, i, "");
         }
         let snap = tight.snapshot();
         assert_eq!(snap.counter("hpcmfa_tracer_dropped_total"), 3);

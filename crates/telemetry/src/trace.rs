@@ -261,15 +261,6 @@ impl SpanCtx {
             clock,
         }
     }
-
-    /// The same context re-parented under `span`.
-    pub fn child_of(&self, span: SpanId) -> SpanCtx {
-        SpanCtx {
-            trace: self.trace,
-            parent: Some(span),
-            clock: self.clock.clone(),
-        }
-    }
 }
 
 /// One timed hop of one traced request.

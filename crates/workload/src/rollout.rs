@@ -121,16 +121,6 @@ impl Default for RolloutParams {
     }
 }
 
-impl RolloutParams {
-    /// A small, fast configuration for tests.
-    pub fn test_scale() -> Self {
-        RolloutParams {
-            population_scale: 0.02,
-            ..Self::default()
-        }
-    }
-}
-
 /// One simulated day's aggregates — the raw material of Figures 3–6.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DayRecord {

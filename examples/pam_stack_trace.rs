@@ -75,7 +75,7 @@ auth required                   pam_tacc_mfa_token.so mode=full
         let mut conv = ScriptedConversation::with_answers(answers);
         let mut ctx = PamContext::new(user, ip, Arc::new(center.clock.clone()), &mut conv);
         let mut trace = Vec::new();
-        let verdict = stack.authenticate_traced(&mut ctx, &mut trace);
+        let verdict = stack.run(&mut ctx, Some(&mut trace));
         println!("=== {title} ===");
         for line in &trace {
             println!(

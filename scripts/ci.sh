@@ -6,8 +6,10 @@
 #
 # `cargo test --workspace` runs every suite once; each later stanza adds
 # something that run cannot:
-#   complexity guards  the two tests that are only meaningful optimised and
+#   complexity guards  the tests that are only meaningful optimised and
 #                      under a timeout (linear-per-operation code runs into it)
+#                      — a 4 MiB JSON string (json_string_parse_is_linear) too
+#   truncation guard   a 261-octet User-Name where debug_assert is compiled out
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
 #                      fails here by name instead of slowing the whole run
@@ -26,15 +28,20 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> complexity guards: a full default span ring, uid search over 100 000 entries"
-# Neither test holds a stopwatch: linear-per-operation code (a minute and
-# several minutes of work respectively) runs into the timeout instead.
+echo "==> release guards: full span ring, 100 000-entry uid search, 4 MiB JSON string, 261-octet User-Name"
+# No test holds a stopwatch: linear-per-operation code (a minute to several
+# minutes of work) runs into the timeout instead.
 cargo test -q --offline --release --no-run \
-    -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props
+    -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props \
+    -p hpcmfa-otpserver --test proptests -p hpcmfa-radius --lib
 timeout 20 cargo test -q --offline --release -p hpcmfa-telemetry --test trace_props \
     a_full_default_ring_takes_a_million_spans
 timeout 20 cargo test -q --offline --release -p hpcmfa-directory --test index_props \
     uid_search_does_not_grow_with_the_directory
+timeout 20 cargo test -q --offline --release -p hpcmfa-otpserver --test proptests \
+    json_string_parse_is_linear
+timeout 20 cargo test -q --offline --release -p hpcmfa-radius --lib \
+    overlong_username_cannot_rewrite_the_request
 
 echo "==> stuffing-storm smoke (sheds fire, zero benign lockouts, p99 SLO)"
 timeout 30 cargo test -q --offline --test attacks stuffing_storm_smoke
