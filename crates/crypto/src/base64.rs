@@ -54,8 +54,9 @@ fn sym_value(c: char, alphabet: &[u8; 64]) -> Result<u32, Base64Error> {
         .ok_or(Base64Error::InvalidChar(c))
 }
 
-fn decode_with(s: &str, alphabet: &[u8; 64]) -> Result<Vec<u8>, Base64Error> {
-    let trimmed = s.trim_end_matches('=');
+/// Decode unpadded `trimmed`; trailing bits below the last byte must be
+/// zero, so every blob has one accepted unpadded spelling.
+fn decode_with(trimmed: &str, alphabet: &[u8; 64]) -> Result<Vec<u8>, Base64Error> {
     if trimmed.len() % 4 == 1 {
         return Err(Base64Error::InvalidLength);
     }
@@ -83,7 +84,7 @@ pub fn encode(data: &[u8]) -> String {
 
 /// Decode standard base64 (padding optional).
 pub fn decode(s: &str) -> Result<Vec<u8>, Base64Error> {
-    decode_with(s, STD)
+    decode_with(s.trim_end_matches('='), STD)
 }
 
 /// URL-safe base64, unpadded — for signed-URL tokens.
@@ -91,7 +92,8 @@ pub fn encode_url(data: &[u8]) -> String {
     encode_with(data, URL, false)
 }
 
-/// Decode URL-safe base64 (padding optional).
+/// Decode URL-safe base64. Strict: [`encode_url`] never pads, so `=` is
+/// refused like any other character outside the alphabet.
 pub fn decode_url(s: &str) -> Result<Vec<u8>, Base64Error> {
     decode_with(s, URL)
 }
@@ -145,6 +147,14 @@ mod tests {
         // "Zh" leaves nonzero trailing bits (only "Zg" maps to "f").
         assert_eq!(decode("Zh"), Err(Base64Error::InvalidLength));
         assert_eq!(decode_url("Zm+v"), Err(Base64Error::InvalidChar('+')));
+    }
+
+    #[test]
+    fn url_decoder_accepts_one_spelling() {
+        assert_eq!(decode_url("Zg").unwrap(), b"f");
+        assert_eq!(decode_url("Zg=="), Err(Base64Error::InvalidChar('=')));
+        assert_eq!(decode_url("Zm8="), Err(Base64Error::InvalidChar('=')));
+        assert_eq!(decode_url("Zh"), Err(Base64Error::InvalidLength));
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod digestauth;
 pub mod hex;
 pub mod hmac;
 pub mod md5;
+mod merkle_damgard;
 pub mod sha1;
 pub mod sha256;
 pub mod sha512;
@@ -37,8 +38,8 @@ pub mod sha512;
 /// A block-based cryptographic hash function.
 ///
 /// This is the small abstraction [`hmac`] and [`digestauth`] are generic
-/// over. Implementations in this crate: [`md5::Md5`], [`sha1::Sha1`],
-/// [`sha256::Sha256`], [`sha512::Sha512`].
+/// over. Implemented once, by the Merkle–Damgård core behind
+/// [`md5::Md5`], [`sha1::Sha1`], [`sha256::Sha256`] and [`sha512::Sha512`].
 pub trait Digest: Default + Clone {
     /// Digest output size in bytes.
     const OUTPUT_LEN: usize;
@@ -48,17 +49,17 @@ pub trait Digest: Default + Clone {
     /// Absorb `data` into the hash state.
     fn update(&mut self, data: &[u8]);
 
-    /// Consume the hasher and produce the digest bytes.
-    fn finalize_vec(self) -> Vec<u8>;
-
     /// Consume the hasher, writing the digest into `out` (which must be at
     /// least [`Digest::OUTPUT_LEN`] bytes; only that prefix is written).
-    /// The default routes through [`Digest::finalize_vec`]; the concrete
-    /// digests override it to finish into fixed arrays with no heap
-    /// allocation — the HMAC hot path ([`hmac::HmacKey::mac_into`]) leans
-    /// on that.
-    fn finalize_into(self, out: &mut [u8]) {
-        out[..Self::OUTPUT_LEN].copy_from_slice(&self.finalize_vec());
+    /// No heap allocation — the HMAC hot path
+    /// ([`hmac::HmacKey::mac_into`]) leans on that.
+    fn finalize_into(self, out: &mut [u8]);
+
+    /// Consume the hasher and produce the digest bytes.
+    fn finalize_vec(self) -> Vec<u8> {
+        let mut out = vec![0u8; Self::OUTPUT_LEN];
+        self.finalize_into(&mut out);
+        out
     }
 
     /// One-shot convenience: digest of `data`.

@@ -8,6 +8,7 @@
 //! exists to interoperate with those wire formats, not as a general-purpose
 //! hash.
 
+use crate::merkle_damgard::{Algorithm, Hasher, Md5Algorithm};
 use crate::Digest;
 
 /// Per-round left-rotate amounts (RFC 1321 §3.4).
@@ -31,34 +32,19 @@ const K: [u32; 64] = [
 ];
 
 /// Incremental MD5 hasher.
-#[derive(Clone)]
-pub struct Md5 {
-    state: [u32; 4],
-    /// Total message length in bytes.
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
-}
+pub type Md5 = Hasher<Md5Algorithm>;
 
-impl Default for Md5 {
-    fn default() -> Self {
-        Md5 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
-            len: 0,
-            buf: [0u8; 64],
-            buf_len: 0,
-        }
-    }
-}
+impl Algorithm for Md5Algorithm {
+    type Word = u32;
+    type State = [u32; 4];
+    type Block = [u8; 64];
+    type Output = [u8; 16];
+    const INIT: [u32; 4] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+    const ZERO_BLOCK: [u8; 64] = [0; 64];
+    const ZERO_OUTPUT: [u8; 16] = [0; 16];
+    const BIG_ENDIAN: bool = false;
 
-impl Md5 {
-    /// Create a fresh hasher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn compress(state: &mut [u32; 4], block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
+    fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
         let mut m = [0u32; 16];
         for (i, w) in m.iter_mut().enumerate() {
             *w = u32::from_le_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
@@ -86,60 +72,6 @@ impl Md5 {
         state[1] = state[1].wrapping_add(b);
         state[2] = state[2].wrapping_add(c);
         state[3] = state[3].wrapping_add(d);
-    }
-
-    /// Finalize into a fixed 16-byte array.
-    pub fn finalize(mut self) -> [u8; 16] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Pad: 0x80 then zeros until 56 mod 64, then little-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Manual absorb of the length so `len` bookkeeping doesn't matter.
-        self.buf[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        Self::compress(&mut self.state, &{ self.buf });
-        let mut out = [0u8; 16];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_le_bytes());
-        }
-        out
-    }
-}
-
-impl Digest for Md5 {
-    const OUTPUT_LEN: usize = 16;
-    const BLOCK_LEN: usize = 64;
-
-    fn update(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                Self::compress(&mut self.state, &block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            Self::compress(&mut self.state, &data[..64]);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn finalize_vec(self) -> Vec<u8> {
-        self.finalize().to_vec()
-    }
-
-    fn finalize_into(self, out: &mut [u8]) {
-        out[..Self::OUTPUT_LEN].copy_from_slice(&self.finalize());
     }
 }
 

@@ -7,36 +7,23 @@
 //! codes from HMAC-SHA-1. SHA-1 collision weaknesses do not impact its HMAC
 //! usage here.
 
+use crate::merkle_damgard::{Algorithm, Hasher, Sha1Algorithm};
 use crate::Digest;
 
 /// Incremental SHA-1 hasher.
-#[derive(Clone)]
-pub struct Sha1 {
-    state: [u32; 5],
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
-}
+pub type Sha1 = Hasher<Sha1Algorithm>;
 
-impl Default for Sha1 {
-    fn default() -> Self {
-        Sha1 {
-            state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
-            len: 0,
-            buf: [0u8; 64],
-            buf_len: 0,
-        }
-    }
-}
+impl Algorithm for Sha1Algorithm {
+    type Word = u32;
+    type State = [u32; 5];
+    type Block = [u8; 64];
+    type Output = [u8; 20];
+    const INIT: [u32; 5] = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0];
+    const ZERO_BLOCK: [u8; 64] = [0; 64];
+    const ZERO_OUTPUT: [u8; 20] = [0; 20];
+    const BIG_ENDIAN: bool = true;
 
-impl Sha1 {
-    /// Create a fresh hasher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn compress(state: &mut [u32; 5], block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
+    fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, word) in w.iter_mut().take(16).enumerate() {
             *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
@@ -70,58 +57,6 @@ impl Sha1 {
         state[2] = state[2].wrapping_add(c);
         state[3] = state[3].wrapping_add(d);
         state[4] = state[4].wrapping_add(e);
-    }
-
-    /// Finalize into a fixed 20-byte array.
-    pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        Self::compress(&mut self.state, &{ self.buf });
-        let mut out = [0u8; 20];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
-    }
-}
-
-impl Digest for Sha1 {
-    const OUTPUT_LEN: usize = 20;
-    const BLOCK_LEN: usize = 64;
-
-    fn update(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                Self::compress(&mut self.state, &block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            Self::compress(&mut self.state, &data[..64]);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn finalize_vec(self) -> Vec<u8> {
-        self.finalize().to_vec()
-    }
-
-    fn finalize_into(self, out: &mut [u8]) {
-        out[..Self::OUTPUT_LEN].copy_from_slice(&self.finalize());
     }
 }
 

@@ -1,6 +1,7 @@
 //! SHA-256 (FIPS 180-4), used by the RFC 6238 TOTP-SHA256 variant and for
 //! signing the out-of-band unpairing URLs issued by the portal.
 
+use crate::merkle_damgard::{Algorithm, Hasher, Sha256Algorithm};
 use crate::Digest;
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
@@ -17,36 +18,22 @@ const K: [u32; 64] = [
 ];
 
 /// Incremental SHA-256 hasher.
-#[derive(Clone)]
-pub struct Sha256 {
-    state: [u32; 8],
-    len: u64,
-    buf: [u8; 64],
-    buf_len: usize,
-}
+pub type Sha256 = Hasher<Sha256Algorithm>;
 
-impl Default for Sha256 {
-    fn default() -> Self {
-        Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            len: 0,
-            buf: [0u8; 64],
-            buf_len: 0,
-        }
-    }
-}
+impl Algorithm for Sha256Algorithm {
+    type Word = u32;
+    type State = [u32; 8];
+    type Block = [u8; 64];
+    type Output = [u8; 32];
+    const INIT: [u32; 8] = [
+        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+        0x5be0cd19,
+    ];
+    const ZERO_BLOCK: [u8; 64] = [0; 64];
+    const ZERO_OUTPUT: [u8; 32] = [0; 32];
+    const BIG_ENDIAN: bool = true;
 
-impl Sha256 {
-    /// Create a fresh hasher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn compress(state: &mut [u32; 8], block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, word) in w.iter_mut().take(16).enumerate() {
             *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
@@ -83,58 +70,6 @@ impl Sha256 {
         for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
-    }
-
-    /// Finalize into a fixed 32-byte array.
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        Self::compress(&mut self.state, &{ self.buf });
-        let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
-    }
-}
-
-impl Digest for Sha256 {
-    const OUTPUT_LEN: usize = 32;
-    const BLOCK_LEN: usize = 64;
-
-    fn update(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                Self::compress(&mut self.state, &block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            Self::compress(&mut self.state, &data[..64]);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn finalize_vec(self) -> Vec<u8> {
-        self.finalize().to_vec()
-    }
-
-    fn finalize_into(self, out: &mut [u8]) {
-        out[..Self::OUTPUT_LEN].copy_from_slice(&self.finalize());
     }
 }
 

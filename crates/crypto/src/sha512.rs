@@ -1,5 +1,6 @@
 //! SHA-512 (FIPS 180-4), used by the RFC 6238 TOTP-SHA512 variant.
 
+use crate::merkle_damgard::{Algorithm, Hasher, Sha512Algorithm};
 use crate::Digest;
 
 /// Round constants: first 64 bits of the fractional parts of the cube roots
@@ -88,44 +89,28 @@ const K: [u64; 80] = [
 ];
 
 /// Incremental SHA-512 hasher.
-#[derive(Clone)]
-pub struct Sha512 {
-    state: [u64; 8],
-    /// Total message length in bytes (we support < 2^64 bytes, far beyond any
-    /// use in this workspace; FIPS allows up to 2^128 bits).
-    len: u64,
-    buf: [u8; 128],
-    buf_len: usize,
-}
+pub type Sha512 = Hasher<Sha512Algorithm>;
 
-impl Default for Sha512 {
-    fn default() -> Self {
-        Sha512 {
-            state: [
-                0x6a09e667f3bcc908,
-                0xbb67ae8584caa73b,
-                0x3c6ef372fe94f82b,
-                0xa54ff53a5f1d36f1,
-                0x510e527fade682d1,
-                0x9b05688c2b3e6c1f,
-                0x1f83d9abfb41bd6b,
-                0x5be0cd19137e2179,
-            ],
-            len: 0,
-            buf: [0u8; 128],
-            buf_len: 0,
-        }
-    }
-}
+impl Algorithm for Sha512Algorithm {
+    type Word = u64;
+    type State = [u64; 8];
+    type Block = [u8; 128];
+    type Output = [u8; 64];
+    const INIT: [u64; 8] = [
+        0x6a09e667f3bcc908,
+        0xbb67ae8584caa73b,
+        0x3c6ef372fe94f82b,
+        0xa54ff53a5f1d36f1,
+        0x510e527fade682d1,
+        0x9b05688c2b3e6c1f,
+        0x1f83d9abfb41bd6b,
+        0x5be0cd19137e2179,
+    ];
+    const ZERO_BLOCK: [u8; 128] = [0; 128];
+    const ZERO_OUTPUT: [u8; 64] = [0; 64];
+    const BIG_ENDIAN: bool = true;
 
-impl Sha512 {
-    /// Create a fresh hasher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn compress(state: &mut [u64; 8], block: &[u8]) {
-        debug_assert_eq!(block.len(), 128);
+    fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
         let mut w = [0u64; 80];
         for (i, word) in w.iter_mut().take(16).enumerate() {
             *word = u64::from_be_bytes(block[i * 8..i * 8 + 8].try_into().unwrap());
@@ -162,58 +147,6 @@ impl Sha512 {
         for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
-    }
-
-    /// Finalize into a fixed 64-byte array.
-    pub fn finalize(mut self) -> [u8; 64] {
-        let bit_len = (self.len as u128).wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
-        }
-        self.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
-        Self::compress(&mut self.state, &{ self.buf });
-        let mut out = [0u8; 64];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 8..i * 8 + 8].copy_from_slice(&w.to_be_bytes());
-        }
-        out
-    }
-}
-
-impl Digest for Sha512 {
-    const OUTPUT_LEN: usize = 64;
-    const BLOCK_LEN: usize = 128;
-
-    fn update(&mut self, mut data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = (128 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 128 {
-                let block = self.buf;
-                Self::compress(&mut self.state, &block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 128 {
-            Self::compress(&mut self.state, &data[..128]);
-            data = &data[128..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn finalize_vec(self) -> Vec<u8> {
-        self.finalize().to_vec()
-    }
-
-    fn finalize_into(self, out: &mut [u8]) {
-        out[..Self::OUTPUT_LEN].copy_from_slice(&self.finalize());
     }
 }
 

@@ -25,6 +25,7 @@
 //! pass over ~64 bytes — the O(1) the resumption hot path is built
 //! around.
 
+use hpcmfa_crypto::base64::{decode_url, encode_url};
 use hpcmfa_crypto::ct::ct_eq;
 use hpcmfa_crypto::hmac::HmacKey;
 use hpcmfa_crypto::sha256::Sha256;
@@ -110,69 +111,6 @@ impl std::fmt::Display for TokenError {
 }
 
 impl std::error::Error for TokenError {}
-
-const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
-
-/// Unpadded base64url (RFC 4648 §5). Hand-rolled: the wire form has to
-/// fit RADIUS's 128-octet password field, and hex would not.
-fn to_b64(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    for chunk in bytes.chunks(3) {
-        let b = [
-            chunk[0],
-            *chunk.get(1).unwrap_or(&0),
-            *chunk.get(2).unwrap_or(&0),
-        ];
-        let v = (u32::from(b[0]) << 16) | (u32::from(b[1]) << 8) | u32::from(b[2]);
-        out.push(B64_ALPHABET[(v >> 18) as usize & 63] as char);
-        out.push(B64_ALPHABET[(v >> 12) as usize & 63] as char);
-        if chunk.len() > 1 {
-            out.push(B64_ALPHABET[(v >> 6) as usize & 63] as char);
-        }
-        if chunk.len() > 2 {
-            out.push(B64_ALPHABET[v as usize & 63] as char);
-        }
-    }
-    out
-}
-
-fn from_b64(s: &str) -> Option<Vec<u8>> {
-    fn val(c: u8) -> Option<u32> {
-        match c {
-            b'A'..=b'Z' => Some(u32::from(c - b'A')),
-            b'a'..=b'z' => Some(u32::from(c - b'a') + 26),
-            b'0'..=b'9' => Some(u32::from(c - b'0') + 52),
-            b'-' => Some(62),
-            b'_' => Some(63),
-            _ => None,
-        }
-    }
-    let bytes = s.as_bytes();
-    if bytes.len() % 4 == 1 {
-        return None; // no 4k+1 length is producible by the encoder
-    }
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3 + 2);
-    for chunk in bytes.chunks(4) {
-        let mut v = 0u32;
-        for &c in chunk {
-            v = (v << 6) | val(c)?;
-        }
-        v <<= 6 * (4 - chunk.len()) as u32;
-        // Canonical form only: bits below the emitted bytes must be zero,
-        // so every encoded blob has exactly one accepted spelling.
-        if v & ((1u32 << (24 - 8 * (chunk.len() - 1))) - 1) != 0 {
-            return None;
-        }
-        out.push((v >> 16) as u8);
-        if chunk.len() > 2 {
-            out.push((v >> 8) as u8);
-        }
-        if chunk.len() > 3 {
-            out.push(v as u8);
-        }
-    }
-    Some(out)
-}
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     let b = s.as_bytes();
@@ -289,7 +227,7 @@ impl ResumeAuthority {
         let mut mac = [0u8; MAC_LEN];
         self.key.mac_into(&body, &mut mac);
         body.extend_from_slice(&mac);
-        format!("{TOKEN_PREFIX}{}", to_b64(&body))
+        format!("{TOKEN_PREFIX}{}", encode_url(&body))
     }
 
     /// Issue a fresh token for `user` at `client`, stamped with the
@@ -320,7 +258,8 @@ impl ResumeAuthority {
         let encoded = token
             .strip_prefix(TOKEN_PREFIX)
             .ok_or(TokenError::Malformed)?;
-        let raw = from_b64(encoded).ok_or(TokenError::Malformed)?;
+        // Strict decode: a blob has exactly one accepted spelling.
+        let raw = decode_url(encoded).map_err(|_| TokenError::Malformed)?;
         if raw.len() < MAC_LEN + 1 {
             return Err(TokenError::Malformed);
         }

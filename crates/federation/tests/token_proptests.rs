@@ -131,6 +131,44 @@ proptest! {
         prop_assert!(auth.open(&tampered).is_err());
     }
 
+    /// A token has one accepted spelling: padding appended, or the spare
+    /// low bits of a final partial quantum set (the same bytes to a lax
+    /// decoder, so the MAC would still hold), is malformed.
+    #[test]
+    fn respelled_tokens_are_malformed(
+        key in arb_key(),
+        user in arb_user(),
+        ip in arb_ip(),
+        t0 in 1_000_000u64..2_000_000_000,
+        pads in 1usize..=3,
+        spare in 1usize..16,
+        seed in any::<u64>(),
+    ) {
+        const ALPHABET: &[u8; 64] =
+            b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
+        let (auth, token) = issue(&key, "tacc", 20, &user, ip, t0, seed);
+        let padded = format!("{token}{}", "=".repeat(pads));
+        prop_assert_eq!(auth.open(&padded).unwrap_err(), TokenError::Malformed);
+        // 2 symbols past a quantum leave 4 spare bits, 3 leave 2.
+        let spare_bits = match (token.len() - TOKEN_PREFIX.len()) % 4 {
+            2 => 4,
+            3 => 2,
+            _ => 0,
+        };
+        let spare = spare % (1 << spare_bits);
+        if spare != 0 {
+            let last = token.as_bytes()[token.len() - 1];
+            let value = ALPHABET.iter().position(|&c| c == last).unwrap();
+            prop_assert_eq!(value % (1 << spare_bits), 0, "the encoder leaves spare bits zero");
+            let respelled = format!(
+                "{}{}",
+                &token[..token.len() - 1],
+                ALPHABET[value | spare] as char
+            );
+            prop_assert_eq!(auth.open(&respelled).unwrap_err(), TokenError::Malformed);
+        }
+    }
+
     /// A token minted under one key never verifies under another.
     #[test]
     fn wrong_key_is_rejected(

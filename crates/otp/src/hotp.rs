@@ -45,26 +45,6 @@ pub fn hotp_prepared(key: &PreparedHmac, counter: u64, digits: u32) -> String {
     crate::format_code(value, digits)
 }
 
-/// Validate `candidate` against a look-ahead window of counters, as an HOTP
-/// validation server must (RFC 4226 §7.2). Returns the matching counter so
-/// the server can resynchronize.
-///
-/// Used by the hard-token resync path: the LinOTP admin interface lets staff
-/// "re-synchronize tokens" (§3.1) whose counters have drifted from button
-/// presses that never reached the server.
-pub fn validate_window(
-    secret: &Secret,
-    candidate: &str,
-    counter: u64,
-    look_ahead: u64,
-    digits: u32,
-    alg: HashAlg,
-) -> Option<u64> {
-    let key = alg.prepare_key(secret.bytes());
-    (counter..=counter.saturating_add(look_ahead))
-        .find(|&c| hpcmfa_crypto::ct::ct_eq_str(&hotp_prepared(&key, c, digits), candidate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,34 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_window_finds_drifted_counter() {
-        let secret = rfc_secret();
-        let code_at_5 = hotp(&secret, 5, 6, HashAlg::Sha1);
-        assert_eq!(
-            validate_window(&secret, &code_at_5, 2, 10, 6, HashAlg::Sha1),
-            Some(5)
-        );
-        // Outside the window: rejected.
-        assert_eq!(
-            validate_window(&secret, &code_at_5, 2, 2, 6, HashAlg::Sha1),
-            None
-        );
-    }
-
-    #[test]
-    fn validate_window_rejects_garbage() {
-        let secret = rfc_secret();
-        assert_eq!(
-            validate_window(&secret, "000000", 0, 100, 6, HashAlg::Sha1),
-            None
-        );
-        assert_eq!(
-            validate_window(&secret, "not-a-code", 0, 100, 6, HashAlg::Sha1),
-            None
-        );
-    }
-
-    #[test]
     fn different_algorithms_differ() {
         let secret = rfc_secret();
         let s1 = hotp(&secret, 1, 6, HashAlg::Sha1);
@@ -151,16 +103,5 @@ mod tests {
         let s512 = hotp(&secret, 1, 6, HashAlg::Sha512);
         assert_ne!(s1, s256);
         assert_ne!(s256, s512);
-    }
-
-    #[test]
-    fn counter_saturation_no_overflow() {
-        let secret = rfc_secret();
-        // Window straddling u64::MAX must not panic.
-        let code = hotp(&secret, u64::MAX, 6, HashAlg::Sha1);
-        assert_eq!(
-            validate_window(&secret, &code, u64::MAX - 1, 10, 6, HashAlg::Sha1),
-            Some(u64::MAX)
-        );
     }
 }

@@ -5,7 +5,7 @@
 //! codes from a window of adjacent time steps to absorb client clock drift —
 //! the paper tolerates up to 300 seconds (±10 steps of 30 s).
 
-use crate::hotp::{hotp, hotp_prepared, hotp_value};
+use crate::hotp::{hotp, hotp_value, hotp_value_prepared};
 use crate::secret::Secret;
 use hpcmfa_crypto::HashAlg;
 
@@ -91,6 +91,10 @@ impl Totp {
         {
             return None;
         }
+        // A well-formed candidate is compared as the number it spells: no
+        // step of the scan formats a code, so the scan allocates nothing.
+        let candidate = candidate.parse::<u32>().ok()?.to_be_bytes();
+        let modulus = 10u32.pow(self.params.digits);
         let center = self.params.time_step(unix_time);
         let lo = center.saturating_sub(window);
         let hi = center.saturating_add(window);
@@ -105,8 +109,8 @@ impl Totp {
         // replay tracking reject a legitimate login.
         let mut matched: Option<u64> = None;
         for step in lo..=hi {
-            let code = hotp_prepared(&key, step, self.params.digits);
-            if hpcmfa_crypto::ct::ct_eq_str(&code, candidate) {
+            let code = hotp_value_prepared(&key, step) % modulus;
+            if hpcmfa_crypto::ct::ct_eq(&code.to_be_bytes(), &candidate) {
                 let better = match matched {
                     None => true,
                     Some(prev) => step.abs_diff(center) < prev.abs_diff(center),

@@ -122,6 +122,17 @@ impl AuditLog {
         success: bool,
         detail: &str,
     ) {
+        self.push(AuditEntry {
+            at,
+            username: username.to_string(),
+            action,
+            success,
+            detail: detail.to_string(),
+        });
+    }
+
+    /// [`AuditLog::record`] for an entry the caller already built.
+    pub(crate) fn push(&self, entry: AuditEntry) {
         let mut inner = self.inner.write();
         if inner.cap == 0 {
             inner.dropped += 1;
@@ -131,13 +142,7 @@ impl AuditLog {
             inner.entries.pop_front();
             inner.dropped += 1;
         }
-        inner.entries.push_back(AuditEntry {
-            at,
-            username: username.to_string(),
-            action,
-            success,
-            detail: detail.to_string(),
-        });
+        inner.entries.push_back(entry);
     }
 
     /// All entries for `username`.

@@ -32,7 +32,7 @@ pub mod wal;
 pub use backend::{FileBackend, MemoryBackend, StorageFaultPlan};
 pub use replication::{
     ApplyResult, ClusterBackend, LinkFaultPlan, MemoryLink, OtpCluster, ReplEnvelope, ReplFrame,
-    ReplicationLink, ReplicationMode, StandbyNode,
+    ReplicationMode, StandbyNode,
 };
 pub use snapshot::{recover, RecoverError, RecoveredState, RecoveryReport};
 pub use wal::{decode_stream, PairingImage, WalRecord, WalTail};

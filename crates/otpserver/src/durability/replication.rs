@@ -5,10 +5,10 @@
 //! the durability invariants PR 2 established. The shape:
 //!
 //! * The primary's durable WAL frames are batched into checksummed
-//!   *replication envelopes* and streamed over a [`ReplicationLink`] — an
-//!   in-memory implementation ([`MemoryLink`]) injects drops, reorder,
-//!   partition and lag through a [`LinkFaultPlan`] in the same seeded
-//!   cadence-counter style as the storage layer's `StorageFaultPlan`.
+//!   *replication envelopes* and streamed over an in-memory link
+//!   ([`MemoryLink`]) that injects drops, reorder, partition and lag
+//!   through a [`LinkFaultPlan`] in the same seeded cadence-counter style
+//!   as the storage layer's `StorageFaultPlan`.
 //! * A warm [`StandbyNode`] applies envelopes strictly in sequence order
 //!   (out-of-order arrivals are buffered, duplicates dropped) and its
 //!   applied sequence number doubles as the ack. In
@@ -217,23 +217,9 @@ impl LinkFaultPlan {
     }
 }
 
-/// The transport replication envelopes travel over. Byte-oriented so a
-/// future TCP implementation slots in; acks flow back as the standby's
+/// The in-memory transport replication envelopes travel over, with seeded
+/// fault injection. Byte-oriented; acks flow back as the standby's
 /// highest contiguously applied sequence number.
-pub trait ReplicationLink: Send + Sync {
-    /// Hand one encoded envelope to the transport (may be lost).
-    fn offer(&self, bytes: Vec<u8>);
-    /// Drain whatever the transport delivered, in arrival order.
-    fn deliver(&self) -> Vec<Vec<u8>>;
-    /// Record the standby's ack high-water mark.
-    fn set_acked(&self, seq: u64);
-    /// The last acked sequence number.
-    fn acked(&self) -> u64;
-    /// Diagnostic name.
-    fn name(&self) -> &'static str;
-}
-
-/// In-memory [`ReplicationLink`] with seeded fault injection.
 pub struct MemoryLink {
     queue: Mutex<VecDeque<Vec<u8>>>,
     acked: AtomicU64,
@@ -264,10 +250,9 @@ impl MemoryLink {
     pub fn queued(&self) -> usize {
         self.queue.lock().len()
     }
-}
 
-impl ReplicationLink for MemoryLink {
-    fn offer(&self, bytes: Vec<u8>) {
+    /// Hand one encoded envelope to the transport (may be lost).
+    pub fn offer(&self, bytes: Vec<u8>) {
         if self.plan.is_partitioned() || self.plan.drop_hit() {
             return; // lost in flight; retransmission recovers
         }
@@ -280,7 +265,8 @@ impl ReplicationLink for MemoryLink {
         }
     }
 
-    fn deliver(&self) -> Vec<Vec<u8>> {
+    /// Drain whatever the transport delivered, in arrival order.
+    pub fn deliver(&self) -> Vec<Vec<u8>> {
         if self.plan.is_partitioned() {
             return Vec::new();
         }
@@ -290,15 +276,18 @@ impl ReplicationLink for MemoryLink {
         q.drain(..take).collect()
     }
 
-    fn set_acked(&self, seq: u64) {
+    /// Record the standby's ack high-water mark.
+    pub fn set_acked(&self, seq: u64) {
         self.acked.store(seq, Ordering::SeqCst);
     }
 
-    fn acked(&self) -> u64 {
+    /// The last acked sequence number.
+    pub fn acked(&self) -> u64 {
         self.acked.load(Ordering::SeqCst)
     }
 
-    fn name(&self) -> &'static str {
+    /// Diagnostic name.
+    pub fn name(&self) -> &'static str {
         "memory-link"
     }
 }

@@ -36,8 +36,7 @@ pub mod store;
 pub use durability::{
     recover, ApplyResult, ClusterBackend, DurabilityCounters, FileBackend, LinkFaultPlan,
     MemoryBackend, MemoryLink, OtpCluster, Persistence, RecoverError, RecoveryReport, ReplEnvelope,
-    ReplFrame, ReplicationLink, ReplicationMode, StandbyNode, StorageBackend, StorageError,
-    StorageFaultPlan,
+    ReplFrame, ReplicationMode, StandbyNode, StorageBackend, StorageError, StorageFaultPlan,
 };
 pub use handler::OtpRadiusHandler;
 pub use overload::{AdmissionController, OverloadConfig, ShedReason};

@@ -9,7 +9,7 @@
 //! (deny), never `Success` — the fail-safe direction for an
 //! authentication service.
 
-use crate::audit::{AuditAction, AuditLog};
+use crate::audit::{AuditAction, AuditEntry, AuditLog};
 use crate::durability::snapshot::snapshot_live;
 use crate::durability::{
     recover, Commit, DurabilityCounters, PairingImage, Persistence, RecoverError, RecoveryReport,
@@ -19,13 +19,14 @@ use crate::overload::{AdmissionController, OverloadConfig, ShedReason};
 use crate::sms::{PhoneNumber, SmsMessage, SmsProvider};
 use crate::store::{PendingSmsCode, TokenPairing, TokenStore, TotpProvenance, UserTokenStatus};
 use crate::{DRIFT_TOLERANCE_SECS, LOCKOUT_THRESHOLD, SMS_CODE_VALIDITY_SECS};
+use hpcmfa_crypto::ct::ct_eq;
+use hpcmfa_otp::hotp::hotp_value_prepared;
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
 use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus, TraceId};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -148,20 +149,28 @@ pub struct LinotpServer {
     persistence: Option<Persistence>,
     /// Admission control; `None` keeps the original unguarded behaviour.
     admission: Option<AdmissionController>,
-    /// Consumed resumption-token nonces → ledger expiry (the token's own
-    /// stateless expiry, after which the entry may be purged). Single-use
-    /// enforcement for the federation resumption path.
-    resume_consumed: Mutex<BTreeMap<[u8; 16], u64>>,
+    /// Single-use enforcement for the federation resumption path.
+    resume_consumed: Mutex<ResumeLedger>,
 }
 
-/// Audit detail with the request's trace id appended, when one rode in on
-/// the RADIUS hop — `grep trace=<hex>` then joins the OTP audit log with
-/// the PAM and RADIUS spans of the same login.
-fn traced_detail(detail: &str, trace: Option<TraceId>) -> Cow<'_, str> {
-    match trace {
-        Some(t) if detail.is_empty() => format!("trace={t}").into(),
-        Some(t) => format!("{detail} trace={t}").into(),
-        None => detail.into(),
+/// Consumed resumption-token nonces → ledger expiry (the token's own
+/// stateless expiry, after which the entry may be purged).
+#[derive(Default)]
+struct ResumeLedger {
+    consumed: BTreeMap<[u8; 16], u64>,
+    /// The latest expiry the last purge left behind: once `now` reaches
+    /// it every nonce that purge kept has expired, so the next one is due.
+    purge_due: u64,
+}
+
+impl ResumeLedger {
+    /// Forget expired nonces: past its expiry the stateless step-window
+    /// check rejects the token anyway. Consumes run it when due, so each
+    /// nonce is visited at most twice and a server that never compacts
+    /// still forgets; the compactor runs it so none lands in a snapshot.
+    fn purge_expired(&mut self, now: u64) {
+        self.consumed.retain(|_, expires_at| *expires_at > now);
+        self.purge_due = self.consumed.values().copied().max().unwrap_or(0);
     }
 }
 
@@ -177,37 +186,94 @@ fn validation_detail(outcome: ValidationOutcome) -> &'static str {
     }
 }
 
-/// The durable side of one operation: its WAL commit on a server with
-/// storage, nothing (every method a no-op) on a volatile one. Opened
-/// before the store or ledger lock the operation mutates under and
-/// dropped once its audit rows are in the ring — that span is what the
-/// compactor is fenced against.
-struct Txn<'a>(Option<Commit<'a>>);
+/// One operation's audit rows and, on a server with storage, the WAL
+/// commit they ride in with its state records. Opened before the store or
+/// ledger lock the operation mutates under. A row is staged as it is
+/// encoded into the commit; a failed [`Txn::flush`] discards the rows that
+/// commit carried, so the caller stages what it answered instead. Dropping
+/// the `Txn` flushes what is still unflushed (best effort: audit
+/// persistence failures are counted, never gate), moves the staged rows
+/// into the ring, releases the compactor fence, and only then checks
+/// whether a compaction is due — so a row enters the ring after the commit
+/// that carries it and before the fence drops.
+struct Txn<'a> {
+    server: &'a LinotpServer,
+    user: &'a str,
+    now: u64,
+    /// The trace the operation rode in on, when the RADIUS hop carried one.
+    trace: Option<TraceId>,
+    /// `None` on a volatile server.
+    commit: Option<Commit<'a>>,
+    /// Rows bound for the ring; no operation leaves more than two (a
+    /// validate's row and its lockout's).
+    staged: [Option<AuditEntry>; 2],
+}
 
 impl Txn<'_> {
     /// Add the record `build` returns (not called on a volatile server).
     fn record(&mut self, build: impl FnOnce() -> WalRecord) {
-        if let Some(c) = &mut self.0 {
+        if let Some(c) = &mut self.commit {
             c.record(&build());
         }
     }
 
-    fn val_state(&mut self, user: &str, last_step: Option<u64>, fail_count: u32, active: bool) {
-        if let Some(c) = &mut self.0 {
-            c.val_state(user, last_step, fail_count, active);
+    fn val_state(&mut self, last_step: Option<u64>, fail_count: u32, active: bool) {
+        if let Some(c) = &mut self.commit {
+            c.val_state(self.user, last_step, fail_count, active);
         }
     }
 
-    fn audit(&mut self, at: u64, user: &str, action: AuditAction, success: bool, detail: &str) {
-        if let Some(c) = &mut self.0 {
-            c.audit(at, user, action, success, detail);
+    /// Add an audit row, its detail ending in the operation's trace id —
+    /// `grep trace=<hex>` then joins the OTP audit log with the PAM and
+    /// RADIUS spans of the same login.
+    fn audit(&mut self, action: AuditAction, success: bool, detail: &str) {
+        let mut detail = match self.trace {
+            Some(t) if detail.is_empty() => format!("trace={t}"),
+            Some(t) => format!("{detail} trace={t}"),
+            None => detail.to_string(),
+        };
+        // The ring holds up to a million of these: no spare capacity.
+        detail.shrink_to_fit();
+        if let Some(c) = &mut self.commit {
+            c.audit(self.now, self.user, action, success, &detail);
         }
+        let slot = self.staged.iter_mut().find(|slot| slot.is_none());
+        *slot.expect("an operation leaves at most two rows") = Some(AuditEntry {
+            at: self.now,
+            username: self.user.to_string(),
+            action,
+            success,
+            detail,
+        });
     }
 
-    /// Make what was added durable. `false` only on a persistence
-    /// failure — the caller decides how that gates the ack.
+    /// Make what was added durable; `false` only on a persistence failure.
+    /// The rows stay staged either way: for the operations durability does
+    /// not gate, whose rows say what the store holds, and for the drop.
+    fn flush_ungated(&mut self) -> bool {
+        self.commit.as_mut().is_none_or(|c| c.flush().is_ok())
+    }
+
+    /// [`Txn::flush_ungated`] gating the ack: a failed commit's rows are
+    /// discarded, and the caller stages the denial it answers instead.
     fn flush(&mut self) -> bool {
-        self.0.as_mut().is_none_or(|c| c.flush().is_ok())
+        let persisted = self.flush_ungated();
+        if !persisted {
+            self.staged = [None, None];
+        }
+        persisted
+    }
+}
+
+impl Drop for Txn<'_> {
+    fn drop(&mut self) {
+        self.flush_ungated();
+        for row in self.staged.iter_mut().filter_map(Option::take) {
+            self.server.audit.push(row);
+        }
+        // The compactor's claim waits for the fence this releases.
+        self.commit = None;
+        self.server.maybe_compact(self.now);
     }
 }
 
@@ -282,22 +348,7 @@ impl LinotpServer {
 
     /// Create with explicit configuration.
     pub fn with_config(sms: Arc<dyn SmsProvider>, seed: u64, config: ServerConfig) -> Arc<Self> {
-        let metrics = Arc::clone(&config.metrics);
-        let admission = config
-            .overload
-            .clone()
-            .map(|c| AdmissionController::new(c, Arc::clone(&metrics)));
-        Arc::new(LinotpServer {
-            store: TokenStore::new(),
-            audit: AuditLog::with_cap(config.audit_cap),
-            sms,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            config,
-            metrics,
-            persistence: None,
-            admission,
-            resume_consumed: Mutex::new(BTreeMap::new()),
-        })
+        Arc::new(Self::empty(sms, seed, config, None))
     }
 
     /// Create a durable server: recover whatever state `backend` holds
@@ -312,28 +363,45 @@ impl LinotpServer {
     ) -> Result<Arc<Self>, RecoverError> {
         let persistence =
             Persistence::with_metrics(backend, config.snapshot_every_appends, &config.metrics);
-        let state = recover(persistence.backend())?;
-        let store = TokenStore::new();
-        store.load_all(state.users);
-        let audit = AuditLog::with_cap(config.audit_cap);
-        audit.load(state.audit_entries, state.audit_dropped);
-        persistence.note_recovery(&state.report);
+        let server = Self::empty(sms, seed, config, Some(persistence));
+        server.reload_from_storage()?;
+        Ok(Arc::new(server))
+    }
+
+    /// A server with nothing enrolled, pumping through `persistence`
+    /// (`None` keeps it volatile).
+    fn empty(
+        sms: Arc<dyn SmsProvider>,
+        seed: u64,
+        config: ServerConfig,
+        persistence: Option<Persistence>,
+    ) -> Self {
         let metrics = Arc::clone(&config.metrics);
         let admission = config
             .overload
             .clone()
             .map(|c| AdmissionController::new(c, Arc::clone(&metrics)));
-        Ok(Arc::new(LinotpServer {
-            store,
-            audit,
+        LinotpServer {
+            store: TokenStore::new(),
+            audit: AuditLog::with_cap(config.audit_cap),
             sms,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             config,
             metrics,
-            persistence: Some(persistence),
+            persistence,
             admission,
-            resume_consumed: Mutex::new(state.resume_consumed),
-        }))
+            resume_consumed: Mutex::default(),
+        }
+    }
+
+    /// The durability pump, or the error every storage operation of a
+    /// volatile server answers.
+    fn storage(&self) -> Result<&Persistence, RecoverError> {
+        self.persistence.as_ref().ok_or_else(|| {
+            RecoverError::Storage(crate::durability::StorageError::Io(
+                "no storage backend attached".into(),
+            ))
+        })
     }
 
     /// Crash the process image and come back up from durable state:
@@ -342,12 +410,7 @@ impl LinotpServer {
     /// rebuilds them from snapshot + WAL. In-place so shared handles
     /// (RADIUS handler, admin API) survive the restart.
     pub fn crash_and_recover(&self) -> Result<RecoveryReport, RecoverError> {
-        let Some(p) = &self.persistence else {
-            return Err(RecoverError::Storage(crate::durability::StorageError::Io(
-                "no storage backend attached".into(),
-            )));
-        };
-        p.backend().simulate_crash();
+        self.storage()?.backend().simulate_crash();
         self.reload_from_storage()
     }
 
@@ -357,19 +420,15 @@ impl LinotpServer {
     /// new primary, so the server's working set must be re-read from it.
     /// In-place so shared handles (RADIUS handler, admin API) survive.
     pub fn reload_from_storage(&self) -> Result<RecoveryReport, RecoverError> {
-        let Some(p) = &self.persistence else {
-            return Err(RecoverError::Storage(crate::durability::StorageError::Io(
-                "no storage backend attached".into(),
-            )));
-        };
+        let p = self.storage()?;
         let _quiet = p.quiesce();
         self.store.clear();
         self.audit.clear();
-        self.resume_consumed.lock().clear();
+        *self.resume_consumed.lock() = ResumeLedger::default();
         let state = recover(p.backend())?;
         self.store.load_all(state.users);
         self.audit.load(state.audit_entries, state.audit_dropped);
-        *self.resume_consumed.lock() = state.resume_consumed;
+        self.resume_consumed.lock().consumed = state.resume_consumed;
         p.note_recovery(&state.report);
         Ok(state.report)
     }
@@ -385,47 +444,26 @@ impl LinotpServer {
         &self.metrics
     }
 
-    /// Open the operation's [`Txn`]. Never while another is open on this
-    /// thread (see [`Persistence::begin`]).
-    fn txn(&self) -> Txn<'_> {
-        Txn(self.persistence.as_ref().map(Persistence::begin))
-    }
-
-    /// Commit one audit row on its own and record it in the ring — for
-    /// rows no state record rides with, and for the denial row after a
-    /// failed commit. Audit persistence failures are counted but never
-    /// gate the operation that produced the row.
-    fn log_row(
-        &self,
-        txn: &mut Txn<'_>,
-        at: u64,
-        username: &str,
-        action: AuditAction,
-        success: bool,
-        detail: &str,
-    ) {
-        txn.audit(at, username, action, success, detail);
-        txn.flush();
-        self.audit.record(at, username, action, success, detail);
-    }
-
-    /// [`Self::log_row`] as an operation of its own.
-    fn audit_event(
-        &self,
-        at: u64,
-        username: &str,
-        action: AuditAction,
-        success: bool,
-        detail: &str,
-    ) {
-        self.log_row(&mut self.txn(), at, username, action, success, detail);
+    /// Open the [`Txn`] of an operation on `user` at `now` under `trace`.
+    /// Never while another is open on this thread (see
+    /// [`Persistence::begin`]).
+    fn txn<'a>(&'a self, user: &'a str, now: u64, trace: Option<TraceId>) -> Txn<'a> {
+        Txn {
+            server: self,
+            user,
+            now,
+            trace,
+            commit: self.persistence.as_ref().map(Persistence::begin),
+            staged: [None, None],
+        }
     }
 
     /// Compact if enough records have accumulated and no other thread has
-    /// claimed the compaction. Called with no [`Txn`] open: the claim
-    /// waits out every commit in flight and holds new ones off, so the
-    /// exported state and the WAL it replaces cannot diverge. Expired SMS
-    /// codes are purged first so they never land in durable state.
+    /// claimed the compaction. Called with no [`Txn`] open, from the drop
+    /// of each: the claim waits out every commit in flight and holds new
+    /// ones off, so the exported state and the WAL it replaces cannot
+    /// diverge. Expired SMS codes and resume nonces are purged first so
+    /// they never land in durable state.
     fn maybe_compact(&self, now: u64) {
         let Some(compaction) = self
             .persistence
@@ -435,13 +473,10 @@ impl LinotpServer {
             return;
         };
         self.store.purge_expired_sms(now);
-        // Expired nonces fall out of durable state here: past their
-        // expiry the stateless step-window check rejects the token
-        // anyway, so the ledger may forget them.
         let consumed = {
             let mut ledger = self.resume_consumed.lock();
-            ledger.retain(|_, expires_at| *expires_at > now);
-            ledger.clone()
+            ledger.purge_expired(now);
+            ledger.consumed.clone()
         };
         let bytes = snapshot_live(&self.store, &self.audit, &consumed);
         let _ = compaction.install(&bytes);
@@ -469,18 +504,14 @@ impl LinotpServer {
     /// Enroll `pairing`, committing the WAL record and its audit row
     /// before the store mutation.
     fn enroll_pairing(&self, username: &str, pairing: TokenPairing, now: u64, detail: &str) {
-        let mut txn = self.txn();
+        let mut txn = self.txn(username, now, None);
         txn.record(|| WalRecord::Enroll {
             user: username.to_string(),
             pairing: PairingImage::of(&pairing),
         });
-        txn.audit(now, username, AuditAction::Enroll, true, detail);
-        txn.flush();
+        txn.audit(AuditAction::Enroll, true, detail);
+        txn.flush_ungated();
         self.store.enroll(username, pairing);
-        self.audit
-            .record(now, username, AuditAction::Enroll, true, detail);
-        drop(txn);
-        self.maybe_compact(now);
     }
 
     /// Enroll a soft token: mint a fresh secret and return it (the portal
@@ -545,20 +576,16 @@ impl LinotpServer {
 
     /// Remove a pairing.
     pub fn remove_pairing(&self, username: &str, now: u64) -> bool {
-        let mut txn = self.txn();
+        let mut txn = self.txn(username, now, None);
         let existed = self.store.has_pairing(username);
         // A Remove record for an absent user replays as a no-op, so it is
         // written either way, ahead of the store mutation.
         txn.record(|| WalRecord::Remove {
             user: username.to_string(),
         });
-        txn.audit(now, username, AuditAction::Remove, existed, "");
-        txn.flush();
+        txn.audit(AuditAction::Remove, existed, "");
+        txn.flush_ungated();
         self.store.remove(username);
-        self.audit
-            .record(now, username, AuditAction::Remove, existed, "");
-        drop(txn);
-        self.maybe_compact(now);
         existed
     }
 
@@ -572,7 +599,7 @@ impl LinotpServer {
     ///
     /// With a storage backend attached, the post-attempt security state
     /// (replay mark, failure counter, active flag) and the attempt's audit
-    /// row are committed to the WAL *inside* the store lock — WAL order
+    /// row go to the WAL as one commit *inside* the store lock — WAL order
     /// matches mutation order — and a matching code whose commit cannot be
     /// made durable is answered [`ValidationOutcome::Unavailable`], not
     /// `Success`.
@@ -611,13 +638,8 @@ impl LinotpServer {
             match adm.admit(src, now, trace, span, op.label) {
                 Err(reason) => {
                     let shed = format!("shed: {}", reason.label());
-                    self.audit_event(
-                        now,
-                        username,
-                        op.action,
-                        false,
-                        &traced_detail(&shed, trace),
-                    );
+                    self.txn(username, now, trace)
+                        .audit(op.action, false, &shed);
                     let (family, key) = op.counter;
                     self.metrics.counter(family, &[(key, "unavailable")]).inc();
                     if let Some(g) = guard.as_mut() {
@@ -668,7 +690,7 @@ impl LinotpServer {
             return ValidationOutcome::Unavailable;
         };
         let tctx = guard.as_ref().map(|g| g.child_ctx());
-        let outcome = self.validate_core(username, code, now, ctx.map(|c| c.trace), tctx.as_ref());
+        let outcome = self.validate_core(username, code, now, tctx.as_ref());
         if outcome.is_success() {
             if let (Some(adm), Some(src)) = (&self.admission, source) {
                 adm.note_success(src, now);
@@ -700,34 +722,40 @@ impl LinotpServer {
             return SmsTrigger::Unavailable;
         };
         let tctx = guard.as_ref().map(|g| g.child_ctx());
-        let trigger = self.trigger_sms_core(username, now, ctx.map(|c| c.trace), tctx.as_ref());
+        let trigger = self.trigger_sms_core(username, now, tctx.as_ref());
         stamp_sms_span(&mut guard, &trigger);
         trigger
     }
 
-    /// The validation engine proper. `trace` threads the audit detail and
-    /// security events; `tctx` (when spans are on) is the enclosing
-    /// `validate` span's child context — sub-spans parent under it and
-    /// its `parent` field is the validate span id used to stamp events.
+    /// The validation engine proper. `tctx` (when spans are on) is the
+    /// enclosing `validate` span's child context: its trace threads the
+    /// audit detail and security events, sub-spans parent under it and its
+    /// `parent` field is the validate span id used to stamp events.
     fn validate_core(
         &self,
         username: &str,
         code: &str,
         now: u64,
-        trace: Option<TraceId>,
         tctx: Option<&SpanCtx>,
     ) -> ValidationOutcome {
         let started = std::time::Instant::now();
-        let threshold = self.config.lockout_threshold;
-        let drift = self.config.drift_tolerance_secs;
-        let lockout_detail = || traced_detail("threshold reached", trace);
-        let mut txn = self.txn();
-        // `committed`: the attempt's audit rows rode a commit that held.
-        let (outcome, locked_now, committed) = self
+        let trace = tctx.map(|c| c.trace);
+        // Stage the attempt's audit rows: what the caller is told, and the
+        // lockout it tripped.
+        let rows = |txn: &mut Txn<'_>, outcome: ValidationOutcome, locked_now: bool| {
+            let detail = validation_detail(outcome);
+            txn.audit(AuditAction::Validate, outcome.is_success(), detail);
+            if locked_now {
+                txn.audit(AuditAction::Lockout, true, "threshold reached");
+            }
+            (outcome, locked_now)
+        };
+        let mut txn = self.txn(username, now, trace);
+        let (outcome, locked_now) = self
             .store
             .with_record(username, |rec| {
                 if !rec.active {
-                    return (ValidationOutcome::Locked, false, false);
+                    return rows(&mut txn, ValidationOutcome::Locked, false);
                 }
                 let mut purged_sms = false;
                 let outcome = match &mut rec.pairing {
@@ -739,7 +767,7 @@ impl LinotpServer {
                     } => {
                         let adjusted_now =
                             now.saturating_add_signed(*drift_steps * totp.params.step_secs as i64);
-                        let window = totp.window_for_drift(drift);
+                        let window = totp.window_for_drift(self.config.drift_tolerance_secs);
                         // Every full-OTP validation walks the drift window.
                         // The resumption fast path never reaches this line,
                         // which is what lets tests pin "zero window scans".
@@ -801,7 +829,7 @@ impl LinotpServer {
                     ValidationOutcome::Success => rec.fail_count = 0,
                     ValidationOutcome::WrongCode | ValidationOutcome::Replayed => {
                         rec.fail_count += 1;
-                        if rec.fail_count >= threshold && rec.active {
+                        if rec.fail_count >= self.config.lockout_threshold && rec.active {
                             rec.active = false;
                             locked_now = true;
                         }
@@ -819,7 +847,6 @@ impl LinotpServer {
                     });
                 }
                 txn.val_state(
-                    username,
                     match (&rec.pairing, outcome) {
                         (TokenPairing::Totp { last_step, .. }, ValidationOutcome::Success) => {
                             *last_step
@@ -829,16 +856,7 @@ impl LinotpServer {
                     rec.fail_count,
                     rec.active,
                 );
-                txn.audit(
-                    now,
-                    username,
-                    AuditAction::Validate,
-                    outcome.is_success(),
-                    &traced_detail(validation_detail(outcome), trace),
-                );
-                if locked_now {
-                    txn.audit(now, username, AuditAction::Lockout, true, &lockout_detail());
-                }
+                rows(&mut txn, outcome, locked_now);
                 let fsync = tctx.filter(|_| self.persistence.is_some()).map(|c| {
                     let g = self.metrics.tracer().start(c, "otp", "wal_fsync");
                     c.clock.advance_us(span_cost::WAL_FSYNC_US);
@@ -851,41 +869,27 @@ impl LinotpServer {
                         g.set_detail("append failed");
                     }
                 }
-                // An accepted code whose nullification is not durable must
-                // not be acknowledged: after a crash the WAL would re-open
-                // its replay window. The in-memory mark stays advanced
-                // (deny-safe) and the caller sees Unavailable.
-                if outcome == ValidationOutcome::Success && !persisted {
-                    (ValidationOutcome::Unavailable, locked_now, false)
+                if persisted {
+                    (outcome, locked_now)
+                } else if outcome.is_success() {
+                    // An accepted code whose nullification is not durable
+                    // must not be acknowledged: after a crash the WAL would
+                    // re-open its replay window. The in-memory mark stays
+                    // advanced (deny-safe) and the caller sees Unavailable.
+                    rows(&mut txn, ValidationOutcome::Unavailable, locked_now)
                 } else {
-                    (outcome, locked_now, persisted)
+                    rows(&mut txn, outcome, locked_now)
                 }
             })
-            .unwrap_or((ValidationOutcome::NoToken, false, false));
+            .unwrap_or_else(|| rows(&mut txn, ValidationOutcome::NoToken, false));
 
-        let success = outcome.is_success();
-        let detail = traced_detail(validation_detail(outcome), trace);
-        if !committed {
-            // No commit carried these rows (the store lock was never
-            // taken, or left early) or the one that did failed: they get
-            // a best-effort commit of their own, saying what the caller
-            // was told.
-            txn.audit(now, username, AuditAction::Validate, success, &detail);
-            if locked_now {
-                txn.audit(now, username, AuditAction::Lockout, true, &lockout_detail());
-            }
-            txn.flush();
-        }
-        self.audit
-            .record(now, username, AuditAction::Validate, success, &detail);
-        if locked_now {
-            self.audit
-                .record(now, username, AuditAction::Lockout, true, &lockout_detail());
-        }
-        drop(txn);
         // Events carry the enclosing validate span (`tctx.parent` is the
         // validate span's id), so every alert joins the trace tree.
         let span = tctx.and_then(|c| c.parent);
+        let event = |kind, what: &str| {
+            self.metrics
+                .emit_event(kind, trace, span, now, format!("user={username} {what}"))
+        };
         self.metrics
             .counter(
                 "hpcmfa_otp_validations_total",
@@ -894,35 +898,22 @@ impl LinotpServer {
             .inc();
         if locked_now {
             self.metrics.counter("hpcmfa_otp_lockouts_total", &[]).inc();
-            self.metrics.emit_event(
-                SecurityEventKind::LockoutStorm,
-                trace,
-                span,
-                now,
-                format!("user={username} threshold reached"),
-            );
+            event(SecurityEventKind::LockoutStorm, "threshold reached");
         }
         match outcome {
-            ValidationOutcome::Replayed => self.metrics.emit_event(
+            ValidationOutcome::Replayed => event(
                 SecurityEventKind::ReplayAttempt,
-                trace,
-                span,
-                now,
-                format!("user={username} consumed code resubmitted"),
+                "consumed code resubmitted",
             ),
-            ValidationOutcome::Unavailable => self.metrics.emit_event(
+            ValidationOutcome::Unavailable => event(
                 SecurityEventKind::WalFsyncDegraded,
-                trace,
-                span,
-                now,
-                format!("user={username} accepted code not durable, denied"),
+                "accepted code not durable, denied",
             ),
             _ => {}
         }
         self.metrics
             .histogram("hpcmfa_otp_validate_wall_us", &[])
             .record_elapsed_us(started);
-        self.maybe_compact(now);
         outcome
     }
 
@@ -951,10 +942,13 @@ impl LinotpServer {
         if let Some(c) = ctx {
             c.clock.advance_us(span_cost::OTP_BASE_US);
         }
-        let mut txn = self.txn();
+        let mut txn = self.txn(username, now, trace);
         let outcome = {
             let mut ledger = self.resume_consumed.lock();
-            if let std::collections::btree_map::Entry::Vacant(slot) = ledger.entry(nonce) {
+            if now >= ledger.purge_due {
+                ledger.purge_expired(now);
+            }
+            if let std::collections::btree_map::Entry::Vacant(slot) = ledger.consumed.entry(nonce) {
                 slot.insert(expires_at);
                 // The nonce consume is one WAL commit on the durable path.
                 if let Some(c) = ctx.filter(|_| self.persistence.is_some()) {
@@ -965,62 +959,42 @@ impl LinotpServer {
                     nonce,
                     expires_at,
                 });
-                txn.audit(
-                    now,
-                    username,
-                    AuditAction::Validate,
-                    true,
-                    &traced_detail("resume token accepted", trace),
-                );
+                txn.audit(AuditAction::Validate, true, "resume token accepted");
                 if txn.flush() {
                     ResumeConsumeOutcome::Fresh
                 } else {
+                    let detail = "resume consume not durable, denied";
+                    txn.audit(AuditAction::Validate, false, detail);
                     ResumeConsumeOutcome::Unavailable
                 }
             } else {
+                txn.audit(
+                    AuditAction::Validate,
+                    false,
+                    "resume nonce already consumed",
+                );
                 ResumeConsumeOutcome::Replayed
             }
         };
-        let (label, detail, success) = match outcome {
-            ResumeConsumeOutcome::Fresh => ("fresh", "resume token accepted", true),
-            ResumeConsumeOutcome::Replayed => ("replayed", "resume nonce already consumed", false),
-            ResumeConsumeOutcome::Unavailable => {
-                ("unavailable", "resume consume not durable, denied", false)
-            }
+        let label = match outcome {
+            ResumeConsumeOutcome::Fresh => "fresh",
+            ResumeConsumeOutcome::Replayed => "replayed",
+            ResumeConsumeOutcome::Unavailable => "unavailable",
         };
-        let detail = traced_detail(detail, trace);
-        if success {
-            // The row rode the consume's commit.
-            self.audit
-                .record(now, username, AuditAction::Validate, true, &detail);
-        } else {
-            self.log_row(
-                &mut txn,
-                now,
-                username,
-                AuditAction::Validate,
-                false,
-                &detail,
-            );
-        }
-        drop(txn);
         self.metrics
             .counter("hpcmfa_otp_resume_consumes_total", &[("outcome", label)])
             .inc();
+        let event = |kind, what: &str| {
+            self.metrics
+                .emit_event(kind, trace, span, now, format!("user={username} {what}"))
+        };
         match outcome {
-            ResumeConsumeOutcome::Replayed => self.metrics.emit_event(
-                SecurityEventKind::ResumeReplay,
-                trace,
-                span,
-                now,
-                format!("user={username} resumption nonce replayed"),
-            ),
-            ResumeConsumeOutcome::Unavailable => self.metrics.emit_event(
+            ResumeConsumeOutcome::Replayed => {
+                event(SecurityEventKind::ResumeReplay, "resumption nonce replayed")
+            }
+            ResumeConsumeOutcome::Unavailable => event(
                 SecurityEventKind::WalFsyncDegraded,
-                trace,
-                span,
-                now,
-                format!("user={username} resume consume not durable, denied"),
+                "resume consume not durable, denied",
             ),
             ResumeConsumeOutcome::Fresh => {}
         }
@@ -1032,7 +1006,6 @@ impl LinotpServer {
                 ResumeConsumeOutcome::Unavailable => g.set_status(SpanStatus::Degraded),
             }
         }
-        self.maybe_compact(now);
         outcome
     }
 
@@ -1043,127 +1016,88 @@ impl LinotpServer {
 
     /// The SMS-trigger engine proper; `tctx` parents the sub-spans, its
     /// `parent` field stamps emitted events.
-    fn trigger_sms_core(
-        &self,
-        username: &str,
-        now: u64,
-        trace: Option<TraceId>,
-        tctx: Option<&SpanCtx>,
-    ) -> SmsTrigger {
-        let span = tctx.and_then(|c| c.parent);
-        let validity = self.config.sms_validity_secs;
+    fn trigger_sms_core(&self, username: &str, now: u64, tctx: Option<&SpanCtx>) -> SmsTrigger {
+        let trace = tctx.map(|c| c.trace);
         let code = format!("{:06}", self.rng.lock().random_range(0..1_000_000u32));
-        let sent_detail = traced_detail("", trace);
-        let mut txn = self.txn();
-        let decision = self
+        let mut txn = self.txn(username, now, trace);
+        // `Ok`: a code is issued, to be texted to this number once the store
+        // lock is released. `Err`: nothing is sent, and why.
+        let issued = self
             .store
             .with_record(username, |rec| {
                 if !rec.active {
-                    return SmsDecision::Locked;
+                    return Err(SmsTrigger::Locked);
                 }
-                match &mut rec.pairing {
-                    TokenPairing::Sms { phone, pending } => {
-                        if pending.as_ref().is_some_and(|p| p.active(now)) {
-                            SmsDecision::AlreadyActive
-                        } else {
-                            let expires_at = now + validity;
-                            // The issue record (and its audit row) must be
-                            // durable before the provider is handed the
-                            // message.
-                            if let Some(c) = tctx.filter(|_| self.persistence.is_some()) {
-                                let fsync = self.metrics.tracer().start(c, "otp", "wal_fsync");
-                                c.clock.advance_us(span_cost::WAL_FSYNC_US);
-                                fsync.finish();
-                            }
-                            txn.record(|| WalRecord::SmsIssue {
-                                user: username.to_string(),
-                                code: code.clone(),
-                                sent_at: now,
-                                expires_at,
-                            });
-                            txn.audit(now, username, AuditAction::SmsTriggered, true, &sent_detail);
-                            if !txn.flush() {
-                                SmsDecision::Unavailable
-                            } else {
-                                *pending = Some(PendingSmsCode {
-                                    code: code.clone(),
-                                    sent_at: now,
-                                    expires_at,
-                                });
-                                SmsDecision::Send(phone.clone())
-                            }
-                        }
-                    }
-                    _ => SmsDecision::NotSms,
-                }
-            })
-            .unwrap_or(SmsDecision::NoToken);
-
-        let trigger = match decision {
-            SmsDecision::Send(phone) => {
-                let body = format!("Your TACC token code is {code}");
-                let msg = if let Some(c) = tctx {
-                    let dispatch = self.metrics.tracer().start(c, "otp", "sms_dispatch");
-                    c.clock.advance_us(span_cost::SMS_DISPATCH_US);
-                    let msg = self.sms.send(&phone, &body, now);
-                    dispatch.finish();
-                    msg
-                } else {
-                    self.sms.send(&phone, &body, now)
+                let TokenPairing::Sms { phone, pending } = &mut rec.pairing else {
+                    return Err(SmsTrigger::NotSmsUser);
                 };
-                // The row rode the issue's commit.
-                self.audit
-                    .record(now, username, AuditAction::SmsTriggered, true, &sent_detail);
+                if pending.as_ref().is_some_and(|p| p.active(now)) {
+                    txn.audit(AuditAction::SmsSuppressed, true, "code active");
+                    return Err(SmsTrigger::AlreadyActive);
+                }
+                let expires_at = now + self.config.sms_validity_secs;
+                // The issue record (and its audit row) must be durable
+                // before the provider is handed the message.
+                if let Some(c) = tctx.filter(|_| self.persistence.is_some()) {
+                    let fsync = self.metrics.tracer().start(c, "otp", "wal_fsync");
+                    c.clock.advance_us(span_cost::WAL_FSYNC_US);
+                    fsync.finish();
+                }
+                txn.record(|| WalRecord::SmsIssue {
+                    user: username.to_string(),
+                    code: code.clone(),
+                    sent_at: now,
+                    expires_at,
+                });
+                txn.audit(AuditAction::SmsTriggered, true, "");
+                if !txn.flush() {
+                    txn.audit(AuditAction::SmsTriggered, false, "durability unavailable");
+                    return Err(SmsTrigger::Unavailable);
+                }
+                *pending = Some(PendingSmsCode {
+                    code: code.clone(),
+                    sent_at: now,
+                    expires_at,
+                });
+                Ok(phone.clone())
+            })
+            .unwrap_or(Err(SmsTrigger::NoToken));
+
+        let trigger = match issued {
+            Ok(phone) => {
+                let dispatch = tctx.map(|c| {
+                    let g = self.metrics.tracer().start(c, "otp", "sms_dispatch");
+                    c.clock.advance_us(span_cost::SMS_DISPATCH_US);
+                    g
+                });
+                let body = format!("Your TACC token code is {code}");
+                let msg = self.sms.send(&phone, &body, now);
+                drop(dispatch);
                 SmsTrigger::Sent(msg)
             }
-            SmsDecision::AlreadyActive => {
-                self.log_row(
-                    &mut txn,
-                    now,
-                    username,
-                    AuditAction::SmsSuppressed,
-                    true,
-                    &traced_detail("code active", trace),
-                );
-                self.metrics.emit_event(
-                    SecurityEventKind::SmsAbuse,
-                    trace,
-                    span,
-                    now,
-                    format!("user={username} re-trigger while code active"),
-                );
-                SmsTrigger::AlreadyActive
-            }
-            SmsDecision::NotSms => SmsTrigger::NotSmsUser,
-            SmsDecision::NoToken => SmsTrigger::NoToken,
-            SmsDecision::Locked => SmsTrigger::Locked,
-            SmsDecision::Unavailable => {
-                self.log_row(
-                    &mut txn,
-                    now,
-                    username,
-                    AuditAction::SmsTriggered,
-                    false,
-                    &traced_detail("durability unavailable", trace),
-                );
-                self.metrics.emit_event(
-                    SecurityEventKind::WalFsyncDegraded,
-                    trace,
-                    span,
-                    now,
-                    format!("user={username} sms issue not durable, withheld"),
-                );
-                SmsTrigger::Unavailable
-            }
+            Err(refused) => refused,
         };
-        drop(txn);
+        let span = tctx.and_then(|c| c.parent);
+        let event = |kind, what: &str| {
+            self.metrics
+                .emit_event(kind, trace, span, now, format!("user={username} {what}"))
+        };
+        match trigger {
+            SmsTrigger::AlreadyActive => {
+                event(SecurityEventKind::SmsAbuse, "re-trigger while code active")
+            }
+            SmsTrigger::Unavailable => event(
+                SecurityEventKind::WalFsyncDegraded,
+                "sms issue not durable, withheld",
+            ),
+            _ => {}
+        }
         self.metrics
             .counter(
                 "hpcmfa_otp_sms_triggers_total",
                 &[("result", sms_label(&trigger))],
             )
             .inc();
-        self.maybe_compact(now);
         trigger
     }
 
@@ -1173,32 +1107,20 @@ impl LinotpServer {
 
     /// Clear a user's failure counter and reactivate (staff action, §3.1).
     pub fn reset_failcount(&self, username: &str, now: u64) -> bool {
-        let mut txn = self.txn();
+        let mut txn = self.txn(username, now, None);
         let ok = self
             .store
             .with_record(username, |rec| {
-                txn.val_state(username, None, 0, true);
-                txn.audit(now, username, AuditAction::ResetFailCount, true, "");
-                txn.flush();
+                txn.val_state(None, 0, true);
+                txn.audit(AuditAction::ResetFailCount, true, "");
+                txn.flush_ungated();
                 rec.fail_count = 0;
                 rec.active = true;
             })
             .is_some();
-        if ok {
-            self.audit
-                .record(now, username, AuditAction::ResetFailCount, true, "");
-        } else {
-            self.log_row(
-                &mut txn,
-                now,
-                username,
-                AuditAction::ResetFailCount,
-                false,
-                "",
-            );
+        if !ok {
+            txn.audit(AuditAction::ResetFailCount, false, "");
         }
-        drop(txn);
-        self.maybe_compact(now);
         ok
     }
 
@@ -1209,7 +1131,7 @@ impl LinotpServer {
     /// offset so future validations are centered correctly.
     pub fn resync(&self, username: &str, code1: &str, code2: &str, now: u64) -> bool {
         let window = self.config.resync_window_steps;
-        let mut txn = self.txn();
+        let mut txn = self.txn(username, now, None);
         let ok = self
             .store
             .with_record(username, |rec| {
@@ -1222,52 +1144,57 @@ impl LinotpServer {
                 else {
                     return false;
                 };
-                let center = totp.params.time_step(now);
-                let lo = center.saturating_sub(window);
-                let hi = center.saturating_add(window);
+                // Both codes face `Totp::verify`'s length-and-digits check,
+                // then each step is compared with them as it is there: as a
+                // number, in constant time.
+                let digits = totp.params.digits;
+                let number = |code: &str| {
+                    let well_formed =
+                        code.len() == digits as usize && code.bytes().all(|b| b.is_ascii_digit());
+                    code.parse::<u32>().ok().filter(|_| well_formed)
+                };
+                let (Some(code1), Some(code2)) = (number(code1), number(code2)) else {
+                    return false;
+                };
+                let modulus = 10u32.pow(digits);
                 // One key preparation for the whole ±window search — at the
                 // default ±2000 steps this saves ~8000 block compressions.
                 let key = totp.params.alg.prepare_key(totp.secret.bytes());
-                for step in lo..hi {
-                    let c1 = hpcmfa_otp::hotp::hotp_prepared(&key, step, totp.params.digits);
-                    if c1 == code1 {
-                        let c2 =
-                            hpcmfa_otp::hotp::hotp_prepared(&key, step + 1, totp.params.digits);
-                        if c2 == code2 {
-                            // The resync burns both codes (last_step lands
-                            // past them) — that must be durable before the
-                            // ack, or a crash would let them replay.
-                            txn.record(|| WalRecord::Resync {
-                                user: username.to_string(),
-                                drift_steps: step as i64 + 1 - center as i64,
-                                last_step: step + 1,
-                            });
-                            txn.audit(now, username, AuditAction::Resync, true, "");
-                            if !txn.flush() {
-                                return false;
-                            }
-                            *drift_steps = step as i64 + 1 - center as i64;
-                            // Forward only, as recovery merges the record: a
-                            // resync from codes older than the last accepted
-                            // one must not re-open the steps in between.
-                            *last_step = Some(last_step.map_or(step + 1, |ls| ls.max(step + 1)));
-                            rec.fail_count = 0;
-                            rec.active = true;
-                            return true;
-                        }
-                    }
+                let shows = |step: u64, code: u32| {
+                    let shown = hotp_value_prepared(&key, step) % modulus;
+                    ct_eq(&shown.to_be_bytes(), &code.to_be_bytes())
+                };
+                let center = totp.params.time_step(now);
+                let lo = center.saturating_sub(window);
+                let hi = center.saturating_add(window);
+                let Some(step) = (lo..hi).find(|&s| shows(s, code1) && shows(s + 1, code2)) else {
+                    return false;
+                };
+                // The resync burns both codes (last_step lands past them) —
+                // that must be durable before the ack, or a crash would let
+                // them replay.
+                txn.record(|| WalRecord::Resync {
+                    user: username.to_string(),
+                    drift_steps: step as i64 + 1 - center as i64,
+                    last_step: step + 1,
+                });
+                txn.audit(AuditAction::Resync, true, "");
+                if !txn.flush() {
+                    return false;
                 }
-                false
+                *drift_steps = step as i64 + 1 - center as i64;
+                // Forward only, as recovery merges the record: a resync from
+                // codes older than the last accepted one must not re-open
+                // the steps in between.
+                *last_step = Some(last_step.map_or(step + 1, |ls| ls.max(step + 1)));
+                rec.fail_count = 0;
+                rec.active = true;
+                true
             })
             .unwrap_or(false);
-        if ok {
-            self.audit
-                .record(now, username, AuditAction::Resync, true, "");
-        } else {
-            self.log_row(&mut txn, now, username, AuditAction::Resync, false, "");
+        if !ok {
+            txn.audit(AuditAction::Resync, false, "");
         }
-        drop(txn);
-        self.maybe_compact(now);
         ok
     }
 
@@ -1299,15 +1226,6 @@ pub enum ResumeConsumeOutcome {
     /// The nonce was already consumed — a replay. Deny.
     Replayed,
     /// The consume record could not be made durable. Deny (fail-safe).
-    Unavailable,
-}
-
-enum SmsDecision {
-    Send(PhoneNumber),
-    AlreadyActive,
-    NotSms,
-    NoToken,
-    Locked,
     Unavailable,
 }
 
@@ -1583,6 +1501,16 @@ mod tests {
         let c_far = fob.displayed_code(NOW + 300);
         assert!(!srv.resync("carol", &c1, &c_far, NOW));
         assert!(!srv.resync("nobody", "111111", "222222", NOW));
+        // A code is compared as a number only once it is well-formed: its
+        // digits without the leading zero, signed or not, are not the code.
+        let (t, c1) = (0..)
+            .map(|i| (NOW + 30 * i, fob.displayed_code(NOW + 30 * i)))
+            .find(|(_, code)| code.starts_with('0'))
+            .unwrap();
+        let c2 = fob.displayed_code(t + 30);
+        assert!(!srv.resync("carol", &c1[1..], &c2, t));
+        assert!(!srv.resync("carol", &c1.replacen('0', "+", 1), &c2, t));
+        assert!(srv.resync("carol", &c1, &c2, t));
     }
 
     #[test]
@@ -1664,6 +1592,12 @@ mod tests {
             ValidationOutcome::Unavailable,
             "a matching code must not be acked while its record is not durable"
         );
+        // The failed commit's `ok` row went with it: the ring says what the
+        // caller was told.
+        let rows = srv.audit().for_user("alice");
+        let newest = rows.iter().rfind(|e| e.action == AuditAction::Validate);
+        assert_eq!(newest.unwrap().detail, "durability unavailable");
+        assert!(rows.iter().all(|e| e.detail != "ok"));
         let counters = srv.durability_counters().unwrap();
         assert!(counters.fsync_failures > 0);
         // The code is burned in memory either way — deny-safe.
@@ -1688,6 +1622,110 @@ mod tests {
             srv.trigger_sms("bob", NOW + 1),
             SmsTrigger::Sent(_)
         ));
+    }
+
+    /// Whatever the operation and however it ends, its rows reach the ring
+    /// and the WAL alike — across the compactions a snapshot every eight
+    /// records forces, which would lose a row that entered the ring after
+    /// its operation's compaction check.
+    #[test]
+    fn every_operation_leaves_the_same_rows_in_ring_and_wal() {
+        use crate::durability::MemoryBackend;
+        let backend: Arc<dyn StorageBackend> = MemoryBackend::healthy();
+        let config = ServerConfig {
+            snapshot_every_appends: 8,
+            // Every request that names its source is shed.
+            overload: Some(OverloadConfig {
+                bucket_burst: 0,
+                ..OverloadConfig::default()
+            }),
+            ..ServerConfig::default()
+        };
+        let srv = LinotpServer::with_storage(TwilioSim::new(5), 42, config, Arc::clone(&backend))
+            .unwrap();
+        let fob_secret = Secret::from_bytes(*b"12345678901234567890");
+        let secret = srv.enroll_soft("alice", NOW);
+        srv.enroll_hard("carol", "TACC-0042", fob_secret.clone(), NOW + 1);
+        srv.enroll_sms("bob", PhoneNumber::parse("5125551234").unwrap(), NOW + 2);
+        let training = srv.enroll_static("dave", NOW + 3);
+
+        let code = soft_device(&secret).displayed_code(NOW);
+        let validate = |user: &str, code: &str| srv.validate(user, code, NOW + 4);
+        assert_eq!(validate("alice", &code), ValidationOutcome::Success);
+        assert_eq!(validate("alice", "nope"), ValidationOutcome::WrongCode);
+        assert_eq!(validate("alice", &code), ValidationOutcome::Replayed);
+        // The twentieth consecutive failure crosses the lockout threshold.
+        for _ in 2..LOCKOUT_THRESHOLD {
+            assert_eq!(validate("alice", "nope"), ValidationOutcome::WrongCode);
+        }
+        assert_eq!(srv.audit().count(AuditAction::Lockout, true), 1);
+        assert_eq!(validate("alice", &code), ValidationOutcome::Locked);
+        assert_eq!(validate("ghost", "nope"), ValidationOutcome::NoToken);
+        assert_eq!(validate("dave", &training), ValidationOutcome::Success);
+
+        assert!(matches!(
+            srv.trigger_sms("bob", NOW + 5),
+            SmsTrigger::Sent(_)
+        ));
+        assert_eq!(srv.trigger_sms("bob", NOW + 6), SmsTrigger::AlreadyActive);
+        assert_eq!(srv.trigger_sms("carol", NOW + 7), SmsTrigger::NotSmsUser);
+
+        let fob = soft_device(&fob_secret);
+        let (c1, c2) = (
+            fob.displayed_code(NOW - 7200),
+            fob.displayed_code(NOW - 7170),
+        );
+        assert!(srv.resync("carol", &c1, &c2, NOW + 8));
+        assert!(!srv.resync("carol", "111111", "222222", NOW + 9));
+        assert!(srv.reset_failcount("alice", NOW + 10));
+        assert!(!srv.reset_failcount("ghost", NOW + 11));
+        assert!(srv.remove_pairing("dave", NOW + 12));
+
+        let consume = |now| srv.consume_resume_nonce("carol", [7; 16], NOW + 600, now, None);
+        assert_eq!(consume(NOW + 13), ResumeConsumeOutcome::Fresh);
+        assert_eq!(consume(NOW + 14), ResumeConsumeOutcome::Replayed);
+        let source = std::net::Ipv4Addr::new(203, 0, 113, 9);
+        assert_eq!(
+            srv.validate_guarded("carol", "nope", NOW + 15, None, Some(source)),
+            ValidationOutcome::Unavailable
+        );
+
+        let ring = srv.audit().export_all();
+        // 4 enrolments, 20 attempts by alice and her lockout, 4 more
+        // validations, 2 rows each for SMS, resync, reset and resume, the
+        // removal and the shed; `NotSmsUser` leaves none.
+        assert_eq!(ring.len(), 4 + 21 + 4 + 2 * 4 + 2);
+        assert!(srv.durability_counters().unwrap().snapshots >= 2);
+        assert_eq!(recover(&backend).unwrap().audit_entries, ring);
+    }
+
+    #[test]
+    fn resume_ledger_forgets_expired_nonces_without_a_compactor() {
+        let srv = server();
+        let expiry = NOW + 600;
+        let consume = |nonce, expires_at, now| {
+            srv.consume_resume_nonce("alice", [nonce; 16], expires_at, now, None)
+        };
+        for i in 0..200u8 {
+            let outcome = consume(i, expiry, NOW + u64::from(i));
+            assert_eq!(outcome, ResumeConsumeOutcome::Fresh);
+        }
+        // Live nonces are all still refused a second presentation.
+        assert_eq!(
+            consume(0, expiry, NOW + 599),
+            ResumeConsumeOutcome::Replayed
+        );
+        assert_eq!(
+            consume(199, expiry, NOW + 599),
+            ResumeConsumeOutcome::Replayed
+        );
+        assert_eq!(srv.resume_consumed.lock().consumed.len(), 200);
+        // The first consume past their expiry forgets them.
+        assert_eq!(
+            consume(200, expiry + 600, expiry + 1),
+            ResumeConsumeOutcome::Fresh
+        );
+        assert_eq!(srv.resume_consumed.lock().consumed.len(), 1);
     }
 
     #[test]

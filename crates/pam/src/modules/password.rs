@@ -23,12 +23,15 @@ pub fn hash_password(password: &str, salt: &str) -> String {
     format!("{{SSHA256}}{salt}${}", to_hex(&sha256(&input)))
 }
 
+/// The salt of a well-formed `{SSHA256}salt$hex` record.
+fn salt_of(stored: &str) -> Option<&str> {
+    let (salt, _hex) = stored.strip_prefix("{SSHA256}")?.split_once('$')?;
+    Some(salt)
+}
+
 /// Verify a candidate against a stored hash.
 pub fn verify_password(candidate: &str, stored: &str) -> bool {
-    let Some(rest) = stored.strip_prefix("{SSHA256}") else {
-        return false;
-    };
-    let Some((salt, _hex)) = rest.split_once('$') else {
+    let Some(salt) = salt_of(stored) else {
         return false;
     };
     hpcmfa_crypto::ct::ct_eq_str(&hash_password(candidate, salt), stored)
@@ -70,7 +73,11 @@ impl PamModule for UnixPasswordModule {
         let hits = self
             .directory
             .search(&self.base, &Filter::eq("uid", &ctx.username));
-        let stored = hits.first().and_then(|e| e.get_one(PASSWORD_ATTR));
+        // A stored record that is itself malformed counts as none.
+        let stored = hits
+            .first()
+            .and_then(|e| e.get_one(PASSWORD_ATTR))
+            .filter(|record| salt_of(record).is_some());
         // Unknown user: indistinguishable from a bad password, in the
         // verdict and in the work done for it.
         let matches = verify_password(&answer, stored.unwrap_or(NOBODY_RECORD));
@@ -166,6 +173,25 @@ mod tests {
         // Absent from the directory, and present without a password.
         for user in ["mallory", "nopass"] {
             assert_eq!(run(&m, user, vec![NOBODY_PASSWORD]), PamResult::AuthErr);
+        }
+    }
+
+    #[test]
+    fn malformed_records_are_checked_like_missing_ones() {
+        let dir = Directory::new();
+        for (user, record) in [("plain", "garbage"), ("nosalt", "{SSHA256}nosalt")] {
+            dir.add(
+                Entry::new(format!("uid={user},ou=people,dc=tacc"))
+                    .with_attr("uid", user)
+                    .with_attr(PASSWORD_ATTR, record),
+            )
+            .unwrap();
+        }
+        let m = UnixPasswordModule::new(dir, "dc=tacc");
+        for user in ["plain", "nosalt"] {
+            for answer in ["garbage", "{SSHA256}nosalt", "", NOBODY_PASSWORD] {
+                assert_eq!(run(&m, user, vec![answer]), PamResult::AuthErr);
+            }
         }
     }
 
