@@ -6,6 +6,8 @@
 //! gives numbers. Performance is measured by `loginbench` (`benchmark/`),
 //! not here.
 
+#![forbid(unsafe_code)]
+
 use hpcmfa_otp::date::Date;
 use hpcmfa_workload::rollout::{RolloutParams, RolloutSim, SimOutput};
 

@@ -10,6 +10,8 @@
 //! examples, and the five-month rollout simulation in
 //! `hpcmfa-workload` are deterministic and fast.
 
+#![forbid(unsafe_code)]
+
 pub mod center;
 
 pub use center::{Center, CenterConfig, FederationParams, LoginNode};

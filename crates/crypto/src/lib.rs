@@ -23,6 +23,8 @@
 //!
 //! This crate is deliberately dependency-free.
 
+#![forbid(unsafe_code)]
+
 pub mod base32;
 pub mod base64;
 pub mod ct;

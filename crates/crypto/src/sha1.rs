@@ -23,7 +23,102 @@ impl Algorithm for Sha1Algorithm {
     const ZERO_OUTPUT: [u8; 20] = [0; 20];
     const BIG_ENDIAN: bool = true;
 
+    /// The schedule lives in sixteen words overwritten in place
+    /// (`w[i] = rotl1(w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16])`, indices mod
+    /// 16), and the eighty rounds are written out as four groups of
+    /// twenty, each with its own `f` and constant, the five working
+    /// variables rotating through the argument list instead of moving.
+    /// Every index is a literal: no lookup or branch depends on `block`
+    /// or `state`.
     fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        }
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
+
+        // One round at position `$i`; after it the caller's next round
+        // names the variables one place to the right.
+        macro_rules! round {
+            ($f:ident, $k:literal, $i:expr, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+                if $i >= 16 {
+                    w[$i & 15] =
+                        (w[($i + 13) & 15] ^ w[($i + 8) & 15] ^ w[($i + 2) & 15] ^ w[$i & 15])
+                            .rotate_left(1);
+                }
+                // `$a` is the previous round's result: it joins last, so
+                // the rest of the sum is off the round-to-round chain.
+                $e = $e
+                    .wrapping_add($k)
+                    .wrapping_add(w[$i & 15])
+                    .wrapping_add($f($b, $c, $d))
+                    .wrapping_add($a.rotate_left(5));
+                $b = $b.rotate_left(30);
+            };
+        }
+        // Five rounds bring the variables back to their own names.
+        macro_rules! five {
+            ($f:ident, $k:literal, $i:expr) => {
+                round!($f, $k, $i, a, b, c, d, e);
+                round!($f, $k, $i + 1, e, a, b, c, d);
+                round!($f, $k, $i + 2, d, e, a, b, c);
+                round!($f, $k, $i + 3, c, d, e, a, b);
+                round!($f, $k, $i + 4, b, c, d, e, a);
+            };
+        }
+        macro_rules! twenty {
+            ($f:ident, $k:literal, $i:expr) => {
+                five!($f, $k, $i);
+                five!($f, $k, $i + 5);
+                five!($f, $k, $i + 10);
+                five!($f, $k, $i + 15);
+            };
+        }
+        twenty!(ch, 0x5a827999, 0);
+        twenty!(parity, 0x6ed9eba1, 20);
+        twenty!(maj, 0x8f1bbcdc, 40);
+        twenty!(parity, 0xca62c1d6, 60);
+
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+    }
+}
+
+#[inline(always)]
+fn ch(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn maj(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (d & (b | c))
+}
+
+/// One-shot SHA-1.
+pub fn sha1(data: &[u8]) -> [u8; 20] {
+    let mut h = Sha1::new();
+    h.update(data);
+    h.finalize()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hex::to_hex;
+    use proptest::prelude::*;
+
+    /// FIPS 180-4 §6.1.2 as written: the full 80-word schedule, one loop,
+    /// `f` and `K` chosen per round. The reference `compress` is checked
+    /// against.
+    fn compress_rolled(state: &mut [u32; 5], block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, word) in w.iter_mut().take(16).enumerate() {
             *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
@@ -58,19 +153,23 @@ impl Algorithm for Sha1Algorithm {
         state[3] = state[3].wrapping_add(d);
         state[4] = state[4].wrapping_add(e);
     }
-}
 
-/// One-shot SHA-1.
-pub fn sha1(data: &[u8]) -> [u8; 20] {
-    let mut h = Sha1::new();
-    h.update(data);
-    h.finalize()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::hex::to_hex;
+    proptest! {
+        #[test]
+        fn compress_matches_the_rolled_reference(
+            state in any::<[u8; 20]>(),
+            block in any::<[u8; 64]>(),
+        ) {
+            let mut fast = [0u32; 5];
+            for (word, bytes) in fast.iter_mut().zip(state.chunks_exact(4)) {
+                *word = u32::from_be_bytes(bytes.try_into().unwrap());
+            }
+            let mut rolled = fast;
+            Sha1Algorithm::compress(&mut fast, &block);
+            compress_rolled(&mut rolled, &block);
+            prop_assert_eq!(fast, rolled);
+        }
+    }
 
     // FIPS 180-4 / RFC 3174 vectors.
     #[test]

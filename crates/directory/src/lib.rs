@@ -20,6 +20,8 @@
 //! (`parking_lot::RwLock`) because login nodes, RADIUS servers, and the
 //! portal query them concurrently.
 
+#![forbid(unsafe_code)]
+
 pub mod identity;
 pub mod ldap;
 

@@ -22,6 +22,8 @@
 //! nullification ledger (which already survives crash recovery and
 //! failover) records each consumed nonce.
 
+#![forbid(unsafe_code)]
+
 pub mod realm;
 pub mod token;
 pub mod trust;

@@ -19,6 +19,8 @@
 //! All code is validated against the RFC 4226 Appendix D and RFC 6238
 //! Appendix B test vectors.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod date;
 pub mod device;

@@ -23,13 +23,13 @@ use hpcmfa_radius::attribute::{Attribute, AttributeType};
 use hpcmfa_radius::packet::{Packet, PacketView};
 use hpcmfa_radius::server::{Handler, ServerDecision};
 use hpcmfa_radius::tracewire::{self, WireTraceCtx};
-use hpcmfa_telemetry::{SecurityEventKind, SpanCtx, SpanStatus};
+use hpcmfa_telemetry::{Counter, SecurityEventKind, SpanCtx, SpanStatus};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Prompt shown for the token challenge.
 pub const TOKEN_PROMPT: &str = "TACC Token:";
@@ -53,6 +53,21 @@ struct ResumeState {
     rng: StdRng,
 }
 
+/// Every `outcome` of `hpcmfa_otp_resume_validations_total`: the
+/// handler's own five, then [`TokenError::label`]'s.
+const RESUME_OUTCOMES: [&str; 10] = [
+    "not_enabled",
+    "no_address",
+    "ok",
+    "replayed",
+    "unavailable",
+    "malformed",
+    "bad_mac",
+    "wrong_user",
+    "wrong_address",
+    "expired",
+];
+
 /// The OTP-validating RADIUS handler.
 pub struct OtpRadiusHandler {
     server: Arc<LinotpServer>,
@@ -65,6 +80,9 @@ pub struct OtpRadiusHandler {
     cluster: Option<Arc<OtpCluster>>,
     /// Session-resumption issuing/validating authority, when attached.
     resume: Mutex<Option<ResumeState>>,
+    /// `hpcmfa_otp_resume_validations_total` by [`RESUME_OUTCOMES`] slot,
+    /// each looked up on first use and held (see the server's held series).
+    resume_validations: [OnceLock<Arc<Counter>>; 10],
 }
 
 impl OtpRadiusHandler {
@@ -76,6 +94,7 @@ impl OtpRadiusHandler {
             challenge_counter: AtomicU64::new(0),
             cluster: None,
             resume: Mutex::new(None),
+            resume_validations: Default::default(),
         })
     }
 
@@ -94,6 +113,7 @@ impl OtpRadiusHandler {
             challenge_counter: AtomicU64::new(0),
             cluster: Some(cluster),
             resume: Mutex::new(None),
+            resume_validations: Default::default(),
         })
     }
 
@@ -123,12 +143,16 @@ impl OtpRadiusHandler {
         let mut span = ctx.map(|c| metrics.tracer().start(c, "otp", "resume"));
         let child = span.as_ref().map(|g| g.child_ctx());
         let count = |outcome: &'static str| {
-            metrics
-                .counter(
+            let lookup = || {
+                metrics.counter(
                     "hpcmfa_otp_resume_validations_total",
                     &[("outcome", outcome)],
                 )
-                .inc();
+            };
+            match RESUME_OUTCOMES.iter().position(|o| *o == outcome) {
+                Some(slot) => self.resume_validations[slot].get_or_init(lookup).inc(),
+                None => lookup().inc(),
+            }
         };
         let fail = |span: &mut Option<hpcmfa_telemetry::SpanGuard<'_>>, detail: &'static str| {
             if let Some(g) = span.as_mut() {

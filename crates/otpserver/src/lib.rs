@@ -23,6 +23,8 @@
 //! * [`admin`] — the administrative REST-style interface the portal drives
 //!   over HTTP digest auth (§3.5), with [`json`] as its wire format.
 
+#![forbid(unsafe_code)]
+
 pub mod admin;
 pub mod audit;
 pub mod durability;

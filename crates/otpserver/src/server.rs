@@ -23,12 +23,14 @@ use hpcmfa_crypto::ct::ct_eq;
 use hpcmfa_otp::hotp::hotp_value_prepared;
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
-use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus, TraceId};
+use hpcmfa_telemetry::{
+    Counter, Histogram, MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus, TraceId,
+};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Modeled virtual-time costs (µs) charged to the shared trace clock by
 /// the responder-side spans. Purely virtual — wall time is untouched —
@@ -145,6 +147,7 @@ pub struct LinotpServer {
     config: ServerConfig,
     /// Shared handle to `config.metrics`.
     metrics: Arc<MetricsRegistry>,
+    held: HeldSeries,
     /// WAL/snapshot pump; `None` keeps the original volatile behaviour.
     persistence: Option<Persistence>,
     /// Admission control; `None` keeps the original unguarded behaviour.
@@ -300,16 +303,48 @@ fn validation_label(outcome: ValidationOutcome) -> &'static str {
     }
 }
 
-/// The `result` label used for counters and span details.
-fn sms_label(trigger: &SmsTrigger) -> &'static str {
+/// The `result` labels used for counters and span details, in
+/// [`sms_slot`] order.
+const SMS_LABELS: [&str; 6] = [
+    "sent",
+    "already_active",
+    "not_sms_user",
+    "no_token",
+    "locked",
+    "unavailable",
+];
+
+/// Where `trigger` sits in [`SMS_LABELS`] and [`HeldSeries::sms_triggers`].
+fn sms_slot(trigger: &SmsTrigger) -> usize {
     match trigger {
-        SmsTrigger::Sent(_) => "sent",
-        SmsTrigger::AlreadyActive => "already_active",
-        SmsTrigger::NotSmsUser => "not_sms_user",
-        SmsTrigger::NoToken => "no_token",
-        SmsTrigger::Locked => "locked",
-        SmsTrigger::Unavailable => "unavailable",
+        SmsTrigger::Sent(_) => 0,
+        SmsTrigger::AlreadyActive => 1,
+        SmsTrigger::NotSmsUser => 2,
+        SmsTrigger::NoToken => 3,
+        SmsTrigger::Locked => 4,
+        SmsTrigger::Unavailable => 5,
     }
+}
+
+/// The `result` label of `trigger`.
+fn sms_label(trigger: &SmsTrigger) -> &'static str {
+    SMS_LABELS[sms_slot(trigger)]
+}
+
+/// The series every operation counts, each looked up in the registry the
+/// first time it is counted and held from then on: a lookup builds a key
+/// and takes the registry's lock, several times what the increment costs.
+/// First use rather than construction, so a series nothing has counted yet
+/// stays out of `/system/metrics`. A labelled family is an array indexed
+/// by the outcome's discriminant ([`sms_slot`] for an [`SmsTrigger`]).
+#[derive(Default)]
+struct HeldSeries {
+    window_scans: OnceLock<Arc<Counter>>,
+    validations: [OnceLock<Arc<Counter>>; 6],
+    lockouts: OnceLock<Arc<Counter>>,
+    validate_wall_us: OnceLock<Arc<Histogram>>,
+    resume_consumes: [OnceLock<Arc<Counter>>; 3],
+    sms_triggers: [OnceLock<Arc<Counter>>; 6],
 }
 
 /// Close out a `validate` span: outcome label as detail, degraded for
@@ -388,6 +423,7 @@ impl LinotpServer {
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             config,
             metrics,
+            held: HeldSeries::default(),
             persistence,
             admission,
             resume_consumed: Mutex::default(),
@@ -771,8 +807,11 @@ impl LinotpServer {
                         // Every full-OTP validation walks the drift window.
                         // The resumption fast path never reaches this line,
                         // which is what lets tests pin "zero window scans".
-                        self.metrics
-                            .counter("hpcmfa_otp_window_scans_total", &[])
+                        self.held
+                            .window_scans
+                            .get_or_init(|| {
+                                self.metrics.counter("hpcmfa_otp_window_scans_total", &[])
+                            })
                             .inc();
                         if let Some(c) = tctx {
                             let steps = window.saturating_mul(2).saturating_add(1);
@@ -890,14 +929,19 @@ impl LinotpServer {
             self.metrics
                 .emit_event(kind, trace, span, now, format!("user={username} {what}"))
         };
-        self.metrics
-            .counter(
-                "hpcmfa_otp_validations_total",
-                &[("outcome", validation_label(outcome))],
-            )
+        self.held.validations[outcome as usize]
+            .get_or_init(|| {
+                self.metrics.counter(
+                    "hpcmfa_otp_validations_total",
+                    &[("outcome", validation_label(outcome))],
+                )
+            })
             .inc();
         if locked_now {
-            self.metrics.counter("hpcmfa_otp_lockouts_total", &[]).inc();
+            self.held
+                .lockouts
+                .get_or_init(|| self.metrics.counter("hpcmfa_otp_lockouts_total", &[]))
+                .inc();
             event(SecurityEventKind::LockoutStorm, "threshold reached");
         }
         match outcome {
@@ -911,8 +955,9 @@ impl LinotpServer {
             ),
             _ => {}
         }
-        self.metrics
-            .histogram("hpcmfa_otp_validate_wall_us", &[])
+        self.held
+            .validate_wall_us
+            .get_or_init(|| self.metrics.histogram("hpcmfa_otp_validate_wall_us", &[]))
             .record_elapsed_us(started);
         outcome
     }
@@ -981,8 +1026,11 @@ impl LinotpServer {
             ResumeConsumeOutcome::Replayed => "replayed",
             ResumeConsumeOutcome::Unavailable => "unavailable",
         };
-        self.metrics
-            .counter("hpcmfa_otp_resume_consumes_total", &[("outcome", label)])
+        self.held.resume_consumes[outcome as usize]
+            .get_or_init(|| {
+                self.metrics
+                    .counter("hpcmfa_otp_resume_consumes_total", &[("outcome", label)])
+            })
             .inc();
         let event = |kind, what: &str| {
             self.metrics
@@ -1092,11 +1140,14 @@ impl LinotpServer {
             ),
             _ => {}
         }
-        self.metrics
-            .counter(
-                "hpcmfa_otp_sms_triggers_total",
-                &[("result", sms_label(&trigger))],
-            )
+        let slot = sms_slot(&trigger);
+        self.held.sms_triggers[slot]
+            .get_or_init(|| {
+                self.metrics.counter(
+                    "hpcmfa_otp_sms_triggers_total",
+                    &[("result", SMS_LABELS[slot])],
+                )
+            })
             .inc();
         trigger
     }

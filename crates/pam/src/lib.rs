@@ -21,6 +21,8 @@
 //! * [`config`] — a `pam.d`-style stack configuration parser, so Figure 1
 //!   can be assembled from a file exactly as a sysadmin would.
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod config;
 pub mod context;

@@ -7,9 +7,9 @@
 //! succeeded.
 
 use crate::context::PamContext;
-use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanStatus};
+use hpcmfa_telemetry::{Counter, MetricsRegistry, SecurityEventKind, SpanStatus};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Consecutive denials before the stack reports an auth-failure burst on
 /// the security-event ring. Well under the OTP server's 20-failure
@@ -82,6 +82,11 @@ pub struct PamStack {
     /// Optional telemetry: verdict counters and a per-login span. `None`
     /// keeps bare test stacks free of any registry.
     metrics: Option<Arc<MetricsRegistry>>,
+    /// `hpcmfa_pam_stack_runs_total` by verdict, each series looked up in
+    /// `metrics` the first time it is counted (so an uncounted verdict
+    /// stays unrendered) and held from then on: the lookup costs several
+    /// times the increment.
+    runs: [OnceLock<Arc<Counter>>; 2],
     /// Consecutive denied verdicts since the last grant; at
     /// [`FAILURE_BURST_THRESHOLD`] an `auth_failure_burst` security event
     /// is emitted (once per streak — the counter keeps climbing but only
@@ -132,6 +137,7 @@ impl PamStack {
     /// `pam` span for the context's trace id.
     pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) -> &mut Self {
         self.metrics = Some(metrics);
+        self.runs = Default::default();
         self
     }
 
@@ -177,8 +183,8 @@ impl PamStack {
             guard.set_status(SpanStatus::Error);
         }
         guard.finish();
-        metrics
-            .counter("hpcmfa_pam_stack_runs_total", &[("verdict", label)])
+        self.runs[verdict as usize]
+            .get_or_init(|| metrics.counter("hpcmfa_pam_stack_runs_total", &[("verdict", label)]))
             .inc();
         match verdict {
             PamVerdict::Granted => {

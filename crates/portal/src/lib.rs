@@ -15,6 +15,8 @@
 //!   (serial) pairing flows, unpairing with possession proof, interstitial
 //!   splash logic, and notifications to the identity back end.
 
+#![forbid(unsafe_code)]
+
 pub mod portal;
 pub mod session;
 pub mod signedurl;

@@ -4,25 +4,40 @@
 //! recv → process → send round per datagram would make every datagram
 //! wait for the full processing of the one before it, so a login storm
 //! queues in the kernel and overflows the socket buffer. This module is
-//! an event-loop pipeline instead (`workers: 1, batch_max: 1` is that
-//! simple loop, for callers that want it):
+//! that loop while traffic is one datagram at a time and an event-loop
+//! pipeline as soon as it is not (`workers: 1, batch_max: 1` never sees
+//! a batch of two, so it never hands off: it is exactly that loop):
 //!
 //! * a **receiver** thread drains the socket in batches — one blocking
 //!   wait (bounded by [`IngestConfig::poll_wait`]) for the first
 //!   datagram, then nonblocking reads until the batch is full or the
 //!   socket is empty: the portable `std::net` shape of `recvmmsg`;
-//! * datagrams land in pooled receive buffers (recycled worker → pool →
-//!   receiver, so steady state allocates nothing) and are dispatched to
-//!   a **bounded worker pool** over a backpressured queue;
-//! * workers run the zero-copy [`RadiusServer::process_into`] path with
-//!   per-worker reusable reply and password-scratch buffers, and flush
-//!   each reply straight back to the shared socket as it completes — the
-//!   batch boundary governs fairness and metrics, not reply latency;
 //! * a per-batch **fairness quota** bounds how many best-effort
 //!   datagrams one drain may admit, so a best-effort flood cannot starve
 //!   trusted-lane traffic that arrived in the same batch. This is the
 //!   transport-level twin of the §12 admission lanes the OTP handler
-//!   applies downstream; the [`Lane`] vocabulary matches.
+//!   applies downstream; the [`Lane`] vocabulary matches;
+//! * when the admitted batch is **one datagram and no job handed to the
+//!   workers is unfinished**, the receiver answers it itself, on its own
+//!   reply and password-scratch buffers: there is nothing to overlap
+//!   with, so a hand-off would cost a futex wake and a context switch per
+//!   datagram for nothing. The choice is made from what the drain just
+//!   observed, not from a setting;
+//! * otherwise datagrams are dispatched to a **bounded worker pool** over
+//!   a backpressured queue, in pooled receive buffers (recycled worker →
+//!   pool → receiver, so steady state allocates nothing);
+//! * receiver and workers run the same zero-copy
+//!   [`RadiusServer::process_into`] call with reusable buffers and flush
+//!   each reply straight back to the shared socket as it completes — the
+//!   batch boundary governs fairness and metrics, not reply latency.
+//!
+//! The cost of the receiver answering: nobody reads the socket while it
+//! is inside the handler, so a datagram that arrives then waits in the
+//! kernel buffer for the rest of that **one** call — at most one handler
+//! call longer than if it had been handed off — after which the drain
+//! finds it (a batch of several, or workers still busy) and it goes to
+//! the pool. Overlapping traffic therefore keeps its concurrency, group
+//! commit, fairness quota and shed accounting.
 //!
 //! Observability: `hpcmfa_radius_ingest_batch_size` (histogram of
 //! datagrams per drain) and `hpcmfa_radius_datagrams_total{outcome}`
@@ -33,7 +48,7 @@ use crate::server::RadiusServer;
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -122,6 +137,10 @@ struct Shared {
     job_ready: Condvar,
     space_ready: Condvar,
     shutdown: Arc<AtomicBool>,
+    /// Jobs handed to the workers and not yet answered. Zero means nothing
+    /// would overlap with a datagram the receiver answers itself. Publishes
+    /// no other data, hence `Relaxed` throughout.
+    handed_off: AtomicUsize,
     /// Recycled receive buffers: worker → pool → receiver.
     pool: Mutex<Vec<Box<[u8; crate::MAX_PACKET_LEN]>>>,
     queue_cap: usize,
@@ -238,6 +257,7 @@ impl BatchedUdpServer {
             job_ready: Condvar::new(),
             space_ready: Condvar::new(),
             shutdown,
+            handed_off: AtomicUsize::new(0),
             pool: Mutex::new(Vec::new()),
             queue_cap: self.config.queue_cap.max(self.config.batch_max).max(1),
             stats: RawStats::default(),
@@ -263,15 +283,29 @@ impl BatchedUdpServer {
     }
 }
 
-/// Drain the socket in batches and enqueue jobs, applying the per-batch
-/// best-effort quota. Runs on its own thread until shutdown.
+/// The receiver thread: [`drain_socket`] until shutdown or a fatal socket
+/// error, then wake every worker so they observe the shutdown flag.
 fn receiver_loop(shared: &Shared, config: &IngestConfig, classifier: Option<&LaneClassifier>) {
-    shared
-        .socket
-        .set_read_timeout(Some(config.poll_wait))
-        .expect("set_read_timeout");
+    // A socket error is fatal to the receiver only: the workers finish what
+    // is queued and the handle still joins.
+    let _ = drain_socket(shared, config, classifier);
+    shared.job_ready.notify_all();
+}
+
+/// Drain the socket in batches, applying the per-batch best-effort quota;
+/// answer a lone datagram here, hand everything else to the workers.
+fn drain_socket(
+    shared: &Shared,
+    config: &IngestConfig,
+    classifier: Option<&LaneClassifier>,
+) -> std::io::Result<()> {
+    // `SO_RCVTIMEO` survives the `O_NONBLOCK` toggles below: set once.
+    shared.socket.set_read_timeout(Some(config.poll_wait))?;
     let batch_max = config.batch_max.max(1);
     let mut batch: Vec<(Job, Lane)> = Vec::with_capacity(batch_max);
+    let mut admitted: Vec<Job> = Vec::with_capacity(batch_max);
+    let mut reply = Vec::with_capacity(crate::MAX_PACKET_LEN);
+    let mut pw_scratch = Vec::with_capacity(128);
     while !shared.shutdown.load(Ordering::SeqCst) {
         // Phase 1: block (bounded) for the first datagram of the batch.
         let mut buf = shared.take_buf();
@@ -287,17 +321,11 @@ fn receiver_loop(shared: &Shared, config: &IngestConfig, classifier: Option<&Lan
                 shared.recycle(buf);
                 continue;
             }
-            Err(_) => {
-                shared.recycle(buf);
-                break;
-            }
+            Err(e) => return Err(e),
         }
         // Phase 2: nonblocking drain until the batch fills or the socket
         // is empty — the recvmmsg-style bulk read.
-        shared
-            .socket
-            .set_nonblocking(true)
-            .expect("set_nonblocking");
+        shared.socket.set_nonblocking(true)?;
         while batch.len() < batch_max {
             let mut buf = shared.take_buf();
             match shared.socket.recv_from(buf.as_mut()) {
@@ -305,21 +333,13 @@ fn receiver_loop(shared: &Shared, config: &IngestConfig, classifier: Option<&Lan
                     let lane = classify(classifier, &peer, &buf[..len]);
                     batch.push((Job { buf, len, peer }, lane));
                 }
-                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    shared.recycle(buf);
-                    break;
-                }
                 Err(_) => {
                     shared.recycle(buf);
                     break;
                 }
             }
         }
-        shared.socket.set_nonblocking(false).expect("set_blocking");
-        shared
-            .socket
-            .set_read_timeout(Some(config.poll_wait))
-            .expect("set_read_timeout");
+        shared.socket.set_nonblocking(false)?;
 
         shared.stats.batches.fetch_add(1, Ordering::Relaxed);
         shared
@@ -328,16 +348,16 @@ fn receiver_loop(shared: &Shared, config: &IngestConfig, classifier: Option<&Lan
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
         shared.batch_size.record(batch.len() as u64);
 
-        // Phase 3: admit within the batch — trusted datagrams first (a
-        // flood arriving alongside them can never push them out), then
+        // Phase 3: admit within the batch — every trusted datagram (a
+        // flood arriving alongside them can never push them out) and
         // best-effort up to the quota; the surplus is shed unprocessed.
         let mut admitted_best_effort = 0usize;
         for (job, lane) in batch.drain(..) {
             match lane {
-                Lane::Trusted => enqueue(shared, job),
+                Lane::Trusted => admitted.push(job),
                 Lane::BestEffort if admitted_best_effort < config.best_effort_batch_quota => {
                     admitted_best_effort += 1;
-                    enqueue(shared, job);
+                    admitted.push(job);
                 }
                 Lane::BestEffort => {
                     shared.stats.shed.fetch_add(1, Ordering::Relaxed);
@@ -346,9 +366,20 @@ fn receiver_loop(shared: &Shared, config: &IngestConfig, classifier: Option<&Lan
                 }
             }
         }
+
+        // Phase 4: one datagram and idle workers means nothing to overlap
+        // with, so a hand-off would buy a wake-up and a context switch and
+        // nothing else. Anything more goes to the pool.
+        let lone = admitted.len() == 1 && shared.handed_off.load(Ordering::Relaxed) == 0;
+        for job in admitted.drain(..) {
+            if lone {
+                answer(shared, job, &mut reply, &mut pw_scratch);
+            } else {
+                enqueue(shared, job);
+            }
+        }
     }
-    // Wake every worker so they observe the shutdown flag.
-    shared.job_ready.notify_all();
+    Ok(())
 }
 
 fn classify(classifier: Option<&LaneClassifier>, peer: &SocketAddr, data: &[u8]) -> Lane {
@@ -366,14 +397,35 @@ fn enqueue(shared: &Shared, job: Job) {
             .unwrap_or_else(|e| e.into_inner())
             .0;
     }
+    shared.handed_off.fetch_add(1, Ordering::Relaxed);
     q.push_back(job);
     drop(q);
     shared.job_ready.notify_one();
 }
 
-/// Worker: pop jobs, run the zero-copy server path with reusable buffers,
-/// flush replies to the socket, recycle receive buffers. Exits once the
-/// shutdown flag is set and the queue has drained.
+/// Run one datagram through the zero-copy server path on the caller's
+/// reusable buffers, flush the reply to the socket, recycle the receive
+/// buffer.
+fn answer(shared: &Shared, job: Job, reply: &mut Vec<u8>, pw_scratch: &mut Vec<u8>) {
+    if shared
+        .server
+        .process_into(&job.buf[..job.len], reply, pw_scratch)
+    {
+        // Count before sending: the instant the datagram is on the wire
+        // a client (or a test joining on its reply) can observe the
+        // request as answered, so the counters must already agree.
+        shared.stats.replied.fetch_add(1, Ordering::Relaxed);
+        shared.ok.inc();
+        let _ = shared.socket.send_to(reply, job.peer);
+    } else {
+        shared.stats.discarded.fetch_add(1, Ordering::Relaxed);
+        shared.discarded.inc();
+    }
+    shared.recycle(job.buf);
+}
+
+/// Worker: pop jobs and [`answer`] them on per-worker buffers. Exits once
+/// the shutdown flag is set and the queue has drained.
 fn worker_loop(shared: &Shared) {
     let mut reply = Vec::with_capacity(crate::MAX_PACKET_LEN);
     let mut pw_scratch = Vec::with_capacity(128);
@@ -396,21 +448,8 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(job) = job else { return };
-        if shared
-            .server
-            .process_into(&job.buf[..job.len], &mut reply, &mut pw_scratch)
-        {
-            // Count before sending: the instant the datagram is on the wire
-            // a client (or a test joining on its reply) can observe the
-            // request as answered, so the counters must already agree.
-            shared.stats.replied.fetch_add(1, Ordering::Relaxed);
-            shared.ok.inc();
-            let _ = shared.socket.send_to(&reply, job.peer);
-        } else {
-            shared.stats.discarded.fetch_add(1, Ordering::Relaxed);
-            shared.discarded.inc();
-        }
-        shared.recycle(job.buf);
+        answer(shared, job, &mut reply, &mut pw_scratch);
+        shared.handed_off.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -26,6 +26,8 @@
 //!   zero-copy [`packet::PacketView`] decode, bounded worker pool, lane
 //!   fairness ([`ingest`], DESIGN.md §16).
 
+#![forbid(unsafe_code)]
+
 pub mod attribute;
 pub mod auth;
 pub mod breaker;

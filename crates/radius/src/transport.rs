@@ -10,7 +10,7 @@
 //!   prove the wire format is sound end to end.
 
 use crate::server::RadiusServer;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -261,7 +261,10 @@ impl Transport for InMemoryTransport {
 /// still be queued when the next exchange starts, so receives drain any
 /// datagram whose RADIUS identifier byte does not match the in-flight
 /// request until the deadline — a stale reply must surface as the original
-/// timeout, never as an identifier mismatch on the next request.
+/// timeout, never as an identifier mismatch on the next request. A
+/// datagram from any address but the server's is drained the same way:
+/// whoever can reach the ephemeral port must not be able to answer for the
+/// server, nor have its junk charged to the server's breaker.
 pub struct UdpTransport {
     server_addr: SocketAddr,
     timeout: Duration,
@@ -293,7 +296,13 @@ impl Transport for UdpTransport {
         let io_err = |e: std::io::Error| TransportError::Io(e.to_string());
         let mut guard = self.io.lock();
         if guard.is_none() {
-            let sock = UdpSocket::bind(("127.0.0.1", 0)).map_err(io_err)?;
+            // The unspecified address of the server's family: a socket
+            // bound to loopback can reach nothing but loopback.
+            let local: SocketAddr = match self.server_addr {
+                SocketAddr::V4(_) => (Ipv4Addr::UNSPECIFIED, 0).into(),
+                SocketAddr::V6(_) => (Ipv6Addr::UNSPECIFIED, 0).into(),
+            };
+            let sock = UdpSocket::bind(local).map_err(io_err)?;
             *guard = Some((sock, Box::new([0u8; crate::MAX_PACKET_LEN])));
         }
         let (sock, buf) = guard.as_mut().expect("socket bound above");
@@ -306,6 +315,15 @@ impl Transport for UdpTransport {
             }
             sock.set_read_timeout(Some(remaining)).map_err(io_err)?;
             match sock.recv_from(buf.as_mut()) {
+                // Not the server's: no reply, whatever it says. (Address
+                // and port only — a V6 source also carries flow info and a
+                // scope the configured address need not repeat.)
+                Ok((_, from))
+                    if (from.ip(), from.port())
+                        != (self.server_addr.ip(), self.server_addr.port()) =>
+                {
+                    continue
+                }
                 // Drain stale replies (identifier byte differs from the
                 // in-flight request's) left over from timed-out exchanges.
                 Ok((n, _)) if n >= 2 && request.len() >= 2 && buf[1] != request[1] => continue,

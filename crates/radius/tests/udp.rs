@@ -339,3 +339,150 @@ fn udp_concurrent_clients() {
     shutdown.store(true, Ordering::SeqCst);
     handle.join();
 }
+
+#[test]
+fn udp_transport_reaches_an_ipv6_server() {
+    // The client socket must be of the server's address family: one bound
+    // to 127.0.0.1 cannot send to `[::1]` (EINVAL), nor off the machine.
+    let Ok(socket) = UdpSocket::bind("[::1]:0") else {
+        println!("note: [::1] cannot be bound here, IPv6 transport not exercised");
+        return;
+    };
+    let addr = socket.local_addr().unwrap();
+    let handler = Arc::new(|_req: &Packet, _pw: Option<&[u8]>| ServerDecision::Accept(vec![]));
+    let server = Arc::new(RadiusServer::new(SECRET, handler));
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let handle = BatchedUdpServer::new(server, Arc::new(MetricsRegistry::new()))
+        .serve(socket, Arc::clone(&shutdown));
+
+    let transport: Arc<dyn Transport> =
+        Arc::new(UdpTransport::new(addr, Duration::from_millis(500)));
+    let client = RadiusClient::new(ClientConfig::new(SECRET, "login-udp"), vec![transport]);
+    let mut rng = StdRng::seed_from_u64(61);
+    let out = client
+        .authenticate(&mut rng, "alice", b"654321", "2001:db8::7")
+        .expect("accept over IPv6");
+    assert!(matches!(out, Outcome::Accept { .. }));
+    shutdown.store(true, Ordering::SeqCst);
+    handle.join();
+}
+
+/// A server socket and, beside it, an interloper that learns the client's
+/// ephemeral port and answers first with the request's own identifier
+/// (first octet `0xff`, so the two replies can be told apart). The server
+/// echoes the request afterwards only if `server_answers`.
+fn spawn_server_with_interloper(
+    server_answers: bool,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let server = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    let interloper = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let mut buf = [0u8; 4096];
+        let (n, peer) = server.recv_from(&mut buf).unwrap();
+        let mut forged = buf[..n].to_vec();
+        forged[0] = 0xff;
+        interloper.send_to(&forged, peer).unwrap();
+        if server_answers {
+            server.send_to(&buf[..n], peer).unwrap();
+        }
+    });
+    (addr, handle)
+}
+
+#[test]
+fn udp_transport_ignores_replies_from_other_sources() {
+    let request = [1u8, 7, 0, 20, 0, 0, 0, 0];
+
+    // Interloper first, server second: the exchange is the server's.
+    let (addr, server) = spawn_server_with_interloper(true);
+    let transport = UdpTransport::new(addr, Duration::from_millis(500));
+    let reply = transport.exchange(&request).expect("the server's reply");
+    assert_eq!(reply, request, "took the interloper's datagram");
+    server.join().unwrap();
+
+    // Interloper only: nobody answered, which is a timeout — not a garbled
+    // reply to fail over on and charge to the server's breaker.
+    let (addr, server) = spawn_server_with_interloper(false);
+    let transport = UdpTransport::new(addr, Duration::from_millis(100));
+    assert_eq!(
+        transport.exchange(&request).unwrap_err(),
+        hpcmfa_radius::transport::TransportError::Timeout
+    );
+    server.join().unwrap();
+}
+
+#[test]
+fn udp_lone_datagram_delays_followers_by_at_most_one_handler_call() {
+    // The receiver answers a lone datagram itself, and while it is inside
+    // the handler nobody reads the socket. The bound this test asserts: a
+    // datagram arriving then is answered at most ONE handler call later
+    // than had the first been handed to a worker (sent + 2 × HANDLER
+    // instead of sent + HANDLER) — the next drain finds it and everything
+    // beside it and hands them to the pool, where they overlap.
+    const HANDLER: Duration = Duration::from_millis(100);
+    const SLACK: Duration = Duration::from_millis(70);
+    let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+    let handler = Arc::new(move |req: &Packet, _pw: Option<&[u8]>| {
+        if req.identifier == b'A' {
+            entered_tx.send(()).unwrap();
+        }
+        std::thread::sleep(HANDLER);
+        ServerDecision::Accept(vec![])
+    });
+    let server = Arc::new(RadiusServer::new(SECRET, handler));
+    let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = socket.local_addr().unwrap();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let handle = BatchedUdpServer::new(server, Arc::new(MetricsRegistry::new()))
+        .serve(socket, Arc::clone(&shutdown));
+
+    let request = |id: u8| {
+        Packet::new(
+            Code::AccessRequest,
+            id,
+            hpcmfa_radius::auth::fixture_authenticator("slow"),
+        )
+        .with_attribute(Attribute::text(AttributeType::UserName, "alice"))
+        .encode()
+    };
+    let client = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    client.send_to(&request(b'A'), addr).unwrap();
+    // B and C leave only once A's handler call is running (forced, not
+    // hoped for), 10 ms into it.
+    entered_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("A reached the handler");
+    std::thread::sleep(Duration::from_millis(10));
+    client.send_to(&request(b'B'), addr).unwrap();
+    client.send_to(&request(b'C'), addr).unwrap();
+    let followers_sent = std::time::Instant::now();
+
+    let mut buf = [0u8; 4096];
+    let mut answered = Vec::new();
+    for _ in 0..3 {
+        let (n, _) = client.recv_from(&mut buf).expect("reply");
+        let resp = Packet::decode(&buf[..n]).unwrap();
+        assert_eq!(resp.code, Code::AccessAccept);
+        answered.push(resp.identifier);
+    }
+    let followers_done = followers_sent.elapsed();
+    assert_eq!(answered[0], b'A', "A was alone and is answered first");
+    answered.sort_unstable();
+    assert_eq!(answered, [b'A', b'B', b'C']);
+    // Run one after the other, C would end 10 ms short of 3 × HANDLER
+    // after it was sent.
+    assert!(
+        followers_done < 2 * HANDLER + SLACK,
+        "B and C took {followers_done:?}: more than one handler call behind, or not overlapped"
+    );
+
+    shutdown.store(true, Ordering::SeqCst);
+    let stats = handle.stats();
+    handle.join();
+    assert_eq!(stats.replied, 3);
+    assert_eq!(stats.received, 3);
+}

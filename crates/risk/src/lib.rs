@@ -16,6 +16,8 @@
 //!   outcomes. "Step-up" marks the context so a following exemption
 //!   module can be skipped — risky logins lose their MFA bypass.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod geo;
 

@@ -12,11 +12,11 @@ use crate::keys::PublicKey;
 use hpcmfa_otp::clock::Clock;
 use hpcmfa_pam::conv::{ConvError, Conversation, Prompt};
 use hpcmfa_pam::stack::{PamStack, PamVerdict};
-use hpcmfa_telemetry::{trace, MetricsRegistry, SpanStatus, TraceClock, TraceId};
+use hpcmfa_telemetry::{trace, Counter, MetricsRegistry, SpanStatus, TraceClock, TraceId};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// sshd's `MaxAuthTries`-equivalent: one initial try plus "two more times".
 pub const MAX_STACK_ATTEMPTS: u32 = 3;
@@ -85,6 +85,11 @@ pub struct SshDaemon {
     trace_seq: AtomicU64,
     /// Optional telemetry registry for session counters.
     metrics: Option<Arc<MetricsRegistry>>,
+    /// `hpcmfa_ssh_sessions_total` by outcome (denied, granted) and
+    /// `hpcmfa_ssh_stack_attempts_total`, each looked up in `metrics` the
+    /// first time it is counted and held from then on.
+    sessions: [OnceLock<Arc<Counter>>; 2],
+    stack_attempts: OnceLock<Arc<Counter>>,
 }
 
 impl SshDaemon {
@@ -100,6 +105,8 @@ impl SshDaemon {
             trace_ns: trace::namespace(name),
             trace_seq: AtomicU64::new(0),
             metrics: None,
+            sessions: Default::default(),
+            stack_attempts: OnceLock::new(),
         }
     }
 
@@ -292,14 +299,18 @@ impl SshDaemon {
 
         if let Some(metrics) = &self.metrics {
             let outcome = if granted { "granted" } else { "denied" };
-            metrics
-                .counter(
-                    "hpcmfa_ssh_sessions_total",
-                    &[("daemon", &self.name), ("outcome", outcome)],
-                )
+            self.sessions[usize::from(granted)]
+                .get_or_init(|| {
+                    metrics.counter(
+                        "hpcmfa_ssh_sessions_total",
+                        &[("daemon", &self.name), ("outcome", outcome)],
+                    )
+                })
                 .inc();
-            metrics
-                .counter("hpcmfa_ssh_stack_attempts_total", &[("daemon", &self.name)])
+            self.stack_attempts
+                .get_or_init(|| {
+                    metrics.counter("hpcmfa_ssh_stack_attempts_total", &[("daemon", &self.name)])
+                })
                 .add(u64::from(attempts));
         }
 

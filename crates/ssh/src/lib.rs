@@ -21,6 +21,8 @@
 //! * [`survey`] — the §4.1 login-event analysis used to target automated
 //!   workflows for outreach.
 
+#![forbid(unsafe_code)]
+
 pub mod authlog;
 pub mod client;
 pub mod daemon;

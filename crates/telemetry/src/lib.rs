@@ -37,6 +37,8 @@
 //! Metric names follow `hpcmfa_<component>_<what>_<unit>`; see DESIGN.md
 //! §9 for the full naming scheme and overhead budget.
 
+#![forbid(unsafe_code)]
+
 pub mod alert;
 pub mod collector;
 pub mod events;

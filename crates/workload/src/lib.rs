@@ -27,6 +27,8 @@
 //!
 //! [`Center`]: hpcmfa_core::Center
 
+#![forbid(unsafe_code)]
+
 pub mod attack;
 pub mod chaos;
 pub mod federation;

@@ -10,6 +10,8 @@
 #                      under a timeout (linear-per-operation code runs into it)
 #                      — a 4 MiB JSON string (json_string_parse_is_linear) too
 #   truncation guard   a 261-octet User-Name where debug_assert is compiled out
+#   udp ingest         the lone-datagram bound is a wall-clock one: it only means
+#                      something optimised
 #   hash core, OTP     their known answers in the only profile a login runs them in
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
@@ -29,12 +31,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 4 MiB JSON string, 261-octet User-Name"
+echo "==> release guards: full span ring, 100 000-entry uid search, 4 MiB JSON string, 261-octet User-Name, udp ingest"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
 # minutes of work) runs into the timeout instead.
 cargo test -q --offline --release --no-run \
     -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props \
-    -p hpcmfa-otpserver --test proptests -p hpcmfa-radius --lib \
+    -p hpcmfa-otpserver --test proptests -p hpcmfa-radius --lib --test udp \
     -p hpcmfa-crypto -p hpcmfa-otp
 timeout 20 cargo test -q --offline --release -p hpcmfa-telemetry --test trace_props \
     a_full_default_ring_takes_a_million_spans
@@ -44,6 +46,7 @@ timeout 20 cargo test -q --offline --release -p hpcmfa-otpserver --test proptest
     json_string_parse_is_linear
 timeout 20 cargo test -q --offline --release -p hpcmfa-radius --lib \
     overlong_username_cannot_rewrite_the_request
+timeout 20 cargo test -q --offline --release -p hpcmfa-radius --test udp
 cargo test -q --offline --release -p hpcmfa-crypto -p hpcmfa-otp
 
 echo "==> stuffing-storm smoke (sheds fire, zero benign lockouts, p99 SLO)"

@@ -3,6 +3,8 @@
 //! Re-exports every workspace crate under one roof so examples and
 //! integration tests can use a single dependency.
 
+#![forbid(unsafe_code)]
+
 pub use hpcmfa_core as core;
 pub use hpcmfa_crypto as crypto;
 pub use hpcmfa_directory as directory;
