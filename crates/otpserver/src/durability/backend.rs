@@ -51,8 +51,9 @@ struct WalState {
     /// seal time; deleted when snapshot compaction resets the WAL.
     sealed: Vec<Segment>,
     active: Segment,
-    /// Open append handle on the active segment.
-    file: File,
+    /// Open append handle on the active segment, shared so that a sync
+    /// can go on outside the lock.
+    file: Arc<File>,
 }
 
 impl WalState {
@@ -67,6 +68,9 @@ pub struct FileBackend {
     dir: PathBuf,
     rotate_bytes: u64,
     wal: Mutex<WalState>,
+    /// Called by `sync_wal` between taking the handle and syncing it.
+    #[cfg(test)]
+    before_sync: Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
 impl FileBackend {
@@ -126,8 +130,10 @@ impl FileBackend {
             wal: Mutex::new(WalState {
                 sealed: segments,
                 active,
-                file,
+                file: Arc::new(file),
             }),
+            #[cfg(test)]
+            before_sync: Mutex::new(None),
         }))
     }
 
@@ -170,7 +176,7 @@ impl FileBackend {
                 len: 0,
             },
         );
-        wal.file = file;
+        wal.file = Arc::new(file);
         wal.sealed.push(sealed);
         self.sync_dir()
     }
@@ -182,7 +188,7 @@ impl StorageBackend for FileBackend {
         if self.rotate_bytes > 0 && wal.active.len >= self.rotate_bytes {
             self.rotate_locked(&mut wal)?;
         }
-        match wal.file.write_all(frame) {
+        match (&*wal.file).write_all(frame) {
             Ok(()) => {
                 wal.active.len += frame.len() as u64;
                 Ok(())
@@ -197,10 +203,18 @@ impl StorageBackend for FileBackend {
     }
 
     fn sync_wal(&self) -> Result<(), StorageError> {
-        // Sealed segments were synced at rotation; only the active one
-        // can hold buffered bytes.
-        let wal = self.wal.lock();
-        wal.file.sync_data().map_err(|_| StorageError::FsyncFailed)
+        // Sealed segments were synced at rotation, so only the active one
+        // can hold buffered bytes — and the handle taken here is the
+        // active segment's as of now or later than every append this sync
+        // must cover (the pump captures its `end` before calling). The
+        // lock is let go before the sync: `append_wal` runs under the
+        // pump's group lock, and must not wait out an fsync behind it.
+        let file = Arc::clone(&self.wal.lock().file);
+        #[cfg(test)]
+        if let Some(hook) = self.before_sync.lock().as_ref() {
+            hook();
+        }
+        file.sync_data().map_err(|_| StorageError::FsyncFailed)
     }
 
     fn read_wal(&self) -> Result<Vec<u8>, StorageError> {
@@ -248,7 +262,7 @@ impl StorageBackend for FileBackend {
         )?;
         wal.sealed = keep;
         wal.active = active;
-        wal.file = file;
+        wal.file = Arc::new(file);
         self.sync_dir()
     }
 
@@ -727,6 +741,49 @@ mod tests {
             reopened.read_snapshot().unwrap().as_deref(),
             Some(&b"snap-v1"[..])
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_backend_appends_while_a_sync_is_in_progress() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let dir = temp_dir("durability-sync-unlocked");
+        let b = FileBackend::open(&dir).unwrap();
+        b.append_wal(&rec("a").encode_frame()).unwrap();
+        // The sync parks between taking its handle and `sync_data`: where
+        // a real disk keeps it for a whole fsync.
+        let (parked_tx, parked) = channel();
+        let (release, release_rx) = channel::<()>();
+        let release_rx = std::sync::Mutex::new(release_rx);
+        *b.before_sync.lock() = Some(Box::new(move || {
+            parked_tx.send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+        }));
+        std::thread::scope(|scope| {
+            let syncer = scope.spawn(|| b.sync_wal());
+            parked
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the sync reached its hook");
+            let (done_tx, done) = channel();
+            let b = &b;
+            scope.spawn(move || {
+                done_tx
+                    .send(b.append_wal(&rec("b").encode_frame()))
+                    .unwrap()
+            });
+            let appended = done.recv_timeout(Duration::from_secs(5));
+            release.send(()).unwrap();
+            appended
+                .expect("an append must not wait for the sync in progress")
+                .unwrap();
+            syncer.join().unwrap().unwrap();
+        });
+        *b.before_sync.lock() = None;
+        b.sync_wal().unwrap();
+        let (records, tail) = decode_stream(&b.read_wal().unwrap());
+        assert_eq!(tail, WalTail::Clean);
+        assert_eq!(records, vec![rec("a"), rec("b")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

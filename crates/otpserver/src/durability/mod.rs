@@ -8,9 +8,11 @@
 //! posture:
 //!
 //! * [`wal`] — a checksummed, length-prefixed record codec. Every
-//!   operation appends its store and audit records as one *commit* and
-//!   waits for a sync covering it *before* it is acknowledged
-//!   ([`Persistence::begin`]); concurrent commits share syncs.
+//!   operation appends its store and audit records as one *commit*,
+//!   inside the lock it mutates under, and is acknowledged only once a
+//!   sync covering the commit has finished ([`Persistence`]: who leads
+//!   that sync, who waits for it, who parks and is told). Concurrent
+//!   commits share syncs, and no store or ledger lock is held across one.
 //! * [`backend`] — the [`StorageBackend`] trait with two implementations: a
 //!   real file-backed backend and a deterministic in-memory backend whose
 //!   [`StorageFaultPlan`](backend::StorageFaultPlan) injects short writes,
@@ -39,8 +41,9 @@ pub use wal::{decode_stream, PairingImage, WalRecord, WalTail};
 
 use crate::audit::AuditAction;
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Errors a storage backend can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,8 +231,20 @@ impl DurabilityStats {
     }
 }
 
-/// Group-commit bookkeeping. Commits are numbered from 1 in append
-/// order under this state's lock, so sequence order is WAL byte order.
+/// What a parked commit leaves with the pump: called once, with whether
+/// the commit became durable, by the thread that led the sync covering
+/// it.
+pub type Finish = Box<dyn FnOnce(bool) + Send>;
+
+struct Parked {
+    seq: u64,
+    ticket: Ticket,
+    finish: Finish,
+}
+
+/// Group-commit and fence bookkeeping, all under one lock. Commits are
+/// numbered from 1 in append order under it, so sequence order is WAL
+/// byte order.
 #[derive(Default)]
 struct GroupState {
     /// Sequence number of the last commit appended.
@@ -244,11 +259,110 @@ struct GroupState {
     failed: u64,
     /// A leader is inside `sync_wal`.
     syncing: bool,
+    /// Fence passes out: operations between their `begin` and the end of
+    /// their finish, parked ones included.
+    passes: u64,
+    /// A compactor or a reload holds the fence: no pass is issued until
+    /// it lets go. Doubles as the claim on a due compaction.
+    closed: bool,
+    /// Commits whose threads did not wait, in sequence order.
+    parked: VecDeque<Parked>,
+    /// A thread is running parked finishes; it also takes whatever a sync
+    /// finishing meanwhile covers.
+    releasing: bool,
+}
+
+impl GroupState {
+    /// Whether a verdict on commit `seq` exists yet.
+    fn covers(&self, seq: u64) -> bool {
+        seq <= self.settled.max(self.failed)
+    }
+
+    /// Whether settling commit `seq` now would wait for a sync another
+    /// thread is running.
+    fn waits_behind_a_sync(&self, seq: u64) -> bool {
+        self.syncing && !self.covers(seq)
+    }
+}
+
+/// [`GroupState`] and the one condvar every change of it that somebody
+/// may be waiting for is announced on: a sync finishing, the last pass
+/// coming back to a closed fence, the fence opening.
+#[derive(Default)]
+struct Group {
+    state: Mutex<GroupState>,
+    moved: Condvar,
+}
+
+impl Group {
+    fn lock(&self) -> MutexGuard<'_, GroupState> {
+        // Every update of the state is a plain store that leaves it
+        // consistent, so a poisoned lock is still usable.
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn wait<'g>(&self, state: MutexGuard<'g, GroupState>) -> MutexGuard<'g, GroupState> {
+        self.moved.wait(state).unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// One pass through the compactor fence, counted in
+/// [`GroupState::passes`] for as long as it lives. Owns its way back to
+/// the count, so it can wait with a parked commit on no thread at all.
+struct Pass(Arc<Group>);
+
+impl Pass {
+    /// Wait out a closed fence, then pass.
+    fn take(group: &Arc<Group>) -> Pass {
+        let mut state = group.lock();
+        while state.closed {
+            state = group.wait(state);
+        }
+        state.passes += 1;
+        Pass(Arc::clone(group))
+    }
+}
+
+impl Drop for Pass {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.passes -= 1;
+        if state.closed && state.passes == 0 {
+            self.0.moved.notify_all();
+        }
+    }
 }
 
 /// The durability pump: appends each operation's records as one commit,
 /// shares fsyncs between concurrent commits, counts everything, and
 /// runs one fenced compaction at a time.
+///
+/// **Who leads, who waits, who parks.** A commit is *appended* under the
+/// group lock ([`Commit::append`]) and *settled* outside every other
+/// lock ([`Persistence::settle`]). Settling finds either no sync in
+/// flight — the caller leads one, covering every commit appended so
+/// far — or one in flight, and then the caller chooses: wait for it on
+/// the condvar, or [`Persistence::park`] a [`Finish`] and leave. No lock
+/// of the store or the resume ledger is held across a sync, so commits
+/// of one shard, and resume consumes, share syncs like any others.
+///
+/// **Who releases.** The thread that finishes a sync runs the finishes
+/// of the parked commits it covered before it returns, unless a thread
+/// is already doing so, which then takes those too: one releaser at a
+/// time, so a finish that commits (a denial row) cannot recurse into
+/// another round of finishes. A parked finish therefore runs on
+/// whichever thread led its sync, and its fence pass comes back without
+/// any other layer's help.
+///
+/// **The fence rule.** Every operation holds a [`Pass`] from before it
+/// takes a store or ledger lock until its audit rows are in the ring;
+/// the compactor and a reload close the fence and wait for the passes
+/// out to come back, so the state they export and the WAL they reset
+/// cannot move underneath them. A parked commit holds its pass on no
+/// thread, and every thread that could lead its sync may be the waiter
+/// or stuck behind the closed fence — so *whoever waits on the fence
+/// while a commit is unsettled leads the sync it is waiting for* (and
+/// runs the finishes). The wait needs nobody else.
 pub struct Persistence {
     backend: Arc<dyn StorageBackend>,
     stats: DurabilityStats,
@@ -259,24 +373,38 @@ pub struct Persistence {
     /// WAL records between snapshots; 0 disables compaction.
     snapshot_every: u64,
     records_since_snapshot: AtomicU64,
-    group: Mutex<GroupState>,
-    /// Signalled whenever a sync finishes.
-    sync_done: Condvar,
-    /// The compactor fence: every operation holds it shared from before
-    /// it takes a store or ledger lock until its audit rows are in the
-    /// ring; the compactor (and a reload) holds it exclusively, so the
-    /// state it exports and the WAL it resets cannot move underneath it.
-    fence: RwLock<()>,
-    /// Set while one thread owns the pending compaction.
-    compacting: AtomicBool,
+    group: Arc<Group>,
+}
+
+/// Where an appended commit sits in the WAL order: what
+/// [`Persistence::settle`] or [`Persistence::park`] takes to find the
+/// sync that covers it.
+#[must_use = "an appended commit is acknowledged only once it is settled"]
+pub struct Ticket {
+    seq: Result<u64, StorageError>,
+    records: u64,
+    started: std::time::Instant,
+}
+
+impl Ticket {
+    /// The commit's sequence number, unless the backend refused it.
+    pub fn seq(&self) -> Option<u64> {
+        self.seq.as_ref().ok().copied()
+    }
 }
 
 /// One operation's WAL records, encoded back to back as ordinary frames
-/// and made durable together by [`Commit::flush`]. Holds the compactor
-/// fence shared for as long as it lives.
+/// and made durable together by [`Commit::flush`]. Holds a pass through
+/// the compactor fence for as long as it lives.
 pub struct Commit<'a> {
     pump: &'a Persistence,
-    _fence: RwLockReadGuard<'a, ()>,
+    held: HeldCommit,
+}
+
+/// A [`Commit`] away from its pump ([`Commit::suspend`]), pass and all:
+/// what a parked operation keeps until [`Persistence::resume`].
+pub struct HeldCommit {
+    _pass: Pass,
     frames: Vec<u8>,
     records: u64,
 }
@@ -284,50 +412,103 @@ pub struct Commit<'a> {
 /// Room for a validate's ValState + audit row without regrowing.
 const COMMIT_CAPACITY: usize = 256;
 
-impl Commit<'_> {
+impl<'a> Commit<'a> {
     /// Add `record` to the commit.
     pub fn record(&mut self, record: &WalRecord) {
-        record.encode_frame_into(&mut self.frames);
-        self.records += 1;
+        record.encode_frame_into(&mut self.held.frames);
+        self.held.records += 1;
     }
 
     /// Add a [`WalRecord::ValState`] from borrowed fields.
     pub fn val_state(&mut self, user: &str, last_step: Option<u64>, fail_count: u32, active: bool) {
-        wal::frame_into(&mut self.frames, |out| {
+        wal::frame_into(&mut self.held.frames, |out| {
             wal::put_val_state(out, user, last_step, fail_count, active)
         });
-        self.records += 1;
+        self.held.records += 1;
     }
 
     /// Add a [`WalRecord::Audit`] row from borrowed fields.
     pub fn audit(&mut self, at: u64, user: &str, action: AuditAction, success: bool, detail: &str) {
-        wal::frame_into(&mut self.frames, |out| {
+        wal::frame_into(&mut self.held.frames, |out| {
             wal::put_audit(out, at, user, wal::action_tag(action), success, detail)
         });
-        self.records += 1;
+        self.held.records += 1;
     }
 
     /// Hand everything added so far to the backend in one `append_wal`
-    /// and wait for a `sync_wal` that began after it. The operation must
-    /// not be acknowledged until this returns `Ok`; on `Err` none of the
-    /// records may be assumed durable (or lost). Leaves the commit empty,
-    /// so a denial row can follow a failed flush.
-    pub fn flush(&mut self) -> Result<(), StorageError> {
-        if self.records == 0 {
-            return Ok(());
+    /// and say where it landed (`None`: nothing had been added). This is
+    /// the half that belongs inside the lock the operation mutates under
+    /// — it fixes WAL order = mutation order — and it waits for nothing
+    /// but the group lock. Leaves the commit empty.
+    pub fn append(&mut self) -> Option<Ticket> {
+        let held = &mut self.held;
+        if held.records == 0 {
+            return None;
         }
-        let result = self.pump.commit(&self.frames, self.records);
-        self.frames.clear();
-        self.records = 0;
-        result
+        let started = std::time::Instant::now();
+        let pump = self.pump;
+        pump.stats.commits.inc();
+        let mut group = pump.group.lock();
+        let seq = match pump.backend.append_wal(&held.frames) {
+            Ok(()) => {
+                group.appended += 1;
+                Ok(group.appended)
+            }
+            Err(e) => {
+                // The rollback discards every unsynced byte, not only this
+                // commit's, so whatever has not been acknowledged yet is
+                // gone (a sync already in flight may or may not have
+                // beaten it).
+                pump.backend.rollback_inflight();
+                group.failed = group.appended;
+                Err(e)
+            }
+        };
+        drop(group);
+        held.frames.clear();
+        Some(Ticket {
+            seq,
+            records: std::mem::take(&mut held.records),
+            started,
+        })
+    }
+
+    /// [`Commit::append`] and [`Persistence::settle`] back to back, for a
+    /// caller that holds no lock. The operation must not be acknowledged
+    /// until this returns `Ok`; on `Err` none of the records may be
+    /// assumed durable (or lost). Leaves the commit empty, so a denial
+    /// row can follow a failed flush.
+    pub fn flush(&mut self) -> Result<(), StorageError> {
+        self.append().map_or(Ok(()), |ticket| self.settle(ticket))
+    }
+
+    /// [`Persistence::settle`] on this commit's pump.
+    pub fn settle(&self, ticket: Ticket) -> Result<(), StorageError> {
+        self.pump.settle(ticket)
+    }
+
+    /// Leave the pump, keeping the pass.
+    pub fn suspend(self) -> HeldCommit {
+        self.held
     }
 }
 
-/// The claim on a due compaction: the fence held exclusively, so no
-/// commit is in flight and none can start until this drops.
+/// The fence held closed: every pass is back and none is issued until
+/// this drops.
+pub struct Quiesced<'a>(&'a Persistence);
+
+impl Drop for Quiesced<'_> {
+    fn drop(&mut self) {
+        self.0.group.lock().closed = false;
+        self.0.group.moved.notify_all();
+    }
+}
+
+/// The claim on a due compaction: the fence held closed, so no commit is
+/// in flight and none can start until this drops.
 pub struct Compaction<'a> {
     pump: &'a Persistence,
-    _fence: RwLockWriteGuard<'a, ()>,
+    _fence: Quiesced<'a>,
 }
 
 impl Compaction<'_> {
@@ -351,9 +532,15 @@ impl Compaction<'_> {
     }
 }
 
-impl Drop for Compaction<'_> {
+/// Marks the one thread running parked finishes; lets the next thread
+/// have the turn if a finish panics its way out.
+struct ReleaseTurn<'a>(&'a Group);
+
+impl Drop for ReleaseTurn<'_> {
     fn drop(&mut self) {
-        self.pump.compacting.store(false, Ordering::SeqCst);
+        if std::thread::panicking() {
+            self.0.lock().releasing = false;
+        }
     }
 }
 
@@ -402,10 +589,7 @@ impl Persistence {
             fsync_us,
             snapshot_every,
             records_since_snapshot: AtomicU64::new(0),
-            group: Mutex::new(GroupState::default()),
-            sync_done: Condvar::new(),
-            fence: RwLock::new(()),
-            compacting: AtomicBool::new(false),
+            group: Arc::default(),
         }
     }
 
@@ -425,14 +609,16 @@ impl Persistence {
     /// one on the same thread while it lives (a waiting compactor would
     /// deadlock the pair).
     pub fn begin(&self) -> Commit<'_> {
-        Commit {
-            pump: self,
-            // The fence guards no data, so a holder that panicked left
-            // nothing half-updated behind it.
-            _fence: self.fence.read().unwrap_or_else(|e| e.into_inner()),
+        self.resume(HeldCommit {
+            _pass: Pass::take(&self.group),
             frames: Vec::with_capacity(COMMIT_CAPACITY),
             records: 0,
-        }
+        })
+    }
+
+    /// Take back a commit that left through [`Commit::suspend`].
+    pub fn resume(&self, held: HeldCommit) -> Commit<'_> {
+        Commit { pump: self, held }
     }
 
     /// Commit one record on its own.
@@ -442,50 +628,68 @@ impl Persistence {
         commit.flush()
     }
 
-    /// Hold the fence exclusively without compacting (a reload swaps the
-    /// whole in-memory image, which no commit may straddle).
-    pub fn quiesce(&self) -> RwLockWriteGuard<'_, ()> {
-        self.fence.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn group(&self) -> MutexGuard<'_, GroupState> {
-        // Every update of the state is a plain store that leaves it
-        // consistent, so a poisoned lock is still usable.
-        self.group.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn commit(&self, frames: &[u8], records: u64) -> Result<(), StorageError> {
-        let started = std::time::Instant::now();
-        self.stats.commits.inc();
-        let result = self.append_and_sync(frames);
-        match &result {
-            Ok(()) => {
-                self.append_us.record_elapsed_us(started);
-                self.stats.appends.add(records);
-                self.records_since_snapshot
-                    .fetch_add(records, Ordering::SeqCst);
-            }
-            Err(_) => self.stats.append_failures.inc(),
-        }
+    /// Wait for a sync that began after `ticket`'s append — leading it
+    /// when none is in flight, for every commit appended so far — and say
+    /// whether the commit is durable. Call it with no store or ledger
+    /// lock held.
+    pub fn settle(&self, ticket: Ticket) -> Result<(), StorageError> {
+        let result = match &ticket.seq {
+            Ok(seq) => self.cover(*seq),
+            Err(e) => Err(e.clone()),
+        };
+        self.note(&ticket, result.is_ok());
+        self.release_covered();
         result
     }
 
-    /// Leader/follower group commit: append under the group lock and
-    /// take a sequence number; then either wait for a sync that started
-    /// after the append, or — when none is in flight — run one for every
-    /// commit appended so far.
-    fn append_and_sync(&self, frames: &[u8]) -> Result<(), StorageError> {
-        let mut group = self.group();
-        if let Err(e) = self.backend.append_wal(frames) {
-            // The rollback discards every unsynced byte, not only this
-            // commit's, so whatever has not been acknowledged yet is gone
-            // (a sync already in flight may or may not have beaten it).
-            self.backend.rollback_inflight();
-            group.failed = group.appended;
-            return Err(e);
+    /// Whether settling `ticket` now would wait for a sync another
+    /// thread is running: the case [`Persistence::park`] takes.
+    pub fn would_wait(&self, ticket: &Ticket) -> bool {
+        let group = self.group.lock();
+        ticket
+            .seq()
+            .is_some_and(|seq| group.waits_behind_a_sync(seq))
+    }
+
+    /// Instead of waiting for the sync in flight, leave `finish` with the
+    /// pump: the thread that leads the sync covering `ticket` calls it.
+    /// Gives both back when there is nothing to wait behind — no sync in
+    /// flight, or the verdict already in — and the caller settles inline.
+    pub fn park(&self, ticket: Ticket, finish: Finish) -> Result<(), (Ticket, Finish)> {
+        let mut group = self.group.lock();
+        match ticket.seq() {
+            Some(seq) if group.waits_behind_a_sync(seq) => {
+                // Tickets are parked outside the lock they were appended
+                // under, so not quite in order.
+                let at = group.parked.iter().rposition(|p| p.seq < seq);
+                group.parked.insert(
+                    at.map_or(0, |i| i + 1),
+                    Parked {
+                        seq,
+                        ticket,
+                        finish,
+                    },
+                );
+                Ok(())
+            }
+            _ => Err((ticket, finish)),
         }
-        group.appended += 1;
-        let seq = group.appended;
+    }
+
+    /// See to it that parked commit `seq` gets its verdict and its finish
+    /// is run — by this thread, leading the sync if nobody is, or by the
+    /// one already at it (the finish may then still be running when this
+    /// returns).
+    pub fn drive(&self, seq: u64) {
+        let _ = self.cover(seq);
+        self.release_covered();
+    }
+
+    /// Leader/follower group commit for a commit already appended:
+    /// either wait for a sync that started after the append, or — when
+    /// none is in flight — run one for every commit appended so far.
+    fn cover(&self, seq: u64) -> Result<(), StorageError> {
+        let mut group = self.group.lock();
         loop {
             if seq <= group.failed {
                 return Err(StorageError::FsyncFailed);
@@ -493,14 +697,22 @@ impl Persistence {
             if seq <= group.settled {
                 return Ok(());
             }
-            if !group.syncing {
-                break;
+            if group.syncing {
+                group = self.group.wait(group);
+                continue;
             }
-            group = self
-                .sync_done
-                .wait(group)
-                .unwrap_or_else(|e| e.into_inner());
+            let (relocked, synced) = self.lead(group);
+            group = relocked;
+            synced?;
         }
+    }
+
+    /// Run one sync for every commit appended so far. Takes the group
+    /// lock with no sync in flight and gives it back the same way.
+    fn lead<'g>(
+        &'g self,
+        mut group: MutexGuard<'g, GroupState>,
+    ) -> (MutexGuard<'g, GroupState>, Result<(), StorageError>) {
         group.syncing = true;
         let end = group.appended;
         drop(group);
@@ -515,18 +727,48 @@ impl Persistence {
             Err(_) => self.stats.fsync_failures.inc(),
         }
 
-        let mut group = self.group();
+        let mut group = self.group.lock();
         group.syncing = false;
         group.settled = end;
         if synced.is_err() {
             group.failed = group.failed.max(end);
         }
-        let denied = seq <= group.failed;
-        drop(group);
-        self.sync_done.notify_all();
-        match synced {
-            Ok(()) if denied => Err(StorageError::FsyncFailed),
-            other => other,
+        self.group.moved.notify_all();
+        (group, synced)
+    }
+
+    /// Count a commit's verdict.
+    fn note(&self, ticket: &Ticket, durable: bool) {
+        if durable {
+            self.append_us.record_elapsed_us(ticket.started);
+            self.stats.appends.add(ticket.records);
+            self.records_since_snapshot
+                .fetch_add(ticket.records, Ordering::SeqCst);
+        } else {
+            self.stats.append_failures.inc();
+        }
+    }
+
+    /// Run the finish of every parked commit that has its verdict, oldest
+    /// first, unless a thread is already doing so.
+    fn release_covered(&self) {
+        let mut group = self.group.lock();
+        if group.releasing {
+            return;
+        }
+        let _turn = ReleaseTurn(&self.group);
+        loop {
+            let due = group.parked.front().is_some_and(|p| group.covers(p.seq));
+            let Some(parked) = due.then(|| group.parked.pop_front()).flatten() else {
+                group.releasing = false;
+                return;
+            };
+            group.releasing = true;
+            let durable = parked.seq > group.failed;
+            drop(group);
+            self.note(&parked.ticket, durable);
+            (parked.finish)(durable);
+            group = self.group.lock();
         }
     }
 
@@ -536,27 +778,52 @@ impl Persistence {
             && self.records_since_snapshot.load(Ordering::SeqCst) >= self.snapshot_every
     }
 
-    /// Claim the compaction if one is due and nobody else has it: the
-    /// winner gets the fence exclusively (after the commits in flight
-    /// drain), everyone else gets `None` and carries on. Call it with no
+    /// Close the fence and wait for every pass out to come back, leading
+    /// the syncs parked commits among them are waiting for (the fence
+    /// rule).
+    fn close<'g>(&'g self, mut group: MutexGuard<'g, GroupState>) -> Quiesced<'g> {
+        group.closed = true;
+        while group.passes > 0 {
+            if group.appended > group.settled && !group.syncing {
+                drop(self.lead(group));
+                self.release_covered();
+                group = self.group.lock();
+            } else {
+                group = self.group.wait(group);
+            }
+        }
+        Quiesced(self)
+    }
+
+    /// Hold the fence closed without compacting (a reload swaps the whole
+    /// in-memory image, which no commit may straddle). Call it with no
+    /// [`Commit`] open on this thread.
+    pub fn quiesce(&self) -> Quiesced<'_> {
+        let mut group = self.group.lock();
+        while group.closed {
+            group = self.group.wait(group);
+        }
+        self.close(group)
+    }
+
+    /// Claim the compaction if one is due and nobody holds the fence: the
+    /// winner gets it closed (after the commits in flight drain),
+    /// everyone else gets `None` and carries on. Call it with no
     /// [`Commit`] open on this thread.
     pub fn claim_compaction(&self) -> Option<Compaction<'_>> {
         if !self.wants_snapshot() {
             return None;
         }
-        self.compacting
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .ok()?;
-        // Only the claim holder resets the record count, so a second look
-        // settles whether a compaction finished between the check above
-        // and the claim.
-        if !self.wants_snapshot() {
-            self.compacting.store(false, Ordering::SeqCst);
+        let group = self.group.lock();
+        // Only the fence holder resets the record count, so a second look
+        // under the lock settles whether a compaction finished between
+        // the check above and here.
+        if group.closed || !self.wants_snapshot() {
             return None;
         }
         Some(Compaction {
             pump: self,
-            _fence: self.quiesce(),
+            _fence: self.close(group),
         })
     }
 

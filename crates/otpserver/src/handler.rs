@@ -16,20 +16,23 @@
 
 use crate::durability::OtpCluster;
 use crate::server::span_cost;
-use crate::server::{LinotpServer, ResumeConsumeOutcome, SmsTrigger};
+use crate::server::{
+    Begun, Gated, LinotpServer, ResumeConsumeOutcome, SmsTrigger, ValidationOutcome,
+};
 use hpcmfa_federation::{ResumeAuthority, TokenError};
 use hpcmfa_otp::clock::Clock;
 use hpcmfa_radius::attribute::{Attribute, AttributeType};
 use hpcmfa_radius::packet::{Packet, PacketView};
-use hpcmfa_radius::server::{Handler, ServerDecision};
+use hpcmfa_radius::server::{Handler, PendingDecision, ServerDecision};
 use hpcmfa_radius::tracewire::{self, WireTraceCtx};
-use hpcmfa_telemetry::{Counter, SecurityEventKind, SpanCtx, SpanStatus};
+use hpcmfa_telemetry::{Counter, DetachedSpan, SecurityEventKind, SpanCtx, SpanGuard, SpanStatus};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// Prompt shown for the token challenge.
 pub const TOKEN_PROMPT: &str = "TACC Token:";
@@ -83,18 +86,54 @@ pub struct OtpRadiusHandler {
     /// `hpcmfa_otp_resume_validations_total` by [`RESUME_OUTCOMES`] slot,
     /// each looked up on first use and held (see the server's held series).
     resume_validations: [OnceLock<Arc<Counter>>; 10],
+    /// The handle a parked decision keeps the handler by: what concludes
+    /// it runs on whichever thread led its commit's sync.
+    me: Weak<OtpRadiusHandler>,
+}
+
+/// A decision whose commit was appended while another thread's sync was
+/// in flight: the operation's finish waits with the pump, and what it
+/// concludes arrives here from the thread that ran it.
+struct Parked {
+    decision: Receiver<ServerDecision>,
+    /// The commit waited for.
+    seq: u64,
+    server: Arc<LinotpServer>,
+}
+
+impl PendingDecision for Parked {
+    fn poll(&mut self) -> Option<ServerDecision> {
+        self.decision.try_recv().ok()
+    }
+
+    fn wait(self: Box<Self>) -> ServerDecision {
+        self.server.drive(self.seq);
+        // A finish that panicked concluded nothing: deny.
+        self.decision
+            .recv()
+            .unwrap_or_else(|_| OtpRadiusHandler::reject())
+    }
 }
 
 impl OtpRadiusHandler {
     /// Bridge `server` using `clock` for validation time.
     pub fn new(server: Arc<LinotpServer>, clock: Arc<dyn Clock>) -> Arc<Self> {
-        Arc::new(OtpRadiusHandler {
+        Self::build(server, clock, None)
+    }
+
+    fn build(
+        server: Arc<LinotpServer>,
+        clock: Arc<dyn Clock>,
+        cluster: Option<Arc<OtpCluster>>,
+    ) -> Arc<Self> {
+        Arc::new_cyclic(|me| OtpRadiusHandler {
             server,
             clock,
             challenge_counter: AtomicU64::new(0),
-            cluster: None,
+            cluster,
             resume: Mutex::new(None),
             resume_validations: Default::default(),
+            me: me.clone(),
         })
     }
 
@@ -107,14 +146,7 @@ impl OtpRadiusHandler {
         cluster: Arc<OtpCluster>,
     ) -> Arc<Self> {
         cluster.attach_server(Arc::clone(&server));
-        Arc::new(OtpRadiusHandler {
-            server,
-            clock,
-            challenge_counter: AtomicU64::new(0),
-            cluster: Some(cluster),
-            resume: Mutex::new(None),
-            resume_validations: Default::default(),
-        })
+        Self::build(server, clock, Some(cluster))
     }
 
     /// Enable session resumption: full-MFA Accepts carry a
@@ -128,6 +160,49 @@ impl OtpRadiusHandler {
         });
     }
 
+    /// Take a begun operation to its decision. A commit that finds no
+    /// sync in flight leads one here, on the caller's thread, and
+    /// `conclude` runs here too — a lone login's whole path. One that
+    /// finds a sync in flight is parked: the operation's finish and
+    /// `conclude` run on the thread that leads the covering sync, and the
+    /// caller gets a [`ServerDecision::Pending`] to collect it by.
+    fn drive<Op: Gated>(
+        &self,
+        begun: Begun<'_, Op>,
+        conclude: impl FnOnce(&Self, &str, Op::Outcome) -> ServerDecision + Send + 'static,
+    ) -> ServerDecision {
+        let (true, Some(me)) = (begun.would_wait(), self.me.upgrade()) else {
+            let username = begun.user();
+            return conclude(self, username, begun.settle());
+        };
+        let (concluded, decision) = channel();
+        let parked = begun.park(Arc::clone(&self.server), move |username, outcome| {
+            // Nobody waiting for it is nobody to tell.
+            let _ = concluded.send(conclude(&me, username, outcome));
+        });
+        match parked {
+            Some(seq) => ServerDecision::Pending(Box::new(Parked {
+                decision,
+                seq,
+                server: Arc::clone(&self.server),
+            })),
+            None => decision.recv().unwrap_or_else(|_| Self::reject()),
+        }
+    }
+
+    fn count_resume(&self, outcome: &'static str) {
+        let lookup = || {
+            self.server.metrics().counter(
+                "hpcmfa_otp_resume_validations_total",
+                &[("outcome", outcome)],
+            )
+        };
+        match RESUME_OUTCOMES.iter().position(|o| *o == outcome) {
+            Some(slot) => self.resume_validations[slot].get_or_init(lookup).inc(),
+            None => lookup().inc(),
+        }
+    }
+
     /// O(1) resumption path: one MAC verify + binding checks + a durable
     /// single-use nonce consume. Never touches the OTP window scan.
     fn handle_resume(
@@ -136,92 +211,141 @@ impl OtpRadiusHandler {
         token: &str,
         source: Option<Ipv4Addr>,
         now: u64,
-        ctx: Option<&SpanCtx>,
+        ctx: Option<SpanCtx>,
     ) -> ServerDecision {
-        let trace = ctx.map(|c| c.trace);
-        let metrics = Arc::clone(self.server.metrics());
-        let mut span = ctx.map(|c| metrics.tracer().start(c, "otp", "resume"));
+        let tracer = self.server.metrics().tracer();
+        let mut span = ctx.as_ref().map(|c| tracer.start(c, "otp", "resume"));
         let child = span.as_ref().map(|g| g.child_ctx());
-        let count = |outcome: &'static str| {
-            let lookup = || {
-                metrics.counter(
-                    "hpcmfa_otp_resume_validations_total",
-                    &[("outcome", outcome)],
-                )
-            };
-            match RESUME_OUTCOMES.iter().position(|o| *o == outcome) {
-                Some(slot) => self.resume_validations[slot].get_or_init(lookup).inc(),
-                None => lookup().inc(),
-            }
-        };
-        let fail = |span: &mut Option<hpcmfa_telemetry::SpanGuard<'_>>, detail: &'static str| {
+        let refuse = |span: &mut Option<SpanGuard<'_>>, outcome: &'static str| {
+            self.count_resume(outcome);
             if let Some(g) = span.as_mut() {
                 g.set_status(SpanStatus::Error);
-                g.set_detail(detail);
+                g.set_detail(outcome);
             }
         };
         let mut guard = self.resume.lock();
         let Some(state) = guard.as_mut() else {
             // Token-shaped password at a site with resumption disabled.
-            count("not_enabled");
-            fail(&mut span, "not_enabled");
-            return Self::reject();
+            refuse(&mut span, "not_enabled");
+            return Self::reject().with_clock(ctx.as_ref());
         };
         let Some(client) = source else {
             // Address binding is the point; no Calling-Station-Id, no entry.
-            count("no_address");
-            fail(&mut span, "no_address");
-            return Self::reject();
+            refuse(&mut span, "no_address");
+            return Self::reject().with_clock(ctx.as_ref());
         };
         match state.authority.validate(token, username, client, now) {
             Ok(claims) => {
                 let expires_at = state.authority.expires_at(claims.issued_step);
                 drop(guard);
-                match self.server.consume_resume_nonce(
+                let begun = self.server.resume_consume_begin(
                     username,
                     claims.nonce,
                     expires_at,
                     now,
                     child.as_ref(),
-                ) {
-                    ResumeConsumeOutcome::Fresh => {
-                        count("ok");
-                        if let Some(g) = span.as_mut() {
-                            g.set_detail("ok");
-                        }
-                        ServerDecision::Accept(vec![])
-                    }
-                    ResumeConsumeOutcome::Replayed => {
-                        count("replayed");
-                        fail(&mut span, "replayed");
-                        Self::reject()
-                    }
-                    ResumeConsumeOutcome::Unavailable => {
-                        count("unavailable");
-                        fail(&mut span, "unavailable");
-                        Self::reject()
-                    }
-                }
+                );
+                let span = span.map(SpanGuard::detach);
+                self.drive(begun, move |this, _, outcome| {
+                    this.conclude_resume(outcome, span, ctx.as_ref())
+                })
             }
             Err(err) => {
-                count(err.label());
-                fail(&mut span, err.label());
+                refuse(&mut span, err.label());
                 if err == TokenError::WrongAddress {
                     // A valid token from outside its bound /16 is the
                     // stolen-token shape (RFC 9000 §8.1.4): the MAC passed,
                     // so someone holds a real token somewhere it was never
                     // issued to.
-                    metrics.emit_event(
+                    self.server.metrics().emit_event(
                         SecurityEventKind::ResumeReplay,
-                        trace,
+                        ctx.as_ref().map(|c| c.trace),
                         span.as_ref().map(|g| g.id()),
                         now,
                         format!("user={username} valid resume token from foreign /16 ({client})"),
                     );
                 }
-                Self::reject()
+                Self::reject().with_clock(ctx.as_ref())
             }
         }
+    }
+
+    /// What a resume consume's outcome concludes, closing the `resume`
+    /// span that was open across it.
+    fn conclude_resume(
+        &self,
+        outcome: ResumeConsumeOutcome,
+        span: Option<DetachedSpan>,
+        ctx: Option<&SpanCtx>,
+    ) -> ServerDecision {
+        let mut span = span.map(|s| self.server.metrics().tracer().attach(s));
+        let (label, decision) = match outcome {
+            ResumeConsumeOutcome::Fresh => ("ok", ServerDecision::Accept(vec![])),
+            ResumeConsumeOutcome::Replayed => ("replayed", Self::reject()),
+            ResumeConsumeOutcome::Unavailable => ("unavailable", Self::reject()),
+        };
+        self.count_resume(label);
+        if let Some(g) = span.as_mut() {
+            g.set_detail(label);
+            if outcome != ResumeConsumeOutcome::Fresh {
+                g.set_status(SpanStatus::Error);
+            }
+        }
+        decision.with_clock(ctx)
+    }
+
+    /// What an SMS trigger's outcome concludes.
+    fn conclude_sms(&self, trigger: SmsTrigger, ctx: Option<&SpanCtx>) -> ServerDecision {
+        let decision = match trigger {
+            SmsTrigger::Sent(_) => self.challenge(SMS_SENT_MSG),
+            SmsTrigger::AlreadyActive => self.challenge(SMS_ALREADY_SENT_MSG),
+            // Soft/hard/static users just get the prompt; users with no
+            // pairing are prompted too (the "full" enforcement mode
+            // prompts regardless, §3.4) and will fail validation.
+            SmsTrigger::NotSmsUser | SmsTrigger::NoToken => self.challenge(TOKEN_PROMPT),
+            SmsTrigger::Locked | SmsTrigger::Unavailable => Self::reject(),
+        };
+        decision.with_clock(ctx)
+    }
+
+    /// What a validation's outcome concludes.
+    fn conclude_validate(
+        &self,
+        outcome: ValidationOutcome,
+        username: &str,
+        source: Option<Ipv4Addr>,
+        now: u64,
+        ctx: Option<&SpanCtx>,
+    ) -> ServerDecision {
+        if !outcome.is_success() {
+            return Self::reject().with_clock(ctx);
+        }
+        if self.cluster.is_some() {
+            // Replicated deployments ship the accept's WAL frame to the
+            // warm standby and wait for its ack before answering.
+            if let Some(c) = ctx {
+                let ack = self
+                    .server
+                    .metrics()
+                    .tracer()
+                    .start(c, "otp", "replication_ack");
+                c.clock.advance_us(span_cost::REPLICATION_ACK_US);
+                ack.finish();
+            }
+        }
+        // Full MFA succeeded: hand back a resumption token bound to
+        // this user and client /16, if the site issues them.
+        let mut attrs = Vec::new();
+        if let Some(client) = source {
+            if let Some(state) = self.resume.lock().as_mut() {
+                let token = state.authority.issue(&mut state.rng, username, client, now);
+                attrs.push(Attribute::text(
+                    AttributeType::ReplyMessage,
+                    &format!("{RESUME_REPLY_PREFIX}{token}"),
+                ));
+            }
+        }
+        ServerDecision::Accept(attrs).with_clock(ctx)
     }
 
     fn fresh_state(&self) -> Vec<u8> {
@@ -275,67 +399,38 @@ impl OtpRadiusHandler {
         // the clock reading keeps virtual timestamps monotone across the
         // hop.
         let ctx = wire_ctx.map(|w| w.span_ctx());
-        let ctx = ctx.as_ref();
         // The client's source address (Calling-Station-Id) feeds the
         // per-network admission control when overload protection is on.
         let source = source_text.and_then(|s| s.parse().ok());
 
         if password.is_empty() {
             // Null request: open the challenge, texting SMS users first.
-            let decision = match self.server.trigger_sms_guarded(username, now, ctx, source) {
-                SmsTrigger::Sent(_) => self.challenge(SMS_SENT_MSG),
-                SmsTrigger::AlreadyActive => self.challenge(SMS_ALREADY_SENT_MSG),
-                // Soft/hard/static users just get the prompt; users with no
-                // pairing are prompted too (the "full" enforcement mode
-                // prompts regardless, §3.4) and will fail validation.
-                SmsTrigger::NotSmsUser | SmsTrigger::NoToken => self.challenge(TOKEN_PROMPT),
-                SmsTrigger::Locked | SmsTrigger::Unavailable => Self::reject(),
+            let begun = self
+                .server
+                .trigger_sms_begin(username, now, ctx.as_ref(), source);
+            return match begun {
+                Ok(begun) => self.drive(begun, move |this, _, trigger| {
+                    this.conclude_sms(trigger, ctx.as_ref())
+                }),
+                Err(shed) => self.conclude_sms(shed, ctx.as_ref()),
             };
-            return decision.with_clock(ctx);
         }
 
         let Ok(code) = std::str::from_utf8(password) else {
-            return Self::reject().with_clock(ctx);
+            return Self::reject().with_clock(ctx.as_ref());
         };
         if ResumeAuthority::is_token(code) {
-            let decision = self.handle_resume(username, code, source, now, ctx);
-            return decision.with_clock(ctx);
+            return self.handle_resume(username, code, source, now, ctx);
         }
-        let decision = if self
+        let begun = self
             .server
-            .validate_guarded(username, code, now, ctx, source)
-            .is_success()
-        {
-            if self.cluster.is_some() {
-                // Replicated deployments ship the accept's WAL frame to the
-                // warm standby and wait for its ack before answering.
-                if let Some(c) = ctx {
-                    let ack = self
-                        .server
-                        .metrics()
-                        .tracer()
-                        .start(c, "otp", "replication_ack");
-                    c.clock.advance_us(span_cost::REPLICATION_ACK_US);
-                    ack.finish();
-                }
-            }
-            // Full MFA succeeded: hand back a resumption token bound to
-            // this user and client /16, if the site issues them.
-            let mut attrs = Vec::new();
-            if let Some(client) = source {
-                if let Some(state) = self.resume.lock().as_mut() {
-                    let token = state.authority.issue(&mut state.rng, username, client, now);
-                    attrs.push(Attribute::text(
-                        AttributeType::ReplyMessage,
-                        &format!("{RESUME_REPLY_PREFIX}{token}"),
-                    ));
-                }
-            }
-            ServerDecision::Accept(attrs)
-        } else {
-            Self::reject()
-        };
-        decision.with_clock(ctx)
+            .validate_begin(username, code, now, ctx.as_ref(), source);
+        match begun {
+            Ok(begun) => self.drive(begun, move |this, username, outcome| {
+                this.conclude_validate(outcome, username, source, now, ctx.as_ref())
+            }),
+            Err(shed) => self.conclude_validate(shed, username, source, now, ctx.as_ref()),
+        }
     }
 }
 

@@ -7,13 +7,17 @@
 //! *before* the operation is acknowledged: an accepted code whose replay
 //! mark cannot be persisted is answered [`ValidationOutcome::Unavailable`]
 //! (deny), never `Success` — the fail-safe direction for an
-//! authentication service.
+//! authentication service. The three operations a login waits on —
+//! validate, SMS trigger, resume consume — are each one *begin* (up to
+//! the commit's append, under the store or ledger lock) and one *finish*
+//! (everything the commit's verdict decides), driven on the caller's
+//! thread ([`Begun::settle`]) or left with the pump ([`Begun::park`]).
 
 use crate::audit::{AuditAction, AuditEntry, AuditLog};
 use crate::durability::snapshot::snapshot_live;
 use crate::durability::{
-    recover, Commit, DurabilityCounters, PairingImage, Persistence, RecoverError, RecoveryReport,
-    StorageBackend, WalRecord,
+    recover, Commit, DurabilityCounters, Finish, HeldCommit, PairingImage, Persistence,
+    RecoverError, RecoveryReport, StorageBackend, Ticket, WalRecord,
 };
 use crate::overload::{AdmissionController, OverloadConfig, ShedReason};
 use crate::sms::{PhoneNumber, SmsMessage, SmsProvider};
@@ -24,13 +28,16 @@ use hpcmfa_otp::hotp::hotp_value_prepared;
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
 use hpcmfa_telemetry::{
-    Counter, Histogram, MetricsRegistry, SecurityEventKind, SpanCtx, SpanStatus, TraceId,
+    Counter, DetachedSpan, Histogram, MetricsRegistry, SecurityEventKind, SpanCtx, SpanGuard,
+    SpanId, SpanStatus, TraceId,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Modeled virtual-time costs (µs) charged to the shared trace clock by
 /// the responder-side spans. Purely virtual — wall time is untouched —
@@ -192,14 +199,28 @@ fn validation_detail(outcome: ValidationOutcome) -> &'static str {
 /// One operation's audit rows and, on a server with storage, the WAL
 /// commit they ride in with its state records. Opened before the store or
 /// ledger lock the operation mutates under. A row is staged as it is
-/// encoded into the commit; a failed [`Txn::flush`] discards the rows that
-/// commit carried, so the caller stages what it answered instead. Dropping
-/// the `Txn` flushes what is still unflushed (best effort: audit
-/// persistence failures are counted, never gate), moves the staged rows
-/// into the ring, releases the compactor fence, and only then checks
-/// whether a compaction is due — so a row enters the ring after the commit
-/// that carries it and before the fence drops.
-struct Txn<'a> {
+/// encoded into the commit; [`Txn::append`] hands the commit to the WAL
+/// inside that lock — WAL order is mutation order — and [`Txn::settle`]
+/// waits for its sync once the lock is released. Dropping the `Txn`
+/// settles what is still unsettled (best effort: audit persistence
+/// failures are counted, never gate), moves the staged rows into the
+/// ring, releases the compactor fence, and only then checks whether a
+/// compaction is due — so a row enters the ring after the commit that
+/// carries it and before the fence drops.
+///
+/// **Why the lock may be released before the sync.** Every record a
+/// gated operation appends is absolute state — `last_step`,
+/// `fail_count`, `active`, a pending SMS code, a consumed nonce — and the
+/// mutation is already in memory when the lock drops. A second operation
+/// that reads the not-yet-durable mark can therefore only *deny* more (a
+/// replay, an already-consumed nonce, a code already active, a higher
+/// failure count); its own commit has a later sequence number, so it is
+/// durable only if the first is; and a failed sync denies every
+/// unacknowledged commit up to its end, the reader's included. Nothing
+/// is acknowledged on the strength of state that may yet be lost.
+/// ([`LinotpServer::resync`] reactivates an account, which that argument
+/// does not cover: it alone still syncs under its shard lock.)
+pub(crate) struct Txn<'a> {
     server: &'a LinotpServer,
     user: &'a str,
     now: u64,
@@ -207,12 +228,27 @@ struct Txn<'a> {
     trace: Option<TraceId>,
     /// `None` on a volatile server.
     commit: Option<Commit<'a>>,
+    /// Where [`Txn::append`] left the commit, until [`Txn::settle`].
+    ticket: Option<Ticket>,
     /// Rows bound for the ring; no operation leaves more than two (a
     /// validate's row and its lockout's).
     staged: [Option<AuditEntry>; 2],
+    /// Whether the drop checks for a due compaction. Not when it runs
+    /// among parked finishes: the thread running those must not wait on
+    /// the fence for passes only it can bring back.
+    compacts: bool,
 }
 
-impl Txn<'_> {
+/// A [`Txn`] off its thread, between a parked operation's append and the
+/// sync that covers it.
+struct HeldTxn {
+    now: u64,
+    trace: Option<TraceId>,
+    commit: Option<HeldCommit>,
+    staged: [Option<AuditEntry>; 2],
+}
+
+impl<'a> Txn<'a> {
     /// Add the record `build` returns (not called on a volatile server).
     fn record(&mut self, build: impl FnOnce() -> WalRecord) {
         if let Some(c) = &mut self.commit {
@@ -250,33 +286,401 @@ impl Txn<'_> {
         });
     }
 
-    /// Make what was added durable; `false` only on a persistence failure.
-    /// The rows stay staged either way: for the operations durability does
-    /// not gate, whose rows say what the store holds, and for the drop.
-    fn flush_ungated(&mut self) -> bool {
-        self.commit.as_mut().is_none_or(|c| c.flush().is_ok())
+    /// Hand what was added to the WAL: the step that belongs inside the
+    /// lock the operation mutates under.
+    fn append(&mut self) {
+        if let Some(c) = &mut self.commit {
+            self.ticket = c.append();
+        }
     }
 
-    /// [`Txn::flush_ungated`] gating the ack: a failed commit's rows are
-    /// discarded, and the caller stages the denial it answers instead.
-    fn flush(&mut self) -> bool {
-        let persisted = self.flush_ungated();
-        if !persisted {
-            self.staged = [None, None];
+    /// Make what was added durable, appending it first if
+    /// [`Txn::append`] has not; `false` only on a persistence failure.
+    /// The rows stay staged either way: for the operations durability
+    /// does not gate, whose rows say what the store holds, and for the
+    /// drop.
+    fn settle(&mut self) -> bool {
+        let Some(c) = &mut self.commit else {
+            return true;
+        };
+        let ticket = self.ticket.take().or_else(|| c.append());
+        ticket.is_none_or(|ticket| c.settle(ticket).is_ok())
+    }
+
+    /// Forget the rows of a commit that failed: the caller stages the
+    /// denial it answers instead.
+    fn discard_staged(&mut self) {
+        self.staged = [None, None];
+    }
+
+    /// Leave the thread: what is left of `self` drops as a no-op.
+    fn suspend(mut self) -> (HeldTxn, Option<Ticket>) {
+        self.compacts = false;
+        let held = HeldTxn {
+            now: self.now,
+            trace: self.trace,
+            commit: self.commit.take().map(Commit::suspend),
+            staged: std::mem::take(&mut self.staged),
+        };
+        (held, self.ticket.take())
+    }
+}
+
+impl HeldTxn {
+    /// Back on a thread — the one running parked finishes.
+    fn resume<'a>(self, server: &'a LinotpServer, user: &'a str) -> Txn<'a> {
+        Txn {
+            server,
+            user,
+            now: self.now,
+            trace: self.trace,
+            commit: server
+                .persistence
+                .as_ref()
+                .zip(self.commit)
+                .map(|(pump, held)| pump.resume(held)),
+            ticket: None,
+            staged: self.staged,
+            compacts: false,
         }
-        persisted
     }
 }
 
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
-        self.flush_ungated();
+        self.settle();
         for row in self.staged.iter_mut().filter_map(Option::take) {
             self.server.audit.push(row);
         }
-        // The compactor's claim waits for the fence this releases.
+        // The compactor's claim waits for the pass this gives back.
         self.commit = None;
-        self.server.maybe_compact(self.now);
+        if self.compacts {
+            self.server.maybe_compact(self.now);
+        }
+    }
+}
+
+/// What a gated operation carries from its commit's append to its
+/// verdict: plain data, so that it can wait on no thread.
+pub(crate) trait Gated: Send + 'static {
+    /// What the caller is told.
+    type Outcome;
+
+    /// Everything the verdict decides: the `Unavailable` rewrite and its
+    /// denial row, outcome counters, security events, span statuses.
+    fn finish(self, txn: &mut Txn<'_>, persisted: bool) -> Self::Outcome;
+}
+
+/// A gated operation past its *begin*: the store (or ledger) holds what
+/// it did, its commit is appended, the lock is released. Two drivers
+/// take it to its *finish*, and there is one of each.
+pub(crate) struct Begun<'a, Op> {
+    txn: Txn<'a>,
+    op: Op,
+}
+
+impl<'a, Op: Gated> Begun<'a, Op> {
+    /// The user the operation is on.
+    pub(crate) fn user(&self) -> &'a str {
+        self.txn.user
+    }
+
+    /// Drive inline: wait for the commit's sync on this thread — leading
+    /// it when none is in flight — and finish.
+    pub(crate) fn settle(self) -> Op::Outcome {
+        let Begun { mut txn, op } = self;
+        let persisted = txn.settle();
+        op.finish(&mut txn, persisted)
+    }
+
+    /// Whether [`Begun::settle`] would wait for a sync another thread is
+    /// running.
+    pub(crate) fn would_wait(&self) -> bool {
+        let pump = self.txn.server.persistence.as_ref();
+        pump.zip(self.txn.ticket.as_ref())
+            .is_some_and(|(pump, ticket)| pump.would_wait(ticket))
+    }
+
+    /// Drive parked: leave the finish with the pump, to be run — and its
+    /// outcome handed to `then` — by the thread that leads the sync
+    /// covering the commit. Returns the commit's sequence number, or
+    /// `None` if there was nothing to wait behind after all and both ran
+    /// here. `server` is the shared handle of the server that began it.
+    pub(crate) fn park(
+        self,
+        server: Arc<LinotpServer>,
+        then: impl FnOnce(&str, Op::Outcome) + Send + 'static,
+    ) -> Option<u64> {
+        let Begun { txn, op } = self;
+        let (pump, user) = (txn.server.persistence.as_ref(), txn.user.to_string());
+        let (held, ticket) = txn.suspend();
+        let finish: Finish = Box::new(move |persisted| {
+            let mut txn = held.resume(&server, &user);
+            let outcome = op.finish(&mut txn, persisted);
+            drop(txn);
+            then(&user, outcome);
+        });
+        let Some((pump, ticket)) = pump.zip(ticket) else {
+            finish(true);
+            return None;
+        };
+        let seq = ticket.seq();
+        match pump.park(ticket, finish) {
+            Ok(()) => seq,
+            Err((ticket, finish)) => {
+                finish(pump.settle(ticket).is_ok());
+                None
+            }
+        }
+    }
+}
+
+/// Stage a validation's audit rows: what the caller is told, and the
+/// lockout the attempt tripped.
+fn validation_rows(
+    txn: &mut Txn<'_>,
+    outcome: ValidationOutcome,
+    locked_now: bool,
+) -> (ValidationOutcome, bool) {
+    txn.audit(
+        AuditAction::Validate,
+        outcome.is_success(),
+        validation_detail(outcome),
+    );
+    if locked_now {
+        txn.audit(AuditAction::Lockout, true, "threshold reached");
+    }
+    (outcome, locked_now)
+}
+
+/// A validation between [`LinotpServer::validate_begin`] and its verdict.
+pub(crate) struct Validate {
+    /// The `validate` span and, on a server with storage, its `wal_fsync`
+    /// child, off the tracer until the verdict has stamped them.
+    span: Option<DetachedSpan>,
+    fsync: Option<DetachedSpan>,
+    /// The `validate` span's id: every event carries it, so every alert
+    /// joins the trace tree.
+    span_id: Option<SpanId>,
+    /// What the store said.
+    outcome: ValidationOutcome,
+    locked_now: bool,
+    source: Option<Ipv4Addr>,
+    started: Instant,
+}
+
+impl Gated for Validate {
+    type Outcome = ValidationOutcome;
+
+    fn finish(self, txn: &mut Txn<'_>, persisted: bool) -> ValidationOutcome {
+        let (server, username, now, trace) = (txn.server, txn.user, txn.now, txn.trace);
+        let tracer = server.metrics.tracer();
+        if let Some(mut fsync) = self.fsync.map(|span| tracer.attach(span)) {
+            if !persisted {
+                fsync.set_status(SpanStatus::Error);
+                fsync.set_detail("append failed");
+            }
+        }
+        let outcome = if persisted {
+            self.outcome
+        } else {
+            // An accepted code whose nullification is not durable must not
+            // be acknowledged: after a crash the WAL would re-open its
+            // replay window. The in-memory mark stays advanced (deny-safe)
+            // and the caller sees Unavailable. The failed commit's rows
+            // went with it; these say what the caller is told.
+            let told = match self.outcome {
+                ValidationOutcome::Success => ValidationOutcome::Unavailable,
+                other => other,
+            };
+            txn.discard_staged();
+            validation_rows(txn, told, self.locked_now).0
+        };
+
+        let event = |kind, what: &str| {
+            let detail = format!("user={username} {what}");
+            server
+                .metrics
+                .emit_event(kind, trace, self.span_id, now, detail)
+        };
+        server.held.validations[outcome as usize]
+            .get_or_init(|| {
+                server.metrics.counter(
+                    "hpcmfa_otp_validations_total",
+                    &[("outcome", validation_label(outcome))],
+                )
+            })
+            .inc();
+        if self.locked_now {
+            server
+                .held
+                .lockouts
+                .get_or_init(|| server.metrics.counter("hpcmfa_otp_lockouts_total", &[]))
+                .inc();
+            event(SecurityEventKind::LockoutStorm, "threshold reached");
+        }
+        match outcome {
+            ValidationOutcome::Replayed => event(
+                SecurityEventKind::ReplayAttempt,
+                "consumed code resubmitted",
+            ),
+            ValidationOutcome::Unavailable => event(
+                SecurityEventKind::WalFsyncDegraded,
+                "accepted code not durable, denied",
+            ),
+            _ => {}
+        }
+        server
+            .held
+            .validate_wall_us
+            .get_or_init(|| server.metrics.histogram("hpcmfa_otp_validate_wall_us", &[]))
+            .record_elapsed_us(self.started);
+        if outcome.is_success() {
+            if let (Some(adm), Some(src)) = (&server.admission, self.source) {
+                adm.note_success(src, now);
+            }
+        }
+        stamp_validation_span(&mut self.span.map(|span| tracer.attach(span)), outcome);
+        outcome
+    }
+}
+
+/// A resume-nonce consume between its ledger insert and its verdict.
+pub(crate) struct ResumeConsume {
+    /// The `resume_consume` span, off the tracer until stamped.
+    span: Option<DetachedSpan>,
+    span_id: Option<SpanId>,
+    /// Whether this was the nonce's first presentation.
+    fresh: bool,
+}
+
+impl Gated for ResumeConsume {
+    type Outcome = ResumeConsumeOutcome;
+
+    fn finish(self, txn: &mut Txn<'_>, persisted: bool) -> ResumeConsumeOutcome {
+        let (server, username, now, trace) = (txn.server, txn.user, txn.now, txn.trace);
+        let outcome = match (self.fresh, persisted) {
+            (true, true) => ResumeConsumeOutcome::Fresh,
+            (true, false) => {
+                txn.discard_staged();
+                let detail = "resume consume not durable, denied";
+                txn.audit(AuditAction::Validate, false, detail);
+                ResumeConsumeOutcome::Unavailable
+            }
+            (false, _) => ResumeConsumeOutcome::Replayed,
+        };
+        let label = match outcome {
+            ResumeConsumeOutcome::Fresh => "fresh",
+            ResumeConsumeOutcome::Replayed => "replayed",
+            ResumeConsumeOutcome::Unavailable => "unavailable",
+        };
+        server.held.resume_consumes[outcome as usize]
+            .get_or_init(|| {
+                server
+                    .metrics
+                    .counter("hpcmfa_otp_resume_consumes_total", &[("outcome", label)])
+            })
+            .inc();
+        let event = |kind, what: &str| {
+            let detail = format!("user={username} {what}");
+            server
+                .metrics
+                .emit_event(kind, trace, self.span_id, now, detail)
+        };
+        match outcome {
+            ResumeConsumeOutcome::Replayed => {
+                event(SecurityEventKind::ResumeReplay, "resumption nonce replayed")
+            }
+            ResumeConsumeOutcome::Unavailable => event(
+                SecurityEventKind::WalFsyncDegraded,
+                "resume consume not durable, denied",
+            ),
+            ResumeConsumeOutcome::Fresh => {}
+        }
+        if let Some(mut g) = self.span.map(|span| server.metrics.tracer().attach(span)) {
+            g.set_detail(label);
+            match outcome {
+                ResumeConsumeOutcome::Fresh => {}
+                ResumeConsumeOutcome::Replayed => g.set_status(SpanStatus::Error),
+                ResumeConsumeOutcome::Unavailable => g.set_status(SpanStatus::Degraded),
+            }
+        }
+        outcome
+    }
+}
+
+/// An SMS trigger between its issue record's append and its verdict.
+pub(crate) struct SmsIssue {
+    /// The `sms` span, off the tracer until stamped.
+    span: Option<DetachedSpan>,
+    /// Parents `sms_dispatch`; its `parent` field stamps emitted events.
+    tctx: Option<SpanCtx>,
+    /// `Ok`: the number to text and the code issued to it. `Err`: nothing
+    /// is sent, and why.
+    issued: Result<(PhoneNumber, String), SmsTrigger>,
+}
+
+impl Gated for SmsIssue {
+    type Outcome = SmsTrigger;
+
+    fn finish(self, txn: &mut Txn<'_>, persisted: bool) -> SmsTrigger {
+        let (server, username, now, trace) = (txn.server, txn.user, txn.now, txn.trace);
+        let tracer = server.metrics.tracer();
+        let trigger = match self.issued {
+            // The SMS is dispatched only once its commit is durable.
+            Ok((phone, code)) if persisted => {
+                let dispatch = self.tctx.as_ref().map(|c| {
+                    let g = tracer.start(c, "otp", "sms_dispatch");
+                    c.clock.advance_us(span_cost::SMS_DISPATCH_US);
+                    g
+                });
+                let body = format!("Your TACC token code is {code}");
+                let msg = server.sms.send(&phone, &body, now);
+                drop(dispatch);
+                SmsTrigger::Sent(msg)
+            }
+            Ok((_, code)) => {
+                txn.discard_staged();
+                txn.audit(AuditAction::SmsTriggered, false, "durability unavailable");
+                // The code nobody will be sent stops being pending, so the
+                // next trigger issues one instead of suppressing itself.
+                server.store.with_record(username, |rec| {
+                    if let TokenPairing::Sms { pending, .. } = &mut rec.pairing {
+                        if pending.as_ref().is_some_and(|p| p.code == code) {
+                            *pending = None;
+                        }
+                    }
+                });
+                SmsTrigger::Unavailable
+            }
+            Err(refused) => refused,
+        };
+        let span_id = self.tctx.as_ref().and_then(|c| c.parent);
+        let event = |kind, what: &str| {
+            let detail = format!("user={username} {what}");
+            server.metrics.emit_event(kind, trace, span_id, now, detail)
+        };
+        match trigger {
+            SmsTrigger::AlreadyActive => {
+                event(SecurityEventKind::SmsAbuse, "re-trigger while code active")
+            }
+            SmsTrigger::Unavailable => event(
+                SecurityEventKind::WalFsyncDegraded,
+                "sms issue not durable, withheld",
+            ),
+            _ => {}
+        }
+        let slot = sms_slot(&trigger);
+        server.held.sms_triggers[slot]
+            .get_or_init(|| {
+                server.metrics.counter(
+                    "hpcmfa_otp_sms_triggers_total",
+                    &[("result", SMS_LABELS[slot])],
+                )
+            })
+            .inc();
+        stamp_sms_span(&mut self.span.map(|span| tracer.attach(span)), &trigger);
+        trigger
     }
 }
 
@@ -349,10 +753,7 @@ struct HeldSeries {
 
 /// Close out a `validate` span: outcome label as detail, degraded for
 /// durability denials, error for the other non-success outcomes.
-fn stamp_validation_span(
-    guard: &mut Option<hpcmfa_telemetry::SpanGuard<'_>>,
-    outcome: ValidationOutcome,
-) {
+fn stamp_validation_span(guard: &mut Option<SpanGuard<'_>>, outcome: ValidationOutcome) {
     if let Some(g) = guard.as_mut() {
         g.set_detail(validation_label(outcome));
         match outcome {
@@ -364,7 +765,7 @@ fn stamp_validation_span(
 }
 
 /// Close out an `sms` span analogously.
-fn stamp_sms_span(guard: &mut Option<hpcmfa_telemetry::SpanGuard<'_>>, trigger: &SmsTrigger) {
+fn stamp_sms_span(guard: &mut Option<SpanGuard<'_>>, trigger: &SmsTrigger) {
     if let Some(g) = guard.as_mut() {
         g.set_detail(sms_label(trigger));
         match trigger {
@@ -490,7 +891,9 @@ impl LinotpServer {
             now,
             trace,
             commit: self.persistence.as_ref().map(Persistence::begin),
+            ticket: None,
             staged: [None, None],
+            compacts: true,
         }
     }
 
@@ -546,7 +949,7 @@ impl LinotpServer {
             pairing: PairingImage::of(&pairing),
         });
         txn.audit(AuditAction::Enroll, true, detail);
-        txn.flush_ungated();
+        txn.settle();
         self.store.enroll(username, pairing);
     }
 
@@ -620,7 +1023,7 @@ impl LinotpServer {
             user: username.to_string(),
         });
         txn.audit(AuditAction::Remove, existed, "");
-        txn.flush_ungated();
+        txn.settle();
         self.store.remove(username);
         existed
     }
@@ -662,8 +1065,8 @@ impl LinotpServer {
         username: &str,
         now: u64,
         ctx: Option<&SpanCtx>,
-        source: Option<std::net::Ipv4Addr>,
-    ) -> Result<Option<hpcmfa_telemetry::SpanGuard<'_>>, ShedReason> {
+        source: Option<Ipv4Addr>,
+    ) -> Result<Option<SpanGuard<'_>>, ShedReason> {
         let trace = ctx.map(|c| c.trace);
         let mut guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", op.label));
         if let Some(c) = ctx {
@@ -715,25 +1118,12 @@ impl LinotpServer {
         code: &str,
         now: u64,
         ctx: Option<&SpanCtx>,
-        source: Option<std::net::Ipv4Addr>,
+        source: Option<Ipv4Addr>,
     ) -> ValidationOutcome {
-        const OP: Guarded = Guarded {
-            label: "validate",
-            action: AuditAction::Validate,
-            counter: ("hpcmfa_otp_validations_total", "outcome"),
-        };
-        let Ok(mut guard) = self.admit(&OP, username, now, ctx, source) else {
-            return ValidationOutcome::Unavailable;
-        };
-        let tctx = guard.as_ref().map(|g| g.child_ctx());
-        let outcome = self.validate_core(username, code, now, tctx.as_ref());
-        if outcome.is_success() {
-            if let (Some(adm), Some(src)) = (&self.admission, source) {
-                adm.note_success(src, now);
-            }
+        match self.validate_begin(username, code, now, ctx, source) {
+            Ok(begun) => begun.settle(),
+            Err(shed) => shed,
         }
-        stamp_validation_span(&mut guard, outcome);
-        outcome
     }
 
     /// [`LinotpServer::trigger_sms`] under an optional propagated span
@@ -747,51 +1137,59 @@ impl LinotpServer {
         username: &str,
         now: u64,
         ctx: Option<&SpanCtx>,
-        source: Option<std::net::Ipv4Addr>,
+        source: Option<Ipv4Addr>,
     ) -> SmsTrigger {
-        const OP: Guarded = Guarded {
-            label: "sms",
-            action: AuditAction::SmsTriggered,
-            counter: ("hpcmfa_otp_sms_triggers_total", "result"),
-        };
-        let Ok(mut guard) = self.admit(&OP, username, now, ctx, source) else {
-            return SmsTrigger::Unavailable;
-        };
-        let tctx = guard.as_ref().map(|g| g.child_ctx());
-        let trigger = self.trigger_sms_core(username, now, tctx.as_ref());
-        stamp_sms_span(&mut guard, &trigger);
-        trigger
+        match self.trigger_sms_begin(username, now, ctx, source) {
+            Ok(begun) => begun.settle(),
+            Err(shed) => shed,
+        }
     }
 
-    /// The validation engine proper. `tctx` (when spans are on) is the
-    /// enclosing `validate` span's child context: its trace threads the
-    /// audit detail and security events, sub-spans parent under it and its
-    /// `parent` field is the validate span id used to stamp events.
-    fn validate_core(
-        &self,
-        username: &str,
+    /// See to it that the parked commit `seq` gets its verdict and its
+    /// finish is run ([`Persistence::drive`]).
+    pub(crate) fn drive(&self, seq: u64) {
+        if let Some(pump) = &self.persistence {
+            pump.drive(seq);
+        }
+    }
+
+    /// The *begin* of a validation: admission, the validation engine
+    /// proper, and the commit's append. `Err` is a shed request's answer —
+    /// a shed request never begins.
+    ///
+    /// With a storage backend attached, the post-attempt security state
+    /// (replay mark, failure counter, active flag) and the attempt's audit
+    /// rows are appended to the WAL as one commit *inside* the store lock
+    /// — WAL order matches mutation order — and the lock is released
+    /// before the sync that makes them durable (see [`Txn`]).
+    pub(crate) fn validate_begin<'a>(
+        &'a self,
+        username: &'a str,
         code: &str,
         now: u64,
-        tctx: Option<&SpanCtx>,
-    ) -> ValidationOutcome {
-        let started = std::time::Instant::now();
-        let trace = tctx.map(|c| c.trace);
-        // Stage the attempt's audit rows: what the caller is told, and the
-        // lockout it tripped.
-        let rows = |txn: &mut Txn<'_>, outcome: ValidationOutcome, locked_now: bool| {
-            let detail = validation_detail(outcome);
-            txn.audit(AuditAction::Validate, outcome.is_success(), detail);
-            if locked_now {
-                txn.audit(AuditAction::Lockout, true, "threshold reached");
-            }
-            (outcome, locked_now)
+        ctx: Option<&SpanCtx>,
+        source: Option<Ipv4Addr>,
+    ) -> Result<Begun<'a, Validate>, ValidationOutcome> {
+        const OP: Guarded = Guarded {
+            label: "validate",
+            action: AuditAction::Validate,
+            counter: ("hpcmfa_otp_validations_total", "outcome"),
         };
-        let mut txn = self.txn(username, now, trace);
+        let started = Instant::now();
+        let guard = self
+            .admit(&OP, username, now, ctx, source)
+            .map_err(|_| ValidationOutcome::Unavailable)?;
+        // The enclosing `validate` span's child context: its trace threads
+        // the audit detail and security events, sub-spans parent under it.
+        let tctx = guard.as_ref().map(|g| g.child_ctx());
+        let tctx = tctx.as_ref();
+        let mut fsync = None;
+        let mut txn = self.txn(username, now, tctx.map(|c| c.trace));
         let (outcome, locked_now) = self
             .store
             .with_record(username, |rec| {
                 if !rec.active {
-                    return rows(&mut txn, ValidationOutcome::Locked, false);
+                    return validation_rows(&mut txn, ValidationOutcome::Locked, false);
                 }
                 let mut purged_sms = false;
                 let outcome = match &mut rec.pairing {
@@ -875,11 +1273,11 @@ impl LinotpServer {
                     }
                     _ => {}
                 }
-                // Commit the post-attempt state and the attempt's audit
-                // rows before the ack leaves the lock. A consumed or
-                // expired pending SMS code is cleared durably too. Every
-                // outcome that reaches here is Success, WrongCode or
-                // Replayed.
+                // Append the post-attempt state and the attempt's audit
+                // rows before the lock is released; the ack waits for their
+                // sync outside it. A consumed or expired pending SMS code is
+                // cleared durably too. Every outcome that reaches here is
+                // Success, WrongCode or Replayed.
                 if purged_sms {
                     txn.record(|| WalRecord::SmsClear {
                         user: username.to_string(),
@@ -895,71 +1293,26 @@ impl LinotpServer {
                     rec.fail_count,
                     rec.active,
                 );
-                rows(&mut txn, outcome, locked_now);
-                let fsync = tctx.filter(|_| self.persistence.is_some()).map(|c| {
+                validation_rows(&mut txn, outcome, locked_now);
+                fsync = tctx.filter(|_| self.persistence.is_some()).map(|c| {
                     let g = self.metrics.tracer().start(c, "otp", "wal_fsync");
                     c.clock.advance_us(span_cost::WAL_FSYNC_US);
-                    g
+                    g.detach()
                 });
-                let persisted = txn.flush();
-                if let Some(mut g) = fsync {
-                    if !persisted {
-                        g.set_status(SpanStatus::Error);
-                        g.set_detail("append failed");
-                    }
-                }
-                if persisted {
-                    (outcome, locked_now)
-                } else if outcome.is_success() {
-                    // An accepted code whose nullification is not durable
-                    // must not be acknowledged: after a crash the WAL would
-                    // re-open its replay window. The in-memory mark stays
-                    // advanced (deny-safe) and the caller sees Unavailable.
-                    rows(&mut txn, ValidationOutcome::Unavailable, locked_now)
-                } else {
-                    rows(&mut txn, outcome, locked_now)
-                }
+                txn.append();
+                (outcome, locked_now)
             })
-            .unwrap_or_else(|| rows(&mut txn, ValidationOutcome::NoToken, false));
-
-        // Events carry the enclosing validate span (`tctx.parent` is the
-        // validate span's id), so every alert joins the trace tree.
-        let span = tctx.and_then(|c| c.parent);
-        let event = |kind, what: &str| {
-            self.metrics
-                .emit_event(kind, trace, span, now, format!("user={username} {what}"))
+            .unwrap_or_else(|| validation_rows(&mut txn, ValidationOutcome::NoToken, false));
+        let op = Validate {
+            span_id: guard.as_ref().map(SpanGuard::id),
+            span: guard.map(SpanGuard::detach),
+            fsync,
+            outcome,
+            locked_now,
+            source,
+            started,
         };
-        self.held.validations[outcome as usize]
-            .get_or_init(|| {
-                self.metrics.counter(
-                    "hpcmfa_otp_validations_total",
-                    &[("outcome", validation_label(outcome))],
-                )
-            })
-            .inc();
-        if locked_now {
-            self.held
-                .lockouts
-                .get_or_init(|| self.metrics.counter("hpcmfa_otp_lockouts_total", &[]))
-                .inc();
-            event(SecurityEventKind::LockoutStorm, "threshold reached");
-        }
-        match outcome {
-            ValidationOutcome::Replayed => event(
-                SecurityEventKind::ReplayAttempt,
-                "consumed code resubmitted",
-            ),
-            ValidationOutcome::Unavailable => event(
-                SecurityEventKind::WalFsyncDegraded,
-                "accepted code not durable, denied",
-            ),
-            _ => {}
-        }
-        self.held
-            .validate_wall_us
-            .get_or_init(|| self.metrics.histogram("hpcmfa_otp_validate_wall_us", &[]))
-            .record_elapsed_us(started);
-        outcome
+        Ok(Begun { txn, op })
     }
 
     /// Consume a resumption-token nonce, enforcing single use durably.
@@ -967,12 +1320,12 @@ impl LinotpServer {
     /// The token itself is stateless (integrity, binding, and expiry are
     /// all checked by `ResumeAuthority::validate` before this is called);
     /// the only server-side state is this nonce ledger. First presentation
-    /// inserts the nonce and persists a `ResumeConsume` record *inside the
-    /// ledger lock* before acknowledging — the same persist-before-ack
-    /// discipline as OTP nullification — so single use survives crash
-    /// recovery and standby promotion. A nonce that cannot be made durable
-    /// is denied (`Unavailable`) while the in-memory entry stays, which is
-    /// deny-safe.
+    /// inserts the nonce and appends a `ResumeConsume` record *inside the
+    /// ledger lock*, and is acknowledged only once that record is synced —
+    /// the same persist-before-ack discipline as OTP nullification — so
+    /// single use survives crash recovery and standby promotion. A nonce
+    /// that cannot be made durable is denied (`Unavailable`) while the
+    /// in-memory entry stays, which is deny-safe.
     pub fn consume_resume_nonce(
         &self,
         username: &str,
@@ -981,20 +1334,34 @@ impl LinotpServer {
         now: u64,
         ctx: Option<&SpanCtx>,
     ) -> ResumeConsumeOutcome {
-        let trace = ctx.map(|c| c.trace);
-        let mut guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", "resume_consume"));
-        let span = guard.as_ref().map(|g| g.id());
+        self.resume_consume_begin(username, nonce, expires_at, now, ctx)
+            .settle()
+    }
+
+    /// The *begin* of [`LinotpServer::consume_resume_nonce`]: the ledger
+    /// insert and the commit's append, under the ledger lock.
+    pub(crate) fn resume_consume_begin<'a>(
+        &'a self,
+        username: &'a str,
+        nonce: [u8; 16],
+        expires_at: u64,
+        now: u64,
+        ctx: Option<&SpanCtx>,
+    ) -> Begun<'a, ResumeConsume> {
+        let guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", "resume_consume"));
         if let Some(c) = ctx {
             c.clock.advance_us(span_cost::OTP_BASE_US);
         }
-        let mut txn = self.txn(username, now, trace);
-        let outcome = {
+        let mut txn = self.txn(username, now, ctx.map(|c| c.trace));
+        let fresh = {
             let mut ledger = self.resume_consumed.lock();
             if now >= ledger.purge_due {
                 ledger.purge_expired(now);
             }
-            if let std::collections::btree_map::Entry::Vacant(slot) = ledger.consumed.entry(nonce) {
-                slot.insert(expires_at);
+            let slot = ledger.consumed.entry(nonce);
+            let fresh = matches!(slot, std::collections::btree_map::Entry::Vacant(_));
+            if fresh {
+                slot.or_insert(expires_at);
                 // The nonce consume is one WAL commit on the durable path.
                 if let Some(c) = ctx.filter(|_| self.persistence.is_some()) {
                     c.clock.advance_us(span_cost::WAL_FSYNC_US);
@@ -1005,56 +1372,23 @@ impl LinotpServer {
                     expires_at,
                 });
                 txn.audit(AuditAction::Validate, true, "resume token accepted");
-                if txn.flush() {
-                    ResumeConsumeOutcome::Fresh
-                } else {
-                    let detail = "resume consume not durable, denied";
-                    txn.audit(AuditAction::Validate, false, detail);
-                    ResumeConsumeOutcome::Unavailable
-                }
-            } else {
-                txn.audit(
-                    AuditAction::Validate,
-                    false,
-                    "resume nonce already consumed",
-                );
-                ResumeConsumeOutcome::Replayed
+                txn.append();
             }
+            fresh
         };
-        let label = match outcome {
-            ResumeConsumeOutcome::Fresh => "fresh",
-            ResumeConsumeOutcome::Replayed => "replayed",
-            ResumeConsumeOutcome::Unavailable => "unavailable",
-        };
-        self.held.resume_consumes[outcome as usize]
-            .get_or_init(|| {
-                self.metrics
-                    .counter("hpcmfa_otp_resume_consumes_total", &[("outcome", label)])
-            })
-            .inc();
-        let event = |kind, what: &str| {
-            self.metrics
-                .emit_event(kind, trace, span, now, format!("user={username} {what}"))
-        };
-        match outcome {
-            ResumeConsumeOutcome::Replayed => {
-                event(SecurityEventKind::ResumeReplay, "resumption nonce replayed")
-            }
-            ResumeConsumeOutcome::Unavailable => event(
-                SecurityEventKind::WalFsyncDegraded,
-                "resume consume not durable, denied",
-            ),
-            ResumeConsumeOutcome::Fresh => {}
+        if !fresh {
+            txn.audit(
+                AuditAction::Validate,
+                false,
+                "resume nonce already consumed",
+            );
         }
-        if let Some(g) = guard.as_mut() {
-            g.set_detail(label);
-            match outcome {
-                ResumeConsumeOutcome::Fresh => {}
-                ResumeConsumeOutcome::Replayed => g.set_status(SpanStatus::Error),
-                ResumeConsumeOutcome::Unavailable => g.set_status(SpanStatus::Degraded),
-            }
-        }
-        outcome
+        let op = ResumeConsume {
+            span_id: guard.as_ref().map(SpanGuard::id),
+            span: guard.map(SpanGuard::detach),
+            fresh,
+        };
+        Begun { txn, op }
     }
 
     /// Trigger an SMS code for `username` (the "null request" path).
@@ -1062,14 +1396,30 @@ impl LinotpServer {
         self.trigger_sms_guarded(username, now, None, None)
     }
 
-    /// The SMS-trigger engine proper; `tctx` parents the sub-spans, its
-    /// `parent` field stamps emitted events.
-    fn trigger_sms_core(&self, username: &str, now: u64, tctx: Option<&SpanCtx>) -> SmsTrigger {
-        let trace = tctx.map(|c| c.trace);
+    /// The *begin* of an SMS trigger: admission, the pending code set and
+    /// its issue record appended under the store lock. `Err` is a shed
+    /// request's answer.
+    pub(crate) fn trigger_sms_begin<'a>(
+        &'a self,
+        username: &'a str,
+        now: u64,
+        ctx: Option<&SpanCtx>,
+        source: Option<Ipv4Addr>,
+    ) -> Result<Begun<'a, SmsIssue>, SmsTrigger> {
+        const OP: Guarded = Guarded {
+            label: "sms",
+            action: AuditAction::SmsTriggered,
+            counter: ("hpcmfa_otp_sms_triggers_total", "result"),
+        };
+        let guard = self
+            .admit(&OP, username, now, ctx, source)
+            .map_err(|_| SmsTrigger::Unavailable)?;
+        // Parents the sub-spans; its `parent` field stamps emitted events.
+        let tctx = guard.as_ref().map(|g| g.child_ctx());
         let code = format!("{:06}", self.rng.lock().random_range(0..1_000_000u32));
-        let mut txn = self.txn(username, now, trace);
-        // `Ok`: a code is issued, to be texted to this number once the store
-        // lock is released. `Err`: nothing is sent, and why.
+        let mut txn = self.txn(username, now, tctx.as_ref().map(|c| c.trace));
+        // `Ok`: a code is issued, to be texted to this number once its
+        // commit is durable. `Err`: nothing is sent, and why.
         let issued = self
             .store
             .with_record(username, |rec| {
@@ -1086,7 +1436,7 @@ impl LinotpServer {
                 let expires_at = now + self.config.sms_validity_secs;
                 // The issue record (and its audit row) must be durable
                 // before the provider is handed the message.
-                if let Some(c) = tctx.filter(|_| self.persistence.is_some()) {
+                if let Some(c) = tctx.as_ref().filter(|_| self.persistence.is_some()) {
                     let fsync = self.metrics.tracer().start(c, "otp", "wal_fsync");
                     c.clock.advance_us(span_cost::WAL_FSYNC_US);
                     fsync.finish();
@@ -1098,10 +1448,7 @@ impl LinotpServer {
                     expires_at,
                 });
                 txn.audit(AuditAction::SmsTriggered, true, "");
-                if !txn.flush() {
-                    txn.audit(AuditAction::SmsTriggered, false, "durability unavailable");
-                    return Err(SmsTrigger::Unavailable);
-                }
+                txn.append();
                 *pending = Some(PendingSmsCode {
                     code: code.clone(),
                     sent_at: now,
@@ -1110,46 +1457,12 @@ impl LinotpServer {
                 Ok(phone.clone())
             })
             .unwrap_or(Err(SmsTrigger::NoToken));
-
-        let trigger = match issued {
-            Ok(phone) => {
-                let dispatch = tctx.map(|c| {
-                    let g = self.metrics.tracer().start(c, "otp", "sms_dispatch");
-                    c.clock.advance_us(span_cost::SMS_DISPATCH_US);
-                    g
-                });
-                let body = format!("Your TACC token code is {code}");
-                let msg = self.sms.send(&phone, &body, now);
-                drop(dispatch);
-                SmsTrigger::Sent(msg)
-            }
-            Err(refused) => refused,
+        let op = SmsIssue {
+            span: guard.map(SpanGuard::detach),
+            tctx,
+            issued: issued.map(|phone| (phone, code)),
         };
-        let span = tctx.and_then(|c| c.parent);
-        let event = |kind, what: &str| {
-            self.metrics
-                .emit_event(kind, trace, span, now, format!("user={username} {what}"))
-        };
-        match trigger {
-            SmsTrigger::AlreadyActive => {
-                event(SecurityEventKind::SmsAbuse, "re-trigger while code active")
-            }
-            SmsTrigger::Unavailable => event(
-                SecurityEventKind::WalFsyncDegraded,
-                "sms issue not durable, withheld",
-            ),
-            _ => {}
-        }
-        let slot = sms_slot(&trigger);
-        self.held.sms_triggers[slot]
-            .get_or_init(|| {
-                self.metrics.counter(
-                    "hpcmfa_otp_sms_triggers_total",
-                    &[("result", SMS_LABELS[slot])],
-                )
-            })
-            .inc();
-        trigger
+        Ok(Begun { txn, op })
     }
 
     // ------------------------------------------------------------------
@@ -1164,7 +1477,7 @@ impl LinotpServer {
             .with_record(username, |rec| {
                 txn.val_state(None, 0, true);
                 txn.audit(AuditAction::ResetFailCount, true, "");
-                txn.flush_ungated();
+                txn.append();
                 rec.fail_count = 0;
                 rec.active = true;
             })
@@ -1230,7 +1543,10 @@ impl LinotpServer {
                     last_step: step + 1,
                 });
                 txn.audit(AuditAction::Resync, true, "");
-                if !txn.flush() {
+                // Reactivating an account is not a mark a later reader can
+                // only deny on (see [`Txn`]): the sync stays inside the lock.
+                if !txn.settle() {
+                    txn.discard_staged();
                     return false;
                 }
                 *drift_steps = step as i64 + 1 - center as i64;

@@ -11,24 +11,42 @@
 //! 3. **Compaction cannot erase an acknowledged record.** A validate that
 //!    races a compaction parked inside `write_snapshot` is refused as a
 //!    replay after crash + recovery, and its audit row survives.
+//! 4. **No lock is held across a sync.** Commits of one store shard, and
+//!    resume-nonce consumes, share syncs like any others.
+//! 5. **A reply waits for its sync, a worker does not.** Behind the
+//!    batched UDP ingest more commits are appended during one sync than
+//!    there are workers, no reply leaves before the sync covering its
+//!    commit ends, a failed sync denies every login it covered exactly as
+//!    the inline path does, and a compaction falling due among parked
+//!    replies strands none.
 //!
 //! The interleavings are forced by a hooked backend, not by sleeping: the
-//! first sync of a storm is held until every thread has appended, and the
-//! snapshot write parks on a channel.
+//! first sync of a storm is held until every thread has appended (or the
+//! test lets go), and the snapshot write parks on a channel.
 
+use hpcmfa_otp::clock::{Clock, SimClock};
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
 use hpcmfa_otpserver::audit::AuditAction;
-use hpcmfa_otpserver::server::{LinotpServer, ServerConfig};
+use hpcmfa_otpserver::server::{LinotpServer, ResumeConsumeOutcome, ServerConfig};
 use hpcmfa_otpserver::sms::TwilioSim;
 use hpcmfa_otpserver::store::shard_of_name;
 use hpcmfa_otpserver::{
-    MemoryBackend, StorageBackend, StorageError, StorageFaultPlan, ValidationOutcome,
+    MemoryBackend, OtpRadiusHandler, StorageBackend, StorageError, StorageFaultPlan,
+    ValidationOutcome,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
+use hpcmfa_radius::auth::{fixture_authenticator, hide_password};
+use hpcmfa_radius::ingest::{BatchedUdpServer, IngestConfig, IngestHandle};
+use hpcmfa_radius::packet::{Code, Packet};
+use hpcmfa_radius::server::RadiusServer;
+use hpcmfa_radius::tracewire;
+use hpcmfa_radius::{Attribute, AttributeType};
+use hpcmfa_telemetry::{SecurityEventKind, SpanStatus, TraceId};
+use std::net::UdpSocket;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const THREADS: usize = 4;
 const T0: u64 = 1_700_000_000;
@@ -41,11 +59,21 @@ struct Hooked {
     appended: Condvar,
     syncs: AtomicU64,
     /// The next sync waits until this many commits have been appended in
-    /// total (0 = syncs run straight through).
+    /// total (0 = syncs run straight through), or for [`HOLD_LIMIT`].
     hold_sync_until: AtomicU64,
+    /// Syncs wait while this is set.
+    held: Mutex<bool>,
+    let_go: Condvar,
+    /// Every sync takes at least this long (µs).
+    sync_micros: AtomicU64,
     /// Armed: the next snapshot write reports in and waits for release.
     park: Mutex<Option<(Sender<()>, Receiver<()>)>>,
 }
+
+/// How long a sync held for appends waits for them: were a lock held
+/// across the sync the appends could not come, and the test must fail on
+/// its count rather than hang.
+const HOLD_LIMIT: Duration = Duration::from_secs(2);
 
 impl Hooked {
     fn over(inner: Arc<MemoryBackend>) -> Arc<Self> {
@@ -55,8 +83,35 @@ impl Hooked {
             appended: Condvar::new(),
             syncs: AtomicU64::new(0),
             hold_sync_until: AtomicU64::new(0),
+            held: Mutex::new(false),
+            let_go: Condvar::new(),
+            sync_micros: AtomicU64::new(0),
             park: Mutex::new(None),
         })
+    }
+
+    /// Hold every sync from now until [`Hooked::release_syncs`].
+    fn hold_syncs(&self) {
+        *self.held.lock().unwrap() = true;
+    }
+
+    fn release_syncs(&self) {
+        *self.held.lock().unwrap() = false;
+        self.let_go.notify_all();
+    }
+
+    /// Wait until `n` commits have been appended since `before`.
+    fn wait_for_appends(&self, before: u64, n: u64) -> u64 {
+        let deadline = Instant::now() + HOLD_LIMIT;
+        let mut appends = self.appends.lock().unwrap();
+        while *appends < before + n && Instant::now() < deadline {
+            appends = self
+                .appended
+                .wait_timeout(appends, Duration::from_millis(50))
+                .unwrap()
+                .0;
+        }
+        *appends - before
     }
 
     fn appends(&self) -> u64 {
@@ -94,11 +149,24 @@ impl StorageBackend for Hooked {
     fn sync_wal(&self) -> Result<(), StorageError> {
         self.syncs.fetch_add(1, Ordering::SeqCst);
         let until = self.hold_sync_until.swap(0, Ordering::SeqCst);
+        let deadline = Instant::now() + HOLD_LIMIT;
         let mut appends = self.appends.lock().unwrap();
-        while *appends < until {
-            appends = self.appended.wait(appends).unwrap();
+        while *appends < until && Instant::now() < deadline {
+            appends = self
+                .appended
+                .wait_timeout(appends, Duration::from_millis(50))
+                .unwrap()
+                .0;
         }
         drop(appends);
+        let mut held = self.held.lock().unwrap();
+        while *held {
+            held = self.let_go.wait(held).unwrap();
+        }
+        drop(held);
+        std::thread::sleep(Duration::from_micros(
+            self.sync_micros.load(Ordering::SeqCst),
+        ));
         self.inner.sync_wal()
     }
 
@@ -151,23 +219,19 @@ fn fixed_secret(i: usize) -> Secret {
     Secret::from_bytes(bytes)
 }
 
-/// `n` user names in `n` different store shards: commits run inside the
-/// shard lock, so users sharing a shard could not commit side by side.
-fn names_in_distinct_shards(n: usize) -> Vec<String> {
-    let mut shards = Vec::new();
-    let mut names = Vec::new();
-    for i in 0.. {
-        let name = format!("group{i:03}");
-        let shard = shard_of_name(&name);
-        if !shards.contains(&shard) {
-            shards.push(shard);
-            names.push(name);
-            if names.len() == n {
-                break;
-            }
-        }
-    }
-    names
+fn names(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("group{i:03}")).collect()
+}
+
+/// `n` user names of one store shard: were commits made inside the shard
+/// lock, these could not commit side by side.
+fn names_in_one_shard(n: usize) -> Vec<String> {
+    let shard = shard_of_name("group000");
+    (0..)
+        .map(|i| format!("group{i:03}"))
+        .filter(|name| shard_of_name(name) == shard)
+        .take(n)
+        .collect()
 }
 
 fn enroll(server: &LinotpServer, names: &[String]) -> Vec<Totp> {
@@ -232,7 +296,7 @@ fn concurrent_commits_share_syncs_and_survive_a_crash() {
         Arc::clone(&hooked) as Arc<dyn StorageBackend>,
         ServerConfig::default(),
     );
-    let names = names_in_distinct_shards(8);
+    let names = names(8);
     let totps = enroll(&server, &names);
     let wrong: Vec<String> = totps.iter().map(wrong_code).collect();
     let logs: Vec<Mutex<Vec<Op>>> = names.iter().map(|_| Mutex::new(Vec::new())).collect();
@@ -345,7 +409,7 @@ fn a_failed_sync_denies_its_whole_group() {
         Arc::clone(&hooked) as Arc<dyn StorageBackend>,
         ServerConfig::default(),
     );
-    let names = names_in_distinct_shards(THREADS);
+    let names = names(THREADS);
     let totps = enroll(&server, &names);
     let before = server.durability_counters().unwrap();
     let (syncs_before, durable_before) = (hooked.syncs(), memory.durable_wal());
@@ -417,7 +481,7 @@ fn compaction_never_erases_an_acknowledged_record() {
             ..ServerConfig::default()
         },
     );
-    let names = names_in_distinct_shards(2);
+    let names = names(2);
     let totps = enroll(&server, &names);
     let (alice, bob) = (&names[0], &names[1]);
 
@@ -482,4 +546,451 @@ fn compaction_never_erases_an_acknowledged_record() {
             "{name}: code acknowledged around the compaction replayed after the crash"
         );
     }
+}
+
+#[test]
+fn commits_of_one_shard_and_resume_consumes_share_syncs() {
+    const STORM: usize = 8;
+    let memory = MemoryBackend::healthy();
+    let hooked = Hooked::over(Arc::clone(&memory));
+    let server = durable_server(
+        Arc::clone(&hooked) as Arc<dyn StorageBackend>,
+        ServerConfig::default(),
+    );
+    let names = names_in_one_shard(STORM);
+    let totps = enroll(&server, &names);
+    let now = T0 + 30;
+
+    // The first sync waits for all eight commits: the second covers the
+    // other seven — unless the first was run inside the shard lock the
+    // others need, in which case they come one sync each.
+    let before = hooked.syncs();
+    hooked.hold_next_sync_for(STORM as u64);
+    std::thread::scope(|scope| {
+        for (name, totp) in names.iter().zip(&totps) {
+            let server = &server;
+            scope.spawn(move || {
+                assert_eq!(
+                    server.validate(name, &totp.code_at(now), now),
+                    ValidationOutcome::Success
+                );
+            });
+        }
+    });
+    let syncs = hooked.syncs() - before;
+    assert!(
+        syncs <= 2,
+        "{syncs} syncs for {STORM} validates of one shard"
+    );
+
+    // Likewise the one resume ledger.
+    let before = hooked.syncs();
+    hooked.hold_next_sync_for(STORM as u64);
+    std::thread::scope(|scope| {
+        for (i, name) in names.iter().enumerate() {
+            let server = &server;
+            scope.spawn(move || {
+                assert_eq!(
+                    server.consume_resume_nonce(name, [i as u8; 16], now + 600, now, None),
+                    ResumeConsumeOutcome::Fresh
+                );
+            });
+        }
+    });
+    let syncs = hooked.syncs() - before;
+    assert!(syncs <= 2, "{syncs} syncs for {STORM} resume consumes");
+
+    // Early release lost nothing: a restart refuses every code and nonce.
+    let recovered = recovered_from(&memory);
+    for (i, (name, totp)) in names.iter().zip(&totps).enumerate() {
+        assert_ne!(
+            recovered.validate(name, &totp.code_at(now), now),
+            ValidationOutcome::Success
+        );
+        assert_eq!(
+            recovered.consume_resume_nonce(name, [i as u8; 16], now + 600, now, None),
+            ResumeConsumeOutcome::Replayed
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Behind the batched UDP ingest
+// ---------------------------------------------------------------------
+
+const SECRET: &[u8] = b"group-commit-secret";
+
+/// `server` behind the OTP handler and the default batched ingest (four
+/// workers) on a loopback socket, and the one client socket of a gateway.
+/// Nothing reads the server's socket until [`Gateway::open`].
+struct Gateway {
+    addr: std::net::SocketAddr,
+    client: UdpSocket,
+    clock: SimClock,
+    shutdown: Arc<AtomicBool>,
+    front: Option<(BatchedUdpServer, UdpSocket)>,
+    ingest: Option<IngestHandle>,
+}
+
+impl Gateway {
+    fn to(server: &Arc<LinotpServer>, now: u64) -> Self {
+        let clock = SimClock::at(now);
+        let handler = OtpRadiusHandler::new(Arc::clone(server), Arc::new(clock.clone()));
+        let radius = Arc::new(RadiusServer::new(SECRET, handler));
+        let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = socket.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let front = BatchedUdpServer::with_config(
+            radius,
+            Arc::clone(server.metrics()),
+            IngestConfig::default(),
+        );
+        let client = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        Gateway {
+            addr,
+            client,
+            clock,
+            shutdown,
+            front: Some((front, socket)),
+            ingest: None,
+        }
+    }
+
+    /// Start serving: what was sent before this is the first drain's batch,
+    /// so it goes to the workers whole (a datagram drained alone is the
+    /// receiver's, and nothing is read while the receiver waits on a sync).
+    fn open(&mut self) {
+        let (front, socket) = self.front.take().expect("opened once");
+        self.ingest = Some(front.serve(socket, Arc::clone(&self.shutdown)));
+    }
+
+    fn stats(&self) -> hpcmfa_radius::IngestStats {
+        self.ingest.as_ref().expect("open").stats()
+    }
+
+    /// Send user `id`'s single-shot login with `code`, traced as `trace`.
+    fn send_login(&self, id: u8, name: &str, code: &str, trace: Option<TraceId>) {
+        let auth = fixture_authenticator(name);
+        let mut request = Packet::new(Code::AccessRequest, id, auth)
+            .with_attribute(Attribute::text(AttributeType::UserName, name))
+            .with_attribute(Attribute::new(
+                AttributeType::UserPassword,
+                hide_password(code.as_bytes(), &auth, SECRET),
+            ));
+        if let Some(trace) = trace {
+            request = request.with_attribute(tracewire::trace_ctx_attribute(trace, None, 0));
+        }
+        self.client.send_to(&request.encode(), self.addr).unwrap();
+    }
+
+    /// The next reply: whose it is, its code and the server's clock in it.
+    fn reply(&self) -> (u8, Code, Option<u64>) {
+        let mut buf = [0u8; 4096];
+        let (n, _) = self
+            .client
+            .recv_from(&mut buf)
+            .expect("a reply (none within 5 s: a reply is stranded)");
+        let reply = Packet::decode(&buf[..n]).unwrap();
+        (reply.identifier, reply.code, tracewire::clock_of(&reply))
+    }
+
+    fn shut_down(self) -> hpcmfa_radius::IngestStats {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let stats = self.stats();
+        self.ingest.expect("open").join();
+        stats
+    }
+}
+
+/// Sixteen traced logins sent while the first one's sync is held: how many
+/// commits were appended meanwhile, the replies once it is let go, and
+/// each login's span tree in a form that compares across logins.
+struct HeldStorm {
+    appended_while_held: u64,
+    replies: Vec<(u8, Code, Option<u64>)>,
+    span_trees: Vec<Vec<String>>,
+}
+
+const STORM_LOGINS: usize = 16;
+
+fn storm_behind_a_held_sync(
+    server: &Arc<LinotpServer>,
+    hooked: &Hooked,
+    names: &[String],
+    totps: &[Totp],
+) -> HeldStorm {
+    let now = T0 + 30;
+    let mut gateway = Gateway::to(server, now);
+    let trace = |i: usize| TraceId::from_u64(0x5700 + i as u64);
+    let before = hooked.appends();
+    hooked.hold_syncs();
+    for (i, (name, totp)) in names.iter().zip(totps).enumerate() {
+        gateway.send_login(i as u8, name, &totp.code_at(now), Some(trace(i)));
+    }
+    gateway.open();
+    let appended_while_held = hooked.wait_for_appends(before, STORM_LOGINS as u64);
+
+    // No reply outruns its sync.
+    gateway.client.set_nonblocking(true).unwrap();
+    let mut buf = [0u8; 64];
+    assert!(
+        gateway.client.recv_from(&mut buf).is_err(),
+        "a reply left while the sync covering its commit was held"
+    );
+    assert_eq!(gateway.stats().replied, 0);
+    gateway.client.set_nonblocking(false).unwrap();
+
+    hooked.release_syncs();
+    let mut replies: Vec<_> = (0..STORM_LOGINS).map(|_| gateway.reply()).collect();
+    replies.sort_unstable_by_key(|(id, ..)| *id);
+    let stats = gateway.shut_down();
+    assert_eq!(
+        (stats.replied, stats.discarded, stats.shed),
+        (STORM_LOGINS as u64, 0, 0)
+    );
+
+    let tracer = server.metrics().tracer();
+    let span_trees = (0..STORM_LOGINS)
+        .map(|i| {
+            let spans = tracer.spans_for(trace(i));
+            spans
+                .iter()
+                .map(|s| {
+                    let parent = spans.iter().find(|p| Some(p.id) == s.parent);
+                    format!(
+                        "{} under {:?} [{}..{}] {} {:?}",
+                        s.label,
+                        parent.map(|p| p.label),
+                        s.start_us,
+                        s.end_us,
+                        s.status,
+                        s.detail
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    HeldStorm {
+        appended_while_held,
+        replies,
+        span_trees,
+    }
+}
+
+#[test]
+fn no_reply_outruns_its_sync_and_no_worker_waits_for_one() {
+    let memory = MemoryBackend::healthy();
+    let hooked = Hooked::over(Arc::clone(&memory));
+    let server = durable_server(
+        Arc::clone(&hooked) as Arc<dyn StorageBackend>,
+        ServerConfig::default(),
+    );
+    let names = names(STORM_LOGINS);
+    let totps = enroll(&server, &names);
+    let storm = storm_behind_a_held_sync(&server, &hooked, &names, &totps);
+
+    // Four workers, one of them inside the held sync: were the others
+    // waiting for it, four commits would be all there are.
+    assert!(
+        storm.appended_while_held >= 12,
+        "{} commits appended during one sync",
+        storm.appended_while_held
+    );
+    for (i, (id, code, clock)) in storm.replies.iter().enumerate() {
+        assert_eq!((*id, *code), (i as u8, Code::AccessAccept));
+        assert_eq!(
+            *clock, storm.replies[0].2,
+            "login {i}: the reply's trace clock"
+        );
+    }
+    // The login that led the sync and those that parked behind it leave
+    // the same spans.
+    assert_eq!(storm.span_trees[0].len(), 3, "{:?}", storm.span_trees[0]);
+    for (i, tree) in storm.span_trees.iter().enumerate() {
+        assert_eq!(tree, &storm.span_trees[0], "login {i}");
+    }
+    let c = server.durability_counters().unwrap();
+    assert_eq!((c.append_failures, c.fsync_failures), (0, 0));
+
+    // Every one of them was acknowledged, so every one is durable.
+    let now = T0 + 30;
+    let recovered = recovered_from(&memory);
+    for (name, totp) in names.iter().zip(&totps) {
+        assert_ne!(
+            recovered.validate(name, &totp.code_at(now), now),
+            ValidationOutcome::Success,
+            "{name}: acknowledged code replayed after the crash"
+        );
+    }
+}
+
+#[test]
+fn a_failed_sync_denies_parked_logins_as_it_does_inline_ones() {
+    let plan = StorageFaultPlan::seeded(5);
+    let memory = MemoryBackend::with_plan(Arc::clone(&plan));
+    let hooked = Hooked::over(Arc::clone(&memory));
+    let server = durable_server(
+        Arc::clone(&hooked) as Arc<dyn StorageBackend>,
+        ServerConfig::default(),
+    );
+    // One more user, who logs in inline against the same failing disk: the
+    // reference for what a denied login leaves.
+    let mut names = names(STORM_LOGINS + 1);
+    let mut totps = enroll(&server, &names);
+    let (inline, inline_totp) = (names.pop().unwrap(), totps.pop().unwrap());
+    let now = T0 + 30;
+    let durable_before = memory.durable_wal();
+
+    plan.set_fsync_fail_every(1);
+    let storm = storm_behind_a_held_sync(&server, &hooked, &names, &totps);
+    let inline_trace = TraceId::from_u64(0x1471);
+    let ctx = hpcmfa_telemetry::SpanCtx::root(inline_trace, hpcmfa_telemetry::TraceClock::at(0));
+    assert_eq!(
+        server.validate_guarded(&inline, &inline_totp.code_at(now), now, Some(&ctx), None),
+        ValidationOutcome::Unavailable
+    );
+    plan.set_fsync_fail_every(0);
+
+    assert!(storm.appended_while_held >= 12);
+    for (i, (id, code, _)) in storm.replies.iter().enumerate() {
+        assert_eq!((*id, *code), (i as u8, Code::AccessReject));
+    }
+    assert_eq!(
+        memory.durable_wal(),
+        durable_before,
+        "nothing became durable"
+    );
+
+    // Row for row, span for span, what the inline path leaves.
+    let rows = |name: &str| -> Vec<(AuditAction, bool, String)> {
+        let rows = server.audit().for_user(name);
+        rows.iter()
+            .map(|e| {
+                let detail = e.detail.split(" trace=").next().unwrap_or_default();
+                (e.action, e.success, detail.to_string())
+            })
+            .collect()
+    };
+    let denied = (
+        AuditAction::Validate,
+        false,
+        "durability unavailable".to_string(),
+    );
+    assert_eq!(rows(&inline).last(), Some(&denied));
+    for name in &names {
+        assert_eq!(rows(name), rows(&inline), "{name}");
+    }
+    let inline_spans = server.metrics().tracer().spans_for(inline_trace);
+    let shape = |label: &str| {
+        let span = inline_spans.iter().find(|s| s.label == label).unwrap();
+        (span.status, span.detail.clone())
+    };
+    assert_eq!(
+        shape("wal_fsync"),
+        (SpanStatus::Error, "append failed".into())
+    );
+    assert_eq!(
+        shape("validate"),
+        (SpanStatus::Degraded, "unavailable".into())
+    );
+    for (i, tree) in storm.span_trees.iter().enumerate() {
+        assert_eq!(tree, &storm.span_trees[0], "login {i}");
+        assert!(tree
+            .iter()
+            .any(|s| s.starts_with("wal_fsync") && s.contains("append failed")));
+        assert!(tree
+            .iter()
+            .any(|s| s.starts_with("validate") && s.contains("degraded")));
+    }
+    let logins = STORM_LOGINS as u64 + 1;
+    let snap = server.metrics().snapshot();
+    assert_eq!(
+        snap.counter("hpcmfa_otp_validations_total{outcome=\"unavailable\"}"),
+        logins
+    );
+    assert_eq!(
+        snap.counter("hpcmfa_otp_validations_total{outcome=\"success\"}"),
+        0
+    );
+    let degraded = server
+        .metrics()
+        .security_events()
+        .of_kind(SecurityEventKind::WalFsyncDegraded);
+    assert_eq!(degraded.len() as u64, logins, "one event per denied login");
+
+    // The codes are burned in memory, and nothing was acknowledged.
+    for (name, totp) in names.iter().zip(&totps) {
+        assert_ne!(
+            server.validate(name, &totp.code_at(now), now),
+            ValidationOutcome::Success
+        );
+    }
+}
+
+#[test]
+fn the_compactor_cannot_strand_parked_replies() {
+    const IN_FLIGHT: usize = 64;
+    const LOGINS: usize = 2_000;
+    let memory = MemoryBackend::healthy();
+    let hooked = Hooked::over(Arc::clone(&memory));
+    // Syncs long enough that commits park behind them, and a compaction
+    // due every eight logins: it falls due with replies parked, and its
+    // claim has to see their syncs through itself.
+    hooked.sync_micros.store(200, Ordering::SeqCst);
+    let server = durable_server(
+        Arc::clone(&hooked) as Arc<dyn StorageBackend>,
+        ServerConfig {
+            snapshot_every_appends: 16,
+            ..ServerConfig::default()
+        },
+    );
+    let names = names(IN_FLIGHT);
+    let totps = enroll(&server, &names);
+    let mut gateway = Gateway::to(&server, T0);
+    gateway.open();
+
+    // Closed loop, sixty-four in flight on one socket: each user's next
+    // login (the next step's code) leaves when the last is answered.
+    let mut rounds = vec![0u64; IN_FLIGHT];
+    let mut sent = 0;
+    let mut send_next = |user: usize| {
+        rounds[user] += 1;
+        let at = T0 + rounds[user] * 30;
+        gateway.clock.set(at.max(gateway.clock.now()));
+        gateway.send_login(user as u8, &names[user], &totps[user].code_at(at), None);
+    };
+    for user in 0..IN_FLIGHT {
+        send_next(user);
+        sent += 1;
+    }
+    for answered in 0..LOGINS {
+        let (id, code, _) = gateway.reply();
+        assert_eq!(code, Code::AccessAccept, "login {answered}, user {id}");
+        if sent < LOGINS {
+            send_next(id as usize);
+            sent += 1;
+        }
+    }
+    let stats = gateway.shut_down();
+    assert_eq!(
+        (stats.replied, stats.discarded, stats.shed),
+        (LOGINS as u64, 0, 0)
+    );
+
+    let c = server.durability_counters().unwrap();
+    assert!(c.snapshots >= 1, "compaction ran among the parked replies");
+    assert!(c.fsyncs < c.commits, "groups formed");
+    let recovered = recovered_from(&memory);
+    for name in &names {
+        assert_eq!(
+            recovered.store().get(name),
+            server.store().get(name),
+            "{name}: recovered record"
+        );
+    }
+    // Parked or not, a login's rows reach the ring and the WAL alike.
+    assert_eq!(recovered.audit().export_all(), server.audit().export_all());
 }

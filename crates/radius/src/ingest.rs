@@ -27,9 +27,15 @@
 //!   a backpressured queue, in pooled receive buffers (recycled worker →
 //!   pool → receiver, so steady state allocates nothing);
 //! * receiver and workers run the same zero-copy
-//!   [`RadiusServer::process_into`] call with reusable buffers and flush
+//!   [`RadiusServer::begin_into`] call with reusable buffers and flush
 //!   each reply straight back to the shared socket as it completes — the
-//!   batch boundary governs fairness and metrics, not reply latency.
+//!   batch boundary governs fairness and metrics, not reply latency;
+//! * a reply may wait, a worker does not. When the handler's decision is
+//!   [pending](crate::server::ServerDecision::Pending) — the OTP server
+//!   appended the login's commit while another commit's sync was in
+//!   flight — the worker **parks** the reply with the receive buffer it
+//!   will be encoded from and takes the next datagram, so the commits of
+//!   a burst pile into the next sync instead of waiting one worker each.
 //!
 //! The cost of the receiver answering: nobody reads the socket while it
 //! is inside the handler, so a datagram that arrives then waits in the
@@ -39,12 +45,34 @@
 //! the pool. Overlapping traffic therefore keeps its concurrency, group
 //! commit, fairness quota and shed accounting.
 //!
+//! Who sends a parked reply, each rule observed and none configured:
+//!
+//! * a worker looks for a parked reply whose decision is in before it
+//!   takes anything else, so the worker that led a sync sends what the
+//!   sync covered as soon as its own call returns;
+//! * a worker with nothing queued and replies parked sees the oldest
+//!   through ([`PendingDecision::wait`], which leads the sync if nobody
+//!   is) instead of sleeping: a burst's tail is answered within one sync
+//!   without further traffic, and a sync led from outside the ingest
+//!   still gets its replies out;
+//! * a parked reply stays *handed off* until it leaves, so the receiver's
+//!   lone-datagram rule never fires with replies parked (and a pending
+//!   decision the receiver itself meets, it waits out);
+//! * queued plus parked never exceeds [`IngestConfig::queue_cap`]: at the
+//!   bound a worker waits for its decision as it used to, so a hung
+//!   device still backpressures into the kernel buffer;
+//! * shutdown sends what is parked before [`IngestHandle::join`] returns;
+//!   `replied` and `outcome="ok"` count a reply when it leaves;
+//! * a handler call (or a pending decision) that panics is caught: its
+//!   datagram counts `discarded`, its buffer is recycled, and the thread
+//!   carries on.
+//!
 //! Observability: `hpcmfa_radius_ingest_batch_size` (histogram of
 //! datagrams per drain) and `hpcmfa_radius_datagrams_total{outcome}`
 //! (`ok` / `discarded` / `shed`) render on `/system/metrics` alongside
 //! the rest of the auth path.
 
-use crate::server::RadiusServer;
+use crate::server::{Begun, PendingDecision, RadiusServer, ServerDecision};
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, UdpSocket};
@@ -104,6 +132,21 @@ struct Job {
     peer: SocketAddr,
 }
 
+/// A datagram whose reply waits for its decision, in the receive buffer it
+/// arrived in (the reply is encoded from it).
+struct ParkedReply {
+    job: Job,
+    pending: Box<dyn PendingDecision>,
+}
+
+/// What the workers have ahead of them. `jobs.len() + parked.len()` never
+/// exceeds [`Shared::queue_cap`].
+#[derive(Default)]
+struct Backlog {
+    jobs: VecDeque<Job>,
+    parked: VecDeque<ParkedReply>,
+}
+
 /// Monotonic ingest counters (also mirrored to the metrics registry).
 #[derive(Default)]
 struct RawStats {
@@ -133,13 +176,14 @@ pub struct IngestStats {
 struct Shared {
     server: Arc<RadiusServer>,
     socket: UdpSocket,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Backlog>,
     job_ready: Condvar,
     space_ready: Condvar,
     shutdown: Arc<AtomicBool>,
-    /// Jobs handed to the workers and not yet answered. Zero means nothing
-    /// would overlap with a datagram the receiver answers itself. Publishes
-    /// no other data, hence `Relaxed` throughout.
+    /// Jobs handed to the workers and not yet answered, parked replies
+    /// included. Zero means nothing would overlap with a datagram the
+    /// receiver answers itself. Publishes no other data, hence `Relaxed`
+    /// throughout.
     handed_off: AtomicUsize,
     /// Recycled receive buffers: worker → pool → receiver.
     pool: Mutex<Vec<Box<[u8; crate::MAX_PACKET_LEN]>>>,
@@ -253,7 +297,7 @@ impl BatchedUdpServer {
                 .metrics
                 .histogram("hpcmfa_radius_ingest_batch_size", &[]),
             socket,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::default(),
             job_ready: Condvar::new(),
             space_ready: Condvar::new(),
             shutdown,
@@ -373,7 +417,11 @@ fn drain_socket(
         let lone = admitted.len() == 1 && shared.handed_off.load(Ordering::Relaxed) == 0;
         for job in admitted.drain(..) {
             if lone {
-                answer(shared, job, &mut reply, &mut pw_scratch);
+                // Nothing is parked (`handed_off` is zero), and no worker
+                // is awake to send a parked reply: the receiver waits.
+                if let Some(parked) = answer(shared, job, &mut reply, &mut pw_scratch) {
+                    settle(shared, parked, &mut reply);
+                }
             } else {
                 enqueue(shared, job);
             }
@@ -386,11 +434,13 @@ fn classify(classifier: Option<&LaneClassifier>, peer: &SocketAddr, data: &[u8])
     classifier.map_or(Lane::Trusted, |c| c(peer, data))
 }
 
-/// Push one job, blocking while the queue is at capacity (backpressure:
+/// Push one job, blocking while the backlog is at capacity (backpressure:
 /// excess load waits in the kernel socket buffer, not in process memory).
 fn enqueue(shared: &Shared, job: Job) {
     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-    while q.len() >= shared.queue_cap && !shared.shutdown.load(Ordering::SeqCst) {
+    while q.jobs.len() + q.parked.len() >= shared.queue_cap
+        && !shared.shutdown.load(Ordering::SeqCst)
+    {
         q = shared
             .space_ready
             .wait_timeout(q, Duration::from_millis(50))
@@ -398,47 +448,128 @@ fn enqueue(shared: &Shared, job: Job) {
             .0;
     }
     shared.handed_off.fetch_add(1, Ordering::Relaxed);
-    q.push_back(job);
+    q.jobs.push_back(job);
     drop(q);
     shared.job_ready.notify_one();
 }
 
+/// A handler (or a pending decision) that panics costs its own datagram,
+/// not the thread that ran it.
+fn survive<T>(f: impl FnOnce() -> T) -> Option<T> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
+}
+
 /// Run one datagram through the zero-copy server path on the caller's
-/// reusable buffers, flush the reply to the socket, recycle the receive
-/// buffer.
-fn answer(shared: &Shared, job: Job, reply: &mut Vec<u8>, pw_scratch: &mut Vec<u8>) {
-    if shared
-        .server
-        .process_into(&job.buf[..job.len], reply, pw_scratch)
-    {
-        // Count before sending: the instant the datagram is on the wire
-        // a client (or a test joining on its reply) can observe the
-        // request as answered, so the counters must already agree.
-        shared.stats.replied.fetch_add(1, Ordering::Relaxed);
-        shared.ok.inc();
-        let _ = shared.socket.send_to(reply, job.peer);
-    } else {
-        shared.stats.discarded.fetch_add(1, Ordering::Relaxed);
-        shared.discarded.inc();
+/// reusable buffers and flush the reply to the socket — or hand the
+/// datagram back with its pending decision, for the caller to park or
+/// [`settle`].
+fn answer(
+    shared: &Shared,
+    job: Job,
+    reply: &mut Vec<u8>,
+    pw_scratch: &mut Vec<u8>,
+) -> Option<ParkedReply> {
+    let begun = survive(|| {
+        shared
+            .server
+            .begin_into(&job.buf[..job.len], reply, pw_scratch)
+    });
+    match begun {
+        Some(Begun::Pending(pending)) => return Some(ParkedReply { job, pending }),
+        Some(Begun::Replied) => send(shared, &job, reply),
+        Some(Begun::Discarded) | None => discard(shared),
+    }
+    shared.recycle(job.buf);
+    None
+}
+
+/// Wait out a pending decision, then [`release`] its reply.
+fn settle(shared: &Shared, parked: ParkedReply, reply: &mut Vec<u8>) {
+    let ParkedReply { job, pending } = parked;
+    match survive(|| pending.wait()) {
+        Some(decision) => release(shared, job, decision, reply),
+        None => {
+            discard(shared);
+            shared.recycle(job.buf);
+        }
+    }
+}
+
+/// Encode the reply `decision` gives `job` on the caller's reply buffer,
+/// flush it to the socket, recycle the receive buffer.
+fn release(shared: &Shared, job: Job, decision: ServerDecision, reply: &mut Vec<u8>) {
+    let encoded = survive(|| {
+        shared
+            .server
+            .finish_into(&job.buf[..job.len], decision, reply)
+    });
+    match encoded {
+        Some(true) => send(shared, &job, reply),
+        Some(false) | None => discard(shared),
     }
     shared.recycle(job.buf);
 }
 
-/// Worker: pop jobs and [`answer`] them on per-worker buffers. Exits once
-/// the shutdown flag is set and the queue has drained.
+fn send(shared: &Shared, job: &Job, reply: &[u8]) {
+    // Count before sending: the instant the datagram is on the wire a
+    // client (or a test joining on its reply) can observe the request as
+    // answered, so the counters must already agree.
+    shared.stats.replied.fetch_add(1, Ordering::Relaxed);
+    shared.ok.inc();
+    let _ = shared.socket.send_to(reply, job.peer);
+}
+
+fn discard(shared: &Shared) {
+    shared.stats.discarded.fetch_add(1, Ordering::Relaxed);
+    shared.discarded.inc();
+}
+
+/// What a worker does next.
+enum Turn {
+    /// A parked reply's decision is in: it leaves before anything else is
+    /// begun.
+    Release(Job, ServerDecision),
+    Answer(Job),
+    /// Nothing is queued and replies are parked: rather than sleep, see
+    /// the oldest through — leading the sync it waits for if nobody is —
+    /// so a burst's tail, or a sync led from outside the ingest, is
+    /// answered without further traffic.
+    Settle(ParkedReply),
+    Exit,
+}
+
+/// Worker: take [`Turn`]s on per-worker buffers. A pending reply is parked
+/// with its datagram while the backlog has room, so the worker moves on
+/// and the reply leaves from whichever worker next finds its decision in;
+/// at the bound the worker waits it out, so a hung device still
+/// backpressures into the kernel buffer. Exits once the shutdown flag is
+/// set, the queue has drained and every parked reply has been sent.
 fn worker_loop(shared: &Shared) {
     let mut reply = Vec::with_capacity(crate::MAX_PACKET_LEN);
     let mut pw_scratch = Vec::with_capacity(128);
     loop {
-        let job = {
+        let turn = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(job) = q.pop_front() {
+                let ready = q
+                    .parked
+                    .iter_mut()
+                    .enumerate()
+                    .find_map(|(at, p)| p.pending.poll().map(|decision| (at, decision)));
+                if let Some((at, decision)) = ready {
+                    if let Some(parked) = q.parked.remove(at) {
+                        break Turn::Release(parked.job, decision);
+                    }
+                }
+                if let Some(job) = q.jobs.pop_front() {
                     shared.space_ready.notify_one();
-                    break Some(job);
+                    break Turn::Answer(job);
+                }
+                if let Some(parked) = q.parked.pop_front() {
+                    break Turn::Settle(parked);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
+                    break Turn::Exit;
                 }
                 q = shared
                     .job_ready
@@ -447,9 +578,26 @@ fn worker_loop(shared: &Shared) {
                     .0;
             }
         };
-        let Some(job) = job else { return };
-        answer(shared, job, &mut reply, &mut pw_scratch);
+        match turn {
+            Turn::Release(job, decision) => release(shared, job, decision, &mut reply),
+            Turn::Settle(parked) => settle(shared, parked, &mut reply),
+            Turn::Answer(job) => {
+                if let Some(parked) = answer(shared, job, &mut reply, &mut pw_scratch) {
+                    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+                    if q.jobs.len() + q.parked.len() < shared.queue_cap {
+                        q.parked.push_back(parked);
+                        continue;
+                    }
+                    drop(q);
+                    settle(shared, parked, &mut reply);
+                }
+            }
+            Turn::Exit => return,
+        }
+        // A reply left, parked or not: `handed_off` falls here, never at
+        // park, so the receiver answers nothing itself with replies parked.
         shared.handed_off.fetch_sub(1, Ordering::Relaxed);
+        shared.space_ready.notify_one();
     }
 }
 

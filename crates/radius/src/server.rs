@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a handler decides about an Access-Request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum ServerDecision {
     /// Access-Accept with extra attributes.
     Accept(Vec<Attribute>),
@@ -27,6 +27,40 @@ pub enum ServerDecision {
     /// Silently discard (malformed or unauthorized source) — the RFC's
     /// response to unparseable requests, surfacing client-side as a timeout.
     Discard,
+    /// Decided but not to be said yet: the reply waits for something the
+    /// handler started (the OTP server's WAL sync). Wrappers pass it on
+    /// untouched; [`RadiusServer::process_into`] waits it out, the batched
+    /// ingest keeps it beside the datagram and moves on.
+    Pending(Box<dyn PendingDecision>),
+}
+
+/// A decision whose reply must wait. Whatever it waits for makes progress
+/// without the holder's help, except as [`PendingDecision::wait`] says.
+pub trait PendingDecision: Send {
+    /// The decision, once it is known.
+    fn poll(&mut self) -> Option<ServerDecision>;
+
+    /// Block until the decision is known — doing the work it waits for if
+    /// nobody else is.
+    fn wait(self: Box<Self>) -> ServerDecision;
+}
+
+impl std::fmt::Debug for dyn PendingDecision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("PendingDecision")
+    }
+}
+
+/// How far [`RadiusServer::begin_into`] got with a datagram.
+pub enum Begun {
+    /// The reply is encoded and sealed.
+    Replied,
+    /// No reply: undecodable, not an Access-Request, or the handler said
+    /// so.
+    Discarded,
+    /// The handler's decision is pending; [`RadiusServer::finish_into`]
+    /// encodes the reply once it is known.
+    Pending(Box<dyn PendingDecision>),
 }
 
 impl ServerDecision {
@@ -121,18 +155,30 @@ impl RadiusServer {
     /// cleared and refilled — workers on the batched ingest loop reuse
     /// theirs across datagrams, so the steady-state path performs no heap
     /// allocation for decode, password recovery, reply encoding or
-    /// sealing. Returns `false` (empty `reply`) on discard.
+    /// sealing. A pending decision is waited out here. Returns `false`
+    /// (empty `reply`) on discard.
     pub fn process_into(&self, data: &[u8], reply: &mut Vec<u8>, pw_scratch: &mut Vec<u8>) -> bool {
+        match self.begin_into(data, reply, pw_scratch) {
+            Begun::Replied => true,
+            Begun::Discarded => false,
+            Begun::Pending(pending) => self.finish_into(data, pending.wait(), reply),
+        }
+    }
+
+    /// [`RadiusServer::process_into`] up to the handler's decision: a
+    /// pending one is handed back instead of waited for, for a caller that
+    /// has other datagrams to answer meanwhile.
+    pub fn begin_into(&self, data: &[u8], reply: &mut Vec<u8>, pw_scratch: &mut Vec<u8>) -> Begun {
         reply.clear();
         self.stats.received.fetch_add(1, Ordering::Relaxed);
         let Ok(request) = PacketView::parse(data) else {
             self.stats.discarded.fetch_add(1, Ordering::Relaxed);
-            return false;
+            return Begun::Discarded;
         };
         // Only Access-Requests are valid inbound traffic here.
         if request.code != Code::AccessRequest {
             self.stats.discarded.fetch_add(1, Ordering::Relaxed);
-            return false;
+            return Begun::Discarded;
         }
         let mut password: Option<&[u8]> = None;
         if let Some(a) = request.attribute(AttributeType::UserPassword) {
@@ -140,22 +186,51 @@ impl RadiusServer {
                 password = Some(pw_scratch.as_slice());
             }
         }
+        match self.handler.handle_view(&request, password) {
+            ServerDecision::Pending(pending) => Begun::Pending(pending),
+            decision => match self.encode(&request, decision, reply) {
+                true => Begun::Replied,
+                false => Begun::Discarded,
+            },
+        }
+    }
 
-        let decision = self.handler.handle_view(&request, password);
-        let (code, attrs) = match decision {
-            ServerDecision::Accept(a) => (Code::AccessAccept, a),
-            ServerDecision::Reject(a) => (Code::AccessReject, a),
-            ServerDecision::Challenge(a) => {
-                debug_assert!(
-                    a.iter().any(|at| at.ty == AttributeType::State),
-                    "challenges must carry State"
-                );
-                (Code::AccessChallenge, a)
-            }
-            ServerDecision::Discard => {
-                self.stats.discarded.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
+    /// Encode and seal into `reply` the answer `decision` gives to the
+    /// request in `data`, a datagram [`RadiusServer::begin_into`] reported
+    /// pending. Returns `false` (empty `reply`) on discard.
+    pub fn finish_into(&self, data: &[u8], decision: ServerDecision, reply: &mut Vec<u8>) -> bool {
+        reply.clear();
+        match PacketView::parse(data) {
+            Ok(request) => self.encode(&request, decision, reply),
+            Err(_) => false,
+        }
+    }
+
+    fn encode(
+        &self,
+        request: &PacketView<'_>,
+        decision: ServerDecision,
+        reply: &mut Vec<u8>,
+    ) -> bool {
+        let mut decision = decision;
+        let (code, attrs) = loop {
+            decision = match decision {
+                ServerDecision::Accept(a) => break (Code::AccessAccept, a),
+                ServerDecision::Reject(a) => break (Code::AccessReject, a),
+                ServerDecision::Challenge(a) => {
+                    debug_assert!(
+                        a.iter().any(|at| at.ty == AttributeType::State),
+                        "challenges must carry State"
+                    );
+                    break (Code::AccessChallenge, a);
+                }
+                ServerDecision::Discard => {
+                    self.stats.discarded.fetch_add(1, Ordering::Relaxed);
+                    return false;
+                }
+                // What a pending decision settled into was itself pending.
+                ServerDecision::Pending(pending) => pending.wait(),
+            };
         };
 
         // Encode the reply in place: header, decision attributes, then —

@@ -486,3 +486,269 @@ fn udp_lone_datagram_delays_followers_by_at_most_one_handler_call() {
     assert_eq!(stats.replied, 3);
     assert_eq!(stats.received, 3);
 }
+
+/// A server socket nobody reads yet, and a client socket with a
+/// two-second read timeout. What is sent before [`serve_on`] is the first
+/// drain's batch, so it goes to the workers whole — a datagram drained
+/// alone is the receiver's own, and nothing else is read until that
+/// handler call returns.
+fn bind() -> (UdpSocket, std::net::SocketAddr, UdpSocket) {
+    let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = socket.local_addr().unwrap();
+    let client = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    (socket, addr, client)
+}
+
+/// A batched front end over `handler` with `config` on `socket`.
+fn serve_on(
+    socket: UdpSocket,
+    handler: Arc<dyn hpcmfa_radius::server::Handler>,
+    config: IngestConfig,
+) -> (Arc<AtomicBool>, IngestHandle) {
+    let server = Arc::new(RadiusServer::new(SECRET, handler));
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let handle = BatchedUdpServer::with_config(server, Arc::new(MetricsRegistry::new()), config)
+        .serve(socket, Arc::clone(&shutdown));
+    (shutdown, handle)
+}
+
+fn request_from(user: &str, id: u8) -> Vec<u8> {
+    Packet::new(
+        Code::AccessRequest,
+        id,
+        hpcmfa_radius::auth::fixture_authenticator("udp"),
+    )
+    .with_attribute(Attribute::text(AttributeType::UserName, user))
+    .encode()
+}
+
+/// The identifiers of the next `n` replies, each an Access-Accept.
+fn accepted(client: &UdpSocket, n: usize) -> Vec<u8> {
+    let mut buf = [0u8; 4096];
+    let mut ids: Vec<u8> = (0..n)
+        .map(|_| {
+            let (len, _) = client.recv_from(&mut buf).expect("reply");
+            let resp = Packet::decode(&buf[..len]).unwrap();
+            assert_eq!(resp.code, Code::AccessAccept);
+            resp.identifier
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+#[test]
+fn udp_a_panicking_handler_costs_its_datagram_not_its_worker() {
+    let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let handler = {
+        let calls = Arc::clone(&calls);
+        Arc::new(move |req: &Packet, _pw: Option<&[u8]>| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            if req.text(AttributeType::UserName) == Some("mallory") {
+                panic!("handler bug (expected by this test)");
+            }
+            ServerDecision::Accept(vec![])
+        })
+    };
+    let (socket, addr, client) = bind();
+    let (shutdown, handle) = serve_on(socket, handler, IngestConfig::default());
+
+    // Five at once: more than there are workers, and a batch, so they go to
+    // the pool rather than to the receiver.
+    for id in 0..5u8 {
+        client.send_to(&request_from("mallory", id), addr).unwrap();
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while handle.stats().discarded < 5 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the panicking datagrams were not all counted discarded: {:?} after {} handler calls",
+            handle.stats(),
+            calls.load(Ordering::SeqCst)
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The pool still answers a batch...
+    for id in 10..14u8 {
+        client.send_to(&request_from("alice", id), addr).unwrap();
+    }
+    assert_eq!(accepted(&client, 4), [10, 11, 12, 13]);
+    // ...and no job is forever "handed off": with the workers idle again a
+    // lone datagram is the receiver's, which a panic in its own call must
+    // not cost either.
+    let idle = std::time::Instant::now() + Duration::from_secs(5);
+    while handle.stats().replied < 4 && std::time::Instant::now() < idle {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    client.send_to(&request_from("mallory", 20), addr).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    client.send_to(&request_from("alice", 21), addr).unwrap();
+    assert_eq!(accepted(&client, 1), [21]);
+
+    shutdown.store(true, Ordering::SeqCst);
+    let stats = handle.stats();
+    handle.join();
+    assert_eq!((stats.replied, stats.discarded, stats.shed), (5, 6, 0));
+}
+
+/// Stands in for the OTP server's WAL: a decision handed out while the
+/// disk is unsynced is pending until a sync finishes, and — as there —
+/// whoever waits for one runs it if nobody is.
+#[derive(Default)]
+struct Disk {
+    state: std::sync::Mutex<DiskState>,
+    moved: std::sync::Condvar,
+}
+
+#[derive(Default)]
+struct DiskState {
+    /// How long a sync takes; `None` hangs it until set.
+    sync_time: Option<Duration>,
+    syncing: bool,
+    synced: bool,
+    /// Pending decisions handed out, and how many of them a thread is
+    /// blocked waiting on.
+    pending: usize,
+    waited: usize,
+}
+
+struct UntilSynced(Arc<Disk>);
+
+impl hpcmfa_radius::server::PendingDecision for UntilSynced {
+    fn poll(&mut self) -> Option<ServerDecision> {
+        let state = self.0.state.lock().unwrap();
+        state.synced.then(|| ServerDecision::Accept(vec![]))
+    }
+
+    fn wait(self: Box<Self>) -> ServerDecision {
+        let disk = &self.0;
+        let mut state = disk.state.lock().unwrap();
+        state.waited += 1;
+        while !state.synced {
+            match state.sync_time {
+                Some(sync_time) if !state.syncing => {
+                    state.syncing = true;
+                    drop(state);
+                    std::thread::sleep(sync_time);
+                    state = disk.state.lock().unwrap();
+                    state.synced = true;
+                    disk.moved.notify_all();
+                }
+                _ => state = disk.moved.wait(state).unwrap(),
+            }
+        }
+        ServerDecision::Accept(vec![])
+    }
+}
+
+fn pending_on(disk: &Arc<Disk>) -> Arc<dyn hpcmfa_radius::server::Handler> {
+    let disk = Arc::clone(disk);
+    Arc::new(move |_req: &Packet, _pw: Option<&[u8]>| {
+        disk.state.lock().unwrap().pending += 1;
+        ServerDecision::Pending(Box::new(UntilSynced(Arc::clone(&disk))))
+    })
+}
+
+#[test]
+fn udp_a_bursts_tail_is_answered_within_two_syncs_without_further_traffic() {
+    const SYNC: Duration = Duration::from_millis(100);
+    const SLACK: Duration = Duration::from_millis(100);
+    let disk = Arc::new(Disk::default());
+    disk.state.lock().unwrap().sync_time = Some(SYNC);
+    let (socket, addr, client) = bind();
+
+    // Twice as many as there are workers, and nothing after them: nobody
+    // but an idle worker can run the sync the parked replies wait for.
+    for id in 0..8u8 {
+        client.send_to(&request_from("alice", id), addr).unwrap();
+    }
+    let sent = std::time::Instant::now();
+    let (shutdown, handle) = serve_on(socket, pending_on(&disk), IngestConfig::default());
+    assert_eq!(accepted(&client, 8), [0, 1, 2, 3, 4, 5, 6, 7]);
+    let took = sent.elapsed();
+    assert!(took < 2 * SYNC + SLACK, "the burst took {took:?}");
+    // Eight replies from four workers: at least four were parked, not
+    // waited for.
+    assert!(disk.state.lock().unwrap().waited <= 4);
+
+    shutdown.store(true, Ordering::SeqCst);
+    let stats = handle.stats();
+    handle.join();
+    assert_eq!((stats.replied, stats.discarded, stats.shed), (8, 0, 0));
+}
+
+#[test]
+fn udp_shutdown_sends_what_is_parked_before_join_returns() {
+    // The device hangs until the test says so.
+    let disk = Arc::new(Disk::default());
+    let (socket, addr, client) = bind();
+    for id in 0..8u8 {
+        client.send_to(&request_from("alice", id), addr).unwrap();
+    }
+    let (shutdown, handle) = serve_on(socket, pending_on(&disk), IngestConfig::default());
+    // Every datagram has been through the handler — its commit appended,
+    // in the OTP server's terms — and none can have been answered.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while disk.state.lock().unwrap().pending < 8 {
+        assert!(std::time::Instant::now() < deadline, "{:?}", handle.stats());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    shutdown.store(true, Ordering::SeqCst);
+    assert_eq!(handle.stats().replied, 0);
+    disk.state.lock().unwrap().sync_time = Some(Duration::ZERO);
+    disk.moved.notify_all();
+    handle.join();
+    // `join` returned, so every reply is on the wire already.
+    client
+        .set_read_timeout(Some(Duration::from_millis(10)))
+        .unwrap();
+    assert_eq!(accepted(&client, 8), [0, 1, 2, 3, 4, 5, 6, 7]);
+}
+
+#[test]
+fn udp_parked_replies_count_against_the_queue_bound() {
+    const WORKERS: usize = 2;
+    const CAP: usize = 2;
+    let disk = Arc::new(Disk::default());
+    // The device hangs: no sync ends until the test says so.
+    let config = IngestConfig {
+        workers: WORKERS,
+        batch_max: CAP,
+        queue_cap: 1,
+        ..IngestConfig::default()
+    };
+    let (socket, addr, client) = bind();
+    for id in 0..12u8 {
+        client.send_to(&request_from("alice", id), addr).unwrap();
+    }
+    let (shutdown, handle) = serve_on(socket, pending_on(&disk), config);
+
+    // Both workers end up waiting on a reply each (an idle worker sees the
+    // oldest parked reply through); give the pipeline time to overrun the
+    // bound if it is going to.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while disk.state.lock().unwrap().waited < WORKERS {
+        assert!(std::time::Instant::now() < deadline, "{:?}", handle.stats());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(150));
+    let begun = disk.state.lock().unwrap().pending;
+    assert!(
+        begun <= WORKERS + CAP,
+        "{begun} datagrams were begun against a backlog bound of {CAP} and {WORKERS} workers"
+    );
+    assert_eq!(handle.stats().replied, 0);
+
+    // The device comes back: everything is answered, nothing was shed.
+    disk.state.lock().unwrap().sync_time = Some(Duration::ZERO);
+    disk.moved.notify_all();
+    assert_eq!(accepted(&client, 12), (0..12).collect::<Vec<u8>>());
+    shutdown.store(true, Ordering::SeqCst);
+    let stats = handle.stats();
+    handle.join();
+    assert_eq!((stats.replied, stats.discarded, stats.shed), (12, 0, 0));
+}

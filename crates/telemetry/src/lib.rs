@@ -56,5 +56,6 @@ pub use histogram::{Exemplar, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use slo::SliSpec;
 pub use trace::{
-    AttrValue, SpanCtx, SpanGuard, SpanId, SpanRecord, SpanStatus, TraceClock, TraceId, Tracer,
+    AttrValue, DetachedSpan, SpanCtx, SpanGuard, SpanId, SpanRecord, SpanStatus, TraceClock,
+    TraceId, Tracer,
 };

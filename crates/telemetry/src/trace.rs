@@ -458,16 +458,27 @@ impl Tracer {
     ) -> SpanGuard<'t> {
         SpanGuard {
             tracer: self,
-            trace: ctx.trace,
-            id: self.next_id(ctx.trace),
-            parent: ctx.parent,
-            component,
-            label,
-            clock: ctx.clock.clone(),
-            start_us: ctx.clock.now_us(),
-            status: SpanStatus::Ok,
-            detail: String::new(),
-            attrs: Vec::new(),
+            open: Some(DetachedSpan {
+                trace: ctx.trace,
+                id: self.next_id(ctx.trace),
+                parent: ctx.parent,
+                component,
+                label,
+                clock: ctx.clock.clone(),
+                start_us: ctx.clock.now_us(),
+                status: SpanStatus::Ok,
+                detail: String::new(),
+                attrs: Vec::new(),
+            }),
+        }
+    }
+
+    /// Take back a span that [`SpanGuard::detach`] let go of: the guard
+    /// records it here when dropped, as if it had never left.
+    pub fn attach(&self, span: DetachedSpan) -> SpanGuard<'_> {
+        SpanGuard {
+            tracer: self,
+            open: Some(span),
         }
     }
 
@@ -554,6 +565,15 @@ impl Tracer {
 /// context children open their own spans under.
 pub struct SpanGuard<'t> {
     tracer: &'t Tracer,
+    /// `Some` until the guard is dropped or detached.
+    open: Option<DetachedSpan>,
+}
+
+/// An open span that has let go of its tracer, so it can be kept past
+/// the tracer's borrow or handed to another thread: plain data, and
+/// recorded only once [`Tracer::attach`] has taken it back — dropped on
+/// its own it leaves no span.
+pub struct DetachedSpan {
     trace: TraceId,
     id: SpanId,
     parent: Option<SpanId>,
@@ -567,70 +587,99 @@ pub struct SpanGuard<'t> {
 }
 
 impl SpanGuard<'_> {
+    fn open(&self) -> &DetachedSpan {
+        self.open
+            .as_ref()
+            .expect("a guard holds its span until it is dropped or detached")
+    }
+
+    fn open_mut(&mut self) -> &mut DetachedSpan {
+        self.open
+            .as_mut()
+            .expect("a guard holds its span until it is dropped or detached")
+    }
+
     /// This span's id (e.g. to stamp onto security events or send as the
     /// wire parent).
     pub fn id(&self) -> SpanId {
-        self.id
+        self.open().id
     }
 
     /// The trace this span belongs to.
     pub fn trace(&self) -> TraceId {
-        self.trace
+        self.open().trace
     }
 
     /// A [`SpanCtx`] that parents new spans under this one.
     pub fn child_ctx(&self) -> SpanCtx {
+        let open = self.open();
         SpanCtx {
-            trace: self.trace,
-            parent: Some(self.id),
-            clock: self.clock.clone(),
+            trace: open.trace,
+            parent: Some(open.id),
+            clock: open.clock.clone(),
         }
     }
 
     /// Set the terminal status (default [`SpanStatus::Ok`]).
     pub fn set_status(&mut self, status: SpanStatus) {
-        self.status = status;
+        self.open_mut().status = status;
     }
 
     /// Set the free-form detail recorded with the span.
     pub fn set_detail(&mut self, detail: impl Into<String>) {
-        self.detail = detail.into();
+        self.open_mut().detail = detail.into();
     }
 
     /// Attach a string attribute.
     pub fn attr_str(&mut self, key: &str, value: impl Into<String>) {
-        self.attrs
+        self.open_mut()
+            .attrs
             .push((key.to_string(), AttrValue::Str(value.into())));
     }
 
     /// Attach an unsigned-quantity attribute.
     pub fn attr_u64(&mut self, key: &str, value: u64) {
-        self.attrs.push((key.to_string(), AttrValue::U64(value)));
+        self.open_mut()
+            .attrs
+            .push((key.to_string(), AttrValue::U64(value)));
     }
 
     /// Attach a boolean attribute.
     pub fn attr_bool(&mut self, key: &str, value: bool) {
-        self.attrs.push((key.to_string(), AttrValue::Bool(value)));
+        self.open_mut()
+            .attrs
+            .push((key.to_string(), AttrValue::Bool(value)));
     }
 
     /// Close the span now (equivalent to dropping the guard).
     pub fn finish(self) {}
+
+    /// Let go of the tracer without recording: the span stays open, and
+    /// whoever holds it hands it back through [`Tracer::attach`].
+    pub fn detach(mut self) -> DetachedSpan {
+        self.open
+            .take()
+            .expect("a guard holds its span until it is dropped or detached")
+    }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let end_us = self.clock.now_us().max(self.start_us);
+        let Some(open) = self.open.take() else {
+            return;
+        };
+        let end_us = open.clock.now_us().max(open.start_us);
         self.tracer.lock().insert(SpanRecord {
-            trace: self.trace,
-            id: self.id,
-            parent: self.parent,
-            component: self.component,
-            label: self.label,
-            detail: std::mem::take(&mut self.detail),
-            status: self.status,
-            start_us: self.start_us,
+            trace: open.trace,
+            id: open.id,
+            parent: open.parent,
+            component: open.component,
+            label: open.label,
+            detail: open.detail,
+            status: open.status,
+            start_us: open.start_us,
             end_us,
-            attrs: std::mem::take(&mut self.attrs),
+            attrs: open.attrs,
         });
     }
 }
@@ -678,6 +727,37 @@ mod tests {
         assert_eq!(t.components_for(a), vec!["otp", "pam", "radius.proxy"]);
         assert_eq!(t.trace_ids(), vec![a, b]);
         assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn a_detached_span_records_where_it_is_attached_as_if_it_never_left() {
+        let t = Tracer::new();
+        let ctx = SpanCtx::root(TraceId::from_u64(9), TraceClock::at(100));
+        let mut guard = t.start(&ctx, "otp", "validate");
+        guard.attr_u64("steps", 21);
+        let id = guard.id();
+        let detached = guard.detach();
+        assert!(t.is_empty(), "detaching records nothing");
+        // Off its tracer it is plain data: another thread may finish it.
+        ctx.clock.advance_us(420);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut guard = t.attach(detached);
+                guard.set_status(SpanStatus::Degraded);
+                guard.set_detail("unavailable");
+            });
+        });
+        let spans = t.spans_for(ctx.trace);
+        assert_eq!(spans.len(), 1);
+        let span = &spans[0];
+        assert_eq!((span.id, span.label), (id, "validate"));
+        assert_eq!((span.start_us, span.end_us), (100, 520));
+        assert_eq!(span.status, SpanStatus::Degraded);
+        assert_eq!(span.detail, "unavailable");
+        assert_eq!(span.attrs, [("steps".to_string(), AttrValue::U64(21))]);
+        // One that is never handed back leaves no span.
+        drop(t.start(&ctx, "otp", "sms").detach());
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -10,8 +10,11 @@
 #                      under a timeout (linear-per-operation code runs into it)
 #                      — a 4 MiB JSON string (json_string_parse_is_linear) too
 #   truncation guard   a 261-octet User-Name where debug_assert is compiled out
-#   udp ingest         the lone-datagram bound is a wall-clock one: it only means
-#                      something optimised
+#   udp ingest         the lone-datagram and burst-tail bounds are wall-clock
+#                      ones: they only mean something optimised
+#   parked replies     no reply outruns its sync, and a compaction among 2 000
+#                      logins with 64 in flight strands none: a deadlock runs
+#                      into the timeout and fails by name
 #   hash core, OTP     their known answers in the only profile a login runs them in
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
@@ -31,13 +34,13 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 4 MiB JSON string, 261-octet User-Name, udp ingest"
+echo "==> release guards: full span ring, 100 000-entry uid search, 4 MiB JSON string, 261-octet User-Name, udp ingest, parked replies"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
 # minutes of work) runs into the timeout instead.
 cargo test -q --offline --release --no-run \
     -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props \
-    -p hpcmfa-otpserver --test proptests -p hpcmfa-radius --lib --test udp \
-    -p hpcmfa-crypto -p hpcmfa-otp
+    -p hpcmfa-otpserver --test proptests --test group_commit \
+    -p hpcmfa-radius --lib --test udp -p hpcmfa-crypto -p hpcmfa-otp
 timeout 20 cargo test -q --offline --release -p hpcmfa-telemetry --test trace_props \
     a_full_default_ring_takes_a_million_spans
 timeout 20 cargo test -q --offline --release -p hpcmfa-directory --test index_props \
@@ -47,6 +50,8 @@ timeout 20 cargo test -q --offline --release -p hpcmfa-otpserver --test proptest
 timeout 20 cargo test -q --offline --release -p hpcmfa-radius --lib \
     overlong_username_cannot_rewrite_the_request
 timeout 20 cargo test -q --offline --release -p hpcmfa-radius --test udp
+timeout 30 cargo test -q --offline --release -p hpcmfa-otpserver --test group_commit -- \
+    no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand
 cargo test -q --offline --release -p hpcmfa-crypto -p hpcmfa-otp
 
 echo "==> stuffing-storm smoke (sheds fire, zero benign lockouts, p99 SLO)"
