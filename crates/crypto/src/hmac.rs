@@ -10,8 +10,11 @@
 //! compressions per message (inner finalize + outer finalize) instead of
 //! four plus the key schedule. A TOTP validation server scanning a ±10
 //! step drift window over an 8-byte counter does 21 MACs per login against
-//! the same secret, which is exactly the shape this caching targets.
+//! the same secret, which is exactly the shape this caching targets — and
+//! [`HmacKey::mac_counter`] computes that one shape without the general
+//! path's buffering.
 
+use crate::merkle_damgard::{Algorithm, Hasher};
 use crate::Digest;
 
 /// Largest block size among the workspace digests (SHA-512).
@@ -92,6 +95,17 @@ impl<D: Digest> HmacKey<D> {
         let mut m = self.begin();
         m.update(msg);
         m.finalize_into(out)
+    }
+}
+
+impl<A: Algorithm> HmacKey<Hasher<A>> {
+    /// `self.mac(&counter.to_be_bytes())`: the MAC of an 8-byte
+    /// big-endian counter, the one message HOTP and TOTP ever MAC. Two
+    /// compressions of blocks built as words from the midstates (see
+    /// `Hasher::counter_mac`), no buffering or byte round trip between.
+    #[inline]
+    pub fn mac_counter(&self, counter: u64) -> A::Output {
+        Hasher::counter_mac(&self.inner, &self.outer, counter)
     }
 }
 

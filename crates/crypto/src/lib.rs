@@ -10,7 +10,10 @@
 //!   (RFC 4226 / RFC 6238). Production deployments overwhelmingly use
 //!   HMAC-SHA-1 tokens; the RFC also defines SHA-256/512 variants which we
 //!   support for completeness.
-//! * **HMAC** (RFC 2104) — keyed-hash MAC over any of the digests above.
+//! * **HMAC** (RFC 2104) — keyed-hash MAC over any of the digests above,
+//!   from precomputed key midstates, with one fixed-shape kernel for the
+//!   8-byte counter every HOTP/TOTP candidate MACs
+//!   ([`PreparedHmac::mac_counter_into`]).
 //! * **base32** (RFC 4648) — the standard encoding for OTP secret keys in
 //!   `otpauth://` URIs consumed by soft-token apps such as the in-house
 //!   Google-Authenticator derivative the paper describes.
@@ -20,6 +23,11 @@
 //! None of the approved offline dependencies provide these primitives, so they
 //! are implemented here from their public specifications, each validated
 //! against the official RFC/NIST test vectors in the module tests.
+//!
+//! The four digests share one Merkle–Damgård core. MD5 and SHA-1 write
+//! their rounds out with literal message indices, rotations and constants,
+//! each property-tested against the rolled loop of its RFC: no table index
+//! or branch in either depends on the key or the message.
 //!
 //! This crate is deliberately dependency-free.
 
@@ -116,9 +124,9 @@ impl HashAlg {
     }
 
     /// Precompute the HMAC midstates for `key` under this algorithm (see
-    /// [`hmac::HmacKey`]). Callers that MAC many messages against one
+    /// [`hmac::HmacKey`]). Callers that MAC many counters against one
     /// secret — a TOTP drift-window scan, a resync search — build this
-    /// once and pay two block compressions per message afterwards.
+    /// once and pay two block compressions per counter afterwards.
     pub fn prepare_key(self, key: &[u8]) -> PreparedHmac {
         match self {
             HashAlg::Sha1 => PreparedHmac::Sha1(hmac::HmacKey::new(key)),
@@ -142,31 +150,20 @@ pub enum PreparedHmac {
 }
 
 impl PreparedHmac {
-    /// The MAC length this key produces.
-    pub fn output_len(&self) -> usize {
-        match self {
-            PreparedHmac::Sha1(_) => sha1::Sha1::OUTPUT_LEN,
-            PreparedHmac::Sha256(_) => sha256::Sha256::OUTPUT_LEN,
-            PreparedHmac::Sha512(_) => sha512::Sha512::OUTPUT_LEN,
+    /// The MAC of `counter.to_be_bytes()` into `out` (size with
+    /// [`hmac::MAX_OUTPUT_LEN`]); returns the MAC length. The 8-byte counter
+    /// is the one message a token MACs, so this fixed-shape kernel
+    /// ([`hmac::HmacKey::mac_counter`]) is the key's one operation: what
+    /// every HOTP and TOTP candidate costs. Allocation-free.
+    pub fn mac_counter_into(&self, counter: u64, out: &mut [u8]) -> usize {
+        fn put(mac: &[u8], out: &mut [u8]) -> usize {
+            out[..mac.len()].copy_from_slice(mac);
+            mac.len()
         }
-    }
-
-    /// One-shot MAC of `msg`.
-    pub fn mac(&self, msg: &[u8]) -> Vec<u8> {
         match self {
-            PreparedHmac::Sha1(k) => k.mac(msg),
-            PreparedHmac::Sha256(k) => k.mac(msg),
-            PreparedHmac::Sha512(k) => k.mac(msg),
-        }
-    }
-
-    /// One-shot MAC of `msg` into `out` (size with
-    /// [`hmac::MAX_OUTPUT_LEN`]); returns the MAC length. Allocation-free.
-    pub fn mac_into(&self, msg: &[u8], out: &mut [u8]) -> usize {
-        match self {
-            PreparedHmac::Sha1(k) => k.mac_into(msg, out),
-            PreparedHmac::Sha256(k) => k.mac_into(msg, out),
-            PreparedHmac::Sha512(k) => k.mac_into(msg, out),
+            PreparedHmac::Sha1(k) => put(&k.mac_counter(counter), out),
+            PreparedHmac::Sha256(k) => put(&k.mac_counter(counter), out),
+            PreparedHmac::Sha512(k) => put(&k.mac_counter(counter), out),
         }
     }
 }

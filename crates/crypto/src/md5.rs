@@ -11,14 +11,6 @@
 use crate::merkle_damgard::{Algorithm, Hasher, Md5Algorithm};
 use crate::Digest;
 
-/// Per-round left-rotate amounts (RFC 1321 §3.4).
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
-
 /// Sine-derived additive constants: `K[i] = floor(2^32 * |sin(i + 1)|)`.
 const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
@@ -44,7 +36,106 @@ impl Algorithm for Md5Algorithm {
     const ZERO_OUTPUT: [u8; 16] = [0; 16];
     const BIG_ENDIAN: bool = false;
 
-    fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    /// The 64 steps (RFC 1321 §3.4) are written out as four rounds of
+    /// sixteen, each with its own function and rotations, every message
+    /// index a literal and the four working variables rotating through the
+    /// argument list instead of moving — `sha1.rs`'s idiom. No lookup or
+    /// branch depends on `m` or `state`.
+    fn compress(state: &mut [u32; 4], m: &[u32; 16]) {
+        let [mut a, mut b, mut c, mut d] = *state;
+
+        // RFC 1321's `[abcd k s i]`: a = b + ((a + F(b,c,d) + X[k] + T[i])
+        // <<< s). The caller's next step names the variables one place to
+        // the right.
+        macro_rules! step {
+            ($f:ident, $i:expr, $a:ident, $b:ident, $c:ident, $d:ident, $k:literal, $s:literal) => {
+                // The constant and the message word join first: they are
+                // off the step-to-step chain through `$b`.
+                $a = $a
+                    .wrapping_add(K[$i])
+                    .wrapping_add(m[$k])
+                    .wrapping_add($f($b, $c, $d))
+                    .rotate_left($s)
+                    .wrapping_add($b);
+            };
+        }
+        // Four steps bring the variables back to their own names.
+        macro_rules! four {
+            ($f:ident, $i:expr, [$s0:literal, $s1:literal, $s2:literal, $s3:literal],
+             [$k0:literal, $k1:literal, $k2:literal, $k3:literal]) => {
+                step!($f, $i, a, b, c, d, $k0, $s0);
+                step!($f, $i + 1, d, a, b, c, $k1, $s1);
+                step!($f, $i + 2, c, d, a, b, $k2, $s2);
+                step!($f, $i + 3, b, c, d, a, $k3, $s3);
+            };
+        }
+        macro_rules! sixteen {
+            ($f:ident, $i:expr, $s:tt, [$k0:literal, $k1:literal, $k2:literal, $k3:literal,
+             $k4:literal, $k5:literal, $k6:literal, $k7:literal, $k8:literal, $k9:literal,
+             $k10:literal, $k11:literal, $k12:literal, $k13:literal, $k14:literal, $k15:literal]) => {
+                four!($f, $i, $s, [$k0, $k1, $k2, $k3]);
+                four!($f, $i + 4, $s, [$k4, $k5, $k6, $k7]);
+                four!($f, $i + 8, $s, [$k8, $k9, $k10, $k11]);
+                four!($f, $i + 12, $s, [$k12, $k13, $k14, $k15]);
+            };
+        }
+        sixteen! { f, 0, [7, 12, 17, 22], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15] }
+        sixteen! { g, 16, [5, 9, 14, 20], [1, 6, 11, 0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12] }
+        sixteen! { h, 32, [4, 11, 16, 23], [5, 8, 11, 14, 1, 4, 7, 10, 13, 0, 3, 6, 9, 12, 15, 2] }
+        sixteen! { i, 48, [6, 10, 15, 21], [0, 7, 14, 5, 12, 3, 10, 1, 8, 15, 6, 13, 4, 11, 2, 9] }
+
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+    }
+}
+
+#[inline(always)]
+fn f(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn g(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (d & (b ^ c))
+}
+
+#[inline(always)]
+fn h(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn i(b: u32, c: u32, d: u32) -> u32 {
+    c ^ (b | !d)
+}
+
+/// One-shot MD5.
+pub fn md5(data: &[u8]) -> [u8; 16] {
+    let mut h = Md5::new();
+    h.update(data);
+    h.finalize()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hex::to_hex;
+    use proptest::prelude::*;
+
+    /// Per-step left-rotate amounts (RFC 1321 §3.4).
+    const S: [u32; 64] = [
+        7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
+        5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
+        4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
+        6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
+    ];
+
+    /// RFC 1321 §3.4 as one loop: the function, message index, constant
+    /// and rotation chosen per step. The reference `compress` is checked
+    /// against.
+    fn compress_rolled(state: &mut [u32; 4], block: &[u8; 64]) {
         let mut m = [0u32; 16];
         for (i, w) in m.iter_mut().enumerate() {
             *w = u32::from_le_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
@@ -73,19 +164,27 @@ impl Algorithm for Md5Algorithm {
         state[2] = state[2].wrapping_add(c);
         state[3] = state[3].wrapping_add(d);
     }
-}
 
-/// One-shot MD5.
-pub fn md5(data: &[u8]) -> [u8; 16] {
-    let mut h = Md5::new();
-    h.update(data);
-    h.finalize()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::hex::to_hex;
+    proptest! {
+        #[test]
+        fn compress_matches_the_rolled_reference(
+            state in any::<[u8; 16]>(),
+            block in any::<[u8; 64]>(),
+        ) {
+            let mut fast = [0u32; 4];
+            for (word, bytes) in fast.iter_mut().zip(state.chunks_exact(4)) {
+                *word = u32::from_le_bytes(bytes.try_into().unwrap());
+            }
+            let mut rolled = fast;
+            let mut words = [0u32; 16];
+            for (word, bytes) in words.iter_mut().zip(block.chunks_exact(4)) {
+                *word = u32::from_le_bytes(bytes.try_into().unwrap());
+            }
+            Md5Algorithm::compress(&mut fast, &words);
+            compress_rolled(&mut rolled, &block);
+            prop_assert_eq!(fast, rolled);
+        }
+    }
 
     // RFC 1321 appendix A.5 test suite.
     #[test]

@@ -2,15 +2,53 @@
 //! block buffering, the byte count, the length padding and the output
 //! serialisation, written once. A digest is an [`Algorithm`] — its sizes,
 //! byte order, initial state and compression function — and [`Hasher`] is
-//! monomorphised over it.
+//! monomorphised over it. So is [`Hasher::counter_mac`], the fixed-shape
+//! HMAC every HOTP/TOTP candidate is.
 
 use crate::Digest;
 use std::mem::size_of;
 
+/// One word of a block and of the chaining value: `u32`, or `u64` for
+/// SHA-512. A block is sixteen of them in all four digests.
+pub trait Word: Copy + Into<u128> {
+    /// Zero.
+    const ZERO: Self;
+    /// The low bits of `v`.
+    fn low(v: u128) -> Self;
+    /// The word `bytes` (exactly one word long) spell big-endian.
+    fn from_be(bytes: &[u8]) -> Self;
+    /// The same bytes in the opposite order.
+    fn swap_bytes(self) -> Self;
+}
+
+macro_rules! word {
+    ($t:ty) => {
+        impl Word for $t {
+            const ZERO: $t = 0;
+            #[inline(always)]
+            fn low(v: u128) -> $t {
+                v as $t
+            }
+            #[inline(always)]
+            fn from_be(bytes: &[u8]) -> $t {
+                let mut b = [0u8; size_of::<$t>()];
+                b.copy_from_slice(bytes);
+                <$t>::from_be_bytes(b)
+            }
+            #[inline(always)]
+            fn swap_bytes(self) -> $t {
+                <$t>::swap_bytes(self)
+            }
+        }
+    };
+}
+word!(u32);
+word!(u64);
+
 /// What tells the four digests apart.
 pub trait Algorithm {
-    /// One word of the chaining value: `u32`, or `u64` for SHA-512.
-    type Word: Copy + Into<u128>;
+    /// One word of a block and of the chaining value.
+    type Word: Word;
     /// The chaining value.
     type State: Copy + AsRef<[Self::Word]>;
     /// One input block: `[u8; 64]`, or `[u8; 128]` for SHA-512.
@@ -27,8 +65,8 @@ pub trait Algorithm {
     /// SHA family) or little-endian (MD5).
     const BIG_ENDIAN: bool;
 
-    /// Fold one block into the chaining value.
-    fn compress(state: &mut Self::State, block: &Self::Block);
+    /// Fold one block, read as its sixteen words, into the chaining value.
+    fn compress(state: &mut Self::State, block: &[Self::Word; 16]);
 }
 
 /// Write the low `out.len()` bytes of `value` in `A`'s byte order.
@@ -38,6 +76,51 @@ fn put<A: Algorithm>(out: &mut [u8], value: u128) {
     } else {
         out.copy_from_slice(&value.to_le_bytes()[..out.len()]);
     }
+}
+
+/// `A`'s word from its big-endian reading: as is for the SHA family,
+/// byte-swapped for MD5.
+#[inline(always)]
+fn ordered<A: Algorithm>(big_endian: A::Word) -> A::Word {
+    if A::BIG_ENDIAN {
+        big_endian
+    } else {
+        big_endian.swap_bytes()
+    }
+}
+
+/// `block` as `A` reads it: sixteen words in its byte order.
+#[inline(always)]
+fn words<A: Algorithm>(block: &A::Block) -> [A::Word; 16] {
+    let mut w = [A::Word::ZERO; 16];
+    let bytes = block.as_ref().chunks_exact(size_of::<A::Word>());
+    for (word, bytes) in w.iter_mut().zip(bytes) {
+        *word = ordered::<A>(A::Word::from_be(bytes));
+    }
+    w
+}
+
+/// Close a last block `w` that ends a message of `bytes` bytes: its bit
+/// length in the final two words, in `A`'s order. Every message this is
+/// used for is shorter than 2^29 bytes, so the high word stays zero.
+#[inline(always)]
+fn close<A: Algorithm>(w: &mut [A::Word; 16], bytes: usize) {
+    let bits = A::Word::low(bytes as u128 * 8);
+    if A::BIG_ENDIAN {
+        w[15] = bits;
+    } else {
+        w[14] = bits;
+    }
+}
+
+/// The digest of a final chaining value: every word, in `A`'s order.
+fn digest<A: Algorithm>(state: &A::State) -> A::Output {
+    let mut out = A::ZERO_OUTPUT;
+    let words = out.as_mut().chunks_exact_mut(size_of::<A::Word>());
+    for (bytes, word) in words.zip(state.as_ref()) {
+        put::<A>(bytes, (*word).into());
+    }
+    out
 }
 
 /// Described in [`crate::md5`].
@@ -82,6 +165,11 @@ impl<A: Algorithm> Hasher<A> {
         Self::default()
     }
 
+    /// Fold the full buffer into the chaining value.
+    fn absorb(&mut self) {
+        A::compress(&mut self.state, &words::<A>(&self.buf));
+    }
+
     /// Finalize into a fixed-size array.
     pub fn finalize(mut self) -> A::Output {
         let bit_len = u128::from(self.len) * 8;
@@ -94,17 +182,48 @@ impl<A: Algorithm> Hasher<A> {
         buf[self.buf_len] = 0x80;
         buf[self.buf_len + 1..].fill(0);
         if self.buf_len >= length_at {
-            A::compress(&mut self.state, &self.buf);
+            self.absorb();
             self.buf = A::ZERO_BLOCK;
         }
         put::<A>(&mut self.buf.as_mut()[length_at..], bit_len);
-        A::compress(&mut self.state, &self.buf);
-        let mut out = A::ZERO_OUTPUT;
-        let words = out.as_mut().chunks_exact_mut(size_of::<A::Word>());
-        for (bytes, word) in words.zip(self.state.as_ref()) {
-            put::<A>(bytes, (*word).into());
+        self.absorb();
+        digest::<A>(&self.state)
+    }
+
+    /// `HMAC(K, counter.to_be_bytes())` from the key's midstates: `inner`
+    /// and `outer` have absorbed exactly the one-block `K' ⊕ ipad` and
+    /// `K' ⊕ opad`. Both remaining blocks have a fixed shape, so each is
+    /// built as its sixteen words — the inner one from the counter, `0x80`
+    /// and the bit length of one block plus eight bytes; the outer one from
+    /// the inner chaining value, whose words *are* the inner digest read in
+    /// `A`'s order — with no buffer, no byte count and no serialisation in
+    /// between. Inlined, the constant words fold into the compressions.
+    #[inline(always)]
+    pub(crate) fn counter_mac(inner: &Self, outer: &Self, counter: u64) -> A::Output {
+        debug_assert!(inner.buf_len == 0 && inner.len == Self::BLOCK_LEN as u64);
+        debug_assert!(outer.buf_len == 0 && outer.len == Self::BLOCK_LEN as u64);
+        let per_word = size_of::<A::Word>();
+
+        // The message's first sixteen bytes, read big-endian: the counter,
+        // then the padding's 0x80.
+        let head = (u128::from(counter) << 64) | (0x80 << 56);
+        let mut w = [A::Word::ZERO; 16];
+        for (i, word) in w[..16 / per_word].iter_mut().enumerate() {
+            *word = ordered::<A>(A::Word::low(head >> (128 - 8 * per_word * (i + 1))));
         }
-        out
+        close::<A>(&mut w, Self::BLOCK_LEN + 8);
+        let mut state = inner.state;
+        A::compress(&mut state, &w);
+
+        let inner_digest = state.as_ref();
+        let n = inner_digest.len();
+        let mut w = [A::Word::ZERO; 16];
+        w[..n].copy_from_slice(inner_digest);
+        w[n] = ordered::<A>(A::Word::low(0x80 << (8 * per_word - 8)));
+        close::<A>(&mut w, Self::BLOCK_LEN + Self::OUTPUT_LEN);
+        let mut state = outer.state;
+        A::compress(&mut state, &w);
+        digest::<A>(&state)
     }
 }
 
@@ -121,7 +240,7 @@ impl<A: Algorithm> Digest for Hasher<A> {
             data = &data[take..];
             self.buf_len += take;
             if take == room.len() {
-                A::compress(&mut self.state, &self.buf);
+                self.absorb();
                 self.buf_len = 0;
             }
         }

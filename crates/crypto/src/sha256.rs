@@ -33,11 +33,9 @@ impl Algorithm for Sha256Algorithm {
     const ZERO_OUTPUT: [u8; 32] = [0; 32];
     const BIG_ENDIAN: bool = true;
 
-    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    fn compress(state: &mut [u32; 8], block: &[u32; 16]) {
         let mut w = [0u32; 64];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
-        }
+        w[..16].copy_from_slice(block);
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);

@@ -110,11 +110,9 @@ impl Algorithm for Sha512Algorithm {
     const ZERO_OUTPUT: [u8; 64] = [0; 64];
     const BIG_ENDIAN: bool = true;
 
-    fn compress(state: &mut [u64; 8], block: &[u8; 128]) {
+    fn compress(state: &mut [u64; 8], block: &[u64; 16]) {
         let mut w = [0u64; 80];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u64::from_be_bytes(block[i * 8..i * 8 + 8].try_into().unwrap());
-        }
+        w[..16].copy_from_slice(block);
         for i in 16..80 {
             let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
             let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);

@@ -97,16 +97,58 @@ proptest! {
     }
 
     #[test]
-    fn prepared_dispatch_equals_alg_hmac(key in arb_key(), msg in arb_msg()) {
+    fn counter_kernel_equals_the_generic_mac(key in arb_key(), counter in any::<u64>()) {
+        macro_rules! check {
+            ($d:ty) => {{
+                let cached = HmacKey::<$d>::new(&key);
+                let mut buf = [0u8; MAX_OUTPUT_LEN];
+                let n = cached.mac_into(&counter.to_be_bytes(), &mut buf);
+                prop_assert_eq!(&cached.mac_counter(counter)[..], &buf[..n]);
+            }};
+        }
+        check!(Md5);
+        check!(Sha1);
+        check!(Sha256);
+        check!(Sha512);
+    }
+
+    #[test]
+    fn prepared_dispatch_equals_alg_hmac(key in arb_key(), counter in any::<u64>()) {
         // The enum the hot path actually uses must agree with the
         // generic-dispatch entry point for every algorithm.
         for alg in [HashAlg::Sha1, HashAlg::Sha256, HashAlg::Sha512] {
-            let prepared = alg.prepare_key(&key);
-            prop_assert_eq!(prepared.mac(&msg), alg.hmac(&key, &msg));
             let mut buf = [0u8; MAX_OUTPUT_LEN];
-            let n = prepared.mac_into(&msg, &mut buf);
-            prop_assert_eq!(n, prepared.output_len());
-            prop_assert_eq!(&buf[..n], alg.hmac(&key, &msg).as_slice());
+            let n = alg.prepare_key(&key).mac_counter_into(counter, &mut buf);
+            prop_assert_eq!(&buf[..n], alg.hmac(&key, &counter.to_be_bytes()).as_slice());
+        }
+    }
+}
+
+/// The counter kernel at the key lengths around each block size and the
+/// counters where a word of the message changes (2^32 - 1 → 2^32 moves
+/// the high word), against the spec-direct reference.
+#[test]
+fn counter_kernel_at_the_edges() {
+    for key_len in [0usize, 1, 20, 64, 65, 200] {
+        let key: Vec<u8> = (0..key_len).map(|i| (i * 31 + 7) as u8).collect();
+        for counter in [0, 1, u64::from(u32::MAX), 1 << 32, u64::MAX] {
+            let msg = counter.to_be_bytes();
+            for alg in [HashAlg::Sha1, HashAlg::Sha256, HashAlg::Sha512] {
+                let want = match alg {
+                    HashAlg::Sha1 => reference_hmac::<Sha1>(&key, &msg),
+                    HashAlg::Sha256 => reference_hmac::<Sha256>(&key, &msg),
+                    HashAlg::Sha512 => reference_hmac::<Sha512>(&key, &msg),
+                };
+                let mut got = [0u8; MAX_OUTPUT_LEN];
+                let n = alg.prepare_key(&key).mac_counter_into(counter, &mut got);
+                assert_eq!(
+                    &got[..n],
+                    want.as_slice(),
+                    "{alg:?} key {key_len} counter {counter}"
+                );
+            }
+            let md5 = HmacKey::<Md5>::new(&key).mac_counter(counter);
+            assert_eq!(md5.as_slice(), reference_hmac::<Md5>(&key, &msg).as_slice());
         }
     }
 }

@@ -18,19 +18,21 @@ pub fn hotp_value(secret: &Secret, counter: u64, alg: HashAlg) -> u32 {
 
 /// [`hotp_value`] against a precomputed [`PreparedHmac`]. Validation scans
 /// (TOTP drift window, resync search) build the key once and call this per
-/// counter: two block compressions and zero heap allocations per candidate.
+/// counter: two block compressions through the counter kernel
+/// ([`PreparedHmac::mac_counter_into`]), whatever the algorithm, and zero
+/// heap allocations per candidate.
 pub fn hotp_value_prepared(key: &PreparedHmac, counter: u64) -> u32 {
     let mut mac = [0u8; MAX_OUTPUT_LEN];
-    let n = key.mac_into(&counter.to_be_bytes(), &mut mac);
+    let n = key.mac_counter_into(counter, &mut mac);
     dynamic_truncate(&mac[..n])
 }
 
 /// RFC 4226 dynamic truncation of an HMAC output.
 pub fn dynamic_truncate(mac: &[u8]) -> u32 {
     debug_assert!(mac.len() >= 20, "HMAC output shorter than SHA-1");
-    let offset = (mac[mac.len() - 1] & 0x0f) as usize;
-    let window: [u8; 4] = mac[offset..offset + 4].try_into().unwrap();
-    u32::from_be_bytes(window) & 0x7fff_ffff
+    let offset = usize::from(mac[mac.len() - 1] & 0x0f);
+    let w = &mac[offset..offset + 4];
+    u32::from_be_bytes([w[0], w[1], w[2], w[3]]) & 0x7fff_ffff
 }
 
 /// Compute the `digits`-digit HOTP code for `counter` as a zero-padded

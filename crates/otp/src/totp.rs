@@ -34,6 +34,23 @@ impl Default for TotpParams {
 }
 
 impl TotpParams {
+    /// `self` if it can drive a token, else the name of the `otpauth://`
+    /// parameter that cannot: `digits` must be 6..=9 (RFC 4226 §5.3's
+    /// minimum; `10^9` is the largest modulus below the 31-bit truncated
+    /// value, and `10^10` overflows the `u32` it is computed in) and
+    /// `period` at least one second. Parameters from outside — a scanned
+    /// URI, a WAL or snapshot image — pass through this before any code is
+    /// computed from them.
+    pub fn validated(self) -> Result<Self, &'static str> {
+        if !(6..=9).contains(&self.digits) {
+            Err("digits")
+        } else if self.step_secs == 0 {
+            Err("period")
+        } else {
+            Ok(self)
+        }
+    }
+
     /// The RFC 6238 time-step counter `T = (now - T0) / X` for `unix_time`.
     pub fn time_step(&self, unix_time: u64) -> u64 {
         unix_time.saturating_sub(self.t0) / self.step_secs

@@ -152,6 +152,9 @@ impl OtpauthUri {
         if secret.is_empty() {
             return Err(UriError::BadSecret);
         }
+        let params = params
+            .validated()
+            .map_err(|p| UriError::BadNumber(p.into()))?;
         Ok(OtpauthUri {
             issuer,
             account,
@@ -243,6 +246,26 @@ mod tests {
             OtpauthUri::parse("otpauth://totp/?secret=MZXW6YTB"),
             Err(UriError::BadLabel)
         );
+    }
+
+    #[test]
+    fn out_of_range_parameters_are_refused() {
+        // A zero period would divide by zero at the first code; ten digits
+        // overflow the `10^digits` modulus.
+        for (query, param) in [
+            ("period=0", "period"),
+            ("digits=10", "digits"),
+            ("digits=5", "digits"),
+        ] {
+            let uri = format!("otpauth://totp/a:b?secret=MZXW6YTB&{query}");
+            assert_eq!(
+                OtpauthUri::parse(&uri),
+                Err(UriError::BadNumber(param.into())),
+                "{query}"
+            );
+        }
+        let nine = OtpauthUri::parse("otpauth://totp/a:b?secret=MZXW6YTB&digits=9&period=1");
+        assert_eq!(nine.map(|u| u.params.digits), Ok(9));
     }
 
     #[test]

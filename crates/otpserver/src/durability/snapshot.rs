@@ -534,6 +534,30 @@ mod tests {
     }
 
     #[test]
+    fn ten_digit_pairing_is_skipped_not_restored() {
+        // Checksummed and well-formed, but `10^10` overflows the modulus
+        // the first validation would compute.
+        let b = backend_with(&[WalRecord::Enroll {
+            user: "alice".into(),
+            pairing: PairingImage::Totp {
+                secret: b"12345678901234567890".to_vec(),
+                digits: 10,
+                step_secs: 30,
+                t0: 0,
+                alg: "SHA1".into(),
+                hard: false,
+                serial: None,
+                last_step: None,
+                drift_steps: 0,
+            },
+        }]);
+        let state = recover(&b).unwrap();
+        assert!(state.users.is_empty());
+        assert_eq!(state.report.skipped_records, 1);
+        assert_eq!(state.report.wal_records, 0);
+    }
+
+    #[test]
     fn last_step_never_regresses_on_replay() {
         // Records landing out of order (concurrent writers) must still
         // leave the high-water mark at the max.

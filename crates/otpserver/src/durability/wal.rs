@@ -34,10 +34,12 @@ pub const MAX_RECORD_LEN: u32 = 1 << 20;
 /// Bytes of framing overhead per record (length + checksum).
 pub const FRAME_HEADER_LEN: usize = 8;
 
-/// The CRC of each byte value on its own: the bitwise recurrence run at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables, built at compile time into one static (8 KiB of
+/// read-only data). `CRC_TABLES[0][b]` is the CRC of byte value `b` on its
+/// own — the bitwise recurrence; `CRC_TABLES[k][b]` is that CRC carried
+/// through `k` more zero bytes, so eight lookups fold eight bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -47,20 +49,48 @@ const CRC_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xedb8_8320 & mask);
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), a table lookup per
-/// byte. A commit's frames are small next to the fsync it waits for, but
-/// a compaction checksums the whole snapshot (a few hundred KB) while it
-/// holds every commit off.
+/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), eight bytes per step
+/// with eight independent table lookups, the tail a byte at a time. A
+/// commit's frames are small next to the fsync it waits for, but a
+/// compaction checksums the whole snapshot (a few hundred KB) while it
+/// holds every commit off. The lookups are indexed by frame bytes, and
+/// snapshot frames hold pairing secrets: like any table-driven CRC this
+/// is not constant-time (DESIGN.md §8).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let byte = |v: u32, at: u32| ((v >> at) & 0xff) as usize;
     let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
     }
     !crc
 }
@@ -158,15 +188,14 @@ impl PairingImage {
                 last_step,
                 drift_steps,
             } => {
-                if *step_secs == 0 {
-                    return None;
-                }
                 let params = TotpParams {
                     digits: *digits,
                     step_secs: *step_secs,
                     t0: *t0,
                     alg: HashAlg::parse(alg)?,
-                };
+                }
+                .validated()
+                .ok()?;
                 Some(TokenPairing::Totp {
                     totp: Totp::with_params(Secret::from_bytes(secret.clone()), params),
                     provenance: if *hard {
@@ -1093,6 +1122,28 @@ mod tests {
             drift_steps: 0,
         };
         assert!(bad_alg.restore().is_none());
+    }
+
+    #[test]
+    fn out_of_range_totp_parameters_do_not_restore() {
+        // A checksummed image can still carry parameters no code can be
+        // computed from: ten digits overflow the `10^digits` modulus, a
+        // zero step divides by zero.
+        let image = |digits, step_secs| PairingImage::Totp {
+            secret: vec![1; 20],
+            digits,
+            step_secs,
+            t0: 0,
+            alg: "SHA1".into(),
+            hard: false,
+            serial: None,
+            last_step: None,
+            drift_steps: 0,
+        };
+        assert!(image(10, 30).restore().is_none());
+        assert!(image(5, 30).restore().is_none());
+        assert!(image(6, 0).restore().is_none());
+        assert!(image(9, 1).restore().is_some());
     }
 
     #[test]

@@ -263,6 +263,28 @@ proptest! {
         prop_assert_ne!(crc32(&bytes), crc32(&flipped));
     }
 
+    /// The slicing-by-8 CRC equals the CRC computed a byte at a time, bit
+    /// by bit, from the polynomial alone — for inputs up to 4 KiB that
+    /// start at every offset mod 8, so every tail length is folded.
+    #[test]
+    fn crc32_equals_the_bytewise_reference(
+        bytes in prop::collection::vec(any::<u8>(), 0..4097),
+    ) {
+        fn reference(bytes: &[u8]) -> u32 {
+            let mut crc = 0xffff_ffffu32;
+            for &b in bytes {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        }
+        for start in 0..8.min(bytes.len() + 1) {
+            prop_assert_eq!(crc32(&bytes[start..]), reference(&bytes[start..]));
+        }
+    }
+
     /// Arbitrary garbage neither panics the payload decoder nor the
     /// stream decoder.
     #[test]

@@ -16,6 +16,7 @@
 #                      logins with 64 in flight strands none: a deadlock runs
 #                      into the timeout and fails by name
 #   hash core, OTP     their known answers in the only profile a login runs them in
+#                      — the WAL's slicing-by-8 CRC against its bytewise reference too
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
 #                      fails here by name instead of slowing the whole run
@@ -39,7 +40,7 @@ echo "==> release guards: full span ring, 100 000-entry uid search, 4 MiB JSON s
 # minutes of work) runs into the timeout instead.
 cargo test -q --offline --release --no-run \
     -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props \
-    -p hpcmfa-otpserver --test proptests --test group_commit \
+    -p hpcmfa-otpserver --test proptests --test group_commit --test wal_proptests \
     -p hpcmfa-radius --lib --test udp -p hpcmfa-crypto -p hpcmfa-otp
 timeout 20 cargo test -q --offline --release -p hpcmfa-telemetry --test trace_props \
     a_full_default_ring_takes_a_million_spans
@@ -53,6 +54,7 @@ timeout 20 cargo test -q --offline --release -p hpcmfa-radius --test udp
 timeout 30 cargo test -q --offline --release -p hpcmfa-otpserver --test group_commit -- \
     no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand
 cargo test -q --offline --release -p hpcmfa-crypto -p hpcmfa-otp
+cargo test -q --offline --release -p hpcmfa-otpserver --test wal_proptests
 
 echo "==> stuffing-storm smoke (sheds fire, zero benign lockouts, p99 SLO)"
 timeout 30 cargo test -q --offline --test attacks stuffing_storm_smoke
