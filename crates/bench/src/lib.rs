@@ -84,37 +84,3 @@ impl FigureArgs {
         RolloutSim::new(params).run()
     }
 }
-
-/// Weekly aggregation for compact terminal output: (week-start, sums).
-pub fn weekly<T: Copy + Into<u64>>(series: &[(Date, T)]) -> Vec<(Date, u64)> {
-    let mut out: Vec<(Date, u64)> = Vec::new();
-    for (date, value) in series {
-        let week_start = date.plus_days(-((date.weekday() as i64 + 6) % 7));
-        match out.last_mut() {
-            Some((ws, sum)) if *ws == week_start => *sum += (*value).into(),
-            _ => out.push((week_start, (*value).into())),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn weekly_aggregates_by_monday() {
-        // 2016-10-03 is a Monday.
-        let series = vec![
-            (Date::new(2016, 10, 3), 1u64),
-            (Date::new(2016, 10, 4), 2),
-            (Date::new(2016, 10, 9), 3),  // Sunday, same week
-            (Date::new(2016, 10, 10), 4), // next Monday
-        ];
-        let w = weekly(&series);
-        assert_eq!(
-            w,
-            vec![(Date::new(2016, 10, 3), 6), (Date::new(2016, 10, 10), 4)]
-        );
-    }
-}

@@ -253,6 +253,8 @@ impl StorageBackend for FileBackend {
             });
             cutting = true;
         }
+        // `segments` ends with the active one, and the loop keeps the first
+        // segment whichever branch it takes (cutting starts after a keep).
         let active = keep.pop().expect("a WAL always has at least one segment");
         let file = Self::io(
             OpenOptions::new()
@@ -402,6 +404,10 @@ struct MemState {
     durable: Vec<u8>,
     /// Bytes appended but not yet synced.
     inflight: Vec<u8>,
+    /// Where in `inflight` a short write's bytes begin, until the
+    /// rollback: a sync makes only what comes before them durable, as a
+    /// file backend cuts a short write off before anyone can sync it.
+    torn_at: Option<usize>,
     snapshot: Option<Vec<u8>>,
 }
 
@@ -439,6 +445,7 @@ impl MemoryBackend {
             state: Mutex::new(MemState {
                 durable: wal,
                 inflight: Vec::new(),
+                torn_at: None,
                 snapshot,
             }),
             plan: StorageFaultPlan::healthy(),
@@ -486,6 +493,7 @@ impl StorageBackend for MemoryBackend {
         let mut st = self.state.lock();
         if self.plan.short_write_hit() {
             let keep = self.plan.draw(frame.len());
+            st.torn_at = st.torn_at.or(Some(st.inflight.len()));
             st.inflight.extend_from_slice(&frame[..keep]);
             return Err(StorageError::ShortWrite {
                 wrote: keep,
@@ -504,8 +512,11 @@ impl StorageBackend for MemoryBackend {
             // unknown to the caller; this model keeps them buffered.
             return Err(StorageError::FsyncFailed);
         }
-        let inflight = std::mem::take(&mut st.inflight);
-        st.durable.extend_from_slice(&inflight);
+        let good = st.torn_at.unwrap_or(st.inflight.len());
+        let torn = st.inflight.split_off(good);
+        let synced = std::mem::replace(&mut st.inflight, torn);
+        st.torn_at = st.torn_at.map(|_| 0);
+        st.durable.extend_from_slice(&synced);
         Ok(())
     }
 
@@ -525,6 +536,7 @@ impl StorageBackend for MemoryBackend {
         let mut st = self.state.lock();
         st.durable.truncate(len as usize);
         st.inflight.clear();
+        st.torn_at = None;
         Ok(())
     }
 
@@ -566,11 +578,14 @@ impl StorageBackend for MemoryBackend {
     }
 
     fn rollback_inflight(&self) {
-        self.state.lock().inflight.clear();
+        let mut st = self.state.lock();
+        st.inflight.clear();
+        st.torn_at = None;
     }
 
     fn simulate_crash(&self) {
         let mut st = self.state.lock();
+        st.torn_at = None;
         let inflight = std::mem::take(&mut st.inflight);
         if !inflight.is_empty() {
             // A crash may tear the in-flight frame: a seeded prefix
@@ -650,6 +665,22 @@ mod tests {
         b.rollback_inflight();
         b.sync_wal().unwrap();
         assert_eq!(b.wal_len(), 0);
+    }
+
+    #[test]
+    fn a_sync_before_the_rollback_keeps_a_short_write_off_the_disk() {
+        let b = MemoryBackend::with_plan(StorageFaultPlan::seeded(3));
+        let (good, torn) = (rec("a").encode_frame(), rec("b").encode_frame());
+        b.append_wal(&good).unwrap();
+        b.plan().set_short_write_every(1);
+        b.append_wal(&torn).unwrap_err();
+        // A sync another thread was running gets in before the rollback.
+        b.sync_wal().unwrap();
+        b.rollback_inflight();
+        b.plan().set_short_write_every(0);
+        b.append_wal(&good).unwrap();
+        b.sync_wal().unwrap();
+        assert_eq!(b.durable_wal(), [&good[..], &good[..]].concat());
     }
 
     #[test]

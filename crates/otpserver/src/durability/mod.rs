@@ -10,9 +10,11 @@
 //! * [`wal`] — a checksummed, length-prefixed record codec. Every
 //!   operation appends its store and audit records as one *commit*,
 //!   inside the lock it mutates under, and is acknowledged only once a
-//!   sync covering the commit has finished ([`Persistence`]: who leads
-//!   that sync, who waits for it, who parks and is told). Concurrent
-//!   commits share syncs, and no store or ledger lock is held across one.
+//!   sync covering the commit has finished. Concurrent commits share
+//!   syncs, and no store or ledger lock is held across one.
+//! * `group` — who leads that sync, who waits for it, who
+//!   parks and is told, and when the compactor fence closes: one pure
+//!   state machine, which [`Persistence`] drives.
 //! * [`backend`] — the [`StorageBackend`] trait with two implementations: a
 //!   real file-backed backend and a deterministic in-memory backend whose
 //!   [`StorageFaultPlan`](backend::StorageFaultPlan) injects short writes,
@@ -27,6 +29,7 @@
 //! account stays locked until an admin acts.
 
 pub mod backend;
+mod group;
 pub mod replication;
 pub mod snapshot;
 pub mod wal;
@@ -40,10 +43,12 @@ pub use snapshot::{recover, RecoverError, RecoveredState, RecoveryReport};
 pub use wal::{decode_stream, PairingImage, WalRecord, WalTail};
 
 use crate::audit::AuditAction;
+use group::{Actor, Goal, GroupMachine, Step};
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
-use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 /// Errors a storage backend can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -232,138 +237,28 @@ impl DurabilityStats {
 }
 
 /// What a parked commit leaves with the pump: called once, with whether
-/// the commit became durable, by the thread that led the sync covering
-/// it.
-pub type Finish = Box<dyn FnOnce(bool) + Send>;
+/// the commit became durable, by the thread holding the release turn
+/// once that is known.
+pub(crate) type Finish = Box<dyn FnOnce(bool) + Send>;
 
-struct Parked {
-    seq: u64,
-    ticket: Ticket,
-    finish: Finish,
-}
-
-/// Group-commit and fence bookkeeping, all under one lock. Commits are
-/// numbered from 1 in append order under it, so sequence order is WAL
-/// byte order.
-#[derive(Default)]
-struct GroupState {
-    /// Sequence number of the last commit appended.
-    appended: u64,
-    /// Every commit up to here has been covered by a finished sync that
-    /// began after its append.
-    settled: u64,
-    /// Every commit up to here that had not been acknowledged when this
-    /// moved is denied: its sync failed, or a rollback after a failed
-    /// append discarded its bytes. Checked before `settled`, so a commit
-    /// that slept through a later good sync is still denied.
-    failed: u64,
-    /// A leader is inside `sync_wal`.
-    syncing: bool,
-    /// Fence passes out: operations between their `begin` and the end of
-    /// their finish, parked ones included.
-    passes: u64,
-    /// A compactor or a reload holds the fence: no pass is issued until
-    /// it lets go. Doubles as the claim on a due compaction.
-    closed: bool,
-    /// Commits whose threads did not wait, in sequence order.
-    parked: VecDeque<Parked>,
-    /// A thread is running parked finishes; it also takes whatever a sync
-    /// finishing meanwhile covers.
-    releasing: bool,
-}
-
-impl GroupState {
-    /// Whether a verdict on commit `seq` exists yet.
-    fn covers(&self, seq: u64) -> bool {
-        seq <= self.settled.max(self.failed)
-    }
-
-    /// Whether settling commit `seq` now would wait for a sync another
-    /// thread is running.
-    fn waits_behind_a_sync(&self, seq: u64) -> bool {
-        self.syncing && !self.covers(seq)
-    }
-}
-
-/// [`GroupState`] and the one condvar every change of it that somebody
-/// may be waiting for is announced on: a sync finishing, the last pass
-/// coming back to a closed fence, the fence opening.
-#[derive(Default)]
-struct Group {
-    state: Mutex<GroupState>,
-    moved: Condvar,
-}
-
-impl Group {
-    fn lock(&self) -> MutexGuard<'_, GroupState> {
-        // Every update of the state is a plain store that leaves it
-        // consistent, so a poisoned lock is still usable.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn wait<'g>(&self, state: MutexGuard<'g, GroupState>) -> MutexGuard<'g, GroupState> {
-        self.moved.wait(state).unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// One pass through the compactor fence, counted in
-/// [`GroupState::passes`] for as long as it lives. Owns its way back to
-/// the count, so it can wait with a parked commit on no thread at all.
-struct Pass(Arc<Group>);
-
-impl Pass {
-    /// Wait out a closed fence, then pass.
-    fn take(group: &Arc<Group>) -> Pass {
-        let mut state = group.lock();
-        while state.closed {
-            state = group.wait(state);
-        }
-        state.passes += 1;
-        Pass(Arc::clone(group))
-    }
-}
-
-impl Drop for Pass {
-    fn drop(&mut self) {
-        let mut state = self.0.lock();
-        state.passes -= 1;
-        if state.closed && state.passes == 0 {
-            self.0.moved.notify_all();
-        }
-    }
-}
+/// A parked commit's payload in the group machine.
+type Parked = (Ticket, Finish);
 
 /// The durability pump: appends each operation's records as one commit,
-/// shares fsyncs between concurrent commits, counts everything, and
-/// runs one fenced compaction at a time.
+/// shares fsyncs between concurrent commits, counts everything, and runs
+/// one fenced compaction at a time.
 ///
-/// **Who leads, who waits, who parks.** A commit is *appended* under the
-/// group lock ([`Commit::append`]) and *settled* outside every other
-/// lock ([`Persistence::settle`]). Settling finds either no sync in
-/// flight — the caller leads one, covering every commit appended so
-/// far — or one in flight, and then the caller chooses: wait for it on
-/// the condvar, or [`Persistence::park`] a [`Finish`] and leave. No lock
-/// of the store or the resume ledger is held across a sync, so commits
-/// of one shard, and resume consumes, share syncs like any others.
-///
-/// **Who releases.** The thread that finishes a sync runs the finishes
-/// of the parked commits it covered before it returns, unless a thread
-/// is already doing so, which then takes those too: one releaser at a
-/// time, so a finish that commits (a denial row) cannot recurse into
-/// another round of finishes. A parked finish therefore runs on
-/// whichever thread led its sync, and its fence pass comes back without
-/// any other layer's help.
-///
-/// **The fence rule.** Every operation holds a [`Pass`] from before it
-/// takes a store or ledger lock until its audit rows are in the ring;
-/// the compactor and a reload close the fence and wait for the passes
-/// out to come back, so the state they export and the WAL they reset
-/// cannot move underneath them. A parked commit holds its pass on no
-/// thread, and every thread that could lead its sync may be the waiter
-/// or stuck behind the closed fence — so *whoever waits on the fence
-/// while a commit is unsettled leads the sync it is waiting for* (and
-/// runs the finishes). The wait needs nobody else.
-pub struct Persistence {
+/// Who leads a sync, who waits, who parks, who runs parked finishes and
+/// when the fence closes is the group machine's to say (`group.rs`; its
+/// doc is the specification); the pump carries it out. **Every region
+/// where the pump holds the group lock is exactly one machine call**: the
+/// loop in `Persistence::run`, and the single calls in `Commit::append`,
+/// `Persistence::would_wait`, `Persistence::park`, a [`Commit`]'s drop and
+/// the fence's release. So interleaving machine calls, as the machine's
+/// explorer does, is interleaving the threads.
+pub struct Persistence(Arc<Pump>);
+
+struct Pump {
     backend: Arc<dyn StorageBackend>,
     stats: DurabilityStats,
     /// Wall-clock latency of a full durable commit (write + sync wait).
@@ -373,38 +268,37 @@ pub struct Persistence {
     /// WAL records between snapshots; 0 disables compaction.
     snapshot_every: u64,
     records_since_snapshot: AtomicU64,
-    group: Arc<Group>,
+    group: Mutex<GroupMachine<Parked>>,
+    /// Announces every machine call that says somebody may be waiting
+    /// for it.
+    moved: Condvar,
+}
+
+impl Pump {
+    fn lock(&self) -> MutexGuard<'_, GroupMachine<Parked>> {
+        // The machine's state is consistent between calls, and a call does
+        // not panic, so a poisoned lock is still usable.
+        self.group.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// Where an appended commit sits in the WAL order: what
 /// [`Persistence::settle`] or [`Persistence::park`] takes to find the
 /// sync that covers it.
 #[must_use = "an appended commit is acknowledged only once it is settled"]
-pub struct Ticket {
-    seq: Result<u64, StorageError>,
+pub(crate) struct Ticket {
+    seq: u64,
+    /// Why the backend refused the commit, if it did.
+    refused: Option<StorageError>,
     records: u64,
-    started: std::time::Instant,
-}
-
-impl Ticket {
-    /// The commit's sequence number, unless the backend refused it.
-    pub fn seq(&self) -> Option<u64> {
-        self.seq.as_ref().ok().copied()
-    }
+    started: Instant,
 }
 
 /// One operation's WAL records, encoded back to back as ordinary frames
 /// and made durable together by [`Commit::flush`]. Holds a pass through
 /// the compactor fence for as long as it lives.
-pub struct Commit<'a> {
-    pump: &'a Persistence,
-    held: HeldCommit,
-}
-
-/// A [`Commit`] away from its pump ([`Commit::suspend`]), pass and all:
-/// what a parked operation keeps until [`Persistence::resume`].
-pub struct HeldCommit {
-    _pass: Pass,
+pub struct Commit {
+    pump: Persistence,
     frames: Vec<u8>,
     records: u64,
 }
@@ -412,27 +306,27 @@ pub struct HeldCommit {
 /// Room for a validate's ValState + audit row without regrowing.
 const COMMIT_CAPACITY: usize = 256;
 
-impl<'a> Commit<'a> {
+impl Commit {
     /// Add `record` to the commit.
     pub fn record(&mut self, record: &WalRecord) {
-        record.encode_frame_into(&mut self.held.frames);
-        self.held.records += 1;
+        record.encode_frame_into(&mut self.frames);
+        self.records += 1;
     }
 
     /// Add a [`WalRecord::ValState`] from borrowed fields.
     pub fn val_state(&mut self, user: &str, last_step: Option<u64>, fail_count: u32, active: bool) {
-        wal::frame_into(&mut self.held.frames, |out| {
+        wal::frame_into(&mut self.frames, |out| {
             wal::put_val_state(out, user, last_step, fail_count, active)
         });
-        self.held.records += 1;
+        self.records += 1;
     }
 
     /// Add a [`WalRecord::Audit`] row from borrowed fields.
     pub fn audit(&mut self, at: u64, user: &str, action: AuditAction, success: bool, detail: &str) {
-        wal::frame_into(&mut self.held.frames, |out| {
+        wal::frame_into(&mut self.frames, |out| {
             wal::put_audit(out, at, user, wal::action_tag(action), success, detail)
         });
-        self.held.records += 1;
+        self.records += 1;
     }
 
     /// Hand everything added so far to the backend in one `append_wal`
@@ -440,83 +334,66 @@ impl<'a> Commit<'a> {
     /// the half that belongs inside the lock the operation mutates under
     /// — it fixes WAL order = mutation order — and it waits for nothing
     /// but the group lock. Leaves the commit empty.
-    pub fn append(&mut self) -> Option<Ticket> {
-        let held = &mut self.held;
-        if held.records == 0 {
+    pub(crate) fn append(&mut self) -> Option<Ticket> {
+        if self.records == 0 {
             return None;
         }
-        let started = std::time::Instant::now();
-        let pump = self.pump;
+        let started = Instant::now();
+        let pump = &self.pump.0;
         pump.stats.commits.inc();
-        let mut group = pump.group.lock();
-        let seq = match pump.backend.append_wal(&held.frames) {
-            Ok(()) => {
-                group.appended += 1;
-                Ok(group.appended)
-            }
-            Err(e) => {
-                // The rollback discards every unsynced byte, not only this
-                // commit's, so whatever has not been acknowledged yet is
-                // gone (a sync already in flight may or may not have
-                // beaten it).
-                pump.backend.rollback_inflight();
-                group.failed = group.appended;
-                Err(e)
-            }
-        };
+        let mut group = pump.lock();
+        let appended = pump.backend.append_wal(&self.frames);
+        if appended.is_err() {
+            pump.backend.rollback_inflight();
+        }
+        let seq = group.append(appended.is_ok());
         drop(group);
-        held.frames.clear();
+        self.frames.clear();
         Some(Ticket {
             seq,
-            records: std::mem::take(&mut held.records),
+            refused: appended.err(),
+            records: std::mem::take(&mut self.records),
             started,
         })
     }
 
-    /// [`Commit::append`] and [`Persistence::settle`] back to back, for a
-    /// caller that holds no lock. The operation must not be acknowledged
-    /// until this returns `Ok`; on `Err` none of the records may be
-    /// assumed durable (or lost). Leaves the commit empty, so a denial
-    /// row can follow a failed flush.
+    /// Append what was added and settle it, for a caller that holds no
+    /// lock. The operation must not be acknowledged until this returns
+    /// `Ok`; on `Err` none of the records may be assumed durable (or
+    /// lost). Leaves the commit empty, so a denial row can follow a
+    /// failed flush.
     pub fn flush(&mut self) -> Result<(), StorageError> {
-        self.append().map_or(Ok(()), |ticket| self.settle(ticket))
-    }
-
-    /// [`Persistence::settle`] on this commit's pump.
-    pub fn settle(&self, ticket: Ticket) -> Result<(), StorageError> {
-        self.pump.settle(ticket)
-    }
-
-    /// Leave the pump, keeping the pass.
-    pub fn suspend(self) -> HeldCommit {
-        self.held
+        self.append()
+            .map_or(Ok(()), |ticket| self.pump.settle(ticket))
     }
 }
 
-/// The fence held closed: every pass is back and none is issued until
-/// this drops.
-pub struct Quiesced<'a>(&'a Persistence);
-
-impl Drop for Quiesced<'_> {
+impl Drop for Commit {
     fn drop(&mut self) {
-        self.0.group.lock().closed = false;
-        self.0.group.moved.notify_all();
+        let pump = &self.pump.0;
+        if pump.lock().return_pass() {
+            pump.moved.notify_all();
+        }
     }
 }
 
-/// The claim on a due compaction: the fence held closed, so no commit is
-/// in flight and none can start until this drops.
-pub struct Compaction<'a> {
-    pump: &'a Persistence,
-    _fence: Quiesced<'a>,
+/// The fence held closed: every pass is back, so no commit is in flight,
+/// and none can start until this drops.
+pub(crate) struct Fence<'a>(&'a Pump);
+
+impl Drop for Fence<'_> {
+    fn drop(&mut self) {
+        self.0.lock().open_fence();
+        self.0.moved.notify_all();
+    }
 }
 
-impl Compaction<'_> {
+impl Fence<'_> {
     /// Install `bytes` as the new snapshot and reset the WAL. The WAL is
     /// only reset after the snapshot write succeeds, so a failed
     /// compaction never loses records.
-    pub fn install(self, bytes: &[u8]) -> Result<(), StorageError> {
-        let pump = self.pump;
+    pub(crate) fn install(self, bytes: &[u8]) -> Result<(), StorageError> {
+        let pump = self.0;
         let written = pump
             .backend
             .write_snapshot(bytes)
@@ -532,31 +409,13 @@ impl Compaction<'_> {
     }
 }
 
-/// Marks the one thread running parked finishes; lets the next thread
-/// have the turn if a finish panics its way out.
-struct ReleaseTurn<'a>(&'a Group);
-
-impl Drop for ReleaseTurn<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.lock().releasing = false;
-        }
-    }
-}
-
 impl Persistence {
     /// Pump through `backend`, compacting every `snapshot_every` WAL
     /// records (0 = never). Counters and latency histograms stay private
     /// to this pump; use [`Persistence::with_metrics`] to surface them in
     /// a registry.
     pub fn new(backend: Arc<dyn StorageBackend>, snapshot_every: u64) -> Self {
-        Self::build(
-            backend,
-            snapshot_every,
-            DurabilityStats::default(),
-            Arc::new(Histogram::new()),
-            Arc::new(Histogram::new()),
-        )
+        Self::with_metrics(backend, snapshot_every, &MetricsRegistry::new())
     }
 
     /// Like [`Persistence::new`], but counters and latency histograms are
@@ -566,41 +425,26 @@ impl Persistence {
         snapshot_every: u64,
         metrics: &MetricsRegistry,
     ) -> Self {
-        Self::build(
+        Persistence(Arc::new(Pump {
             backend,
-            snapshot_every,
-            DurabilityStats::registered(metrics),
-            metrics.histogram("hpcmfa_otp_wal_append_us", &[]),
-            metrics.histogram("hpcmfa_otp_wal_fsync_us", &[]),
-        )
-    }
-
-    fn build(
-        backend: Arc<dyn StorageBackend>,
-        snapshot_every: u64,
-        stats: DurabilityStats,
-        append_us: Arc<Histogram>,
-        fsync_us: Arc<Histogram>,
-    ) -> Self {
-        Persistence {
-            backend,
-            stats,
-            append_us,
-            fsync_us,
+            stats: DurabilityStats::registered(metrics),
+            append_us: metrics.histogram("hpcmfa_otp_wal_append_us", &[]),
+            fsync_us: metrics.histogram("hpcmfa_otp_wal_fsync_us", &[]),
             snapshot_every,
             records_since_snapshot: AtomicU64::new(0),
-            group: Arc::default(),
-        }
+            group: Mutex::default(),
+            moved: Condvar::new(),
+        }))
     }
 
     /// The backend.
     pub fn backend(&self) -> &Arc<dyn StorageBackend> {
-        &self.backend
+        &self.0.backend
     }
 
     /// The counters.
     pub fn stats(&self) -> &DurabilityStats {
-        &self.stats
+        &self.0.stats
     }
 
     /// Open an operation's commit. Call it *before* taking the store or
@@ -608,17 +452,13 @@ impl Persistence {
     /// operation's audit rows are in the ring, and never open a second
     /// one on the same thread while it lives (a waiting compactor would
     /// deadlock the pair).
-    pub fn begin(&self) -> Commit<'_> {
-        self.resume(HeldCommit {
-            _pass: Pass::take(&self.group),
+    pub fn begin(&self) -> Commit {
+        self.run(self.0.lock(), &mut Actor::new(Goal::Pass), None);
+        Commit {
+            pump: Persistence(Arc::clone(&self.0)),
             frames: Vec::with_capacity(COMMIT_CAPACITY),
             records: 0,
-        })
-    }
-
-    /// Take back a commit that left through [`Commit::suspend`].
-    pub fn resume(&self, held: HeldCommit) -> Commit<'_> {
-        Commit { pump: self, held }
+        }
     }
 
     /// Commit one record on its own.
@@ -632,211 +472,267 @@ impl Persistence {
     /// when none is in flight, for every commit appended so far — and say
     /// whether the commit is durable. Call it with no store or ledger
     /// lock held.
-    pub fn settle(&self, ticket: Ticket) -> Result<(), StorageError> {
-        let result = match &ticket.seq {
-            Ok(seq) => self.cover(*seq),
-            Err(e) => Err(e.clone()),
-        };
-        self.note(&ticket, result.is_ok());
-        self.release_covered();
-        result
+    pub(crate) fn settle(&self, ticket: Ticket) -> Result<(), StorageError> {
+        let mut actor = Actor::new(Goal::Verdict(ticket.seq));
+        match self.run(self.0.lock(), &mut actor, Some(&ticket)) {
+            Some(true) => Ok(()),
+            _ => Err(ticket.refused.unwrap_or(StorageError::FsyncFailed)),
+        }
     }
 
     /// Whether settling `ticket` now would wait for a sync another
     /// thread is running: the case [`Persistence::park`] takes.
-    pub fn would_wait(&self, ticket: &Ticket) -> bool {
-        let group = self.group.lock();
-        ticket
-            .seq()
-            .is_some_and(|seq| group.waits_behind_a_sync(seq))
+    pub(crate) fn would_wait(&self, ticket: &Ticket) -> bool {
+        self.0.lock().would_wait(ticket.seq)
     }
 
     /// Instead of waiting for the sync in flight, leave `finish` with the
-    /// pump: the thread that leads the sync covering `ticket` calls it.
-    /// Gives both back when there is nothing to wait behind — no sync in
-    /// flight, or the verdict already in — and the caller settles inline.
-    pub fn park(&self, ticket: Ticket, finish: Finish) -> Result<(), (Ticket, Finish)> {
-        let mut group = self.group.lock();
-        match ticket.seq() {
-            Some(seq) if group.waits_behind_a_sync(seq) => {
-                // Tickets are parked outside the lock they were appended
-                // under, so not quite in order.
-                let at = group.parked.iter().rposition(|p| p.seq < seq);
-                group.parked.insert(
-                    at.map_or(0, |i| i + 1),
-                    Parked {
-                        seq,
-                        ticket,
-                        finish,
-                    },
-                );
-                Ok(())
-            }
-            _ => Err((ticket, finish)),
-        }
+    /// pump, to be run by the thread holding the release turn once the
+    /// commit's verdict is in. Returns what [`Persistence::drive`] sees it
+    /// through with — or `None` when there was nothing to wait behind
+    /// after all, and the commit was settled and `finish` run here.
+    pub(crate) fn park(&self, ticket: Ticket, finish: Finish) -> Option<(Persistence, u64)> {
+        let seq = ticket.seq;
+        let parked = self.0.lock().park(seq, (ticket, finish));
+        let Err((ticket, finish)) = parked else {
+            return Some((Persistence(Arc::clone(&self.0)), seq));
+        };
+        finish(self.settle(ticket).is_ok());
+        None
     }
 
     /// See to it that parked commit `seq` gets its verdict and its finish
     /// is run — by this thread, leading the sync if nobody is, or by the
     /// one already at it (the finish may then still be running when this
     /// returns).
-    pub fn drive(&self, seq: u64) {
-        let _ = self.cover(seq);
-        self.release_covered();
-    }
-
-    /// Leader/follower group commit for a commit already appended:
-    /// either wait for a sync that started after the append, or — when
-    /// none is in flight — run one for every commit appended so far.
-    fn cover(&self, seq: u64) -> Result<(), StorageError> {
-        let mut group = self.group.lock();
-        loop {
-            if seq <= group.failed {
-                return Err(StorageError::FsyncFailed);
-            }
-            if seq <= group.settled {
-                return Ok(());
-            }
-            if group.syncing {
-                group = self.group.wait(group);
-                continue;
-            }
-            let (relocked, synced) = self.lead(group);
-            group = relocked;
-            synced?;
-        }
-    }
-
-    /// Run one sync for every commit appended so far. Takes the group
-    /// lock with no sync in flight and gives it back the same way.
-    fn lead<'g>(
-        &'g self,
-        mut group: MutexGuard<'g, GroupState>,
-    ) -> (MutexGuard<'g, GroupState>, Result<(), StorageError>) {
-        group.syncing = true;
-        let end = group.appended;
-        drop(group);
-
-        let sync_started = std::time::Instant::now();
-        let synced = self.backend.sync_wal();
-        match &synced {
-            Ok(()) => {
-                self.fsync_us.record_elapsed_us(sync_started);
-                self.stats.fsyncs.inc();
-            }
-            Err(_) => self.stats.fsync_failures.inc(),
-        }
-
-        let mut group = self.group.lock();
-        group.syncing = false;
-        group.settled = end;
-        if synced.is_err() {
-            group.failed = group.failed.max(end);
-        }
-        self.group.moved.notify_all();
-        (group, synced)
-    }
-
-    /// Count a commit's verdict.
-    fn note(&self, ticket: &Ticket, durable: bool) {
-        if durable {
-            self.append_us.record_elapsed_us(ticket.started);
-            self.stats.appends.add(ticket.records);
-            self.records_since_snapshot
-                .fetch_add(ticket.records, Ordering::SeqCst);
-        } else {
-            self.stats.append_failures.inc();
-        }
-    }
-
-    /// Run the finish of every parked commit that has its verdict, oldest
-    /// first, unless a thread is already doing so.
-    fn release_covered(&self) {
-        let mut group = self.group.lock();
-        if group.releasing {
-            return;
-        }
-        let _turn = ReleaseTurn(&self.group);
-        loop {
-            let due = group.parked.front().is_some_and(|p| group.covers(p.seq));
-            let Some(parked) = due.then(|| group.parked.pop_front()).flatten() else {
-                group.releasing = false;
-                return;
-            };
-            group.releasing = true;
-            let durable = parked.seq > group.failed;
-            drop(group);
-            self.note(&parked.ticket, durable);
-            (parked.finish)(durable);
-            group = self.group.lock();
-        }
-    }
-
-    /// Whether enough WAL records have accumulated for a compaction.
-    fn wants_snapshot(&self) -> bool {
-        self.snapshot_every > 0
-            && self.records_since_snapshot.load(Ordering::SeqCst) >= self.snapshot_every
-    }
-
-    /// Close the fence and wait for every pass out to come back, leading
-    /// the syncs parked commits among them are waiting for (the fence
-    /// rule).
-    fn close<'g>(&'g self, mut group: MutexGuard<'g, GroupState>) -> Quiesced<'g> {
-        group.closed = true;
-        while group.passes > 0 {
-            if group.appended > group.settled && !group.syncing {
-                drop(self.lead(group));
-                self.release_covered();
-                group = self.group.lock();
-            } else {
-                group = self.group.wait(group);
-            }
-        }
-        Quiesced(self)
+    pub(crate) fn drive(&self, seq: u64) {
+        self.run(self.0.lock(), &mut Actor::new(Goal::Verdict(seq)), None);
     }
 
     /// Hold the fence closed without compacting (a reload swaps the whole
     /// in-memory image, which no commit may straddle). Call it with no
     /// [`Commit`] open on this thread.
-    pub fn quiesce(&self) -> Quiesced<'_> {
-        let mut group = self.group.lock();
-        while group.closed {
-            group = self.group.wait(group);
-        }
-        self.close(group)
+    pub(crate) fn quiesce(&self) -> Fence<'_> {
+        self.run(self.0.lock(), &mut Actor::new(Goal::Quiesce), None);
+        Fence(&self.0)
     }
 
     /// Claim the compaction if one is due and nobody holds the fence: the
     /// winner gets it closed (after the commits in flight drain),
     /// everyone else gets `None` and carries on. Call it with no
-    /// [`Commit`] open on this thread.
-    pub fn claim_compaction(&self) -> Option<Compaction<'_>> {
+    /// [`Commit`] open on this thread, and say whether it is a parked
+    /// commit's finish.
+    pub(crate) fn claim_compaction(&self, from_finish: bool) -> Option<Fence<'_>> {
         if !self.wants_snapshot() {
             return None;
         }
-        let group = self.group.lock();
+        let group = self.0.lock();
         // Only the fence holder resets the record count, so a second look
         // under the lock settles whether a compaction finished between
         // the check above and here.
-        if group.closed || !self.wants_snapshot() {
-            return None;
+        let due = self.wants_snapshot();
+        let mut claim = Actor::new(Goal::Claim { due, from_finish });
+        self.run(group, &mut claim, None);
+        claim.holds_fence().then(|| Fence(&self.0))
+    }
+
+    /// The pump's one loop: ask the machine, then do what it says — sync
+    /// or run a parked finish with the lock released, wait on the condvar,
+    /// or return the goal's verdict, if it had one. `own`, the ticket of
+    /// the goal's commit, is counted as soon as that is in. A finish that
+    /// panics strands no other: the panic goes on up once the goal is
+    /// reached, and the fence is let go first if the goal was to hold it.
+    fn run<'p>(
+        &'p self,
+        mut group: MutexGuard<'p, GroupMachine<Parked>>,
+        actor: &mut Actor,
+        own: Option<&Ticket>,
+    ) -> Option<bool> {
+        let pump = &*self.0;
+        let (mut verdict, mut panicked) = (None, None);
+        loop {
+            let (step, wake) = group.next(actor);
+            if wake {
+                pump.moved.notify_all();
+            }
+            if matches!(step, Step::Wait) {
+                group = pump.moved.wait(group).unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            drop(group);
+            match step {
+                Step::Lead => {
+                    let started = Instant::now();
+                    let synced = pump.backend.sync_wal().is_ok();
+                    if synced {
+                        pump.fsync_us.record_elapsed_us(started);
+                        pump.stats.fsyncs.inc();
+                    } else {
+                        pump.stats.fsync_failures.inc();
+                    }
+                    actor.report(synced);
+                }
+                Step::Again(durable) => {
+                    verdict = Some(durable);
+                    if let Some(ticket) = own {
+                        self.note(ticket, durable);
+                    }
+                }
+                Step::Release(durable, (ticket, finish)) => {
+                    self.note(&ticket, durable);
+                    let ran = panic::catch_unwind(AssertUnwindSafe(|| finish(durable)));
+                    panicked = panicked.or(ran.err());
+                }
+                Step::Wait | Step::Done => break,
+            }
+            group = pump.lock();
         }
-        Some(Compaction {
-            pump: self,
-            _fence: self.close(group),
-        })
+        if let Some(payload) = panicked {
+            if actor.holds_fence() {
+                drop(Fence(pump));
+            }
+            panic::resume_unwind(payload);
+        }
+        verdict
+    }
+
+    /// Count a commit's verdict.
+    fn note(&self, ticket: &Ticket, durable: bool) {
+        let pump = &*self.0;
+        if durable {
+            pump.append_us.record_elapsed_us(ticket.started);
+            pump.stats.appends.add(ticket.records);
+            pump.records_since_snapshot
+                .fetch_add(ticket.records, Ordering::SeqCst);
+        } else {
+            pump.stats.append_failures.inc();
+        }
+    }
+
+    /// Whether enough WAL records have accumulated for a compaction.
+    fn wants_snapshot(&self) -> bool {
+        self.0.snapshot_every > 0
+            && self.0.records_since_snapshot.load(Ordering::SeqCst) >= self.0.snapshot_every
     }
 
     /// Record a completed recovery in the counters.
     pub fn note_recovery(&self, report: &RecoveryReport) {
-        self.stats.recoveries.inc();
-        self.stats.records_replayed.add(report.wal_records as u64);
+        let stats = &self.0.stats;
+        stats.recoveries.inc();
+        stats.records_replayed.add(report.wal_records as u64);
         if report.truncated_bytes > 0 {
-            self.stats.tail_truncations.inc();
-            self.stats
-                .truncated_bytes
-                .add(report.truncated_bytes as u64);
+            stats.tail_truncations.inc();
+            stats.truncated_bytes.add(report.truncated_bytes as u64);
         }
-        self.records_since_snapshot.store(0, Ordering::SeqCst);
+        self.0.records_since_snapshot.store(0, Ordering::SeqCst);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::time::Duration;
+
+    /// A [`MemoryBackend`] whose syncs report in and wait to be let go.
+    struct HeldSyncs {
+        inner: Arc<MemoryBackend>,
+        entered: Mutex<Sender<()>>,
+        let_go: Mutex<Receiver<()>>,
+    }
+
+    impl StorageBackend for HeldSyncs {
+        fn append_wal(&self, frame: &[u8]) -> Result<(), StorageError> {
+            self.inner.append_wal(frame)
+        }
+        fn sync_wal(&self) -> Result<(), StorageError> {
+            let _ = self.entered.lock().unwrap().send(());
+            let _ = self.let_go.lock().unwrap().recv();
+            self.inner.sync_wal()
+        }
+        fn read_wal(&self) -> Result<Vec<u8>, StorageError> {
+            self.inner.read_wal()
+        }
+        fn truncate_wal(&self, len: u64) -> Result<(), StorageError> {
+            self.inner.truncate_wal(len)
+        }
+        fn wal_len(&self) -> u64 {
+            self.inner.wal_len()
+        }
+        fn write_snapshot(&self, bytes: &[u8]) -> Result<(), StorageError> {
+            self.inner.write_snapshot(bytes)
+        }
+        fn read_snapshot(&self) -> Result<Option<Vec<u8>>, StorageError> {
+            self.inner.read_snapshot()
+        }
+        fn name(&self) -> &'static str {
+            "held-syncs"
+        }
+    }
+
+    fn commit_one(pump: &Persistence, user: &str) -> (Commit, Ticket) {
+        let mut commit = pump.begin();
+        commit.record(&WalRecord::Remove {
+            user: user.to_string(),
+        });
+        let ticket = commit.append().expect("a record was added");
+        (commit, ticket)
+    }
+
+    #[test]
+    fn a_panicking_parked_finish_strands_no_other() {
+        let (entered_tx, entered) = channel();
+        let (let_go, let_go_rx) = channel();
+        let backend = Arc::new(HeldSyncs {
+            inner: MemoryBackend::healthy(),
+            entered: Mutex::new(entered_tx),
+            let_go: Mutex::new(let_go_rx),
+        });
+        let pump = Arc::new(Persistence::new(backend, 0));
+        let spawn = |work: fn(&Persistence)| {
+            let pump = Arc::clone(&pump);
+            std::thread::spawn(move || work(&pump))
+        };
+
+        // Three commits park behind a held sync they missed.
+        let first = spawn(|pump| {
+            let (_commit, ticket) = commit_one(pump, "first");
+            pump.settle(ticket).unwrap();
+        });
+        entered.recv().unwrap();
+        let (told, verdicts) = channel();
+        for i in 0..3 {
+            let (commit, ticket) = commit_one(&pump, &format!("parked{i}"));
+            let told = told.clone();
+            let finish: Finish = Box::new(move |durable| {
+                let _pass = commit;
+                assert!(i != 1, "the middle finish panics");
+                told.send((i, durable)).unwrap();
+            });
+            assert!(pump.park(ticket, finish).is_some(), "parked {i}");
+        }
+        drop(told);
+        let_go.send(()).unwrap();
+        first.join().unwrap();
+
+        // Whoever leads their sync runs all three finishes, the panicking
+        // one included, and only then panics itself.
+        let leader = spawn(|pump| pump.drive(4));
+        entered.recv().unwrap();
+        let_go.send(()).unwrap();
+        assert!(leader.join().is_err(), "the leader's panic comes through");
+        spawn(|pump| pump.drive(4)).join().unwrap();
+        let got: Vec<_> = verdicts.iter().collect();
+        assert_eq!(got, vec![(0, true), (2, true)]);
+
+        // Every pass is back: the fence closes at once.
+        let (quiet, quieted) = channel();
+        std::thread::spawn(move || {
+            let _fence = pump.quiesce();
+            quiet.send(()).unwrap();
+        });
+        quieted
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a pass went missing: the fence never closed");
     }
 }

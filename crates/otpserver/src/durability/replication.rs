@@ -35,7 +35,7 @@ use hpcmfa_radius::breaker::{BreakerConfig, CircuitBreaker};
 use hpcmfa_telemetry::{
     Counter, Gauge, MetricsRegistry, SecurityEventKind, SpanCtx, TraceClock, TraceId,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,15 +111,12 @@ impl ReplEnvelope {
     /// the CRC — which is linear, so a single flipped bit always changes
     /// it).
     pub fn decode(bytes: &[u8]) -> Option<ReplEnvelope> {
-        if bytes.len() < REPL_HEADER_LEN {
+        let mut header = Reader::new(bytes);
+        let (len, crc) = (header.u32()?, header.u32()?);
+        let payload = header.rest();
+        if len > MAX_REPL_LEN || payload.len() != len as usize {
             return None;
         }
-        let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if len > MAX_REPL_LEN || bytes.len() - REPL_HEADER_LEN != len as usize {
-            return None;
-        }
-        let payload = &bytes[REPL_HEADER_LEN..];
         if crc32(payload) != crc {
             return None;
         }
@@ -444,6 +441,12 @@ struct ClusterCore {
     metrics: Arc<MetricsRegistry>,
     link: Arc<MemoryLink>,
     state: Mutex<ClusterState>,
+    /// Held by `sync_wal` from taking its batch to shipping it, and taken
+    /// before `state` by everything that discards pending bytes or swaps
+    /// a node (rollback, crash, promotion, rejoin), so none of those lands
+    /// between the two. Appends do not take it: they never wait out the
+    /// primary's sync.
+    syncing: Mutex<()>,
     /// Local-storage health of the current primary; trips on inner
     /// errors only — replication misses must not cause a promotion (a
     /// partitioned standby promoting itself is exactly the split brain
@@ -463,6 +466,12 @@ struct ClusterCore {
 impl ClusterCore {
     fn now_us(&self) -> u64 {
         self.clock.now().saturating_mul(1_000_000)
+    }
+
+    /// The state, with no sync in flight.
+    fn settled(&self) -> (MutexGuard<'_, ()>, MutexGuard<'_, ClusterState>) {
+        let syncing = self.syncing.lock();
+        (syncing, self.state.lock())
     }
 
     fn note_inner<T>(&self, r: Result<T, StorageError>) -> Result<T, StorageError> {
@@ -552,9 +561,19 @@ impl StorageBackend for ClusterBackend {
     }
 
     fn sync_wal(&self) -> Result<(), StorageError> {
+        // The batch this sync covers and the primary it lives on are taken
+        // under the state lock and synced without it: appends take that
+        // lock, under the pump's group lock, and must not wait out the
+        // disk.
+        let (_syncing, mut st) = self.core.settled();
+        let (primary, mut batch) = (Arc::clone(&st.primary), std::mem::take(&mut st.pending_wal));
+        drop(st);
+        let r = primary.sync_wal();
         let mut st = self.core.state.lock();
-        let r = st.primary.sync_wal();
         if let Err(e) = r {
+            // Back to the front of the queue, ahead of later appends.
+            batch.append(&mut st.pending_wal);
+            st.pending_wal = batch;
             drop(st);
             return self.core.note_inner(Err(e));
         }
@@ -563,14 +582,12 @@ impl StorageBackend for ClusterBackend {
         // degraded single-node — nothing to ship, nothing to wait on; a
         // rejoin resyncs from the full durable state.
         let miss = if st.standby.is_some() {
-            if !st.pending_wal.is_empty() {
-                let batch = std::mem::take(&mut st.pending_wal);
+            if !batch.is_empty() {
                 self.core.ship_locked(&mut st, ReplFrame::Wal(batch));
             }
             self.core.pump_locked(&mut st);
             self.core.mode == ReplicationMode::Sync && !st.unacked.is_empty()
         } else {
-            st.pending_wal.clear();
             false
         };
         drop(st);
@@ -626,13 +643,15 @@ impl StorageBackend for ClusterBackend {
     }
 
     fn rollback_inflight(&self) {
-        let mut st = self.core.state.lock();
+        // After the sync in flight, if any, has shipped what it made
+        // durable.
+        let (_syncing, mut st) = self.core.settled();
         st.primary.rollback_inflight();
         st.pending_wal.clear();
     }
 
     fn simulate_crash(&self) {
-        let mut st = self.core.state.lock();
+        let (_syncing, mut st) = self.core.settled();
         st.primary.simulate_crash();
         // Unsynced bytes died with the process; they were never shipped.
         st.pending_wal.clear();
@@ -682,6 +701,7 @@ impl OtpCluster {
             corrupt_frames: metrics.counter("hpcmfa_otp_replication_corrupt_frames_total", &[]),
             sync_misses: metrics.counter("hpcmfa_otp_replication_sync_misses_total", &[]),
             metrics,
+            syncing: Mutex::new(()),
             state: Mutex::new(ClusterState {
                 primary,
                 standby: Some(StandbyNode::new(standby, 1, 0)),
@@ -772,13 +792,15 @@ impl OtpCluster {
 
     fn promote(&self, now: u64, reason: &str) -> bool {
         let (new_epoch, lost) = {
-            let mut st = self.core.state.lock();
-            let Some(_) = st.standby.as_ref() else {
+            let (_syncing, mut st) = self.core.settled();
+            if st.standby.is_none() {
                 return false; // nothing to promote; stay degraded
-            };
+            }
             // Final drain: take every frame the link still has.
             self.core.pump_locked(&mut st);
-            let standby = st.standby.take().expect("checked above");
+            let Some(standby) = st.standby.take() else {
+                return false;
+            };
             let acked = standby.applied_seq();
             // Frames the old primary shipped (or held) past the ack are
             // stamped with the old epoch: they are the deposed node's
@@ -860,7 +882,7 @@ impl OtpCluster {
     /// none) plus the primary's current WAL, all shipped at the current
     /// epoch through the normal link + apply path.
     pub fn rejoin_as_standby(&self) -> bool {
-        let mut st = self.core.state.lock();
+        let (_syncing, mut st) = self.core.settled();
         if st.standby.is_some() {
             return false;
         }

@@ -749,17 +749,21 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
+        let s = self.bytes.get(self.pos..)?.get(..n)?;
+        self.pos += n;
         Some(s)
     }
 
+    /// The next `N` bytes as an array: every fixed-size read goes
+    /// through here.
+    pub(crate) fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let chunk = *self.bytes.get(self.pos..)?.first_chunk::<N>()?;
+        self.pos += N;
+        Some(chunk)
+    }
+
     pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
+        self.array().map(u8::from_le_bytes)
     }
 
     fn bool(&mut self) -> Option<bool> {
@@ -770,23 +774,16 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+    pub(crate) fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
     }
 
     pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn fixed16(&mut self) -> Option<[u8; 16]> {
-        self.take(16).map(|b| b.try_into().unwrap())
+        self.array().map(u64::from_le_bytes)
     }
 
     fn i64(&mut self) -> Option<i64> {
-        self.take(8)
-            .map(|b| i64::from_le_bytes(b.try_into().unwrap()))
+        self.array().map(i64::from_le_bytes)
     }
 
     fn bytes(&mut self) -> Option<Vec<u8>> {
@@ -903,7 +900,7 @@ impl WalRecord {
             },
             TAG_RESUME_CONSUME => WalRecord::ResumeConsume {
                 user: r.string()?,
-                nonce: r.fixed16()?,
+                nonce: r.array()?,
                 expires_at: r.u64()?,
             },
             _ => return None,
@@ -954,21 +951,16 @@ pub fn decode_stream(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < FRAME_HEADER_LEN {
+        let mut frame = Reader::new(&bytes[pos..]);
+        let (Some(len), Some(crc)) = (frame.u32(), frame.u32()) else {
             return (records, WalTail::Torn { offset: pos });
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+        };
         if len > MAX_RECORD_LEN {
             return (records, WalTail::Corrupt { offset: pos });
         }
-        let body_start = pos + FRAME_HEADER_LEN;
-        let body_end = body_start + len as usize;
-        if body_end > bytes.len() {
+        let Some(payload) = frame.take(len as usize) else {
             return (records, WalTail::Torn { offset: pos });
-        }
-        let payload = &bytes[body_start..body_end];
+        };
         if crc32(payload) != crc {
             return (records, WalTail::Corrupt { offset: pos });
         }
@@ -976,7 +968,7 @@ pub fn decode_stream(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
             Some(rec) => records.push(rec),
             None => return (records, WalTail::Corrupt { offset: pos }),
         }
-        pos = body_end;
+        pos += FRAME_HEADER_LEN + payload.len();
     }
     (records, WalTail::Clean)
 }

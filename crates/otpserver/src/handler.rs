@@ -14,7 +14,7 @@
 //! treated as a direct single-shot validation (some SSH/SFTP clients send
 //! the token concatenated this way).
 
-use crate::durability::OtpCluster;
+use crate::durability::{OtpCluster, Persistence};
 use crate::server::span_cost;
 use crate::server::{
     Begun, Gated, LinotpServer, ResumeConsumeOutcome, SmsTrigger, ValidationOutcome,
@@ -96,9 +96,8 @@ pub struct OtpRadiusHandler {
 /// concludes arrives here from the thread that ran it.
 struct Parked {
     decision: Receiver<ServerDecision>,
-    /// The commit waited for.
-    seq: u64,
-    server: Arc<LinotpServer>,
+    /// The pump, and the commit waited for.
+    commit: (Persistence, u64),
 }
 
 impl PendingDecision for Parked {
@@ -107,7 +106,8 @@ impl PendingDecision for Parked {
     }
 
     fn wait(self: Box<Self>) -> ServerDecision {
-        self.server.drive(self.seq);
+        let (pump, seq) = &self.commit;
+        pump.drive(*seq);
         // A finish that panicked concluded nothing: deny.
         self.decision
             .recv()
@@ -181,11 +181,7 @@ impl OtpRadiusHandler {
             let _ = concluded.send(conclude(&me, username, outcome));
         });
         match parked {
-            Some(seq) => ServerDecision::Pending(Box::new(Parked {
-                decision,
-                seq,
-                server: Arc::clone(&self.server),
-            })),
+            Some(commit) => ServerDecision::Pending(Box::new(Parked { decision, commit })),
             None => decision.recv().unwrap_or_else(|_| Self::reject()),
         }
     }

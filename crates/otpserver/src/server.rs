@@ -16,8 +16,8 @@
 use crate::audit::{AuditAction, AuditEntry, AuditLog};
 use crate::durability::snapshot::snapshot_live;
 use crate::durability::{
-    recover, Commit, DurabilityCounters, Finish, HeldCommit, PairingImage, Persistence,
-    RecoverError, RecoveryReport, StorageBackend, Ticket, WalRecord,
+    recover, Commit, DurabilityCounters, Finish, PairingImage, Persistence, RecoverError,
+    RecoveryReport, StorageBackend, Ticket, WalRecord,
 };
 use crate::overload::{AdmissionController, OverloadConfig, ShedReason};
 use crate::sms::{PhoneNumber, SmsMessage, SmsProvider};
@@ -227,25 +227,15 @@ pub(crate) struct Txn<'a> {
     /// The trace the operation rode in on, when the RADIUS hop carried one.
     trace: Option<TraceId>,
     /// `None` on a volatile server.
-    commit: Option<Commit<'a>>,
+    commit: Option<Commit>,
     /// Where [`Txn::append`] left the commit, until [`Txn::settle`].
     ticket: Option<Ticket>,
     /// Rows bound for the ring; no operation leaves more than two (a
     /// validate's row and its lockout's).
     staged: [Option<AuditEntry>; 2],
-    /// Whether the drop checks for a due compaction. Not when it runs
-    /// among parked finishes: the thread running those must not wait on
-    /// the fence for passes only it can bring back.
-    compacts: bool,
-}
-
-/// A [`Txn`] off its thread, between a parked operation's append and the
-/// sync that covers it.
-struct HeldTxn {
-    now: u64,
-    trace: Option<TraceId>,
-    commit: Option<HeldCommit>,
-    staged: [Option<AuditEntry>; 2],
+    /// It runs as a parked commit's finish, whose compaction claim the
+    /// pump refuses.
+    parked: bool,
 }
 
 impl<'a> Txn<'a> {
@@ -300,49 +290,17 @@ impl<'a> Txn<'a> {
     /// does not gate, whose rows say what the store holds, and for the
     /// drop.
     fn settle(&mut self) -> bool {
-        let Some(c) = &mut self.commit else {
+        let (Some(c), Some(pump)) = (&mut self.commit, &self.server.persistence) else {
             return true;
         };
         let ticket = self.ticket.take().or_else(|| c.append());
-        ticket.is_none_or(|ticket| c.settle(ticket).is_ok())
+        ticket.is_none_or(|ticket| pump.settle(ticket).is_ok())
     }
 
     /// Forget the rows of a commit that failed: the caller stages the
     /// denial it answers instead.
     fn discard_staged(&mut self) {
         self.staged = [None, None];
-    }
-
-    /// Leave the thread: what is left of `self` drops as a no-op.
-    fn suspend(mut self) -> (HeldTxn, Option<Ticket>) {
-        self.compacts = false;
-        let held = HeldTxn {
-            now: self.now,
-            trace: self.trace,
-            commit: self.commit.take().map(Commit::suspend),
-            staged: std::mem::take(&mut self.staged),
-        };
-        (held, self.ticket.take())
-    }
-}
-
-impl HeldTxn {
-    /// Back on a thread — the one running parked finishes.
-    fn resume<'a>(self, server: &'a LinotpServer, user: &'a str) -> Txn<'a> {
-        Txn {
-            server,
-            user,
-            now: self.now,
-            trace: self.trace,
-            commit: server
-                .persistence
-                .as_ref()
-                .zip(self.commit)
-                .map(|(pump, held)| pump.resume(held)),
-            ticket: None,
-            staged: self.staged,
-            compacts: false,
-        }
     }
 }
 
@@ -352,10 +310,10 @@ impl Drop for Txn<'_> {
         for row in self.staged.iter_mut().filter_map(Option::take) {
             self.server.audit.push(row);
         }
-        // The compactor's claim waits for the pass this gives back.
-        self.commit = None;
-        if self.compacts {
-            self.server.maybe_compact(self.now);
+        if let Some(commit) = self.commit.take() {
+            // The compactor's claim waits for the pass this gives back.
+            drop(commit);
+            self.server.maybe_compact(self.now, self.parked);
         }
     }
 }
@@ -402,33 +360,42 @@ impl<'a, Op: Gated> Begun<'a, Op> {
     }
 
     /// Drive parked: leave the finish with the pump, to be run — and its
-    /// outcome handed to `then` — by the thread that leads the sync
-    /// covering the commit. Returns the commit's sequence number, or
-    /// `None` if there was nothing to wait behind after all and both ran
-    /// here. `server` is the shared handle of the server that began it.
+    /// outcome handed to `then` — by the thread holding the release turn
+    /// once the verdict is in. Returns the pump and the commit's sequence
+    /// number to [`Persistence::drive`] it by, or `None` if there was
+    /// nothing to wait behind after all and both ran here. `server` is the
+    /// shared handle of the server that began it.
     pub(crate) fn park(
         self,
         server: Arc<LinotpServer>,
         then: impl FnOnce(&str, Op::Outcome) + Send + 'static,
-    ) -> Option<u64> {
-        let Begun { txn, op } = self;
+    ) -> Option<(Persistence, u64)> {
+        let Begun { mut txn, op } = self;
         let (pump, user) = (txn.server.persistence.as_ref(), txn.user.to_string());
-        let (held, ticket) = txn.suspend();
+        // The operation leaves this thread with its commit and rows, and
+        // what is left of `txn` drops as a no-op.
+        let (now, trace, ticket) = (txn.now, txn.trace, txn.ticket.take());
+        let (commit, staged) = (txn.commit.take(), std::mem::take(&mut txn.staged));
+        drop(txn);
         let finish: Finish = Box::new(move |persisted| {
-            let mut txn = held.resume(&server, &user);
+            let mut txn = Txn {
+                server: &server,
+                user: &user,
+                now,
+                trace,
+                commit,
+                ticket: None,
+                staged,
+                parked: true,
+            };
             let outcome = op.finish(&mut txn, persisted);
             drop(txn);
             then(&user, outcome);
         });
-        let Some((pump, ticket)) = pump.zip(ticket) else {
-            finish(true);
-            return None;
-        };
-        let seq = ticket.seq();
-        match pump.park(ticket, finish) {
-            Ok(()) => seq,
-            Err((ticket, finish)) => {
-                finish(pump.settle(ticket).is_ok());
+        match pump.zip(ticket) {
+            Some((pump, ticket)) => pump.park(ticket, finish),
+            None => {
+                finish(true);
                 None
             }
         }
@@ -893,7 +860,7 @@ impl LinotpServer {
             commit: self.persistence.as_ref().map(Persistence::begin),
             ticket: None,
             staged: [None, None],
-            compacts: true,
+            parked: false,
         }
     }
 
@@ -903,11 +870,11 @@ impl LinotpServer {
     /// ones off, so the exported state and the WAL it replaces cannot
     /// diverge. Expired SMS codes and resume nonces are purged first so
     /// they never land in durable state.
-    fn maybe_compact(&self, now: u64) {
+    fn maybe_compact(&self, now: u64, from_finish: bool) {
         let Some(compaction) = self
             .persistence
             .as_ref()
-            .and_then(Persistence::claim_compaction)
+            .and_then(|pump| pump.claim_compaction(from_finish))
         else {
             return;
         };
@@ -1142,14 +1109,6 @@ impl LinotpServer {
         match self.trigger_sms_begin(username, now, ctx, source) {
             Ok(begun) => begun.settle(),
             Err(shed) => shed,
-        }
-    }
-
-    /// See to it that the parked commit `seq` gets its verdict and its
-    /// finish is run ([`Persistence::drive`]).
-    pub(crate) fn drive(&self, seq: u64) {
-        if let Some(pump) = &self.persistence {
-            pump.drive(seq);
         }
     }
 

@@ -19,6 +19,9 @@
 //!    commit ends, a failed sync denies every login it covered exactly as
 //!    the inline path does, and a compaction falling due among parked
 //!    replies strands none.
+//! 6. **A replicated append does not wait out the primary's sync**, and
+//!    the standby still receives exactly the synced bytes, in order, a
+//!    failed append and its rollback during the sync included.
 //!
 //! The interleavings are forced by a hooked backend, not by sleeping: the
 //! first sync of a storm is held until every thread has appended (or the
@@ -28,20 +31,22 @@ use hpcmfa_otp::clock::{Clock, SimClock};
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
 use hpcmfa_otpserver::audit::AuditAction;
+use hpcmfa_otpserver::durability::WalRecord;
 use hpcmfa_otpserver::server::{LinotpServer, ResumeConsumeOutcome, ServerConfig};
 use hpcmfa_otpserver::sms::TwilioSim;
 use hpcmfa_otpserver::store::shard_of_name;
 use hpcmfa_otpserver::{
-    MemoryBackend, OtpRadiusHandler, StorageBackend, StorageError, StorageFaultPlan,
-    ValidationOutcome,
+    ClusterBackend, LinkFaultPlan, MemoryBackend, OtpCluster, OtpRadiusHandler, ReplicationMode,
+    StorageBackend, StorageError, StorageFaultPlan, ValidationOutcome,
 };
 use hpcmfa_radius::auth::{fixture_authenticator, hide_password};
 use hpcmfa_radius::ingest::{BatchedUdpServer, IngestConfig, IngestHandle};
 use hpcmfa_radius::packet::{Code, Packet};
 use hpcmfa_radius::server::RadiusServer;
 use hpcmfa_radius::tracewire;
+use hpcmfa_radius::BreakerConfig;
 use hpcmfa_radius::{Attribute, AttributeType};
-use hpcmfa_telemetry::{SecurityEventKind, SpanStatus, TraceId};
+use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanStatus, TraceId};
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -993,4 +998,119 @@ fn the_compactor_cannot_strand_parked_replies() {
     }
     // Parked or not, a login's rows reach the ring and the WAL alike.
     assert_eq!(recovered.audit().export_all(), server.audit().export_all());
+}
+
+// ---------------------------------------------------------------------
+// Behind a replicated backend
+// ---------------------------------------------------------------------
+
+/// A cluster whose primary is `primary`: its standby's storage and the
+/// backend the pump writes through.
+fn replicated(primary: &Arc<Hooked>) -> (Arc<MemoryBackend>, Arc<ClusterBackend>) {
+    let standby = MemoryBackend::healthy();
+    let (_cluster, backend) = OtpCluster::new(
+        Arc::clone(primary) as Arc<dyn StorageBackend>,
+        Arc::clone(&standby) as Arc<dyn StorageBackend>,
+        ReplicationMode::Sync,
+        Arc::new(SimClock::at(T0)),
+        Arc::new(MetricsRegistry::new()),
+        BreakerConfig::default(),
+        LinkFaultPlan::healthy(),
+    );
+    (standby, backend)
+}
+
+fn remove_frame(user: &str) -> Vec<u8> {
+    WalRecord::Remove {
+        user: user.to_string(),
+    }
+    .encode_frame()
+}
+
+#[test]
+fn a_cluster_append_does_not_wait_out_the_primary_sync() {
+    let hooked = Hooked::over(MemoryBackend::healthy());
+    let (standby, backend) = replicated(&hooked);
+    let (first, second) = (remove_frame("first"), remove_frame("second"));
+    backend.append_wal(&first).unwrap();
+
+    // The primary's sync is held; an append on another thread meanwhile
+    // must not queue behind it.
+    hooked.hold_syncs();
+    std::thread::scope(|scope| {
+        let syncer = scope.spawn(|| backend.sync_wal());
+        while hooked.syncs() == 0 {
+            std::thread::yield_now();
+        }
+        let (done_tx, done_rx) = channel();
+        let (backend, second) = (&backend, &second);
+        let appender = scope.spawn(move || {
+            let appended = backend.append_wal(second);
+            done_tx.send(()).unwrap();
+            appended
+        });
+        let waited = done_rx.recv_timeout(HOLD_LIMIT);
+        hooked.release_syncs();
+        assert_eq!(syncer.join().unwrap(), Ok(()));
+        assert_eq!(appender.join().unwrap(), Ok(()));
+        assert!(waited.is_ok(), "the append waited for the primary's sync");
+    });
+
+    // The standby holds what that sync covered, and the next sync ships
+    // the rest behind it.
+    assert_eq!(standby.durable_wal(), first);
+    backend.sync_wal().unwrap();
+    assert_eq!(standby.durable_wal(), [first, second].concat());
+}
+
+#[test]
+fn a_cluster_rollback_during_a_sync_leaves_the_standby_equal_to_the_primary() {
+    let memory = MemoryBackend::with_plan(StorageFaultPlan::seeded(7));
+    let hooked = Hooked::over(Arc::clone(&memory));
+    let (standby, backend) = replicated(&hooked);
+    let (first, second, third) = (
+        remove_frame("first"),
+        remove_frame("second"),
+        remove_frame("third"),
+    );
+    backend.append_wal(&first).unwrap();
+
+    // An append fails while the primary's sync is held, and its rollback
+    // follows, as the pump's does: the batch that sync covers must still
+    // ship, and the failed append's bytes reach neither node. The append
+    // returns at once; the rollback waits the sync out, for one landing
+    // inside it would leave the batch's fate to a race.
+    hooked.hold_syncs();
+    std::thread::scope(|scope| {
+        let syncer = scope.spawn(|| backend.sync_wal());
+        while hooked.syncs() == 0 {
+            std::thread::yield_now();
+        }
+        memory.plan().set_short_write_every(1);
+        let (done_tx, done_rx) = channel();
+        let (backend, second) = (&backend, &second);
+        let failer = scope.spawn(move || {
+            let appended = backend.append_wal(second);
+            done_tx.send("append").unwrap();
+            backend.rollback_inflight();
+            done_tx.send("rollback").unwrap();
+            appended
+        });
+        let failed = done_rx.recv_timeout(HOLD_LIMIT);
+        let rolled_back = done_rx.recv_timeout(Duration::from_millis(300));
+        hooked.release_syncs();
+        assert_eq!(syncer.join().unwrap(), Ok(()));
+        let appended = failer.join().unwrap();
+        assert!(matches!(appended, Err(StorageError::ShortWrite { .. })));
+        assert_eq!(failed, Ok("append"), "the append waited for the sync");
+        assert!(rolled_back.is_err(), "the rollback landed inside the sync");
+    });
+    assert_eq!(memory.durable_wal(), first);
+    assert_eq!(standby.durable_wal(), first);
+
+    memory.plan().set_short_write_every(0);
+    backend.append_wal(&third).unwrap();
+    backend.sync_wal().unwrap();
+    assert_eq!(memory.durable_wal(), [&first[..], &third[..]].concat());
+    assert_eq!(standby.durable_wal(), memory.durable_wal());
 }

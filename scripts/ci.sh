@@ -17,6 +17,8 @@
 #                      into the timeout and fails by name
 #   hash core, OTP     their known answers in the only profile a login runs them in
 #                      — the WAL's slicing-by-8 CRC against its bytewise reference too
+#   group machine      every interleaving of ≤ 4 commits over ≤ 3 actors against
+#                      the five invariants
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
 #                      fails here by name instead of slowing the whole run
@@ -35,9 +37,10 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 4 MiB JSON string, 261-octet User-Name, udp ingest, parked replies"
+echo "==> release guards: full span ring, 100 000-entry uid search, 4 MiB JSON string, 261-octet User-Name, udp ingest, parked replies, group machine"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
-# minutes of work) runs into the timeout instead.
+# minutes of work) runs into the timeout instead. Target flags apply to every
+# package named, so the one --lib prebuilds hpcmfa-otpserver's lib tests too.
 cargo test -q --offline --release --no-run \
     -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props \
     -p hpcmfa-otpserver --test proptests --test group_commit --test wal_proptests \
@@ -53,6 +56,7 @@ timeout 20 cargo test -q --offline --release -p hpcmfa-radius --lib \
 timeout 20 cargo test -q --offline --release -p hpcmfa-radius --test udp
 timeout 30 cargo test -q --offline --release -p hpcmfa-otpserver --test group_commit -- \
     no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand
+timeout 60 cargo test -q --offline --release -p hpcmfa-otpserver --lib group
 cargo test -q --offline --release -p hpcmfa-crypto -p hpcmfa-otp
 cargo test -q --offline --release -p hpcmfa-otpserver --test wal_proptests
 
