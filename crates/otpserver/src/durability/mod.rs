@@ -40,7 +40,7 @@ pub use replication::{
     ReplicationMode, StandbyNode,
 };
 pub use snapshot::{recover, RecoverError, RecoveredState, RecoveryReport};
-pub use wal::{decode_stream, PairingImage, WalRecord, WalTail};
+pub use wal::{decode_stream, WalRecord, WalTail};
 
 use crate::audit::AuditAction;
 use group::{Actor, Goal, GroupMachine, Step};
@@ -324,7 +324,7 @@ impl Commit {
     /// Add a [`WalRecord::Audit`] row from borrowed fields.
     pub fn audit(&mut self, at: u64, user: &str, action: AuditAction, success: bool, detail: &str) {
         wal::frame_into(&mut self.frames, |out| {
-            wal::put_audit(out, at, user, wal::action_tag(action), success, detail)
+            wal::put_audit(out, at, user, action, success, detail)
         });
         self.records += 1;
     }

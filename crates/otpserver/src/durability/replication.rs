@@ -28,7 +28,7 @@
 //! the primary trip it, and the next request (a safe point — no store
 //! locks held) promotes the standby and reloads the server from its state.
 
-use super::wal::{crc32, put_u32, put_u64, Reader};
+use super::wal::{frame_into, put_u64, split_frame, Reader};
 use super::{StorageBackend, StorageError};
 use hpcmfa_otp::clock::Clock;
 use hpcmfa_radius::breaker::{BreakerConfig, CircuitBreaker};
@@ -83,25 +83,20 @@ pub struct ReplEnvelope {
 impl ReplEnvelope {
     /// Encode the full wire frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, self.epoch);
-        put_u64(&mut payload, self.seq);
-        match &self.frame {
-            ReplFrame::Wal(b) => {
-                payload.push(TAG_WAL);
-                payload.extend_from_slice(b);
-            }
-            ReplFrame::Snapshot(b) => {
-                payload.push(TAG_SNAPSHOT);
-                payload.extend_from_slice(b);
-            }
-            ReplFrame::Heartbeat => payload.push(TAG_HEARTBEAT),
-            ReplFrame::Reset => payload.push(TAG_RESET),
-        }
-        let mut out = Vec::with_capacity(REPL_HEADER_LEN + payload.len());
-        put_u32(&mut out, payload.len() as u32);
-        put_u32(&mut out, crc32(&payload));
-        out.extend_from_slice(&payload);
+        let (tag, body): (u8, &[u8]) = match &self.frame {
+            ReplFrame::Wal(b) => (TAG_WAL, b),
+            ReplFrame::Snapshot(b) => (TAG_SNAPSHOT, b),
+            ReplFrame::Heartbeat => (TAG_HEARTBEAT, &[]),
+            ReplFrame::Reset => (TAG_RESET, &[]),
+        };
+        // The payload is the epoch, the sequence number, the tag and the body.
+        let mut out = Vec::with_capacity(REPL_HEADER_LEN + 8 + 8 + 1 + body.len());
+        frame_into(&mut out, |out| {
+            put_u64(out, self.epoch);
+            put_u64(out, self.seq);
+            out.push(tag);
+            out.extend_from_slice(body);
+        });
         out
     }
 
@@ -111,13 +106,8 @@ impl ReplEnvelope {
     /// the CRC — which is linear, so a single flipped bit always changes
     /// it).
     pub fn decode(bytes: &[u8]) -> Option<ReplEnvelope> {
-        let mut header = Reader::new(bytes);
-        let (len, crc) = (header.u32()?, header.u32()?);
-        let payload = header.rest();
-        if len > MAX_REPL_LEN || payload.len() != len as usize {
-            return None;
-        }
-        if crc32(payload) != crc {
+        let (payload, after) = split_frame(bytes, MAX_REPL_LEN).ok()?;
+        if !after.is_empty() {
             return None;
         }
         let mut r = Reader::new(payload);

@@ -9,19 +9,20 @@
 //! disagree is rejected as [`RecoverError::SnapshotCorrupt`] — unlike the
 //! WAL, there is no valid "prefix" of a snapshot to fall back on.
 //!
-//! [`recover`] then replays the WAL over the snapshot image. The WAL *is*
-//! allowed a bad tail — that is what a crash mid-append leaves behind — and
-//! recovery truncates the backend at the first torn or corrupt record.
+//! [`recover`] replays the snapshot, then the WAL, through one `apply`.
+//! The WAL *is* allowed a bad tail — that is what a crash mid-append
+//! leaves behind — and recovery truncates the backend at the first torn or
+//! corrupt record.
 //! Replay is monotonic where security demands it: `last_step` only ever
 //! moves forward (`max`-merge), so replay nullification cannot regress
 //! whatever order records landed in.
 
 use super::wal::{
-    action_tag, decode_stream, frame_into, put_audit, snapshot_user_frame_into, WalRecord, WalTail,
+    frame_into, put_audit, replay, snapshot_user_frame_into, WalRecord, WalTail, TAG_SNAP_USER,
 };
 use super::{StorageBackend, StorageError};
 use crate::audit::{AuditEntry, AuditLog};
-use crate::store::{TokenPairing, UserTokenRecord};
+use crate::store::{PendingSmsCode, TokenPairing, UserTokenRecord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -72,7 +73,7 @@ pub struct RecoveryReport {
 }
 
 /// The state a recovery produced, ready to load into a live server.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RecoveredState {
     /// Per-user records.
     pub users: BTreeMap<String, UserTokenRecord>,
@@ -140,7 +141,7 @@ fn audit_frame_into(out: &mut Vec<u8>, entry: &AuditEntry) {
             out,
             entry.at,
             &entry.username,
-            action_tag(entry.action),
+            entry.action,
             entry.success,
             &entry.detail,
         )
@@ -174,144 +175,80 @@ fn finish_snapshot(
     out
 }
 
-/// What a valid snapshot blob decodes to.
-struct DecodedSnapshot {
-    users: BTreeMap<String, UserTokenRecord>,
-    audits: Vec<AuditEntry>,
-    audit_dropped: u64,
-    resume_consumed: BTreeMap<[u8; 16], u64>,
-    skipped: usize,
-}
-
-/// Decode and validate a snapshot blob.
-fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, RecoverError> {
-    let (records, tail) = decode_stream(bytes);
-    if tail != WalTail::Clean {
-        return Err(RecoverError::SnapshotCorrupt);
-    }
-    let Some(WalRecord::SnapshotSeal {
-        users: want_users,
-        audits: want_audits,
-        audit_dropped,
-        resumes: want_resumes,
-    }) = records.last().cloned()
-    else {
-        return Err(RecoverError::SnapshotCorrupt);
-    };
-    let mut users = BTreeMap::new();
-    let mut audits = Vec::new();
-    let mut resume_consumed = BTreeMap::new();
-    let mut skipped = 0usize;
-    for rec in &records[..records.len() - 1] {
+/// Load a snapshot blob into the empty `state` through [`apply`]; `None`
+/// if it is not wholly valid. Replay already refuses torn and malformed
+/// frames. A snapshot must also hold only user, audit and resume records,
+/// then exactly one seal, and the seal's counts must match what it holds.
+/// A user whose pairing no longer validates is skipped, and still counts
+/// toward the seal it was written under.
+fn load_snapshot(state: &mut RecoveredState, bytes: &[u8]) -> Option<()> {
+    let mut seal = None;
+    let mut skipped_users = 0;
+    let tail = replay(bytes, |rec| {
         match rec {
-            WalRecord::SnapshotUser {
-                user,
-                pairing,
-                fail_count,
-                active,
-            } => match pairing.restore() {
-                Some(p) => {
-                    users.insert(
-                        user.clone(),
-                        UserTokenRecord {
-                            pairing: p,
-                            fail_count: *fail_count,
-                            active: *active,
-                        },
-                    );
-                }
-                None => skipped += 1,
-            },
-            WalRecord::Audit {
-                at,
-                user,
-                action,
-                success,
-                detail,
-            } => {
-                let Some(action) = super::wal::action_from_tag(*action) else {
-                    skipped += 1;
-                    continue;
-                };
-                audits.push(AuditEntry {
-                    at: *at,
-                    username: user.clone(),
-                    action,
-                    success: *success,
-                    detail: detail.clone(),
-                });
-            }
-            WalRecord::ResumeConsume {
-                nonce, expires_at, ..
-            } => {
-                resume_consumed.insert(*nonce, *expires_at);
-            }
-            // Anything else inside a snapshot is a writer bug or damage.
-            _ => return Err(RecoverError::SnapshotCorrupt),
+            _ if seal.is_some() => return false,
+            Ok(WalRecord::SnapshotSeal {
+                users,
+                audits,
+                audit_dropped,
+                resumes,
+            }) => seal = Some((users, audits, audit_dropped, resumes)),
+            Ok(
+                rec @ (WalRecord::SnapshotUser { .. }
+                | WalRecord::Audit { .. }
+                | WalRecord::ResumeConsume { .. }),
+            ) => apply(state, rec),
+            Err(TAG_SNAP_USER) => skipped_users += 1,
+            _ => return false,
         }
+        true
+    });
+    let (users, audits, audit_dropped, resumes) = seal?;
+    let counted = (state.users.len() + skipped_users) as u64 == users
+        && state.audit_entries.len() as u64 == audits
+        && state.resume_consumed.len() as u64 == resumes;
+    if tail != WalTail::Clean || !counted {
+        return None;
     }
-    // The seal's counts must match what was actually present; `skipped`
-    // records still counted toward the seal when written, so compare
-    // against decoded + skipped.
-    if users.len() + skipped_users(&records) != want_users as usize
-        || audits.len() + skipped_audits(&records) != want_audits as usize
-        || resume_consumed.len() != want_resumes as usize
-    {
-        return Err(RecoverError::SnapshotCorrupt);
-    }
-    Ok(DecodedSnapshot {
-        users,
-        audits,
-        audit_dropped,
-        resume_consumed,
-        skipped,
-    })
+    state.audit_dropped = audit_dropped;
+    state.report.snapshot_users = state.users.len();
+    state.report.snapshot_audits = state.audit_entries.len();
+    state.report.skipped_records = skipped_users;
+    Some(())
 }
 
-fn skipped_users(records: &[WalRecord]) -> usize {
-    records[..records.len() - 1]
-        .iter()
-        .filter(
-            |r| matches!(r, WalRecord::SnapshotUser { pairing, .. } if pairing.restore().is_none()),
-        )
-        .count()
-}
-
-fn skipped_audits(records: &[WalRecord]) -> usize {
-    records[..records.len() - 1]
-        .iter()
-        .filter(|r| {
-            matches!(r, WalRecord::Audit { action, .. } if super::wal::action_from_tag(*action).is_none())
-        })
-        .count()
-}
-
-/// Apply one WAL record to the in-flight recovered image. Returns `false`
-/// if the record was semantically unusable and skipped.
-fn apply(
-    users: &mut BTreeMap<String, UserTokenRecord>,
-    audits: &mut Vec<AuditEntry>,
-    resume_consumed: &mut BTreeMap<[u8; 16], u64>,
-    rec: &WalRecord,
-) -> bool {
+/// Apply one decoded record to the recovered state: the one step both a
+/// snapshot load and a WAL replay take.
+fn apply(state: &mut RecoveredState, rec: WalRecord) {
+    let users = &mut state.users;
     match rec {
-        WalRecord::Enroll { user, pairing } => match pairing.restore() {
-            Some(p) => {
-                users.insert(
-                    user.clone(),
-                    UserTokenRecord {
-                        pairing: p,
-                        fail_count: 0,
-                        active: true,
-                    },
-                );
-                true
-            }
-            None => false,
-        },
+        WalRecord::Enroll { user, pairing } => {
+            users.insert(
+                user,
+                UserTokenRecord {
+                    pairing,
+                    fail_count: 0,
+                    active: true,
+                },
+            );
+        }
+        WalRecord::SnapshotUser {
+            user,
+            pairing,
+            fail_count,
+            active,
+        } => {
+            users.insert(
+                user,
+                UserTokenRecord {
+                    pairing,
+                    fail_count,
+                    active,
+                },
+            );
+        }
         WalRecord::Remove { user } => {
-            users.remove(user);
-            true
+            users.remove(&user);
         }
         WalRecord::ValState {
             user,
@@ -319,29 +256,27 @@ fn apply(
             fail_count,
             active,
         } => {
-            if let Some(rec) = users.get_mut(user) {
+            if let Some(rec) = users.get_mut(&user) {
                 if let Some(step) = last_step {
-                    merge_last_step(&mut rec.pairing, *step);
+                    merge_last_step(&mut rec.pairing, step);
                 }
-                rec.fail_count = *fail_count;
-                rec.active = *active;
+                rec.fail_count = fail_count;
+                rec.active = active;
             }
-            true
         }
         WalRecord::Resync {
             user,
             drift_steps,
             last_step,
         } => {
-            if let Some(rec) = users.get_mut(user) {
+            if let Some(rec) = users.get_mut(&user) {
                 if let TokenPairing::Totp { drift_steps: d, .. } = &mut rec.pairing {
-                    *d = *drift_steps;
+                    *d = drift_steps;
                 }
-                merge_last_step(&mut rec.pairing, *last_step);
+                merge_last_step(&mut rec.pairing, last_step);
                 rec.fail_count = 0;
                 rec.active = true;
             }
-            true
         }
         WalRecord::SmsIssue {
             user,
@@ -349,24 +284,22 @@ fn apply(
             sent_at,
             expires_at,
         } => {
-            if let Some(rec) = users.get_mut(user) {
-                if let TokenPairing::Sms { pending, .. } = &mut rec.pairing {
-                    *pending = Some(crate::store::PendingSmsCode {
-                        code: code.clone(),
-                        sent_at: *sent_at,
-                        expires_at: *expires_at,
-                    });
-                }
+            if let Some(TokenPairing::Sms { pending, .. }) =
+                users.get_mut(&user).map(|rec| &mut rec.pairing)
+            {
+                *pending = Some(PendingSmsCode {
+                    code,
+                    sent_at,
+                    expires_at,
+                });
             }
-            true
         }
         WalRecord::SmsClear { user } => {
-            if let Some(rec) = users.get_mut(user) {
-                if let TokenPairing::Sms { pending, .. } = &mut rec.pairing {
-                    *pending = None;
-                }
+            if let Some(TokenPairing::Sms { pending, .. }) =
+                users.get_mut(&user).map(|rec| &mut rec.pairing)
+            {
+                *pending = None;
             }
-            true
         }
         WalRecord::Audit {
             at,
@@ -374,30 +307,23 @@ fn apply(
             action,
             success,
             detail,
-        } => match super::wal::action_from_tag(*action) {
-            Some(action) => {
-                audits.push(AuditEntry {
-                    at: *at,
-                    username: user.clone(),
-                    action,
-                    success: *success,
-                    detail: detail.clone(),
-                });
-                true
-            }
-            None => false,
-        },
+        } => state.audit_entries.push(AuditEntry {
+            at,
+            username: user,
+            action,
+            success,
+            detail,
+        }),
         WalRecord::ResumeConsume {
             nonce, expires_at, ..
         } => {
             // Max-merge like `last_step`: a nonce can never un-consume,
             // and its ledger retention only ever extends.
-            let slot = resume_consumed.entry(*nonce).or_insert(*expires_at);
-            *slot = (*slot).max(*expires_at);
-            true
+            let slot = state.resume_consumed.entry(nonce).or_insert(expires_at);
+            *slot = (*slot).max(expires_at);
         }
-        // Snapshot-only records inside the WAL are skipped, not fatal.
-        WalRecord::SnapshotUser { .. } | WalRecord::SnapshotSeal { .. } => false,
+        // The loaders keep seals to themselves.
+        WalRecord::SnapshotSeal { .. } => {}
     }
 }
 
@@ -409,51 +335,38 @@ fn merge_last_step(pairing: &mut TokenPairing, step: u64) {
 }
 
 /// Rebuild state from `backend`: snapshot first, then WAL replay, then
-/// tail truncation. The backend's WAL is left holding exactly the valid
-/// prefix, so appends after recovery continue a clean stream.
+/// tail truncation. Both go through the one [`apply`]; in the WAL,
+/// snapshot-only records and pairings that no longer validate are
+/// skipped and counted, not fatal. The backend's WAL is left holding
+/// exactly the valid prefix, so appends after recovery continue a clean
+/// stream.
 pub fn recover(backend: &Arc<dyn StorageBackend>) -> Result<RecoveredState, RecoverError> {
-    let mut report = RecoveryReport::default();
-
-    let (mut users, mut audits, audit_dropped, mut resume_consumed) =
-        match backend.read_snapshot()? {
-            Some(bytes) => {
-                let snap = decode_snapshot(&bytes)?;
-                report.snapshot_users = snap.users.len();
-                report.snapshot_audits = snap.audits.len();
-                report.skipped_records += snap.skipped;
-                (
-                    snap.users,
-                    snap.audits,
-                    snap.audit_dropped,
-                    snap.resume_consumed,
-                )
-            }
-            None => (BTreeMap::new(), Vec::new(), 0, BTreeMap::new()),
-        };
+    let mut state = RecoveredState::default();
+    if let Some(bytes) = backend.read_snapshot()? {
+        load_snapshot(&mut state, &bytes).ok_or(RecoverError::SnapshotCorrupt)?;
+    }
 
     let wal = backend.read_wal()?;
-    let (records, tail) = decode_stream(&wal);
+    let tail = replay(&wal, |rec| {
+        match rec {
+            Ok(WalRecord::SnapshotUser { .. } | WalRecord::SnapshotSeal { .. }) | Err(_) => {
+                state.report.skipped_records += 1
+            }
+            Ok(rec) => {
+                apply(&mut state, rec);
+                state.report.wal_records += 1;
+            }
+        }
+        true
+    });
+    let report = &mut state.report;
     report.tail_was_clean = tail == WalTail::Clean;
     report.wal_bytes = tail.valid_len(wal.len());
     report.truncated_bytes = wal.len() - report.wal_bytes;
-    for rec in &records {
-        if apply(&mut users, &mut audits, &mut resume_consumed, rec) {
-            report.wal_records += 1;
-        } else {
-            report.skipped_records += 1;
-        }
-    }
     if report.truncated_bytes > 0 {
         backend.truncate_wal(report.wal_bytes as u64)?;
     }
-
-    Ok(RecoveredState {
-        users,
-        audit_entries: audits,
-        audit_dropped,
-        resume_consumed,
-        report,
-    })
+    Ok(state)
 }
 
 #[cfg(test)]
@@ -461,16 +374,18 @@ mod tests {
     use super::*;
     use crate::audit::AuditAction;
     use crate::durability::backend::MemoryBackend;
-    use crate::durability::wal::{action_tag, PairingImage};
+    use crate::store::TotpProvenance;
+    use hpcmfa_otp::secret::Secret;
+    use hpcmfa_otp::totp::{Totp, TotpParams};
 
-    fn totp_image(last_step: Option<u64>) -> PairingImage {
-        PairingImage::Totp {
-            secret: b"12345678901234567890".to_vec(),
-            digits: 6,
-            step_secs: 30,
-            t0: 0,
-            alg: "SHA1".into(),
-            hard: false,
+    fn totp_pairing(digits: u32, last_step: Option<u64>) -> TokenPairing {
+        let params = TotpParams {
+            digits,
+            ..TotpParams::default()
+        };
+        TokenPairing::Totp {
+            totp: Totp::with_params(Secret::from_bytes(*b"12345678901234567890"), params),
+            provenance: TotpProvenance::Soft,
             serial: None,
             last_step,
             drift_steps: 0,
@@ -499,7 +414,7 @@ mod tests {
         let b = backend_with(&[
             WalRecord::Enroll {
                 user: "alice".into(),
-                pairing: totp_image(None),
+                pairing: totp_pairing(6, None),
             },
             WalRecord::ValState {
                 user: "alice".into(),
@@ -516,7 +431,7 @@ mod tests {
             WalRecord::Audit {
                 at: 7,
                 user: "alice".into(),
-                action: action_tag(AuditAction::Validate),
+                action: AuditAction::Validate,
                 success: true,
                 detail: "ok".into(),
             },
@@ -539,17 +454,7 @@ mod tests {
         // the first validation would compute.
         let b = backend_with(&[WalRecord::Enroll {
             user: "alice".into(),
-            pairing: PairingImage::Totp {
-                secret: b"12345678901234567890".to_vec(),
-                digits: 10,
-                step_secs: 30,
-                t0: 0,
-                alg: "SHA1".into(),
-                hard: false,
-                serial: None,
-                last_step: None,
-                drift_steps: 0,
-            },
+            pairing: totp_pairing(10, None),
         }]);
         let state = recover(&b).unwrap();
         assert!(state.users.is_empty());
@@ -564,7 +469,7 @@ mod tests {
         let b = backend_with(&[
             WalRecord::Enroll {
                 user: "alice".into(),
-                pairing: totp_image(None),
+                pairing: totp_pairing(6, None),
             },
             WalRecord::ValState {
                 user: "alice".into(),
@@ -591,7 +496,7 @@ mod tests {
         let records = vec![
             WalRecord::Enroll {
                 user: "alice".into(),
-                pairing: totp_image(Some(5)),
+                pairing: totp_pairing(6, Some(5)),
             },
             WalRecord::Remove { user: "bob".into() },
         ];
@@ -624,7 +529,7 @@ mod tests {
         users.insert(
             "alice".to_string(),
             UserTokenRecord {
-                pairing: totp_image(Some(90)).restore().unwrap(),
+                pairing: totp_pairing(6, Some(90)),
                 fail_count: 2,
                 active: true,
             },
@@ -678,7 +583,7 @@ mod tests {
         users.insert(
             "alice".to_string(),
             UserTokenRecord {
-                pairing: totp_image(None).restore().unwrap(),
+                pairing: totp_pairing(6, None),
                 fail_count: 0,
                 active: true,
             },
@@ -694,7 +599,7 @@ mod tests {
     fn snapshot_without_seal_rejected() {
         let frame = WalRecord::SnapshotUser {
             user: "alice".into(),
-            pairing: totp_image(None),
+            pairing: totp_pairing(6, None),
             fail_count: 0,
             active: true,
         }

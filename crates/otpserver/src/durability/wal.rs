@@ -95,226 +95,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// A serializable image of a [`TokenPairing`] — the WAL cannot hold the
-/// live `Totp` object, so pairings cross the boundary as plain fields. The
-/// image *does* contain the shared secret: the WAL replaces the MariaDB
-/// tables that hold the same material in the paper's deployment, and must
-/// be protected accordingly (file permissions, encrypted volume).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PairingImage {
-    /// Soft/hard TOTP pairing.
-    Totp {
-        /// Raw shared-secret bytes.
-        secret: Vec<u8>,
-        /// Code digits.
-        digits: u32,
-        /// Time-step seconds.
-        step_secs: u64,
-        /// RFC 6238 T0.
-        t0: u64,
-        /// HMAC algorithm label (e.g. `SHA1`).
-        alg: String,
-        /// Hard (fob) rather than soft (app) provenance.
-        hard: bool,
-        /// Hard-token serial.
-        serial: Option<String>,
-        /// Replay-nullification high-water mark.
-        last_step: Option<u64>,
-        /// Resync offset in steps.
-        drift_steps: i64,
-    },
-    /// SMS pairing.
-    Sms {
-        /// Canonical phone-number string.
-        phone: String,
-        /// Outstanding code, if any: (code, sent_at, expires_at).
-        pending: Option<(String, u64, u64)>,
-    },
-    /// Static training code.
-    Static {
-        /// The fixed code.
-        code: String,
-    },
-}
-
-impl PairingImage {
-    /// Capture a live pairing.
-    pub fn of(pairing: &TokenPairing) -> Self {
-        match PairingFields::from(pairing) {
-            PairingFields::Totp {
-                secret,
-                digits,
-                step_secs,
-                t0,
-                alg,
-                hard,
-                serial,
-                last_step,
-                drift_steps,
-            } => PairingImage::Totp {
-                secret: secret.to_vec(),
-                digits,
-                step_secs,
-                t0,
-                alg: alg.to_string(),
-                hard,
-                serial: serial.map(str::to_string),
-                last_step,
-                drift_steps,
-            },
-            PairingFields::Sms { phone, pending } => PairingImage::Sms {
-                phone: phone.to_string(),
-                pending: pending
-                    .map(|(code, sent_at, expires_at)| (code.to_string(), sent_at, expires_at)),
-            },
-            PairingFields::Static { code } => PairingImage::Static {
-                code: code.to_string(),
-            },
-        }
-    }
-
-    /// Rebuild the live pairing. `None` if the image holds values that no
-    /// longer parse (counted as corruption by the caller).
-    pub fn restore(&self) -> Option<TokenPairing> {
-        match self {
-            PairingImage::Totp {
-                secret,
-                digits,
-                step_secs,
-                t0,
-                alg,
-                hard,
-                serial,
-                last_step,
-                drift_steps,
-            } => {
-                let params = TotpParams {
-                    digits: *digits,
-                    step_secs: *step_secs,
-                    t0: *t0,
-                    alg: HashAlg::parse(alg)?,
-                }
-                .validated()
-                .ok()?;
-                Some(TokenPairing::Totp {
-                    totp: Totp::with_params(Secret::from_bytes(secret.clone()), params),
-                    provenance: if *hard {
-                        TotpProvenance::Hard
-                    } else {
-                        TotpProvenance::Soft
-                    },
-                    serial: serial.clone(),
-                    last_step: *last_step,
-                    drift_steps: *drift_steps,
-                })
-            }
-            PairingImage::Sms { phone, pending } => Some(TokenPairing::Sms {
-                phone: PhoneNumber::parse(phone).ok()?,
-                pending: pending
-                    .as_ref()
-                    .map(|(code, sent_at, expires_at)| PendingSmsCode {
-                        code: code.clone(),
-                        sent_at: *sent_at,
-                        expires_at: *expires_at,
-                    }),
-            }),
-            PairingImage::Static { code } => Some(TokenPairing::Static { code: code.clone() }),
-        }
-    }
-}
-
-/// A pairing's durable fields, borrowed from an owned [`PairingImage`]
-/// or straight from a live [`TokenPairing`]: the one shape the pairing
-/// encoder reads, so a compaction serialises the store without cloning it.
-enum PairingFields<'a> {
-    Totp {
-        secret: &'a [u8],
-        digits: u32,
-        step_secs: u64,
-        t0: u64,
-        alg: &'a str,
-        hard: bool,
-        serial: Option<&'a str>,
-        last_step: Option<u64>,
-        drift_steps: i64,
-    },
-    Sms {
-        phone: &'a str,
-        pending: Option<(&'a str, u64, u64)>,
-    },
-    Static {
-        code: &'a str,
-    },
-}
-
-impl<'a> From<&'a TokenPairing> for PairingFields<'a> {
-    fn from(pairing: &'a TokenPairing) -> Self {
-        match pairing {
-            TokenPairing::Totp {
-                totp,
-                provenance,
-                serial,
-                last_step,
-                drift_steps,
-            } => PairingFields::Totp {
-                secret: totp.secret.bytes(),
-                digits: totp.params.digits,
-                step_secs: totp.params.step_secs,
-                t0: totp.params.t0,
-                alg: totp.params.alg.name(),
-                hard: *provenance == TotpProvenance::Hard,
-                serial: serial.as_deref(),
-                last_step: *last_step,
-                drift_steps: *drift_steps,
-            },
-            TokenPairing::Sms { phone, pending } => PairingFields::Sms {
-                phone: phone.as_str(),
-                pending: pending
-                    .as_ref()
-                    .map(|p| (p.code.as_str(), p.sent_at, p.expires_at)),
-            },
-            TokenPairing::Static { code } => PairingFields::Static { code },
-        }
-    }
-}
-
-impl<'a> From<&'a PairingImage> for PairingFields<'a> {
-    fn from(image: &'a PairingImage) -> Self {
-        match image {
-            PairingImage::Totp {
-                secret,
-                digits,
-                step_secs,
-                t0,
-                alg,
-                hard,
-                serial,
-                last_step,
-                drift_steps,
-            } => PairingFields::Totp {
-                secret,
-                digits: *digits,
-                step_secs: *step_secs,
-                t0: *t0,
-                alg,
-                hard: *hard,
-                serial: serial.as_deref(),
-                last_step: *last_step,
-                drift_steps: *drift_steps,
-            },
-            PairingImage::Sms { phone, pending } => PairingFields::Sms {
-                phone,
-                pending: pending
-                    .as_ref()
-                    .map(|(code, sent_at, expires_at)| (code.as_str(), *sent_at, *expires_at)),
-            },
-            PairingImage::Static { code } => PairingFields::Static { code },
-        }
-    }
-}
-
 /// One logged state mutation. Replaying the records of a clean WAL in
 /// order over the snapshot reproduces the pre-crash store and audit log.
+/// Pairing records hold the shared secret: the WAL replaces the MariaDB
+/// tables that hold the same material in the paper's deployment, and must
+/// be protected accordingly (file permissions, encrypted volume).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// A pairing was enrolled or replaced (fail state resets).
@@ -322,7 +107,7 @@ pub enum WalRecord {
         /// Account.
         user: String,
         /// The new pairing.
-        pairing: PairingImage,
+        pairing: TokenPairing,
     },
     /// A pairing was removed.
     Remove {
@@ -373,8 +158,8 @@ pub enum WalRecord {
         at: u64,
         /// Account.
         user: String,
-        /// Action tag (see [`action_tag`]).
-        action: u8,
+        /// What was done.
+        action: AuditAction,
         /// Operation success flag.
         success: bool,
         /// Free-form detail.
@@ -398,8 +183,8 @@ pub enum WalRecord {
     SnapshotUser {
         /// Account.
         user: String,
-        /// The pairing image.
-        pairing: PairingImage,
+        /// The pairing.
+        pairing: TokenPairing,
         /// Failure counter.
         fail_count: u32,
         /// Active flag.
@@ -419,8 +204,8 @@ pub enum WalRecord {
     },
 }
 
-/// Stable tag for an [`AuditAction`].
-pub fn action_tag(action: AuditAction) -> u8 {
+/// Stable on-disk tag for an [`AuditAction`].
+fn action_tag(action: AuditAction) -> u8 {
     match action {
         AuditAction::Validate => 0,
         AuditAction::SmsTriggered => 1,
@@ -434,7 +219,7 @@ pub fn action_tag(action: AuditAction) -> u8 {
 }
 
 /// Inverse of [`action_tag`].
-pub fn action_from_tag(tag: u8) -> Option<AuditAction> {
+fn action_from_tag(tag: u8) -> Option<AuditAction> {
     Some(match tag {
         0 => AuditAction::Validate,
         1 => AuditAction::SmsTriggered,
@@ -459,7 +244,7 @@ const TAG_RESYNC: u8 = 4;
 const TAG_SMS_ISSUE: u8 = 5;
 const TAG_SMS_CLEAR: u8 = 6;
 const TAG_AUDIT: u8 = 7;
-const TAG_SNAP_USER: u8 = 8;
+pub(crate) const TAG_SNAP_USER: u8 = 8;
 const TAG_SNAP_SEAL: u8 = 9;
 const TAG_RESUME_CONSUME: u8 = 10;
 
@@ -467,7 +252,7 @@ const PAIR_TOTP: u8 = 1;
 const PAIR_SMS: u8 = 2;
 const PAIR_STATIC: u8 = 3;
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -508,44 +293,40 @@ fn put_opt_str(out: &mut Vec<u8>, v: Option<&str>) {
     }
 }
 
-fn put_pairing(out: &mut Vec<u8>, p: PairingFields<'_>) {
-    match p {
-        PairingFields::Totp {
-            secret,
-            digits,
-            step_secs,
-            t0,
-            alg,
-            hard,
+fn put_pairing(out: &mut Vec<u8>, pairing: &TokenPairing) {
+    match pairing {
+        TokenPairing::Totp {
+            totp,
+            provenance,
             serial,
             last_step,
             drift_steps,
         } => {
             out.push(PAIR_TOTP);
-            put_bytes(out, secret);
-            put_u32(out, digits);
-            put_u64(out, step_secs);
-            put_u64(out, t0);
-            put_str(out, alg);
-            out.push(u8::from(hard));
-            put_opt_str(out, serial);
-            put_opt_u64(out, last_step);
-            put_i64(out, drift_steps);
+            put_bytes(out, totp.secret.bytes());
+            put_u32(out, totp.params.digits);
+            put_u64(out, totp.params.step_secs);
+            put_u64(out, totp.params.t0);
+            put_str(out, totp.params.alg.name());
+            out.push(u8::from(*provenance == TotpProvenance::Hard));
+            put_opt_str(out, serial.as_deref());
+            put_opt_u64(out, *last_step);
+            put_i64(out, *drift_steps);
         }
-        PairingFields::Sms { phone, pending } => {
+        TokenPairing::Sms { phone, pending } => {
             out.push(PAIR_SMS);
-            put_str(out, phone);
+            put_str(out, phone.as_str());
             match pending {
-                Some((code, sent_at, expires_at)) => {
+                Some(p) => {
                     out.push(1);
-                    put_str(out, code);
-                    put_u64(out, sent_at);
-                    put_u64(out, expires_at);
+                    put_str(out, &p.code);
+                    put_u64(out, p.sent_at);
+                    put_u64(out, p.expires_at);
                 }
                 None => out.push(0),
             }
         }
-        PairingFields::Static { code } => {
+        TokenPairing::Static { code } => {
             out.push(PAIR_STATIC);
             put_str(out, code);
         }
@@ -556,7 +337,7 @@ fn put_pairing(out: &mut Vec<u8>, p: PairingFields<'_>) {
 fn put_snapshot_user(
     out: &mut Vec<u8>,
     user: &str,
-    pairing: PairingFields<'_>,
+    pairing: &TokenPairing,
     fail_count: u32,
     active: bool,
 ) {
@@ -570,7 +351,7 @@ fn put_snapshot_user(
 /// Append the [`WalRecord::SnapshotUser`] frame of a live store record.
 pub(crate) fn snapshot_user_frame_into(out: &mut Vec<u8>, user: &str, rec: &UserTokenRecord) {
     frame_into(out, |out| {
-        put_snapshot_user(out, user, (&rec.pairing).into(), rec.fail_count, rec.active)
+        put_snapshot_user(out, user, &rec.pairing, rec.fail_count, rec.active)
     });
 }
 
@@ -596,14 +377,14 @@ pub(crate) fn put_audit(
     out: &mut Vec<u8>,
     at: u64,
     user: &str,
-    action: u8,
+    action: AuditAction,
     success: bool,
     detail: &str,
 ) {
     out.push(TAG_AUDIT);
     put_u64(out, at);
     put_str(out, user);
-    out.push(action);
+    out.push(action_tag(action));
     out.push(u8::from(success));
     put_str(out, detail);
 }
@@ -635,7 +416,7 @@ impl WalRecord {
             WalRecord::Enroll { user, pairing } => {
                 out.push(TAG_ENROLL);
                 put_str(out, user);
-                put_pairing(out, pairing.into());
+                put_pairing(out, pairing);
             }
             WalRecord::Remove { user } => {
                 out.push(TAG_REMOVE);
@@ -685,7 +466,7 @@ impl WalRecord {
                 pairing,
                 fail_count,
                 active,
-            } => put_snapshot_user(out, user, pairing.into(), *fail_count, *active),
+            } => put_snapshot_user(out, user, pairing, *fail_count, *active),
             WalRecord::ResumeConsume {
                 user,
                 nonce,
@@ -756,7 +537,7 @@ impl<'a> Reader<'a> {
 
     /// The next `N` bytes as an array: every fixed-size read goes
     /// through here.
-    pub(crate) fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
         let chunk = *self.bytes.get(self.pos..)?.first_chunk::<N>()?;
         self.pos += N;
         Some(chunk)
@@ -774,7 +555,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    pub(crate) fn u32(&mut self) -> Option<u32> {
+    fn u32(&mut self) -> Option<u32> {
         self.array().map(u32::from_le_bytes)
     }
 
@@ -814,32 +595,57 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn pairing(&mut self) -> Option<PairingImage> {
-        match self.u8()? {
-            PAIR_TOTP => Some(PairingImage::Totp {
-                secret: self.bytes()?,
-                digits: self.u32()?,
-                step_secs: self.u64()?,
-                t0: self.u64()?,
-                alg: self.string()?,
-                hard: self.bool()?,
-                serial: self.opt_string()?,
-                last_step: self.opt_u64()?,
-                drift_steps: self.i64()?,
-            }),
-            PAIR_SMS => Some(PairingImage::Sms {
-                phone: self.string()?,
-                pending: match self.u8()? {
+    /// A pairing, built and checked as a restore checks one: `Some(None)`
+    /// when it is well formed but no longer validates — an algorithm
+    /// label, digit count, step or phone number no live pairing holds.
+    fn pairing(&mut self) -> Option<Option<TokenPairing>> {
+        Some(match self.u8()? {
+            PAIR_TOTP => {
+                let secret = Secret::from_bytes(self.bytes()?);
+                let (digits, step_secs, t0) = (self.u32()?, self.u64()?, self.u64()?);
+                let alg = HashAlg::parse(&self.string()?);
+                let provenance = match self.bool()? {
+                    true => TotpProvenance::Hard,
+                    false => TotpProvenance::Soft,
+                };
+                let (serial, last_step, drift_steps) =
+                    (self.opt_string()?, self.opt_u64()?, self.i64()?);
+                alg.and_then(|alg| {
+                    let params = TotpParams {
+                        digits,
+                        step_secs,
+                        t0,
+                        alg,
+                    };
+                    params.validated().ok()
+                })
+                .map(|params| TokenPairing::Totp {
+                    totp: Totp::with_params(secret, params),
+                    provenance,
+                    serial,
+                    last_step,
+                    drift_steps,
+                })
+            }
+            PAIR_SMS => {
+                let phone = self.string()?;
+                let pending = match self.u8()? {
                     0 => None,
-                    1 => Some((self.string()?, self.u64()?, self.u64()?)),
+                    1 => Some(PendingSmsCode {
+                        code: self.string()?,
+                        sent_at: self.u64()?,
+                        expires_at: self.u64()?,
+                    }),
                     _ => return None,
-                },
-            }),
-            PAIR_STATIC => Some(PairingImage::Static {
+                };
+                let phone = PhoneNumber::parse(&phone).ok();
+                phone.map(|phone| TokenPairing::Sms { phone, pending })
+            }
+            PAIR_STATIC => Some(TokenPairing::Static {
                 code: self.string()?,
             }),
-            _ => None,
-        }
+            _ => return None,
+        })
     }
 
     fn done(&self) -> bool {
@@ -847,68 +653,78 @@ impl<'a> Reader<'a> {
     }
 }
 
-impl WalRecord {
-    /// Decode one payload. `None` on any malformation; never panics.
-    pub fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
-        let mut r = Reader::new(payload);
-        let rec = match r.u8()? {
-            TAG_ENROLL => WalRecord::Enroll {
-                user: r.string()?,
-                pairing: r.pairing()?,
-            },
-            TAG_REMOVE => WalRecord::Remove { user: r.string()? },
-            TAG_VALSTATE => WalRecord::ValState {
-                user: r.string()?,
-                last_step: r.opt_u64()?,
-                fail_count: r.u32()?,
-                active: r.bool()?,
-            },
-            TAG_RESYNC => WalRecord::Resync {
-                user: r.string()?,
-                drift_steps: r.i64()?,
-                last_step: r.u64()?,
-            },
-            TAG_SMS_ISSUE => WalRecord::SmsIssue {
-                user: r.string()?,
-                code: r.string()?,
-                sent_at: r.u64()?,
-                expires_at: r.u64()?,
-            },
-            TAG_SMS_CLEAR => WalRecord::SmsClear { user: r.string()? },
-            TAG_AUDIT => WalRecord::Audit {
-                at: r.u64()?,
-                user: r.string()?,
-                action: {
-                    let tag = r.u8()?;
-                    action_from_tag(tag)?;
-                    tag
-                },
-                success: r.bool()?,
-                detail: r.string()?,
-            },
-            TAG_SNAP_USER => WalRecord::SnapshotUser {
-                user: r.string()?,
-                pairing: r.pairing()?,
-                fail_count: r.u32()?,
-                active: r.bool()?,
-            },
-            TAG_SNAP_SEAL => WalRecord::SnapshotSeal {
-                users: r.u64()?,
-                audits: r.u64()?,
-                audit_dropped: r.u64()?,
-                resumes: r.u64()?,
-            },
-            TAG_RESUME_CONSUME => WalRecord::ResumeConsume {
-                user: r.string()?,
-                nonce: r.array()?,
-                expires_at: r.u64()?,
-            },
-            _ => return None,
-        };
-        if !r.done() {
-            return None; // trailing garbage inside a checksummed frame
+/// Decode one payload: `None` if it is malformed, `Some(Err(tag))` if it
+/// is a well-formed record of kind `tag` whose pairing no longer
+/// validates — recovery skips and counts those, they are not corruption.
+/// Never panics.
+fn decode(payload: &[u8]) -> Option<Result<WalRecord, u8>> {
+    let mut r = Reader::new(payload);
+    let tag = r.u8()?;
+    let rec = match tag {
+        TAG_ENROLL => {
+            let user = r.string()?;
+            r.pairing()?
+                .map(|pairing| WalRecord::Enroll { user, pairing })
         }
-        Some(rec)
+        TAG_REMOVE => Some(WalRecord::Remove { user: r.string()? }),
+        TAG_VALSTATE => Some(WalRecord::ValState {
+            user: r.string()?,
+            last_step: r.opt_u64()?,
+            fail_count: r.u32()?,
+            active: r.bool()?,
+        }),
+        TAG_RESYNC => Some(WalRecord::Resync {
+            user: r.string()?,
+            drift_steps: r.i64()?,
+            last_step: r.u64()?,
+        }),
+        TAG_SMS_ISSUE => Some(WalRecord::SmsIssue {
+            user: r.string()?,
+            code: r.string()?,
+            sent_at: r.u64()?,
+            expires_at: r.u64()?,
+        }),
+        TAG_SMS_CLEAR => Some(WalRecord::SmsClear { user: r.string()? }),
+        TAG_AUDIT => Some(WalRecord::Audit {
+            at: r.u64()?,
+            user: r.string()?,
+            action: action_from_tag(r.u8()?)?,
+            success: r.bool()?,
+            detail: r.string()?,
+        }),
+        TAG_SNAP_USER => {
+            let user = r.string()?;
+            let pairing = r.pairing()?;
+            let (fail_count, active) = (r.u32()?, r.bool()?);
+            pairing.map(|pairing| WalRecord::SnapshotUser {
+                user,
+                pairing,
+                fail_count,
+                active,
+            })
+        }
+        TAG_SNAP_SEAL => Some(WalRecord::SnapshotSeal {
+            users: r.u64()?,
+            audits: r.u64()?,
+            audit_dropped: r.u64()?,
+            resumes: r.u64()?,
+        }),
+        TAG_RESUME_CONSUME => Some(WalRecord::ResumeConsume {
+            user: r.string()?,
+            nonce: r.array()?,
+            expires_at: r.u64()?,
+        }),
+        _ => return None,
+    };
+    // Trailing garbage inside a checksummed frame is malformed.
+    r.done().then(|| rec.ok_or(tag))
+}
+
+impl WalRecord {
+    /// Decode one payload. `None` if it is malformed or holds a pairing
+    /// that no longer validates; never panics.
+    pub fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
+        decode(payload)?.ok()
     }
 }
 
@@ -945,53 +761,106 @@ impl WalTail {
     }
 }
 
-/// Decode every clean frame from `bytes`. Stops at the first torn or
-/// corrupt frame; never panics, whatever the input.
+/// Why the frame at the front of a byte stream cannot be read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BadFrame {
+    /// The stream ends inside it.
+    Torn,
+    /// Its length is over the cap or its checksum fails.
+    Corrupt,
+}
+
+/// Split the frame at the front of `bytes` off the rest: its checksummed
+/// payload, and the bytes after it. A length field beyond `cap` is
+/// corruption rather than an allocation request. The one frame reader:
+/// WAL, snapshot and replication envelope bytes all pass through it.
+pub(crate) fn split_frame(bytes: &[u8], cap: u32) -> Result<(&[u8], &[u8]), BadFrame> {
+    let mut r = Reader::new(bytes);
+    let (Some(len), Some(crc)) = (r.u32(), r.u32()) else {
+        return Err(BadFrame::Torn);
+    };
+    if len > cap {
+        return Err(BadFrame::Corrupt);
+    }
+    let payload = r.take(len as usize).ok_or(BadFrame::Torn)?;
+    if crc32(payload) != crc {
+        return Err(BadFrame::Corrupt);
+    }
+    Ok((payload, r.rest()))
+}
+
+/// Walk the frames of `bytes` in order, handing each record to `each` —
+/// `Err(tag)` for a well-formed record whose pairing no longer validates.
+/// Stops at the first torn or malformed frame, or at one `each` refuses
+/// (reported as corrupt); never panics, whatever the input.
+pub(crate) fn replay(bytes: &[u8], mut each: impl FnMut(Result<WalRecord, u8>) -> bool) -> WalTail {
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let offset = bytes.len() - rest.len();
+        let (payload, after) = match split_frame(rest, MAX_RECORD_LEN) {
+            Ok(split) => split,
+            Err(BadFrame::Torn) => return WalTail::Torn { offset },
+            Err(BadFrame::Corrupt) => return WalTail::Corrupt { offset },
+        };
+        if !decode(payload).is_some_and(&mut each) {
+            return WalTail::Corrupt { offset };
+        }
+        rest = after;
+    }
+    WalTail::Clean
+}
+
+/// Decode every clean frame from `bytes`, skipping any whose pairing no
+/// longer validates. Stops at the first torn or corrupt frame; never
+/// panics, whatever the input.
 pub fn decode_stream(bytes: &[u8]) -> (Vec<WalRecord>, WalTail) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let mut frame = Reader::new(&bytes[pos..]);
-        let (Some(len), Some(crc)) = (frame.u32(), frame.u32()) else {
-            return (records, WalTail::Torn { offset: pos });
-        };
-        if len > MAX_RECORD_LEN {
-            return (records, WalTail::Corrupt { offset: pos });
-        }
-        let Some(payload) = frame.take(len as usize) else {
-            return (records, WalTail::Torn { offset: pos });
-        };
-        if crc32(payload) != crc {
-            return (records, WalTail::Corrupt { offset: pos });
-        }
-        match WalRecord::decode_payload(payload) {
-            Some(rec) => records.push(rec),
-            None => return (records, WalTail::Corrupt { offset: pos }),
-        }
-        pos += FRAME_HEADER_LEN + payload.len();
-    }
-    (records, WalTail::Clean)
+    let tail = replay(bytes, |rec| {
+        records.extend(rec.ok());
+        true
+    });
+    (records, tail)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn totp(digits: u32, step_secs: u64) -> TokenPairing {
+        let params = TotpParams {
+            digits,
+            step_secs,
+            ..TotpParams::default()
+        };
+        TokenPairing::Totp {
+            totp: Totp::with_params(Secret::from_bytes(*b"12345678901234567890"), params),
+            provenance: TotpProvenance::Soft,
+            serial: None,
+            last_step: None,
+            drift_steps: 0,
+        }
+    }
+
+    fn enroll(pairing: TokenPairing) -> Vec<u8> {
+        WalRecord::Enroll {
+            user: "alice".into(),
+            pairing,
+        }
+        .encode_payload()
+    }
+
+    /// `payload` with the first occurrence of `from` overwritten by `to`.
+    fn patched(mut payload: Vec<u8>, from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at = payload.windows(from.len()).position(|w| w == from).unwrap();
+        payload[at..at + to.len()].copy_from_slice(to);
+        payload
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Enroll {
                 user: "alice".into(),
-                pairing: PairingImage::Totp {
-                    secret: b"12345678901234567890".to_vec(),
-                    digits: 6,
-                    step_secs: 30,
-                    t0: 0,
-                    alg: "SHA1".into(),
-                    hard: false,
-                    serial: None,
-                    last_step: None,
-                    drift_steps: 0,
-                },
+                pairing: totp(6, 30),
             },
             WalRecord::ValState {
                 user: "alice".into(),
@@ -1009,7 +878,7 @@ mod tests {
             WalRecord::Audit {
                 at: 100,
                 user: "alice".into(),
-                action: action_tag(AuditAction::Validate),
+                action: AuditAction::Validate,
                 success: true,
                 detail: "ok".into(),
             },
@@ -1090,52 +959,39 @@ mod tests {
     }
 
     #[test]
-    fn pairing_images_restore() {
-        let sms = PairingImage::Sms {
-            phone: "5125551234".into(),
-            pending: Some(("111111".into(), 5, 305)),
+    fn pairings_that_no_longer_validate_are_unusable_not_malformed() {
+        let sms = TokenPairing::Sms {
+            phone: PhoneNumber::parse("5125551234").unwrap(),
+            pending: Some(PendingSmsCode {
+                code: "111111".into(),
+                sent_at: 5,
+                expires_at: 305,
+            }),
         };
-        let restored = sms.restore().unwrap();
-        let TokenPairing::Sms { phone, pending } = restored else {
-            panic!("wrong variant");
+        let payload = enroll(sms.clone());
+        let record = WalRecord::Enroll {
+            user: "alice".into(),
+            pairing: sms,
         };
-        assert_eq!(phone.as_str(), "5125551234");
-        assert_eq!(pending.unwrap().code, "111111");
+        assert_eq!(decode(&payload), Some(Ok(record)));
+        let bad_phone = patched(payload, b"5125551234", b"51255512x4");
+        assert_eq!(decode(&bad_phone), Some(Err(TAG_ENROLL)));
 
-        let bad_alg = PairingImage::Totp {
-            secret: vec![1; 20],
-            digits: 6,
-            step_secs: 30,
-            t0: 0,
-            alg: "SHA3".into(),
-            hard: false,
-            serial: None,
-            last_step: None,
-            drift_steps: 0,
-        };
-        assert!(bad_alg.restore().is_none());
+        let bad_alg = patched(enroll(totp(6, 30)), b"SHA1", b"SHA3");
+        assert_eq!(decode(&bad_alg), Some(Err(TAG_ENROLL)));
+        assert_eq!(WalRecord::decode_payload(&bad_alg), None);
     }
 
     #[test]
     fn out_of_range_totp_parameters_do_not_restore() {
-        // A checksummed image can still carry parameters no code can be
+        // A checksummed payload can still carry parameters no code can be
         // computed from: ten digits overflow the `10^digits` modulus, a
         // zero step divides by zero.
-        let image = |digits, step_secs| PairingImage::Totp {
-            secret: vec![1; 20],
-            digits,
-            step_secs,
-            t0: 0,
-            alg: "SHA1".into(),
-            hard: false,
-            serial: None,
-            last_step: None,
-            drift_steps: 0,
-        };
-        assert!(image(10, 30).restore().is_none());
-        assert!(image(5, 30).restore().is_none());
-        assert!(image(6, 0).restore().is_none());
-        assert!(image(9, 1).restore().is_some());
+        let restores = |digits, step_secs| decode(&enroll(totp(digits, step_secs)));
+        assert_eq!(restores(10, 30), Some(Err(TAG_ENROLL)));
+        assert_eq!(restores(5, 30), Some(Err(TAG_ENROLL)));
+        assert_eq!(restores(6, 0), Some(Err(TAG_ENROLL)));
+        assert!(matches!(restores(9, 1), Some(Ok(_))));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 use crate::audit::{AuditAction, AuditEntry, AuditLog};
 use crate::durability::snapshot::snapshot_live;
 use crate::durability::{
-    recover, Commit, DurabilityCounters, Finish, PairingImage, Persistence, RecoverError,
-    RecoveryReport, StorageBackend, Ticket, WalRecord,
+    recover, Commit, DurabilityCounters, Finish, Persistence, RecoverError, RecoveryReport,
+    StorageBackend, Ticket, WalRecord,
 };
 use crate::overload::{AdmissionController, OverloadConfig, ShedReason};
 use crate::sms::{PhoneNumber, SmsMessage, SmsProvider};
@@ -913,7 +913,7 @@ impl LinotpServer {
         let mut txn = self.txn(username, now, None);
         txn.record(|| WalRecord::Enroll {
             user: username.to_string(),
-            pairing: PairingImage::of(&pairing),
+            pairing: pairing.clone(),
         });
         txn.audit(AuditAction::Enroll, true, detail);
         txn.settle();

@@ -89,7 +89,7 @@ impl PendingSmsCode {
 }
 
 /// A user's pairing record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokenPairing {
     /// Soft or hard TOTP token.
     Totp {

@@ -1,0 +1,461 @@
+//! The durable formats, pinned from outside the codec.
+//!
+//! A round-trip property cannot see a format change that the encoder and
+//! the decoder make together; the known answers here can. Every WAL record
+//! kind, every pairing shape, every audit action and every replication
+//! envelope is held to the exact bytes of one frame.
+//!
+//! The snapshot tests characterise what recovery accepts: a CRC-valid
+//! snapshot is still refused wholesale unless its body holds only user,
+//! audit and resume records, ends in exactly one seal, and the seal's
+//! counts match the body.
+
+use hpcmfa_crypto::hex::to_hex;
+use hpcmfa_crypto::HashAlg;
+use hpcmfa_otp::secret::Secret;
+use hpcmfa_otp::totp::{Totp, TotpParams};
+use hpcmfa_otpserver::audit::AuditAction;
+use hpcmfa_otpserver::durability::wal::{crc32, WalRecord};
+use hpcmfa_otpserver::durability::RecoveredState;
+use hpcmfa_otpserver::sms::PhoneNumber;
+use hpcmfa_otpserver::store::{PendingSmsCode, TokenPairing, TotpProvenance};
+use hpcmfa_otpserver::{
+    recover, MemoryBackend, RecoverError, ReplEnvelope, ReplFrame, StorageBackend,
+};
+use proptest::prelude::*;
+use std::sync::Arc;
+
+const ACTIONS: [AuditAction; 8] = [
+    AuditAction::Validate,
+    AuditAction::SmsTriggered,
+    AuditAction::SmsSuppressed,
+    AuditAction::Enroll,
+    AuditAction::Remove,
+    AuditAction::Resync,
+    AuditAction::ResetFailCount,
+    AuditAction::Lockout,
+];
+
+fn totp(digits: u32, hard: bool) -> TokenPairing {
+    let (secret, step_secs, t0, alg) = if hard {
+        (
+            &b"abcdefghijABCDEFGHIJ0123456789ab"[..],
+            60,
+            7,
+            HashAlg::Sha256,
+        )
+    } else {
+        (&b"12345678901234567890"[..], 30, 0, HashAlg::Sha1)
+    };
+    let params = TotpParams {
+        digits,
+        step_secs,
+        t0,
+        alg,
+    };
+    TokenPairing::Totp {
+        totp: Totp::with_params(Secret::from_bytes(secret), params),
+        provenance: if hard {
+            TotpProvenance::Hard
+        } else {
+            TotpProvenance::Soft
+        },
+        serial: hard.then(|| "FT-0042".to_string()),
+        last_step: hard.then_some(49_166_666),
+        drift_steps: if hard { -3 } else { 0 },
+    }
+}
+
+fn sms(pending: bool) -> TokenPairing {
+    let phone = if pending {
+        "5125551234"
+    } else {
+        "+441632960961"
+    };
+    TokenPairing::Sms {
+        phone: PhoneNumber::parse(phone).unwrap(),
+        pending: pending.then(|| PendingSmsCode {
+            code: "111111".into(),
+            sent_at: 5,
+            expires_at: 305,
+        }),
+    }
+}
+
+fn fixed() -> TokenPairing {
+    TokenPairing::Static {
+        code: "24681357".into(),
+    }
+}
+
+fn audit(i: usize, action: AuditAction) -> WalRecord {
+    WalRecord::Audit {
+        at: 1_700_000_000 + i as u64,
+        user: "alice".into(),
+        action,
+        success: i.is_multiple_of(2),
+        detail: format!("trace={i:016x}"),
+    }
+}
+
+fn user(name: &str, pairing: TokenPairing) -> WalRecord {
+    WalRecord::SnapshotUser {
+        user: name.into(),
+        pairing,
+        fail_count: 3,
+        active: true,
+    }
+}
+
+/// One record of every kind, each pairing shape, each audit action.
+fn records() -> Vec<WalRecord> {
+    let mut records = vec![
+        WalRecord::Enroll {
+            user: "alice".into(),
+            pairing: totp(6, false),
+        },
+        WalRecord::Enroll {
+            user: "bob".into(),
+            pairing: totp(8, true),
+        },
+        WalRecord::Enroll {
+            user: "carol".into(),
+            pairing: sms(true),
+        },
+        WalRecord::Enroll {
+            user: "dave".into(),
+            pairing: sms(false),
+        },
+        WalRecord::Enroll {
+            user: "erin".into(),
+            pairing: fixed(),
+        },
+        WalRecord::Remove {
+            user: "frank".into(),
+        },
+        WalRecord::ValState {
+            user: "alice".into(),
+            last_step: Some(49_166_667),
+            fail_count: 0,
+            active: true,
+        },
+        WalRecord::ValState {
+            user: "bob".into(),
+            last_step: None,
+            fail_count: 20,
+            active: false,
+        },
+        WalRecord::Resync {
+            user: "bob".into(),
+            drift_steps: -240,
+            last_step: 10,
+        },
+        WalRecord::SmsIssue {
+            user: "carol".into(),
+            code: "123456".into(),
+            sent_at: 100,
+            expires_at: 400,
+        },
+        WalRecord::SmsClear {
+            user: "carol".into(),
+        },
+        WalRecord::ResumeConsume {
+            user: "alice".into(),
+            nonce: [7; 16],
+            expires_at: 1_700_000_630,
+        },
+        user("bob", totp(8, true)),
+        WalRecord::SnapshotSeal {
+            users: 1,
+            audits: 8,
+            audit_dropped: 2,
+            resumes: 1,
+        },
+    ];
+    records.extend(ACTIONS.iter().enumerate().map(|(i, &a)| audit(i, a)));
+    records
+}
+
+fn envelopes() -> Vec<ReplEnvelope> {
+    let wal = WalRecord::Remove {
+        user: "frank".into(),
+    }
+    .encode_frame();
+    [
+        ReplFrame::Wal(wal),
+        ReplFrame::Snapshot(b"snapshot-blob".to_vec()),
+        ReplFrame::Heartbeat,
+        ReplFrame::Reset,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, frame)| ReplEnvelope {
+        epoch: 3,
+        seq: 7 + i as u64,
+        frame,
+    })
+    .collect()
+}
+
+const RECORD_HEX: [&str; 22] = [
+    "4a0000003fc2aea90105000000616c69636501140000003132333435363738393031323334353637383930060000001e00000000000000000000000000000004000000534841310000000000000000000000",
+    "690000005428fd1e0103000000626f6201200000006162636465666768696a4142434445464748494a303132333435363738396162080000003c0000000000000007000000000000000600000053484132353601010700000046542d30303432014a39ee0200000000fdffffffffffffff",
+    "34000000e64ca94b01050000006361726f6c020a00000035313235353531323334010600000031313131313105000000000000003101000000000000",
+    "1c0000001a84e0c4010400000064617665020d0000002b34343136333239363039363100",
+    "16000000740f391601040000006572696e03080000003234363831333537",
+    "0a0000001048a71202050000006672616e6b",
+    "180000005e39b51c0305000000616c696365014b39ee02000000000000000001",
+    "0e000000694707e20303000000626f62001400000000",
+    "18000000c5cc8ff80403000000626f6210ffffffffffffff0a00000000000000",
+    "2400000075ee3b8405050000006361726f6c0600000031323334353664000000000000009001000000000000",
+    "0a000000a0261f0806050000006361726f6c",
+    "22000000c83389b70a05000000616c6963650707070707070707070707070707070776f3536500000000",
+    "6e00000000bd233b0803000000626f6201200000006162636465666768696a4142434445464748494a303132333435363738396162080000003c0000000000000007000000000000000600000053484132353601010700000046542d30303432014a39ee0200000000fdffffffffffffff0300000001",
+    "210000004e37b648090100000000000000080000000000000002000000000000000100000000000000",
+    "2e0000008db3a5470700f153650000000005000000616c69636500011600000074726163653d30303030303030303030303030303030",
+    "2e0000000b4d0dfc0701f153650000000005000000616c69636501001600000074726163653d30303030303030303030303030303031",
+    "2e000000427e9d360702f153650000000005000000616c69636502011600000074726163653d30303030303030303030303030303032",
+    "2e000000c480358d0703f153650000000005000000616c69636503001600000074726163653d30303030303030303030303030303033",
+    "2e0000001328d4a50704f153650000000005000000616c69636504011600000074726163653d30303030303030303030303030303034",
+    "2e00000095d67c1e0705f153650000000005000000616c69636505001600000074726163653d30303030303030303030303030303035",
+    "2e000000dce5ecd40706f153650000000005000000616c69636506011600000074726163653d30303030303030303030303030303036",
+    "2e0000005a1b446f0707f153650000000005000000616c69636507001600000074726163653d30303030303030303030303030303037",
+];
+
+const ENVELOPE_HEX: [&str; 4] = [
+    "230000002e147c1f03000000000000000700000000000000010a0000001048a71202050000006672616e6b",
+    "1e0000009c3cc1320300000000000000080000000000000002736e617073686f742d626c6f62",
+    "11000000d84ddfaf0300000000000000090000000000000003",
+    "11000000bee4360803000000000000000a0000000000000004",
+];
+
+/// Compare `got` against the pinned hex, listing every frame that moved.
+fn pinned(what: &str, got: Vec<String>, want: &[&str]) {
+    assert_eq!(got.len(), want.len(), "{what}: one pinned frame each");
+    let moved: Vec<String> = got
+        .iter()
+        .zip(want)
+        .enumerate()
+        .filter(|(_, (g, w))| g != *w)
+        .map(|(i, (g, _))| format!("{what} {i} now encodes as\n    \"{g}\","))
+        .collect();
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
+
+#[test]
+fn every_wal_record_kind_has_the_pinned_bytes() {
+    let records = records();
+    let got = records.iter().map(|r| to_hex(&r.encode_frame())).collect();
+    pinned("record", got, &RECORD_HEX);
+    for r in &records {
+        let frame = r.encode_frame();
+        assert_eq!(WalRecord::decode_payload(&frame[8..]).as_ref(), Some(r));
+    }
+}
+
+#[test]
+fn every_replication_envelope_has_the_pinned_bytes() {
+    let envelopes = envelopes();
+    let got = envelopes.iter().map(|e| to_hex(&e.encode())).collect();
+    pinned("envelope", got, &ENVELOPE_HEX);
+    for e in &envelopes {
+        assert_eq!(ReplEnvelope::decode(&e.encode()).as_ref(), Some(e));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Snapshots
+// ---------------------------------------------------------------------
+
+fn blob(records: &[WalRecord]) -> Vec<u8> {
+    records.iter().flat_map(WalRecord::encode_frame).collect()
+}
+
+fn seal(users: u64, audits: u64, audit_dropped: u64, resumes: u64) -> WalRecord {
+    WalRecord::SnapshotSeal {
+        users,
+        audits,
+        audit_dropped,
+        resumes,
+    }
+}
+
+fn resume() -> WalRecord {
+    WalRecord::ResumeConsume {
+        user: String::new(),
+        nonce: [9; 16],
+        expires_at: 1_700_000_990,
+    }
+}
+
+/// Two users, one audit row, one consumed nonce: the body a compaction
+/// writes, without its seal.
+fn body() -> Vec<WalRecord> {
+    vec![
+        user("alice", totp(6, false)),
+        user("bob", sms(true)),
+        audit(0, AuditAction::Enroll),
+        resume(),
+    ]
+}
+
+fn load(snapshot: Vec<u8>) -> Result<RecoveredState, RecoverError> {
+    let backend = MemoryBackend::with_contents(Vec::new(), Some(snapshot));
+    recover(&(backend as Arc<dyn StorageBackend>))
+}
+
+fn load_records(records: &[WalRecord]) -> Result<RecoveredState, RecoverError> {
+    load(blob(records))
+}
+
+#[test]
+fn a_sealed_body_loads() {
+    let mut records = body();
+    records.push(seal(2, 1, 5, 1));
+    let state = load_records(&records).unwrap();
+    assert_eq!(state.users.len(), 2);
+    assert_eq!(state.users["alice"].fail_count, 3);
+    assert_eq!(state.audit_entries.len(), 1);
+    assert_eq!(state.audit_entries[0].action, AuditAction::Enroll);
+    assert_eq!(state.audit_dropped, 5);
+    assert_eq!(state.resume_consumed.get(&[9; 16]), Some(&1_700_000_990));
+    assert_eq!(state.report.snapshot_users, 2);
+    assert_eq!(state.report.snapshot_audits, 1);
+    assert_eq!(state.report.skipped_records, 0);
+}
+
+#[test]
+fn a_duplicated_user_is_corrupt() {
+    let mut records = body();
+    records.insert(1, user("alice", totp(6, false)));
+    records.push(seal(3, 1, 0, 1));
+    assert_eq!(
+        load_records(&records).unwrap_err(),
+        RecoverError::SnapshotCorrupt
+    );
+}
+
+#[test]
+fn a_val_state_in_the_body_is_corrupt() {
+    let mut records = body();
+    records.insert(
+        2,
+        WalRecord::ValState {
+            user: "alice".into(),
+            last_step: Some(5),
+            fail_count: 0,
+            active: true,
+        },
+    );
+    records.push(seal(2, 1, 0, 1));
+    assert_eq!(
+        load_records(&records).unwrap_err(),
+        RecoverError::SnapshotCorrupt
+    );
+}
+
+#[test]
+fn a_second_seal_mid_body_is_corrupt() {
+    let mut records = body();
+    records.insert(2, seal(2, 0, 0, 0));
+    records.push(seal(2, 1, 0, 1));
+    assert_eq!(
+        load_records(&records).unwrap_err(),
+        RecoverError::SnapshotCorrupt
+    );
+}
+
+/// The seal's `audit_dropped` is a value the ring carries over, not a
+/// count of anything in the body, so only the other three are checked.
+#[test]
+fn every_seal_count_off_by_one_is_corrupt() {
+    let counts = [2u64, 1, 1];
+    for which in 0..3 {
+        for delta in [-1i64, 1] {
+            let mut c = counts;
+            c[which] = (c[which] as i64 + delta) as u64;
+            let mut records = body();
+            records.push(seal(c[0], c[1], 0, c[2]));
+            assert_eq!(
+                load_records(&records).unwrap_err(),
+                RecoverError::SnapshotCorrupt,
+                "count {which} off by {delta}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_user_whose_pairing_no_longer_validates_is_skipped() {
+    let mut records = body();
+    records.insert(1, user("mallory", totp(10, false)));
+    records.push(seal(3, 1, 0, 1));
+    let state = load_records(&records).unwrap();
+    assert_eq!(state.report.skipped_records, 1);
+    assert_eq!(state.report.snapshot_users, 2);
+    assert!(state.users.contains_key("alice") && state.users.contains_key("bob"));
+    assert!(!state.users.contains_key("mallory"));
+}
+
+/// A well-framed stream of `payloads`: each CRC-valid, so decoding gets
+/// past the checksum into the payload parser.
+fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for p in payloads {
+        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(p).to_le_bytes());
+        out.extend_from_slice(p);
+    }
+    out
+}
+
+fn assert_state_or_corrupt(result: Result<RecoveredState, RecoverError>) {
+    assert!(
+        matches!(result, Ok(_) | Err(RecoverError::SnapshotCorrupt)),
+        "{result:?}"
+    );
+}
+
+proptest! {
+    /// Arbitrary bytes as the snapshot blob never panic recovery: they
+    /// give a state or `SnapshotCorrupt`.
+    #[test]
+    fn arbitrary_snapshot_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        assert_state_or_corrupt(load(bytes));
+    }
+
+    /// The same for CRC-valid frames around arbitrary payloads, some of
+    /// them real records' payloads with one byte changed.
+    #[test]
+    fn arbitrary_framed_payloads_never_panic(
+        payloads in prop::collection::vec(
+            prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..48),
+                (0..22usize, any::<u64>(), any::<u8>()).prop_map(|(i, at, b)| {
+                    let mut p = records()[i].encode_payload();
+                    let at = at as usize % p.len();
+                    p[at] = b;
+                    p
+                }),
+            ],
+            0..6,
+        ),
+    ) {
+        assert_state_or_corrupt(load(framed(&payloads)));
+    }
+
+    /// Any strict prefix, and any single flipped bit, of a valid snapshot
+    /// is refused wholesale: there is no partial snapshot to fall back on.
+    #[test]
+    fn a_cut_or_flipped_snapshot_is_corrupt(cut in any::<u64>(), flip in any::<u64>()) {
+        let mut records = body();
+        records.push(seal(2, 1, 0, 1));
+        let whole = blob(&records);
+        let cut = cut as usize % whole.len();
+        prop_assert_eq!(load(whole[..cut].to_vec()).unwrap_err(), RecoverError::SnapshotCorrupt);
+        let bit = flip as usize % (whole.len() * 8);
+        let mut flipped = whole;
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_eq!(load(flipped).unwrap_err(), RecoverError::SnapshotCorrupt);
+    }
+}

@@ -5,9 +5,13 @@
 //! frame always fails its checksum instead of parsing into something
 //! plausible).
 
-use hpcmfa_otpserver::durability::wal::{
-    action_from_tag, crc32, decode_stream, PairingImage, WalRecord, WalTail,
-};
+use hpcmfa_crypto::HashAlg;
+use hpcmfa_otp::secret::Secret;
+use hpcmfa_otp::totp::{Totp, TotpParams};
+use hpcmfa_otpserver::audit::AuditAction;
+use hpcmfa_otpserver::durability::wal::{crc32, decode_stream, WalRecord, WalTail};
+use hpcmfa_otpserver::sms::PhoneNumber;
+use hpcmfa_otpserver::store::{PendingSmsCode, TokenPairing, TotpProvenance};
 use hpcmfa_otpserver::{MemoryBackend, Persistence, StorageBackend};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -20,7 +24,7 @@ fn arb_opt_step() -> BoxedStrategy<Option<u64>> {
     prop_oneof![Just(None), (0u64..50_000_000).prop_map(Some)].boxed()
 }
 
-fn arb_pairing() -> BoxedStrategy<PairingImage> {
+fn arb_pairing() -> BoxedStrategy<TokenPairing> {
     let serial = prop_oneof![Just(None), "[A-Z]{2,4}-[0-9]{4}".prop_map(Some),];
     let totp = (
         prop::collection::vec(any::<u8>(), 10..33),
@@ -30,13 +34,19 @@ fn arb_pairing() -> BoxedStrategy<PairingImage> {
     )
         .prop_map(
             |(secret, (digits, step_secs, t0), alg, (hard, serial, last_step, drift_steps))| {
-                PairingImage::Totp {
-                    secret,
+                let params = TotpParams {
                     digits,
                     step_secs,
                     t0,
-                    alg,
-                    hard,
+                    alg: HashAlg::parse(&alg).unwrap(),
+                };
+                TokenPairing::Totp {
+                    totp: Totp::with_params(Secret::from_bytes(secret), params),
+                    provenance: if hard {
+                        TotpProvenance::Hard
+                    } else {
+                        TotpProvenance::Soft
+                    },
                     serial,
                     last_step,
                     drift_steps,
@@ -45,12 +55,19 @@ fn arb_pairing() -> BoxedStrategy<PairingImage> {
         );
     let pending = prop_oneof![
         Just(None),
-        ("[0-9]{6}", 0u64..1_000_000, 0u64..1_000_000)
-            .prop_map(|(code, sent_at, expires_at)| Some((code, sent_at, expires_at))),
+        ("[0-9]{6}", 0u64..1_000_000, 0u64..1_000_000).prop_map(
+            |(code, sent_at, expires_at)| Some(PendingSmsCode {
+                code,
+                sent_at,
+                expires_at
+            })
+        ),
     ];
-    let sms =
-        ("[0-9]{10}", pending).prop_map(|(phone, pending)| PairingImage::Sms { phone, pending });
-    let fixed = "[0-9]{8}".prop_map(|code| PairingImage::Static { code });
+    let sms = ("[0-9]{10}", pending).prop_map(|(phone, pending)| TokenPairing::Sms {
+        phone: PhoneNumber::parse(&phone).unwrap(),
+        pending,
+    });
+    let fixed = "[0-9]{8}".prop_map(|code| TokenPairing::Static { code });
     prop_oneof![totp, sms, fixed].boxed()
 }
 
@@ -83,7 +100,20 @@ fn arb_record() -> BoxedStrategy<WalRecord> {
         ),
         arb_user().prop_map(|user| WalRecord::SmsClear { user }),
         (
-            (0u64..2_000_000_000, arb_user(), 0u8..8),
+            (
+                0u64..2_000_000_000,
+                arb_user(),
+                prop::sample::select(vec![
+                    AuditAction::Validate,
+                    AuditAction::SmsTriggered,
+                    AuditAction::SmsSuppressed,
+                    AuditAction::Enroll,
+                    AuditAction::Remove,
+                    AuditAction::Resync,
+                    AuditAction::ResetFailCount,
+                    AuditAction::Lockout,
+                ])
+            ),
             (any::<bool>(), "\\PC{0,24}")
         )
             .prop_map(|((at, user, action), (success, detail))| WalRecord::Audit {
@@ -174,13 +204,9 @@ proptest! {
                 WalRecord::ValState { user, last_step, fail_count, active } => {
                     commit.val_state(user, *last_step, *fail_count, *active)
                 }
-                WalRecord::Audit { at, user, action, success, detail } => commit.audit(
-                    *at,
-                    user,
-                    action_from_tag(*action).expect("arb_record draws valid tags"),
-                    *success,
-                    detail,
-                ),
+                WalRecord::Audit { at, user, action, success, detail } => {
+                    commit.audit(*at, user, *action, *success, detail)
+                }
                 other => commit.record(other),
             }
         }

@@ -7,8 +7,8 @@
 # `cargo test --workspace` runs every suite once; each later stanza adds
 # something that run cannot:
 #   complexity guards  the tests that are only meaningful optimised and
-#                      under a timeout (linear-per-operation code runs into it)
-#                      — a 4 MiB JSON string (json_string_parse_is_linear) too
+#                      under a timeout (linear-per-operation code runs into it);
+#                      a guard whose filter selects no test fails
 #   truncation guard   a 261-octet User-Name where debug_assert is compiled out
 #   udp ingest         the lone-datagram and burst-tail bounds are wall-clock
 #                      ones: they only mean something optimised
@@ -37,31 +37,44 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 4 MiB JSON string, 261-octet User-Name, udp ingest, parked replies, group machine"
+echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, udp ingest, parked replies, group machine"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
 # minutes of work) runs into the timeout instead. Target flags apply to every
 # package named, so the one --lib prebuilds hpcmfa-otpserver's lib tests too.
 cargo test -q --offline --release --no-run \
     -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props \
-    -p hpcmfa-otpserver --test proptests --test group_commit --test wal_proptests \
+    -p hpcmfa-otpserver --test group_commit --test wal_proptests \
     -p hpcmfa-radius --lib --test udp -p hpcmfa-crypto -p hpcmfa-otp
-timeout 20 cargo test -q --offline --release -p hpcmfa-telemetry --test trace_props \
+# One guard: the tests each filter selects, under a timeout. A filter that
+# selects nothing fails the guard, so renaming or deleting a guarded test
+# cannot leave a guard that passes while running no test.
+guard() { # <seconds> <cargo test target args>... -- [filter]...
+    local secs=$1 args=() out filter
+    shift
+    while [ "$1" != -- ]; do args+=("$1"); shift; done
+    shift
+    out=$(timeout "$secs" cargo test --offline "${args[@]}" -- "$@" 2>&1) \
+        || { echo "$out"; exit 1; }
+    for filter in "${@:-}"; do
+        grep -q "^test [^ ]*$filter[^ ]* \.\.\. ok$" <<<"$out" \
+            || { echo "guard ${args[*]} ran no test matching '$filter'"; exit 1; }
+    done
+    grep '^test result' <<<"$out"
+}
+guard 20 --release -p hpcmfa-telemetry --test trace_props -- \
     a_full_default_ring_takes_a_million_spans
-timeout 20 cargo test -q --offline --release -p hpcmfa-directory --test index_props \
+guard 20 --release -p hpcmfa-directory --test index_props -- \
     uid_search_does_not_grow_with_the_directory
-timeout 20 cargo test -q --offline --release -p hpcmfa-otpserver --test proptests \
-    json_string_parse_is_linear
-timeout 20 cargo test -q --offline --release -p hpcmfa-radius --lib \
-    overlong_username_cannot_rewrite_the_request
-timeout 20 cargo test -q --offline --release -p hpcmfa-radius --test udp
-timeout 30 cargo test -q --offline --release -p hpcmfa-otpserver --test group_commit -- \
+guard 20 --release -p hpcmfa-radius --lib -- overlong_username_cannot_rewrite_the_request
+guard 20 --release -p hpcmfa-radius --test udp --
+guard 30 --release -p hpcmfa-otpserver --test group_commit -- \
     no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand
-timeout 60 cargo test -q --offline --release -p hpcmfa-otpserver --lib group
+guard 60 --release -p hpcmfa-otpserver --lib -- group
 cargo test -q --offline --release -p hpcmfa-crypto -p hpcmfa-otp
 cargo test -q --offline --release -p hpcmfa-otpserver --test wal_proptests
 
 echo "==> stuffing-storm smoke (sheds fire, zero benign lockouts, p99 SLO)"
-timeout 30 cargo test -q --offline --test attacks stuffing_storm_smoke
+guard 30 --test attacks -- stuffing_storm_smoke
 
 echo "==> results/: table1, sms_cost and detection reproduce their committed captures"
 # The other five captures come from the same seeded simulator but take
