@@ -97,12 +97,37 @@ impl Totp {
         hotp_value(&self.secret, step, self.params.alg)
     }
 
-    /// Validate `candidate` at `unix_time`, accepting ±`window` time steps.
-    ///
-    /// Returns the matching absolute time step on success so callers can
-    /// enforce one-time semantics ("the provided token code is nullified",
-    /// §3.2) by refusing steps at or below the last accepted one.
+    /// Validate `candidate` at `unix_time`, accepting ±`window` time steps,
+    /// for a caller that keeps no replay mark: the nearest matching step.
+    /// [`Totp::verify_tracked`] with nothing used.
     pub fn verify(&self, candidate: &str, unix_time: u64, window: u64) -> Option<u64> {
+        self.verify_tracked(candidate, unix_time, window, None)
+    }
+
+    /// Validate `candidate` at `unix_time`, accepting ±`window` time steps,
+    /// for a token whose steps through `used_through` are spent.
+    ///
+    /// Returns the matching absolute time step nearest the present (ties go
+    /// to the earlier step), or `None`. Callers enforce one-time semantics
+    /// ("the provided token code is nullified", §3.2) by refusing a step at
+    /// or below `used_through`.
+    ///
+    /// The work rule: steps are visited nearest-first (centre, centre−1,
+    /// centre+1, …, centre−w, centre+w), one MAC each. When the first match
+    /// lies above `used_through` it is returned at once, so an accept costs
+    /// its rank in that order plus one MAC — one for a synced phone. Every
+    /// other call — a wrong code, a replayed one — MACs the whole window,
+    /// 2w+1 steps (fewer only where it is cut at step 0 or `u64::MAX`), so
+    /// the two denials cost the same. What an accept's speed discloses, the
+    /// reply already says in clear text (accept vs reject), plus how far
+    /// the matched step lies from the server's clock.
+    pub fn verify_tracked(
+        &self,
+        candidate: &str,
+        unix_time: u64,
+        window: u64,
+        used_through: Option<u64>,
+    ) -> Option<u64> {
         if candidate.len() != self.params.digits as usize
             || !candidate.bytes().all(|b| b.is_ascii_digit())
         {
@@ -112,29 +137,23 @@ impl Totp {
         // step of the scan formats a code, so the scan allocates nothing.
         let candidate = candidate.parse::<u32>().ok()?.to_be_bytes();
         let modulus = 10u32.pow(self.params.digits);
-        let center = self.params.time_step(unix_time);
-        let lo = center.saturating_sub(window);
-        let hi = center.saturating_add(window);
         // Precompute the HMAC midstates once: each window step then costs
         // two block compressions instead of a full key schedule.
         let key = self.params.alg.prepare_key(self.secret.bytes());
-        // Scan the full window unconditionally; per-step comparison is
-        // constant-time so total work leaks only the (public) window size.
-        // Among matches, report the step closest to the present: six-digit
-        // codes collide across steps about once per million pairs, and
-        // attributing a fresh code to a stale colliding step would make
-        // replay tracking reject a legitimate login.
+        // The first match met is the nearest: six-digit codes collide
+        // across steps about once per million pairs, and attributing a
+        // fresh code to a stale colliding step would make replay tracking
+        // reject a legitimate login. A later match is MAC-ed but ignored.
         let mut matched: Option<u64> = None;
-        for step in lo..=hi {
+        for step in nearest_first(self.params.time_step(unix_time), window) {
+            #[cfg(test)]
+            tests::STEPS.with(|n| n.set(n.get() + 1));
             let code = hotp_value_prepared(&key, step) % modulus;
-            if hpcmfa_crypto::ct::ct_eq(&code.to_be_bytes(), &candidate) {
-                let better = match matched {
-                    None => true,
-                    Some(prev) => step.abs_diff(center) < prev.abs_diff(center),
-                };
-                if better {
-                    matched = Some(step);
+            if hpcmfa_crypto::ct::ct_eq(&code.to_be_bytes(), &candidate) && matched.is_none() {
+                if used_through.is_none_or(|used| step > used) {
+                    return Some(step);
                 }
+                matched = Some(step);
             }
         }
         matched
@@ -147,9 +166,201 @@ impl Totp {
     }
 }
 
+/// The steps `center.saturating_sub(window)..=center.saturating_add(window)`,
+/// nearest `center` first and the earlier of two equidistant steps first:
+/// `center`, `center − 1`, `center + 1`, … A side that would pass step 0 or
+/// `u64::MAX` is cut there while the other goes on.
+fn nearest_first(center: u64, window: u64) -> impl Iterator<Item = u64> {
+    (0..=window).flat_map(move |k| {
+        let later = center.checked_add(k).filter(|_| k > 0);
+        [center.checked_sub(k), later].into_iter().flatten()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Candidate steps `verify_tracked` has MAC-ed on this thread.
+        pub(super) static STEPS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `verify_tracked`'s answer and the steps it MAC-ed to reach it.
+    fn counted(
+        t: &Totp,
+        candidate: &str,
+        now: u64,
+        window: u64,
+        used_through: Option<u64>,
+    ) -> (Option<u64>, u64) {
+        let before = STEPS.with(Cell::get);
+        let step = t.verify_tracked(candidate, now, window, used_through);
+        (step, STEPS.with(Cell::get) - before)
+    }
+
+    /// The window scan as one ascending loop over every step, keeping the
+    /// nearest match (the earlier of two equidistant ones). The reference
+    /// `verify_tracked` is checked against.
+    fn verify_full_scan(t: &Totp, candidate: &str, unix_time: u64, window: u64) -> Option<u64> {
+        let digits = t.params.digits as usize;
+        if candidate.len() != digits || !candidate.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let candidate = candidate.parse::<u32>().ok()?;
+        let key = t.params.alg.prepare_key(t.secret.bytes());
+        let center = t.params.time_step(unix_time);
+        let mut matched: Option<u64> = None;
+        for step in center.saturating_sub(window)..=center.saturating_add(window) {
+            if hotp_value_prepared(&key, step) % 10u32.pow(t.params.digits) == candidate
+                && matched.is_none_or(|prev| step.abs_diff(center) < prev.abs_diff(center))
+            {
+                matched = Some(step);
+            }
+        }
+        matched
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Verdict {
+        Success,
+        Replayed,
+        WrongCode,
+    }
+
+    /// The OTP server's replay rule over a matched step.
+    fn verdict(step: Option<u64>, used_through: Option<u64>) -> Verdict {
+        match step {
+            None => Verdict::WrongCode,
+            Some(s) if used_through.is_some_and(|used| s <= used) => Verdict::Replayed,
+            Some(_) => Verdict::Success,
+        }
+    }
+
+    fn short_code_totp(secret: Vec<u8>, digits: u32, step_secs: u64, t0: u64) -> Totp {
+        // A literal, not `validated()`: one or two digits make equidistant
+        // collisions and "nearest step used, farther step fresh" common.
+        let params = TotpParams {
+            digits,
+            step_secs,
+            t0,
+            alg: HashAlg::Sha1,
+        };
+        Totp::with_params(Secret::from_bytes(secret), params)
+    }
+
+    proptest! {
+        #[test]
+        fn verify_tracked_matches_the_full_scan_reference(
+            secret in proptest::collection::vec(any::<u8>(), 1..40),
+            digits in 1u32..=2,
+            step_secs in prop::sample::select(vec![1u64, 30]),
+            t0 in prop::sample::select(vec![0u64, 7]),
+            unix_time in prop_oneof![
+                0u64..400,
+                any::<u64>(),
+                (u64::MAX - 400)..=u64::MAX,
+            ],
+            window in 0u64..=12,
+            value in 0u32..100,
+            used in 0u8..4,
+            delta in 0u64..4,
+        ) {
+            let t = short_code_totp(secret, digits, step_secs, t0);
+            let candidate = format!("{:0width$}", value % 10u32.pow(digits), width = digits as usize);
+            let nearest = verify_full_scan(&t, &candidate, unix_time, window);
+            let mark = nearest.unwrap_or_else(|| t.params.time_step(unix_time));
+            let used_through = match used {
+                0 => None,
+                1 => mark.checked_sub(1 + delta),
+                2 => Some(mark),
+                _ => Some(mark.saturating_add(delta)),
+            };
+            let step = t.verify_tracked(&candidate, unix_time, window, used_through);
+            prop_assert_eq!(step, nearest);
+            prop_assert_eq!(verdict(step, used_through), verdict(nearest, used_through));
+        }
+    }
+
+    #[test]
+    fn nearest_first_visits_the_clamped_window_once() {
+        for (center, window) in [(0, 0), (0, 5), (3, 10), (1_000, 10), (u64::MAX - 2, 10)] {
+            let order: Vec<u64> = nearest_first(center, window).collect();
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            let all: Vec<u64> =
+                (center.saturating_sub(window)..=center.saturating_add(window)).collect();
+            assert_eq!(sorted, all, "center {center}, window {window}");
+            assert!(
+                order
+                    .windows(2)
+                    .all(|w| w[0].abs_diff(center) <= w[1].abs_diff(center)),
+                "center {center}: {order:?}"
+            );
+        }
+        assert_eq!(
+            nearest_first(1_000, 2).collect::<Vec<_>>(),
+            [1_000, 999, 1_001, 998, 1_002]
+        );
+    }
+
+    /// The equal-work rule counted: a fresh code costs its rank in the
+    /// nearest-first order plus one MAC; a wrong code and a replayed one
+    /// each cost the whole window.
+    #[test]
+    fn verify_work_is_rank_plus_one_to_accept_and_the_window_to_deny() {
+        let t = paper_totp();
+        let now = 1_475_000_000;
+        let center = t.params.time_step(now);
+        let w = t.window_for_drift(crate::MAX_DRIFT_SECS);
+        let full = 2 * w + 1;
+        let wrong = (0..1_000_000)
+            .map(|n| format!("{n:06}"))
+            .find(|c| verify_full_scan(&t, c, now, w).is_none())
+            .unwrap();
+        assert_eq!(counted(&t, &wrong, now, w, None), (None, full));
+        assert_eq!(counted(&t, &wrong, now, w, Some(center + w)), (None, full));
+        for offset in -(w as i64)..=w as i64 {
+            let step = center.checked_add_signed(offset).unwrap();
+            let code = t.code_at(step * t.params.step_secs);
+            assert_eq!(verify_full_scan(&t, &code, now, w), Some(step), "{offset}");
+            let rank = match offset {
+                0 => 0,
+                o if o < 0 => 2 * o.unsigned_abs() - 1,
+                o => 2 * o.unsigned_abs(),
+            };
+            for fresh in [None, Some(step - 1), step.checked_sub(50)] {
+                assert_eq!(counted(&t, &code, now, w, fresh), (Some(step), rank + 1));
+            }
+            for spent in [Some(step), Some(step + 1), Some(center + w)] {
+                assert_eq!(
+                    counted(&t, &code, now, w, spent),
+                    (Some(step), full),
+                    "{offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn verify_work_near_step_zero_is_the_truncated_window() {
+        let t = paper_totp();
+        // Centre step 3, window 10: steps 0..=13, fourteen of them, visited
+        // 3, 2, 4, 1, 5, 0, 6, 7, … — step 0 has rank 5.
+        let now = 3 * 30 + 12;
+        let wrong = (0..1_000_000)
+            .map(|n| format!("{n:06}"))
+            .find(|c| verify_full_scan(&t, c, now, 10).is_none())
+            .unwrap();
+        assert_eq!(counted(&t, &wrong, now, 10, None), (None, 14));
+        let at_zero = t.code_at(0);
+        assert_eq!(counted(&t, &at_zero, now, 10, None), (Some(0), 6));
+        assert_eq!(counted(&t, &at_zero, now, 10, Some(0)), (Some(0), 14));
+        let at_thirteen = t.code_at(13 * 30);
+        assert_eq!(counted(&t, &at_thirteen, now, 10, None), (Some(13), 14));
+    }
 
     /// RFC 6238 Appendix B reference vectors (8 digits).
     ///
@@ -292,10 +503,15 @@ mod tests {
                 }
             }
         }
-        let (step, _back) = found.expect("a collision exists in 2M steps");
+        let (step, back) = found.expect("a collision exists in 2M steps");
         let now = step * 30;
         let code = t.code_at(now);
         assert_eq!(t.verify(&code, now, 10), Some(step), "nearest step wins");
+        // The stale colliding step is spent; the fresh code still passes.
+        assert_eq!(
+            t.verify_tracked(&code, now, 10, Some(step - back)),
+            Some(step)
+        );
     }
 
     #[test]

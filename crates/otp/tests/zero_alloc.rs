@@ -48,9 +48,11 @@ fn allocations_during(work: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// A hit, a miss, a wrong length and a non-digit, 250 times each, against
-/// the paper's ±10-step window: before the numeric compare every
-/// well-formed candidate cost one `String` per step, 21 per call.
+/// An accept, a replay, a miss, a wrong length and a non-digit, 250 times
+/// each, against the paper's ±10-step window: before the numeric compare
+/// every well-formed candidate cost one `String` per step, 21 per call.
+/// Each path is counted on its own, so an early exit on one cannot hide an
+/// allocation on another.
 #[test]
 fn verify_allocates_nothing() {
     const NOW: u64 = 1_475_000_000;
@@ -65,14 +67,32 @@ fn verify_allocates_nothing() {
         let hit = totp.code_at(NOW - 60);
         let miss = if hit == "000000" { "000001" } else { "000000" };
         let step = totp.params.time_step(NOW - 60);
-        let allocs = allocations_during(|| {
+        let accept = allocations_during(|| {
             for _ in 0..250 {
-                assert_eq!(totp.verify(&hit, NOW, 10), Some(step));
-                assert_eq!(totp.verify(miss, NOW, 10), None);
-                assert_eq!(totp.verify("12345", NOW, 10), None);
-                assert_eq!(totp.verify("12a456", NOW, 10), None);
+                assert_eq!(totp.verify_tracked(&hit, NOW, 10, None), Some(step));
+                assert_eq!(
+                    totp.verify_tracked(&hit, NOW, 10, Some(step - 1)),
+                    Some(step)
+                );
             }
         });
-        assert_eq!(allocs, 0, "{alg:?}");
+        let replay = allocations_during(|| {
+            for _ in 0..250 {
+                assert_eq!(totp.verify_tracked(&hit, NOW, 10, Some(step)), Some(step));
+                assert_eq!(
+                    totp.verify_tracked(&hit, NOW, 10, Some(step + 5)),
+                    Some(step)
+                );
+            }
+        });
+        let miss = allocations_during(|| {
+            for _ in 0..250 {
+                assert_eq!(totp.verify_tracked(miss, NOW, 10, None), None);
+                assert_eq!(totp.verify_tracked(miss, NOW, 10, Some(step)), None);
+                assert_eq!(totp.verify_tracked("12345", NOW, 10, None), None);
+                assert_eq!(totp.verify_tracked("12a456", NOW, 10, None), None);
+            }
+        });
+        assert_eq!((accept, replay, miss), (0, 0, 0), "{alg:?}");
     }
 }

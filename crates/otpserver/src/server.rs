@@ -1158,10 +1158,14 @@ impl LinotpServer {
                         drift_steps,
                         ..
                     } => {
-                        let adjusted_now =
-                            now.saturating_add_signed(*drift_steps * totp.params.step_secs as i64);
+                        // Saturating: `drift_steps` and `step_secs` may come
+                        // from disk, where any value is CRC-valid.
+                        let drift_secs = i64::try_from(totp.params.step_secs)
+                            .unwrap_or(i64::MAX)
+                            .saturating_mul(*drift_steps);
+                        let adjusted_now = now.saturating_add_signed(drift_secs);
                         let window = totp.window_for_drift(self.config.drift_tolerance_secs);
-                        // Every full-OTP validation walks the drift window.
+                        // Every full-OTP validation scans the drift window.
                         // The resumption fast path never reaches this line,
                         // which is what lets tests pin "zero window scans".
                         self.held
@@ -1178,7 +1182,9 @@ impl LinotpServer {
                                 .advance_us(span_cost::WINDOW_SCAN_STEP_US.saturating_mul(steps));
                             scan.finish();
                         }
-                        match totp.verify(code, adjusted_now, window) {
+                        // An accept stops at its step; a wrong code and a
+                        // replay both MAC the whole window.
+                        match totp.verify_tracked(code, adjusted_now, window, *last_step) {
                             Some(step) => {
                                 if last_step.is_some_and(|ls| step <= ls) {
                                     ValidationOutcome::Replayed

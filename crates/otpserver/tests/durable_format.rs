@@ -17,10 +17,12 @@ use hpcmfa_otp::totp::{Totp, TotpParams};
 use hpcmfa_otpserver::audit::AuditAction;
 use hpcmfa_otpserver::durability::wal::{crc32, WalRecord};
 use hpcmfa_otpserver::durability::RecoveredState;
+use hpcmfa_otpserver::server::ServerConfig;
 use hpcmfa_otpserver::sms::PhoneNumber;
 use hpcmfa_otpserver::store::{PendingSmsCode, TokenPairing, TotpProvenance};
 use hpcmfa_otpserver::{
-    recover, MemoryBackend, RecoverError, ReplEnvelope, ReplFrame, StorageBackend,
+    recover, LinotpServer, MemoryBackend, RecoverError, ReplEnvelope, ReplFrame, StorageBackend,
+    TwilioSim, ValidationOutcome,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -395,6 +397,48 @@ fn a_user_whose_pairing_no_longer_validates_is_skipped() {
     assert_eq!(state.report.snapshot_users, 2);
     assert!(state.users.contains_key("alice") && state.users.contains_key("bob"));
     assert!(!state.users.contains_key("mallory"));
+}
+
+/// A CRC-valid enrollment whose clock offset cannot be applied —
+/// `drift_steps × step_secs` outside `i64` — recovers, and validating
+/// against it is a denial: the offset saturates instead of overflowing
+/// (a panic in the shard closure in a debug build, a wrap in release).
+#[test]
+fn an_unrepresentable_drift_from_disk_denies_without_panicking() {
+    for step_secs in [1 << 40, u64::MAX] {
+        for drift_steps in [i64::MAX, i64::MIN] {
+            let params = TotpParams {
+                digits: 6,
+                step_secs,
+                t0: 0,
+                alg: HashAlg::Sha1,
+            };
+            let pairing = TokenPairing::Totp {
+                totp: Totp::with_params(Secret::from_bytes(*b"12345678901234567890"), params),
+                provenance: TotpProvenance::Soft,
+                serial: None,
+                last_step: None,
+                drift_steps,
+            };
+            let wal = blob(&[WalRecord::Enroll {
+                user: "mallory".into(),
+                pairing,
+            }]);
+            let server = LinotpServer::with_storage(
+                TwilioSim::new(0),
+                0,
+                ServerConfig::default(),
+                MemoryBackend::with_contents(wal, None),
+            )
+            .unwrap();
+            assert_eq!(server.store().len(), 1);
+            assert_eq!(
+                server.validate("mallory", "000000", 1_700_000_000),
+                ValidationOutcome::WrongCode,
+                "step_secs {step_secs}, drift_steps {drift_steps}"
+            );
+        }
+    }
 }
 
 /// A well-framed stream of `payloads`: each CRC-valid, so decoding gets

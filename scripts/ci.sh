@@ -17,6 +17,9 @@
 #                      into the timeout and fails by name
 #   hash core, OTP     their known answers in the only profile a login runs them in
 #                      — the WAL's slicing-by-8 CRC against its bytewise reference too
+#   window scan        the nearest-first TOTP scan against its full-scan reference
+#                      and its counted work (accept rank+1 MACs, every deny the
+#                      whole window), by name: a rename fails instead of dropping them
 #   group machine      every interleaving of ≤ 4 commits over ≤ 3 actors against
 #                      the five invariants
 #   stuffing storm     the workspace run's overload test again, alone and under
@@ -71,6 +74,10 @@ guard 30 --release -p hpcmfa-otpserver --test group_commit -- \
     no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand
 guard 60 --release -p hpcmfa-otpserver --lib -- group
 cargo test -q --offline --release -p hpcmfa-crypto -p hpcmfa-otp
+guard 60 --release -p hpcmfa-otp --lib -- \
+    verify_tracked_matches_the_full_scan_reference \
+    verify_work_is_rank_plus_one_to_accept_and_the_window_to_deny \
+    verify_work_near_step_zero_is_the_truncated_window
 cargo test -q --offline --release -p hpcmfa-otpserver --test wal_proptests
 
 echo "==> stuffing-storm smoke (sheds fire, zero benign lockouts, p99 SLO)"
