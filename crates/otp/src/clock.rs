@@ -43,13 +43,17 @@ impl SimClock {
     }
 
     /// Jump to an absolute time. Panics on attempts to move backwards,
-    /// which would silently break TOTP replay bookkeeping.
+    /// which would silently break TOTP replay bookkeeping; the refused move
+    /// leaves the clock where it was.
     pub fn set(&self, unix_time: u64) {
-        let prev = self.now.swap(unix_time, Ordering::SeqCst);
-        assert!(
-            unix_time >= prev,
-            "SimClock moved backwards: {prev} -> {unix_time}"
-        );
+        let moved = self
+            .now
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |prev| {
+                (unix_time >= prev).then_some(unix_time)
+            });
+        if let Err(prev) = moved {
+            panic!("SimClock moved backwards: {prev} -> {unix_time}");
+        }
     }
 
     /// Advance by `secs`.
@@ -91,6 +95,14 @@ mod tests {
     fn sim_clock_refuses_time_travel() {
         let c = SimClock::at(100);
         c.set(50);
+    }
+
+    #[test]
+    fn a_refused_move_leaves_the_clock_unchanged() {
+        let c = SimClock::at(100);
+        let moved = std::panic::catch_unwind(|| c.set(50));
+        assert!(moved.is_err());
+        assert_eq!(c.now(), 100);
     }
 
     #[test]

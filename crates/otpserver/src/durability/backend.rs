@@ -512,11 +512,13 @@ impl StorageBackend for MemoryBackend {
             // unknown to the caller; this model keeps them buffered.
             return Err(StorageError::FsyncFailed);
         }
+        // Everything before a short write's tear becomes durable; the torn
+        // bytes stay in flight, at its front. `inflight` keeps its buffer.
+        let st = &mut *st;
         let good = st.torn_at.unwrap_or(st.inflight.len());
-        let torn = st.inflight.split_off(good);
-        let synced = std::mem::replace(&mut st.inflight, torn);
+        st.durable.extend_from_slice(&st.inflight[..good]);
+        st.inflight.drain(..good);
         st.torn_at = st.torn_at.map(|_| 0);
-        st.durable.extend_from_slice(&synced);
         Ok(())
     }
 

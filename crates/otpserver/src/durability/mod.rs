@@ -42,7 +42,6 @@ pub use replication::{
 pub use snapshot::{recover, RecoverError, RecoveredState, RecoveryReport};
 pub use wal::{decode_stream, WalRecord, WalTail};
 
-use crate::audit::AuditAction;
 use group::{Actor, Goal, GroupMachine, Step};
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
 use std::panic::{self, AssertUnwindSafe};
@@ -321,11 +320,10 @@ impl Commit {
         self.records += 1;
     }
 
-    /// Add a [`WalRecord::Audit`] row from borrowed fields.
-    pub fn audit(&mut self, at: u64, user: &str, action: AuditAction, success: bool, detail: &str) {
-        wal::frame_into(&mut self.frames, |out| {
-            wal::put_audit(out, at, user, action, success, detail)
-        });
+    /// Add one frame encoded elsewhere — an audit row's, staged as the
+    /// bytes the ring keeps.
+    pub(crate) fn frame(&mut self, frame: &[u8]) {
+        self.frames.extend_from_slice(frame);
         self.records += 1;
     }
 

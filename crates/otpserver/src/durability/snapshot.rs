@@ -17,12 +17,10 @@
 //! moves forward (`max`-merge), so replay nullification cannot regress
 //! whatever order records landed in.
 
-use super::wal::{
-    frame_into, put_audit, replay, snapshot_user_frame_into, WalRecord, WalTail, TAG_SNAP_USER,
-};
+use super::wal::{replay, snapshot_user_frame_into, WalRecord, WalTail, TAG_SNAP_USER};
 use super::{StorageBackend, StorageError};
-use crate::audit::{AuditEntry, AuditLog};
-use crate::store::{PendingSmsCode, TokenPairing, UserTokenRecord};
+use crate::audit::{AuditEntry, AuditLog, NewRow};
+use crate::store::{shard_of_name, PendingSmsCode, TokenPairing, TokenStore, UserTokenRecord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -89,7 +87,9 @@ pub struct RecoveredState {
     pub report: RecoveryReport,
 }
 
-/// Serialize the full state as a snapshot blob.
+/// Serialize the full state as a snapshot blob: users in the store's
+/// shard-major order (by [`shard_of_name`], then by name), then the audit
+/// rows, the resume ledger and the seal.
 pub fn encode_snapshot(
     users: &BTreeMap<String, UserTokenRecord>,
     audit_entries: &[AuditEntry],
@@ -97,11 +97,14 @@ pub fn encode_snapshot(
     resume_consumed: &BTreeMap<[u8; 16], u64>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    for (user, rec) in users {
+    let mut by_shard: Vec<_> = users.iter().collect();
+    // Stable: each shard keeps its users in name order.
+    by_shard.sort_by_key(|(user, _)| shard_of_name(user));
+    for (user, rec) in by_shard {
         snapshot_user_frame_into(&mut out, user, rec);
     }
     for entry in audit_entries {
-        audit_frame_into(&mut out, entry);
+        NewRow::from(entry).frame_into(&mut out);
     }
     finish_snapshot(
         out,
@@ -113,39 +116,27 @@ pub fn encode_snapshot(
 }
 
 /// Snapshot a live store + audit log + resume ledger (what compaction
-/// installs): the bytes [`encode_snapshot`] gives for their exports,
-/// encoded straight from the live records. A compaction holds every
-/// commit off for as long as this takes, so nothing is cloned first.
+/// installs): the bytes [`encode_snapshot`] gives for their exports. The
+/// users are encoded straight from the live records, visited shard by
+/// shard; the audit section is the ring's frames, copied as they stand.
+/// A compaction holds every commit off for as long as this takes, so
+/// nothing is cloned or sorted, and the buffer starts at the previous
+/// snapshot's length.
 pub fn snapshot_live(
-    store: &crate::store::TokenStore,
+    store: &TokenStore,
     audit: &AuditLog,
     resume_consumed: &BTreeMap<[u8; 16], u64>,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(audit.snapshot_len());
     let mut users = 0;
-    store.for_each_sorted(|user, rec| {
+    store.for_each_by_shard(|user, rec| {
         snapshot_user_frame_into(&mut out, user, rec);
         users += 1;
     });
-    let mut audits = 0;
-    let audit_dropped = audit.for_each(|entry| {
-        audit_frame_into(&mut out, entry);
-        audits += 1;
-    });
-    finish_snapshot(out, users, audits, audit_dropped, resume_consumed)
-}
-
-fn audit_frame_into(out: &mut Vec<u8>, entry: &AuditEntry) {
-    frame_into(out, |out| {
-        put_audit(
-            out,
-            entry.at,
-            &entry.username,
-            entry.action,
-            entry.success,
-            &entry.detail,
-        )
-    });
+    let (audits, audit_dropped) = audit.copy_frames_into(&mut out);
+    let out = finish_snapshot(out, users, audits, audit_dropped, resume_consumed);
+    audit.note_snapshot_len(out.len());
+    out
 }
 
 /// Close a snapshot whose user and audit frames are in `out`: the resume

@@ -19,7 +19,7 @@
 //! CRC-32 is linear in its input, so a single flipped bit always changes
 //! the checksum — a property the codec proptests pin down.
 
-use crate::audit::AuditAction;
+use crate::audit::{AuditAction, NewRow, RowView};
 use crate::sms::PhoneNumber;
 use crate::store::{PendingSmsCode, TokenPairing, TotpProvenance, UserTokenRecord};
 use hpcmfa_crypto::HashAlg;
@@ -204,35 +204,6 @@ pub enum WalRecord {
     },
 }
 
-/// Stable on-disk tag for an [`AuditAction`].
-fn action_tag(action: AuditAction) -> u8 {
-    match action {
-        AuditAction::Validate => 0,
-        AuditAction::SmsTriggered => 1,
-        AuditAction::SmsSuppressed => 2,
-        AuditAction::Enroll => 3,
-        AuditAction::Remove => 4,
-        AuditAction::Resync => 5,
-        AuditAction::ResetFailCount => 6,
-        AuditAction::Lockout => 7,
-    }
-}
-
-/// Inverse of [`action_tag`].
-fn action_from_tag(tag: u8) -> Option<AuditAction> {
-    Some(match tag {
-        0 => AuditAction::Validate,
-        1 => AuditAction::SmsTriggered,
-        2 => AuditAction::SmsSuppressed,
-        3 => AuditAction::Enroll,
-        4 => AuditAction::Remove,
-        5 => AuditAction::Resync,
-        6 => AuditAction::ResetFailCount,
-        7 => AuditAction::Lockout,
-        _ => return None,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Payload encoding
 // ---------------------------------------------------------------------
@@ -243,7 +214,7 @@ const TAG_VALSTATE: u8 = 3;
 const TAG_RESYNC: u8 = 4;
 const TAG_SMS_ISSUE: u8 = 5;
 const TAG_SMS_CLEAR: u8 = 6;
-const TAG_AUDIT: u8 = 7;
+pub(crate) const TAG_AUDIT: u8 = 7;
 pub(crate) const TAG_SNAP_USER: u8 = 8;
 const TAG_SNAP_SEAL: u8 = 9;
 const TAG_RESUME_CONSUME: u8 = 10;
@@ -372,23 +343,6 @@ pub(crate) fn put_val_state(
     out.push(u8::from(active));
 }
 
-/// The [`WalRecord::Audit`] payload from borrowed fields.
-pub(crate) fn put_audit(
-    out: &mut Vec<u8>,
-    at: u64,
-    user: &str,
-    action: AuditAction,
-    success: bool,
-    detail: &str,
-) {
-    out.push(TAG_AUDIT);
-    put_u64(out, at);
-    put_str(out, user);
-    out.push(action_tag(action));
-    out.push(u8::from(success));
-    put_str(out, detail);
-}
-
 /// Append one frame to `out`: reserve the header, let `payload` write the
 /// body in place, then fill in its length and checksum.
 pub(crate) fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
@@ -460,7 +414,15 @@ impl WalRecord {
                 action,
                 success,
                 detail,
-            } => put_audit(out, *at, user, *action, *success, detail),
+            } => NewRow {
+                at: *at,
+                user,
+                action: *action,
+                success: *success,
+                detail,
+                trace: None,
+            }
+            .payload_into(out),
             WalRecord::SnapshotUser {
                 user,
                 pairing,
@@ -685,13 +647,16 @@ fn decode(payload: &[u8]) -> Option<Result<WalRecord, u8>> {
             expires_at: r.u64()?,
         }),
         TAG_SMS_CLEAR => Some(WalRecord::SmsClear { user: r.string()? }),
-        TAG_AUDIT => Some(WalRecord::Audit {
-            at: r.u64()?,
-            user: r.string()?,
-            action: action_from_tag(r.u8()?)?,
-            success: r.bool()?,
-            detail: r.string()?,
-        }),
+        TAG_AUDIT => {
+            let row = RowView::parse(payload)?;
+            return Some(Ok(WalRecord::Audit {
+                at: row.at,
+                user: row.user.to_string(),
+                action: row.action,
+                success: row.success,
+                detail: row.detail.to_string(),
+            }));
+        }
         TAG_SNAP_USER => {
             let user = r.string()?;
             let pairing = r.pairing()?;
@@ -992,22 +957,5 @@ mod tests {
         assert_eq!(restores(5, 30), Some(Err(TAG_ENROLL)));
         assert_eq!(restores(6, 0), Some(Err(TAG_ENROLL)));
         assert!(matches!(restores(9, 1), Some(Ok(_))));
-    }
-
-    #[test]
-    fn audit_tags_round_trip() {
-        for action in [
-            AuditAction::Validate,
-            AuditAction::SmsTriggered,
-            AuditAction::SmsSuppressed,
-            AuditAction::Enroll,
-            AuditAction::Remove,
-            AuditAction::Resync,
-            AuditAction::ResetFailCount,
-            AuditAction::Lockout,
-        ] {
-            assert_eq!(action_from_tag(action_tag(action)), Some(action));
-        }
-        assert_eq!(action_from_tag(200), None);
     }
 }

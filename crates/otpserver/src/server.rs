@@ -13,7 +13,7 @@
 //! (everything the commit's verdict decides), driven on the caller's
 //! thread ([`Begun::settle`]) or left with the pump ([`Begun::park`]).
 
-use crate::audit::{AuditAction, AuditEntry, AuditLog};
+use crate::audit::{AuditAction, AuditLog, NewRow, Staged};
 use crate::durability::snapshot::snapshot_live;
 use crate::durability::{
     recover, Commit, DurabilityCounters, Finish, Persistence, RecoverError, RecoveryReport,
@@ -198,12 +198,13 @@ fn validation_detail(outcome: ValidationOutcome) -> &'static str {
 
 /// One operation's audit rows and, on a server with storage, the WAL
 /// commit they ride in with its state records. Opened before the store or
-/// ledger lock the operation mutates under. A row is staged as it is
-/// encoded into the commit; [`Txn::append`] hands the commit to the WAL
+/// ledger lock the operation mutates under. A row is encoded once, as
+/// its WAL frame, and staged; the commit appends the same bytes, and the
+/// ring keeps them. [`Txn::append`] hands the commit to the WAL
 /// inside that lock — WAL order is mutation order — and [`Txn::settle`]
 /// waits for its sync once the lock is released. Dropping the `Txn`
 /// settles what is still unsettled (best effort: audit persistence
-/// failures are counted, never gate), moves the staged rows into the
+/// failures are counted, never gate), copies the staged rows into the
 /// ring, releases the compactor fence, and only then checks whether a
 /// compaction is due — so a row enters the ring after the commit that
 /// carries it and before the fence drops.
@@ -230,9 +231,9 @@ pub(crate) struct Txn<'a> {
     commit: Option<Commit>,
     /// Where [`Txn::append`] left the commit, until [`Txn::settle`].
     ticket: Option<Ticket>,
-    /// Rows bound for the ring; no operation leaves more than two (a
-    /// validate's row and its lockout's).
-    staged: [Option<AuditEntry>; 2],
+    /// The frames of the rows bound for the ring, encoded once: the
+    /// commit carries the same bytes.
+    staged: Staged,
     /// It runs as a parked commit's finish, whose compaction claim the
     /// pump refuses.
     parked: bool,
@@ -256,24 +257,17 @@ impl<'a> Txn<'a> {
     /// `grep trace=<hex>` then joins the OTP audit log with the PAM and
     /// RADIUS spans of the same login.
     fn audit(&mut self, action: AuditAction, success: bool, detail: &str) {
-        let mut detail = match self.trace {
-            Some(t) if detail.is_empty() => format!("trace={t}"),
-            Some(t) => format!("{detail} trace={t}"),
-            None => detail.to_string(),
-        };
-        // The ring holds up to a million of these: no spare capacity.
-        detail.shrink_to_fit();
-        if let Some(c) = &mut self.commit {
-            c.audit(self.now, self.user, action, success, &detail);
-        }
-        let slot = self.staged.iter_mut().find(|slot| slot.is_none());
-        *slot.expect("an operation leaves at most two rows") = Some(AuditEntry {
+        let frame = self.staged.stage(&NewRow {
             at: self.now,
-            username: self.user.to_string(),
+            user: self.user,
             action,
             success,
             detail,
+            trace: self.trace,
         });
+        if let Some(c) = &mut self.commit {
+            c.frame(frame);
+        }
     }
 
     /// Hand what was added to the WAL: the step that belongs inside the
@@ -300,16 +294,14 @@ impl<'a> Txn<'a> {
     /// Forget the rows of a commit that failed: the caller stages the
     /// denial it answers instead.
     fn discard_staged(&mut self) {
-        self.staged = [None, None];
+        self.staged.clear();
     }
 }
 
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
         self.settle();
-        for row in self.staged.iter_mut().filter_map(Option::take) {
-            self.server.audit.push(row);
-        }
+        self.server.audit.push_frames(self.staged.frames());
         if let Some(commit) = self.commit.take() {
             // The compactor's claim waits for the pass this gives back.
             drop(commit);
@@ -859,7 +851,7 @@ impl LinotpServer {
             trace,
             commit: self.persistence.as_ref().map(Persistence::begin),
             ticket: None,
-            staged: [None, None],
+            staged: Staged::default(),
             parked: false,
         }
     }

@@ -26,8 +26,10 @@
 //! no expirable code are not even read-locked.
 //!
 //! Admin enumeration ([`TokenStore::export_all`], [`TokenStore::breakdown`])
-//! merges shards into a `BTreeMap`, so output order is the same sorted key
-//! order as the old single-map store and seeded runs stay byte-identical.
+//! merges shards into a `BTreeMap`, so its output is in sorted key order
+//! and seeded runs stay byte-identical. Compaction visits the shards in
+//! place instead ([`TokenStore::for_each_by_shard`]): shard by shard, each
+//! in name order — as deterministic, and with nothing to merge.
 
 use crate::sms::PhoneNumber;
 use hpcmfa_otp::totp::Totp;
@@ -415,8 +417,7 @@ impl TokenStore {
     }
 
     /// Clone the full user map, merged across shards in sorted key order
-    /// (snapshot encoding and tests) — byte-identical to the old
-    /// single-map export.
+    /// (admin reads and tests).
     pub fn export_all(&self) -> BTreeMap<String, UserTokenRecord> {
         let mut out = BTreeMap::new();
         for shard in &self.inner.shards {
@@ -427,23 +428,21 @@ impl TokenStore {
         out
     }
 
-    /// Visit every record in sorted key order — the order of
-    /// [`TokenStore::export_all`] — without cloning any (snapshot
-    /// encoding). Every shard stays read-locked for the whole visit, so
-    /// `f` must not call back into the store.
-    pub fn for_each_sorted(&self, mut f: impl FnMut(&str, &UserTokenRecord)) {
-        let shards: Vec<_> = self
-            .inner
-            .shards
-            .iter()
-            .map(|shard| shard.users.read())
-            .collect();
-        let mut all: Vec<(&String, &UserTokenRecord)> =
-            shards.iter().flat_map(|users| users.iter()).collect();
-        // One sorted run per shard: the stable sort merges them.
-        all.sort_by(|a, b| a.0.cmp(b.0));
-        for (name, rec) in all {
-            f(name, rec);
+    /// Visit every record without cloning any, shard by shard: shard 0 to
+    /// [`SHARD_COUNT`] − 1, each shard's users in name order. The order
+    /// depends on the names alone — [`shard_of_name`] is FNV-1a, not a
+    /// seeded hash — so it is the same in every process and run (snapshot
+    /// encoding; [`encode_snapshot`] writes an exported map in this
+    /// order). Every shard stays read-locked for the whole visit, so `f`
+    /// must not call back into the store.
+    ///
+    /// [`encode_snapshot`]: crate::durability::snapshot::encode_snapshot
+    pub fn for_each_by_shard(&self, mut f: impl FnMut(&str, &UserTokenRecord)) {
+        let shards: [_; SHARD_COUNT] = std::array::from_fn(|i| self.inner.shards[i].users.read());
+        for users in &shards {
+            for (name, rec) in users.iter() {
+                f(name, rec);
+            }
         }
     }
 

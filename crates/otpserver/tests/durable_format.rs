@@ -9,12 +9,18 @@
 //! snapshot is still refused wholesale unless its body holds only user,
 //! audit and resume records, ends in exactly one seal, and the seal's
 //! counts match the body.
+//!
+//! The audit ring keeps rows as their frames and decodes them on every
+//! read, so the hostile-ring tests hold recovery to the line it draws: a
+//! CRC-valid audit frame whose payload does not parse never gets into the
+//! ring, from a snapshot or from the WAL.
 
 use hpcmfa_crypto::hex::to_hex;
 use hpcmfa_crypto::HashAlg;
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::{Totp, TotpParams};
 use hpcmfa_otpserver::audit::AuditAction;
+use hpcmfa_otpserver::durability::snapshot::snapshot_live;
 use hpcmfa_otpserver::durability::wal::{crc32, WalRecord};
 use hpcmfa_otpserver::durability::RecoveredState;
 use hpcmfa_otpserver::server::ServerConfig;
@@ -25,6 +31,7 @@ use hpcmfa_otpserver::{
     TwilioSim, ValidationOutcome,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const ACTIONS: [AuditAction; 8] = [
@@ -453,6 +460,76 @@ fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
+/// A real audit row's payload made malformed three ways, each CRC-valid
+/// once framed.
+fn hostile_audit_payloads() -> Vec<(&'static str, Vec<u8>)> {
+    let good = audit(1, AuditAction::Validate).encode_payload();
+    // Tag, then the time, then the user's length prefix.
+    let user_len_at = 1 + 8;
+    let action_at = user_len_at + 4 + "alice".len();
+    let cut_length = good[..user_len_at + 2].to_vec();
+    let mut bad_action = good.clone();
+    bad_action[action_at] = ACTIONS.len() as u8;
+    let mut overrun = good.clone();
+    overrun[user_len_at..user_len_at + 4].copy_from_slice(&(good.len() as u32).to_le_bytes());
+    vec![
+        ("a truncated string length", cut_length),
+        ("an unknown action tag", bad_action),
+        ("a length running past the frame", overrun),
+    ]
+}
+
+#[test]
+fn hostile_audit_frames_in_a_snapshot_are_corrupt() {
+    let good = audit(1, AuditAction::Validate).encode_payload();
+    for (what, payload) in hostile_audit_payloads() {
+        assert_eq!(WalRecord::decode_payload(&payload), None, "{what}");
+        let snapshot = |audit_payload: &Vec<u8>| {
+            let mut bytes = blob(&body());
+            bytes.extend(framed(std::slice::from_ref(audit_payload)));
+            bytes.extend(blob(&[seal(2, 2, 0, 1)]));
+            bytes
+        };
+        assert_eq!(load(snapshot(&good)).unwrap().audit_entries.len(), 2);
+        assert_eq!(
+            load(snapshot(&payload)).unwrap_err(),
+            RecoverError::SnapshotCorrupt,
+            "{what}"
+        );
+    }
+}
+
+#[test]
+fn hostile_audit_frames_at_the_wal_tail_are_truncated_there() {
+    let prefix = blob(&[
+        WalRecord::Enroll {
+            user: "alice".into(),
+            pairing: totp(6, false),
+        },
+        audit(0, AuditAction::Enroll),
+    ]);
+    for (what, payload) in hostile_audit_payloads() {
+        let mut wal = prefix.clone();
+        wal.extend(framed(&[payload]));
+        wal.extend(blob(&[audit(2, AuditAction::Validate)]));
+        let backend = MemoryBackend::with_contents(wal, None);
+        let server = LinotpServer::with_storage(
+            TwilioSim::new(0),
+            0,
+            ServerConfig::default(),
+            Arc::clone(&backend) as Arc<dyn StorageBackend>,
+        )
+        .unwrap();
+        assert_eq!(backend.durable_wal(), prefix, "{what}");
+        let WalRecord::Audit { at, .. } = audit(0, AuditAction::Enroll) else {
+            unreachable!()
+        };
+        let rows = server.audit().export_all();
+        assert_eq!(rows.len(), 1, "{what}");
+        assert_eq!(rows[0].at, at, "{what}");
+    }
+}
+
 fn assert_state_or_corrupt(result: Result<RecoveredState, RecoverError>) {
     assert!(
         matches!(result, Ok(_) | Err(RecoverError::SnapshotCorrupt)),
@@ -501,5 +578,72 @@ proptest! {
         let mut flipped = whole;
         flipped[bit / 8] ^= 1 << (bit % 8);
         prop_assert_eq!(load(flipped).unwrap_err(), RecoverError::SnapshotCorrupt);
+    }
+
+    /// Whatever a WAL of CRC-valid frames — real audit rows, hostile ones,
+    /// mutated and arbitrary payloads — recovers to, every audit reader
+    /// returns without panicking, and the rows come back unchanged through
+    /// two compactions, each followed by a recovery.
+    #[test]
+    fn whatever_recovery_accepts_the_audit_readers_survive(
+        payloads in prop::collection::vec(
+            prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..48),
+                (0..3usize).prop_map(|i| hostile_audit_payloads().swap_remove(i).1),
+                (0..8usize, any::<u64>(), any::<u8>()).prop_map(|(i, at, b)| {
+                    let mut p = audit(i, ACTIONS[i]).encode_payload();
+                    let at = at as usize % p.len();
+                    p[at] = b;
+                    p
+                }),
+                (any::<u64>(), "\\PC{0,8}", 0..8usize, any::<bool>(), "\\PC{0,24}").prop_map(
+                    |(at, user, i, success, detail)| WalRecord::Audit {
+                        at,
+                        user,
+                        action: ACTIONS[i],
+                        success,
+                        detail,
+                    }
+                    .encode_payload()
+                ),
+            ],
+            0..10,
+        ),
+    ) {
+        let backend = MemoryBackend::with_contents(framed(&payloads), None);
+        let config = ServerConfig { audit_cap: 4, ..ServerConfig::default() };
+        let server = LinotpServer::with_storage(
+            TwilioSim::new(0),
+            0,
+            config,
+            Arc::clone(&backend) as Arc<dyn StorageBackend>,
+        )
+        .unwrap();
+        let audit = server.audit();
+        let (rows, dropped) = (audit.export_all(), audit.dropped());
+        prop_assert_eq!(audit.len(), rows.len());
+        for row in &rows {
+            prop_assert!(audit.for_user(&row.username).contains(row));
+            prop_assert!(audit.in_range(row.at, row.at.saturating_add(1)).contains(row));
+        }
+        prop_assert_eq!(audit.in_range(0, u64::MAX).len(), rows.iter().filter(|r| r.at < u64::MAX).count());
+        let counted: usize = ACTIONS
+            .iter()
+            .map(|&a| audit.count(a, true) + audit.count(a, false))
+            .sum();
+        prop_assert_eq!(counted, rows.len());
+        let mut visited = Vec::new();
+        prop_assert_eq!(audit.for_each(|row| visited.push(row.clone())), dropped);
+        prop_assert_eq!(&visited, &rows);
+        for _ in 0..2 {
+            let snapshot = snapshot_live(server.store(), audit, &BTreeMap::new());
+            backend.write_snapshot(&snapshot).unwrap();
+            backend.reset_wal().unwrap();
+            server.reload_from_storage().unwrap();
+            prop_assert_eq!(audit.export_all(), rows.clone());
+            prop_assert_eq!(audit.dropped(), dropped);
+        }
+        audit.prune_older_than(u64::MAX);
+        prop_assert_eq!(audit.len(), rows.iter().filter(|r| r.at == u64::MAX).count());
     }
 }

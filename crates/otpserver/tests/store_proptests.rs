@@ -258,10 +258,13 @@ proptest! {
         }
         // Final gauge read agrees with a from-scratch census.
         prop_assert_eq!(store.gauge_counts(1_000), model.gauges(1_000));
-        // The borrowed visit sees what the cloned export holds, in its order.
+        // The borrowed visit sees what the cloned export holds, shard by
+        // shard: the model's users grouped by `shard_of_name`, then by name.
         let mut visited = Vec::new();
-        store.for_each_sorted(|name, rec| visited.push((name.to_string(), rec.clone())));
-        prop_assert_eq!(visited, model.users.into_iter().collect::<Vec<_>>());
+        store.for_each_by_shard(|name, rec| visited.push((name.to_string(), rec.clone())));
+        let mut want: Vec<_> = model.users.into_iter().collect();
+        want.sort_by(|(a, _), (b, _)| (shard_of_name(a), a).cmp(&(shard_of_name(b), b)));
+        prop_assert_eq!(visited, want);
     }
 
     /// A compaction encodes straight from the live records; its bytes are

@@ -204,9 +204,6 @@ proptest! {
                 WalRecord::ValState { user, last_step, fail_count, active } => {
                     commit.val_state(user, *last_step, *fail_count, *active)
                 }
-                WalRecord::Audit { at, user, action, success, detail } => {
-                    commit.audit(*at, user, *action, *success, detail)
-                }
                 other => commit.record(other),
             }
         }

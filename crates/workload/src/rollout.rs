@@ -701,8 +701,11 @@ impl RolloutSim {
         }
         record.tickets_mfa = mfa_tickets;
 
-        // --- Day end: advance to midnight, rotate logs. ---
-        self.center.clock.set(day_end);
+        // --- Day end: advance to midnight, rotate logs. In-loop pairings
+        // are not in the login budget, so a day can run past midnight: the
+        // overrun then carries into the next day, whose budget shrinks. ---
+        let clock = &self.center.clock;
+        clock.set(clock.now().max(day_end));
         let cutoff = day_end.saturating_sub(2 * 86_400);
         for node in &self.center.nodes {
             node.daemon.authlog().prune_older_than(cutoff);
@@ -1017,6 +1020,36 @@ mod tests {
             a.security_events, b.security_events,
             "security-event feeds diverge across seeds"
         );
+    }
+
+    #[test]
+    fn a_day_of_forced_pairings_carries_its_overrun_into_the_next() {
+        // The calendar opens on the mandatory day with nobody paired, so
+        // every active interactive or staff user is refused and pairs in
+        // the login loop: 30 s or more each, outside the login budget,
+        // which leaves a fifth of the day for them.
+        let mandatory = Date::new(2016, 10, 4);
+        let out = RolloutSim::new(RolloutParams {
+            population_scale: 0.4,
+            from: mandatory,
+            to: mandatory.succ(),
+            milestones: Milestones {
+                announce: mandatory.plus_days(-2),
+                phase2: mandatory.plus_days(-1),
+                mandatory,
+            },
+            seed: 7,
+            ..RolloutParams::default()
+        })
+        .run();
+        let first = &out.days[0];
+        assert!(
+            first.new_pairings * 30 > 86_400 / 5,
+            "{} pairings fit in the day",
+            first.new_pairings
+        );
+        assert_eq!(out.days.len(), 2);
+        assert!(out.days[1].total_logins > 0);
     }
 
     #[test]

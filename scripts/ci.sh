@@ -22,6 +22,10 @@
 #                      whole window), by name: a rename fails instead of dropping them
 #   group machine      every interleaving of ≤ 4 commits over ≤ 3 actors against
 #                      the five invariants
+#   audit ring         compaction's bytes equal the encoded exports, users in
+#                      shard order; hostile audit frames never reach the ring;
+#                      a validate hit allocates nothing; a day of forced
+#                      pairings carries its overrun into the next, by name
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
 #                      fails here by name instead of slowing the whole run
@@ -47,7 +51,8 @@ echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet Us
 cargo test -q --offline --release --no-run \
     -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props \
     -p hpcmfa-otpserver --test group_commit --test wal_proptests \
-    -p hpcmfa-radius --lib --test udp -p hpcmfa-crypto -p hpcmfa-otp
+    --test store_proptests --test durable_format --test validate_allocs \
+    -p hpcmfa-radius --lib --test udp -p hpcmfa-crypto -p hpcmfa-otp -p hpcmfa-workload
 # One guard: the tests each filter selects, under a timeout. A filter that
 # selects nothing fails the guard, so renaming or deleting a guarded test
 # cannot leave a guard that passes while running no test.
@@ -73,6 +78,14 @@ guard 20 --release -p hpcmfa-radius --test udp --
 guard 30 --release -p hpcmfa-otpserver --test group_commit -- \
     no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand
 guard 60 --release -p hpcmfa-otpserver --lib -- group
+guard 60 --release -p hpcmfa-otpserver --test store_proptests --test durable_format \
+    --test validate_allocs -p hpcmfa-workload --lib -- \
+    snapshot_live_equals_the_encoded_exports sharded_store_equals_reference_model \
+    hostile_audit_frames_in_a_snapshot_are_corrupt \
+    hostile_audit_frames_at_the_wal_tail_are_truncated_there \
+    whatever_recovery_accepts_the_audit_readers_survive \
+    a_validate_hit_allocates_an_exact_count \
+    a_day_of_forced_pairings_carries_its_overrun_into_the_next
 cargo test -q --offline --release -p hpcmfa-crypto -p hpcmfa-otp
 guard 60 --release -p hpcmfa-otp --lib -- \
     verify_tracked_matches_the_full_scan_reference \
