@@ -13,7 +13,7 @@ use hpcmfa_workload::rollout::{RolloutParams, RolloutSim, SimOutput};
 
 /// Default population scale for figure binaries: fast enough to run in
 /// seconds yet large enough for stable shapes. Override with `--scale`.
-pub const DEFAULT_FIGURE_SCALE: f64 = 0.10;
+const DEFAULT_FIGURE_SCALE: f64 = 0.10;
 
 /// Parse `--scale X` / `--seed N` / `--to YYYY-MM-DD` from argv.
 pub struct FigureArgs {

@@ -532,7 +532,7 @@ impl Center {
     }
 
     /// Install a public key for `user` on every login node.
-    pub fn authorize_key_everywhere(&self, user: &str, key: &PublicKey) {
+    pub(crate) fn authorize_key_everywhere(&self, user: &str, key: &PublicKey) {
         for node in &self.nodes {
             node.daemon.authorize_key(user, key);
         }
@@ -638,20 +638,13 @@ impl Center {
         }
     }
 
-    /// Switch the total-outage degradation policy on every node.
-    pub fn set_degradation(&self, policy: DegradationPolicy) {
-        for node in &self.nodes {
-            node.token_module.set_degradation(policy.clone());
-        }
-    }
-
     /// Per-RADIUS-server health as seen from login node `node_idx`.
     pub fn radius_health(&self, node_idx: usize) -> Vec<ServerHealthSnapshot> {
         self.nodes[node_idx].radius_client.server_health()
     }
 
     /// The fleet's transports, for peer sites building cross-realm pools.
-    pub fn radius_transports(&self) -> Vec<Arc<dyn Transport>> {
+    pub(crate) fn radius_transports(&self) -> Vec<Arc<dyn Transport>> {
         self.radius_transports.clone()
     }
 

@@ -21,16 +21,6 @@ pub struct DigestChallenge {
     pub opaque: String,
 }
 
-impl DigestChallenge {
-    /// Render the `WWW-Authenticate` header value.
-    pub fn header_value(&self) -> String {
-        format!(
-            "Digest realm=\"{}\", qop=\"auth\", nonce=\"{}\", opaque=\"{}\", algorithm=MD5",
-            self.realm, self.nonce, self.opaque
-        )
-    }
-}
-
 /// A client authorization (`Authorization: Digest ...`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestAuthorization {
@@ -58,12 +48,12 @@ fn h(parts: &[&str]) -> String {
 
 /// `HA1 = MD5(username:realm:password)` — what a server may store instead of
 /// the cleartext password.
-pub fn ha1(username: &str, realm: &str, password: &str) -> String {
+pub(crate) fn ha1(username: &str, realm: &str, password: &str) -> String {
     h(&[username, realm, password])
 }
 
 /// Compute the digest response for a request (RFC 7616 §3.4.1, qop=auth).
-pub fn compute_response(
+pub(crate) fn compute_response(
     ha1_hex: &str,
     method: &str,
     uri: &str,
@@ -207,11 +197,6 @@ impl DigestVerifier {
         *last_nc = auth.nc;
         Ok(())
     }
-
-    /// Drop all outstanding nonces (e.g. periodic rotation).
-    pub fn expire_all_nonces(&mut self) {
-        self.nonces.clear();
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +267,7 @@ mod tests {
     #[test]
     fn stale_nonce_rejected() {
         let (mut v, c) = setup();
-        v.expire_all_nonces();
+        v.nonces.clear();
         let auth = answer_challenge(&c, "portal", "s3cret", "GET", "/", "cn1", 1);
         assert_eq!(v.verify(&auth, "GET", "/"), Err(DigestError::StaleNonce));
     }
@@ -314,14 +299,5 @@ mod tests {
         let c2 = v.challenge();
         assert_ne!(c1.nonce, c2.nonce);
         assert_ne!(c1.opaque, c2.opaque);
-    }
-
-    #[test]
-    fn header_value_contains_fields() {
-        let (_, c) = setup();
-        let h = c.header_value();
-        assert!(h.starts_with("Digest realm=\"LinOTP admin area\""));
-        assert!(h.contains("qop=\"auth\""));
-        assert!(h.contains(&c.nonce));
     }
 }

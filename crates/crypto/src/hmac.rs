@@ -18,10 +18,10 @@ use crate::merkle_damgard::{Algorithm, Hasher};
 use crate::Digest;
 
 /// Largest block size among the workspace digests (SHA-512).
-pub const MAX_BLOCK_LEN: usize = 128;
+pub(crate) const MAX_BLOCK_LEN: usize = 128;
 
 /// Largest digest output among the workspace digests (SHA-512). Callers of
-/// [`Hmac::finalize_into`] / [`HmacKey::mac_into`] can size stack buffers
+/// `Hmac::finalize_into` / [`HmacKey::mac_into`] can size stack buffers
 /// with this and slice to the returned length.
 pub const MAX_OUTPUT_LEN: usize = 64;
 
@@ -75,7 +75,7 @@ impl<D: Digest> HmacKey<D> {
     }
 
     /// Start an incremental MAC from the cached midstates.
-    pub fn begin(&self) -> Hmac<D> {
+    pub(crate) fn begin(&self) -> Hmac<D> {
         Hmac {
             inner: self.inner.clone(),
             outer: self.outer.clone(),
@@ -151,7 +151,7 @@ impl<D: Digest> Hmac<D> {
     /// Finish into `out[..D::OUTPUT_LEN]`; returns the MAC length. The
     /// inner digest rides through a fixed stack buffer, so the whole
     /// finish is allocation-free.
-    pub fn finalize_into(self, out: &mut [u8]) -> usize {
+    pub(crate) fn finalize_into(self, out: &mut [u8]) -> usize {
         let mut inner_digest = [0u8; MAX_OUTPUT_LEN];
         let d = &mut inner_digest[..D::OUTPUT_LEN];
         self.inner.finalize_into(d);

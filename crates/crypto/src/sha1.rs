@@ -8,7 +8,6 @@
 //! usage here.
 
 use crate::merkle_damgard::{Algorithm, Hasher, Sha1Algorithm};
-use crate::Digest;
 
 /// Incremental SHA-1 hasher.
 pub type Sha1 = Hasher<Sha1Algorithm>;
@@ -101,17 +100,11 @@ fn maj(b: u32, c: u32, d: u32) -> u32 {
     (b & c) | (d & (b | c))
 }
 
-/// One-shot SHA-1.
-pub fn sha1(data: &[u8]) -> [u8; 20] {
-    let mut h = Sha1::new();
-    h.update(data);
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hex::to_hex;
+    use crate::Digest;
     use proptest::prelude::*;
 
     /// FIPS 180-4 §6.1.2 as written: the full 80-word schedule, one loop,
@@ -190,7 +183,7 @@ mod tests {
             ),
         ];
         for (input, expect) in cases {
-            assert_eq!(to_hex(&sha1(input)), *expect);
+            assert_eq!(to_hex(&Sha1::digest(input)), *expect);
         }
     }
 
@@ -198,7 +191,7 @@ mod tests {
     fn million_a() {
         let data = vec![b'a'; 1_000_000];
         assert_eq!(
-            to_hex(&sha1(&data)),
+            to_hex(&Sha1::digest(&data)),
             "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
         );
     }
@@ -211,7 +204,7 @@ mod tests {
             for c in data.chunks(chunk) {
                 h.update(c);
             }
-            assert_eq!(h.finalize(), sha1(&data), "chunk {chunk}");
+            assert_eq!(h.finalize().to_vec(), Sha1::digest(&data), "chunk {chunk}");
         }
     }
 }

@@ -1,7 +1,6 @@
 //! SHA-512 (FIPS 180-4), used by the RFC 6238 TOTP-SHA512 variant.
 
 use crate::merkle_damgard::{Algorithm, Hasher, Sha512Algorithm};
-use crate::Digest;
 
 /// Round constants: first 64 bits of the fractional parts of the cube roots
 /// of the first 80 primes.
@@ -148,27 +147,21 @@ impl Algorithm for Sha512Algorithm {
     }
 }
 
-/// One-shot SHA-512.
-pub fn sha512(data: &[u8]) -> [u8; 64] {
-    let mut h = Sha512::new();
-    h.update(data);
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hex::to_hex;
+    use crate::Digest;
 
     #[test]
     fn standard_vectors() {
         assert_eq!(
-            to_hex(&sha512(b"")),
+            to_hex(&Sha512::digest(b"")),
             "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
              47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
         );
         assert_eq!(
-            to_hex(&sha512(b"abc")),
+            to_hex(&Sha512::digest(b"abc")),
             "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
              2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
         );
@@ -177,7 +170,7 @@ mod tests {
     #[test]
     fn two_block_vector() {
         assert_eq!(
-            to_hex(&sha512(
+            to_hex(&Sha512::digest(
                 b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
                   hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
                     .iter()
@@ -201,7 +194,7 @@ mod tests {
             }
             assert_eq!(
                 h.finalize().to_vec(),
-                sha512(&data).to_vec(),
+                Sha512::digest(&data),
                 "chunk {chunk}"
             );
         }

@@ -36,17 +36,6 @@ impl PairingMethod {
             PairingMethod::Training => "training",
         }
     }
-
-    /// Parse a stored label.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "soft" => Some(PairingMethod::Soft),
-            "sms" => Some(PairingMethod::Sms),
-            "hard" => Some(PairingMethod::Hard),
-            "training" => Some(PairingMethod::Training),
-            _ => None,
-        }
-    }
 }
 
 /// Administrative account state.
@@ -199,17 +188,6 @@ impl IdentityDb {
         Ok(())
     }
 
-    /// Set administrative state.
-    pub fn set_state(&self, username: &str, state: AccountState) -> Result<(), IdentityError> {
-        let mut inner = self.inner.write();
-        let rec = inner
-            .accounts
-            .get_mut(username)
-            .ok_or_else(|| IdentityError::NoSuchAccount(username.to_string()))?;
-        rec.state = state;
-        Ok(())
-    }
-
     /// All pairing events so far (Figure 6's raw series).
     pub fn pairing_log(&self) -> Vec<PairingEvent> {
         self.inner.read().pairing_log.clone()
@@ -237,31 +215,6 @@ impl IdentityDb {
             return None;
         }
         Some(counts.map(|c| c as f64 / total as f64))
-    }
-
-    /// Number of accounts.
-    pub fn len(&self) -> usize {
-        self.inner.read().accounts.len()
-    }
-
-    /// Whether the database has no accounts.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().accounts.is_empty()
-    }
-
-    /// Number of accounts with an active pairing.
-    pub fn paired_count(&self) -> usize {
-        self.inner
-            .read()
-            .accounts
-            .values()
-            .filter(|r| r.pairing.is_some())
-            .count()
-    }
-
-    /// Iterate usernames (snapshot).
-    pub fn usernames(&self) -> Vec<String> {
-        self.inner.read().accounts.keys().cloned().collect()
     }
 }
 
@@ -302,7 +255,6 @@ mod tests {
         let db = IdentityDb::new();
         assert!(db.set_pairing("ghost", PairingMethod::Sms, 0).is_err());
         assert!(db.clear_pairing("ghost", 0).is_err());
-        assert!(db.set_state("ghost", AccountState::Suspended).is_err());
     }
 
     #[test]
@@ -325,7 +277,6 @@ mod tests {
         db.create_account("unpaired", "y@y.org").unwrap();
         let b = db.pairing_breakdown().unwrap();
         assert_eq!(b, [0.5, 0.25, 0.25, 0.0]);
-        assert_eq!(db.paired_count(), 4);
     }
 
     #[test]
@@ -334,26 +285,5 @@ mod tests {
         assert_eq!(db.pairing_breakdown(), None);
         db.create_account("u", "e@x.org").unwrap();
         assert_eq!(db.pairing_breakdown(), None);
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for m in [
-            PairingMethod::Soft,
-            PairingMethod::Sms,
-            PairingMethod::Hard,
-            PairingMethod::Training,
-        ] {
-            assert_eq!(PairingMethod::parse(m.label()), Some(m));
-        }
-        assert_eq!(PairingMethod::parse("carrier-pigeon"), None);
-    }
-
-    #[test]
-    fn suspend_account() {
-        let db = IdentityDb::new();
-        db.create_account("alice", "a@x.org").unwrap();
-        db.set_state("alice", AccountState::Suspended).unwrap();
-        assert_eq!(db.get("alice").unwrap().state, AccountState::Suspended);
     }
 }

@@ -1,5 +1,5 @@
 //! A small LDAP-like directory: DN-addressed entries, multi-valued
-//! attributes, and an RFC 4515-flavoured filter language.
+//! attributes, and RFC 4515-flavoured search filters, built as a tree.
 //!
 //! Only the slice of LDAP semantics the MFA infrastructure exercises is
 //! implemented: exact-match, presence, prefix/suffix substring filters, and
@@ -82,7 +82,7 @@ impl Entry {
     }
 
     /// All values of `name`, empty if absent.
-    pub fn get(&self, name: &str) -> &[String] {
+    pub(crate) fn get(&self, name: &str) -> &[String] {
         self.slot(name).map_or(&[], |i| &self.attrs[i].1)
     }
 
@@ -92,7 +92,7 @@ impl Entry {
     }
 
     /// Whether the attribute exists with at least one value.
-    pub fn has_attr(&self, name: &str) -> bool {
+    pub(crate) fn has_attr(&self, name: &str) -> bool {
         !self.get(name).is_empty()
     }
 }
@@ -116,147 +116,10 @@ pub enum Filter {
     Not(Box<Filter>),
 }
 
-/// Errors from [`Filter::parse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FilterParseError {
-    /// Offset in the input where parsing failed.
-    pub at: usize,
-    /// Human-readable reason.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for FilterParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "filter parse error at {}: {}", self.at, self.reason)
-    }
-}
-
-impl std::error::Error for FilterParseError {}
-
 impl Filter {
     /// Convenience equality filter.
     pub fn eq(attr: &str, value: &str) -> Self {
         Filter::Eq(attr.to_string(), value.to_string())
-    }
-
-    /// Parse an RFC 4515-style string like `(&(uid=alice)(mfaPairing=*))`.
-    pub fn parse(s: &str) -> Result<Self, FilterParseError> {
-        let bytes = s.as_bytes();
-        let (f, consumed) = Self::parse_at(bytes, 0)?;
-        if consumed != bytes.len() {
-            return Err(FilterParseError {
-                at: consumed,
-                reason: "trailing input after filter",
-            });
-        }
-        Ok(f)
-    }
-
-    fn parse_at(b: &[u8], pos: usize) -> Result<(Filter, usize), FilterParseError> {
-        if b.get(pos) != Some(&b'(') {
-            return Err(FilterParseError {
-                at: pos,
-                reason: "expected '('",
-            });
-        }
-        let inner = pos + 1;
-        match b.get(inner) {
-            Some(&b'&') | Some(&b'|') => {
-                let op = b[inner];
-                let mut children = Vec::new();
-                let mut p = inner + 1;
-                while b.get(p) == Some(&b'(') {
-                    let (child, np) = Self::parse_at(b, p)?;
-                    children.push(child);
-                    p = np;
-                }
-                if b.get(p) != Some(&b')') {
-                    return Err(FilterParseError {
-                        at: p,
-                        reason: "expected ')' closing boolean filter",
-                    });
-                }
-                if children.is_empty() {
-                    return Err(FilterParseError {
-                        at: inner + 1,
-                        reason: "boolean filter needs at least one child",
-                    });
-                }
-                let f = if op == b'&' {
-                    Filter::And(children)
-                } else {
-                    Filter::Or(children)
-                };
-                Ok((f, p + 1))
-            }
-            Some(&b'!') => {
-                let (child, p) = Self::parse_at(b, inner + 1)?;
-                if b.get(p) != Some(&b')') {
-                    return Err(FilterParseError {
-                        at: p,
-                        reason: "expected ')' closing negation",
-                    });
-                }
-                Ok((Filter::Not(Box::new(child)), p + 1))
-            }
-            Some(_) => {
-                // Simple item: attr=value up to the matching ')'.
-                let close = b[inner..]
-                    .iter()
-                    .position(|&c| c == b')')
-                    .map(|i| inner + i)
-                    .ok_or(FilterParseError {
-                        at: inner,
-                        reason: "unterminated simple filter",
-                    })?;
-                let item = std::str::from_utf8(&b[inner..close]).map_err(|_| FilterParseError {
-                    at: inner,
-                    reason: "non-UTF-8 filter item",
-                })?;
-                let (attr, value) = item.split_once('=').ok_or(FilterParseError {
-                    at: inner,
-                    reason: "simple filter missing '='",
-                })?;
-                if attr.is_empty() {
-                    return Err(FilterParseError {
-                        at: inner,
-                        reason: "empty attribute name",
-                    });
-                }
-                let attr = attr.to_string();
-                let f = if value == "*" {
-                    Filter::Present(attr)
-                } else if let Some(prefix) = value.strip_suffix('*') {
-                    if prefix.contains('*') {
-                        return Err(FilterParseError {
-                            at: inner,
-                            reason: "only single leading/trailing wildcard supported",
-                        });
-                    }
-                    Filter::Prefix(attr, prefix.to_string())
-                } else if let Some(suffix) = value.strip_prefix('*') {
-                    if suffix.contains('*') {
-                        return Err(FilterParseError {
-                            at: inner,
-                            reason: "only single leading/trailing wildcard supported",
-                        });
-                    }
-                    Filter::Suffix(attr, suffix.to_string())
-                } else if value.contains('*') {
-                    return Err(FilterParseError {
-                        at: inner,
-                        reason: "interior wildcards unsupported",
-                    });
-                } else {
-                    Filter::Eq(attr, value.to_string())
-                };
-                Ok((f, close + 1))
-            }
-            None => Err(FilterParseError {
-                at: inner,
-                reason: "unexpected end of input",
-            }),
-        }
     }
 
     /// Evaluate the filter against an entry.
@@ -508,9 +371,12 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_match_composite_filter() {
+    fn composite_filter_matches_unpaired_accounts() {
         let dir = people_dir();
-        let f = Filter::parse("(&(objectClass=posixAccount)(!(mfaPairing=*)))").unwrap();
+        let f = Filter::And(vec![
+            Filter::eq("objectClass", "posixAccount"),
+            Filter::Not(Box::new(Filter::Present("mfaPairing".into()))),
+        ]);
         let hits = dir.search("dc=tacc", &f);
         let uids: Vec<_> = hits.iter().filter_map(|e| e.get_one("uid")).collect();
         assert_eq!(uids.len(), 2);
@@ -518,29 +384,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_or_and_substring_filters() {
-        let f = Filter::parse("(|(uid=gate*)(uid=*ice))").unwrap();
-        assert_eq!(
-            f,
-            Filter::Or(vec![
-                Filter::Prefix("uid".into(), "gate".into()),
-                Filter::Suffix("uid".into(), "ice".into()),
-            ])
-        );
+    fn or_of_prefix_and_suffix_filters() {
+        let f = Filter::Or(vec![
+            Filter::Prefix("uid".into(), "gate".into()),
+            Filter::Suffix("uid".into(), "ice".into()),
+        ]);
         let dir = people_dir();
         assert_eq!(dir.search("dc=tacc", &f).len(), 2);
-    }
-
-    #[test]
-    fn parse_errors() {
-        assert!(Filter::parse("").is_err());
-        assert!(Filter::parse("(uid=alice").is_err());
-        assert!(Filter::parse("(uid=alice))").is_err());
-        assert!(Filter::parse("(=x)").is_err());
-        assert!(Filter::parse("(uidalice)").is_err());
-        assert!(Filter::parse("(&)").is_err());
-        assert!(Filter::parse("(uid=a*b*c)").is_err());
-        assert!(Filter::parse("(uid=a*c)").is_err());
     }
 
     #[test]
@@ -674,7 +524,10 @@ mod tests {
                 "uid=alice,ou=services,dc=tacc"
             ]
         );
-        let paired = Filter::parse("(&(mfaPairing=*)(uid=alice))").unwrap();
+        let paired = Filter::And(vec![
+            Filter::Present("mfaPairing".into()),
+            Filter::eq("uid", "alice"),
+        ]);
         assert_eq!(dns(&paired), ["uid=alice,ou=people,dc=tacc"]);
         dir.delete("uid=alice,ou=people,dc=tacc").unwrap();
         assert!(dns(&paired).is_empty());

@@ -15,7 +15,7 @@
 //!   configured multi-factor authentication and which method" (§3.5).
 //!
 //! [`ldap`] implements the directory: DN-addressed entries with multi-valued
-//! attributes and an RFC 4515-style search-filter language. [`identity`]
+//! attributes and RFC 4515-style search filters. [`identity`]
 //! implements the account database the portal updates. Both are thread-safe
 //! (`parking_lot::RwLock`) because login nodes, RADIUS servers, and the
 //! portal query them concurrently.
@@ -24,9 +24,6 @@
 
 pub mod identity;
 pub mod ldap;
-
-pub use identity::{AccountRecord, AccountState, IdentityDb, PairingMethod};
-pub use ldap::{Directory, Entry, Filter, FilterParseError};
 
 /// The attribute the token module inspects to learn a user's pairing type.
 pub const MFA_PAIRING_ATTR: &str = "mfaPairing";

@@ -6,11 +6,11 @@
 //! know her token secret. This crate supplies the three pieces the rest of
 //! the workspace composes into that flow:
 //!
-//! * [`realm`] — `user@site` principal parsing;
-//! * [`trust`] — the cross-site trust configuration: which realms a site
+//! * `realm` — `user@site` principal parsing;
+//! * `trust` — the cross-site trust configuration: which realms a site
 //!   will route for, the per-realm shared secrets, and per-realm policy
 //!   (degradation mode, risk weight);
-//! * [`token`] — stateless, HMAC-integrity-protected, address-bound
+//! * `token` — stateless, HMAC-integrity-protected, address-bound
 //!   session-resumption tokens patterned on QUIC's address-validation
 //!   tokens (RFC 9000 §8.1.3–§8.1.4): after one full MFA success the
 //!   center hands the client a short-lived token binding user, realm,
@@ -24,10 +24,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod realm;
-pub mod token;
-pub mod trust;
+mod realm;
+mod token;
+mod trust;
 
-pub use realm::{split_principal, Principal};
+pub use realm::split_principal;
 pub use token::{ResumeAuthority, TokenClaims, TokenError, RESUME_REPLY_PREFIX, TOKEN_PREFIX};
 pub use trust::{RealmDegradation, RealmPeer, RealmPolicy, TrustConfig};

@@ -17,16 +17,6 @@ pub struct Principal {
     pub realm: Option<String>,
 }
 
-impl Principal {
-    /// Render back to wire form (`user` or `user@realm`).
-    pub fn to_wire(&self) -> String {
-        match &self.realm {
-            Some(r) => format!("{}@{}", self.user, r),
-            None => self.user.clone(),
-        }
-    }
-}
-
 /// Split `name` into (user, realm). The *last* `@` wins, so an exotic
 /// local part containing `@` still routes on its trailing realm.
 pub fn split_principal(name: &str) -> Principal {
@@ -51,7 +41,6 @@ mod tests {
         let p = split_principal("alice");
         assert_eq!(p.user, "alice");
         assert_eq!(p.realm, None);
-        assert_eq!(p.to_wire(), "alice");
     }
 
     #[test]
@@ -59,7 +48,6 @@ mod tests {
         let p = split_principal("alice@psc");
         assert_eq!(p.user, "alice");
         assert_eq!(p.realm.as_deref(), Some("psc"));
-        assert_eq!(p.to_wire(), "alice@psc");
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub const RESUME_REPLY_PREFIX: &str = "resume=";
 const MAC_LEN: usize = 32;
 
 /// Nonce length: 128 bits, RFC 9000 §8.1.4's "hard to guess" floor.
-pub const NONCE_LEN: usize = 16;
+pub(crate) const NONCE_LEN: usize = 16;
 
 /// Everything a token binds. All fields are integrity-protected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,7 +207,7 @@ impl ResumeAuthority {
     }
 
     /// The OTP step containing wall-second `now`.
-    pub fn step_of(&self, now: u64) -> u64 {
+    pub(crate) fn step_of(&self, now: u64) -> u64 {
         now / self.step_secs
     }
 
@@ -222,7 +222,7 @@ impl ResumeAuthority {
     }
 
     /// Seal `claims` into wire form under this authority's key.
-    pub fn seal(&self, claims: &TokenClaims) -> String {
+    pub(crate) fn seal(&self, claims: &TokenClaims) -> String {
         let mut body = encode_body(claims);
         let mut mac = [0u8; MAC_LEN];
         self.key.mac_into(&body, &mut mac);

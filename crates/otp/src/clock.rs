@@ -1,7 +1,7 @@
 //! Time sources.
 //!
-//! Every component that touches TOTP needs "now". Production uses the
-//! system clock; the rollout simulator and all tests use a [`SimClock`]
+//! Every component that touches TOTP needs "now", through [`Clock`]; the
+//! rollout simulator, the benchmark and all tests use a [`SimClock`]
 //! whose virtual time is advanced explicitly, making every run
 //! deterministic and letting five months of calendar time pass in
 //! milliseconds.
@@ -13,19 +13,6 @@ use std::sync::Arc;
 pub trait Clock: Send + Sync {
     /// Current Unix time in seconds.
     fn now(&self) -> u64;
-}
-
-/// Wall-clock time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
-    fn now(&self) -> u64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0)
-    }
 }
 
 /// A shared, manually advanced virtual clock.
@@ -103,12 +90,5 @@ mod tests {
         let moved = std::panic::catch_unwind(|| c.set(50));
         assert!(moved.is_err());
         assert_eq!(c.now(), 100);
-    }
-
-    #[test]
-    fn system_clock_is_sane() {
-        // After 2020-01-01 and before 2100.
-        let now = SystemClock.now();
-        assert!(now > 1_577_836_800 && now < 4_102_444_800);
     }
 }

@@ -35,14 +35,14 @@ impl std::error::Error for DateParseError {}
 
 impl Date {
     /// Construct, panicking on out-of-range fields (validated construction
-    /// goes through [`Date::new_checked`] or [`Date::parse`]).
+    /// goes through `Date::new_checked` or [`Date::parse`]).
     pub fn new(year: i32, month: u32, day: u32) -> Self {
         Self::new_checked(year, month, day)
             .unwrap_or_else(|| panic!("invalid date {year:04}-{month:02}-{day:02}"))
     }
 
     /// Construct with validation.
-    pub fn new_checked(year: i32, month: u32, day: u32) -> Option<Self> {
+    pub(crate) fn new_checked(year: i32, month: u32, day: u32) -> Option<Self> {
         if !(1..=12).contains(&month) || day == 0 || day > days_in_month(year, month) {
             return None;
         }

@@ -1,6 +1,6 @@
 //! Token devices a user may possess (§3.3).
 //!
-//! Three public device types plus a fourth internal one:
+//! Three device types:
 //!
 //! * **Soft token** — the in-house smartphone app (Google Authenticator
 //!   lineage). Needs no network; its only failure mode is clock drift,
@@ -10,47 +10,13 @@
 //! * **SMS token** — the *server* generates the code and texts it; the
 //!   "device" is just a phone number. Modeled in `hpcmfa-otpserver::sms`
 //!   since all logic is server-side.
-//! * **Static training token** — a fixed six-digit code for workshop
-//!   accounts, regenerated per session.
+//!
+//! The fourth pairing type, the static training code, lives in the token
+//! store (`hpcmfa-otpserver`): no device generates it.
 
-use crate::qr::{QrCode, ScanOutcome};
 use crate::secret::Secret;
 use crate::totp::{Totp, TotpParams};
 use crate::uri::{OtpauthUri, UriError};
-
-/// The four pairing types tracked by the identity-management back end and
-/// reported in Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TokenKind {
-    /// Smartphone application.
-    Soft,
-    /// SMS text-message delivery.
-    Sms,
-    /// Key fob with LCD screen.
-    Hard,
-    /// Static code for training accounts (not publicly offered).
-    Training,
-}
-
-impl TokenKind {
-    /// Human-readable label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            TokenKind::Soft => "Soft",
-            TokenKind::Sms => "SMS",
-            TokenKind::Hard => "Hard",
-            TokenKind::Training => "Training",
-        }
-    }
-
-    /// All kinds, in Table 1 order.
-    pub const ALL: [TokenKind; 4] = [
-        TokenKind::Soft,
-        TokenKind::Sms,
-        TokenKind::Hard,
-        TokenKind::Training,
-    ];
-}
 
 /// A smartphone soft token: secret imported by QR scan, codes generated
 /// locally against the phone's (possibly drifting) clock.
@@ -71,16 +37,6 @@ impl SoftToken {
         })
     }
 
-    /// Import by scanning a QR code; `reliability`/`roll` as in
-    /// [`QrCode::scan`]. `None` means the camera failed and the user must
-    /// retry.
-    pub fn scan_qr(qr: &QrCode, reliability: f64, roll: f64) -> Option<Result<Self, UriError>> {
-        match qr.scan(reliability, roll) {
-            ScanOutcome::Decoded(payload) => Some(Self::from_uri(&payload)),
-            ScanOutcome::Unreadable => None,
-        }
-    }
-
     /// Direct construction (tests, hard-token emulation).
     pub fn new(secret: Secret, params: TotpParams) -> Self {
         SoftToken {
@@ -99,11 +55,6 @@ impl SoftToken {
     pub fn displayed_code(&self, unix_time: u64) -> String {
         let local = unix_time.saturating_add_signed(self.clock_skew_secs);
         self.totp.code_at(local)
-    }
-
-    /// Access to the underlying generator (for pairing confirmation).
-    pub fn totp(&self) -> &Totp {
-        &self.totp
     }
 }
 
@@ -126,19 +77,13 @@ pub struct HardToken {
 
 impl HardToken {
     /// Construct a fob as the factory does.
-    pub fn new(serial: impl Into<String>, secret: Secret) -> Self {
+    pub(crate) fn new(serial: impl Into<String>, secret: Secret) -> Self {
         HardToken {
             serial: serial.into(),
             totp: Totp::new(secret),
             clock_skew_secs: 0,
             battery_ok: true,
         }
-    }
-
-    /// Set oscillator drift.
-    pub fn with_skew(mut self, skew_secs: i64) -> Self {
-        self.clock_skew_secs = skew_secs;
-        self
     }
 
     /// Press the button: the displayed code at true time `unix_time`, or
@@ -152,7 +97,7 @@ impl HardToken {
     }
 
     /// Access to the underlying generator.
-    pub fn totp(&self) -> &Totp {
+    pub(crate) fn totp(&self) -> &Totp {
         &self.totp
     }
 }
@@ -191,47 +136,6 @@ impl HardTokenBatch {
     }
 }
 
-/// A static training token: a fixed six-digit code assigned per session.
-///
-/// "Before each training session, accounts are assigned a random six-digit
-/// number such that the participants may step through the multi-factor
-/// authentication process" (§3.3).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StaticToken {
-    code: String,
-}
-
-impl StaticToken {
-    /// Assign a random six-digit code.
-    pub fn assign<R: rand::Rng + ?Sized>(rng: &mut R) -> Self {
-        StaticToken {
-            code: crate::format_code(rng.random_range(0..1_000_000), 6),
-        }
-    }
-
-    /// Wrap a specific code (must be six ASCII digits).
-    pub fn from_code(code: &str) -> Option<Self> {
-        if code.len() == 6 && code.bytes().all(|b| b.is_ascii_digit()) {
-            Some(StaticToken {
-                code: code.to_string(),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// The fixed code handed to workshop participants.
-    pub fn code(&self) -> &str {
-        &self.code
-    }
-
-    /// Regenerate after the session ends ("easily regenerated once the
-    /// training session is finished").
-    pub fn regenerate<R: rand::Rng + ?Sized>(&mut self, rng: &mut R) {
-        *self = Self::assign(rng);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,16 +155,6 @@ mod tests {
             app.displayed_code(1_475_000_000),
             server.code_at(1_475_000_000)
         );
-    }
-
-    #[test]
-    fn soft_token_qr_scan_round_trip() {
-        let uri = OtpauthUri::new("TACC", "alice", secret(), TotpParams::default()).render();
-        let qr = QrCode::encode(&uri);
-        let app = SoftToken::scan_qr(&qr, 1.0, 0.0).unwrap().unwrap();
-        assert_eq!(app.displayed_code(59), Totp::new(secret()).code_at(59));
-        // Failed scan surfaces as None, prompting a retry in the portal flow.
-        assert!(SoftToken::scan_qr(&qr, 0.0, 0.5).is_none());
     }
 
     #[test]
@@ -313,30 +207,5 @@ mod tests {
         assert_eq!(secrets.len(), 50);
         assert!(batch.by_serial("TACC-0007").is_some());
         assert!(batch.by_serial("TACC-9999").is_none());
-    }
-
-    #[test]
-    fn static_token_lifecycle() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut t = StaticToken::assign(&mut rng);
-        assert_eq!(t.code().len(), 6);
-        assert!(t.code().bytes().all(|b| b.is_ascii_digit()));
-        let before = t.code().to_string();
-        t.regenerate(&mut rng);
-        // Overwhelmingly likely to change; the test seed makes it so.
-        assert_ne!(t.code(), before);
-    }
-
-    #[test]
-    fn static_token_from_code_validation() {
-        assert!(StaticToken::from_code("123456").is_some());
-        assert!(StaticToken::from_code("12345").is_none());
-        assert!(StaticToken::from_code("12345a").is_none());
-    }
-
-    #[test]
-    fn token_kind_labels() {
-        assert_eq!(TokenKind::Soft.label(), "Soft");
-        assert_eq!(TokenKind::ALL.len(), 4);
     }
 }

@@ -12,11 +12,11 @@ use hpcmfa_crypto::{hmac::MAX_OUTPUT_LEN, HashAlg, PreparedHmac};
 /// Implements RFC 4226 §5.3 dynamic truncation: the low nibble of the final
 /// MAC byte selects a 4-byte window whose 31-bit big-endian value is reduced
 /// modulo `10^digits`.
-pub fn hotp_value(secret: &Secret, counter: u64, alg: HashAlg) -> u32 {
+pub(crate) fn hotp_value(secret: &Secret, counter: u64, alg: HashAlg) -> u32 {
     hotp_value_prepared(&alg.prepare_key(secret.bytes()), counter)
 }
 
-/// [`hotp_value`] against a precomputed [`PreparedHmac`]. Validation scans
+/// `hotp_value` against a precomputed [`PreparedHmac`]. Validation scans
 /// (TOTP drift window, resync search) build the key once and call this per
 /// counter: two block compressions through the counter kernel
 /// ([`PreparedHmac::mac_counter_into`]), whatever the algorithm, and zero
@@ -28,7 +28,7 @@ pub fn hotp_value_prepared(key: &PreparedHmac, counter: u64) -> u32 {
 }
 
 /// RFC 4226 dynamic truncation of an HMAC output.
-pub fn dynamic_truncate(mac: &[u8]) -> u32 {
+pub(crate) fn dynamic_truncate(mac: &[u8]) -> u32 {
     debug_assert!(mac.len() >= 20, "HMAC output shorter than SHA-1");
     let offset = usize::from(mac[mac.len() - 1] & 0x0f);
     let w = &mac[offset..offset + 4];
@@ -42,7 +42,7 @@ pub fn hotp(secret: &Secret, counter: u64, digits: u32, alg: HashAlg) -> String 
 }
 
 /// [`hotp`] against a precomputed [`PreparedHmac`].
-pub fn hotp_prepared(key: &PreparedHmac, counter: u64, digits: u32) -> String {
+pub(crate) fn hotp_prepared(key: &PreparedHmac, counter: u64, digits: u32) -> String {
     let value = hotp_value_prepared(key, counter) % 10u32.pow(digits);
     crate::format_code(value, digits)
 }

@@ -4,10 +4,9 @@
 //! smartphone app reads it with the camera (§3.3: the apps were "outfitted
 //! with the ability to read a quick response (QR) code"). Reproducing an
 //! image pipeline adds nothing to the authentication semantics, so this
-//! module models a QR code as its payload plus a deterministic module matrix
-//! that behaves like a scannable artifact: rendering is injective in the
-//! payload (two different URIs never produce the same matrix) and "scanning"
-//! returns the exact payload or a detectable failure.
+//! module models a QR code as its payload plus a deterministic module matrix:
+//! rendering is injective in the payload (two different URIs never produce
+//! the same matrix), and scanning is reading the payload back.
 
 use hpcmfa_crypto::sha256::sha256;
 
@@ -19,15 +18,6 @@ pub struct QrCode {
     size: usize,
     /// Row-major module bits.
     modules: Vec<bool>,
-}
-
-/// Result of a simulated scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScanOutcome {
-    /// Clean decode of the payload.
-    Decoded(String),
-    /// The camera failed to lock on (simulated damage/occlusion).
-    Unreadable,
 }
 
 impl QrCode {
@@ -75,11 +65,6 @@ impl QrCode {
         self.modules[y * self.size + x] = v;
     }
 
-    /// Module at `(y, x)`.
-    pub fn module(&self, y: usize, x: usize) -> bool {
-        self.modules[y * self.size + x]
-    }
-
     /// Matrix side length.
     pub fn size(&self) -> usize {
         self.size
@@ -88,29 +73,6 @@ impl QrCode {
     /// The encoded payload (what a perfect scan recovers).
     pub fn payload(&self) -> &str {
         &self.payload
-    }
-
-    /// Simulate a camera scan. `reliability` in `[0,1]` is the probability
-    /// of a clean decode; `roll` in `[0,1)` is the caller-supplied random
-    /// draw (kept external so simulations stay deterministic).
-    pub fn scan(&self, reliability: f64, roll: f64) -> ScanOutcome {
-        if roll < reliability {
-            ScanOutcome::Decoded(self.payload.clone())
-        } else {
-            ScanOutcome::Unreadable
-        }
-    }
-
-    /// Render as terminal art (two modules per character cell).
-    pub fn to_ascii(&self) -> String {
-        let mut out = String::with_capacity((self.size + 1) * self.size);
-        for y in 0..self.size {
-            for x in 0..self.size {
-                out.push_str(if self.module(y, x) { "##" } else { "  " });
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -133,19 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn perfect_scan_recovers_payload() {
-        let qr = QrCode::encode("hello");
-        assert_eq!(qr.scan(1.0, 0.0), ScanOutcome::Decoded("hello".into()));
-    }
-
-    #[test]
-    fn unreliable_scan_can_fail() {
-        let qr = QrCode::encode("hello");
-        assert_eq!(qr.scan(0.5, 0.9), ScanOutcome::Unreadable);
-        assert_eq!(qr.scan(0.5, 0.1), ScanOutcome::Decoded("hello".into()));
-    }
-
-    #[test]
     fn size_grows_with_payload() {
         let small = QrCode::encode("x");
         let large = QrCode::encode(&"x".repeat(200));
@@ -157,17 +106,9 @@ mod tests {
     fn finder_patterns_present() {
         let qr = QrCode::encode("anything");
         let n = qr.size();
-        assert!(qr.module(0, 0) && qr.module(4, 4));
-        assert!(qr.module(0, n - 1) && qr.module(4, n - 5));
-        assert!(qr.module(n - 1, 0) && qr.module(n - 5, 4));
-    }
-
-    #[test]
-    fn ascii_render_dimensions() {
-        let qr = QrCode::encode("x");
-        let art = qr.to_ascii();
-        let lines: Vec<&str> = art.lines().collect();
-        assert_eq!(lines.len(), qr.size());
-        assert!(lines.iter().all(|l| l.chars().count() == qr.size() * 2));
+        let module = |y: usize, x: usize| qr.modules[y * n + x];
+        assert!(module(0, 0) && module(4, 4));
+        assert!(module(0, n - 1) && module(4, n - 5));
+        assert!(module(n - 1, 0) && module(n - 5, 4));
     }
 }

@@ -10,7 +10,7 @@ use rand::RngCore;
 /// Default secret length in bytes. RFC 4226 §4 requires at least 128 bits
 /// and recommends 160 (the SHA-1 output length); we follow the
 /// recommendation, as Google-Authenticator-lineage apps do.
-pub const DEFAULT_SECRET_LEN: usize = 20;
+pub(crate) const DEFAULT_SECRET_LEN: usize = 20;
 
 /// A shared OTP secret key.
 ///
@@ -25,13 +25,13 @@ impl Secret {
         Secret(bytes.into())
     }
 
-    /// Generate a fresh random secret of [`DEFAULT_SECRET_LEN`] bytes.
+    /// Generate a fresh random secret of `DEFAULT_SECRET_LEN` bytes.
     pub fn generate<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         Self::generate_len(rng, DEFAULT_SECRET_LEN)
     }
 
     /// Generate a fresh random secret of `len` bytes.
-    pub fn generate_len<R: RngCore + ?Sized>(rng: &mut R, len: usize) -> Self {
+    pub(crate) fn generate_len<R: RngCore + ?Sized>(rng: &mut R, len: usize) -> Self {
         let mut bytes = vec![0u8; len];
         rng.fill_bytes(&mut bytes);
         Secret(bytes)
@@ -63,13 +63,8 @@ impl Secret {
         hex::to_hex(&self.0)
     }
 
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
     /// Whether the secret is empty (never valid for real tokens).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
 }
@@ -99,7 +94,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let a = Secret::generate(&mut rng);
         let b = Secret::generate(&mut rng);
-        assert_eq!(a.len(), DEFAULT_SECRET_LEN);
+        assert_eq!(a.0.len(), DEFAULT_SECRET_LEN);
         assert_ne!(a, b);
     }
 
@@ -130,6 +125,6 @@ mod tests {
     #[test]
     fn custom_length() {
         let mut rng = StdRng::seed_from_u64(9);
-        assert_eq!(Secret::generate_len(&mut rng, 32).len(), 32);
+        assert_eq!(Secret::generate_len(&mut rng, 32).0.len(), 32);
     }
 }

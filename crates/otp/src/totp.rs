@@ -55,11 +55,6 @@ impl TotpParams {
     pub fn time_step(&self, unix_time: u64) -> u64 {
         unix_time.saturating_sub(self.t0) / self.step_secs
     }
-
-    /// Seconds until the code for `unix_time` rotates.
-    pub fn secs_remaining(&self, unix_time: u64) -> u64 {
-        self.step_secs - (unix_time.saturating_sub(self.t0) % self.step_secs)
-    }
 }
 
 /// A TOTP generator/validator bound to one secret.
@@ -464,15 +459,6 @@ mod tests {
         let code = t.code_at(now - 30);
         let matched = t.verify(&code, now, 10).unwrap();
         assert_eq!(matched, t.params.time_step(now) - 1);
-    }
-
-    #[test]
-    fn secs_remaining() {
-        let p = TotpParams::default();
-        assert_eq!(p.secs_remaining(0), 30);
-        assert_eq!(p.secs_remaining(29), 1);
-        assert_eq!(p.secs_remaining(30), 30);
-        assert_eq!(p.secs_remaining(45), 15);
     }
 
     #[test]

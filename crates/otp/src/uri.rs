@@ -5,6 +5,15 @@
 //! mobile application for import" (§3.5). The QR payload is exactly one of
 //! these URIs.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
+
 use crate::secret::Secret;
 use crate::totp::TotpParams;
 use hpcmfa_crypto::HashAlg;
@@ -66,18 +75,17 @@ fn pct_encode(s: &str) -> String {
 }
 
 fn pct_decode(s: &str) -> Option<String> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hi = (*bytes.get(i + 1)? as char).to_digit(16)?;
-            let lo = (*bytes.get(i + 2)? as char).to_digit(16)?;
-            out.push(((hi << 4) | lo) as u8);
-            i += 3;
+    /// One hex digit's value.
+    fn nibble(b: Option<u8>) -> Option<u8> {
+        u8::try_from(char::from(b?).to_digit(16)?).ok()
+    }
+    let mut bytes = s.bytes();
+    let mut out = Vec::with_capacity(s.len());
+    while let Some(b) = bytes.next() {
+        if b == b'%' {
+            out.push(nibble(bytes.next())?.checked_mul(16)? | nibble(bytes.next())?);
         } else {
-            out.push(bytes[i]);
-            i += 1;
+            out.push(b);
         }
     }
     String::from_utf8(out).ok()
@@ -114,10 +122,19 @@ impl OtpauthUri {
             .strip_prefix("otpauth://totp/")
             .ok_or(UriError::BadScheme)?;
         let (label, query) = rest.split_once('?').ok_or(UriError::BadSecret)?;
-        let label = pct_decode(label).ok_or(UriError::BadLabel)?;
+        // The issuer prefix ends at the first literal ':', so a colon
+        // encoded inside either part stays in it; a label with no literal
+        // one may use an encoded colon as the separator instead.
+        let decode = |part| pct_decode(part).ok_or(UriError::BadLabel);
         let (label_issuer, account) = match label.split_once(':') {
-            Some((i, a)) => (i.to_string(), a.to_string()),
-            None => (String::new(), label),
+            Some((issuer, account)) => (decode(issuer)?, decode(account)?),
+            None => {
+                let label = decode(label)?;
+                match label.split_once(':') {
+                    Some((i, a)) => (i.to_string(), a.to_string()),
+                    None => (String::new(), label),
+                }
+            }
         };
         if account.is_empty() {
             return Err(UriError::BadLabel);
@@ -165,6 +182,7 @@ impl OtpauthUri {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -175,6 +193,20 @@ mod tests {
             Secret::from_bytes(*b"12345678901234567890"),
             TotpParams::default(),
         )
+    }
+
+    #[test]
+    fn a_colon_inside_the_issuer_or_account_survives_the_round_trip() {
+        let mut uri = sample();
+        (uri.issuer, uri.account) = ("TACC:HPC".into(), "cproctor:admin".into());
+        assert_eq!(OtpauthUri::parse(&uri.render()).unwrap(), uri);
+        // An encoded colon still separates a label that has no literal one.
+        let encoded = "otpauth://totp/TACC%3Acproctor?secret=GEZDGNBV";
+        let parsed = OtpauthUri::parse(encoded).unwrap();
+        assert_eq!(
+            (parsed.issuer.as_str(), parsed.account.as_str()),
+            ("TACC", "cproctor")
+        );
     }
 
     #[test]

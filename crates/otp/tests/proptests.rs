@@ -75,6 +75,33 @@ proptest! {
         prop_assert_eq!(parsed, uri);
     }
 
+    /// A scanned code is hostile input: arbitrary text, a valid URI cut
+    /// at any char boundary, or one with a char replaced. `parse` answers
+    /// `Ok` or `Err` and never panics, and whatever it accepts renders
+    /// back to a URI that parses to the same value.
+    #[test]
+    fn uri_parse_never_panics_and_what_it_accepts_round_trips(
+        secret in arb_secret(),
+        issuer in "[A-Za-z0-9 :@%&=?]{0,8}",
+        account in "[a-z][a-z0-9:%]{0,15}",
+        arbitrary in "\\PC{0,80}|otpauth://totp/\\PC{0,40}|otpauth://totp/[A-Za-z0-9%:@._-]{0,16}\\?[A-Za-z0-9=&%._-]{0,48}",
+        at in any::<usize>(),
+        with in "\\PC",
+    ) {
+        let params = TotpParams::default();
+        let rendered = OtpauthUri::new(&issuer, &account, secret, params).render();
+        let chars: Vec<(usize, char)> = rendered.char_indices().collect();
+        let (cut_at, _) = chars.get(at % chars.len()).copied().unwrap_or((0, ' '));
+        let cut = &rendered[..cut_at];
+        let mut replaced = rendered.clone();
+        replaced.replace_range(cut_at..cut_at + rendered[cut_at..].chars().next().map_or(0, char::len_utf8), &with);
+        for input in [arbitrary.as_str(), cut, &replaced] {
+            if let Ok(parsed) = OtpauthUri::parse(input) {
+                prop_assert_eq!(OtpauthUri::parse(&parsed.render()), Ok(parsed));
+            }
+        }
+    }
+
     #[test]
     fn distinct_secrets_rarely_collide_on_a_step(
         a in arb_secret(),

@@ -34,12 +34,12 @@ use std::sync::Arc;
 
 /// Default retention cap: large enough that no simulation in this repo
 /// evicts, small enough to bound a runaway stream.
-pub const DEFAULT_AUDIT_CAP: usize = 1_000_000;
+pub(crate) const DEFAULT_AUDIT_CAP: usize = 1_000_000;
 
 /// The longest user name or detail text a row keeps, in bytes; a longer
 /// one is cut at a character boundary. Two such fields still frame far
 /// under the WAL's record cap, so every row replays.
-pub const MAX_FIELD_LEN: usize = 1 << 16;
+pub(crate) const MAX_FIELD_LEN: usize = 1 << 16;
 
 /// Bytes per ring block. Frames are packed whole into blocks of this size
 /// (a longer frame gets a block of its own), so a row never moves once
@@ -73,7 +73,7 @@ pub enum AuditAction {
 
 impl AuditAction {
     /// Stable label for serialization.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AuditAction::Validate => "validate",
             AuditAction::SmsTriggered => "sms_triggered",
@@ -569,11 +569,6 @@ impl Default for AuditLog {
 }
 
 impl AuditLog {
-    /// New empty log with the default retention cap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// New empty log retaining at most `cap` entries (0 retains nothing).
     pub fn with_cap(cap: usize) -> Self {
         AuditLog {
@@ -582,11 +577,6 @@ impl AuditLog {
                 snapshot_len: AtomicUsize::new(0),
             }),
         }
-    }
-
-    /// The retention cap.
-    pub fn cap(&self) -> usize {
-        self.inner.ring.read().cap
     }
 
     /// Entries evicted by the ring cap since creation (time-based pruning
@@ -707,7 +697,7 @@ impl AuditLog {
     /// Replace the log's contents and dropped counter (crash recovery).
     /// The cap is preserved; if the recovered set exceeds it, the oldest
     /// entries are evicted exactly as live appends would have.
-    pub fn load(&self, entries: Vec<AuditEntry>, dropped: u64) {
+    pub(crate) fn load(&self, entries: Vec<AuditEntry>, dropped: u64) {
         let mut ring = self.inner.ring.write();
         let mut loaded = Ring::with_cap(ring.cap);
         loaded.dropped = dropped;
@@ -721,7 +711,7 @@ impl AuditLog {
     /// Drop every entry (simulated crash wipes the in-memory image). The
     /// dropped counter is reset too — recovery restores it from the
     /// snapshot seal.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         let mut ring = self.inner.ring.write();
         *ring = Ring::with_cap(ring.cap);
     }
@@ -760,7 +750,7 @@ mod tests {
 
     #[test]
     fn record_and_query() {
-        let log = AuditLog::new();
+        let log = AuditLog::with_cap(DEFAULT_AUDIT_CAP);
         log.record(10, "alice", AuditAction::Validate, true, "totp ok");
         log.record(20, "alice", AuditAction::Validate, false, "wrong code");
         log.record(30, "bob", AuditAction::Enroll, true, "soft");
@@ -871,7 +861,7 @@ mod tests {
             want.extend_from_slice(&frame);
         }
         assert_eq!(staged.frames(), &want[..]);
-        let log = AuditLog::new();
+        let log = AuditLog::with_cap(DEFAULT_AUDIT_CAP);
         log.push_frames(staged.frames());
         let users: Vec<String> = log.export_all().into_iter().map(|e| e.username).collect();
         assert_eq!(users, ["a", long.as_str(), "b"]);
@@ -882,7 +872,7 @@ mod tests {
     #[test]
     fn overlong_fields_are_clipped_at_a_char_boundary() {
         let name = "é".repeat(MAX_FIELD_LEN);
-        let log = AuditLog::new();
+        let log = AuditLog::with_cap(DEFAULT_AUDIT_CAP);
         log.record(1, &name, AuditAction::Enroll, true, &name);
         let row = &log.export_all()[0];
         assert_eq!(row.username.len(), MAX_FIELD_LEN);
@@ -971,7 +961,7 @@ mod tests {
 
     #[test]
     fn concurrent_appends() {
-        let log = AuditLog::new();
+        let log = AuditLog::with_cap(DEFAULT_AUDIT_CAP);
         let mut handles = Vec::new();
         for t in 0..4 {
             let l = log.clone();

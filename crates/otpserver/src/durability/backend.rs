@@ -27,14 +27,14 @@ use std::sync::Arc;
 
 /// Base WAL file name inside the storage directory (segment 0; later
 /// segments are `wal.<seq>.log`).
-pub const WAL_FILE: &str = "wal.log";
+pub(crate) const WAL_FILE: &str = "wal.log";
 
 /// Snapshot file name inside the storage directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.bin";
+pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
 
 /// Default segment-rotation threshold: an active segment at or past this
 /// size is sealed before the next append.
-pub const DEFAULT_ROTATE_BYTES: u64 = 1 << 20;
+pub(crate) const DEFAULT_ROTATE_BYTES: u64 = 1 << 20;
 
 #[derive(Clone)]
 struct Segment {
@@ -335,7 +335,7 @@ pub struct StorageFaultPlan {
 
 impl StorageFaultPlan {
     /// No faults; RNG still seeded for torn-crash prefix lengths.
-    pub fn healthy() -> Arc<Self> {
+    pub(crate) fn healthy() -> Arc<Self> {
         Self::seeded(0)
     }
 
@@ -363,8 +363,9 @@ impl StorageFaultPlan {
         self.fsync_fail_every.store(n, Ordering::SeqCst);
     }
 
+    #[cfg(test)]
     /// Flip one bit in one WAL read in every `n` (0 disables).
-    pub fn set_read_corrupt_every(&self, n: u64) {
+    pub(crate) fn set_read_corrupt_every(&self, n: u64) {
         self.read_corrupt_every.store(n, Ordering::SeqCst);
     }
 
@@ -464,7 +465,7 @@ impl MemoryBackend {
     }
 
     /// Whether the node is down.
-    pub fn is_down(&self) -> bool {
+    pub(crate) fn is_down(&self) -> bool {
         self.down.load(Ordering::SeqCst)
     }
 

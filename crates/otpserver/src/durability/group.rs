@@ -30,6 +30,18 @@ use std::collections::VecDeque;
 /// sync's leader, which holds fresh work, leaves the finishes to the
 /// callers its sync woke.
 ///
+/// **Rows in sequence order.** A durable commit's audit rows enter the
+/// ring in the window between its verdict and its caller's next call
+/// ([`Step::Again`] for a caller settling inline, [`Step::Release`] for a
+/// parked commit, whose finish pushes them): so a durable verdict on
+/// commit `seq` is handed out only once every commit before it was told
+/// durable and came back, or was denied. A caller whose verdict is in but
+/// whose turn has not come runs the parked finishes ahead of it, or waits.
+/// The one exception is [`Goal::Denial`]: a parked finish that was denied
+/// writes its denial row while it holds the release turn, which the
+/// commits before that row may be waiting for, so the row is told as soon
+/// as it is durable and its seq is skipped when the others' turn comes.
+///
 /// **The fence rule.** Every operation holds a pass ([`Goal::Pass`]) from
 /// before it takes a store or ledger lock until its audit rows are in the
 /// ring; the compactor ([`Goal::Claim`]) and a reload ([`Goal::Quiesce`])
@@ -62,6 +74,14 @@ pub(crate) struct GroupMachine<P> {
     parked: VecDeque<(u64, P)>,
     /// A caller holds the release turn.
     releasing: bool,
+    /// Every commit up to here that was told durable came back after its
+    /// rows were pushed (the denied ones are below `failed`).
+    told: u64,
+    /// Denial rows told out of turn, above `told`, in sequence order.
+    early: VecDeque<u64>,
+    /// A commit told durable has not come back yet: no other is told
+    /// durable meanwhile, even if a rollback moved `failed` past it.
+    pushing: bool,
 }
 
 impl<P> Default for GroupMachine<P> {
@@ -75,6 +95,9 @@ impl<P> Default for GroupMachine<P> {
             closed: false,
             parked: VecDeque::new(),
             releasing: false,
+            told: 0,
+            early: VecDeque::new(),
+            pushing: false,
         }
     }
 }
@@ -84,9 +107,14 @@ impl<P> Default for GroupMachine<P> {
 pub(crate) enum Goal {
     /// A pass through the fence.
     Pass,
-    /// The verdict on commit `seq`, then the parked finishes it made due
-    /// if nobody else is running them.
+    /// The verdict on commit `seq`, in its turn, then the parked finishes
+    /// it made due if nobody else is running them.
     Verdict(u64),
+    /// The same for a denial row a parked finish writes, told out of turn.
+    Denial(u64),
+    /// Parked commit `seq` covered by a sync, then the parked finishes it
+    /// made due if nobody else is running them.
+    Drive(u64),
     /// The fence closed with every pass back.
     Quiesce,
     /// The same, if a compaction is `due`, nobody holds the fence and
@@ -102,6 +130,8 @@ pub(crate) struct Actor {
     /// The end of the sync it leads, and whether that sync went well.
     sync: Option<(u64, bool)>,
     verdict: Option<bool>,
+    /// Was told commit `seq` durable: its rows go in before it asks again.
+    pushing: Option<u64>,
     /// Holds the release turn.
     turn: bool,
     /// Holds the fence.
@@ -114,6 +144,7 @@ impl Actor {
             goal,
             sync: None,
             verdict: None,
+            pushing: None,
             turn: false,
             fence: false,
         }
@@ -140,10 +171,11 @@ pub(crate) enum Step<P> {
     Lead,
     /// Wait for a wake-up, then ask again.
     Wait,
-    /// The verdict is in (`durable`): let go of the lock, then ask again.
+    /// The verdict is in (`durable`): let go of the lock, push the
+    /// commit's rows if it is durable, then ask again.
     Again(bool),
     /// Run this parked commit's finish with its verdict (`durable`)
-    /// without the lock, then ask again.
+    /// without the lock — it pushes the commit's rows — then ask again.
     Release(bool, P),
     /// The goal is reached.
     Done,
@@ -153,6 +185,28 @@ impl<P> GroupMachine<P> {
     /// Whether a verdict on commit `seq` exists yet.
     fn covers(&self, seq: u64) -> bool {
         seq <= self.settled.max(self.failed)
+    }
+
+    /// Whether commit `seq`'s verdict may be handed out: it is denied, or
+    /// every commit before it is through.
+    fn in_turn(&self, seq: u64) -> bool {
+        seq <= self.failed || (!self.pushing && seq <= self.told.max(self.failed) + 1)
+    }
+
+    /// Whether parked commit `seq` can be released now.
+    fn due(&self, seq: u64) -> bool {
+        self.covers(seq) && self.in_turn(seq)
+    }
+
+    /// Move `told` over the denial rows told out of turn that it reached.
+    fn absorb(&mut self) {
+        while let Some(&seq) = self.early.front() {
+            if seq > self.told.max(self.failed) + 1 {
+                break;
+            }
+            self.told = self.told.max(seq);
+            self.early.pop_front();
+        }
     }
 
     /// A commit was handed to the backend (`ok`) or refused. Returns its
@@ -211,7 +265,17 @@ impl<P> GroupMachine<P> {
                 self.failed = self.failed.max(end);
             }
         }
-        (self.decide(actor), synced.is_some())
+        let (told, pushed) = (self.told, actor.pushing.take());
+        if let Some(seq) = pushed {
+            self.pushing = false;
+            self.told = self.told.max(seq);
+            self.absorb();
+        }
+        let step = self.decide(actor);
+        // A push that ended, or a turn a denial row moved on, wakes the
+        // callers waiting for theirs.
+        let wake = synced.is_some() || pushed.is_some() || self.told != told;
+        (step, wake)
     }
 
     fn decide(&mut self, a: &mut Actor) -> Step<P> {
@@ -221,7 +285,7 @@ impl<P> GroupMachine<P> {
                 self.passes += 1;
                 Step::Done
             }
-            Goal::Verdict(seq) => {
+            Goal::Verdict(seq) | Goal::Denial(seq) | Goal::Drive(seq) => {
                 if a.verdict.is_some() {
                     return self.release(a).unwrap_or(Step::Done);
                 }
@@ -234,6 +298,21 @@ impl<P> GroupMachine<P> {
                 } else {
                     return self.lead(a);
                 };
+                match a.goal {
+                    Goal::Verdict(_) if durable && !self.in_turn(seq) => {
+                        return self.release(a).unwrap_or(Step::Wait);
+                    }
+                    Goal::Verdict(_) if durable => {
+                        self.pushing = true;
+                        a.pushing = Some(seq);
+                    }
+                    Goal::Denial(_) if durable => {
+                        let at = self.early.iter().rposition(|s| *s < seq);
+                        self.early.insert(at.map_or(0, |i| i + 1), seq);
+                        self.absorb();
+                    }
+                    _ => {}
+                }
                 a.verdict = Some(durable);
                 Step::Again(durable)
             }
@@ -271,20 +350,22 @@ impl<P> GroupMachine<P> {
     }
 
     /// The release turn: taken when it is free and the oldest parked
-    /// commit has its verdict, kept while one does, handed back when none
-    /// does.
+    /// commit has its verdict and its turn, kept while one does, handed
+    /// back when none does.
     fn release(&mut self, a: &mut Actor) -> Option<Step<P>> {
         if self.releasing && !a.turn {
             return None;
         }
-        let due = self
-            .parked
-            .front()
-            .is_some_and(|(seq, _)| self.covers(*seq));
+        let due = self.parked.front().is_some_and(|(seq, _)| self.due(*seq));
         self.releasing = due;
         a.turn = due;
         let (seq, payload) = if due { self.parked.pop_front() } else { None }?;
-        Some(Step::Release(seq > self.failed, payload))
+        let durable = seq > self.failed;
+        if durable {
+            self.pushing = true;
+            a.pushing = Some(seq);
+        }
+        Some(Step::Release(durable, payload))
     }
 }
 
@@ -308,7 +389,11 @@ mod tests {
     //!    thread that can move and is not idle behind a parked reply;
     //! 4. at most one thread runs parked finishes;
     //! 5. some thread can always move (no lost wake-up), and every run ends
-    //!    with every commit told once, every pass back and the fence open.
+    //!    with every commit told once, every pass back and the fence open;
+    //! 6. rows and verdicts are released in seq order: a durable commit's
+    //!    rows are pushed after those of every durable commit before it,
+    //!    denial rows written by a parked finish excepted, and every
+    //!    commit told durable has its rows pushed by the end.
 
     use super::*;
     use std::collections::{HashMap, HashSet};
@@ -429,6 +514,7 @@ mod tests {
         /// A sync covering it failed before it was told anything.
         doomed: bool,
         told: Option<bool>,
+        pushed: bool,
     }
 
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -438,6 +524,8 @@ mod tests {
         threads: Vec<Thread>,
         commits: Vec<Ghost>,
         rollbacks: u8,
+        /// The highest seq whose rows were pushed in turn.
+        pushed_to: u64,
     }
 
     type Checked = Result<(), String>;
@@ -455,6 +543,7 @@ mod tests {
                 threads: programs.iter().map(|&ops| thread(ops)).collect(),
                 commits: Vec::new(),
                 rollbacks: 0,
+                pushed_to: 0,
             }
         }
 
@@ -496,6 +585,26 @@ mod tests {
             Ok(())
         }
 
+        /// Commit `c`'s rows go into the ring, in turn unless `early`.
+        fn push(&mut self, c: usize, early: bool) -> Checked {
+            let g = &mut self.commits[c];
+            if g.pushed {
+                return Err(format!("commit {c} pushed its rows twice"));
+            }
+            g.pushed = true;
+            if early {
+                return Ok(());
+            }
+            if g.seq <= self.pushed_to {
+                return Err(format!(
+                    "(6) commit {c} (seq {}) pushed after seq {}",
+                    g.seq, self.pushed_to
+                ));
+            }
+            self.pushed_to = g.seq;
+            Ok(())
+        }
+
         /// Thread `t` makes its next move; `pick` chooses between the
         /// outcomes of an append, a sync or a finish. Returns what it did.
         fn step(&mut self, t: usize, pick: bool) -> Result<String, String> {
@@ -503,6 +612,12 @@ mod tests {
             let frame = self.threads[t].top().clone();
             let (did, told) = if let Some(mut actor) = asking {
                 let mut did = format!("next({:?})", actor.goal);
+                let mut pushed = Ok(());
+                if frame.op() == Settle && actor.pushing == Some(self.seq_of(&frame)) {
+                    // An inline caller pushes its rows before it asks again.
+                    pushed = self.push(frame.commit.expect("appended"), false);
+                    did = format!("push + {did}");
+                }
                 if let Some((end, _)) = actor.sync {
                     did = format!(
                         "sync to {end} {} + {did}",
@@ -512,14 +627,18 @@ mod tests {
                     actor.report(!pick);
                 }
                 let (said, told) = self.ask(t, actor);
-                (did + &said, told)
+                (did + &said, pushed.and(told))
             } else {
                 let op = frame.op();
                 let did = format!("{op:?}");
                 let goal = |g| Some(Actor::new(g));
                 let started = match op {
                     Pass => goal(Goal::Pass),
-                    Settle | Drive => goal(Goal::Verdict(self.seq_of(&frame))),
+                    Settle if self.threads[t].in_finish() => {
+                        goal(Goal::Denial(self.seq_of(&frame)))
+                    }
+                    Settle => goal(Goal::Verdict(self.seq_of(&frame))),
+                    Drive => goal(Goal::Drive(self.seq_of(&frame))),
                     Claim => goal(Goal::Claim {
                         due: true,
                         from_finish: self.threads[t].in_finish(),
@@ -532,7 +651,19 @@ mod tests {
                         let (said, told) = self.ask(t, actor);
                         (did + &said, told)
                     }
-                    None => (did + &self.simple(t, op, pick), Ok(())),
+                    None => {
+                        let pushed = match (op, frame.verdict, frame.commit) {
+                            // A durable parked finish pushes its rows as
+                            // its operation drops.
+                            (Return, Some(true), Some(c))
+                                if [FINISH, FINISH_PANICS].contains(&frame.ops) =>
+                            {
+                                self.push(c, false)
+                            }
+                            _ => Ok(()),
+                        };
+                        (did + &self.simple(t, op, pick), pushed)
+                    }
                 }
             };
             self.settle_threads();
@@ -568,6 +699,7 @@ mod tests {
                         disk,
                         doomed: false,
                         told: None,
+                        pushed: false,
                     });
                     let top = self.threads[t].top();
                     top.commit = Some(self.commits.len() - 1);
@@ -646,6 +778,9 @@ mod tests {
                         top.verdict = Some(verdict);
                         let commit = top.commit.expect("appended");
                         told = self.tell(commit, verdict);
+                        if verdict && matches!(actor.goal, Goal::Denial(_)) {
+                            told = told.and(self.push(commit, true));
+                        }
                     }
                 }
                 Step::Lead => self.threads[t].sync_from = self.rollbacks,
@@ -745,7 +880,7 @@ mod tests {
             let movers = (0..self.threads.len())
                 .filter(|&t| self.runnable(t) && !self.threads[t].idle_parked())
                 .count();
-            let front_due = m.parked.front().is_some_and(|(seq, _)| m.covers(*seq));
+            let front_due = m.parked.front().is_some_and(|(seq, _)| m.due(*seq));
             let needs_work = !m.syncing && (m.appended > m.settled || (!m.releasing && front_due));
             if m.closed && m.passes > 0 && needs_work && movers == 0 {
                 return Err("(3) the closed fence strands the passes out".into());
@@ -758,6 +893,11 @@ mod tests {
             }
             if let Some(c) = self.commits.iter().position(|g| g.told.is_none()) {
                 return Err(format!("(5) commit {c} never told"));
+            }
+            if let Some(c) = (self.commits.iter()).position(|g| g.told == Some(true) && !g.pushed) {
+                return Err(format!(
+                    "(6) commit {c} told durable, its rows never pushed"
+                ));
             }
             if m.passes != 0 || !m.parked.is_empty() || m.closed || m.releasing || m.syncing {
                 return Err(format!("(5) the run ended with {m:?}"));
@@ -833,7 +973,7 @@ mod tests {
     const MAX_COMMITS: usize = 4;
 
     #[test]
-    fn every_interleaving_keeps_the_five_invariants() {
+    fn every_interleaving_keeps_the_six_invariants() {
         let programs = [INLINE, PARKED, CLAIM, QUIESCE];
         let started = std::time::Instant::now();
         let (mut configurations, mut states) = (0, 0);

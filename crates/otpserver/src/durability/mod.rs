@@ -15,12 +15,12 @@
 //! * `group` — who leads that sync, who waits for it, who
 //!   parks and is told, and when the compactor fence closes: one pure
 //!   state machine, which [`Persistence`] drives.
-//! * [`backend`] — the [`StorageBackend`] trait with two implementations: a
+//! * `backend` — the [`StorageBackend`] trait with two implementations: a
 //!   real file-backed backend and a deterministic in-memory backend whose
-//!   [`StorageFaultPlan`](backend::StorageFaultPlan) injects short writes,
+//!   [`StorageFaultPlan`] injects short writes,
 //!   fsync failures, read corruption and torn crash tails.
 //! * [`snapshot`] — periodic compaction (snapshot + WAL reset) and the
-//!   [`recover`](snapshot::recover) path that replays snapshot + WAL,
+//!   [`recover`] path that replays snapshot + WAL,
 //!   truncating at the first torn or corrupt tail record.
 //!
 //! The recovery invariants the test suite pins down: **replay
@@ -28,19 +28,19 @@
 //! accepted before the crash is rejected after recovery, and a locked
 //! account stays locked until an admin acts.
 
-pub mod backend;
+mod backend;
 mod group;
-pub mod replication;
+mod replication;
 pub mod snapshot;
 pub mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, StorageFaultPlan};
 pub use replication::{
-    ApplyResult, ClusterBackend, LinkFaultPlan, MemoryLink, OtpCluster, ReplEnvelope, ReplFrame,
+    ApplyResult, ClusterBackend, LinkFaultPlan, OtpCluster, ReplEnvelope, ReplFrame,
     ReplicationMode, StandbyNode,
 };
 pub use snapshot::{recover, RecoverError, RecoveredState, RecoveryReport};
-pub use wal::{decode_stream, WalRecord, WalTail};
+pub use wal::WalRecord;
 
 use group::{Actor, Goal, GroupMachine, Step};
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
@@ -143,7 +143,7 @@ pub trait StorageBackend: Send + Sync {
 /// shared registry's `GET /system/metrics` output under `hpcmfa_otp_wal_*`
 /// names, so the legacy JSON route and the Prometheus scrape always agree.
 #[derive(Default)]
-pub struct DurabilityStats {
+pub(crate) struct DurabilityStats {
     /// WAL records appended and synced.
     pub appends: Arc<Counter>,
     /// Commits attempted (one per operation; `commits / fsyncs` is the
@@ -171,7 +171,7 @@ pub struct DurabilityStats {
     pub truncated_bytes: Arc<Counter>,
 }
 
-/// A plain-value copy of [`DurabilityStats`] for reporting.
+/// A plain-value copy of `DurabilityStats` for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DurabilityCounters {
     /// WAL records appended and synced.
@@ -201,7 +201,7 @@ pub struct DurabilityCounters {
 impl DurabilityStats {
     /// Stats whose counters live in `metrics`, so every increment is
     /// visible to Prometheus scrapes as well as to [`Self::counters`].
-    pub fn registered(metrics: &MetricsRegistry) -> Self {
+    pub(crate) fn registered(metrics: &MetricsRegistry) -> Self {
         DurabilityStats {
             appends: metrics.counter("hpcmfa_otp_wal_appends_total", &[]),
             commits: metrics.counter("hpcmfa_otp_wal_commits_total", &[]),
@@ -218,7 +218,7 @@ impl DurabilityStats {
     }
 
     /// Snapshot the counters.
-    pub fn counters(&self) -> DurabilityCounters {
+    pub(crate) fn counters(&self) -> DurabilityCounters {
         DurabilityCounters {
             appends: self.appends.get(),
             commits: self.commits.get(),
@@ -362,7 +362,7 @@ impl Commit {
     /// failed flush.
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.append()
-            .map_or(Ok(()), |ticket| self.pump.settle(ticket))
+            .map_or(Ok(()), |ticket| self.pump.settle(ticket, false, || {}))
     }
 }
 
@@ -410,7 +410,7 @@ impl Fence<'_> {
 impl Persistence {
     /// Pump through `backend`, compacting every `snapshot_every` WAL
     /// records (0 = never). Counters and latency histograms stay private
-    /// to this pump; use [`Persistence::with_metrics`] to surface them in
+    /// to this pump; use `Persistence::with_metrics` to surface them in
     /// a registry.
     pub fn new(backend: Arc<dyn StorageBackend>, snapshot_every: u64) -> Self {
         Self::with_metrics(backend, snapshot_every, &MetricsRegistry::new())
@@ -418,7 +418,7 @@ impl Persistence {
 
     /// Like [`Persistence::new`], but counters and latency histograms are
     /// registered in `metrics` (`hpcmfa_otp_wal_*`).
-    pub fn with_metrics(
+    pub(crate) fn with_metrics(
         backend: Arc<dyn StorageBackend>,
         snapshot_every: u64,
         metrics: &MetricsRegistry,
@@ -441,7 +441,7 @@ impl Persistence {
     }
 
     /// The counters.
-    pub fn stats(&self) -> &DurabilityStats {
+    pub(crate) fn stats(&self) -> &DurabilityStats {
         &self.0.stats
     }
 
@@ -468,11 +468,26 @@ impl Persistence {
 
     /// Wait for a sync that began after `ticket`'s append — leading it
     /// when none is in flight, for every commit appended so far — and say
-    /// whether the commit is durable. Call it with no store or ledger
+    /// whether the commit is durable. A durable commit runs `push` (its
+    /// rows into the audit ring) in its turn: after every durable commit
+    /// appended before it has pushed its own, unless it is the `denial`
+    /// row of a parked commit's finish. Call it with no store or ledger
     /// lock held.
-    pub(crate) fn settle(&self, ticket: Ticket) -> Result<(), StorageError> {
-        let mut actor = Actor::new(Goal::Verdict(ticket.seq));
-        match self.run(self.0.lock(), &mut actor, Some(&ticket)) {
+    pub(crate) fn settle(
+        &self,
+        ticket: Ticket,
+        denial: bool,
+        push: impl FnOnce(),
+    ) -> Result<(), StorageError> {
+        let seq = ticket.seq;
+        let mut actor = Actor::new(if denial {
+            Goal::Denial(seq)
+        } else {
+            Goal::Verdict(seq)
+        });
+        let mut push = Some(push);
+        let mut push = || push.take().map_or((), |push| push());
+        match self.run(self.0.lock(), &mut actor, Some((&ticket, &mut push))) {
             Some(true) => Ok(()),
             _ => Err(ticket.refused.unwrap_or(StorageError::FsyncFailed)),
         }
@@ -495,7 +510,12 @@ impl Persistence {
         let Err((ticket, finish)) = parked else {
             return Some((Persistence(Arc::clone(&self.0)), seq));
         };
-        finish(self.settle(ticket).is_ok());
+        // A durable finish pushes its rows, so it runs in the commit's turn.
+        let mut finish = Some(finish);
+        let durable = self.settle(ticket, false, || finish.take().map_or((), |f| f(true)));
+        if let Some(finish) = finish {
+            finish(durable.is_ok());
+        }
         None
     }
 
@@ -504,7 +524,7 @@ impl Persistence {
     /// one already at it (the finish may then still be running when this
     /// returns).
     pub(crate) fn drive(&self, seq: u64) {
-        self.run(self.0.lock(), &mut Actor::new(Goal::Verdict(seq)), None);
+        self.run(self.0.lock(), &mut Actor::new(Goal::Drive(seq)), None);
     }
 
     /// Hold the fence closed without compacting (a reload swaps the whole
@@ -537,14 +557,15 @@ impl Persistence {
     /// The pump's one loop: ask the machine, then do what it says — sync
     /// or run a parked finish with the lock released, wait on the condvar,
     /// or return the goal's verdict, if it had one. `own`, the ticket of
-    /// the goal's commit, is counted as soon as that is in. A finish that
-    /// panics strands no other: the panic goes on up once the goal is
-    /// reached, and the fence is let go first if the goal was to hold it.
+    /// the goal's commit, is counted as soon as that is in, and `push`
+    /// runs if it is durable. A finish or push that panics strands no
+    /// other: the panic goes on up once the goal is reached, and the fence
+    /// is let go first if the goal was to hold it.
     fn run<'p>(
         &'p self,
         mut group: MutexGuard<'p, GroupMachine<Parked>>,
         actor: &mut Actor,
-        own: Option<&Ticket>,
+        mut own: Option<(&Ticket, &mut dyn FnMut())>,
     ) -> Option<bool> {
         let pump = &*self.0;
         let (mut verdict, mut panicked) = (None, None);
@@ -572,8 +593,12 @@ impl Persistence {
                 }
                 Step::Again(durable) => {
                     verdict = Some(durable);
-                    if let Some(ticket) = own {
+                    if let Some((ticket, push)) = &mut own {
                         self.note(ticket, durable);
+                        if durable {
+                            let ran = panic::catch_unwind(AssertUnwindSafe(&mut **push));
+                            panicked = panicked.or(ran.err());
+                        }
                     }
                 }
                 Step::Release(durable, (ticket, finish)) => {
@@ -614,7 +639,7 @@ impl Persistence {
     }
 
     /// Record a completed recovery in the counters.
-    pub fn note_recovery(&self, report: &RecoveryReport) {
+    pub(crate) fn note_recovery(&self, report: &RecoveryReport) {
         let stats = &self.0.stats;
         stats.recoveries.inc();
         stats.records_replayed.add(report.wal_records as u64);
@@ -695,7 +720,7 @@ mod tests {
         // Three commits park behind a held sync they missed.
         let first = spawn(|pump| {
             let (_commit, ticket) = commit_one(pump, "first");
-            pump.settle(ticket).unwrap();
+            pump.settle(ticket, false, || {}).unwrap();
         });
         entered.recv().unwrap();
         let (told, verdicts) = channel();

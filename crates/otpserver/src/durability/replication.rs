@@ -41,12 +41,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bytes of framing overhead per replication envelope (length + checksum).
-pub const REPL_HEADER_LEN: usize = 8;
+pub(crate) const REPL_HEADER_LEN: usize = 8;
 
 /// Upper bound on one envelope payload. Larger than the WAL's per-record
 /// cap because one envelope may batch several WAL frames or carry a whole
 /// snapshot.
-pub const MAX_REPL_LEN: u32 = 1 << 26;
+pub(crate) const MAX_REPL_LEN: u32 = 1 << 26;
 
 const TAG_WAL: u8 = 1;
 const TAG_SNAPSHOT: u8 = 2;
@@ -130,7 +130,7 @@ impl ReplEnvelope {
 // The link
 // ---------------------------------------------------------------------
 
-/// Deterministic fault injection for a [`MemoryLink`], mirroring the
+/// Deterministic fault injection for a `MemoryLink`, mirroring the
 /// storage layer's `StorageFaultPlan`: `1-in-n` cadence knobs from
 /// `SeqCst` counter RMWs (0 disables), plus partition and lag switches.
 pub struct LinkFaultPlan {
@@ -161,13 +161,15 @@ impl LinkFaultPlan {
         })
     }
 
+    #[cfg(test)]
     /// Drop one offered frame in every `n` (0 disables).
-    pub fn set_drop_every(&self, n: u64) {
+    pub(crate) fn set_drop_every(&self, n: u64) {
         self.drop_every.store(n, Ordering::SeqCst);
     }
 
+    #[cfg(test)]
     /// Reorder one offered frame in every `n` (0 disables).
-    pub fn set_reorder_every(&self, n: u64) {
+    pub(crate) fn set_reorder_every(&self, n: u64) {
         self.reorder_every.store(n, Ordering::SeqCst);
     }
 
@@ -182,7 +184,7 @@ impl LinkFaultPlan {
     }
 
     /// Whether the link is partitioned.
-    pub fn is_partitioned(&self) -> bool {
+    pub(crate) fn is_partitioned(&self) -> bool {
         self.partitioned.load(Ordering::SeqCst)
     }
 
@@ -207,7 +209,7 @@ impl LinkFaultPlan {
 /// The in-memory transport replication envelopes travel over, with seeded
 /// fault injection. Byte-oriented; acks flow back as the standby's
 /// highest contiguously applied sequence number.
-pub struct MemoryLink {
+pub(crate) struct MemoryLink {
     queue: Mutex<VecDeque<Vec<u8>>>,
     acked: AtomicU64,
     plan: Arc<LinkFaultPlan>,
@@ -215,7 +217,7 @@ pub struct MemoryLink {
 
 impl MemoryLink {
     /// A link driven by `plan`.
-    pub fn new(plan: Arc<LinkFaultPlan>) -> Arc<Self> {
+    pub(crate) fn new(plan: Arc<LinkFaultPlan>) -> Arc<Self> {
         Arc::new(MemoryLink {
             queue: Mutex::new(VecDeque::new()),
             acked: AtomicU64::new(0),
@@ -224,22 +226,17 @@ impl MemoryLink {
     }
 
     /// The fault plan.
-    pub fn plan(&self) -> &Arc<LinkFaultPlan> {
+    pub(crate) fn plan(&self) -> &Arc<LinkFaultPlan> {
         &self.plan
     }
 
     /// Drop every queued frame (promotion and resync start clean).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.queue.lock().clear();
     }
 
-    /// Frames currently queued (test observability).
-    pub fn queued(&self) -> usize {
-        self.queue.lock().len()
-    }
-
     /// Hand one encoded envelope to the transport (may be lost).
-    pub fn offer(&self, bytes: Vec<u8>) {
+    pub(crate) fn offer(&self, bytes: Vec<u8>) {
         if self.plan.is_partitioned() || self.plan.drop_hit() {
             return; // lost in flight; retransmission recovers
         }
@@ -253,7 +250,7 @@ impl MemoryLink {
     }
 
     /// Drain whatever the transport delivered, in arrival order.
-    pub fn deliver(&self) -> Vec<Vec<u8>> {
+    pub(crate) fn deliver(&self) -> Vec<Vec<u8>> {
         if self.plan.is_partitioned() {
             return Vec::new();
         }
@@ -264,18 +261,13 @@ impl MemoryLink {
     }
 
     /// Record the standby's ack high-water mark.
-    pub fn set_acked(&self, seq: u64) {
+    pub(crate) fn set_acked(&self, seq: u64) {
         self.acked.store(seq, Ordering::SeqCst);
     }
 
     /// The last acked sequence number.
-    pub fn acked(&self) -> u64 {
+    pub(crate) fn acked(&self) -> u64 {
         self.acked.load(Ordering::SeqCst)
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &'static str {
-        "memory-link"
     }
 }
 
@@ -324,13 +316,8 @@ impl StandbyNode {
     }
 
     /// The standby's storage.
-    pub fn backend(&self) -> Arc<dyn StorageBackend> {
+    pub(crate) fn backend(&self) -> Arc<dyn StorageBackend> {
         Arc::clone(&self.backend)
-    }
-
-    /// The standby's current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Highest contiguously applied sequence number — the ack.
@@ -714,23 +701,13 @@ impl OtpCluster {
 
     /// Attach the server whose in-memory state must be reloaded from the
     /// new primary after a promotion.
-    pub fn attach_server(&self, server: Arc<crate::server::LinotpServer>) {
+    pub(crate) fn attach_server(&self, server: Arc<crate::server::LinotpServer>) {
         *self.server.lock() = Some(server);
-    }
-
-    /// The ack mode.
-    pub fn mode(&self) -> ReplicationMode {
-        self.core.mode
     }
 
     /// The link's fault plan (chaos scripts partition/lag through this).
     pub fn link_plan(&self) -> Arc<LinkFaultPlan> {
         Arc::clone(self.core.link.plan())
-    }
-
-    /// The primary-health breaker.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.core.breaker
     }
 
     /// Current epoch.
@@ -768,7 +745,7 @@ impl OtpCluster {
     /// point: no store or state locks are held there, and
     /// [`LinotpServer::reload_from_storage`](crate::server::LinotpServer::reload_from_storage)
     /// re-enters this cluster's backend.
-    pub fn maybe_failover(&self, now: u64) -> bool {
+    pub(crate) fn maybe_failover(&self, now: u64) -> bool {
         if !self.core.promotion_due.swap(false, Ordering::SeqCst) {
             return false;
         }
@@ -907,7 +884,8 @@ impl OtpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durability::{decode_stream, MemoryBackend, WalRecord, WalTail};
+    use crate::durability::wal::{decode_stream, WalTail};
+    use crate::durability::{MemoryBackend, WalRecord};
     use hpcmfa_otp::clock::SimClock;
 
     fn rec(user: &str) -> WalRecord {
@@ -980,7 +958,7 @@ mod tests {
         // A higher epoch is adopted.
         let newer = env(4, 6, ReplFrame::Wal(rec("ok").encode_frame())).encode();
         assert_eq!(standby.offer(&newer), ApplyResult::Applied);
-        assert_eq!(standby.epoch(), 4);
+        assert_eq!(standby.epoch, 4);
     }
 
     #[test]

@@ -326,7 +326,7 @@ fn merge_last_step(pairing: &mut TokenPairing, step: u64) {
 }
 
 /// Rebuild state from `backend`: snapshot first, then WAL replay, then
-/// tail truncation. Both go through the one [`apply`]; in the WAL,
+/// tail truncation. Both go through the one `apply`; in the WAL,
 /// snapshot-only records and pairings that no longer validate are
 /// skipped and counted, not fatal. The backend's WAL is left holding
 /// exactly the valid prefix, so appends after recovery continue a clean

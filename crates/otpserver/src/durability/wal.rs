@@ -29,7 +29,7 @@ use hpcmfa_otp::totp::{Totp, TotpParams};
 /// Upper bound on a single record payload. A length field beyond this is
 /// treated as corruption rather than an allocation request — a bit-flipped
 /// length must never make the decoder try to allocate gigabytes.
-pub const MAX_RECORD_LEN: u32 = 1 << 20;
+pub(crate) const MAX_RECORD_LEN: u32 = 1 << 20;
 
 /// Bytes of framing overhead per record (length + checksum).
 pub const FRAME_HEADER_LEN: usize = 8;

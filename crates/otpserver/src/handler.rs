@@ -38,13 +38,13 @@ use std::sync::{Arc, OnceLock, Weak};
 pub const TOKEN_PROMPT: &str = "TACC Token:";
 
 /// Message when an SMS was just dispatched.
-pub const SMS_SENT_MSG: &str = "An SMS with your token code has been sent. TACC Token:";
+pub(crate) const SMS_SENT_MSG: &str = "An SMS with your token code has been sent. TACC Token:";
 
 /// Message when a still-valid code suppresses a resend (§3.3).
-pub const SMS_ALREADY_SENT_MSG: &str = "SMS already sent; code still valid. TACC Token:";
+pub(crate) const SMS_ALREADY_SENT_MSG: &str = "SMS already sent; code still valid. TACC Token:";
 
 /// Reject message — deliberately uninformative to outsiders.
-pub const AUTH_ERROR_MSG: &str = "Authentication error";
+pub(crate) const AUTH_ERROR_MSG: &str = "Authentication error";
 
 pub use hpcmfa_federation::RESUME_REPLY_PREFIX;
 

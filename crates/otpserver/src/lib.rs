@@ -36,15 +36,14 @@ pub mod sms;
 pub mod store;
 
 pub use durability::{
-    recover, ApplyResult, ClusterBackend, DurabilityCounters, FileBackend, LinkFaultPlan,
-    MemoryBackend, MemoryLink, OtpCluster, Persistence, RecoverError, RecoveryReport, ReplEnvelope,
-    ReplFrame, ReplicationMode, StandbyNode, StorageBackend, StorageError, StorageFaultPlan,
+    recover, ApplyResult, ClusterBackend, FileBackend, LinkFaultPlan, MemoryBackend, OtpCluster,
+    Persistence, RecoverError, RecoveryReport, ReplEnvelope, ReplFrame, ReplicationMode,
+    StandbyNode, StorageBackend, StorageError, StorageFaultPlan,
 };
 pub use handler::OtpRadiusHandler;
-pub use overload::{AdmissionController, OverloadConfig, ShedReason};
-pub use server::{LinotpServer, ResumeConsumeOutcome, SmsTrigger, ValidationOutcome};
+pub use overload::OverloadConfig;
+pub use server::{LinotpServer, ResumeConsumeOutcome, ValidationOutcome};
 pub use sms::{SmsProvider, TwilioSim};
-pub use store::{TokenPairing, TokenStore, UserTokenStatus};
 
 /// Consecutive failed validations before a user account is temporarily
 /// deactivated ("a threshold of 20 consecutive failed attempts must occur

@@ -67,7 +67,7 @@ impl Default for OverloadConfig {
 
 /// Why a request was shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
+pub(crate) enum ShedReason {
     /// The source network exhausted its token bucket.
     RateLimited,
     /// Best-effort (never-authenticated) traffic pushed the backlog past
@@ -79,7 +79,7 @@ pub enum ShedReason {
 
 impl ShedReason {
     /// The label used for `hpcmfa_shed_total{reason=…}`.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ShedReason::RateLimited => "rate_limited",
             ShedReason::UnauthFlood => "unauth_flood",
@@ -107,7 +107,7 @@ struct AdmState {
 }
 
 /// The bounded admission queue in front of the token store.
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     config: OverloadConfig,
     state: Mutex<AdmState>,
     metrics: Arc<MetricsRegistry>,
@@ -121,7 +121,7 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// Build over `metrics`, pre-registering every shed reason and both
     /// latency lanes so `/system/metrics` renders them at zero.
-    pub fn new(config: OverloadConfig, metrics: Arc<MetricsRegistry>) -> Self {
+    pub(crate) fn new(config: OverloadConfig, metrics: Arc<MetricsRegistry>) -> Self {
         let shed = |reason: ShedReason| {
             metrics.counter("hpcmfa_shed_total", &[("reason", reason.label())])
         };
@@ -145,11 +145,6 @@ impl AdmissionController {
         }
     }
 
-    /// Active configuration.
-    pub fn config(&self) -> &OverloadConfig {
-        &self.config
-    }
-
     fn net16(ip: Ipv4Addr) -> u32 {
         u32::from(ip) >> 16
     }
@@ -161,7 +156,7 @@ impl AdmissionController {
     /// [`OverloadShed`](SecurityEventKind::OverloadShed) event emitted —
     /// stamped with the caller's `span`, when it passed one — and the
     /// caller answers fail-safe deny.
-    pub fn admit(
+    pub(crate) fn admit(
         &self,
         source: Ipv4Addr,
         now: u64,
@@ -268,7 +263,7 @@ impl AdmissionController {
     /// Mark `source`'s network trusted: it just completed a successful
     /// validation, so its traffic rides the reserved lane for
     /// [`OverloadConfig::trust_ttl_secs`].
-    pub fn note_success(&self, source: Ipv4Addr, now: u64) {
+    pub(crate) fn note_success(&self, source: Ipv4Addr, now: u64) {
         self.state.lock().trusted.insert(Self::net16(source), now);
     }
 }

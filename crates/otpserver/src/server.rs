@@ -11,7 +11,7 @@
 //! validate, SMS trigger, resume consume — are each one *begin* (up to
 //! the commit's append, under the store or ledger lock) and one *finish*
 //! (everything the commit's verdict decides), driven on the caller's
-//! thread ([`Begun::settle`]) or left with the pump ([`Begun::park`]).
+//! thread (`Begun::settle`) or left with the pump (`Begun::park`).
 
 use crate::audit::{AuditAction, AuditLog, NewRow, Staged};
 use crate::durability::snapshot::snapshot_live;
@@ -43,19 +43,19 @@ use std::time::Instant;
 /// the responder-side spans. Purely virtual — wall time is untouched —
 /// these make the critical-path analysis name which stage dominated a
 /// login (window scan vs WAL fsync vs admission wait) deterministically.
-pub mod span_cost {
+pub(crate) mod span_cost {
     /// Fixed engine overhead per validate/sms operation.
-    pub const OTP_BASE_US: u64 = 90;
+    pub(crate) const OTP_BASE_US: u64 = 90;
     /// Per drift-window step walked during a TOTP verify.
-    pub const WINDOW_SCAN_STEP_US: u64 = 18;
+    pub(crate) const WINDOW_SCAN_STEP_US: u64 = 18;
     /// One WAL append + fsync on the durable path.
-    pub const WAL_FSYNC_US: u64 = 420;
+    pub(crate) const WAL_FSYNC_US: u64 = 420;
     /// Handing one message to the SMS provider.
-    pub const SMS_DISPATCH_US: u64 = 250;
+    pub(crate) const SMS_DISPATCH_US: u64 = 250;
     /// Waiting for the warm standby to ack the shipped frame.
-    pub const REPLICATION_ACK_US: u64 = 650;
+    pub(crate) const REPLICATION_ACK_US: u64 = 650;
     /// Promoting the standby to primary (reload included).
-    pub const FAILOVER_PROMOTE_US: u64 = 1_500;
+    pub(crate) const FAILOVER_PROMOTE_US: u64 = 1_500;
 }
 
 /// Result of a token-code validation.
@@ -235,7 +235,7 @@ pub(crate) struct Txn<'a> {
     /// commit carries the same bytes.
     staged: Staged,
     /// It runs as a parked commit's finish, whose compaction claim the
-    /// pump refuses.
+    /// pump refuses and whose denial row is told out of turn.
     parked: bool,
 }
 
@@ -280,15 +280,23 @@ impl<'a> Txn<'a> {
 
     /// Make what was added durable, appending it first if
     /// [`Txn::append`] has not; `false` only on a persistence failure.
-    /// The rows stay staged either way: for the operations durability
-    /// does not gate, whose rows say what the store holds, and for the
-    /// drop.
+    /// A durable commit's rows go into the ring in WAL order as its
+    /// verdict comes; a failed one's stay staged, for the operations
+    /// durability does not gate, whose rows say what the store holds, and
+    /// for the drop.
     fn settle(&mut self) -> bool {
         let (Some(c), Some(pump)) = (&mut self.commit, &self.server.persistence) else {
             return true;
         };
-        let ticket = self.ticket.take().or_else(|| c.append());
-        ticket.is_none_or(|ticket| pump.settle(ticket).is_ok())
+        let Some(ticket) = self.ticket.take().or_else(|| c.append()) else {
+            return true;
+        };
+        let (audit, staged) = (&self.server.audit, &mut self.staged);
+        let push = || {
+            audit.push_frames(staged.frames());
+            staged.clear();
+        };
+        pump.settle(ticket, self.parked, push).is_ok()
     }
 
     /// Forget the rows of a commit that failed: the caller stages the
@@ -890,11 +898,6 @@ impl LinotpServer {
         &self.audit
     }
 
-    /// Active configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
     // ------------------------------------------------------------------
     // Enrollment (driven by the portal through the admin API)
     // ------------------------------------------------------------------
@@ -1003,11 +1006,6 @@ impl LinotpServer {
     /// `Success`.
     pub fn validate(&self, username: &str, code: &str, now: u64) -> ValidationOutcome {
         self.validate_guarded(username, code, now, None, None)
-    }
-
-    /// The admission controller, when overload protection is configured.
-    pub fn admission(&self) -> Option<&AdmissionController> {
-        self.admission.as_ref()
     }
 
     /// What every guarded operation does first: open its timed `otp` span
@@ -1531,7 +1529,7 @@ impl LinotpServer {
     /// gauges from one store pass at `now`. Both admin observability
     /// routes call this before rendering, so `/system/metrics` and
     /// `/system/alerts` always agree on the same census.
-    pub fn refresh_gauges(&self, now: u64) {
+    pub(crate) fn refresh_gauges(&self, now: u64) {
         let (locked, sms_pending) = self.store.gauge_counts(now);
         self.metrics
             .gauge("hpcmfa_otp_locked_users", &[])

@@ -14,18 +14,18 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Costs are tracked in micro-dollars to stay in integer arithmetic.
-pub const USD: u64 = 1_000_000;
+pub(crate) const USD: u64 = 1_000_000;
 
 /// Per-message cost for US numbers: $0.0075.
-pub const US_MSG_COST_MICROS: u64 = 7_500;
+pub(crate) const US_MSG_COST_MICROS: u64 = 7_500;
 
 /// Per-message cost for international numbers (higher, §3.3 "International
 /// text messaging services can also be provided but cost more"); modeled at
 /// $0.05.
-pub const INTL_MSG_COST_MICROS: u64 = 50_000;
+pub(crate) const INTL_MSG_COST_MICROS: u64 = 50_000;
 
 /// Monthly flat fee: $1.
-pub const MONTHLY_FEE_MICROS: u64 = USD;
+pub(crate) const MONTHLY_FEE_MICROS: u64 = USD;
 
 /// A phone number; US numbers are ten digits (§3.5: "a ten-digit, US-based
 /// phone number").
@@ -66,7 +66,7 @@ impl PhoneNumber {
     }
 
     /// Whether this is a US-based number.
-    pub fn is_us(&self) -> bool {
+    pub(crate) fn is_us(&self) -> bool {
         !self.0.starts_with('+') || self.0.starts_with("+1")
     }
 
@@ -93,13 +93,8 @@ pub struct SmsMessage {
 
 impl SmsMessage {
     /// Whether the carrier has delivered by `now`.
-    pub fn delivered_by(&self, now: u64) -> bool {
+    pub(crate) fn delivered_by(&self, now: u64) -> bool {
         now >= self.deliver_at
-    }
-
-    /// Carrier latency in seconds.
-    pub fn latency_secs(&self) -> u64 {
-        self.deliver_at - self.sent_at
     }
 }
 
@@ -119,7 +114,7 @@ pub trait SmsProvider: Send + Sync {
 
 /// Tuning for the simulated carrier network.
 #[derive(Debug, Clone)]
-pub struct CarrierModel {
+pub(crate) struct CarrierModel {
     /// Fast-path delivery latency range, seconds.
     pub fast_latency: (u64, u64),
     /// Probability a message takes the slow carrier-retry path.
@@ -158,7 +153,7 @@ impl TwilioSim {
     }
 
     /// Create with a custom carrier model.
-    pub fn with_model(seed: u64, model: CarrierModel) -> Arc<Self> {
+    pub(crate) fn with_model(seed: u64, model: CarrierModel) -> Arc<Self> {
         Arc::new(TwilioSim {
             model,
             state: Mutex::new(TwilioState {
@@ -172,17 +167,6 @@ impl TwilioSim {
     /// Number of messages accepted so far.
     pub fn sent_count(&self) -> usize {
         self.state.lock().outbox.len()
-    }
-
-    /// Messages that were delivered after `threshold_secs` latency — the
-    /// "arrived in an expired state" population.
-    pub fn delayed_deliveries(&self, threshold_secs: u64) -> usize {
-        self.state
-            .lock()
-            .outbox
-            .iter()
-            .filter(|m| m.latency_secs() > threshold_secs)
-            .count()
     }
 }
 
@@ -288,7 +272,9 @@ mod tests {
         for i in 0..10_000 {
             twilio.send(&us_phone(), "code", i);
         }
-        let delayed = twilio.delayed_deliveries(300);
+        let delayed = (twilio.state.lock().outbox.iter())
+            .filter(|m| m.deliver_at - m.sent_at > 300)
+            .count();
         // 5% ± generous slack for a seeded RNG.
         assert!((300..=700).contains(&delayed), "delayed={delayed}");
     }

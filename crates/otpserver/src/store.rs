@@ -25,7 +25,7 @@
 //! (and decrementing the gauge) exactly as the old census did — shards with
 //! no expirable code are not even read-locked.
 //!
-//! Admin enumeration ([`TokenStore::export_all`], [`TokenStore::breakdown`])
+//! Admin enumeration ([`TokenStore::export_all`])
 //! merges shards into a `BTreeMap`, so its output is in sorted key order
 //! and seeded runs stay byte-identical. Compaction visits the shards in
 //! place instead ([`TokenStore::for_each_by_shard`]): shard by shard, each
@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// log2 of [`SHARD_COUNT`].
-pub const SHARD_BITS: u32 = 4;
+pub(crate) const SHARD_BITS: u32 = 4;
 
 /// Number of hash partitions. 16 shards keeps per-shard contention
 /// negligible for any realistic validator thread count while the merge cost
@@ -300,7 +300,7 @@ impl TokenStore {
     }
 
     /// Whether the user has any pairing.
-    pub fn has_pairing(&self, username: &str) -> bool {
+    pub(crate) fn has_pairing(&self, username: &str) -> bool {
         self.shard(username).users.read().contains_key(username)
     }
 
@@ -467,18 +467,6 @@ impl TokenStore {
         }
         self.inner.locked_users.store(0, Ordering::SeqCst);
         self.inner.sms_pending.store(0, Ordering::SeqCst);
-    }
-
-    /// Count pairings by kind label — the Table 1 numerator. Sorted-map
-    /// output, same as the pre-shard store.
-    pub fn breakdown(&self) -> BTreeMap<&'static str, usize> {
-        let mut out = BTreeMap::new();
-        for shard in &self.inner.shards {
-            for rec in shard.users.read().values() {
-                *out.entry(rec.pairing.kind_label()).or_insert(0) += 1;
-            }
-        }
-        out
     }
 }
 
@@ -651,18 +639,6 @@ mod tests {
         assert!(store.is_empty());
         store.load_all(image);
         assert!(store.has_pairing("alice"));
-    }
-
-    #[test]
-    fn breakdown_counts() {
-        let store = TokenStore::new();
-        store.enroll("a", totp_pairing(TotpProvenance::Soft));
-        store.enroll("b", totp_pairing(TotpProvenance::Soft));
-        store.enroll("c", totp_pairing(TotpProvenance::Hard));
-        let b = store.breakdown();
-        assert_eq!(b.get("soft"), Some(&2));
-        assert_eq!(b.get("hard"), Some(&1));
-        assert_eq!(b.get("sms"), None);
     }
 
     #[test]

@@ -87,7 +87,7 @@ enum ExpiryPattern {
 
 /// One parsed rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccessEntry {
+pub(crate) struct AccessEntry {
     grant: bool,
     users: UserPattern,
     origins: OriginPattern,
@@ -152,11 +152,6 @@ pub struct AccessConfig {
 }
 
 impl AccessConfig {
-    /// The empty config: everyone subject to MFA.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// Parse a configuration file.
     pub fn parse(text: &str) -> Result<Self, AccessParseError> {
         let mut entries = Vec::new();
@@ -261,13 +256,8 @@ impl AccessConfig {
     }
 
     /// Number of rules.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether there are no rules.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -292,26 +282,14 @@ impl WatchedAccessConfig {
         *self.inner.write() = config;
     }
 
-    /// Parse and replace; on parse error the old rules stay active.
-    pub fn reload_from_text(&self, text: &str) -> Result<(), AccessParseError> {
-        let parsed = AccessConfig::parse(text)?;
-        self.reload(parsed);
-        Ok(())
-    }
-
     /// Current decision.
-    pub fn decide(&self, user: &str, ip: Ipv4Addr, now: u64) -> AccessDecision {
+    pub(crate) fn decide(&self, user: &str, ip: Ipv4Addr, now: u64) -> AccessDecision {
         self.inner.read().decide(user, ip, now)
     }
 
     /// Current rule count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.read().len()
-    }
-
-    /// Whether no rules are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
     }
 }
 
@@ -343,7 +321,7 @@ mod tests {
 
     #[test]
     fn default_is_not_exempt() {
-        let cfg = AccessConfig::empty();
+        let cfg = AccessConfig::default();
         assert_eq!(
             cfg.decide("anyone", ip("1.2.3.4"), SEP_2016),
             AccessDecision::NotExempt
@@ -460,18 +438,12 @@ mod tests {
 
     #[test]
     fn watched_config_hot_reload() {
-        let watched = WatchedAccessConfig::new(AccessConfig::empty());
+        let watched = WatchedAccessConfig::new(AccessConfig::default());
         assert_eq!(
             watched.decide("gw", ip("1.1.1.1"), 0),
             AccessDecision::NotExempt
         );
-        watched.reload_from_text("+ : gw : ALL : ALL\n").unwrap();
-        assert_eq!(
-            watched.decide("gw", ip("1.1.1.1"), 0),
-            AccessDecision::Exempt
-        );
-        // Bad reload leaves old rules active.
-        assert!(watched.reload_from_text("junk line\n").is_err());
+        watched.reload(AccessConfig::parse("+ : gw : ALL : ALL\n").unwrap());
         assert_eq!(
             watched.decide("gw", ip("1.1.1.1"), 0),
             AccessDecision::Exempt

@@ -19,10 +19,10 @@ use std::sync::Arc;
 
 /// Arguments after the module path, parsed as `key=value` (bare words get
 /// an empty value).
-pub type ModuleArgs = HashMap<String, String>;
+pub(crate) type ModuleArgs = HashMap<String, String>;
 
 /// Builds a module instance from its config-line arguments.
-pub type ModuleFactory =
+pub(crate) type ModuleFactory =
     Box<dyn Fn(&ModuleArgs) -> Result<Arc<dyn PamModule>, String> + Send + Sync>;
 
 /// The set of installed modules.
@@ -214,8 +214,16 @@ mod tests {
             &registry(),
         )
         .unwrap();
-        assert_eq!(stack.len(), 1);
-        assert_eq!(run(&stack), PamVerdict::Granted);
+        let mut conv = crate::conv::ScriptedConversation::with_answers(Vec::<String>::new());
+        let mut ctx = PamContext::new(
+            "u",
+            std::net::Ipv4Addr::LOCALHOST,
+            Arc::new(hpcmfa_otp::clock::SimClock::at(0)),
+            &mut conv,
+        );
+        let mut trace = Vec::new();
+        assert_eq!(stack.run(&mut ctx, Some(&mut trace)), PamVerdict::Granted);
+        assert_eq!(trace.len(), 1);
     }
 
     #[test]

@@ -98,7 +98,8 @@ impl ScriptedConversation {
     }
 
     /// A client with no keyboard-interactive support.
-    pub fn refusing() -> Self {
+    #[cfg(test)]
+    pub(crate) fn refusing() -> Self {
         ScriptedConversation {
             answers: VecDeque::new(),
             transcript: Arc::new(Mutex::new(Vec::new())),
@@ -109,15 +110,6 @@ impl ScriptedConversation {
     /// Shared handle to the transcript (inspect after the stack runs).
     pub fn transcript(&self) -> Arc<Mutex<Vec<TranscriptEntry>>> {
         Arc::clone(&self.transcript)
-    }
-
-    /// All prompt texts seen so far.
-    pub fn shown_texts(&self) -> Vec<String> {
-        self.transcript
-            .lock()
-            .iter()
-            .map(|t| t.prompt.text().to_string())
-            .collect()
     }
 }
 
@@ -201,8 +193,8 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].reply, None);
         assert_eq!(t[1].reply.as_deref(), Some("123456"));
-        drop(t);
-        assert_eq!(conv.shown_texts(), vec!["notice", "TACC Token:"]);
+        assert_eq!(t[0].prompt.text(), "notice");
+        assert_eq!(t[1].prompt.text(), "TACC Token:");
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod conv;
 pub mod modules;
 pub mod stack;
 
-pub use access::{AccessConfig, AccessDecision};
 pub use context::PamContext;
-pub use conv::{ConvError, Conversation, Prompt, ScriptedConversation, TranscriptEntry};
+pub use conv::ScriptedConversation;
 pub use stack::{ControlFlag, PamModule, PamResult, PamStack, PamVerdict};

@@ -25,11 +25,6 @@ impl ExemptionModule {
     pub fn new(config: WatchedAccessConfig) -> Arc<Self> {
         Arc::new(ExemptionModule { config })
     }
-
-    /// The live configuration handle (for sysadmin updates mid-production).
-    pub fn config(&self) -> &WatchedAccessConfig {
-        &self.config
-    }
 }
 
 impl PamModule for ExemptionModule {
@@ -82,15 +77,13 @@ mod tests {
 
     #[test]
     fn reload_takes_effect_immediately() {
-        let cfg = WatchedAccessConfig::new(AccessConfig::empty());
-        let m = ExemptionModule::new(cfg);
+        let cfg = WatchedAccessConfig::new(AccessConfig::default());
+        let m = ExemptionModule::new(cfg.clone());
         assert_eq!(
             run(&m, "late_user", Ipv4Addr::new(8, 8, 8, 8), 0),
             PamResult::Ignore
         );
-        m.config()
-            .reload_from_text("+ : late_user : ALL : 2016-12-31\n")
-            .unwrap();
+        cfg.reload(AccessConfig::parse("+ : late_user : ALL : 2016-12-31\n").unwrap());
         assert_eq!(
             run(&m, "late_user", Ipv4Addr::new(8, 8, 8, 8), 1_475_000_000),
             PamResult::Success

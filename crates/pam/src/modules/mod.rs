@@ -6,9 +6,3 @@ pub mod password;
 pub mod pubkey;
 pub mod solaris;
 pub mod token;
-
-pub use exemption::ExemptionModule;
-pub use password::{hash_password, UnixPasswordModule, PASSWORD_ATTR};
-pub use pubkey::{AuthLogSource, PubkeyCheckModule};
-pub use solaris::SolarisComboModule;
-pub use token::{DegradationPolicy, EnforcementMode, TokenModule};

@@ -27,7 +27,7 @@ pub trait AuthLogSource: Send + Sync {
 
 /// How far back the log search reaches. The sshd pubkey phase and the PAM
 /// phase of the same connection are at most a few seconds apart.
-pub const DEFAULT_FRESHNESS_SECS: u64 = 30;
+pub(crate) const DEFAULT_FRESHNESS_SECS: u64 = 30;
 
 /// The pubkey-success check module.
 pub struct PubkeyCheckModule {
@@ -41,14 +41,6 @@ impl PubkeyCheckModule {
         Arc::new(PubkeyCheckModule {
             log,
             freshness_secs: DEFAULT_FRESHNESS_SECS,
-        })
-    }
-
-    /// Search `log` with a custom window.
-    pub fn with_freshness(log: Arc<dyn AuthLogSource>, freshness_secs: u64) -> Arc<Self> {
-        Arc::new(PubkeyCheckModule {
-            log,
-            freshness_secs,
         })
     }
 }
@@ -142,20 +134,6 @@ mod tests {
         assert_eq!(
             ctx_run(&module, "alice", Ipv4Addr::new(9, 9, 9, 9), 1000).0,
             PamResult::Ignore
-        );
-    }
-
-    #[test]
-    fn custom_freshness_window() {
-        let log = Arc::new(ToyLog::default());
-        log.0
-            .lock()
-            .push(("alice".into(), Ipv4Addr::new(1, 2, 3, 4), 500));
-        let module =
-            PubkeyCheckModule::with_freshness(Arc::clone(&log) as Arc<dyn AuthLogSource>, 600);
-        assert_eq!(
-            ctx_run(&module, "alice", Ipv4Addr::new(1, 2, 3, 4), 1000).0,
-            PamResult::Success
         );
     }
 }

@@ -120,7 +120,7 @@ mod tests {
     fn sets_pubkey_flag_even_without_exemption() {
         let log = Arc::new(ToyLog::default());
         log.0.lock().push(("alice".into(), GW_IP, 995));
-        let cfg = WatchedAccessConfig::new(AccessConfig::empty());
+        let cfg = WatchedAccessConfig::new(AccessConfig::default());
         let m = SolarisComboModule::new(log as Arc<dyn AuthLogSource>, cfg);
         let mut conv = ScriptedConversation::with_answers(Vec::<String>::new());
         let mut ctx = PamContext::new("alice", GW_IP, Arc::new(SimClock::at(1000)), &mut conv);

@@ -92,17 +92,7 @@ pub enum DegradationPolicy {
     },
 }
 
-impl DegradationPolicy {
-    /// Parse a PAM-config `degraded=` argument. Unknown values fail
-    /// secure, mirroring [`EnforcementMode::parse`].
-    pub fn parse(value: &str, operators: WatchedAccessConfig) -> DegradationPolicy {
-        match value {
-            "fail_open_exempt" => DegradationPolicy::FailOpenExempt { operators },
-            // "fail_closed" and anything unrecognised: fail secure.
-            _ => DegradationPolicy::FailClosed,
-        }
-    }
-}
+impl DegradationPolicy {}
 
 impl std::fmt::Debug for DegradationPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -153,7 +143,7 @@ impl TokenModule {
     }
 
     /// The active mode.
-    pub fn mode(&self) -> EnforcementMode {
+    pub(crate) fn mode(&self) -> EnforcementMode {
         self.mode.read().clone()
     }
 
@@ -164,7 +154,7 @@ impl TokenModule {
     }
 
     /// The active degradation policy.
-    pub fn degradation(&self) -> DegradationPolicy {
+    pub(crate) fn degradation(&self) -> DegradationPolicy {
         self.degradation.read().clone()
     }
 
@@ -566,29 +556,6 @@ mod tests {
             .set_degradation(DegradationPolicy::FailOpenExempt { operators });
         let (r, _) = run(&rig, "oncall1", vec!["000000".into()]);
         assert_eq!(r, PamResult::AuthErr);
-    }
-
-    #[test]
-    fn degradation_parse_fail_secure() {
-        use crate::access::WatchedAccessConfig;
-        let acl = WatchedAccessConfig::default();
-        assert!(matches!(
-            DegradationPolicy::parse("fail_closed", acl.clone()),
-            DegradationPolicy::FailClosed
-        ));
-        assert!(matches!(
-            DegradationPolicy::parse("fail_open_exempt", acl.clone()),
-            DegradationPolicy::FailOpenExempt { .. }
-        ));
-        // Typos and unknowns must not open the door.
-        assert!(matches!(
-            DegradationPolicy::parse("fail_open", acl.clone()),
-            DegradationPolicy::FailClosed
-        ));
-        assert!(matches!(
-            DegradationPolicy::parse("bogus", acl),
-            DegradationPolicy::FailClosed
-        ));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 /// the security-event ring. Well under the OTP server's 20-failure
 /// lockout, so operators hear about a credential-stuffing run before
 /// accounts start locking.
-pub const FAILURE_BURST_THRESHOLD: u32 = 5;
+pub(crate) const FAILURE_BURST_THRESHOLD: u32 = 5;
 
 /// A module's result for one invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +68,7 @@ pub enum PamVerdict {
 }
 
 /// One configured stack line.
-pub struct StackEntry {
+pub(crate) struct StackEntry {
     /// Control flag.
     pub flag: ControlFlag,
     /// The module.
@@ -139,16 +139,6 @@ impl PamStack {
         self.metrics = Some(metrics);
         self.runs = Default::default();
         self
-    }
-
-    /// Number of lines.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the stack has no lines.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Evaluate the stack.

@@ -5,9 +5,9 @@
 //! back end, the user and their multi-factor device, and the center's
 //! identity management back end."
 //!
-//! * [`signedurl`] — the out-of-band unpairing email: "the user is sent an
+//! * `signedurl` — the out-of-band unpairing email: "the user is sent an
 //!   email ... that contains a signed URL."
-//! * [`session`] — the stateful pairing session: "the complete pairing
+//! * `session` — the stateful pairing session: "the complete pairing
 //!   process occurs without a page refresh. If a user refreshes in the
 //!   middle of the process ... the process is aborted"; the same guard
 //!   blocks back-button replays and form resubmissions.
@@ -18,9 +18,5 @@
 #![forbid(unsafe_code)]
 
 pub mod portal;
-pub mod session;
-pub mod signedurl;
-
-pub use portal::{LoginPage, Portal, PortalError};
-pub use session::{PairingSession, SessionState};
-pub use signedurl::{SignedUrl, UrlSigner};
+mod session;
+mod signedurl;

@@ -7,7 +7,7 @@
 //! identity back end and the LDAP `mfaPairing` attribute are updated,
 //! which is what the PAM token module later reads.
 
-use crate::session::{PairingSession, SessionState};
+use crate::session::PairingSession;
 use crate::signedurl::{SignedUrl, UrlSigner, DEFAULT_VALIDITY_SECS};
 use hpcmfa_crypto::digestauth::answer_challenge;
 use hpcmfa_directory::identity::{IdentityDb, PairingMethod};
@@ -274,18 +274,6 @@ impl Portal {
         sessions.insert(session.user.clone(), session);
     }
 
-    /// A page refresh or back-button navigation mid-flow: abort.
-    pub fn page_refresh(&self, user: &str) {
-        if let Some(s) = self.sessions.lock().get_mut(user) {
-            s.abort();
-        }
-    }
-
-    /// The state of a user's session, if any.
-    pub fn session_state(&self, user: &str) -> Option<SessionState> {
-        self.sessions.lock().get(user).map(|s| s.state)
-    }
-
     /// Confirm the pairing with the code from the new device. On success
     /// the identity back end and LDAP are notified.
     pub fn confirm_pairing(&self, user: &str, code: &str) -> Result<PairingMethod, PortalError> {
@@ -324,21 +312,6 @@ impl Portal {
     // ------------------------------------------------------------------
     // Unpairing flows
     // ------------------------------------------------------------------
-
-    /// For SMS users about to unpair: text them a fresh code to prove
-    /// possession.
-    pub fn request_unpair_code(&self, user: &str) -> Result<(), PortalError> {
-        let resp = self.admin_call(
-            "POST",
-            "/admin/smschallenge",
-            Json::obj([("user", Json::str(user))]),
-        )?;
-        if resp.is_ok() {
-            Ok(())
-        } else {
-            Err(PortalError::Backend("SMS trigger failed".into()))
-        }
-    }
 
     /// Remove the current pairing, proving possession with the current
     /// token code. Hard tokens must go through the ticket system.
@@ -524,22 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_aborts_session() {
-        let r = rig();
-        let qr = r.portal.begin_soft_pairing("alice").unwrap();
-        r.portal.page_refresh("alice");
-        assert_eq!(r.portal.session_state("alice"), Some(SessionState::Aborted));
-        let device = SoftToken::from_uri(qr.payload()).unwrap();
-        let code = device.displayed_code(r.clock.now());
-        assert_eq!(
-            r.portal.confirm_pairing("alice", &code).unwrap_err(),
-            PortalError::NoActiveSession
-        );
-        // Identity untouched.
-        assert_eq!(r.identity.get("alice").unwrap().pairing, None);
-    }
-
-    #[test]
     fn double_confirmation_rejected() {
         let r = rig();
         let qr = r.portal.begin_soft_pairing("alice").unwrap();
@@ -552,6 +509,24 @@ mod tests {
             r.portal.confirm_pairing("alice", &code2).unwrap_err(),
             PortalError::NoActiveSession
         );
+    }
+
+    #[test]
+    fn an_aborted_session_cannot_confirm() {
+        let r = rig();
+        let qr = r.portal.begin_soft_pairing("alice").unwrap();
+        // A refresh or back button mid-flow aborts the session.
+        if let Some(session) = r.portal.sessions.lock().get_mut("alice") {
+            session.abort();
+        }
+        let device = SoftToken::from_uri(qr.payload()).unwrap();
+        let code = device.displayed_code(r.clock.now());
+        assert_eq!(
+            r.portal.confirm_pairing("alice", &code).unwrap_err(),
+            PortalError::NoActiveSession
+        );
+        // Identity untouched.
+        assert_eq!(r.identity.get("alice").unwrap().pairing, None);
     }
 
     #[test]
@@ -650,7 +625,11 @@ mod tests {
         r.portal.confirm_pairing("bob", &read_code(&r)).unwrap();
 
         // The pairing code is spent; unpairing needs a fresh one.
-        r.portal.request_unpair_code("bob").unwrap();
+        let sms_challenge = |user: &str| {
+            let body = Json::obj([("user", Json::str(user))]);
+            r.portal.admin_call("POST", "/admin/smschallenge", body)
+        };
+        assert!(sms_challenge("bob").unwrap().is_ok());
         assert_eq!(r.twilio.sent_count(), 2);
         r.portal.remove_pairing("bob", &read_code(&r)).unwrap();
         assert_eq!(r.identity.get("bob").unwrap().pairing, None);
@@ -661,10 +640,7 @@ mod tests {
         let device = SoftToken::from_uri(qr.payload()).unwrap();
         let code = device.displayed_code(r.clock.now());
         r.portal.confirm_pairing("alice", &code).unwrap();
-        assert_eq!(
-            r.portal.request_unpair_code("alice").unwrap_err(),
-            PortalError::Backend("SMS trigger failed".into())
-        );
+        assert!(!sms_challenge("alice").unwrap().is_ok());
     }
 
     #[test]

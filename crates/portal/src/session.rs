@@ -11,7 +11,7 @@ use hpcmfa_directory::identity::PairingMethod;
 
 /// Where a pairing session stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionState {
+pub(crate) enum SessionState {
     /// A token was requested; the portal waits for the confirmation code.
     AwaitingConfirmation,
     /// Confirmed and recorded; the session is spent.
@@ -22,7 +22,7 @@ pub enum SessionState {
 
 /// One user's in-flight pairing attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairingSession {
+pub(crate) struct PairingSession {
     /// The account pairing.
     pub user: String,
     /// Device kind being paired.
@@ -37,7 +37,7 @@ pub struct PairingSession {
 
 impl PairingSession {
     /// Open a session awaiting confirmation.
-    pub fn start(user: &str, method: PairingMethod, now: u64) -> Self {
+    pub(crate) fn start(user: &str, method: PairingMethod, now: u64) -> Self {
         PairingSession {
             user: user.to_string(),
             method,
@@ -48,17 +48,17 @@ impl PairingSession {
     }
 
     /// Whether a confirmation may be accepted.
-    pub fn can_confirm(&self) -> bool {
+    pub(crate) fn can_confirm(&self) -> bool {
         self.state == SessionState::AwaitingConfirmation
     }
 
     /// Mark spent (successful confirmation).
-    pub fn complete(&mut self) {
+    pub(crate) fn complete(&mut self) {
         self.state = SessionState::Completed;
     }
 
     /// Mark aborted (refresh / back button / new session supersedes).
-    pub fn abort(&mut self) {
+    pub(crate) fn abort(&mut self) {
         if self.state == SessionState::AwaitingConfirmation {
             self.state = SessionState::Aborted;
         }

@@ -13,7 +13,7 @@ use hpcmfa_crypto::hmac::hmac;
 use hpcmfa_crypto::sha256::Sha256;
 
 /// How long an unpairing link stays valid.
-pub const DEFAULT_VALIDITY_SECS: u64 = 24 * 3600;
+pub(crate) const DEFAULT_VALIDITY_SECS: u64 = 24 * 3600;
 
 /// A parsed signed URL.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,7 +28,7 @@ pub struct SignedUrl {
 
 /// Verification failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UrlError {
+pub(crate) enum UrlError {
     /// Structure not recognizable.
     Malformed,
     /// Signature mismatch (tampered or wrong key).
@@ -50,7 +50,7 @@ impl std::fmt::Display for UrlError {
 impl std::error::Error for UrlError {}
 
 /// Issues and verifies signed URLs with one HMAC key.
-pub struct UrlSigner {
+pub(crate) struct UrlSigner {
     key: Vec<u8>,
     base: String,
 }
@@ -58,7 +58,7 @@ pub struct UrlSigner {
 impl UrlSigner {
     /// Create a signer for links under `base`, e.g.
     /// `https://portal.tacc.utexas.edu/mfa/unpair`.
-    pub fn new(key: impl Into<Vec<u8>>, base: &str) -> Self {
+    pub(crate) fn new(key: impl Into<Vec<u8>>, base: &str) -> Self {
         UrlSigner {
             key: key.into(),
             base: base.to_string(),
@@ -71,7 +71,7 @@ impl UrlSigner {
     }
 
     /// Issue a link for `user`, valid `validity_secs` from `now`.
-    pub fn issue(&self, user: &str, now: u64, validity_secs: u64) -> SignedUrl {
+    pub(crate) fn issue(&self, user: &str, now: u64, validity_secs: u64) -> SignedUrl {
         let expires = now + validity_secs;
         let token = format!(
             "{}.{}.{}",
@@ -87,7 +87,7 @@ impl UrlSigner {
     }
 
     /// Verify a URL at time `now`, returning the authorized user.
-    pub fn verify(&self, url: &str, now: u64) -> Result<String, UrlError> {
+    pub(crate) fn verify(&self, url: &str, now: u64) -> Result<String, UrlError> {
         let token = url
             .split_once("?token=")
             .map(|(_, t)| t)

@@ -96,29 +96,21 @@ impl Attribute {
     }
 
     /// Value as UTF-8 text, if valid.
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         std::str::from_utf8(&self.value).ok()
     }
 
     /// Encoded length on the wire (2-byte header + value).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         2 + self.value.len()
     }
 
     /// Append the TLV encoding to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         debug_assert!(self.value.len() <= 253, "attribute value too long");
         buf.push(self.ty.code());
         buf.push(self.wire_len() as u8);
         buf.extend_from_slice(&self.value);
-    }
-
-    /// The borrowed view of this attribute.
-    pub fn as_view(&self) -> AttrView<'_> {
-        AttrView {
-            ty: self.ty,
-            value: &self.value,
-        }
     }
 }
 
@@ -137,12 +129,12 @@ pub struct AttrView<'a> {
 
 impl<'a> AttrView<'a> {
     /// Value as UTF-8 text, if valid.
-    pub fn as_text(&self) -> Option<&'a str> {
+    pub(crate) fn as_text(&self) -> Option<&'a str> {
         std::str::from_utf8(self.value).ok()
     }
 
     /// Encoded length on the wire (2-byte header + value).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         2 + self.value.len()
     }
 
@@ -153,7 +145,7 @@ impl<'a> AttrView<'a> {
 
     /// Append the TLV encoding to `buf` (same layout as
     /// [`Attribute::encode`], no intermediate allocation).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         debug_assert!(self.value.len() <= 253, "attribute value too long");
         buf.push(self.ty.code());
         buf.push(self.wire_len() as u8);
@@ -195,7 +187,10 @@ mod tests {
     #[test]
     fn view_encodes_identically_to_owned() {
         let a = Attribute::text(AttributeType::ReplyMessage, "Enter token:");
-        let v = a.as_view();
+        let v = AttrView {
+            ty: a.ty,
+            value: &a.value,
+        };
         assert_eq!(v.as_text(), Some("Enter token:"));
         assert_eq!(v.wire_len(), a.wire_len());
         let (mut owned, mut borrowed) = (Vec::new(), Vec::new());

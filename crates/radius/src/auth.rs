@@ -5,7 +5,7 @@
 //! from a holder of the secret, and password hiding keeps token codes from
 //! traveling in clear text.
 
-use crate::packet::{Code, Packet};
+use crate::packet::Packet;
 use hpcmfa_crypto::md5::{md5, Md5};
 use hpcmfa_crypto::Digest;
 use rand::RngCore;
@@ -19,7 +19,7 @@ pub fn request_authenticator<R: RngCore + ?Sized>(rng: &mut R) -> [u8; 16] {
 
 /// Compute the response authenticator for a reply to `request`:
 /// `MD5(Code + ID + Length + RequestAuth + Attributes + Secret)`.
-pub fn response_authenticator(
+pub(crate) fn response_authenticator(
     response: &Packet,
     request_auth: &[u8; 16],
     secret: &[u8],
@@ -33,16 +33,11 @@ pub fn response_authenticator(
     h.finalize()
 }
 
-/// Fill in a response packet's authenticator field.
-pub fn seal_response(response: &mut Packet, request_auth: &[u8; 16], secret: &[u8]) {
-    response.authenticator = response_authenticator(response, request_auth, secret);
-}
-
 /// Seal an already-encoded response in place: write `request_auth` into
 /// the authenticator field, hash the whole datagram with the secret, then
 /// overwrite the field with the digest.
 ///
-/// This is the zero-copy twin of [`seal_response`]: the owned path clones
+/// This is the zero-copy twin of [`response_authenticator`], which clones
 /// the packet and re-encodes it just to hash it; the batched ingest path
 /// encodes the reply once into a reusable buffer and seals it here.
 /// Produces byte-identical output (unit tested below).
@@ -50,7 +45,7 @@ pub fn seal_response(response: &mut Packet, request_auth: &[u8; 16], secret: &[u
 /// # Panics
 ///
 /// When `wire` is shorter than a RADIUS header.
-pub fn seal_wire(wire: &mut [u8], request_auth: &[u8; 16], secret: &[u8]) {
+pub(crate) fn seal_wire(wire: &mut [u8], request_auth: &[u8; 16], secret: &[u8]) {
     assert!(wire.len() >= 20, "cannot seal a headerless datagram");
     wire[4..20].copy_from_slice(request_auth);
     let mut h = Md5::new();
@@ -141,19 +136,11 @@ pub fn fixture_authenticator(tag: &str) -> [u8; 16] {
     md5(tag.as_bytes())
 }
 
-/// Whether this packet code carries a response (needs a sealed
-/// authenticator).
-pub fn is_response(code: Code) -> bool {
-    matches!(
-        code,
-        Code::AccessAccept | Code::AccessReject | Code::AccessChallenge
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attribute::{Attribute, AttributeType};
+    use crate::packet::Code;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -215,19 +202,19 @@ mod tests {
         let ra = fixture_authenticator("request");
         let mut resp = Packet::new(Code::AccessAccept, 9, [0u8; 16])
             .with_attribute(Attribute::text(AttributeType::ReplyMessage, "welcome"));
-        seal_response(&mut resp, &ra, SECRET);
+        resp.authenticator = response_authenticator(&resp, &ra, SECRET);
         assert!(verify_response(&resp, &ra, SECRET));
     }
 
     #[test]
-    fn seal_wire_matches_seal_response_byte_for_byte() {
+    fn seal_wire_matches_response_authenticator_byte_for_byte() {
         let ra = fixture_authenticator("request");
         let mut resp = Packet::new(Code::AccessChallenge, 3, [0u8; 16])
             .with_attribute(Attribute::new(AttributeType::State, vec![9, 9]))
             .with_attribute(Attribute::text(AttributeType::ReplyMessage, "TACC Token:"));
         let mut wire = resp.encode();
         seal_wire(&mut wire, &ra, SECRET);
-        seal_response(&mut resp, &ra, SECRET);
+        resp.authenticator = response_authenticator(&resp, &ra, SECRET);
         assert_eq!(wire, resp.encode());
     }
 
@@ -256,7 +243,7 @@ mod tests {
     fn tampered_response_fails_verification() {
         let ra = fixture_authenticator("request");
         let mut resp = Packet::new(Code::AccessReject, 9, [0u8; 16]);
-        seal_response(&mut resp, &ra, SECRET);
+        resp.authenticator = response_authenticator(&resp, &ra, SECRET);
         // Forge: flip Reject to Accept without resealing.
         let mut forged = resp.clone();
         forged.code = Code::AccessAccept;
@@ -278,14 +265,6 @@ mod tests {
             request_authenticator(&mut rng),
             request_authenticator(&mut rng)
         );
-    }
-
-    #[test]
-    fn response_codes_classified() {
-        assert!(!is_response(Code::AccessRequest));
-        assert!(is_response(Code::AccessAccept));
-        assert!(is_response(Code::AccessReject));
-        assert!(is_response(Code::AccessChallenge));
     }
 
     #[test]

@@ -80,24 +80,19 @@ impl CircuitBreaker {
         }
     }
 
-    /// The tuning this breaker runs with.
-    pub fn config(&self) -> BreakerConfig {
-        self.config
-    }
-
     /// Current state (an Open breaker whose cooldown has passed still
     /// reports Open until a request asks to go through).
-    pub fn state(&self) -> BreakerState {
+    pub(crate) fn state(&self) -> BreakerState {
         self.core.lock().state
     }
 
     /// How many times this breaker has opened.
-    pub fn opened_count(&self) -> u64 {
+    pub(crate) fn opened_count(&self) -> u64 {
         self.core.lock().opened_count
     }
 
     /// When an Open breaker will next allow a probe, if it is open.
-    pub fn open_until_us(&self) -> Option<u64> {
+    pub(crate) fn open_until_us(&self) -> Option<u64> {
         let core = self.core.lock();
         (core.state == BreakerState::Open).then_some(core.open_until_us)
     }
@@ -105,7 +100,7 @@ impl CircuitBreaker {
     /// May a request be sent to this server at virtual time `now_us`?
     /// An Open breaker whose cooldown has elapsed transitions to HalfOpen
     /// and admits the caller as the revival probe.
-    pub fn allow(&self, now_us: u64) -> bool {
+    pub(crate) fn allow(&self, now_us: u64) -> bool {
         let mut core = self.core.lock();
         match core.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
@@ -130,11 +125,11 @@ impl CircuitBreaker {
     /// A transport-level failure at virtual time `now_us`: extend the
     /// streak; trip the breaker when the threshold is reached, and re-open
     /// immediately when a half-open probe fails.
-    pub fn record_failure(&self, now_us: u64) {
+    pub(crate) fn record_failure(&self, now_us: u64) {
         self.record_failure_opened(now_us);
     }
 
-    /// Like [`CircuitBreaker::record_failure`], but reports whether *this*
+    /// Like `CircuitBreaker::record_failure`, but reports whether *this*
     /// failure tripped the breaker open — the edge a caller reacts to
     /// exactly once (the OTP replication layer schedules a failover on it).
     pub fn record_failure_opened(&self, now_us: u64) -> bool {

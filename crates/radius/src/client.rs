@@ -88,7 +88,7 @@ impl RetryPolicy {
     /// plus deterministic jitter in `[0, base/4]` derived from
     /// `jitter_seed` and the round number. Pure: same policy + round →
     /// same delay, always ≥ 1.
-    pub fn backoff_us(&self, round: u32) -> u64 {
+    pub(crate) fn backoff_us(&self, round: u32) -> u64 {
         let exp = round.saturating_sub(1).min(20);
         let base = self
             .initial_backoff_us
@@ -378,7 +378,7 @@ impl RadiusClient {
     }
 
     /// The registry this client records into.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+    pub(crate) fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
 
@@ -387,7 +387,7 @@ impl RadiusClient {
     }
 
     /// Current virtual time in microseconds.
-    pub fn vclock_us(&self) -> u64 {
+    pub(crate) fn vclock_us(&self) -> u64 {
         self.vclock.load(Ordering::SeqCst)
     }
 

@@ -27,7 +27,7 @@
 //!   a backpressured queue, in pooled receive buffers (recycled worker →
 //!   pool → receiver, so steady state allocates nothing);
 //! * receiver and workers run the same zero-copy
-//!   [`RadiusServer::begin_into`] call with reusable buffers and flush
+//!   `RadiusServer::begin_into` call with reusable buffers and flush
 //!   each reply straight back to the shared socket as it completes — the
 //!   batch boundary governs fairness and metrics, not reply latency;
 //! * a reply may wait, a worker does not. When the handler's decision is
@@ -92,7 +92,7 @@ pub enum Lane {
 /// Classifies a datagram into a [`Lane`] from its source address and raw
 /// bytes — cheap peeking only (an IP allowlist, a port range); full
 /// decode happens on the workers.
-pub type LaneClassifier = dyn Fn(&SocketAddr, &[u8]) -> Lane + Send + Sync;
+pub(crate) type LaneClassifier = dyn Fn(&SocketAddr, &[u8]) -> Lane + Send + Sync;
 
 /// Tuning for the batched ingest loop.
 #[derive(Clone, Debug)]

@@ -40,17 +40,16 @@ pub mod server;
 pub mod tracewire;
 pub mod transport;
 
-pub use attribute::{AttrView, Attribute, AttributeType};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use client::{ClientConfig, ClientError, RadiusClient, RetryPolicy, ServerHealthSnapshot};
-pub use ingest::{BatchedUdpServer, IngestConfig, IngestHandle, IngestStats, Lane};
-pub use packet::{Code, Packet, PacketError, PacketView};
-pub use realm::RealmRouter;
+pub use attribute::{Attribute, AttributeType};
+pub use breaker::BreakerConfig;
+pub use client::{ClientConfig, RadiusClient};
+pub use ingest::{BatchedUdpServer, IngestHandle, IngestStats};
+pub use packet::Code;
 pub use server::{Handler, RadiusServer, ServerDecision};
 pub use transport::{FaultPlan, InMemoryTransport, Transport, TransportError};
 
 /// Maximum RADIUS packet length (RFC 2865 §3).
-pub const MAX_PACKET_LEN: usize = 4096;
+const MAX_PACKET_LEN: usize = 4096;
 
 /// Minimum RADIUS packet length: the 20-byte header.
-pub const MIN_PACKET_LEN: usize = 20;
+const MIN_PACKET_LEN: usize = 20;

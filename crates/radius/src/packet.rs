@@ -33,7 +33,7 @@ pub enum Code {
 
 impl Code {
     /// Wire code.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             Code::AccessRequest => 1,
             Code::AccessAccept => 2,
@@ -43,7 +43,7 @@ impl Code {
     }
 
     /// Parse a wire code.
-    pub fn from_code(c: u8) -> Option<Self> {
+    pub(crate) fn from_code(c: u8) -> Option<Self> {
         match c {
             1 => Some(Code::AccessRequest),
             2 => Some(Code::AccessAccept),
@@ -128,7 +128,7 @@ impl Packet {
     }
 
     /// All attributes of `ty` (Proxy-State may repeat).
-    pub fn attributes_of(&self, ty: AttributeType) -> Vec<&Attribute> {
+    pub(crate) fn attributes_of(&self, ty: AttributeType) -> Vec<&Attribute> {
         self.attributes.iter().filter(|a| a.ty == ty).collect()
     }
 
@@ -292,7 +292,7 @@ impl<'a> PacketView<'a> {
     }
 
     /// All attributes of `ty` (Proxy-State may repeat), zero-copy.
-    pub fn attributes_of(&self, ty: AttributeType) -> impl Iterator<Item = AttrView<'a>> {
+    pub(crate) fn attributes_of(&self, ty: AttributeType) -> impl Iterator<Item = AttrView<'a>> {
         self.attributes().filter(move |a| a.ty == ty)
     }
 

@@ -44,7 +44,7 @@ impl ProxyHandler {
     }
 
     /// Create a proxy recording into an explicit registry.
-    pub fn with_metrics(
+    pub(crate) fn with_metrics(
         proxy_id: &str,
         upstream: Arc<RadiusClient>,
         seed: u64,
@@ -201,13 +201,7 @@ impl Handler for ProxyHandler {
     }
 }
 
-impl ProxyHandler {
-    /// The configured proxy identifier (placed in Proxy-State by tests that
-    /// exercise multi-hop chains explicitly).
-    pub fn proxy_id(&self) -> &str {
-        &self.proxy_id
-    }
-}
+impl ProxyHandler {}
 
 fn reply_attrs(message: Option<String>) -> Vec<Attribute> {
     message

@@ -88,11 +88,6 @@ impl RealmRouter {
             .insert(realm.to_string(), RealmRoute { upstream, policy });
     }
 
-    /// The home realm this router answers for.
-    pub fn home_realm(&self) -> &str {
-        &self.trust.home_realm
-    }
-
     fn count(&self, realm: &str, outcome: &str) {
         self.metrics
             .counter(

@@ -52,7 +52,7 @@ impl std::fmt::Debug for dyn PendingDecision {
 }
 
 /// How far [`RadiusServer::begin_into`] got with a datagram.
-pub enum Begun {
+pub(crate) enum Begun {
     /// The reply is encoded and sealed.
     Replied,
     /// No reply: undecodable, not an Access-Request, or the handler said
@@ -168,7 +168,12 @@ impl RadiusServer {
     /// [`RadiusServer::process_into`] up to the handler's decision: a
     /// pending one is handed back instead of waited for, for a caller that
     /// has other datagrams to answer meanwhile.
-    pub fn begin_into(&self, data: &[u8], reply: &mut Vec<u8>, pw_scratch: &mut Vec<u8>) -> Begun {
+    pub(crate) fn begin_into(
+        &self,
+        data: &[u8],
+        reply: &mut Vec<u8>,
+        pw_scratch: &mut Vec<u8>,
+    ) -> Begun {
         reply.clear();
         self.stats.received.fetch_add(1, Ordering::Relaxed);
         let Ok(request) = PacketView::parse(data) else {
@@ -198,7 +203,12 @@ impl RadiusServer {
     /// Encode and seal into `reply` the answer `decision` gives to the
     /// request in `data`, a datagram [`RadiusServer::begin_into`] reported
     /// pending. Returns `false` (empty `reply`) on discard.
-    pub fn finish_into(&self, data: &[u8], decision: ServerDecision, reply: &mut Vec<u8>) -> bool {
+    pub(crate) fn finish_into(
+        &self,
+        data: &[u8],
+        decision: ServerDecision,
+        reply: &mut Vec<u8>,
+    ) -> bool {
         reply.clear();
         match PacketView::parse(data) {
             Ok(request) => self.encode(&request, decision, reply),
@@ -255,11 +265,6 @@ impl RadiusServer {
         seal_wire(reply, request.authenticator(), &self.secret);
         self.stats.replied.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// The shared secret (used by proxies re-hiding passwords upstream).
-    pub fn secret(&self) -> &[u8] {
-        &self.secret
     }
 }
 

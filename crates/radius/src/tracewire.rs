@@ -22,6 +22,15 @@
 //! caller fast-forwards its trace clock and the assembled cross-site
 //! tree keeps one monotone time basis.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
+
 use crate::attribute::{Attribute, AttributeType};
 use crate::packet::{Packet, PacketView};
 use hpcmfa_telemetry::{SpanCtx, SpanId, TraceClock, TraceId};
@@ -89,16 +98,12 @@ pub fn decode_trace_ctx(attr: &Attribute) -> Option<WireTraceCtx> {
 /// [`Attribute`] ever exists there). Parity with the owned path is
 /// property tested.
 pub fn decode_trace_ctx_bytes(v: &[u8]) -> Option<WireTraceCtx> {
-    if v.len() != 30 {
+    let ([trace, parent_raw, clock_us], []) = our_payload(v, TRACE_VENDOR_TYPE)?.as_chunks() else {
         return None;
-    }
-    let vendor = u32::from_be_bytes(v[0..4].try_into().ok()?);
-    if vendor != TRACE_VENDOR_ID || v[4] != TRACE_VENDOR_TYPE || v[5] != 26 {
-        return None;
-    }
-    let trace = TraceId::from_u64(u64::from_be_bytes(v[6..14].try_into().ok()?));
-    let parent_raw = u64::from_be_bytes(v[14..22].try_into().ok()?);
-    let clock_us = u64::from_be_bytes(v[22..30].try_into().ok()?);
+    };
+    let [trace, parent_raw, clock_us] =
+        [trace, parent_raw, clock_us].map(|b| u64::from_be_bytes(*b));
+    let trace = TraceId::from_u64(trace);
     let parent = if parent_raw == 0 {
         None
     } else {
@@ -154,14 +159,20 @@ pub fn decode_clock(attr: &Attribute) -> Option<u64> {
 /// [`decode_clock`] on the raw Vendor-Specific value bytes (borrowed
 /// form, see [`decode_trace_ctx_bytes`]).
 pub fn decode_clock_bytes(v: &[u8]) -> Option<u64> {
-    if v.len() != 14 {
+    let ([clock_us], []) = our_payload(v, CLOCK_VENDOR_TYPE)?.as_chunks() else {
         return None;
-    }
-    let vendor = u32::from_be_bytes(v[0..4].try_into().ok()?);
-    if vendor != TRACE_VENDOR_ID || v[4] != CLOCK_VENDOR_TYPE || v[5] != 10 {
-        return None;
-    }
-    Some(u64::from_be_bytes(v[6..14].try_into().ok()?))
+    };
+    Some(u64::from_be_bytes(*clock_us))
+}
+
+/// The payload of a Vendor-Specific value `v` in our vendor space with
+/// vendor-type `ty`, if its vendor-length covers exactly the rest of `v`.
+fn our_payload(v: &[u8], ty: u8) -> Option<&[u8]> {
+    let (&[a, b, c, d, vendor_type, vendor_len], payload) = v.split_first_chunk::<6>()?;
+    let ours = u32::from_be_bytes([a, b, c, d]) == TRACE_VENDOR_ID
+        && vendor_type == ty
+        && usize::from(vendor_len).checked_add(4) == Some(v.len());
+    ours.then_some(payload)
 }
 
 /// The responder clock carried by `packet`, if any.
@@ -179,6 +190,7 @@ pub fn clock_of_view(view: &PacketView<'_>) -> Option<u64> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::packet::Code;

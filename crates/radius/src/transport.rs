@@ -203,11 +203,6 @@ impl InMemoryTransport {
             exchanges: AtomicU64::new(0),
         }
     }
-
-    /// The fault plan, for tests flipping outages mid-run.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
 }
 
 impl Transport for InMemoryTransport {

@@ -79,17 +79,6 @@ pub enum RiskDecision {
     Deny,
 }
 
-impl RiskDecision {
-    /// The label used for `hpcmfa_risk_decisions_total{decision=…}`.
-    pub fn label(self) -> &'static str {
-        match self {
-            RiskDecision::Allow => "allow",
-            RiskDecision::StepUp => "step_up",
-            RiskDecision::Deny => "deny",
-        }
-    }
-}
-
 #[derive(Default)]
 struct UserHistory {
     countries: Vec<CountryCode>,
@@ -181,7 +170,7 @@ impl RiskEngine {
     /// [`RiskEngine::assess`] under a propagated span context: the scoring
     /// pass is recorded as a timed `risk`/`assess` span (when a registry is
     /// attached) and step-up/deny events are stamped with its id.
-    pub fn assess_spanned(
+    pub(crate) fn assess_spanned(
         &self,
         user: &str,
         ip: Ipv4Addr,
@@ -299,16 +288,6 @@ impl RiskEngine {
                 Ordering::SeqCst,
             );
         }
-    }
-
-    /// How many users the engine currently tracks (post-purge size).
-    pub fn tracked_users(&self) -> usize {
-        self.history.lock().len()
-    }
-
-    /// Forget a user's history (account reset).
-    pub fn reset(&self, user: &str) {
-        self.history.lock().remove(user);
     }
 }
 
@@ -434,16 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_history() {
-        let e = engine();
-        e.assess("alice", "70.1.1.1".parse().unwrap(), 0);
-        e.reset("alice");
-        // Post-reset the first login is baseline again (no new-country hit).
-        let (score, _) = e.assess("alice", "141.30.1.1".parse().unwrap(), DAY);
-        assert_eq!(score, 0);
-    }
-
-    #[test]
     fn pam_gate_maps_decisions() {
         use hpcmfa_otp::clock::SimClock;
         use hpcmfa_pam::conv::ScriptedConversation;
@@ -547,11 +516,11 @@ mod tests {
         );
         e.assess("idle", "70.1.1.1".parse().unwrap(), 0);
         e.assess("fresh", "70.2.2.2".parse().unwrap(), 900);
-        assert_eq!(e.tracked_users(), 2);
+        assert_eq!(e.history.lock().len(), 2);
         // Sweeps only run once the earliest expiry passes; `idle` expires
         // at t=1000, `fresh` at t=1900.
         let (_, _) = e.assess("fresh", "70.2.2.2".parse().unwrap(), 1200);
-        assert_eq!(e.tracked_users(), 1, "idle swept at the watermark");
+        assert_eq!(e.history.lock().len(), 1, "idle swept at the watermark");
         // A purged user re-baselines: a new country scores zero.
         let (score, d) = e.assess("idle", "141.30.9.9".parse().unwrap(), 1300);
         assert_eq!(score, 0);

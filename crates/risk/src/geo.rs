@@ -33,7 +33,7 @@ impl CountryCode {
     }
 
     /// The code as a string.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         std::str::from_utf8(&self.0).unwrap()
     }
 }
@@ -70,12 +70,12 @@ impl std::error::Error for GeoParseError {}
 
 impl GeoDb {
     /// Empty database (every lookup is `None`).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Add one network → country mapping.
-    pub fn add(&mut self, net: Cidr, country: CountryCode) {
+    pub(crate) fn add(&mut self, net: Cidr, country: CountryCode) {
         self.entries.push((net, country));
         self.entries.sort_by_key(|e| std::cmp::Reverse(e.0.prefix));
     }
@@ -115,21 +115,11 @@ impl GeoDb {
     }
 
     /// Longest-prefix-match lookup.
-    pub fn country_of(&self, ip: Ipv4Addr) -> Option<CountryCode> {
+    pub(crate) fn country_of(&self, ip: Ipv4Addr) -> Option<CountryCode> {
         self.entries
             .iter()
             .find(|(net, _)| net.contains(ip))
             .map(|(_, cc)| *cc)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the db has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -171,13 +161,8 @@ impl GeoPolicy {
             .insert(user.to_string(), countries.to_vec());
     }
 
-    /// Set the site-wide default allow list (empty = allow anywhere).
-    pub fn set_default(&self, countries: &[CountryCode]) {
-        *self.default_allowed.write() = countries.to_vec();
-    }
-
     /// Whether `country` is acceptable for `user`.
-    pub fn permits(&self, user: &str, country: Option<CountryCode>) -> bool {
+    pub(crate) fn permits(&self, user: &str, country: Option<CountryCode>) -> bool {
         let Some(country) = country else {
             return !self.deny_unknown_origin;
         };
@@ -266,14 +251,17 @@ mod tests {
         assert!(GeoDb::parse("bogus US\n").is_err());
         assert!(GeoDb::parse("1.2.3.0/24 USA\n").is_err());
         assert!(GeoDb::parse("1.2.3.0/24 US extra\n").is_err());
-        assert!(GeoDb::parse("# only comments\n\n").unwrap().is_empty());
+        assert!(GeoDb::parse("# only comments\n\n")
+            .unwrap()
+            .entries
+            .is_empty());
     }
 
     #[test]
     fn policy_per_user_and_default() {
         let p = GeoPolicy::new(GeoAction::Deny);
         assert!(p.permits("anyone", Some(cc("CN")))); // unrestricted default
-        p.set_default(&[cc("US"), cc("DE")]);
+        *p.default_allowed.write() = vec![cc("US"), cc("DE")];
         assert!(p.permits("anyone", Some(cc("DE"))));
         assert!(!p.permits("anyone", Some(cc("CN"))));
         p.allow_user("traveler", &[cc("CN"), cc("US")]);

@@ -21,5 +21,5 @@
 pub mod engine;
 pub mod geo;
 
-pub use engine::{RiskDecision, RiskEngine, RiskGateModule, RiskWeights};
-pub use geo::{CountryCode, GeoDb, GeoGateModule, GeoPolicy};
+pub use engine::{RiskEngine, RiskGateModule, RiskWeights};
+pub use geo::GeoDb;

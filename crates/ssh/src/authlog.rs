@@ -61,7 +61,7 @@ impl AuthLog {
     }
 
     /// Snapshot of all entries.
-    pub fn entries(&self) -> Vec<LogEntry> {
+    pub(crate) fn entries(&self) -> Vec<LogEntry> {
         self.entries.read().clone()
     }
 
@@ -74,16 +74,6 @@ impl AuthLog {
     /// rotate daily, exactly as production logrotate would.
     pub fn prune_older_than(&self, cutoff: u64) {
         self.entries.write().retain(|e| e.at >= cutoff);
-    }
-
-    /// Total entries.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
     }
 }
 
@@ -154,7 +144,7 @@ mod tests {
         log.record(entry("a", 1, AuthMethod::Password, true, true));
         log.record(entry("a", 2, AuthMethod::Password, true, false));
         log.record(entry("b", 3, AuthMethod::Publickey, true, false));
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.entries.read().len(), 3);
         assert_eq!(log.count_where(|e| !e.tty), 2);
         assert_eq!(log.count_where(|e| e.user == "a"), 2);
     }

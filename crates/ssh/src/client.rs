@@ -92,7 +92,7 @@ impl ClientProfile {
 
 /// The connection parameters sshd sees before PAM runs.
 #[derive(Debug, Clone)]
-pub struct ConnectionRequest {
+pub(crate) struct ConnectionRequest {
     /// Login name.
     pub username: String,
     /// Peer address.
@@ -105,20 +105,20 @@ pub struct ConnectionRequest {
 
 /// Answers PAM prompts on behalf of a client profile. The daemon adapts
 /// this into the PAM conversation.
-pub trait CredentialResponder: Send {
+pub(crate) trait CredentialResponder: Send {
     /// Respond to one prompt at time `now`.
     fn respond(&mut self, prompt: &Prompt, now: u64) -> Result<String, ConvError>;
 }
 
 /// The standard responder: passwords for password prompts, token codes for
 /// token prompts, empty acknowledgements for info prompts.
-pub struct ProfileResponder<'a> {
+pub(crate) struct ProfileResponder<'a> {
     profile: &'a ClientProfile,
 }
 
 impl<'a> ProfileResponder<'a> {
     /// Respond using `profile`'s credentials.
-    pub fn new(profile: &'a ClientProfile) -> Self {
+    pub(crate) fn new(profile: &'a ClientProfile) -> Self {
         ProfileResponder { profile }
     }
 }

@@ -19,7 +19,7 @@ pub struct PublicKey {
 
 impl PublicKey {
     /// OpenSSH-style fingerprint: `SHA256:` + unpadded base64 of the digest.
-    pub fn fingerprint(&self) -> String {
+    pub(crate) fn fingerprint(&self) -> String {
         let mut data = self.algo.as_bytes().to_vec();
         data.extend_from_slice(&self.blob);
         format!("SHA256:{}", base64::encode_url(&sha256(&data)))

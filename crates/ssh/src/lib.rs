@@ -30,8 +30,6 @@ pub mod keys;
 pub mod multiplex;
 pub mod survey;
 
-pub use authlog::{AuthLog, AuthMethod, LogEntry};
-pub use client::{ClientProfile, ConnectionRequest, CredentialResponder};
-pub use daemon::{SessionReport, SshDaemon};
-pub use keys::{KeyPair, PublicKey};
-pub use multiplex::MultiplexedConnection;
+pub use authlog::AuthLog;
+pub use client::ClientProfile;
+pub use daemon::SshDaemon;

@@ -65,20 +65,9 @@ impl<'a> MultiplexedConnection<'a> {
         Ok(self.channels_opened)
     }
 
-    /// Whether a master is up.
-    pub fn is_established(&self) -> bool {
-        self.master.is_some()
-    }
-
     /// Channels opened so far.
     pub fn channels(&self) -> u32 {
         self.channels_opened
-    }
-
-    /// Close the master; further channels require re-authentication.
-    pub fn close(&mut self) {
-        self.master = None;
-        self.channels_opened = 0;
     }
 }
 
@@ -161,18 +150,6 @@ mod tests {
             mux.establish(&profile("999999")).unwrap_err(),
             MuxError::MasterAuthFailed
         );
-        assert!(!mux.is_established());
-    }
-
-    #[test]
-    fn close_requires_reauthentication() {
-        let d = daemon();
-        let mut mux = MultiplexedConnection::new(&d);
-        mux.establish(&profile("111111")).unwrap();
-        mux.open_channel().unwrap();
-        mux.close();
-        assert_eq!(mux.open_channel(), Err(MuxError::NoMaster));
-        mux.establish(&profile("111111")).unwrap();
-        assert_eq!(mux.open_channel().unwrap(), 1);
+        assert!(mux.master.is_none());
     }
 }

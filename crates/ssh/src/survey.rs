@@ -44,7 +44,7 @@ pub struct SurveyReport {
 }
 
 /// Aggregate successful logins per user in `[from, to)`.
-pub fn aggregate_activity(log: &AuthLog, from: u64, to: u64) -> Vec<UserActivity> {
+pub(crate) fn aggregate_activity(log: &AuthLog, from: u64, to: u64) -> Vec<UserActivity> {
     let mut map: HashMap<String, (usize, usize)> = HashMap::new();
     for e in log.entries() {
         if e.success && e.at >= from && e.at < to {

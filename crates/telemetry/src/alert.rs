@@ -266,11 +266,6 @@ impl AlertEngine {
         }
     }
 
-    /// The configured rules.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, EngineInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }

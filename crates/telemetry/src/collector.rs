@@ -56,7 +56,7 @@ pub struct CriticalHop {
 
 impl TraceTree {
     /// Build a tree from raw spans (deduplicates by span id, sorts).
-    pub fn from_spans(trace: TraceId, mut spans: Vec<SpanRecord>) -> Option<TraceTree> {
+    pub(crate) fn from_spans(trace: TraceId, mut spans: Vec<SpanRecord>) -> Option<TraceTree> {
         let mut seen = BTreeSet::new();
         spans.retain(|s| s.trace == trace && seen.insert(s.id));
         if spans.is_empty() {
@@ -82,7 +82,7 @@ impl TraceTree {
     }
 
     /// The direct children of `id`, in tree sort order.
-    pub fn children(&self, id: SpanId) -> Vec<&SpanRecord> {
+    pub(crate) fn children(&self, id: SpanId) -> Vec<&SpanRecord> {
         self.spans
             .iter()
             .filter(|s| s.parent == Some(id) && s.id != id)
@@ -96,19 +96,12 @@ impl TraceTree {
 
     /// Self-time of span `id`: its duration minus its direct children's
     /// durations (saturating), µs.
-    pub fn self_time_us(&self, id: SpanId) -> u64 {
+    pub(crate) fn self_time_us(&self, id: SpanId) -> u64 {
         let Some(span) = self.spans.iter().find(|s| s.id == id) else {
             return 0;
         };
         let child_total: u64 = self.children(id).iter().map(|c| c.duration_us()).sum();
         span.duration_us().saturating_sub(child_total)
-    }
-
-    /// Sum of every span's self-time. With properly nested spans on one
-    /// monotone clock this equals [`TraceTree::duration_us`] — the
-    /// partition invariant the acceptance suite pins.
-    pub fn total_self_time_us(&self) -> u64 {
-        self.spans.iter().map(|s| self.self_time_us(s.id)).sum()
     }
 
     /// The critical path: root first, descending into the
@@ -314,7 +307,13 @@ mod tests {
         assert_eq!(root.component, "ssh");
         assert_eq!(tree.duration_us(), 100);
         // Partition invariant: self-times sum to the end-to-end total.
-        assert_eq!(tree.total_self_time_us(), tree.duration_us());
+        assert_eq!(
+            tree.spans
+                .iter()
+                .map(|s| tree.self_time_us(s.id))
+                .sum::<u64>(),
+            tree.duration_us()
+        );
         let path = tree.critical_path();
         assert_eq!(path.len(), 3);
         assert_eq!(path[0].component, "ssh");
@@ -355,7 +354,13 @@ mod tests {
         let tree = coll.assemble(trace).expect("cross-site assembly");
         assert_eq!(tree.spans.len(), 4);
         assert_eq!(tree.children(leaf_id).len(), 1);
-        assert_eq!(tree.total_self_time_us(), tree.duration_us());
+        assert_eq!(
+            tree.spans
+                .iter()
+                .map(|s| tree.self_time_us(s.id))
+                .sum::<u64>(),
+            tree.duration_us()
+        );
         let path = tree.critical_path();
         assert_eq!(path.last().unwrap().component, "otp");
     }

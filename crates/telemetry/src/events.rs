@@ -8,7 +8,7 @@
 //! [`TraceId`] so an alert links straight to the spans and audit rows
 //! behind it. Emission also bumps the
 //! `hpcmfa_security_events_total{kind=…}` counter family, which is what
-//! the [`alert`](crate::alert) rule engine watches.
+//! the [`AlertEngine`](crate::AlertEngine) rules watch.
 //!
 //! Timestamps are *virtual*: each emitter stamps its own deterministic
 //! clock (the simulation's unix seconds for the OTP server and PAM, the
@@ -82,24 +82,6 @@ impl SecurityEventKind {
             SecurityEventKind::RealmUnreachable => "realm_unreachable",
         }
     }
-
-    /// Every kind, in declaration order (for exhaustive reports).
-    pub fn all() -> [SecurityEventKind; 12] {
-        [
-            SecurityEventKind::AuthFailureBurst,
-            SecurityEventKind::LockoutStorm,
-            SecurityEventKind::ReplayAttempt,
-            SecurityEventKind::SmsAbuse,
-            SecurityEventKind::BreakerFlap,
-            SecurityEventKind::WalFsyncDegraded,
-            SecurityEventKind::RiskStepUp,
-            SecurityEventKind::RiskDeny,
-            SecurityEventKind::OverloadShed,
-            SecurityEventKind::Failover,
-            SecurityEventKind::ResumeReplay,
-            SecurityEventKind::RealmUnreachable,
-        ]
-    }
 }
 
 impl fmt::Display for SecurityEventKind {
@@ -167,13 +149,8 @@ impl Default for SecurityEvents {
 }
 
 impl SecurityEvents {
-    /// New ring with the default retention cap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// New ring retaining at most `cap` events.
-    pub fn with_cap(cap: usize) -> Self {
+    pub(crate) fn with_cap(cap: usize) -> Self {
         SecurityEvents {
             inner: Mutex::new(EventsInner {
                 ring: VecDeque::new(),
@@ -188,7 +165,7 @@ impl SecurityEvents {
     }
 
     /// Append one event, evicting the oldest past the cap.
-    pub fn push(&self, event: SecurityEvent) {
+    pub(crate) fn push(&self, event: SecurityEvent) {
         let mut inner = self.lock();
         if inner.cap == 0 {
             inner.dropped += 1;
@@ -223,18 +200,8 @@ impl SecurityEvents {
             .collect()
     }
 
-    /// Retained event count.
-    pub fn len(&self) -> usize {
-        self.lock().ring.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.lock().ring.is_empty()
-    }
-
     /// Events evicted by the ring cap since creation.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.lock().dropped
     }
 }
@@ -255,11 +222,11 @@ mod tests {
 
     #[test]
     fn push_and_tail_preserve_order() {
-        let ring = SecurityEvents::new();
+        let ring = SecurityEvents::default();
         for i in 0..5 {
             ring.push(ev(SecurityEventKind::ReplayAttempt, i));
         }
-        assert_eq!(ring.len(), 5);
+        assert_eq!(ring.all().len(), 5);
         let tail = ring.tail(2);
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].at, 3);
@@ -274,14 +241,14 @@ mod tests {
         for i in 0..7 {
             ring.push(ev(SecurityEventKind::BreakerFlap, i));
         }
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.all().len(), 3);
         assert_eq!(ring.dropped(), 4);
         assert_eq!(ring.all()[0].at, 4);
     }
 
     #[test]
     fn of_kind_filters() {
-        let ring = SecurityEvents::new();
+        let ring = SecurityEvents::default();
         ring.push(ev(SecurityEventKind::LockoutStorm, 1));
         ring.push(ev(SecurityEventKind::SmsAbuse, 2));
         ring.push(ev(SecurityEventKind::LockoutStorm, 3));
@@ -306,8 +273,23 @@ mod tests {
 
     #[test]
     fn labels_are_stable_and_distinct() {
-        let labels: std::collections::BTreeSet<_> =
-            SecurityEventKind::all().iter().map(|k| k.label()).collect();
+        let labels: std::collections::BTreeSet<_> = [
+            SecurityEventKind::AuthFailureBurst,
+            SecurityEventKind::LockoutStorm,
+            SecurityEventKind::ReplayAttempt,
+            SecurityEventKind::SmsAbuse,
+            SecurityEventKind::BreakerFlap,
+            SecurityEventKind::WalFsyncDegraded,
+            SecurityEventKind::RiskStepUp,
+            SecurityEventKind::RiskDeny,
+            SecurityEventKind::OverloadShed,
+            SecurityEventKind::Failover,
+            SecurityEventKind::ResumeReplay,
+            SecurityEventKind::RealmUnreachable,
+        ]
+        .iter()
+        .map(|k| k.label())
+        .collect();
         assert_eq!(labels.len(), 12);
         assert_eq!(SecurityEventKind::ReplayAttempt.label(), "replay_attempt");
         assert_eq!(SecurityEventKind::RiskDeny.label(), "risk_deny");

@@ -65,7 +65,7 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 /// in OpenMetrics exemplar syntax so an alerting p99 breach points at
 /// the request behind it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Exemplar {
+pub(crate) struct Exemplar {
     /// The bucket the observation landed in.
     pub bucket: usize,
     /// The observed value.
@@ -77,7 +77,7 @@ pub struct Exemplar {
 /// A concurrent log-linear histogram. All methods take `&self`; recording
 /// is wait-free (a handful of `Relaxed` atomic ops). Traced recording
 /// ([`Histogram::record_traced`]) additionally keeps, per bucket, the
-/// worst observation's [`TraceId`] as an [`Exemplar`] — this takes a
+/// worst observation's [`TraceId`] as an `Exemplar` — this takes a
 /// short mutex, so only trace-carrying auth-path observations pay it.
 pub struct Histogram {
     counts: Vec<AtomicU64>,
@@ -136,11 +136,6 @@ impl Histogram {
     /// Record the wall-clock microseconds elapsed since `start`.
     pub fn record_elapsed_us(&self, start: std::time::Instant) {
         self.record(start.elapsed().as_micros() as u64);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Freeze the current state. Concurrent recorders may land between the
@@ -261,23 +256,9 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Whether anything was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Per-bucket counts (index with [`bucket_lower_bound`] /
     /// [`bucket_upper_bound`] for the value ranges).
-    pub fn bucket_counts(&self) -> &[u64] {
+    pub(crate) fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
 
@@ -290,7 +271,7 @@ impl HistogramSnapshot {
     /// (the tightest bounds derivable without per-window extremes), so
     /// quantiles of the delta stay upper estimates exactly like the
     /// base quantile contract.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let counts: Vec<u64> = self
             .counts
             .iter()
@@ -312,7 +293,7 @@ impl HistogramSnapshot {
 
     /// Per-bucket worst traced observations, sorted by bucket (empty
     /// unless [`Histogram::record_traced`] was used).
-    pub fn exemplars(&self) -> &[Exemplar] {
+    pub(crate) fn exemplars(&self) -> &[Exemplar] {
         &self.exemplars
     }
 
@@ -334,16 +315,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-
-    /// Median.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
     }
 
     /// 99th percentile.
@@ -436,7 +407,7 @@ mod tests {
             h.record(100);
         }
         let s = h.snapshot();
-        assert_eq!(s.p50(), 100);
+        assert_eq!(s.quantile(0.5), 100);
         assert_eq!(s.p99(), 100);
         assert_eq!(s.quantile(0.0), 100);
     }
@@ -444,11 +415,10 @@ mod tests {
     #[test]
     fn empty_snapshot_is_all_zeroes() {
         let s = Histogram::new().snapshot();
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.min(), 0);
         assert_eq!(s.max(), 0);
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]
@@ -483,7 +453,7 @@ mod tests {
         assert_eq!(delta.count(), 10);
         assert_eq!(delta.sum(), 80_000);
         // Only the window's observations shape the quantiles.
-        assert!(delta.p50() >= 8_000);
+        assert!(delta.quantile(0.5) >= 8_000);
         // An empty window is the identity delta.
         let snap = h.snapshot();
         let none = snap.delta_since(&snap);
@@ -552,7 +522,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(h.count(), 40_000);
+        assert_eq!(h.snapshot().count(), 40_000);
         assert_eq!(h.snapshot().bucket_counts().iter().sum::<u64>(), 40_000);
     }
 }

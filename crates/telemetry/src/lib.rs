@@ -8,7 +8,7 @@
 //! * [`Counter`] / [`Gauge`] — lock-free monotonic and signed instruments;
 //! * [`Histogram`] — a log-linear latency histogram (16 sub-buckets per
 //!   power of two, ≤ 6.25 % relative error) with p50/p90/p99/max
-//!   extraction and mergeable [`HistogramSnapshot`] shards;
+//!   extraction and mergeable [`HistogramSnapshot`](histogram::HistogramSnapshot) shards;
 //! * [`MetricsRegistry`] — a thread-safe, label-aware registry that
 //!   renders the Prometheus text exposition format and cheap
 //!   [`MetricsSnapshot`] views for reports and tests;
@@ -21,7 +21,7 @@
 //! * [`TraceCollector`] / [`TraceTree`] — cross-site trace assembly with
 //!   per-trace critical-path analysis (which hop dominated the latency)
 //!   behind `GET /system/traces`;
-//! * [`SecurityEvent`] / [`SecurityEvents`] — a bounded ring of typed
+//! * [`SecurityEvent`](events::SecurityEvent) / [`SecurityEvents`](events::SecurityEvents) — a bounded ring of typed
 //!   security events (replays, lockouts, breaker trips, fsync failures),
 //!   each stamped with the triggering request's [`TraceId`] and the
 //!   emitting [`SpanId`];
@@ -39,23 +39,19 @@
 
 #![forbid(unsafe_code)]
 
-pub mod alert;
-pub mod collector;
+mod alert;
+mod collector;
 pub mod events;
 pub mod histogram;
-pub mod registry;
-pub mod slo;
+mod registry;
+mod slo;
 pub mod trace;
 
-pub use alert::{
-    default_security_rules, AlertEngine, AlertState, AlertStatus, AlertTransition, Condition, Rule,
-};
-pub use collector::{critical_path_summary, CriticalHop, TraceCollector, TraceTree};
-pub use events::{SecurityEvent, SecurityEventKind, SecurityEvents};
-pub use histogram::{Exemplar, Histogram, HistogramSnapshot, NUM_BUCKETS};
+pub use alert::{default_security_rules, AlertEngine, AlertStatus};
+pub use collector::{critical_path_summary, TraceCollector, TraceTree};
+pub use events::SecurityEventKind;
+pub use histogram::Histogram;
 pub use registry::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
-pub use slo::SliSpec;
 pub use trace::{
-    AttrValue, DetachedSpan, SpanCtx, SpanGuard, SpanId, SpanRecord, SpanStatus, TraceClock,
-    TraceId, Tracer,
+    DetachedSpan, SpanCtx, SpanGuard, SpanId, SpanStatus, TraceClock, TraceId, Tracer,
 };

@@ -27,11 +27,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Add one.
     pub fn inc(&self) {
         self.value.fetch_add(1, Ordering::Relaxed);
@@ -55,23 +50,13 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// New gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Set the value.
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Add `d` (may be negative).
-    pub fn add(&self, d: i64) {
-        self.value.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -422,16 +407,6 @@ impl MetricsSnapshot {
     pub fn counters(&self) -> &BTreeMap<String, u64> {
         &self.counters
     }
-
-    /// All gauge series, sorted by series id.
-    pub fn gauges(&self) -> &BTreeMap<String, i64> {
-        &self.gauges
-    }
-
-    /// All histogram series, sorted by series id.
-    pub fn histograms(&self) -> &BTreeMap<String, HistogramSnapshot> {
-        &self.histograms
-    }
 }
 
 #[cfg(test)]
@@ -452,11 +427,12 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_add() {
+    fn gauge_set_reads_back() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("hpcmfa_up", &[]);
         g.set(5);
-        g.add(-2);
+        assert_eq!(reg.snapshot().gauge("hpcmfa_up"), 5);
+        g.set(3);
         assert_eq!(reg.snapshot().gauge("hpcmfa_up"), 3);
     }
 
@@ -555,7 +531,7 @@ mod tests {
             140,
             "server=radius0",
         );
-        assert_eq!(reg.security_events().len(), 3);
+        assert_eq!(reg.security_events().all().len(), 3);
         assert_eq!(
             reg.security_events()
                 .of_kind(SecurityEventKind::ReplayAttempt)

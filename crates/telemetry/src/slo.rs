@@ -29,7 +29,7 @@ pub struct SliSpec {
 
 /// Resolve one spec entry against a snapshot: exact series when the key
 /// carries labels, family sum otherwise.
-pub fn series_value(snap: &MetricsSnapshot, key: &str) -> u64 {
+pub(crate) fn series_value(snap: &MetricsSnapshot, key: &str) -> u64 {
     if key.contains('{') {
         snap.counter(key)
     } else {
@@ -41,7 +41,7 @@ impl SliSpec {
     /// The auth-success SLI over the RADIUS outcome counters: good =
     /// accept + challenge, total = every outcome (including errors from
     /// exhausted failover budgets).
-    pub fn auth_success() -> Self {
+    pub(crate) fn auth_success() -> Self {
         SliSpec {
             good: vec![
                 "hpcmfa_radius_outcomes_total{outcome=\"accept\"}".to_string(),
@@ -50,20 +50,13 @@ impl SliSpec {
             total: vec!["hpcmfa_radius_outcomes_total".to_string()],
         }
     }
-
-    /// `(good, total)` event counts in `snap`.
-    pub fn counts(&self, snap: &MetricsSnapshot) -> (u64, u64) {
-        let good = self.good.iter().map(|k| series_value(snap, k)).sum();
-        let total = self.total.iter().map(|k| series_value(snap, k)).sum();
-        (good, total)
-    }
 }
 
 /// The burn rate of a windowed `(good, total)` delta against an
 /// availability `objective` in `(0, 1)`: observed error rate divided by
 /// the error budget `1 - objective`. 1.0 means the budget is being spent
 /// exactly at the sustainable pace; an empty window burns nothing.
-pub fn burn_rate(good: u64, total: u64, objective: f64) -> f64 {
+pub(crate) fn burn_rate(good: u64, total: u64, objective: f64) -> f64 {
     if total == 0 {
         return 0.0;
     }
@@ -100,7 +93,9 @@ mod tests {
             .add(1);
         reg.counter("hpcmfa_radius_outcomes_total", &[("outcome", "error")])
             .add(3);
-        let (good, total) = SliSpec::auth_success().counts(&reg.snapshot());
+        let (spec, snap) = (SliSpec::auth_success(), reg.snapshot());
+        let good: u64 = spec.good.iter().map(|k| series_value(&snap, k)).sum();
+        let total: u64 = spec.total.iter().map(|k| series_value(&snap, k)).sum();
         assert_eq!((good, total), (9, 12));
     }
 

@@ -89,19 +89,6 @@ impl TraceId {
             MINTED.fetch_add(1, Ordering::Relaxed),
         )
     }
-
-    /// The 16-hex-digit rendering (same as `Display`).
-    pub fn to_hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
-
-    /// Parse the 16-hex-digit rendering back into an id.
-    pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(s, 16).ok().map(TraceId)
-    }
 }
 
 impl fmt::Display for TraceId {
@@ -173,7 +160,7 @@ pub enum SpanStatus {
 
 impl SpanStatus {
     /// Stable snake_case label used in rendered trees and JSON.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SpanStatus::Ok => "ok",
             SpanStatus::Error => "error",
@@ -547,16 +534,6 @@ impl Tracer {
     pub fn dropped(&self) -> u64 {
         self.lock().dropped
     }
-
-    /// Drop every retained span and forget the eviction tombstones (the
-    /// dropped counter is kept).
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.traces.clear();
-        inner.arrival.clear();
-        inner.evicted.clear();
-        inner.len = 0;
-    }
 }
 
 /// RAII guard for an open span: created by [`Tracer::start`], records
@@ -605,11 +582,6 @@ impl SpanGuard<'_> {
         self.open().id
     }
 
-    /// The trace this span belongs to.
-    pub fn trace(&self) -> TraceId {
-        self.open().trace
-    }
-
     /// A [`SpanCtx`] that parents new spans under this one.
     pub fn child_ctx(&self) -> SpanCtx {
         let open = self.open();
@@ -642,13 +614,6 @@ impl SpanGuard<'_> {
         self.open_mut()
             .attrs
             .push((key.to_string(), AttrValue::U64(value)));
-    }
-
-    /// Attach a boolean attribute.
-    pub fn attr_bool(&mut self, key: &str, value: bool) {
-        self.open_mut()
-            .attrs
-            .push((key.to_string(), AttrValue::Bool(value)));
     }
 
     /// Close the span now (equivalent to dropping the guard).
@@ -697,16 +662,6 @@ mod tests {
             TraceId::derive(ns, 0),
             TraceId::derive(namespace("login2"), 0)
         );
-    }
-
-    #[test]
-    fn hex_round_trip() {
-        let id = TraceId::derive(namespace("x"), 42);
-        assert_eq!(TraceId::from_hex(&id.to_hex()), Some(id));
-        assert_eq!(id.to_hex().len(), 16);
-        assert_eq!(format!("{id}"), id.to_hex());
-        assert!(TraceId::from_hex("nope").is_none());
-        assert!(TraceId::from_hex("00112233445566778899").is_none());
     }
 
     #[test]
@@ -834,7 +789,7 @@ mod tests {
         let ctx = SpanCtx::root(trace, clock.clone());
         let root_id;
         {
-            let mut root = t.start(&ctx, "ssh", "session");
+            let root = t.start(&ctx, "ssh", "session");
             root_id = root.id();
             clock.advance_us(10);
             {
@@ -846,7 +801,6 @@ mod tests {
                 child.attr_u64("attempt", 2);
             }
             clock.advance_us(5);
-            root.attr_bool("granted", false);
         }
         let spans = t.spans_for(trace);
         assert_eq!(spans.len(), 2);
@@ -870,10 +824,7 @@ mod tests {
                 ("attempt".to_string(), AttrValue::U64(2)),
             ]
         );
-        assert_eq!(
-            root.attrs,
-            vec![("granted".to_string(), AttrValue::Bool(false))]
-        );
+        assert!(root.attrs.is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::sync::Arc;
 /// The IP→country fixture every attack run scores against. Benign users
 /// live in US space (70.0.0.0/8, plus the center's internal network);
 /// the attacker pools rotate through CN/RU/BR/IR exit networks.
-pub const ATTACK_GEODB: &str = "70.0.0.0/8 US\n\
+pub(crate) const ATTACK_GEODB: &str = "70.0.0.0/8 US\n\
                                 129.114.0.0/16 US\n\
                                 198.0.0.0/8 CN\n\
                                 185.0.0.0/8 RU\n\
@@ -70,7 +70,7 @@ pub enum AttackKind {
 
 impl AttackKind {
     /// Stable label for reports and counters.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AttackKind::CredentialStuffing => "credential_stuffing",
             AttackKind::PasswordSpraying => "password_spraying",

@@ -96,7 +96,7 @@ impl FaultAction {
     /// used for the report's per-kind breakdown and the
     /// `hpcmfa_chaos_faults_total{kind=…}` counter. Clearing actions
     /// (`ServerUp`, a zero cadence) share their family's label.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             FaultAction::ServerDown | FaultAction::ServerUp => "outage",
             FaultAction::PacketLoss { .. } => "packet_loss",
@@ -173,11 +173,12 @@ impl FaultScript {
         script
     }
 
+    #[cfg(test)]
     /// Crash-and-recover the OTP server every `every` logins over a
     /// `logins`-long stream, starting at login `every` (never at 0, so
     /// the first crash interrupts an in-flight stream rather than an
     /// empty store).
-    pub fn periodic_otp_crashes(every: usize, logins: usize) -> Self {
+    pub(crate) fn periodic_otp_crashes(every: usize, logins: usize) -> Self {
         let mut script = FaultScript::new();
         let mut t = every.max(1);
         while t < logins {
@@ -197,22 +198,24 @@ impl FaultScript {
             .at(2 * logins / 3, 0, FaultAction::OtpDeposedRejoin)
     }
 
+    #[cfg(test)]
     /// Failover scenario: the replication link partitions from login
     /// `start` to login `heal` while the stream (typically including SMS
     /// fallback users, see [`ChaosParams::sms_users`]) keeps dialing. In
     /// sync mode the partitioned window is denied fail-safe and — the
     /// split-brain check — must NOT promote the standby.
-    pub fn partition_during_sms_burst(start: usize, heal: usize) -> Self {
+    pub(crate) fn partition_during_sms_burst(start: usize, heal: usize) -> Self {
         FaultScript::new()
             .at(start, 0, FaultAction::OtpReplicationPartition { on: true })
             .at(heal, 0, FaultAction::OtpReplicationPartition { on: false })
     }
 
+    #[cfg(test)]
     /// Failover scenario: the standby starts lagging `frames` frames at
     /// login `lag_at`, then an operator forces a promotion at
     /// `promote_at` — the failover event records the unacked tail the
     /// lagging standby never applied.
-    pub fn lagging_standby_promotion(lag_at: usize, promote_at: usize, frames: u64) -> Self {
+    pub(crate) fn lagging_standby_promotion(lag_at: usize, promote_at: usize, frames: u64) -> Self {
         FaultScript::new()
             .at(lag_at, 0, FaultAction::OtpReplicationLag { frames })
             .at(promote_at, 0, FaultAction::OtpFailover)
@@ -353,19 +356,11 @@ impl ChaosReport {
     }
 
     /// Fraction of logins that succeeded without a re-dial.
-    pub fn first_try_availability(&self) -> f64 {
+    pub(crate) fn first_try_availability(&self) -> f64 {
         if self.logins == 0 {
             return 1.0;
         }
         self.first_try_successes as f64 / self.logins as f64
-    }
-
-    /// Failovers observed by the client (attempts beyond the first within
-    /// one request).
-    pub fn failovers(&self) -> u64 {
-        let total_attempts: u64 = self.health.iter().map(|h| h.attempts).sum();
-        let successes: u64 = self.health.iter().map(|h| h.successes).sum();
-        total_attempts.saturating_sub(successes)
     }
 }
 

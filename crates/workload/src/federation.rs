@@ -47,7 +47,7 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// The three federated sites, in fixed order.
-pub const SITES: [&str; 3] = ["tacc", "psc", "sdsc"];
+pub(crate) const SITES: [&str; 3] = ["tacc", "psc", "sdsc"];
 
 /// One site in the federation: a full center plus its home user's
 /// paired soft token.
@@ -65,7 +65,7 @@ pub struct FedSite {
 impl FedSite {
     /// Current value of a counter in this site's registry (0 if never
     /// touched).
-    pub fn counter(&self, key: &str) -> u64 {
+    pub(crate) fn counter(&self, key: &str) -> u64 {
         self.center.metrics_snapshot().counter(key)
     }
 }
@@ -128,7 +128,7 @@ impl std::fmt::Display for FederationReport {
 
 /// Three federated centers on one virtual timeline.
 pub struct FederationSim {
-    /// The sites, index-aligned with [`SITES`].
+    /// The sites, index-aligned with `SITES`.
     pub sites: Vec<FedSite>,
 }
 
@@ -237,7 +237,7 @@ impl FederationSim {
     /// Advance every site's clock together: the federation shares one
     /// virtual timeline (sites' TOTP windows must agree for proxied
     /// validations to land).
-    pub fn advance(&self, secs: u64) {
+    pub(crate) fn advance(&self, secs: u64) {
         for site in &self.sites {
             site.center.clock.advance(secs);
         }

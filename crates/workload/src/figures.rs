@@ -64,7 +64,7 @@ impl Table1 {
     }
 
     /// The paper's reported values, for side-by-side printing.
-    pub fn paper() -> Table1 {
+    pub(crate) fn paper() -> Table1 {
         Table1 {
             rows: [
                 ("Soft", 55.38),

@@ -10,7 +10,7 @@
 //! simulated SSH login runs the full PAM → RADIUS → OTP-server code path;
 //! every pairing runs the real portal flows.
 //!
-//! * [`population`] — cohorts, device-choice model (Table 1), adoption-day
+//! * `population` — cohorts, device-choice model (Table 1), adoption-day
 //!   model (Figures 3/6 spikes), activity rates.
 //! * [`rollout`] — the day-by-day simulator: phase transitions on
 //!   2016-08-10 / 09-06 / 10-04, login traffic, automated-workflow
@@ -25,7 +25,7 @@
 //!   replayed against the full defense stack, reporting detection
 //!   precision/recall, shed rates, and benign collateral.
 //!
-//! [`Center`]: hpcmfa_core::Center
+//! [`Center`]: hpcmfa_core::center::Center
 
 #![forbid(unsafe_code)]
 
@@ -33,12 +33,7 @@ pub mod attack;
 pub mod chaos;
 pub mod federation;
 pub mod figures;
-pub mod population;
+mod population;
 pub mod rollout;
 
-pub use attack::{AttackKind, AttackParams, AttackReport, AttackRunner, AttackScenario};
-pub use chaos::{ChaosParams, ChaosReport, ChaosRunner, FaultAction, FaultEvent, FaultScript};
-pub use federation::{FedSite, FederationReport, FederationSim};
-pub use figures::{render_bar_chart, Table1};
-pub use population::{Cohort, DevicePreference, Population, PopulationParams, UserSpec};
-pub use rollout::{DayRecord, Milestones, RolloutParams, RolloutSim, SimOutput};
+pub use attack::AttackReport;

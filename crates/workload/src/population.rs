@@ -37,7 +37,7 @@ pub enum Cohort {
 
 /// Which device the user will pair when they adopt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DevicePreference {
+pub(crate) enum DevicePreference {
     /// Smartphone app.
     Soft,
     /// SMS texts.
@@ -50,7 +50,7 @@ pub enum DevicePreference {
 
 /// One account in the population.
 #[derive(Debug, Clone)]
-pub struct UserSpec {
+pub(crate) struct UserSpec {
     /// Login name.
     pub username: String,
     /// Cohort.
@@ -73,7 +73,7 @@ pub struct UserSpec {
 /// Population sizing. Defaults approximate the paper's scale; use
 /// [`PopulationParams::scaled`] for faster experiments.
 #[derive(Debug, Clone)]
-pub struct PopulationParams {
+pub(crate) struct PopulationParams {
     /// Interactive researchers.
     pub interactive: usize,
     /// Automated/scripted accounts ("on the order of hundreds").
@@ -109,7 +109,7 @@ impl Default for PopulationParams {
 
 impl PopulationParams {
     /// Scale all cohort sizes by `f` (minimum 1 per nonzero cohort).
-    pub fn scaled(f: f64) -> Self {
+    pub(crate) fn scaled(f: f64) -> Self {
         let d = Self::default();
         let s = |n: usize| ((n as f64 * f).round() as usize).max(1);
         PopulationParams {
@@ -125,7 +125,7 @@ impl PopulationParams {
     }
 
     /// Total account count.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.interactive
             + self.automated
             + self.gateways
@@ -143,7 +143,7 @@ impl PopulationParams {
 /// (2016-10-04) ranks fourth, with the announcement (08-10) among the top
 /// days. Margins are wide enough that multinomial noise does not flip the
 /// asserted ranks at realistic population sizes.
-pub fn adoption_weight(date: Date) -> f64 {
+pub(crate) fn adoption_weight(date: Date) -> f64 {
     let announce = Date::new(2016, 8, 10);
     let phase2 = Date::new(2016, 9, 6);
     let mandatory = Date::new(2016, 10, 4);
@@ -225,16 +225,14 @@ fn us_phone(rng: &mut StdRng) -> String {
 
 /// The generated population.
 #[derive(Debug, Clone)]
-pub struct Population {
+pub(crate) struct Population {
     /// All accounts.
     pub users: Vec<UserSpec>,
-    /// Sizing used.
-    pub params: PopulationParams,
 }
 
 impl Population {
     /// Generate deterministically from `params`.
-    pub fn generate(params: PopulationParams) -> Self {
+    pub(crate) fn generate(params: PopulationParams) -> Self {
         let mut rng = StdRng::seed_from_u64(params.seed);
         let mut users = Vec::with_capacity(params.total());
 
@@ -332,22 +330,12 @@ impl Population {
             });
         }
 
-        Population { users, params }
-    }
-
-    /// Users of one cohort.
-    pub fn cohort(&self, cohort: Cohort) -> impl Iterator<Item = &UserSpec> {
-        self.users.iter().filter(move |u| u.cohort == cohort)
+        Population { users }
     }
 
     /// Number of accounts.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.users.len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
     }
 }
 
@@ -465,7 +453,7 @@ mod tests {
     #[test]
     fn staff_adopt_before_the_public() {
         let pop = Population::generate(PopulationParams::scaled(0.2));
-        for u in pop.cohort(Cohort::Staff) {
+        for u in pop.users.iter().filter(|u| u.cohort == Cohort::Staff) {
             let d = u.adoption_day.unwrap();
             assert!(
                 d < Date::new(2016, 8, 16),

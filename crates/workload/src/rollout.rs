@@ -175,11 +175,6 @@ pub struct SimOutput {
 }
 
 impl SimOutput {
-    /// The record for `date`, if simulated.
-    pub fn day(&self, date: Date) -> Option<&DayRecord> {
-        self.days.iter().find(|d| d.date == date)
-    }
-
     /// MFA share of tickets over `[from, to]`, as a fraction.
     pub fn ticket_mfa_share(&self, from: Date, to: Date) -> f64 {
         let (mut mfa, mut total) = (0u64, 0u64);
@@ -864,6 +859,10 @@ impl RolloutSim {
 mod tests {
     use super::*;
 
+    fn day(out: &SimOutput, date: Date) -> Option<&DayRecord> {
+        out.days.iter().find(|d| d.date == date)
+    }
+
     /// One shared small run for the assertion-heavy tests (building and
     /// running the calendar once keeps the suite fast).
     fn small_run() -> SimOutput {
@@ -959,7 +958,7 @@ mod tests {
         );
         assert!(after > 0.0, "exempt traffic persists in phase 3");
         // Internal traffic dwarfs external and is unaffected by MFA.
-        let d = out.day(Date::new(2016, 11, 2)).unwrap();
+        let d = day(&out, Date::new(2016, 11, 2)).unwrap();
         assert!(d.total_logins > d.ext_total_logins);
 
         // --- Figure 6 shape: Sep 7 is the biggest pairing day.
@@ -1060,10 +1059,10 @@ mod tests {
             ..RolloutParams::default()
         })
         .run();
-        assert_eq!(out.day(Date::new(2016, 7, 15)).unwrap().phase, 0);
-        assert_eq!(out.day(Date::new(2016, 8, 10)).unwrap().phase, 1);
-        assert_eq!(out.day(Date::new(2016, 9, 6)).unwrap().phase, 2);
-        assert_eq!(out.day(Date::new(2016, 10, 4)).unwrap().phase, 3);
+        assert_eq!(day(&out, Date::new(2016, 7, 15)).unwrap().phase, 0);
+        assert_eq!(day(&out, Date::new(2016, 8, 10)).unwrap().phase, 1);
+        assert_eq!(day(&out, Date::new(2016, 9, 6)).unwrap().phase, 2);
+        assert_eq!(day(&out, Date::new(2016, 10, 4)).unwrap().phase, 3);
         assert_eq!(out.days.len(), 184); // Jul 1 .. Dec 31 inclusive
     }
 }

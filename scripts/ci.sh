@@ -21,7 +21,8 @@
 #                      and its counted work (accept rank+1 MACs, every deny the
 #                      whole window), by name: a rename fails instead of dropping them
 #   group machine      every interleaving of ≤ 4 commits over ≤ 3 actors against
-#                      the five invariants
+#                      the six invariants (the sixth: rows reach the audit ring
+#                      in WAL order)
 #   audit ring         compaction's bytes equal the encoded exports, users in
 #                      shard order; hostile audit frames never reach the ring;
 #                      a validate hit allocates nothing; a day of forced
@@ -32,6 +33,7 @@
 #   results/           the figure bins' stdout against the committed captures
 #   loginbench         benchmark/ is its own workspace, which --workspace skips
 #   clippy             lints, all targets
+#   rustdoc            no broken or private intra-doc link in the public docs
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -120,5 +122,8 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml -- \
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "CI green."
