@@ -17,10 +17,10 @@ use hpcmfa_pam::access::{AccessConfig, Cidr, WatchedAccessConfig};
 use hpcmfa_pam::modules::exemption::ExemptionModule;
 use hpcmfa_pam::modules::password::{hash_password, UnixPasswordModule, PASSWORD_ATTR};
 use hpcmfa_pam::modules::pubkey::PubkeyCheckModule;
-use hpcmfa_pam::modules::token::{DegradationPolicy, EnforcementMode, TokenModule};
+use hpcmfa_pam::modules::token::{EnforcementMode, TokenModule};
 use hpcmfa_pam::stack::{ControlFlag, PamStack};
 use hpcmfa_radius::breaker::BreakerConfig;
-use hpcmfa_radius::client::{ClientConfig, RadiusClient, RetryPolicy, ServerHealthSnapshot};
+use hpcmfa_radius::client::{ClientConfig, RadiusClient, ServerHealthSnapshot};
 use hpcmfa_radius::realm::RealmRouter;
 use hpcmfa_radius::server::{Handler, RadiusServer};
 use hpcmfa_radius::transport::{FaultPlan, InMemoryTransport, Transport};
@@ -59,17 +59,13 @@ pub struct OtpReplicationParams {
     pub primary: Arc<dyn StorageBackend>,
     /// The warm standby's storage node.
     pub standby: Arc<dyn StorageBackend>,
-    /// Breaker tuning for the primary's local-storage health (reuses the
-    /// RADIUS breaker; an open breaker schedules the failover).
-    pub breaker: BreakerConfig,
     /// Fault plan for the replication link (drops, reorder, partition,
     /// lag) — chaos scripts keep a handle to drive it mid-run.
     pub link_plan: Arc<LinkFaultPlan>,
 }
 
 impl OtpReplicationParams {
-    /// Replication over the given nodes with a healthy link and default
-    /// breaker tuning.
+    /// Replication over the given nodes with a healthy link.
     pub fn new(
         mode: ReplicationMode,
         primary: Arc<dyn StorageBackend>,
@@ -79,7 +75,6 @@ impl OtpReplicationParams {
             mode,
             primary,
             standby,
-            breaker: BreakerConfig::default(),
             link_plan: LinkFaultPlan::healthy(),
         }
     }
@@ -91,23 +86,23 @@ impl OtpReplicationParams {
 pub struct FederationParams {
     /// This site's home realm and the peers it trusts. Each peer entry
     /// carries that link's shared RADIUS secret and per-realm policy
-    /// (degradation mode, risk weight). Peers' upstream pools are wired
+    /// (its degradation mode). Peers' upstream pools are wired
     /// after construction with [`Center::connect_peer_realm`].
     pub trust: TrustConfig,
     /// Site-local HMAC key protecting resumption tokens. Never shared
     /// with peers: a token is only redeemable where it was minted.
     pub resume_key: Vec<u8>,
-    /// Resumption-token lifetime in 30-second TOTP steps.
-    pub resume_lifetime_steps: u64,
 }
 
+/// Resumption-token lifetime in 30-second TOTP steps (ten minutes).
+const RESUME_LIFETIME_STEPS: u64 = 20;
+
 impl FederationParams {
-    /// Federation for `trust` with a lifetime of `lifetime_steps` steps.
-    pub fn new(trust: TrustConfig, resume_key: &[u8], resume_lifetime_steps: u64) -> Self {
+    /// Federation for `trust`, minting tokens under `resume_key`.
+    pub fn new(trust: TrustConfig, resume_key: &[u8]) -> Self {
         FederationParams {
             trust,
             resume_key: resume_key.to_vec(),
-            resume_lifetime_steps,
         }
     }
 }
@@ -133,12 +128,6 @@ pub struct CenterConfig {
     pub start_time: u64,
     /// Master RNG seed for all deterministic components.
     pub seed: u64,
-    /// Per-login retry budget for every node's RADIUS client.
-    pub retry: RetryPolicy,
-    /// Per-server circuit-breaker tuning for every node's RADIUS client.
-    pub breaker: BreakerConfig,
-    /// What the token module does during a total back-end outage.
-    pub degradation: DegradationPolicy,
     /// Durable storage for the OTP back end. `None` (the default) runs
     /// the server purely in memory, as before; `Some` makes every store
     /// and audit mutation write-ahead-logged through the backend and lets
@@ -185,9 +174,6 @@ impl Default for CenterConfig {
             people_base: "ou=people,dc=tacc".to_string(),
             start_time: 1_470_787_200, // 2016-08-10, announcement day
             seed: 2016,
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
-            degradation: DegradationPolicy::FailClosed,
             otp_storage: None,
             otp_snapshot_every: ServerConfig::default().snapshot_every_appends,
             metrics: Arc::new(MetricsRegistry::new()),
@@ -289,7 +275,7 @@ impl Center {
                 p.mode,
                 Arc::clone(&clock_arc),
                 Arc::clone(&config.metrics),
-                p.breaker,
+                BreakerConfig::default(),
                 Arc::clone(&p.link_plan),
             )
         });
@@ -364,7 +350,7 @@ impl Center {
                             &fed.resume_key,
                             &fed.trust.home_realm,
                             &fed.trust.home_realm,
-                            fed.resume_lifetime_steps,
+                            RESUME_LIFETIME_STEPS,
                             30,
                         ),
                         config.seed ^ 0xfed0 ^ (i as u64) << 8,
@@ -409,11 +395,8 @@ impl Center {
             let exemptions = WatchedAccessConfig::new(
                 AccessConfig::parse(&internal_rule).expect("internal rule parses"),
             );
-            let mut client_config = ClientConfig::new(config.radius_secret.clone(), name);
-            client_config.retry = config.retry.clone();
-            client_config.breaker = config.breaker;
             let radius_client = Arc::new(RadiusClient::with_metrics(
-                client_config,
+                ClientConfig::new(config.radius_secret.clone(), name),
                 transports.clone(),
                 Arc::clone(&config.metrics),
             ));
@@ -424,7 +407,6 @@ impl Center {
                 &config.people_base,
                 config.seed ^ (i as u64),
             );
-            token_module.set_degradation(config.degradation.clone());
             let mut stack = PamStack::new();
             // The risk gate leads the stack: a denied login never reaches
             // the password module (and the pubkey module's SuccessSkip(1)
@@ -672,15 +654,11 @@ impl Center {
             .unwrap_or_else(|| panic!("realm {realm} not in the trust ACL"))
             .secret
             .clone();
-        let mut client_config =
-            ClientConfig::new(secret, &format!("{}-to-{realm}", fed.trust.home_realm));
-        client_config.retry = self.config.retry.clone();
-        client_config.breaker = self.config.breaker;
         // One pool per realm, shared by all routers: its per-server
         // breakers are this realm's breakers, independent of every other
         // realm's pool and of the local fleet's clients.
         let upstream = Arc::new(RadiusClient::with_metrics(
-            client_config,
+            ClientConfig::new(secret, &format!("{}-to-{realm}", fed.trust.home_realm)),
             peer.radius_transports(),
             Arc::clone(&self.config.metrics),
         ));

@@ -7,9 +7,10 @@
 
 /// What the router does when a peer realm's entire upstream pool is
 /// unreachable (every breaker open or the deadline budget spent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RealmDegradation {
     /// Reject the login outright: no reachable home realm, no entry.
+    #[default]
     FailClosed,
     /// RFC 2865 "silently discard" so the NAS fails over to another
     /// proxy that may still hold a live path to the realm.
@@ -17,23 +18,10 @@ pub enum RealmDegradation {
 }
 
 /// Per-realm policy attached to a trust peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RealmPolicy {
     /// Behaviour when the realm is unreachable.
     pub degradation: RealmDegradation,
-    /// Extra risk weight charged to logins arriving *from* this realm —
-    /// federated entries are first-party authenticated but remotely
-    /// vouched, so sites may score them more conservatively.
-    pub risk_weight: u32,
-}
-
-impl Default for RealmPolicy {
-    fn default() -> Self {
-        RealmPolicy {
-            degradation: RealmDegradation::FailClosed,
-            risk_weight: 0,
-        }
-    }
 }
 
 /// One federation peer: a realm this site will route logins to.

@@ -17,6 +17,15 @@
 //! moves forward (`max`-merge), so replay nullification cannot regress
 //! whatever order records landed in.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
+
 use super::wal::{replay, snapshot_user_frame_into, WalRecord, WalTail, TAG_SNAP_USER};
 use super::{StorageBackend, StorageError};
 use crate::audit::{AuditEntry, AuditLog, NewRow};
@@ -128,10 +137,10 @@ pub fn snapshot_live(
     resume_consumed: &BTreeMap<[u8; 16], u64>,
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(audit.snapshot_len());
-    let mut users = 0;
+    let mut users = 0usize;
     store.for_each_by_shard(|user, rec| {
         snapshot_user_frame_into(&mut out, user, rec);
-        users += 1;
+        users = users.saturating_add(1);
     });
     let (audits, audit_dropped) = audit.copy_frames_into(&mut out);
     let out = finish_snapshot(out, users, audits, audit_dropped, resume_consumed);
@@ -174,7 +183,7 @@ fn finish_snapshot(
 /// toward the seal it was written under.
 fn load_snapshot(state: &mut RecoveredState, bytes: &[u8]) -> Option<()> {
     let mut seal = None;
-    let mut skipped_users = 0;
+    let mut skipped_users = 0usize;
     let tail = replay(bytes, |rec| {
         match rec {
             _ if seal.is_some() => return false,
@@ -189,13 +198,13 @@ fn load_snapshot(state: &mut RecoveredState, bytes: &[u8]) -> Option<()> {
                 | WalRecord::Audit { .. }
                 | WalRecord::ResumeConsume { .. }),
             ) => apply(state, rec),
-            Err(TAG_SNAP_USER) => skipped_users += 1,
+            Err(TAG_SNAP_USER) => skipped_users = skipped_users.saturating_add(1),
             _ => return false,
         }
         true
     });
     let (users, audits, audit_dropped, resumes) = seal?;
-    let counted = (state.users.len() + skipped_users) as u64 == users
+    let counted = state.users.len().checked_add(skipped_users) == usize::try_from(users).ok()
         && state.audit_entries.len() as u64 == audits
         && state.resume_consumed.len() as u64 == resumes;
     if tail != WalTail::Clean || !counted {
@@ -341,11 +350,11 @@ pub fn recover(backend: &Arc<dyn StorageBackend>) -> Result<RecoveredState, Reco
     let tail = replay(&wal, |rec| {
         match rec {
             Ok(WalRecord::SnapshotUser { .. } | WalRecord::SnapshotSeal { .. }) | Err(_) => {
-                state.report.skipped_records += 1
+                state.report.skipped_records = state.report.skipped_records.saturating_add(1)
             }
             Ok(rec) => {
                 apply(&mut state, rec);
-                state.report.wal_records += 1;
+                state.report.wal_records = state.report.wal_records.saturating_add(1);
             }
         }
         true
@@ -353,7 +362,7 @@ pub fn recover(backend: &Arc<dyn StorageBackend>) -> Result<RecoveredState, Reco
     let report = &mut state.report;
     report.tail_was_clean = tail == WalTail::Clean;
     report.wal_bytes = tail.valid_len(wal.len());
-    report.truncated_bytes = wal.len() - report.wal_bytes;
+    report.truncated_bytes = wal.len().saturating_sub(report.wal_bytes);
     if report.truncated_bytes > 0 {
         backend.truncate_wal(report.wal_bytes as u64)?;
     }
@@ -361,6 +370,7 @@ pub fn recover(backend: &Arc<dyn StorageBackend>) -> Result<RecoveredState, Reco
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing, clippy::panic)]
 mod tests {
     use super::*;
     use crate::audit::AuditAction;

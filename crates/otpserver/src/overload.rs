@@ -33,34 +33,31 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// Admission-control tuning.
+/// Requests the trusted lane may hold queued (bounded queue depth).
+const QUEUE_CAPACITY: u64 = 64;
+/// Virtual service time one validation costs, in microseconds.
+const SERVICE_COST_US: u64 = 2_000;
+/// Best-effort requests are shed once the total virtual backlog would
+/// exceed this latency, in microseconds (the SLO the center protects).
+const LATENCY_SLO_US: u64 = 20_000;
+/// How long one successful validation keeps a source network in the
+/// trusted lane, in seconds.
+const TRUST_TTL_SECS: u64 = 3_600;
+
+/// Admission-control tuning: the per-network token bucket.
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
-    /// Requests the trusted lane may hold queued (bounded queue depth).
-    pub queue_capacity: u64,
-    /// Virtual service time one validation costs, in microseconds.
-    pub service_cost_us: u64,
-    /// Best-effort requests are shed once the total virtual backlog would
-    /// exceed this latency, in microseconds (the SLO the center protects).
-    pub latency_slo_us: u64,
     /// Token-bucket burst per /16 source network.
     pub bucket_burst: u64,
     /// Token-bucket sustained refill per /16 source network, per minute.
     pub bucket_rate_per_min: u64,
-    /// How long one successful validation keeps a source network in the
-    /// trusted lane, in seconds.
-    pub trust_ttl_secs: u64,
 }
 
 impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
-            queue_capacity: 64,
-            service_cost_us: 2_000,
-            latency_slo_us: 20_000,
             bucket_burst: 8,
             bucket_rate_per_min: 30,
-            trust_ttl_secs: 3_600,
         }
     }
 }
@@ -202,12 +199,12 @@ impl AdmissionController {
         let trusted = s
             .trusted
             .get(&net)
-            .is_some_and(|&t| now.saturating_sub(t) <= c.trust_ttl_secs);
-        let cost = c.service_cost_us;
+            .is_some_and(|&t| now.saturating_sub(t) <= TRUST_TTL_SECS);
+        let cost = SERVICE_COST_US;
         if trusted {
             // Trusted work queues only behind other trusted work inside
             // the bounded queue — a best-effort flood cannot delay it.
-            if s.trusted_backlog_us.saturating_add(cost) > c.queue_capacity.saturating_mul(cost) {
+            if s.trusted_backlog_us.saturating_add(cost) > QUEUE_CAPACITY.saturating_mul(cost) {
                 drop(s);
                 return Err(self.shed(ShedReason::QueueFull, source, now, trace, span, op));
             }
@@ -218,7 +215,7 @@ impl AdmissionController {
             self.vtime_trusted.record(latency);
             Ok(latency)
         } else {
-            if s.total_backlog_us.saturating_add(cost) > c.latency_slo_us {
+            if s.total_backlog_us.saturating_add(cost) > LATENCY_SLO_US {
                 drop(s);
                 return Err(self.shed(ShedReason::UnauthFlood, source, now, trace, span, op));
             }
@@ -262,7 +259,7 @@ impl AdmissionController {
 
     /// Mark `source`'s network trusted: it just completed a successful
     /// validation, so its traffic rides the reserved lane for
-    /// [`OverloadConfig::trust_ttl_secs`].
+    /// `TRUST_TTL_SECS`.
     pub(crate) fn note_success(&self, source: Ipv4Addr, now: u64) {
         self.state.lock().trusted.insert(Self::net16(source), now);
     }
@@ -303,47 +300,52 @@ mod tests {
         assert!(adm.admit(ATTACKER, 102, None, None, "validate").is_ok());
     }
 
-    #[test]
-    fn flood_is_shed_before_the_slo_and_trusted_lane_survives() {
-        let adm = controller(OverloadConfig {
-            bucket_burst: 1_000,
-            bucket_rate_per_min: 60_000,
-            service_cost_us: 2_000,
-            latency_slo_us: 10_000,
-            queue_capacity: 64,
-            ..OverloadConfig::default()
-        });
-        adm.note_success(BENIGN, 99);
-        // Five best-effort floods fill the 10 ms SLO budget…
+    /// Best-effort requests from eight flooding networks at `now`, with
+    /// buckets wide enough that only the SLO can shed them: how many got in.
+    fn flood(adm: &AdmissionController, now: u64, requests: u32) -> u32 {
         let mut admitted = 0;
-        let mut shed = 0;
-        for i in 0..40u32 {
+        for i in 0..requests {
             let ip = Ipv4Addr::new(198, 18 + (i % 8) as u8, 1, 1);
-            match adm.admit(ip, 100, None, None, "validate") {
+            match adm.admit(ip, now, None, None, "validate") {
                 Ok(_) => admitted += 1,
-                Err(r) => {
-                    assert_eq!(r, ShedReason::UnauthFlood);
-                    shed += 1;
-                }
+                Err(r) => assert_eq!(r, ShedReason::UnauthFlood),
             }
         }
-        assert_eq!(admitted, 5, "SLO admits 10ms/2ms of best-effort work");
-        assert_eq!(shed, 35);
+        admitted
+    }
+
+    fn wide_buckets() -> AdmissionController {
+        controller(OverloadConfig {
+            bucket_burst: 1_000,
+            bucket_rate_per_min: 60_000,
+        })
+    }
+
+    #[test]
+    fn flood_is_shed_before_the_slo_and_trusted_lane_survives() {
+        let adm = wide_buckets();
+        adm.note_success(BENIGN, 99);
+        // Ten best-effort floods fill the 20 ms SLO budget; the other 30
+        // are shed…
+        assert_eq!(
+            flood(&adm, 100, 40),
+            10,
+            "SLO admits 20ms/2ms of best-effort work"
+        );
         // …but the trusted network still gets in, queued only behind
         // trusted work (none), i.e. at bare service cost.
-        assert!(adm.admit(BENIGN, 100, None, None, "validate").is_ok());
+        assert_eq!(
+            adm.admit(BENIGN, 100, None, None, "validate"),
+            Ok(SERVICE_COST_US)
+        );
     }
 
     #[test]
     fn trusted_queue_is_bounded() {
-        let adm = controller(OverloadConfig {
-            bucket_burst: 1_000,
-            queue_capacity: 4,
-            latency_slo_us: u64::MAX,
-            ..OverloadConfig::default()
-        });
+        let adm = wide_buckets();
         adm.note_success(BENIGN, 100);
-        for _ in 0..4 {
+        // The trusted lane ignores the SLO: it fills to its queue bound.
+        for _ in 0..QUEUE_CAPACITY {
             assert!(adm.admit(BENIGN, 100, None, None, "validate").is_ok());
         }
         assert_eq!(
@@ -354,18 +356,20 @@ mod tests {
 
     #[test]
     fn trust_expires_after_ttl() {
-        let adm = controller(OverloadConfig {
-            bucket_burst: 1_000,
-            bucket_rate_per_min: 60_000,
-            latency_slo_us: 0,
-            ..OverloadConfig::default()
-        });
+        let adm = wide_buckets();
         adm.note_success(BENIGN, 100);
-        assert!(adm.admit(BENIGN, 100, None, None, "validate").is_ok());
-        // Past the TTL the network is best-effort again (SLO 0 → shed).
+        // At the TTL the network is still trusted: a flood that fills the
+        // SLO does not keep it out…
+        assert_eq!(flood(&adm, 100 + 3_600, 40), 10);
         assert!(adm
-            .admit(BENIGN, 100 + 3_601, None, None, "validate")
-            .is_err());
+            .admit(BENIGN, 100 + 3_600, None, None, "validate")
+            .is_ok());
+        // …one second past it, it is best-effort again and shed with them.
+        assert_eq!(flood(&adm, 100 + 3_601, 40), 10);
+        assert_eq!(
+            adm.admit(BENIGN, 100 + 3_601, None, None, "validate"),
+            Err(ShedReason::UnauthFlood)
+        );
     }
 
     #[test]

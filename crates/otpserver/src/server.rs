@@ -103,17 +103,12 @@ pub enum SmsTrigger {
     Unavailable,
 }
 
+/// Half-width of the resync search window, in time steps.
+const RESYNC_WINDOW_STEPS: u64 = 2_000;
+
 /// Server tuning.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Consecutive failures before deactivation (paper: 20).
-    pub lockout_threshold: u32,
-    /// TOTP drift tolerance in seconds (paper: 300).
-    pub drift_tolerance_secs: u64,
-    /// SMS code validity in seconds.
-    pub sms_validity_secs: u64,
-    /// Half-width of the resync search window, in time steps.
-    pub resync_window_steps: u64,
     /// Audit-log retention cap (ring semantics; oldest entries evicted).
     pub audit_cap: usize,
     /// WAL *records* (not commits: a validate writes two, its state
@@ -133,10 +128,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            lockout_threshold: LOCKOUT_THRESHOLD,
-            drift_tolerance_secs: DRIFT_TOLERANCE_SECS,
-            sms_validity_secs: SMS_CODE_VALIDITY_SECS,
-            resync_window_steps: 2_000,
             audit_cap: crate::audit::DEFAULT_AUDIT_CAP,
             snapshot_every_appends: 256,
             metrics: Arc::new(MetricsRegistry::new()),
@@ -151,8 +142,7 @@ pub struct LinotpServer {
     audit: AuditLog,
     sms: Arc<dyn SmsProvider>,
     rng: Mutex<StdRng>,
-    config: ServerConfig,
-    /// Shared handle to `config.metrics`.
+    /// The configured registry, `ServerConfig::metrics`.
     metrics: Arc<MetricsRegistry>,
     held: HeldSeries,
     /// WAL/snapshot pump; `None` keeps the original volatile behaviour.
@@ -779,17 +769,18 @@ impl LinotpServer {
         config: ServerConfig,
         persistence: Option<Persistence>,
     ) -> Self {
-        let metrics = Arc::clone(&config.metrics);
-        let admission = config
-            .overload
-            .clone()
-            .map(|c| AdmissionController::new(c, Arc::clone(&metrics)));
+        let ServerConfig {
+            audit_cap,
+            metrics,
+            overload,
+            ..
+        } = config;
+        let admission = overload.map(|c| AdmissionController::new(c, Arc::clone(&metrics)));
         LinotpServer {
             store: TokenStore::new(),
-            audit: AuditLog::with_cap(config.audit_cap),
+            audit: AuditLog::with_cap(audit_cap),
             sms,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            config,
             metrics,
             held: HeldSeries::default(),
             persistence,
@@ -1154,7 +1145,7 @@ impl LinotpServer {
                             .unwrap_or(i64::MAX)
                             .saturating_mul(*drift_steps);
                         let adjusted_now = now.saturating_add_signed(drift_secs);
-                        let window = totp.window_for_drift(self.config.drift_tolerance_secs);
+                        let window = totp.window_for_drift(DRIFT_TOLERANCE_SECS);
                         // Every full-OTP validation scans the drift window.
                         // The resumption fast path never reaches this line,
                         // which is what lets tests pin "zero window scans".
@@ -1221,7 +1212,7 @@ impl LinotpServer {
                     ValidationOutcome::Success => rec.fail_count = 0,
                     ValidationOutcome::WrongCode | ValidationOutcome::Replayed => {
                         rec.fail_count += 1;
-                        if rec.fail_count >= self.config.lockout_threshold && rec.active {
+                        if rec.fail_count >= LOCKOUT_THRESHOLD && rec.active {
                             rec.active = false;
                             locked_now = true;
                         }
@@ -1388,7 +1379,7 @@ impl LinotpServer {
                     txn.audit(AuditAction::SmsSuppressed, true, "code active");
                     return Err(SmsTrigger::AlreadyActive);
                 }
-                let expires_at = now + self.config.sms_validity_secs;
+                let expires_at = now + SMS_CODE_VALIDITY_SECS;
                 // The issue record (and its audit row) must be durable
                 // before the provider is handed the message.
                 if let Some(c) = tctx.as_ref().filter(|_| self.persistence.is_some()) {
@@ -1445,11 +1436,10 @@ impl LinotpServer {
 
     /// Resynchronize a drifted TOTP token from two consecutive codes.
     ///
-    /// Searches ±`resync_window_steps` around `now` for a step where `code1`
+    /// Searches ±`RESYNC_WINDOW_STEPS` around `now` for a step where `code1`
     /// matches and `code2` matches the following step, then stores the
     /// offset so future validations are centered correctly.
     pub fn resync(&self, username: &str, code1: &str, code2: &str, now: u64) -> bool {
-        let window = self.config.resync_window_steps;
         let mut txn = self.txn(username, now, None);
         let ok = self
             .store
@@ -1476,16 +1466,16 @@ impl LinotpServer {
                     return false;
                 };
                 let modulus = 10u32.pow(digits);
-                // One key preparation for the whole ±window search — at the
-                // default ±2000 steps this saves ~8000 block compressions.
+                // One key preparation for the whole ±window search — at
+                // ±2000 steps this saves ~8000 block compressions.
                 let key = totp.params.alg.prepare_key(totp.secret.bytes());
                 let shows = |step: u64, code: u32| {
                     let shown = hotp_value_prepared(&key, step) % modulus;
                     ct_eq(&shown.to_be_bytes(), &code.to_be_bytes())
                 };
                 let center = totp.params.time_step(now);
-                let lo = center.saturating_sub(window);
-                let hi = center.saturating_add(window);
+                let lo = center.saturating_sub(RESYNC_WINDOW_STEPS);
+                let hi = center.saturating_add(RESYNC_WINDOW_STEPS);
                 let Some(step) = (lo..hi).find(|&s| shows(s, code1) && shows(s + 1, code2)) else {
                     return false;
                 };

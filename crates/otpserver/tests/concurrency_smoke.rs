@@ -18,6 +18,7 @@ use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
 use hpcmfa_otpserver::server::{LinotpServer, ServerConfig, ValidationOutcome};
 use hpcmfa_otpserver::sms::TwilioSim;
+use hpcmfa_otpserver::LOCKOUT_THRESHOLD;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -81,7 +82,7 @@ fn wrong_code(totp: &Totp, now: u64, slack_steps: u64) -> String {
 #[test]
 fn concurrent_lockout_loses_no_increments() {
     let (server, users) = server_with_users(6);
-    let threshold = ServerConfig::default().lockout_threshold as usize;
+    let threshold = LOCKOUT_THRESHOLD as usize;
     let rounds = threshold; // THREADS * rounds attempts per user >> threshold
     let wrong: Vec<String> = users.iter().map(|(_, t)| wrong_code(t, T0, 0)).collect();
     let logs: Vec<Mutex<Vec<ValidationOutcome>>> =

@@ -92,8 +92,6 @@ pub enum DegradationPolicy {
     },
 }
 
-impl DegradationPolicy {}
-
 impl std::fmt::Debug for DegradationPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -13,7 +13,7 @@
 //!   streak of transport failures → half-open revival probe after a
 //!   cooldown), mirroring FreeRADIUS `zombie_period`/`revive_interval`;
 //! * instead of unbounded walks of the pool, each login gets a
-//!   [`RetryPolicy`] deadline budget, with deterministic exponential
+//!   `DEADLINE_US` deadline budget, with deterministic exponential
 //!   backoff and bounded seeded jitter between walks;
 //! * per-server [`ServerHealthSnapshot`] stats expose attempts, failures,
 //!   skips and breaker state to the chaos harness and operators.
@@ -35,44 +35,27 @@ use rand::RngCore;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Deadline-budgeted retry tuning.
-///
-/// All durations are virtual microseconds. The per-attempt "cost" fields
-/// are what an attempt charges against the login's deadline — they stand in
-/// for the wall-clock a real client would burn (a UDP timeout is expensive,
-/// an ICMP port-unreachable is cheap, a healthy round trip is cheap).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total budget for one login request; when spent, the request fails
-    /// with [`ClientError::AllServersFailed`].
-    pub deadline_us: u64,
-    /// Backoff before the second walk of the pool; doubles each walk.
-    pub initial_backoff_us: u64,
-    /// Upper bound on the exponential backoff (before jitter).
-    pub max_backoff_us: u64,
-    /// Seed for the deterministic bounded jitter added to each backoff.
-    pub jitter_seed: u64,
-    /// Charged when an attempt times out (lost datagram / silent server).
-    pub timeout_cost_us: u64,
-    /// Charged when the host is actively unreachable (fast failure).
-    pub unreachable_cost_us: u64,
-    /// Charged for any attempt that got a reply (healthy round trip).
-    pub rtt_cost_us: u64,
-}
+// Deadline-budgeted retry tuning, in virtual microseconds. The per-attempt
+// costs are what an attempt charges against the login's deadline: they
+// stand in for the wall-clock a real client would burn (a UDP timeout is
+// expensive, an ICMP port-unreachable is cheap, a healthy round trip is
+// cheap).
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            deadline_us: 10_000_000, // 10 s per login
-            initial_backoff_us: 50_000,
-            max_backoff_us: 1_000_000,
-            jitter_seed: 0x5eed_cafe,
-            timeout_cost_us: 1_000_000, // matches a 1 s UDP read timeout
-            unreachable_cost_us: 10_000,
-            rtt_cost_us: 2_000,
-        }
-    }
-}
+/// Total budget for one login request; when spent, the request fails with
+/// [`ClientError::AllServersFailed`].
+const DEADLINE_US: u64 = 10_000_000;
+/// Backoff before the second walk of the pool; doubles each walk.
+const INITIAL_BACKOFF_US: u64 = 50_000;
+/// Upper bound on the exponential backoff (before jitter).
+const MAX_BACKOFF_US: u64 = 1_000_000;
+/// Seed for the deterministic bounded jitter added to each backoff.
+const JITTER_SEED: u64 = 0x5eed_cafe;
+/// Charged when an attempt times out: a 1 s UDP read timeout.
+const TIMEOUT_COST_US: u64 = 1_000_000;
+/// Charged when the host is actively unreachable (fast failure).
+const UNREACHABLE_COST_US: u64 = 10_000;
+/// Charged for any attempt that got a reply (healthy round trip).
+const RTT_COST_US: u64 = 2_000;
 
 /// SplitMix64: one deterministic 64-bit hash step for jitter derivation.
 fn splitmix64(mut x: u64) -> u64 {
@@ -82,42 +65,35 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-impl RetryPolicy {
-    /// Backoff delay inserted before walk `round` (1-based): exponential
-    /// doubling from `initial_backoff_us`, capped at `max_backoff_us`,
-    /// plus deterministic jitter in `[0, base/4]` derived from
-    /// `jitter_seed` and the round number. Pure: same policy + round →
-    /// same delay, always ≥ 1.
-    pub(crate) fn backoff_us(&self, round: u32) -> u64 {
-        let exp = round.saturating_sub(1).min(20);
-        let base = self
-            .initial_backoff_us
-            .saturating_mul(1u64 << exp)
-            .min(self.max_backoff_us)
-            .max(1);
-        let span = base / 4;
-        base + splitmix64(self.jitter_seed ^ u64::from(round)) % (span + 1)
-    }
+/// Backoff delay inserted before walk `round` (1-based): exponential
+/// doubling from [`INITIAL_BACKOFF_US`], capped at [`MAX_BACKOFF_US`], plus
+/// deterministic jitter in `[0, base/4]` derived from the round number.
+/// Pure: same round → same delay, always ≥ 1.
+fn backoff_us(round: u32) -> u64 {
+    let exp = round.saturating_sub(1).min(20);
+    let base = INITIAL_BACKOFF_US
+        .saturating_mul(1u64 << exp)
+        .min(MAX_BACKOFF_US);
+    let span = base / 4;
+    base + splitmix64(JITTER_SEED ^ u64::from(round)) % (span + 1)
+}
 
-    /// The full deterministic backoff schedule: delays for walks 1, 2, …
-    /// whose running total stays within `deadline_us`. The property tests
-    /// pin down that this is a pure function of the policy and that the
-    /// cumulative schedule never exceeds the login deadline.
-    pub fn backoff_schedule(&self) -> Vec<u64> {
-        let mut delays = Vec::new();
-        let mut spent = 0u64;
-        for round in 1.. {
-            let d = self.backoff_us(round);
-            match spent.checked_add(d) {
-                Some(total) if total <= self.deadline_us => {
-                    spent = total;
-                    delays.push(d);
-                }
-                _ => break,
+/// The full deterministic backoff schedule: delays for walks 1, 2, …
+/// whose running total stays within `DEADLINE_US`.
+pub fn backoff_schedule() -> Vec<u64> {
+    let mut delays = Vec::new();
+    let mut spent = 0u64;
+    for round in 1.. {
+        let d = backoff_us(round);
+        match spent.checked_add(d) {
+            Some(total) if total <= DEADLINE_US => {
+                spent = total;
+                delays.push(d);
             }
+            _ => break,
         }
-        delays
     }
+    delays
 }
 
 /// Client configuration.
@@ -127,20 +103,14 @@ pub struct ClientConfig {
     pub secret: Vec<u8>,
     /// NAS identifier sent with every request (the login node's name).
     pub nas_identifier: String,
-    /// Deadline budget and backoff tuning for each login request.
-    pub retry: RetryPolicy,
-    /// Per-server circuit-breaker tuning.
-    pub breaker: BreakerConfig,
 }
 
 impl ClientConfig {
-    /// Config with default retry deadline and breaker tuning.
+    /// Config for a pool sharing `secret`, sent as `nas_identifier`.
     pub fn new(secret: impl Into<Vec<u8>>, nas_identifier: &str) -> Self {
         ClientConfig {
             secret: secret.into(),
             nas_identifier: nas_identifier.to_string(),
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -359,7 +329,7 @@ impl RadiusClient {
     ) -> Self {
         let breakers = transports
             .iter()
-            .map(|_| CircuitBreaker::new(config.breaker))
+            .map(|_| CircuitBreaker::new(BreakerConfig::default()))
             .collect();
         let health = transports.iter().map(|_| ServerHealth::default()).collect();
         let instruments = ClientInstruments::resolve(&metrics, &transports);
@@ -588,13 +558,12 @@ impl RadiusClient {
         // Round-robin with failover: start at the rotor, walk the pool,
         // back off, and repeat until the deadline budget is spent. Servers
         // with an open breaker are skipped instead of attempted.
-        let retry = &self.config.retry;
         let n = self.transports.len();
         // One reply buffer reused across every attempt of this walk.
         let mut reply = Vec::new();
         let start = self.rotor.fetch_add(1, Ordering::Relaxed);
         let t0 = self.vclock_us();
-        let deadline = t0.saturating_add(retry.deadline_us);
+        let deadline = t0.saturating_add(DEADLINE_US);
         let mut attempts = 0u32;
         let mut round = 0u32;
         loop {
@@ -663,7 +632,7 @@ impl RadiusClient {
                             }
                         }
                         let now = self.advance_mirrored(
-                            retry.rtt_cost_us + self.transports[idx].round_trip_latency_us(),
+                            RTT_COST_US + self.transports[idx].round_trip_latency_us(),
                             tctx,
                         );
                         match self.interpret(&reply, id, &ra) {
@@ -702,7 +671,7 @@ impl RadiusClient {
                         }
                     }
                     Err(TransportError::Timeout) | Err(TransportError::Io(_)) => {
-                        let now = self.advance_mirrored(retry.timeout_cost_us, tctx);
+                        let now = self.advance_mirrored(TIMEOUT_COST_US, tctx);
                         if let Some(g) = att.as_mut() {
                             g.set_status(SpanStatus::Error);
                             g.set_detail("timeout");
@@ -716,7 +685,7 @@ impl RadiusClient {
                         );
                     }
                     Err(TransportError::Unreachable) => {
-                        let now = self.advance_mirrored(retry.unreachable_cost_us, tctx);
+                        let now = self.advance_mirrored(UNREACHABLE_COST_US, tctx);
                         if let Some(g) = att.as_mut() {
                             g.set_status(SpanStatus::Error);
                             g.set_detail("unreachable");
@@ -730,7 +699,7 @@ impl RadiusClient {
                         );
                     }
                     Err(TransportError::GarbledReply) => {
-                        let now = self.advance_mirrored(retry.rtt_cost_us, tctx);
+                        let now = self.advance_mirrored(RTT_COST_US, tctx);
                         if let Some(g) = att.as_mut() {
                             g.set_status(SpanStatus::Error);
                             g.set_detail("garbled");
@@ -768,7 +737,7 @@ impl RadiusClient {
                 continue;
             }
             round += 1;
-            let delay = retry.backoff_us(round);
+            let delay = backoff_us(round);
             let backoff_guard = tctx.map(|c| {
                 let mut g = self.metrics.tracer().start(c, "radius.client", "backoff");
                 g.attr_u64("round", u64::from(round));
@@ -1001,7 +970,7 @@ mod tests {
         );
         // The virtual clock never runs past the login deadline by more
         // than one backoff step.
-        assert!(client.vclock_us() <= client.config.retry.deadline_us * 2);
+        assert!(client.vclock_us() <= DEADLINE_US * 2);
     }
 
     #[test]
@@ -1327,18 +1296,16 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
-        let policy = RetryPolicy::default();
-        let a = policy.backoff_schedule();
-        let b = policy.backoff_schedule();
+        let a = backoff_schedule();
+        let b = backoff_schedule();
         assert_eq!(a, b);
         assert!(!a.is_empty());
-        assert!(a.iter().sum::<u64>() <= policy.deadline_us);
+        assert!(a.iter().sum::<u64>() <= DEADLINE_US);
         // Exponential up to the cap, jitter within +25%.
         for (i, d) in a.iter().enumerate() {
-            let base = policy
-                .initial_backoff_us
+            let base = INITIAL_BACKOFF_US
                 .saturating_mul(1 << i.min(20))
-                .min(policy.max_backoff_us);
+                .min(MAX_BACKOFF_US);
             assert!(*d >= base && *d <= base + base / 4, "round {i}: {d}");
         }
     }

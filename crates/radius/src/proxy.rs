@@ -201,8 +201,6 @@ impl Handler for ProxyHandler {
     }
 }
 
-impl ProxyHandler {}
-
 fn reply_attrs(message: Option<String>) -> Vec<Attribute> {
     message
         .map(|m| vec![Attribute::text(AttributeType::ReplyMessage, &m)])

@@ -2,27 +2,9 @@
 
 use hpcmfa_radius::attribute::{Attribute, AttributeType};
 use hpcmfa_radius::auth::{hide_password, recover_password};
-use hpcmfa_radius::client::RetryPolicy;
+use hpcmfa_radius::client::backoff_schedule;
 use hpcmfa_radius::packet::{Code, Packet};
 use proptest::prelude::*;
-
-fn arb_retry_policy() -> impl Strategy<Value = RetryPolicy> {
-    (
-        1_000u64..30_000_000, // deadline
-        1u64..200_000,        // initial backoff
-        1u64..2_000_000,      // max backoff
-        any::<u64>(),         // jitter seed
-    )
-        .prop_map(
-            |(deadline_us, initial_backoff_us, max_backoff_us, jitter_seed)| RetryPolicy {
-                deadline_us,
-                initial_backoff_us,
-                max_backoff_us,
-                jitter_seed,
-                ..RetryPolicy::default()
-            },
-        )
-}
 
 fn arb_code() -> impl Strategy<Value = Code> {
     prop::sample::select(vec![
@@ -97,27 +79,34 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The backoff schedule is a pure function of the policy: regenerating
-    /// it yields the identical sequence (fixed seed ⇒ fixed jitter).
-    #[test]
-    fn backoff_schedule_is_deterministic(policy in arb_retry_policy()) {
-        let first = policy.backoff_schedule();
-        let second = policy.clone().backoff_schedule();
-        prop_assert_eq!(first, second);
-    }
+/// The one backoff schedule every client runs is a pure function:
+/// regenerating it yields the identical sequence (fixed seed ⇒ fixed
+/// jitter).
+#[test]
+fn backoff_schedule_is_deterministic() {
+    assert_eq!(backoff_schedule(), backoff_schedule());
+}
 
-    /// The cumulative backoff never exceeds the login deadline, and every
-    /// delay stays within the exponential envelope (cap + 25% jitter).
-    #[test]
-    fn backoff_schedule_never_exceeds_deadline(policy in arb_retry_policy()) {
-        let schedule = policy.backoff_schedule();
-        let total: u64 = schedule.iter().sum();
-        prop_assert!(total <= policy.deadline_us,
-            "schedule spends {total} of a {} budget", policy.deadline_us);
-        let cap = policy.max_backoff_us.max(1);
-        for d in &schedule {
-            prop_assert!(*d >= 1 && *d <= cap + cap / 4, "delay {d} outside envelope");
-        }
+/// Every delay is at least 1 µs; the base doubles from 50 ms up to the
+/// 1 s cap with jitter within a quarter of the base; and the running
+/// total stays within the 10 s login deadline.
+#[test]
+fn backoff_schedule_never_exceeds_deadline() {
+    let schedule = backoff_schedule();
+    assert!(!schedule.is_empty());
+    let mut base = 50_000u64;
+    for (round, d) in schedule.iter().enumerate() {
+        assert!(*d >= 1, "round {round}: zero delay");
+        assert!(
+            *d >= base && *d <= base + base / 4,
+            "round {round}: delay {d} outside [{base}, {}]",
+            base + base / 4
+        );
+        base = (base * 2).min(1_000_000);
     }
+    let total: u64 = schedule.iter().sum();
+    assert!(
+        total <= 10_000_000,
+        "schedule spends {total} of a 10 s budget"
+    );
 }

@@ -20,51 +20,42 @@ use std::sync::Arc;
 /// token store's `sms_expiry_floor` watermark).
 const NO_FLOOR: u64 = u64::MAX;
 
-/// Scoring weights and thresholds.
+// What each signal adds to an attempt's score.
+
+/// First login ever seen from this country.
+const NEW_COUNTRY: u32 = 40;
+/// First login from this /16 network.
+const NEW_NETWORK: u32 = 15;
+/// Country differs from the previous login's and the gap is under
+/// [`TRAVEL_WINDOW_SECS`].
+const IMPOSSIBLE_TRAVEL: u32 = 45;
+/// More than [`VELOCITY_MAX`] attempts inside [`VELOCITY_WINDOW_SECS`].
+const HIGH_VELOCITY: u32 = 25;
+/// Recent failed attempts (each, capped at 5 counted).
+const RECENT_FAILURE: u32 = 10;
+
+/// Minimum plausible country-switch time.
+const TRAVEL_WINDOW_SECS: u64 = 4 * 3600;
+/// Attempt-velocity window.
+const VELOCITY_WINDOW_SECS: u64 = 60;
+/// Attempts allowed inside the velocity window.
+const VELOCITY_MAX: usize = 6;
+/// Score at or above which step-up is demanded.
+const STEP_UP_AT: u32 = 40;
+/// Per-user history entries idle for longer than this are purged
+/// (watermark sweep); a purged user's next login re-baselines.
+const HISTORY_RETENTION_SECS: u64 = 90 * 86_400;
+
+/// Scoring thresholds.
 #[derive(Debug, Clone)]
 pub struct RiskWeights {
-    /// First login ever seen from this country.
-    pub new_country: u32,
-    /// First login from this /16 network.
-    pub new_network: u32,
-    /// Country differs from the previous login's and the gap is under
-    /// [`RiskWeights::travel_window_secs`].
-    pub impossible_travel: u32,
-    /// More than [`RiskWeights::velocity_max`] attempts inside
-    /// [`RiskWeights::velocity_window_secs`].
-    pub high_velocity: u32,
-    /// Recent failed attempts (each, capped at 5 counted).
-    pub recent_failure: u32,
-    /// Minimum plausible country-switch time.
-    pub travel_window_secs: u64,
-    /// Attempt-velocity window.
-    pub velocity_window_secs: u64,
-    /// Attempts allowed inside the velocity window.
-    pub velocity_max: usize,
-    /// Score at or above which step-up is demanded.
-    pub step_up_at: u32,
     /// Score at or above which the login is denied.
     pub deny_at: u32,
-    /// Per-user history entries idle for longer than this are purged
-    /// (watermark sweep); a purged user's next login re-baselines.
-    pub history_retention_secs: u64,
 }
 
 impl Default for RiskWeights {
     fn default() -> Self {
-        RiskWeights {
-            new_country: 40,
-            new_network: 15,
-            impossible_travel: 45,
-            high_velocity: 25,
-            recent_failure: 10,
-            travel_window_secs: 4 * 3600,
-            velocity_window_secs: 60,
-            velocity_max: 6,
-            step_up_at: 40,
-            deny_at: 90,
-            history_retention_secs: 90 * 86_400,
-        }
+        RiskWeights { deny_at: 90 }
     }
 }
 
@@ -151,12 +142,11 @@ impl RiskEngine {
         if now < self.purge_floor.load(Ordering::SeqCst) {
             return 0;
         }
-        let retention = self.weights.history_retention_secs;
         let before = history.len();
-        history.retain(|_, h| h.last_seen.saturating_add(retention) > now);
+        history.retain(|_, h| h.last_seen.saturating_add(HISTORY_RETENTION_SECS) > now);
         let mut floor = NO_FLOOR;
         for h in history.values() {
-            floor = floor.min(h.last_seen.saturating_add(retention));
+            floor = floor.min(h.last_seen.saturating_add(HISTORY_RETENTION_SECS));
         }
         self.purge_floor.store(floor, Ordering::SeqCst);
         (before - history.len()) as u64
@@ -178,7 +168,6 @@ impl RiskEngine {
         ctx: Option<&SpanCtx>,
     ) -> (u32, RiskDecision) {
         let trace = ctx.map(|c| c.trace);
-        let w = &self.weights;
         let country = self.geodb.country_of(ip);
         let net = Self::net16(ip);
 
@@ -192,45 +181,43 @@ impl RiskEngine {
                 // A brand-new account's very first location is baseline,
                 // not anomaly.
                 if !h.countries.is_empty() {
-                    score += w.new_country;
+                    score += NEW_COUNTRY;
                 }
                 h.countries.push(cc);
             }
             if let Some((prev, at)) = h.last_country {
-                if prev != cc && now.saturating_sub(at) < w.travel_window_secs {
-                    score += w.impossible_travel;
+                if prev != cc && now.saturating_sub(at) < TRAVEL_WINDOW_SECS {
+                    score += IMPOSSIBLE_TRAVEL;
                 }
             }
             h.last_country = Some((cc, now));
         }
         if !h.networks.contains(&net) {
             if !h.networks.is_empty() {
-                score += w.new_network;
+                score += NEW_NETWORK;
             }
             h.networks.push(net);
         }
 
         h.attempts.push(now);
         h.attempts
-            .retain(|&t| now.saturating_sub(t) <= w.velocity_window_secs);
-        if h.attempts.len() > w.velocity_max {
-            score += w.high_velocity;
+            .retain(|&t| now.saturating_sub(t) <= VELOCITY_WINDOW_SECS);
+        if h.attempts.len() > VELOCITY_MAX {
+            score += HIGH_VELOCITY;
         }
 
         h.recent_failures.retain(|&t| now.saturating_sub(t) <= 3600);
-        score += w.recent_failure * (h.recent_failures.len().min(5) as u32);
+        score += RECENT_FAILURE * (h.recent_failures.len().min(5) as u32);
 
         h.last_seen = now;
         let tracked = history.len();
         drop(history);
-        self.purge_floor.fetch_min(
-            now.saturating_add(w.history_retention_secs),
-            Ordering::SeqCst,
-        );
+        self.purge_floor
+            .fetch_min(now.saturating_add(HISTORY_RETENTION_SECS), Ordering::SeqCst);
 
-        let decision = if score >= w.deny_at {
+        let decision = if score >= self.weights.deny_at {
             RiskDecision::Deny
-        } else if score >= w.step_up_at {
+        } else if score >= STEP_UP_AT {
             RiskDecision::StepUp
         } else {
             RiskDecision::Allow
@@ -283,10 +270,8 @@ impl RiskEngine {
             h.recent_failures.push(now);
             h.last_seen = now;
             drop(history);
-            self.purge_floor.fetch_min(
-                now.saturating_add(self.weights.history_retention_secs),
-                Ordering::SeqCst,
-            );
+            self.purge_floor
+                .fetch_min(now.saturating_add(HISTORY_RETENTION_SECS), Ordering::SeqCst);
         }
     }
 }
@@ -444,38 +429,33 @@ mod tests {
     }
 
     #[test]
-    fn zero_width_velocity_window_counts_only_same_second() {
-        let e = RiskEngine::new(
-            Arc::new(GeoDb::parse("70.0.0.0/8 US\n").unwrap()),
-            RiskWeights {
-                velocity_window_secs: 0,
-                velocity_max: 2,
-                ..RiskWeights::default()
-            },
-        );
-        // Attempts on distinct seconds never accumulate.
+    fn velocity_window_counts_only_the_last_sixty_seconds() {
+        let e = engine();
+        // Attempts 61 s apart never share the window.
         for i in 0..10 {
-            let (score, _) = e.assess("bot", "70.1.1.1".parse().unwrap(), 100 + i);
+            let (score, _) = e.assess("bot", "70.1.1.1".parse().unwrap(), 100 + 61 * i);
             assert_eq!(score, 0, "attempt {i}");
         }
-        // Three attempts inside the same second trip the zero-width window.
-        e.assess("bot", "70.1.1.1".parse().unwrap(), 500);
-        e.assess("bot", "70.1.1.1".parse().unwrap(), 500);
-        let (score, _) = e.assess("bot", "70.1.1.1".parse().unwrap(), 500);
+        // Six attempts inside one 60 s window are allowed; the seventh,
+        // 60 s after the first, trips it.
+        for i in 0..6 {
+            let (score, _) = e.assess("bot", "70.1.1.1".parse().unwrap(), 2_000 + 10 * i);
+            assert_eq!(score, 0, "attempt {i}");
+        }
+        let (score, _) = e.assess("bot", "70.1.1.1".parse().unwrap(), 2_060);
         assert_eq!(score, 25);
     }
 
     #[test]
     fn travel_window_boundary_is_exclusive() {
-        let w = RiskWeights::default();
-        // Gap exactly == travel_window_secs: plausible, no travel score.
+        // Gap exactly == TRAVEL_WINDOW_SECS: plausible, no travel score.
         let e = engine();
         e.assess("alice", "70.1.1.1".parse().unwrap(), 0);
         e.assess("alice", "141.30.1.1".parse().unwrap(), 30 * DAY);
         let (score, _) = e.assess(
             "alice",
             "1.2.3.4".parse().unwrap(),
-            30 * DAY + w.travel_window_secs,
+            30 * DAY + TRAVEL_WINDOW_SECS,
         );
         assert_eq!(score, 40 + 15, "boundary gap is only new country+network");
         // One second inside the window: impossible travel fires.
@@ -485,7 +465,7 @@ mod tests {
         let (score, d) = e.assess(
             "bob",
             "1.2.3.4".parse().unwrap(),
-            30 * DAY + w.travel_window_secs - 1,
+            30 * DAY + TRAVEL_WINDOW_SECS - 1,
         );
         assert_eq!(score, 40 + 15 + 45);
         assert_eq!(d, RiskDecision::Deny);
@@ -507,22 +487,30 @@ mod tests {
 
     #[test]
     fn idle_history_is_purged_at_the_watermark() {
-        let e = RiskEngine::new(
-            Arc::new(GeoDb::parse("70.0.0.0/8 US\n141.30.0.0/16 DE\n").unwrap()),
-            RiskWeights {
-                history_retention_secs: 1000,
-                ..RiskWeights::default()
-            },
-        );
+        let e = engine();
         e.assess("idle", "70.1.1.1".parse().unwrap(), 0);
         e.assess("fresh", "70.2.2.2".parse().unwrap(), 900);
         assert_eq!(e.history.lock().len(), 2);
-        // Sweeps only run once the earliest expiry passes; `idle` expires
-        // at t=1000, `fresh` at t=1900.
-        let (_, _) = e.assess("fresh", "70.2.2.2".parse().unwrap(), 1200);
+        // Sweeps only run once the earliest expiry passes: `idle` expires
+        // after the 90-day retention, `fresh` 900 s later.
+        e.assess(
+            "fresh",
+            "70.2.2.2".parse().unwrap(),
+            HISTORY_RETENTION_SECS - 1,
+        );
+        assert_eq!(e.history.lock().len(), 2, "nothing expires early");
+        e.assess(
+            "fresh",
+            "70.2.2.2".parse().unwrap(),
+            HISTORY_RETENTION_SECS + 300,
+        );
         assert_eq!(e.history.lock().len(), 1, "idle swept at the watermark");
         // A purged user re-baselines: a new country scores zero.
-        let (score, d) = e.assess("idle", "141.30.9.9".parse().unwrap(), 1300);
+        let (score, d) = e.assess(
+            "idle",
+            "141.30.9.9".parse().unwrap(),
+            HISTORY_RETENTION_SECS + 400,
+        );
         assert_eq!(score, 0);
         assert_eq!(d, RiskDecision::Allow);
     }

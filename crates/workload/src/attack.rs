@@ -258,10 +258,7 @@ impl Default for AttackParams {
             sms_users: 4,
             seed: 0xa77ac,
             overload: Some(OverloadConfig::default()),
-            weights: RiskWeights {
-                deny_at: 100,
-                ..RiskWeights::default()
-            },
+            weights: RiskWeights { deny_at: 100 },
         }
     }
 }
@@ -275,7 +272,6 @@ impl AttackParams {
             overload: Some(OverloadConfig {
                 bucket_burst: 4,
                 bucket_rate_per_min: 6,
-                ..OverloadConfig::default()
             }),
             ..AttackParams::default()
         }
@@ -525,9 +521,8 @@ impl AttackRunner {
         // Token theft only exists where tokens do: enable the federation
         // stack (local-only trust — no peers — is enough to mint
         // resumption tokens) for that scenario.
-        let federation = (scenario.kind == AttackKind::TokenTheft).then(|| {
-            FederationParams::new(TrustConfig::local_only("tacc"), b"attack-resume-key", 20)
-        });
+        let federation = (scenario.kind == AttackKind::TokenTheft)
+            .then(|| FederationParams::new(TrustConfig::local_only("tacc"), b"attack-resume-key"));
         let center = Center::new(CenterConfig {
             login_nodes: vec!["login1".into()],
             enforcement: EnforcementMode::Full,

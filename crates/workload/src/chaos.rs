@@ -18,8 +18,7 @@ use hpcmfa_core::center::{Center, CenterConfig, OtpReplicationParams};
 use hpcmfa_otp::clock::Clock;
 use hpcmfa_otpserver::{MemoryBackend, ReplicationMode, SmsProvider, StorageBackend};
 use hpcmfa_pam::modules::token::EnforcementMode;
-use hpcmfa_radius::breaker::BreakerConfig;
-use hpcmfa_radius::client::{RetryPolicy, ServerHealthSnapshot};
+use hpcmfa_radius::client::ServerHealthSnapshot;
 use hpcmfa_ssh::client::{ClientProfile, TokenSource};
 use hpcmfa_telemetry::MetricsSnapshot;
 use std::net::Ipv4Addr;
@@ -233,10 +232,6 @@ pub struct ChaosParams {
     pub users: usize,
     /// Times a denied user re-dials before counting an eventual failure.
     pub max_redials: usize,
-    /// Retry budget handed to every node's RADIUS client.
-    pub retry: RetryPolicy,
-    /// Breaker tuning handed to every node's RADIUS client.
-    pub breaker: BreakerConfig,
     /// Master seed.
     pub seed: u64,
     /// Give the OTP server a durable (fault-injectable, in-memory)
@@ -265,8 +260,6 @@ impl Default for ChaosParams {
             logins: 120,
             users: 4,
             max_redials: 3,
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             seed: 0xc4a05,
             durable_otp: false,
             otp_snapshot_every: 256,
@@ -462,8 +455,6 @@ impl ChaosRunner {
             login_nodes: vec!["login1".into()],
             enforcement: EnforcementMode::Full,
             seed: params.seed,
-            retry: params.retry.clone(),
-            breaker: params.breaker,
             otp_storage: otp_backend
                 .as_ref()
                 .map(|b| Arc::clone(b) as Arc<dyn StorageBackend>),

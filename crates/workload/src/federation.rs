@@ -175,7 +175,6 @@ impl FederationSim {
                 federation: Some(FederationParams::new(
                     trust,
                     format!("{name}-resume-key").as_bytes(),
-                    20,
                 )),
                 ..CenterConfig::default()
             });

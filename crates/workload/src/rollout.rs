@@ -48,36 +48,27 @@ impl Default for Milestones {
     }
 }
 
-/// Ticket-model rates (tuned so the MFA share of tickets lands near the
-/// paper's 6.7 % during the transition and 2.7 % in Q1 2017).
-#[derive(Debug, Clone)]
-pub struct TicketParams {
-    /// Mean non-MFA tickets per weekday.
-    pub base_weekday: f64,
-    /// Mean non-MFA tickets per weekend day.
-    pub base_weekend: f64,
-    /// P(ticket) per new pairing.
-    pub per_pairing: f64,
-    /// P(ticket) per failed login.
-    pub per_failed_login: f64,
-    /// P(ticket) per newly disrupted automated workflow.
-    pub per_disruption: f64,
-    /// Extra MFA tickets on each phase-transition day.
-    pub phase_bump: f64,
-}
+// Ticket-model rates, tuned so the MFA share of tickets lands near the
+// paper's 6.7 % during the transition and 2.7 % in Q1 2017 (Figure 5).
 
-impl Default for TicketParams {
-    fn default() -> Self {
-        TicketParams {
-            base_weekday: 55.0,
-            base_weekend: 13.0,
-            per_pairing: 0.065,
-            per_failed_login: 0.018,
-            per_disruption: 0.12,
-            phase_bump: 4.0,
-        }
-    }
-}
+/// Mean non-MFA tickets per weekday.
+const TICKETS_PER_WEEKDAY: f64 = 55.0;
+/// Mean non-MFA tickets per weekend day.
+const TICKETS_PER_WEEKEND_DAY: f64 = 13.0;
+/// P(ticket) per new pairing.
+const TICKET_PER_PAIRING: f64 = 0.065;
+/// P(ticket) per failed login.
+const TICKET_PER_FAILED_LOGIN: f64 = 0.018;
+/// P(ticket) per newly disrupted automated workflow.
+const TICKET_PER_DISRUPTION: f64 = 0.12;
+/// Extra MFA tickets on each phase-transition day.
+const TICKETS_PER_PHASE_BUMP: f64 = 4.0;
+
+/// Daily probability that a paired user replaces their device pairing
+/// (new phone, new number — §3.5's update flows; the paper's Q1-2017
+/// inquiries were "from new users or those who wished to change their
+/// MFA device pairing").
+const REPAIR_DAILY_PROB: f64 = 0.001;
 
 /// Full simulation parameters.
 #[derive(Debug, Clone)]
@@ -90,13 +81,6 @@ pub struct RolloutParams {
     pub to: Date,
     /// Phase dates.
     pub milestones: Milestones,
-    /// Ticket model.
-    pub tickets: TicketParams,
-    /// Daily probability that a paired user replaces their device pairing
-    /// (new phone, new number — §3.5's update flows; the paper's Q1-2017
-    /// inquiries were "from new users or those who wished to change their
-    /// MFA device pairing").
-    pub repair_daily_prob: f64,
     /// Simulation seed.
     pub seed: u64,
     /// Score every login through the behavioural risk engine (default
@@ -113,8 +97,6 @@ impl Default for RolloutParams {
             from: Date::new(2016, 7, 1),
             to: Date::new(2016, 12, 31),
             milestones: Milestones::default(),
-            tickets: TicketParams::default(),
-            repair_daily_prob: 0.001,
             seed: 1017,
             risk: false,
         }
@@ -536,7 +518,6 @@ impl RolloutSim {
         // device (lost/upgraded phones). Counted as new pairings, exactly
         // as the production Figure 6 counted re-initializations. ---
         if phase >= 1 {
-            let p = self.params.repair_daily_prob;
             let candidates: Vec<usize> = (0..self.users.len())
                 .filter(|&i| {
                     let u = &self.users[i];
@@ -544,7 +525,7 @@ impl RolloutSim {
                 })
                 .collect();
             for idx in candidates {
-                if self.rng.random_bool(p) {
+                if self.rng.random_bool(REPAIR_DAILY_PROB) {
                     self.users[idx].paired = false;
                     if self.pair_user(idx) {
                         record.new_pairings += 1;
@@ -679,20 +660,19 @@ impl RolloutSim {
         // --- Tickets. ---
         // Baseline (non-MFA) ticket volume tracks the population size, as
         // MFA ticket volume implicitly does through pairings and failures.
-        let t = self.params.tickets.clone();
         let base = if date.is_weekend() {
-            t.base_weekend
+            TICKETS_PER_WEEKEND_DAY
         } else {
-            t.base_weekday
+            TICKETS_PER_WEEKDAY
         } * if mult < 0.5 { 0.5 } else { 1.0 }
             * self.params.population_scale;
         record.tickets_other = self.sample_count(base);
         let mut mfa_tickets = 0u64;
-        mfa_tickets += self.binomial(record.new_pairings, t.per_pairing);
-        mfa_tickets += self.binomial(record.failed_logins, t.per_failed_login);
-        mfa_tickets += self.binomial(disruptions_today, t.per_disruption);
+        mfa_tickets += self.binomial(record.new_pairings, TICKET_PER_PAIRING);
+        mfa_tickets += self.binomial(record.failed_logins, TICKET_PER_FAILED_LOGIN);
+        mfa_tickets += self.binomial(disruptions_today, TICKET_PER_DISRUPTION);
         if date == m.announce || date == m.phase2 || date == m.mandatory {
-            mfa_tickets += self.sample_count(t.phase_bump * self.params.population_scale);
+            mfa_tickets += self.sample_count(TICKETS_PER_PHASE_BUMP * self.params.population_scale);
         }
         record.tickets_mfa = mfa_tickets;
 

@@ -145,7 +145,6 @@ fn single_use_survives_crash_recovery() {
         federation: Some(FederationParams::new(
             TrustConfig::local_only("tacc"),
             b"crash-resume-key",
-            20,
         )),
         ..CenterConfig::default()
     });
@@ -183,7 +182,6 @@ fn single_use_survives_standby_promotion() {
         federation: Some(FederationParams::new(
             TrustConfig::local_only("tacc"),
             b"failover-resume-key",
-            20,
         )),
         ..CenterConfig::default()
     });
