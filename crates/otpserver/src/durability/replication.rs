@@ -753,11 +753,11 @@ impl OtpCluster {
     }
 
     /// Operator-forced promotion (the lagging-standby chaos scenario).
-    pub fn force_promote(&self, now: u64, reason: &str) -> bool {
+    pub fn force_promote(&self, now: u64, reason: &'static str) -> bool {
         self.promote(now, reason)
     }
 
-    fn promote(&self, now: u64, reason: &str) -> bool {
+    fn promote(&self, now: u64, reason: &'static str) -> bool {
         let (new_epoch, lost) = {
             let (_syncing, mut st) = self.core.settled();
             if st.standby.is_none() {
@@ -803,7 +803,7 @@ impl OtpCluster {
             .start(&ctx, "otp.cluster", "failover");
         span.attr_u64("epoch", new_epoch);
         span.attr_u64("unacked_frames", lost as u64);
-        span.set_detail(reason.to_string());
+        span.set_detail(reason);
         ctx.clock
             .advance_us(crate::server::span_cost::FAILOVER_PROMOTE_US);
         let span_id = span.id();

@@ -83,6 +83,15 @@ impl ShedReason {
             ShedReason::QueueFull => "queue_full",
         }
     }
+
+    /// The detail a shed request's audit row and span carry.
+    pub(crate) fn detail(self) -> &'static str {
+        match self {
+            ShedReason::RateLimited => "shed: rate_limited",
+            ShedReason::UnauthFlood => "shed: unauth_flood",
+            ShedReason::QueueFull => "shed: queue_full",
+        }
+    }
 }
 
 struct Bucket {

@@ -1024,9 +1024,8 @@ impl LinotpServer {
             let span = guard.as_ref().map(|g| g.id());
             match adm.admit(src, now, trace, span, op.label) {
                 Err(reason) => {
-                    let shed = format!("shed: {}", reason.label());
-                    self.txn(username, now, trace)
-                        .audit(op.action, false, &shed);
+                    let shed = reason.detail();
+                    self.txn(username, now, trace).audit(op.action, false, shed);
                     let (family, key) = op.counter;
                     self.metrics.counter(family, &[(key, "unavailable")]).inc();
                     if let Some(g) = guard.as_mut() {

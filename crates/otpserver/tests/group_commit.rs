@@ -25,7 +25,10 @@
 //!
 //! The interleavings are forced by a hooked backend, not by sleeping: the
 //! first sync of a storm is held until every thread has appended (or the
-//! test lets go), and the snapshot write parks on a channel.
+//! test lets go), and the snapshot write parks on a channel. Behind the
+//! ingest, the held sync is already in flight when the storm starts, led
+//! by one more login from a thread of the test's own, so every commit of
+//! the storm finds it and parks.
 
 use hpcmfa_otp::clock::{Clock, SimClock};
 use hpcmfa_otp::secret::Secret;
@@ -710,9 +713,9 @@ impl Gateway {
     }
 }
 
-/// Sixteen traced logins sent while the first one's sync is held: how many
-/// commits were appended meanwhile, the replies once it is let go, and
-/// each login's span tree in a form that compares across logins.
+/// Sixteen traced logins sent while a sync is held: how many commits were
+/// appended meanwhile, the replies once it is let go, and each login's
+/// span tree in a form that compares across logins.
 struct HeldStorm {
     appended_while_held: u64,
     replies: Vec<(u8, Code, Option<u64>)>,
@@ -721,17 +724,40 @@ struct HeldStorm {
 
 const STORM_LOGINS: usize = 16;
 
+/// The storm starts with the held sync in flight: `lead` logs in inline
+/// with a wrong code from a thread of its own, and its commit's sync is
+/// held before the gateway opens. Were the storm's own first commit to
+/// lead the sync instead, all four workers could append before any of
+/// them led it, and none would park. The lead login sends no datagram
+/// and is untraced, so it is in no reply and no span tree.
 fn storm_behind_a_held_sync(
     server: &Arc<LinotpServer>,
     hooked: &Hooked,
     names: &[String],
     totps: &[Totp],
+    (lead, lead_totp): (&str, &Totp),
 ) -> HeldStorm {
     let now = T0 + 30;
     let mut gateway = Gateway::to(server, now);
     let trace = |i: usize| TraceId::from_u64(0x5700 + i as u64);
-    let before = hooked.appends();
     hooked.hold_syncs();
+    let syncs_before = hooked.syncs();
+    let lead_code = wrong_code(lead_totp);
+    let leader = std::thread::spawn({
+        let server = Arc::clone(server);
+        let lead = lead.to_string();
+        move || server.validate(&lead, &lead_code, now)
+    });
+    let deadline = Instant::now() + HOLD_LIMIT;
+    while hooked.syncs() == syncs_before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(
+        hooked.syncs(),
+        syncs_before + 1,
+        "the lead login's sync is in flight"
+    );
+    let before = hooked.appends();
     for (i, (name, totp)) in names.iter().zip(totps).enumerate() {
         gateway.send_login(i as u8, name, &totp.code_at(now), Some(trace(i)));
     }
@@ -749,6 +775,11 @@ fn storm_behind_a_held_sync(
     gateway.client.set_nonblocking(false).unwrap();
 
     hooked.release_syncs();
+    assert_ne!(
+        leader.join().unwrap(),
+        ValidationOutcome::Success,
+        "the lead login's code is wrong"
+    );
     let mut replies: Vec<_> = (0..STORM_LOGINS).map(|_| gateway.reply()).collect();
     replies.sort_unstable_by_key(|(id, ..)| *id);
     let stats = gateway.shut_down();
@@ -793,12 +824,14 @@ fn no_reply_outruns_its_sync_and_no_worker_waits_for_one() {
         Arc::clone(&hooked) as Arc<dyn StorageBackend>,
         ServerConfig::default(),
     );
-    let names = names(STORM_LOGINS);
-    let totps = enroll(&server, &names);
-    let storm = storm_behind_a_held_sync(&server, &hooked, &names, &totps);
+    // One more user, whose inline login leads the held sync.
+    let mut names = names(STORM_LOGINS + 1);
+    let mut totps = enroll(&server, &names);
+    let (lead, lead_totp) = (names.pop().unwrap(), totps.pop().unwrap());
+    let storm = storm_behind_a_held_sync(&server, &hooked, &names, &totps, (&lead, &lead_totp));
 
-    // Four workers, one of them inside the held sync: were the others
-    // waiting for it, four commits would be all there are.
+    // Four workers, the sync in flight: were they waiting for it, four
+    // commits would be all there are.
     assert!(
         storm.appended_while_held >= 12,
         "{} commits appended during one sync",
@@ -842,15 +875,18 @@ fn a_failed_sync_denies_parked_logins_as_it_does_inline_ones() {
         ServerConfig::default(),
     );
     // One more user, who logs in inline against the same failing disk: the
-    // reference for what a denied login leaves.
-    let mut names = names(STORM_LOGINS + 1);
+    // reference for what a denied login leaves. And one whose inline login
+    // leads the held sync, with a wrong code: denied as failed, not as
+    // unavailable, so the counts below are the storm's and the inline's.
+    let mut names = names(STORM_LOGINS + 2);
     let mut totps = enroll(&server, &names);
     let (inline, inline_totp) = (names.pop().unwrap(), totps.pop().unwrap());
+    let (lead, lead_totp) = (names.pop().unwrap(), totps.pop().unwrap());
     let now = T0 + 30;
     let durable_before = memory.durable_wal();
 
     plan.set_fsync_fail_every(1);
-    let storm = storm_behind_a_held_sync(&server, &hooked, &names, &totps);
+    let storm = storm_behind_a_held_sync(&server, &hooked, &names, &totps, (&lead, &lead_totp));
     let inline_trace = TraceId::from_u64(0x1471);
     let ctx = hpcmfa_telemetry::SpanCtx::root(inline_trace, hpcmfa_telemetry::TraceClock::at(0));
     assert_eq!(
@@ -891,16 +927,10 @@ fn a_failed_sync_denies_parked_logins_as_it_does_inline_ones() {
     let inline_spans = server.metrics().tracer().spans_for(inline_trace);
     let shape = |label: &str| {
         let span = inline_spans.iter().find(|s| s.label == label).unwrap();
-        (span.status, span.detail.clone())
+        (span.status, span.detail)
     };
-    assert_eq!(
-        shape("wal_fsync"),
-        (SpanStatus::Error, "append failed".into())
-    );
-    assert_eq!(
-        shape("validate"),
-        (SpanStatus::Degraded, "unavailable".into())
-    );
+    assert_eq!(shape("wal_fsync"), (SpanStatus::Error, "append failed"));
+    assert_eq!(shape("validate"), (SpanStatus::Degraded, "unavailable"));
     for (i, tree) in storm.span_trees.iter().enumerate() {
         assert_eq!(tree, &storm.span_trees[0], "login {i}");
         assert!(tree

@@ -8,33 +8,48 @@
 use crate::context::PamContext;
 use crate::conv::{ConvError, Prompt};
 use crate::stack::{PamModule, PamResult};
-use hpcmfa_crypto::hex::to_hex;
-use hpcmfa_crypto::sha256::sha256;
+use hpcmfa_crypto::sha256::Sha256;
+use hpcmfa_crypto::Digest;
 use hpcmfa_directory::ldap::{Directory, Filter};
 use std::sync::Arc;
 
 /// The directory attribute holding the password hash.
 pub const PASSWORD_ATTR: &str = "userPassword";
 
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// `hex(sha256(salt || pw))`, lower case, on the stack.
+fn digest_hex(password: &str, salt: &str) -> [u8; 64] {
+    let mut h = Sha256::new();
+    h.update(salt.as_bytes());
+    h.update(password.as_bytes());
+    let mut hex = [0u8; 64];
+    for (pair, b) in hex.chunks_exact_mut(2).zip(h.finalize()) {
+        pair.copy_from_slice(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
+    }
+    hex
+}
+
 /// Hash a password for storage: `{SSHA256}salt$hex(sha256(salt || pw))`.
 pub fn hash_password(password: &str, salt: &str) -> String {
-    let mut input = salt.as_bytes().to_vec();
-    input.extend_from_slice(password.as_bytes());
-    format!("{{SSHA256}}{salt}${}", to_hex(&sha256(&input)))
+    let mut record = format!("{{SSHA256}}{salt}$");
+    record.extend(digest_hex(password, salt).map(char::from));
+    record
 }
 
-/// The salt of a well-formed `{SSHA256}salt$hex` record.
-fn salt_of(stored: &str) -> Option<&str> {
-    let (salt, _hex) = stored.strip_prefix("{SSHA256}")?.split_once('$')?;
-    Some(salt)
+/// The salt and digest of a well-formed `{SSHA256}salt$hex` record.
+fn parts_of(stored: &str) -> Option<(&str, &str)> {
+    stored.strip_prefix("{SSHA256}")?.split_once('$')
 }
 
-/// Verify a candidate against a stored hash.
+/// Verify a candidate against a stored hash: the candidate's digest,
+/// hex-encoded on the stack, against the record's in constant time.
+/// Allocates nothing.
 pub fn verify_password(candidate: &str, stored: &str) -> bool {
-    let Some(salt) = salt_of(stored) else {
+    let Some((salt, hex)) = parts_of(stored) else {
         return false;
     };
-    hpcmfa_crypto::ct::ct_eq_str(&hash_password(candidate, salt), stored)
+    hpcmfa_crypto::ct::ct_eq(&digest_hex(candidate, salt), hex.as_bytes())
 }
 
 /// What the password of a user the directory does not hold is checked
@@ -77,7 +92,7 @@ impl PamModule for UnixPasswordModule {
         let stored = hits
             .first()
             .and_then(|e| e.get_one(PASSWORD_ATTR))
-            .filter(|record| salt_of(record).is_some());
+            .filter(|record| parts_of(record).is_some());
         // Unknown user: indistinguishable from a bad password, in the
         // verdict and in the work done for it.
         let matches = verify_password(&answer, stored.unwrap_or(NOBODY_RECORD));

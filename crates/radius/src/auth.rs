@@ -4,11 +4,30 @@
 //! trust anchor of the back end: response authenticators prove a reply came
 //! from a holder of the secret, and password hiding keeps token codes from
 //! traveling in clear text.
+//!
+//! Every function here works on wire bytes in place: the client hides the
+//! password straight into its request buffer and verifies a reply in its
+//! receive buffer, and the server seals a reply where it encoded it. The
+//! owned-[`Packet`] forms ([`hide_password`], [`verify_response`]) are thin
+//! wrappers over them. The module reads network bytes, so it sits behind
+//! the lint wall: no indexing, no unchecked arithmetic, no panics.
+
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
 
 use crate::packet::Packet;
 use hpcmfa_crypto::md5::{md5, Md5};
 use hpcmfa_crypto::Digest;
 use rand::RngCore;
+
+/// Longest password RFC 2865 §5.2 lets `User-Password` carry.
+const MAX_PASSWORD_LEN: usize = 128;
 
 /// Generate a fresh random request authenticator.
 pub fn request_authenticator<R: RngCore + ?Sized>(rng: &mut R) -> [u8; 16] {
@@ -17,75 +36,112 @@ pub fn request_authenticator<R: RngCore + ?Sized>(rng: &mut R) -> [u8; 16] {
     auth
 }
 
-/// Compute the response authenticator for a reply to `request`:
-/// `MD5(Code + ID + Length + RequestAuth + Attributes + Secret)`.
-pub(crate) fn response_authenticator(
-    response: &Packet,
-    request_auth: &[u8; 16],
-    secret: &[u8],
-) -> [u8; 16] {
-    // Encode the response with the request authenticator in place.
-    let mut tmp = response.clone();
-    tmp.authenticator = *request_auth;
-    let mut h = Md5::new();
-    h.update(&tmp.encode());
-    h.update(secret);
-    h.finalize()
-}
-
 /// Seal an already-encoded response in place: write `request_auth` into
 /// the authenticator field, hash the whole datagram with the secret, then
-/// overwrite the field with the digest.
+/// overwrite the field with the digest —
+/// `MD5(Code + ID + Length + RequestAuth + Attributes + Secret)`.
 ///
-/// This is the zero-copy twin of [`response_authenticator`], which clones
-/// the packet and re-encodes it just to hash it; the batched ingest path
-/// encodes the reply once into a reusable buffer and seals it here.
-/// Produces byte-identical output (unit tested below).
-///
-/// # Panics
-///
-/// When `wire` is shorter than a RADIUS header.
+/// The batched ingest path encodes the reply once into a reusable buffer
+/// and seals it here. A `wire` shorter than a header has no field to seal
+/// and is left as it is; the one caller writes the header first.
 pub(crate) fn seal_wire(wire: &mut [u8], request_auth: &[u8; 16], secret: &[u8]) {
-    assert!(wire.len() >= 20, "cannot seal a headerless datagram");
-    wire[4..20].copy_from_slice(request_auth);
+    let Some(field) = wire.get_mut(4..20) else {
+        return;
+    };
+    field.copy_from_slice(request_auth);
     let mut h = Md5::new();
     h.update(wire);
     h.update(secret);
     let digest = h.finalize();
-    wire[4..20].copy_from_slice(&digest);
+    if let Some(field) = wire.get_mut(4..20) {
+        field.copy_from_slice(&digest);
+    }
 }
 
-/// Verify a received response against the request it answers.
+/// Verify a received reply against the request it answers, in the receive
+/// buffer: `MD5(reply[..4] ‖ request_auth ‖ reply[20..declared] ‖ secret)`
+/// must equal the reply's authenticator field (compared in constant
+/// time). Octets past the length the header declares are padding and are
+/// not hashed (RFC 2865 §3). A reply shorter than a header, or declaring
+/// a length it does not hold, fails.
+pub fn verify_reply(reply: &[u8], request_auth: &[u8; 16], secret: &[u8]) -> bool {
+    let Some((head, rest)) = reply.split_first_chunk::<4>() else {
+        return false;
+    };
+    let Some((authenticator, rest)) = rest.split_first_chunk::<16>() else {
+        return false;
+    };
+    let [_, _, hi, lo] = *head;
+    let Some(attrs) = usize::from(u16::from_be_bytes([hi, lo]))
+        .checked_sub(crate::MIN_PACKET_LEN)
+        .and_then(|n| rest.get(..n))
+    else {
+        return false;
+    };
+    let mut h = Md5::new();
+    h.update(head);
+    h.update(request_auth);
+    h.update(attrs);
+    h.update(secret);
+    hpcmfa_crypto::ct::ct_eq(&h.finalize(), authenticator)
+}
+
+/// Verify a decoded response against the request it answers: the owned
+/// form of [`verify_reply`], over the response's encoding.
 pub fn verify_response(response: &Packet, request_auth: &[u8; 16], secret: &[u8]) -> bool {
-    let expected = response_authenticator(response, request_auth, secret);
-    hpcmfa_crypto::ct::ct_eq(&expected, &response.authenticator)
+    verify_reply(&response.encode(), request_auth, secret)
 }
 
-/// Hide a password per RFC 2865 §5.2: pad to a 16-byte multiple, then XOR
-/// each block with `MD5(secret + previous_block_or_request_auth)`.
-///
-/// Empty passwords (the "null RADIUS response" that triggers an SMS, §3.3)
-/// encode as one block of padding.
-pub fn hide_password(password: &[u8], request_auth: &[u8; 16], secret: &[u8]) -> Vec<u8> {
-    assert!(
-        password.len() <= 128,
-        "RFC 2865 limits passwords to 128 octets"
-    );
-    let blocks = password.len().div_ceil(16).max(1);
-    let mut padded = password.to_vec();
-    padded.resize(blocks * 16, 0);
+/// Octets `password` hides into: a 16-byte multiple, one block at least.
+pub(crate) fn hidden_len(password: &[u8]) -> usize {
+    password.len().div_ceil(16).max(1).saturating_mul(16)
+}
 
-    let mut out = Vec::with_capacity(padded.len());
+/// Hide a password per RFC 2865 §5.2, appending the hidden octets to
+/// `out`: pad to a 16-byte multiple, then XOR each block with
+/// `MD5(secret + previous_block_or_request_auth)`. Empty passwords (the
+/// "null RADIUS response" that triggers an SMS, §3.3) encode as one block
+/// of padding. A password over 128 octets is refused: `false`, and `out`
+/// is left as it was.
+pub fn hide_password_into(
+    password: &[u8],
+    request_auth: &[u8; 16],
+    secret: &[u8],
+    out: &mut Vec<u8>,
+) -> bool {
+    if password.len() > MAX_PASSWORD_LEN {
+        return false;
+    }
     let mut prev: [u8; 16] = *request_auth;
-    for chunk in padded.chunks(16) {
+    let mut rest = password;
+    loop {
+        let (chunk, tail) = rest.split_at_checked(16).unwrap_or((rest, &[]));
         let mut h = Md5::new();
         h.update(secret);
         h.update(&prev);
-        let b = h.finalize();
-        let cipher: Vec<u8> = chunk.iter().zip(b.iter()).map(|(p, k)| p ^ k).collect();
-        prev.copy_from_slice(&cipher);
-        out.extend_from_slice(&cipher);
+        let key = h.finalize();
+        let plain = chunk.iter().chain(std::iter::repeat(&0));
+        for ((c, k), p) in prev.iter_mut().zip(key).zip(plain) {
+            *c = k ^ p;
+        }
+        out.extend_from_slice(&prev);
+        rest = tail;
+        if rest.is_empty() {
+            return true;
+        }
     }
+}
+
+/// Hide a password per RFC 2865 §5.2 into a fresh buffer: the allocating
+/// form of [`hide_password_into`].
+///
+/// # Panics
+///
+/// When `password` is longer than the 128 octets RFC 2865 allows.
+pub fn hide_password(password: &[u8], request_auth: &[u8; 16], secret: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(hidden_len(password));
+    let hidden = hide_password_into(password, request_auth, secret, &mut out);
+    assert!(hidden, "RFC 2865 limits passwords to 128 octets");
     out
 }
 
@@ -137,6 +193,7 @@ pub fn fixture_authenticator(tag: &str) -> [u8; 16] {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::attribute::{Attribute, AttributeType};
@@ -145,6 +202,22 @@ mod tests {
     use rand::SeedableRng;
 
     const SECRET: &[u8] = b"radius-shared-secret";
+
+    /// The response authenticator as RFC 2865 §3 states it, over a clone
+    /// of the response re-encoded with the request authenticator in place:
+    /// the reference the in-place forms are checked against.
+    fn response_authenticator(
+        response: &Packet,
+        request_auth: &[u8; 16],
+        secret: &[u8],
+    ) -> [u8; 16] {
+        let mut tmp = response.clone();
+        tmp.authenticator = *request_auth;
+        let mut h = Md5::new();
+        h.update(&tmp.encode());
+        h.update(secret);
+        h.finalize()
+    }
 
     #[test]
     fn password_hide_recover_round_trip() {

@@ -22,12 +22,13 @@
 //! attempt cost charges, never by sleeping, so the whole failover story is
 //! deterministic and fast to simulate.
 
-use crate::attribute::{Attribute, AttributeType};
-use crate::auth::{hide_password, request_authenticator, verify_response};
+use crate::attribute::{AttrView, AttributeType};
+use crate::auth::{hidden_len, hide_password_into, request_authenticator, verify_reply};
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::packet::{Code, Packet};
+use crate::packet::{Code, PacketView};
 use crate::tracewire;
 use crate::transport::{Transport, TransportError};
+use crate::MIN_PACKET_LEN;
 use hpcmfa_telemetry::{
     Counter, Histogram, MetricsRegistry, SecurityEventKind, SpanCtx, SpanId, SpanStatus, TraceId,
 };
@@ -244,8 +245,9 @@ struct ClientInstruments {
     per_server: Vec<ServerInstruments>,
 }
 
-/// Per-server labelled counters.
+/// Per-server labelled counters, and the name attempt spans carry.
 struct ServerInstruments {
+    name: Arc<str>,
     attempts: Arc<Counter>,
     failures: Arc<Counter>,
     skipped: Arc<Counter>,
@@ -273,6 +275,7 @@ impl ClientInstruments {
                     let name = t.name();
                     let server = [("server", name.as_str())];
                     ServerInstruments {
+                        name: name.as_str().into(),
                         attempts: metrics.counter("hpcmfa_radius_attempts_total", &server),
                         failures: metrics.counter("hpcmfa_radius_failures_total", &server),
                         skipped: metrics.counter("hpcmfa_radius_skips_total", &server),
@@ -528,31 +531,19 @@ impl RadiusClient {
 
         let ra = request_authenticator(rng);
         let id = self.next_identifier();
-        let mut packet = Packet::new(Code::AccessRequest, id, ra)
-            .with_attribute(Attribute::text(AttributeType::UserName, username))
-            .with_attribute(Attribute::new(
-                AttributeType::UserPassword,
-                hide_password(password, &ra, &self.config.secret),
-            ))
-            .with_attribute(Attribute::text(
-                AttributeType::NasIdentifier,
-                &self.config.nas_identifier,
-            ))
-            .with_attribute(Attribute::text(
-                AttributeType::CallingStationId,
-                calling_station,
-            ));
-        if let Some(s) = state {
-            packet = packet.with_attribute(Attribute::new(AttributeType::State, s.to_vec()));
-        }
-        // Untraced requests encode once; traced requests re-encode per
-        // attempt because the wire context names the attempt span and the
-        // clock at send time.
-        let wire_plain = if tctx.is_none() {
-            packet.encode()
-        } else {
-            Vec::new()
-        };
+        // Encoded once. A traced attempt only swaps the trace context at
+        // the tail, since it names the attempt span and the clock at send
+        // time.
+        let mut wire = self.encode_request(
+            id,
+            &ra,
+            username,
+            password,
+            calling_station,
+            state,
+            tctx.is_some(),
+        );
+        let base_len = wire.len();
         let trace = tctx.map(|c| c.trace);
 
         // Round-robin with failover: start at the rotor, walk the pool,
@@ -599,35 +590,22 @@ impl RadiusClient {
                 // responder parents its own spans under this attempt.
                 let mut att = tctx.map(|c| {
                     let mut g = self.metrics.tracer().start(c, "radius.client", "attempt");
-                    g.attr_str("server", self.transports[idx].name());
+                    g.attr_str("server", Arc::clone(&self.instruments.per_server[idx].name));
+                    wire.truncate(base_len);
+                    tracewire::append_trace_ctx(&mut wire, c.trace, Some(g.id()), c.clock.now_us());
+                    set_wire_len(&mut wire);
                     g
                 });
                 let att_span = att.as_ref().map(|g| g.id());
-                let wire_buf;
-                let wire: &[u8] = match (&att, tctx) {
-                    (Some(g), Some(c)) => {
-                        wire_buf = packet
-                            .clone()
-                            .with_attribute(tracewire::trace_ctx_attribute(
-                                c.trace,
-                                Some(g.id()),
-                                c.clock.now_us(),
-                            ))
-                            .encode();
-                        &wire_buf
-                    }
-                    _ => &wire_plain,
-                };
-                match self.transports[idx].exchange_into(wire, &mut reply) {
+                match self.transports[idx].exchange_into(&wire, &mut reply) {
                     Ok(()) => {
-                        // A clock-aware responder reports its trace clock
+                        // Parsed once, in the receive buffer. A
+                        // clock-aware responder reports its trace clock
                         // after processing; fast-forward ours past it so
                         // the attempt span encloses the server's spans.
-                        if let Some(c) = tctx {
-                            if let Some(server_clock) = Packet::decode(&reply)
-                                .ok()
-                                .and_then(|p| tracewire::clock_of(&p))
-                            {
+                        let view = PacketView::parse(&reply);
+                        if let (Some(c), Ok(v)) = (tctx, &view) {
+                            if let Some(server_clock) = tracewire::clock_of_view(v) {
                                 c.clock.fast_forward_us(server_clock);
                             }
                         }
@@ -635,7 +613,15 @@ impl RadiusClient {
                             RTT_COST_US + self.transports[idx].round_trip_latency_us(),
                             tctx,
                         );
-                        match self.interpret(&reply, id, &ra) {
+                        let interpreted = match view {
+                            Ok(v) => self.interpret(&v, &reply, id, &ra),
+                            // RFC 2865 §3: a datagram that fails to parse
+                            // is silently discarded — to the client it is
+                            // indistinguishable from a lost packet, so it
+                            // must fail over, not abort the login.
+                            Err(_) => Interpreted::Discard,
+                        };
+                        match interpreted {
                             Interpreted::Done(outcome) => {
                                 let before = self.breakers[idx].state();
                                 self.breakers[idx].record_success();
@@ -806,20 +792,22 @@ impl RadiusClient {
         }
     }
 
-    fn interpret(&self, reply: &[u8], expected_id: u8, request_auth: &[u8; 16]) -> Interpreted {
-        // RFC 2865 §3: a datagram that fails to parse is silently
-        // discarded — to the client it is indistinguishable from a lost
-        // packet, so it must fail over, not abort the login.
-        let Ok(resp) = Packet::decode(reply) else {
-            return Interpreted::Discard;
-        };
+    /// Steer on a parsed reply: `resp` is `reply` parsed, and the
+    /// authenticator is checked over `reply`'s bytes in place.
+    fn interpret(
+        &self,
+        resp: &PacketView<'_>,
+        reply: &[u8],
+        expected_id: u8,
+        request_auth: &[u8; 16],
+    ) -> Interpreted {
         if resp.identifier != expected_id {
             return Interpreted::Fatal(ClientError::IdentifierMismatch {
                 expected: expected_id,
                 got: resp.identifier,
             });
         }
-        if !verify_response(&resp, request_auth, &self.config.secret) {
+        if !verify_reply(reply, request_auth, &self.config.secret) {
             return Interpreted::Fatal(ClientError::BadAuthenticator);
         }
         let message = resp
@@ -831,18 +819,77 @@ impl RadiusClient {
             Code::AccessChallenge => {
                 let state = resp
                     .attribute(AttributeType::State)
-                    .map(|a| a.value.clone())
+                    .map(|a| a.value.to_vec())
                     .unwrap_or_default();
                 Interpreted::Done(Outcome::Challenge { state, message })
             }
             Code::AccessRequest => Interpreted::Fatal(ClientError::BadAuthenticator),
         }
     }
+
+    /// Encode an Access-Request once, into a buffer sized to it — with
+    /// room for the trace context when `traced`: User-Name, the hidden
+    /// User-Password, NAS-Identifier, Calling-Station-Id and the echoed
+    /// State, in the order and to the bytes `Packet::encode` gives them.
+    #[allow(clippy::too_many_arguments)]
+    fn encode_request(
+        &self,
+        id: u8,
+        ra: &[u8; 16],
+        username: &str,
+        password: &[u8],
+        calling_station: &str,
+        state: Option<&[u8]>,
+        traced: bool,
+    ) -> Vec<u8> {
+        let nas = self.config.nas_identifier.as_bytes();
+        let hidden = hidden_len(password);
+        let attrs = [username.as_bytes(), nas, calling_station.as_bytes()]
+            .iter()
+            .chain(state.as_slice())
+            .map(|v| 2 + v.len())
+            .sum::<usize>();
+        let tail = if traced {
+            tracewire::TRACE_CTX_WIRE_LEN
+        } else {
+            0
+        };
+        let mut wire = Vec::with_capacity(MIN_PACKET_LEN + attrs + 2 + hidden + tail);
+        wire.push(Code::AccessRequest.code());
+        wire.push(id);
+        wire.extend_from_slice(&[0, 0]); // length, set below
+        wire.extend_from_slice(ra);
+        let put = |wire: &mut Vec<u8>, ty, value| AttrView { ty, value }.encode(wire);
+        put(&mut wire, AttributeType::UserName, username.as_bytes());
+        wire.push(AttributeType::UserPassword.code());
+        wire.push((2 + hidden) as u8);
+        // `request` refused a password over 128 octets before this.
+        hide_password_into(password, ra, &self.config.secret, &mut wire);
+        put(&mut wire, AttributeType::NasIdentifier, nas);
+        put(
+            &mut wire,
+            AttributeType::CallingStationId,
+            calling_station.as_bytes(),
+        );
+        if let Some(s) = state {
+            put(&mut wire, AttributeType::State, s);
+        }
+        set_wire_len(&mut wire);
+        wire
+    }
+}
+
+/// Write `wire`'s length into its header.
+fn set_wire_len(wire: &mut [u8]) {
+    let len = (wire.len() as u16).to_be_bytes();
+    wire[2..4].copy_from_slice(&len);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attribute::Attribute;
+    use crate::packet::Packet;
     use crate::server::{Handler, RadiusServer, ServerDecision};
     use crate::transport::{FaultPlan, InMemoryTransport};
     use rand::rngs::StdRng;

@@ -415,16 +415,16 @@ fn drain_socket(
         // with, so a hand-off would buy a wake-up and a context switch and
         // nothing else. Anything more goes to the pool.
         let lone = admitted.len() == 1 && shared.handed_off.load(Ordering::Relaxed) == 0;
-        for job in admitted.drain(..) {
-            if lone {
+        if lone {
+            if let Some(job) = admitted.pop() {
                 // Nothing is parked (`handed_off` is zero), and no worker
                 // is awake to send a parked reply: the receiver waits.
                 if let Some(parked) = answer(shared, job, &mut reply, &mut pw_scratch) {
                     settle(shared, parked, &mut reply);
                 }
-            } else {
-                enqueue(shared, job);
             }
+        } else {
+            enqueue(shared, &mut admitted);
         }
     }
     Ok(())
@@ -434,23 +434,35 @@ fn classify(classifier: Option<&LaneClassifier>, peer: &SocketAddr, data: &[u8])
     classifier.map_or(Lane::Trusted, |c| c(peer, data))
 }
 
-/// Push one job, blocking while the backlog is at capacity (backpressure:
-/// excess load waits in the kernel socket buffer, not in process memory).
-fn enqueue(shared: &Shared, job: Job) {
+/// Push a batch's jobs under one hold of the queue lock, blocking while
+/// the backlog is at capacity (backpressure: excess load waits in the
+/// kernel socket buffer, not in process memory). Workers see the batch
+/// whole: one that finds the queue empty, and settles a parked reply —
+/// waiting out its sync — while the receiver is still handing off
+/// datagrams it has already drained, would hold the rest of the batch
+/// behind that sync.
+fn enqueue(shared: &Shared, jobs: &mut Vec<Job>) {
+    let wake = |n: usize| (0..n).for_each(|_| shared.job_ready.notify_one());
     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-    while q.jobs.len() + q.parked.len() >= shared.queue_cap
-        && !shared.shutdown.load(Ordering::SeqCst)
-    {
-        q = shared
-            .space_ready
-            .wait_timeout(q, Duration::from_millis(50))
-            .unwrap_or_else(|e| e.into_inner())
-            .0;
+    let mut queued = 0;
+    for job in jobs.drain(..) {
+        while q.jobs.len() + q.parked.len() >= shared.queue_cap
+            && !shared.shutdown.load(Ordering::SeqCst)
+        {
+            // The workers take what is queued before there is room.
+            wake(std::mem::take(&mut queued));
+            q = shared
+                .space_ready
+                .wait_timeout(q, Duration::from_millis(50))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        shared.handed_off.fetch_add(1, Ordering::Relaxed);
+        q.jobs.push_back(job);
+        queued += 1;
     }
-    shared.handed_off.fetch_add(1, Ordering::Relaxed);
-    q.jobs.push_back(job);
     drop(q);
-    shared.job_ready.notify_one();
+    wake(queued);
 }
 
 /// A handler (or a pending decision) that panics costs its own datagram,

@@ -71,17 +71,46 @@ impl WireTraceCtx {
     }
 }
 
+/// Octets of the trace context's Vendor-Specific value.
+const TRACE_CTX_VALUE_LEN: u8 = 30;
+
+/// Octets the whole trace-context attribute takes on the wire: type,
+/// length and value.
+pub(crate) const TRACE_CTX_WIRE_LEN: usize = 32;
+
+/// Append the trace context's Vendor-Specific value: vendor id, vendor
+/// type and length, then trace id, parent span (0 encodes `None`) and the
+/// sender's clock in µs.
+fn put_trace_ctx_value(out: &mut Vec<u8>, trace: TraceId, parent: Option<SpanId>, clock_us: u64) {
+    out.extend_from_slice(&TRACE_VENDOR_ID.to_be_bytes());
+    out.push(TRACE_VENDOR_TYPE);
+    out.push(26); // vendor-length: type + len + 3 × 8-byte fields
+    out.extend_from_slice(&trace.as_u64().to_be_bytes());
+    out.extend_from_slice(&parent.map(SpanId::as_u64).unwrap_or(0).to_be_bytes());
+    out.extend_from_slice(&clock_us.to_be_bytes());
+}
+
 /// Encode the trace context: trace id, parent span (0 encodes
 /// `None`), and the sender's clock in µs.
 pub fn trace_ctx_attribute(trace: TraceId, parent: Option<SpanId>, clock_us: u64) -> Attribute {
-    let mut value = Vec::with_capacity(30);
-    value.extend_from_slice(&TRACE_VENDOR_ID.to_be_bytes());
-    value.push(TRACE_VENDOR_TYPE);
-    value.push(26); // vendor-length: type + len + 3 × 8-byte fields
-    value.extend_from_slice(&trace.as_u64().to_be_bytes());
-    value.extend_from_slice(&parent.map(SpanId::as_u64).unwrap_or(0).to_be_bytes());
-    value.extend_from_slice(&clock_us.to_be_bytes());
+    let mut value = Vec::with_capacity(usize::from(TRACE_CTX_VALUE_LEN));
+    put_trace_ctx_value(&mut value, trace, parent, clock_us);
     Attribute::new(AttributeType::VendorSpecific, value)
+}
+
+/// Append the trace context to an encoded request as a whole attribute
+/// ([`TRACE_CTX_WIRE_LEN`] octets): the bytes [`trace_ctx_attribute`]
+/// encodes to, without the owned attribute. The caller patches the
+/// packet's length field.
+pub(crate) fn append_trace_ctx(
+    wire: &mut Vec<u8>,
+    trace: TraceId,
+    parent: Option<SpanId>,
+    clock_us: u64,
+) {
+    wire.push(AttributeType::VendorSpecific.code());
+    wire.push(TRACE_CTX_VALUE_LEN.saturating_add(2));
+    put_trace_ctx_value(wire, trace, parent, clock_us);
 }
 
 /// Decode the trace context from one Vendor-Specific attribute, if it is

@@ -260,12 +260,28 @@ impl Transport for InMemoryTransport {
 /// datagram from any address but the server's is drained the same way:
 /// whoever can reach the ephemeral port must not be able to answer for the
 /// server, nor have its junk charged to the server's breaker.
+///
+/// The receive timeout (`SO_RCVTIMEO`) is set once, at bind, to the
+/// exchange timeout, not with a syscall before every receive. It runs
+/// from the receive call, so an exchange's deadline can overshoot by the
+/// gap between its send and its receive: well under a microsecond,
+/// against a timeout of seconds. Only after draining a stale or foreign
+/// datagram is it re-armed with what is left of the deadline, and the
+/// next exchange restores the full timeout first.
 pub struct UdpTransport {
     server_addr: SocketAddr,
     timeout: Duration,
     /// Lazily-bound socket plus the reusable receive buffer; one lock
     /// serializes exchanges so replies cannot cross between callers.
-    io: parking_lot::Mutex<Option<(UdpSocket, Box<[u8; crate::MAX_PACKET_LEN]>)>>,
+    io: parking_lot::Mutex<Option<UdpIo>>,
+}
+
+/// A [`UdpTransport`]'s bound socket, its receive buffer, and the receive
+/// timeout the socket is armed with.
+struct UdpIo {
+    sock: UdpSocket,
+    buf: Box<[u8; crate::MAX_PACKET_LEN]>,
+    armed: Duration,
 }
 
 impl UdpTransport {
@@ -298,17 +314,33 @@ impl Transport for UdpTransport {
                 SocketAddr::V6(_) => (Ipv6Addr::UNSPECIFIED, 0).into(),
             };
             let sock = UdpSocket::bind(local).map_err(io_err)?;
-            *guard = Some((sock, Box::new([0u8; crate::MAX_PACKET_LEN])));
+            sock.set_read_timeout(Some(self.timeout)).map_err(io_err)?;
+            *guard = Some(UdpIo {
+                sock,
+                buf: Box::new([0u8; crate::MAX_PACKET_LEN]),
+                armed: self.timeout,
+            });
         }
-        let (sock, buf) = guard.as_mut().expect("socket bound above");
+        let UdpIo { sock, buf, armed } = guard.as_mut().expect("socket bound above");
+        if *armed != self.timeout {
+            sock.set_read_timeout(Some(self.timeout)).map_err(io_err)?;
+            *armed = self.timeout;
+        }
         sock.send_to(request, self.server_addr).map_err(io_err)?;
         let deadline = std::time::Instant::now() + self.timeout;
+        let mut drained = false;
         loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Err(TransportError::Timeout);
+            if drained {
+                // What was received was not the reply: wait out only what
+                // is left of the deadline.
+                let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+                if remaining.is_zero() {
+                    return Err(TransportError::Timeout);
+                }
+                sock.set_read_timeout(Some(remaining)).map_err(io_err)?;
+                *armed = remaining;
             }
-            sock.set_read_timeout(Some(remaining)).map_err(io_err)?;
+            drained = true;
             match sock.recv_from(buf.as_mut()) {
                 // Not the server's: no reply, whatever it says. (Address
                 // and port only — a V6 source also carries flow info and a

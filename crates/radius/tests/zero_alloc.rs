@@ -1,14 +1,21 @@
-//! The zero-allocation floor of the ingest hot path, as counts.
+//! The allocation floors of the RADIUS hot paths, as counts: the ingest
+//! allocates nothing per datagram, and a traced client request allocates
+//! an exact number of buffers, each of them its own.
 //!
 //! A binary of its own so it can install a counting `#[global_allocator]`.
 //! Only allocations made on the test's own thread are counted, so libtest's
 //! threads cannot disturb the totals.
 
+use hpcmfa_crypto::md5::Md5;
+use hpcmfa_crypto::Digest;
 use hpcmfa_radius::attribute::{Attribute, AttributeType};
 use hpcmfa_radius::auth::hide_password;
+use hpcmfa_radius::client::Outcome;
 use hpcmfa_radius::packet::{Code, Packet, PacketView};
 use hpcmfa_radius::server::{Handler, RadiusServer, ServerDecision};
 use hpcmfa_radius::tracewire;
+use hpcmfa_radius::{ClientConfig, RadiusClient, Transport, TransportError};
+use hpcmfa_telemetry::{MetricsRegistry, SpanCtx, TraceClock, TraceId};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -135,4 +142,100 @@ fn view_decode_and_process_into_allocate_nothing() {
     });
     assert_eq!(replied, ROUNDS, "every datagram answered");
     assert_eq!(process_allocs, 0, "process_into allocated");
+}
+
+/// An in-process server that answers every request with a sealed
+/// Access-Challenge (State and Reply-Message), written straight into the
+/// caller's reply buffer: the transport allocates only that buffer.
+struct Challenger;
+
+const STATE: &[u8] = b"chal-1";
+const PROMPT: &[u8] = b"TACC Token:";
+
+impl Transport for Challenger {
+    fn exchange(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+        let mut reply = Vec::new();
+        self.exchange_into(request, &mut reply)?;
+        Ok(reply)
+    }
+
+    fn exchange_into(&self, request: &[u8], reply: &mut Vec<u8>) -> Result<(), TransportError> {
+        let req = PacketView::parse(request).map_err(|_| TransportError::GarbledReply)?;
+        let len = 20 + 2 + STATE.len() + 2 + PROMPT.len();
+        reply.clear();
+        reply.reserve_exact(len);
+        reply.extend_from_slice(&[11, req.identifier]);
+        reply.extend_from_slice(&(len as u16).to_be_bytes());
+        reply.extend_from_slice(req.authenticator());
+        for (ty, value) in [(24u8, STATE), (18, PROMPT)] {
+            reply.extend_from_slice(&[ty, 2 + value.len() as u8]);
+            reply.extend_from_slice(value);
+        }
+        let mut h = Md5::new();
+        h.update(reply);
+        h.update(SECRET);
+        reply[4..20].copy_from_slice(&h.finalize());
+        Ok(())
+    }
+
+    fn name(&self) -> String {
+        "in-process".into()
+    }
+}
+
+/// A traced request, answered on the first attempt, allocates five buffers
+/// and nothing else: the request datagram (encoded once, sized to the
+/// request and its trace context), the attempt span's attribute list, the
+/// reply buffer, and the outcome's own State and Reply-Message. The spans
+/// go into a full ring that reuses what it evicts; the server's name is
+/// shared, and the reply is parsed and verified where it lies.
+#[test]
+fn a_traced_client_request_allocates_an_exact_count() {
+    const PER_REQUEST: u64 = 5;
+    let metrics = Arc::new(MetricsRegistry::with_ring_caps(1_024, 1_024));
+    let client = RadiusClient::with_metrics(
+        ClientConfig::new(SECRET, "login01"),
+        vec![Arc::new(Challenger) as Arc<dyn Transport>],
+        Arc::clone(&metrics),
+    );
+    let mut rng = StdRng::seed_from_u64(21);
+    // One clock for every request, as an ssh connection has one for all
+    // of its attempts.
+    let clock = TraceClock::at(0);
+    let mut next = 0u64;
+    let mut request = || {
+        let ctx = SpanCtx::root(TraceId::from_u64(next), clock.clone());
+        next += 1;
+        client.request(
+            &mut rng,
+            "user042",
+            b"123456",
+            "198.51.100.77",
+            None,
+            Some(&ctx),
+        )
+    };
+    // Warm: the ring full and evicting past its tombstone memory, every
+    // instrument's first sample taken.
+    while metrics.tracer().dropped() < 8_192 {
+        request().expect("the in-process server answers");
+    }
+    let rounds = 2_000;
+    let mut challenged = 0u64;
+    let allocs = allocations_during(|| {
+        for _ in 0..rounds {
+            let outcome = request();
+            challenged += u64::from(matches!(
+                &outcome,
+                Ok(Outcome::Challenge { state, message: Some(m) })
+                    if state == STATE && m.as_bytes() == PROMPT
+            ));
+        }
+    });
+    assert_eq!(challenged, rounds, "every request challenged");
+    assert_eq!(
+        allocs,
+        PER_REQUEST * rounds,
+        "allocations over {rounds} requests"
+    );
 }

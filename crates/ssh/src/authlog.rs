@@ -12,6 +12,7 @@
 
 use hpcmfa_pam::modules::pubkey::AuthLogSource;
 use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -46,7 +47,15 @@ pub struct LogEntry {
 /// Append-only auth log, shared between sshd and the PAM pubkey module.
 #[derive(Clone, Default)]
 pub struct AuthLog {
-    entries: Arc<RwLock<Vec<LogEntry>>>,
+    inner: Arc<RwLock<Lines>>,
+}
+
+/// The log's lines and, under the same lock, the time of the latest
+/// successful pubkey login per user and peer among them.
+#[derive(Default)]
+struct Lines {
+    entries: Vec<LogEntry>,
+    latest_pubkey: HashMap<String, HashMap<Ipv4Addr, u64>>,
 }
 
 impl AuthLog {
@@ -57,45 +66,61 @@ impl AuthLog {
 
     /// Append an entry.
     pub fn record(&self, entry: LogEntry) {
-        self.entries.write().push(entry);
+        let mut lines = self.inner.write();
+        if entry.method == AuthMethod::Publickey && entry.success {
+            let latest = match lines.latest_pubkey.get_mut(&entry.user) {
+                Some(by_host) => by_host.entry(entry.rhost).or_insert(entry.at),
+                None => lines
+                    .latest_pubkey
+                    .entry(entry.user.clone())
+                    .or_default()
+                    .entry(entry.rhost)
+                    .or_insert(entry.at),
+            };
+            *latest = (*latest).max(entry.at);
+        }
+        lines.entries.push(entry);
     }
 
     /// Snapshot of all entries.
     pub(crate) fn entries(&self) -> Vec<LogEntry> {
-        self.entries.read().clone()
+        self.inner.read().entries.clone()
     }
 
     /// Count of entries satisfying `pred`.
     pub fn count_where(&self, pred: impl Fn(&LogEntry) -> bool) -> usize {
-        self.entries.read().iter().filter(|e| pred(e)).count()
+        self.inner.read().entries.iter().filter(|e| pred(e)).count()
     }
 
     /// Drop entries older than `cutoff` (log rotation). Long simulations
     /// rotate daily, exactly as production logrotate would.
     pub fn prune_older_than(&self, cutoff: u64) {
-        self.entries.write().retain(|e| e.at >= cutoff);
+        let mut lines = self.inner.write();
+        lines.entries.retain(|e| e.at >= cutoff);
+        // A latest time that survives is still the latest; one that does
+        // not took every older line of its user and peer with it.
+        lines.latest_pubkey.retain(|_, by_host| {
+            by_host.retain(|_, at| *at >= cutoff);
+            !by_host.is_empty()
+        });
     }
 }
 
 impl AuthLogSource for AuthLog {
+    /// Whether `user` logged in from `rhost` with a public key at most
+    /// `within_secs` before `now`: a lookup of their latest such login,
+    /// however long the log. Every password login misses, so a scan
+    /// back through the window would walk all of it on each of them.
+    /// The log is written in time order and asked at the present, so the
+    /// latest pubkey login is never after `now`, and when it is too old
+    /// every earlier one is as well.
     fn pubkey_success(&self, user: &str, rhost: Ipv4Addr, now: u64, within_secs: u64) -> bool {
-        // Scan from the tail: the matching entry is almost always the most
-        // recent line, written moments ago by the same connection. Entries
-        // are appended in time order, so the scan stops at the first line
-        // older than the freshness window instead of walking months of
-        // history.
-        self.entries
+        self.inner
             .read()
-            .iter()
-            .rev()
-            .take_while(|e| e.at + within_secs >= now)
-            .any(|e| {
-                e.method == AuthMethod::Publickey
-                    && e.success
-                    && e.user == user
-                    && e.rhost == rhost
-                    && e.at <= now
-            })
+            .latest_pubkey
+            .get(user)
+            .and_then(|by_host| by_host.get(&rhost))
+            .is_some_and(|&at| at <= now && at.saturating_add(within_secs) >= now)
     }
 }
 
@@ -144,7 +169,7 @@ mod tests {
         log.record(entry("a", 1, AuthMethod::Password, true, true));
         log.record(entry("a", 2, AuthMethod::Password, true, false));
         log.record(entry("b", 3, AuthMethod::Publickey, true, false));
-        assert_eq!(log.entries.read().len(), 3);
+        assert_eq!(log.inner.read().entries.len(), 3);
         assert_eq!(log.count_where(|e| !e.tty), 2);
         assert_eq!(log.count_where(|e| e.user == "a"), 2);
     }

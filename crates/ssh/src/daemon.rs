@@ -72,8 +72,9 @@ impl Conversation for RecordingConversation<'_> {
 
 /// A login node's sshd.
 pub struct SshDaemon {
-    /// NAS identifier, e.g. `login1.stampede`.
-    pub name: String,
+    /// NAS identifier, e.g. `login1.stampede`. Shared, so every session
+    /// span stamps it without a copy.
+    pub name: Arc<str>,
     authorized: RwLock<HashMap<String, HashSet<String>>>,
     stack: Arc<PamStack>,
     authlog: AuthLog,
@@ -96,7 +97,7 @@ impl SshDaemon {
     /// Bring up a daemon with `stack` and a shared `authlog`.
     pub fn new(name: &str, stack: Arc<PamStack>, authlog: AuthLog, clock: Arc<dyn Clock>) -> Self {
         SshDaemon {
-            name: name.to_string(),
+            name: name.into(),
             authorized: RwLock::new(HashMap::new()),
             stack,
             authlog,
@@ -232,7 +233,7 @@ impl SshDaemon {
             // Root span of this attempt's trace: the sshd session hop.
             let session_span = self.metrics.as_ref().map(|m| {
                 let mut guard = m.tracer().start(&ctx.span_ctx(), "ssh", "session");
-                guard.attr_str("daemon", self.name.clone());
+                guard.attr_str("daemon", Arc::clone(&self.name));
                 guard.attr_u64("attempt", u64::from(attempts));
                 guard
             });
@@ -292,13 +293,16 @@ impl SshDaemon {
                 .get_or_init(|| {
                     metrics.counter(
                         "hpcmfa_ssh_sessions_total",
-                        &[("daemon", &self.name), ("outcome", outcome)],
+                        &[("daemon", &*self.name), ("outcome", outcome)],
                     )
                 })
                 .inc();
             self.stack_attempts
                 .get_or_init(|| {
-                    metrics.counter("hpcmfa_ssh_stack_attempts_total", &[("daemon", &self.name)])
+                    metrics.counter(
+                        "hpcmfa_ssh_stack_attempts_total",
+                        &[("daemon", &*self.name)],
+                    )
                 })
                 .add(u64::from(attempts));
         }

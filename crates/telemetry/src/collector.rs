@@ -412,7 +412,7 @@ mod tests {
             parent: Some(SpanId::from_u64(99)),
             component: "otp",
             label: "validate",
-            detail: String::new(),
+            detail: "",
             status: SpanStatus::Ok,
             start_us: 5,
             end_us: 9,

@@ -26,7 +26,7 @@
 //! (see `hpcmfa-radius`'s `tracewire`), so a cross-site trace tree has one
 //! monotone time basis and self-times partition the end-to-end duration.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -179,8 +179,10 @@ impl fmt::Display for SpanStatus {
 /// A typed span attribute value (never secrets or token codes).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AttrValue {
-    /// Free-form string (server name, realm, outcome, …).
-    Str(String),
+    /// Free-form string (server name, realm, outcome, …), shared: a
+    /// component keeps the names it stamps and hands out clones, so
+    /// stamping one allocates nothing.
+    Str(Arc<str>),
     /// Unsigned quantity (attempt count, queue depth, scanned steps, …).
     U64(u64),
     /// Boolean flag.
@@ -265,17 +267,19 @@ pub struct SpanRecord {
     /// Short operation label (`session`, `authenticate`, `forward`,
     /// `validate`, `wal_fsync`, …).
     pub label: &'static str,
-    /// Free-form detail (outcome, server name, attempt count; never
-    /// secrets or token codes).
-    pub detail: String,
+    /// Short outcome detail (`accept`, `timeout`, `append failed`, …;
+    /// never secrets or token codes). Static, like `label`, so a record
+    /// owns no heap for it.
+    pub detail: &'static str,
     /// Terminal disposition.
     pub status: SpanStatus,
     /// Virtual start time, µs on the trace clock.
     pub start_us: u64,
     /// Virtual end time, µs on the trace clock (`>= start_us`).
     pub end_us: u64,
-    /// Typed attributes, in insertion order.
-    pub attrs: Vec<(String, AttrValue)>,
+    /// Typed attributes, in insertion order. Empty — and unallocated —
+    /// on most spans.
+    pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl SpanRecord {
@@ -290,6 +294,15 @@ impl SpanRecord {
 /// the ring as a truncated tree.
 const EVICTED_MEMORY: usize = 1_024;
 
+/// How many evicted traces' span vectors the tracer keeps, emptied, for
+/// the next new traces: a full ring evicts one trace per new one, so a
+/// handful covers the steady state and bounds what a burst leaves.
+const SPARE_TRACES: usize = 16;
+
+/// The largest span vector kept as a spare. A login's trace holds a few
+/// dozen spans; the vector of a runaway trace goes back to the allocator.
+const SPARE_MAX_SPANS: usize = 64;
+
 /// What the tracer holds for one trace id.
 enum Held {
     /// Its retained spans, in recording order.
@@ -301,14 +314,25 @@ enum Held {
 
 /// The ring, grouped per trace so that evicting one is a pop and one
 /// removal however many spans the others hold.
+///
+/// Every span looks its trace up, so the map is a hash map: an ordered
+/// map of the few thousand traces a full default ring holds cost more
+/// than the rest of recording a span together, and its node splits
+/// allocated as traces came and went. At a steady size the hash map
+/// allocates nothing. It keeps the default (keyed) hasher: trace ids
+/// arrive off the wire. [`Tracer::trace_ids`] sorts what it lists.
 struct TracerInner {
-    traces: BTreeMap<TraceId, Held>,
+    traces: HashMap<TraceId, Held>,
     /// The traces with retained spans, by the arrival of their first:
     /// the front is the next victim.
     arrival: VecDeque<TraceId>,
     /// The tombstoned traces (at most [`EVICTED_MEMORY`]), oldest first:
     /// the front is the next forgotten.
     evicted: VecDeque<TraceId>,
+    /// Emptied span vectors of evicted traces (at most
+    /// [`SPARE_TRACES`]), reused by new traces so that a full ring
+    /// neither frees nor allocates one per trace.
+    spare: Vec<Vec<SpanRecord>>,
     /// Retained spans over all traces.
     len: usize,
     cap: usize,
@@ -326,9 +350,13 @@ impl TracerInner {
     /// Evict the oldest retained trace whole and leave its tombstone.
     fn evict_oldest(&mut self) -> Option<TraceId> {
         let victim = self.arrival.pop_front()?;
-        if let Some(Held::Spans(spans)) = self.traces.insert(victim, Held::Tombstone) {
+        if let Some(Held::Spans(mut spans)) = self.traces.insert(victim, Held::Tombstone) {
             self.len -= spans.len();
             self.dropped += spans.len() as u64;
+            if self.spare.len() < SPARE_TRACES && spans.capacity() <= SPARE_MAX_SPANS {
+                spans.clear();
+                self.spare.push(spans);
+            }
         }
         if self.evicted.len() >= EVICTED_MEMORY {
             if let Some(forgotten) = self.evicted.pop_front() {
@@ -360,7 +388,10 @@ impl TracerInner {
             spans.push(rec);
         } else {
             self.arrival.push_back(rec.trace);
-            self.traces.insert(rec.trace, Held::Spans(vec![rec]));
+            let mut spans = self.spare.pop().unwrap_or_default();
+            let trace = rec.trace;
+            spans.push(rec);
+            self.traces.insert(trace, Held::Spans(spans));
         }
     }
 }
@@ -400,9 +431,10 @@ impl Tracer {
     pub fn with_cap(cap: usize) -> Self {
         Tracer {
             inner: Mutex::new(TracerInner {
-                traces: BTreeMap::new(),
+                traces: HashMap::new(),
                 arrival: VecDeque::new(),
                 evicted: VecDeque::new(),
+                spare: Vec::new(),
                 len: 0,
                 cap,
                 dropped: 0,
@@ -454,7 +486,7 @@ impl Tracer {
                 clock: ctx.clock.clone(),
                 start_us: ctx.clock.now_us(),
                 status: SpanStatus::Ok,
-                detail: String::new(),
+                detail: "",
                 attrs: Vec::new(),
             }),
         }
@@ -472,7 +504,13 @@ impl Tracer {
     /// Record one point span for `trace` (no parent, zero duration).
     /// Retained for ad-hoc annotations and tests; instrumented paths use
     /// [`Tracer::start`].
-    pub fn span(&self, trace: TraceId, component: &'static str, label: &'static str, detail: &str) {
+    pub fn span(
+        &self,
+        trace: TraceId,
+        component: &'static str,
+        label: &'static str,
+        detail: &'static str,
+    ) {
         let id = self.next_id(trace);
         self.lock().insert(SpanRecord {
             trace,
@@ -480,7 +518,7 @@ impl Tracer {
             parent: None,
             component,
             label,
-            detail: detail.to_string(),
+            detail,
             status: SpanStatus::Ok,
             start_us: 0,
             end_us: 0,
@@ -512,12 +550,15 @@ impl Tracer {
     /// numeric) order. Like [`Tracer::components_for`], the sorted order
     /// is a documented contract, not an accident of storage.
     pub fn trace_ids(&self) -> Vec<TraceId> {
-        self.lock()
+        let mut ids: Vec<TraceId> = self
+            .lock()
             .traces
             .iter()
             .filter(|(_, held)| matches!(held, Held::Spans(_)))
             .map(|(trace, _)| *trace)
-            .collect()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Retained span count.
@@ -559,8 +600,8 @@ pub struct DetachedSpan {
     clock: TraceClock,
     start_us: u64,
     status: SpanStatus,
-    detail: String,
-    attrs: Vec<(String, AttrValue)>,
+    detail: &'static str,
+    attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl SpanGuard<'_> {
@@ -597,23 +638,23 @@ impl SpanGuard<'_> {
         self.open_mut().status = status;
     }
 
-    /// Set the free-form detail recorded with the span.
-    pub fn set_detail(&mut self, detail: impl Into<String>) {
-        self.open_mut().detail = detail.into();
+    /// Set the detail recorded with the span.
+    pub fn set_detail(&mut self, detail: &'static str) {
+        self.open_mut().detail = detail;
     }
 
-    /// Attach a string attribute.
-    pub fn attr_str(&mut self, key: &str, value: impl Into<String>) {
+    /// Attach a string attribute. A caller stamping the same names over
+    /// and over keeps them as `Arc<str>` and passes clones, which
+    /// allocate nothing.
+    pub fn attr_str(&mut self, key: &'static str, value: impl Into<Arc<str>>) {
         self.open_mut()
             .attrs
-            .push((key.to_string(), AttrValue::Str(value.into())));
+            .push((key, AttrValue::Str(value.into())));
     }
 
     /// Attach an unsigned-quantity attribute.
-    pub fn attr_u64(&mut self, key: &str, value: u64) {
-        self.open_mut()
-            .attrs
-            .push((key.to_string(), AttrValue::U64(value)));
+    pub fn attr_u64(&mut self, key: &'static str, value: u64) {
+        self.open_mut().attrs.push((key, AttrValue::U64(value)));
     }
 
     /// Close the span now (equivalent to dropping the guard).
@@ -709,7 +750,7 @@ mod tests {
         assert_eq!((span.start_us, span.end_us), (100, 520));
         assert_eq!(span.status, SpanStatus::Degraded);
         assert_eq!(span.detail, "unavailable");
-        assert_eq!(span.attrs, [("steps".to_string(), AttrValue::U64(21))]);
+        assert_eq!(span.attrs, [("steps", AttrValue::U64(21))]);
         // One that is never handed back leaves no span.
         drop(t.start(&ctx, "otp", "sms").detach());
         assert_eq!(t.len(), 1);
@@ -820,8 +861,8 @@ mod tests {
         assert_eq!(
             child.attrs,
             vec![
-                ("user".to_string(), AttrValue::Str("alice".to_string())),
-                ("attempt".to_string(), AttrValue::U64(2)),
+                ("user", AttrValue::Str("alice".into())),
+                ("attempt", AttrValue::U64(2)),
             ]
         );
         assert!(root.attrs.is_empty());

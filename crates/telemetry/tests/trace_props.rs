@@ -22,7 +22,7 @@ use hpcmfa_telemetry::trace::DEFAULT_TRACER_CAP;
 use hpcmfa_telemetry::{MetricsRegistry, SpanCtx, TraceClock, TraceCollector, TraceId, Tracer};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The tracer's own (private) tombstone bound.
 const EVICTED_MEMORY: usize = 1_024;
@@ -88,6 +88,19 @@ impl RetainRing {
     }
 }
 
+/// The detail of the `n`-th span a [`Pair`] records: its number. Span
+/// details are `&'static str`, so each number is leaked once and shared
+/// by every pair that reaches it.
+fn nth_detail(n: u64) -> &'static str {
+    static DETAILS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let mut details = DETAILS.lock().unwrap();
+    while details.len() as u64 <= n {
+        let next = details.len().to_string();
+        details.push(Box::leak(next.into_boxed_str()));
+    }
+    details[n as usize]
+}
+
 /// A tracer and its model fed the same spans, compared after each one.
 struct Pair {
     tracer: Tracer,
@@ -109,11 +122,11 @@ impl Pair {
 
     fn span(&mut self, trace: u64) {
         let trace = TraceId::from_u64(trace);
-        let detail = self.recorded.to_string();
+        let detail = nth_detail(self.recorded);
         self.recorded += 1;
         self.seen.insert(trace);
-        self.tracer.span(trace, "t", "op", &detail);
-        self.model.insert(trace, detail);
+        self.tracer.span(trace, "t", "op", detail);
+        self.model.insert(trace, detail.to_string());
 
         let at = self.recorded;
         assert_eq!(self.tracer.len(), self.model.spans.len(), "len, span {at}");
@@ -132,7 +145,7 @@ impl Pair {
                 .tracer
                 .spans_for(id)
                 .into_iter()
-                .map(|s| s.detail)
+                .map(|s| s.detail.to_string())
                 .collect();
             assert_eq!(held, self.model.spans_for(id), "trace {id}, span {at}");
         }

@@ -27,6 +27,8 @@
 #                      shard order; hostile audit frames never reach the ring;
 #                      a validate hit allocates nothing; a day of forced
 #                      pairings carries its overrun into the next, by name
+#   login node         a traced client request allocates its exact count and
+#                      a span into a full ring nothing, by name
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
 #                      fails here by name instead of slowing the whole run
@@ -51,10 +53,12 @@ echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet Us
 # minutes of work) runs into the timeout instead. Target flags apply to every
 # package named, so the one --lib prebuilds hpcmfa-otpserver's lib tests too.
 cargo test -q --offline --release --no-run \
-    -p hpcmfa-telemetry --test trace_props -p hpcmfa-directory --test index_props \
+    -p hpcmfa-telemetry --test trace_props --test span_allocs \
+    -p hpcmfa-directory --test index_props \
     -p hpcmfa-otpserver --test group_commit --test wal_proptests \
     --test store_proptests --test durable_format --test validate_allocs \
-    -p hpcmfa-radius --lib --test udp -p hpcmfa-crypto -p hpcmfa-otp -p hpcmfa-workload
+    -p hpcmfa-radius --lib --test udp --test zero_alloc \
+    -p hpcmfa-crypto -p hpcmfa-otp -p hpcmfa-workload
 # One guard: the tests each filter selects, under a timeout. A filter that
 # selects nothing fails the guard, so renaming or deleting a guarded test
 # cannot leave a guard that passes while running no test.
@@ -88,6 +92,9 @@ guard 60 --release -p hpcmfa-otpserver --test store_proptests --test durable_for
     whatever_recovery_accepts_the_audit_readers_survive \
     a_validate_hit_allocates_an_exact_count \
     a_day_of_forced_pairings_carries_its_overrun_into_the_next
+guard 30 --release -p hpcmfa-radius --test zero_alloc -p hpcmfa-telemetry --test span_allocs -- \
+    a_traced_client_request_allocates_an_exact_count \
+    an_attribute_free_span_into_a_full_ring_allocates_nothing
 cargo test -q --offline --release -p hpcmfa-crypto -p hpcmfa-otp
 guard 60 --release -p hpcmfa-otp --lib -- \
     verify_tracked_matches_the_full_scan_reference \
