@@ -133,8 +133,11 @@ pub struct CenterConfig {
     /// and audit mutation write-ahead-logged through the backend and lets
     /// [`Center::crash_otp_server`] kill and recover it mid-run.
     pub otp_storage: Option<Arc<dyn StorageBackend>>,
-    /// Compaction cadence for the durable OTP server: a snapshot replaces
-    /// the WAL after this many appends. Ignored without `otp_storage`.
+    /// Compaction floor for the durable OTP server: a snapshot replaces
+    /// the WAL after no fewer than this many appends (and not before the
+    /// WAL holds an eighth of the last snapshot's bytes; see
+    /// [`ServerConfig::snapshot_every_appends`]). Ignored without
+    /// `otp_storage`.
     pub otp_snapshot_every: u64,
     /// The center-wide metrics registry. Every component — PAM stacks,
     /// RADIUS clients, sshd instances, the OTP back end — records into

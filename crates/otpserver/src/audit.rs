@@ -29,7 +29,6 @@ use crate::durability::wal::{crc32, FRAME_HEADER_LEN, TAG_AUDIT};
 use hpcmfa_telemetry::TraceId;
 use parking_lot::RwLock;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default retention cap: large enough that no simulation in this repo
@@ -549,17 +548,10 @@ impl Ring {
 // The log
 // ---------------------------------------------------------------------
 
-struct Shared {
-    ring: RwLock<Ring>,
-    /// The length of the last snapshot the ring was copied into: the next
-    /// one reserves that much at once.
-    snapshot_len: AtomicUsize,
-}
-
 /// Bounded, thread-safe audit log with ring eviction. Clone shares state.
 #[derive(Clone)]
 pub struct AuditLog {
-    inner: Arc<Shared>,
+    ring: Arc<RwLock<Ring>>,
 }
 
 impl Default for AuditLog {
@@ -572,17 +564,14 @@ impl AuditLog {
     /// New empty log retaining at most `cap` entries (0 retains nothing).
     pub fn with_cap(cap: usize) -> Self {
         AuditLog {
-            inner: Arc::new(Shared {
-                ring: RwLock::new(Ring::with_cap(cap)),
-                snapshot_len: AtomicUsize::new(0),
-            }),
+            ring: Arc::new(RwLock::new(Ring::with_cap(cap))),
         }
     }
 
     /// Entries evicted by the ring cap since creation (time-based pruning
     /// does not count — that is deliberate retention, not overflow).
     pub fn dropped(&self) -> u64 {
-        self.inner.ring.read().dropped
+        self.ring.read().dropped
     }
 
     /// Append an entry, evicting the oldest if the log is at cap.
@@ -602,7 +591,7 @@ impl AuditLog {
             detail,
             trace: None,
         };
-        let mut ring = self.inner.ring.write();
+        let mut ring = self.ring.write();
         ring.push(row.frame_len(), |frame| row.write_frame(frame));
     }
 
@@ -612,7 +601,7 @@ impl AuditLog {
         if frames.is_empty() {
             return;
         }
-        let mut ring = self.inner.ring.write();
+        let mut ring = self.ring.write();
         for frame in Frames(frames) {
             ring.push(frame.len(), |dst| dst.copy_from_slice(frame));
         }
@@ -620,21 +609,21 @@ impl AuditLog {
 
     /// All entries for `username`.
     pub fn for_user(&self, username: &str) -> Vec<AuditEntry> {
-        let ring = self.inner.ring.read();
+        let ring = self.ring.read();
         let rows = ring.rows().filter(|r| r.user == username);
         rows.map(RowView::to_entry).collect()
     }
 
     /// Entries in `[from, to)`.
     pub fn in_range(&self, from: u64, to: u64) -> Vec<AuditEntry> {
-        let ring = self.inner.ring.read();
+        let ring = self.ring.read();
         let rows = ring.rows().filter(|r| r.at >= from && r.at < to);
         rows.map(RowView::to_entry).collect()
     }
 
     /// Count of entries matching `action` and `success`.
     pub fn count(&self, action: AuditAction, success: bool) -> usize {
-        let ring = self.inner.ring.read();
+        let ring = self.ring.read();
         ring.rows()
             .filter(|r| r.action == action && r.success == success)
             .count()
@@ -643,7 +632,7 @@ impl AuditLog {
     /// Drop entries older than `cutoff` (retention rotation for long
     /// simulations; production would archive instead).
     pub fn prune_older_than(&self, cutoff: u64) {
-        let mut ring = self.inner.ring.write();
+        let mut ring = self.ring.write();
         if ring.rows().all(|r| r.at >= cutoff) {
             return;
         }
@@ -660,7 +649,7 @@ impl AuditLog {
 
     /// Decode all retained entries in order.
     pub fn export_all(&self) -> Vec<AuditEntry> {
-        let ring = self.inner.ring.read();
+        let ring = self.ring.read();
         ring.rows().map(RowView::to_entry).collect()
     }
 
@@ -668,7 +657,7 @@ impl AuditLog {
     /// returns the dropped counter as it stood for that visit. The log
     /// stays read-locked throughout, so `f` must not call back into it.
     pub fn for_each(&self, mut f: impl FnMut(&AuditEntry)) -> u64 {
-        let ring = self.inner.ring.read();
+        let ring = self.ring.read();
         ring.rows().for_each(|r| f(&r.to_entry()));
         ring.dropped
     }
@@ -677,28 +666,17 @@ impl AuditLog {
     /// section of a snapshot — and say how many rows that was and what
     /// the dropped counter stood at.
     pub(crate) fn copy_frames_into(&self, out: &mut Vec<u8>) -> (usize, u64) {
-        let ring = self.inner.ring.read();
+        let ring = self.ring.read();
         ring.live_blocks()
             .for_each(|bytes| out.extend_from_slice(bytes));
         (ring.rows, ring.dropped)
-    }
-
-    /// The length of the last snapshot this log was copied into (0 before
-    /// the first).
-    pub(crate) fn snapshot_len(&self) -> usize {
-        self.inner.snapshot_len.load(Ordering::Relaxed)
-    }
-
-    /// Note the length of the snapshot just made.
-    pub(crate) fn note_snapshot_len(&self, len: usize) {
-        self.inner.snapshot_len.store(len, Ordering::Relaxed);
     }
 
     /// Replace the log's contents and dropped counter (crash recovery).
     /// The cap is preserved; if the recovered set exceeds it, the oldest
     /// entries are evicted exactly as live appends would have.
     pub(crate) fn load(&self, entries: Vec<AuditEntry>, dropped: u64) {
-        let mut ring = self.inner.ring.write();
+        let mut ring = self.ring.write();
         let mut loaded = Ring::with_cap(ring.cap);
         loaded.dropped = dropped;
         for entry in &entries {
@@ -712,13 +690,13 @@ impl AuditLog {
     /// dropped counter is reset too — recovery restores it from the
     /// snapshot seal.
     pub(crate) fn clear(&self) {
-        let mut ring = self.inner.ring.write();
+        let mut ring = self.ring.write();
         *ring = Ring::with_cap(ring.cap);
     }
 
     /// Total retained entries.
     pub fn len(&self) -> usize {
-        self.inner.ring.read().rows
+        self.ring.read().rows
     }
 
     /// Whether the log is empty.
@@ -903,7 +881,7 @@ mod tests {
         let ats: Vec<u64> = log.export_all().iter().map(|e| e.at).collect();
         assert_eq!(ats, (4000..5000).collect::<Vec<_>>());
         assert_eq!(log.dropped(), 4000);
-        let ring = log.inner.ring.read();
+        let ring = log.ring.read();
         assert!(ring.blocks.len() <= 1000 * 150 / BLOCK_LEN + 2);
         let mut copied = Vec::new();
         drop(ring);

@@ -45,7 +45,7 @@ pub use wal::WalRecord;
 use group::{Actor, Goal, GroupMachine, Step};
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -264,13 +264,22 @@ struct Pump {
     append_us: Arc<Histogram>,
     /// Wall-clock latency of the fsync alone.
     fsync_us: Arc<Histogram>,
-    /// WAL records between snapshots; 0 disables compaction.
+    /// The fewest WAL records between snapshots; 0 disables compaction.
     snapshot_every: u64,
     records_since_snapshot: AtomicU64,
+    /// WAL bytes made durable since the last snapshot.
+    wal_bytes_since_snapshot: AtomicU64,
+    /// The length of the last snapshot installed or recovered: what the
+    /// WAL must earn before the next, and the next one's first capacity.
+    snapshot_len: AtomicU64,
     group: Mutex<GroupMachine<Parked>>,
     /// Announces every machine call that says somebody may be waiting
-    /// for it.
+    /// for it, to the threads counted in `waiting`.
     moved: Condvar,
+    /// Threads asleep on `moved`. Changed only with the group lock held,
+    /// so a thread that changed the machine under the lock and then reads
+    /// 0 knows nobody sleeps on the state it changed.
+    waiting: AtomicUsize,
 }
 
 impl Pump {
@@ -278,6 +287,22 @@ impl Pump {
         // The machine's state is consistent between calls, and a call does
         // not panic, so a poisoned lock is still usable.
         self.group.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wake the threads asleep on `moved`, if there are any: a notify is a
+    /// syscall even when nobody waits.
+    fn announce(&self) {
+        if self.waiting.load(Ordering::SeqCst) > 0 {
+            self.moved.notify_all();
+        }
+    }
+
+    /// Restart the compaction trigger: `records` records and `bytes` bytes
+    /// in the WAL behind a snapshot `snapshot_len` bytes long.
+    fn since_snapshot(&self, records: u64, bytes: u64, snapshot_len: u64) {
+        self.records_since_snapshot.store(records, Ordering::SeqCst);
+        self.wal_bytes_since_snapshot.store(bytes, Ordering::SeqCst);
+        self.snapshot_len.store(snapshot_len, Ordering::SeqCst);
     }
 }
 
@@ -290,6 +315,8 @@ pub(crate) struct Ticket {
     /// Why the backend refused the commit, if it did.
     refused: Option<StorageError>,
     records: u64,
+    /// The commit's length in the WAL.
+    bytes: u64,
     started: Instant,
 }
 
@@ -304,6 +331,14 @@ pub struct Commit {
 
 /// Room for a validate's ValState + audit row without regrowing.
 const COMMIT_CAPACITY: usize = 256;
+
+/// The most snapshot bytes a compaction writes per WAL byte it retires: a
+/// compaction waits until the WAL holds an eighth of the last snapshot's
+/// length. This bounds compaction's write amplification at 8 whatever the
+/// population or audit ring, and the WAL a recovery replays at an eighth
+/// of the snapshot (or the record floor) plus the commits in flight when
+/// compaction came due.
+const SNAPSHOT_PER_WAL_BYTES: u64 = 8;
 
 impl Commit {
     /// Add `record` to the commit.
@@ -346,11 +381,13 @@ impl Commit {
         }
         let seq = group.append(appended.is_ok());
         drop(group);
+        let bytes = self.frames.len() as u64;
         self.frames.clear();
         Some(Ticket {
             seq,
             refused: appended.err(),
             records: std::mem::take(&mut self.records),
+            bytes,
             started,
         })
     }
@@ -370,7 +407,7 @@ impl Drop for Commit {
     fn drop(&mut self) {
         let pump = &self.pump.0;
         if pump.lock().return_pass() {
-            pump.moved.notify_all();
+            pump.announce();
         }
     }
 }
@@ -382,11 +419,16 @@ pub(crate) struct Fence<'a>(&'a Pump);
 impl Drop for Fence<'_> {
     fn drop(&mut self) {
         self.0.lock().open_fence();
-        self.0.moved.notify_all();
+        self.0.announce();
     }
 }
 
 impl Fence<'_> {
+    /// The length of the last snapshot: room enough for the next one.
+    pub(crate) fn snapshot_len(&self) -> usize {
+        usize::try_from(self.0.snapshot_len.load(Ordering::SeqCst)).unwrap_or(0)
+    }
+
     /// Install `bytes` as the new snapshot and reset the WAL. The WAL is
     /// only reset after the snapshot write succeeds, so a failed
     /// compaction never loses records.
@@ -399,7 +441,7 @@ impl Fence<'_> {
         match &written {
             Ok(()) => {
                 pump.stats.snapshots.inc();
-                pump.records_since_snapshot.store(0, Ordering::SeqCst);
+                pump.since_snapshot(0, 0, bytes.len() as u64);
             }
             Err(_) => pump.stats.snapshot_failures.inc(),
         }
@@ -408,10 +450,11 @@ impl Fence<'_> {
 }
 
 impl Persistence {
-    /// Pump through `backend`, compacting every `snapshot_every` WAL
-    /// records (0 = never). Counters and latency histograms stay private
-    /// to this pump; use `Persistence::with_metrics` to surface them in
-    /// a registry.
+    /// Pump through `backend`, compacting once the WAL holds at least
+    /// `snapshot_every` records (0 = never) and an eighth of the last
+    /// snapshot's bytes (`SNAPSHOT_PER_WAL_BYTES`). Counters and
+    /// latency histograms stay private to this pump; use
+    /// `Persistence::with_metrics` to surface them in a registry.
     pub fn new(backend: Arc<dyn StorageBackend>, snapshot_every: u64) -> Self {
         Self::with_metrics(backend, snapshot_every, &MetricsRegistry::new())
     }
@@ -430,8 +473,11 @@ impl Persistence {
             fsync_us: metrics.histogram("hpcmfa_otp_wal_fsync_us", &[]),
             snapshot_every,
             records_since_snapshot: AtomicU64::new(0),
+            wal_bytes_since_snapshot: AtomicU64::new(0),
+            snapshot_len: AtomicU64::new(0),
             group: Mutex::default(),
             moved: Condvar::new(),
+            waiting: AtomicUsize::new(0),
         }))
     }
 
@@ -572,10 +618,12 @@ impl Persistence {
         loop {
             let (step, wake) = group.next(actor);
             if wake {
-                pump.moved.notify_all();
+                pump.announce();
             }
             if matches!(step, Step::Wait) {
+                pump.waiting.fetch_add(1, Ordering::SeqCst);
                 group = pump.moved.wait(group).unwrap_or_else(|e| e.into_inner());
+                pump.waiting.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
             drop(group);
@@ -627,15 +675,23 @@ impl Persistence {
             pump.stats.appends.add(ticket.records);
             pump.records_since_snapshot
                 .fetch_add(ticket.records, Ordering::SeqCst);
+            pump.wal_bytes_since_snapshot
+                .fetch_add(ticket.bytes, Ordering::SeqCst);
         } else {
             pump.stats.append_failures.inc();
         }
     }
 
-    /// Whether enough WAL records have accumulated for a compaction.
+    /// Whether the WAL has earned a compaction: at least `snapshot_every`
+    /// records, and enough bytes that the snapshot costs at most
+    /// [`SNAPSHOT_PER_WAL_BYTES`] bytes for each of them.
     fn wants_snapshot(&self) -> bool {
-        self.0.snapshot_every > 0
-            && self.0.records_since_snapshot.load(Ordering::SeqCst) >= self.0.snapshot_every
+        let pump = &*self.0;
+        let wal_bytes = pump.wal_bytes_since_snapshot.load(Ordering::SeqCst);
+        pump.snapshot_every > 0
+            && pump.records_since_snapshot.load(Ordering::SeqCst) >= pump.snapshot_every
+            && wal_bytes.saturating_mul(SNAPSHOT_PER_WAL_BYTES)
+                >= pump.snapshot_len.load(Ordering::SeqCst)
     }
 
     /// Record a completed recovery in the counters.
@@ -647,7 +703,12 @@ impl Persistence {
             stats.tail_truncations.inc();
             stats.truncated_bytes.add(report.truncated_bytes as u64);
         }
-        self.0.records_since_snapshot.store(0, Ordering::SeqCst);
+        // The WAL recovery kept is what the next compaction replaces.
+        self.0.since_snapshot(
+            report.wal_records as u64,
+            report.wal_bytes as u64,
+            report.snapshot_bytes as u64,
+        );
     }
 }
 

@@ -77,6 +77,8 @@ pub struct RecoveryReport {
     pub skipped_records: usize,
     /// Whether the WAL tail was clean, torn, or corrupt.
     pub tail_was_clean: bool,
+    /// Length of the snapshot loaded (0 when there was none).
+    pub snapshot_bytes: usize,
 }
 
 /// The state a recovery produced, ready to load into a live server.
@@ -129,23 +131,31 @@ pub fn encode_snapshot(
 /// users are encoded straight from the live records, visited shard by
 /// shard; the audit section is the ring's frames, copied as they stand.
 /// A compaction holds every commit off for as long as this takes, so
-/// nothing is cloned or sorted, and the buffer starts at the previous
-/// snapshot's length.
+/// nothing is cloned or sorted.
 pub fn snapshot_live(
     store: &TokenStore,
     audit: &AuditLog,
     resume_consumed: &BTreeMap<[u8; 16], u64>,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(audit.snapshot_len());
+    snapshot_live_sized(0, store, audit, resume_consumed)
+}
+
+/// [`snapshot_live`] into a buffer that starts with room for `capacity`
+/// bytes: compaction passes the previous snapshot's length.
+pub(crate) fn snapshot_live_sized(
+    capacity: usize,
+    store: &TokenStore,
+    audit: &AuditLog,
+    resume_consumed: &BTreeMap<[u8; 16], u64>,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
     let mut users = 0usize;
     store.for_each_by_shard(|user, rec| {
         snapshot_user_frame_into(&mut out, user, rec);
         users = users.saturating_add(1);
     });
     let (audits, audit_dropped) = audit.copy_frames_into(&mut out);
-    let out = finish_snapshot(out, users, audits, audit_dropped, resume_consumed);
-    audit.note_snapshot_len(out.len());
-    out
+    finish_snapshot(out, users, audits, audit_dropped, resume_consumed)
 }
 
 /// Close a snapshot whose user and audit frames are in `out`: the resume
@@ -344,6 +354,7 @@ pub fn recover(backend: &Arc<dyn StorageBackend>) -> Result<RecoveredState, Reco
     let mut state = RecoveredState::default();
     if let Some(bytes) = backend.read_snapshot()? {
         load_snapshot(&mut state, &bytes).ok_or(RecoverError::SnapshotCorrupt)?;
+        state.report.snapshot_bytes = bytes.len();
     }
 
     let wal = backend.read_wal()?;

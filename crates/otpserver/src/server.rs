@@ -14,7 +14,7 @@
 //! thread (`Begun::settle`) or left with the pump (`Begun::park`).
 
 use crate::audit::{AuditAction, AuditLog, NewRow, Staged};
-use crate::durability::snapshot::snapshot_live;
+use crate::durability::snapshot::snapshot_live_sized;
 use crate::durability::{
     recover, Commit, DurabilityCounters, Finish, Persistence, RecoverError, RecoveryReport,
     StorageBackend, Ticket, WalRecord,
@@ -111,10 +111,12 @@ const RESYNC_WINDOW_STEPS: u64 = 2_000;
 pub struct ServerConfig {
     /// Audit-log retention cap (ring semantics; oldest entries evicted).
     pub audit_cap: usize,
-    /// WAL *records* (not commits: a validate writes two, its state
-    /// record and its audit row) between compacting snapshots when a
-    /// storage backend is attached (0 = never compact). Bounds WAL size
-    /// and recovery replay time.
+    /// The fewest WAL *records* (not commits: a validate writes two, its
+    /// state record and its audit row) between compacting snapshots when
+    /// a storage backend is attached (0 = never compact). A floor: a
+    /// snapshot also waits until the WAL holds an eighth of the last
+    /// one's bytes, which bounds compaction's write amplification at 8
+    /// and the WAL a recovery replays at an eighth of the snapshot.
     pub snapshot_every_appends: u64,
     /// Telemetry registry receiving validation counters, latency
     /// histograms, durability counters, and spans. Defaults to a private
@@ -875,7 +877,8 @@ impl LinotpServer {
             ledger.purge_expired(now);
             ledger.consumed.clone()
         };
-        let bytes = snapshot_live(&self.store, &self.audit, &consumed);
+        let capacity = compaction.snapshot_len();
+        let bytes = snapshot_live_sized(capacity, &self.store, &self.audit, &consumed);
         let _ = compaction.install(&bytes);
     }
 
@@ -1936,9 +1939,10 @@ mod tests {
     }
 
     /// Whatever the operation and however it ends, its rows reach the ring
-    /// and the WAL alike — across the compactions a snapshot every eight
-    /// records forces, which would lose a row that entered the ring after
-    /// its operation's compaction check.
+    /// and the WAL alike — across the compactions a floor of eight records
+    /// and a snapshot this small let through every few operations, which
+    /// would lose a row that entered the ring after its operation's
+    /// compaction check.
     #[test]
     fn every_operation_leaves_the_same_rows_in_ring_and_wal() {
         use crate::durability::MemoryBackend;

@@ -67,10 +67,31 @@
 //!   datagram counts `discarded`, its buffer is recycled, and the thread
 //!   carries on.
 //!
+//! Who is woken, and when: a condvar notify is a syscall whether or not
+//! anyone waits, so the backlog counts its sleepers and only they are
+//! told. Both counts change under the queue lock, which every wait holds.
+//!
+//! * a batch handed off wakes as many workers as it queued jobs, but no
+//!   more than are asleep; a worker that is awake needs no wake-up, since
+//!   it looks at the queue under the lock before it sleeps;
+//! * a worker never sleeps with replies parked (it settles the oldest
+//!   instead), so a parked reply needs no wake-up either;
+//! * the receiver is told there is room only while it waits for some, at
+//!   [`IngestConfig::queue_cap`].
+//!
 //! Observability: `hpcmfa_radius_ingest_batch_size` (histogram of
 //! datagrams per drain) and `hpcmfa_radius_datagrams_total{outcome}`
 //! (`ok` / `discarded` / `shed`) render on `/system/metrics` alongside
 //! the rest of the auth path.
+
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
 
 use crate::server::{Begun, PendingDecision, RadiusServer, ServerDecision};
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
@@ -132,6 +153,18 @@ struct Job {
     peer: SocketAddr,
 }
 
+impl Job {
+    /// The datagram's bytes.
+    fn datagram(&self) -> &[u8] {
+        received(self.buf.as_ref(), self.len)
+    }
+}
+
+/// The `len` bytes a receive left at the front of `buf`.
+fn received(buf: &[u8], len: usize) -> &[u8] {
+    buf.get(..len).unwrap_or_default()
+}
+
 /// A datagram whose reply waits for its decision, in the receive buffer it
 /// arrived in (the reply is encoded from it).
 struct ParkedReply {
@@ -139,12 +172,23 @@ struct ParkedReply {
     pending: Box<dyn PendingDecision>,
 }
 
-/// What the workers have ahead of them. `jobs.len() + parked.len()` never
-/// exceeds [`Shared::queue_cap`].
+/// What the workers have ahead of them, and who sleeps until it changes.
+/// [`Backlog::len`] never exceeds [`Shared::queue_cap`].
 #[derive(Default)]
 struct Backlog {
     jobs: VecDeque<Job>,
     parked: VecDeque<ParkedReply>,
+    /// Workers asleep on [`Shared::job_ready`].
+    idle: usize,
+    /// Whether the receiver sleeps on [`Shared::space_ready`].
+    receiver_waits: bool,
+}
+
+impl Backlog {
+    /// Queued jobs plus parked replies: what counts against the cap.
+    fn len(&self) -> usize {
+        self.jobs.len().saturating_add(self.parked.len())
+    }
 }
 
 /// Monotonic ingest counters (also mirrored to the metrics registry).
@@ -196,6 +240,32 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(
+        server: Arc<RadiusServer>,
+        metrics: &MetricsRegistry,
+        config: &IngestConfig,
+        socket: UdpSocket,
+        shutdown: Arc<AtomicBool>,
+    ) -> Self {
+        let outcome = |o: &str| metrics.counter("hpcmfa_radius_datagrams_total", &[("outcome", o)]);
+        Shared {
+            server,
+            ok: outcome("ok"),
+            discarded: outcome("discarded"),
+            shed: outcome("shed"),
+            batch_size: metrics.histogram("hpcmfa_radius_ingest_batch_size", &[]),
+            socket,
+            queue: Mutex::default(),
+            job_ready: Condvar::new(),
+            space_ready: Condvar::new(),
+            shutdown,
+            handed_off: AtomicUsize::new(0),
+            pool: Mutex::new(Vec::new()),
+            queue_cap: config.queue_cap.max(config.batch_max).max(1),
+            stats: RawStats::default(),
+        }
+    }
+
     fn take_buf(&self) -> Box<[u8; crate::MAX_PACKET_LEN]> {
         self.pool
             .lock()
@@ -284,28 +354,13 @@ impl BatchedUdpServer {
     /// Start the pipeline on a bound socket; runs until `shutdown` is
     /// set, then drains the queue and exits.
     pub fn serve(self, socket: UdpSocket, shutdown: Arc<AtomicBool>) -> IngestHandle {
-        let outcome = |o: &str| {
-            self.metrics
-                .counter("hpcmfa_radius_datagrams_total", &[("outcome", o)])
-        };
-        let shared = Arc::new(Shared {
-            server: Arc::clone(&self.server),
-            ok: outcome("ok"),
-            discarded: outcome("discarded"),
-            shed: outcome("shed"),
-            batch_size: self
-                .metrics
-                .histogram("hpcmfa_radius_ingest_batch_size", &[]),
+        let shared = Arc::new(Shared::new(
+            Arc::clone(&self.server),
+            &self.metrics,
+            &self.config,
             socket,
-            queue: Mutex::default(),
-            job_ready: Condvar::new(),
-            space_ready: Condvar::new(),
             shutdown,
-            handed_off: AtomicUsize::new(0),
-            pool: Mutex::new(Vec::new()),
-            queue_cap: self.config.queue_cap.max(self.config.batch_max).max(1),
-            stats: RawStats::default(),
-        });
+        ));
 
         let workers = (0..self.config.workers.max(1))
             .map(|_| {
@@ -355,7 +410,7 @@ fn drain_socket(
         let mut buf = shared.take_buf();
         match shared.socket.recv_from(buf.as_mut()) {
             Ok((len, peer)) => {
-                let lane = classify(classifier, &peer, &buf[..len]);
+                let lane = classify(classifier, &peer, received(buf.as_ref(), len));
                 batch.push((Job { buf, len, peer }, lane));
             }
             Err(ref e)
@@ -374,7 +429,7 @@ fn drain_socket(
             let mut buf = shared.take_buf();
             match shared.socket.recv_from(buf.as_mut()) {
                 Ok((len, peer)) => {
-                    let lane = classify(classifier, &peer, &buf[..len]);
+                    let lane = classify(classifier, &peer, received(buf.as_ref(), len));
                     batch.push((Job { buf, len, peer }, lane));
                 }
                 Err(_) => {
@@ -400,7 +455,7 @@ fn drain_socket(
             match lane {
                 Lane::Trusted => admitted.push(job),
                 Lane::BestEffort if admitted_best_effort < config.best_effort_batch_quota => {
-                    admitted_best_effort += 1;
+                    admitted_best_effort = admitted_best_effort.saturating_add(1);
                     admitted.push(job);
                 }
                 Lane::BestEffort => {
@@ -442,27 +497,40 @@ fn classify(classifier: Option<&LaneClassifier>, peer: &SocketAddr, data: &[u8])
 /// datagrams it has already drained, would hold the rest of the batch
 /// behind that sync.
 fn enqueue(shared: &Shared, jobs: &mut Vec<Job>) {
-    let wake = |n: usize| (0..n).for_each(|_| shared.job_ready.notify_one());
     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-    let mut queued = 0;
+    let mut queued = 0usize;
     for job in jobs.drain(..) {
-        while q.jobs.len() + q.parked.len() >= shared.queue_cap
-            && !shared.shutdown.load(Ordering::SeqCst)
-        {
+        while q.len() >= shared.queue_cap && !shared.shutdown.load(Ordering::SeqCst) {
             // The workers take what is queued before there is room.
-            wake(std::mem::take(&mut queued));
+            wake_workers(shared, std::mem::take(&mut queued).min(q.idle));
+            q.receiver_waits = true;
             q = shared
                 .space_ready
                 .wait_timeout(q, Duration::from_millis(50))
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
+            q.receiver_waits = false;
         }
         shared.handed_off.fetch_add(1, Ordering::Relaxed);
         q.jobs.push_back(job);
-        queued += 1;
+        queued = queued.saturating_add(1);
     }
+    let sleepers = queued.min(q.idle);
     drop(q);
-    wake(queued);
+    wake_workers(shared, sleepers);
+}
+
+/// Wake `n` of the workers asleep on [`Shared::job_ready`].
+fn wake_workers(shared: &Shared, n: usize) {
+    (0..n).for_each(|_| shared.job_ready.notify_one());
+}
+
+/// A job or a parked reply left the backlog: tell the receiver, if it
+/// waits for room.
+fn made_room(shared: &Shared, q: &Backlog) {
+    if q.receiver_waits {
+        shared.space_ready.notify_one();
+    }
 }
 
 /// A handler (or a pending decision) that panics costs its own datagram,
@@ -481,11 +549,7 @@ fn answer(
     reply: &mut Vec<u8>,
     pw_scratch: &mut Vec<u8>,
 ) -> Option<ParkedReply> {
-    let begun = survive(|| {
-        shared
-            .server
-            .begin_into(&job.buf[..job.len], reply, pw_scratch)
-    });
+    let begun = survive(|| shared.server.begin_into(job.datagram(), reply, pw_scratch));
     match begun {
         Some(Begun::Pending(pending)) => return Some(ParkedReply { job, pending }),
         Some(Begun::Replied) => send(shared, &job, reply),
@@ -510,11 +574,7 @@ fn settle(shared: &Shared, parked: ParkedReply, reply: &mut Vec<u8>) {
 /// Encode the reply `decision` gives `job` on the caller's reply buffer,
 /// flush it to the socket, recycle the receive buffer.
 fn release(shared: &Shared, job: Job, decision: ServerDecision, reply: &mut Vec<u8>) {
-    let encoded = survive(|| {
-        shared
-            .server
-            .finish_into(&job.buf[..job.len], decision, reply)
-    });
+    let encoded = survive(|| shared.server.finish_into(job.datagram(), decision, reply));
     match encoded {
         Some(true) => send(shared, &job, reply),
         Some(false) | None => discard(shared),
@@ -570,24 +630,28 @@ fn worker_loop(shared: &Shared) {
                     .find_map(|(at, p)| p.pending.poll().map(|decision| (at, decision)));
                 if let Some((at, decision)) = ready {
                     if let Some(parked) = q.parked.remove(at) {
+                        made_room(shared, &q);
                         break Turn::Release(parked.job, decision);
                     }
                 }
                 if let Some(job) = q.jobs.pop_front() {
-                    shared.space_ready.notify_one();
+                    made_room(shared, &q);
                     break Turn::Answer(job);
                 }
                 if let Some(parked) = q.parked.pop_front() {
+                    made_room(shared, &q);
                     break Turn::Settle(parked);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break Turn::Exit;
                 }
+                q.idle = q.idle.saturating_add(1);
                 q = shared
                     .job_ready
                     .wait_timeout(q, Duration::from_millis(50))
                     .unwrap_or_else(|e| e.into_inner())
                     .0;
+                q.idle = q.idle.saturating_sub(1);
             }
         };
         match turn {
@@ -596,7 +660,7 @@ fn worker_loop(shared: &Shared) {
             Turn::Answer(job) => {
                 if let Some(parked) = answer(shared, job, &mut reply, &mut pw_scratch) {
                     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    if q.jobs.len() + q.parked.len() < shared.queue_cap {
+                    if q.len() < shared.queue_cap {
                         q.parked.push_back(parked);
                         continue;
                     }
@@ -609,11 +673,15 @@ fn worker_loop(shared: &Shared) {
         // A reply left, parked or not: `handed_off` falls here, never at
         // park, so the receiver answers nothing itself with replies parked.
         shared.handed_off.fetch_sub(1, Ordering::Relaxed);
-        shared.space_ready.notify_one();
     }
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
 mod tests {
     use super::*;
     use crate::attribute::{Attribute, AttributeType};
@@ -689,6 +757,142 @@ mod tests {
         let text = metrics.render_prometheus();
         assert!(text.contains("# TYPE hpcmfa_radius_datagrams_total counter"));
         assert!(text.contains("# TYPE hpcmfa_radius_ingest_batch_size histogram"));
+    }
+
+    /// A pipeline's shared state with `workers` workers running and no
+    /// receiver: the test enqueues for it.
+    fn workers_only(
+        handler: Arc<dyn Handler>,
+        workers: usize,
+        queue_cap: usize,
+    ) -> (Arc<Shared>, Vec<std::thread::JoinHandle<()>>) {
+        let config = IngestConfig {
+            batch_max: 1,
+            queue_cap,
+            ..IngestConfig::default()
+        };
+        let shared = Arc::new(Shared::new(
+            Arc::new(RadiusServer::new(SECRET, handler)),
+            &MetricsRegistry::new(),
+            &config,
+            UdpSocket::bind(("127.0.0.1", 0)).unwrap(),
+            Arc::new(AtomicBool::new(false)),
+        ));
+        let threads = (0..workers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(&shared))
+            })
+            .collect();
+        (shared, threads)
+    }
+
+    fn shut_down(shared: &Shared, workers: Vec<std::thread::JoinHandle<()>>) {
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.job_ready.notify_all();
+        workers.into_iter().for_each(|w| w.join().unwrap());
+    }
+
+    /// `n` requests as jobs, answered to a socket nobody reads.
+    fn jobs(n: usize) -> Vec<Job> {
+        let peer = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
+        let peer = peer.local_addr().unwrap();
+        (0..n)
+            .map(|i| {
+                let bytes = request(u8::try_from(i).unwrap());
+                let mut buf = Box::new([0u8; crate::MAX_PACKET_LEN]);
+                buf[..bytes.len()].copy_from_slice(&bytes);
+                Job {
+                    buf,
+                    len: bytes.len(),
+                    peer,
+                }
+            })
+            .collect()
+    }
+
+    fn until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "never {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A notified thread is running within a few milliseconds; one left to
+    /// its poll waits for up to 50.
+    const WOKEN_WITHIN: Duration = Duration::from_millis(25);
+
+    #[test]
+    fn a_batch_wakes_as_many_sleeping_workers_as_it_has_jobs() {
+        const WORKERS: usize = 4;
+        // Each job's handler waits for all the others: they can only meet
+        // if a worker was woken for every one.
+        let met = Arc::new(std::sync::Barrier::new(WORKERS + 1));
+        let handler: Arc<dyn Handler> = {
+            let met = Arc::clone(&met);
+            Arc::new(move |_: &Packet, _: Option<&[u8]>| {
+                met.wait();
+                ServerDecision::Reject(Vec::new())
+            })
+        };
+        let (shared, workers) = workers_only(handler, WORKERS, 64);
+        // A worker's poll is as likely to end at any moment, so one
+        // batch could meet by luck: several cannot.
+        for round in 0..5 {
+            until("all asleep", || {
+                shared.queue.lock().unwrap().idle == WORKERS
+            });
+            let queued = std::time::Instant::now();
+            enqueue(&shared, &mut jobs(WORKERS));
+            met.wait();
+            let took = queued.elapsed();
+            assert!(took < WOKEN_WITHIN, "round {round}: met after {took:?}");
+        }
+        shut_down(&shared, workers);
+        assert_eq!(
+            shared.stats.replied.load(Ordering::Relaxed),
+            5 * WORKERS as u64
+        );
+    }
+
+    #[test]
+    fn a_receiver_at_the_cap_is_woken_when_a_worker_takes_a_job() {
+        // One worker, held inside its first job; the cap is one job.
+        let (gate, held) = std::sync::mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        let handler: Arc<dyn Handler> = Arc::new(move |_: &Packet, _: Option<&[u8]>| {
+            held.lock().unwrap().recv().unwrap();
+            ServerDecision::Reject(Vec::new())
+        });
+        let (shared, workers) = workers_only(handler, 1, 1);
+        let mut batch = jobs(3);
+        enqueue(&shared, &mut vec![batch.remove(0)]);
+        until("taken", || shared.queue.lock().unwrap().jobs.is_empty());
+        enqueue(&shared, &mut vec![batch.remove(0)]);
+
+        let receiver = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                enqueue(&shared, &mut batch);
+                std::time::Instant::now()
+            })
+        };
+        until("waiting for room", || {
+            shared.queue.lock().unwrap().receiver_waits
+        });
+        let opened = std::time::Instant::now();
+        (0..3).for_each(|_| gate.send(()).unwrap());
+        let took = receiver.join().unwrap().duration_since(opened);
+        assert!(
+            took < WOKEN_WITHIN,
+            "room was made {took:?} before it was noticed"
+        );
+        until("answered", || {
+            shared.stats.replied.load(Ordering::Relaxed) == 3
+        });
+        shut_down(&shared, workers);
+        assert!(!shared.queue.lock().unwrap().receiver_waits);
     }
 
     #[test]

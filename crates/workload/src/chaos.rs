@@ -238,8 +238,9 @@ pub struct ChaosParams {
     /// storage backend so [`FaultAction::OtpCrashRestart`] events can
     /// kill and recover it mid-stream.
     pub durable_otp: bool,
-    /// Compaction cadence for the durable OTP server (appends per
-    /// snapshot). Ignored unless `durable_otp` is set.
+    /// Compaction floor for the durable OTP server: the fewest appends
+    /// per snapshot (a snapshot also waits for an eighth of the last
+    /// one's bytes in WAL). Ignored unless `durable_otp` is set.
     pub otp_snapshot_every: u64,
     /// Give the OTP server a warm-standby replication pair (two
     /// fault-injectable in-memory nodes) in the given ack mode, so the

@@ -11,10 +11,14 @@
 #                      a guard whose filter selects no test fails
 #   truncation guard   a 261-octet User-Name where debug_assert is compiled out
 #   udp ingest         the lone-datagram and burst-tail bounds are wall-clock
-#                      ones: they only mean something optimised
+#                      ones: they only mean something optimised; so are the
+#                      wake rules (a batch wakes a sleeping worker per job, a
+#                      receiver at the cap is woken by the first job taken)
 #   parked replies     no reply outruns its sync, and a compaction among 2 000
 #                      logins with 64 in flight strands none: a deadlock runs
 #                      into the timeout and fails by name
+#   compaction trigger a snapshot only once the WAL holds an eighth of the last
+#                      one, across a recovery too, with the record floor kept
 #   hash core, OTP     their known answers in the only profile a login runs them in
 #                      — the WAL's slicing-by-8 CRC against its bytewise reference too
 #   window scan        the nearest-first TOTP scan against its full-scan reference
@@ -48,14 +52,14 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, udp ingest, parked replies, group machine"
+echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, ingest wake rules, udp ingest, parked replies, compaction trigger, group machine"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
 # minutes of work) runs into the timeout instead. Target flags apply to every
 # package named, so the one --lib prebuilds hpcmfa-otpserver's lib tests too.
 cargo test -q --offline --release --no-run \
     -p hpcmfa-telemetry --test trace_props --test span_allocs \
     -p hpcmfa-directory --test index_props \
-    -p hpcmfa-otpserver --test group_commit --test wal_proptests \
+    -p hpcmfa-otpserver --test group_commit --test compaction_trigger --test wal_proptests \
     --test store_proptests --test durable_format --test validate_allocs \
     -p hpcmfa-radius --lib --test udp --test zero_alloc \
     -p hpcmfa-crypto -p hpcmfa-otp -p hpcmfa-workload
@@ -79,10 +83,17 @@ guard 20 --release -p hpcmfa-telemetry --test trace_props -- \
     a_full_default_ring_takes_a_million_spans
 guard 20 --release -p hpcmfa-directory --test index_props -- \
     uid_search_does_not_grow_with_the_directory
-guard 20 --release -p hpcmfa-radius --lib -- overlong_username_cannot_rewrite_the_request
+guard 20 --release -p hpcmfa-radius --lib -- overlong_username_cannot_rewrite_the_request \
+    a_batch_wakes_as_many_sleeping_workers_as_it_has_jobs \
+    a_receiver_at_the_cap_is_woken_when_a_worker_takes_a_job
 guard 20 --release -p hpcmfa-radius --test udp --
 guard 30 --release -p hpcmfa-otpserver --test group_commit -- \
     no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand
+guard 30 --release -p hpcmfa-otpserver --test compaction_trigger -- \
+    compaction_waits_for_an_eighth_of_the_snapshot_in_wal_bytes \
+    a_floor_above_an_eighth_of_the_snapshot_still_governs \
+    a_zero_floor_never_compacts \
+    a_recovered_server_waits_for_an_eighth_of_its_snapshot
 guard 60 --release -p hpcmfa-otpserver --lib -- group
 guard 60 --release -p hpcmfa-otpserver --test store_proptests --test durable_format \
     --test validate_allocs -p hpcmfa-workload --lib -- \
