@@ -5,15 +5,12 @@
 //! cargo run --release -p hpcmfa-bench --bin export_csv > rollout.csv
 //! ```
 
-use hpcmfa_bench::FigureArgs;
 use hpcmfa_otp::date::Date;
 use hpcmfa_workload::figures::to_csv;
 
 fn main() {
-    let mut args = FigureArgs::parse();
-    if args.to < Date::new(2017, 3, 31) {
-        args.to = Date::new(2017, 3, 31);
-    }
-    let out = args.run();
+    let mut params = hpcmfa_bench::rollout_params();
+    params.to = params.to.max(Date::new(2017, 3, 31));
+    let out = hpcmfa_bench::run(params);
     print!("{}", to_csv(&out));
 }

@@ -4,12 +4,11 @@
 //! on 2016-09-07 (the day after phase 2 begins), near-maximum through
 //! phase 3, and a dip over the winter holiday.
 
-use hpcmfa_bench::FigureArgs;
 use hpcmfa_otp::date::Date;
 use hpcmfa_workload::figures::{fig3_series, render_bar_chart};
 
 fn main() {
-    let out = FigureArgs::parse().run();
+    let out = hpcmfa_bench::run(hpcmfa_bench::rollout_params());
     let series = fig3_series(&out);
     println!(
         "{}",

@@ -6,12 +6,11 @@
 //! yet persists through phase 3 (exempt gateway/community accounts and
 //! temporary variances).
 
-use hpcmfa_bench::FigureArgs;
 use hpcmfa_otp::date::Date;
 use hpcmfa_workload::figures::{fig4_series, render_multi_series};
 
 fn main() {
-    let out = FigureArgs::parse().run();
+    let out = hpcmfa_bench::run(hpcmfa_bench::rollout_params());
     let series = fig4_series(&out);
     let rows: Vec<(Date, Vec<u64>)> = series
         .iter()

@@ -3,22 +3,14 @@
 //! Paper numbers: MFA inquiries averaged 6.7 % of tickets August–December
 //! 2016 and 2.7 % January–March 2017.
 
-use hpcmfa_bench::FigureArgs;
 use hpcmfa_otp::date::Date;
 use hpcmfa_workload::figures::{fig5_series, render_multi_series};
 
 fn main() {
-    let mut args = FigureArgs::parse();
-    // Figure 5 extends into Q1 2017, and its Q1 ticket counts are small
-    // enough that the default population scale is too noisy — raise it
-    // unless the user chose one explicitly.
-    if args.to < Date::new(2017, 3, 31) {
-        args.to = Date::new(2017, 3, 31);
-    }
-    if !args.scale_explicit {
-        args.scale = 0.3;
-    }
-    let out = args.run();
+    // Figure 5 extends into Q1 2017.
+    let mut params = hpcmfa_bench::rollout_params();
+    params.to = params.to.max(Date::new(2017, 3, 31));
+    let out = hpcmfa_bench::run(params);
     let series = fig5_series(&out);
     let rows: Vec<(Date, Vec<u64>)> = series
         .iter()

@@ -5,16 +5,13 @@
 //! pairings and 10-04 (mandatory) ranks fourth; pairings decline to year
 //! end then rise again with the spring semester.
 
-use hpcmfa_bench::FigureArgs;
 use hpcmfa_otp::date::Date;
 use hpcmfa_workload::figures::{fig6_series, pairing_rank, render_bar_chart};
 
 fn main() {
-    let mut args = FigureArgs::parse();
-    if args.to < Date::new(2017, 3, 31) {
-        args.to = Date::new(2017, 3, 31); // show the spring uptick
-    }
-    let out = args.run();
+    let mut params = hpcmfa_bench::rollout_params();
+    params.to = params.to.max(Date::new(2017, 3, 31)); // show the spring uptick
+    let out = hpcmfa_bench::run(params);
     let series = fig6_series(&out);
     println!(
         "{}",

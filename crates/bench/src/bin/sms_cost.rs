@@ -2,11 +2,10 @@
 //! carrier-delay tail that occasionally delivers codes already expired
 //! (§5: "an SMS text message will arrive delayed ... in an expired state").
 
-use hpcmfa_bench::FigureArgs;
 use hpcmfa_otpserver::SMS_CODE_VALIDITY_SECS;
 
 fn main() {
-    let out = FigureArgs::parse().run();
+    let out = hpcmfa_bench::run(hpcmfa_bench::rollout_params());
     let dollars = out.sms_cost_micros as f64 / 1_000_000.0;
     println!("SMS messages sent:            {}", out.sms_sent);
     println!("total provider cost:          ${dollars:.2}");

@@ -2,11 +2,10 @@
 //!
 //! Paper values: Soft 55.38 %, SMS 40.22 %, Training 2.97 %, Hard 1.43 %.
 
-use hpcmfa_bench::FigureArgs;
 use hpcmfa_workload::figures::Table1;
 
 fn main() {
-    let out = FigureArgs::parse().run();
+    let out = hpcmfa_bench::run(hpcmfa_bench::rollout_params());
     match Table1::from_output(&out) {
         Some(t) => {
             println!("{}", t.render_against_paper());

@@ -27,7 +27,7 @@ use hpcmfa_radius::transport::{FaultPlan, InMemoryTransport, Transport};
 use hpcmfa_risk::engine::{RiskEngine, RiskGateModule, RiskWeights};
 use hpcmfa_risk::geo::GeoDb;
 use hpcmfa_ssh::authlog::AuthLog;
-use hpcmfa_ssh::client::ClientProfile;
+use hpcmfa_ssh::client::{ClientProfile, TokenSource};
 use hpcmfa_ssh::daemon::{SessionReport, SshDaemon};
 use hpcmfa_ssh::keys::{KeyPair, PublicKey};
 use hpcmfa_telemetry::{
@@ -562,12 +562,10 @@ impl Center {
             let sent_at = self.clock.now();
             // Wait out carrier latency (fast path is ≤ 9 s).
             self.clock.advance(10);
-            let inbox = self.twilio.inbox(&parsed, self.clock.now());
-            let fresh = inbox.iter().rev().find(|m| m.sent_at >= sent_at);
-            if let Some(msg) = fresh {
-                let code = msg.body.rsplit(' ').next().unwrap().to_string();
+            let text = self.twilio.latest_delivered(&parsed, self.clock.now());
+            if let Some(msg) = text.filter(|m| m.sent_at >= sent_at) {
                 self.portal
-                    .confirm_pairing(user, &code)
+                    .confirm_pairing(user, msg.code())
                     .expect("confirm sms");
                 self.clock.advance(30);
                 return parsed;
@@ -578,6 +576,18 @@ impl Center {
                 .advance(hpcmfa_otpserver::SMS_CODE_VALIDITY_SECS + 1);
         }
         panic!("carrier failed to deliver a pairing SMS in 8 attempts");
+    }
+
+    /// The phone paired by [`Center::pair_sms`] as a login's token device:
+    /// the user waits out carrier delivery (fast path ≤ 9 s), then types
+    /// the code from the newest text delivered.
+    pub fn sms_device(&self, phone: &PhoneNumber) -> TokenSource {
+        let (twilio, clock, phone) = (Arc::clone(&self.twilio), self.clock.clone(), phone.clone());
+        TokenSource::device(move |_now| {
+            clock.advance(10);
+            let text = twilio.latest_delivered(&phone, clock.now())?;
+            Some(text.code().to_string())
+        })
     }
 
     /// Import a hard-token batch and pair one fob to `user` by serial.
@@ -742,7 +752,6 @@ impl Center {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcmfa_ssh::client::TokenSource;
 
     const EXTERNAL_IP: Ipv4Addr = Ipv4Addr::new(70, 112, 50, 3);
 
@@ -839,20 +848,8 @@ mod tests {
         let c = center();
         c.set_enforcement(EnforcementMode::Full);
         let phone = c.pair_sms("alice", "5125551234");
-        let twilio = Arc::clone(&c.twilio);
-        let clock = c.clock.clone();
-        // The login-time token source reads the most recent SMS; carrier
-        // latency means we read slightly in the future of "now".
-        let profile = ClientProfile::interactive_user("alice", EXTERNAL_IP, "alice-pw").with_token(
-            TokenSource::device(move |now| {
-                clock.advance(10); // user waits for the text
-                let _ = now;
-                twilio
-                    .inbox(&phone, clock.now())
-                    .last()
-                    .map(|m| m.body.rsplit(' ').next().unwrap().to_string())
-            }),
-        );
+        let profile = ClientProfile::interactive_user("alice", EXTERNAL_IP, "alice-pw")
+            .with_token(c.sms_device(&phone));
         let report = c.ssh(0, &profile);
         assert!(report.granted, "prompts: {:?}", report.prompts);
         assert!(report.prompts.iter().any(|p| p.contains("SMS")));

@@ -565,9 +565,8 @@ mod tests {
 
         // The phone receives the message after carrier latency.
         rig.clock.advance(15);
-        let inbox = rig.twilio.inbox(&phone, rig.clock.now());
-        assert_eq!(inbox.len(), 1);
-        let code = inbox[0].body.rsplit(' ').next().unwrap().to_string();
+        let text = rig.twilio.latest_delivered(&phone, rig.clock.now());
+        let code = text.unwrap().code().to_string();
 
         let fin = rig
             .client

@@ -11,6 +11,7 @@
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Costs are tracked in micro-dollars to stay in integer arithmetic.
@@ -92,8 +93,14 @@ pub struct SmsMessage {
 }
 
 impl SmsMessage {
+    /// The token code the body carries: its last word, what the user
+    /// types.
+    pub fn code(&self) -> &str {
+        self.body.rsplit(' ').next().unwrap_or_default()
+    }
+
     /// Whether the carrier has delivered by `now`.
-    pub(crate) fn delivered_by(&self, now: u64) -> bool {
+    fn delivered_by(&self, now: u64) -> bool {
         now >= self.deliver_at
     }
 }
@@ -102,10 +109,6 @@ impl SmsMessage {
 pub trait SmsProvider: Send + Sync {
     /// Send `body` to `to` at time `now`; returns the accepted message.
     fn send(&self, to: &PhoneNumber, body: &str, now: u64) -> SmsMessage;
-
-    /// Messages delivered to `to` by time `now` (what the user's phone
-    /// shows).
-    fn inbox(&self, to: &PhoneNumber, now: u64) -> Vec<SmsMessage>;
 
     /// Total charges so far, in micro-dollars, including monthly fees for
     /// `months` of service.
@@ -136,7 +139,9 @@ impl Default for CarrierModel {
 
 struct TwilioState {
     rng: StdRng,
-    outbox: Vec<SmsMessage>,
+    /// Every accepted message, by recipient, each phone's in send order.
+    outbox: HashMap<PhoneNumber, Vec<SmsMessage>>,
+    sent: usize,
     message_cost_total: u64,
 }
 
@@ -158,7 +163,8 @@ impl TwilioSim {
             model,
             state: Mutex::new(TwilioState {
                 rng: StdRng::seed_from_u64(seed),
-                outbox: Vec::new(),
+                outbox: HashMap::new(),
+                sent: 0,
                 message_cost_total: 0,
             }),
         })
@@ -166,7 +172,24 @@ impl TwilioSim {
 
     /// Number of messages accepted so far.
     pub fn sent_count(&self) -> usize {
-        self.state.lock().outbox.len()
+        self.state.lock().sent
+    }
+
+    /// The newest message delivered to `to` by time `now`: the text a
+    /// user reads the code from. Visits only `to`'s own messages, newest
+    /// first.
+    pub fn latest_delivered(&self, to: &PhoneNumber, now: u64) -> Option<SmsMessage> {
+        let st = self.state.lock();
+        st.outbox
+            .get(to)?
+            .iter()
+            .rev()
+            .find(|m| {
+                #[cfg(test)]
+                tests::VISITED.with(|n| n.set(n.get() + 1));
+                m.delivered_by(now)
+            })
+            .cloned()
     }
 }
 
@@ -193,18 +216,9 @@ impl SmsProvider for TwilioSim {
             cost_micros: cost,
         };
         st.message_cost_total += cost;
-        st.outbox.push(msg.clone());
+        st.sent += 1;
+        st.outbox.entry(to.clone()).or_default().push(msg.clone());
         msg
-    }
-
-    fn inbox(&self, to: &PhoneNumber, now: u64) -> Vec<SmsMessage> {
-        self.state
-            .lock()
-            .outbox
-            .iter()
-            .filter(|m| &m.to == to && m.delivered_by(now))
-            .cloned()
-            .collect()
     }
 
     fn total_cost_micros(&self, months: u64) -> u64 {
@@ -215,6 +229,7 @@ impl SmsProvider for TwilioSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     fn us_phone() -> PhoneNumber {
         PhoneNumber::parse("5125551234").unwrap()
@@ -237,11 +252,10 @@ mod tests {
         let msg = twilio.send(&us_phone(), "Your TACC token code is 123456", 1000);
         assert_eq!(msg.cost_micros, US_MSG_COST_MICROS);
         assert!(msg.deliver_at > msg.sent_at);
-        // Before delivery: inbox empty. After: message present.
-        assert!(twilio.inbox(&us_phone(), msg.sent_at).is_empty());
-        let inbox = twilio.inbox(&us_phone(), msg.deliver_at);
-        assert_eq!(inbox.len(), 1);
-        assert!(inbox[0].body.contains("123456"));
+        // Before delivery: nothing to read. After: the message.
+        assert_eq!(twilio.latest_delivered(&us_phone(), msg.sent_at), None);
+        let read = twilio.latest_delivered(&us_phone(), msg.deliver_at);
+        assert_eq!(read, Some(msg));
     }
 
     #[test]
@@ -272,7 +286,7 @@ mod tests {
         for i in 0..10_000 {
             twilio.send(&us_phone(), "code", i);
         }
-        let delayed = (twilio.state.lock().outbox.iter())
+        let delayed = (twilio.state.lock().outbox.values().flatten())
             .filter(|m| m.deliver_at - m.sent_at > 300)
             .count();
         // 5% ± generous slack for a seeded RNG.
@@ -292,13 +306,51 @@ mod tests {
     }
 
     #[test]
-    fn inbox_filters_by_recipient() {
+    fn latest_delivered_filters_by_recipient() {
         let twilio = TwilioSim::new(8);
         let other = PhoneNumber::parse("5125550000").unwrap();
         twilio.send(&us_phone(), "mine", 0);
         twilio.send(&other, "theirs", 0);
-        let inbox = twilio.inbox(&us_phone(), 10_000);
-        assert_eq!(inbox.len(), 1);
-        assert_eq!(inbox[0].body, "mine");
+        let read = twilio.latest_delivered(&us_phone(), 10_000).unwrap();
+        assert_eq!(read.body, "mine");
+        let stranger = PhoneNumber::parse("5125559999").unwrap();
+        assert_eq!(twilio.latest_delivered(&stranger, 10_000), None);
+    }
+
+    #[test]
+    fn latest_delivered_skips_a_newer_text_still_in_flight() {
+        let twilio = TwilioSim::new(9);
+        let first = twilio.send(&us_phone(), "first", 0);
+        let second = twilio.send(&us_phone(), "second", first.deliver_at);
+        assert!(second.deliver_at > first.deliver_at);
+        let read = |now| twilio.latest_delivered(&us_phone(), now).map(|m| m.body);
+        assert_eq!(read(first.deliver_at).as_deref(), Some("first"));
+        assert_eq!(read(second.deliver_at).as_deref(), Some("second"));
+    }
+
+    thread_local! {
+        /// Outbox rows `latest_delivered` has visited on this thread.
+        pub(super) static VISITED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// A read's cost is its own phone's messages, not the gateway's: the
+    /// whole population's texts share one outbox, and every SMS login
+    /// reads it.
+    #[test]
+    fn a_read_visits_only_its_own_phones_messages() {
+        let twilio = TwilioSim::new(10);
+        for i in 0..5_000u64 {
+            let other = PhoneNumber::parse(&format!("51255{:05}", i % 1_000)).unwrap();
+            twilio.send(&other, "someone else's code 000000", i);
+        }
+        let mine = PhoneNumber::parse("7375550100").unwrap();
+        for i in 0..3 {
+            twilio.send(&mine, &format!("code 00000{i}"), 10_000 + i);
+        }
+        let before = VISITED.with(Cell::get);
+        let read = twilio.latest_delivered(&mine, 20_000).unwrap();
+        assert_eq!(read.body, "code 000002");
+        let visited = VISITED.with(Cell::get) - before;
+        assert!((1..=3).contains(&visited), "visited {visited} rows");
     }
 }

@@ -537,10 +537,9 @@ mod tests {
         // Wait for carrier delivery, read the code off the phone.
         r.clock.advance(15);
         let phone = PhoneNumber::parse("5125551234").unwrap();
-        let inbox = r.twilio.inbox(&phone, r.clock.now());
-        let code = inbox[0].body.rsplit(' ').next().unwrap();
+        let text = r.twilio.latest_delivered(&phone, r.clock.now()).unwrap();
         assert_eq!(
-            r.portal.confirm_pairing("bob", code).unwrap(),
+            r.portal.confirm_pairing("bob", text.code()).unwrap(),
             PairingMethod::Sms
         );
         assert_eq!(ldap_pairing(&r, "bob").as_deref(), Some("sms"));
@@ -611,15 +610,8 @@ mod tests {
         let phone = PhoneNumber::parse("5125551234").unwrap();
         let read_code = |r: &Rig| {
             r.clock.advance(15);
-            let inbox = r.twilio.inbox(&phone, r.clock.now());
-            inbox
-                .last()
-                .unwrap()
-                .body
-                .rsplit(' ')
-                .next()
-                .unwrap()
-                .to_string()
+            let text = r.twilio.latest_delivered(&phone, r.clock.now());
+            text.unwrap().code().to_string()
         };
         r.portal.begin_sms_pairing("bob", "5125551234").unwrap();
         r.portal.confirm_pairing("bob", &read_code(&r)).unwrap();

@@ -7,6 +7,15 @@
 //! `hpcmfa-otpserver`; this crate provides the protocol plumbing those
 //! handlers plug into.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
+
 use crate::attribute::{Attribute, AttributeType};
 use crate::auth::{recover_password_into, seal_wire};
 use crate::packet::{Code, Packet, PacketView};
@@ -256,12 +265,20 @@ impl RadiusServer {
         for ps in request.attributes_of(AttributeType::ProxyState) {
             ps.encode(reply);
         }
-        debug_assert!(
-            reply.len() <= crate::MAX_PACKET_LEN,
-            "reply exceeds RFC maximum"
-        );
-        let len = (reply.len() as u16).to_be_bytes();
-        reply[2..4].copy_from_slice(&len);
+        // RFC 2865 §3: no packet exceeds 4 096 octets. A legal request
+        // whose Proxy-State echo would push the reply past it is answered
+        // with nothing, as an undecodable one is.
+        let len = match u16::try_from(reply.len()) {
+            Ok(len) if usize::from(len) <= crate::MAX_PACKET_LEN => len,
+            _ => {
+                reply.clear();
+                self.stats.discarded.fetch_add(1, Ordering::Relaxed);
+                return false;
+            }
+        };
+        if let Some(field) = reply.get_mut(2..4) {
+            field.copy_from_slice(&len.to_be_bytes());
+        }
         seal_wire(reply, request.authenticator(), &self.secret);
         self.stats.replied.fetch_add(1, Ordering::Relaxed);
         true
@@ -269,6 +286,7 @@ impl RadiusServer {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::auth::{fixture_authenticator, hide_password, verify_response};
@@ -369,6 +387,49 @@ mod tests {
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].value, vec![0xaa]);
         assert_eq!(ps[1].value, vec![0xbb]);
+    }
+
+    /// RFC 2865 §5.33 has a reply echo every request Proxy-State, so a
+    /// legal request can ask for a reply over the 4 096-octet maximum
+    /// (§3). Such a reply is discarded and counted; none is ever sent.
+    #[test]
+    fn a_reply_the_proxy_state_echo_would_overflow_is_discarded() {
+        let server = RadiusServer::new(
+            SECRET,
+            Arc::new(|_: &Packet, _: Option<&[u8]>| {
+                let message = "x".repeat(40);
+                ServerDecision::Accept(vec![Attribute::text(AttributeType::ReplyMessage, &message)])
+            }),
+        );
+        let (mut replied, mut discarded) = (0, 0);
+        // Header and User-Name take 27 octets, fifteen full Proxy-States
+        // 3 825 and the last one 2 + `last`: the request is 4 096 at 242.
+        for last in 1..=242 {
+            let mut req = make_request(9, None);
+            for _ in 0..15 {
+                req =
+                    req.with_attribute(Attribute::new(AttributeType::ProxyState, vec![0x5a; 253]));
+            }
+            req = req.with_attribute(Attribute::new(AttributeType::ProxyState, vec![0xa5; last]));
+            let wire = req.encode();
+            assert!(wire.len() <= crate::MAX_PACKET_LEN);
+            // The reply swaps User-Name for the 42-octet Reply-Message.
+            let reply_len = wire.len() - 7 + 42;
+            match server.process_datagram(&wire) {
+                Some(reply) => {
+                    assert_eq!(reply.len(), reply_len);
+                    assert!(reply.len() <= crate::MAX_PACKET_LEN);
+                    replied += 1;
+                }
+                None => {
+                    assert!(reply_len > crate::MAX_PACKET_LEN, "last {last}");
+                    discarded += 1;
+                }
+            }
+        }
+        assert_eq!((replied, discarded), (207, 35));
+        assert_eq!(server.stats.discarded.load(Ordering::SeqCst), 35);
+        assert_eq!(server.stats.replied.load(Ordering::SeqCst), 207);
     }
 
     #[test]

@@ -13,11 +13,12 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// How a client obtains a token code when prompted.
+#[derive(Clone)]
 pub enum TokenSource {
     /// No way to answer (scripted/batch clients).
     None,
     /// Ask the device: a closure from Unix time to the displayed code
-    /// (wraps a SoftToken/HardToken or an SMS inbox read).
+    /// (wraps a SoftToken/HardToken or a read of the newest text).
     Device(Arc<dyn Fn(u64) -> Option<String> + Send + Sync>),
     /// A fixed code (training accounts, or a user typing from paper).
     Fixed(String),

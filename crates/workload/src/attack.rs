@@ -492,13 +492,10 @@ impl std::fmt::Display for AttackReport {
     }
 }
 
-/// A user's token-code generator, shared with the login profile.
-type TokenFn = Arc<dyn Fn(u64) -> Option<String> + Send + Sync>;
-
 struct BenignUser {
     name: String,
     ip: Ipv4Addr,
-    token: TokenFn,
+    token: TokenSource,
 }
 
 /// Builds the center with the full defense stack, enrolls the benign
@@ -544,28 +541,17 @@ impl AttackRunner {
                 name,
                 // One stable /16 per user: their behavioural baseline.
                 ip: Ipv4Addr::new(70, 10 + i as u8, 50, 3),
-                token: Arc::new(move |now| Some(token.displayed_code(now))) as TokenFn,
+                token: TokenSource::device(move |now| Some(token.displayed_code(now))),
             });
         }
         for i in 0..params.sms_users {
             let name = format!("sms{i:02}");
             center.create_user(&name, &format!("{name}@utexas.edu"), &format!("{name}-pw"));
             let phone = center.pair_sms(&name, &format!("512555{:04}", 1000 + i));
-            let twilio = Arc::clone(&center.twilio);
-            let clock = center.clock.clone();
             benign.push(BenignUser {
                 name,
                 ip: Ipv4Addr::new(70, 100 + i as u8, 50, 3),
-                token: Arc::new(move |_now| {
-                    // The user waits for the text, then types the code.
-                    use hpcmfa_otp::clock::Clock;
-                    use hpcmfa_otpserver::sms::SmsProvider;
-                    clock.advance(10);
-                    twilio
-                        .inbox(&phone, clock.now())
-                        .last()
-                        .map(|m| m.body.rsplit(' ').next().unwrap().to_string())
-                }) as TokenFn,
+                token: center.sms_device(&phone),
             });
         }
         AttackRunner {
@@ -654,7 +640,7 @@ impl AttackRunner {
         };
         let token = match s.kind {
             // The relay clones the victim's live codes.
-            AttackKind::TokenPhishing => TokenSource::Device(Arc::clone(&victim.token)),
+            AttackKind::TokenPhishing => victim.token.clone(),
             // The thief replays the exfiltrated resumption token verbatim
             // (falling back to a doomed guess until one has been minted).
             AttackKind::TokenTheft => match stolen {
@@ -707,7 +693,7 @@ impl AttackRunner {
             let user = &self.benign[step % self.benign.len()];
             let profile =
                 ClientProfile::interactive_user(&user.name, user.ip, &format!("{}-pw", user.name))
-                    .with_token(TokenSource::Device(Arc::clone(&user.token)));
+                    .with_token(user.token.clone());
             let before = detect.sample();
             let session = self.center.ssh(0, &profile);
             let granted = session.granted;

@@ -16,7 +16,7 @@
 
 use hpcmfa_core::center::{Center, CenterConfig, OtpReplicationParams};
 use hpcmfa_otp::clock::Clock;
-use hpcmfa_otpserver::{MemoryBackend, ReplicationMode, SmsProvider, StorageBackend};
+use hpcmfa_otpserver::{MemoryBackend, ReplicationMode, StorageBackend};
 use hpcmfa_pam::modules::token::EnforcementMode;
 use hpcmfa_radius::client::ServerHealthSnapshot;
 use hpcmfa_ssh::client::{ClientProfile, TokenSource};
@@ -224,8 +224,6 @@ impl FaultScript {
 /// Scenario parameters.
 #[derive(Debug, Clone)]
 pub struct ChaosParams {
-    /// RADIUS fleet size.
-    pub radius_servers: usize,
     /// Logins in the stream.
     pub logins: usize,
     /// Distinct paired users cycled round-robin through the stream.
@@ -250,14 +248,13 @@ pub struct ChaosParams {
     pub replicated_otp: Option<ReplicationMode>,
     /// Of the `users`, how many pair an SMS fallback token instead of a
     /// soft token (the first `sms_users` of the roster). Their logins
-    /// read the challenge code off the simulated carrier inbox.
+    /// read the challenge code off the newest text delivered.
     pub sms_users: usize,
 }
 
 impl Default for ChaosParams {
     fn default() -> Self {
         ChaosParams {
-            radius_servers: 3,
             logins: 120,
             users: 4,
             max_redials: 3,
@@ -410,9 +407,6 @@ impl std::fmt::Display for ChaosReport {
     }
 }
 
-/// A user's token-code generator, shared with the login profile.
-type TokenFn = Arc<dyn Fn(u64) -> Option<String> + Send + Sync>;
-
 /// Builds the center, enrolls the users, replays the script.
 pub struct ChaosRunner {
     /// The center under test (single login node, so the health stats have
@@ -430,7 +424,7 @@ pub struct ChaosRunner {
     /// [`ChaosParams::replicated_otp`].
     pub otp_standby: Option<Arc<MemoryBackend>>,
     params: ChaosParams,
-    devices: Vec<(String, TokenFn)>,
+    devices: Vec<(String, TokenSource)>,
 }
 
 impl ChaosRunner {
@@ -452,7 +446,6 @@ impl ChaosRunner {
             None => (None, None, None),
         };
         let center = Center::new(CenterConfig {
-            radius_servers: params.radius_servers,
             login_nodes: vec!["login1".into()],
             enforcement: EnforcementMode::Full,
             seed: params.seed,
@@ -469,24 +462,11 @@ impl ChaosRunner {
             center.create_user(&name, &format!("{name}@utexas.edu"), &format!("{name}-pw"));
             if i < params.sms_users {
                 let phone = center.pair_sms(&name, &format!("512555{:04}", 1200 + i));
-                let twilio = Arc::clone(&center.twilio);
-                let clock = center.clock.clone();
-                devices.push((
-                    name,
-                    Arc::new(move |_now| {
-                        clock.advance(10); // wait out carrier delivery
-                        twilio
-                            .inbox(&phone, clock.now())
-                            .last()
-                            .map(|m| m.body.rsplit(' ').next().unwrap().to_string())
-                    }) as TokenFn,
-                ));
+                devices.push((name, center.sms_device(&phone)));
             } else {
                 let token = center.pair_soft(&name);
-                devices.push((
-                    name,
-                    Arc::new(move |now| Some(token.displayed_code(now))) as TokenFn,
-                ));
+                let device = TokenSource::device(move |now| Some(token.displayed_code(now)));
+                devices.push((name, device));
             }
         }
         ChaosRunner {
@@ -602,7 +582,7 @@ impl ChaosRunner {
         };
         // Mirror of each server's fault plane, so every login can be
         // attributed to the fault kinds active while it dialed.
-        let n = self.params.radius_servers;
+        let n = self.center.radius_servers.len();
         let (mut down, mut loss) = (vec![false; n], vec![0u64; n]);
         let (mut garble, mut flap, mut latency) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
         // Replication-link state (partition and lag persist; crash,
@@ -664,9 +644,8 @@ impl ChaosRunner {
                 active.push("otp_failover");
             }
             let (user, device) = &self.devices[login % self.devices.len()];
-            let device = Arc::clone(device);
             let profile = ClientProfile::interactive_user(user, source_ip, &format!("{user}-pw"))
-                .with_token(TokenSource::Device(device));
+                .with_token(device.clone());
             let mut granted = false;
             let mut dials_spent = 0;
             for dial in 0..=self.params.max_redials {

@@ -174,22 +174,6 @@ impl SimOutput {
     }
 }
 
-enum DeviceHandle {
-    Closure(Arc<dyn Fn(u64) -> Option<String> + Send + Sync>),
-    Fixed(String),
-    None,
-}
-
-impl DeviceHandle {
-    fn token_source(&self) -> TokenSource {
-        match self {
-            DeviceHandle::Closure(f) => TokenSource::Device(Arc::clone(f)),
-            DeviceHandle::Fixed(code) => TokenSource::Fixed(code.clone()),
-            DeviceHandle::None => TokenSource::None,
-        }
-    }
-}
-
 /// How a disrupted automated workflow adapted (§5 strategies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Migration {
@@ -204,7 +188,7 @@ enum Migration {
 
 struct UserState {
     spec: UserSpec,
-    device: DeviceHandle,
+    device: TokenSource,
     key: Option<hpcmfa_ssh::keys::KeyPair>,
     ext_ip: Ipv4Addr,
     disrupted: bool,
@@ -294,7 +278,7 @@ impl RolloutSim {
             );
             users.push(UserState {
                 spec: spec.clone(),
-                device: DeviceHandle::None,
+                device: TokenSource::None,
                 key,
                 ext_ip,
                 disrupted: false,
@@ -364,33 +348,23 @@ impl RolloutSim {
         let handle = match device {
             DevicePreference::Soft => {
                 let dev = self.center.pair_soft(&username);
-                DeviceHandle::Closure(Arc::new(move |now| Some(dev.displayed_code(now))))
+                TokenSource::device(move |now| Some(dev.displayed_code(now)))
             }
             DevicePreference::Sms => {
                 let phone = phone.expect("sms users carry phones");
                 let parsed = self.center.pair_sms(&username, &phone);
-                let twilio = Arc::clone(&self.center.twilio);
-                let clock = self.center.clock.clone();
-                DeviceHandle::Closure(Arc::new(move |_now| {
-                    // The user waits for the text, then types the code.
-                    clock.advance(10);
-                    use hpcmfa_otpserver::sms::SmsProvider;
-                    twilio
-                        .inbox(&parsed, clock.now())
-                        .last()
-                        .map(|m| m.body.rsplit(' ').next().unwrap().to_string())
-                }))
+                self.center.sms_device(&parsed)
             }
             DevicePreference::Hard => {
                 let serial = self.hard_batch.fobs[self.next_hard_serial].serial.clone();
                 self.next_hard_serial += 1;
                 self.center.pair_hard(&username, &self.hard_batch, &serial);
                 let fob = self.hard_batch.by_serial(&serial).unwrap().clone();
-                DeviceHandle::Closure(Arc::new(move |now| fob.press_button(now)))
+                TokenSource::device(move |now| fob.press_button(now))
             }
             DevicePreference::Training => {
                 let code = self.center.enroll_training_account(&username);
-                DeviceHandle::Fixed(code)
+                TokenSource::Fixed(code)
             }
         };
         self.users[idx].device = handle;
@@ -718,7 +692,7 @@ impl RolloutSim {
             profile = profile.with_key(key.clone());
         }
         if interactive {
-            profile = profile.with_token(u.device.token_source());
+            profile = profile.with_token(u.device.clone());
         }
         profile
     }
@@ -752,7 +726,7 @@ impl RolloutSim {
                 uses_pubkey: false,
                 phone,
             },
-            device: DeviceHandle::None,
+            device: TokenSource::None,
             key: None,
             ext_ip,
             disrupted: false,

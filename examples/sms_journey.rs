@@ -12,11 +12,9 @@ use securing_hpc::core::Clock as _;
 use securing_hpc::crypto::digestauth::answer_challenge;
 use securing_hpc::otpserver::admin::HttpRequest;
 use securing_hpc::otpserver::json::Json;
-use securing_hpc::otpserver::sms::SmsProvider;
 use securing_hpc::pam::modules::token::EnforcementMode;
 use securing_hpc::ssh::client::{ClientProfile, TokenSource};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 const HOME_IP: Ipv4Addr = Ipv4Addr::new(70, 113, 20, 5);
 
@@ -31,18 +29,8 @@ fn main() {
 
     // A login: the null RADIUS request triggers the text; bob waits for
     // the carrier, reads the code, types it.
-    let twilio = Arc::clone(&center.twilio);
-    let clock = center.clock.clone();
-    let ph = phone.clone();
-    let profile = ClientProfile::interactive_user("bob", HOME_IP, "bob-pw").with_token(
-        TokenSource::device(move |_now| {
-            clock.advance(10);
-            twilio
-                .inbox(&ph, clock.now())
-                .last()
-                .map(|m| m.body.rsplit(' ').next().unwrap().to_string())
-        }),
-    );
+    let profile = ClientProfile::interactive_user("bob", HOME_IP, "bob-pw")
+        .with_token(center.sms_device(&phone));
     let report = center.ssh(0, &profile);
     println!(
         "login prompts: {:?}\ngranted: {}",

@@ -9,7 +9,9 @@
 #   complexity guards  the tests that are only meaningful optimised and
 #                      under a timeout (linear-per-operation code runs into it);
 #                      a guard whose filter selects no test fails
-#   truncation guard   a 261-octet User-Name where debug_assert is compiled out
+#   truncation guards  a 261-octet User-Name, and a reply its Proxy-State echo
+#                      would push past 4 096 octets, where debug_assert is
+#                      compiled out
 #   udp ingest         the lone-datagram and burst-tail bounds are wall-clock
 #                      ones: they only mean something optimised; so are the
 #                      wake rules (a batch wakes a sleeping worker per job, a
@@ -36,6 +38,8 @@
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
 #                      fails here by name instead of slowing the whole run
+#   SMS read           a read of the newest text visits only that phone's
+#                      messages, counted, by name
 #   results/           the figure bins' stdout against the committed captures
 #   loginbench         benchmark/ is its own workspace, which --workspace skips
 #   clippy             lints, all targets
@@ -52,7 +56,7 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, ingest wake rules, udp ingest, parked replies, compaction trigger, group machine"
+echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, over-length reply, ingest wake rules, udp ingest, parked replies, compaction trigger, group machine, SMS read"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
 # minutes of work) runs into the timeout instead. Target flags apply to every
 # package named, so the one --lib prebuilds hpcmfa-otpserver's lib tests too.
@@ -84,6 +88,7 @@ guard 20 --release -p hpcmfa-telemetry --test trace_props -- \
 guard 20 --release -p hpcmfa-directory --test index_props -- \
     uid_search_does_not_grow_with_the_directory
 guard 20 --release -p hpcmfa-radius --lib -- overlong_username_cannot_rewrite_the_request \
+    a_reply_the_proxy_state_echo_would_overflow_is_discarded \
     a_batch_wakes_as_many_sleeping_workers_as_it_has_jobs \
     a_receiver_at_the_cap_is_woken_when_a_worker_takes_a_job
 guard 20 --release -p hpcmfa-radius --test udp --
@@ -94,7 +99,7 @@ guard 30 --release -p hpcmfa-otpserver --test compaction_trigger -- \
     a_floor_above_an_eighth_of_the_snapshot_still_governs \
     a_zero_floor_never_compacts \
     a_recovered_server_waits_for_an_eighth_of_its_snapshot
-guard 60 --release -p hpcmfa-otpserver --lib -- group
+guard 60 --release -p hpcmfa-otpserver --lib -- group a_read_visits_only_its_own_phones_messages
 guard 60 --release -p hpcmfa-otpserver --test store_proptests --test durable_format \
     --test validate_allocs -p hpcmfa-workload --lib -- \
     snapshot_live_equals_the_encoded_exports sharded_store_equals_reference_model \
@@ -117,8 +122,9 @@ echo "==> stuffing-storm smoke (sheds fire, zero benign lockouts, p99 SLO)"
 guard 30 --test attacks -- stuffing_storm_smoke
 
 echo "==> results/: table1, sms_cost and detection reproduce their committed captures"
-# The other five captures come from the same seeded simulator but take
-# minutes together (fig5 alone 80 s); regenerate them by hand (EXPERIMENTS.md).
+# All eight captures run the paper's population (each bin's default). The
+# other five come from the same seeded simulator but run on into 2017 or
+# repeat table1's rollout; regenerate them by hand (EXPERIMENTS.md).
 reproduces() { # <bin> <capture under results/>
     "./target/release/$1" 2>/dev/null | diff "results/$2" - \
         || { echo "results/$2 is stale: the lines marked > are what $1 prints now"; exit 1; }

@@ -135,7 +135,6 @@ fn identical_seeds_replay_identical_alert_timelines() {
         .at(45, 2, FaultAction::ServerUp);
     let run = || {
         ChaosRunner::new(ChaosParams {
-            radius_servers: 3,
             logins: 120,
             users: 4,
             seed: 0xa1e47,
@@ -168,7 +167,6 @@ fn garble_storm_replays_deterministically() {
         .at(60, 1, FaultAction::GarbleStorm { one_in: 0 });
     let run = || {
         ChaosRunner::new(ChaosParams {
-            radius_servers: 3,
             logins: 100,
             users: 4,
             seed: 0x6a4b1e,
@@ -196,7 +194,6 @@ fn latency_spike_fires_the_p99_rule() {
     }
     let run = || {
         ChaosRunner::new(ChaosParams {
-            radius_servers: 3,
             logins: 110,
             users: 4,
             seed: 0x51a7e,
@@ -220,7 +217,6 @@ fn latency_spike_fires_the_p99_rule() {
 #[test]
 fn control_run_fires_zero_alerts_and_zero_events() {
     let report = ChaosRunner::new(ChaosParams {
-        radius_servers: 3,
         logins: 120,
         users: 4,
         seed: 0xc0497801,

@@ -16,7 +16,6 @@ use securing_hpc::workload::chaos::{ChaosParams, ChaosRunner, FaultScript};
 fn one_dead_server_plus_packet_loss_full_stream() {
     let logins = 150;
     let params = ChaosParams {
-        radius_servers: 3,
         logins,
         users: 5,
         seed: 2017,

@@ -8,7 +8,6 @@ use securing_hpc::core::center::{Center, CenterConfig};
 use securing_hpc::core::Clock as _;
 use securing_hpc::directory::identity::PairingMethod;
 use securing_hpc::otp::device::HardTokenBatch;
-use securing_hpc::otpserver::sms::SmsProvider;
 use securing_hpc::pam::modules::token::EnforcementMode;
 use securing_hpc::ssh::client::{ClientProfile, TokenSource};
 use std::net::Ipv4Addr;
@@ -47,17 +46,8 @@ fn every_token_type_can_log_in() {
     // SMS.
     c.create_user("sms_user", "m@x.edu", "sms-pw");
     let phone = c.pair_sms("sms_user", "5125550001");
-    let twilio = Arc::clone(&c.twilio);
-    let clock = c.clock.clone();
-    let p = ClientProfile::interactive_user("sms_user", OUTSIDE, "sms-pw").with_token(
-        TokenSource::device(move |_| {
-            clock.advance(10);
-            twilio
-                .inbox(&phone, clock.now())
-                .last()
-                .map(|m| m.body.rsplit(' ').next().unwrap().to_string())
-        }),
-    );
+    let p = ClientProfile::interactive_user("sms_user", OUTSIDE, "sms-pw")
+        .with_token(c.sms_device(&phone));
     let r = c.ssh(1, &p);
     assert!(r.granted, "{:?}", r.prompts);
     assert!(r.prompts.iter().any(|pr| pr.contains("SMS")));
