@@ -727,8 +727,7 @@ impl Center {
         if let Some(engine) = &self.risk_engine {
             engine.record_outcome(&profile.username, self.clock.now(), report.granted);
         }
-        self.alerts
-            .tick(self.clock.now(), &self.config.metrics.snapshot());
+        self.alerts.tick(self.clock.now());
         report
     }
 

@@ -25,6 +25,15 @@
 //! pass over ~64 bytes — the O(1) the resumption hot path is built
 //! around.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
+
 use hpcmfa_crypto::base64::{decode_url, encode_url};
 use hpcmfa_crypto::ct::ct_eq;
 use hpcmfa_crypto::hmac::HmacKey;
@@ -112,35 +121,29 @@ impl std::fmt::Display for TokenError {
 
 impl std::error::Error for TokenError {}
 
+/// Append `s` with its `u16 LE` length; a longer string is cut at
+/// `u16::MAX` bytes (a cut inside a character then fails to decode).
 fn put_str(out: &mut Vec<u8>, s: &str) {
     let b = s.as_bytes();
-    out.extend_from_slice(&(b.len().min(u16::MAX as usize) as u16).to_le_bytes());
-    out.extend_from_slice(&b[..b.len().min(u16::MAX as usize)]);
+    let b = b.get(..usize::from(u16::MAX)).unwrap_or(b);
+    let len = u16::try_from(b.len()).unwrap_or(u16::MAX);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(b);
 }
 
-fn take_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
-    let len_end = pos.checked_add(2)?;
-    if len_end > bytes.len() {
-        return None;
-    }
-    let len = u16::from_le_bytes([bytes[*pos], bytes[*pos + 1]]) as usize;
-    let end = len_end.checked_add(len)?;
-    if end > bytes.len() {
-        return None;
-    }
-    let s = std::str::from_utf8(&bytes[len_end..end]).ok()?;
-    *pos = end;
-    Some(s)
+/// Split a length-prefixed UTF-8 string off the front of `rest`.
+fn take_str<'a>(rest: &mut &'a [u8]) -> Option<&'a str> {
+    let len = u16::from_le_bytes(take_fixed(rest)?);
+    let (s, tail) = rest.split_at_checked(usize::from(len))?;
+    *rest = tail;
+    std::str::from_utf8(s).ok()
 }
 
-fn take_fixed<const N: usize>(bytes: &[u8], pos: &mut usize) -> Option<[u8; N]> {
-    let end = pos.checked_add(N)?;
-    if end > bytes.len() {
-        return None;
-    }
-    let arr: [u8; N] = bytes[*pos..end].try_into().ok()?;
-    *pos = end;
-    Some(arr)
+/// Split `N` bytes off the front of `rest`.
+fn take_fixed<const N: usize>(rest: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, tail) = rest.split_first_chunk::<N>()?;
+    *rest = tail;
+    Some(*head)
 }
 
 fn encode_body(claims: &TokenClaims) -> Vec<u8> {
@@ -155,14 +158,14 @@ fn encode_body(claims: &TokenClaims) -> Vec<u8> {
 }
 
 fn decode_body(body: &[u8]) -> Option<TokenClaims> {
-    let mut pos = 0usize;
-    let user = take_str(body, &mut pos)?.to_string();
-    let realm = take_str(body, &mut pos)?.to_string();
-    let issuer = take_str(body, &mut pos)?.to_string();
-    let client_net = take_fixed::<2>(body, &mut pos)?;
-    let issued_step = u64::from_le_bytes(take_fixed::<8>(body, &mut pos)?);
-    let nonce = take_fixed::<NONCE_LEN>(body, &mut pos)?;
-    if pos != body.len() {
+    let mut rest = body;
+    let user = take_str(&mut rest)?.to_string();
+    let realm = take_str(&mut rest)?.to_string();
+    let issuer = take_str(&mut rest)?.to_string();
+    let client_net = take_fixed::<2>(&mut rest)?;
+    let issued_step = u64::from_le_bytes(take_fixed::<8>(&mut rest)?);
+    let nonce = take_fixed::<NONCE_LEN>(&mut rest)?;
+    if !rest.is_empty() {
         return None; // trailing garbage under a valid MAC is still refused
     }
     Some(TokenClaims {
@@ -206,9 +209,10 @@ impl ResumeAuthority {
         candidate.starts_with(TOKEN_PREFIX)
     }
 
-    /// The OTP step containing wall-second `now`.
+    /// The OTP step containing wall-second `now`. A zero step width (set
+    /// on the field, past `new`'s clamp) reads as `new`'s floor of 1 s.
     pub(crate) fn step_of(&self, now: u64) -> u64 {
-        now / self.step_secs
+        now.checked_div(self.step_secs).unwrap_or(now)
     }
 
     /// When a token issued at `issued_step` stops validating — the ledger
@@ -263,7 +267,9 @@ impl ResumeAuthority {
         if raw.len() < MAC_LEN + 1 {
             return Err(TokenError::Malformed);
         }
-        let (body, mac) = raw.split_at(raw.len() - MAC_LEN);
+        let (body, mac) = raw
+            .split_at_checked(raw.len().saturating_sub(MAC_LEN))
+            .ok_or(TokenError::Malformed)?;
         let mut expect = [0u8; MAC_LEN];
         self.key.mac_into(body, &mut expect);
         if !ct_eq(mac, &expect) {
@@ -289,7 +295,9 @@ impl ResumeAuthority {
             return Err(TokenError::WrongAddress);
         }
         let step = self.step_of(now);
-        if claims.issued_step > step || step > claims.issued_step + self.lifetime_steps {
+        // Saturating: a window that ends past the last step never ends.
+        let last = claims.issued_step.saturating_add(self.lifetime_steps);
+        if claims.issued_step > step || step > last {
             return Err(TokenError::Expired);
         }
         Ok(claims)
@@ -297,6 +305,11 @@ impl ResumeAuthority {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::arithmetic_side_effects
+)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

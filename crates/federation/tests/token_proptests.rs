@@ -4,6 +4,9 @@
 //! wrong keys, wrong addresses, and out-of-window steps are all refused,
 //! never panicking and never yielding plausible-but-wrong claims.
 
+use hpcmfa_crypto::base64::encode_url;
+use hpcmfa_crypto::hmac::HmacKey;
+use hpcmfa_crypto::sha256::Sha256;
 use hpcmfa_federation::{ResumeAuthority, TokenClaims, TokenError, TOKEN_PREFIX};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,6 +27,32 @@ fn arb_key() -> BoxedStrategy<Vec<u8>> {
 
 fn arb_ip() -> BoxedStrategy<Ipv4Addr> {
     any::<[u8; 4]>().prop_map(Ipv4Addr::from).boxed()
+}
+
+/// A token body: up to three `u16 LE` length-prefixed byte strings
+/// (declared lengths true or not) and an arbitrary tail, or arbitrary
+/// bytes outright.
+fn arb_body() -> BoxedStrategy<Vec<u8>> {
+    let field = (
+        any::<bool>(),
+        any::<u16>(),
+        prop::collection::vec(any::<u8>(), 0..24),
+    );
+    let structured = (
+        prop::collection::vec(field, 0..4),
+        prop::collection::vec(any::<u8>(), 0..40),
+    )
+        .prop_map(|(fields, tail)| {
+            let mut body = Vec::new();
+            for (honest, lie, bytes) in fields {
+                let len = if honest { bytes.len() as u16 } else { lie };
+                body.extend_from_slice(&len.to_le_bytes());
+                body.extend_from_slice(&bytes);
+            }
+            body.extend_from_slice(&tail);
+            body
+        });
+    prop_oneof![prop::collection::vec(any::<u8>(), 0..200), structured].boxed()
 }
 
 /// An authority plus a token it issued and the issue time.
@@ -248,6 +277,22 @@ proptest! {
         prop_assert_eq!(
             auth.validate(&token, &other, ip, t0).unwrap_err(),
             TokenError::WrongUser
+        );
+    }
+
+    /// The body decoder behind the MAC never panics: any body sealed
+    /// under the authority's own key opens to claims or `Malformed`.
+    #[test]
+    fn sealed_arbitrary_bodies_open_or_are_malformed(key in arb_key(), body in arb_body()) {
+        let auth = ResumeAuthority::new(&key, "tacc", "tacc", 20, 30);
+        let mut mac = [0u8; 32];
+        HmacKey::<Sha256>::new(&key).mac_into(&body, &mut mac);
+        let raw = [body.as_slice(), &mac].concat();
+        let token = format!("{TOKEN_PREFIX}{}", encode_url(&raw));
+        let opened = auth.open(&token);
+        prop_assert!(
+            matches!(opened, Ok(_) | Err(TokenError::Malformed)),
+            "{opened:?}"
         );
     }
 

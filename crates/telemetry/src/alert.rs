@@ -1,11 +1,10 @@
 //! The deterministic alerting rule engine.
 //!
 //! An [`AlertEngine`] holds a set of declarative [`Rule`]s and is ticked
-//! by the simulation driver — once per login in the chaos harness, once
-//! per day in the rollout sim — with the virtual-clock time and a fresh
-//! [`MetricsSnapshot`]. Each tick the engine appends the snapshot to a
-//! bounded sample history, evaluates every rule's [`Condition`] over the
-//! windowed deltas, and advances a per-rule state machine:
+//! with the virtual-clock time; `Center::ssh` ticks it once per login.
+//! Each tick, every rule reads the series its [`Condition`] names from
+//! the engine's registry, keeps the reading in its own trailing window,
+//! judges the windowed delta, and advances a per-rule state machine:
 //!
 //! ```text
 //! inactive ──cond──▶ pending ──held for `for_secs`──▶ firing
@@ -26,10 +25,9 @@
 //! Every transition into `pending` / `firing` / `resolved` bumps
 //! `hpcmfa_alerts_total{rule,state}` in the shared registry.
 
-use crate::histogram::HistogramSnapshot;
-use crate::registry::{MetricsRegistry, MetricsSnapshot};
-use crate::slo::{burn_rate, series_value, SliSpec};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use crate::registry::{CounterRead, MetricsRegistry, SeriesKey};
+use crate::slo::{burn_rate, SliSpec};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -81,41 +79,6 @@ pub enum Condition {
         /// Inclusive minimum for the windowed quantile.
         min_value: u64,
     },
-}
-
-impl Condition {
-    /// Counter keys this condition samples.
-    fn counter_keys(&self) -> Vec<String> {
-        match self {
-            Condition::Threshold { series, .. } | Condition::RateOverWindow { series, .. } => {
-                vec![series.clone()]
-            }
-            Condition::BurnRate { sli, .. } => sli.good.iter().chain(&sli.total).cloned().collect(),
-            Condition::LatencyQuantile { .. } => Vec::new(),
-        }
-    }
-
-    /// Histogram families this condition samples.
-    fn histogram_families(&self) -> Vec<String> {
-        match self {
-            Condition::LatencyQuantile { family, .. } => vec![family.clone()],
-            _ => Vec::new(),
-        }
-    }
-
-    /// The longest trailing window this condition looks back over.
-    fn max_window(&self) -> u64 {
-        match self {
-            Condition::Threshold { .. } => 0,
-            Condition::RateOverWindow { window_secs, .. } => *window_secs,
-            Condition::BurnRate {
-                short_secs,
-                long_secs,
-                ..
-            } => (*short_secs).max(*long_secs),
-            Condition::LatencyQuantile { window_secs, .. } => *window_secs,
-        }
-    }
 }
 
 /// One declarative alerting rule.
@@ -194,21 +157,144 @@ pub struct AlertStatus {
     pub since: u64,
 }
 
-/// One sampled view of the referenced series.
-struct Sample {
-    at: u64,
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, HistogramSnapshot>,
+/// One rule's readings, oldest first, pruned to its window. Ticks come in
+/// time order, so the front is the baseline: the newest reading at or
+/// before `now - secs`, else the oldest. A popped reading always has a
+/// newer one behind it that also qualifies.
+struct Window<T> {
+    secs: u64,
+    readings: VecDeque<(u64, T)>,
 }
 
-struct RuleRuntime {
+impl<T> Window<T> {
+    fn new(secs: u64) -> Self {
+        let readings = VecDeque::new();
+        Window { secs, readings }
+    }
+
+    /// Take `reading` at `now`; return the baseline and the reading.
+    fn slide(&mut self, now: u64, reading: T) -> (&T, &T) {
+        self.readings.push_back((now, reading));
+        while let Some(&(at, _)) = self.readings.get(1) {
+            #[cfg(test)]
+            tests::VISITS.with(|n| n.set(n.get() + 1));
+            if at.saturating_add(self.secs) > now {
+                break;
+            }
+            self.readings.pop_front();
+        }
+        let (first, last) = (self.readings.front(), self.readings.back());
+        (&first.expect("pushed").1, &last.expect("pushed").1)
+    }
+}
+
+/// A rule's condition compiled when the engine is built: it owns its
+/// series, resolved to registry keys, and its windows. Each tick it reads
+/// the registry, slides its windows, and says whether the rule holds.
+type Check = Box<dyn FnMut(&MetricsRegistry, u64) -> bool + Send>;
+
+fn compile(condition: &Condition) -> Check {
+    match condition.clone() {
+        Condition::Threshold { series, min } => {
+            let series = CounterRead::new(&series);
+            Box::new(move |registry, _| registry.counter_now(&series) >= min)
+        }
+        Condition::RateOverWindow {
+            series,
+            window_secs,
+            min_increase,
+        } => {
+            let (series, mut window) = (CounterRead::new(&series), Window::new(window_secs));
+            Box::new(move |registry, now| {
+                let (base, cur) = window.slide(now, registry.counter_now(&series));
+                cur.saturating_sub(*base) >= min_increase
+            })
+        }
+        Condition::BurnRate {
+            sli,
+            objective,
+            short_secs,
+            long_secs,
+            factor,
+        } => {
+            let good: Vec<_> = sli.good.iter().map(|id| CounterRead::new(id)).collect();
+            let total: Vec<_> = sli.total.iter().map(|id| CounterRead::new(id)).collect();
+            let mut windows = [Window::new(short_secs), Window::new(long_secs)];
+            Box::new(move |registry, now| {
+                let sum = |ids: &[CounterRead]| -> u64 {
+                    ids.iter().map(|id| registry.counter_now(id)).sum()
+                };
+                let reading = (sum(&good), sum(&total));
+                // Every window takes the reading before any is judged: one
+                // that skipped a tick would keep a stale baseline.
+                let burns = windows.each_mut().map(|window| {
+                    let ((good0, total0), (good1, total1)) = window.slide(now, reading);
+                    let good = good1.saturating_sub(*good0);
+                    burn_rate(good, total1.saturating_sub(*total0), objective)
+                });
+                burns.iter().all(|burn| *burn > factor)
+            })
+        }
+        Condition::LatencyQuantile {
+            family,
+            q,
+            window_secs,
+            min_value,
+        } => {
+            let (family, mut window) = (SeriesKey::new(&family, &[]), Window::new(window_secs));
+            Box::new(move |registry, now| {
+                let (base, cur) = window.slide(now, registry.histogram_family_now(&family));
+                cur.delta_since(base).quantile(q) >= min_value
+            })
+        }
+    }
+}
+
+/// Where one rule stands in its lifecycle.
+struct Lifecycle {
     state: AlertState,
     since: u64,
 }
 
+impl Lifecycle {
+    const INACTIVE: Lifecycle = Lifecycle {
+        state: AlertState::Inactive,
+        since: 0,
+    };
+
+    /// Advance on this tick's verdict, reporting each transition taken.
+    fn advance(
+        &mut self,
+        holds: bool,
+        now: u64,
+        rule: &Rule,
+        mut transition: impl FnMut(AlertState, AlertState),
+    ) {
+        let mut enter = |lc: &mut Lifecycle, to: AlertState| {
+            transition(lc.state, to);
+            (lc.state, lc.since) = (to, now);
+        };
+        // Ticks come in time order, so `since` is never ahead of `now`.
+        let held = now - self.since;
+        match self.state {
+            AlertState::Inactive if holds => {
+                enter(self, AlertState::Pending);
+                if rule.for_secs == 0 {
+                    enter(self, AlertState::Firing);
+                }
+            }
+            AlertState::Pending if !holds => enter(self, AlertState::Inactive),
+            AlertState::Pending if held >= rule.for_secs => enter(self, AlertState::Firing),
+            AlertState::Firing if !holds => enter(self, AlertState::Resolved),
+            AlertState::Resolved if holds => enter(self, AlertState::Firing),
+            AlertState::Resolved if held >= rule.cooldown_secs => enter(self, AlertState::Inactive),
+            _ => {}
+        }
+    }
+}
+
 struct EngineInner {
-    samples: VecDeque<Sample>,
-    runtimes: Vec<RuleRuntime>,
+    rules: Vec<(Rule, Lifecycle, Check)>,
     timeline: Vec<AlertTransition>,
 }
 
@@ -217,143 +303,52 @@ struct EngineInner {
 /// it).
 pub struct AlertEngine {
     registry: Arc<MetricsRegistry>,
-    rules: Vec<Rule>,
-    counter_keys: Vec<String>,
-    histogram_families: Vec<String>,
-    max_window: u64,
     inner: Mutex<EngineInner>,
 }
 
 impl AlertEngine {
-    /// Build an engine over `rules`, recording `hpcmfa_alerts_total`
-    /// into `registry`.
+    /// Build an engine over `rules`, reading their series from and
+    /// recording `hpcmfa_alerts_total` into `registry`.
     pub fn new(registry: Arc<MetricsRegistry>, rules: Vec<Rule>) -> Self {
-        let counter_keys: Vec<String> = rules
-            .iter()
-            .flat_map(|r| r.condition.counter_keys())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let histogram_families: Vec<String> = rules
-            .iter()
-            .flat_map(|r| r.condition.histogram_families())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let max_window = rules
-            .iter()
-            .map(|r| r.condition.max_window())
-            .max()
-            .unwrap_or(0);
-        let runtimes = rules
-            .iter()
-            .map(|_| RuleRuntime {
-                state: AlertState::Inactive,
-                since: 0,
-            })
-            .collect();
-        AlertEngine {
-            registry,
-            rules,
-            counter_keys,
-            histogram_families,
-            max_window,
-            inner: Mutex::new(EngineInner {
-                samples: VecDeque::new(),
-                runtimes,
-                timeline: Vec::new(),
-            }),
-        }
+        let rules = rules.into_iter().map(|r| {
+            let check = compile(&r.condition);
+            (r, Lifecycle::INACTIVE, check)
+        });
+        let timeline = Vec::new();
+        let inner = Mutex::new(EngineInner {
+            rules: rules.collect(),
+            timeline,
+        });
+        AlertEngine { registry, inner }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, EngineInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Advance the engine to virtual time `now` with a fresh snapshot.
-    /// Ticks must be fed in non-decreasing time order.
-    pub fn tick(&self, now: u64, snap: &MetricsSnapshot) {
-        let mut inner = self.lock();
-        let sample = Sample {
-            at: now,
-            counters: self
-                .counter_keys
-                .iter()
-                .map(|k| (k.clone(), series_value(snap, k)))
-                .collect(),
-            histograms: self
-                .histogram_families
-                .iter()
-                .map(|f| (f.clone(), snap.histogram_family(f)))
-                .collect(),
-        };
-        inner.samples.push_back(sample);
-        // Prune: a sample is dead once the next one is already at or past
-        // every window's horizon.
-        while inner.samples.len() >= 2 && inner.samples[1].at.saturating_add(self.max_window) <= now
-        {
-            inner.samples.pop_front();
-        }
-
-        for (i, rule) in self.rules.iter().enumerate() {
-            let cond = eval_condition(&rule.condition, now, &inner.samples);
-            let mut transitions: Vec<(AlertState, AlertState)> = Vec::new();
-            {
-                let rt = &mut inner.runtimes[i];
-                match rt.state {
-                    AlertState::Inactive if cond => {
-                        transitions.push((AlertState::Inactive, AlertState::Pending));
-                        rt.state = AlertState::Pending;
-                        rt.since = now;
-                        if now - rt.since >= rule.for_secs {
-                            transitions.push((AlertState::Pending, AlertState::Firing));
-                            rt.state = AlertState::Firing;
-                            rt.since = now;
-                        }
-                    }
-                    AlertState::Pending if !cond => {
-                        transitions.push((AlertState::Pending, AlertState::Inactive));
-                        rt.state = AlertState::Inactive;
-                        rt.since = now;
-                    }
-                    AlertState::Pending if now - rt.since >= rule.for_secs => {
-                        transitions.push((AlertState::Pending, AlertState::Firing));
-                        rt.state = AlertState::Firing;
-                        rt.since = now;
-                    }
-                    AlertState::Firing if !cond => {
-                        transitions.push((AlertState::Firing, AlertState::Resolved));
-                        rt.state = AlertState::Resolved;
-                        rt.since = now;
-                    }
-                    AlertState::Resolved if cond => {
-                        transitions.push((AlertState::Resolved, AlertState::Firing));
-                        rt.state = AlertState::Firing;
-                        rt.since = now;
-                    }
-                    AlertState::Resolved if now - rt.since >= rule.cooldown_secs => {
-                        transitions.push((AlertState::Resolved, AlertState::Inactive));
-                        rt.state = AlertState::Inactive;
-                        rt.since = now;
-                    }
-                    _ => {}
-                }
-            }
-            for (from, to) in transitions {
-                if to != AlertState::Inactive {
-                    self.registry
-                        .counter(
-                            "hpcmfa_alerts_total",
-                            &[("rule", &rule.name), ("state", to.label())],
-                        )
-                        .inc();
-                }
-                inner.timeline.push(AlertTransition {
+    /// Advance the engine to virtual time `now`. Ticks must be fed in
+    /// non-decreasing time order.
+    pub fn tick(&self, now: u64) {
+        let EngineInner { rules, timeline } = &mut *self.lock();
+        let first = timeline.len();
+        for (rule, lifecycle, check) in rules.iter_mut() {
+            let holds = check(&self.registry, now);
+            lifecycle.advance(holds, now, rule, |from, to| {
+                let rule = rule.name.clone();
+                timeline.push(AlertTransition {
                     at: now,
-                    rule: rule.name.clone(),
+                    rule,
                     from,
                     to,
-                });
+                })
+            });
+        }
+        // Counted once every rule has read: no rule sees another's
+        // transitions from its own tick.
+        for t in &timeline[first..] {
+            if t.to != AlertState::Inactive {
+                let labels = [("rule", t.rule.as_str()), ("state", t.to.label())];
+                self.registry.counter("hpcmfa_alerts_total", &labels).inc();
             }
         }
     }
@@ -370,14 +365,12 @@ impl AlertEngine {
 
     fn statuses(&self, keep: impl Fn(AlertState) -> bool) -> Vec<AlertStatus> {
         let inner = self.lock();
-        self.rules
-            .iter()
-            .zip(&inner.runtimes)
-            .filter(|(_, rt)| keep(rt.state))
-            .map(|(r, rt)| AlertStatus {
+        let rules = inner.rules.iter().filter(|(_, lc, _)| keep(lc.state));
+        rules
+            .map(|(r, lc, _)| AlertStatus {
                 rule: r.name.clone(),
-                state: rt.state,
-                since: rt.since,
+                state: lc.state,
+                since: lc.since,
             })
             .collect()
     }
@@ -391,80 +384,6 @@ impl AlertEngine {
     /// embed and replay tests byte-compare).
     pub fn timeline_lines(&self) -> Vec<String> {
         self.lock().timeline.iter().map(|t| t.to_string()).collect()
-    }
-}
-
-/// Latest sample at or before `now - window`, else the oldest retained.
-fn baseline(samples: &VecDeque<Sample>, now: u64, window: u64) -> &Sample {
-    samples
-        .iter()
-        .rev()
-        .find(|s| s.at.saturating_add(window) <= now)
-        .unwrap_or_else(|| samples.front().expect("tick pushes before eval"))
-}
-
-fn counter_at(sample: &Sample, key: &str) -> u64 {
-    sample.counters.get(key).copied().unwrap_or(0)
-}
-
-fn delta(samples: &VecDeque<Sample>, now: u64, window: u64, key: &str) -> u64 {
-    let cur = counter_at(samples.back().expect("nonempty"), key);
-    let base = counter_at(baseline(samples, now, window), key);
-    cur.saturating_sub(base)
-}
-
-fn eval_condition(cond: &Condition, now: u64, samples: &VecDeque<Sample>) -> bool {
-    match cond {
-        Condition::Threshold { series, min } => {
-            counter_at(samples.back().expect("nonempty"), series) >= *min
-        }
-        Condition::RateOverWindow {
-            series,
-            window_secs,
-            min_increase,
-        } => delta(samples, now, *window_secs, series) >= *min_increase,
-        Condition::BurnRate {
-            sli,
-            objective,
-            short_secs,
-            long_secs,
-            factor,
-        } => {
-            let burn_over = |window: u64| {
-                let good: u64 = sli
-                    .good
-                    .iter()
-                    .map(|k| delta(samples, now, window, k))
-                    .sum();
-                let total: u64 = sli
-                    .total
-                    .iter()
-                    .map(|k| delta(samples, now, window, k))
-                    .sum();
-                burn_rate(good, total, *objective)
-            };
-            burn_over(*short_secs) > *factor && burn_over(*long_secs) > *factor
-        }
-        Condition::LatencyQuantile {
-            family,
-            q,
-            window_secs,
-            min_value,
-        } => {
-            let cur = samples
-                .back()
-                .expect("nonempty")
-                .histograms
-                .get(family)
-                .cloned()
-                .unwrap_or_else(HistogramSnapshot::empty);
-            let base = baseline(samples, now, *window_secs)
-                .histograms
-                .get(family)
-                .cloned()
-                .unwrap_or_else(HistogramSnapshot::empty);
-            cur.delta_since(&base).quantile(*q) >= *min_value
-        }
     }
 }
 
@@ -552,6 +471,14 @@ pub fn default_security_rules() -> Vec<Rule> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricsSnapshot;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Readings `Window::slide`'s prune has visited on this thread.
+        pub(super) static VISITS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn engine_with(rules: Vec<Rule>) -> (Arc<MetricsRegistry>, AlertEngine) {
         let reg = Arc::new(MetricsRegistry::new());
@@ -576,22 +503,22 @@ mod tests {
     fn rate_rule_fires_and_resolves_on_window_clear() {
         let (reg, engine) = engine_with(vec![rate_rule(100, 3, 0, 50)]);
         let c = reg.counter("hpcmfa_e_total", &[]);
-        engine.tick(0, &reg.snapshot());
+        engine.tick(0);
         assert!(engine.active().is_empty());
         // Burst: 4 errors between t=0 and t=30.
         c.add(4);
-        engine.tick(30, &reg.snapshot());
+        engine.tick(30);
         let active = engine.active();
         assert_eq!(active.len(), 1);
         assert_eq!(active[0].state, AlertState::Firing);
         // No further errors: window slides past the burst at t=130.
-        engine.tick(90, &reg.snapshot());
+        engine.tick(90);
         assert_eq!(engine.active().len(), 1, "burst still inside window");
-        engine.tick(140, &reg.snapshot());
+        engine.tick(140);
         assert!(engine.active().is_empty());
         assert_eq!(engine.recent_resolved().len(), 1);
         // Cooldown expires 50s later.
-        engine.tick(200, &reg.snapshot());
+        engine.tick(200);
         assert!(engine.recent_resolved().is_empty());
         let lines = engine.timeline_lines();
         assert_eq!(
@@ -619,17 +546,17 @@ mod tests {
     fn for_secs_holds_in_pending_and_clears_without_firing() {
         let (reg, engine) = engine_with(vec![rate_rule(1_000, 1, 60, 50)]);
         let c = reg.counter("hpcmfa_e_total", &[]);
-        engine.tick(0, &reg.snapshot());
+        engine.tick(0);
         c.inc();
-        engine.tick(30, &reg.snapshot());
+        engine.tick(30);
         assert_eq!(engine.active()[0].state, AlertState::Pending);
-        engine.tick(60, &reg.snapshot());
+        engine.tick(60);
         assert_eq!(
             engine.active()[0].state,
             AlertState::Pending,
             "30s < for 60s"
         );
-        engine.tick(100, &reg.snapshot());
+        engine.tick(100);
         assert_eq!(engine.active()[0].state, AlertState::Firing);
     }
 
@@ -637,12 +564,12 @@ mod tests {
     fn pending_that_clears_never_fires() {
         let (reg, engine) = engine_with(vec![rate_rule(50, 1, 60, 50)]);
         let c = reg.counter("hpcmfa_e_total", &[]);
-        engine.tick(0, &reg.snapshot());
+        engine.tick(0);
         c.inc();
-        engine.tick(10, &reg.snapshot());
+        engine.tick(10);
         assert_eq!(engine.active()[0].state, AlertState::Pending);
         // The single error leaves the 50s window before for_secs elapses.
-        engine.tick(65, &reg.snapshot());
+        engine.tick(65);
         assert!(engine.active().is_empty());
         assert!(engine.recent_resolved().is_empty());
         assert!(!engine.timeline_lines().iter().any(|l| l.contains("firing")));
@@ -652,15 +579,15 @@ mod tests {
     fn resolved_refires_without_pending_delay() {
         let (reg, engine) = engine_with(vec![rate_rule(100, 1, 60, 500)]);
         let c = reg.counter("hpcmfa_e_total", &[]);
-        engine.tick(0, &reg.snapshot());
+        engine.tick(0);
         c.inc();
-        engine.tick(10, &reg.snapshot());
-        engine.tick(80, &reg.snapshot()); // pending held 70s >= 60 -> firing
+        engine.tick(10);
+        engine.tick(80); // pending held 70s >= 60 -> firing
         assert_eq!(engine.active()[0].state, AlertState::Firing);
-        engine.tick(140, &reg.snapshot()); // window clear -> resolved
+        engine.tick(140); // window clear -> resolved
         assert_eq!(engine.recent_resolved().len(), 1);
         c.inc(); // flap back during cooldown
-        engine.tick(150, &reg.snapshot());
+        engine.tick(150);
         assert_eq!(
             engine.active()[0].state,
             AlertState::Firing,
@@ -681,12 +608,12 @@ mod tests {
         }]);
         let c = reg.counter("hpcmfa_t_total", &[]);
         c.add(4);
-        engine.tick(0, &reg.snapshot());
+        engine.tick(0);
         assert!(engine.active().is_empty());
         c.add(1);
-        engine.tick(10, &reg.snapshot());
+        engine.tick(10);
         assert_eq!(engine.active()[0].state, AlertState::Firing);
-        engine.tick(1_000, &reg.snapshot());
+        engine.tick(1_000);
         assert_eq!(
             engine.active()[0].state,
             AlertState::Firing,
@@ -717,13 +644,13 @@ mod tests {
         for t in 0..10u64 {
             ok.add(10);
             all.add(10);
-            engine.tick(t * 30, &reg.snapshot());
+            engine.tick(t * 30);
         }
         assert!(engine.active().is_empty());
         // Total outage: the short window degrades immediately, but the
         // long window still remembers the healthy majority.
         all.add(10);
-        engine.tick(330, &reg.snapshot());
+        engine.tick(330);
         assert!(
             engine.active().is_empty(),
             "long window must gate the alert"
@@ -731,7 +658,7 @@ mod tests {
         // Sustained outage degrades the long window too.
         for t in 12..22u64 {
             all.add(10);
-            engine.tick(t * 30, &reg.snapshot());
+            engine.tick(t * 30);
         }
         assert_eq!(engine.active().len(), 1);
         assert_eq!(engine.active()[0].state, AlertState::Firing);
@@ -754,17 +681,17 @@ mod tests {
         for _ in 0..100 {
             h.record(2_000);
         }
-        engine.tick(0, &reg.snapshot());
+        engine.tick(0);
         assert!(engine.active().is_empty());
         // A spike dominates the fresh window even though the lifetime
         // p99 stays low.
         for _ in 0..5 {
             h.record(900_000);
         }
-        engine.tick(30, &reg.snapshot());
+        engine.tick(30);
         assert_eq!(engine.active()[0].state, AlertState::Firing);
         // Window slides past the spike.
-        engine.tick(200, &reg.snapshot());
+        engine.tick(200);
         assert!(engine.active().is_empty());
     }
 
@@ -780,7 +707,7 @@ mod tests {
                 } else {
                     ok.add(1);
                 }
-                engine.tick(t * 30, &reg.snapshot());
+                engine.tick(t * 30);
             }
             engine.timeline_lines()
         };
@@ -792,15 +719,261 @@ mod tests {
             .any(|l| l.contains("radius_error_rate inactive->pending")));
     }
 
+    /// A tick's window work is amortised O(1): the prune visits each
+    /// reading it pops plus the one it stops at, and each reading is
+    /// popped at most once. One tick past the window then visits only
+    /// what the window holds.
     #[test]
-    fn sample_history_is_pruned() {
-        let (reg, engine) = engine_with(vec![rate_rule(100, 1, 0, 10)]);
-        for t in 0..1_000u64 {
-            engine.tick(t * 30, &reg.snapshot());
+    fn a_window_visits_at_most_two_readings_a_tick_amortised() {
+        const TICKS: u64 = 10_000;
+        let (reg, engine) = engine_with(vec![rate_rule(600, 1, 0, 10)]);
+        let c = reg.counter("hpcmfa_e_total", &[]);
+        let before = VISITS.with(Cell::get);
+        for t in 0..TICKS {
+            c.inc();
+            engine.tick(t);
         }
-        assert!(
-            engine.lock().samples.len() < 10,
-            "history must stay bounded"
-        );
+        let ticked = VISITS.with(Cell::get) - before;
+        assert!(ticked <= 2 * TICKS, "{ticked} visits over {TICKS} ticks");
+        let before = VISITS.with(Cell::get);
+        engine.tick(2 * TICKS);
+        let past = VISITS.with(Cell::get) - before;
+        assert_eq!(past, 601, "the window holds t = 9 399 ..= 9 999");
+    }
+
+    /// The engine before each rule kept its own window, as a reference:
+    /// every snapshot is kept, and a window's baseline is the newest one
+    /// at or before `now - window`, found by walking them newest first,
+    /// else the oldest. Counters are read per series id, then summed.
+    #[derive(Default)]
+    struct Reference {
+        history: Vec<(u64, MetricsSnapshot)>,
+        lifecycles: Vec<Lifecycle>,
+        timeline: Vec<String>,
+    }
+
+    impl Reference {
+        fn tick(&mut self, rules: &[Rule], now: u64, snap: MetricsSnapshot) {
+            let Reference {
+                history,
+                lifecycles,
+                timeline,
+            } = self;
+            history.push((now, snap));
+            lifecycles.resize_with(rules.len(), || Lifecycle::INACTIVE);
+            let cur = &history[history.len() - 1].1;
+            let base = |window: u64| {
+                &history
+                    .iter()
+                    .rev()
+                    .find(|(at, _)| at.saturating_add(window) <= now)
+                    .unwrap_or(&history[0])
+                    .1
+            };
+            let value = |snap: &MetricsSnapshot, id: &str| {
+                if id.contains('{') {
+                    snap.counter(id)
+                } else {
+                    snap.counter_family(id)
+                }
+            };
+            let delta =
+                |window: u64, id: &str| value(cur, id).saturating_sub(value(base(window), id));
+            for (rule, lifecycle) in rules.iter().zip(lifecycles.iter_mut()) {
+                let holds = match &rule.condition {
+                    Condition::Threshold { series, min } => value(cur, series) >= *min,
+                    Condition::RateOverWindow {
+                        series,
+                        window_secs,
+                        min_increase,
+                    } => delta(*window_secs, series) >= *min_increase,
+                    Condition::BurnRate {
+                        sli,
+                        objective,
+                        short_secs,
+                        long_secs,
+                        factor,
+                    } => {
+                        let burn = |window: u64| {
+                            let sum = |ids: &[String]| -> u64 {
+                                ids.iter().map(|id| delta(window, id)).sum()
+                            };
+                            burn_rate(sum(&sli.good), sum(&sli.total), *objective)
+                        };
+                        burn(*short_secs) > *factor && burn(*long_secs) > *factor
+                    }
+                    Condition::LatencyQuantile {
+                        family,
+                        q,
+                        window_secs,
+                        min_value,
+                    } => {
+                        let base = base(*window_secs).histogram_family(family);
+                        cur.histogram_family(family).delta_since(&base).quantile(*q) >= *min_value
+                    }
+                };
+                lifecycle.advance(holds, now, rule, |from, to| {
+                    timeline.push(format!("{now} {} {from}->{to}", rule.name))
+                });
+            }
+        }
+    }
+
+    /// The counter series ticks bump, as `(name, labels)`.
+    const COUNTERS: [(&str, &[(&str, &str)]); 8] = [
+        ("hpcmfa_a_total", &[]),
+        ("hpcmfa_a_total", &[("k", "x")]),
+        ("hpcmfa_a_total", &[("k", "y")]),
+        ("hpcmfa_radius_outcomes_total", &[("outcome", "accept")]),
+        ("hpcmfa_radius_outcomes_total", &[("outcome", "challenge")]),
+        ("hpcmfa_radius_outcomes_total", &[("outcome", "error")]),
+        (
+            "hpcmfa_security_events_total",
+            &[("kind", "replay_attempt")],
+        ),
+        ("hpcmfa_shed_total", &[("reason", "queue")]),
+    ];
+
+    /// The histogram series ticks record into.
+    const HISTOGRAMS: [(&str, &[(&str, &str)]); 3] = [
+        ("hpcmfa_radius_request_duration_us", &[("server", "r0")]),
+        ("hpcmfa_radius_request_duration_us", &[("server", "r1")]),
+        ("hpcmfa_d_us", &[]),
+    ];
+
+    /// What generated rules name: exact ids, families, a series nothing
+    /// bumps, and the engine's own transition counter.
+    const COUNTER_IDS: [&str; 8] = [
+        "hpcmfa_a_total",
+        "hpcmfa_a_total{k=\"x\"}",
+        "hpcmfa_radius_outcomes_total",
+        "hpcmfa_radius_outcomes_total{outcome=\"accept\"}",
+        "hpcmfa_radius_outcomes_total{outcome=\"error\"}",
+        "hpcmfa_shed_total",
+        "hpcmfa_missing_total",
+        "hpcmfa_alerts_total",
+    ];
+
+    const FAMILIES: [&str; 2] = ["hpcmfa_radius_request_duration_us", "hpcmfa_d_us"];
+
+    fn arb_window() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 1..120u64, 120..900u64]
+    }
+
+    fn arb_condition() -> impl Strategy<Value = Condition> {
+        let id = || prop::sample::select(COUNTER_IDS.to_vec()).prop_map(str::to_string);
+        let ids = move || prop::collection::vec(id(), 1..3);
+        prop_oneof![
+            (id(), 0..20u64).prop_map(|(series, min)| Condition::Threshold { series, min }),
+            (id(), arb_window(), 0..6u64).prop_map(|(series, window_secs, min_increase)| {
+                Condition::RateOverWindow {
+                    series,
+                    window_secs,
+                    min_increase,
+                }
+            }),
+            (
+                ids(),
+                ids(),
+                0.5..0.99f64,
+                arb_window(),
+                arb_window(),
+                0.5..10.0f64
+            )
+                .prop_map(|(good, total, objective, short_secs, long_secs, factor)| {
+                    Condition::BurnRate {
+                        sli: SliSpec { good, total },
+                        objective,
+                        short_secs,
+                        long_secs,
+                        factor,
+                    }
+                }),
+            (
+                prop::sample::select(FAMILIES.to_vec()),
+                prop_oneof![0.0..1.0f64, Just(1.0)],
+                arb_window(),
+                1..1_000_000u64
+            )
+                .prop_map(|(family, q, window_secs, min_value)| {
+                    Condition::LatencyQuantile {
+                        family: family.to_string(),
+                        q,
+                        window_secs,
+                        min_value,
+                    }
+                }),
+        ]
+    }
+
+    /// One tick: how far the clock moves (repeats, and gaps past every
+    /// window, included), then what the system records before it.
+    #[derive(Clone, Debug)]
+    struct Step {
+        dt: u64,
+        bumps: Vec<(usize, u64)>,
+        records: Vec<(usize, u64)>,
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        (
+            prop_oneof![Just(0u64), 1..60u64, 60..400u64, 900..2_000u64],
+            prop::collection::vec((0..COUNTERS.len(), 1..6u64), 0..4),
+            prop::collection::vec((0..HISTOGRAMS.len(), 1..2_000_000u64), 0..3),
+        )
+            .prop_map(|(dt, bumps, records)| Step { dt, bumps, records })
+    }
+
+    proptest! {
+        /// Each rule's own pruned window finds the baseline the
+        /// keep-everything reference finds, so the timelines are equal:
+        /// over all four condition kinds, the default rule set, and a
+        /// burn-rate rule whose short window can be quiet while its long
+        /// window burns (each window must take every tick's reading).
+        #[test]
+        fn windows_equal_the_keep_everything_reference(
+            conditions in prop::collection::vec(arb_condition(), 0..6),
+            for_secs in prop::collection::vec(prop_oneof![Just(0u64), 1..200u64], 6),
+            steps in prop::collection::vec(arb_step(), 1..60),
+        ) {
+            let mut rules = default_security_rules();
+            rules.push(Rule {
+                name: "quiet_short_burning_long".to_string(),
+                condition: Condition::BurnRate {
+                    sli: SliSpec::auth_success(),
+                    objective: 0.9,
+                    short_secs: 60,
+                    long_secs: 600,
+                    factor: 1.0,
+                },
+                for_secs: 0,
+                cooldown_secs: 120,
+            });
+            for (i, (condition, for_secs)) in conditions.into_iter().zip(for_secs).enumerate() {
+                rules.push(Rule {
+                    name: format!("generated_{i}"),
+                    condition,
+                    for_secs,
+                    cooldown_secs: 90,
+                });
+            }
+            let (reg, engine) = engine_with(rules.clone());
+            let mut reference = Reference::default();
+            let mut now = 0u64;
+            for step in &steps {
+                now += step.dt;
+                for &(i, n) in &step.bumps {
+                    let (name, labels) = COUNTERS[i];
+                    reg.counter(name, labels).add(n);
+                }
+                for &(i, v) in &step.records {
+                    let (name, labels) = HISTOGRAMS[i];
+                    reg.histogram(name, labels).record(v);
+                }
+                reference.tick(&rules, now, reg.snapshot());
+                engine.tick(now);
+            }
+            prop_assert_eq!(engine.timeline_lines(), reference.timeline);
+        }
     }
 }

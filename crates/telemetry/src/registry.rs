@@ -63,13 +63,13 @@ impl Gauge {
 
 /// A series key: family name plus sorted `(label, value)` pairs.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct SeriesKey {
+pub(crate) struct SeriesKey {
     name: String,
     labels: Vec<(String, String)>,
 }
 
 impl SeriesKey {
-    fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+    pub(crate) fn new(name: &str, labels: &[(&str, &str)]) -> Self {
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -103,6 +103,37 @@ impl SeriesKey {
         out
     }
 
+    /// The key that renders to `id`: `name{k="v",…}` with its label
+    /// values unescaped if that renders back to `id`, else `id` as a bare
+    /// name (so unsorted labels or loose escapes match what they match in
+    /// a snapshot: nothing). Label names are taken to be identifiers.
+    fn parse(id: &str) -> SeriesKey {
+        let labelled = || {
+            let (name, mut rest) = id.strip_suffix('}')?.split_once('{')?;
+            let mut key = SeriesKey::new(name, &[]);
+            while let Some((label, after)) = rest.split_once("=\"") {
+                let mut value = String::new();
+                let mut chars = after.char_indices();
+                let close = loop {
+                    match chars.next()? {
+                        (i, '"') => break i,
+                        (_, '\\') => value.push(match chars.next()?.1 {
+                            'n' => '\n',
+                            c => c,
+                        }),
+                        (_, c) => value.push(c),
+                    }
+                };
+                key.labels.push((label.to_string(), value));
+                rest = after[close + 1..].trim_start_matches(',');
+            }
+            Some(key)
+        };
+        labelled()
+            .filter(|key| key.render() == id)
+            .unwrap_or_else(|| SeriesKey::new(id, &[]))
+    }
+
     /// Same, with one extra label appended (for histogram `le`).
     fn render_with(&self, suffix: &str, extra_key: &str, extra_val: &str) -> String {
         let mut out = String::new();
@@ -132,6 +163,27 @@ fn escape_label(v: &str) -> String {
 }
 
 type SeriesMap<T> = RwLock<BTreeMap<SeriesKey, Arc<T>>>;
+
+/// A counter id resolved once to a registry key, so that reading it live
+/// ([`MetricsRegistry::counter_now`]) parses and allocates nothing.
+pub(crate) enum CounterRead {
+    /// [`MetricsSnapshot::counter`] of the id this key renders to.
+    Series(SeriesKey),
+    /// [`MetricsSnapshot::counter_family`] of this unlabelled key's name.
+    Family(SeriesKey),
+}
+
+impl CounterRead {
+    /// How an alert rule or an SLI names a counter: the exact series when
+    /// the id carries labels, the family sum otherwise.
+    pub(crate) fn new(id: &str) -> Self {
+        if id.contains('{') {
+            CounterRead::Series(SeriesKey::parse(id))
+        } else {
+            CounterRead::Family(SeriesKey::new(id, &[]))
+        }
+    }
+}
 
 /// The process-wide (or per-`Center`) metrics registry. Thread-safe;
 /// shared behind an `Arc` by every component on the auth path. Also owns
@@ -316,6 +368,46 @@ impl MetricsRegistry {
             ),
             ("hpcmfa_tracer_dropped_total", self.tracer.dropped()),
         ]
+    }
+
+    /// The ring-drop count a snapshot reports under `key`'s id, if any.
+    fn ring_drop(&self, key: &SeriesKey) -> Option<u64> {
+        let mut rings = self.ring_drop_counters().into_iter();
+        rings
+            .find(|(name, _)| key.labels.is_empty() && *name == key.name)
+            .map(|(_, v)| v)
+    }
+
+    /// What `snapshot()` would answer for `counter` now; a snapshot's
+    /// ring-drop entry replaces a series of the same id. Allocates nothing.
+    pub(crate) fn counter_now(&self, counter: &CounterRead) -> u64 {
+        match counter {
+            CounterRead::Series(key) => self
+                .ring_drop(key)
+                .unwrap_or_else(|| read(&self.counters).get(key).map_or(0, |c| c.get())),
+            CounterRead::Family(family) => {
+                let ring = self.ring_drop(family);
+                let series: u64 = read(&self.counters)
+                    .range(family..)
+                    .take_while(|(k, _)| k.name == family.name)
+                    .filter(|(k, _)| ring.is_none() || !k.labels.is_empty())
+                    .map(|(_, c)| c.get())
+                    .sum();
+                series + ring.unwrap_or(0)
+            }
+        }
+    }
+
+    /// What `snapshot().histogram_family` would answer now for the
+    /// unlabelled key `family`.
+    pub(crate) fn histogram_family_now(&self, family: &SeriesKey) -> HistogramSnapshot {
+        let mut merged = HistogramSnapshot::empty();
+        let histograms = read(&self.histograms);
+        let series = histograms
+            .range(family..)
+            .take_while(|(k, _)| k.name == family.name);
+        series.for_each(|(_, h)| merged.merge(&h.snapshot()));
+        merged
     }
 
     /// Freeze every series into a [`MetricsSnapshot`].
@@ -609,5 +701,83 @@ mod tests {
         assert!(dbg.contains("MetricsRegistry"));
         assert!(dbg.contains("counters: 1"));
         assert!(dbg.contains("spans: 1"));
+    }
+
+    /// Each live read answers what a snapshot taken at that moment
+    /// answers: exact keys, families, missing series, two labels, escaped
+    /// label values, ids no series renders to, and the ring-drop counters
+    /// a snapshot inserts (over a registry series of the same id, too).
+    #[test]
+    fn live_reads_answer_what_a_snapshot_answers() {
+        let reg = MetricsRegistry::with_ring_caps(2, 1);
+        reg.counter("hpcmfa_x_total", &[]).add(1);
+        reg.counter("hpcmfa_x_total", &[("k", "a")]).add(2);
+        reg.counter("hpcmfa_x_total", &[("k", "b")]).add(3);
+        reg.counter("hpcmfa_x_total_more", &[]).add(100);
+        reg.counter("hpcmfa_y_total", &[("b", "2"), ("a", "1")])
+            .add(4);
+        reg.counter("hpcmfa_odd_total", &[("msg", "a\"b\\c\nd")])
+            .add(5);
+        reg.counter("hpcmfa_tracer_dropped_total", &[]).add(50);
+        reg.counter("hpcmfa_tracer_dropped_total", &[("shard", "0")])
+            .add(6);
+        reg.histogram("hpcmfa_d_us", &[]).record(7);
+        reg.histogram("hpcmfa_d_us", &[("server", "a")]).record(10);
+        reg.histogram("hpcmfa_d_us", &[("server", "b")])
+            .record_traced(30, TraceId::from_u64(9));
+        reg.histogram("hpcmfa_d_us_other", &[]).record(1_000);
+        for i in 0..5 {
+            reg.tracer()
+                .span(crate::TraceId::from_u64(i), "pam", "x", "");
+            reg.emit_event(SecurityEventKind::SmsAbuse, None, None, i, "");
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("hpcmfa_tracer_dropped_total"), 3);
+
+        for id in [
+            "hpcmfa_x_total",
+            "hpcmfa_x_total{k=\"a\"}",
+            "hpcmfa_x_total{k=\"c\"}",
+            "hpcmfa_missing_total",
+            "hpcmfa_y_total{a=\"1\",b=\"2\"}",
+            "hpcmfa_y_total{b=\"2\",a=\"1\"}",
+            "hpcmfa_odd_total{msg=\"a\\\"b\\\\c\\nd\"}",
+            "hpcmfa_odd_total{msg=\"a\"b\\c\nd\"}",
+            "hpcmfa_x_total{k=\"a\",}",
+            "hpcmfa_x_total{k=\"a\"",
+            "hpcmfa_security_events_total{kind=\"sms_abuse\"}",
+            "hpcmfa_tracer_dropped_total",
+            "hpcmfa_tracer_dropped_total{shard=\"0\"}",
+            "hpcmfa_security_events_dropped_total",
+        ] {
+            let live = reg.counter_now(&CounterRead::Series(SeriesKey::parse(id)));
+            assert_eq!(live, snap.counter(id), "{id}");
+        }
+        assert_eq!(snap.counter("hpcmfa_odd_total{msg=\"a\\\"b\\\\c\\nd\"}"), 5);
+        for name in [
+            "hpcmfa_x_total",
+            "hpcmfa_y_total",
+            "hpcmfa_odd_total",
+            "hpcmfa_missing_total",
+            "hpcmfa_security_events_total",
+            "hpcmfa_tracer_dropped_total",
+            "hpcmfa_security_events_dropped_total",
+        ] {
+            let live = reg.counter_now(&CounterRead::Family(SeriesKey::new(name, &[])));
+            assert_eq!(live, snap.counter_family(name), "{name}");
+        }
+        for name in ["hpcmfa_d_us", "hpcmfa_d_us_other", "hpcmfa_missing_us"] {
+            let live = reg.histogram_family_now(&SeriesKey::new(name, &[]));
+            assert_eq!(live, snap.histogram_family(name), "{name}");
+        }
+        // A rule's id reads the exact series when it has labels, the
+        // family otherwise.
+        assert_eq!(reg.counter_now(&CounterRead::new("hpcmfa_x_total")), 6);
+        assert_eq!(
+            reg.counter_now(&CounterRead::new("hpcmfa_x_total{k=\"a\"}")),
+            2
+        );
+        // Reading created no series.
+        assert_eq!(reg.snapshot().counters(), snap.counters());
     }
 }

@@ -10,11 +10,9 @@
 //! windows — a short one for responsiveness and a long one to suppress
 //! blips — before an alert leaves pending.
 //!
-//! Everything here is pure arithmetic over [`MetricsSnapshot`] values:
-//! no clocks, no state, so the determinism contract of the engine rests
-//! only on the snapshots it is fed.
-
-use crate::registry::MetricsSnapshot;
+//! Everything here is pure arithmetic over counter values: no clocks, no
+//! state, so the determinism contract of the engine rests only on the
+//! counters it reads.
 
 /// Names the counter series behind an SLI. Each entry is either an exact
 /// series id (`name{label="v"}`) or a bare family name, summed over all
@@ -25,16 +23,6 @@ pub struct SliSpec {
     pub good: Vec<String>,
     /// Series counted as total events (must be a superset of `good`).
     pub total: Vec<String>,
-}
-
-/// Resolve one spec entry against a snapshot: exact series when the key
-/// carries labels, family sum otherwise.
-pub(crate) fn series_value(snap: &MetricsSnapshot, key: &str) -> u64 {
-    if key.contains('{') {
-        snap.counter(key)
-    } else {
-        snap.counter_family(key)
-    }
 }
 
 impl SliSpec {
@@ -68,7 +56,7 @@ pub(crate) fn burn_rate(good: u64, total: u64, objective: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
+    use crate::registry::{CounterRead, MetricsRegistry};
 
     #[test]
     fn burn_rate_scales_with_error_rate() {
@@ -93,20 +81,12 @@ mod tests {
             .add(1);
         reg.counter("hpcmfa_radius_outcomes_total", &[("outcome", "error")])
             .add(3);
-        let (spec, snap) = (SliSpec::auth_success(), reg.snapshot());
-        let good: u64 = spec.good.iter().map(|k| series_value(&snap, k)).sum();
-        let total: u64 = spec.total.iter().map(|k| series_value(&snap, k)).sum();
-        assert_eq!((good, total), (9, 12));
-    }
-
-    #[test]
-    fn series_value_resolves_exact_and_family_keys() {
-        let reg = MetricsRegistry::new();
-        reg.counter("hpcmfa_x_total", &[("k", "a")]).add(2);
-        reg.counter("hpcmfa_x_total", &[("k", "b")]).add(3);
-        let snap = reg.snapshot();
-        assert_eq!(series_value(&snap, "hpcmfa_x_total"), 5);
-        assert_eq!(series_value(&snap, "hpcmfa_x_total{k=\"a\"}"), 2);
-        assert_eq!(series_value(&snap, "hpcmfa_missing_total"), 0);
+        let spec = SliSpec::auth_success();
+        let sum = |ids: &[String]| -> u64 {
+            ids.iter()
+                .map(|id| reg.counter_now(&CounterRead::new(id)))
+                .sum()
+        };
+        assert_eq!((sum(&spec.good), sum(&spec.total)), (9, 12));
     }
 }

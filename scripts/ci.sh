@@ -40,6 +40,10 @@
 #                      fails here by name instead of slowing the whole run
 #   SMS read           a read of the newest text visits only that phone's
 #                      messages, counted, by name
+#   alert windows      each rule's own window against the keep-everything
+#                      reference, its prune's counted visits (at most two a
+#                      tick, amortised), and the registry's live reads against
+#                      a snapshot, by name
 #   results/           the figure bins' stdout against the committed captures
 #   loginbench         benchmark/ is its own workspace, which --workspace skips
 #   clippy             lints, all targets
@@ -56,10 +60,10 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, over-length reply, ingest wake rules, udp ingest, parked replies, compaction trigger, group machine, SMS read"
+echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, over-length reply, ingest wake rules, udp ingest, parked replies, compaction trigger, group machine, SMS read, alert windows"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
 # minutes of work) runs into the timeout instead. Target flags apply to every
-# package named, so the one --lib prebuilds hpcmfa-otpserver's lib tests too.
+# package named, so the one --lib prebuilds the otpserver and telemetry lib tests too.
 cargo test -q --offline --release --no-run \
     -p hpcmfa-telemetry --test trace_props --test span_allocs \
     -p hpcmfa-directory --test index_props \
@@ -100,6 +104,10 @@ guard 30 --release -p hpcmfa-otpserver --test compaction_trigger -- \
     a_zero_floor_never_compacts \
     a_recovered_server_waits_for_an_eighth_of_its_snapshot
 guard 60 --release -p hpcmfa-otpserver --lib -- group a_read_visits_only_its_own_phones_messages
+guard 60 --release -p hpcmfa-telemetry --lib -- \
+    windows_equal_the_keep_everything_reference \
+    a_window_visits_at_most_two_readings_a_tick_amortised \
+    live_reads_answer_what_a_snapshot_answers
 guard 60 --release -p hpcmfa-otpserver --test store_proptests --test durable_format \
     --test validate_allocs -p hpcmfa-workload --lib -- \
     snapshot_live_equals_the_encoded_exports sharded_store_equals_reference_model \
