@@ -46,38 +46,38 @@ pub struct RiskParams {
     pub weights: RiskWeights,
 }
 
-/// Warm-standby replication for the OTP back end. The caller supplies
-/// both storage nodes (keeping typed handles for fault injection); the
-/// center builds the cluster, routes the validation server through it,
-/// and arms breaker-driven failover in every RADIUS handler.
+/// Where the OTP back end keeps its state.
 #[derive(Clone)]
-pub struct OtpReplicationParams {
-    /// Ack mode: `Sync` never acknowledges a write the standby has not
-    /// applied; `Async` tolerates bounded staleness.
-    pub mode: ReplicationMode,
-    /// The primary's storage node.
-    pub primary: Arc<dyn StorageBackend>,
-    /// The warm standby's storage node.
-    pub standby: Arc<dyn StorageBackend>,
-    /// Fault plan for the replication link (drops, reorder, partition,
-    /// lag) — chaos scripts keep a handle to drive it mid-run.
-    pub link_plan: Arc<LinkFaultPlan>,
-}
-
-impl OtpReplicationParams {
-    /// Replication over the given nodes with a healthy link.
-    pub fn new(
+pub enum OtpStorage {
+    /// Purely in memory (the default): a crash loses everything.
+    Volatile,
+    /// Every store and audit mutation is write-ahead-logged through
+    /// `backend`, and [`Center::crash_otp_server`] can kill and recover
+    /// the server mid-run.
+    Durable {
+        /// The storage node.
+        backend: Arc<dyn StorageBackend>,
+        /// Compaction floor: a snapshot replaces the WAL after no fewer
+        /// than this many appends (and not before the WAL holds an eighth
+        /// of the last snapshot's bytes; see
+        /// [`ServerConfig::snapshot_every_appends`]).
+        snapshot_every: u64,
+    },
+    /// Warm-standby replication: the server writes through the cluster's
+    /// routing backend, which ships every synced batch to the standby, and
+    /// every RADIUS handler promotes the standby when the primary's
+    /// breaker opens. The caller keeps typed handles on both nodes for
+    /// fault injection; the link's fault plan is
+    /// [`OtpCluster::link_plan`]. Compacts at the server's default floor.
+    Replicated {
+        /// Ack mode: `Sync` never acknowledges a write the standby has
+        /// not applied; `Async` tolerates bounded staleness.
         mode: ReplicationMode,
+        /// The primary's storage node.
         primary: Arc<dyn StorageBackend>,
+        /// The warm standby's storage node.
         standby: Arc<dyn StorageBackend>,
-    ) -> Self {
-        OtpReplicationParams {
-            mode,
-            primary,
-            standby,
-            link_plan: LinkFaultPlan::healthy(),
-        }
-    }
+    },
 }
 
 /// Cross-site federation for a center: realm routing plus stateless
@@ -85,9 +85,8 @@ impl OtpReplicationParams {
 #[derive(Clone)]
 pub struct FederationParams {
     /// This site's home realm and the peers it trusts. Each peer entry
-    /// carries that link's shared RADIUS secret and per-realm policy
-    /// (its degradation mode). Peers' upstream pools are wired
-    /// after construction with [`Center::connect_peer_realm`].
+    /// carries that link's shared RADIUS secret. Peers' upstream pools
+    /// are wired after construction with [`Center::connect_peer_realm`].
     pub trust: TrustConfig,
     /// Site-local HMAC key protecting resumption tokens. Never shared
     /// with peers: a token is only redeemable where it was minted.
@@ -128,17 +127,8 @@ pub struct CenterConfig {
     pub start_time: u64,
     /// Master RNG seed for all deterministic components.
     pub seed: u64,
-    /// Durable storage for the OTP back end. `None` (the default) runs
-    /// the server purely in memory, as before; `Some` makes every store
-    /// and audit mutation write-ahead-logged through the backend and lets
-    /// [`Center::crash_otp_server`] kill and recover it mid-run.
-    pub otp_storage: Option<Arc<dyn StorageBackend>>,
-    /// Compaction floor for the durable OTP server: a snapshot replaces
-    /// the WAL after no fewer than this many appends (and not before the
-    /// WAL holds an eighth of the last snapshot's bytes; see
-    /// [`ServerConfig::snapshot_every_appends`]). Ignored without
-    /// `otp_storage`.
-    pub otp_snapshot_every: u64,
+    /// Where the OTP back end keeps its state (in memory by default).
+    pub otp_storage: OtpStorage,
     /// The center-wide metrics registry. Every component — PAM stacks,
     /// RADIUS clients, sshd instances, the OTP back end — records into
     /// this one registry, so a single scrape sees the whole auth path.
@@ -153,12 +143,6 @@ pub struct CenterConfig {
     /// admission queue with per-source-network rate limiting in front of
     /// validation; `None` (the default) leaves it unguarded.
     pub otp_overload: Option<OverloadConfig>,
-    /// Warm-standby replication for the OTP back end. `Some` supersedes
-    /// `otp_storage`: the server writes through the cluster's routing
-    /// backend and every RADIUS handler promotes the standby when the
-    /// primary's breaker opens. `None` (the default) keeps the
-    /// single-node layout.
-    pub otp_replication: Option<OtpReplicationParams>,
     /// Cross-site federation. `Some` fronts every RADIUS server with a
     /// realm router (`user@site` principals route to their home realm)
     /// and enables session-resumption token issuance on full-MFA logins.
@@ -177,12 +161,10 @@ impl Default for CenterConfig {
             people_base: "ou=people,dc=tacc".to_string(),
             start_time: 1_470_787_200, // 2016-08-10, announcement day
             seed: 2016,
-            otp_storage: None,
-            otp_snapshot_every: ServerConfig::default().snapshot_every_appends,
+            otp_storage: OtpStorage::Volatile,
             metrics: Arc::new(MetricsRegistry::new()),
             risk: None,
             otp_overload: None,
-            otp_replication: None,
             federation: None,
         }
     }
@@ -196,7 +178,8 @@ pub struct LoginNode {
     pub daemon: SshDaemon,
     /// This node's token module (mode switchable in production).
     pub token_module: Arc<TokenModule>,
-    /// This node's exemption list (hot-reloadable).
+    /// The center's exemption list (hot-reloadable; every node holds a
+    /// handle on the same one).
     pub exemptions: WatchedAccessConfig,
     /// This node's RADIUS client (round-robin over the fleet).
     pub radius_client: Arc<RadiusClient>,
@@ -232,8 +215,8 @@ pub struct Center {
     pub alerts: Arc<AlertEngine>,
     /// The behavioural risk engine, when [`CenterConfig::risk`] is set.
     pub risk_engine: Option<Arc<RiskEngine>>,
-    /// The OTP replication cluster, when
-    /// [`CenterConfig::otp_replication`] is set: epoch, lag, and
+    /// The OTP replication cluster, when [`CenterConfig::otp_storage`] is
+    /// [`OtpStorage::Replicated`]: epoch, lag, and
     /// promotion controls for chaos scripts and operators.
     pub otp_cluster: Option<Arc<OtpCluster>>,
     /// The realm routers fronting each RADIUS server, when
@@ -247,8 +230,9 @@ pub struct Center {
     /// registries registered via [`Center::add_trace_source`]. Also served
     /// by the admin API's `GET /system/traces`.
     pub traces: Arc<TraceCollector>,
-    /// Exemption file text lines added beyond the internal-network rule,
-    /// mirrored to every node.
+    /// The exemption list every node's stack consults (§3.4).
+    exemptions: WatchedAccessConfig,
+    /// Exemption file text lines added beyond the internal-network rule.
     exemption_lines: Mutex<Vec<String>>,
 }
 
@@ -268,48 +252,45 @@ impl Center {
         let directory = Directory::new();
         let identity = IdentityDb::new();
         let twilio = TwilioSim::new(config.seed ^ 0x5115);
-        // Replication supersedes plain durable storage: the server writes
-        // through the cluster's routing backend, which ships every synced
-        // batch to the warm standby.
-        let otp_cluster_parts = config.otp_replication.as_ref().map(|p| {
-            OtpCluster::new(
-                Arc::clone(&p.primary),
-                Arc::clone(&p.standby),
-                p.mode,
-                Arc::clone(&clock_arc),
-                Arc::clone(&config.metrics),
-                BreakerConfig::default(),
-                Arc::clone(&p.link_plan),
-            )
-        });
-        let otp_backend: Option<Arc<dyn StorageBackend>> = match &otp_cluster_parts {
-            Some((_, backend)) => Some(Arc::clone(backend) as Arc<dyn StorageBackend>),
-            None => config.otp_storage.clone(),
+        let mut server_config = ServerConfig {
+            metrics: Arc::clone(&config.metrics),
+            overload: config.otp_overload.clone(),
+            ..ServerConfig::default()
         };
-        let linotp = match &otp_backend {
-            Some(backend) => LinotpServer::with_storage(
-                Arc::clone(&twilio) as Arc<dyn SmsProvider>,
-                config.seed,
-                ServerConfig {
-                    snapshot_every_appends: config.otp_snapshot_every,
-                    metrics: Arc::clone(&config.metrics),
-                    overload: config.otp_overload.clone(),
-                    ..ServerConfig::default()
-                },
-                Arc::clone(backend),
-            )
-            .expect("durable OTP state recovers at startup"),
-            None => LinotpServer::with_config(
-                Arc::clone(&twilio) as Arc<dyn SmsProvider>,
-                config.seed,
-                ServerConfig {
-                    metrics: Arc::clone(&config.metrics),
-                    overload: config.otp_overload.clone(),
-                    ..ServerConfig::default()
-                },
-            ),
+        let (otp_cluster, otp_backend) = match &config.otp_storage {
+            OtpStorage::Volatile => (None, None),
+            OtpStorage::Durable {
+                backend,
+                snapshot_every,
+            } => {
+                server_config.snapshot_every_appends = *snapshot_every;
+                (None, Some(Arc::clone(backend)))
+            }
+            OtpStorage::Replicated {
+                mode,
+                primary,
+                standby,
+            } => {
+                // The server writes through the cluster's routing backend,
+                // which ships every synced batch to the warm standby.
+                let (cluster, backend) = OtpCluster::new(
+                    Arc::clone(primary),
+                    Arc::clone(standby),
+                    *mode,
+                    Arc::clone(&clock_arc),
+                    Arc::clone(&config.metrics),
+                    BreakerConfig::default(),
+                    LinkFaultPlan::healthy(),
+                );
+                (Some(cluster), Some(backend as Arc<dyn StorageBackend>))
+            }
         };
-        let otp_cluster = otp_cluster_parts.map(|(cluster, _)| cluster);
+        let sms = Arc::clone(&twilio) as Arc<dyn SmsProvider>;
+        let linotp = match otp_backend {
+            Some(backend) => LinotpServer::with_storage(sms, config.seed, server_config, backend)
+                .expect("durable OTP state recovers at startup"),
+            None => LinotpServer::with_config(sms, config.seed, server_config),
+        };
         let admin = AdminApi::new(
             Arc::clone(&linotp),
             "LinOTP admin area",
@@ -392,12 +373,14 @@ impl Center {
             "+ : ALL : {}/{} : ALL",
             config.internal_network.addr, config.internal_network.prefix
         );
+        // One exemption list for the whole center: every node holds a
+        // handle on it, so a reload reaches them all at once.
+        let exemptions = WatchedAccessConfig::new(
+            AccessConfig::parse(&internal_rule).expect("internal rule parses"),
+        );
         let mut nodes = Vec::new();
         for (i, name) in config.login_nodes.iter().enumerate() {
             let authlog = AuthLog::new();
-            let exemptions = WatchedAccessConfig::new(
-                AccessConfig::parse(&internal_rule).expect("internal rule parses"),
-            );
             let radius_client = Arc::new(RadiusClient::with_metrics(
                 ClientConfig::new(config.radius_secret.clone(), name),
                 transports.clone(),
@@ -445,7 +428,7 @@ impl Center {
                 name: name.clone(),
                 daemon,
                 token_module,
-                exemptions,
+                exemptions: exemptions.clone(),
                 radius_client,
             }));
         }
@@ -481,6 +464,7 @@ impl Center {
             realm_routers,
             radius_transports: transports,
             traces,
+            exemptions,
             exemption_lines: Mutex::new(Vec::new()),
         })
     }
@@ -683,14 +667,14 @@ impl Center {
     /// Kill the OTP server mid-stream and bring it back from durable
     /// state: un-synced WAL bytes are lost (possibly leaving a torn
     /// tail), the in-memory store is wiped, and recovery replays
-    /// snapshot + WAL. Requires `otp_storage` in the config; the RADIUS
-    /// handlers and admin API share the recovered instance, so the fleet
-    /// resumes serving immediately.
+    /// snapshot + WAL. Requires durable `otp_storage` in the config; the
+    /// RADIUS handlers and admin API share the recovered instance, so the
+    /// fleet resumes serving immediately.
     pub fn crash_otp_server(&self) -> Result<RecoveryReport, RecoverError> {
         self.linotp.crash_and_recover()
     }
 
-    /// Append an exemption rule (one config line) and reload every node's
+    /// Append an exemption rule (one config line) and reload the center's
     /// list — "changes take effect immediately upon write to disk" (§3.4).
     pub fn add_exemption_rule(
         &self,
@@ -710,10 +694,7 @@ impl Center {
         text.push('\n');
         text.push_str(&internal_rule);
         text.push('\n');
-        let parsed = AccessConfig::parse(&text)?;
-        for node in &self.nodes {
-            node.exemptions.reload(parsed.clone());
-        }
+        self.exemptions.reload(AccessConfig::parse(&text)?);
         lines.push(line.to_string());
         Ok(())
     }
@@ -900,6 +881,18 @@ mod tests {
         c.radius_faults[2].set_down(true);
         c.clock.advance(30);
         assert!(!c.ssh(1, &profile).granted);
+        // The exemption file is the one bypass, outage or not: a temporary
+        // §3.4 variance admits its user on the password alone, and a paired
+        // user without one stays denied.
+        c.add_exemption_rule("+ : alice : ALL : 2016-08-20")
+            .unwrap();
+        c.clock.advance(30);
+        assert!(c.ssh(1, &profile).granted);
+        let gw_device = c.pair_soft("gateway1");
+        let gateway = ClientProfile::interactive_user("gateway1", EXTERNAL_IP, "gw-pw").with_token(
+            TokenSource::device(move |now| Some(gw_device.displayed_code(now))),
+        );
+        assert!(!c.ssh(0, &gateway).granted);
     }
 
     #[test]
@@ -923,7 +916,10 @@ mod tests {
         use hpcmfa_otpserver::MemoryBackend;
         let backend = MemoryBackend::healthy();
         let c = Center::new(CenterConfig {
-            otp_storage: Some(backend as Arc<dyn StorageBackend>),
+            otp_storage: OtpStorage::Durable {
+                backend,
+                snapshot_every: 256,
+            },
             ..CenterConfig::default()
         });
         c.create_user("alice", "alice@utexas.edu", "alice-pw");
@@ -954,11 +950,11 @@ mod tests {
         let primary = MemoryBackend::healthy();
         let standby = MemoryBackend::healthy();
         let c = Center::new(CenterConfig {
-            otp_replication: Some(OtpReplicationParams::new(
-                ReplicationMode::Sync,
-                Arc::clone(&primary) as Arc<dyn StorageBackend>,
-                Arc::clone(&standby) as Arc<dyn StorageBackend>,
-            )),
+            otp_storage: OtpStorage::Replicated {
+                mode: ReplicationMode::Sync,
+                primary: Arc::clone(&primary) as Arc<dyn StorageBackend>,
+                standby: Arc::clone(&standby) as Arc<dyn StorageBackend>,
+            },
             ..CenterConfig::default()
         });
         c.create_user("alice", "alice@utexas.edu", "alice-pw");

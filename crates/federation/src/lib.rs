@@ -8,8 +8,7 @@
 //!
 //! * `realm` — `user@site` principal parsing;
 //! * `trust` — the cross-site trust configuration: which realms a site
-//!   will route for, the per-realm shared secrets, and per-realm policy
-//!   (degradation mode, risk weight);
+//!   will route for and the per-realm shared secrets;
 //! * `token` — stateless, HMAC-integrity-protected, address-bound
 //!   session-resumption tokens patterned on QUIC's address-validation
 //!   tokens (RFC 9000 §8.1.3–§8.1.4): after one full MFA success the
@@ -30,4 +29,4 @@ mod trust;
 
 pub use realm::split_principal;
 pub use token::{ResumeAuthority, TokenClaims, TokenError, RESUME_REPLY_PREFIX, TOKEN_PREFIX};
-pub use trust::{RealmDegradation, RealmPeer, RealmPolicy, TrustConfig};
+pub use trust::{RealmPeer, TrustConfig};

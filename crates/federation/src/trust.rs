@@ -1,28 +1,9 @@
 //! Cross-site trust configuration.
 //!
 //! Federation is pairwise and explicit: a site routes logins only for
-//! realms it has exchanged a shared secret with, and every peer carries
-//! its own policy knobs. There is no transitive trust — exactly the
-//! posture the InCommon/eduGAIN federations impose on their members.
-
-/// What the router does when a peer realm's entire upstream pool is
-/// unreachable (every breaker open or the deadline budget spent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RealmDegradation {
-    /// Reject the login outright: no reachable home realm, no entry.
-    #[default]
-    FailClosed,
-    /// RFC 2865 "silently discard" so the NAS fails over to another
-    /// proxy that may still hold a live path to the realm.
-    Discard,
-}
-
-/// Per-realm policy attached to a trust peer.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RealmPolicy {
-    /// Behaviour when the realm is unreachable.
-    pub degradation: RealmDegradation,
-}
+//! realms it has exchanged a shared secret with. There is no transitive
+//! trust — exactly the posture the InCommon/eduGAIN federations impose on
+//! their members.
 
 /// One federation peer: a realm this site will route logins to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,17 +12,14 @@ pub struct RealmPeer {
     pub realm: String,
     /// Shared RADIUS secret for the proxy ↔ peer leg.
     pub secret: Vec<u8>,
-    /// Policy applied to logins routed to this realm.
-    pub policy: RealmPolicy,
 }
 
 impl RealmPeer {
-    /// A peer with default policy.
+    /// A peer reached under `secret`.
     pub fn new(realm: &str, secret: impl Into<Vec<u8>>) -> Self {
         RealmPeer {
             realm: realm.to_string(),
             secret: secret.into(),
-            policy: RealmPolicy::default(),
         }
     }
 }
@@ -106,13 +84,5 @@ mod tests {
         let trust = TrustConfig::local_only("tacc");
         assert!(trust.is_allowed("tacc"));
         assert!(!trust.is_allowed("psc"));
-    }
-
-    #[test]
-    fn default_policy_fails_closed() {
-        assert_eq!(
-            RealmPolicy::default().degradation,
-            RealmDegradation::FailClosed
-        );
     }
 }

@@ -254,11 +254,6 @@ impl AccessConfig {
         }
         AccessDecision::NotExempt
     }
-
-    /// Number of rules.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// A hot-reloadable config handle: "changes take effect immediately upon
@@ -285,11 +280,6 @@ impl WatchedAccessConfig {
     /// Current decision.
     pub(crate) fn decide(&self, user: &str, ip: Ipv4Addr, now: u64) -> AccessDecision {
         self.inner.read().decide(user, ip, now)
-    }
-
-    /// Current rule count.
-    pub(crate) fn len(&self) -> usize {
-        self.inner.read().len()
     }
 }
 
@@ -413,7 +403,7 @@ mod tests {
              + : ALL : 10.0.0.1, 10.0.0.2 : ALL\n",
         )
         .unwrap();
-        assert_eq!(cfg.len(), 2);
+        assert_eq!(cfg.entries.len(), 2);
         for u in ["gw1", "gw2", "gw3"] {
             assert_eq!(cfg.decide(u, ip("8.8.8.8"), 0), AccessDecision::Exempt);
         }

@@ -19,14 +19,13 @@
 //! challenge–response for validation, and may be switched between modes
 //! during production operation.
 
-use crate::access::{AccessDecision, WatchedAccessConfig};
 use crate::context::PamContext;
 use crate::conv::{ConvError, Prompt};
 use crate::stack::{PamModule, PamResult};
 use hpcmfa_directory::ldap::{Directory, Filter};
 use hpcmfa_directory::MFA_PAIRING_ATTR;
 use hpcmfa_otp::date::Date;
-use hpcmfa_radius::client::{ClientError, Outcome, RadiusClient};
+use hpcmfa_radius::client::{Outcome, RadiusClient};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,41 +71,9 @@ impl EnforcementMode {
     }
 }
 
-/// What the module does when the whole RADIUS fleet is unreachable — the
-/// client exhausted its deadline budget and returned
-/// [`ClientError::AllServersFailed`]. Protocol-level failures
-/// (bad authenticators, identifier mismatches) are never degraded: they
-/// always deny.
-#[derive(Clone, Default)]
-pub enum DegradationPolicy {
-    /// Deny the login — the paper's fail-secure rule, and the default.
-    #[default]
-    FailClosed,
-    /// Let logins matching the operator ACL through on the first factor
-    /// alone while the back end is down; everyone else is still denied.
-    /// The ACL reuses the §3.4 exemption syntax, so a site lists its
-    /// on-call operators exactly the way it lists gateway exemptions.
-    FailOpenExempt {
-        /// Who may log in single-factor during a total back-end outage.
-        operators: WatchedAccessConfig,
-    },
-}
-
-impl std::fmt::Debug for DegradationPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DegradationPolicy::FailClosed => write!(f, "FailClosed"),
-            DegradationPolicy::FailOpenExempt { operators } => {
-                write!(f, "FailOpenExempt({} rules)", operators.len())
-            }
-        }
-    }
-}
-
 /// The token-validation module.
 pub struct TokenModule {
     mode: RwLock<EnforcementMode>,
-    degradation: RwLock<DegradationPolicy>,
     radius: Arc<RadiusClient>,
     directory: Directory,
     base: String,
@@ -125,7 +92,6 @@ impl TokenModule {
     ) -> Arc<Self> {
         Arc::new(TokenModule {
             mode: RwLock::new(mode),
-            degradation: RwLock::new(DegradationPolicy::FailClosed),
             radius,
             directory,
             base: base.to_string(),
@@ -143,36 +109,6 @@ impl TokenModule {
     /// The active mode.
     pub(crate) fn mode(&self) -> EnforcementMode {
         self.mode.read().clone()
-    }
-
-    /// Set the total-outage policy. Like enforcement modes, switchable in
-    /// production.
-    pub fn set_degradation(&self, policy: DegradationPolicy) {
-        *self.degradation.write() = policy;
-    }
-
-    /// The active degradation policy.
-    pub(crate) fn degradation(&self) -> DegradationPolicy {
-        self.degradation.read().clone()
-    }
-
-    /// Apply the degradation policy after the RADIUS client reported every
-    /// server unreachable within its deadline budget.
-    fn degraded(&self, ctx: &mut PamContext<'_>) -> PamResult {
-        match self.degradation() {
-            DegradationPolicy::FailClosed => PamResult::AuthErr,
-            DegradationPolicy::FailOpenExempt { operators } => {
-                match operators.decide(&ctx.username, ctx.rhost, ctx.now()) {
-                    AccessDecision::Exempt => {
-                        let _ = ctx.conv.converse(&Prompt::Info(
-                            "MFA back end unreachable; operator variance applied.".into(),
-                        ));
-                        PamResult::Success
-                    }
-                    AccessDecision::NotExempt => PamResult::AuthErr,
-                }
-            }
-        }
     }
 
     /// The user's pairing label from LDAP, if any (Figure 2's first step).
@@ -203,13 +139,9 @@ impl TokenModule {
                 capture_resume_token(ctx, message.as_deref());
                 return PamResult::Success;
             }
-            Ok(Outcome::Reject { .. }) => return PamResult::AuthErr,
-            // Whole fleet unreachable: apply the degradation policy
-            // (fail-closed unless an operator variance is configured).
-            Err(ClientError::AllServersFailed { .. }) => return self.degraded(ctx),
-            // Protocol-level failure (forged or corrupt responses): always
-            // deny, regardless of policy.
-            Err(_) => return PamResult::AuthErr,
+            // A reject, the whole fleet unreachable, or a protocol-level
+            // failure (forged or corrupt responses): deny (fail secure).
+            Ok(Outcome::Reject { .. }) | Err(_) => return PamResult::AuthErr,
         };
 
         let code = match ctx.conv.converse(&Prompt::EchoOff(prompt_text)) {
@@ -239,8 +171,7 @@ impl TokenModule {
                 PamResult::AuthErr
             }
             // An outage mid-login (challenge opened, fleet died before the
-            // answer) degrades the same way as one at the opening.
-            Err(ClientError::AllServersFailed { .. }) => self.degraded(ctx),
+            // answer) denies like one at the opening.
             Ok(Outcome::Challenge { .. }) | Err(_) => PamResult::AuthErr,
         }
     }
@@ -315,7 +246,7 @@ impl PamModule for TokenModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::ScriptedConversation;
+    use crate::conv::{Conversation, ScriptedConversation};
     use hpcmfa_directory::ldap::Entry;
     use hpcmfa_otp::clock::{Clock, SimClock};
     use hpcmfa_otp::device::SoftToken;
@@ -518,42 +449,46 @@ mod tests {
         assert_eq!(r, PamResult::AuthErr);
     }
 
-    #[test]
-    fn backend_outage_fail_open_admits_only_listed_operators() {
-        use crate::access::{AccessConfig, WatchedAccessConfig};
-        let rig = rig(EnforcementMode::Full);
-        add_user(&rig, "oncall1", Some("soft"));
-        add_user(&rig, "alice", Some("soft"));
-        rig.linotp.enroll_soft("oncall1", NOW);
-        rig.linotp.enroll_soft("alice", NOW);
-        let operators =
-            WatchedAccessConfig::new(AccessConfig::parse("+ : oncall1 : ALL : ALL\n").unwrap());
-        rig.module
-            .set_degradation(DegradationPolicy::FailOpenExempt { operators });
-        rig.faults.set_down(true);
-        // The listed operator gets in single-factor, with a notice.
-        let (r, texts) = run(&rig, "oncall1", vec![]);
-        assert_eq!(r, PamResult::Success);
-        assert!(texts.iter().any(|t| t.contains("unreachable")), "{texts:?}");
-        // Everyone else is still denied.
-        let (r, _) = run(&rig, "alice", vec![]);
-        assert_eq!(r, PamResult::AuthErr);
+    /// A user who types the code after the whole fleet went down: the
+    /// conversation takes the fleet's fault plan down when it is asked
+    /// for the code, between the challenge and the answer.
+    struct FleetDiesAtThePrompt {
+        faults: Arc<FaultPlan>,
+        code: String,
+        prompted: bool,
+    }
+
+    impl Conversation for FleetDiesAtThePrompt {
+        fn converse(&mut self, prompt: &Prompt) -> Result<String, ConvError> {
+            if prompt.wants_input() {
+                self.prompted = true;
+                self.faults.set_down(true);
+                return Ok(self.code.clone());
+            }
+            Ok(String::new())
+        }
     }
 
     #[test]
-    fn fail_open_policy_never_excuses_wrong_codes() {
-        use crate::access::{AccessConfig, WatchedAccessConfig};
-        // With the back end healthy, the degradation policy must be inert:
-        // an operator typing a wrong code is denied like anyone else.
+    fn backend_outage_between_challenge_and_answer_fails_secure() {
         let rig = rig(EnforcementMode::Full);
-        add_user(&rig, "oncall1", Some("soft"));
-        rig.linotp.enroll_soft("oncall1", NOW);
-        let operators =
-            WatchedAccessConfig::new(AccessConfig::parse("+ : oncall1 : ALL : ALL\n").unwrap());
-        rig.module
-            .set_degradation(DegradationPolicy::FailOpenExempt { operators });
-        let (r, _) = run(&rig, "oncall1", vec!["000000".into()]);
-        assert_eq!(r, PamResult::AuthErr);
+        add_user(&rig, "alice", Some("soft"));
+        let secret = rig.linotp.enroll_soft("alice", NOW);
+        let code = SoftToken::new(secret, Default::default()).displayed_code(rig.clock.now());
+        let mut conv = FleetDiesAtThePrompt {
+            faults: Arc::clone(&rig.faults),
+            code,
+            prompted: false,
+        };
+        let mut ctx = PamContext::new(
+            "alice",
+            Ipv4Addr::new(8, 8, 8, 8),
+            Arc::new(rig.clock.clone()),
+            &mut conv,
+        );
+        // A valid code cannot reach a dead fleet: the login is denied.
+        assert_eq!(rig.module.authenticate(&mut ctx), PamResult::AuthErr);
+        assert!(conv.prompted, "the challenge opened before the fleet died");
     }
 
     #[test]

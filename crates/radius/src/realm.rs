@@ -15,11 +15,10 @@
 //! - **Unknown realms** are rejected outright (the trust ACL is the
 //!   federation boundary).
 //!
-//! Upstream failure degrades per the peer's [`RealmPolicy`]: `FailClosed`
-//! rejects (the user sees a clean denial), `Discard` stays silent so the
-//! NAS retries another proxy. Either way a `realm_unreachable` security
-//! event fires — roaming users stranded by a dead partner link are an
-//! operational page, not a silent reject counter.
+//! Upstream failure fails closed: the login is rejected (the user sees a
+//! clean denial) and a `realm_unreachable` security event fires — roaming
+//! users stranded by a dead partner link are an operational page, not a
+//! silent reject counter.
 
 use crate::attribute::{Attribute, AttributeType};
 use crate::client::RadiusClient;
@@ -27,19 +26,13 @@ use crate::packet::Packet;
 use crate::proxy::{forward, Hop};
 use crate::server::{Handler, ServerDecision};
 use crate::tracewire;
-use hpcmfa_federation::{split_principal, RealmDegradation, RealmPolicy, TrustConfig};
+use hpcmfa_federation::{split_principal, TrustConfig};
 use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// One peer realm's upstream pool plus its degradation policy.
-struct RealmRoute {
-    upstream: Arc<RadiusClient>,
-    policy: RealmPolicy,
-}
 
 /// Realm-splitting front handler for a federated site.
 pub struct RealmRouter {
@@ -50,7 +43,7 @@ pub struct RealmRouter {
     /// Per-realm upstream pools, keyed by realm name. Behind a lock so
     /// federated sites can be wired together after each site's own fleet
     /// is standing (trust is mutual; neither side exists first).
-    routes: RwLock<BTreeMap<String, RealmRoute>>,
+    routes: RwLock<BTreeMap<String, Arc<RadiusClient>>>,
     /// RNG for upstream request authenticators.
     rng: Mutex<StdRng>,
     metrics: Arc<MetricsRegistry>,
@@ -78,14 +71,7 @@ impl RealmRouter {
     /// the trust config's ACL to ever receive traffic; the client carries
     /// that realm's shared secret and its own breakers.
     pub fn add_route(&self, realm: &str, upstream: Arc<RadiusClient>) {
-        let policy = self
-            .trust
-            .peer(realm)
-            .map(|p| p.policy.clone())
-            .unwrap_or_default();
-        self.routes
-            .write()
-            .insert(realm.to_string(), RealmRoute { upstream, policy });
+        self.routes.write().insert(realm.to_string(), upstream);
     }
 
     fn count(&self, realm: &str, outcome: &str) {
@@ -98,12 +84,11 @@ impl RealmRouter {
     }
 
     /// Forward to a peer realm's pool — the proxy tier's forward, on a
-    /// `radius.realm` span — degrading per policy on failure.
+    /// `radius.realm` span — rejecting when the pool is unreachable.
     fn forward(
         &self,
         realm: &str,
         upstream: &RadiusClient,
-        policy: &RealmPolicy,
         request: &Packet,
         password: &[u8],
     ) -> ServerDecision {
@@ -124,13 +109,10 @@ impl RealmRouter {
             }
             None => {
                 self.count(realm, "unreachable");
-                match policy.degradation {
-                    RealmDegradation::FailClosed => ServerDecision::Reject(vec![Attribute::text(
-                        AttributeType::ReplyMessage,
-                        "Authentication error",
-                    )]),
-                    RealmDegradation::Discard => ServerDecision::Discard,
-                }
+                ServerDecision::Reject(vec![Attribute::text(
+                    AttributeType::ReplyMessage,
+                    "Authentication error",
+                )])
             }
         }
     }
@@ -165,15 +147,9 @@ impl Handler for RealmRouter {
                 let Some(password) = password else {
                     return ServerDecision::Discard;
                 };
-                let route = self
-                    .routes
-                    .read()
-                    .get(realm.as_str())
-                    .map(|r| (Arc::clone(&r.upstream), r.policy.clone()));
+                let route = self.routes.read().get(realm.as_str()).map(Arc::clone);
                 match route {
-                    Some((upstream, policy)) => {
-                        self.forward(realm, &upstream, &policy, request, password)
-                    }
+                    Some(upstream) => self.forward(realm, &upstream, request, password),
                     None => {
                         // In the ACL but no pool attached: treat as an
                         // unreachable realm (configuration half-done).
@@ -199,7 +175,7 @@ impl Handler for RealmRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{ClientConfig, ClientError, Outcome};
+    use crate::client::{ClientConfig, Outcome};
     use crate::server::RadiusServer;
     use crate::transport::{FaultPlan, InMemoryTransport, Transport};
     use hpcmfa_federation::RealmPeer;
@@ -228,7 +204,7 @@ mod tests {
         metrics: Arc<MetricsRegistry>,
     }
 
-    fn rig(degradation: RealmDegradation) -> Rig {
+    fn rig() -> Rig {
         let metrics = Arc::new(MetricsRegistry::new());
         let seen_local = Arc::new(Mutex::new(Vec::new()));
         let seen_remote = Arc::new(Mutex::new(Vec::new()));
@@ -251,11 +227,9 @@ mod tests {
             Arc::clone(&metrics),
         ));
 
-        let mut peer = RealmPeer::new("remote", REMOTE_SECRET.to_vec());
-        peer.policy.degradation = degradation;
         let trust = TrustConfig {
             home_realm: "tacc".to_string(),
-            peers: vec![peer],
+            peers: vec![RealmPeer::new("remote", REMOTE_SECRET.to_vec())],
         };
         let router = RealmRouter::new(
             trust,
@@ -287,7 +261,7 @@ mod tests {
 
     #[test]
     fn bare_and_home_names_stay_local_and_are_stripped() {
-        let rig = rig(RealmDegradation::FailClosed);
+        let rig = rig();
         let client = client_for(Arc::clone(&rig.router));
         let mut rng = StdRng::seed_from_u64(1);
         let out = client
@@ -304,7 +278,7 @@ mod tests {
 
     #[test]
     fn peer_realm_forwards_full_principal() {
-        let rig = rig(RealmDegradation::FailClosed);
+        let rig = rig();
         let client = client_for(Arc::clone(&rig.router));
         let mut rng = StdRng::seed_from_u64(2);
         let out = client
@@ -325,7 +299,7 @@ mod tests {
 
     #[test]
     fn unknown_realm_rejected_by_acl() {
-        let rig = rig(RealmDegradation::FailClosed);
+        let rig = rig();
         let client = client_for(Arc::clone(&rig.router));
         let mut rng = StdRng::seed_from_u64(3);
         let out = client
@@ -338,7 +312,7 @@ mod tests {
 
     #[test]
     fn dead_realm_fail_closed_rejects_and_alarms() {
-        let rig = rig(RealmDegradation::FailClosed);
+        let rig = rig();
         let client = client_for(Arc::clone(&rig.router));
         let mut rng = StdRng::seed_from_u64(4);
         rig.remote_faults.set_down(true);
@@ -356,17 +330,5 @@ mod tests {
             ),
             1
         );
-    }
-
-    #[test]
-    fn dead_realm_discard_policy_stays_silent() {
-        let rig = rig(RealmDegradation::Discard);
-        let client = client_for(Arc::clone(&rig.router));
-        let mut rng = StdRng::seed_from_u64(5);
-        rig.remote_faults.set_down(true);
-        let err = client
-            .authenticate(&mut rng, "carol@remote", b"123456", "1.2.3.4")
-            .unwrap_err();
-        assert!(matches!(err, ClientError::AllServersFailed { .. }));
     }
 }

@@ -9,6 +9,15 @@
 //! * [`UdpTransport`] — real UDP datagrams, used by integration tests to
 //!   prove the wire format is sound end to end.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
+
 use crate::server::RadiusServer;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -148,7 +157,7 @@ impl FaultPlan {
         if n == 0 {
             return false;
         }
-        let c = counter.fetch_add(1, Ordering::SeqCst) + 1;
+        let c = counter.fetch_add(1, Ordering::SeqCst).wrapping_add(1);
         c.is_multiple_of(n)
     }
 
@@ -171,14 +180,21 @@ impl FaultPlan {
             return false;
         }
         let c = self.flap_counter.fetch_add(1, Ordering::SeqCst);
-        (c / period) % 2 == 1
+        c.checked_div(period).is_some_and(|half| half & 1 == 1)
+    }
+
+    /// Simulated round trip: twice the one-way latency, spike included.
+    fn round_trip_us(&self) -> u64 {
+        self.latency_us
+            .load(Ordering::SeqCst)
+            .saturating_add(self.extra_latency_us.load(Ordering::SeqCst))
+            .saturating_mul(2)
     }
 
     fn charge_latency(&self) {
-        let l =
-            self.latency_us.load(Ordering::SeqCst) + self.extra_latency_us.load(Ordering::SeqCst);
-        if l > 0 {
-            self.total_latency_us.fetch_add(2 * l, Ordering::SeqCst);
+        let rt = self.round_trip_us();
+        if rt > 0 {
+            self.total_latency_us.fetch_add(rt, Ordering::SeqCst);
         }
     }
 }
@@ -239,8 +255,7 @@ impl Transport for InMemoryTransport {
     }
 
     fn round_trip_latency_us(&self) -> u64 {
-        2 * (self.faults.latency_us.load(Ordering::SeqCst)
-            + self.faults.extra_latency_us.load(Ordering::SeqCst))
+        self.faults.round_trip_us()
     }
 }
 
@@ -306,28 +321,33 @@ impl Transport for UdpTransport {
         reply.clear();
         let io_err = |e: std::io::Error| TransportError::Io(e.to_string());
         let mut guard = self.io.lock();
-        if guard.is_none() {
-            // The unspecified address of the server's family: a socket
-            // bound to loopback can reach nothing but loopback.
-            let local: SocketAddr = match self.server_addr {
-                SocketAddr::V4(_) => (Ipv4Addr::UNSPECIFIED, 0).into(),
-                SocketAddr::V6(_) => (Ipv6Addr::UNSPECIFIED, 0).into(),
-            };
-            let sock = UdpSocket::bind(local).map_err(io_err)?;
-            sock.set_read_timeout(Some(self.timeout)).map_err(io_err)?;
-            *guard = Some(UdpIo {
-                sock,
-                buf: Box::new([0u8; crate::MAX_PACKET_LEN]),
-                armed: self.timeout,
-            });
-        }
-        let UdpIo { sock, buf, armed } = guard.as_mut().expect("socket bound above");
+        let io = match guard.take() {
+            Some(io) => io,
+            None => {
+                // The unspecified address of the server's family: a socket
+                // bound to loopback can reach nothing but loopback.
+                let local: SocketAddr = match self.server_addr {
+                    SocketAddr::V4(_) => (Ipv4Addr::UNSPECIFIED, 0).into(),
+                    SocketAddr::V6(_) => (Ipv6Addr::UNSPECIFIED, 0).into(),
+                };
+                let sock = UdpSocket::bind(local).map_err(io_err)?;
+                sock.set_read_timeout(Some(self.timeout)).map_err(io_err)?;
+                UdpIo {
+                    sock,
+                    buf: Box::new([0u8; crate::MAX_PACKET_LEN]),
+                    armed: self.timeout,
+                }
+            }
+        };
+        let UdpIo { sock, buf, armed } = guard.insert(io);
         if *armed != self.timeout {
             sock.set_read_timeout(Some(self.timeout)).map_err(io_err)?;
             *armed = self.timeout;
         }
         sock.send_to(request, self.server_addr).map_err(io_err)?;
-        let deadline = std::time::Instant::now() + self.timeout;
+        let deadline = std::time::Instant::now()
+            .checked_add(self.timeout)
+            .ok_or_else(|| TransportError::Io("exchange timeout overflows the clock".into()))?;
         let mut drained = false;
         loop {
             if drained {
@@ -353,9 +373,12 @@ impl Transport for UdpTransport {
                 }
                 // Drain stale replies (identifier byte differs from the
                 // in-flight request's) left over from timed-out exchanges.
-                Ok((n, _)) if n >= 2 && request.len() >= 2 && buf[1] != request[1] => continue,
+                Ok((n, _)) if n >= 2 && request.get(1).is_some_and(|id| buf.get(1) != Some(id)) => {
+                    continue
+                }
                 Ok((n, _)) => {
-                    reply.extend_from_slice(&buf[..n]);
+                    // recv_from never reports more than the buffer holds.
+                    reply.extend_from_slice(buf.get(..n).ok_or(TransportError::GarbledReply)?);
                     return Ok(());
                 }
                 Err(e)

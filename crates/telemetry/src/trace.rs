@@ -153,8 +153,7 @@ pub enum SpanStatus {
     Error,
     /// The hop was shed by admission control before doing real work.
     Shed,
-    /// The hop completed in a degraded mode (fail-open exemption,
-    /// discard-policy realm, stale standby, …).
+    /// The hop completed in a degraded mode (stale standby, …).
     Degraded,
 }
 

@@ -14,7 +14,7 @@
 //! Everything is virtual-time and seeded: the same script and seed yield
 //! byte-identical reports.
 
-use hpcmfa_core::center::{Center, CenterConfig, OtpReplicationParams};
+use hpcmfa_core::center::{Center, CenterConfig, OtpStorage};
 use hpcmfa_otp::clock::Clock;
 use hpcmfa_otpserver::{MemoryBackend, ReplicationMode, StorageBackend};
 use hpcmfa_pam::modules::token::EnforcementMode;
@@ -54,39 +54,39 @@ pub enum FaultAction {
     /// Kill the center's OTP server and recover it from durable storage
     /// mid-stream. The `server` index is ignored — the whole RADIUS fleet
     /// shares one OTP back end. Requires a runner built with
-    /// [`ChaosParams::durable_otp`]; firing it against an in-memory-only
+    /// [`ChaosOtpStorage::Durable`]; firing it against an in-memory-only
     /// center is a script bug and panics.
     OtpCrashRestart,
     /// Kill the replicated OTP primary's storage node (it stays down
     /// until [`FaultAction::OtpDeposedRejoin`]). Durable appends start
     /// failing, the cluster breaker opens, and the next RADIUS request
     /// promotes the warm standby. The `server` index is ignored.
-    /// Requires [`ChaosParams::replicated_otp`].
+    /// Requires [`ChaosOtpStorage::Replicated`].
     OtpPrimaryCrash,
     /// Partition (`on: true`) or heal (`on: false`) the replication
     /// link. In sync mode a partition makes the primary refuse to
     /// acknowledge writes (fail-safe denial) without ever tripping the
     /// breaker — a partition alone must not cause a split-brain
-    /// promotion. Requires [`ChaosParams::replicated_otp`].
+    /// promotion. Requires [`ChaosOtpStorage::Replicated`].
     OtpReplicationPartition {
         /// `true` severs the link, `false` heals it.
         on: bool,
     },
     /// Hold back the newest `frames` frames on the replication link so
     /// the standby applies at a lag (0 clears). Requires
-    /// [`ChaosParams::replicated_otp`].
+    /// [`ChaosOtpStorage::Replicated`].
     OtpReplicationLag {
         /// Frames held back from delivery.
         frames: u64,
     },
     /// Operator-initiated failover: promote the warm standby
     /// immediately, bumping the epoch and fencing the old primary.
-    /// Requires [`ChaosParams::replicated_otp`].
+    /// Requires [`ChaosOtpStorage::Replicated`].
     OtpFailover,
     /// Heal the deposed primary's storage, replay its stale frames
     /// against the epoch fence (all must be rejected), and readmit the
     /// node as the new warm standby. Requires
-    /// [`ChaosParams::replicated_otp`].
+    /// [`ChaosOtpStorage::Replicated`].
     OtpDeposedRejoin,
 }
 
@@ -221,6 +221,28 @@ impl FaultScript {
     }
 }
 
+/// Compaction floor of a durable chaos run's OTP server: the fewest
+/// appends per snapshot (a snapshot also waits for an eighth of the last
+/// one's bytes in WAL). Low, so a stream of a few dozen logins compacts.
+const DURABLE_SNAPSHOT_EVERY: u64 = 16;
+
+/// Where a chaos run's OTP server keeps its state. The runner builds the
+/// fault-injectable in-memory storage nodes and keeps typed handles on
+/// them.
+#[derive(Debug, Clone, Copy)]
+pub enum ChaosOtpStorage {
+    /// In memory only (the default): the `Otp*` actions cannot run.
+    Volatile,
+    /// One durable node, so [`FaultAction::OtpCrashRestart`] events can
+    /// kill and recover the server mid-stream. It compacts at a floor of
+    /// 16 appends (`DURABLE_SNAPSHOT_EVERY`).
+    Durable,
+    /// A warm-standby pair in the given ack mode, so the `Otp*` failover
+    /// actions can crash the primary, partition the link, and promote the
+    /// standby mid-stream.
+    Replicated(ReplicationMode),
+}
+
 /// Scenario parameters.
 #[derive(Debug, Clone)]
 pub struct ChaosParams {
@@ -232,20 +254,8 @@ pub struct ChaosParams {
     pub max_redials: usize,
     /// Master seed.
     pub seed: u64,
-    /// Give the OTP server a durable (fault-injectable, in-memory)
-    /// storage backend so [`FaultAction::OtpCrashRestart`] events can
-    /// kill and recover it mid-stream.
-    pub durable_otp: bool,
-    /// Compaction floor for the durable OTP server: the fewest appends
-    /// per snapshot (a snapshot also waits for an eighth of the last
-    /// one's bytes in WAL). Ignored unless `durable_otp` is set.
-    pub otp_snapshot_every: u64,
-    /// Give the OTP server a warm-standby replication pair (two
-    /// fault-injectable in-memory nodes) in the given ack mode, so the
-    /// `Otp*` failover actions can crash the primary, partition the
-    /// link, and promote the standby mid-stream. Supersedes
-    /// `durable_otp`.
-    pub replicated_otp: Option<ReplicationMode>,
+    /// Where the OTP server keeps its state.
+    pub otp_storage: ChaosOtpStorage,
     /// Of the `users`, how many pair an SMS fallback token instead of a
     /// soft token (the first `sms_users` of the roster). Their logins
     /// read the challenge code off the newest text delivered.
@@ -259,9 +269,7 @@ impl Default for ChaosParams {
             users: 4,
             max_redials: 3,
             seed: 0xc4a05,
-            durable_otp: false,
-            otp_snapshot_every: 256,
-            replicated_otp: None,
+            otp_storage: ChaosOtpStorage::Volatile,
             sms_users: 0,
         }
     }
@@ -412,17 +420,14 @@ pub struct ChaosRunner {
     /// The center under test (single login node, so the health stats have
     /// one unambiguous owner).
     pub center: Arc<Center>,
-    /// The OTP server's storage backend when built with
-    /// [`ChaosParams::durable_otp`] (inspect WAL/snapshot state or dial
+    /// The OTP server's storage node when built with
+    /// [`ChaosOtpStorage::Durable`] (inspect WAL/snapshot state or dial
     /// in storage faults via its plan).
     pub otp_backend: Option<Arc<MemoryBackend>>,
     /// The replicated primary's storage node when built with
-    /// [`ChaosParams::replicated_otp`] (the node
+    /// [`ChaosOtpStorage::Replicated`] (the node
     /// [`FaultAction::OtpPrimaryCrash`] kills).
     pub otp_primary: Option<Arc<MemoryBackend>>,
-    /// The warm standby's storage node when built with
-    /// [`ChaosParams::replicated_otp`].
-    pub otp_standby: Option<Arc<MemoryBackend>>,
     params: ChaosParams,
     devices: Vec<(String, TokenSource)>,
 }
@@ -431,29 +436,31 @@ impl ChaosRunner {
     /// Stand up a full-enforcement center with `params.users` soft-token
     /// users, ready to take a login stream.
     pub fn new(params: ChaosParams) -> Self {
-        let otp_backend = params.durable_otp.then(MemoryBackend::healthy);
-        let (otp_primary, otp_standby, replication) = match params.replicated_otp {
-            Some(mode) => {
-                let primary = MemoryBackend::healthy();
-                let standby = MemoryBackend::healthy();
-                let p = OtpReplicationParams::new(
-                    mode,
-                    Arc::clone(&primary) as Arc<dyn StorageBackend>,
-                    Arc::clone(&standby) as Arc<dyn StorageBackend>,
-                );
-                (Some(primary), Some(standby), Some(p))
+        let (otp_backend, otp_primary, otp_storage) = match params.otp_storage {
+            ChaosOtpStorage::Volatile => (None, None, OtpStorage::Volatile),
+            ChaosOtpStorage::Durable => {
+                let backend = MemoryBackend::healthy();
+                let storage = OtpStorage::Durable {
+                    backend: Arc::clone(&backend) as Arc<dyn StorageBackend>,
+                    snapshot_every: DURABLE_SNAPSHOT_EVERY,
+                };
+                (Some(backend), None, storage)
             }
-            None => (None, None, None),
+            ChaosOtpStorage::Replicated(mode) => {
+                let primary = MemoryBackend::healthy();
+                let storage = OtpStorage::Replicated {
+                    mode,
+                    primary: Arc::clone(&primary) as Arc<dyn StorageBackend>,
+                    standby: MemoryBackend::healthy(),
+                };
+                (None, Some(primary), storage)
+            }
         };
         let center = Center::new(CenterConfig {
             login_nodes: vec!["login1".into()],
             enforcement: EnforcementMode::Full,
             seed: params.seed,
-            otp_storage: otp_backend
-                .as_ref()
-                .map(|b| Arc::clone(b) as Arc<dyn StorageBackend>),
-            otp_snapshot_every: params.otp_snapshot_every,
-            otp_replication: replication,
+            otp_storage,
             ..CenterConfig::default()
         });
         let mut devices = Vec::new();
@@ -473,7 +480,6 @@ impl ChaosRunner {
             center,
             otp_backend,
             otp_primary,
-            otp_standby,
             params,
             devices,
         }
@@ -483,7 +489,7 @@ impl ChaosRunner {
         self.center
             .otp_cluster
             .as_ref()
-            .expect("Otp failover actions require ChaosParams::replicated_otp")
+            .expect("Otp failover actions require ChaosOtpStorage::Replicated")
     }
 
     fn apply(&self, event: &FaultEvent) {
@@ -497,7 +503,7 @@ impl ChaosRunner {
             FaultAction::OtpPrimaryCrash => {
                 self.otp_primary
                     .as_ref()
-                    .expect("OtpPrimaryCrash requires ChaosParams::replicated_otp")
+                    .expect("OtpPrimaryCrash requires ChaosOtpStorage::Replicated")
                     .set_down(true);
                 return;
             }
@@ -863,8 +869,7 @@ mod tests {
 
     fn durable(logins: usize) -> ChaosParams {
         ChaosParams {
-            durable_otp: true,
-            otp_snapshot_every: 16,
+            otp_storage: ChaosOtpStorage::Durable,
             ..small(logins)
         }
     }
@@ -922,7 +927,7 @@ mod tests {
 
     fn replicated(logins: usize, mode: ReplicationMode) -> ChaosParams {
         ChaosParams {
-            replicated_otp: Some(mode),
+            otp_storage: ChaosOtpStorage::Replicated(mode),
             ..small(logins)
         }
     }

@@ -35,6 +35,10 @@
 #                      pairings carries its overrun into the next, by name
 #   login node         a traced client request allocates its exact count and
 #                      a span into a full ring nothing, by name
+#   fail-closed pins   a fleet dead at the challenge or between challenge and
+#                      answer denies, a dead peer realm rejects and alarms, a
+#                      total outage fails closed then recovers: the exemption
+#                      file is the only bypass, by name
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
 #                      fails here by name instead of slowing the whole run
@@ -60,7 +64,7 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, over-length reply, ingest wake rules, udp ingest, parked replies, compaction trigger, group machine, SMS read, alert windows"
+echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, over-length reply, ingest wake rules, udp ingest, parked replies, compaction trigger, group machine, SMS read, alert windows, fail-closed pins"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
 # minutes of work) runs into the timeout instead. Target flags apply to every
 # package named, so the one --lib prebuilds the otpserver and telemetry lib tests too.
@@ -70,7 +74,7 @@ cargo test -q --offline --release --no-run \
     -p hpcmfa-otpserver --test group_commit --test compaction_trigger --test wal_proptests \
     --test store_proptests --test durable_format --test validate_allocs \
     -p hpcmfa-radius --lib --test udp --test zero_alloc \
-    -p hpcmfa-crypto -p hpcmfa-otp -p hpcmfa-workload
+    -p hpcmfa-crypto -p hpcmfa-otp -p hpcmfa-workload -p hpcmfa-pam
 # One guard: the tests each filter selects, under a timeout. A filter that
 # selects nothing fails the guard, so renaming or deleting a guarded test
 # cannot leave a guard that passes while running no test.
@@ -119,6 +123,11 @@ guard 60 --release -p hpcmfa-otpserver --test store_proptests --test durable_for
 guard 30 --release -p hpcmfa-radius --test zero_alloc -p hpcmfa-telemetry --test span_allocs -- \
     a_traced_client_request_allocates_an_exact_count \
     an_attribute_free_span_into_a_full_ring_allocates_nothing
+guard 30 --release -p hpcmfa-pam -p hpcmfa-radius -p hpcmfa-workload --lib -- \
+    backend_outage_fails_secure \
+    backend_outage_between_challenge_and_answer_fails_secure \
+    dead_realm_fail_closed_rejects_and_alarms \
+    total_outage_fails_closed_then_recovers
 cargo test -q --offline --release -p hpcmfa-crypto -p hpcmfa-otp
 guard 60 --release -p hpcmfa-otp --lib -- \
     verify_tracked_matches_the_full_scan_reference \

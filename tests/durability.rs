@@ -13,7 +13,7 @@
 //!    acknowledge those operations (fail-safe deny), so recovery still
 //!    never resurrects an accepted code or unlocks a locked account.
 
-use securing_hpc::core::center::{Center, CenterConfig};
+use securing_hpc::core::center::{Center, CenterConfig, OtpStorage};
 use securing_hpc::core::Clock as _;
 use securing_hpc::otpserver::{MemoryBackend, StorageBackend, ValidationOutcome};
 use securing_hpc::pam::modules::token::EnforcementMode;
@@ -44,8 +44,10 @@ fn run_stream(
     fsync_fail_every: u64,
 ) -> StreamResult {
     let c = Center::new(CenterConfig {
-        otp_storage: Some(Arc::clone(&backend) as Arc<dyn StorageBackend>),
-        otp_snapshot_every: 16,
+        otp_storage: OtpStorage::Durable {
+            backend: Arc::clone(&backend) as Arc<dyn StorageBackend>,
+            snapshot_every: 16,
+        },
         seed: 0xd00d,
         ..CenterConfig::default()
     });

@@ -17,12 +17,12 @@
 //!    failover alert timeline, event feed) and the replication metric
 //!    series replay byte-identically across 5 seeded runs.
 
-use securing_hpc::core::center::{Center, CenterConfig, OtpReplicationParams};
+use securing_hpc::core::center::{Center, CenterConfig, OtpStorage};
 use securing_hpc::otp::clock::Clock;
 use securing_hpc::otpserver::{MemoryBackend, ReplicationMode, StorageBackend, LOCKOUT_THRESHOLD};
 use securing_hpc::pam::modules::token::EnforcementMode;
 use securing_hpc::ssh::client::{ClientProfile, TokenSource};
-use securing_hpc::workload::chaos::{ChaosParams, ChaosRunner, FaultScript};
+use securing_hpc::workload::chaos::{ChaosOtpStorage, ChaosParams, ChaosRunner, FaultScript};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -36,11 +36,11 @@ fn replicated_center(
     let primary = MemoryBackend::healthy();
     let standby = MemoryBackend::healthy();
     let center = Center::new(CenterConfig {
-        otp_replication: Some(OtpReplicationParams::new(
+        otp_storage: OtpStorage::Replicated {
             mode,
-            Arc::clone(&primary) as Arc<dyn StorageBackend>,
-            Arc::clone(&standby) as Arc<dyn StorageBackend>,
-        )),
+            primary: Arc::clone(&primary) as Arc<dyn StorageBackend>,
+            standby: Arc::clone(&standby) as Arc<dyn StorageBackend>,
+        },
         ..CenterConfig::default()
     });
     center.set_enforcement(EnforcementMode::Full);
@@ -195,7 +195,7 @@ fn seeded_crash_run() -> (String, BTreeMap<String, u64>, i64) {
         logins: 30,
         users: 4,
         seed: 0xfa11,
-        replicated_otp: Some(ReplicationMode::Sync),
+        otp_storage: ChaosOtpStorage::Replicated(ReplicationMode::Sync),
         ..ChaosParams::default()
     };
     let script = FaultScript::primary_crash_mid_batch(30);

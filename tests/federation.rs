@@ -19,7 +19,7 @@
 //!    OTP server and a warm-standby promotion: a nonce burned before the
 //!    fault is still burned after it.
 
-use securing_hpc::core::center::{Center, CenterConfig, FederationParams, OtpReplicationParams};
+use securing_hpc::core::center::{Center, CenterConfig, FederationParams, OtpStorage};
 use securing_hpc::federation::TrustConfig;
 use securing_hpc::otp::clock::Clock;
 use securing_hpc::otpserver::{MemoryBackend, ReplicationMode, StorageBackend};
@@ -141,7 +141,10 @@ fn resume_profile(token: &str) -> ClientProfile {
 fn single_use_survives_crash_recovery() {
     let backend = MemoryBackend::healthy();
     let (center, token) = federated_login(CenterConfig {
-        otp_storage: Some(backend as Arc<dyn StorageBackend>),
+        otp_storage: OtpStorage::Durable {
+            backend,
+            snapshot_every: 256,
+        },
         federation: Some(FederationParams::new(
             TrustConfig::local_only("tacc"),
             b"crash-resume-key",
@@ -174,11 +177,11 @@ fn single_use_survives_standby_promotion() {
     let primary = MemoryBackend::healthy();
     let standby = MemoryBackend::healthy();
     let (center, token) = federated_login(CenterConfig {
-        otp_replication: Some(OtpReplicationParams::new(
-            ReplicationMode::Sync,
-            Arc::clone(&primary) as Arc<dyn StorageBackend>,
-            Arc::clone(&standby) as Arc<dyn StorageBackend>,
-        )),
+        otp_storage: OtpStorage::Replicated {
+            mode: ReplicationMode::Sync,
+            primary: Arc::clone(&primary) as Arc<dyn StorageBackend>,
+            standby: Arc::clone(&standby) as Arc<dyn StorageBackend>,
+        },
         federation: Some(FederationParams::new(
             TrustConfig::local_only("tacc"),
             b"failover-resume-key",

@@ -4,12 +4,12 @@
 //! fed by the same counters as the Prometheus families (one source of
 //! truth, two serializations).
 
-use securing_hpc::core::center::{Center, CenterConfig};
+use securing_hpc::core::center::{Center, CenterConfig, OtpStorage};
 use securing_hpc::crypto::digestauth::answer_challenge;
 use securing_hpc::otp::clock::Clock;
 use securing_hpc::otpserver::admin::{AdminApi, HttpRequest};
 use securing_hpc::otpserver::json::Json;
-use securing_hpc::otpserver::{MemoryBackend, StorageBackend};
+use securing_hpc::otpserver::MemoryBackend;
 use securing_hpc::pam::modules::token::EnforcementMode;
 use securing_hpc::ssh::client::{ClientProfile, TokenSource};
 use securing_hpc::telemetry::MetricsRegistry;
@@ -188,7 +188,10 @@ fn quantiles_match_a_known_distribution() {
 fn durability_json_and_prometheus_report_the_same_counters() {
     let backend = MemoryBackend::healthy();
     let c = center_after_one_login(CenterConfig {
-        otp_storage: Some(backend as Arc<dyn StorageBackend>),
+        otp_storage: OtpStorage::Durable {
+            backend,
+            snapshot_every: 256,
+        },
         ..CenterConfig::default()
     });
     c.crash_otp_server().expect("recovers");
