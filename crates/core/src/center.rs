@@ -469,11 +469,6 @@ impl Center {
         })
     }
 
-    /// A center with default parameters.
-    pub fn default_center() -> Arc<Self> {
-        Self::new(CenterConfig::default())
-    }
-
     // ------------------------------------------------------------------
     // Account management
     // ------------------------------------------------------------------
@@ -736,7 +731,7 @@ mod tests {
     const EXTERNAL_IP: Ipv4Addr = Ipv4Addr::new(70, 112, 50, 3);
 
     fn center() -> Arc<Center> {
-        let c = Center::default_center();
+        let c = Center::new(CenterConfig::default());
         c.create_user("alice", "alice@utexas.edu", "alice-pw");
         c.create_user("gateway1", "gw@portal.org", "gw-pw");
         c

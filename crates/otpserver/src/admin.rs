@@ -496,6 +496,7 @@ impl AdminApi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerConfig;
     use crate::sms::TwilioSim;
     use hpcmfa_crypto::digestauth::answer_challenge;
     use hpcmfa_otp::device::SoftToken;
@@ -503,7 +504,7 @@ mod tests {
     const NOW: u64 = 1_475_000_000;
 
     fn api() -> Arc<AdminApi> {
-        let server = LinotpServer::new(TwilioSim::new(1), 13);
+        let server = LinotpServer::with_config(TwilioSim::new(1), 13, ServerConfig::default());
         let api = AdminApi::new(server, "LinOTP admin area", 7);
         api.add_admin("portal", "portal-pass");
         api
@@ -832,7 +833,6 @@ mod tests {
     #[test]
     fn metrics_route_renders_shed_and_risk_counters() {
         use crate::overload::OverloadConfig;
-        use crate::server::ServerConfig;
 
         // Overload protection pre-registers every shed reason, so the
         // exposition shows them at zero before any storm.

@@ -456,6 +456,7 @@ impl Handler for OtpRadiusHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerConfig;
     use crate::sms::{PhoneNumber, SmsProvider, TwilioSim};
     use hpcmfa_otp::clock::SimClock;
     use hpcmfa_otp::device::SoftToken;
@@ -481,7 +482,11 @@ mod tests {
         // Seed chosen so the carrier sim's 1% slow-path draw stays on the
         // fast path for the messages these tests send.
         let twilio = TwilioSim::new(10);
-        let linotp = LinotpServer::new(Arc::clone(&twilio) as Arc<dyn SmsProvider>, 77);
+        let linotp = LinotpServer::with_config(
+            Arc::clone(&twilio) as Arc<dyn SmsProvider>,
+            77,
+            ServerConfig::default(),
+        );
         let clock = SimClock::at(NOW);
         let handler = OtpRadiusHandler::new(Arc::clone(&linotp), Arc::new(clock.clone()));
         let radius = Arc::new(RadiusServer::new(SECRET, handler));

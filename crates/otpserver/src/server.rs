@@ -736,11 +736,6 @@ fn stamp_sms_span(guard: &mut Option<SpanGuard<'_>>, trigger: &SmsTrigger) {
 }
 
 impl LinotpServer {
-    /// Create a server with default configuration.
-    pub fn new(sms: Arc<dyn SmsProvider>, seed: u64) -> Arc<Self> {
-        Self::with_config(sms, seed, ServerConfig::default())
-    }
-
     /// Create with explicit configuration.
     pub fn with_config(sms: Arc<dyn SmsProvider>, seed: u64, config: ServerConfig) -> Arc<Self> {
         Arc::new(Self::empty(sms, seed, config, None))
@@ -1553,7 +1548,7 @@ mod tests {
     const NOW: u64 = 1_475_000_000;
 
     fn server() -> Arc<LinotpServer> {
-        LinotpServer::new(TwilioSim::new(5), 42)
+        LinotpServer::with_config(TwilioSim::new(5), 42, ServerConfig::default())
     }
 
     fn soft_device(secret: &Secret) -> SoftToken {

@@ -2,7 +2,7 @@
 
 use hpcmfa_otp::device::SoftToken;
 use hpcmfa_otp::totp::TotpParams;
-use hpcmfa_otpserver::server::{LinotpServer, ValidationOutcome};
+use hpcmfa_otpserver::server::{LinotpServer, ServerConfig, ValidationOutcome};
 use hpcmfa_otpserver::sms::TwilioSim;
 use proptest::prelude::*;
 
@@ -14,7 +14,7 @@ proptest! {
         code in "[0-9]{1,5}|[0-9]{7,9}|[a-zA-Z!@#]{1,8}|",
         t in 1_400_000_000u64..1_500_000_000,
     ) {
-        let srv = LinotpServer::new(TwilioSim::new(1), 5);
+        let srv = LinotpServer::with_config(TwilioSim::new(1), 5, ServerConfig::default());
         srv.enroll_soft("u", t);
         prop_assert_ne!(srv.validate("u", &code, t), ValidationOutcome::Success);
     }
@@ -25,7 +25,7 @@ proptest! {
     /// streak.
     #[test]
     fn lockout_streak_semantics(pattern in proptest::collection::vec(any::<bool>(), 1..60)) {
-        let srv = LinotpServer::new(TwilioSim::new(2), 6);
+        let srv = LinotpServer::with_config(TwilioSim::new(2), 6, ServerConfig::default());
         let start = 1_475_000_000u64;
         let secret = srv.enroll_soft("u", start);
         let device = SoftToken::new(secret, TotpParams::default());
@@ -64,7 +64,7 @@ proptest! {
     /// no matter how much later it is retried (within the secret's life).
     #[test]
     fn accepted_codes_never_replay(delay_steps in 0u64..9) {
-        let srv = LinotpServer::new(TwilioSim::new(3), 7);
+        let srv = LinotpServer::with_config(TwilioSim::new(3), 7, ServerConfig::default());
         let start = 1_475_000_000u64;
         let secret = srv.enroll_soft("u", start);
         let device = SoftToken::new(secret, TotpParams::default());

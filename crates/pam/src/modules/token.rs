@@ -251,7 +251,7 @@ mod tests {
     use hpcmfa_otp::clock::{Clock, SimClock};
     use hpcmfa_otp::device::SoftToken;
     use hpcmfa_otpserver::handler::OtpRadiusHandler;
-    use hpcmfa_otpserver::server::LinotpServer;
+    use hpcmfa_otpserver::server::{LinotpServer, ServerConfig};
     use hpcmfa_otpserver::sms::TwilioSim;
     use hpcmfa_radius::client::ClientConfig;
     use hpcmfa_radius::server::RadiusServer;
@@ -270,7 +270,7 @@ mod tests {
 
     fn rig(mode: EnforcementMode) -> Rig {
         let clock = SimClock::at(NOW);
-        let linotp = LinotpServer::new(TwilioSim::new(3), 21);
+        let linotp = LinotpServer::with_config(TwilioSim::new(3), 21, ServerConfig::default());
         let handler = OtpRadiusHandler::new(Arc::clone(&linotp), Arc::new(clock.clone()));
         let radius_srv = Arc::new(RadiusServer::new(b"sec".to_vec(), handler));
         let faults = FaultPlan::healthy();

@@ -388,7 +388,7 @@ mod tests {
     use hpcmfa_directory::ldap::Filter;
     use hpcmfa_otp::clock::SimClock;
     use hpcmfa_otp::device::{HardTokenBatch, SoftToken};
-    use hpcmfa_otpserver::server::LinotpServer;
+    use hpcmfa_otpserver::server::{LinotpServer, ServerConfig};
     use hpcmfa_otpserver::sms::{PhoneNumber, SmsProvider, TwilioSim};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -406,7 +406,11 @@ mod tests {
 
     fn rig() -> Rig {
         let twilio = TwilioSim::new(4);
-        let linotp = LinotpServer::new(Arc::clone(&twilio) as Arc<dyn SmsProvider>, 31);
+        let linotp = LinotpServer::with_config(
+            Arc::clone(&twilio) as Arc<dyn SmsProvider>,
+            31,
+            ServerConfig::default(),
+        );
         let admin = AdminApi::new(Arc::clone(&linotp), "LinOTP admin area", 17);
         admin.add_admin("portal-svc", "portal-secret");
         let identity = IdentityDb::new();

@@ -350,11 +350,6 @@ impl RadiusClient {
         }
     }
 
-    /// The registry this client records into.
-    pub(crate) fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
-    }
-
     fn next_identifier(&self) -> u8 {
         (self.identifier.fetch_add(1, Ordering::Relaxed) & 0xff) as u8
     }
@@ -1258,7 +1253,7 @@ mod tests {
                 .authenticate(&mut rng, "alice", b"123456", "10.0.0.1")
                 .unwrap();
         }
-        let snap = client.metrics().snapshot();
+        let snap = client.metrics.snapshot();
         assert_eq!(snap.counter("hpcmfa_radius_requests_total"), 4);
         assert_eq!(
             snap.counter("hpcmfa_radius_outcomes_total{outcome=\"accept\"}"),
@@ -1309,7 +1304,7 @@ mod tests {
         assert_eq!(seen.lock().as_slice(), &[Some(id), None]);
         // Children record before parents: the exchange attempt, then the
         // request span it hangs off.
-        let spans = client.metrics().tracer().spans_for(id);
+        let spans = client.metrics.tracer().spans_for(id);
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].component, "radius.client");
         assert_eq!(spans[0].label, "attempt");
@@ -1333,7 +1328,7 @@ mod tests {
                 .authenticate(&mut rng, "alice", b"123456", "10.0.0.1")
                 .unwrap();
         }
-        let snap = client.metrics().snapshot();
+        let snap = client.metrics.snapshot();
         assert!(
             snap.counter("hpcmfa_radius_breaker_transitions_total{server=\"radius0\",to=\"open\"}")
                 >= 1,

@@ -18,8 +18,8 @@
 //!   (§3.4) ([`client`]), with per-server circuit breakers ([`breaker`])
 //!   and a deadline-budgeted retry policy in place of unbounded walks;
 //! * a server shell dispatching to pluggable handlers ([`server`]) and a
-//!   proxy handler for the "proxy chaining across servers" deployment
-//!   pattern (§3.2) ([`proxy`]);
+//!   realm router whose peer hop is the "proxy chaining across servers"
+//!   deployment pattern (§3.2) ([`realm`]);
 //! * transports: deterministic in-memory (with fault injection, used by the
 //!   rollout simulator) and real UDP ([`transport`]);
 //! * a wire-rate batched UDP front end — event-loop socket draining,
@@ -34,7 +34,6 @@ pub mod breaker;
 pub mod client;
 pub mod ingest;
 pub mod packet;
-pub mod proxy;
 pub mod realm;
 pub mod server;
 pub mod tracewire;

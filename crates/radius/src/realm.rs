@@ -1,17 +1,19 @@
 //! Federated realm routing (the "multiple participating sites" deployment
-//! the paper's infrastructure was built to support).
+//! the paper's infrastructure was built to support), and with it the
+//! RADIUS tier's "proxy chaining across servers" (§3.2).
 //!
 //! A [`RealmRouter`] is a [`Handler`] that splits `user@site` principals
 //! and dispatches by realm:
 //!
 //! - **Home or bare names** go to the local handler with the realm suffix
 //!   stripped, so the local OTP engine only ever sees bare usernames.
-//! - **Allowed peer realms** are proxied to that realm's upstream pool
+//! - **Allowed peer realms** are forwarded to that realm's upstream pool
 //!   through a dedicated [`RadiusClient`] — each realm gets its own client
 //!   and therefore its own per-server circuit breakers, so one partner
 //!   site's outage cannot poison another's path. The full `user@site` name
 //!   is forwarded unchanged: the remote router recognises its own realm
-//!   and strips it there.
+//!   and strips it there. Each hop re-hides the password under its own
+//!   shared secret and carries the caller's trace context upstream.
 //! - **Unknown realms** are rejected outright (the trust ACL is the
 //!   federation boundary).
 //!
@@ -20,14 +22,22 @@
 //! users stranded by a dead partner link are an operational page, not a
 //! silent reject counter.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
+
 use crate::attribute::{Attribute, AttributeType};
-use crate::client::RadiusClient;
+use crate::client::{Outcome, RadiusClient};
 use crate::packet::Packet;
-use crate::proxy::{forward, Hop};
 use crate::server::{Handler, ServerDecision};
 use crate::tracewire;
 use hpcmfa_federation::{split_principal, TrustConfig};
-use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind};
+use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanStatus};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +48,7 @@ use std::sync::Arc;
 pub struct RealmRouter {
     /// Trust configuration: home realm name + allowed peers.
     trust: TrustConfig,
-    /// The local site's handler (normally the OTP bridge or a proxy).
+    /// The local site's handler (normally the OTP bridge).
     local: Arc<dyn Handler>,
     /// Per-realm upstream pools, keyed by realm name. Behind a lock so
     /// federated sites can be wired together after each site's own fleet
@@ -83,8 +93,15 @@ impl RealmRouter {
             .inc();
     }
 
-    /// Forward to a peer realm's pool — the proxy tier's forward, on a
-    /// `radius.realm` span — rejecting when the pool is unreachable.
+    /// Relay one Access-Request to a peer realm's pool and turn the
+    /// verified outcome back into a reply, rejecting when the pool gives
+    /// no usable answer.
+    ///
+    /// The caller's trace context is re-forwarded upstream so the home
+    /// server's audit rows carry the id the login node minted: the
+    /// `radius.realm` `forward` span opens on the caller's wire clock
+    /// under the caller's attempt span, and the upstream client's request
+    /// span nests under it in turn.
     fn forward(
         &self,
         realm: &str,
@@ -92,30 +109,86 @@ impl RealmRouter {
         request: &Packet,
         password: &[u8],
     ) -> ServerDecision {
-        let hop = Hop {
-            component: "radius.realm",
-            key: "realm",
-            name: realm,
-            failed: "realm_unreachable",
-            event: (
-                SecurityEventKind::RealmUnreachable,
-                "upstream pool unreachable",
-            ),
+        let username = request.text(AttributeType::UserName).unwrap_or_default();
+        let calling = request
+            .text(AttributeType::CallingStationId)
+            .unwrap_or_default();
+        let state = request.attribute(AttributeType::State);
+        let wire_ctx = tracewire::trace_ctx_of(request);
+
+        let mut guard = wire_ctx.map(|w| {
+            let mut g = self
+                .metrics
+                .tracer()
+                .start(&w.span_ctx(), "radius.realm", "forward");
+            g.attr_str("realm", realm);
+            g
+        });
+        let span_id = guard.as_ref().map(|g| g.id());
+        let child_ctx = guard.as_ref().map(|g| g.child_ctx());
+        let result = upstream.request(
+            &mut *self.rng.lock(),
+            username,
+            password,
+            calling,
+            state.map(|a| a.value.as_slice()),
+            child_ctx.as_ref(),
+        );
+
+        let label = match &result {
+            Ok(Outcome::Accept { .. }) => "accept",
+            Ok(Outcome::Reject { .. }) => "reject",
+            Ok(Outcome::Challenge { .. }) => "challenge",
+            Err(_) => "realm_unreachable",
         };
-        match forward(&self.metrics, upstream, &self.rng, &hop, request, password) {
-            Some((outcome, decision)) => {
-                self.count(realm, outcome);
-                decision
-            }
-            None => {
-                self.count(realm, "unreachable");
-                ServerDecision::Reject(vec![Attribute::text(
-                    AttributeType::ReplyMessage,
-                    "Authentication error",
-                )])
+        if let Some(g) = guard.as_mut() {
+            g.set_detail(label);
+            if result.is_err() {
+                g.set_status(SpanStatus::Error);
             }
         }
+        drop(guard);
+
+        let decision = match result {
+            Ok(Outcome::Accept { message }) => ServerDecision::Accept(reply_attrs(message)),
+            Ok(Outcome::Reject { message }) => ServerDecision::Reject(reply_attrs(message)),
+            Ok(Outcome::Challenge { state, message }) => {
+                let mut attrs = reply_attrs(message);
+                attrs.push(Attribute::new(AttributeType::State, state));
+                ServerDecision::Challenge(attrs)
+            }
+            Err(_) => {
+                self.metrics.emit_event(
+                    SecurityEventKind::RealmUnreachable,
+                    wire_ctx.map(|w| w.trace),
+                    span_id,
+                    upstream.vclock_us(),
+                    format!("realm={realm} upstream pool unreachable"),
+                );
+                self.count(realm, "unreachable");
+                return authentication_error();
+            }
+        };
+        self.count(realm, label);
+        // Report our trace clock (advanced by the upstream exchange) back to
+        // the caller so its attempt span encloses this whole hop.
+        decision.with_clock(child_ctx.as_ref())
     }
+}
+
+/// The reply's attributes: the upstream Reply-Message, if any.
+fn reply_attrs(message: Option<String>) -> Vec<Attribute> {
+    message
+        .map(|m| vec![Attribute::text(AttributeType::ReplyMessage, &m)])
+        .unwrap_or_default()
+}
+
+/// The clean denial a roaming user sees for a refused or unreachable realm.
+fn authentication_error() -> ServerDecision {
+    ServerDecision::Reject(vec![Attribute::text(
+        AttributeType::ReplyMessage,
+        "Authentication error",
+    )])
 }
 
 impl Handler for RealmRouter {
@@ -139,10 +212,7 @@ impl Handler for RealmRouter {
             Some(realm) => {
                 if !self.trust.is_allowed(realm) {
                     self.count(realm, "denied_acl");
-                    return ServerDecision::Reject(vec![Attribute::text(
-                        AttributeType::ReplyMessage,
-                        "Authentication error",
-                    )]);
+                    return authentication_error();
                 }
                 let Some(password) = password else {
                     return ServerDecision::Discard;
@@ -161,10 +231,7 @@ impl Handler for RealmRouter {
                             0,
                             format!("realm={realm} no upstream pool configured"),
                         );
-                        ServerDecision::Reject(vec![Attribute::text(
-                            AttributeType::ReplyMessage,
-                            "Authentication error",
-                        )])
+                        authentication_error()
                     }
                 }
             }
@@ -174,6 +241,8 @@ impl Handler for RealmRouter {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::panic)]
+
     use super::*;
     use crate::client::{ClientConfig, Outcome};
     use crate::server::RadiusServer;
@@ -184,13 +253,22 @@ mod tests {
     const TACC_SECRET: &[u8] = b"tacc-secret";
     const REMOTE_SECRET: &[u8] = b"remote-secret";
 
-    /// Local handler that accepts "123456" and records the name it saw.
+    /// Local handler that records the name it saw. An empty password
+    /// opens a challenge with `State` "st"; "123456" is accepted unless it
+    /// answers some other `State`.
     fn local_handler(seen: Arc<Mutex<Vec<String>>>) -> Arc<dyn Handler> {
         Arc::new(move |req: &Packet, pw: Option<&[u8]>| {
             seen.lock()
                 .push(req.text(AttributeType::UserName).unwrap_or("").to_string());
-            match pw {
-                Some(b"123456") => ServerDecision::Accept(vec![]),
+            let state = req
+                .attribute(AttributeType::State)
+                .map(|a| a.value.as_slice());
+            match (pw, state) {
+                (Some(b""), None) => ServerDecision::Challenge(vec![
+                    Attribute::new(AttributeType::State, b"st".to_vec()),
+                    Attribute::text(AttributeType::ReplyMessage, "TACC Token:"),
+                ]),
+                (Some(b"123456"), None | Some(b"st")) => ServerDecision::Accept(vec![]),
                 _ => ServerDecision::Reject(vec![]),
             }
         })
@@ -285,15 +363,40 @@ mod tests {
             .authenticate(&mut rng, "carol@remote", b"123456", "1.2.3.4")
             .unwrap();
         assert!(matches!(out, Outcome::Accept { .. }));
+        // A challenge round trip: the remote's State and prompt cross the
+        // hop back, and the answer carries that State upstream — an answer
+        // to any other State is refused by the remote.
+        let out = client
+            .authenticate(&mut rng, "carol@remote", b"", "1.2.3.4")
+            .unwrap();
+        let Outcome::Challenge { state, message } = out else {
+            panic!("expected a challenge, got {out:?}");
+        };
+        assert_eq!(message.as_deref(), Some("TACC Token:"));
+        assert_eq!(state, b"st");
+        let mut answer = |state: &[u8]| {
+            client
+                .respond_to_challenge(&mut rng, "carol@remote", b"123456", "1.2.3.4", state)
+                .unwrap()
+        };
+        assert!(matches!(answer(&state), Outcome::Accept { .. }));
+        assert!(matches!(answer(b"forged"), Outcome::Reject { .. }));
         // The remote side sees the unmodified principal (its own router
         // strips it); nothing leaked to the local handler.
-        assert_eq!(rig.seen_remote.lock().as_slice(), &["carol@remote"]);
+        assert_eq!(rig.seen_remote.lock().as_slice(), &["carol@remote"; 4]);
         assert!(rig.seen_local.lock().is_empty());
+        let forwards = |outcome: &str| {
+            rig.metrics.snapshot().counter(&format!(
+                "hpcmfa_radius_proxy_forwards_total{{outcome=\"{outcome}\",realm=\"remote\"}}"
+            ))
+        };
         assert_eq!(
-            rig.metrics
-                .snapshot()
-                .counter("hpcmfa_radius_proxy_forwards_total{outcome=\"accept\",realm=\"remote\"}"),
-            1
+            [
+                forwards("accept"),
+                forwards("challenge"),
+                forwards("reject")
+            ],
+            [2, 1, 1]
         );
     }
 
@@ -315,20 +418,36 @@ mod tests {
         let rig = rig();
         let client = client_for(Arc::clone(&rig.router));
         let mut rng = StdRng::seed_from_u64(4);
+        // A challenge opened while the remote is up, answered after it
+        // went down, fails closed like a single-shot login does.
+        let out = client
+            .authenticate(&mut rng, "carol@remote", b"", "1.2.3.4")
+            .unwrap();
+        let Outcome::Challenge { state, .. } = out else {
+            panic!("expected a challenge, got {out:?}");
+        };
         rig.remote_faults.set_down(true);
         let out = client
             .authenticate(&mut rng, "carol@remote", b"123456", "1.2.3.4")
             .unwrap();
         assert!(matches!(out, Outcome::Reject { .. }));
+        let out = client
+            .respond_to_challenge(&mut rng, "carol@remote", b"123456", "1.2.3.4", &state)
+            .unwrap();
+        assert!(matches!(out, Outcome::Reject { .. }));
         let events = rig.metrics.security_events().all();
-        assert!(events
-            .iter()
-            .any(|e| e.kind == SecurityEventKind::RealmUnreachable));
+        assert_eq!(
+            events
+                .iter()
+                .filter(|e| e.kind == SecurityEventKind::RealmUnreachable)
+                .count(),
+            2
+        );
         assert_eq!(
             rig.metrics.snapshot().counter(
                 "hpcmfa_radius_proxy_forwards_total{outcome=\"unreachable\",realm=\"remote\"}"
             ),
-            1
+            2
         );
     }
 }

@@ -6,8 +6,8 @@
 //! The vendor id is 32473 — the enterprise number RFC 5612 reserves for
 //! documentation/example use, which is exactly what a reproduction
 //! deployment should squat on. Real RADIUS tooling ignores unknown VSAs,
-//! so the attribute is transparent to interoperating servers; our proxy
-//! copies it upstream so the home server's audit rows carry the same id
+//! so the attribute is transparent to interoperating servers; the realm
+//! router copies it upstream so the home server's audit rows carry the same id
 //! the login node minted.
 //!
 //! Requests carry vendor-type 1 (`vendor-length 26`, 24-byte payload):

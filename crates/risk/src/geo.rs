@@ -1,53 +1,50 @@
 //! Geolocation services (§6 growth feature).
 //!
-//! A GeoIP-style lookup (longest-prefix CIDR → ISO country code) plus a
-//! per-account country policy, packaged as a PAM module. Real deployments
-//! would load a MaxMind-style database; the semantics exercised here —
-//! longest-prefix match, per-user allow lists, unknown-origin handling —
-//! are identical.
+//! A GeoIP-style lookup (longest-prefix CIDR → ISO country code), which
+//! the [`RiskEngine`](crate::engine::RiskEngine) scores as one feature of
+//! a login: a new country and impossible travel. Real deployments would
+//! load a MaxMind-style database; the semantics exercised here —
+//! longest-prefix match, unknown origins — are identical.
+
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
 
 use hpcmfa_pam::access::Cidr;
-use hpcmfa_pam::context::PamContext;
-use hpcmfa_pam::stack::{PamModule, PamResult};
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
-/// An ISO 3166-1 alpha-2 country code, e.g. `US`.
+/// An ISO 3166-1 alpha-2 country code, e.g. `US`: two ASCII uppercase
+/// letters, as [`CountryCode::parse`] builds it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CountryCode(pub [u8; 2]);
+pub(crate) struct CountryCode([u8; 2]);
 
 impl CountryCode {
     /// Parse a two-letter code (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        let b = s.as_bytes();
-        if b.len() == 2 && b.iter().all(|c| c.is_ascii_alphabetic()) {
-            Some(CountryCode([
-                b[0].to_ascii_uppercase(),
-                b[1].to_ascii_uppercase(),
-            ]))
-        } else {
-            None
-        }
-    }
-
-    /// The code as a string.
-    pub(crate) fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.0).unwrap()
+    pub(crate) fn parse(s: &str) -> Option<Self> {
+        let &[a, b] = s.as_bytes() else {
+            return None;
+        };
+        (a.is_ascii_alphabetic() && b.is_ascii_alphabetic())
+            .then(|| CountryCode([a.to_ascii_uppercase(), b.to_ascii_uppercase()]))
     }
 }
 
 impl std::fmt::Display for CountryCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        let [a, b] = self.0;
+        write!(f, "{}{}", char::from(a), char::from(b))
     }
 }
 
 /// A CIDR → country database with longest-prefix-match lookups.
-#[derive(Default)]
 pub struct GeoDb {
-    /// Entries sorted by prefix length, longest first.
+    /// Entries sorted by prefix length, longest first; equal prefixes in
+    /// file order.
     entries: Vec<(Cidr, CountryCode)>,
 }
 
@@ -69,17 +66,6 @@ impl std::fmt::Display for GeoParseError {
 impl std::error::Error for GeoParseError {}
 
 impl GeoDb {
-    /// Empty database (every lookup is `None`).
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one network → country mapping.
-    pub(crate) fn add(&mut self, net: Cidr, country: CountryCode) {
-        self.entries.push((net, country));
-        self.entries.sort_by_key(|e| std::cmp::Reverse(e.0.prefix));
-    }
-
     /// Parse a text database: one `CIDR CC` pair per line, `#` comments.
     ///
     /// ```text
@@ -87,9 +73,8 @@ impl GeoDb {
     /// 141.30.0.0/16   DE
     /// ```
     pub fn parse(text: &str) -> Result<Self, GeoParseError> {
-        let mut db = GeoDb::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
+        let mut entries = Vec::new();
+        for (line_no, raw) in (1..).zip(text.lines()) {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
@@ -109,9 +94,11 @@ impl GeoDb {
                 line: line_no,
                 reason: format!("bad country code {cc:?}"),
             })?;
-            db.add(net, cc);
+            entries.push((net, cc));
         }
-        Ok(db)
+        // Stable: entries with equal prefixes keep file order.
+        entries.sort_by_key(|e| std::cmp::Reverse(e.0.prefix));
+        Ok(GeoDb { entries })
     }
 
     /// Longest-prefix-match lookup.
@@ -123,96 +110,11 @@ impl GeoDb {
     }
 }
 
-/// What to do with logins from unexpected places.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum GeoAction {
-    /// Refuse the login outright.
-    Deny,
-    /// Allow, but demand step-up authentication (no exemption bypass).
-    #[default]
-    StepUp,
-}
-
-/// Per-account country policy. Accounts without an entry fall back to the
-/// default allow list (empty default list = geography unrestricted).
-#[derive(Default)]
-pub struct GeoPolicy {
-    per_user: RwLock<HashMap<String, Vec<CountryCode>>>,
-    default_allowed: RwLock<Vec<CountryCode>>,
-    /// What a violation triggers.
-    pub on_violation: GeoAction,
-    /// Whether an IP with no database entry counts as a violation.
-    pub deny_unknown_origin: bool,
-}
-
-impl GeoPolicy {
-    /// Unrestricted policy that steps-up on violations.
-    pub fn new(on_violation: GeoAction) -> Self {
-        GeoPolicy {
-            on_violation,
-            ..Default::default()
-        }
-    }
-
-    /// Restrict `user` to `countries`.
-    pub fn allow_user(&self, user: &str, countries: &[CountryCode]) {
-        self.per_user
-            .write()
-            .insert(user.to_string(), countries.to_vec());
-    }
-
-    /// Whether `country` is acceptable for `user`.
-    pub(crate) fn permits(&self, user: &str, country: Option<CountryCode>) -> bool {
-        let Some(country) = country else {
-            return !self.deny_unknown_origin;
-        };
-        if let Some(list) = self.per_user.read().get(user) {
-            return list.contains(&country);
-        }
-        let default = self.default_allowed.read();
-        default.is_empty() || default.contains(&country)
-    }
-}
-
-/// The geolocation PAM module. Deploy `requisite` (Deny policies) or
-/// `optional` (StepUp policies) ahead of the exemption module.
-pub struct GeoGateModule {
-    db: Arc<GeoDb>,
-    policy: Arc<GeoPolicy>,
-}
-
-impl GeoGateModule {
-    /// Gate with `db` and `policy`.
-    pub fn new(db: Arc<GeoDb>, policy: Arc<GeoPolicy>) -> Arc<Self> {
-        Arc::new(GeoGateModule { db, policy })
-    }
-}
-
-impl PamModule for GeoGateModule {
-    fn name(&self) -> &'static str {
-        "pam_tacc_geo"
-    }
-
-    fn authenticate(&self, ctx: &mut PamContext<'_>) -> PamResult {
-        let country = self.db.country_of(ctx.rhost);
-        if self.policy.permits(&ctx.username, country) {
-            return PamResult::Ignore;
-        }
-        match self.policy.on_violation {
-            GeoAction::Deny => PamResult::AuthErr,
-            GeoAction::StepUp => {
-                ctx.risk_step_up = true;
-                PamResult::Ignore
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
-    use hpcmfa_otp::clock::SimClock;
-    use hpcmfa_pam::conv::ScriptedConversation;
 
     fn cc(s: &str) -> CountryCode {
         CountryCode::parse(s).unwrap()
@@ -224,7 +126,8 @@ mod tests {
              70.0.0.0/8     US\n\
              141.30.0.0/16  DE\n\
              141.30.8.0/24  CZ  # longer prefix wins\n\
-             1.2.0.0/16     CN\n",
+             1.2.0.0/16     CN\n\
+             1.2.0.0/16     HK  # same prefix: the first line wins\n",
         )
         .unwrap()
     }
@@ -242,6 +145,7 @@ mod tests {
         let db = sample_db();
         assert_eq!(db.country_of("141.30.1.1".parse().unwrap()), Some(cc("DE")));
         assert_eq!(db.country_of("141.30.8.9".parse().unwrap()), Some(cc("CZ")));
+        assert_eq!(db.country_of("1.2.3.4".parse().unwrap()), Some(cc("CN")));
         assert_eq!(db.country_of("8.8.8.8".parse().unwrap()), None);
     }
 
@@ -249,72 +153,12 @@ mod tests {
     fn db_parse_errors() {
         assert!(GeoDb::parse("129.114.0.0/16\n").is_err());
         assert!(GeoDb::parse("bogus US\n").is_err());
-        assert!(GeoDb::parse("1.2.3.0/24 USA\n").is_err());
+        let err = GeoDb::parse("# header\n1.2.3.0/24 USA\n").err().unwrap();
+        assert_eq!(err.to_string(), "geo db line 2: bad country code \"USA\"");
         assert!(GeoDb::parse("1.2.3.0/24 US extra\n").is_err());
         assert!(GeoDb::parse("# only comments\n\n")
             .unwrap()
             .entries
             .is_empty());
-    }
-
-    #[test]
-    fn policy_per_user_and_default() {
-        let p = GeoPolicy::new(GeoAction::Deny);
-        assert!(p.permits("anyone", Some(cc("CN")))); // unrestricted default
-        *p.default_allowed.write() = vec![cc("US"), cc("DE")];
-        assert!(p.permits("anyone", Some(cc("DE"))));
-        assert!(!p.permits("anyone", Some(cc("CN"))));
-        p.allow_user("traveler", &[cc("CN"), cc("US")]);
-        assert!(p.permits("traveler", Some(cc("CN"))));
-        assert!(!p.permits("traveler", Some(cc("DE")))); // per-user overrides
-    }
-
-    #[test]
-    fn unknown_origin_handling() {
-        let mut p = GeoPolicy::new(GeoAction::Deny);
-        assert!(p.permits("u", None));
-        p.deny_unknown_origin = true;
-        assert!(!p.permits("u", None));
-    }
-
-    fn run_module(module: &GeoGateModule, user: &str, ip: &str) -> (PamResult, bool) {
-        let mut conv = ScriptedConversation::with_answers(Vec::<String>::new());
-        let mut ctx = PamContext::new(
-            user,
-            ip.parse().unwrap(),
-            Arc::new(SimClock::at(0)),
-            &mut conv,
-        );
-        let r = module.authenticate(&mut ctx);
-        (r, ctx.risk_step_up)
-    }
-
-    #[test]
-    fn deny_mode_blocks_wrong_country() {
-        let db = Arc::new(sample_db());
-        let policy = Arc::new(GeoPolicy::new(GeoAction::Deny));
-        policy.allow_user("usonly", &[cc("US")]);
-        let m = GeoGateModule::new(db, policy);
-        assert_eq!(
-            run_module(&m, "usonly", "70.1.2.3"),
-            (PamResult::Ignore, false)
-        );
-        assert_eq!(
-            run_module(&m, "usonly", "1.2.3.4"),
-            (PamResult::AuthErr, false)
-        );
-    }
-
-    #[test]
-    fn stepup_mode_flags_context() {
-        let db = Arc::new(sample_db());
-        let policy = Arc::new(GeoPolicy::new(GeoAction::StepUp));
-        policy.allow_user("usonly", &[cc("US")]);
-        let m = GeoGateModule::new(db, policy);
-        let (r, stepup) = run_module(&m, "usonly", "141.30.1.1");
-        assert_eq!(r, PamResult::Ignore);
-        assert!(stepup, "foreign login demands step-up");
-        let (_, stepup) = run_module(&m, "usonly", "129.114.5.5");
-        assert!(!stepup);
     }
 }

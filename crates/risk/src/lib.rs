@@ -3,13 +3,11 @@
 //! incorporate new features including geolocation services, dynamic risk
 //! assessment, or biometric security."
 //!
-//! This crate implements the first two as drop-in PAM modules that slot
-//! into the Figure 1 stack without touching the existing components:
+//! This crate implements the first two as one drop-in PAM module that
+//! slots into the Figure 1 stack without touching the existing components:
 //!
-//! * [`geo`] — a GeoIP-style database (CIDR → country) and a per-user
-//!   country policy, exposed as [`geo::GeoGateModule`]: deployed
-//!   `requisite` ahead of the exemption module, it denies (or merely
-//!   flags) logins from countries the account never uses.
+//! * [`geo`] — a GeoIP-style database (CIDR → country) the engine reads
+//!   a login's country from.
 //! * [`engine`] — a per-user behavioural risk engine scoring each attempt
 //!   (new country, new network, impossible travel, failure velocity),
 //!   exposed as [`engine::RiskGateModule`] with deny / step-up / allow

@@ -153,7 +153,9 @@ pub enum SpanStatus {
     Error,
     /// The hop was shed by admission control before doing real work.
     Shed,
-    /// The hop completed in a degraded mode (stale standby, …).
+    /// The hop was refused because its state could not be made durable:
+    /// the OTP server's `unavailable` validate, SMS trigger or resume
+    /// consume.
     Degraded,
 }
 
@@ -261,7 +263,7 @@ pub struct SpanRecord {
     /// The enclosing span, if any (`None` for the root).
     pub parent: Option<SpanId>,
     /// Which component recorded it (`ssh`, `pam`, `radius.client`,
-    /// `radius.proxy`, `radius.realm`, `otp`).
+    /// `radius.realm`, `otp`).
     pub component: &'static str,
     /// Short operation label (`session`, `authenticate`, `forward`,
     /// `validate`, `wal_fsync`, …).
@@ -715,11 +717,11 @@ mod tests {
         let a = TraceId::from_u64(1);
         let b = TraceId::from_u64(2);
         t.span(a, "pam", "authenticate", "challenge");
-        t.span(a, "radius.proxy", "forward", "upstream=home");
+        t.span(a, "radius.realm", "forward", "realm=psc");
         t.span(a, "otp", "validate", "ok");
         t.span(b, "pam", "authenticate", "reject");
         assert_eq!(t.spans_for(a).len(), 3);
-        assert_eq!(t.components_for(a), vec!["otp", "pam", "radius.proxy"]);
+        assert_eq!(t.components_for(a), vec!["otp", "pam", "radius.realm"]);
         assert_eq!(t.trace_ids(), vec![a, b]);
         assert_eq!(t.len(), 4);
     }

@@ -2,8 +2,9 @@
 //! features including geolocation services, dynamic risk assessment, or
 //! biometric security."
 //!
-//! A risk gate and geolocation policy slot into the Figure 1 stack without
-//! modifying any existing component: risky logins lose their MFA
+//! A risk gate that scores each login's geography (a new country,
+//! impossible travel) from a GeoIP database slots into the Figure 1 stack
+//! without modifying any existing component: risky logins lose their MFA
 //! exemption; impossible travel is refused outright.
 //!
 //! ```text

@@ -49,6 +49,8 @@
 #                      tick, amortised), and the registry's live reads against
 #                      a snapshot, by name
 #   results/           the figure bins' stdout against the committed captures
+#   examples           each example runs once, optimised, under a timeout: README
+#                      and DESIGN send readers to them, and the test run only builds them
 #   loginbench         benchmark/ is its own workspace, which --workspace skips
 #   clippy             lints, all targets
 #   rustdoc            no broken or private intra-doc link in the public docs
@@ -149,6 +151,14 @@ reproduces() { # <bin> <capture under results/>
 reproduces table1 table1.txt
 reproduces sms_cost sms_cost.txt
 reproduces detection detection_report.txt
+
+echo "==> examples: each runs to completion (all seven take under 2 s optimised)"
+cargo build -q --release --offline --examples
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    timeout 60 "./target/release/examples/$name" >/dev/null \
+        || { echo "example $name failed"; exit 1; }
+done
 
 echo "==> loginbench compiles against this tree and its own unit tests pass"
 # benchmark/ is frozen between benchmark-only PRs: an API drift of

@@ -1,5 +1,5 @@
-//! Integration of the §6 growth features: geolocation gating and dynamic
-//! risk assessment wired into the full Figure 1 stack — a risky login
+//! Integration of the §6 growth features: geolocation and dynamic risk
+//! assessment wired into the full Figure 1 stack — a risky login
 //! loses its exemption bypass, an impossible-travel login is denied.
 
 use securing_hpc::core::center::{Center, CenterConfig};
@@ -11,7 +11,7 @@ use securing_hpc::pam::modules::password::UnixPasswordModule;
 use securing_hpc::pam::modules::token::{EnforcementMode, TokenModule};
 use securing_hpc::pam::stack::{ControlFlag, PamStack, PamVerdict};
 use securing_hpc::risk::engine::{RiskEngine, RiskGateModule, RiskWeights};
-use securing_hpc::risk::geo::{CountryCode, GeoAction, GeoDb, GeoGateModule, GeoPolicy};
+use securing_hpc::risk::geo::GeoDb;
 use std::sync::Arc;
 
 const DAY: u64 = 86_400;
@@ -138,43 +138,4 @@ fn impossible_travel_is_denied_before_password() {
         login(&r, "alice", "1.2.3.4", vec!["alice-pw".into(), code(&r)]),
         PamVerdict::Denied
     );
-}
-
-#[test]
-fn geo_deny_list_blocks_before_anything_else() {
-    let center = Center::new(CenterConfig::default());
-    center.create_user("restricted", "r@x.edu", "r-pw");
-    let policy = Arc::new(GeoPolicy::new(GeoAction::Deny));
-    policy.allow_user("restricted", &[CountryCode::parse("US").unwrap()]);
-    let gate = GeoGateModule::new(geodb(), policy);
-
-    let mut stack = PamStack::new();
-    stack.push(ControlFlag::Requisite, gate);
-    stack.push(
-        ControlFlag::Required,
-        UnixPasswordModule::new(center.directory.clone(), "ou=people,dc=tacc"),
-    );
-
-    let run = |ip: &str, answers: Vec<String>| {
-        let mut conv = ScriptedConversation::with_answers(answers);
-        let mut ctx = PamContext::new(
-            "restricted",
-            ip.parse().unwrap(),
-            Arc::new(center.clock.clone()),
-            &mut conv,
-        );
-        stack.authenticate(&mut ctx)
-    };
-    assert_eq!(run("70.1.1.1", vec!["r-pw".into()]), PamVerdict::Granted);
-    // From Germany: denied with no password prompt at all.
-    let mut conv = ScriptedConversation::with_answers(Vec::<String>::new());
-    let transcript = conv.transcript();
-    let mut ctx = PamContext::new(
-        "restricted",
-        "141.30.1.1".parse().unwrap(),
-        Arc::new(center.clock.clone()),
-        &mut conv,
-    );
-    assert_eq!(stack.authenticate(&mut ctx), PamVerdict::Denied);
-    assert!(transcript.lock().is_empty(), "blocked before any prompt");
 }

@@ -11,7 +11,7 @@ use securing_hpc::otp::totp::TotpParams;
 use securing_hpc::otpserver::admin::{AdminApi, HttpRequest};
 use securing_hpc::otpserver::handler::OtpRadiusHandler;
 use securing_hpc::otpserver::json::Json;
-use securing_hpc::otpserver::server::LinotpServer;
+use securing_hpc::otpserver::server::{LinotpServer, ServerConfig};
 use securing_hpc::otpserver::sms::TwilioSim;
 use securing_hpc::radius::attribute::{Attribute, AttributeType};
 use securing_hpc::radius::auth::{hide_password, request_authenticator, verify_response};
@@ -24,7 +24,7 @@ const SECRET: &[u8] = b"pool-secret";
 
 fn radius_rig() -> (Arc<RadiusServer>, Arc<LinotpServer>, SimClock) {
     let clock = SimClock::at(NOW);
-    let linotp = LinotpServer::new(TwilioSim::new(1), 2);
+    let linotp = LinotpServer::with_config(TwilioSim::new(1), 2, ServerConfig::default());
     let handler = OtpRadiusHandler::new(Arc::clone(&linotp), Arc::new(clock.clone()));
     (Arc::new(RadiusServer::new(SECRET, handler)), linotp, clock)
 }
@@ -99,7 +99,7 @@ fn captured_code_replay_fails() {
 /// Authorization header cannot be reused.
 #[test]
 fn admin_api_replay_and_privilege_checks() {
-    let linotp = LinotpServer::new(TwilioSim::new(9), 8);
+    let linotp = LinotpServer::with_config(TwilioSim::new(9), 8, ServerConfig::default());
     let api = AdminApi::new(Arc::clone(&linotp), "LinOTP admin area", 3);
     api.add_admin("portal", "pw");
 
@@ -135,7 +135,11 @@ fn admin_api_replay_and_privilege_checks() {
 fn sms_flooding_is_suppressed() {
     use securing_hpc::otpserver::sms::{PhoneNumber, SmsProvider};
     let twilio = TwilioSim::new(5);
-    let linotp = LinotpServer::new(Arc::clone(&twilio) as Arc<dyn SmsProvider>, 6);
+    let linotp = LinotpServer::with_config(
+        Arc::clone(&twilio) as Arc<dyn SmsProvider>,
+        6,
+        ServerConfig::default(),
+    );
     linotp.enroll_sms("bob", PhoneNumber::parse("5125550002").unwrap(), NOW);
     for i in 0..50 {
         let _ = linotp.trigger_sms("bob", NOW + i);

@@ -1,32 +1,22 @@
 //! End-to-end request tracing: ONE trace id minted at the login node is
 //! visible at every layer it crossed — the PAM stack span, the RADIUS
-//! client span, the proxy-tier span when a FreeRADIUS-style middle hop is
-//! deployed, and the `trace=<id>` suffix on the OTP server's audit rows.
+//! client span, the realm-hop span when the login's OTP leg is forwarded
+//! to another site, and the `trace=<id>` suffix on the OTP server's audit
+//! rows.
 //!
 //! This is the acceptance scenario for the telemetry subsystem: without a
 //! shared id, correlating "this denied login" with "that audit row" across
 //! three daemons means matching timestamps by eye.
 
-use securing_hpc::core::center::Center;
+use securing_hpc::core::center::{Center, CenterConfig, FederationParams};
 use securing_hpc::crypto::digestauth::answer_challenge;
-use securing_hpc::otp::clock::{Clock, SimClock};
-use securing_hpc::otp::device::SoftToken;
-use securing_hpc::otp::totp::TotpParams;
+use securing_hpc::federation::{RealmPeer, TrustConfig};
+use securing_hpc::otp::clock::Clock;
 use securing_hpc::otpserver::admin::HttpRequest;
-use securing_hpc::otpserver::handler::OtpRadiusHandler;
 use securing_hpc::otpserver::json::Json;
-use securing_hpc::otpserver::server::{LinotpServer, ServerConfig};
-use securing_hpc::otpserver::sms::{SmsProvider, TwilioSim};
-use securing_hpc::pam::context::PamContext;
-use securing_hpc::pam::conv::ScriptedConversation;
-use securing_hpc::pam::modules::token::{EnforcementMode, TokenModule};
-use securing_hpc::pam::stack::{ControlFlag, PamStack, PamVerdict};
-use securing_hpc::radius::client::{ClientConfig, RadiusClient};
-use securing_hpc::radius::proxy::ProxyHandler;
-use securing_hpc::radius::server::RadiusServer;
-use securing_hpc::radius::transport::{FaultPlan, InMemoryTransport, Transport};
+use securing_hpc::pam::modules::token::EnforcementMode;
 use securing_hpc::ssh::client::{ClientProfile, TokenSource};
-use securing_hpc::telemetry::{critical_path_summary, MetricsRegistry, SpanId, TraceId, TraceTree};
+use securing_hpc::telemetry::{critical_path_summary, SpanId, TraceId, TraceTree};
 use securing_hpc::workload::federation::FederationSim;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -39,7 +29,7 @@ const EXTERNAL_IP: Ipv4Addr = Ipv4Addr::new(70, 112, 50, 3);
 /// validation span, and the audit log — all in the ONE shared registry.
 #[test]
 fn full_center_login_yields_one_trace_across_all_layers() {
-    let c = Center::default_center();
+    let c = Center::new(CenterConfig::default());
     c.create_user("alice", "alice@utexas.edu", "alice-pw");
     c.set_enforcement(EnforcementMode::Full);
     let device = c.pair_soft("alice");
@@ -73,96 +63,75 @@ fn full_center_login_yields_one_trace_across_all_layers() {
     );
 }
 
-/// The same property with a FreeRADIUS-style proxy tier in the middle:
-/// login node → edge proxy → home OTP server, different shared secret per
-/// hop. The id is re-stamped on the upstream leg, so PAM, both RADIUS
-/// hops, the proxy, and the OTP audit rows all agree on one id.
+/// The same property across a realm hop, the paper's "proxy chaining
+/// across servers" (§3.2): `bob@psc` logs in at `tacc`, whose realm
+/// router forwards the OTP leg to psc's fleet under a different shared
+/// secret. The id is re-stamped on the upstream leg, so PAM, both RADIUS
+/// hops, the realm hop, and the home server's audit rows all agree on one
+/// id.
 #[test]
-fn one_trace_id_spans_pam_proxy_tier_and_otp_audit() {
-    const HOME_SECRET: &[u8] = b"home-secret";
-    const EDGE_SECRET: &[u8] = b"edge-secret";
-    const NOW: u64 = 1_475_000_000;
+fn one_trace_id_spans_pam_realm_hop_and_otp_audit() {
+    let site = |home: &str, peer: &str, seed: u64| {
+        let trust = TrustConfig {
+            home_realm: home.to_string(),
+            peers: vec![RealmPeer::new(
+                peer,
+                format!("{peer}-radius-secret").into_bytes(),
+            )],
+        };
+        Center::new(CenterConfig {
+            radius_secret: format!("{home}-radius-secret").into_bytes(),
+            enforcement: EnforcementMode::Full,
+            seed,
+            federation: Some(FederationParams::new(trust, b"resume-key")),
+            ..CenterConfig::default()
+        })
+    };
+    let tacc = site("tacc", "psc", 1);
+    let psc = site("psc", "tacc", 2);
+    tacc.connect_peer_realm("psc", &psc);
+    tacc.add_trace_source(Arc::clone(psc.metrics()));
+    psc.create_user("bob", "bob@psc.edu", "bob-pw");
+    let device = psc.pair_soft("bob");
+    // The visited site keeps the first factor; the OTP leg federates.
+    tacc.create_user("bob@psc", "bob@psc.edu", "bob-pw");
+    // One timeline: pairing stepped psc's clock past its confirmation code.
+    tacc.clock.advance(30);
 
-    let metrics = Arc::new(MetricsRegistry::new());
-    let clock = SimClock::at(NOW);
-    let clock_arc: Arc<dyn Clock> = Arc::new(clock.clone());
-
-    // Home tier: the LinOTP-style validation server.
-    let twilio = TwilioSim::new(3);
-    let linotp = LinotpServer::with_config(
-        twilio as Arc<dyn SmsProvider>,
-        7,
-        ServerConfig {
-            metrics: Arc::clone(&metrics),
-            ..ServerConfig::default()
-        },
+    let profile = ClientProfile::interactive_user("bob@psc", EXTERNAL_IP, "bob-pw").with_token(
+        TokenSource::device(move |now| Some(device.displayed_code(now))),
     );
-    let secret = linotp.enroll_soft("alice", NOW);
-    let device = SoftToken::new(secret, TotpParams::default());
-    let handler = OtpRadiusHandler::new(Arc::clone(&linotp), Arc::clone(&clock_arc));
-    let home = Arc::new(RadiusServer::new(HOME_SECRET, handler));
-    let home_transport: Arc<dyn Transport> =
-        Arc::new(InMemoryTransport::new("home0", home, FaultPlan::healthy()));
+    let report = tacc.ssh(0, &profile);
+    assert!(report.granted, "prompts: {:?}", report.prompts);
+    let id = *report.trace_ids.last().expect("the login has a trace id");
 
-    // Proxy tier: forwards to home with its own client and secret.
-    let upstream = Arc::new(RadiusClient::with_metrics(
-        ClientConfig::new(HOME_SECRET, "proxy1"),
-        vec![home_transport],
-        Arc::clone(&metrics),
-    ));
-    let proxy = Arc::new(ProxyHandler::new("proxy1", upstream, 99));
-    let edge = Arc::new(RadiusServer::new(EDGE_SECRET, proxy));
-    let edge_transport: Arc<dyn Transport> =
-        Arc::new(InMemoryTransport::new("edge0", edge, FaultPlan::healthy()));
-
-    // Login node: a PAM stack whose token module dials the edge proxy.
-    let nas_client = Arc::new(RadiusClient::with_metrics(
-        ClientConfig::new(EDGE_SECRET, "login1"),
-        vec![edge_transport],
-        Arc::clone(&metrics),
-    ));
-    let token_module = TokenModule::new(
-        EnforcementMode::Full,
-        Arc::clone(&nas_client),
-        securing_hpc::directory::ldap::Directory::new(),
-        "ou=people,dc=tacc",
-        11,
-    );
-    let mut stack = PamStack::new();
-    stack.push(ControlFlag::Required, token_module as _);
-    stack.set_metrics(Arc::clone(&metrics));
-
-    let code = device.displayed_code(clock.now());
-    let mut conv = ScriptedConversation::with_answers(vec![code]);
-    let mut ctx = PamContext::new("alice", EXTERNAL_IP, Arc::clone(&clock_arc), &mut conv);
-    let id = TraceId::from_u64(0x7acc_2017);
-    ctx.trace_id = id;
-    assert_eq!(stack.authenticate(&mut ctx), PamVerdict::Granted);
-
-    let components = metrics.tracer().components_for(id);
-    for layer in ["pam", "radius.client", "radius.proxy", "otp"] {
+    let tree = tacc.traces.assemble(id).expect("the trace assembles");
+    for layer in ["pam", "radius.client", "radius.realm", "otp"] {
         assert!(
-            components.contains(&layer.to_string()),
-            "no {layer} span for the login's trace id; got {components:?}"
+            tree.spans.iter().any(|s| s.component == layer),
+            "no {layer} span for the login's trace id; got {tree:?}"
         );
     }
     let needle = format!("trace={id}");
     assert!(
-        linotp
+        psc.linotp
             .audit()
-            .for_user("alice")
+            .for_user("bob")
             .iter()
             .any(|e| e.detail.contains(&needle)),
         "home-server audit rows lack {needle}"
     );
-    // Forwarding really went through the middle hop.
-    assert!(
-        metrics
-            .snapshot()
-            .counter("hpcmfa_radius_proxy_forwarded_total{proxy=\"proxy1\"}")
-            >= 2,
-        "challenge open + answer both crossed the proxy"
-    );
+    // The challenge open and the answer both crossed the realm hop.
+    let forwards = tacc.metrics_snapshot();
+    for outcome in ["challenge", "accept"] {
+        assert_eq!(
+            forwards.counter(&format!(
+                "hpcmfa_radius_proxy_forwards_total{{outcome=\"{outcome}\",realm=\"psc\"}}"
+            )),
+            1,
+            "{outcome}"
+        );
+    }
 }
 
 /// The transit login's cross-site trace tree, assembled at the visited
@@ -309,7 +278,7 @@ fn signed_get(admin: &securing_hpc::otpserver::admin::AdminApi, path: &str, now:
 /// so a latency breach links straight to a concrete trace tree.
 #[test]
 fn metrics_scrape_renders_exemplar_on_auth_path_histogram() {
-    let c = Center::default_center();
+    let c = Center::new(CenterConfig::default());
     c.create_user("alice", "alice@utexas.edu", "alice-pw");
     c.set_enforcement(EnforcementMode::Full);
     let device = c.pair_soft("alice");

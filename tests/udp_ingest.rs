@@ -15,6 +15,7 @@ use securing_hpc::otp::totp::TotpParams;
 use securing_hpc::otpserver::admin::{AdminApi, HttpRequest};
 use securing_hpc::otpserver::handler::TOKEN_PROMPT;
 use securing_hpc::otpserver::json::Json;
+use securing_hpc::otpserver::server::ServerConfig;
 use securing_hpc::otpserver::{LinotpServer, OtpRadiusHandler, TwilioSim};
 use securing_hpc::radius::client::{ClientConfig, Outcome, RadiusClient};
 use securing_hpc::radius::ingest::BatchedUdpServer;
@@ -30,7 +31,7 @@ const SECRET: &[u8] = b"ingest-pool-secret";
 
 #[test]
 fn batched_ingest_runs_the_otp_stack_and_exposes_metrics() {
-    let linotp = LinotpServer::new(TwilioSim::new(1), 77);
+    let linotp = LinotpServer::with_config(TwilioSim::new(1), 77, ServerConfig::default());
     let clock = SimClock::at(NOW);
     let secret = linotp.enroll_soft("alice", NOW);
     let device = SoftToken::new(secret, TotpParams::default());
