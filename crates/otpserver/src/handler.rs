@@ -22,9 +22,9 @@ use crate::server::{
 use hpcmfa_federation::{ResumeAuthority, TokenError};
 use hpcmfa_otp::clock::Clock;
 use hpcmfa_radius::attribute::{Attribute, AttributeType};
-use hpcmfa_radius::packet::{Packet, PacketView};
+use hpcmfa_radius::packet::PacketView;
 use hpcmfa_radius::server::{Handler, PendingDecision, ServerDecision};
-use hpcmfa_radius::tracewire::{self, WireTraceCtx};
+use hpcmfa_radius::tracewire;
 use hpcmfa_telemetry::{Counter, DetachedSpan, SecurityEventKind, SpanCtx, SpanGuard, SpanStatus};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -364,24 +364,19 @@ impl OtpRadiusHandler {
             AUTH_ERROR_MSG,
         )])
     }
+}
 
-    /// The decision logic shared by both [`Handler`] entry points. All
-    /// request fields arrive pre-extracted as borrows, so the zero-copy
-    /// [`PacketView`] path and the owned [`Packet`] path converge here
-    /// without either copying the datagram.
-    fn decide(
-        &self,
-        username: Option<&str>,
-        password: Option<&[u8]>,
-        wire_ctx: Option<WireTraceCtx>,
-        source_text: Option<&str>,
-    ) -> ServerDecision {
+impl Handler for OtpRadiusHandler {
+    /// Every field is read straight out of the receive buffer, so a full
+    /// OTP validation performs no per-attribute allocation between socket
+    /// and store.
+    fn handle_view(&self, request: &PacketView<'_>, password: Option<&[u8]>) -> ServerDecision {
         // Failover safe point: promote a due standby before touching the
         // store (the promotion reloads the server's working set).
         if let Some(cluster) = &self.cluster {
             cluster.maybe_failover(self.clock.now());
         }
-        let Some(username) = username else {
+        let Some(username) = request.text(AttributeType::UserName) else {
             return ServerDecision::Discard;
         };
         let Some(password) = password else {
@@ -394,10 +389,12 @@ impl OtpRadiusHandler {
         // hangs the responder's spans under the requesting attempt, and
         // the clock reading keeps virtual timestamps monotone across the
         // hop.
-        let ctx = wire_ctx.map(|w| w.span_ctx());
+        let ctx = tracewire::trace_ctx_of_view(request).map(|w| w.span_ctx());
         // The client's source address (Calling-Station-Id) feeds the
         // per-network admission control when overload protection is on.
-        let source = source_text.and_then(|s| s.parse().ok());
+        let source = request
+            .text(AttributeType::CallingStationId)
+            .and_then(|s| s.parse().ok());
 
         if password.is_empty() {
             // Null request: open the challenge, texting SMS users first.
@@ -430,29 +427,6 @@ impl OtpRadiusHandler {
     }
 }
 
-impl Handler for OtpRadiusHandler {
-    fn handle(&self, request: &Packet, password: Option<&[u8]>) -> ServerDecision {
-        self.decide(
-            request.text(AttributeType::UserName),
-            password,
-            tracewire::trace_ctx_of(request),
-            request.text(AttributeType::CallingStationId),
-        )
-    }
-
-    /// The batched ingest loop's entry point: every field is read straight
-    /// out of the receive buffer, so a full OTP validation performs no
-    /// per-attribute allocation between socket and store.
-    fn handle_view(&self, request: &PacketView<'_>, password: Option<&[u8]>) -> ServerDecision {
-        self.decide(
-            request.text(AttributeType::UserName),
-            password,
-            tracewire::trace_ctx_of_view(request),
-            request.text(AttributeType::CallingStationId),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,6 +436,7 @@ mod tests {
     use hpcmfa_otp::device::SoftToken;
     use hpcmfa_otp::totp::TotpParams;
     use hpcmfa_radius::client::{ClientConfig, Outcome, RadiusClient};
+    use hpcmfa_radius::packet::Packet;
     use hpcmfa_radius::server::RadiusServer;
     use hpcmfa_radius::transport::{FaultPlan, InMemoryTransport, Transport};
     use rand::rngs::StdRng;
@@ -469,6 +444,14 @@ mod tests {
 
     const NOW: u64 = 1_475_000_000;
     const SECRET: &[u8] = b"pool";
+
+    /// The server's reply to `datagram`, if it answers.
+    fn answer(server: &RadiusServer, datagram: &[u8]) -> Option<Vec<u8>> {
+        let (mut reply, mut pw_scratch) = (Vec::new(), Vec::new());
+        server
+            .process_into(datagram, &mut reply, &mut pw_scratch)
+            .then_some(reply)
+    }
 
     struct Rig {
         client: RadiusClient,
@@ -624,7 +607,7 @@ mod tests {
         // Route straight through a server to observe the discard.
         let handler = OtpRadiusHandler::new(Arc::clone(&rig.linotp), Arc::new(SimClock::at(NOW)));
         let server = RadiusServer::new(SECRET, handler);
-        assert_eq!(server.process_datagram(&req.encode()), None);
+        assert_eq!(answer(&server, &req.encode()), None);
     }
 
     #[test]
@@ -651,9 +634,9 @@ mod tests {
             .clone()
             .with_attribute(Attribute::new(AttributeType::VendorSpecific, flat_id));
         // Same reply to the byte, no span, no trace id in the audit rows.
-        let untraced = server.process_datagram(&plain.encode());
+        let untraced = answer(&server, &plain.encode());
         assert!(untraced.is_some());
-        assert_eq!(server.process_datagram(&flat.encode()), untraced);
+        assert_eq!(answer(&server, &flat.encode()), untraced);
         assert!(rig.linotp.metrics().tracer().is_empty());
         let rows = rig.linotp.audit().for_user("alice");
         assert_eq!(rows.len(), 3);

@@ -44,7 +44,7 @@ use hpcmfa_otpserver::{
 };
 use hpcmfa_radius::auth::{fixture_authenticator, hide_password};
 use hpcmfa_radius::ingest::{BatchedUdpServer, IngestConfig, IngestHandle};
-use hpcmfa_radius::packet::{Code, Packet};
+use hpcmfa_radius::packet::{Code, Packet, PacketView};
 use hpcmfa_radius::server::RadiusServer;
 use hpcmfa_radius::tracewire;
 use hpcmfa_radius::BreakerConfig;
@@ -701,8 +701,12 @@ impl Gateway {
             .client
             .recv_from(&mut buf)
             .expect("a reply (none within 5 s: a reply is stranded)");
-        let reply = Packet::decode(&buf[..n]).unwrap();
-        (reply.identifier, reply.code, tracewire::clock_of(&reply))
+        let reply = PacketView::parse(&buf[..n]).unwrap();
+        (
+            reply.identifier,
+            reply.code,
+            tracewire::clock_of_view(&reply),
+        )
     }
 
     fn shut_down(self) -> hpcmfa_radius::IngestStats {

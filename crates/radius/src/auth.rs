@@ -88,6 +88,7 @@ pub fn verify_reply(reply: &[u8], request_auth: &[u8; 16], secret: &[u8]) -> boo
 
 /// Verify a decoded response against the request it answers: the owned
 /// form of [`verify_reply`], over the response's encoding.
+/// Kept for `benchmark/src/sut.rs` until ROADMAP item 2.
 pub fn verify_response(response: &Packet, request_auth: &[u8; 16], secret: &[u8]) -> bool {
     verify_reply(&response.encode(), request_auth, secret)
 }
@@ -134,6 +135,7 @@ pub fn hide_password_into(
 
 /// Hide a password per RFC 2865 §5.2 into a fresh buffer: the allocating
 /// form of [`hide_password_into`].
+/// Kept for `benchmark/src/sut.rs` until ROADMAP item 2.
 ///
 /// # Panics
 ///

@@ -25,7 +25,7 @@
 use crate::attribute::{AttrView, AttributeType};
 use crate::auth::{hidden_len, hide_password_into, request_authenticator, verify_reply};
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::packet::{Code, PacketView};
+use crate::packet::{set_wire_len, Code, PacketView};
 use crate::tracewire;
 use crate::transport::{Transport, TransportError};
 use crate::MIN_PACKET_LEN;
@@ -874,12 +874,6 @@ impl RadiusClient {
     }
 }
 
-/// Write `wire`'s length into its header.
-fn set_wire_len(wire: &mut [u8]) {
-    let len = (wire.len() as u16).to_be_bytes();
-    wire[2..4].copy_from_slice(&len);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1282,7 +1276,10 @@ mod tests {
             Arc::new(parking_lot::Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
         let handler: Arc<dyn Handler> = Arc::new(move |req: &Packet, _pw: Option<&[u8]>| {
-            seen2.lock().push(crate::tracewire::trace_id_of(req));
+            let ctx = (req.attributes.iter())
+                .filter(|a| a.ty == AttributeType::VendorSpecific)
+                .find_map(|a| crate::tracewire::decode_trace_ctx_bytes(&a.value));
+            seen2.lock().push(ctx.map(|c| c.trace));
             ServerDecision::Accept(vec![])
         });
         let server = Arc::new(RadiusServer::new(SECRET, handler));

@@ -3,17 +3,24 @@
 //! Layout: `code(1) | identifier(1) | length(2, BE) | authenticator(16) |
 //! attributes...`.
 //!
-//! Two decode paths share one validation discipline:
+//! One decoder: [`PacketView::parse`] makes one validating walk of the
+//! TLVs, then yields attributes as [`AttrView`] slices into the receive
+//! buffer, with no heap allocation per attribute. Every receive path
+//! (server, client, realm router) decodes this way. [`Packet`] is the
+//! owned form handlers and tests *construct* replies and requests with;
+//! [`PacketView::to_packet`] copies a view into one.
 //!
-//! * [`Packet::decode`] — owned: every attribute value is copied into its
-//!   own `Vec<u8>`. Kept for construction-side round trips and anything
-//!   that outlives the receive buffer.
-//! * [`PacketView::parse`] — borrowed: one validating walk of the TLVs,
-//!   then attributes are yielded as [`AttrView`] slices into the original
-//!   buffer. Zero heap allocations per attribute — the ingest hot loop
-//!   decodes every datagram this way. The two paths accept and reject
-//!   byte-identical inputs with identical [`PacketError`]s (property
-//!   tested in `tests/view_props.rs`).
+//! The module reads network bytes, so it sits behind the lint wall: no
+//! indexing, no unchecked arithmetic, no truncating casts, no panics.
+
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
 
 use crate::attribute::{AttrView, Attribute, AttributeType};
 use crate::{MAX_PACKET_LEN, MIN_PACKET_LEN};
@@ -127,11 +134,6 @@ impl Packet {
         self.attributes.iter().find(|a| a.ty == ty)
     }
 
-    /// All attributes of `ty` (Proxy-State may repeat).
-    pub(crate) fn attributes_of(&self, ty: AttributeType) -> Vec<&Attribute> {
-        self.attributes.iter().filter(|a| a.ty == ty).collect()
-    }
-
     /// Text value of the first attribute of `ty`.
     pub fn text(&self, ty: AttributeType) -> Option<&str> {
         self.attribute(ty).and_then(Attribute::as_text)
@@ -139,88 +141,63 @@ impl Packet {
 
     /// Total encoded length.
     pub fn wire_len(&self) -> usize {
-        MIN_PACKET_LEN
-            + self
-                .attributes
-                .iter()
-                .map(Attribute::wire_len)
-                .sum::<usize>()
+        self.attributes
+            .iter()
+            .fold(MIN_PACKET_LEN, |n, a| n.saturating_add(a.wire_len()))
     }
 
     /// Encode to wire bytes (thin allocating wrapper over
-    /// [`Packet::encode_into`]).
+    /// [`Packet::encode_into`]): empty for a packet that cannot be sent.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.wire_len());
         self.encode_into(&mut buf);
         buf
     }
 
-    /// Encode into a caller-provided buffer, clearing it first. The hot
-    /// encode path: per-worker reply buffers are reused across datagrams,
-    /// so steady-state encoding allocates nothing.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let len = self.wire_len();
-        debug_assert!(len <= MAX_PACKET_LEN, "packet exceeds RFC maximum");
+    /// Encode into a caller-provided buffer, clearing it first. A packet
+    /// over the RFC's 4 096 octets, or with an attribute value over the
+    /// 253 octets its one-octet length can say, is not encoded: `false`,
+    /// and `buf` is left empty. No length field is ever truncated.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> bool {
         buf.clear();
-        buf.reserve(len);
+        let len = self.wire_len();
+        let fits = len <= MAX_PACKET_LEN && self.attributes.iter().all(|a| a.value.len() <= 253);
+        let len = match u16::try_from(len) {
+            Ok(len) if fits => len,
+            _ => return false,
+        };
+        buf.reserve(usize::from(len));
         buf.push(self.code.code());
         buf.push(self.identifier);
-        buf.extend_from_slice(&(len as u16).to_be_bytes());
+        buf.extend_from_slice(&len.to_be_bytes());
         buf.extend_from_slice(&self.authenticator);
         for attr in &self.attributes {
             attr.encode(buf);
         }
+        true
     }
 
-    /// Decode from wire bytes.
+    /// Decode from wire bytes: [`PacketView::parse`], copied out.
+    /// Kept for `benchmark/src/sut.rs` until ROADMAP item 2.
     pub fn decode(data: &[u8]) -> Result<Self, PacketError> {
-        if data.len() < MIN_PACKET_LEN {
-            return Err(PacketError::TooShort);
-        }
-        let declared = u16::from_be_bytes([data[2], data[3]]) as usize;
-        if declared < MIN_PACKET_LEN || declared > data.len() || declared > MAX_PACKET_LEN {
-            return Err(PacketError::BadLength {
-                declared,
-                actual: data.len(),
-            });
-        }
-        let code = Code::from_code(data[0]).ok_or(PacketError::UnknownCode(data[0]))?;
-        let identifier = data[1];
-        let mut authenticator = [0u8; 16];
-        authenticator.copy_from_slice(&data[4..20]);
+        PacketView::parse(data).map(|v| v.to_packet())
+    }
+}
 
-        let mut attributes = Vec::new();
-        let mut offset = MIN_PACKET_LEN;
-        // RFC: octets past the declared length are padding and ignored.
-        while offset < declared {
-            if declared - offset < 2 {
-                return Err(PacketError::MalformedAttribute { offset });
-            }
-            let ty = AttributeType::from_code(data[offset]);
-            let alen = data[offset + 1] as usize;
-            if alen < 2 || offset + alen > declared {
-                return Err(PacketError::MalformedAttribute { offset });
-            }
-            attributes.push(Attribute::new(ty, data[offset + 2..offset + alen].to_vec()));
-            offset += alen;
+/// Write `wire.len()` into the length field of the packet encoded in
+/// `wire`: `false`, and nothing written, past the RFC's 4 096 octets.
+pub(crate) fn set_wire_len(wire: &mut [u8]) -> bool {
+    match (u16::try_from(wire.len()), wire.get_mut(2..4)) {
+        (Ok(len), Some(field)) if usize::from(len) <= MAX_PACKET_LEN => {
+            field.copy_from_slice(&len.to_be_bytes());
+            true
         }
-        Ok(Packet {
-            code,
-            identifier,
-            authenticator,
-            attributes,
-        })
+        _ => false,
     }
 }
 
 /// A zero-copy decoded RADIUS packet: header fields plus a validated
 /// attribute region borrowed from the receive buffer.
-///
-/// [`PacketView::parse`] performs the same validating TLV walk as
-/// [`Packet::decode`] — same accepted inputs, same [`PacketError`]s — but
-/// copies nothing: attributes are yielded as [`AttrView`] slices. This is
-/// the decode path of the batched ingest loop, where one owned `Vec` per
-/// attribute per datagram was the dominant allocation cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketView<'a> {
     /// Packet code.
@@ -234,39 +211,41 @@ pub struct PacketView<'a> {
 }
 
 impl<'a> PacketView<'a> {
-    /// Validate and borrow a packet from wire bytes. Accepts and rejects
-    /// exactly the inputs [`Packet::decode`] does, with identical errors;
-    /// octets past the declared length are padding and ignored.
+    /// Validate and borrow a packet from wire bytes: one walk of the TLV
+    /// region, values untouched. Octets past the declared length are
+    /// padding and ignored.
     pub fn parse(data: &'a [u8]) -> Result<Self, PacketError> {
-        if data.len() < MIN_PACKET_LEN {
-            return Err(PacketError::TooShort);
-        }
-        let declared = u16::from_be_bytes([data[2], data[3]]) as usize;
-        if declared < MIN_PACKET_LEN || declared > data.len() || declared > MAX_PACKET_LEN {
-            return Err(PacketError::BadLength {
+        let (header, body) = data
+            .split_first_chunk::<MIN_PACKET_LEN>()
+            .ok_or(PacketError::TooShort)?;
+        let [code, identifier, hi, lo, authenticator @ ..] = header;
+        let declared = usize::from(u16::from_be_bytes([*hi, *lo]));
+        let attrs = declared
+            .checked_sub(MIN_PACKET_LEN)
+            .filter(|_| declared <= MAX_PACKET_LEN)
+            .and_then(|n| body.get(..n))
+            .ok_or(PacketError::BadLength {
                 declared,
                 actual: data.len(),
-            });
+            })?;
+        let code = Code::from_code(*code).ok_or(PacketError::UnknownCode(*code))?;
+        // `rest` is a tail of `attrs`, which ends at `declared`.
+        let malformed = |rest: &[u8]| PacketError::MalformedAttribute {
+            offset: declared.saturating_sub(rest.len()),
+        };
+        let mut rest = attrs;
+        while !rest.is_empty() {
+            let alen = match rest {
+                [_, alen, ..] if *alen >= 2 => usize::from(*alen),
+                _ => return Err(malformed(rest)),
+            };
+            rest = rest.get(alen..).ok_or_else(|| malformed(rest))?;
         }
-        let code = Code::from_code(data[0]).ok_or(PacketError::UnknownCode(data[0]))?;
-        // One validating walk of the TLV region; values are not touched.
-        let mut offset = MIN_PACKET_LEN;
-        while offset < declared {
-            if declared - offset < 2 {
-                return Err(PacketError::MalformedAttribute { offset });
-            }
-            let alen = data[offset + 1] as usize;
-            if alen < 2 || offset + alen > declared {
-                return Err(PacketError::MalformedAttribute { offset });
-            }
-            offset += alen;
-        }
-        let authenticator: &[u8; 16] = data[4..20].try_into().expect("length checked");
         Ok(PacketView {
             code,
-            identifier: data[1],
+            identifier: *identifier,
             authenticator,
-            attrs: &data[MIN_PACKET_LEN..declared],
+            attrs,
         })
     }
 
@@ -277,7 +256,7 @@ impl<'a> PacketView<'a> {
 
     /// Total length this packet declares on the wire.
     pub fn wire_len(&self) -> usize {
-        MIN_PACKET_LEN + self.attrs.len()
+        MIN_PACKET_LEN.saturating_add(self.attrs.len())
     }
 
     /// Iterate the attributes in wire order, zero-copy. The region was
@@ -301,8 +280,8 @@ impl<'a> PacketView<'a> {
         self.attribute(ty).and_then(|a| a.as_text())
     }
 
-    /// Copy into an owned [`Packet`] (the compatibility bridge for
-    /// handlers that have not opted into view dispatch).
+    /// Copy into an owned [`Packet`]: what a `&Packet` closure handler
+    /// and [`Packet::decode`] are given.
     pub fn to_packet(&self) -> Packet {
         Packet {
             code: self.code,
@@ -323,19 +302,28 @@ impl<'a> Iterator for AttrIter<'a> {
     type Item = AttrView<'a>;
 
     fn next(&mut self) -> Option<AttrView<'a>> {
-        if self.rest.len() < 2 {
-            return None;
-        }
-        let ty = AttributeType::from_code(self.rest[0]);
-        let alen = (self.rest[1] as usize).clamp(2, self.rest.len());
-        let value = &self.rest[2..alen];
-        self.rest = &self.rest[alen..];
-        Some(AttrView { ty, value })
+        let (&[ty, alen], tail) = self.rest.split_first_chunk::<2>()?;
+        // Parse validated every length; a short one still cannot overrun.
+        let (value, rest) = tail
+            .split_at_checked(usize::from(alen).saturating_sub(2))
+            .unwrap_or((tail, &[]));
+        self.rest = rest;
+        Some(AttrView {
+            ty: AttributeType::from_code(ty),
+            value,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(
+        clippy::unwrap_used,
+        clippy::indexing_slicing,
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation
+    )]
+
     use super::*;
 
     fn sample() -> Packet {
@@ -443,10 +431,35 @@ mod tests {
             .with_attribute(Attribute::new(AttributeType::ProxyState, vec![1]))
             .with_attribute(Attribute::new(AttributeType::ProxyState, vec![2]));
         let d = Packet::decode(&p.encode()).unwrap();
-        let states = d.attributes_of(AttributeType::ProxyState);
-        assert_eq!(states.len(), 2);
-        assert_eq!(states[0].value, vec![1]);
-        assert_eq!(states[1].value, vec![2]);
+        assert_eq!(d, p);
+    }
+
+    /// RFC 2865 §3 caps a packet at 4 096 octets, and an attribute's
+    /// one-octet length caps its value at 253: past either, nothing is
+    /// encoded, rather than a length field that wraps.
+    #[test]
+    fn an_unsendable_packet_encodes_to_nothing() {
+        let full = Attribute::new(AttributeType::ReplyMessage, vec![b'x'; 253]);
+        // 20 + 16 × 255 = 4 100 octets.
+        let mut big = Packet::new(Code::AccessAccept, 1, [0u8; 16]);
+        big.attributes = vec![full.clone(); 16];
+        let mut buf = vec![0xff; 8];
+        assert!(!big.encode_into(&mut buf));
+        assert!(buf.is_empty());
+        assert!(big.encode().is_empty());
+        // Four octets fewer fit exactly, and say so in the header.
+        big.attributes[15].value.truncate(249);
+        assert!(big.encode_into(&mut buf));
+        assert_eq!(buf.len(), 4096);
+        assert_eq!(u16::from_be_bytes([buf[2], buf[3]]), 4096);
+        // 20 + 258 × 255 = 65 810 octets, which a `u16` cast wraps to 274.
+        big.attributes = vec![full; 258];
+        assert!(!big.encode_into(&mut buf));
+        assert!(buf.is_empty());
+        let long = Packet::new(Code::AccessAccept, 1, [0u8; 16])
+            .with_attribute(Attribute::new(AttributeType::ReplyMessage, vec![0; 254]));
+        assert!(!long.encode_into(&mut buf));
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -489,33 +502,6 @@ mod tests {
             Some(&[1u8, 2, 3][..])
         );
         assert_eq!(view.attribute(AttributeType::ReplyMessage), None);
-    }
-
-    #[test]
-    fn view_rejects_what_decode_rejects() {
-        // Each corruption family must fail identically on both paths.
-        let mut wire = sample().encode();
-        wire.extend_from_slice(&[0u8; 3]); // padding: still fine
-        assert_eq!(
-            PacketView::parse(&wire).map(|v| v.to_packet()),
-            Packet::decode(&wire)
-        );
-        wire[0] = 77; // unknown code
-        assert_eq!(
-            PacketView::parse(&wire).unwrap_err(),
-            Packet::decode(&wire).unwrap_err()
-        );
-        assert_eq!(
-            PacketView::parse(&[1, 2, 3]).unwrap_err(),
-            PacketError::TooShort
-        );
-        let mut short = sample().encode();
-        let last = short.len() - 4;
-        short[last] = 250; // attribute runs past the packet
-        assert_eq!(
-            PacketView::parse(&short).unwrap_err(),
-            Packet::decode(&short).unwrap_err()
-        );
     }
 
     #[test]

@@ -31,16 +31,16 @@
     clippy::panic
 )]
 
-use crate::attribute::{Attribute, AttributeType};
+use crate::attribute::{AttrView, Attribute, AttributeType};
 use crate::client::{Outcome, RadiusClient};
-use crate::packet::Packet;
+use crate::packet::{set_wire_len, PacketView};
 use crate::server::{Handler, ServerDecision};
 use crate::tracewire;
 use hpcmfa_federation::{split_principal, TrustConfig};
 use hpcmfa_telemetry::{MetricsRegistry, SecurityEventKind, SpanStatus};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -54,7 +54,8 @@ pub struct RealmRouter {
     /// federated sites can be wired together after each site's own fleet
     /// is standing (trust is mutual; neither side exists first).
     routes: RwLock<BTreeMap<String, Arc<RadiusClient>>>,
-    /// RNG for upstream request authenticators.
+    /// Seeds one RNG per forwarded exchange (its request authenticators),
+    /// drawn in call order; no exchange runs under this lock.
     rng: Mutex<StdRng>,
     metrics: Arc<MetricsRegistry>,
 }
@@ -106,15 +107,15 @@ impl RealmRouter {
         &self,
         realm: &str,
         upstream: &RadiusClient,
-        request: &Packet,
+        request: &PacketView<'_>,
         password: &[u8],
     ) -> ServerDecision {
         let username = request.text(AttributeType::UserName).unwrap_or_default();
         let calling = request
             .text(AttributeType::CallingStationId)
             .unwrap_or_default();
-        let state = request.attribute(AttributeType::State);
-        let wire_ctx = tracewire::trace_ctx_of(request);
+        let state = request.attribute(AttributeType::State).map(|a| a.value);
+        let wire_ctx = tracewire::trace_ctx_of_view(request);
 
         let mut guard = wire_ctx.map(|w| {
             let mut g = self
@@ -126,12 +127,15 @@ impl RealmRouter {
         });
         let span_id = guard.as_ref().map(|g| g.id());
         let child_ctx = guard.as_ref().map(|g| g.child_ctx());
+        // A stalled peer holds up its own logins only: the router's lock
+        // is held for the seed, not for the exchange.
+        let mut rng = StdRng::seed_from_u64(self.rng.lock().next_u64());
         let result = upstream.request(
-            &mut *self.rng.lock(),
+            &mut rng,
             username,
             password,
             calling,
-            state.map(|a| a.value.as_slice()),
+            state,
             child_ctx.as_ref(),
         );
 
@@ -191,23 +195,39 @@ fn authentication_error() -> ServerDecision {
     )])
 }
 
+/// `request` with every User-Name value replaced by `user`, encoded into
+/// `wire`. `user` is never longer than the name it replaces, so the copy
+/// is no longer than the request.
+fn with_user_name(request: &PacketView<'_>, user: &str, wire: &mut Vec<u8>) {
+    // Code, identifier, and the length set below.
+    wire.extend_from_slice(&[request.code.code(), request.identifier, 0, 0]);
+    wire.extend_from_slice(request.authenticator());
+    for attr in request.attributes() {
+        let value = match attr.ty {
+            AttributeType::UserName => user.as_bytes(),
+            _ => attr.value,
+        };
+        AttrView { value, ..attr }.encode(wire);
+    }
+    set_wire_len(wire);
+}
+
 impl Handler for RealmRouter {
-    fn handle(&self, request: &Packet, password: Option<&[u8]>) -> ServerDecision {
+    fn handle_view(&self, request: &PacketView<'_>, password: Option<&[u8]>) -> ServerDecision {
         let Some(name) = request.text(AttributeType::UserName) else {
             return ServerDecision::Discard;
         };
         let principal = split_principal(name);
         match &principal.realm {
             // Bare or home-realm names: strip the suffix and serve locally.
-            None => self.local.handle(request, password),
+            None => self.local.handle_view(request, password),
             Some(realm) if self.trust.is_home(realm) => {
-                let mut local_req = request.clone();
-                for attr in &mut local_req.attributes {
-                    if attr.ty == AttributeType::UserName {
-                        attr.value = principal.user.clone().into_bytes();
-                    }
+                let mut wire = Vec::with_capacity(request.wire_len());
+                with_user_name(request, &principal.user, &mut wire);
+                match PacketView::parse(&wire) {
+                    Ok(local_req) => self.local.handle_view(&local_req, password),
+                    Err(_) => ServerDecision::Discard,
                 }
-                self.local.handle(&local_req, password)
             }
             Some(realm) => {
                 if !self.trust.is_allowed(realm) {
@@ -226,7 +246,7 @@ impl Handler for RealmRouter {
                         self.count(realm, "unreachable");
                         self.metrics.emit_event(
                             SecurityEventKind::RealmUnreachable,
-                            tracewire::trace_id_of(request),
+                            tracewire::trace_ctx_of_view(request).map(|w| w.trace),
                             None,
                             0,
                             format!("realm={realm} no upstream pool configured"),
@@ -241,25 +261,28 @@ impl Handler for RealmRouter {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::panic)]
+    #![allow(clippy::unwrap_used, clippy::panic, clippy::indexing_slicing)]
 
     use super::*;
+    use crate::auth::{fixture_authenticator, hide_password};
     use crate::client::{ClientConfig, Outcome};
+    use crate::packet::{Code, Packet};
     use crate::server::RadiusServer;
-    use crate::transport::{FaultPlan, InMemoryTransport, Transport};
+    use crate::transport::{FaultPlan, InMemoryTransport, Transport, TransportError};
     use hpcmfa_federation::RealmPeer;
-    use rand::SeedableRng;
+    use hpcmfa_telemetry::TraceId;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     const TACC_SECRET: &[u8] = b"tacc-secret";
     const REMOTE_SECRET: &[u8] = b"remote-secret";
 
-    /// Local handler that records the name it saw. An empty password
+    /// Local handler that records the request it saw. An empty password
     /// opens a challenge with `State` "st"; "123456" is accepted unless it
     /// answers some other `State`.
-    fn local_handler(seen: Arc<Mutex<Vec<String>>>) -> Arc<dyn Handler> {
+    fn local_handler(seen: Arc<Mutex<Vec<Packet>>>) -> Arc<dyn Handler> {
         Arc::new(move |req: &Packet, pw: Option<&[u8]>| {
-            seen.lock()
-                .push(req.text(AttributeType::UserName).unwrap_or("").to_string());
+            seen.lock().push(req.clone());
             let state = req
                 .attribute(AttributeType::State)
                 .map(|a| a.value.as_slice());
@@ -274,10 +297,17 @@ mod tests {
         })
     }
 
+    /// The User-Names a recording handler saw, in order.
+    fn names(seen: &Mutex<Vec<Packet>>) -> Vec<String> {
+        (seen.lock().iter())
+            .map(|p| p.text(AttributeType::UserName).unwrap_or("").to_string())
+            .collect()
+    }
+
     struct Rig {
         router: Arc<RealmRouter>,
-        seen_local: Arc<Mutex<Vec<String>>>,
-        seen_remote: Arc<Mutex<Vec<String>>>,
+        seen_local: Arc<Mutex<Vec<Packet>>>,
+        seen_remote: Arc<Mutex<Vec<Packet>>>,
         remote_faults: Arc<FaultPlan>,
         metrics: Arc<MetricsRegistry>,
     }
@@ -307,7 +337,10 @@ mod tests {
 
         let trust = TrustConfig {
             home_realm: "tacc".to_string(),
-            peers: vec![RealmPeer::new("remote", REMOTE_SECRET.to_vec())],
+            peers: vec![
+                RealmPeer::new("remote", REMOTE_SECRET.to_vec()),
+                RealmPeer::new("stalled", REMOTE_SECRET.to_vec()),
+            ],
         };
         let router = RealmRouter::new(
             trust,
@@ -350,8 +383,41 @@ mod tests {
             .authenticate(&mut rng, "bob@tacc", b"123456", "1.2.3.4")
             .unwrap();
         assert!(matches!(out, Outcome::Accept { .. }));
-        assert_eq!(rig.seen_local.lock().as_slice(), &["alice", "bob"]);
+        assert_eq!(names(&rig.seen_local), ["alice", "bob"]);
         assert!(rig.seen_remote.lock().is_empty());
+
+        // Stripping rewrites the User-Name and nothing else: State, both
+        // Proxy-States, Calling-Station-Id and the trace context reach
+        // the local handler byte-identical and in order, and the reply
+        // echoes the Proxy-States.
+        let ra = fixture_authenticator("home");
+        let request = Packet::new(Code::AccessRequest, 9, ra)
+            .with_attribute(Attribute::new(AttributeType::ProxyState, vec![0xaa]))
+            .with_attribute(Attribute::text(AttributeType::UserName, "alice@tacc"))
+            .with_attribute(Attribute::new(
+                AttributeType::UserPassword,
+                hide_password(b"123456", &ra, TACC_SECRET),
+            ))
+            .with_attribute(Attribute::text(AttributeType::CallingStationId, "1.2.3.4"))
+            .with_attribute(Attribute::new(AttributeType::State, b"st".to_vec()))
+            .with_attribute(tracewire::trace_ctx_attribute(
+                TraceId::from_u64(77),
+                None,
+                5,
+            ))
+            .with_attribute(Attribute::new(AttributeType::ProxyState, vec![0xbb]));
+        let edge = RadiusServer::new(TACC_SECRET, Arc::clone(&rig.router) as Arc<dyn Handler>);
+        let (mut reply, mut pw_scratch) = (Vec::new(), Vec::new());
+        assert!(edge.process_into(&request.encode(), &mut reply, &mut pw_scratch));
+        let reply = PacketView::parse(&reply).unwrap();
+        assert_eq!(reply.code, Code::AccessAccept);
+        let echoed: Vec<&[u8]> = (reply.attributes_of(AttributeType::ProxyState))
+            .map(|a| a.value)
+            .collect();
+        assert_eq!(echoed, [&[0xaa][..], &[0xbb][..]]);
+        let mut stripped = request.clone();
+        stripped.attributes[1] = Attribute::text(AttributeType::UserName, "alice");
+        assert_eq!(rig.seen_local.lock().last(), Some(&stripped));
     }
 
     #[test]
@@ -383,7 +449,7 @@ mod tests {
         assert!(matches!(answer(b"forged"), Outcome::Reject { .. }));
         // The remote side sees the unmodified principal (its own router
         // strips it); nothing leaked to the local handler.
-        assert_eq!(rig.seen_remote.lock().as_slice(), &["carol@remote"; 4]);
+        assert_eq!(names(&rig.seen_remote), ["carol@remote"; 4]);
         assert!(rig.seen_local.lock().is_empty());
         let forwards = |outcome: &str| {
             rig.metrics.snapshot().counter(&format!(
@@ -449,5 +515,68 @@ mod tests {
             ),
             2
         );
+    }
+
+    /// Signals each exchange it begins, then blocks until `release` hangs
+    /// up, and times out.
+    struct Stalled {
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Transport for Stalled {
+        fn exchange_into(&self, _: &[u8], _: &mut Vec<u8>) -> Result<(), TransportError> {
+            let _ = self.entered.lock().send(());
+            let _ = self.release.lock().recv();
+            Err(TransportError::Timeout)
+        }
+
+        fn name(&self) -> String {
+            "stalled".into()
+        }
+    }
+
+    /// One peer realm stalled inside its exchange holds up its own logins
+    /// only: a login to another realm through the same router finishes.
+    #[test]
+    fn a_stalled_peer_realm_does_not_hold_up_another() {
+        let rig = rig();
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let stalled = Stalled {
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        };
+        rig.router.add_route(
+            "stalled",
+            Arc::new(RadiusClient::new(
+                ClientConfig::new(REMOTE_SECRET, "tacc-fed"),
+                vec![Arc::new(stalled)],
+            )),
+        );
+        let login = |user: &'static str, seed: u64| {
+            let router = Arc::clone(&rig.router);
+            let (done_tx, done) = mpsc::channel();
+            let thread = std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let out = client_for(router).authenticate(&mut rng, user, b"123456", "1.2.3.4");
+                let _ = done_tx.send(out);
+            });
+            (thread, done)
+        };
+        let (stalled_thread, stalled_done) = login("dave@stalled", 5);
+        let began = entered.recv_timeout(Duration::from_secs(10));
+        let (other_thread, other_done) = login("carol@remote", 6);
+        let other = other_done.recv_timeout(Duration::from_secs(10));
+        drop(release);
+        stalled_thread.join().unwrap();
+        other_thread.join().unwrap();
+        assert!(began.is_ok(), "the stalled exchange never began");
+        assert!(
+            matches!(other, Ok(Ok(Outcome::Accept { .. }))),
+            "the other realm's login: {other:?}"
+        );
+        let stalled = stalled_done.recv().unwrap();
+        assert!(matches!(stalled, Ok(Outcome::Reject { .. })), "{stalled:?}");
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::attribute::{Attribute, AttributeType};
 use crate::auth::{recover_password_into, seal_wire};
-use crate::packet::{Code, Packet, PacketView};
+use crate::packet::{set_wire_len, Code, Packet, PacketView};
 use crate::tracewire;
 use hpcmfa_telemetry::SpanCtx;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,28 +94,35 @@ impl ServerDecision {
 
 /// An authentication decision point.
 pub trait Handler: Send + Sync {
-    /// Decide on `request`. `password` is the recovered `User-Password`
-    /// (None when absent or undecodable). An empty password is meaningful:
-    /// it is the null request that starts a challenge round or triggers an
-    /// SMS send (§3.3).
-    fn handle(&self, request: &Packet, password: Option<&[u8]>) -> ServerDecision;
+    /// Decide on `request`, a [`PacketView`] borrowed from the receive
+    /// buffer: usernames, trace contexts and source addresses are read in
+    /// place, so the batched ingest loop allocates nothing on decode.
+    /// `password` is the recovered `User-Password` (None when absent or
+    /// undecodable). An empty password is meaningful: it is the null
+    /// request that starts a challenge round or triggers an SMS send
+    /// (§3.3).
+    fn handle_view(&self, request: &PacketView<'_>, password: Option<&[u8]>) -> ServerDecision;
 
-    /// Decide on a zero-copy [`PacketView`] of the request. The default
-    /// bridges through an owned copy so existing handlers keep working;
-    /// hot-path handlers (the OTP handler) override it to read usernames,
-    /// trace contexts and source addresses straight out of the receive
-    /// buffer, keeping the batched ingest loop allocation-free on decode.
-    fn handle_view(&self, request: &PacketView<'_>, password: Option<&[u8]>) -> ServerDecision {
-        self.handle(&request.to_packet(), password)
+    /// [`Handler::handle_view`] on an owned packet, through its encoding;
+    /// a packet that does not encode and parse is discarded.
+    /// Kept for `benchmark/src/sut.rs` until ROADMAP item 2.
+    fn handle(&self, request: &Packet, password: Option<&[u8]>) -> ServerDecision {
+        let wire = request.encode();
+        match PacketView::parse(&wire) {
+            Ok(view) => self.handle_view(&view, password),
+            Err(_) => ServerDecision::Discard,
+        }
     }
 }
 
+/// A closure over an owned copy of the request.
+/// Kept for `benchmark/src/sut.rs` until ROADMAP item 2.
 impl<F> Handler for F
 where
     F: Fn(&Packet, Option<&[u8]>) -> ServerDecision + Send + Sync,
 {
-    fn handle(&self, request: &Packet, password: Option<&[u8]>) -> ServerDecision {
-        self(request, password)
+    fn handle_view(&self, request: &PacketView<'_>, password: Option<&[u8]>) -> ServerDecision {
+        self(&request.to_packet(), password)
     }
 }
 
@@ -148,18 +155,9 @@ impl RadiusServer {
         }
     }
 
-    /// Process one raw datagram; `Some(reply_bytes)` or `None` to discard.
-    /// Thin allocating wrapper over [`RadiusServer::process_into`].
-    pub fn process_datagram(&self, data: &[u8]) -> Option<Vec<u8>> {
-        let mut reply = Vec::new();
-        let mut pw_scratch = Vec::new();
-        self.process_into(data, &mut reply, &mut pw_scratch)
-            .then_some(reply)
-    }
-
     /// The zero-copy request path: parse `data` as a borrowed
     /// [`PacketView`] (no per-attribute allocation), recover the password
-    /// into `pw_scratch`, dispatch to the handler's view entry point, and
+    /// into `pw_scratch`, dispatch to the handler, and
     /// encode + seal the reply directly into `reply`. Both buffers are
     /// cleared and refilled — workers on the batched ingest loop reuse
     /// theirs across datagrams, so the steady-state path performs no heap
@@ -268,16 +266,10 @@ impl RadiusServer {
         // RFC 2865 §3: no packet exceeds 4 096 octets. A legal request
         // whose Proxy-State echo would push the reply past it is answered
         // with nothing, as an undecodable one is.
-        let len = match u16::try_from(reply.len()) {
-            Ok(len) if usize::from(len) <= crate::MAX_PACKET_LEN => len,
-            _ => {
-                reply.clear();
-                self.stats.discarded.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-        };
-        if let Some(field) = reply.get_mut(2..4) {
-            field.copy_from_slice(&len.to_be_bytes());
+        if !set_wire_len(reply) {
+            reply.clear();
+            self.stats.discarded.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
         seal_wire(reply, request.authenticator(), &self.secret);
         self.stats.replied.fetch_add(1, Ordering::Relaxed);
@@ -297,6 +289,14 @@ mod tests {
         Arc::new(|_: &Packet, _: Option<&[u8]>| ServerDecision::Accept(vec![]))
     }
 
+    /// The server's reply to `datagram`, if it answers.
+    fn answer(server: &RadiusServer, datagram: &[u8]) -> Option<Vec<u8>> {
+        let (mut reply, mut pw_scratch) = (Vec::new(), Vec::new());
+        server
+            .process_into(datagram, &mut reply, &mut pw_scratch)
+            .then_some(reply)
+    }
+
     fn make_request(id: u8, password: Option<&[u8]>) -> Packet {
         let ra = fixture_authenticator("req");
         let mut p = Packet::new(Code::AccessRequest, id, ra)
@@ -314,7 +314,7 @@ mod tests {
     fn accept_path_sealed_and_id_matched() {
         let server = RadiusServer::new(SECRET, accept_all());
         let req = make_request(7, Some(b"123456"));
-        let reply = server.process_datagram(&req.encode()).unwrap();
+        let reply = answer(&server, &req.encode()).unwrap();
         let resp = Packet::decode(&reply).unwrap();
         assert_eq!(resp.code, Code::AccessAccept);
         assert_eq!(resp.identifier, 7);
@@ -331,7 +331,7 @@ mod tests {
         });
         let server = RadiusServer::new(SECRET, handler);
         let req = make_request(1, Some(b"424242"));
-        server.process_datagram(&req.encode()).unwrap();
+        answer(&server, &req.encode()).unwrap();
         assert_eq!(seen.lock().as_deref(), Some(&b"424242"[..]));
     }
 
@@ -346,7 +346,7 @@ mod tests {
         });
         let server = RadiusServer::new(SECRET, handler);
         let req = make_request(1, Some(b""));
-        let reply = server.process_datagram(&req.encode()).unwrap();
+        let reply = answer(&server, &req.encode()).unwrap();
         assert_eq!(Packet::decode(&reply).unwrap().code, Code::AccessChallenge);
         assert_eq!(seen.lock().as_deref(), Some(&b""[..]));
     }
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn garbage_discarded() {
         let server = RadiusServer::new(SECRET, accept_all());
-        assert_eq!(server.process_datagram(&[1, 2, 3]), None);
+        assert_eq!(answer(&server, &[1, 2, 3]), None);
         assert_eq!(server.stats.discarded.load(Ordering::SeqCst), 1);
     }
 
@@ -362,7 +362,7 @@ mod tests {
     fn non_request_codes_discarded() {
         let server = RadiusServer::new(SECRET, accept_all());
         let bogus = Packet::new(Code::AccessAccept, 1, [0u8; 16]);
-        assert_eq!(server.process_datagram(&bogus.encode()), None);
+        assert_eq!(answer(&server, &bogus.encode()), None);
     }
 
     #[test]
@@ -372,7 +372,7 @@ mod tests {
             Arc::new(|_: &Packet, _: Option<&[u8]>| ServerDecision::Discard),
         );
         let req = make_request(1, None);
-        assert_eq!(server.process_datagram(&req.encode()), None);
+        assert_eq!(answer(&server, &req.encode()), None);
     }
 
     #[test]
@@ -381,12 +381,13 @@ mod tests {
         let req = make_request(3, None)
             .with_attribute(Attribute::new(AttributeType::ProxyState, vec![0xaa]))
             .with_attribute(Attribute::new(AttributeType::ProxyState, vec![0xbb]));
-        let reply = server.process_datagram(&req.encode()).unwrap();
-        let resp = Packet::decode(&reply).unwrap();
-        let ps = resp.attributes_of(AttributeType::ProxyState);
-        assert_eq!(ps.len(), 2);
-        assert_eq!(ps[0].value, vec![0xaa]);
-        assert_eq!(ps[1].value, vec![0xbb]);
+        let reply = answer(&server, &req.encode()).unwrap();
+        let resp = PacketView::parse(&reply).unwrap();
+        let ps: Vec<&[u8]> = resp
+            .attributes_of(AttributeType::ProxyState)
+            .map(|a| a.value)
+            .collect();
+        assert_eq!(ps, [&[0xaa][..], &[0xbb][..]]);
     }
 
     /// RFC 2865 §5.33 has a reply echo every request Proxy-State, so a
@@ -415,7 +416,7 @@ mod tests {
             assert!(wire.len() <= crate::MAX_PACKET_LEN);
             // The reply swaps User-Name for the 42-octet Reply-Message.
             let reply_len = wire.len() - 7 + 42;
-            match server.process_datagram(&wire) {
+            match answer(&server, &wire) {
                 Some(reply) => {
                     assert_eq!(reply.len(), reply_len);
                     assert!(reply.len() <= crate::MAX_PACKET_LEN);
@@ -444,7 +445,7 @@ mod tests {
             }),
         );
         let req = make_request(5, Some(b"badcode"));
-        let resp = Packet::decode(&server.process_datagram(&req.encode()).unwrap()).unwrap();
+        let resp = Packet::decode(&answer(&server, &req.encode()).unwrap()).unwrap();
         assert_eq!(resp.code, Code::AccessReject);
         assert_eq!(
             resp.text(AttributeType::ReplyMessage),
@@ -456,8 +457,8 @@ mod tests {
     fn stats_counted() {
         let server = RadiusServer::new(SECRET, accept_all());
         let req = make_request(1, None);
-        server.process_datagram(&req.encode());
-        server.process_datagram(&[0xff]);
+        answer(&server, &req.encode());
+        answer(&server, &[0xff]);
         assert_eq!(server.stats.received.load(Ordering::SeqCst), 2);
         assert_eq!(server.stats.replied.load(Ordering::SeqCst), 1);
         assert_eq!(server.stats.discarded.load(Ordering::SeqCst), 1);

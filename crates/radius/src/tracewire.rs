@@ -32,7 +32,7 @@
 )]
 
 use crate::attribute::{Attribute, AttributeType};
-use crate::packet::{Packet, PacketView};
+use crate::packet::PacketView;
 use hpcmfa_telemetry::{SpanCtx, SpanId, TraceClock, TraceId};
 
 /// RFC 5612 documentation enterprise number, used as our vendor id.
@@ -113,19 +113,7 @@ pub(crate) fn append_trace_ctx(
     put_trace_ctx_value(wire, trace, parent, clock_us);
 }
 
-/// Decode the trace context from one Vendor-Specific attribute, if it is
-/// ours.
-pub fn decode_trace_ctx(attr: &Attribute) -> Option<WireTraceCtx> {
-    if attr.ty != AttributeType::VendorSpecific {
-        return None;
-    }
-    decode_trace_ctx_bytes(&attr.value)
-}
-
-/// [`decode_trace_ctx`] on the raw Vendor-Specific value bytes — the
-/// borrowed-slice form the zero-copy ingest path uses (no owned
-/// [`Attribute`] ever exists there). Parity with the owned path is
-/// property tested.
+/// Decode the trace context from a Vendor-Specific value, if it is ours.
 pub fn decode_trace_ctx_bytes(v: &[u8]) -> Option<WireTraceCtx> {
     let ([trace, parent_raw, clock_us], []) = our_payload(v, TRACE_VENDOR_TYPE)?.as_chunks() else {
         return None;
@@ -145,22 +133,8 @@ pub fn decode_trace_ctx_bytes(v: &[u8]) -> Option<WireTraceCtx> {
     })
 }
 
-/// The trace id carried by `packet`, if any (first matching VSA wins).
-pub fn trace_id_of(packet: &Packet) -> Option<TraceId> {
-    trace_ctx_of(packet).map(|c| c.trace)
-}
-
-/// The full trace context carried by `packet`, if any (first matching
-/// VSA wins).
-pub fn trace_ctx_of(packet: &Packet) -> Option<WireTraceCtx> {
-    packet
-        .attributes_of(AttributeType::VendorSpecific)
-        .into_iter()
-        .find_map(decode_trace_ctx)
-}
-
-/// The full trace context carried by a borrowed packet view, if any
-/// (first matching VSA wins). Zero-copy: value bytes are read in place.
+/// The trace context a packet carries, if any (first matching VSA wins).
+/// Zero-copy: value bytes are read in place.
 pub fn trace_ctx_of_view(view: &PacketView<'_>) -> Option<WireTraceCtx> {
     view.attributes_of(AttributeType::VendorSpecific)
         .find_map(|a| decode_trace_ctx_bytes(a.value))
@@ -177,16 +151,8 @@ pub fn clock_attribute(clock_us: u64) -> Attribute {
     Attribute::new(AttributeType::VendorSpecific, value)
 }
 
-/// Decode the responder clock from one Vendor-Specific attribute.
-pub fn decode_clock(attr: &Attribute) -> Option<u64> {
-    if attr.ty != AttributeType::VendorSpecific {
-        return None;
-    }
-    decode_clock_bytes(&attr.value)
-}
-
-/// [`decode_clock`] on the raw Vendor-Specific value bytes (borrowed
-/// form, see [`decode_trace_ctx_bytes`]).
+/// Decode the responder clock from a Vendor-Specific value, if it is
+/// ours.
 pub fn decode_clock_bytes(v: &[u8]) -> Option<u64> {
     let ([clock_us], []) = our_payload(v, CLOCK_VENDOR_TYPE)?.as_chunks() else {
         return None;
@@ -204,15 +170,7 @@ fn our_payload(v: &[u8], ty: u8) -> Option<&[u8]> {
     ours.then_some(payload)
 }
 
-/// The responder clock carried by `packet`, if any.
-pub fn clock_of(packet: &Packet) -> Option<u64> {
-    packet
-        .attributes_of(AttributeType::VendorSpecific)
-        .into_iter()
-        .find_map(decode_clock)
-}
-
-/// The responder clock carried by a borrowed packet view, if any.
+/// The responder clock a packet carries, if any.
 pub fn clock_of_view(view: &PacketView<'_>) -> Option<u64> {
     view.attributes_of(AttributeType::VendorSpecific)
         .find_map(|a| decode_clock_bytes(a.value))
@@ -222,7 +180,13 @@ pub fn clock_of_view(view: &PacketView<'_>) -> Option<u64> {
 #[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
-    use crate::packet::Code;
+    use crate::packet::{Code, Packet};
+
+    /// `packet` as a receiver sees it: encoded, then parsed in place.
+    fn on_the_wire<T>(packet: &Packet, read: impl Fn(&PacketView<'_>) -> T) -> T {
+        let wire = packet.encode();
+        read(&PacketView::parse(&wire).unwrap())
+    }
 
     #[test]
     fn v2_round_trips_parent_and_clock() {
@@ -230,13 +194,13 @@ mod tests {
         let parent = SpanId::from_u64(0xdead_beef);
         let attr = trace_ctx_attribute(trace, Some(parent), 1_234_567);
         assert_eq!(attr.value.len(), 30);
-        let ctx = decode_trace_ctx(&attr).unwrap();
+        let ctx = decode_trace_ctx_bytes(&attr.value).unwrap();
         assert_eq!(ctx.trace, trace);
         assert_eq!(ctx.parent, Some(parent));
         assert_eq!(ctx.clock_us, 1_234_567);
         // No parent encodes as zero and decodes back to None.
         let root = trace_ctx_attribute(trace, None, 7);
-        assert_eq!(decode_trace_ctx(&root).unwrap().parent, None);
+        assert_eq!(decode_trace_ctx_bytes(&root.value).unwrap().parent, None);
     }
 
     #[test]
@@ -245,9 +209,8 @@ mod tests {
         let span = SpanId::from_u64(9);
         let pkt = Packet::new(Code::AccessRequest, 7, [0u8; 16])
             .with_attribute(trace_ctx_attribute(id, Some(span), 500));
-        let decoded = Packet::decode(&pkt.encode()).unwrap();
-        assert_eq!(trace_id_of(&decoded), Some(id));
-        let ctx = trace_ctx_of(&decoded).unwrap();
+        let ctx = on_the_wire(&pkt, trace_ctx_of_view).unwrap();
+        assert_eq!(ctx.trace, id);
         assert_eq!(ctx.parent, Some(span));
         assert_eq!(ctx.clock_us, 500);
     }
@@ -255,17 +218,14 @@ mod tests {
     #[test]
     fn response_clock_round_trips() {
         let attr = clock_attribute(987_654);
-        assert_eq!(decode_clock(&attr), Some(987_654));
+        assert_eq!(decode_clock_bytes(&attr.value), Some(987_654));
         // The clock sub-attribute is not a trace context and vice versa.
-        assert_eq!(decode_trace_ctx(&attr), None);
-        assert_eq!(
-            decode_clock(&trace_ctx_attribute(TraceId::from_u64(1), None, 0)),
-            None
-        );
+        assert_eq!(decode_trace_ctx_bytes(&attr.value), None);
+        let ctx = trace_ctx_attribute(TraceId::from_u64(1), None, 0);
+        assert_eq!(decode_clock_bytes(&ctx.value), None);
         let pkt = Packet::new(Code::AccessAccept, 1, [0u8; 16]).with_attribute(clock_attribute(55));
-        let decoded = Packet::decode(&pkt.encode()).unwrap();
-        assert_eq!(clock_of(&decoded), Some(55));
-        assert_eq!(trace_id_of(&decoded), None);
+        assert_eq!(on_the_wire(&pkt, clock_of_view), Some(55));
+        assert_eq!(on_the_wire(&pkt, trace_ctx_of_view), None);
     }
 
     #[test]
@@ -273,24 +233,23 @@ mod tests {
         // Wrong vendor id on an otherwise well-formed payload.
         let mut value = trace_ctx_attribute(TraceId::from_u64(7), None, 0).value;
         value[0..4].copy_from_slice(&9u32.to_be_bytes());
+        assert_eq!(decode_trace_ctx_bytes(&value), None);
         let foreign = Attribute::new(AttributeType::VendorSpecific, value);
-        assert_eq!(decode_trace_ctx(&foreign), None);
         // Truncated payload.
-        let short = Attribute::new(AttributeType::VendorSpecific, vec![1, 2, 3]);
-        assert_eq!(decode_trace_ctx(&short), None);
+        assert_eq!(decode_trace_ctx_bytes(&[1, 2, 3]), None);
         // Wrong vendor-length byte for the payload size.
         let mut bad_len = trace_ctx_attribute(TraceId::from_u64(3), None, 0).value;
         bad_len[5] = 10;
-        assert_eq!(
-            decode_trace_ctx(&Attribute::new(AttributeType::VendorSpecific, bad_len)),
-            None
-        );
+        assert_eq!(decode_trace_ctx_bytes(&bad_len), None);
         // A packet with only foreign VSAs carries no trace.
         let pkt = Packet::new(Code::AccessRequest, 1, [0u8; 16]).with_attribute(foreign);
-        assert_eq!(trace_id_of(&pkt), None);
+        assert_eq!(on_the_wire(&pkt, trace_ctx_of_view), None);
         // But ours is still found after a foreign one.
         let id = TraceId::from_u64(5);
         let pkt = pkt.with_attribute(trace_ctx_attribute(id, None, 0));
-        assert_eq!(trace_id_of(&pkt), Some(id));
+        assert_eq!(
+            on_the_wire(&pkt, trace_ctx_of_view).map(|c| c.trace),
+            Some(id)
+        );
     }
 }

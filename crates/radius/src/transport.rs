@@ -52,18 +52,17 @@ impl std::error::Error for TransportError {}
 
 /// A synchronous datagram exchange: one request, one reply.
 pub trait Transport: Send + Sync {
-    /// Send `request` bytes, wait for the reply bytes.
-    fn exchange(&self, request: &[u8]) -> Result<Vec<u8>, TransportError>;
-
-    /// [`Transport::exchange`] into a caller-provided buffer (cleared
+    /// Send `request` bytes and receive the reply into `reply` (cleared
     /// first). The client walk reuses one reply buffer across retries and
-    /// servers, so per-attempt allocation disappears from the hot path.
-    /// The default copies; [`UdpTransport`] receives straight into `reply`.
-    fn exchange_into(&self, request: &[u8], reply: &mut Vec<u8>) -> Result<(), TransportError> {
-        let r = self.exchange(request)?;
-        reply.clear();
-        reply.extend_from_slice(&r);
-        Ok(())
+    /// servers, so no attempt allocates for its reply.
+    fn exchange_into(&self, request: &[u8], reply: &mut Vec<u8>) -> Result<(), TransportError>;
+
+    /// [`Transport::exchange_into`] into a fresh buffer.
+    /// Kept for `benchmark/src/sut.rs` until ROADMAP item 2.
+    fn exchange(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+        let mut reply = Vec::new();
+        self.exchange_into(request, &mut reply)?;
+        Ok(reply)
     }
 
     /// Diagnostic name for logs and stats.
@@ -222,7 +221,8 @@ impl InMemoryTransport {
 }
 
 impl Transport for InMemoryTransport {
-    fn exchange(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+    fn exchange_into(&self, request: &[u8], reply: &mut Vec<u8>) -> Result<(), TransportError> {
+        reply.clear();
         self.exchanges.fetch_add(1, Ordering::Relaxed);
         if self.faults.down.load(Ordering::SeqCst) || self.faults.flapping_down() {
             return Err(TransportError::Unreachable);
@@ -233,21 +233,16 @@ impl Transport for InMemoryTransport {
         self.faults.charge_latency();
         // A server that discards the datagram looks like a timeout to the
         // client, exactly as over UDP.
-        let reply = self
-            .server
-            .process_datagram(request)
-            .ok_or(TransportError::Timeout)?;
+        if !self.server.process_into(request, reply, &mut Vec::new()) {
+            return Err(TransportError::Timeout);
+        }
         if self.faults.should_garble() {
             // Corrupt the reply on the wire: shorter than any legal RADIUS
-            // packet and bit-flipped, so decode must fail at the client.
-            let garbled: Vec<u8> = reply
-                .iter()
-                .take(crate::MIN_PACKET_LEN - 8)
-                .map(|b| b ^ 0xa5)
-                .collect();
-            return Ok(garbled);
+            // packet and bit-flipped, so parsing fails at the client.
+            reply.truncate(crate::MIN_PACKET_LEN - 8);
+            reply.iter_mut().for_each(|b| *b ^= 0xa5);
         }
-        Ok(reply)
+        Ok(())
     }
 
     fn name(&self) -> String {
@@ -311,12 +306,6 @@ impl UdpTransport {
 }
 
 impl Transport for UdpTransport {
-    fn exchange(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
-        let mut reply = Vec::new();
-        self.exchange_into(request, &mut reply)?;
-        Ok(reply)
-    }
-
     fn exchange_into(&self, request: &[u8], reply: &mut Vec<u8>) -> Result<(), TransportError> {
         reply.clear();
         let io_err = |e: std::io::Error| TransportError::Io(e.to_string());

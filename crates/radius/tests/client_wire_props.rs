@@ -54,15 +54,16 @@ struct Recorder {
 }
 
 impl Transport for Recorder {
-    fn exchange(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
+    fn exchange_into(&self, request: &[u8], reply: &mut Vec<u8>) -> Result<(), TransportError> {
         self.seen.lock().unwrap().push(request.to_vec());
         if self.drop_first.swap(false, Ordering::SeqCst) {
             return Err(TransportError::Timeout);
         }
         let req = Packet::decode(request).map_err(|_| TransportError::GarbledReply)?;
-        let mut reply = Packet::new(Code::AccessAccept, req.identifier, [0u8; 16]);
-        reply.authenticator = reference_authenticator(&reply, &req.authenticator, SECRET);
-        Ok(reply.encode())
+        let mut accept = Packet::new(Code::AccessAccept, req.identifier, [0u8; 16]);
+        accept.authenticator = reference_authenticator(&accept, &req.authenticator, SECRET);
+        accept.encode_into(reply);
+        Ok(())
     }
 
     fn name(&self) -> String {

@@ -9,10 +9,10 @@
 //! exact well-formed envelope.
 
 use hpcmfa_radius::attribute::{Attribute, AttributeType};
-use hpcmfa_radius::packet::{Code, Packet};
+use hpcmfa_radius::packet::{Code, Packet, PacketView};
 use hpcmfa_radius::tracewire::{
-    clock_attribute, clock_of, decode_clock, decode_trace_ctx, decode_trace_ctx_bytes,
-    trace_ctx_attribute, trace_id_of, CLOCK_VENDOR_TYPE, TRACE_VENDOR_ID, TRACE_VENDOR_TYPE,
+    clock_attribute, clock_of_view, decode_clock_bytes, decode_trace_ctx_bytes,
+    trace_ctx_attribute, trace_ctx_of_view, CLOCK_VENDOR_TYPE, TRACE_VENDOR_ID, TRACE_VENDOR_TYPE,
 };
 use hpcmfa_telemetry::{SpanId, TraceId};
 use proptest::prelude::*;
@@ -37,7 +37,7 @@ proptest! {
         let trace = TraceId::from_u64(id);
         let parent = parent_of(parent_raw);
         let attr = trace_ctx_attribute(trace, parent, clock);
-        let ctx = decode_trace_ctx(&attr).unwrap();
+        let ctx = decode_trace_ctx_bytes(&attr.value).unwrap();
         prop_assert_eq!(ctx.trace, trace);
         prop_assert_eq!(ctx.parent, parent);
         prop_assert_eq!(ctx.clock_us, clock);
@@ -48,8 +48,8 @@ proptest! {
     #[test]
     fn clock_attribute_round_trips(clock in any::<u64>()) {
         let attr = clock_attribute(clock);
-        prop_assert_eq!(decode_clock(&attr), Some(clock));
-        prop_assert_eq!(decode_trace_ctx(&attr), None);
+        prop_assert_eq!(decode_clock_bytes(&attr.value), Some(clock));
+        prop_assert_eq!(decode_trace_ctx_bytes(&attr.value), None);
     }
 
     /// The context also survives a full packet encode → decode cycle
@@ -72,9 +72,10 @@ proptest! {
         let pkt = pkt
             .with_attribute(trace_ctx_attribute(trace, parent, clock))
             .with_attribute(clock_attribute(clock ^ 0x55));
-        let decoded = Packet::decode(&pkt.encode()).unwrap();
-        prop_assert_eq!(trace_id_of(&decoded), Some(trace));
-        prop_assert_eq!(clock_of(&decoded), Some(clock ^ 0x55));
+        let wire = pkt.encode();
+        let view = PacketView::parse(&wire).unwrap();
+        prop_assert_eq!(trace_ctx_of_view(&view).map(|c| c.trace), Some(trace));
+        prop_assert_eq!(clock_of_view(&view), Some(clock ^ 0x55));
     }
 
     /// Arbitrary VSA payloads never panic the decoder, and only a payload
@@ -85,14 +86,13 @@ proptest! {
     fn garbled_vsa_never_panics_and_only_wellformed_decodes(
         value in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let attr = Attribute::new(AttributeType::VendorSpecific, value.clone());
-        let decoded = decode_trace_ctx(&attr);
+        let decoded = decode_trace_ctx_bytes(&value);
         let wellformed = value.len() == 30
             && value[0..4] == TRACE_VENDOR_ID.to_be_bytes()
             && value[4] == TRACE_VENDOR_TYPE
             && value[5] == (value.len() - 4) as u8;
         prop_assert_eq!(decoded.is_some(), wellformed);
-        let clock_decoded = decode_clock(&attr);
+        let clock_decoded = decode_clock_bytes(&value);
         let clock_wellformed = value.len() == 14
             && value[0..4] == TRACE_VENDOR_ID.to_be_bytes()
             && value[4] == CLOCK_VENDOR_TYPE
@@ -110,8 +110,7 @@ proptest! {
         keep in 0usize..30,
     ) {
         let full = trace_ctx_attribute(TraceId::from_u64(id), parent_of(parent_raw), clock);
-        let short = Attribute::new(AttributeType::VendorSpecific, full.value[..keep].to_vec());
-        prop_assert_eq!(decode_trace_ctx(&short), None);
+        prop_assert_eq!(decode_trace_ctx_bytes(&full.value[..keep]), None);
     }
 
     /// Flipping any single byte of a valid payload either breaks the
@@ -128,11 +127,10 @@ proptest! {
     ) {
         let trace = TraceId::from_u64(id);
         let parent = parent_of(parent_raw);
-        let original = decode_trace_ctx(&trace_ctx_attribute(trace, parent, clock)).unwrap();
         let mut value = trace_ctx_attribute(trace, parent, clock).value;
+        let original = decode_trace_ctx_bytes(&value).unwrap();
         value[at] ^= flip;
-        let mutated = Attribute::new(AttributeType::VendorSpecific, value);
-        match decode_trace_ctx(&mutated) {
+        match decode_trace_ctx_bytes(&value) {
             None => prop_assert!(at < 6, "envelope bytes live in [0,6)"),
             Some(other) => {
                 prop_assert!(at >= 6, "payload bytes live in [6,30)");
@@ -146,8 +144,10 @@ proptest! {
     #[test]
     fn non_vsa_attribute_is_ignored(id in any::<u64>()) {
         let payload = trace_ctx_attribute(TraceId::from_u64(id), None, 7).value;
-        let not_vsa = Attribute::new(AttributeType::ReplyMessage, payload);
-        prop_assert_eq!(decode_trace_ctx(&not_vsa), None);
+        let not_vsa = Packet::new(Code::AccessRequest, 1, [0u8; 16])
+            .with_attribute(Attribute::new(AttributeType::ReplyMessage, payload))
+            .encode();
+        prop_assert_eq!(trace_ctx_of_view(&PacketView::parse(&not_vsa).unwrap()), None);
     }
 }
 

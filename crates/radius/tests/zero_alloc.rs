@@ -92,16 +92,12 @@ fn make_wire(rng: &mut StdRng, id: u8) -> Vec<u8> {
         .encode()
 }
 
-/// Accepts everything from the view, as the OTP handler does: taking the
-/// trait's default `handle_view` would copy the request into an owned
-/// `Packet`, one allocation per attribute.
+/// Accepts everything from the view, as the OTP handler does: a `&Packet`
+/// closure handler would be given an owned copy of the request, one
+/// allocation per attribute.
 struct AcceptAll;
 
 impl Handler for AcceptAll {
-    fn handle(&self, _request: &Packet, _password: Option<&[u8]>) -> ServerDecision {
-        ServerDecision::Accept(Vec::new())
-    }
-
     fn handle_view(&self, _request: &PacketView<'_>, _password: Option<&[u8]>) -> ServerDecision {
         ServerDecision::Accept(Vec::new())
     }
@@ -153,12 +149,6 @@ const STATE: &[u8] = b"chal-1";
 const PROMPT: &[u8] = b"TACC Token:";
 
 impl Transport for Challenger {
-    fn exchange(&self, request: &[u8]) -> Result<Vec<u8>, TransportError> {
-        let mut reply = Vec::new();
-        self.exchange_into(request, &mut reply)?;
-        Ok(reply)
-    }
-
     fn exchange_into(&self, request: &[u8], reply: &mut Vec<u8>) -> Result<(), TransportError> {
         let req = PacketView::parse(request).map_err(|_| TransportError::GarbledReply)?;
         let len = 20 + 2 + STATE.len() + 2 + PROMPT.len();

@@ -39,6 +39,9 @@
 #                      answer denies, a dead peer realm rejects and alarms, a
 #                      total outage fails closed then recovers: the exemption
 #                      file is the only bypass, by name
+#   stalled realm      a peer realm stalled inside its exchange does not hold
+#                      up a login to another realm: a router lock held across
+#                      the exchange deadlocks into the timeout, by name
 #   stuffing storm     the workspace run's overload test again, alone and under
 #                      a timeout, so a storm that is no longer shed cheaply
 #                      fails here by name instead of slowing the whole run
@@ -66,7 +69,7 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, over-length reply, ingest wake rules, udp ingest, parked replies, compaction trigger, group machine, SMS read, alert windows, fail-closed pins"
+echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, over-length reply, ingest wake rules, stalled realm, udp ingest, parked replies, compaction trigger, group machine, SMS read, alert windows, fail-closed pins"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
 # minutes of work) runs into the timeout instead. Target flags apply to every
 # package named, so the one --lib prebuilds the otpserver and telemetry lib tests too.
@@ -101,6 +104,7 @@ guard 20 --release -p hpcmfa-radius --lib -- overlong_username_cannot_rewrite_th
     a_reply_the_proxy_state_echo_would_overflow_is_discarded \
     a_batch_wakes_as_many_sleeping_workers_as_it_has_jobs \
     a_receiver_at_the_cap_is_woken_when_a_worker_takes_a_job
+guard 30 --release -p hpcmfa-radius --lib -- a_stalled_peer_realm_does_not_hold_up_another
 guard 20 --release -p hpcmfa-radius --test udp --
 guard 30 --release -p hpcmfa-otpserver --test group_commit -- \
     no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand

@@ -29,6 +29,14 @@ fn radius_rig() -> (Arc<RadiusServer>, Arc<LinotpServer>, SimClock) {
     (Arc::new(RadiusServer::new(SECRET, handler)), linotp, clock)
 }
 
+/// The server's reply to `datagram`, if it answers.
+fn answer(server: &RadiusServer, datagram: &[u8]) -> Option<Vec<u8>> {
+    let (mut reply, mut pw_scratch) = (Vec::new(), Vec::new());
+    server
+        .process_into(datagram, &mut reply, &mut pw_scratch)
+        .then_some(reply)
+}
+
 /// An off-path attacker cannot forge an Access-Accept without the shared
 /// secret: the response authenticator verification fails.
 #[test]
@@ -52,7 +60,7 @@ fn forged_access_accept_is_detected() {
             AttributeType::UserPassword,
             hide_password(b"", &req_auth, SECRET),
         ));
-    let reply = server.process_datagram(&req.encode()).unwrap();
+    let reply = answer(&server, &req.encode()).unwrap();
     let reply = Packet::decode(&reply).unwrap();
     assert!(verify_response(&reply, &req_auth, SECRET));
     let other_request_auth = request_authenticator(&mut rng);
@@ -162,6 +170,6 @@ fn malformed_datagrams_are_discarded() {
             v
         },
     ] {
-        assert_eq!(server.process_datagram(&garbage), None);
+        assert_eq!(answer(&server, &garbage), None);
     }
 }
