@@ -42,6 +42,7 @@ pub use replication::{
 pub use snapshot::{recover, RecoverError, RecoveredState, RecoveryReport};
 pub use wal::WalRecord;
 
+use crate::authority::Change;
 use group::{Actor, Goal, GroupMachine, Step};
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
 use std::panic::{self, AssertUnwindSafe};
@@ -347,11 +348,10 @@ impl Commit {
         self.records += 1;
     }
 
-    /// Add a [`WalRecord::ValState`] from borrowed fields.
-    pub fn val_state(&mut self, user: &str, last_step: Option<u64>, fail_count: u32, active: bool) {
-        wal::frame_into(&mut self.frames, |out| {
-            wal::put_val_state(out, user, last_step, fail_count, active)
-        });
+    /// Add the WAL record of a change to `user`'s record, written from
+    /// the change's borrowed fields.
+    pub(crate) fn change(&mut self, user: &str, change: &Change<'_>) {
+        wal::frame_into(&mut self.frames, |out| wal::put_change(out, user, change));
         self.records += 1;
     }
 

@@ -29,7 +29,8 @@
 use super::wal::{replay, snapshot_user_frame_into, WalRecord, WalTail, TAG_SNAP_USER};
 use super::{StorageBackend, StorageError};
 use crate::audit::{AuditEntry, AuditLog, NewRow};
-use crate::store::{shard_of_name, PendingSmsCode, TokenPairing, TokenStore, UserTokenRecord};
+use crate::authority;
+use crate::store::{shard_of_name, TokenStore, UserTokenRecord};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -228,12 +229,18 @@ fn load_snapshot(state: &mut RecoveredState, bytes: &[u8]) -> Option<()> {
 }
 
 /// Apply one decoded record to the recovered state: the one step both a
-/// snapshot load and a WAL replay take.
+/// snapshot load and a WAL replay take. A change to a user's record goes
+/// through `authority::apply`, as it did live.
 fn apply(state: &mut RecoveredState, rec: WalRecord) {
-    let users = &mut state.users;
+    if let Some((user, change)) = rec.change() {
+        if let Some(record) = state.users.get_mut(user) {
+            authority::apply(record, &change);
+        }
+        return;
+    }
     match rec {
         WalRecord::Enroll { user, pairing } => {
-            users.insert(
+            state.users.insert(
                 user,
                 UserTokenRecord {
                     pairing,
@@ -248,7 +255,7 @@ fn apply(state: &mut RecoveredState, rec: WalRecord) {
             fail_count,
             active,
         } => {
-            users.insert(
+            state.users.insert(
                 user,
                 UserTokenRecord {
                     pairing,
@@ -258,58 +265,7 @@ fn apply(state: &mut RecoveredState, rec: WalRecord) {
             );
         }
         WalRecord::Remove { user } => {
-            users.remove(&user);
-        }
-        WalRecord::ValState {
-            user,
-            last_step,
-            fail_count,
-            active,
-        } => {
-            if let Some(rec) = users.get_mut(&user) {
-                if let Some(step) = last_step {
-                    merge_last_step(&mut rec.pairing, step);
-                }
-                rec.fail_count = fail_count;
-                rec.active = active;
-            }
-        }
-        WalRecord::Resync {
-            user,
-            drift_steps,
-            last_step,
-        } => {
-            if let Some(rec) = users.get_mut(&user) {
-                if let TokenPairing::Totp { drift_steps: d, .. } = &mut rec.pairing {
-                    *d = drift_steps;
-                }
-                merge_last_step(&mut rec.pairing, last_step);
-                rec.fail_count = 0;
-                rec.active = true;
-            }
-        }
-        WalRecord::SmsIssue {
-            user,
-            code,
-            sent_at,
-            expires_at,
-        } => {
-            if let Some(TokenPairing::Sms { pending, .. }) =
-                users.get_mut(&user).map(|rec| &mut rec.pairing)
-            {
-                *pending = Some(PendingSmsCode {
-                    code,
-                    sent_at,
-                    expires_at,
-                });
-            }
-        }
-        WalRecord::SmsClear { user } => {
-            if let Some(TokenPairing::Sms { pending, .. }) =
-                users.get_mut(&user).map(|rec| &mut rec.pairing)
-            {
-                *pending = None;
-            }
+            state.users.remove(&user);
         }
         WalRecord::Audit {
             at,
@@ -332,15 +288,12 @@ fn apply(state: &mut RecoveredState, rec: WalRecord) {
             let slot = state.resume_consumed.entry(nonce).or_insert(expires_at);
             *slot = (*slot).max(expires_at);
         }
-        // The loaders keep seals to themselves.
-        WalRecord::SnapshotSeal { .. } => {}
-    }
-}
-
-/// Advance (never regress) a TOTP pairing's replay mark.
-fn merge_last_step(pairing: &mut TokenPairing, step: u64) {
-    if let TokenPairing::Totp { last_step, .. } = pairing {
-        *last_step = Some(last_step.map_or(step, |ls| ls.max(step)));
+        // Applied above; the loaders keep seals to themselves.
+        WalRecord::ValState { .. }
+        | WalRecord::Resync { .. }
+        | WalRecord::SmsIssue { .. }
+        | WalRecord::SmsClear { .. }
+        | WalRecord::SnapshotSeal { .. } => {}
     }
 }
 
@@ -386,7 +339,7 @@ mod tests {
     use super::*;
     use crate::audit::AuditAction;
     use crate::durability::backend::MemoryBackend;
-    use crate::store::TotpProvenance;
+    use crate::store::{TokenPairing, TotpProvenance};
     use hpcmfa_otp::secret::Secret;
     use hpcmfa_otp::totp::{Totp, TotpParams};
 

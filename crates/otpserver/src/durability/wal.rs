@@ -20,6 +20,7 @@
 //! the checksum — a property the codec proptests pin down.
 
 use crate::audit::{AuditAction, NewRow, RowView};
+use crate::authority::Change;
 use crate::sms::PhoneNumber;
 use crate::store::{PendingSmsCode, TokenPairing, TotpProvenance, UserTokenRecord};
 use hpcmfa_crypto::HashAlg;
@@ -326,21 +327,46 @@ pub(crate) fn snapshot_user_frame_into(out: &mut Vec<u8>, user: &str, rec: &User
     });
 }
 
-/// The [`WalRecord::ValState`] payload from borrowed fields — the commit
-/// path writes it straight into its frame buffer without building the
-/// owned record.
-pub(crate) fn put_val_state(
-    out: &mut Vec<u8>,
-    user: &str,
-    last_step: Option<u64>,
-    fail_count: u32,
-    active: bool,
-) {
-    out.push(TAG_VALSTATE);
+/// The payload of the WAL record of a change to `user`'s record, from
+/// borrowed fields: a commit writes it straight into its frame buffer, and
+/// the owned records ([`WalRecord::change`]) encode through it too.
+pub(crate) fn put_change(out: &mut Vec<u8>, user: &str, change: &Change<'_>) {
+    let tag = match change {
+        Change::ValState { .. } => TAG_VALSTATE,
+        Change::SmsClear => TAG_SMS_CLEAR,
+        Change::SmsIssue { .. } => TAG_SMS_ISSUE,
+        Change::Resync { .. } => TAG_RESYNC,
+    };
+    out.push(tag);
     put_str(out, user);
-    put_opt_u64(out, last_step);
-    put_u32(out, fail_count);
-    out.push(u8::from(active));
+    match *change {
+        Change::ValState {
+            last_step,
+            fail_count,
+            active,
+        } => {
+            put_opt_u64(out, last_step);
+            put_u32(out, fail_count);
+            out.push(u8::from(active));
+        }
+        Change::SmsClear => {}
+        Change::SmsIssue {
+            code,
+            sent_at,
+            expires_at,
+        } => {
+            put_str(out, code);
+            put_u64(out, sent_at);
+            put_u64(out, expires_at);
+        }
+        Change::Resync {
+            drift_steps,
+            last_step,
+        } => {
+            put_i64(out, drift_steps);
+            put_u64(out, last_step);
+        }
+    }
 }
 
 /// Append one frame to `out`: reserve the header, let `payload` write the
@@ -364,8 +390,57 @@ impl WalRecord {
         out
     }
 
+    /// The record as a change to one user's record, if it is one: what
+    /// the live server encoded it from, and what recovery applies.
+    pub(crate) fn change(&self) -> Option<(&str, Change<'_>)> {
+        Some(match self {
+            WalRecord::ValState {
+                user,
+                last_step,
+                fail_count,
+                active,
+            } => (
+                user,
+                Change::ValState {
+                    last_step: *last_step,
+                    fail_count: *fail_count,
+                    active: *active,
+                },
+            ),
+            WalRecord::SmsClear { user } => (user, Change::SmsClear),
+            WalRecord::SmsIssue {
+                user,
+                code,
+                sent_at,
+                expires_at,
+            } => (
+                user,
+                Change::SmsIssue {
+                    code,
+                    sent_at: *sent_at,
+                    expires_at: *expires_at,
+                },
+            ),
+            WalRecord::Resync {
+                user,
+                drift_steps,
+                last_step,
+            } => (
+                user,
+                Change::Resync {
+                    drift_steps: *drift_steps,
+                    last_step: *last_step,
+                },
+            ),
+            _ => return None,
+        })
+    }
+
     /// Append the payload (no frame header) to `out`.
     fn encode_payload_into(&self, out: &mut Vec<u8>) {
+        if let Some((user, change)) = self.change() {
+            return put_change(out, user, &change);
+        }
         match self {
             WalRecord::Enroll { user, pairing } => {
                 out.push(TAG_ENROLL);
@@ -376,38 +451,11 @@ impl WalRecord {
                 out.push(TAG_REMOVE);
                 put_str(out, user);
             }
-            WalRecord::ValState {
-                user,
-                last_step,
-                fail_count,
-                active,
-            } => put_val_state(out, user, *last_step, *fail_count, *active),
-            WalRecord::Resync {
-                user,
-                drift_steps,
-                last_step,
-            } => {
-                out.push(TAG_RESYNC);
-                put_str(out, user);
-                put_i64(out, *drift_steps);
-                put_u64(out, *last_step);
-            }
-            WalRecord::SmsIssue {
-                user,
-                code,
-                sent_at,
-                expires_at,
-            } => {
-                out.push(TAG_SMS_ISSUE);
-                put_str(out, user);
-                put_str(out, code);
-                put_u64(out, *sent_at);
-                put_u64(out, *expires_at);
-            }
-            WalRecord::SmsClear { user } => {
-                out.push(TAG_SMS_CLEAR);
-                put_str(out, user);
-            }
+            // Encoded above.
+            WalRecord::ValState { .. }
+            | WalRecord::Resync { .. }
+            | WalRecord::SmsIssue { .. }
+            | WalRecord::SmsClear { .. } => {}
             WalRecord::Audit {
                 at,
                 user,

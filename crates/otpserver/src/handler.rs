@@ -17,7 +17,7 @@
 use crate::durability::{OtpCluster, Persistence};
 use crate::server::span_cost;
 use crate::server::{
-    Begun, Gated, LinotpServer, ResumeConsumeOutcome, SmsTrigger, ValidationOutcome,
+    Answer, Begun, LinotpServer, ResumeConsumeOutcome, SmsTrigger, ValidationOutcome,
 };
 use hpcmfa_federation::{ResumeAuthority, TokenError};
 use hpcmfa_otp::clock::Clock;
@@ -166,10 +166,10 @@ impl OtpRadiusHandler {
     /// finds a sync in flight is parked: the operation's finish and
     /// `conclude` run on the thread that leads the covering sync, and the
     /// caller gets a [`ServerDecision::Pending`] to collect it by.
-    fn drive<Op: Gated>(
+    fn drive<A: Answer>(
         &self,
-        begun: Begun<'_, Op>,
-        conclude: impl FnOnce(&Self, &str, Op::Outcome) -> ServerDecision + Send + 'static,
+        begun: Begun<'_, A>,
+        conclude: impl FnOnce(&Self, &str, A::Reply) -> ServerDecision + Send + 'static,
     ) -> ServerDecision {
         let (true, Some(me)) = (begun.would_wait(), self.me.upgrade()) else {
             let username = begun.user();

@@ -7,10 +7,15 @@
 //!
 //! * [`store`] — the token database (the MariaDB substitute): pairings for
 //!   soft/hard TOTP tokens, SMS tokens, and static training tokens, with
-//!   replay nullification and per-user failure counters.
-//! * [`server`] — the validation engine: token-code checks with drift
-//!   windows, the 20-consecutive-failure lockout (§3.1), SMS triggering
-//!   with "already sent" suppression (§3.3), and resynchronization.
+//!   replay marks and per-user failure counters.
+//! * `authority` (private) — the paper's rules as one pure function: what
+//!   a validation, an SMS issue, a failure-count reset or a resync does to
+//!   one user's record — token-code checks with drift windows, replay
+//!   nullification, the 20-consecutive-failure lockout (§3.1), "already
+//!   sent" suppression (§3.3) — and the one function that applies a
+//!   change to a record, live and in recovery alike.
+//! * [`server`] — the shell around it: admission control, the shard lock,
+//!   the WAL commit and audit rows, spans, metrics and security events.
 //! * [`sms`] — the Twilio-substitute SMS gateway with the paper's cost
 //!   model ($1/month + $0.0075 per US message) and a carrier-delay model
 //!   that occasionally delivers codes after expiry, as §5 reports.
@@ -27,6 +32,7 @@
 
 pub mod admin;
 pub mod audit;
+mod authority;
 pub mod durability;
 pub mod handler;
 pub mod json;

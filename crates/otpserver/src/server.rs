@@ -1,43 +1,53 @@
-//! The validation engine: token-code checks, replay nullification, the
-//! 20-failure lockout, SMS triggering, and admin operations.
+//! The OTP server: the shell around the authority's pure `step`.
 //!
-//! When built [`with_storage`](LinotpServer::with_storage), every
-//! operation's state record and audit row go to the WAL as one commit
-//! through the [`durability`](crate::durability) layer and are synced
-//! *before* the operation is acknowledged: an accepted code whose replay
-//! mark cannot be persisted is answered [`ValidationOutcome::Unavailable`]
-//! (deny), never `Success` — the fail-safe direction for an
-//! authentication service. The three operations a login waits on —
-//! validate, SMS trigger, resume consume — are each one *begin* (up to
-//! the commit's append, under the store or ledger lock) and one *finish*
-//! (everything the commit's verdict decides), driven on the caller's
-//! thread (`Begun::settle`) or left with the pump (`Begun::park`).
+//! `authority::step` decides every validation, SMS issue, failure-count
+//! reset and resync from the user's record alone, and `authority::apply`
+//! is the one place a record changes. Every such operation here runs the
+//! same sequence: admission control (for the two a login sends); the
+//! operation's `Txn`, which holds its WAL commit and audit rows; then,
+//! under the user's shard lock, `step`, `apply` of each change and the
+//! same change encoded into the commit beside the staged rows; then the
+//! commit's append, its settle, and the finish.
+//!
+//! When built [`with_storage`](LinotpServer::with_storage), the commit is
+//! synced *before* the operation is acknowledged: an accepted code whose
+//! replay mark cannot be persisted is answered
+//! [`ValidationOutcome::Unavailable`] (deny), never `Success` — the
+//! fail-safe direction for an authentication service. The three
+//! operations a login waits on — validate, SMS trigger, resume consume —
+//! are each one *begin* (up to the commit's append, under the store or
+//! ledger lock) and one *finish* (everything the commit's verdict decides,
+//! read from the outcome's table), driven on the caller's thread
+//! (`Begun::settle`) or left with the pump (`Begun::park`). A staff reset
+//! or resync reactivates an account, so it syncs under the shard lock and
+//! applies its change only once that change is durable.
 
 use crate::audit::{AuditAction, AuditLog, NewRow, Staged};
+use crate::authority::{self, Event, Op, Outcome, Row, SmsOutcome, Told, Transition};
 use crate::durability::snapshot::snapshot_live_sized;
 use crate::durability::{
     recover, Commit, DurabilityCounters, Finish, Persistence, RecoverError, RecoveryReport,
     StorageBackend, Ticket, WalRecord,
 };
-use crate::overload::{AdmissionController, OverloadConfig, ShedReason};
+use crate::overload::{AdmissionController, OverloadConfig};
 use crate::sms::{PhoneNumber, SmsMessage, SmsProvider};
-use crate::store::{PendingSmsCode, TokenPairing, TokenStore, TotpProvenance, UserTokenStatus};
-use crate::{DRIFT_TOLERANCE_SECS, LOCKOUT_THRESHOLD, SMS_CODE_VALIDITY_SECS};
-use hpcmfa_crypto::ct::ct_eq;
-use hpcmfa_otp::hotp::hotp_value_prepared;
+use crate::store::{TokenPairing, TokenStore, TotpProvenance, UserTokenStatus};
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
 use hpcmfa_telemetry::{
     Counter, DetachedSpan, Histogram, MetricsRegistry, SecurityEventKind, SpanCtx, SpanGuard,
-    SpanId, SpanStatus, TraceId,
+    SpanStatus, TraceId,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+pub use crate::authority::ValidationOutcome;
 
 /// Modeled virtual-time costs (µs) charged to the shared trace clock by
 /// the responder-side spans. Purely virtual — wall time is untouched —
@@ -58,32 +68,6 @@ pub(crate) mod span_cost {
     pub(crate) const FAILOVER_PROMOTE_US: u64 = 1_500;
 }
 
-/// Result of a token-code validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValidationOutcome {
-    /// Code accepted; the code is now nullified.
-    Success,
-    /// Code did not match (or SMS code expired).
-    WrongCode,
-    /// Code matched a step already consumed — replays are refused.
-    Replayed,
-    /// Account deactivated by the failure-counter policy.
-    Locked,
-    /// User has no pairing in the token database.
-    NoToken,
-    /// The code matched but its nullification could not be made durable;
-    /// the attempt is denied rather than risk a replay window after a
-    /// crash. The submitted code is burned either way.
-    Unavailable,
-}
-
-impl ValidationOutcome {
-    /// Whether SSH entry may proceed.
-    pub fn is_success(self) -> bool {
-        self == ValidationOutcome::Success
-    }
-}
-
 /// Result of asking the server to text a code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SmsTrigger {
@@ -102,9 +86,6 @@ pub enum SmsTrigger {
     /// The issued code could not be made durable; nothing was sent.
     Unavailable,
 }
-
-/// Half-width of the resync search window, in time steps.
-const RESYNC_WINDOW_STEPS: u64 = 2_000;
 
 /// Server tuning.
 #[derive(Debug, Clone)]
@@ -176,18 +157,6 @@ impl ResumeLedger {
     }
 }
 
-/// The audit detail of a validation outcome.
-fn validation_detail(outcome: ValidationOutcome) -> &'static str {
-    match outcome {
-        ValidationOutcome::Success => "ok",
-        ValidationOutcome::WrongCode => "wrong code",
-        ValidationOutcome::Replayed => "replayed code",
-        ValidationOutcome::Locked => "account locked",
-        ValidationOutcome::NoToken => "no pairing",
-        ValidationOutcome::Unavailable => "durability unavailable",
-    }
-}
-
 /// One operation's audit rows and, on a server with storage, the WAL
 /// commit they ride in with its state records. Opened before the store or
 /// ledger lock the operation mutates under. A row is encoded once, as
@@ -210,9 +179,10 @@ fn validation_detail(outcome: ValidationOutcome) -> &'static str {
 /// failure count); its own commit has a later sequence number, so it is
 /// durable only if the first is; and a failed sync denies every
 /// unacknowledged commit up to its end, the reader's included. Nothing
-/// is acknowledged on the strength of state that may yet be lost.
-/// ([`LinotpServer::resync`] reactivates an account, which that argument
-/// does not cover: it alone still syncs under its shard lock.)
+/// is acknowledged on the strength of state that may yet be lost. A
+/// staff reset or resync reactivates an account, which that argument
+/// does not cover: it syncs under its shard lock and applies its change
+/// only once the change is durable.
 pub(crate) struct Txn<'a> {
     server: &'a LinotpServer,
     user: &'a str,
@@ -239,26 +209,32 @@ impl<'a> Txn<'a> {
         }
     }
 
-    fn val_state(&mut self, last_step: Option<u64>, fail_count: u32, active: bool) {
+    /// Add each change of `t`, in order, then stage its rows.
+    fn encode(&mut self, t: &Transition<'_>) {
         if let Some(c) = &mut self.commit {
-            c.val_state(self.user, last_step, fail_count, active);
+            for change in t.changes.iter().flatten() {
+                c.change(self.user, change);
+            }
         }
+        self.stage(&t.rows);
     }
 
-    /// Add an audit row, its detail ending in the operation's trace id —
+    /// Add audit rows, each detail ending in the operation's trace id —
     /// `grep trace=<hex>` then joins the OTP audit log with the PAM and
     /// RADIUS spans of the same login.
-    fn audit(&mut self, action: AuditAction, success: bool, detail: &str) {
-        let frame = self.staged.stage(&NewRow {
-            at: self.now,
-            user: self.user,
-            action,
-            success,
-            detail,
-            trace: self.trace,
-        });
-        if let Some(c) = &mut self.commit {
-            c.frame(frame);
+    fn stage(&mut self, rows: &[Option<Row>]) {
+        for row in rows.iter().flatten() {
+            let frame = self.staged.stage(&NewRow {
+                at: self.now,
+                user: self.user,
+                action: row.action,
+                success: row.success,
+                detail: row.detail,
+                trace: self.trace,
+            });
+            if let Some(c) = &mut self.commit {
+                c.frame(frame);
+            }
         }
     }
 
@@ -291,10 +267,11 @@ impl<'a> Txn<'a> {
         pump.settle(ticket, self.parked, push).is_ok()
     }
 
-    /// Forget the rows of a commit that failed: the caller stages the
-    /// denial it answers instead.
-    fn discard_staged(&mut self) {
+    /// Stage `rows` in place of the rows of a commit that failed: they say
+    /// what the caller is told instead.
+    fn restage(&mut self, rows: &[Option<Row>]) {
         self.staged.clear();
+        self.stage(rows);
     }
 }
 
@@ -310,26 +287,258 @@ impl Drop for Txn<'_> {
     }
 }
 
-/// What a gated operation carries from its commit's append to its
-/// verdict: plain data, so that it can wait on no thread.
-pub(crate) trait Gated: Send + 'static {
-    /// What the caller is told.
-    type Outcome;
+/// An outcome of an operation a login waits on: what its one finish
+/// needs to know of it.
+pub(crate) trait Answer: Copy + PartialEq + Send + 'static {
+    /// What the caller is handed.
+    type Reply;
+    /// The operation's span label, and its name to admission control.
+    const LABEL: &'static str;
+    /// The family of its outcome counter, and the counter's label key.
+    const COUNTER: (&'static str, &'static str);
+    /// The outcome that grants something (a login, a text, a resumption),
+    /// and so stands only once its commit is durable.
+    const GRANT: Self;
+    /// What a shed request, or a grant whose commit was not durable, is
+    /// told.
+    const UNAVAILABLE: Self;
+    /// The outcome's entry in its table.
+    fn entry(self) -> Told;
+    /// The outcome's counter, held.
+    fn series(self, held: &HeldSeries) -> &OnceLock<Arc<Counter>>;
+    /// The reply, with the text an SMS issue sent.
+    fn reply(self, sent: Option<SmsMessage>) -> Self::Reply;
+}
 
-    /// Everything the verdict decides: the `Unavailable` rewrite and its
-    /// denial row, outcome counters, security events, span statuses.
-    fn finish(self, txn: &mut Txn<'_>, persisted: bool) -> Self::Outcome;
+impl Answer for ValidationOutcome {
+    type Reply = Self;
+    const LABEL: &'static str = "validate";
+    const COUNTER: (&'static str, &'static str) = ("hpcmfa_otp_validations_total", "outcome");
+    const GRANT: Self = ValidationOutcome::Success;
+    const UNAVAILABLE: Self = ValidationOutcome::Unavailable;
+
+    fn entry(self) -> Told {
+        self.told()
+    }
+
+    fn series(self, held: &HeldSeries) -> &OnceLock<Arc<Counter>> {
+        &held.validations[self as usize]
+    }
+
+    fn reply(self, _: Option<SmsMessage>) -> Self {
+        self
+    }
+}
+
+impl Answer for SmsOutcome {
+    type Reply = SmsTrigger;
+    const LABEL: &'static str = "sms";
+    const COUNTER: (&'static str, &'static str) = ("hpcmfa_otp_sms_triggers_total", "result");
+    const GRANT: Self = SmsOutcome::Sent;
+    const UNAVAILABLE: Self = SmsOutcome::Unavailable;
+
+    fn entry(self) -> Told {
+        self.told()
+    }
+
+    fn series(self, held: &HeldSeries) -> &OnceLock<Arc<Counter>> {
+        &held.sms_triggers[self as usize]
+    }
+
+    fn reply(self, sent: Option<SmsMessage>) -> SmsTrigger {
+        match (self, sent) {
+            (SmsOutcome::Sent, Some(message)) => SmsTrigger::Sent(message),
+            (SmsOutcome::AlreadyActive, _) => SmsTrigger::AlreadyActive,
+            (SmsOutcome::NotSmsUser, _) => SmsTrigger::NotSmsUser,
+            (SmsOutcome::NoToken, _) => SmsTrigger::NoToken,
+            (SmsOutcome::Locked, _) => SmsTrigger::Locked,
+            (SmsOutcome::Sent | SmsOutcome::Unavailable, _) => SmsTrigger::Unavailable,
+        }
+    }
+}
+
+impl Answer for ResumeConsumeOutcome {
+    type Reply = Self;
+    const LABEL: &'static str = "resume_consume";
+    const COUNTER: (&'static str, &'static str) = ("hpcmfa_otp_resume_consumes_total", "outcome");
+    const GRANT: Self = ResumeConsumeOutcome::Fresh;
+    const UNAVAILABLE: Self = ResumeConsumeOutcome::Unavailable;
+
+    /// The resume-consume table.
+    fn entry(self) -> Told {
+        let row = |success, detail| Some(Row::new(AuditAction::Validate, success, detail));
+        match self {
+            ResumeConsumeOutcome::Fresh => {
+                Told::new("fresh", row(true, "resume token accepted"), None, None)
+            }
+            ResumeConsumeOutcome::Replayed => Told::new(
+                "replayed",
+                row(false, "resume nonce already consumed"),
+                Some((SecurityEventKind::ResumeReplay, "resumption nonce replayed")),
+                Some(SpanStatus::Error),
+            ),
+            ResumeConsumeOutcome::Unavailable => Told::new(
+                "unavailable",
+                row(false, "resume consume not durable, denied"),
+                Some((
+                    SecurityEventKind::WalFsyncDegraded,
+                    "resume consume not durable, denied",
+                )),
+                Some(SpanStatus::Degraded),
+            ),
+        }
+    }
+
+    fn series(self, held: &HeldSeries) -> &OnceLock<Arc<Counter>> {
+        &held.resume_consumes[self as usize]
+    }
+
+    fn reply(self, _: Option<SmsMessage>) -> Self {
+        self
+    }
+}
+
+/// A gated operation between its commit's append and its verdict: plain
+/// data, so that it can wait on no thread.
+pub(crate) struct Gate<A> {
+    /// What the store (or the ledger) said.
+    outcome: A,
+    /// The rows and events that outcome leaves, the outcome's own row
+    /// first and its own event last.
+    rows: [Option<Row>; 2],
+    events: [Option<Event>; 2],
+    /// The operation's span and, on a server with storage, its `wal_fsync`
+    /// child, off the tracer until the verdict has stamped them.
+    span: Option<DetachedSpan>,
+    fsync: Option<DetachedSpan>,
+    /// The span's child context: it parents `sms_dispatch`, and its
+    /// parent, the span's id, stamps every event, so every alert joins the
+    /// trace tree.
+    tctx: Option<SpanCtx>,
+    /// A validation's: the source its success marks trusted, and when it
+    /// began, for `hpcmfa_otp_validate_wall_us`.
+    source: Option<Ipv4Addr>,
+    started: Option<Instant>,
+    /// An SMS issue's: the number to text and the code issued to it.
+    text: Option<(PhoneNumber, String)>,
+}
+
+impl<A: Answer> Gate<A> {
+    /// `outcome` with its rows and events, under `guard`'s span.
+    fn new(
+        outcome: A,
+        (rows, events): ([Option<Row>; 2], [Option<Event>; 2]),
+        guard: Option<SpanGuard<'_>>,
+        fsync: Option<DetachedSpan>,
+    ) -> Self {
+        Gate {
+            outcome,
+            rows,
+            events,
+            tctx: guard.as_ref().map(SpanGuard::child_ctx),
+            span: guard.map(SpanGuard::detach),
+            fsync,
+            source: None,
+            started: None,
+            text: None,
+        }
+    }
+
+    /// Everything the verdict decides, the same for every outcome: a grant
+    /// that is not durable is retold as `Unavailable` with that outcome's
+    /// row and event; then the text an SMS issue owes, the security
+    /// events, the counters and the span statuses.
+    fn finish(self, txn: &mut Txn<'_>, persisted: bool) -> A::Reply {
+        let (server, username, now, trace) = (txn.server, txn.user, txn.now, txn.trace);
+        let tracer = server.metrics.tracer();
+        if let Some(mut fsync) = self.fsync.map(|span| tracer.attach(span)) {
+            if !persisted {
+                fsync.set_status(SpanStatus::Error);
+                fsync.set_detail("append failed");
+            }
+        }
+        let (mut outcome, mut rows, mut events) = (self.outcome, self.rows, self.events);
+        if !persisted {
+            // A grant whose commit is not durable must not be acknowledged:
+            // after a crash the WAL would re-open its replay window. What
+            // the store holds stays (deny-safe). The failed commit's rows
+            // went with it; these say what the caller is told.
+            if outcome == A::GRANT {
+                outcome = A::UNAVAILABLE;
+                rows[0] = outcome.entry().row;
+                events = [None, outcome.entry().event];
+            }
+            txn.restage(&rows);
+        }
+        let sent = self.text.and_then(|(phone, code)| {
+            if persisted {
+                // The SMS is dispatched only once its commit is durable.
+                let dispatch = self.tctx.as_ref().map(|c| {
+                    let g = tracer.start(c, "otp", "sms_dispatch");
+                    c.clock.advance_us(span_cost::SMS_DISPATCH_US);
+                    g
+                });
+                let body = format!("Your TACC token code is {code}");
+                let message = server.sms.send(&phone, &body, now);
+                drop(dispatch);
+                Some(message)
+            } else {
+                // The code nobody will be sent stops being pending, so the
+                // next trigger issues one instead of suppressing itself.
+                server.store.with_record(username, |rec| {
+                    if let Some(clear) = authority::withdrawal(rec, &code) {
+                        authority::apply(rec, &clear);
+                    }
+                });
+                None
+            }
+        });
+        let span_id = self.tctx.as_ref().and_then(|c| c.parent);
+        for (kind, what) in events.into_iter().flatten() {
+            if kind == SecurityEventKind::LockoutStorm {
+                let lockouts = &server.held.lockouts;
+                let lookup = || server.metrics.counter("hpcmfa_otp_lockouts_total", &[]);
+                lockouts.get_or_init(lookup).inc();
+            }
+            let detail = format!("user={username} {what}");
+            server.metrics.emit_event(kind, trace, span_id, now, detail);
+        }
+        let told = outcome.entry();
+        let (family, key) = A::COUNTER;
+        outcome
+            .series(&server.held)
+            .get_or_init(|| server.metrics.counter(family, &[(key, told.label)]))
+            .inc();
+        if let Some(started) = self.started {
+            server
+                .held
+                .validate_wall_us
+                .get_or_init(|| server.metrics.histogram("hpcmfa_otp_validate_wall_us", &[]))
+                .record_elapsed_us(started);
+        }
+        if let (true, Some(adm), Some(src)) = (outcome == A::GRANT, &server.admission, self.source)
+        {
+            adm.note_success(src, now);
+        }
+        if let Some(mut span) = self.span.map(|span| tracer.attach(span)) {
+            span.set_detail(told.label);
+            if let Some(status) = told.status {
+                span.set_status(status);
+            }
+        }
+        outcome.reply(sent)
+    }
 }
 
 /// A gated operation past its *begin*: the store (or ledger) holds what
 /// it did, its commit is appended, the lock is released. Two drivers
 /// take it to its *finish*, and there is one of each.
-pub(crate) struct Begun<'a, Op> {
+pub(crate) struct Begun<'a, A> {
     txn: Txn<'a>,
-    op: Op,
+    gate: Gate<A>,
 }
 
-impl<'a, Op: Gated> Begun<'a, Op> {
+impl<'a, A: Answer> Begun<'a, A> {
     /// The user the operation is on.
     pub(crate) fn user(&self) -> &'a str {
         self.txn.user
@@ -337,10 +546,10 @@ impl<'a, Op: Gated> Begun<'a, Op> {
 
     /// Drive inline: wait for the commit's sync on this thread — leading
     /// it when none is in flight — and finish.
-    pub(crate) fn settle(self) -> Op::Outcome {
-        let Begun { mut txn, op } = self;
+    pub(crate) fn settle(self) -> A::Reply {
+        let Begun { mut txn, gate } = self;
         let persisted = txn.settle();
-        op.finish(&mut txn, persisted)
+        gate.finish(&mut txn, persisted)
     }
 
     /// Whether [`Begun::settle`] would wait for a sync another thread is
@@ -352,7 +561,7 @@ impl<'a, Op: Gated> Begun<'a, Op> {
     }
 
     /// Drive parked: leave the finish with the pump, to be run — and its
-    /// outcome handed to `then` — by the thread holding the release turn
+    /// reply handed to `then` — by the thread holding the release turn
     /// once the verdict is in. Returns the pump and the commit's sequence
     /// number to [`Persistence::drive`] it by, or `None` if there was
     /// nothing to wait behind after all and both ran here. `server` is the
@@ -360,9 +569,9 @@ impl<'a, Op: Gated> Begun<'a, Op> {
     pub(crate) fn park(
         self,
         server: Arc<LinotpServer>,
-        then: impl FnOnce(&str, Op::Outcome) + Send + 'static,
+        then: impl FnOnce(&str, A::Reply) + Send + 'static,
     ) -> Option<(Persistence, u64)> {
-        let Begun { mut txn, op } = self;
+        let Begun { mut txn, gate } = self;
         let (pump, user) = (txn.server.persistence.as_ref(), txn.user.to_string());
         // The operation leaves this thread with its commit and rows, and
         // what is left of `txn` drops as a no-op.
@@ -380,9 +589,9 @@ impl<'a, Op: Gated> Begun<'a, Op> {
                 staged,
                 parked: true,
             };
-            let outcome = op.finish(&mut txn, persisted);
+            let reply = gate.finish(&mut txn, persisted);
             drop(txn);
-            then(&user, outcome);
+            then(&user, reply);
         });
         match pump.zip(ticket) {
             Some((pump, ticket)) => pump.park(ticket, finish),
@@ -394,345 +603,20 @@ impl<'a, Op: Gated> Begun<'a, Op> {
     }
 }
 
-/// Stage a validation's audit rows: what the caller is told, and the
-/// lockout the attempt tripped.
-fn validation_rows(
-    txn: &mut Txn<'_>,
-    outcome: ValidationOutcome,
-    locked_now: bool,
-) -> (ValidationOutcome, bool) {
-    txn.audit(
-        AuditAction::Validate,
-        outcome.is_success(),
-        validation_detail(outcome),
-    );
-    if locked_now {
-        txn.audit(AuditAction::Lockout, true, "threshold reached");
-    }
-    (outcome, locked_now)
-}
-
-/// A validation between [`LinotpServer::validate_begin`] and its verdict.
-pub(crate) struct Validate {
-    /// The `validate` span and, on a server with storage, its `wal_fsync`
-    /// child, off the tracer until the verdict has stamped them.
-    span: Option<DetachedSpan>,
-    fsync: Option<DetachedSpan>,
-    /// The `validate` span's id: every event carries it, so every alert
-    /// joins the trace tree.
-    span_id: Option<SpanId>,
-    /// What the store said.
-    outcome: ValidationOutcome,
-    locked_now: bool,
-    source: Option<Ipv4Addr>,
-    started: Instant,
-}
-
-impl Gated for Validate {
-    type Outcome = ValidationOutcome;
-
-    fn finish(self, txn: &mut Txn<'_>, persisted: bool) -> ValidationOutcome {
-        let (server, username, now, trace) = (txn.server, txn.user, txn.now, txn.trace);
-        let tracer = server.metrics.tracer();
-        if let Some(mut fsync) = self.fsync.map(|span| tracer.attach(span)) {
-            if !persisted {
-                fsync.set_status(SpanStatus::Error);
-                fsync.set_detail("append failed");
-            }
-        }
-        let outcome = if persisted {
-            self.outcome
-        } else {
-            // An accepted code whose nullification is not durable must not
-            // be acknowledged: after a crash the WAL would re-open its
-            // replay window. The in-memory mark stays advanced (deny-safe)
-            // and the caller sees Unavailable. The failed commit's rows
-            // went with it; these say what the caller is told.
-            let told = match self.outcome {
-                ValidationOutcome::Success => ValidationOutcome::Unavailable,
-                other => other,
-            };
-            txn.discard_staged();
-            validation_rows(txn, told, self.locked_now).0
-        };
-
-        let event = |kind, what: &str| {
-            let detail = format!("user={username} {what}");
-            server
-                .metrics
-                .emit_event(kind, trace, self.span_id, now, detail)
-        };
-        server.held.validations[outcome as usize]
-            .get_or_init(|| {
-                server.metrics.counter(
-                    "hpcmfa_otp_validations_total",
-                    &[("outcome", validation_label(outcome))],
-                )
-            })
-            .inc();
-        if self.locked_now {
-            server
-                .held
-                .lockouts
-                .get_or_init(|| server.metrics.counter("hpcmfa_otp_lockouts_total", &[]))
-                .inc();
-            event(SecurityEventKind::LockoutStorm, "threshold reached");
-        }
-        match outcome {
-            ValidationOutcome::Replayed => event(
-                SecurityEventKind::ReplayAttempt,
-                "consumed code resubmitted",
-            ),
-            ValidationOutcome::Unavailable => event(
-                SecurityEventKind::WalFsyncDegraded,
-                "accepted code not durable, denied",
-            ),
-            _ => {}
-        }
-        server
-            .held
-            .validate_wall_us
-            .get_or_init(|| server.metrics.histogram("hpcmfa_otp_validate_wall_us", &[]))
-            .record_elapsed_us(self.started);
-        if outcome.is_success() {
-            if let (Some(adm), Some(src)) = (&server.admission, self.source) {
-                adm.note_success(src, now);
-            }
-        }
-        stamp_validation_span(&mut self.span.map(|span| tracer.attach(span)), outcome);
-        outcome
-    }
-}
-
-/// A resume-nonce consume between its ledger insert and its verdict.
-pub(crate) struct ResumeConsume {
-    /// The `resume_consume` span, off the tracer until stamped.
-    span: Option<DetachedSpan>,
-    span_id: Option<SpanId>,
-    /// Whether this was the nonce's first presentation.
-    fresh: bool,
-}
-
-impl Gated for ResumeConsume {
-    type Outcome = ResumeConsumeOutcome;
-
-    fn finish(self, txn: &mut Txn<'_>, persisted: bool) -> ResumeConsumeOutcome {
-        let (server, username, now, trace) = (txn.server, txn.user, txn.now, txn.trace);
-        let outcome = match (self.fresh, persisted) {
-            (true, true) => ResumeConsumeOutcome::Fresh,
-            (true, false) => {
-                txn.discard_staged();
-                let detail = "resume consume not durable, denied";
-                txn.audit(AuditAction::Validate, false, detail);
-                ResumeConsumeOutcome::Unavailable
-            }
-            (false, _) => ResumeConsumeOutcome::Replayed,
-        };
-        let label = match outcome {
-            ResumeConsumeOutcome::Fresh => "fresh",
-            ResumeConsumeOutcome::Replayed => "replayed",
-            ResumeConsumeOutcome::Unavailable => "unavailable",
-        };
-        server.held.resume_consumes[outcome as usize]
-            .get_or_init(|| {
-                server
-                    .metrics
-                    .counter("hpcmfa_otp_resume_consumes_total", &[("outcome", label)])
-            })
-            .inc();
-        let event = |kind, what: &str| {
-            let detail = format!("user={username} {what}");
-            server
-                .metrics
-                .emit_event(kind, trace, self.span_id, now, detail)
-        };
-        match outcome {
-            ResumeConsumeOutcome::Replayed => {
-                event(SecurityEventKind::ResumeReplay, "resumption nonce replayed")
-            }
-            ResumeConsumeOutcome::Unavailable => event(
-                SecurityEventKind::WalFsyncDegraded,
-                "resume consume not durable, denied",
-            ),
-            ResumeConsumeOutcome::Fresh => {}
-        }
-        if let Some(mut g) = self.span.map(|span| server.metrics.tracer().attach(span)) {
-            g.set_detail(label);
-            match outcome {
-                ResumeConsumeOutcome::Fresh => {}
-                ResumeConsumeOutcome::Replayed => g.set_status(SpanStatus::Error),
-                ResumeConsumeOutcome::Unavailable => g.set_status(SpanStatus::Degraded),
-            }
-        }
-        outcome
-    }
-}
-
-/// An SMS trigger between its issue record's append and its verdict.
-pub(crate) struct SmsIssue {
-    /// The `sms` span, off the tracer until stamped.
-    span: Option<DetachedSpan>,
-    /// Parents `sms_dispatch`; its `parent` field stamps emitted events.
-    tctx: Option<SpanCtx>,
-    /// `Ok`: the number to text and the code issued to it. `Err`: nothing
-    /// is sent, and why.
-    issued: Result<(PhoneNumber, String), SmsTrigger>,
-}
-
-impl Gated for SmsIssue {
-    type Outcome = SmsTrigger;
-
-    fn finish(self, txn: &mut Txn<'_>, persisted: bool) -> SmsTrigger {
-        let (server, username, now, trace) = (txn.server, txn.user, txn.now, txn.trace);
-        let tracer = server.metrics.tracer();
-        let trigger = match self.issued {
-            // The SMS is dispatched only once its commit is durable.
-            Ok((phone, code)) if persisted => {
-                let dispatch = self.tctx.as_ref().map(|c| {
-                    let g = tracer.start(c, "otp", "sms_dispatch");
-                    c.clock.advance_us(span_cost::SMS_DISPATCH_US);
-                    g
-                });
-                let body = format!("Your TACC token code is {code}");
-                let msg = server.sms.send(&phone, &body, now);
-                drop(dispatch);
-                SmsTrigger::Sent(msg)
-            }
-            Ok((_, code)) => {
-                txn.discard_staged();
-                txn.audit(AuditAction::SmsTriggered, false, "durability unavailable");
-                // The code nobody will be sent stops being pending, so the
-                // next trigger issues one instead of suppressing itself.
-                server.store.with_record(username, |rec| {
-                    if let TokenPairing::Sms { pending, .. } = &mut rec.pairing {
-                        if pending.as_ref().is_some_and(|p| p.code == code) {
-                            *pending = None;
-                        }
-                    }
-                });
-                SmsTrigger::Unavailable
-            }
-            Err(refused) => refused,
-        };
-        let span_id = self.tctx.as_ref().and_then(|c| c.parent);
-        let event = |kind, what: &str| {
-            let detail = format!("user={username} {what}");
-            server.metrics.emit_event(kind, trace, span_id, now, detail)
-        };
-        match trigger {
-            SmsTrigger::AlreadyActive => {
-                event(SecurityEventKind::SmsAbuse, "re-trigger while code active")
-            }
-            SmsTrigger::Unavailable => event(
-                SecurityEventKind::WalFsyncDegraded,
-                "sms issue not durable, withheld",
-            ),
-            _ => {}
-        }
-        let slot = sms_slot(&trigger);
-        server.held.sms_triggers[slot]
-            .get_or_init(|| {
-                server.metrics.counter(
-                    "hpcmfa_otp_sms_triggers_total",
-                    &[("result", SMS_LABELS[slot])],
-                )
-            })
-            .inc();
-        stamp_sms_span(&mut self.span.map(|span| tracer.attach(span)), &trigger);
-        trigger
-    }
-}
-
-/// The names one admission-guarded operation goes by.
-struct Guarded {
-    /// Span label, and the operation named to admission control.
-    label: &'static str,
-    /// Audit action of the row a shed request leaves.
-    action: AuditAction,
-    /// Counter family and label key that count a shed request as
-    /// `unavailable`.
-    counter: (&'static str, &'static str),
-}
-
-/// The `outcome` label used for counters and span details.
-fn validation_label(outcome: ValidationOutcome) -> &'static str {
-    match outcome {
-        ValidationOutcome::Success => "success",
-        ValidationOutcome::WrongCode => "wrong_code",
-        ValidationOutcome::Replayed => "replayed",
-        ValidationOutcome::Locked => "locked",
-        ValidationOutcome::NoToken => "no_token",
-        ValidationOutcome::Unavailable => "unavailable",
-    }
-}
-
-/// The `result` labels used for counters and span details, in
-/// [`sms_slot`] order.
-const SMS_LABELS: [&str; 6] = [
-    "sent",
-    "already_active",
-    "not_sms_user",
-    "no_token",
-    "locked",
-    "unavailable",
-];
-
-/// Where `trigger` sits in [`SMS_LABELS`] and [`HeldSeries::sms_triggers`].
-fn sms_slot(trigger: &SmsTrigger) -> usize {
-    match trigger {
-        SmsTrigger::Sent(_) => 0,
-        SmsTrigger::AlreadyActive => 1,
-        SmsTrigger::NotSmsUser => 2,
-        SmsTrigger::NoToken => 3,
-        SmsTrigger::Locked => 4,
-        SmsTrigger::Unavailable => 5,
-    }
-}
-
-/// The `result` label of `trigger`.
-fn sms_label(trigger: &SmsTrigger) -> &'static str {
-    SMS_LABELS[sms_slot(trigger)]
-}
-
 /// The series every operation counts, each looked up in the registry the
 /// first time it is counted and held from then on: a lookup builds a key
 /// and takes the registry's lock, several times what the increment costs.
 /// First use rather than construction, so a series nothing has counted yet
 /// stays out of `/system/metrics`. A labelled family is an array indexed
-/// by the outcome's discriminant ([`sms_slot`] for an [`SmsTrigger`]).
+/// by the outcome's discriminant.
 #[derive(Default)]
-struct HeldSeries {
+pub(crate) struct HeldSeries {
     window_scans: OnceLock<Arc<Counter>>,
     validations: [OnceLock<Arc<Counter>>; 6],
     lockouts: OnceLock<Arc<Counter>>,
     validate_wall_us: OnceLock<Arc<Histogram>>,
     resume_consumes: [OnceLock<Arc<Counter>>; 3],
     sms_triggers: [OnceLock<Arc<Counter>>; 6],
-}
-
-/// Close out a `validate` span: outcome label as detail, degraded for
-/// durability denials, error for the other non-success outcomes.
-fn stamp_validation_span(guard: &mut Option<SpanGuard<'_>>, outcome: ValidationOutcome) {
-    if let Some(g) = guard.as_mut() {
-        g.set_detail(validation_label(outcome));
-        match outcome {
-            ValidationOutcome::Success => {}
-            ValidationOutcome::Unavailable => g.set_status(SpanStatus::Degraded),
-            _ => g.set_status(SpanStatus::Error),
-        }
-    }
-}
-
-/// Close out an `sms` span analogously.
-fn stamp_sms_span(guard: &mut Option<SpanGuard<'_>>, trigger: &SmsTrigger) {
-    if let Some(g) = guard.as_mut() {
-        g.set_detail(sms_label(trigger));
-        match trigger {
-            SmsTrigger::Sent(_) | SmsTrigger::AlreadyActive | SmsTrigger::NotSmsUser => {}
-            SmsTrigger::Unavailable => g.set_status(SpanStatus::Degraded),
-            SmsTrigger::NoToken | SmsTrigger::Locked => g.set_status(SpanStatus::Error),
-        }
-    }
 }
 
 impl LinotpServer {
@@ -893,13 +777,19 @@ impl LinotpServer {
 
     /// Enroll `pairing`, committing the WAL record and its audit row
     /// before the store mutation.
-    fn enroll_pairing(&self, username: &str, pairing: TokenPairing, now: u64, detail: &str) {
+    fn enroll_pairing(
+        &self,
+        username: &str,
+        pairing: TokenPairing,
+        now: u64,
+        detail: &'static str,
+    ) {
         let mut txn = self.txn(username, now, None);
         txn.record(|| WalRecord::Enroll {
             user: username.to_string(),
             pairing: pairing.clone(),
         });
-        txn.audit(AuditAction::Enroll, true, detail);
+        txn.stage(&[Some(Row::new(AuditAction::Enroll, true, detail))]);
         txn.settle();
         self.store.enroll(username, pairing);
     }
@@ -973,7 +863,7 @@ impl LinotpServer {
         txn.record(|| WalRecord::Remove {
             user: username.to_string(),
         });
-        txn.audit(AuditAction::Remove, existed, "");
+        txn.stage(&[Some(Row::new(AuditAction::Remove, existed, ""))]);
         txn.settle();
         self.store.remove(username);
         existed
@@ -997,52 +887,66 @@ impl LinotpServer {
         self.validate_guarded(username, code, now, None, None)
     }
 
-    /// What every guarded operation does first: open its timed `otp` span
-    /// when traced, charge the engine's modeled base cost to the trace
-    /// clock, and put the request to admission control when that is
-    /// configured and the source known. `Err` is a shed request — its
-    /// audit row written, counted as `unavailable`, the span closed as
-    /// shed — and the caller answers its fail-safe denial. An admitted
-    /// request's queue wait becomes an `admission` child span charging its
-    /// virtual delay to the trace clock, so the critical path can name it.
-    fn admit(
+    /// Open an operation's timed `otp` span labelled `label` when traced,
+    /// and charge the engine's modeled base cost to the trace clock.
+    fn open(&self, label: &'static str, ctx: Option<&SpanCtx>) -> Option<SpanGuard<'_>> {
+        let guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", label));
+        if let Some(c) = ctx {
+            c.clock.advance_us(span_cost::OTP_BASE_US);
+        }
+        guard
+    }
+
+    /// What every guarded operation does first: [`LinotpServer::open`]
+    /// its span, then put the request to admission control when that is
+    /// configured and the source known. `Err` is a shed request's reply —
+    /// its audit row written, counted as `unavailable`, the span closed as
+    /// shed — the fail-safe denial. An admitted request's queue wait
+    /// becomes an `admission` child span charging its virtual delay to the
+    /// trace clock, so the critical path can name it.
+    fn admit<A: Answer>(
         &self,
-        op: &Guarded,
         username: &str,
         now: u64,
         ctx: Option<&SpanCtx>,
         source: Option<Ipv4Addr>,
-    ) -> Result<Option<SpanGuard<'_>>, ShedReason> {
+    ) -> Result<Option<SpanGuard<'_>>, A::Reply> {
+        let label = A::LABEL;
+        let mut guard = self.open(label, ctx);
+        let (Some(adm), Some(src)) = (&self.admission, source) else {
+            return Ok(guard);
+        };
         let trace = ctx.map(|c| c.trace);
-        let mut guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", op.label));
-        if let Some(c) = ctx {
-            c.clock.advance_us(span_cost::OTP_BASE_US);
-        }
-        if let (Some(adm), Some(src)) = (&self.admission, source) {
-            let span = guard.as_ref().map(|g| g.id());
-            match adm.admit(src, now, trace, span, op.label) {
-                Err(reason) => {
-                    let shed = reason.detail();
-                    self.txn(username, now, trace).audit(op.action, false, shed);
-                    let (family, key) = op.counter;
-                    self.metrics.counter(family, &[(key, "unavailable")]).inc();
-                    if let Some(g) = guard.as_mut() {
-                        g.set_status(SpanStatus::Shed);
-                        g.set_detail(shed);
-                    }
-                    return Err(reason);
+        match adm.admit(src, now, trace, guard.as_ref().map(SpanGuard::id), label) {
+            Err(reason) => {
+                let (shed, unavailable) = (reason.detail(), A::UNAVAILABLE);
+                let told = unavailable.entry();
+                let row = told.row.map(|row| Row {
+                    detail: shed,
+                    ..row
+                });
+                self.txn(username, now, trace).stage(&[row]);
+                let (family, key) = A::COUNTER;
+                unavailable
+                    .series(&self.held)
+                    .get_or_init(|| self.metrics.counter(family, &[(key, told.label)]))
+                    .inc();
+                if let Some(g) = guard.as_mut() {
+                    g.set_status(SpanStatus::Shed);
+                    g.set_detail(shed);
                 }
-                Ok(wait_us) => {
-                    if let Some(c) = guard.as_ref().map(|g| g.child_ctx()) {
-                        let mut adm_span = self.metrics.tracer().start(&c, "otp", "admission");
-                        adm_span.attr_u64("wait_us", wait_us);
-                        c.clock.advance_us(wait_us);
-                        adm_span.finish();
-                    }
+                Err(unavailable.reply(None))
+            }
+            Ok(wait_us) => {
+                if let Some(c) = guard.as_ref().map(SpanGuard::child_ctx) {
+                    let mut adm_span = self.metrics.tracer().start(&c, "otp", "admission");
+                    adm_span.attr_u64("wait_us", wait_us);
+                    c.clock.advance_us(wait_us);
+                    adm_span.finish();
                 }
+                Ok(guard)
             }
         }
-        Ok(guard)
     }
 
     /// [`LinotpServer::validate`] under an optional propagated span
@@ -1090,15 +994,8 @@ impl LinotpServer {
         }
     }
 
-    /// The *begin* of a validation: admission, the validation engine
-    /// proper, and the commit's append. `Err` is a shed request's answer —
-    /// a shed request never begins.
-    ///
-    /// With a storage backend attached, the post-attempt security state
-    /// (replay mark, failure counter, active flag) and the attempt's audit
-    /// rows are appended to the WAL as one commit *inside* the store lock
-    /// — WAL order matches mutation order — and the lock is released
-    /// before the sync that makes them durable (see [`Txn`]).
+    /// The *begin* of a validation: admission, then [`LinotpServer::step_begin`].
+    /// `Err` is a shed request's answer — a shed request never begins.
     pub(crate) fn validate_begin<'a>(
         &'a self,
         username: &'a str,
@@ -1106,156 +1003,78 @@ impl LinotpServer {
         now: u64,
         ctx: Option<&SpanCtx>,
         source: Option<Ipv4Addr>,
-    ) -> Result<Begun<'a, Validate>, ValidationOutcome> {
-        const OP: Guarded = Guarded {
-            label: "validate",
-            action: AuditAction::Validate,
-            counter: ("hpcmfa_otp_validations_total", "outcome"),
-        };
+    ) -> Result<Begun<'a, ValidationOutcome>, ValidationOutcome> {
         let started = Instant::now();
-        let guard = self
-            .admit(&OP, username, now, ctx, source)
-            .map_err(|_| ValidationOutcome::Unavailable)?;
-        // The enclosing `validate` span's child context: its trace threads
-        // the audit detail and security events, sub-spans parent under it.
-        let tctx = guard.as_ref().map(|g| g.child_ctx());
-        let tctx = tctx.as_ref();
-        let mut fsync = None;
-        let mut txn = self.txn(username, now, tctx.map(|c| c.trace));
-        let (outcome, locked_now) = self
-            .store
-            .with_record(username, |rec| {
-                if !rec.active {
-                    return validation_rows(&mut txn, ValidationOutcome::Locked, false);
+        let guard = self.admit::<ValidationOutcome>(username, now, ctx, source)?;
+        let (mut begun, _) = self.step_begin(guard, username, &Op::Validate { code }, now);
+        begun.gate.source = source;
+        begun.gate.started = Some(started);
+        Ok(begun)
+    }
+
+    /// The *begin* of an operation a login waits on that `step` decides:
+    /// its [`Txn`], then under the shard lock `step`, each change applied
+    /// and encoded into the commit beside the staged rows, and — when
+    /// something changed — the commit's append, so the lock is released
+    /// before the sync that makes them durable (see [`Txn`]). Returns the
+    /// number an SMS issue texts once durable.
+    fn step_begin<'a, A: Answer + From<Outcome>>(
+        &'a self,
+        guard: Option<SpanGuard<'a>>,
+        username: &'a str,
+        op: &Op<'_>,
+        now: u64,
+    ) -> (Begun<'a, A>, Option<PhoneNumber>) {
+        // The enclosing span's child context: its trace threads the audit
+        // detail and security events, sub-spans parent under it.
+        let tctx = guard.as_ref().map(SpanGuard::child_ctx);
+        let mut txn = self.txn(username, now, tctx.as_ref().map(|c| c.trace));
+        let (mut fsync, mut phone) = (None, None);
+        let t = self.store.with_record(username, |rec| {
+            let t = authority::step(rec, op, now);
+            if t.window_steps > 0 {
+                // Every full-OTP validation scans the drift window. The
+                // resumption fast path never reaches this line, which is
+                // what lets tests pin "zero window scans".
+                let scans = || self.metrics.counter("hpcmfa_otp_window_scans_total", &[]);
+                self.held.window_scans.get_or_init(scans).inc();
+                if let Some(c) = &tctx {
+                    let mut scan = self.metrics.tracer().start(c, "otp", "window_scan");
+                    scan.attr_u64("window_steps", t.window_steps);
+                    let cost = span_cost::WINDOW_SCAN_STEP_US.saturating_mul(t.window_steps);
+                    c.clock.advance_us(cost);
+                    scan.finish();
                 }
-                let mut purged_sms = false;
-                let outcome = match &mut rec.pairing {
-                    TokenPairing::Totp {
-                        totp,
-                        last_step,
-                        drift_steps,
-                        ..
-                    } => {
-                        // Saturating: `drift_steps` and `step_secs` may come
-                        // from disk, where any value is CRC-valid.
-                        let drift_secs = i64::try_from(totp.params.step_secs)
-                            .unwrap_or(i64::MAX)
-                            .saturating_mul(*drift_steps);
-                        let adjusted_now = now.saturating_add_signed(drift_secs);
-                        let window = totp.window_for_drift(DRIFT_TOLERANCE_SECS);
-                        // Every full-OTP validation scans the drift window.
-                        // The resumption fast path never reaches this line,
-                        // which is what lets tests pin "zero window scans".
-                        self.held
-                            .window_scans
-                            .get_or_init(|| {
-                                self.metrics.counter("hpcmfa_otp_window_scans_total", &[])
-                            })
-                            .inc();
-                        if let Some(c) = tctx {
-                            let steps = window.saturating_mul(2).saturating_add(1);
-                            let mut scan = self.metrics.tracer().start(c, "otp", "window_scan");
-                            scan.attr_u64("window_steps", steps);
-                            c.clock
-                                .advance_us(span_cost::WINDOW_SCAN_STEP_US.saturating_mul(steps));
-                            scan.finish();
-                        }
-                        // An accept stops at its step; a wrong code and a
-                        // replay both MAC the whole window.
-                        match totp.verify_tracked(code, adjusted_now, window, *last_step) {
-                            Some(step) => {
-                                if last_step.is_some_and(|ls| step <= ls) {
-                                    ValidationOutcome::Replayed
-                                } else {
-                                    *last_step = Some(step);
-                                    ValidationOutcome::Success
-                                }
-                            }
-                            None => ValidationOutcome::WrongCode,
-                        }
-                    }
-                    TokenPairing::Sms { pending, .. } => {
-                        // Purge an expired code on validate so it doesn't
-                        // linger in memory, snapshots, or status output.
-                        if pending.as_ref().is_some_and(|p| !p.active(now)) {
-                            *pending = None;
-                            purged_sms = true;
-                        }
-                        match pending {
-                            Some(p) => {
-                                if hpcmfa_crypto::ct::ct_eq_str(&p.code, code) {
-                                    // One-time: consume on success.
-                                    *pending = None;
-                                    purged_sms = true;
-                                    ValidationOutcome::Success
-                                } else {
-                                    ValidationOutcome::WrongCode
-                                }
-                            }
-                            None => ValidationOutcome::WrongCode,
-                        }
-                    }
-                    TokenPairing::Static { code: expected } => {
-                        if hpcmfa_crypto::ct::ct_eq_str(expected, code) {
-                            ValidationOutcome::Success
-                        } else {
-                            ValidationOutcome::WrongCode
-                        }
-                    }
-                };
-                // Failure accounting and lockout.
-                let mut locked_now = false;
-                match outcome {
-                    ValidationOutcome::Success => rec.fail_count = 0,
-                    ValidationOutcome::WrongCode | ValidationOutcome::Replayed => {
-                        rec.fail_count += 1;
-                        if rec.fail_count >= LOCKOUT_THRESHOLD && rec.active {
-                            rec.active = false;
-                            locked_now = true;
-                        }
-                    }
-                    _ => {}
-                }
-                // Append the post-attempt state and the attempt's audit
-                // rows before the lock is released; the ack waits for their
-                // sync outside it. A consumed or expired pending SMS code is
-                // cleared durably too. Every outcome that reaches here is
-                // Success, WrongCode or Replayed.
-                if purged_sms {
-                    txn.record(|| WalRecord::SmsClear {
-                        user: username.to_string(),
+            }
+            for change in t.changes.iter().flatten() {
+                authority::apply(rec, change);
+            }
+            txn.encode(&t);
+            if t.changes.iter().any(Option::is_some) {
+                fsync = tctx
+                    .as_ref()
+                    .filter(|_| self.persistence.is_some())
+                    .map(|c| {
+                        let g = self.metrics.tracer().start(c, "otp", "wal_fsync");
+                        c.clock.advance_us(span_cost::WAL_FSYNC_US);
+                        g.detach()
                     });
-                }
-                txn.val_state(
-                    match (&rec.pairing, outcome) {
-                        (TokenPairing::Totp { last_step, .. }, ValidationOutcome::Success) => {
-                            *last_step
-                        }
-                        _ => None,
-                    },
-                    rec.fail_count,
-                    rec.active,
-                );
-                validation_rows(&mut txn, outcome, locked_now);
-                fsync = tctx.filter(|_| self.persistence.is_some()).map(|c| {
-                    let g = self.metrics.tracer().start(c, "otp", "wal_fsync");
-                    c.clock.advance_us(span_cost::WAL_FSYNC_US);
-                    g.detach()
-                });
                 txn.append();
-                (outcome, locked_now)
-            })
-            .unwrap_or_else(|| validation_rows(&mut txn, ValidationOutcome::NoToken, false));
-        let op = Validate {
-            span_id: guard.as_ref().map(SpanGuard::id),
-            span: guard.map(SpanGuard::detach),
-            fsync,
-            outcome,
-            locked_now,
-            source,
-            started,
-        };
-        Ok(Begun { txn, op })
+            }
+            if let (Outcome::Sms(SmsOutcome::Sent), TokenPairing::Sms { phone: to, .. }) =
+                (t.outcome, &rec.pairing)
+            {
+                phone = Some(to.clone());
+            }
+            t
+        });
+        let t = t.unwrap_or_else(|| {
+            let t = authority::absent(op);
+            txn.stage(&t.rows);
+            t
+        });
+        let gate = Gate::new(A::from(t.outcome), (t.rows, t.events), guard, fsync);
+        (Begun { txn, gate }, phone)
     }
 
     /// Consume a resumption-token nonce, enforcing single use durably.
@@ -1290,48 +1109,39 @@ impl LinotpServer {
         expires_at: u64,
         now: u64,
         ctx: Option<&SpanCtx>,
-    ) -> Begun<'a, ResumeConsume> {
-        let guard = ctx.map(|c| self.metrics.tracer().start(c, "otp", "resume_consume"));
-        if let Some(c) = ctx {
-            c.clock.advance_us(span_cost::OTP_BASE_US);
-        }
+    ) -> Begun<'a, ResumeConsumeOutcome> {
+        let guard = self.open(ResumeConsumeOutcome::LABEL, ctx);
         let mut txn = self.txn(username, now, ctx.map(|c| c.trace));
-        let fresh = {
+        let outcome = {
             let mut ledger = self.resume_consumed.lock();
             if now >= ledger.purge_due {
                 ledger.purge_expired(now);
             }
-            let slot = ledger.consumed.entry(nonce);
-            let fresh = matches!(slot, std::collections::btree_map::Entry::Vacant(_));
-            if fresh {
-                slot.or_insert(expires_at);
-                // The nonce consume is one WAL commit on the durable path.
-                if let Some(c) = ctx.filter(|_| self.persistence.is_some()) {
-                    c.clock.advance_us(span_cost::WAL_FSYNC_US);
+            match ledger.consumed.entry(nonce) {
+                Entry::Occupied(_) => ResumeConsumeOutcome::Replayed,
+                Entry::Vacant(slot) => {
+                    slot.insert(expires_at);
+                    // The nonce consume is one WAL commit on the durable path.
+                    if let Some(c) = ctx.filter(|_| self.persistence.is_some()) {
+                        c.clock.advance_us(span_cost::WAL_FSYNC_US);
+                    }
+                    txn.record(|| WalRecord::ResumeConsume {
+                        user: username.to_string(),
+                        nonce,
+                        expires_at,
+                    });
+                    txn.stage(&[ResumeConsumeOutcome::Fresh.entry().row]);
+                    txn.append();
+                    ResumeConsumeOutcome::Fresh
                 }
-                txn.record(|| WalRecord::ResumeConsume {
-                    user: username.to_string(),
-                    nonce,
-                    expires_at,
-                });
-                txn.audit(AuditAction::Validate, true, "resume token accepted");
-                txn.append();
             }
-            fresh
         };
-        if !fresh {
-            txn.audit(
-                AuditAction::Validate,
-                false,
-                "resume nonce already consumed",
-            );
+        let told = outcome.entry();
+        if outcome == ResumeConsumeOutcome::Replayed {
+            txn.stage(&[told.row]);
         }
-        let op = ResumeConsume {
-            span_id: guard.as_ref().map(SpanGuard::id),
-            span: guard.map(SpanGuard::detach),
-            fresh,
-        };
-        Begun { txn, op }
+        let gate = Gate::new(outcome, ([told.row, None], [None, told.event]), guard, None);
+        Begun { txn, gate }
     }
 
     /// Trigger an SMS code for `username` (the "null request" path).
@@ -1339,8 +1149,9 @@ impl LinotpServer {
         self.trigger_sms_guarded(username, now, None, None)
     }
 
-    /// The *begin* of an SMS trigger: admission, the pending code set and
-    /// its issue record appended under the store lock. `Err` is a shed
+    /// The *begin* of an SMS trigger: admission, a code drawn, then
+    /// [`LinotpServer::step_begin`] — the issue record and its row must be
+    /// durable before the provider is handed the message. `Err` is a shed
     /// request's answer.
     pub(crate) fn trigger_sms_begin<'a>(
         &'a self,
@@ -1348,64 +1159,13 @@ impl LinotpServer {
         now: u64,
         ctx: Option<&SpanCtx>,
         source: Option<Ipv4Addr>,
-    ) -> Result<Begun<'a, SmsIssue>, SmsTrigger> {
-        const OP: Guarded = Guarded {
-            label: "sms",
-            action: AuditAction::SmsTriggered,
-            counter: ("hpcmfa_otp_sms_triggers_total", "result"),
-        };
-        let guard = self
-            .admit(&OP, username, now, ctx, source)
-            .map_err(|_| SmsTrigger::Unavailable)?;
-        // Parents the sub-spans; its `parent` field stamps emitted events.
-        let tctx = guard.as_ref().map(|g| g.child_ctx());
+    ) -> Result<Begun<'a, SmsOutcome>, SmsTrigger> {
+        let guard = self.admit::<SmsOutcome>(username, now, ctx, source)?;
         let code = format!("{:06}", self.rng.lock().random_range(0..1_000_000u32));
-        let mut txn = self.txn(username, now, tctx.as_ref().map(|c| c.trace));
-        // `Ok`: a code is issued, to be texted to this number once its
-        // commit is durable. `Err`: nothing is sent, and why.
-        let issued = self
-            .store
-            .with_record(username, |rec| {
-                if !rec.active {
-                    return Err(SmsTrigger::Locked);
-                }
-                let TokenPairing::Sms { phone, pending } = &mut rec.pairing else {
-                    return Err(SmsTrigger::NotSmsUser);
-                };
-                if pending.as_ref().is_some_and(|p| p.active(now)) {
-                    txn.audit(AuditAction::SmsSuppressed, true, "code active");
-                    return Err(SmsTrigger::AlreadyActive);
-                }
-                let expires_at = now + SMS_CODE_VALIDITY_SECS;
-                // The issue record (and its audit row) must be durable
-                // before the provider is handed the message.
-                if let Some(c) = tctx.as_ref().filter(|_| self.persistence.is_some()) {
-                    let fsync = self.metrics.tracer().start(c, "otp", "wal_fsync");
-                    c.clock.advance_us(span_cost::WAL_FSYNC_US);
-                    fsync.finish();
-                }
-                txn.record(|| WalRecord::SmsIssue {
-                    user: username.to_string(),
-                    code: code.clone(),
-                    sent_at: now,
-                    expires_at,
-                });
-                txn.audit(AuditAction::SmsTriggered, true, "");
-                txn.append();
-                *pending = Some(PendingSmsCode {
-                    code: code.clone(),
-                    sent_at: now,
-                    expires_at,
-                });
-                Ok(phone.clone())
-            })
-            .unwrap_or(Err(SmsTrigger::NoToken));
-        let op = SmsIssue {
-            span: guard.map(SpanGuard::detach),
-            tctx,
-            issued: issued.map(|phone| (phone, code)),
-        };
-        Ok(Begun { txn, op })
+        let (mut begun, phone) =
+            self.step_begin(guard, username, &Op::SmsIssue { code: &code }, now);
+        begun.gate.text = phone.map(|phone| (phone, code));
+        Ok(begun)
     }
 
     // ------------------------------------------------------------------
@@ -1414,97 +1174,42 @@ impl LinotpServer {
 
     /// Clear a user's failure counter and reactivate (staff action, §3.1).
     pub fn reset_failcount(&self, username: &str, now: u64) -> bool {
-        let mut txn = self.txn(username, now, None);
-        let ok = self
-            .store
-            .with_record(username, |rec| {
-                txn.val_state(None, 0, true);
-                txn.audit(AuditAction::ResetFailCount, true, "");
-                txn.append();
-                rec.fail_count = 0;
-                rec.active = true;
-            })
-            .is_some();
-        if !ok {
-            txn.audit(AuditAction::ResetFailCount, false, "");
-        }
-        ok
+        self.staff(username, &Op::Reset, now)
     }
 
-    /// Resynchronize a drifted TOTP token from two consecutive codes.
-    ///
-    /// Searches ±`RESYNC_WINDOW_STEPS` around `now` for a step where `code1`
-    /// matches and `code2` matches the following step, then stores the
-    /// offset so future validations are centered correctly.
+    /// Resynchronize a drifted TOTP token from two consecutive codes: a
+    /// step within ±2 000 of `now` where `code1` matches and `code2`
+    /// matches the next sets the offset future validations are centred on.
     pub fn resync(&self, username: &str, code1: &str, code2: &str, now: u64) -> bool {
+        self.staff(username, &Op::Resync { code1, code2 }, now)
+    }
+
+    /// A staff operation: `step` under the shard lock, and the sync there
+    /// too, since reactivating an account is not a mark a later reader can
+    /// only deny on (see [`Txn`]). The change is applied only once it is
+    /// durable; otherwise the answer is `false`, and the row says
+    /// "durability unavailable".
+    fn staff(&self, username: &str, op: &Op<'_>, now: u64) -> bool {
         let mut txn = self.txn(username, now, None);
-        let ok = self
-            .store
-            .with_record(username, |rec| {
-                let TokenPairing::Totp {
-                    totp,
-                    last_step,
-                    drift_steps,
-                    ..
-                } = &mut rec.pairing
-                else {
-                    return false;
-                };
-                // Both codes face `Totp::verify`'s length-and-digits check,
-                // then each step is compared with them as it is there: as a
-                // number, in constant time.
-                let digits = totp.params.digits;
-                let number = |code: &str| {
-                    let well_formed =
-                        code.len() == digits as usize && code.bytes().all(|b| b.is_ascii_digit());
-                    code.parse::<u32>().ok().filter(|_| well_formed)
-                };
-                let (Some(code1), Some(code2)) = (number(code1), number(code2)) else {
-                    return false;
-                };
-                let modulus = 10u32.pow(digits);
-                // One key preparation for the whole ±window search — at
-                // ±2000 steps this saves ~8000 block compressions.
-                let key = totp.params.alg.prepare_key(totp.secret.bytes());
-                let shows = |step: u64, code: u32| {
-                    let shown = hotp_value_prepared(&key, step) % modulus;
-                    ct_eq(&shown.to_be_bytes(), &code.to_be_bytes())
-                };
-                let center = totp.params.time_step(now);
-                let lo = center.saturating_sub(RESYNC_WINDOW_STEPS);
-                let hi = center.saturating_add(RESYNC_WINDOW_STEPS);
-                let Some(step) = (lo..hi).find(|&s| shows(s, code1) && shows(s + 1, code2)) else {
-                    return false;
-                };
-                // The resync burns both codes (last_step lands past them) —
-                // that must be durable before the ack, or a crash would let
-                // them replay.
-                txn.record(|| WalRecord::Resync {
-                    user: username.to_string(),
-                    drift_steps: step as i64 + 1 - center as i64,
-                    last_step: step + 1,
-                });
-                txn.audit(AuditAction::Resync, true, "");
-                // Reactivating an account is not a mark a later reader can
-                // only deny on (see [`Txn`]): the sync stays inside the lock.
-                if !txn.settle() {
-                    txn.discard_staged();
-                    return false;
-                }
-                *drift_steps = step as i64 + 1 - center as i64;
-                // Forward only, as recovery merges the record: a resync from
-                // codes older than the last accepted one must not re-open
-                // the steps in between.
-                *last_step = Some(last_step.map_or(step + 1, |ls| ls.max(step + 1)));
-                rec.fail_count = 0;
-                rec.active = true;
-                true
-            })
-            .unwrap_or(false);
-        if !ok {
-            txn.audit(AuditAction::Resync, false, "");
-        }
-        ok
+        let took = self.store.with_record(username, |rec| {
+            let t = authority::step(rec, op, now);
+            txn.encode(&t);
+            if t.outcome != Outcome::Staff(true) {
+                return false;
+            }
+            if !txn.settle() {
+                txn.restage(&[t.rows[0].map(Row::not_durable)]);
+                return false;
+            }
+            for change in t.changes.iter().flatten() {
+                authority::apply(rec, change);
+            }
+            true
+        });
+        took.unwrap_or_else(|| {
+            txn.stage(&authority::absent(op).rows);
+            false
+        })
     }
 
     /// Status for staff tooling (purges an expired pending SMS on read).
@@ -1542,6 +1247,7 @@ pub enum ResumeConsumeOutcome {
 mod tests {
     use super::*;
     use crate::sms::TwilioSim;
+    use crate::{LOCKOUT_THRESHOLD, SMS_CODE_VALIDITY_SECS};
     use hpcmfa_otp::device::SoftToken;
     use hpcmfa_otp::totp::TotpParams;
 
@@ -1915,6 +1621,37 @@ mod tests {
             srv.validate("alice", &code, NOW),
             ValidationOutcome::Success
         );
+    }
+
+    /// A reset reactivates an account, so it answers `true` only once its
+    /// record is durable: otherwise the account stays locked, the answer
+    /// is `false`, and the row says why.
+    #[test]
+    fn a_reset_that_is_not_durable_answers_false() {
+        use crate::durability::{MemoryBackend, StorageFaultPlan};
+        let plan = StorageFaultPlan::seeded(11);
+        let srv = durable_server(MemoryBackend::with_plan(Arc::clone(&plan)));
+        srv.enroll_soft("alice", NOW);
+        for i in 0..u64::from(LOCKOUT_THRESHOLD) {
+            srv.validate("alice", "000000", NOW + i);
+        }
+        assert!(!srv.status("alice", NOW + 30).unwrap().active);
+        plan.set_fsync_fail_every(1);
+        assert!(!srv.reset_failcount("alice", NOW + 30));
+        assert!(srv.durability_counters().unwrap().fsync_failures > 0);
+        assert!(!srv.status("alice", NOW + 30).unwrap().active);
+        let rows = srv.audit().for_user("alice");
+        let reset = rows
+            .iter()
+            .rfind(|e| e.action == AuditAction::ResetFailCount);
+        let reset = reset.unwrap();
+        assert_eq!(
+            (reset.success, reset.detail.as_str()),
+            (false, "durability unavailable")
+        );
+        plan.set_fsync_fail_every(0);
+        assert!(srv.reset_failcount("alice", NOW + 40));
+        assert!(srv.status("alice", NOW + 40).unwrap().active);
     }
 
     #[test]

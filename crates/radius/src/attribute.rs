@@ -7,6 +7,19 @@
 //! * [`AttrView`] — a borrowed `&[u8]` into the receive buffer, used to
 //!   *decode* on the ingest hot loop without per-attribute heap
 //!   allocations (see [`crate::packet::PacketView`]).
+//!
+//! Both encode through one writer that refuses a value its one-octet
+//! length cannot frame: nothing is written, and the caller drops the
+//! packet rather than send a wrapped length.
+
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    clippy::panic
+)]
 
 /// The attribute types this infrastructure uses.
 ///
@@ -77,7 +90,7 @@ impl AttributeType {
 pub struct Attribute {
     /// Attribute type.
     pub ty: AttributeType,
-    /// Raw value (≤ 253 bytes on the wire).
+    /// Raw value (at most 253 octets can be sent).
     pub value: Vec<u8>,
 }
 
@@ -102,15 +115,13 @@ impl Attribute {
 
     /// Encoded length on the wire (2-byte header + value).
     pub(crate) fn wire_len(&self) -> usize {
-        2 + self.value.len()
+        self.value.len().saturating_add(2)
     }
 
-    /// Append the TLV encoding to `buf`.
-    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
-        debug_assert!(self.value.len() <= 253, "attribute value too long");
-        buf.push(self.ty.code());
-        buf.push(self.wire_len() as u8);
-        buf.extend_from_slice(&self.value);
+    /// Append the TLV encoding to `buf`; `false`, and nothing written, for
+    /// a value over 253 octets.
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) -> bool {
+        encode_tlv(self.ty, &self.value, buf)
     }
 }
 
@@ -133,28 +144,36 @@ impl<'a> AttrView<'a> {
         std::str::from_utf8(self.value).ok()
     }
 
-    /// Encoded length on the wire (2-byte header + value).
-    pub(crate) fn wire_len(&self) -> usize {
-        2 + self.value.len()
-    }
-
     /// Copy into an owned [`Attribute`].
     pub fn to_owned(&self) -> Attribute {
         Attribute::new(self.ty, self.value.to_vec())
     }
 
     /// Append the TLV encoding to `buf` (same layout as
-    /// [`Attribute::encode`], no intermediate allocation).
-    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
-        debug_assert!(self.value.len() <= 253, "attribute value too long");
-        buf.push(self.ty.code());
-        buf.push(self.wire_len() as u8);
-        buf.extend_from_slice(self.value);
+    /// [`Attribute::encode`], no intermediate allocation); `false`, and
+    /// nothing written, for a value over 253 octets.
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) -> bool {
+        encode_tlv(self.ty, self.value, buf)
     }
+}
+
+/// Append the TLV of a `ty` attribute holding `value`, unless its length
+/// octet, which counts the two header octets too (RFC 2865 §5), cannot
+/// say how long it is.
+fn encode_tlv(ty: AttributeType, value: &[u8], buf: &mut Vec<u8>) -> bool {
+    let Ok(len) = u8::try_from(value.len().saturating_add(2)) else {
+        return false;
+    };
+    buf.push(ty.code());
+    buf.push(len);
+    buf.extend_from_slice(value);
+    true
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::indexing_slicing)]
+
     use super::*;
 
     #[test]
@@ -192,7 +211,6 @@ mod tests {
             value: &a.value,
         };
         assert_eq!(v.as_text(), Some("Enter token:"));
-        assert_eq!(v.wire_len(), a.wire_len());
         let (mut owned, mut borrowed) = (Vec::new(), Vec::new());
         a.encode(&mut owned);
         v.encode(&mut borrowed);

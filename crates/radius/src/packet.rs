@@ -161,9 +161,8 @@ impl Packet {
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> bool {
         buf.clear();
         let len = self.wire_len();
-        let fits = len <= MAX_PACKET_LEN && self.attributes.iter().all(|a| a.value.len() <= 253);
         let len = match u16::try_from(len) {
-            Ok(len) if fits => len,
+            Ok(len) if usize::from(len) <= MAX_PACKET_LEN => len,
             _ => return false,
         };
         buf.reserve(usize::from(len));
@@ -171,8 +170,9 @@ impl Packet {
         buf.push(self.identifier);
         buf.extend_from_slice(&len.to_be_bytes());
         buf.extend_from_slice(&self.authenticator);
-        for attr in &self.attributes {
-            attr.encode(buf);
+        if !self.attributes.iter().all(|attr| attr.encode(buf)) {
+            buf.clear();
+            return false;
         }
         true
     }

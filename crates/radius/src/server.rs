@@ -257,16 +257,16 @@ impl RadiusServer {
         reply.push(request.identifier);
         reply.extend_from_slice(&[0, 0]); // length, patched below
         reply.extend_from_slice(request.authenticator());
-        for attr in &attrs {
-            attr.encode(reply);
-        }
+        let framed = attrs.iter().all(|attr| attr.encode(reply));
         for ps in request.attributes_of(AttributeType::ProxyState) {
             ps.encode(reply);
         }
-        // RFC 2865 §3: no packet exceeds 4 096 octets. A legal request
-        // whose Proxy-State echo would push the reply past it is answered
-        // with nothing, as an undecodable one is.
-        if !set_wire_len(reply) {
+        // RFC 2865 §3 and §5: no packet exceeds 4 096 octets, and no
+        // attribute value 253. A decision attribute longer than that, or a
+        // legal request whose Proxy-State echo would push the reply past
+        // the packet maximum, is answered with nothing, as an undecodable
+        // request is: a length is never wrapped.
+        if !framed || !set_wire_len(reply) {
             reply.clear();
             self.stats.discarded.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -431,6 +431,36 @@ mod tests {
         assert_eq!((replied, discarded), (207, 35));
         assert_eq!(server.stats.discarded.load(Ordering::SeqCst), 35);
         assert_eq!(server.stats.replied.load(Ordering::SeqCst), 207);
+    }
+
+    /// A handler's decision attribute is framed or the reply discarded:
+    /// a 254-octet Reply-Message would wrap its length octet to 0.
+    #[test]
+    fn a_reply_attribute_over_253_octets_is_discarded() {
+        let replying = |len: usize| {
+            let message = "r".repeat(len);
+            let decision = move |_: &Packet, _: Option<&[u8]>| {
+                ServerDecision::Accept(vec![Attribute::text(AttributeType::ReplyMessage, &message)])
+            };
+            RadiusServer::new(SECRET, Arc::new(decision))
+        };
+        let req = make_request(3, Some(b"123456"));
+        let server = replying(254);
+        assert_eq!(answer(&server, &req.encode()), None);
+        assert_eq!(server.stats.discarded.load(Ordering::SeqCst), 1);
+        assert_eq!(server.stats.replied.load(Ordering::SeqCst), 0);
+
+        let server = replying(253);
+        let resp = Packet::decode(&answer(&server, &req.encode()).unwrap()).unwrap();
+        assert!(verify_response(&resp, &req.authenticator, SECRET));
+        assert_eq!(
+            resp.attribute(AttributeType::ReplyMessage)
+                .unwrap()
+                .value
+                .len(),
+            253
+        );
+        assert_eq!(server.stats.discarded.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 #   complexity guards  the tests that are only meaningful optimised and
 #                      under a timeout (linear-per-operation code runs into it);
 #                      a guard whose filter selects no test fails
-#   truncation guards  a 261-octet User-Name, and a reply its Proxy-State echo
-#                      would push past 4 096 octets, where debug_assert is
-#                      compiled out
+#   truncation guards  a 261-octet User-Name, a reply its Proxy-State echo
+#                      would push past 4 096 octets, and a 254-octet reply
+#                      attribute, where debug_assert is compiled out
 #   udp ingest         the lone-datagram and burst-tail bounds are wall-clock
 #                      ones: they only mean something optimised; so are the
 #                      wake rules (a batch wakes a sleeping worker per job, a
@@ -26,6 +26,10 @@
 #   window scan        the nearest-first TOTP scan against its full-scan reference
 #                      and its counted work (accept rank+1 MACs, every deny the
 #                      whole window), by name: a rename fails instead of dropping them
+#   OTP authority      the pure step against its naive reference (full-window
+#                      scan, the lock a plain flag), and random op scripts
+#                      whose live store and audit ring equal what a reload
+#                      from storage rebuilds, by name
 #   group machine      every interleaving of ≤ 4 commits over ≤ 3 actors against
 #                      the six invariants (the sixth: rows reach the audit ring
 #                      in WAL order)
@@ -69,7 +73,7 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
-echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, over-length reply, ingest wake rules, stalled realm, udp ingest, parked replies, compaction trigger, group machine, SMS read, alert windows, fail-closed pins"
+echo "==> release guards: full span ring, 100 000-entry uid search, 261-octet User-Name, over-length reply and reply attribute, ingest wake rules, stalled realm, udp ingest, parked replies, compaction trigger, group machine, OTP authority, SMS read, alert windows, fail-closed pins"
 # No test holds a stopwatch: linear-per-operation code (a minute to several
 # minutes of work) runs into the timeout instead. Target flags apply to every
 # package named, so the one --lib prebuilds the otpserver and telemetry lib tests too.
@@ -77,7 +81,7 @@ cargo test -q --offline --release --no-run \
     -p hpcmfa-telemetry --test trace_props --test span_allocs \
     -p hpcmfa-directory --test index_props \
     -p hpcmfa-otpserver --test group_commit --test compaction_trigger --test wal_proptests \
-    --test store_proptests --test durable_format --test validate_allocs \
+    --test store_proptests --test durable_format --test validate_allocs --test live_recovered \
     -p hpcmfa-radius --lib --test udp --test zero_alloc \
     -p hpcmfa-crypto -p hpcmfa-otp -p hpcmfa-workload -p hpcmfa-pam
 # One guard: the tests each filter selects, under a timeout. A filter that
@@ -102,6 +106,7 @@ guard 20 --release -p hpcmfa-directory --test index_props -- \
     uid_search_does_not_grow_with_the_directory
 guard 20 --release -p hpcmfa-radius --lib -- overlong_username_cannot_rewrite_the_request \
     a_reply_the_proxy_state_echo_would_overflow_is_discarded \
+    a_reply_attribute_over_253_octets_is_discarded \
     a_batch_wakes_as_many_sleeping_workers_as_it_has_jobs \
     a_receiver_at_the_cap_is_woken_when_a_worker_takes_a_job
 guard 30 --release -p hpcmfa-radius --lib -- a_stalled_peer_realm_does_not_hold_up_another
@@ -114,6 +119,8 @@ guard 30 --release -p hpcmfa-otpserver --test compaction_trigger -- \
     a_zero_floor_never_compacts \
     a_recovered_server_waits_for_an_eighth_of_its_snapshot
 guard 60 --release -p hpcmfa-otpserver --lib -- group a_read_visits_only_its_own_phones_messages
+guard 60 --release -p hpcmfa-otpserver --lib --test live_recovered -- \
+    step_equals_the_naive_reference live_state_equals_recovered_state
 guard 60 --release -p hpcmfa-telemetry --lib -- \
     windows_equal_the_keep_everything_reference \
     a_window_visits_at_most_two_readings_a_tick_amortised \
