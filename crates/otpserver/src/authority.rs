@@ -382,8 +382,8 @@ fn validate<'a>(record: &UserTokenRecord, code: &str, now: u64) -> Transition<'a
                 None => (WrongCode, None),
             }
         }
-        // An expired code is cleared as it is met, so it lingers in no
-        // snapshot or status; a matching live one is consumed.
+        // An expired code is inert until met: the validation that meets it
+        // clears it (a logged `SmsClear`); a matching live one is consumed.
         TokenPairing::Sms {
             pending: Some(p), ..
         } if !p.active(now) || ct_eq_str(&p.code, code) => {

@@ -148,7 +148,7 @@ pub enum WalRecord {
         /// Expiry time.
         expires_at: u64,
     },
-    /// The outstanding SMS code was consumed or purged.
+    /// The outstanding SMS code was consumed, met expired, or withdrawn.
     SmsClear {
         /// Account.
         user: String,

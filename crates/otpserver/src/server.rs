@@ -740,8 +740,9 @@ impl LinotpServer {
     /// claimed the compaction. Called with no [`Txn`] open, from the drop
     /// of each: the claim waits out every commit in flight and holds new
     /// ones off, so the exported state and the WAL it replaces cannot
-    /// diverge. Expired SMS codes and resume nonces are purged first so
-    /// they never land in durable state.
+    /// diverge. Expired resume nonces are purged first, so none lands in
+    /// a snapshot; the records are written as they stand (an expired SMS
+    /// code is inert, and only `authority::apply` changes a record).
     fn maybe_compact(&self, now: u64, from_finish: bool) {
         let Some(compaction) = self
             .persistence
@@ -750,7 +751,6 @@ impl LinotpServer {
         else {
             return;
         };
-        self.store.purge_expired_sms(now);
         let consumed = {
             let mut ledger = self.resume_consumed.lock();
             ledger.purge_expired(now);
@@ -1087,7 +1087,9 @@ impl LinotpServer {
     /// the same persist-before-ack discipline as OTP nullification — so
     /// single use survives crash recovery and standby promotion. A nonce
     /// that cannot be made durable is denied (`Unavailable`) while the
-    /// in-memory entry stays, which is deny-safe.
+    /// in-memory entry stays, which is deny-safe. A nonce presented at or
+    /// past `expires_at` is `Replayed` whatever the ledger still holds,
+    /// and commits nothing.
     pub fn consume_resume_nonce(
         &self,
         username: &str,
@@ -1112,13 +1114,22 @@ impl LinotpServer {
     ) -> Begun<'a, ResumeConsumeOutcome> {
         let guard = self.open(ResumeConsumeOutcome::LABEL, ctx);
         let mut txn = self.txn(username, now, ctx.map(|c| c.trace));
-        let outcome = {
+        let outcome = if now >= expires_at {
+            // A nonce at its expiry can no longer be spent, and the ledger
+            // may or may not have forgotten it yet: refused before the
+            // ledger is asked, so the answer does not hang on when a purge
+            // ran. Nothing to make durable: no insert, record or row.
+            ResumeConsumeOutcome::Replayed
+        } else {
             let mut ledger = self.resume_consumed.lock();
             if now >= ledger.purge_due {
                 ledger.purge_expired(now);
             }
             match ledger.consumed.entry(nonce) {
-                Entry::Occupied(_) => ResumeConsumeOutcome::Replayed,
+                Entry::Occupied(_) => {
+                    txn.stage(&[ResumeConsumeOutcome::Replayed.entry().row]);
+                    ResumeConsumeOutcome::Replayed
+                }
                 Entry::Vacant(slot) => {
                     slot.insert(expires_at);
                     // The nonce consume is one WAL commit on the durable path.
@@ -1137,9 +1148,6 @@ impl LinotpServer {
             }
         };
         let told = outcome.entry();
-        if outcome == ResumeConsumeOutcome::Replayed {
-            txn.stage(&[told.row]);
-        }
         let gate = Gate::new(outcome, ([told.row, None], [None, told.event]), guard, None);
         Begun { txn, gate }
     }
@@ -1212,7 +1220,7 @@ impl LinotpServer {
         })
     }
 
-    /// Status for staff tooling (purges an expired pending SMS on read).
+    /// Status for staff tooling at `now`: a read, which changes nothing.
     pub fn status(&self, username: &str, now: u64) -> Option<UserTokenStatus> {
         self.store.status(username, now)
     }
@@ -1773,6 +1781,56 @@ mod tests {
             ResumeConsumeOutcome::Fresh
         );
         assert_eq!(srv.resume_consumed.lock().consumed.len(), 1);
+    }
+
+    fn durable(snapshot_every_appends: u64) -> Arc<LinotpServer> {
+        let config = ServerConfig {
+            snapshot_every_appends,
+            ..ServerConfig::default()
+        };
+        let backend = crate::durability::MemoryBackend::healthy();
+        LinotpServer::with_storage(TwilioSim::new(5), 42, config, backend).unwrap()
+    }
+
+    #[test]
+    fn an_expired_nonce_is_replayed_whether_or_not_a_purge_ran() {
+        // One server compacts (and so purges) between the two
+        // presentations, the other never does.
+        for (every, compacts) in [(1, true), (0, false)] {
+            let srv = durable(every);
+            let consume = |nonce, expires_at, now| {
+                srv.consume_resume_nonce("carol", [nonce; 16], expires_at, now, None)
+            };
+            // A long-lived nonce first keeps the consume path's own purge
+            // from coming due before the third presentation.
+            assert_eq!(consume(1, NOW + 3_600, NOW), ResumeConsumeOutcome::Fresh);
+            assert_eq!(consume(9, NOW + 60, NOW), ResumeConsumeOutcome::Fresh);
+            let snapshots = srv.durability_counters().unwrap().snapshots;
+            assert_eq!(
+                consume(2, NOW + 3_600, NOW + 100),
+                ResumeConsumeOutcome::Fresh
+            );
+            let compacted = srv.durability_counters().unwrap().snapshots > snapshots;
+            assert_eq!(compacted, compacts);
+            assert_eq!(
+                consume(9, NOW + 60, NOW + 120),
+                ResumeConsumeOutcome::Replayed,
+                "compacted in between: {compacts}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_nonce_presented_at_its_expiry_is_replayed_and_commits_nothing() {
+        let srv = durable(0);
+        let commits = srv.durability_counters().unwrap().commits;
+        assert_eq!(
+            srv.consume_resume_nonce("carol", [3; 16], NOW, NOW, None),
+            ResumeConsumeOutcome::Replayed
+        );
+        assert_eq!(srv.durability_counters().unwrap().commits, commits);
+        assert!(srv.resume_consumed.lock().consumed.is_empty());
+        assert!(srv.audit().export_all().is_empty());
     }
 
     #[test]

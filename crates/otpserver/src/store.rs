@@ -13,17 +13,14 @@
 //! parallel; per-user operations still serialize under their shard's write
 //! lock, which is all the replay/lockout invariants need.
 //!
-//! Two security-posture gauges — locked-out users and outstanding unexpired
-//! SMS codes — are maintained *incrementally*: every mutation path diffs the
-//! record's gauge contribution before and after the change and applies the
-//! delta to global atomics. `/system/metrics` and `/system/alerts` read the
-//! atomics instead of taking a whole-store write-lock census per scrape.
-//! The only wrinkle is time: an SMS code stops counting when it *expires*,
-//! not when it is mutated, so each shard keeps a conservative low watermark
-//! of its earliest pending-code expiry (`sms_expiry_floor`). A gauge read at
-//! `now` sweeps only shards whose floor has passed, purging expired codes
-//! (and decrementing the gauge) exactly as the old census did — shards with
-//! no expirable code are not even read-locked.
+//! The store holds the records and nothing derived from them. The two
+//! security-posture gauges — locked-out users and outstanding unexpired
+//! SMS codes — are a census taken under the shards' read locks when an
+//! admin route is scraped ([`TokenStore::gauge_counts`]), and an SMS
+//! code's expiry is read, never purged: an expired code is inert until a
+//! validation clears it or a freshly issued code replaces it, both through
+//! `authority::apply`, so what the live store holds is what a recovery
+//! rebuilds.
 //!
 //! Admin enumeration ([`TokenStore::export_all`])
 //! merges shards into a `BTreeMap`, so its output is in sorted key order
@@ -35,7 +32,6 @@ use crate::sms::PhoneNumber;
 use hpcmfa_otp::totp::Totp;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// log2 of [`SHARD_COUNT`].
@@ -45,9 +41,6 @@ pub(crate) const SHARD_BITS: u32 = 4;
 /// negligible for any realistic validator thread count while the merge cost
 /// of admin enumeration stays trivial.
 pub const SHARD_COUNT: usize = 1 << SHARD_BITS;
-
-/// Sentinel for "no pending SMS code in this shard".
-const NO_FLOOR: u64 = u64::MAX;
 
 /// Deterministic shard index for `name`: FNV-1a over the bytes, folded and
 /// masked to [`SHARD_COUNT`]. Public so tests can partition users by shard
@@ -168,65 +161,18 @@ pub struct UserTokenStatus {
     pub sms_pending: bool,
 }
 
-/// What a record contributes to the global gauges: whether it is locked
-/// out, and the expiry of its pending SMS code if one is outstanding.
-fn contribution(rec: &UserTokenRecord) -> (bool, Option<u64>) {
-    let pending = match &rec.pairing {
-        TokenPairing::Sms {
-            pending: Some(p), ..
-        } => Some(p.expires_at),
-        _ => None,
-    };
-    (!rec.active, pending)
+/// Whether `rec` holds an SMS code still usable at `now`.
+fn sms_pending(rec: &UserTokenRecord, now: u64) -> bool {
+    matches!(&rec.pairing, TokenPairing::Sms { pending: Some(p), .. } if p.active(now))
 }
 
 /// One hash partition.
-#[derive(Default)]
-struct Shard {
-    users: RwLock<BTreeMap<String, UserTokenRecord>>,
-    /// Conservative low watermark of the earliest `expires_at` among this
-    /// shard's pending SMS codes; [`NO_FLOOR`] when none. May lag low after
-    /// a code is consumed (raising it cheaply is impossible without a
-    /// sweep) — a stale-low floor only costs one extra sweep, never
-    /// correctness.
-    sms_expiry_floor: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            users: RwLock::new(BTreeMap::new()),
-            sms_expiry_floor: AtomicU64::new(NO_FLOOR),
-        }
-    }
-}
-
-struct Inner {
-    shards: Vec<Shard>,
-    /// Users with `active == false`.
-    locked_users: AtomicU64,
-    /// Users with *some* pending SMS code. Equals the number of unexpired
-    /// codes only after expired ones are purged — which every gauge read
-    /// does (floor-gated) before loading this.
-    sms_pending: AtomicU64,
-}
+type Shard = RwLock<BTreeMap<String, UserTokenRecord>>;
 
 /// Thread-safe sharded token store. Clone shares state.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct TokenStore {
-    inner: Arc<Inner>,
-}
-
-impl Default for TokenStore {
-    fn default() -> Self {
-        TokenStore {
-            inner: Arc::new(Inner {
-                shards: (0..SHARD_COUNT).map(|_| Shard::new()).collect(),
-                locked_users: AtomicU64::new(0),
-                sms_pending: AtomicU64::new(0),
-            }),
-        }
-    }
+    shards: Arc<[Shard; SHARD_COUNT]>,
 }
 
 impl TokenStore {
@@ -236,36 +182,7 @@ impl TokenStore {
     }
 
     fn shard(&self, username: &str) -> &Shard {
-        &self.inner.shards[shard_of_name(username)]
-    }
-
-    /// Apply the gauge delta between a record's contribution `before` and
-    /// `after` a mutation. Called with the owning shard's write lock held,
-    /// so per-record transitions are never double-counted.
-    fn apply_diff(&self, shard: &Shard, before: (bool, Option<u64>), after: (bool, Option<u64>)) {
-        match (before.0, after.0) {
-            (false, true) => {
-                self.inner.locked_users.fetch_add(1, Ordering::SeqCst);
-            }
-            (true, false) => {
-                self.inner.locked_users.fetch_sub(1, Ordering::SeqCst);
-            }
-            _ => {}
-        }
-        match (before.1.is_some(), after.1.is_some()) {
-            (false, true) => {
-                self.inner.sms_pending.fetch_add(1, Ordering::SeqCst);
-            }
-            (true, false) => {
-                self.inner.sms_pending.fetch_sub(1, Ordering::SeqCst);
-            }
-            _ => {}
-        }
-        if let Some(expires_at) = after.1 {
-            shard
-                .sms_expiry_floor
-                .fetch_min(expires_at, Ordering::SeqCst);
-        }
+        &self.shards[shard_of_name(username)]
     }
 
     /// Enroll (or replace) a pairing for `username`. Re-enrolling resets
@@ -276,152 +193,85 @@ impl TokenStore {
             fail_count: 0,
             active: true,
         };
-        let after = contribution(&record);
-        let shard = self.shard(username);
-        let mut users = shard.users.write();
-        let before = users
-            .insert(username.to_string(), record)
-            .map(|old| contribution(&old))
-            .unwrap_or((false, None));
-        self.apply_diff(shard, before, after);
+        self.shard(username)
+            .write()
+            .insert(username.to_string(), record);
     }
 
     /// Remove a user's pairing. Returns whether one existed.
     pub fn remove(&self, username: &str) -> bool {
-        let shard = self.shard(username);
-        let mut users = shard.users.write();
-        match users.remove(username) {
-            Some(old) => {
-                self.apply_diff(shard, contribution(&old), (false, None));
-                true
-            }
-            None => false,
-        }
+        self.shard(username).write().remove(username).is_some()
     }
 
     /// Whether the user has any pairing.
     pub(crate) fn has_pairing(&self, username: &str) -> bool {
-        self.shard(username).users.read().contains_key(username)
+        self.shard(username).read().contains_key(username)
     }
 
     /// Snapshot a user's record.
     pub fn get(&self, username: &str) -> Option<UserTokenRecord> {
-        self.shard(username).users.read().get(username).cloned()
+        self.shard(username).read().get(username).cloned()
     }
 
-    /// Status summary for staff tooling. Takes the current time so an
-    /// expired pending SMS code is purged on read rather than lingering in
-    /// snapshots and status output.
+    /// Status summary for staff tooling at `now`, read under the shard's
+    /// read lock: an SMS code past its expiry reads as not pending.
     pub fn status(&self, username: &str, now: u64) -> Option<UserTokenStatus> {
-        self.with_record(username, |r| {
-            if let TokenPairing::Sms { pending, .. } = &mut r.pairing {
-                if pending.as_ref().is_some_and(|p| !p.active(now)) {
-                    *pending = None;
-                }
-            }
-            UserTokenStatus {
-                kind: r.pairing.kind_label().to_string(),
-                fail_count: r.fail_count,
-                active: r.active,
-                serial: match &r.pairing {
-                    TokenPairing::Totp { serial, .. } => serial.clone(),
-                    _ => None,
-                },
-                sms_pending: matches!(
-                    &r.pairing,
-                    TokenPairing::Sms { pending: Some(p), .. } if p.active(now)
-                ),
-            }
+        let users = self.shard(username).read();
+        let r = users.get(username)?;
+        Some(UserTokenStatus {
+            kind: r.pairing.kind_label().to_string(),
+            fail_count: r.fail_count,
+            active: r.active,
+            serial: match &r.pairing {
+                TokenPairing::Totp { serial, .. } => serial.clone(),
+                _ => None,
+            },
+            sms_pending: sms_pending(r, now),
         })
-    }
-
-    /// Purge expired pending SMS codes in one shard, adjusting the gauge
-    /// and recomputing the floor exactly. Returns how many were purged.
-    fn purge_shard(&self, shard: &Shard, now: u64) -> usize {
-        let mut users = shard.users.write();
-        let mut purged = 0;
-        let mut floor = NO_FLOOR;
-        for rec in users.values_mut() {
-            if let TokenPairing::Sms { pending, .. } = &mut rec.pairing {
-                match pending {
-                    Some(p) if p.active(now) => floor = floor.min(p.expires_at),
-                    Some(_) => {
-                        *pending = None;
-                        self.inner.sms_pending.fetch_sub(1, Ordering::SeqCst);
-                        purged += 1;
-                    }
-                    None => {}
-                }
-            }
-        }
-        shard.sms_expiry_floor.store(floor, Ordering::SeqCst);
-        purged
-    }
-
-    /// Drop every expired pending SMS code in the store. Returns how many
-    /// were purged. Called before snapshotting so stale codes never land
-    /// in durable state. Shards whose expiry floor is still in the future
-    /// cannot hold an expired code and are skipped without locking.
-    pub fn purge_expired_sms(&self, now: u64) -> usize {
-        let mut purged = 0;
-        for shard in &self.inner.shards {
-            if now >= shard.sms_expiry_floor.load(Ordering::SeqCst) {
-                purged += self.purge_shard(shard, now);
-            }
-        }
-        purged
     }
 
     /// Security-posture gauges at `now`: (locked-out users, users with an
     /// unexpired SMS code outstanding). Both `/system/metrics` and
     /// `/system/alerts` refresh from this one read so the two surfaces can
-    /// never disagree about the same instant.
-    ///
-    /// Expired codes are purged first (floor-gated, usually touching no
-    /// shard at all); the counts themselves come from the incrementally
-    /// maintained atomics — no whole-store census.
+    /// never disagree about the same instant. A census under each shard's
+    /// read lock in turn: only the scrapes pay for it, never a validation.
     pub fn gauge_counts(&self, now: u64) -> (u64, u64) {
-        self.purge_expired_sms(now);
-        (
-            self.inner.locked_users.load(Ordering::SeqCst),
-            self.inner.sms_pending.load(Ordering::SeqCst),
-        )
+        let (mut locked, mut pending) = (0, 0);
+        for shard in self.shards.iter() {
+            for rec in shard.read().values() {
+                locked += u64::from(!rec.active);
+                pending += u64::from(sms_pending(rec, now));
+            }
+        }
+        (locked, pending)
     }
 
     /// Mutate a user's record under its shard's write lock. Returns `None`
-    /// if the user has no pairing, else the closure's result. Gauge deltas
-    /// caused by the closure are applied before the lock is released.
+    /// if the user has no pairing, else the closure's result.
     pub fn with_record<T>(
         &self,
         username: &str,
         f: impl FnOnce(&mut UserTokenRecord) -> T,
     ) -> Option<T> {
-        let shard = self.shard(username);
-        let mut users = shard.users.write();
-        let rec = users.get_mut(username)?;
-        let before = contribution(rec);
-        let out = f(rec);
-        let after = contribution(rec);
-        self.apply_diff(shard, before, after);
-        Some(out)
+        self.shard(username).write().get_mut(username).map(f)
     }
 
     /// Number of enrolled users.
     pub fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.users.read().len()).sum()
+        self.shards.iter().map(|s| s.read().len()).sum()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.shards.iter().all(|s| s.users.read().is_empty())
+        self.shards.iter().all(|s| s.read().is_empty())
     }
 
     /// Clone the full user map, merged across shards in sorted key order
     /// (admin reads and tests).
     pub fn export_all(&self) -> BTreeMap<String, UserTokenRecord> {
         let mut out = BTreeMap::new();
-        for shard in &self.inner.shards {
-            for (name, rec) in shard.users.read().iter() {
+        for shard in self.shards.iter() {
+            for (name, rec) in shard.read().iter() {
                 out.insert(name.clone(), rec.clone());
             }
         }
@@ -438,7 +288,7 @@ impl TokenStore {
     ///
     /// [`encode_snapshot`]: crate::durability::snapshot::encode_snapshot
     pub fn for_each_by_shard(&self, mut f: impl FnMut(&str, &UserTokenRecord)) {
-        let shards: [_; SHARD_COUNT] = std::array::from_fn(|i| self.inner.shards[i].users.read());
+        let shards = self.shards.each_ref().map(|s| s.read());
         for users in &shards {
             for (name, rec) in users.iter() {
                 f(name, rec);
@@ -446,27 +296,19 @@ impl TokenStore {
         }
     }
 
-    /// Replace the full user map (crash recovery). Gauges and expiry
-    /// floors are rebuilt from scratch.
+    /// Replace the full user map (crash recovery).
     pub fn load_all(&self, users: BTreeMap<String, UserTokenRecord>) {
         self.clear();
         for (name, rec) in users {
-            let shard = &self.inner.shards[shard_of_name(&name)];
-            let after = contribution(&rec);
-            let mut map = shard.users.write();
-            map.insert(name, rec);
-            self.apply_diff(shard, (false, None), after);
+            self.shard(&name).write().insert(name, rec);
         }
     }
 
     /// Drop every record (simulated crash wipes the in-memory image).
     pub fn clear(&self) {
-        for shard in &self.inner.shards {
-            shard.users.write().clear();
-            shard.sms_expiry_floor.store(NO_FLOOR, Ordering::SeqCst);
+        for shard in self.shards.iter() {
+            shard.write().clear();
         }
-        self.inner.locked_users.store(0, Ordering::SeqCst);
-        self.inner.sms_pending.store(0, Ordering::SeqCst);
     }
 }
 
@@ -542,7 +384,7 @@ mod tests {
     }
 
     #[test]
-    fn status_purges_expired_sms_and_reports_pending() {
+    fn status_reads_sms_expiry_and_writes_nothing() {
         let store = TokenStore::new();
         store.enroll(
             "s",
@@ -555,48 +397,15 @@ mod tests {
                 }),
             },
         );
+        let before = store.export_all();
         assert!(store.status("s", 200).unwrap().sms_pending);
-        // After expiry the status read itself purges the stale code.
+        // At expiry the code reads as not pending, and stays in the record.
         assert!(!store.status("s", 400).unwrap().sms_pending);
-        let rec = store.get("s").unwrap();
-        assert!(matches!(
-            rec.pairing,
-            TokenPairing::Sms { pending: None, .. }
-        ));
+        assert_eq!(store.export_all(), before);
     }
 
     #[test]
-    fn purge_expired_sms_sweeps_store() {
-        let store = TokenStore::new();
-        for (name, expires_at) in [("a", 400u64), ("b", 900)] {
-            store.enroll(
-                name,
-                TokenPairing::Sms {
-                    phone: PhoneNumber::parse("5125551234").unwrap(),
-                    pending: Some(PendingSmsCode {
-                        code: "222222".into(),
-                        sent_at: 100,
-                        expires_at,
-                    }),
-                },
-            );
-        }
-        assert_eq!(store.purge_expired_sms(500), 1);
-        assert!(matches!(
-            store.get("a").unwrap().pairing,
-            TokenPairing::Sms { pending: None, .. }
-        ));
-        assert!(matches!(
-            store.get("b").unwrap().pairing,
-            TokenPairing::Sms {
-                pending: Some(_),
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn gauge_counts_purge_and_census_in_one_pass() {
+    fn gauge_counts_is_a_census_that_writes_nothing() {
         let store = TokenStore::new();
         store.enroll("locked", totp_pairing(TotpProvenance::Soft));
         store.with_record("locked", |r| r.active = false);
@@ -622,12 +431,10 @@ mod tests {
                 }),
             },
         );
+        let before = store.export_all();
         assert_eq!(store.gauge_counts(500), (1, 1));
-        // The census purged the stale code durably in memory.
-        assert!(matches!(
-            store.get("stale").unwrap().pairing,
-            TokenPairing::Sms { pending: None, .. }
-        ));
+        // The stale code is not counted, and stays in its record.
+        assert_eq!(store.export_all(), before);
     }
 
     #[test]
@@ -741,33 +548,8 @@ mod tests {
         assert_eq!(store.gauge_counts(20), (0, 0));
         store.load_all(image);
         assert_eq!(store.gauge_counts(20), (1, 1));
-        // The rebuilt floor still expires the reloaded code on time.
+        // The reloaded code stops counting at its expiry.
         assert_eq!(store.gauge_counts(300), (1, 0));
-    }
-
-    #[test]
-    fn expiry_floor_skips_unexpirable_shards_but_never_misses() {
-        let store = TokenStore::new();
-        // Many codes with staggered expiries across shards.
-        for i in 0..40u64 {
-            store.enroll(
-                &format!("user{i:03}"),
-                TokenPairing::Sms {
-                    phone: PhoneNumber::parse("5125551234").unwrap(),
-                    pending: Some(PendingSmsCode {
-                        code: "111111".into(),
-                        sent_at: 0,
-                        expires_at: 100 + i * 10,
-                    }),
-                },
-            );
-        }
-        assert_eq!(store.gauge_counts(0), (0, 40));
-        // Expire roughly half; the gauge must reflect exactly the survivors.
-        let now = 100 + 19 * 10 + 1; // codes 0..=19 expired
-        assert_eq!(store.gauge_counts(now), (0, 20));
-        // And all of them eventually.
-        assert_eq!(store.gauge_counts(100 + 39 * 10), (0, 0));
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! The live server's state against the state a recovery rebuilds from its
 //! WAL and snapshots: every change the server made under its shard lock
 //! was applied through the same function recovery replays it through, so
-//! the two must agree, whatever the operations, the clock skew and the
-//! compactions in between.
+//! the two must agree, whatever the operations, the clock skew, the
+//! compactions and the reads in between.
 
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
+use hpcmfa_otpserver::durability::wal::{decode_stream, WalRecord};
 use hpcmfa_otpserver::durability::{MemoryBackend, StorageBackend};
 use hpcmfa_otpserver::server::{LinotpServer, ServerConfig, SmsTrigger};
 use hpcmfa_otpserver::sms::{PhoneNumber, TwilioSim};
-use hpcmfa_otpserver::OverloadConfig;
+use hpcmfa_otpserver::store::{TokenPairing, UserTokenStatus};
+use hpcmfa_otpserver::{OverloadConfig, ValidationOutcome, SMS_CODE_VALIDITY_SECS};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 const USERS: [&str; 3] = ["alice", "bob", "carol"];
 
@@ -27,7 +30,7 @@ struct Step {
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
     let skews = [0i64, -30, 30, -300, 330, 3_600, -7_200];
-    let step = (0u8..13, 0usize..USERS.len(), 0u64..200, 0usize..skews.len()).prop_map(
+    let step = (0u8..15, 0usize..USERS.len(), 0u64..200, 0usize..skews.len()).prop_map(
         move |(what, user, dt, skew)| Step {
             what,
             user,
@@ -41,9 +44,11 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 proptest! {
     /// Random scripts — enrol (any kind), validate a right, wrong or
     /// replayed code, trigger an SMS and validate what was texted, reset,
-    /// resync, remove, and requests admission control sheds — on a
-    /// durable server compacting every few records: reloading from its
-    /// storage leaves the store and the audit ring exactly as they were.
+    /// resync, remove, requests admission control sheds, and the staff
+    /// reads (`status`, the gauge census) at any time, an SMS code's expiry
+    /// included — on a durable server compacting every few records:
+    /// reloading from its storage leaves the store and the audit ring
+    /// exactly as they were, and every read answers as it did.
     #[test]
     fn live_state_equals_recovered_state(script in steps(), seed in 0u64..1_000) {
         let backend: std::sync::Arc<dyn StorageBackend> = MemoryBackend::healthy();
@@ -103,15 +108,84 @@ proptest! {
                 10 => {
                     srv.remove_pairing(user, now);
                 }
-                _ => {
+                11 | 12 => {
                     let source = Some(Ipv4Addr::new(203, 0, 113, s.user as u8));
                     srv.validate_guarded(user, &shown(at), now, None, source);
                 }
+                13 => {
+                    srv.status(user, now);
+                }
+                _ => {
+                    srv.store().gauge_counts(now);
+                }
             }
         }
-        let (store, ring) = (srv.store().export_all(), srv.audit().export_all());
+        let reads = |srv: &LinotpServer| -> ([Option<UserTokenStatus>; 3], (u64, u64)) {
+            (USERS.map(|u| srv.status(u, now)), srv.store().gauge_counts(now))
+        };
+        let (store, ring, read) = (srv.store().export_all(), srv.audit().export_all(), reads(&srv));
         srv.reload_from_storage().unwrap();
         prop_assert_eq!(srv.store().export_all(), store);
         prop_assert_eq!(srv.audit().export_all(), ring);
+        prop_assert_eq!(reads(&srv), read);
     }
+}
+
+/// An SMS code that expired before a compaction rides in the snapshot,
+/// inert: the recovered server still holds it, a validation of it answers
+/// `WrongCode` and clears it with a logged `SmsClear`, and the next
+/// trigger sends a fresh code.
+#[test]
+fn an_expired_sms_code_in_a_snapshot_is_inert_after_recovery() {
+    let backend = MemoryBackend::healthy();
+    let config = ServerConfig {
+        snapshot_every_appends: 4,
+        ..ServerConfig::default()
+    };
+    let storage = Arc::clone(&backend) as Arc<dyn StorageBackend>;
+    let srv = LinotpServer::with_storage(TwilioSim::new(3), 3, config, storage).unwrap();
+    let sent = 1_475_000_000u64;
+    // A large snapshot, so the few records after recovery do not earn a
+    // compaction that would retire the WAL this test reads.
+    for i in 0..200 {
+        srv.enroll_static(&format!("trainee{i:03}"), sent);
+    }
+    srv.enroll_sms("bob", PhoneNumber::parse("5125551234").unwrap(), sent);
+    let SmsTrigger::Sent(message) = srv.trigger_sms("bob", sent) else {
+        panic!("first trigger sends");
+    };
+    let code = message.body.rsplit(' ').next().unwrap().to_string();
+
+    // Past the code's expiry, commit until a compaction runs.
+    let expired = sent + SMS_CODE_VALIDITY_SECS;
+    let snapshots = srv.durability_counters().unwrap().snapshots;
+    let mut filler = 0;
+    while srv.durability_counters().unwrap().snapshots == snapshots {
+        srv.enroll_static(&format!("late{filler:03}"), expired);
+        filler += 1;
+        assert!(filler < 200, "no compaction after the expiry");
+    }
+    assert!(decode_stream(&backend.read_wal().unwrap()).0.is_empty());
+    srv.crash_and_recover().unwrap();
+    let held = |srv: &LinotpServer| match srv.store().get("bob").unwrap().pairing {
+        TokenPairing::Sms { pending, .. } => pending,
+        _ => panic!("bob is an SMS user"),
+    };
+    let pending = held(&srv).expect("the expired code rode in the snapshot");
+    assert_eq!(pending.expires_at, expired);
+    assert!(!srv.status("bob", expired).unwrap().sms_pending);
+
+    let snapshots = srv.durability_counters().unwrap().snapshots;
+    assert_eq!(
+        srv.validate("bob", &code, expired + 1),
+        ValidationOutcome::WrongCode
+    );
+    assert_eq!(srv.durability_counters().unwrap().snapshots, snapshots);
+    let (wal, _) = decode_stream(&backend.read_wal().unwrap());
+    assert!(wal.contains(&WalRecord::SmsClear { user: "bob".into() }));
+    assert_eq!(held(&srv), None);
+    assert!(matches!(
+        srv.trigger_sms("bob", expired + 2),
+        SmsTrigger::Sent(_)
+    ));
 }

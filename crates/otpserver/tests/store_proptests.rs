@@ -1,9 +1,9 @@
 //! Equivalence properties for the sharded token store: under arbitrary
 //! operation sequences the sharded store must behave exactly like a plain
 //! single `BTreeMap` reference model — same record state, same status
-//! output, same purge counts, and (the part sharding actually changed)
-//! same gauge readings from its incremental atomic counters as the model
-//! computes by brute-force census.
+//! output, and the same gauge readings as the model's census. Reads
+//! (`status`, `gauge_counts`) leave the model untouched: the store must
+//! not change under them either.
 
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
@@ -45,9 +45,6 @@ enum Op {
         user: String,
         now: u64,
     },
-    Purge {
-        now: u64,
-    },
     Gauges {
         now: u64,
     },
@@ -86,23 +83,8 @@ struct Model {
 }
 
 impl Model {
-    fn purge(&mut self, now: u64) -> usize {
-        let mut purged = 0;
-        for rec in self.users.values_mut() {
-            if let TokenPairing::Sms { pending, .. } = &mut rec.pairing {
-                if pending.as_ref().is_some_and(|p| !p.active(now)) {
-                    *pending = None;
-                    purged += 1;
-                }
-            }
-        }
-        purged
-    }
-
-    /// Brute-force census — what `gauge_counts` used to compute under one
-    /// big write lock.
-    fn gauges(&mut self, now: u64) -> (u64, u64) {
-        self.purge(now);
+    /// Census over the one map.
+    fn gauges(&self, now: u64) -> (u64, u64) {
         let locked = self.users.values().filter(|r| !r.active).count() as u64;
         let pending = self
             .users
@@ -146,7 +128,6 @@ fn arb_op() -> BoxedStrategy<Op> {
         arb_user().prop_map(|user| Op::BumpFail { user }),
         (arb_user(), arb_pending()).prop_map(|(user, pending)| Op::SetPending { user, pending }),
         (arb_user(), 0u64..2_000).prop_map(|(user, now)| Op::Status { user, now }),
-        (0u64..2_000).prop_map(|now| Op::Purge { now }),
         (0u64..2_000).prop_map(|now| Op::Gauges { now }),
     ]
     .boxed()
@@ -218,15 +199,8 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
                 Op::Status { user, now } => {
-                    // status() purges that user's expired pending code as a
-                    // side effect; mirror it on the model record.
                     let got = store.status(&user, now);
-                    let want = model.users.get_mut(&user).map(|r| {
-                        if let TokenPairing::Sms { pending, .. } = &mut r.pairing {
-                            if pending.as_ref().is_some_and(|p| !p.active(now)) {
-                                *pending = None;
-                            }
-                        }
+                    let want = model.users.get(&user).map(|r| {
                         hpcmfa_otpserver::store::UserTokenStatus {
                             kind: r.pairing.kind_label().to_string(),
                             fail_count: r.fail_count,
@@ -242,9 +216,6 @@ proptest! {
                         }
                     });
                     prop_assert_eq!(got, want);
-                }
-                Op::Purge { now } => {
-                    prop_assert_eq!(store.purge_expired_sms(now), model.purge(now));
                 }
                 Op::Gauges { now } => {
                     prop_assert_eq!(store.gauge_counts(now), model.gauges(now));
@@ -327,7 +298,7 @@ proptest! {
             }
         }
         // Crash-recovery shape: export, wipe, reload. State and gauges must
-        // both survive (gauges are rebuilt from scratch in load_all).
+        // both survive (the gauges are a census of what was loaded).
         let image = store.export_all();
         let gauges_before = store.gauge_counts(0);
         store.clear();

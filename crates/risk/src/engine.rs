@@ -16,8 +16,7 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Sentinel for "no tracked history, nothing to purge" (mirrors the
-/// token store's `sms_expiry_floor` watermark).
+/// Sentinel for "no tracked history, nothing to purge".
 const NO_FLOOR: u64 = u64::MAX;
 
 // What each signal adds to an attempt's score.
@@ -97,7 +96,7 @@ pub struct RiskEngine {
     history: Mutex<HashMap<String, UserHistory>>,
     /// Earliest instant any tracked user's history expires. Only ever
     /// lowered outside a sweep (`fetch_min`), recomputed exactly during
-    /// one — the same discipline as the store's `sms_expiry_floor`.
+    /// one: a stale-low floor costs one wasted sweep, never a missed purge.
     purge_floor: AtomicU64,
     metrics: Mutex<Option<RiskMetrics>>,
 }

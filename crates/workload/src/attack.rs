@@ -755,7 +755,7 @@ impl AttackRunner {
         report.benign_lockouts = self
             .benign
             .iter()
-            .filter(|u| !store.with_record(&u.name, |r| r.active).unwrap_or(true))
+            .filter(|u| store.get(&u.name).is_some_and(|r| !r.active))
             .count();
         report.metrics = self.center.metrics_snapshot();
         if let Some(h) = report

@@ -61,6 +61,7 @@
 #   loginbench         benchmark/ is its own workspace, which --workspace skips
 #   clippy             lints, all targets
 #   rustdoc            no broken or private intra-doc link in the public docs
+#   line count         non-test lines in total (scripts/loc.sh), printed, not gated
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -187,5 +188,8 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
+echo "==> non-test lines (scripts/loc.sh; per crate: run it alone)"
+scripts/loc.sh | tail -n 1
 
 echo "CI green."
