@@ -326,6 +326,7 @@ impl AdminApi {
                 ("append_failures", Json::Num(c.append_failures as f64)),
                 ("fsyncs", Json::Num(c.fsyncs as f64)),
                 ("fsync_failures", Json::Num(c.fsync_failures as f64)),
+                ("sync_waits", Json::Num(c.sync_waits as f64)),
                 ("snapshots", Json::Num(c.snapshots as f64)),
                 ("snapshot_failures", Json::Num(c.snapshot_failures as f64)),
                 ("recoveries", Json::Num(c.recoveries as f64)),

@@ -15,9 +15,16 @@ use std::collections::VecDeque;
 /// either no sync in flight — it leads one ([`Step::Lead`]) covering every
 /// commit appended so far — or one in flight, and then it waits
 /// ([`Step::Wait`]), or parks the commit with a payload
-/// ([`GroupMachine::park`]) and leaves. `failed` is checked before
-/// `settled`: a commit that slept through a failed sync and then a good
-/// one is still denied.
+/// ([`GroupMachine::park`]) and leaves. A parked commit is seen through
+/// by a [`Goal::Drive`]: one that waits, or a nudge ([`Actor::nudge`])
+/// that is done where it would wait, so that it leads the sync when none
+/// is in flight and leaves the commit to that sync's leader otherwise.
+/// A nudge turned away by a sync in flight is owed a wake-up: the call
+/// that ends that sync, if a parked commit it did not cover remains,
+/// rouses the nudger ([`Wake::nudger`]) to lead the next, so no parked
+/// commit waits for a poll.
+/// `failed` is checked before `settled`: a commit that slept through a
+/// failed sync and then a good one is still denied.
 ///
 /// **Who releases.** A parked commit's payload comes back as
 /// [`Step::Release`] once its verdict is in, to the one caller holding the
@@ -74,6 +81,9 @@ pub(crate) struct GroupMachine<P> {
     parked: VecDeque<(u64, P)>,
     /// A caller holds the release turn.
     releasing: bool,
+    /// A nudge found the sync in flight and left: rouse it when that
+    /// sync ends, if a parked commit needs another.
+    nudged: bool,
     /// Every commit up to here that was told durable came back after its
     /// rows were pushed (the denied ones are below `failed`).
     told: u64,
@@ -95,6 +105,7 @@ impl<P> Default for GroupMachine<P> {
             closed: false,
             parked: VecDeque::new(),
             releasing: false,
+            nudged: false,
             told: 0,
             early: VecDeque::new(),
             pushing: false,
@@ -113,7 +124,8 @@ pub(crate) enum Goal {
     /// The same for a denial row a parked finish writes, told out of turn.
     Denial(u64),
     /// Parked commit `seq` covered by a sync, then the parked finishes it
-    /// made due if nobody else is running them.
+    /// made due if nobody else is running them. A nudge
+    /// ([`Actor::nudge`]) stops where it would wait instead.
     Drive(u64),
     /// The fence closed with every pass back.
     Quiesce,
@@ -136,6 +148,10 @@ pub(crate) struct Actor {
     turn: bool,
     /// Holds the fence.
     fence: bool,
+    /// Waits for a sync another thread leads; a nudge does not.
+    waits: bool,
+    /// Has led a sync or been handed a parked finish.
+    worked: bool,
 }
 
 impl Actor {
@@ -147,7 +163,25 @@ impl Actor {
             pushing: None,
             turn: false,
             fence: false,
+            waits: true,
+            worked: false,
         }
+    }
+
+    /// A [`Goal::Drive`] that is done where it would wait: it leads the
+    /// sync commit `seq` waits for when none is in flight, runs the parked
+    /// finishes due if nobody is, and otherwise leaves it to whoever is —
+    /// to be roused when a sync in flight ends, if it leaves one to lead.
+    pub(crate) fn nudge(seq: u64) -> Self {
+        Actor {
+            waits: false,
+            ..Actor::new(Goal::Drive(seq))
+        }
+    }
+
+    /// Whether it led a sync or ran a parked finish.
+    pub(crate) fn worked(&self) -> bool {
+        self.worked
     }
 
     /// How the sync it was told to lead went.
@@ -161,6 +195,16 @@ impl Actor {
     pub(crate) fn holds_fence(&self) -> bool {
         self.fence
     }
+}
+
+/// Whom a [`GroupMachine::next`] call wakes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Wake {
+    /// The callers asleep for a sync, their turn or the fence.
+    pub(crate) waiters: bool,
+    /// The nudge the sync that just ended turned away: a parked commit
+    /// that sync did not cover needs one led.
+    pub(crate) nudger: bool,
 }
 
 /// What [`GroupMachine::next`] tells its caller to do.
@@ -223,6 +267,11 @@ impl<P> GroupMachine<P> {
         self.appended
     }
 
+    /// The oldest parked commit: what a nudge drives.
+    pub(crate) fn oldest_parked(&self) -> Option<u64> {
+        self.parked.front().map(|(seq, _)| *seq)
+    }
+
     /// Whether a verdict on `seq` would wait for a sync somebody else is
     /// running: the case [`GroupMachine::park`] takes.
     pub(crate) fn would_wait(&self, seq: u64) -> bool {
@@ -254,9 +303,9 @@ impl<P> GroupMachine<P> {
         self.closed = false;
     }
 
-    /// Take in how the sync `actor` led went, and say what it does next.
-    /// The flag says whether to wake the waiters.
-    pub(crate) fn next(&mut self, actor: &mut Actor) -> (Step<P>, bool) {
+    /// Take in how the sync `actor` led went, say what it does next, and
+    /// whom to wake.
+    pub(crate) fn next(&mut self, actor: &mut Actor) -> (Step<P>, Wake) {
         let synced = actor.sync.take();
         if let Some((end, ok)) = synced {
             self.syncing = false;
@@ -271,11 +320,22 @@ impl<P> GroupMachine<P> {
             self.told = self.told.max(seq);
             self.absorb();
         }
+        let nudger = synced.is_some() && self.rouse();
         let step = self.decide(actor);
         // A push that ended, or a turn a denial row moved on, wakes the
         // callers waiting for theirs.
-        let wake = synced.is_some() || pushed.is_some() || self.told != told;
-        (step, wake)
+        let waiters = synced.is_some() || pushed.is_some() || self.told != told;
+        (step, Wake { waiters, nudger })
+    }
+
+    /// A sync ended: whether a nudge it turned away is owed a wake-up,
+    /// since a parked commit it did not cover remains.
+    fn rouse(&mut self) -> bool {
+        let uncovered = self
+            .parked
+            .back()
+            .is_some_and(|(seq, _)| !self.covers(*seq));
+        std::mem::take(&mut self.nudged) && uncovered
     }
 
     fn decide(&mut self, a: &mut Actor) -> Step<P> {
@@ -294,7 +354,11 @@ impl<P> GroupMachine<P> {
                 } else if seq <= self.settled {
                     true
                 } else if self.syncing {
-                    return Step::Wait;
+                    if a.waits {
+                        return Step::Wait;
+                    }
+                    self.nudged = true;
+                    return Step::Done;
                 } else {
                     return self.lead(a);
                 };
@@ -346,6 +410,7 @@ impl<P> GroupMachine<P> {
     fn lead(&mut self, a: &mut Actor) -> Step<P> {
         self.syncing = true;
         a.sync = Some((self.appended, false));
+        a.worked = true;
         Step::Lead
     }
 
@@ -360,6 +425,7 @@ impl<P> GroupMachine<P> {
         self.releasing = due;
         a.turn = due;
         let (seq, payload) = if due { self.parked.pop_front() } else { None }?;
+        a.worked = true;
         let durable = seq > self.failed;
         if durable {
             self.pushing = true;
@@ -373,9 +439,10 @@ impl<P> GroupMachine<P> {
 mod tests {
     //! A bounded explorer: every interleaving of up to three threads'
     //! machine calls, each thread running one of the pump's programs (an
-    //! inline commit, a parked one, a compaction claim or a reload's
-    //! quiesce), with every sync's and every append's outcome and every
-    //! finish's panic chosen both ways. It searches breadth-first,
+    //! inline commit, a parked one that is waited for, a parked one whose
+    //! reply is delivered while its worker nudges, a compaction claim or a
+    //! reload's quiesce), with every sync's and every append's outcome and
+    //! every finish's panic chosen both ways. It searches breadth-first,
     //! deduplicating on (machine, threads, ghost disk), so the first
     //! counterexample it meets is a shortest one, printed as the script
     //! that reaches it.
@@ -413,8 +480,15 @@ mod tests {
         Return,
         WouldWait,
         Park,
+        /// Park, and hand over the reply instead of waiting for it.
+        Deliver,
         /// The parked reply's `wait`: drive its commit.
         Drive,
+        /// A worker with replies parked nudges the oldest: it drives it
+        /// without waiting, and until it is told it nudges again — at once
+        /// if the nudge did some work, else once the machine rouses it.
+        /// The ingest worker's poll is left out, so no run may need it.
+        Nudge,
         /// The compaction check every operation's end makes.
         Claim,
         Quiesce,
@@ -427,8 +501,10 @@ mod tests {
 
     const INLINE: &[Op] = &[Pass, Append, Settle, Deny, Return];
     const PARKED: &[Op] = &[Pass, Append, WouldWait, Park];
+    const DELIVERED: &[Op] = &[Pass, Append, WouldWait, Deliver];
     const INLINE_TAIL: &[Op] = &[Settle, Deny, Return];
     const DRIVE: &[Op] = &[Drive];
+    const NUDGE: &[Op] = &[Nudge];
     const DENIAL: &[Op] = &[Append, Settle];
     const CLAIM: &[Op] = &[Claim, Open];
     const QUIESCE: &[Op] = &[Quiesce, Open];
@@ -474,6 +550,8 @@ mod tests {
         stack: Vec<Frame>,
         /// Got `Wait` and has not been woken since.
         blocked: bool,
+        /// A nudge that did no work, not roused since.
+        asleep: bool,
         /// Its own operation's pass is out.
         holds_pass: bool,
         /// Rollbacks seen when the sync it leads began.
@@ -487,9 +565,10 @@ mod tests {
                 .expect("a thread that moves has a frame")
         }
 
-        /// Waiting to drive a parked reply, which the ingest may never do.
+        /// Waiting to drive or nudge a parked reply, which the ingest may
+        /// never do.
         fn idle_parked(&self) -> bool {
-            matches!(&self.stack[..], [f] if f.ops == DRIVE && f.actor.is_none())
+            matches!(&self.stack[..], [f] if [DRIVE, NUDGE].contains(&f.ops) && f.actor.is_none())
         }
 
         fn in_finish(&self) -> bool {
@@ -535,6 +614,7 @@ mod tests {
             let thread = |ops| Thread {
                 stack: vec![Frame::new(ops, None, None)],
                 blocked: false,
+                asleep: false,
                 holds_pass: false,
                 sync_from: 0,
             };
@@ -548,7 +628,8 @@ mod tests {
         }
 
         fn runnable(&self, t: usize) -> bool {
-            !self.threads[t].blocked && !self.threads[t].stack.is_empty()
+            let th = &self.threads[t];
+            !th.blocked && !th.asleep && !th.stack.is_empty()
         }
 
         /// How many ways thread `t`'s next move can go.
@@ -567,6 +648,14 @@ mod tests {
         fn wake(&mut self, wake: bool) {
             if wake {
                 self.threads.iter_mut().for_each(|th| th.blocked = false);
+            }
+        }
+
+        /// The ingest's waker: one sleeping worker, as good as any other.
+        fn rouse(&mut self, rouse: bool) {
+            let asleep = self.threads.iter_mut().find(|th| th.asleep);
+            if let (true, Some(th)) = (rouse, asleep) {
+                th.asleep = false;
             }
         }
 
@@ -639,6 +728,7 @@ mod tests {
                     }
                     Settle => goal(Goal::Verdict(self.seq_of(&frame))),
                     Drive => goal(Goal::Drive(self.seq_of(&frame))),
+                    Nudge => self.machine.oldest_parked().map(Actor::nudge),
                     Claim => goal(Goal::Claim {
                         due: true,
                         from_finish: self.threads[t].in_finish(),
@@ -724,11 +814,11 @@ mod tests {
                     }
                     format!(" -> {waits}")
                 }
-                Park => {
+                Park | Deliver => {
                     let commit = frame.commit.expect("appended");
                     let parked = self.machine.park(self.commits[commit].seq, commit).is_ok();
                     if parked {
-                        to(self, DRIVE, 0);
+                        to(self, if op == Park { DRIVE } else { NUDGE }, 0);
                         self.threads[t].holds_pass = false;
                     } else {
                         to(self, INLINE_TAIL, 0);
@@ -766,7 +856,8 @@ mod tests {
         /// the verdicts it gave hold.
         fn ask(&mut self, t: usize, mut actor: Actor) -> (String, Checked) {
             let (step, wake) = self.machine.next(&mut actor);
-            self.wake(wake);
+            self.wake(wake.waiters);
+            self.rouse(wake.nudger);
             let mut told = Ok(());
             let said = format!(" -> {step:?}");
             match step {
@@ -800,14 +891,19 @@ mod tests {
         }
 
         fn done(&mut self, t: usize, actor: &Actor) {
-            let top = self.threads[t].top();
+            let th = &mut self.threads[t];
+            let top = th.top();
             if top.unwinding {
                 return self.unwind(t, actor.holds_fence());
             }
             top.pc += 1;
             match top.ops[top.pc - 1] {
-                Pass => self.threads[t].holds_pass = true,
+                Pass => th.holds_pass = true,
                 Claim if !actor.holds_fence() => top.pc += 1,
+                Nudge => {
+                    top.pc -= 1;
+                    th.asleep = !actor.worked();
+                }
                 _ => {}
             }
         }
@@ -831,6 +927,9 @@ mod tests {
                 th.stack.push(Frame::new(OPEN, None, None));
             } else if th.holds_pass {
                 th.stack.push(Frame::new(UNWOUND, None, None));
+            } else if let Some(worker) = frames.first().filter(|f| f.ops == NUDGE) {
+                // The ingest catches the panic, and its worker nudges on.
+                th.stack.push(Frame::new(NUDGE, worker.commit, None));
             }
         }
 
@@ -858,10 +957,11 @@ mod tests {
                             th.stack.pop();
                             th.top().unwinding = true;
                         }
-                        (Drive, false) => {
+                        (Drive | Nudge, false) => {
                             let commit = top.commit.expect("parked");
                             if self.commits[commit].told.is_some() {
                                 th.stack.clear();
+                                th.asleep = false;
                             }
                             break;
                         }
@@ -974,17 +1074,18 @@ mod tests {
 
     #[test]
     fn every_interleaving_keeps_the_six_invariants() {
-        let programs = [INLINE, PARKED, CLAIM, QUIESCE];
+        let programs = [INLINE, PARKED, DELIVERED, CLAIM, QUIESCE];
+        let none = programs.len();
         let started = std::time::Instant::now();
         let (mut configurations, mut states) = (0, 0);
         let mut seen = HashSet::new();
-        for a in 0..4 {
-            for b in a..5 {
-                for c in b..5 {
-                    // Index 4 is "no thread": one, two and three threads.
+        for a in 0..none {
+            for b in a..=none {
+                for c in b..=none {
+                    // Index `none` is "no thread": one, two and three threads.
                     let mix: Vec<_> = [a, b, c]
                         .into_iter()
-                        .filter(|&i| i < 4)
+                        .filter(|&i| i < none)
                         .map(|i| programs[i])
                         .collect();
                     let committing = mix.iter().filter(|ops| ops[1] == Append).count();

@@ -48,6 +48,7 @@ use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::task::Waker;
 use std::time::Instant;
 
 /// Errors a storage backend can produce.
@@ -158,6 +159,9 @@ pub(crate) struct DurabilityStats {
     pub fsyncs: Arc<Counter>,
     /// Failed fsyncs (one per sync, however many commits it covered).
     pub fsync_failures: Arc<Counter>,
+    /// Times a thread slept waiting for a sync another thread leads, for
+    /// its turn, or for the fence.
+    pub sync_waits: Arc<Counter>,
     /// Snapshots written (compactions).
     pub snapshots: Arc<Counter>,
     /// Snapshot attempts that failed.
@@ -185,6 +189,9 @@ pub struct DurabilityCounters {
     pub fsyncs: u64,
     /// Failed fsyncs.
     pub fsync_failures: u64,
+    /// Times a thread slept on the pump: for a sync another thread leads,
+    /// for its turn, or for the fence.
+    pub sync_waits: u64,
     /// Snapshots written.
     pub snapshots: u64,
     /// Snapshot attempts that failed.
@@ -209,6 +216,7 @@ impl DurabilityStats {
             append_failures: metrics.counter("hpcmfa_otp_wal_append_failures_total", &[]),
             fsyncs: metrics.counter("hpcmfa_otp_wal_fsyncs_total", &[]),
             fsync_failures: metrics.counter("hpcmfa_otp_wal_fsync_failures_total", &[]),
+            sync_waits: metrics.counter("hpcmfa_otp_wal_sync_waits_total", &[]),
             snapshots: metrics.counter("hpcmfa_otp_snapshot_writes_total", &[]),
             snapshot_failures: metrics.counter("hpcmfa_otp_snapshot_failures_total", &[]),
             recoveries: metrics.counter("hpcmfa_otp_recoveries_total", &[]),
@@ -226,6 +234,7 @@ impl DurabilityStats {
             append_failures: self.append_failures.get(),
             fsyncs: self.fsyncs.get(),
             fsync_failures: self.fsync_failures.get(),
+            sync_waits: self.sync_waits.get(),
             snapshots: self.snapshots.get(),
             snapshot_failures: self.snapshot_failures.get(),
             recoveries: self.recoveries.get(),
@@ -254,8 +263,9 @@ type Parked = (Ticket, Finish);
 /// where the pump holds the group lock is exactly one machine call**: the
 /// loop in `Persistence::run`, and the single calls in `Commit::append`,
 /// `Persistence::would_wait`, `Persistence::park`, a [`Commit`]'s drop and
-/// the fence's release. So interleaving machine calls, as the machine's
-/// explorer does, is interleaving the threads.
+/// the fence's release (`Persistence::nudge` reads which commit to drive
+/// in the region of its first call). So interleaving machine calls, as the
+/// machine's explorer does, is interleaving the threads.
 pub struct Persistence(Arc<Pump>);
 
 struct Pump {
@@ -281,6 +291,10 @@ struct Pump {
     /// so a thread that changed the machine under the lock and then reads
     /// 0 knows nobody sleeps on the state it changed.
     waiting: AtomicUsize,
+    /// The waker of the last nudge, to rouse when the machine says a sync
+    /// that turned it away ended ([`group::Wake::nudger`]). Changed only with the
+    /// group lock held.
+    nudger: Mutex<Option<Waker>>,
 }
 
 impl Pump {
@@ -478,6 +492,7 @@ impl Persistence {
             group: Mutex::default(),
             moved: Condvar::new(),
             waiting: AtomicUsize::new(0),
+            nudger: Mutex::new(None),
         }))
     }
 
@@ -540,21 +555,23 @@ impl Persistence {
     }
 
     /// Whether settling `ticket` now would wait for a sync another
-    /// thread is running: the case [`Persistence::park`] takes.
-    pub(crate) fn would_wait(&self, ticket: &Ticket) -> bool {
-        self.0.lock().would_wait(ticket.seq)
+    /// thread is running — the case [`Persistence::park`] takes — and if
+    /// so, the commit's sequence number to see it through by.
+    pub(crate) fn would_wait(&self, ticket: &Ticket) -> Option<u64> {
+        let waits = self.0.lock().would_wait(ticket.seq);
+        waits.then_some(ticket.seq)
     }
 
     /// Instead of waiting for the sync in flight, leave `finish` with the
     /// pump, to be run by the thread holding the release turn once the
-    /// commit's verdict is in. Returns what [`Persistence::drive`] sees it
-    /// through with — or `None` when there was nothing to wait behind
-    /// after all, and the commit was settled and `finish` run here.
-    pub(crate) fn park(&self, ticket: Ticket, finish: Finish) -> Option<(Persistence, u64)> {
-        let seq = ticket.seq;
-        let parked = self.0.lock().park(seq, (ticket, finish));
+    /// commit's verdict is in; [`Persistence::drive`] and
+    /// [`Persistence::nudge`] see it through by its sequence number.
+    /// Returns `false` when there was nothing to wait behind after all,
+    /// and the commit was settled and `finish` run here.
+    pub(crate) fn park(&self, ticket: Ticket, finish: Finish) -> bool {
+        let parked = self.0.lock().park(ticket.seq, (ticket, finish));
         let Err((ticket, finish)) = parked else {
-            return Some((Persistence(Arc::clone(&self.0)), seq));
+            return true;
         };
         // A durable finish pushes its rows, so it runs in the commit's turn.
         let mut finish = Some(finish);
@@ -562,7 +579,7 @@ impl Persistence {
         if let Some(finish) = finish {
             finish(durable.is_ok());
         }
-        None
+        false
     }
 
     /// See to it that parked commit `seq` gets its verdict and its finish
@@ -571,6 +588,29 @@ impl Persistence {
     /// returns).
     pub(crate) fn drive(&self, seq: u64) {
         self.run(self.0.lock(), &mut Actor::new(Goal::Drive(seq)), None);
+    }
+
+    /// [`Persistence::drive`] the oldest parked commit without waiting:
+    /// lead the sync it waits for if none is in flight, run the parked
+    /// finishes that are due if nobody is, and return at once where
+    /// another thread is at it — and `waker` is woken when the sync in
+    /// flight ends, if it leaves a parked commit to lead a sync for.
+    /// Whether it led a sync or ran a finish.
+    pub(crate) fn nudge(&self, waker: &Waker) -> bool {
+        let group = self.0.lock();
+        let Some(seq) = group.oldest_parked() else {
+            return false;
+        };
+        // Kept before the call that may turn it away, under the same lock
+        // as the call that ends the sync, so the rouse finds it.
+        let mut nudger = self.0.nudger.lock().unwrap_or_else(|e| e.into_inner());
+        if !nudger.as_ref().is_some_and(|w| w.will_wake(waker)) {
+            *nudger = Some(waker.clone());
+        }
+        drop(nudger);
+        let mut nudge = Actor::nudge(seq);
+        self.run(group, &mut nudge, None);
+        nudge.worked()
     }
 
     /// Hold the fence closed without compacting (a reload swaps the whole
@@ -617,16 +657,25 @@ impl Persistence {
         let (mut verdict, mut panicked) = (None, None);
         loop {
             let (step, wake) = group.next(actor);
-            if wake {
+            if wake.waiters {
                 pump.announce();
             }
-            if matches!(step, Step::Wait) {
+            let nudger = if wake.nudger {
+                pump.nudger.lock().unwrap_or_else(|e| e.into_inner()).take()
+            } else {
+                None
+            };
+            if matches!(step, Step::Wait) && nudger.is_none() {
+                pump.stats.sync_waits.inc();
                 pump.waiting.fetch_add(1, Ordering::SeqCst);
                 group = pump.moved.wait(group).unwrap_or_else(|e| e.into_inner());
                 pump.waiting.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
             drop(group);
+            if let Some(nudger) = nudger {
+                nudger.wake();
+            }
             match step {
                 Step::Lead => {
                     let started = Instant::now();
@@ -654,7 +703,10 @@ impl Persistence {
                     let ran = panic::catch_unwind(AssertUnwindSafe(|| finish(durable)));
                     panicked = panicked.or(ran.err());
                 }
-                Step::Wait | Step::Done => break,
+                // Told to wait, it roused the nudger first, without the
+                // lock: it asks again, as after a spurious wake-up.
+                Step::Wait => {}
+                Step::Done => break,
             }
             group = pump.lock();
         }
@@ -793,7 +845,7 @@ mod tests {
                 assert!(i != 1, "the middle finish panics");
                 told.send((i, durable)).unwrap();
             });
-            assert!(pump.park(ticket, finish).is_some(), "parked {i}");
+            assert!(pump.park(ticket, finish), "parked {i}");
         }
         drop(told);
         let_go.send(()).unwrap();

@@ -14,7 +14,7 @@
 //! treated as a direct single-shot validation (some SSH/SFTP clients send
 //! the token concatenated this way).
 
-use crate::durability::{OtpCluster, Persistence};
+use crate::durability::OtpCluster;
 use crate::server::span_cost;
 use crate::server::{
     Answer, Begun, LinotpServer, ResumeConsumeOutcome, SmsTrigger, ValidationOutcome,
@@ -23,7 +23,7 @@ use hpcmfa_federation::{ResumeAuthority, TokenError};
 use hpcmfa_otp::clock::Clock;
 use hpcmfa_radius::attribute::{Attribute, AttributeType};
 use hpcmfa_radius::packet::PacketView;
-use hpcmfa_radius::server::{Handler, PendingDecision, ServerDecision};
+use hpcmfa_radius::server::{Handler, PendingDecision, Reply, ServerDecision};
 use hpcmfa_radius::tracewire;
 use hpcmfa_telemetry::{Counter, DetachedSpan, SecurityEventKind, SpanCtx, SpanGuard, SpanStatus};
 use parking_lot::Mutex;
@@ -31,8 +31,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Condvar, OnceLock, Weak};
+use std::task::Waker;
 
 /// Prompt shown for the token challenge.
 pub const TOKEN_PROMPT: &str = "TACC Token:";
@@ -92,26 +92,97 @@ pub struct OtpRadiusHandler {
 }
 
 /// A decision whose commit was appended while another thread's sync was
-/// in flight: the operation's finish waits with the pump, and what it
-/// concludes arrives here from the thread that ran it.
+/// in flight. The operation's finish waits with the pump; what it
+/// concludes and the reply that sends it meet here, and whichever comes
+/// second runs the reply, on its own thread. A caller that blocks instead
+/// waits here for the decision.
 struct Parked {
-    decision: Receiver<ServerDecision>,
-    /// The pump, and the commit waited for.
-    commit: (Persistence, u64),
+    /// The half that came first.
+    first: Mutex<Option<Half>>,
+    /// Tells a caller blocked in [`Parked::decision`] it is concluded.
+    concluded: Condvar,
+    /// The server whose pump holds the commit, the commit's sequence
+    /// number, and the operation's time.
+    server: Arc<LinotpServer>,
+    seq: u64,
+    now: u64,
+}
+
+enum Half {
+    Decision(ServerDecision),
+    Reply(Reply),
+    /// A caller blocked in [`Parked::decision`].
+    Waiter,
+}
+
+impl Parked {
+    /// Bring in one half: keep it for the other, run the reply with the
+    /// decision, or hand the decision to the caller waiting for it.
+    fn meet(&self, half: Half) {
+        let mut first = self.first.lock();
+        match (first.take(), half) {
+            (Some(Half::Reply(reply)), Half::Decision(decision))
+            | (Some(Half::Decision(decision)), Half::Reply(reply)) => {
+                drop(first);
+                reply(decision);
+            }
+            (Some(Half::Waiter), Half::Decision(decision)) => {
+                *first = Some(Half::Decision(decision));
+                drop(first);
+                self.concluded.notify_one();
+            }
+            (_, half) => *first = Some(half),
+        }
+    }
+
+    /// Block until the decision is concluded, and take it.
+    fn decision(&self) -> ServerDecision {
+        let mut first = self.first.lock();
+        loop {
+            match first.take() {
+                Some(Half::Decision(decision)) => return decision,
+                _ => *first = Some(Half::Waiter),
+            }
+            first = self
+                .concluded
+                .wait(first)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
 }
 
 impl PendingDecision for Parked {
-    fn poll(&mut self) -> Option<ServerDecision> {
-        self.decision.try_recv().ok()
+    fn deliver(&self, reply: Reply) {
+        self.meet(Half::Reply(reply));
     }
 
-    fn wait(self: Box<Self>) -> ServerDecision {
-        let (pump, seq) = &self.commit;
-        pump.drive(*seq);
-        // A finish that panicked concluded nothing: deny.
-        self.decision
-            .recv()
-            .unwrap_or_else(|_| OtpRadiusHandler::reject())
+    fn nudge(&self, waker: &Waker) -> bool {
+        self.server.nudge(self.now, waker)
+    }
+
+    fn wait(self: Arc<Self>) -> ServerDecision {
+        self.server.drive(self.seq);
+        self.decision()
+    }
+}
+
+/// A parked operation's finish holds its [`Parked`] by this, and concludes
+/// it once: a finish that panicked concluded nothing, which is a deny.
+struct Concluder(Option<Arc<Parked>>);
+
+impl Concluder {
+    fn conclude(mut self, decision: ServerDecision) {
+        if let Some(parked) = self.0.take() {
+            parked.meet(Half::Decision(decision));
+        }
+    }
+}
+
+impl Drop for Concluder {
+    fn drop(&mut self) {
+        if let Some(parked) = self.0.take() {
+            parked.meet(Half::Decision(OtpRadiusHandler::reject()));
+        }
     }
 }
 
@@ -164,25 +235,36 @@ impl OtpRadiusHandler {
     /// sync in flight leads one here, on the caller's thread, and
     /// `conclude` runs here too — a lone login's whole path. One that
     /// finds a sync in flight is parked: the operation's finish and
-    /// `conclude` run on the thread that leads the covering sync, and the
-    /// caller gets a [`ServerDecision::Pending`] to collect it by.
+    /// `conclude` run on the thread holding the pump's release turn once
+    /// the covering sync is over — usually that sync's leader — and the
+    /// caller gets a [`ServerDecision::Pending`]. The reply the caller
+    /// hands it runs on that thread too; a caller that waits instead is
+    /// handed the decision.
     fn drive<A: Answer>(
         &self,
         begun: Begun<'_, A>,
         conclude: impl FnOnce(&Self, &str, A::Reply) -> ServerDecision + Send + 'static,
     ) -> ServerDecision {
-        let (true, Some(me)) = (begun.would_wait(), self.me.upgrade()) else {
+        let waits = begun.would_wait();
+        let Some((seq, me)) = waits.and_then(|seq| Some((seq, self.me.upgrade()?))) else {
             let username = begun.user();
             return conclude(self, username, begun.settle());
         };
-        let (concluded, decision) = channel();
-        let parked = begun.park(Arc::clone(&self.server), move |username, outcome| {
-            // Nobody waiting for it is nobody to tell.
-            let _ = concluded.send(conclude(&me, username, outcome));
+        let parked = Arc::new(Parked {
+            first: Mutex::new(None),
+            concluded: Condvar::new(),
+            server: Arc::clone(&self.server),
+            seq,
+            now: begun.now(),
         });
-        match parked {
-            Some(commit) => ServerDecision::Pending(Box::new(Parked { decision, commit })),
-            None => decision.recv().unwrap_or_else(|_| Self::reject()),
+        let concluder = Concluder(Some(Arc::clone(&parked)));
+        let finish = move |username: &str, outcome| {
+            concluder.conclude(conclude(&me, username, outcome));
+        };
+        if begun.park(Arc::clone(&parked.server), finish) {
+            ServerDecision::Pending(parked)
+        } else {
+            parked.decision()
         }
     }
 

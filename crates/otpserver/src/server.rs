@@ -23,7 +23,7 @@
 //! applies its change only once that change is durable.
 
 use crate::audit::{AuditAction, AuditLog, NewRow, Staged};
-use crate::authority::{self, Event, Op, Outcome, Row, SmsOutcome, Told, Transition};
+use crate::authority::{self, Change, Event, Op, Outcome, Row, SmsOutcome, Told, Transition};
 use crate::durability::snapshot::snapshot_live_sized;
 use crate::durability::{
     recover, Commit, DurabilityCounters, Finish, Persistence, RecoverError, RecoveryReport,
@@ -45,6 +45,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, OnceLock};
+use std::task::Waker;
 use std::time::Instant;
 
 pub use crate::authority::ValidationOutcome;
@@ -211,12 +212,17 @@ impl<'a> Txn<'a> {
 
     /// Add each change of `t`, in order, then stage its rows.
     fn encode(&mut self, t: &Transition<'_>) {
-        if let Some(c) = &mut self.commit {
-            for change in t.changes.iter().flatten() {
-                c.change(self.user, change);
-            }
+        for change in t.changes.iter().flatten() {
+            self.change(change);
         }
         self.stage(&t.rows);
+    }
+
+    /// Add the record of one change to the user's record.
+    fn change(&mut self, change: &Change<'_>) {
+        if let Some(c) = &mut self.commit {
+            c.change(self.user, change);
+        }
     }
 
     /// Add audit rows, each detail ending in the operation's trace id —
@@ -485,9 +491,14 @@ impl<A: Answer> Gate<A> {
             } else {
                 // The code nobody will be sent stops being pending, so the
                 // next trigger issues one instead of suppressing itself.
+                // The failed issue may yet become durable, so the clear is
+                // logged, in the commit of the row that says what the
+                // caller was told, and a reload agrees.
                 server.store.with_record(username, |rec| {
                     if let Some(clear) = authority::withdrawal(rec, &code) {
                         authority::apply(rec, &clear);
+                        txn.change(&clear);
+                        txn.append();
                     }
                 });
                 None
@@ -532,7 +543,8 @@ impl<A: Answer> Gate<A> {
 
 /// A gated operation past its *begin*: the store (or ledger) holds what
 /// it did, its commit is appended, the lock is released. Two drivers
-/// take it to its *finish*, and there is one of each.
+/// take it to its *finish*: [`Begun::settle`] on the caller's thread, or
+/// [`Begun::park`] on the thread holding the pump's release turn.
 pub(crate) struct Begun<'a, A> {
     txn: Txn<'a>,
     gate: Gate<A>,
@@ -544,6 +556,11 @@ impl<'a, A: Answer> Begun<'a, A> {
         self.txn.user
     }
 
+    /// When the operation runs.
+    pub(crate) fn now(&self) -> u64 {
+        self.txn.now
+    }
+
     /// Drive inline: wait for the commit's sync on this thread — leading
     /// it when none is in flight — and finish.
     pub(crate) fn settle(self) -> A::Reply {
@@ -553,24 +570,23 @@ impl<'a, A: Answer> Begun<'a, A> {
     }
 
     /// Whether [`Begun::settle`] would wait for a sync another thread is
-    /// running.
-    pub(crate) fn would_wait(&self) -> bool {
-        let pump = self.txn.server.persistence.as_ref();
-        pump.zip(self.txn.ticket.as_ref())
-            .is_some_and(|(pump, ticket)| pump.would_wait(ticket))
+    /// running, and if so the commit's sequence number, to see a
+    /// [parked](Begun::park) commit through by.
+    pub(crate) fn would_wait(&self) -> Option<u64> {
+        let pump = self.txn.server.persistence.as_ref()?;
+        pump.would_wait(self.txn.ticket.as_ref()?)
     }
 
     /// Drive parked: leave the finish with the pump, to be run — and its
     /// reply handed to `then` — by the thread holding the release turn
-    /// once the verdict is in. Returns the pump and the commit's sequence
-    /// number to [`Persistence::drive`] it by, or `None` if there was
-    /// nothing to wait behind after all and both ran here. `server` is the
-    /// shared handle of the server that began it.
+    /// once the verdict is in. Returns `false` if there was nothing to
+    /// wait behind after all and both ran here. `server` is the shared
+    /// handle of the server that began it.
     pub(crate) fn park(
         self,
         server: Arc<LinotpServer>,
         then: impl FnOnce(&str, A::Reply) + Send + 'static,
-    ) -> Option<(Persistence, u64)> {
+    ) -> bool {
         let Begun { mut txn, gate } = self;
         let (pump, user) = (txn.server.persistence.as_ref(), txn.user.to_string());
         // The operation leaves this thread with its commit and rows, and
@@ -597,7 +613,7 @@ impl<'a, A: Answer> Begun<'a, A> {
             Some((pump, ticket)) => pump.park(ticket, finish),
             None => {
                 finish(true);
-                None
+                false
             }
         }
     }
@@ -759,6 +775,27 @@ impl LinotpServer {
         let capacity = compaction.snapshot_len();
         let bytes = snapshot_live_sized(capacity, &self.store, &self.audit, &consumed);
         let _ = compaction.install(&bytes);
+    }
+
+    /// See parked commit `seq` through on this thread: its verdict in and
+    /// its finish run (see [`Persistence::drive`]).
+    pub(crate) fn drive(&self, seq: u64) {
+        if let Some(pump) = &self.persistence {
+            pump.drive(seq);
+        }
+    }
+
+    /// See the oldest parked commit along without waiting, `waker` woken
+    /// if a sync in flight leaves it more to do (see
+    /// [`Persistence::nudge`]); having made commits durable, with no
+    /// [`Txn`] open, make the compaction check every operation's end
+    /// makes. Whether it led a sync or ran a parked finish.
+    pub(crate) fn nudge(&self, now: u64, waker: &Waker) -> bool {
+        let worked = (self.persistence.as_ref()).is_some_and(|pump| pump.nudge(waker));
+        if worked {
+            self.maybe_compact(now, false);
+        }
+        worked
     }
 
     /// The token store (shared with the admin API).

@@ -15,10 +15,11 @@
 //!    resume-nonce consumes, share syncs like any others.
 //! 5. **A reply waits for its sync, a worker does not.** Behind the
 //!    batched UDP ingest more commits are appended during one sync than
-//!    there are workers, no reply leaves before the sync covering its
-//!    commit ends, a failed sync denies every login it covered exactly as
-//!    the inline path does, and a compaction falling due among parked
-//!    replies strands none.
+//!    there are workers, no ingest thread sleeps on the pump while the
+//!    sync is held, no reply leaves before the sync covering its commit
+//!    ends, a failed sync denies every login it covered exactly as the
+//!    inline path does, and a compaction falling due among parked replies
+//!    strands none.
 //! 6. **A replicated append does not wait out the primary's sync**, and
 //!    the standby still receives exactly the synced bytes, in order, a
 //!    failed append and its rollback during the sync included.
@@ -718,10 +719,13 @@ impl Gateway {
 }
 
 /// Sixteen traced logins sent while a sync is held: how many commits were
-/// appended meanwhile, the replies once it is let go, and each login's
-/// span tree in a form that compares across logins.
+/// appended meanwhile, how many times a thread slept on the pump
+/// meanwhile, the replies once it is let go and how soon the first came,
+/// and each login's span tree in a form that compares across logins.
 struct HeldStorm {
     appended_while_held: u64,
+    pump_sleeps_while_held: u64,
+    first_reply_after: Duration,
     replies: Vec<(u8, Code, Option<u64>)>,
     span_trees: Vec<Vec<String>>,
 }
@@ -762,11 +766,17 @@ fn storm_behind_a_held_sync(
         "the lead login's sync is in flight"
     );
     let before = hooked.appends();
+    let pump_sleeps = || server.durability_counters().unwrap().sync_waits;
+    let sleeps_before = pump_sleeps();
     for (i, (name, totp)) in names.iter().zip(totps).enumerate() {
         gateway.send_login(i as u8, name, &totp.code_at(now), Some(trace(i)));
     }
     gateway.open();
     let appended_while_held = hooked.wait_for_appends(before, STORM_LOGINS as u64);
+    // Past a worker's poll: time for any thread that would sleep on the
+    // pump behind the held sync to do so.
+    std::thread::sleep(Duration::from_millis(60));
+    let pump_sleeps_while_held = pump_sleeps() - sleeps_before;
 
     // No reply outruns its sync.
     gateway.client.set_nonblocking(true).unwrap();
@@ -779,12 +789,16 @@ fn storm_behind_a_held_sync(
     gateway.client.set_nonblocking(false).unwrap();
 
     hooked.release_syncs();
+    let let_go = Instant::now();
+    let first = gateway.reply();
+    let first_reply_after = let_go.elapsed();
     assert_ne!(
         leader.join().unwrap(),
         ValidationOutcome::Success,
         "the lead login's code is wrong"
     );
-    let mut replies: Vec<_> = (0..STORM_LOGINS).map(|_| gateway.reply()).collect();
+    let rest = (1..STORM_LOGINS).map(|_| gateway.reply());
+    let mut replies: Vec<_> = std::iter::once(first).chain(rest).collect();
     replies.sort_unstable_by_key(|(id, ..)| *id);
     let stats = gateway.shut_down();
     assert_eq!(
@@ -815,6 +829,8 @@ fn storm_behind_a_held_sync(
         .collect();
     HeldStorm {
         appended_while_held,
+        pump_sleeps_while_held,
+        first_reply_after,
         replies,
         span_trees,
     }
@@ -867,6 +883,57 @@ fn no_reply_outruns_its_sync_and_no_worker_waits_for_one() {
             "{name}: acknowledged code replayed after the crash"
         );
     }
+}
+
+#[test]
+fn a_held_sync_puts_no_ingest_thread_to_sleep_on_the_pump() {
+    let memory = MemoryBackend::healthy();
+    let hooked = Hooked::over(Arc::clone(&memory));
+    let server = durable_server(
+        Arc::clone(&hooked) as Arc<dyn StorageBackend>,
+        ServerConfig::default(),
+    );
+    let mut names = names(STORM_LOGINS + 1);
+    let mut totps = enroll(&server, &names);
+    let (lead, lead_totp) = (names.pop().unwrap(), totps.pop().unwrap());
+    let storm = storm_behind_a_held_sync(&server, &hooked, &names, &totps, (&lead, &lead_totp));
+
+    // The sync is held by a thread of the test's own, inside the backend:
+    // every commit of the storm parks behind it, and the workers that
+    // appended them hand their replies over and find the sync in other
+    // hands. None of them, nor the receiver, sleeps on the pump.
+    assert!(storm.appended_while_held >= 12);
+    assert_eq!(storm.pump_sleeps_while_held, 0);
+    // Once it is let go, every reply still leaves.
+    assert!(storm
+        .replies
+        .iter()
+        .all(|(_, code, _)| *code == Code::AccessAccept));
+}
+
+#[test]
+fn a_sync_led_outside_the_ingest_rouses_its_workers_when_it_ends() {
+    let memory = MemoryBackend::healthy();
+    let hooked = Hooked::over(Arc::clone(&memory));
+    let server = durable_server(
+        Arc::clone(&hooked) as Arc<dyn StorageBackend>,
+        ServerConfig::default(),
+    );
+    let mut names = names(STORM_LOGINS + 1);
+    let mut totps = enroll(&server, &names);
+    let (lead, lead_totp) = (names.pop().unwrap(), totps.pop().unwrap());
+    let storm = storm_behind_a_held_sync(&server, &hooked, &names, &totps, (&lead, &lead_totp));
+
+    // The held sync is the lead login's, not a worker's, and it covers none
+    // of the storm's commits: every worker nudged and was turned away. The
+    // sync's end rouses one, which leads the next at once; a worker left
+    // to its 50 ms poll would answer anywhere up to 50 ms later.
+    assert!(storm.appended_while_held >= 12);
+    assert!(
+        storm.first_reply_after < Duration::from_millis(25),
+        "the first reply came {:?} after the held sync ended",
+        storm.first_reply_after
+    );
 }
 
 #[test]

@@ -2,12 +2,12 @@
 //! WAL and snapshots: every change the server made under its shard lock
 //! was applied through the same function recovery replays it through, so
 //! the two must agree, whatever the operations, the clock skew, the
-//! compactions and the reads in between.
+//! compactions, the reads and the failed syncs in between.
 
 use hpcmfa_otp::secret::Secret;
 use hpcmfa_otp::totp::Totp;
 use hpcmfa_otpserver::durability::wal::{decode_stream, WalRecord};
-use hpcmfa_otpserver::durability::{MemoryBackend, StorageBackend};
+use hpcmfa_otpserver::durability::{MemoryBackend, StorageBackend, StorageFaultPlan};
 use hpcmfa_otpserver::server::{LinotpServer, ServerConfig, SmsTrigger};
 use hpcmfa_otpserver::sms::{PhoneNumber, TwilioSim};
 use hpcmfa_otpserver::store::{TokenPairing, UserTokenStatus};
@@ -28,17 +28,121 @@ struct Step {
     skew: i64,
 }
 
-fn steps() -> impl Strategy<Value = Vec<Step>> {
+/// Scripts of operations `0..ops`: 15 run on a healthy backend, and the
+/// two after them while every sync fails.
+fn steps(ops: u8) -> impl Strategy<Value = Vec<Step>> {
     let skews = [0i64, -30, 30, -300, 330, 3_600, -7_200];
-    let step = (0u8..15, 0usize..USERS.len(), 0u64..200, 0usize..skews.len()).prop_map(
-        move |(what, user, dt, skew)| Step {
+    let step = (
+        0u8..ops,
+        0usize..USERS.len(),
+        0u64..200,
+        0usize..skews.len(),
+    )
+        .prop_map(move |(what, user, dt, skew)| Step {
             what,
             user,
             dt,
             skew: skews[skew],
-        },
-    );
+        });
     prop::collection::vec(step, 1..80)
+}
+
+/// A durable server on `backend`, compacting every few records.
+fn durable(seed: u64, backend: Arc<dyn StorageBackend>) -> Arc<LinotpServer> {
+    let config = ServerConfig {
+        snapshot_every_appends: 8,
+        overload: Some(OverloadConfig {
+            bucket_burst: 2,
+            ..OverloadConfig::default()
+        }),
+        ..ServerConfig::default()
+    };
+    LinotpServer::with_storage(TwilioSim::new(seed), seed, config, backend).unwrap()
+}
+
+/// Play `script` on `srv`, whose backend runs on `plan` if the script
+/// fails syncs. Returns the time it ends at.
+fn play(srv: &LinotpServer, script: &[Step], seed: u64, plan: Option<&StorageFaultPlan>) -> u64 {
+    let failing = |op: &dyn Fn()| {
+        let plan = plan.expect("a script that fails syncs runs on a fault plan");
+        plan.set_fsync_fail_every(1);
+        op();
+        plan.set_fsync_fail_every(0);
+    };
+    let phone = PhoneNumber::parse("5125551234").unwrap();
+    let mut now = 1_475_000_000u64;
+    let mut devices: [Option<Totp>; 3] = [None, None, None];
+    let mut last = vec![String::new(); USERS.len()];
+    for s in script {
+        now += s.dt;
+        let (user, device) = (USERS[s.user], &mut devices[s.user]);
+        let shown = |at: u64| device.as_ref().map(|d| d.code_at(at)).unwrap_or_default();
+        let at = now.saturating_add_signed(s.skew);
+        match s.what {
+            0 => *device = Some(Totp::new(srv.enroll_soft(user, now))),
+            1 => {
+                let secret = Secret::from_bytes(seed.to_be_bytes().repeat(3));
+                srv.enroll_hard(user, "TACC-0001", secret.clone(), now);
+                *device = Some(Totp::new(secret));
+            }
+            2 => {
+                srv.enroll_sms(user, phone.clone(), now);
+                *device = None;
+            }
+            3 => {
+                last[s.user] = srv.enroll_static(user, now);
+                *device = None;
+            }
+            4 | 5 => {
+                if device.is_some() {
+                    last[s.user] = shown(at);
+                }
+                srv.validate(user, &last[s.user], now);
+            }
+            6 => {
+                srv.validate(user, "000000", now);
+            }
+            7 => {
+                if let SmsTrigger::Sent(message) = srv.trigger_sms(user, now) {
+                    last[s.user] = message.body.rsplit(' ').next().unwrap().to_string();
+                }
+            }
+            8 => {
+                srv.reset_failcount(user, now);
+            }
+            9 => {
+                srv.resync(user, &shown(at), &shown(at + 30), now);
+            }
+            10 => {
+                srv.remove_pairing(user, now);
+            }
+            11 | 12 => {
+                let source = Some(Ipv4Addr::new(203, 0, 113, s.user as u8));
+                srv.validate_guarded(user, &shown(at), now, None, source);
+            }
+            13 => {
+                srv.status(user, now);
+            }
+            14 => {
+                srv.store().gauge_counts(now);
+            }
+            15 => failing(&|| {
+                srv.trigger_sms(user, now);
+            }),
+            _ => failing(&|| {
+                srv.validate(user, &shown(at), now);
+            }),
+        }
+    }
+    now
+}
+
+/// Every user's status and the gauge census at `now`.
+fn reads(srv: &LinotpServer, now: u64) -> ([Option<UserTokenStatus>; 3], (u64, u64)) {
+    (
+        USERS.map(|u| srv.status(u, now)),
+        srv.store().gauge_counts(now),
+    )
 }
 
 proptest! {
@@ -50,84 +154,37 @@ proptest! {
     /// reloading from its storage leaves the store and the audit ring
     /// exactly as they were, and every read answers as it did.
     #[test]
-    fn live_state_equals_recovered_state(script in steps(), seed in 0u64..1_000) {
+    fn live_state_equals_recovered_state(script in steps(15), seed in 0u64..1_000) {
         let backend: std::sync::Arc<dyn StorageBackend> = MemoryBackend::healthy();
-        let config = ServerConfig {
-            snapshot_every_appends: 8,
-            overload: Some(OverloadConfig {
-                bucket_burst: 2,
-                ..OverloadConfig::default()
-            }),
-            ..ServerConfig::default()
-        };
-        let srv = LinotpServer::with_storage(TwilioSim::new(seed), seed, config, backend).unwrap();
-        let phone = PhoneNumber::parse("5125551234").unwrap();
-        let mut now = 1_475_000_000u64;
-        let mut devices: [Option<Totp>; 3] = [None, None, None];
-        let mut last = vec![String::new(); USERS.len()];
-        for s in &script {
-            now += s.dt;
-            let (user, device) = (USERS[s.user], &mut devices[s.user]);
-            let shown = |at: u64| device.as_ref().map(|d| d.code_at(at)).unwrap_or_default();
-            let at = now.saturating_add_signed(s.skew);
-            match s.what {
-                0 => *device = Some(Totp::new(srv.enroll_soft(user, now))),
-                1 => {
-                    let secret = Secret::from_bytes(seed.to_be_bytes().repeat(3));
-                    srv.enroll_hard(user, "TACC-0001", secret.clone(), now);
-                    *device = Some(Totp::new(secret));
-                }
-                2 => {
-                    srv.enroll_sms(user, phone.clone(), now);
-                    *device = None;
-                }
-                3 => {
-                    last[s.user] = srv.enroll_static(user, now);
-                    *device = None;
-                }
-                4 | 5 => {
-                    if device.is_some() {
-                        last[s.user] = shown(at);
-                    }
-                    srv.validate(user, &last[s.user], now);
-                }
-                6 => {
-                    srv.validate(user, "000000", now);
-                }
-                7 => {
-                    if let SmsTrigger::Sent(message) = srv.trigger_sms(user, now) {
-                        last[s.user] = message.body.rsplit(' ').next().unwrap().to_string();
-                    }
-                }
-                8 => {
-                    srv.reset_failcount(user, now);
-                }
-                9 => {
-                    srv.resync(user, &shown(at), &shown(at + 30), now);
-                }
-                10 => {
-                    srv.remove_pairing(user, now);
-                }
-                11 | 12 => {
-                    let source = Some(Ipv4Addr::new(203, 0, 113, s.user as u8));
-                    srv.validate_guarded(user, &shown(at), now, None, source);
-                }
-                13 => {
-                    srv.status(user, now);
-                }
-                _ => {
-                    srv.store().gauge_counts(now);
-                }
-            }
-        }
-        let reads = |srv: &LinotpServer| -> ([Option<UserTokenStatus>; 3], (u64, u64)) {
-            (USERS.map(|u| srv.status(u, now)), srv.store().gauge_counts(now))
-        };
-        let (store, ring, read) = (srv.store().export_all(), srv.audit().export_all(), reads(&srv));
+        let srv = durable(seed, backend);
+        let now = play(&srv, &script, seed, None);
+        let (store, ring, read) = (srv.store().export_all(), srv.audit().export_all(), reads(&srv, now));
         srv.reload_from_storage().unwrap();
         prop_assert_eq!(srv.store().export_all(), store);
         prop_assert_eq!(srv.audit().export_all(), ring);
-        prop_assert_eq!(reads(&srv), read);
+        prop_assert_eq!(reads(&srv, now), read);
+    }
+
+    /// The same scripts with two more operations: an SMS trigger, and a
+    /// validation of the shown code, while every sync fails. The grant is
+    /// denied, and what the store holds stays or is taken back by a logged
+    /// change; the failed commit's bytes stay buffered, and the next good
+    /// sync (at the latest, one more enrolment's before the reload) makes
+    /// them durable. The store and every read must still agree with what
+    /// a reload rebuilds. The audit ring is not compared: a reload holds
+    /// the failed commit's rows as well as those written for its caller.
+    #[test]
+    fn live_state_equals_recovered_state_across_failed_syncs(script in steps(17), seed in 0u64..1_000) {
+        let plan = StorageFaultPlan::seeded(seed);
+        let backend: Arc<dyn StorageBackend> = MemoryBackend::with_plan(Arc::clone(&plan));
+        let srv = durable(seed, backend);
+        let now = play(&srv, &script, seed, Some(&plan));
+        // A good sync, for whatever a failed one left buffered.
+        srv.enroll_static("flush", now);
+        let (store, read) = (srv.store().export_all(), reads(&srv, now));
+        srv.reload_from_storage().unwrap();
+        prop_assert_eq!(srv.store().export_all(), store);
+        prop_assert_eq!(reads(&srv, now), read);
     }
 }
 

@@ -33,9 +33,10 @@
 //! * a reply may wait, a worker does not. When the handler's decision is
 //!   [pending](crate::server::ServerDecision::Pending) — the OTP server
 //!   appended the login's commit while another commit's sync was in
-//!   flight — the worker **parks** the reply with the receive buffer it
-//!   will be encoded from and takes the next datagram, so the commits of
-//!   a burst pile into the next sync instead of waiting one worker each.
+//!   flight — the worker hands the decision the reply
+//!   ([`PendingDecision::deliver`]) with the receive buffer it will be
+//!   encoded from, and takes the next datagram, so the commits of a burst
+//!   pile into the next sync instead of waiting one worker each.
 //!
 //! The cost of the receiver answering: nobody reads the socket while it
 //! is inside the handler, so a datagram that arrives then waits in the
@@ -47,25 +48,36 @@
 //!
 //! Who sends a parked reply, each rule observed and none configured:
 //!
-//! * a worker looks for a parked reply whose decision is in before it
-//!   takes anything else, so the worker that led a sync sends what the
-//!   sync covered as soon as its own call returns;
-//! * a worker with nothing queued and replies parked sees the oldest
-//!   through ([`PendingDecision::wait`], which leads the sync if nobody
-//!   is) instead of sleeping: a burst's tail is answered within one sync
-//!   without further traffic, and a sync led from outside the ingest
-//!   still gets its replies out;
+//! * the thread that concludes the decision: a parked reply is encoded
+//!   from its receive buffer, sent and its buffer recycled by the reply
+//!   the worker handed over, wherever that runs — for the OTP handler, on
+//!   the thread holding the pump's release turn, usually the leader of
+//!   the sync that covered the commit. One sync's replies leave one after
+//!   another from that thread, and no ingest thread waits for them;
+//! * a worker with nothing queued and replies parked nudges the newest
+//!   parked decision ([`PendingDecision::nudge`]), which leads the sync
+//!   the oldest one waits for if none is in flight, and sends what it
+//!   covers, but returns at once if another thread is at it: a burst's
+//!   tail is answered within one sync without further traffic. A worker
+//!   whose nudge found the work in other hands sleeps until a job comes
+//!   or the ingest is roused: the nudge's waker runs when the sync it
+//!   found in flight ends, if that sync left a parked decision to see
+//!   through, so commits parked behind a sync led from outside the ingest
+//!   (an admin commit, another front end) are led as soon as it ends. Its
+//!   50 ms poll nudges again too, for a decision that never wakes it;
 //! * a parked reply stays *handed off* until it leaves, so the receiver's
 //!   lone-datagram rule never fires with replies parked (and a pending
-//!   decision the receiver itself meets, it waits out);
+//!   decision the receiver itself meets, it waits out with
+//!   [`PendingDecision::wait`]);
 //! * queued plus parked never exceeds [`IngestConfig::queue_cap`]: at the
-//!   bound a worker waits for its decision as it used to, so a hung
-//!   device still backpressures into the kernel buffer;
+//!   bound a worker waits for its decision, so a hung device still
+//!   backpressures into the kernel buffer;
 //! * shutdown sends what is parked before [`IngestHandle::join`] returns;
 //!   `replied` and `outcome="ok"` count a reply when it leaves;
 //! * a handler call (or a pending decision) that panics is caught: its
 //!   datagram counts `discarded`, its buffer is recycled, and the thread
-//!   carries on.
+//!   carries on. A reply dropped unsent, its decision never concluded,
+//!   counts its datagram the same way.
 //!
 //! Who is woken, and when: a condvar notify is a syscall whether or not
 //! anyone waits, so the backlog counts its sleepers and only they are
@@ -74,8 +86,9 @@
 //! * a batch handed off wakes as many workers as it queued jobs, but no
 //!   more than are asleep; a worker that is awake needs no wake-up, since
 //!   it looks at the queue under the lock before it sleeps;
-//! * a worker never sleeps with replies parked (it settles the oldest
-//!   instead), so a parked reply needs no wake-up either;
+//! * a parked reply needs no wake-up: whichever thread concludes its
+//!   decision sends it. A rouse wakes one sleeping worker, and the first
+//!   worker to look takes it;
 //! * the receiver is told there is room only while it waits for some, at
 //!   [`IngestConfig::queue_cap`].
 //!
@@ -95,10 +108,12 @@
 
 use crate::server::{Begun, PendingDecision, RadiusServer, ServerDecision};
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::task::{Wake, Waker};
 use std::time::Duration;
 
 /// Service lane of one inbound datagram, decided before any decode work.
@@ -169,7 +184,7 @@ fn received(buf: &[u8], len: usize) -> &[u8] {
 /// arrived in (the reply is encoded from it).
 struct ParkedReply {
     job: Job,
-    pending: Box<dyn PendingDecision>,
+    pending: Arc<dyn PendingDecision>,
 }
 
 /// What the workers have ahead of them, and who sleeps until it changes.
@@ -177,7 +192,13 @@ struct ParkedReply {
 #[derive(Default)]
 struct Backlog {
     jobs: VecDeque<Job>,
-    parked: VecDeque<ParkedReply>,
+    /// Replies handed to their pending decisions and not sent yet.
+    parked: usize,
+    /// The decision last handed a reply while any is parked: what a
+    /// worker with nothing queued nudges.
+    newest: Option<Arc<dyn PendingDecision>>,
+    /// A nudge's waker ran: a worker turned away nudges again.
+    roused: bool,
     /// Workers asleep on [`Shared::job_ready`].
     idle: usize,
     /// Whether the receiver sleeps on [`Shared::space_ready`].
@@ -187,7 +208,72 @@ struct Backlog {
 impl Backlog {
     /// Queued jobs plus parked replies: what counts against the cap.
     fn len(&self) -> usize {
-        self.jobs.len().saturating_add(self.parked.len())
+        self.jobs.len().saturating_add(self.parked)
+    }
+}
+
+/// A parked datagram on its way out, on whichever thread concludes its
+/// decision. It leaves the backlog when it drops: sent, or — its decision
+/// never concluded — counted `discarded`.
+struct Outbound {
+    shared: Arc<Shared>,
+    job: Option<Job>,
+}
+
+thread_local! {
+    /// The reply buffer of a parked datagram, on the thread that sends it:
+    /// that thread's own buffers may be in use further up its stack.
+    static PARKED_REPLY: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+impl Outbound {
+    fn send(mut self, decision: ServerDecision) {
+        if let Some(job) = self.job.take() {
+            let mut reply = PARKED_REPLY.take();
+            release(&self.shared, job, decision, &mut reply);
+            PARKED_REPLY.set(reply);
+        }
+    }
+}
+
+impl Drop for Outbound {
+    fn drop(&mut self) {
+        let shared = &*self.shared;
+        if let Some(job) = self.job.take() {
+            discard(shared);
+            shared.recycle(job.buf);
+        }
+        let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.parked = q.parked.saturating_sub(1);
+        made_room(shared, &q);
+        let newest = if q.parked == 0 { q.newest.take() } else { None };
+        drop(q);
+        drop(newest);
+        // It left: only now may the receiver answer a datagram itself.
+        shared.handed_off.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// What a nudge leaves to be woken by: it rouses the ingest, if it still
+/// runs.
+struct Rouse(Weak<Shared>);
+
+impl Wake for Rouse {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        let Some(shared) = self.0.upgrade() else {
+            return;
+        };
+        let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.roused = true;
+        let sleeps = q.idle > 0;
+        drop(q);
+        if sleeps {
+            shared.job_ready.notify_one();
+        }
     }
 }
 
@@ -472,8 +558,9 @@ fn drain_socket(
         let lone = admitted.len() == 1 && shared.handed_off.load(Ordering::Relaxed) == 0;
         if lone {
             if let Some(job) = admitted.pop() {
-                // Nothing is parked (`handed_off` is zero), and no worker
-                // is awake to send a parked reply: the receiver waits.
+                // Nothing is parked (`handed_off` is zero) and nothing is
+                // read while the receiver is here: a pending decision has
+                // nothing to overlap with, and the receiver waits it out.
                 if let Some(parked) = answer(shared, job, &mut reply, &mut pw_scratch) {
                     settle(shared, parked, &mut reply);
                 }
@@ -492,10 +579,10 @@ fn classify(classifier: Option<&LaneClassifier>, peer: &SocketAddr, data: &[u8])
 /// Push a batch's jobs under one hold of the queue lock, blocking while
 /// the backlog is at capacity (backpressure: excess load waits in the
 /// kernel socket buffer, not in process memory). Workers see the batch
-/// whole: one that finds the queue empty, and settles a parked reply —
-/// waiting out its sync — while the receiver is still handing off
-/// datagrams it has already drained, would hold the rest of the batch
-/// behind that sync.
+/// whole: one that finds the queue empty, and nudges a parked reply —
+/// leading its sync — while the receiver is still handing off datagrams
+/// it has already drained, would hold the rest of the batch behind that
+/// sync.
 fn enqueue(shared: &Shared, jobs: &mut Vec<Job>) {
     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
     let mut queued = 0usize;
@@ -541,7 +628,7 @@ fn survive<T>(f: impl FnOnce() -> T) -> Option<T> {
 
 /// Run one datagram through the zero-copy server path on the caller's
 /// reusable buffers and flush the reply to the socket — or hand the
-/// datagram back with its pending decision, for the caller to park or
+/// datagram back with its pending decision, for the caller to [`park`] or
 /// [`settle`].
 fn answer(
     shared: &Shared,
@@ -596,53 +683,66 @@ fn discard(shared: &Shared) {
     shared.discarded.inc();
 }
 
+/// Hand `parked`'s decision the reply that sends it, if the backlog has
+/// room for one more; at the bound it comes back, for the caller to
+/// [`settle`].
+fn park(shared: &Arc<Shared>, parked: ParkedReply) -> Result<(), ParkedReply> {
+    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+    if q.len() >= shared.queue_cap {
+        return Err(parked);
+    }
+    let ParkedReply { job, pending } = parked;
+    // Counted before it is handed over: the reply may leave at once.
+    q.parked = q.parked.saturating_add(1);
+    let older = q.newest.replace(Arc::clone(&pending));
+    drop(q);
+    drop(older);
+    let out = Outbound {
+        shared: Arc::clone(shared),
+        job: Some(job),
+    };
+    // A `deliver` that panics drops the reply unsent.
+    let _ = survive(|| pending.deliver(Box::new(move |decision| out.send(decision))));
+    Ok(())
+}
+
 /// What a worker does next.
 enum Turn {
-    /// A parked reply's decision is in: it leaves before anything else is
-    /// begun.
-    Release(Job, ServerDecision),
     Answer(Job),
-    /// Nothing is queued and replies are parked: rather than sleep, see
-    /// the oldest through — leading the sync it waits for if nobody is —
-    /// so a burst's tail, or a sync led from outside the ingest, is
+    /// Nothing is queued and replies are parked: see their decisions along
+    /// — leading the sync they wait for if nobody is — so a burst's tail is
     /// answered without further traffic.
-    Settle(ParkedReply),
+    Nudge(Arc<dyn PendingDecision>),
     Exit,
 }
 
-/// Worker: take [`Turn`]s on per-worker buffers. A pending reply is parked
-/// with its datagram while the backlog has room, so the worker moves on
-/// and the reply leaves from whichever worker next finds its decision in;
-/// at the bound the worker waits it out, so a hung device still
-/// backpressures into the kernel buffer. Exits once the shutdown flag is
-/// set, the queue has drained and every parked reply has been sent.
-fn worker_loop(shared: &Shared) {
+/// Worker: take [`Turn`]s on per-worker buffers. A pending reply is handed
+/// to its decision while the backlog has room, so the worker moves on and
+/// the reply leaves from whichever thread concludes the decision; at the
+/// bound the worker waits it out, so a hung device still backpressures
+/// into the kernel buffer. Exits once the shutdown flag is set, the queue
+/// has drained and every parked reply has been sent.
+fn worker_loop(shared: &Arc<Shared>) {
     let mut reply = Vec::with_capacity(crate::MAX_PACKET_LEN);
     let mut pw_scratch = Vec::with_capacity(128);
+    let waker = Waker::from(Arc::new(Rouse(Arc::downgrade(shared))));
+    // The last nudge found the work in other hands: nudge again only after
+    // a wake-up, not at once.
+    let mut turned_away = false;
     loop {
         let turn = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                let ready = q
-                    .parked
-                    .iter_mut()
-                    .enumerate()
-                    .find_map(|(at, p)| p.pending.poll().map(|decision| (at, decision)));
-                if let Some((at, decision)) = ready {
-                    if let Some(parked) = q.parked.remove(at) {
-                        made_room(shared, &q);
-                        break Turn::Release(parked.job, decision);
-                    }
-                }
                 if let Some(job) = q.jobs.pop_front() {
                     made_room(shared, &q);
                     break Turn::Answer(job);
                 }
-                if let Some(parked) = q.parked.pop_front() {
-                    made_room(shared, &q);
-                    break Turn::Settle(parked);
+                if q.parked > 0 && (!turned_away || std::mem::take(&mut q.roused)) {
+                    if let Some(newest) = &q.newest {
+                        break Turn::Nudge(Arc::clone(newest));
+                    }
                 }
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.shutdown.load(Ordering::SeqCst) && q.parked == 0 {
                     break Turn::Exit;
                 }
                 q.idle = q.idle.saturating_add(1);
@@ -652,27 +752,24 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(|e| e.into_inner())
                     .0;
                 q.idle = q.idle.saturating_sub(1);
+                turned_away = false;
             }
         };
         match turn {
-            Turn::Release(job, decision) => release(shared, job, decision, &mut reply),
-            Turn::Settle(parked) => settle(shared, parked, &mut reply),
             Turn::Answer(job) => {
+                turned_away = false;
                 if let Some(parked) = answer(shared, job, &mut reply, &mut pw_scratch) {
-                    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    if q.len() < shared.queue_cap {
-                        q.parked.push_back(parked);
-                        continue;
+                    match park(shared, parked) {
+                        // `handed_off` falls when the reply leaves.
+                        Ok(()) => continue,
+                        Err(parked) => settle(shared, parked, &mut reply),
                     }
-                    drop(q);
-                    settle(shared, parked, &mut reply);
                 }
+                shared.handed_off.fetch_sub(1, Ordering::Relaxed);
             }
+            Turn::Nudge(pending) => turned_away = survive(|| pending.nudge(&waker)) != Some(true),
             Turn::Exit => return,
         }
-        // A reply left, parked or not: `handed_off` falls here, never at
-        // park, so the receiver answers nothing itself with replies parked.
-        shared.handed_off.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -23,6 +23,7 @@ use crate::tracewire;
 use hpcmfa_telemetry::SpanCtx;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 
 /// What a handler decides about an Access-Request.
 #[derive(Debug)]
@@ -39,19 +40,37 @@ pub enum ServerDecision {
     /// Decided but not to be said yet: the reply waits for something the
     /// handler started (the OTP server's WAL sync). Wrappers pass it on
     /// untouched; [`RadiusServer::process_into`] waits it out, the batched
-    /// ingest keeps it beside the datagram and moves on.
-    Pending(Box<dyn PendingDecision>),
+    /// ingest hands it the reply to send and moves on.
+    Pending(Arc<dyn PendingDecision>),
 }
 
-/// A decision whose reply must wait. Whatever it waits for makes progress
-/// without the holder's help, except as [`PendingDecision::wait`] says.
-pub trait PendingDecision: Send {
-    /// The decision, once it is known.
-    fn poll(&mut self) -> Option<ServerDecision>;
+/// What sends a pending decision's reply, handed to
+/// [`PendingDecision::deliver`].
+pub type Reply = Box<dyn FnOnce(ServerDecision) + Send>;
+
+/// A decision whose reply must wait: a delivery contract. The holder
+/// either hands over the reply with [`PendingDecision::deliver`] or blocks
+/// with [`PendingDecision::wait`], once. Whatever the decision waits for
+/// makes progress without the holder's help, except as
+/// [`PendingDecision::nudge`] and [`PendingDecision::wait`] say.
+pub trait PendingDecision: Send + Sync {
+    /// Hand over `reply`: it runs once, with the decision, on the thread
+    /// that concludes it — on this one, before `deliver` returns, if the
+    /// decision is already known. A decision that cannot be concluded (the
+    /// work it waited for panicked) concludes as a reject, or drops
+    /// `reply` unrun.
+    fn deliver(&self, reply: Reply);
+
+    /// See the oldest undelivered decision of this one's source along
+    /// without waiting: do the work it waits for, here, if nobody is doing
+    /// it, and return at once if somebody is — waking `waker` when that
+    /// work ends, if it leaves more to do. Whether it did any work: a
+    /// caller told `false` looks again once woken, not at once.
+    fn nudge(&self, waker: &Waker) -> bool;
 
     /// Block until the decision is known — doing the work it waits for if
     /// nobody else is.
-    fn wait(self: Box<Self>) -> ServerDecision;
+    fn wait(self: Arc<Self>) -> ServerDecision;
 }
 
 impl std::fmt::Debug for dyn PendingDecision {
@@ -69,7 +88,7 @@ pub(crate) enum Begun {
     Discarded,
     /// The handler's decision is pending; [`RadiusServer::finish_into`]
     /// encodes the reply once it is known.
-    Pending(Box<dyn PendingDecision>),
+    Pending(Arc<dyn PendingDecision>),
 }
 
 impl ServerDecision {

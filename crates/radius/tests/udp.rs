@@ -6,7 +6,7 @@ use hpcmfa_radius::attribute::{Attribute, AttributeType};
 use hpcmfa_radius::client::{ClientConfig, Outcome, RadiusClient};
 use hpcmfa_radius::ingest::{BatchedUdpServer, IngestConfig, IngestHandle, Lane};
 use hpcmfa_radius::packet::{Code, Packet};
-use hpcmfa_radius::server::{RadiusServer, ServerDecision};
+use hpcmfa_radius::server::{PendingDecision, RadiusServer, Reply, ServerDecision};
 use hpcmfa_radius::transport::{Transport, UdpTransport};
 use hpcmfa_telemetry::MetricsRegistry;
 use rand::rngs::StdRng;
@@ -596,8 +596,10 @@ fn udp_a_panicking_handler_costs_its_datagram_not_its_worker() {
 }
 
 /// Stands in for the OTP server's WAL: a decision handed out while the
-/// disk is unsynced is pending until a sync finishes, and — as there —
-/// whoever waits for one runs it if nobody is.
+/// disk is unsynced is pending until a sync finishes, and — as there — the
+/// sync's leader runs every reply handed over before it ended, a nudge
+/// leads the sync if nobody is and returns at once if somebody is, and a
+/// wait leads it or waits for it.
 #[derive(Default)]
 struct Disk {
     state: std::sync::Mutex<DiskState>,
@@ -610,36 +612,69 @@ struct DiskState {
     sync_time: Option<Duration>,
     syncing: bool,
     synced: bool,
+    /// Replies handed over, for the sync's leader to run.
+    replies: Vec<Reply>,
     /// Pending decisions handed out, and how many of them a thread is
     /// blocked waiting on.
     pending: usize,
     waited: usize,
 }
 
+impl Disk {
+    /// Lead the sync if nobody is — a hung device holds the leader inside
+    /// it — then run every reply handed over. Whether this thread led it.
+    fn lead(&self) -> bool {
+        let mut state = self.state.lock().unwrap();
+        if state.syncing || state.synced {
+            return false;
+        }
+        state.syncing = true;
+        let sync_time = loop {
+            match state.sync_time {
+                Some(sync_time) => break sync_time,
+                None => state = self.moved.wait(state).unwrap(),
+            }
+        };
+        drop(state);
+        std::thread::sleep(sync_time);
+        let mut state = self.state.lock().unwrap();
+        state.synced = true;
+        let replies = std::mem::take(&mut state.replies);
+        drop(state);
+        self.moved.notify_all();
+        for reply in replies {
+            reply(ServerDecision::Accept(vec![]));
+        }
+        true
+    }
+}
+
 struct UntilSynced(Arc<Disk>);
 
-impl hpcmfa_radius::server::PendingDecision for UntilSynced {
-    fn poll(&mut self) -> Option<ServerDecision> {
-        let state = self.0.state.lock().unwrap();
-        state.synced.then(|| ServerDecision::Accept(vec![]))
+impl PendingDecision for UntilSynced {
+    fn deliver(&self, reply: Reply) {
+        let mut state = self.0.state.lock().unwrap();
+        if state.synced {
+            drop(state);
+            reply(ServerDecision::Accept(vec![]));
+        } else {
+            state.replies.push(reply);
+        }
     }
 
-    fn wait(self: Box<Self>) -> ServerDecision {
+    /// One sync covers every decision: it never leaves more to do, so the
+    /// waker is never woken.
+    fn nudge(&self, _waker: &std::task::Waker) -> bool {
+        self.0.lead()
+    }
+
+    fn wait(self: Arc<Self>) -> ServerDecision {
         let disk = &self.0;
+        disk.state.lock().unwrap().waited += 1;
+        disk.lead();
         let mut state = disk.state.lock().unwrap();
-        state.waited += 1;
         while !state.synced {
-            match state.sync_time {
-                Some(sync_time) if !state.syncing => {
-                    state.syncing = true;
-                    drop(state);
-                    std::thread::sleep(sync_time);
-                    state = disk.state.lock().unwrap();
-                    state.synced = true;
-                    disk.moved.notify_all();
-                }
-                _ => state = disk.moved.wait(state).unwrap(),
-            }
+            state = disk.moved.wait(state).unwrap();
         }
         ServerDecision::Accept(vec![])
     }
@@ -649,7 +684,7 @@ fn pending_on(disk: &Arc<Disk>) -> Arc<dyn hpcmfa_radius::server::Handler> {
     let disk = Arc::clone(disk);
     Arc::new(move |_req: &Packet, _pw: Option<&[u8]>| {
         disk.state.lock().unwrap().pending += 1;
-        ServerDecision::Pending(Box::new(UntilSynced(Arc::clone(&disk))))
+        ServerDecision::Pending(Arc::new(UntilSynced(Arc::clone(&disk))))
     })
 }
 
@@ -671,9 +706,9 @@ fn udp_a_bursts_tail_is_answered_within_two_syncs_without_further_traffic() {
     assert_eq!(accepted(&client, 8), [0, 1, 2, 3, 4, 5, 6, 7]);
     let took = sent.elapsed();
     assert!(took < 2 * SYNC + SLACK, "the burst took {took:?}");
-    // Eight replies from four workers: at least four were parked, not
-    // waited for.
-    assert!(disk.state.lock().unwrap().waited <= 4);
+    // Eight replies from four workers, and no worker waited for one: every
+    // reply left from the thread that led the sync.
+    assert_eq!(disk.state.lock().unwrap().waited, 0);
 
     shutdown.store(true, Ordering::SeqCst);
     let stats = handle.stats();
@@ -727,11 +762,11 @@ fn udp_parked_replies_count_against_the_queue_bound() {
     }
     let (shutdown, handle) = serve_on(socket, pending_on(&disk), config);
 
-    // Both workers end up waiting on a reply each (an idle worker sees the
-    // oldest parked reply through); give the pipeline time to overrun the
-    // bound if it is going to.
+    // The backlog fills with parked replies, and a worker with nothing
+    // queued leads the sync they wait for, which hangs; give the pipeline
+    // time to overrun the bound if it is going to.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while disk.state.lock().unwrap().waited < WORKERS {
+    while !disk.state.lock().unwrap().syncing {
         assert!(std::time::Instant::now() < deadline, "{:?}", handle.stats());
         std::thread::sleep(Duration::from_millis(5));
     }

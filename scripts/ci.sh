@@ -16,9 +16,12 @@
 #                      ones: they only mean something optimised; so are the
 #                      wake rules (a batch wakes a sleeping worker per job, a
 #                      receiver at the cap is woken by the first job taken)
-#   parked replies     no reply outruns its sync, and a compaction among 2 000
-#                      logins with 64 in flight strands none: a deadlock runs
-#                      into the timeout and fails by name
+#   parked replies     no reply outruns its sync, no ingest thread sleeps on the
+#                      pump while a sync is held (counted, not timed), the end of
+#                      a sync led outside the ingest rouses a worker (first reply
+#                      within 25 ms, against the workers' 50 ms poll), and a
+#                      compaction among 2 000 logins with 64 in flight strands
+#                      none: a deadlock runs into the timeout and fails by name
 #   compaction trigger a snapshot only once the WAL holds an eighth of the last
 #                      one, across a recovery too, with the record floor kept
 #   hash core, OTP     their known answers in the only profile a login runs them in
@@ -27,12 +30,14 @@
 #                      and its counted work (accept rank+1 MACs, every deny the
 #                      whole window), by name: a rename fails instead of dropping them
 #   OTP authority      the pure step against its naive reference (full-window
-#                      scan, the lock a plain flag), and random op scripts
-#                      whose live store and audit ring equal what a reload
-#                      from storage rebuilds, by name
-#   group machine      every interleaving of ≤ 4 commits over ≤ 3 actors against
-#                      the six invariants (the sixth: rows reach the audit ring
-#                      in WAL order)
+#                      scan, the lock a plain flag), and random op scripts,
+#                      failed syncs among them, whose live store, reads and
+#                      (no sync failed) audit ring equal what a reload from
+#                      storage rebuilds, by name
+#   group machine      every interleaving of ≤ 4 commits over ≤ 3 actors (inline,
+#                      parked and waited for, parked and nudged, compactor,
+#                      reload) against the six invariants (the sixth: rows
+#                      reach the audit ring in WAL order)
 #   audit ring         compaction's bytes equal the encoded exports, users in
 #                      shard order; hostile audit frames never reach the ring;
 #                      a validate hit allocates nothing; a day of forced
@@ -113,7 +118,9 @@ guard 20 --release -p hpcmfa-radius --lib -- overlong_username_cannot_rewrite_th
 guard 30 --release -p hpcmfa-radius --lib -- a_stalled_peer_realm_does_not_hold_up_another
 guard 20 --release -p hpcmfa-radius --test udp --
 guard 30 --release -p hpcmfa-otpserver --test group_commit -- \
-    no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand
+    no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand \
+    a_held_sync_puts_no_ingest_thread_to_sleep_on_the_pump \
+    a_sync_led_outside_the_ingest_rouses_its_workers_when_it_ends
 guard 30 --release -p hpcmfa-otpserver --test compaction_trigger -- \
     compaction_waits_for_an_eighth_of_the_snapshot_in_wal_bytes \
     a_floor_above_an_eighth_of_the_snapshot_still_governs \
