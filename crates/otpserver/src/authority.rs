@@ -458,6 +458,32 @@ fn resync<'a>(record: &UserTokenRecord, code1: &str, code2: &str, now: u64) -> O
     })
 }
 
+/// The changes that take staff change `change` back on `record`, which
+/// it was made to: logged after the change, when its commit failed, so
+/// that whatever a later sync makes durable replays to the record as it
+/// stands. The replay mark, which never moves back, stays where `change`
+/// put it.
+pub(crate) fn reversal(
+    record: &UserTokenRecord,
+    change: &Change<'_>,
+) -> [Option<Change<'static>>; 2] {
+    let standing = Change::ValState {
+        last_step: None,
+        fail_count: record.fail_count,
+        active: record.active,
+    };
+    match (change, &record.pairing) {
+        (Change::Resync { last_step, .. }, TokenPairing::Totp { drift_steps, .. }) => {
+            let offset = Change::Resync {
+                drift_steps: *drift_steps,
+                last_step: *last_step,
+            };
+            [Some(offset), Some(standing)]
+        }
+        _ => [Some(standing), None],
+    }
+}
+
 /// `code` as the number it spells, once it passes `Totp::verify`'s
 /// length-and-digits check: each step is then compared with it as there,
 /// as a number, in constant time.

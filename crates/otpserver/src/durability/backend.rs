@@ -2,8 +2,8 @@
 //! deterministic in-memory fault-injecting one.
 //!
 //! The file backend is what a production deployment would run on the OTP
-//! server host: an append-only WAL, size-rotated into `wal.<seq>.log`
-//! segments, plus an atomically-replaced `snapshot.bin` in one directory.
+//! server host: one append-only `wal.log`, which compaction keeps bounded,
+//! plus an atomically-replaced `snapshot.bin` in one directory.
 //! The memory backend is the test substrate: identical semantics, plus a
 //! seeded [`StorageFaultPlan`] injecting the failure modes disks actually
 //! exhibit — short writes, fsync failures, read corruption and torn crash
@@ -25,48 +25,25 @@ use std::sync::Arc;
 // File backend
 // ---------------------------------------------------------------------
 
-/// Base WAL file name inside the storage directory (segment 0; later
-/// segments are `wal.<seq>.log`).
+/// WAL file name inside the storage directory.
 pub(crate) const WAL_FILE: &str = "wal.log";
 
 /// Snapshot file name inside the storage directory.
 pub(crate) const SNAPSHOT_FILE: &str = "snapshot.bin";
 
-/// Default segment-rotation threshold: an active segment at or past this
-/// size is sealed before the next append.
-pub(crate) const DEFAULT_ROTATE_BYTES: u64 = 1 << 20;
-
-#[derive(Clone)]
-struct Segment {
-    seq: u64,
-    path: PathBuf,
+struct WalState {
     /// Length of the known-good prefix: bytes successfully written (a
     /// failed append truncates back to this, so a detected short write
     /// never poisons the stream).
     len: u64,
-}
-
-struct WalState {
-    /// Sealed (rotated-out) segments, ascending by sequence. Synced at
-    /// seal time; deleted when snapshot compaction resets the WAL.
-    sealed: Vec<Segment>,
-    active: Segment,
-    /// Open append handle on the active segment, shared so that a sync
-    /// can go on outside the lock.
+    /// Open append handle, shared so that a sync can go on outside the
+    /// lock.
     file: Arc<File>,
 }
 
-impl WalState {
-    fn total_len(&self) -> u64 {
-        self.sealed.iter().map(|s| s.len).sum::<u64>() + self.active.len
-    }
-}
-
-/// Durable storage in a directory: segmented `wal.log` / `wal.<seq>.log`
-/// files plus `snapshot.bin`.
+/// Durable storage in a directory: `wal.log` plus `snapshot.bin`.
 pub struct FileBackend {
     dir: PathBuf,
-    rotate_bytes: u64,
     wal: Mutex<WalState>,
     /// Called by `sync_wal` between taking the handle and syncing it.
     #[cfg(test)]
@@ -74,62 +51,38 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Open (creating if needed) the storage directory with the default
-    /// rotation threshold. Existing WAL segments are kept — recovery
-    /// decides what in them is valid.
+    /// Open (creating if needed) the storage directory. An existing WAL
+    /// is kept — recovery decides what in it is valid. A leftover
+    /// `snapshot.bin.tmp` from a crash mid-replace is removed; recovery
+    /// never reads it. A directory holding `wal.<n>.log` segments, which
+    /// an older size-rotating layout wrote and which hold its newest
+    /// records, is refused (`InvalidData`): recovering without them would
+    /// let accepted codes validate again. Concatenating `wal.log` and the
+    /// segments in ascending order into `wal.log` converts it.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<Arc<Self>> {
-        Self::open_with_rotation(dir, DEFAULT_ROTATE_BYTES)
-    }
-
-    /// Open with an explicit rotation threshold (0 disables rotation).
-    /// A leftover `snapshot.bin.tmp` from a crash mid-replace is removed;
-    /// recovery never reads it.
-    pub fn open_with_rotation(
-        dir: impl AsRef<Path>,
-        rotate_bytes: u64,
-    ) -> std::io::Result<Arc<Self>> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let _ = std::fs::remove_file(dir.join(format!("{SNAPSHOT_FILE}.tmp")));
-        let mut segments: Vec<Segment> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let seq = if name == WAL_FILE {
-                Some(0)
-            } else {
-                name.strip_prefix("wal.")
-                    .and_then(|s| s.strip_suffix(".log"))
-                    .and_then(|s| s.parse::<u64>().ok())
-            };
-            if let Some(seq) = seq {
-                let len = entry.metadata()?.len();
-                segments.push(Segment {
-                    seq,
-                    path: entry.path(),
-                    len,
-                });
+            let name = entry?.file_name();
+            let segment = (name.to_str())
+                .and_then(|n| n.strip_prefix("wal.")?.strip_suffix(".log"))
+                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+            if segment {
+                let name = name.to_string_lossy();
+                let why = format!("{name}: a WAL segment of the older rotating layout");
+                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, why));
             }
         }
-        segments.sort_by_key(|s| s.seq);
-        let active = match segments.pop() {
-            Some(seg) => seg,
-            None => Segment {
-                seq: 0,
-                path: dir.join(WAL_FILE),
-                len: 0,
-            },
-        };
+        let _ = std::fs::remove_file(dir.join(format!("{SNAPSHOT_FILE}.tmp")));
         let file = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&active.path)?;
+            .open(dir.join(WAL_FILE))?;
+        let len = file.metadata()?.len();
         Ok(Arc::new(FileBackend {
             dir,
-            rotate_bytes,
             wal: Mutex::new(WalState {
-                sealed: segments,
-                active,
+                len,
                 file: Arc::new(file),
             }),
             #[cfg(test)]
@@ -141,14 +94,6 @@ impl FileBackend {
         r.map_err(|e| StorageError::Io(e.to_string()))
     }
 
-    fn segment_path(&self, seq: u64) -> PathBuf {
-        if seq == 0 {
-            self.dir.join(WAL_FILE)
-        } else {
-            self.dir.join(format!("wal.{seq}.log"))
-        }
-    }
-
     /// Fsync the storage directory itself, making renames, creates and
     /// deletes durable. Without this a crash after a metadata operation
     /// can roll it back — the snapshot-resurrection bug this PR fixes.
@@ -156,46 +101,19 @@ impl FileBackend {
         let d = Self::io(File::open(&self.dir))?;
         d.sync_all().map_err(|_| StorageError::FsyncFailed)
     }
-
-    /// Seal the active segment and start a new one. The sealed file is
-    /// fsynced first so its contents are durable before any append lands
-    /// in the successor; the directory is fsynced so the new file's
-    /// existence is durable too.
-    fn rotate_locked(&self, wal: &mut WalState) -> Result<(), StorageError> {
-        wal.file
-            .sync_data()
-            .map_err(|_| StorageError::FsyncFailed)?;
-        let next_seq = wal.active.seq + 1;
-        let path = self.segment_path(next_seq);
-        let file = Self::io(OpenOptions::new().create(true).append(true).open(&path))?;
-        let sealed = std::mem::replace(
-            &mut wal.active,
-            Segment {
-                seq: next_seq,
-                path,
-                len: 0,
-            },
-        );
-        wal.file = Arc::new(file);
-        wal.sealed.push(sealed);
-        self.sync_dir()
-    }
 }
 
 impl StorageBackend for FileBackend {
     fn append_wal(&self, frame: &[u8]) -> Result<(), StorageError> {
         let mut wal = self.wal.lock();
-        if self.rotate_bytes > 0 && wal.active.len >= self.rotate_bytes {
-            self.rotate_locked(&mut wal)?;
-        }
         match (&*wal.file).write_all(frame) {
             Ok(()) => {
-                wal.active.len += frame.len() as u64;
+                wal.len += frame.len() as u64;
                 Ok(())
             }
             Err(e) => {
                 // Cut any partial bytes back off the stream.
-                let good = wal.active.len;
+                let good = wal.len;
                 let _ = wal.file.set_len(good);
                 Err(StorageError::Io(e.to_string()))
             }
@@ -203,11 +121,7 @@ impl StorageBackend for FileBackend {
     }
 
     fn sync_wal(&self) -> Result<(), StorageError> {
-        // Sealed segments were synced at rotation, so only the active one
-        // can hold buffered bytes — and the handle taken here is the
-        // active segment's as of now or later than every append this sync
-        // must cover (the pump captures its `end` before calling). The
-        // lock is let go before the sync: `append_wal` runs under the
+        // The lock is let go before the sync: `append_wal` runs under the
         // pump's group lock, and must not wait out an fsync behind it.
         let file = Arc::clone(&self.wal.lock().file);
         #[cfg(test)]
@@ -218,58 +132,22 @@ impl StorageBackend for FileBackend {
     }
 
     fn read_wal(&self) -> Result<Vec<u8>, StorageError> {
-        let wal = self.wal.lock();
-        let mut out = Vec::new();
-        for seg in wal.sealed.iter().chain(std::iter::once(&wal.active)) {
-            out.extend_from_slice(&Self::io(std::fs::read(&seg.path))?);
-        }
-        Ok(out)
+        let _wal = self.wal.lock();
+        Self::io(std::fs::read(self.dir.join(WAL_FILE)))
     }
 
     fn truncate_wal(&self, len: u64) -> Result<(), StorageError> {
         let mut wal = self.wal.lock();
-        let mut segments = std::mem::take(&mut wal.sealed);
-        segments.push(wal.active.clone());
-        let mut keep: Vec<Segment> = Vec::new();
-        let mut remaining = len;
-        let mut cutting = false;
-        for seg in segments {
-            if cutting {
-                Self::io(std::fs::remove_file(&seg.path))?;
-                continue;
-            }
-            if remaining >= seg.len {
-                remaining -= seg.len;
-                keep.push(seg);
-                continue;
-            }
-            // The cut lands inside this segment; everything after it goes.
-            let f = Self::io(OpenOptions::new().write(true).open(&seg.path))?;
-            Self::io(f.set_len(remaining))?;
-            f.sync_data().map_err(|_| StorageError::FsyncFailed)?;
-            keep.push(Segment {
-                len: remaining,
-                ..seg
-            });
-            cutting = true;
-        }
-        // `segments` ends with the active one, and the loop keeps the first
-        // segment whichever branch it takes (cutting starts after a keep).
-        let active = keep.pop().expect("a WAL always has at least one segment");
-        let file = Self::io(
-            OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&active.path),
-        )?;
-        wal.sealed = keep;
-        wal.active = active;
-        wal.file = Arc::new(file);
-        self.sync_dir()
+        Self::io(wal.file.set_len(len))?;
+        wal.file
+            .sync_data()
+            .map_err(|_| StorageError::FsyncFailed)?;
+        wal.len = len;
+        Ok(())
     }
 
     fn wal_len(&self) -> u64 {
-        self.wal.lock().total_len()
+        self.wal.lock().len
     }
 
     fn write_snapshot(&self, bytes: &[u8]) -> Result<(), StorageError> {
@@ -618,17 +496,6 @@ mod tests {
         dir
     }
 
-    fn wal_segment_count(dir: &Path) -> usize {
-        std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                let name = e.file_name().to_string_lossy().into_owned();
-                name == WAL_FILE || (name.starts_with("wal.") && name.ends_with(".log"))
-            })
-            .count()
-    }
-
     #[test]
     fn memory_append_sync_read_round_trip() {
         let b = MemoryBackend::healthy();
@@ -843,6 +710,26 @@ mod tests {
     }
 
     #[test]
+    fn file_backend_refuses_a_directory_with_wal_segments() {
+        let dir = temp_dir("durability-segments");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(WAL_FILE), rec("a").encode_frame()).unwrap();
+        std::fs::write(dir.join("wal.1.log"), rec("b").encode_frame()).unwrap();
+        let refused = FileBackend::open(&dir).err().expect("a segment is refused");
+        assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+        assert!(refused.to_string().contains("wal.1.log"), "{refused}");
+        // Converted by hand, the directory opens and replays both records.
+        let mut wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        wal.extend(std::fs::read(dir.join("wal.1.log")).unwrap());
+        std::fs::write(dir.join(WAL_FILE), wal).unwrap();
+        std::fs::remove_file(dir.join("wal.1.log")).unwrap();
+        let b = FileBackend::open(&dir).unwrap();
+        let (records, tail) = decode_stream(&b.read_wal().unwrap());
+        assert_eq!((records, tail), (vec![rec("a"), rec("b")], WalTail::Clean));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn file_backend_clear_snapshot_is_idempotent() {
         let dir = temp_dir("durability-clearsnap");
         let b = FileBackend::open(&dir).unwrap();
@@ -851,96 +738,6 @@ mod tests {
         b.clear_snapshot().unwrap();
         assert_eq!(b.read_snapshot().unwrap(), None);
         b.clear_snapshot().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rotation_seals_segments_and_replays_in_order() {
-        let dir = temp_dir("durability-rotate");
-        let b = FileBackend::open_with_rotation(&dir, 32).unwrap();
-        let mut expect = Vec::new();
-        for i in 0..12 {
-            let r = rec(&format!("user{i:02}"));
-            b.append_wal(&r.encode_frame()).unwrap();
-            b.sync_wal().unwrap();
-            expect.push(r);
-        }
-        assert!(
-            wal_segment_count(&dir) > 1,
-            "a 32-byte threshold must have rotated"
-        );
-        let (records, tail) = decode_stream(&b.read_wal().unwrap());
-        assert_eq!(tail, WalTail::Clean);
-        assert_eq!(records, expect, "replay order is stable across segments");
-        let total = b.wal_len();
-        drop(b);
-        // Reopen: same bytes, same order, appends continue on the newest
-        // segment.
-        let reopened = FileBackend::open_with_rotation(&dir, 32).unwrap();
-        assert_eq!(reopened.wal_len(), total);
-        let (records, tail) = decode_stream(&reopened.read_wal().unwrap());
-        assert_eq!(tail, WalTail::Clean);
-        assert_eq!(records, expect);
-        reopened.append_wal(&rec("more").encode_frame()).unwrap();
-        reopened.sync_wal().unwrap();
-        let (records, _) = decode_stream(&reopened.read_wal().unwrap());
-        assert_eq!(records.len(), 13);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncate_across_segments_deletes_later_files() {
-        let dir = temp_dir("durability-segtrunc");
-        let b = FileBackend::open_with_rotation(&dir, 32).unwrap();
-        let frames: Vec<Vec<u8>> = (0..10)
-            .map(|i| rec(&format!("user{i:02}")).encode_frame())
-            .collect();
-        for f in &frames {
-            b.append_wal(f).unwrap();
-            b.sync_wal().unwrap();
-        }
-        let before = wal_segment_count(&dir);
-        assert!(before > 1);
-        // Keep only the first three frames — the cut lands in an early
-        // segment and every later segment file must disappear.
-        let keep: u64 = frames[..3].iter().map(|f| f.len() as u64).sum();
-        b.truncate_wal(keep).unwrap();
-        assert!(wal_segment_count(&dir) < before);
-        assert_eq!(b.wal_len(), keep);
-        let (records, tail) = decode_stream(&b.read_wal().unwrap());
-        assert_eq!(tail, WalTail::Clean);
-        assert_eq!(records.len(), 3);
-        // The stream keeps accepting appends after the cut.
-        b.append_wal(&rec("next").encode_frame()).unwrap();
-        b.sync_wal().unwrap();
-        let (records, tail) = decode_stream(&b.read_wal().unwrap());
-        assert_eq!(tail, WalTail::Clean);
-        assert_eq!(records.len(), 4);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reset_after_compaction_deletes_sealed_segments() {
-        let dir = temp_dir("durability-segreset");
-        let b = FileBackend::open_with_rotation(&dir, 32).unwrap();
-        for i in 0..10 {
-            b.append_wal(&rec(&format!("user{i:02}")).encode_frame())
-                .unwrap();
-            b.sync_wal().unwrap();
-        }
-        assert!(wal_segment_count(&dir) > 1);
-        b.write_snapshot(b"compacted").unwrap();
-        b.reset_wal().unwrap();
-        assert_eq!(
-            wal_segment_count(&dir),
-            1,
-            "compaction must delete sealed segments"
-        );
-        assert_eq!(b.wal_len(), 0);
-        assert_eq!(
-            b.read_snapshot().unwrap().as_deref(),
-            Some(&b"compacted"[..])
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

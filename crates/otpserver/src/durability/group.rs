@@ -9,56 +9,50 @@ use std::collections::VecDeque;
 
 /// The group-commit and fence state of one pump, and every rule over it.
 ///
-/// **Who leads, who waits, who parks.** Commits are numbered from 1 in
-/// append order ([`GroupMachine::append`]), so sequence order is WAL byte
-/// order. A caller after a commit's verdict ([`Goal::Verdict`]) finds
-/// either no sync in flight — it leads one ([`Step::Lead`]) covering every
-/// commit appended so far — or one in flight, and then it waits
-/// ([`Step::Wait`]), or parks the commit with a payload
-/// ([`GroupMachine::park`]) and leaves. A parked commit is seen through
-/// by a [`Goal::Drive`]: one that waits, or a nudge ([`Actor::nudge`])
-/// that is done where it would wait, so that it leads the sync when none
-/// is in flight and leaves the commit to that sync's leader otherwise.
-/// A nudge turned away by a sync in flight is owed a wake-up: the call
-/// that ends that sync, if a parked commit it did not cover remains,
-/// rouses the nudger ([`Wake::nudger`]) to lead the next, so no parked
-/// commit waits for a poll.
+/// **One driver.** Commits are numbered from 1 in append order
+/// ([`GroupMachine::append`]), so sequence order is WAL byte order. Every
+/// commit is parked with a payload ([`GroupMachine::park`]), its finish,
+/// and then driven ([`Goal::Drive`]): a drive leads a sync
+/// ([`Step::Lead`]) covering every commit appended so far when none is in
+/// flight and its commit is not yet covered, and otherwise waits for the
+/// one in flight ([`Step::Wait`]) — or, driving at once ([`Actor::at_once`]),
+/// leaves the commit to that sync's leader. A drive at once turned away by
+/// a sync in flight is owed a wake-up: the call that ends that sync, if a
+/// parked commit it did not cover remains, rouses the last nudger
+/// ([`Wake::nudger`]) to lead the next, so no parked commit waits for a
+/// poll. A nudge drives the newest parked commit, not the oldest: a turn
+/// busy with covered commits cannot turn away the nudge that an uncovered
+/// one needs. A drive that waits returns only once its commit's finish has run.
 /// `failed` is checked before `settled`: a commit that slept through a
 /// failed sync and then a good one is still denied.
 ///
 /// **Who releases.** A parked commit's payload comes back as
-/// [`Step::Release`] once its verdict is in, to the one caller holding the
-/// release turn: the first to find the turn free and something due, which
-/// keeps it until nothing is. So a finish that commits (a denial row)
-/// settles its own commit without recursing into another round of
-/// finishes, and a finish that panics strands no other: its caller asks
-/// on to its goal before it unwinds. A caller with a verdict lets go of
-/// the lock once ([`Step::Again`]) before it asks for the turn, so that a
-/// sync's leader, which holds fresh work, leaves the finishes to the
-/// callers its sync woke.
+/// [`Step::Release`] once its verdict is in and its turn has come, to the
+/// one caller holding the release turn: the first to find the turn free
+/// and something due, which keeps it until nothing is. A finish that
+/// panics strands no other: its caller asks on to its goal before it
+/// unwinds. A finish that commits (a denied operation's denial row) parks
+/// that commit and drives it only until a sync covers it
+/// ([`Goal::Cover`]), releasing nothing: once the finish returns, the
+/// thread holding the turn releases it in sequence order like any other.
+/// So no finish runs inside another, however many come due at once.
 ///
 /// **Rows in sequence order.** A durable commit's audit rows enter the
-/// ring in the window between its verdict and its caller's next call
-/// ([`Step::Again`] for a caller settling inline, [`Step::Release`] for a
-/// parked commit, whose finish pushes them): so a durable verdict on
-/// commit `seq` is handed out only once every commit before it was told
-/// durable and came back, or was denied. A caller whose verdict is in but
-/// whose turn has not come runs the parked finishes ahead of it, or waits.
-/// The one exception is [`Goal::Denial`]: a parked finish that was denied
-/// writes its denial row while it holds the release turn, which the
-/// commits before that row may be waiting for, so the row is told as soon
-/// as it is durable and its seq is skipped when the others' turn comes.
+/// ring while its finish runs, so a durable verdict on commit `seq` is
+/// handed out only once every commit before it was denied or told durable
+/// and came back from its finish. No row is told out of turn.
 ///
 /// **The fence rule.** Every operation holds a pass ([`Goal::Pass`]) from
 /// before it takes a store or ledger lock until its audit rows are in the
-/// ring; the compactor ([`Goal::Claim`]) and a reload ([`Goal::Quiesce`])
-/// close the fence and wait for the passes out to come back. A parked
-/// commit's pass has no caller to bring it back, and every caller that
-/// could lead its sync may be stuck behind the closed fence — so *whoever
-/// waits on the fence leads the syncs and runs the finishes the passes out
-/// are waiting for*, and needs nobody else. A claim made from a parked
-/// commit's finish is refused: a parked finish never compacts, since it
-/// would wait on the fence for passes only its own caller can bring back.
+/// ring; the compactor ([`Goal::Claim`]), a reload and a staff change
+/// ([`Goal::Quiesce`]) close the fence and wait for the passes out to come
+/// back. A parked commit's pass has no caller to bring it back, and every
+/// caller that could lead its sync may be stuck behind the closed fence —
+/// so *whoever waits on the fence leads the syncs and runs the finishes
+/// the passes out are waiting for*, and needs nobody else. The fence
+/// holder's own commit takes its pass through the closed fence
+/// ([`GroupMachine::pass_through`]), and is then the only commit in
+/// flight.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct GroupMachine<P> {
     /// Sequence number of the last commit appended.
@@ -74,24 +68,21 @@ pub(crate) struct GroupMachine<P> {
     syncing: bool,
     /// Fence passes out, parked commits' included.
     passes: u64,
-    /// A compactor or a reload holds the fence: no pass is issued until
-    /// it lets go.
+    /// A compactor, a reload or a staff change holds the fence: no pass is
+    /// issued until it lets go, but its own.
     closed: bool,
     /// Parked commits in sequence order, with their payloads.
     parked: VecDeque<(u64, P)>,
     /// A caller holds the release turn.
     releasing: bool,
-    /// A nudge found the sync in flight and left: rouse it when that
-    /// sync ends, if a parked commit needs another.
+    /// The released commit whose finish has not come back.
+    running: Option<u64>,
+    /// A drive at once found the sync in flight and left: rouse the last
+    /// nudger when that sync ends, if a parked commit needs another.
     nudged: bool,
-    /// Every commit up to here that was told durable came back after its
-    /// rows were pushed (the denied ones are below `failed`).
+    /// Every durable commit up to here came back from its finish (the
+    /// denied ones are below `failed`).
     told: u64,
-    /// Denial rows told out of turn, above `told`, in sequence order.
-    early: VecDeque<u64>,
-    /// A commit told durable has not come back yet: no other is told
-    /// durable meanwhile, even if a rollback moved `failed` past it.
-    pushing: bool,
 }
 
 impl<P> Default for GroupMachine<P> {
@@ -105,10 +96,9 @@ impl<P> Default for GroupMachine<P> {
             closed: false,
             parked: VecDeque::new(),
             releasing: false,
+            running: None,
             nudged: false,
             told: 0,
-            early: VecDeque::new(),
-            pushing: false,
         }
     }
 }
@@ -118,37 +108,35 @@ impl<P> Default for GroupMachine<P> {
 pub(crate) enum Goal {
     /// A pass through the fence.
     Pass,
-    /// The verdict on commit `seq`, in its turn, then the parked finishes
-    /// it made due if nobody else is running them.
-    Verdict(u64),
-    /// The same for a denial row a parked finish writes, told out of turn.
-    Denial(u64),
-    /// Parked commit `seq` covered by a sync, then the parked finishes it
-    /// made due if nobody else is running them. A nudge
-    /// ([`Actor::nudge`]) stops where it would wait instead.
+    /// Parked commit `seq` covered by a sync and its finish run, and the
+    /// parked finishes that come due run too if nobody else is running
+    /// them. A drive at once ([`Actor::at_once`]) stops where it would
+    /// wait instead.
     Drive(u64),
+    /// Parked commit `seq` covered by a sync: the drive of a commit made
+    /// inside a parked finish, whose thread holds the release turn and
+    /// releases it once that finish returns.
+    Cover(u64),
     /// The fence closed with every pass back.
     Quiesce,
-    /// The same, if a compaction is `due`, nobody holds the fence and
-    /// the claim is not made `from_finish`.
-    Claim { due: bool, from_finish: bool },
+    /// The same, if a compaction is due and nobody holds the fence.
+    Claim(bool),
 }
 
 /// One caller's side of a conversation with the machine: its goal, the
-/// sync it was told to lead, and what it has won.
+/// sync it was told to lead, the finish it was handed, and what it has won.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct Actor {
     goal: Goal,
     /// The end of the sync it leads, and whether that sync went well.
     sync: Option<(u64, bool)>,
-    verdict: Option<bool>,
-    /// Was told commit `seq` durable: its rows go in before it asks again.
-    pushing: Option<u64>,
-    /// Holds the release turn.
+    /// The commit whose finish it was handed, and its verdict.
+    released: Option<(u64, bool)>,
+    /// Holds the release turn, and gives it back when nothing is due.
     turn: bool,
     /// Holds the fence.
     fence: bool,
-    /// Waits for a sync another thread leads; a nudge does not.
+    /// Waits for a sync another thread leads, or a finish another runs.
     waits: bool,
     /// Has led a sync or been handed a parked finish.
     worked: bool,
@@ -159,8 +147,7 @@ impl Actor {
         Actor {
             goal,
             sync: None,
-            verdict: None,
-            pushing: None,
+            released: None,
             turn: false,
             fence: false,
             waits: true,
@@ -168,11 +155,12 @@ impl Actor {
         }
     }
 
-    /// A [`Goal::Drive`] that is done where it would wait: it leads the
-    /// sync commit `seq` waits for when none is in flight, runs the parked
-    /// finishes due if nobody is, and otherwise leaves it to whoever is —
-    /// to be roused when a sync in flight ends, if it leaves one to lead.
-    pub(crate) fn nudge(seq: u64) -> Self {
+    /// A [`Goal::Drive`] of commit `seq` that is done where it would wait:
+    /// it leads the sync the commit waits for when none is in flight, runs
+    /// the parked finishes due if nobody is, and otherwise leaves it to
+    /// whoever is — to be roused when a sync in flight ends, if it leaves
+    /// one to lead.
+    pub(crate) fn at_once(seq: u64) -> Self {
         Actor {
             waits: false,
             ..Actor::new(Goal::Drive(seq))
@@ -200,9 +188,9 @@ impl Actor {
 /// Whom a [`GroupMachine::next`] call wakes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Wake {
-    /// The callers asleep for a sync, their turn or the fence.
+    /// The callers asleep for a sync, a finish, their turn or the fence.
     pub(crate) waiters: bool,
-    /// The nudge the sync that just ended turned away: a parked commit
+    /// The nudger the sync that just ended turned away: a parked commit
     /// that sync did not cover needs one led.
     pub(crate) nudger: bool,
 }
@@ -215,9 +203,6 @@ pub(crate) enum Step<P> {
     Lead,
     /// Wait for a wake-up, then ask again.
     Wait,
-    /// The verdict is in (`durable`): let go of the lock, push the
-    /// commit's rows if it is durable, then ask again.
-    Again(bool),
     /// Run this parked commit's finish with its verdict (`durable`)
     /// without the lock — it pushes the commit's rows — then ask again.
     Release(bool, P),
@@ -231,34 +216,23 @@ impl<P> GroupMachine<P> {
         seq <= self.settled.max(self.failed)
     }
 
-    /// Whether commit `seq`'s verdict may be handed out: it is denied, or
-    /// every commit before it is through.
-    fn in_turn(&self, seq: u64) -> bool {
-        seq <= self.failed || (!self.pushing && seq <= self.told.max(self.failed) + 1)
-    }
-
-    /// Whether parked commit `seq` can be released now.
+    /// Whether parked commit `seq` can be released now: it has its
+    /// verdict, and it is denied or every commit before it is through.
+    /// Both hold of a prefix of the commits.
     fn due(&self, seq: u64) -> bool {
-        self.covers(seq) && self.in_turn(seq)
+        self.covers(seq) && seq <= self.told.max(self.failed) + 1
     }
 
-    /// Move `told` over the denial rows told out of turn that it reached.
-    fn absorb(&mut self) {
-        while let Some(&seq) = self.early.front() {
-            if seq > self.told.max(self.failed) + 1 {
-                break;
-            }
-            self.told = self.told.max(seq);
-            self.early.pop_front();
-        }
+    /// Whether commit `seq`'s finish has come back.
+    fn finished(&self, seq: u64) -> bool {
+        self.running != Some(seq) && !self.parked.iter().any(|(s, _)| *s == seq)
     }
 
     /// A commit was handed to the backend (`ok`) or refused. Returns its
-    /// sequence number; a refused commit gets one already denied.
+    /// sequence number; a refused commit is denied at once.
     pub(crate) fn append(&mut self, ok: bool) -> u64 {
-        if ok {
-            self.appended += 1;
-        } else {
+        self.appended += 1;
+        if !ok {
             // The backend's rollback discards every unsynced byte, not
             // only this commit's, so whatever has no verdict yet is gone
             // (a sync in flight may or may not have beaten it).
@@ -267,28 +241,25 @@ impl<P> GroupMachine<P> {
         self.appended
     }
 
-    /// The oldest parked commit: what a nudge drives.
-    pub(crate) fn oldest_parked(&self) -> Option<u64> {
-        self.parked.front().map(|(seq, _)| *seq)
+    /// The newest parked commit: what a nudge drives. The sync it leads
+    /// covers every other, and the release it finds due starts with the
+    /// oldest.
+    pub(crate) fn newest_parked(&self) -> Option<u64> {
+        self.parked.back().map(|(seq, _)| *seq)
     }
 
-    /// Whether a verdict on `seq` would wait for a sync somebody else is
-    /// running: the case [`GroupMachine::park`] takes.
-    pub(crate) fn would_wait(&self, seq: u64) -> bool {
-        self.syncing && !self.covers(seq)
-    }
-
-    /// Leave `payload` for the release of commit `seq`, or give it back
-    /// when there is nothing to wait behind.
-    pub(crate) fn park(&mut self, seq: u64, payload: P) -> Result<(), P> {
-        if !self.would_wait(seq) {
-            return Err(payload);
-        }
+    /// Leave `payload` for the release of commit `seq`; the callers asleep
+    /// for their turn must be woken.
+    pub(crate) fn park(&mut self, seq: u64, payload: P) {
         // Commits are parked outside the lock they were appended under,
         // so not quite in order.
         let at = self.parked.iter().rposition(|(s, _)| *s < seq);
         self.parked.insert(at.map_or(0, |i| i + 1), (seq, payload));
-        Ok(())
+    }
+
+    /// The fence holder's own commit takes a pass through the closed fence.
+    pub(crate) fn pass_through(&mut self) {
+        self.passes += 1;
     }
 
     /// A pass came back. Whether to wake the waiters: the last one out
@@ -303,8 +274,8 @@ impl<P> GroupMachine<P> {
         self.closed = false;
     }
 
-    /// Take in how the sync `actor` led went, say what it does next, and
-    /// whom to wake.
+    /// Take in how the sync `actor` led went and the finish it came back
+    /// from, say what it does next, and whom to wake.
     pub(crate) fn next(&mut self, actor: &mut Actor) -> (Step<P>, Wake) {
         let synced = actor.sync.take();
         if let Some((end, ok)) = synced {
@@ -314,21 +285,22 @@ impl<P> GroupMachine<P> {
                 self.failed = self.failed.max(end);
             }
         }
-        let (told, pushed) = (self.told, actor.pushing.take());
-        if let Some(seq) = pushed {
-            self.pushing = false;
-            self.told = self.told.max(seq);
-            self.absorb();
+        let back = actor.released.take();
+        if let Some((seq, durable)) = back {
+            self.running = None;
+            if durable {
+                self.told = self.told.max(seq);
+            }
         }
         let nudger = synced.is_some() && self.rouse();
         let step = self.decide(actor);
-        // A push that ended, or a turn a denial row moved on, wakes the
-        // callers waiting for theirs.
-        let waiters = synced.is_some() || pushed.is_some() || self.told != told;
+        // A sync that ended, or a finish that came back, is what the
+        // callers asleep wait for.
+        let waiters = synced.is_some() || back.is_some();
         (step, Wake { waiters, nudger })
     }
 
-    /// A sync ended: whether a nudge it turned away is owed a wake-up,
+    /// A sync ended: whether a nudger it turned away is owed a wake-up,
     /// since a parked commit it did not cover remains.
     fn rouse(&mut self) -> bool {
         let uncovered = self
@@ -345,42 +317,28 @@ impl<P> GroupMachine<P> {
                 self.passes += 1;
                 Step::Done
             }
-            Goal::Verdict(seq) | Goal::Denial(seq) | Goal::Drive(seq) => {
-                if a.verdict.is_some() {
-                    return self.release(a).unwrap_or(Step::Done);
-                }
-                let durable = if seq <= self.failed {
-                    false
-                } else if seq <= self.settled {
-                    true
-                } else if self.syncing {
-                    if a.waits {
-                        return Step::Wait;
-                    }
-                    self.nudged = true;
-                    return Step::Done;
+            Goal::Drive(seq) | Goal::Cover(seq) if !self.covers(seq) => {
+                if !self.syncing {
+                    self.lead(a)
+                } else if a.waits {
+                    Step::Wait
                 } else {
-                    return self.lead(a);
-                };
-                match a.goal {
-                    Goal::Verdict(_) if durable && !self.in_turn(seq) => {
-                        return self.release(a).unwrap_or(Step::Wait);
-                    }
-                    Goal::Verdict(_) if durable => {
-                        self.pushing = true;
-                        a.pushing = Some(seq);
-                    }
-                    Goal::Denial(_) if durable => {
-                        let at = self.early.iter().rposition(|s| *s < seq);
-                        self.early.insert(at.map_or(0, |i| i + 1), seq);
-                        self.absorb();
-                    }
-                    _ => {}
+                    self.nudged = true;
+                    Step::Done
                 }
-                a.verdict = Some(durable);
-                Step::Again(durable)
             }
-            Goal::Quiesce | Goal::Claim { .. } => {
+            Goal::Cover(_) => Step::Done,
+            Goal::Drive(seq) => {
+                if let Some(step) = self.release(a) {
+                    return step;
+                }
+                if a.waits && !self.finished(seq) {
+                    Step::Wait
+                } else {
+                    Step::Done
+                }
+            }
+            Goal::Quiesce | Goal::Claim(_) => {
                 if !a.fence {
                     if self.closed {
                         return match a.goal {
@@ -388,7 +346,7 @@ impl<P> GroupMachine<P> {
                             _ => Step::Done,
                         };
                     }
-                    if matches!(a.goal, Goal::Claim { due, from_finish } if !due || from_finish) {
+                    if a.goal == Goal::Claim(false) {
                         return Step::Done;
                     }
                     self.closed = true;
@@ -398,7 +356,7 @@ impl<P> GroupMachine<P> {
                     step
                 } else if self.passes == 0 {
                     Step::Done
-                } else if self.appended > self.settled && !self.syncing {
+                } else if !self.covers(self.appended) && !self.syncing {
                     self.lead(a)
                 } else {
                     Step::Wait
@@ -415,22 +373,28 @@ impl<P> GroupMachine<P> {
     }
 
     /// The release turn: taken when it is free and the oldest parked
-    /// commit has its verdict and its turn, kept while one does, handed
-    /// back when none does.
+    /// commit is due, kept while one is, handed back when none is.
     fn release(&mut self, a: &mut Actor) -> Option<Step<P>> {
         if self.releasing && !a.turn {
             return None;
         }
         let due = self.parked.front().is_some_and(|(seq, _)| self.due(*seq));
-        self.releasing = due;
-        a.turn = due;
-        let (seq, payload) = if due { self.parked.pop_front() } else { None }?;
-        a.worked = true;
-        let durable = seq > self.failed;
-        if durable {
-            self.pushing = true;
-            a.pushing = Some(seq);
+        if !due {
+            if a.turn {
+                self.releasing = false;
+                a.turn = false;
+            }
+            return None;
         }
+        if !a.turn {
+            self.releasing = true;
+            a.turn = true;
+        }
+        let (seq, payload) = self.parked.pop_front()?;
+        let durable = seq > self.failed;
+        self.running = Some(seq);
+        a.released = Some((seq, durable));
+        a.worked = true;
         Some(Step::Release(durable, payload))
     }
 }
@@ -438,29 +402,34 @@ impl<P> GroupMachine<P> {
 #[cfg(test)]
 mod tests {
     //! A bounded explorer: every interleaving of up to three threads'
-    //! machine calls, each thread running one of the pump's programs (an
-    //! inline commit, a parked one that is waited for, a parked one whose
-    //! reply is delivered while its worker nudges, a compaction claim or a
-    //! reload's quiesce), with every sync's and every append's outcome and
-    //! every finish's panic chosen both ways. It searches breadth-first,
-    //! deduplicating on (machine, threads, ghost disk), so the first
-    //! counterexample it meets is a shortest one, printed as the script
-    //! that reaches it.
+    //! machine calls, each thread running one of the pump's programs (a
+    //! gated commit parked and driven with waiting, one parked and driven at
+    //! once whose worker then nudges, a staff commit behind the closed
+    //! fence, a commit whose caller keeps its pass while it drives, a
+    //! compaction claim or a reload's quiesce), a denied finish's
+    //! denial row parked and driven until covered, with every sync's and every
+    //! append's outcome and every gated finish's panic chosen both ways. It
+    //! searches breadth-first, deduplicating on (machine, threads, ghost
+    //! disk), so the first counterexample it meets is a shortest one,
+    //! printed as the script that reaches it.
     //! After every step it checks:
     //!
     //! 1. no commit is told durable before a sync covering it succeeded;
     //! 2. a failed sync denies every commit it covered that had no verdict
-    //!    yet, parked or inline;
+    //!    yet;
     //! 3. the fence never strands a parked commit: a closed fence with
     //!    passes out that needs a sync led or a finish run always has a
     //!    thread that can move and is not idle behind a parked reply;
-    //! 4. at most one thread runs parked finishes;
-    //! 5. some thread can always move (no lost wake-up), and every run ends
-    //!    with every commit told once, every pass back and the fence open;
+    //! 4. at most one thread runs parked finishes, and no finish runs
+    //!    inside another;
+    //! 5. some thread can always move (no lost wake-up), a drive that waits
+    //!    returns only once its commit's finish has run (a denial row's
+    //!    once a sync covered it), and every run ends with every commit
+    //!    told once, every pass back and the fence open;
     //! 6. rows and verdicts are released in seq order: a durable commit's
     //!    rows are pushed after those of every durable commit before it,
-    //!    denial rows written by a parked finish excepted, and every
-    //!    commit told durable has its rows pushed by the end.
+    //!    with no exception, and every commit told durable has its rows
+    //!    pushed by the end.
 
     use super::*;
     use std::collections::{HashMap, HashSet};
@@ -471,48 +440,65 @@ mod tests {
     #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
     enum Op {
         Pass,
+        /// The fence holder's commit takes its pass through the fence.
+        Through,
         /// Hand the commit to the backend, which accepts or refuses it.
         Append,
-        /// Settle the frame's commit inline.
-        Settle,
-        /// A denied operation writes its denial row: a commit of its own.
+        /// Leave the commit's finish with the pump; a gated operation's
+        /// pass goes with it.
+        Park,
+        /// Drive the frame's commit, waiting.
+        Drive,
+        /// Drive it until a sync covers it: a denial row's, inside the
+        /// finish whose thread holds the release turn.
+        Cover,
+        /// Drive it at once: the handler's call before it answers
+        /// `Pending`.
+        Once,
+        /// A worker with replies parked nudges the newest: it drives it
+        /// at once, and until its own is told it nudges again — at once if
+        /// the nudge did some work, else once the machine rouses it. The
+        /// ingest worker's poll is left out, so no run may need it.
+        Nudge,
+        /// A denied commit's finish writes its denial row: a commit of its
+        /// own, parked and driven, which takes the operation's pass with it.
         Deny,
         Return,
-        WouldWait,
-        Park,
-        /// Park, and hand over the reply instead of waiting for it.
-        Deliver,
-        /// The parked reply's `wait`: drive its commit.
-        Drive,
-        /// A worker with replies parked nudges the oldest: it drives it
-        /// without waiting, and until it is told it nudges again — at once
-        /// if the nudge did some work, else once the machine rouses it.
-        /// The ingest worker's poll is left out, so no run may need it.
-        Nudge,
-        /// The compaction check every operation's end makes.
+        /// The compaction check a caller makes once its drive returns.
         Claim,
         Quiesce,
         Open,
-        /// A finish starts: it will return, or panic.
+        /// A gated finish starts: it will return, or panic.
         Start,
+        /// A finish that only pushes its commit's rows.
+        Rows,
         Panic,
     }
     use Op::*;
 
-    const INLINE: &[Op] = &[Pass, Append, Settle, Deny, Return];
-    const PARKED: &[Op] = &[Pass, Append, WouldWait, Park];
-    const DELIVERED: &[Op] = &[Pass, Append, WouldWait, Deliver];
-    const INLINE_TAIL: &[Op] = &[Settle, Deny, Return];
-    const DRIVE: &[Op] = &[Drive];
-    const NUDGE: &[Op] = &[Nudge];
-    const DENIAL: &[Op] = &[Append, Settle];
+    const WAITED: &[Op] = &[Pass, Append, Park, Drive];
+    const DELIVERED: &[Op] = &[Pass, Append, Park, Once, Nudge];
+    const STAFF: &[Op] = &[Quiesce, Through, Append, Park, Drive, Deny, Return, Open];
+    /// A commit whose caller keeps its pass: an enrolment, a removal, a
+    /// shed request's row, `Commit::flush`.
+    const ENROLLED: &[Op] = &[Pass, Append, Park, Drive, Return];
     const CLAIM: &[Op] = &[Claim, Open];
     const QUIESCE: &[Op] = &[Quiesce, Open];
+    /// A denial row: inside a finish, driven until covered; a staff
+    /// change's, driven waiting.
+    const DENIAL: &[Op] = &[Append, Park, Cover];
+    const STAFF_DENIAL: &[Op] = &[Append, Park, Drive];
     const START: &[Op] = &[Start];
-    const FINISH: &[Op] = &[Deny, Return, Claim, Open];
+    const FINISH: &[Op] = &[Deny, Return];
     const FINISH_PANICS: &[Op] = &[Return, Panic];
+    const ROWS: &[Op] = &[Rows];
+    /// A denial row's finish: its rows, then the operation's pass.
+    const DENIED: &[Op] = &[Rows, Return];
     const UNWOUND: &[Op] = &[Return];
     const OPEN: &[Op] = &[Open];
+
+    /// The frames of a finish the thread runs for the machine.
+    const FINISHES: [&[Op]; 5] = [START, FINISH, FINISH_PANICS, ROWS, DENIED];
 
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Frame {
@@ -520,7 +506,6 @@ mod tests {
         pc: usize,
         /// The frame's commit, an index into `World::commits`.
         commit: Option<usize>,
-        verdict: Option<bool>,
         /// A `next` loop in progress.
         actor: Option<Actor>,
         /// A finish its loop ran panicked: it asks on to its goal, then
@@ -529,12 +514,11 @@ mod tests {
     }
 
     impl Frame {
-        fn new(ops: &'static [Op], commit: Option<usize>, verdict: Option<bool>) -> Self {
+        fn new(ops: &'static [Op], commit: Option<usize>) -> Self {
             Frame {
                 ops,
                 pc: 0,
                 commit,
-                verdict,
                 actor: None,
                 unwinding: false,
             }
@@ -565,16 +549,16 @@ mod tests {
                 .expect("a thread that moves has a frame")
         }
 
-        /// Waiting to drive or nudge a parked reply, which the ingest may
-        /// never do.
+        /// Waiting to nudge a parked reply, which the ingest may never do.
         fn idle_parked(&self) -> bool {
-            matches!(&self.stack[..], [f] if [DRIVE, NUDGE].contains(&f.ops) && f.actor.is_none())
+            matches!(&self.stack[..], [f] if f.ops == DELIVERED && f.op() == Nudge && f.actor.is_none())
         }
 
-        fn in_finish(&self) -> bool {
-            self.stack
-                .iter()
-                .any(|f| [START, FINISH, FINISH_PANICS].contains(&f.ops))
+        /// How many parked finishes it is inside.
+        fn finishes(&self) -> usize {
+            (self.stack.iter())
+                .filter(|f| FINISHES.contains(&f.ops))
+                .count()
         }
     }
 
@@ -592,8 +576,13 @@ mod tests {
         disk: Disk,
         /// A sync covering it failed before it was told anything.
         doomed: bool,
+        /// The frame its release runs: a gated operation's finish, which
+        /// carries the pass and may deny, a denial row's, or rows only.
+        finish: &'static [Op],
         told: Option<bool>,
         pushed: bool,
+        /// Its finish came back.
+        finished: bool,
     }
 
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -603,7 +592,7 @@ mod tests {
         threads: Vec<Thread>,
         commits: Vec<Ghost>,
         rollbacks: u8,
-        /// The highest seq whose rows were pushed in turn.
+        /// The highest seq whose rows were pushed.
         pushed_to: u64,
     }
 
@@ -612,7 +601,7 @@ mod tests {
     impl World {
         fn new(programs: &[&'static [Op]]) -> Self {
             let thread = |ops| Thread {
-                stack: vec![Frame::new(ops, None, None)],
+                stack: vec![Frame::new(ops, None)],
                 blocked: false,
                 asleep: false,
                 holds_pass: false,
@@ -674,16 +663,16 @@ mod tests {
             Ok(())
         }
 
-        /// Commit `c`'s rows go into the ring, in turn unless `early`.
-        fn push(&mut self, c: usize, early: bool) -> Checked {
+        /// A durable commit `c`'s rows go into the ring.
+        fn push(&mut self, c: usize) -> Checked {
             let g = &mut self.commits[c];
+            if g.told != Some(true) {
+                return Ok(());
+            }
             if g.pushed {
                 return Err(format!("commit {c} pushed its rows twice"));
             }
             g.pushed = true;
-            if early {
-                return Ok(());
-            }
             if g.seq <= self.pushed_to {
                 return Err(format!(
                     "(6) commit {c} (seq {}) pushed after seq {}",
@@ -701,12 +690,6 @@ mod tests {
             let frame = self.threads[t].top().clone();
             let (did, told) = if let Some(mut actor) = asking {
                 let mut did = format!("next({:?})", actor.goal);
-                let mut pushed = Ok(());
-                if frame.op() == Settle && actor.pushing == Some(self.seq_of(&frame)) {
-                    // An inline caller pushes its rows before it asks again.
-                    pushed = self.push(frame.commit.expect("appended"), false);
-                    did = format!("push + {did}");
-                }
                 if let Some((end, _)) = actor.sync {
                     did = format!(
                         "sync to {end} {} + {did}",
@@ -716,24 +699,18 @@ mod tests {
                     actor.report(!pick);
                 }
                 let (said, told) = self.ask(t, actor);
-                (did + &said, pushed.and(told))
+                (did + &said, told)
             } else {
                 let op = frame.op();
                 let did = format!("{op:?}");
-                let goal = |g| Some(Actor::new(g));
                 let started = match op {
-                    Pass => goal(Goal::Pass),
-                    Settle if self.threads[t].in_finish() => {
-                        goal(Goal::Denial(self.seq_of(&frame)))
-                    }
-                    Settle => goal(Goal::Verdict(self.seq_of(&frame))),
-                    Drive => goal(Goal::Drive(self.seq_of(&frame))),
-                    Nudge => self.machine.oldest_parked().map(Actor::nudge),
-                    Claim => goal(Goal::Claim {
-                        due: true,
-                        from_finish: self.threads[t].in_finish(),
-                    }),
-                    Quiesce => goal(Goal::Quiesce),
+                    Pass => Some(Actor::new(Goal::Pass)),
+                    Drive => Some(Actor::new(Goal::Drive(self.seq_of(&frame)))),
+                    Cover => Some(Actor::new(Goal::Cover(self.seq_of(&frame)))),
+                    Once => Some(Actor::at_once(self.seq_of(&frame))),
+                    Nudge => self.machine.newest_parked().map(Actor::at_once),
+                    Claim => Some(Actor::new(Goal::Claim(true))),
+                    Quiesce => Some(Actor::new(Goal::Quiesce)),
                     _ => None,
                 };
                 match started {
@@ -742,37 +719,24 @@ mod tests {
                         (did + &said, told)
                     }
                     None => {
-                        let pushed = match (op, frame.verdict, frame.commit) {
-                            // A durable parked finish pushes its rows as
-                            // its operation drops.
-                            (Return, Some(true), Some(c))
-                                if [FINISH, FINISH_PANICS].contains(&frame.ops) =>
-                            {
-                                self.push(c, false)
-                            }
-                            _ => Ok(()),
-                        };
-                        (did + &self.simple(t, op, pick), pushed)
+                        let (said, told) = self.simple(t, op, pick);
+                        (did + &said, told)
                     }
                 }
             };
-            self.settle_threads();
+            let settled = self.settle_threads();
             let did = format!("t{t} {did}");
-            match told.and_then(|()| self.check()) {
+            match told.and(settled).and_then(|()| self.check()) {
                 Ok(()) => Ok(did),
                 Err(broken) => Err(format!("{did}\n  broken: {broken}")),
             }
         }
 
         /// One call other than `next`, or work off the lock.
-        fn simple(&mut self, t: usize, op: Op, pick: bool) -> String {
+        fn simple(&mut self, t: usize, op: Op, pick: bool) -> (String, Checked) {
             let frame = self.threads[t].top().clone();
-            let to = |world: &mut World, ops: &'static [Op], pc: usize| {
-                let top = world.threads[t].top();
-                top.ops = ops;
-                top.pc = pc;
-            };
-            match op {
+            let mut told = Ok(());
+            let said = match op {
                 Append => {
                     let seq = self.machine.append(!pick);
                     if pick {
@@ -784,17 +748,36 @@ mod tests {
                         }
                     }
                     let disk = if pick { Disk::Lost } else { Disk::Written };
+                    let finish = match frame.ops {
+                        WAITED | DELIVERED => START,
+                        DENIAL | STAFF_DENIAL => DENIED,
+                        _ => ROWS,
+                    };
                     self.commits.push(Ghost {
                         seq,
                         disk,
                         doomed: false,
+                        finish,
                         told: None,
                         pushed: false,
+                        finished: false,
                     });
-                    let top = self.threads[t].top();
-                    top.commit = Some(self.commits.len() - 1);
-                    top.pc += 1;
+                    self.threads[t].top().commit = Some(self.commits.len() - 1);
                     format!(" {} -> seq {seq}", if pick { "refused" } else { "ok" })
+                }
+                Through => {
+                    self.machine.pass_through();
+                    self.threads[t].holds_pass = true;
+                    String::new()
+                }
+                Park => {
+                    let commit = frame.commit.expect("appended");
+                    self.machine.park(self.commits[commit].seq, commit);
+                    self.wake(true);
+                    if self.commits[commit].finish == START {
+                        self.threads[t].holds_pass = false;
+                    }
+                    String::new()
                 }
                 Return => {
                     let wake = self.machine.return_pass();
@@ -802,41 +785,33 @@ mod tests {
                     if self.threads[t].stack.len() == 1 {
                         self.threads[t].holds_pass = false;
                     }
-                    self.threads[t].top().pc += 1;
+                    if let (Some(c), true) =
+                        (frame.commit, [FINISH, FINISH_PANICS].contains(&frame.ops))
+                    {
+                        // A gated finish pushes its rows as its operation
+                        // drops.
+                        told = self.push(c);
+                    }
                     String::new()
                 }
-                WouldWait => {
-                    let waits = self.machine.would_wait(self.seq_of(&frame));
-                    if waits {
-                        to(self, frame.ops, frame.pc + 1);
-                    } else {
-                        to(self, INLINE_TAIL, 0);
-                    }
-                    format!(" -> {waits}")
-                }
-                Park | Deliver => {
-                    let commit = frame.commit.expect("appended");
-                    let parked = self.machine.park(self.commits[commit].seq, commit).is_ok();
-                    if parked {
-                        to(self, if op == Park { DRIVE } else { NUDGE }, 0);
-                        self.threads[t].holds_pass = false;
-                    } else {
-                        to(self, INLINE_TAIL, 0);
-                    }
-                    format!(" -> {parked}")
+                Rows => {
+                    told = self.push(frame.commit.expect("released"));
+                    String::new()
                 }
                 Open => {
                     self.machine.open_fence();
                     self.wake(true);
-                    self.threads[t].top().pc += 1;
                     String::new()
                 }
                 Start => {
-                    to(self, if pick { FINISH_PANICS } else { FINISH }, 0);
-                    if pick { " panics" } else { " returns" }.to_string()
+                    let top = self.threads[t].top();
+                    top.ops = if pick { FINISH_PANICS } else { FINISH };
+                    return (if pick { " panics" } else { " returns" }.to_string(), told);
                 }
                 _ => unreachable!("{op:?} is not a move of its own"),
-            }
+            };
+            self.threads[t].top().pc += 1;
+            (said, told)
         }
 
         /// The ghost disk after thread `t`'s sync to `end` returned.
@@ -862,39 +837,25 @@ mod tests {
             let said = format!(" -> {step:?}");
             match step {
                 Step::Wait => self.threads[t].blocked = true,
-                Step::Again(verdict) => {
-                    let top = self.threads[t].top();
-                    if top.op() == Settle {
-                        // The pump counts the verdict as soon as it is in.
-                        top.verdict = Some(verdict);
-                        let commit = top.commit.expect("appended");
-                        told = self.tell(commit, verdict);
-                        if verdict && matches!(actor.goal, Goal::Denial(_)) {
-                            told = told.and(self.push(commit, true));
-                        }
-                    }
-                }
                 Step::Lead => self.threads[t].sync_from = self.rollbacks,
-                Step::Release(durable, commit) => told = told.and(self.tell(commit, durable)),
-                Step::Done => {
-                    self.done(t, &actor);
-                    return (said, told);
-                }
+                Step::Release(durable, commit) => told = self.tell(commit, durable),
+                Step::Done => return (said, self.done(t, &actor)),
             }
             let th = &mut self.threads[t];
             th.top().actor = Some(actor);
-            if let Step::Release(durable, commit) = step {
+            if let Step::Release(_, commit) = step {
                 th.stack
-                    .push(Frame::new(START, Some(commit), Some(durable)));
+                    .push(Frame::new(self.commits[commit].finish, Some(commit)));
             }
             (said, told)
         }
 
-        fn done(&mut self, t: usize, actor: &Actor) {
+        fn done(&mut self, t: usize, actor: &Actor) -> Checked {
             let th = &mut self.threads[t];
             let top = th.top();
             if top.unwinding {
-                return self.unwind(t, actor.holds_fence());
+                self.unwind(t, actor.holds_fence());
+                return Ok(());
             }
             top.pc += 1;
             match top.ops[top.pc - 1] {
@@ -904,38 +865,48 @@ mod tests {
                     top.pc -= 1;
                     th.asleep = !actor.worked();
                 }
+                Drive => {
+                    let c = top.commit.expect("appended");
+                    if !self.commits[c].finished {
+                        return Err(format!("(5) a waiting drive of commit {c} returned first"));
+                    }
+                }
+                Cover => {
+                    let c = top.commit.expect("appended");
+                    if !self.machine.covers(self.commits[c].seq) {
+                        return Err(format!("(5) the drive of denial row {c} returned first"));
+                    }
+                }
                 _ => {}
             }
+            Ok(())
         }
 
-        /// A finish panicked up through thread `t`: what each frame's drop
-        /// does on the way out, and the fence let go if it holds it.
+        /// A finish panicked up through thread `t`'s loop, which reached its
+        /// goal and rethrows: the thread lets go of what it holds, and a
+        /// worker nudges on. Only a thread's first frame runs finishes.
         fn unwind(&mut self, t: usize, fence: bool) {
-            let frames = std::mem::take(&mut self.threads[t].stack);
-            for f in &frames {
-                if f.ops == FINISH && f.pc <= 1 {
-                    let wake = self.machine.return_pass();
-                    self.wake(wake);
-                }
-                if let (Some(Settle), Some(c)) = (f.ops.get(f.pc), f.commit) {
-                    // The caller hears nothing, and denies.
-                    self.commits[c].told.get_or_insert(false);
-                }
-            }
+            let first = self.threads[t].stack.pop().expect("the loop unwinding");
+            assert!(
+                self.threads[t].stack.is_empty(),
+                "{first:?} ran a finish nested"
+            );
             let th = &mut self.threads[t];
             if fence {
-                th.stack.push(Frame::new(OPEN, None, None));
+                th.stack.push(Frame::new(OPEN, None));
             } else if th.holds_pass {
-                th.stack.push(Frame::new(UNWOUND, None, None));
-            } else if let Some(worker) = frames.first().filter(|f| f.ops == NUDGE) {
+                th.stack.push(Frame::new(UNWOUND, None));
+            } else if first.ops == DELIVERED {
                 // The ingest catches the panic, and its worker nudges on.
-                th.stack.push(Frame::new(NUDGE, worker.commit, None));
+                let mut worker = Frame::new(DELIVERED, first.commit);
+                worker.pc = DELIVERED.len() - 1;
+                th.stack.push(worker);
             }
         }
 
         /// Take every thread through the moves that need nothing from the
         /// machine: frames ending, denial rows starting, panics.
-        fn settle_threads(&mut self) {
+        fn settle_threads(&mut self) -> Checked {
             for t in 0..self.threads.len() {
                 loop {
                     let th = &mut self.threads[t];
@@ -943,21 +914,32 @@ mod tests {
                         break;
                     };
                     if top.pc == top.ops.len() {
-                        th.stack.pop();
+                        let f = th.stack.pop().expect("a frame");
+                        if let (true, Some(c)) = (FINISHES.contains(&f.ops), f.commit) {
+                            self.commits[c].finished = true;
+                        }
                         continue;
                     }
                     match (top.op(), top.actor.is_some()) {
                         (Deny, _) => {
                             top.pc += 1;
-                            if top.verdict == Some(false) {
-                                th.stack.push(Frame::new(DENIAL, None, None));
+                            let c = top.commit.expect("appended");
+                            if self.commits[c].told == Some(false) {
+                                // The denial row's finish returns the pass.
+                                top.pc += 1;
+                                let denial = match th.finishes() {
+                                    0 => STAFF_DENIAL,
+                                    _ => DENIAL,
+                                };
+                                th.stack.push(Frame::new(denial, None));
                             }
                         }
                         (Panic, _) => {
-                            th.stack.pop();
+                            let f = th.stack.pop().expect("a frame");
+                            self.commits[f.commit.expect("released")].finished = true;
                             th.top().unwinding = true;
                         }
-                        (Drive | Nudge, false) => {
+                        (Nudge, false) => {
                             let commit = top.commit.expect("parked");
                             if self.commits[commit].told.is_some() {
                                 th.stack.clear();
@@ -969,19 +951,23 @@ mod tests {
                     }
                 }
             }
+            Ok(())
         }
 
         fn check(&self) -> Checked {
             let m = &self.machine;
-            let releasers = self.threads.iter().filter(|th| th.in_finish()).count();
+            let releasers = self.threads.iter().filter(|th| th.finishes() > 0).count();
             if releasers > 1 {
                 return Err(format!("(4) {releasers} threads run parked finishes"));
+            }
+            if self.threads.iter().any(|th| th.finishes() > 1) {
+                return Err("(4) a finish runs inside another".into());
             }
             let movers = (0..self.threads.len())
                 .filter(|&t| self.runnable(t) && !self.threads[t].idle_parked())
                 .count();
             let front_due = m.parked.front().is_some_and(|(seq, _)| m.due(*seq));
-            let needs_work = !m.syncing && (m.appended > m.settled || (!m.releasing && front_due));
+            let needs_work = !m.syncing && (!m.covers(m.appended) || (!m.releasing && front_due));
             if m.closed && m.passes > 0 && needs_work && movers == 0 {
                 return Err("(3) the closed fence strands the passes out".into());
             }
@@ -999,7 +985,13 @@ mod tests {
                     "(6) commit {c} told durable, its rows never pushed"
                 ));
             }
-            if m.passes != 0 || !m.parked.is_empty() || m.closed || m.releasing || m.syncing {
+            if m.passes != 0
+                || !m.parked.is_empty()
+                || m.running.is_some()
+                || m.closed
+                || m.releasing
+                || m.syncing
+            {
                 return Err(format!("(5) the run ended with {m:?}"));
             }
             Ok(())
@@ -1074,7 +1066,7 @@ mod tests {
 
     #[test]
     fn every_interleaving_keeps_the_six_invariants() {
-        let programs = [INLINE, PARKED, DELIVERED, CLAIM, QUIESCE];
+        let programs = [WAITED, DELIVERED, STAFF, ENROLLED, CLAIM, QUIESCE];
         let none = programs.len();
         let started = std::time::Instant::now();
         let (mut configurations, mut states) = (0, 0);
@@ -1088,7 +1080,7 @@ mod tests {
                         .filter(|&i| i < none)
                         .map(|i| programs[i])
                         .collect();
-                    let committing = mix.iter().filter(|ops| ops[1] == Append).count();
+                    let committing = mix.iter().filter(|ops| ops.contains(&Append)).count();
                     if 2 * committing > MAX_COMMITS || !seen.insert(mix.clone()) {
                         continue;
                     }

@@ -12,9 +12,9 @@
 //!   inside the lock it mutates under, and is acknowledged only once a
 //!   sync covering the commit has finished. Concurrent commits share
 //!   syncs, and no store or ledger lock is held across one.
-//! * `group` — who leads that sync, who waits for it, who
-//!   parks and is told, and when the compactor fence closes: one pure
-//!   state machine, which [`Persistence`] drives.
+//! * `group` — who leads that sync, who waits for it, who runs each
+//!   parked commit's finish, and when the compactor fence closes: one
+//!   pure state machine, which [`Persistence`] drives.
 //! * `backend` — the [`StorageBackend`] trait with two implementations: a
 //!   real file-backed backend and a deterministic in-memory backend whose
 //!   [`StorageFaultPlan`] injects short writes,
@@ -45,6 +45,7 @@ pub use wal::WalRecord;
 use crate::authority::Change;
 use group::{Actor, Goal, GroupMachine, Step};
 use hpcmfa_telemetry::{Counter, Histogram, MetricsRegistry};
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -245,27 +246,53 @@ impl DurabilityStats {
     }
 }
 
-/// What a parked commit leaves with the pump: called once, with whether
-/// the commit became durable, by the thread holding the release turn
-/// once that is known.
-pub(crate) type Finish = Box<dyn FnOnce(bool) + Send>;
+/// A parked commit's finish: run once, with whether the commit became
+/// durable, by the thread holding the release turn once that is known and
+/// the commit's turn has come.
+pub(crate) trait Finish: Send + Sync {
+    fn finish(&self, durable: bool);
+}
+
+/// A closure as a parked commit's finish, and what it returned for the
+/// thread that parked it, in the one allocation the pump needs anyway.
+struct Waited<F, T>(parking_lot::Mutex<(Option<F>, Option<T>)>);
+
+impl<F: FnOnce(bool) -> T + Send, T: Send> Finish for Waited<F, T> {
+    fn finish(&self, durable: bool) {
+        let finish = self.0.lock().0.take();
+        let told = finish.map(|finish| finish(durable));
+        self.0.lock().1 = told;
+    }
+}
 
 /// A parked commit's payload in the group machine.
-type Parked = (Ticket, Finish);
+type Payload = (Ticket, Arc<dyn Finish>);
+
+thread_local! {
+    /// The pump whose parked finish this thread is running: a commit that
+    /// finish makes is released in its turn once the finish returns.
+    static RELEASING: Cell<*const Pump> = const { Cell::new(std::ptr::null()) };
+}
 
 /// The durability pump: appends each operation's records as one commit,
 /// shares fsyncs between concurrent commits, counts everything, and runs
 /// one fenced compaction at a time.
 ///
-/// Who leads a sync, who waits, who parks, who runs parked finishes and
-/// when the fence closes is the group machine's to say (`group.rs`; its
-/// doc is the specification); the pump carries it out. **Every region
-/// where the pump holds the group lock is exactly one machine call**: the
-/// loop in `Persistence::run`, and the single calls in `Commit::append`,
-/// `Persistence::would_wait`, `Persistence::park`, a [`Commit`]'s drop and
-/// the fence's release (`Persistence::nudge` reads which commit to drive
-/// in the region of its first call). So interleaving machine calls, as the
+/// Who leads a sync, who waits, who runs parked finishes and when the
+/// fence closes is the group machine's to say (`group.rs`; its doc is the
+/// specification); the pump carries it out. **Every region where the pump
+/// holds the group lock is exactly one machine call**: the loop in
+/// `Persistence::run`, and the single calls in `Commit::append`,
+/// `Persistence::park`, a [`Commit`]'s drop, `Fence::begin` and the
+/// fence's release (`Persistence::nudge` reads which commit to drive in
+/// the region of its first call). So interleaving machine calls, as the
 /// machine's explorer does, is interleaving the threads.
+///
+/// **No pump call but `Commit::append` is made under a store or ledger
+/// lock**: a park, a drive, a flush, a quiesce or a claim may wait on the
+/// pump or run other operations' finishes, which take those locks. So a
+/// staff change closes the fence before its shard lock, and drives its
+/// commit, the only one in flight, once that lock is released.
 pub struct Persistence(Arc<Pump>);
 
 struct Pump {
@@ -283,7 +310,7 @@ struct Pump {
     /// The length of the last snapshot installed or recovered: what the
     /// WAL must earn before the next, and the next one's first capacity.
     snapshot_len: AtomicU64,
-    group: Mutex<GroupMachine<Parked>>,
+    group: Mutex<GroupMachine<Payload>>,
     /// Announces every machine call that says somebody may be waiting
     /// for it, to the threads counted in `waiting`.
     moved: Condvar,
@@ -298,7 +325,7 @@ struct Pump {
 }
 
 impl Pump {
-    fn lock(&self) -> MutexGuard<'_, GroupMachine<Parked>> {
+    fn lock(&self) -> MutexGuard<'_, GroupMachine<Payload>> {
         // The machine's state is consistent between calls, and a call does
         // not panic, so a poisoned lock is still usable.
         self.group.lock().unwrap_or_else(|e| e.into_inner())
@@ -322,11 +349,11 @@ impl Pump {
 }
 
 /// Where an appended commit sits in the WAL order: what
-/// [`Persistence::settle`] or [`Persistence::park`] takes to find the
-/// sync that covers it.
-#[must_use = "an appended commit is acknowledged only once it is settled"]
+/// [`Persistence::park`] takes to find the sync that covers it.
+#[must_use = "an appended commit is acknowledged only once it is parked and driven"]
 pub(crate) struct Ticket {
-    seq: u64,
+    /// The commit's sequence number: what [`Persistence::drive`] takes.
+    pub(crate) seq: u64,
     /// Why the backend refused the commit, if it did.
     refused: Option<StorageError>,
     records: u64,
@@ -406,14 +433,18 @@ impl Commit {
         })
     }
 
-    /// Append what was added and settle it, for a caller that holds no
-    /// lock. The operation must not be acknowledged until this returns
-    /// `Ok`; on `Err` none of the records may be assumed durable (or
-    /// lost). Leaves the commit empty, so a denial row can follow a
+    /// Append what was added, park it and drive it, for a caller that
+    /// holds no lock. The operation must not be acknowledged until this
+    /// returns `Ok`; on `Err` none of the records may be assumed durable
+    /// (or lost). Leaves the commit empty, so a denial row can follow a
     /// failed flush.
     pub fn flush(&mut self) -> Result<(), StorageError> {
-        self.append()
-            .map_or(Ok(()), |ticket| self.pump.settle(ticket, false, || {}))
+        let Some(ticket) = self.append() else {
+            return Ok(());
+        };
+        let refused = ticket.refused.clone().unwrap_or(StorageError::FsyncFailed);
+        let durable = self.pump.park_wait(ticket, |durable| durable) == Some(true);
+        durable.then_some(()).ok_or(refused)
     }
 }
 
@@ -427,27 +458,35 @@ impl Drop for Commit {
 }
 
 /// The fence held closed: every pass is back, so no commit is in flight,
-/// and none can start until this drops.
-pub(crate) struct Fence<'a>(&'a Pump);
+/// and none can start until this drops but the holder's own.
+pub(crate) struct Fence<'a>(&'a Persistence);
 
 impl Drop for Fence<'_> {
     fn drop(&mut self) {
-        self.0.lock().open_fence();
-        self.0.announce();
+        let pump = &self.0 .0;
+        pump.lock().open_fence();
+        pump.announce();
     }
 }
 
 impl Fence<'_> {
+    /// Open the holder's own commit: its pass goes through the closed
+    /// fence, so it is the only commit in flight.
+    pub(crate) fn begin(&self) -> Commit {
+        self.0 .0.lock().pass_through();
+        self.0.commit()
+    }
+
     /// The length of the last snapshot: room enough for the next one.
     pub(crate) fn snapshot_len(&self) -> usize {
-        usize::try_from(self.0.snapshot_len.load(Ordering::SeqCst)).unwrap_or(0)
+        usize::try_from(self.0 .0.snapshot_len.load(Ordering::SeqCst)).unwrap_or(0)
     }
 
     /// Install `bytes` as the new snapshot and reset the WAL. The WAL is
     /// only reset after the snapshot write succeeds, so a failed
     /// compaction never loses records.
     pub(crate) fn install(self, bytes: &[u8]) -> Result<(), StorageError> {
-        let pump = self.0;
+        let pump = &self.0 .0;
         let written = pump
             .backend
             .write_snapshot(bytes)
@@ -512,7 +551,12 @@ impl Persistence {
     /// one on the same thread while it lives (a waiting compactor would
     /// deadlock the pair).
     pub fn begin(&self) -> Commit {
-        self.run(self.0.lock(), &mut Actor::new(Goal::Pass), None);
+        self.run(self.0.lock(), &mut Actor::new(Goal::Pass));
+        self.commit()
+    }
+
+    /// A commit on a pass already taken.
+    fn commit(&self) -> Commit {
         Commit {
             pump: Persistence(Arc::clone(&self.0)),
             frames: Vec::with_capacity(COMMIT_CAPACITY),
@@ -527,78 +571,52 @@ impl Persistence {
         commit.flush()
     }
 
-    /// Wait for a sync that began after `ticket`'s append — leading it
-    /// when none is in flight, for every commit appended so far — and say
-    /// whether the commit is durable. A durable commit runs `push` (its
-    /// rows into the audit ring) in its turn: after every durable commit
-    /// appended before it has pushed its own, unless it is the `denial`
-    /// row of a parked commit's finish. Call it with no store or ledger
-    /// lock held.
-    pub(crate) fn settle(
+    /// Leave `finish` with the pump, to be run by the thread holding the
+    /// release turn once the commit's verdict is in and its turn has
+    /// come, and [`Persistence::drive`] the commit.
+    pub(crate) fn park(&self, ticket: Ticket, finish: Arc<dyn Finish>, waits: bool) {
+        let seq = ticket.seq;
+        self.0.lock().park(seq, (ticket, finish));
+        self.0.announce();
+        self.drive(seq, waits);
+    }
+
+    /// Park `finish` and drive the commit, waiting: what `finish` returned,
+    /// or `None` inside a parked finish, which releases it once it returns.
+    pub(crate) fn park_wait<T: Send + 'static>(
         &self,
         ticket: Ticket,
-        denial: bool,
-        push: impl FnOnce(),
-    ) -> Result<(), StorageError> {
-        let seq = ticket.seq;
-        let mut actor = Actor::new(if denial {
-            Goal::Denial(seq)
+        finish: impl FnOnce(bool) -> T + Send + 'static,
+    ) -> Option<T> {
+        let waited = Arc::new(Waited(parking_lot::Mutex::new((Some(finish), None))));
+        self.park(ticket, Arc::clone(&waited) as Arc<dyn Finish>, true);
+        let told = waited.0.lock().1.take();
+        told
+    }
+
+    /// See parked commit `seq` through on this thread: lead the sync it
+    /// waits for when none is in flight, and run the parked finishes that
+    /// come due when nobody else is — until its finish has run, here or on
+    /// the thread at it, if it `waits`, else where it would wait; inside a
+    /// parked finish, until a sync covers it.
+    pub(crate) fn drive(&self, seq: u64, waits: bool) {
+        let mut actor = if RELEASING.with(Cell::get) == Arc::as_ptr(&self.0) {
+            Actor::new(Goal::Cover(seq))
+        } else if waits {
+            Actor::new(Goal::Drive(seq))
         } else {
-            Goal::Verdict(seq)
-        });
-        let mut push = Some(push);
-        let mut push = || push.take().map_or((), |push| push());
-        match self.run(self.0.lock(), &mut actor, Some((&ticket, &mut push))) {
-            Some(true) => Ok(()),
-            _ => Err(ticket.refused.unwrap_or(StorageError::FsyncFailed)),
-        }
-    }
-
-    /// Whether settling `ticket` now would wait for a sync another
-    /// thread is running — the case [`Persistence::park`] takes — and if
-    /// so, the commit's sequence number to see it through by.
-    pub(crate) fn would_wait(&self, ticket: &Ticket) -> Option<u64> {
-        let waits = self.0.lock().would_wait(ticket.seq);
-        waits.then_some(ticket.seq)
-    }
-
-    /// Instead of waiting for the sync in flight, leave `finish` with the
-    /// pump, to be run by the thread holding the release turn once the
-    /// commit's verdict is in; [`Persistence::drive`] and
-    /// [`Persistence::nudge`] see it through by its sequence number.
-    /// Returns `false` when there was nothing to wait behind after all,
-    /// and the commit was settled and `finish` run here.
-    pub(crate) fn park(&self, ticket: Ticket, finish: Finish) -> bool {
-        let parked = self.0.lock().park(ticket.seq, (ticket, finish));
-        let Err((ticket, finish)) = parked else {
-            return true;
+            Actor::at_once(seq)
         };
-        // A durable finish pushes its rows, so it runs in the commit's turn.
-        let mut finish = Some(finish);
-        let durable = self.settle(ticket, false, || finish.take().map_or((), |f| f(true)));
-        if let Some(finish) = finish {
-            finish(durable.is_ok());
-        }
-        false
+        self.run(self.0.lock(), &mut actor);
     }
 
-    /// See to it that parked commit `seq` gets its verdict and its finish
-    /// is run — by this thread, leading the sync if nobody is, or by the
-    /// one already at it (the finish may then still be running when this
-    /// returns).
-    pub(crate) fn drive(&self, seq: u64) {
-        self.run(self.0.lock(), &mut Actor::new(Goal::Drive(seq)), None);
-    }
-
-    /// [`Persistence::drive`] the oldest parked commit without waiting:
-    /// lead the sync it waits for if none is in flight, run the parked
-    /// finishes that are due if nobody is, and return at once where
-    /// another thread is at it — and `waker` is woken when the sync in
-    /// flight ends, if it leaves a parked commit to lead a sync for.
-    /// Whether it led a sync or ran a finish.
+    /// [`Persistence::drive`] the newest parked commit without waiting,
+    /// and have `waker` woken when the sync in flight ends, if it turned
+    /// this away and leaves a parked commit to lead a sync for. Whether
+    /// it led a sync or ran a finish.
     pub(crate) fn nudge(&self, waker: &Waker) -> bool {
         let group = self.0.lock();
-        let Some(seq) = group.oldest_parked() else {
+        let Some(seq) = group.newest_parked() else {
             return false;
         };
         // Kept before the call that may turn it away, under the same lock
@@ -608,25 +626,24 @@ impl Persistence {
             *nudger = Some(waker.clone());
         }
         drop(nudger);
-        let mut nudge = Actor::nudge(seq);
-        self.run(group, &mut nudge, None);
+        let mut nudge = Actor::at_once(seq);
+        self.run(group, &mut nudge);
         nudge.worked()
     }
 
-    /// Hold the fence closed without compacting (a reload swaps the whole
-    /// in-memory image, which no commit may straddle). Call it with no
-    /// [`Commit`] open on this thread.
+    /// Hold the fence closed (a reload swaps the whole in-memory image,
+    /// which no commit may straddle; a staff change commits alone). Call
+    /// it with no [`Commit`] open on this thread.
     pub(crate) fn quiesce(&self) -> Fence<'_> {
-        self.run(self.0.lock(), &mut Actor::new(Goal::Quiesce), None);
-        Fence(&self.0)
+        self.run(self.0.lock(), &mut Actor::new(Goal::Quiesce));
+        Fence(self)
     }
 
     /// Claim the compaction if one is due and nobody holds the fence: the
     /// winner gets it closed (after the commits in flight drain),
     /// everyone else gets `None` and carries on. Call it with no
-    /// [`Commit`] open on this thread, and say whether it is a parked
-    /// commit's finish.
-    pub(crate) fn claim_compaction(&self, from_finish: bool) -> Option<Fence<'_>> {
+    /// [`Commit`] open on this thread, outside any parked finish.
+    pub(crate) fn claim_compaction(&self) -> Option<Fence<'_>> {
         if !self.wants_snapshot() {
             return None;
         }
@@ -634,37 +651,28 @@ impl Persistence {
         // Only the fence holder resets the record count, so a second look
         // under the lock settles whether a compaction finished between
         // the check above and here.
-        let due = self.wants_snapshot();
-        let mut claim = Actor::new(Goal::Claim { due, from_finish });
-        self.run(group, &mut claim, None);
-        claim.holds_fence().then(|| Fence(&self.0))
+        let mut claim = Actor::new(Goal::Claim(self.wants_snapshot()));
+        self.run(group, &mut claim);
+        // Built only for the winner: a `Fence` opens the fence as it drops.
+        claim.holds_fence().then(|| Fence(self))
     }
 
     /// The pump's one loop: ask the machine, then do what it says — sync
-    /// or run a parked finish with the lock released, wait on the condvar,
-    /// or return the goal's verdict, if it had one. `own`, the ticket of
-    /// the goal's commit, is counted as soon as that is in, and `push`
-    /// runs if it is durable. A finish or push that panics strands no
-    /// other: the panic goes on up once the goal is reached, and the fence
-    /// is let go first if the goal was to hold it.
-    fn run<'p>(
-        &'p self,
-        mut group: MutexGuard<'p, GroupMachine<Parked>>,
-        actor: &mut Actor,
-        mut own: Option<(&Ticket, &mut dyn FnMut())>,
-    ) -> Option<bool> {
+    /// or run a parked finish with the lock released, or wait on the
+    /// condvar — until the goal is reached. A finish that panics strands
+    /// no other: the panic goes on up once the goal is reached, and the
+    /// fence is let go first if the goal was to hold it.
+    fn run<'p>(&'p self, mut group: MutexGuard<'p, GroupMachine<Payload>>, actor: &mut Actor) {
         let pump = &*self.0;
-        let (mut verdict, mut panicked) = (None, None);
+        let mut panicked = None;
         loop {
             let (step, wake) = group.next(actor);
             if wake.waiters {
                 pump.announce();
             }
-            let nudger = if wake.nudger {
-                pump.nudger.lock().unwrap_or_else(|e| e.into_inner()).take()
-            } else {
-                None
-            };
+            let nudger = (wake.nudger)
+                .then(|| pump.nudger.lock().unwrap_or_else(|e| e.into_inner()).take())
+                .flatten();
             if matches!(step, Step::Wait) && nudger.is_none() {
                 pump.stats.sync_waits.inc();
                 pump.waiting.fetch_add(1, Ordering::SeqCst);
@@ -688,19 +696,11 @@ impl Persistence {
                     }
                     actor.report(synced);
                 }
-                Step::Again(durable) => {
-                    verdict = Some(durable);
-                    if let Some((ticket, push)) = &mut own {
-                        self.note(ticket, durable);
-                        if durable {
-                            let ran = panic::catch_unwind(AssertUnwindSafe(&mut **push));
-                            panicked = panicked.or(ran.err());
-                        }
-                    }
-                }
                 Step::Release(durable, (ticket, finish)) => {
                     self.note(&ticket, durable);
-                    let ran = panic::catch_unwind(AssertUnwindSafe(|| finish(durable)));
+                    let outer = RELEASING.with(|r| r.replace(Arc::as_ptr(&self.0)));
+                    let ran = panic::catch_unwind(AssertUnwindSafe(|| finish.finish(durable)));
+                    RELEASING.with(|r| r.set(outer));
                     panicked = panicked.or(ran.err());
                 }
                 // Told to wait, it roused the nudger first, without the
@@ -712,11 +712,10 @@ impl Persistence {
         }
         if let Some(payload) = panicked {
             if actor.holds_fence() {
-                drop(Fence(pump));
+                drop(Fence(self));
             }
             panic::resume_unwind(payload);
         }
-        verdict
     }
 
     /// Count a commit's verdict.
@@ -806,6 +805,10 @@ mod tests {
         }
     }
 
+    fn closure(finish: impl FnOnce(bool) + Send + 'static) -> Arc<dyn Finish> {
+        Arc::new(Waited(parking_lot::Mutex::new((Some(finish), None))))
+    }
+
     fn commit_one(pump: &Persistence, user: &str) -> (Commit, Ticket) {
         let mut commit = pump.begin();
         commit.record(&WalRecord::Remove {
@@ -813,6 +816,30 @@ mod tests {
         });
         let ticket = commit.append().expect("a record was added");
         (commit, ticket)
+    }
+
+    #[test]
+    fn a_losing_claim_leaves_the_winners_fence_closed() {
+        let pump = Arc::new(Persistence::new(MemoryBackend::healthy(), 1));
+        pump.append(&WalRecord::Remove { user: "a".into() })
+            .unwrap();
+        let won = pump.claim_compaction().expect("a compaction is due");
+        assert!(pump.claim_compaction().is_none(), "the fence is taken");
+        let (began, begun) = channel();
+        let committer = std::thread::spawn({
+            let pump = Arc::clone(&pump);
+            move || {
+                drop(pump.begin());
+                began.send(()).unwrap();
+            }
+        });
+        assert!(
+            begun.recv_timeout(Duration::from_millis(50)).is_err(),
+            "a commit began behind the winner's fence"
+        );
+        drop(won);
+        begun.recv_timeout(Duration::from_secs(5)).unwrap();
+        committer.join().unwrap();
     }
 
     #[test]
@@ -830,22 +857,23 @@ mod tests {
             std::thread::spawn(move || work(&pump))
         };
 
-        // Three commits park behind a held sync they missed.
+        // Three commits park behind a held sync they missed, each driven
+        // at once and turned away.
         let first = spawn(|pump| {
-            let (_commit, ticket) = commit_one(pump, "first");
-            pump.settle(ticket, false, || {}).unwrap();
+            let (commit, ticket) = commit_one(pump, "first");
+            pump.park(ticket, closure(move |_| drop(commit)), true);
         });
         entered.recv().unwrap();
         let (told, verdicts) = channel();
         for i in 0..3 {
             let (commit, ticket) = commit_one(&pump, &format!("parked{i}"));
             let told = told.clone();
-            let finish: Finish = Box::new(move |durable| {
+            let finish = closure(move |durable| {
                 let _pass = commit;
                 assert!(i != 1, "the middle finish panics");
                 told.send((i, durable)).unwrap();
             });
-            assert!(pump.park(ticket, finish), "parked {i}");
+            pump.park(ticket, finish, false);
         }
         drop(told);
         let_go.send(()).unwrap();
@@ -853,11 +881,17 @@ mod tests {
 
         // Whoever leads their sync runs all three finishes, the panicking
         // one included, and only then panics itself.
-        let leader = spawn(|pump| pump.drive(4));
+        let leader = spawn(|pump| {
+            pump.drive(4, true);
+        });
         entered.recv().unwrap();
         let_go.send(()).unwrap();
         assert!(leader.join().is_err(), "the leader's panic comes through");
-        spawn(|pump| pump.drive(4)).join().unwrap();
+        spawn(|pump| {
+            pump.drive(4, true);
+        })
+        .join()
+        .unwrap();
         let got: Vec<_> = verdicts.iter().collect();
         assert_eq!(got, vec![(0, true), (2, true)]);
 

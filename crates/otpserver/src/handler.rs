@@ -14,7 +14,7 @@
 //! treated as a direct single-shot validation (some SSH/SFTP clients send
 //! the token concatenated this way).
 
-use crate::durability::OtpCluster;
+use crate::durability::{Finish, OtpCluster};
 use crate::server::span_cost;
 use crate::server::{
     Answer, Begun, LinotpServer, ResumeConsumeOutcome, SmsTrigger, ValidationOutcome,
@@ -30,8 +30,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::Ipv4Addr;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, OnceLock, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::task::Waker;
 
 /// Prompt shown for the token challenge.
@@ -91,16 +92,14 @@ pub struct OtpRadiusHandler {
     me: Weak<OtpRadiusHandler>,
 }
 
-/// A decision whose commit was appended while another thread's sync was
-/// in flight. The operation's finish waits with the pump; what it
-/// concludes and the reply that sends it meet here, and whichever comes
-/// second runs the reply, on its own thread. A caller that blocks instead
-/// waits here for the decision.
-struct Parked {
+/// A decision whose commit is parked with the pump: the operation's
+/// finish, and what it concludes meeting the reply that sends it —
+/// whichever comes second runs the reply, on its own thread. One
+/// allocation is the pump's finish and the ingest's pending decision both.
+struct Pending<F> {
+    finish: Mutex<Option<F>>,
     /// The half that came first.
     first: Mutex<Option<Half>>,
-    /// Tells a caller blocked in [`Parked::decision`] it is concluded.
-    concluded: Condvar,
     /// The server whose pump holds the commit, the commit's sequence
     /// number, and the operation's time.
     server: Arc<LinotpServer>,
@@ -111,13 +110,11 @@ struct Parked {
 enum Half {
     Decision(ServerDecision),
     Reply(Reply),
-    /// A caller blocked in [`Parked::decision`].
-    Waiter,
 }
 
-impl Parked {
-    /// Bring in one half: keep it for the other, run the reply with the
-    /// decision, or hand the decision to the caller waiting for it.
+impl<F> Pending<F> {
+    /// Bring in one half: keep it for the other, or run the reply with
+    /// the decision.
     fn meet(&self, half: Half) {
         let mut first = self.first.lock();
         match (first.take(), half) {
@@ -126,32 +123,40 @@ impl Parked {
                 drop(first);
                 reply(decision);
             }
-            (Some(Half::Waiter), Half::Decision(decision)) => {
-                *first = Some(Half::Decision(decision));
-                drop(first);
-                self.concluded.notify_one();
-            }
             (_, half) => *first = Some(half),
         }
     }
 
-    /// Block until the decision is concluded, and take it.
-    fn decision(&self) -> ServerDecision {
+    /// The decision, if it is concluded and no reply has taken it.
+    fn take(&self) -> Option<ServerDecision> {
         let mut first = self.first.lock();
-        loop {
-            match first.take() {
-                Some(Half::Decision(decision)) => return decision,
-                _ => *first = Some(Half::Waiter),
+        match first.take() {
+            Some(Half::Decision(decision)) => Some(decision),
+            other => {
+                *first = other;
+                None
             }
-            first = self
-                .concluded
-                .wait(first)
-                .unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
-impl PendingDecision for Parked {
+impl<F: FnOnce(bool) -> ServerDecision + Send> Finish for Pending<F> {
+    /// A finish that panics concludes a reject.
+    fn finish(&self, durable: bool) {
+        let Some(finish) = self.finish.lock().take() else {
+            return;
+        };
+        match panic::catch_unwind(AssertUnwindSafe(|| finish(durable))) {
+            Ok(decision) => self.meet(Half::Decision(decision)),
+            Err(panicked) => {
+                self.meet(Half::Decision(OtpRadiusHandler::reject()));
+                panic::resume_unwind(panicked);
+            }
+        }
+    }
+}
+
+impl<F: FnOnce(bool) -> ServerDecision + Send> PendingDecision for Pending<F> {
     fn deliver(&self, reply: Reply) {
         self.meet(Half::Reply(reply));
     }
@@ -162,27 +167,7 @@ impl PendingDecision for Parked {
 
     fn wait(self: Arc<Self>) -> ServerDecision {
         self.server.drive(self.seq);
-        self.decision()
-    }
-}
-
-/// A parked operation's finish holds its [`Parked`] by this, and concludes
-/// it once: a finish that panicked concluded nothing, which is a deny.
-struct Concluder(Option<Arc<Parked>>);
-
-impl Concluder {
-    fn conclude(mut self, decision: ServerDecision) {
-        if let Some(parked) = self.0.take() {
-            parked.meet(Half::Decision(decision));
-        }
-    }
-}
-
-impl Drop for Concluder {
-    fn drop(&mut self) {
-        if let Some(parked) = self.0.take() {
-            parked.meet(Half::Decision(OtpRadiusHandler::reject()));
-        }
+        self.take().unwrap_or_else(OtpRadiusHandler::reject)
     }
 }
 
@@ -231,41 +216,45 @@ impl OtpRadiusHandler {
         });
     }
 
-    /// Take a begun operation to its decision. A commit that finds no
-    /// sync in flight leads one here, on the caller's thread, and
-    /// `conclude` runs here too — a lone login's whole path. One that
-    /// finds a sync in flight is parked: the operation's finish and
-    /// `conclude` run on the thread holding the pump's release turn once
-    /// the covering sync is over — usually that sync's leader — and the
-    /// caller gets a [`ServerDecision::Pending`]. The reply the caller
-    /// hands it runs on that thread too; a caller that waits instead is
-    /// handed the decision.
+    /// Take a begun operation to its decision. Its finish, with
+    /// `conclude`, is parked with the pump, and the commit driven at once:
+    /// a commit that finds no sync in flight leads one here, on the
+    /// caller's thread, and runs the finishes it made due — its own among
+    /// them, whose decision is returned: a lone login's whole path. One
+    /// that finds a sync in flight, or its turn not come, is left to the
+    /// thread holding the pump's release turn, and the caller gets a
+    /// [`ServerDecision::Pending`]: the reply it hands over runs on that
+    /// thread too, and a caller that waits instead drives the commit until
+    /// the decision is in. A volatile server decides here.
     fn drive<A: Answer>(
         &self,
         begun: Begun<'_, A>,
         conclude: impl FnOnce(&Self, &str, A::Reply) -> ServerDecision + Send + 'static,
     ) -> ServerDecision {
-        let waits = begun.would_wait();
-        let Some((seq, me)) = waits.and_then(|seq| Some((seq, self.me.upgrade()?))) else {
-            let username = begun.user();
-            return conclude(self, username, begun.settle());
+        let username = begun.user();
+        let (ticket, parked) = match begun.detach() {
+            Ok(reply) => return conclude(self, username, reply),
+            Err(parked) => parked,
         };
-        let parked = Arc::new(Parked {
+        let me = self
+            .me
+            .upgrade()
+            .expect("a handler is only reached through its Arc");
+        let now = parked.now();
+        let finish =
+            move |durable| parked.finish(durable, |user, reply| conclude(&me, user, reply));
+        let pending = Arc::new(Pending {
+            finish: Mutex::new(Some(finish)),
             first: Mutex::new(None),
-            concluded: Condvar::new(),
             server: Arc::clone(&self.server),
-            seq,
-            now: begun.now(),
+            seq: ticket.seq,
+            now,
         });
-        let concluder = Concluder(Some(Arc::clone(&parked)));
-        let finish = move |username: &str, outcome| {
-            concluder.conclude(conclude(&me, username, outcome));
-        };
-        if begun.park(Arc::clone(&parked.server), finish) {
-            ServerDecision::Pending(parked)
-        } else {
-            parked.decision()
-        }
+        let finish = Arc::clone(&pending) as Arc<dyn Finish>;
+        self.server.park(ticket, finish, now);
+        pending
+            .take()
+            .unwrap_or_else(|| ServerDecision::Pending(pending))
     }
 
     fn count_resume(&self, outcome: &'static str) {

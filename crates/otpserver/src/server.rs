@@ -7,7 +7,7 @@
 //! operation's `Txn`, which holds its WAL commit and audit rows; then,
 //! under the user's shard lock, `step`, `apply` of each change and the
 //! same change encoded into the commit beside the staged rows; then the
-//! commit's append, its settle, and the finish.
+//! commit's append, and once the lock is released its park and its drive.
 //!
 //! When built [`with_storage`](LinotpServer::with_storage), the commit is
 //! synced *before* the operation is acknowledged: an accepted code whose
@@ -17,16 +17,18 @@
 //! operations a login waits on — validate, SMS trigger, resume consume —
 //! are each one *begin* (up to the commit's append, under the store or
 //! ledger lock) and one *finish* (everything the commit's verdict decides,
-//! read from the outcome's table), driven on the caller's thread
-//! (`Begun::settle`) or left with the pump (`Begun::park`). A staff reset
-//! or resync reactivates an account, so it syncs under the shard lock and
-//! applies its change only once that change is durable.
+//! read from the outcome's table). The finish is parked with the pump and
+//! the commit driven, waiting (`Begun::wait`) or, behind the RADIUS
+//! handler, at once; only a volatile server finishes inline. A staff reset
+//! or resync reactivates an account, so it closes the compactor fence
+//! before it takes the shard lock, commits alone behind it, and applies
+//! its change only once that change is durable.
 
 use crate::audit::{AuditAction, AuditLog, NewRow, Staged};
 use crate::authority::{self, Change, Event, Op, Outcome, Row, SmsOutcome, Told, Transition};
 use crate::durability::snapshot::snapshot_live_sized;
 use crate::durability::{
-    recover, Commit, DurabilityCounters, Finish, Persistence, RecoverError, RecoveryReport,
+    recover, Commit, DurabilityCounters, Fence, Finish, Persistence, RecoverError, RecoveryReport,
     StorageBackend, Ticket, WalRecord,
 };
 use crate::overload::{AdmissionController, OverloadConfig};
@@ -44,7 +46,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::task::Waker;
 use std::time::Instant;
 
@@ -135,6 +137,8 @@ pub struct LinotpServer {
     admission: Option<AdmissionController>,
     /// Single-use enforcement for the federation resumption path.
     resume_consumed: Mutex<ResumeLedger>,
+    /// The handle a parked finish keeps the server by.
+    me: Weak<LinotpServer>,
 }
 
 /// Consumed resumption-token nonces → ledger expiry (the token's own
@@ -164,12 +168,15 @@ impl ResumeLedger {
 /// its WAL frame, and staged; the commit appends the same bytes, and the
 /// ring keeps them. [`Txn::append`] hands the commit to the WAL
 /// inside that lock — WAL order is mutation order — and [`Txn::settle`]
-/// waits for its sync once the lock is released. Dropping the `Txn`
-/// settles what is still unsettled (best effort: audit persistence
-/// failures are counted, never gate), copies the staged rows into the
-/// ring, releases the compactor fence, and only then checks whether a
-/// compaction is due — so a row enters the ring after the commit that
-/// carries it and before the fence drops.
+/// parks and drives it, waiting, once the lock is released: its finish
+/// pushes the rows of a durable commit in WAL order. Dropping the `Txn`
+/// parks what is still unsettled behind a finish that pushes its rows
+/// either way (best effort: audit persistence failures are counted, never
+/// gate) and then releases the compactor fence, so a row enters the ring
+/// after the commit that carries it and before the fence drops. Inside a
+/// parked finish that commit is driven only until a sync covers it: the
+/// thread running the finish releases it, in turn, once the finish
+/// returns.
 ///
 /// **Why the lock may be released before the sync.** Every record a
 /// gated operation appends is absolute state — `last_step`,
@@ -182,8 +189,8 @@ impl ResumeLedger {
 /// unacknowledged commit up to its end, the reader's included. Nothing
 /// is acknowledged on the strength of state that may yet be lost. A
 /// staff reset or resync reactivates an account, which that argument
-/// does not cover: it syncs under its shard lock and applies its change
-/// only once the change is durable.
+/// does not cover: it commits alone behind the closed fence and applies
+/// its change only once the change is durable.
 pub(crate) struct Txn<'a> {
     server: &'a LinotpServer,
     user: &'a str,
@@ -197,9 +204,6 @@ pub(crate) struct Txn<'a> {
     /// The frames of the rows bound for the ring, encoded once: the
     /// commit carries the same bytes.
     staged: Staged,
-    /// It runs as a parked commit's finish, whose compaction claim the
-    /// pump refuses and whose denial row is told out of turn.
-    parked: bool,
 }
 
 impl<'a> Txn<'a> {
@@ -257,7 +261,8 @@ impl<'a> Txn<'a> {
     /// A durable commit's rows go into the ring in WAL order as its
     /// verdict comes; a failed one's stay staged, for the operations
     /// durability does not gate, whose rows say what the store holds, and
-    /// for the drop.
+    /// for the drop. Call it with no store or ledger lock held, outside
+    /// any parked finish.
     fn settle(&mut self) -> bool {
         let (Some(c), Some(pump)) = (&mut self.commit, &self.server.persistence) else {
             return true;
@@ -265,12 +270,23 @@ impl<'a> Txn<'a> {
         let Some(ticket) = self.ticket.take().or_else(|| c.append()) else {
             return true;
         };
-        let (audit, staged) = (&self.server.audit, &mut self.staged);
-        let push = || {
-            audit.push_frames(staged.frames());
-            staged.clear();
-        };
-        pump.settle(ticket, self.parked, push).is_ok()
+        let server = self.server.shared();
+        let staged = std::mem::take(&mut self.staged);
+        let told = pump.park_wait(ticket, move |durable| {
+            if durable {
+                server.audit.push_frames(staged.frames());
+                return None;
+            }
+            Some(staged)
+        });
+        match told {
+            Some(None) => true,
+            Some(Some(staged)) => {
+                self.staged = staged;
+                false
+            }
+            None => false,
+        }
     }
 
     /// Stage `rows` in place of the rows of a commit that failed: they say
@@ -283,13 +299,21 @@ impl<'a> Txn<'a> {
 
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
-        self.settle();
-        self.server.audit.push_frames(self.staged.frames());
-        if let Some(commit) = self.commit.take() {
-            // The compactor's claim waits for the pass this gives back.
+        let staged = std::mem::take(&mut self.staged);
+        let (Some(pump), Some(mut commit)) = (&self.server.persistence, self.commit.take()) else {
+            self.server.audit.push_frames(staged.frames());
+            return;
+        };
+        let Some(ticket) = self.ticket.take().or_else(|| commit.append()) else {
+            self.server.audit.push_frames(staged.frames());
+            return;
+        };
+        // The finish takes the commit, and with it the operation's pass.
+        let server = self.server.shared();
+        pump.park_wait(ticket, move |_| {
+            server.audit.push_frames(staged.frames());
             drop(commit);
-            self.server.maybe_compact(self.now, self.parked);
-        }
+        });
     }
 }
 
@@ -297,7 +321,7 @@ impl Drop for Txn<'_> {
 /// needs to know of it.
 pub(crate) trait Answer: Copy + PartialEq + Send + 'static {
     /// What the caller is handed.
-    type Reply;
+    type Reply: Send;
     /// The operation's span label, and its name to admission control.
     const LABEL: &'static str;
     /// The family of its outcome counter, and the counter's label key.
@@ -542,11 +566,21 @@ impl<A: Answer> Gate<A> {
 }
 
 /// A gated operation past its *begin*: the store (or ledger) holds what
-/// it did, its commit is appended, the lock is released. Two drivers
-/// take it to its *finish*: [`Begun::settle`] on the caller's thread, or
-/// [`Begun::park`] on the thread holding the pump's release turn.
+/// it did, its commit is appended, the lock is released.
 pub(crate) struct Begun<'a, A> {
     txn: Txn<'a>,
+    gate: Gate<A>,
+}
+
+/// A gated operation whose finish is parked with the pump: what the finish
+/// needs, off the caller's thread.
+pub(crate) struct Parked<A> {
+    server: Arc<LinotpServer>,
+    user: String,
+    now: u64,
+    trace: Option<TraceId>,
+    commit: Option<Commit>,
+    staged: Staged,
     gate: Gate<A>,
 }
 
@@ -556,66 +590,80 @@ impl<'a, A: Answer> Begun<'a, A> {
         self.txn.user
     }
 
-    /// When the operation runs.
-    pub(crate) fn now(&self) -> u64 {
-        self.txn.now
-    }
-
-    /// Drive inline: wait for the commit's sync on this thread — leading
-    /// it when none is in flight — and finish.
-    pub(crate) fn settle(self) -> A::Reply {
+    /// Finish here when there is no commit to wait for — a volatile
+    /// server, or nothing added — and otherwise hand back the commit's
+    /// ticket and the operation, to park its finish behind it.
+    // The operation is moved once, into its parked finish: boxing it would
+    // cost every parked login an allocation.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn detach(self) -> Result<A::Reply, (Ticket, Parked<A>)> {
         let Begun { mut txn, gate } = self;
-        let persisted = txn.settle();
-        gate.finish(&mut txn, persisted)
-    }
-
-    /// Whether [`Begun::settle`] would wait for a sync another thread is
-    /// running, and if so the commit's sequence number, to see a
-    /// [parked](Begun::park) commit through by.
-    pub(crate) fn would_wait(&self) -> Option<u64> {
-        let pump = self.txn.server.persistence.as_ref()?;
-        pump.would_wait(self.txn.ticket.as_ref()?)
-    }
-
-    /// Drive parked: leave the finish with the pump, to be run — and its
-    /// reply handed to `then` — by the thread holding the release turn
-    /// once the verdict is in. Returns `false` if there was nothing to
-    /// wait behind after all and both ran here. `server` is the shared
-    /// handle of the server that began it.
-    pub(crate) fn park(
-        self,
-        server: Arc<LinotpServer>,
-        then: impl FnOnce(&str, A::Reply) + Send + 'static,
-    ) -> bool {
-        let Begun { mut txn, gate } = self;
-        let (pump, user) = (txn.server.persistence.as_ref(), txn.user.to_string());
+        let ticket = txn.ticket.take();
+        let Some(ticket) = ticket.or_else(|| txn.commit.as_mut()?.append()) else {
+            return Ok(gate.finish(&mut txn, true));
+        };
         // The operation leaves this thread with its commit and rows, and
         // what is left of `txn` drops as a no-op.
-        let (now, trace, ticket) = (txn.now, txn.trace, txn.ticket.take());
-        let (commit, staged) = (txn.commit.take(), std::mem::take(&mut txn.staged));
+        let parked = Parked {
+            server: txn.server.shared(),
+            user: txn.user.to_string(),
+            now: txn.now,
+            trace: txn.trace,
+            commit: txn.commit.take(),
+            staged: std::mem::take(&mut txn.staged),
+            gate,
+        };
+        Err((ticket, parked))
+    }
+
+    /// Finish with the commit's verdict, parking the finish and driving
+    /// the commit on this thread until it has run.
+    pub(crate) fn wait(self) -> A::Reply {
+        let (ticket, parked) = match self.detach() {
+            Ok(reply) => return reply,
+            Err(parked) => parked,
+        };
+        let (server, now) = (Arc::clone(&parked.server), parked.now);
+        let pump = server
+            .persistence
+            .as_ref()
+            .expect("a ticket comes from a pump");
+        let reply = pump.park_wait(ticket, move |durable| parked.finish(durable, |_, r| r));
+        server.maybe_compact(now);
+        reply.unwrap_or_else(|| A::UNAVAILABLE.reply(None))
+    }
+}
+
+impl<A: Answer> Parked<A> {
+    /// When the operation runs.
+    pub(crate) fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// Finish with the commit's verdict (`persisted`), and hand the reply
+    /// and the user to `then`.
+    pub(crate) fn finish<R>(self, persisted: bool, then: impl FnOnce(&str, A::Reply) -> R) -> R {
+        let Parked {
+            server,
+            user,
+            now,
+            trace,
+            commit,
+            staged,
+            gate,
+        } = self;
+        let mut txn = Txn {
+            server: &server,
+            user: &user,
+            now,
+            trace,
+            commit,
+            ticket: None,
+            staged,
+        };
+        let reply = gate.finish(&mut txn, persisted);
         drop(txn);
-        let finish: Finish = Box::new(move |persisted| {
-            let mut txn = Txn {
-                server: &server,
-                user: &user,
-                now,
-                trace,
-                commit,
-                ticket: None,
-                staged,
-                parked: true,
-            };
-            let reply = gate.finish(&mut txn, persisted);
-            drop(txn);
-            then(&user, reply);
-        });
-        match pump.zip(ticket) {
-            Some((pump, ticket)) => pump.park(ticket, finish),
-            None => {
-                finish(true);
-                false
-            }
-        }
+        then(&user, reply)
     }
 }
 
@@ -638,7 +686,7 @@ pub(crate) struct HeldSeries {
 impl LinotpServer {
     /// Create with explicit configuration.
     pub fn with_config(sms: Arc<dyn SmsProvider>, seed: u64, config: ServerConfig) -> Arc<Self> {
-        Arc::new(Self::empty(sms, seed, config, None))
+        Self::empty(sms, seed, config, None)
     }
 
     /// Create a durable server: recover whatever state `backend` holds
@@ -655,7 +703,7 @@ impl LinotpServer {
             Persistence::with_metrics(backend, config.snapshot_every_appends, &config.metrics);
         let server = Self::empty(sms, seed, config, Some(persistence));
         server.reload_from_storage()?;
-        Ok(Arc::new(server))
+        Ok(server)
     }
 
     /// A server with nothing enrolled, pumping through `persistence`
@@ -665,7 +713,7 @@ impl LinotpServer {
         seed: u64,
         config: ServerConfig,
         persistence: Option<Persistence>,
-    ) -> Self {
+    ) -> Arc<Self> {
         let ServerConfig {
             audit_cap,
             metrics,
@@ -673,7 +721,7 @@ impl LinotpServer {
             ..
         } = config;
         let admission = overload.map(|c| AdmissionController::new(c, Arc::clone(&metrics)));
-        LinotpServer {
+        Arc::new_cyclic(|me| LinotpServer {
             store: TokenStore::new(),
             audit: AuditLog::with_cap(audit_cap),
             sms,
@@ -683,7 +731,15 @@ impl LinotpServer {
             persistence,
             admission,
             resume_consumed: Mutex::default(),
-        }
+            me: me.clone(),
+        })
+    }
+
+    /// The shared handle a parked finish keeps the server by.
+    fn shared(&self) -> Arc<Self> {
+        self.me
+            .upgrade()
+            .expect("a server is only reached through its Arc")
     }
 
     /// The durability pump, or the error every storage operation of a
@@ -748,22 +804,22 @@ impl LinotpServer {
             commit: self.persistence.as_ref().map(Persistence::begin),
             ticket: None,
             staged: Staged::default(),
-            parked: false,
         }
     }
 
     /// Compact if enough records have accumulated and no other thread has
-    /// claimed the compaction. Called with no [`Txn`] open, from the drop
-    /// of each: the claim waits out every commit in flight and holds new
-    /// ones off, so the exported state and the WAL it replaces cannot
-    /// diverge. Expired resume nonces are purged first, so none lands in
-    /// a snapshot; the records are written as they stand (an expired SMS
-    /// code is inert, and only `authority::apply` changes a record).
-    fn maybe_compact(&self, now: u64, from_finish: bool) {
+    /// claimed the compaction. Called once an operation's drive returns,
+    /// with no [`Txn`] open and outside any parked finish: the claim waits
+    /// out every commit in flight and holds new ones off, so the exported
+    /// state and the WAL it replaces cannot diverge. Expired resume nonces
+    /// are purged first, so none lands in a snapshot; the records are
+    /// written as they stand (an expired SMS code is inert, and only
+    /// `authority::apply` changes a record).
+    fn maybe_compact(&self, now: u64) {
         let Some(compaction) = self
             .persistence
             .as_ref()
-            .and_then(|pump| pump.claim_compaction(from_finish))
+            .and_then(Persistence::claim_compaction)
         else {
             return;
         };
@@ -777,15 +833,25 @@ impl LinotpServer {
         let _ = compaction.install(&bytes);
     }
 
-    /// See parked commit `seq` through on this thread: its verdict in and
-    /// its finish run (see [`Persistence::drive`]).
+    /// Park `finish` behind the commit `ticket` names and drive it at
+    /// once (see [`Persistence::park`]), then make the compaction check
+    /// every operation's end makes.
+    pub(crate) fn park(&self, ticket: Ticket, finish: Arc<dyn Finish>, now: u64) {
+        if let Some(pump) = &self.persistence {
+            pump.park(ticket, finish, false);
+        }
+        self.maybe_compact(now);
+    }
+
+    /// See parked commit `seq` through on this thread, until its finish
+    /// has run (see [`Persistence::drive`]).
     pub(crate) fn drive(&self, seq: u64) {
         if let Some(pump) = &self.persistence {
-            pump.drive(seq);
+            pump.drive(seq, true);
         }
     }
 
-    /// See the oldest parked commit along without waiting, `waker` woken
+    /// See the newest parked commit along without waiting, `waker` woken
     /// if a sync in flight leaves it more to do (see
     /// [`Persistence::nudge`]); having made commits durable, with no
     /// [`Txn`] open, make the compaction check every operation's end
@@ -793,7 +859,7 @@ impl LinotpServer {
     pub(crate) fn nudge(&self, now: u64, waker: &Waker) -> bool {
         let worked = (self.persistence.as_ref()).is_some_and(|pump| pump.nudge(waker));
         if worked {
-            self.maybe_compact(now, false);
+            self.maybe_compact(now);
         }
         worked
     }
@@ -829,6 +895,8 @@ impl LinotpServer {
         txn.stage(&[Some(Row::new(AuditAction::Enroll, true, detail))]);
         txn.settle();
         self.store.enroll(username, pairing);
+        drop(txn);
+        self.maybe_compact(now);
     }
 
     /// Enroll a soft token: mint a fresh secret and return it (the portal
@@ -903,6 +971,8 @@ impl LinotpServer {
         txn.stage(&[Some(Row::new(AuditAction::Remove, existed, ""))]);
         txn.settle();
         self.store.remove(username);
+        drop(txn);
+        self.maybe_compact(now);
         existed
     }
 
@@ -1007,7 +1077,7 @@ impl LinotpServer {
         source: Option<Ipv4Addr>,
     ) -> ValidationOutcome {
         match self.validate_begin(username, code, now, ctx, source) {
-            Ok(begun) => begun.settle(),
+            Ok(begun) => begun.wait(),
             Err(shed) => shed,
         }
     }
@@ -1026,7 +1096,7 @@ impl LinotpServer {
         source: Option<Ipv4Addr>,
     ) -> SmsTrigger {
         match self.trigger_sms_begin(username, now, ctx, source) {
-            Ok(begun) => begun.settle(),
+            Ok(begun) => begun.wait(),
             Err(shed) => shed,
         }
     }
@@ -1136,7 +1206,7 @@ impl LinotpServer {
         ctx: Option<&SpanCtx>,
     ) -> ResumeConsumeOutcome {
         self.resume_consume_begin(username, nonce, expires_at, now, ctx)
-            .settle()
+            .wait()
     }
 
     /// The *begin* of [`LinotpServer::consume_resume_nonce`]: the ledger
@@ -1229,32 +1299,68 @@ impl LinotpServer {
         self.staff(username, &Op::Resync { code1, code2 }, now)
     }
 
-    /// A staff operation: `step` under the shard lock, and the sync there
-    /// too, since reactivating an account is not a mark a later reader can
-    /// only deny on (see [`Txn`]). The change is applied only once it is
-    /// durable; otherwise the answer is `false`, and the row says
-    /// "durability unavailable".
+    /// A staff operation, behind the closed fence: `step` under the shard
+    /// lock, then the commit driven once that lock is released, the only
+    /// one in flight, since reactivating an account is not a mark a later
+    /// reader can only deny on (see [`Txn`]). The change is applied only
+    /// once it is durable, in a second hold of the lock: behind the fence
+    /// nothing else commits in between. Otherwise the answer is `false`,
+    /// the row says "durability unavailable", and the change is applied
+    /// and taken back by a logged reversal, so that a reload, once a later
+    /// sync makes the failed commit durable, rebuilds the record as it
+    /// stands. A volatile server, with no fence and nothing to wait for,
+    /// applies the change in the one hold.
     fn staff(&self, username: &str, op: &Op<'_>, now: u64) -> bool {
-        let mut txn = self.txn(username, now, None);
-        let took = self.store.with_record(username, |rec| {
+        let fence = self.persistence.as_ref().map(Persistence::quiesce);
+        let volatile = fence.is_none();
+        let mut txn = Txn {
+            server: self,
+            user: username,
+            now,
+            trace: None,
+            commit: fence.as_ref().map(Fence::begin),
+            ticket: None,
+            staged: Staged::default(),
+        };
+        let stepped = self.store.with_record(username, |rec| {
             let t = authority::step(rec, op, now);
             txn.encode(&t);
-            if t.outcome != Outcome::Staff(true) {
-                return false;
+            txn.append();
+            if volatile {
+                t.changes
+                    .iter()
+                    .flatten()
+                    .for_each(|c| authority::apply(rec, c));
             }
-            if !txn.settle() {
-                txn.restage(&[t.rows[0].map(Row::not_durable)]);
-                return false;
-            }
-            for change in t.changes.iter().flatten() {
-                authority::apply(rec, change);
-            }
-            true
+            t
         });
-        took.unwrap_or_else(|| {
-            txn.stage(&authority::absent(op).rows);
-            false
-        })
+        let t = stepped.unwrap_or_else(|| {
+            let t = authority::absent(op);
+            txn.stage(&t.rows);
+            t
+        });
+        let mut took = t.outcome == Outcome::Staff(true);
+        if took && !volatile {
+            took = txn.settle();
+            if !took {
+                txn.restage(&[t.rows[0].map(Row::not_durable)]);
+            }
+            self.store.with_record(username, |rec| {
+                for change in t.changes.iter().flatten() {
+                    let back = (!took).then(|| authority::reversal(rec, change));
+                    authority::apply(rec, change);
+                    for undo in back.iter().flatten().flatten() {
+                        authority::apply(rec, undo);
+                        txn.change(undo);
+                    }
+                }
+                txn.append();
+            });
+        }
+        drop(txn);
+        drop(fence);
+        self.maybe_compact(now);
+        took
     }
 
     /// Status for staff tooling at `now`: a read, which changes nothing.

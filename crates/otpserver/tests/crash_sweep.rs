@@ -239,44 +239,6 @@ fn torn_tail_at_every_byte_recovers_by_truncation() {
     let _ = facts;
 }
 
-#[test]
-fn segmented_file_backend_crash_after_every_append_preserves_invariants() {
-    let backend = MemoryBackend::healthy();
-    let facts = run_script(&backend);
-    let wal = backend.durable_wal();
-
-    let dir = std::env::temp_dir().join(format!("hpcmfa-crash-sweep-seg-{}", std::process::id()));
-    for &cut in &frame_boundaries(&wal) {
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        // The same bytes, but spread across sealed segments plus an
-        // active tail, as a rotating writer would have left them —
-        // frames may straddle segment files; replay order must hold.
-        let bytes = &wal[..cut];
-        let chunk = 700usize;
-        let mut seq = 0usize;
-        let mut pos = 0usize;
-        loop {
-            let end = (pos + chunk).min(bytes.len());
-            let name = if seq == 0 {
-                "wal.log".to_string()
-            } else {
-                format!("wal.{seq}.log")
-            };
-            std::fs::write(dir.join(name), &bytes[pos..end]).unwrap();
-            pos = end;
-            seq += 1;
-            if pos >= bytes.len() {
-                break;
-            }
-        }
-        let file_backend = FileBackend::open_with_rotation(&dir, chunk as u64).unwrap();
-        let srv = durable_server(file_backend as Arc<dyn StorageBackend>);
-        assert_invariants(&srv, &facts, cut);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The snapshot rename window: a crash after the tmp file was fully
 /// written but before the rename (or before the directory entry was
 /// fsynced) must leave the previous durable snapshot + WAL in force,

@@ -37,7 +37,7 @@ use hpcmfa_otp::totp::Totp;
 use hpcmfa_otpserver::audit::AuditAction;
 use hpcmfa_otpserver::durability::WalRecord;
 use hpcmfa_otpserver::server::{LinotpServer, ResumeConsumeOutcome, ServerConfig};
-use hpcmfa_otpserver::sms::TwilioSim;
+use hpcmfa_otpserver::sms::{PhoneNumber, TwilioSim};
 use hpcmfa_otpserver::store::shard_of_name;
 use hpcmfa_otpserver::{
     ClusterBackend, LinkFaultPlan, MemoryBackend, OtpCluster, OtpRadiusHandler, ReplicationMode,
@@ -46,7 +46,7 @@ use hpcmfa_otpserver::{
 use hpcmfa_radius::auth::{fixture_authenticator, hide_password};
 use hpcmfa_radius::ingest::{BatchedUdpServer, IngestConfig, IngestHandle};
 use hpcmfa_radius::packet::{Code, Packet, PacketView};
-use hpcmfa_radius::server::RadiusServer;
+use hpcmfa_radius::server::{Handler, RadiusServer, ServerDecision};
 use hpcmfa_radius::tracewire;
 use hpcmfa_radius::BreakerConfig;
 use hpcmfa_radius::{Attribute, AttributeType};
@@ -1032,6 +1032,126 @@ fn a_failed_sync_denies_parked_logins_as_it_does_inline_ones() {
         assert_ne!(
             server.validate(name, &totp.code_at(now), now),
             ValidationOutcome::Success
+        );
+    }
+}
+
+/// An SMS user's null request parks behind a held sync, and every sync
+/// after that one fails. A staff reset of a user in the same store shard
+/// must still answer, `false`, at once: the staff change closes the fence
+/// before it takes the shard lock, so the parked SMS finish — which takes
+/// that lock to withdraw the code nobody was sent — runs first, and no
+/// thread waits on the pump with a store lock held.
+#[test]
+fn a_staff_change_cannot_hang_on_a_parked_finish_in_its_shard() {
+    let plan = StorageFaultPlan::seeded(3);
+    let memory = MemoryBackend::with_plan(Arc::clone(&plan));
+    let hooked = Hooked::over(Arc::clone(&memory));
+    let server = durable_server(
+        Arc::clone(&hooked) as Arc<dyn StorageBackend>,
+        ServerConfig::default(),
+    );
+    let mut shard = names_in_one_shard(2);
+    let sms_user = shard.pop().unwrap();
+    enroll(&server, &shard);
+    let phone = PhoneNumber::parse("5125551234").unwrap();
+    server.enroll_sms(&sms_user, phone, T0);
+    let lead = "lead".to_string();
+    let lead_totp = enroll(&server, std::slice::from_ref(&lead)).pop().unwrap();
+    let now = T0 + 30;
+
+    // A validate leads a sync that is held; the null request finds it in
+    // flight and parks.
+    hooked.hold_syncs();
+    let syncs_before = hooked.syncs();
+    let leader = std::thread::spawn({
+        let (server, code) = (Arc::clone(&server), wrong_code(&lead_totp));
+        move || server.validate(&lead, &code, now)
+    });
+    let deadline = Instant::now() + HOLD_LIMIT;
+    while hooked.syncs() == syncs_before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let handler = OtpRadiusHandler::new(Arc::clone(&server), Arc::new(SimClock::at(now)));
+    let request = Packet::new(Code::AccessRequest, 1, fixture_authenticator(&sms_user))
+        .with_attribute(Attribute::text(AttributeType::UserName, &sms_user))
+        .encode();
+    let request = PacketView::parse(&request).unwrap();
+    let ServerDecision::Pending(pending) = handler.handle_view(&request, Some(b"")) else {
+        panic!("the null request parks behind the held sync");
+    };
+    hooked.release_syncs();
+    leader.join().unwrap();
+
+    plan.set_fsync_fail_every(1);
+    let (answered, answer) = channel();
+    std::thread::spawn({
+        let (server, user) = (Arc::clone(&server), shard[0].clone());
+        move || answered.send(server.reset_failcount(&user, now)).unwrap()
+    });
+    let reset = answer.recv_timeout(Duration::from_secs(5));
+    assert_eq!(reset, Ok(false), "the staff reset never answered");
+    assert!(matches!(pending.wait(), ServerDecision::Reject(_)));
+}
+
+/// Hundreds of logins park behind a held sync, and every sync from then
+/// on fails. The held sync's leader, on a thread with a small stack, is
+/// the one left to release every parked finish, and each of them writes a
+/// denial row: a commit of its own, driven inside that finish. Every login
+/// is still answered Reject, since the thread releases those rows one
+/// after another, not each inside the finish before it.
+#[test]
+fn parked_denials_are_released_one_after_another() {
+    const PARKED: usize = 400;
+    const SMALL_STACK: usize = 256 * 1024;
+    let plan = StorageFaultPlan::seeded(11);
+    let memory = MemoryBackend::with_plan(Arc::clone(&plan));
+    let hooked = Hooked::over(Arc::clone(&memory));
+    let server = durable_server(
+        Arc::clone(&hooked) as Arc<dyn StorageBackend>,
+        ServerConfig::default(),
+    );
+    let mut names = names(PARKED + 1);
+    let mut totps = enroll(&server, &names);
+    let (lead, lead_totp) = (names.pop().unwrap(), totps.pop().unwrap());
+    let now = T0 + 30;
+
+    hooked.hold_syncs();
+    let syncs_before = hooked.syncs();
+    let leader = std::thread::Builder::new()
+        .stack_size(SMALL_STACK)
+        .spawn({
+            let (server, code) = (Arc::clone(&server), wrong_code(&lead_totp));
+            move || server.validate(&lead, &code, now)
+        })
+        .unwrap();
+    let deadline = Instant::now() + HOLD_LIMIT;
+    while hooked.syncs() == syncs_before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let handler = OtpRadiusHandler::new(Arc::clone(&server), Arc::new(SimClock::at(now)));
+    let (answered, answers) = channel();
+    for (i, (name, totp)) in names.iter().zip(&totps).enumerate() {
+        let request = Packet::new(Code::AccessRequest, i as u8, fixture_authenticator(name))
+            .with_attribute(Attribute::text(AttributeType::UserName, name))
+            .encode();
+        let request = PacketView::parse(&request).unwrap();
+        let code = totp.code_at(now);
+        let ServerDecision::Pending(pending) = handler.handle_view(&request, Some(code.as_bytes()))
+        else {
+            panic!("login {i} parks behind the held sync");
+        };
+        let answered = answered.clone();
+        pending.deliver(Box::new(move |decision| answered.send(decision).unwrap()));
+    }
+    plan.set_fsync_fail_every(1);
+    hooked.release_syncs();
+    assert_ne!(leader.join().unwrap(), ValidationOutcome::Success);
+    for i in 0..PARKED {
+        let decision = answers.recv_timeout(Duration::from_secs(5));
+        assert!(
+            matches!(decision, Ok(ServerDecision::Reject(_))),
+            "login {i}: {decision:?}"
         );
     }
 }

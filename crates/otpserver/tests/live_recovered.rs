@@ -29,7 +29,7 @@ struct Step {
 }
 
 /// Scripts of operations `0..ops`: 15 run on a healthy backend, and the
-/// two after them while every sync fails.
+/// four after them while every sync fails.
 fn steps(ops: u8) -> impl Strategy<Value = Vec<Step>> {
     let skews = [0i64, -30, 30, -300, 330, 3_600, -7_200];
     let step = (
@@ -129,8 +129,14 @@ fn play(srv: &LinotpServer, script: &[Step], seed: u64, plan: Option<&StorageFau
             15 => failing(&|| {
                 srv.trigger_sms(user, now);
             }),
-            _ => failing(&|| {
+            16 => failing(&|| {
                 srv.validate(user, &shown(at), now);
+            }),
+            17 => failing(&|| {
+                srv.reset_failcount(user, now);
+            }),
+            _ => failing(&|| {
+                srv.resync(user, &shown(at), &shown(at + 30), now);
             }),
         }
     }
@@ -165,16 +171,18 @@ proptest! {
         prop_assert_eq!(reads(&srv, now), read);
     }
 
-    /// The same scripts with two more operations: an SMS trigger, and a
-    /// validation of the shown code, while every sync fails. The grant is
-    /// denied, and what the store holds stays or is taken back by a logged
-    /// change; the failed commit's bytes stay buffered, and the next good
-    /// sync (at the latest, one more enrolment's before the reload) makes
-    /// them durable. The store and every read must still agree with what
-    /// a reload rebuilds. The audit ring is not compared: a reload holds
-    /// the failed commit's rows as well as those written for its caller.
+    /// The same scripts with four more operations while every sync fails:
+    /// an SMS trigger, a validation of the shown code, a staff reset and a
+    /// staff resync. The grant is denied and the staff change answered
+    /// `false`, and what the store holds stays or is taken back by a
+    /// logged change; the failed commit's bytes stay buffered, and the
+    /// next good sync (at the latest, one more enrolment's before the
+    /// reload) makes them durable. The store and every read must still
+    /// agree with what a reload rebuilds. The audit ring is not compared:
+    /// a reload holds the failed commit's rows as well as those written
+    /// for its caller.
     #[test]
-    fn live_state_equals_recovered_state_across_failed_syncs(script in steps(17), seed in 0u64..1_000) {
+    fn live_state_equals_recovered_state_across_failed_syncs(script in steps(19), seed in 0u64..1_000) {
         let plan = StorageFaultPlan::seeded(seed);
         let backend: Arc<dyn StorageBackend> = MemoryBackend::with_plan(Arc::clone(&plan));
         let srv = durable(seed, backend);

@@ -11,13 +11,10 @@
 //! * a **receiver** thread drains the socket in batches — one blocking
 //!   wait (bounded by [`IngestConfig::poll_wait`]) for the first
 //!   datagram, then nonblocking reads until the batch is full or the
-//!   socket is empty: the portable `std::net` shape of `recvmmsg`;
-//! * a per-batch **fairness quota** bounds how many best-effort
-//!   datagrams one drain may admit, so a best-effort flood cannot starve
-//!   trusted-lane traffic that arrived in the same batch. This is the
-//!   transport-level twin of the §12 admission lanes the OTP handler
-//!   applies downstream; the [`Lane`] vocabulary matches;
-//! * when the admitted batch is **one datagram and no job handed to the
+//!   socket is empty: the portable `std::net` shape of `recvmmsg`.
+//!   Admission is the OTP server's one policy (its overload controller),
+//!   applied downstream per source network;
+//! * when the batch is **one datagram and no job handed to the
 //!   workers is unfinished**, the receiver answers it itself, on its own
 //!   reply and password-scratch buffers: there is nothing to overlap
 //!   with, so a hand-off would cost a futex wake and a context switch per
@@ -43,8 +40,8 @@
 //! kernel buffer for the rest of that **one** call — at most one handler
 //! call longer than if it had been handed off — after which the drain
 //! finds it (a batch of several, or workers still busy) and it goes to
-//! the pool. Overlapping traffic therefore keeps its concurrency, group
-//! commit, fairness quota and shed accounting.
+//! the pool. Overlapping traffic therefore keeps its concurrency and group
+//! commit.
 //!
 //! Who sends a parked reply, each rule observed and none configured:
 //!
@@ -94,8 +91,8 @@
 //!
 //! Observability: `hpcmfa_radius_ingest_batch_size` (histogram of
 //! datagrams per drain) and `hpcmfa_radius_datagrams_total{outcome}`
-//! (`ok` / `discarded` / `shed`) render on `/system/metrics` alongside
-//! the rest of the auth path.
+//! (`ok` / `discarded`) render on `/system/metrics` alongside the rest of
+//! the auth path.
 
 #![deny(
     clippy::arithmetic_side_effects,
@@ -116,20 +113,6 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::task::{Wake, Waker};
 use std::time::Duration;
 
-/// Service lane of one inbound datagram, decided before any decode work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    /// Production login traffic: always admitted.
-    Trusted,
-    /// Bulk / unrecognized sources: admitted up to the per-batch quota.
-    BestEffort,
-}
-
-/// Classifies a datagram into a [`Lane`] from its source address and raw
-/// bytes — cheap peeking only (an IP allowlist, a port range); full
-/// decode happens on the workers.
-pub(crate) type LaneClassifier = dyn Fn(&SocketAddr, &[u8]) -> Lane + Send + Sync;
-
 /// Tuning for the batched ingest loop.
 #[derive(Clone, Debug)]
 pub struct IngestConfig {
@@ -137,10 +120,6 @@ pub struct IngestConfig {
     pub batch_max: usize,
     /// Worker threads running the decode → handler → encode path.
     pub workers: usize,
-    /// Maximum best-effort datagrams admitted from one batch; the rest of
-    /// the batch's best-effort traffic is shed (`outcome="shed"`).
-    /// Trusted datagrams are never shed here.
-    pub best_effort_batch_quota: usize,
     /// Bound on queued-but-unprocessed datagrams; the receiver blocks
     /// (kernel-side backpressure) rather than queueing unboundedly.
     pub queue_cap: usize,
@@ -154,7 +133,6 @@ impl Default for IngestConfig {
         IngestConfig {
             batch_max: 64,
             workers: 4,
-            best_effort_batch_quota: 48,
             queue_cap: 256,
             poll_wait: Duration::from_millis(50),
         }
@@ -284,7 +262,6 @@ struct RawStats {
     received: AtomicU64,
     replied: AtomicU64,
     discarded: AtomicU64,
-    shed: AtomicU64,
 }
 
 /// A frozen view of the ingest counters.
@@ -298,7 +275,9 @@ pub struct IngestStats {
     pub replied: u64,
     /// Datagrams processed but discarded (malformed, handler said so).
     pub discarded: u64,
-    /// Best-effort datagrams shed by the batch quota before processing.
+    /// Always 0: the ingest admits every datagram, and the OTP server's
+    /// overload controller is the one admission policy. Kept for
+    /// `benchmark/src/sut.rs` until ROADMAP item 2.
     pub shed: u64,
 }
 
@@ -321,7 +300,6 @@ struct Shared {
     stats: RawStats,
     ok: Arc<Counter>,
     discarded: Arc<Counter>,
-    shed: Arc<Counter>,
     batch_size: Arc<Histogram>,
 }
 
@@ -338,7 +316,6 @@ impl Shared {
             server,
             ok: outcome("ok"),
             discarded: outcome("discarded"),
-            shed: outcome("shed"),
             batch_size: metrics.histogram("hpcmfa_radius_ingest_batch_size", &[]),
             socket,
             queue: Mutex::default(),
@@ -374,7 +351,6 @@ pub struct BatchedUdpServer {
     server: Arc<RadiusServer>,
     metrics: Arc<MetricsRegistry>,
     config: IngestConfig,
-    classifier: Option<Arc<LaneClassifier>>,
 }
 
 /// Join handle for a running ingest pipeline; also the stats window.
@@ -393,7 +369,7 @@ impl IngestHandle {
             received: s.received.load(Ordering::Relaxed),
             replied: s.replied.load(Ordering::Relaxed),
             discarded: s.discarded.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
+            shed: 0,
         }
     }
 
@@ -423,18 +399,7 @@ impl BatchedUdpServer {
             server,
             metrics,
             config,
-            classifier: None,
         }
-    }
-
-    /// Install a lane classifier (default: everything is trusted, so the
-    /// quota never sheds).
-    pub fn classify_with(
-        mut self,
-        f: impl Fn(&SocketAddr, &[u8]) -> Lane + Send + Sync + 'static,
-    ) -> Self {
-        self.classifier = Some(Arc::new(f));
-        self
     }
 
     /// Start the pipeline on a bound socket; runs until `shutdown` is
@@ -457,8 +422,7 @@ impl BatchedUdpServer {
         let receiver = {
             let shared = Arc::clone(&shared);
             let config = self.config.clone();
-            let classifier = self.classifier.clone();
-            std::thread::spawn(move || receiver_loop(&shared, &config, classifier.as_deref()))
+            std::thread::spawn(move || receiver_loop(&shared, &config))
         };
         IngestHandle {
             shared,
@@ -470,35 +434,27 @@ impl BatchedUdpServer {
 
 /// The receiver thread: [`drain_socket`] until shutdown or a fatal socket
 /// error, then wake every worker so they observe the shutdown flag.
-fn receiver_loop(shared: &Shared, config: &IngestConfig, classifier: Option<&LaneClassifier>) {
+fn receiver_loop(shared: &Shared, config: &IngestConfig) {
     // A socket error is fatal to the receiver only: the workers finish what
     // is queued and the handle still joins.
-    let _ = drain_socket(shared, config, classifier);
+    let _ = drain_socket(shared, config);
     shared.job_ready.notify_all();
 }
 
-/// Drain the socket in batches, applying the per-batch best-effort quota;
-/// answer a lone datagram here, hand everything else to the workers.
-fn drain_socket(
-    shared: &Shared,
-    config: &IngestConfig,
-    classifier: Option<&LaneClassifier>,
-) -> std::io::Result<()> {
+/// Drain the socket in batches; answer a lone datagram here, hand
+/// everything else to the workers.
+fn drain_socket(shared: &Shared, config: &IngestConfig) -> std::io::Result<()> {
     // `SO_RCVTIMEO` survives the `O_NONBLOCK` toggles below: set once.
     shared.socket.set_read_timeout(Some(config.poll_wait))?;
     let batch_max = config.batch_max.max(1);
-    let mut batch: Vec<(Job, Lane)> = Vec::with_capacity(batch_max);
-    let mut admitted: Vec<Job> = Vec::with_capacity(batch_max);
+    let mut batch: Vec<Job> = Vec::with_capacity(batch_max);
     let mut reply = Vec::with_capacity(crate::MAX_PACKET_LEN);
     let mut pw_scratch = Vec::with_capacity(128);
     while !shared.shutdown.load(Ordering::SeqCst) {
         // Phase 1: block (bounded) for the first datagram of the batch.
         let mut buf = shared.take_buf();
         match shared.socket.recv_from(buf.as_mut()) {
-            Ok((len, peer)) => {
-                let lane = classify(classifier, &peer, received(buf.as_ref(), len));
-                batch.push((Job { buf, len, peer }, lane));
-            }
+            Ok((len, peer)) => batch.push(Job { buf, len, peer }),
             Err(ref e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -514,10 +470,7 @@ fn drain_socket(
         while batch.len() < batch_max {
             let mut buf = shared.take_buf();
             match shared.socket.recv_from(buf.as_mut()) {
-                Ok((len, peer)) => {
-                    let lane = classify(classifier, &peer, received(buf.as_ref(), len));
-                    batch.push((Job { buf, len, peer }, lane));
-                }
+                Ok((len, peer)) => batch.push(Job { buf, len, peer }),
                 Err(_) => {
                     shared.recycle(buf);
                     break;
@@ -533,31 +486,12 @@ fn drain_socket(
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
         shared.batch_size.record(batch.len() as u64);
 
-        // Phase 3: admit within the batch — every trusted datagram (a
-        // flood arriving alongside them can never push them out) and
-        // best-effort up to the quota; the surplus is shed unprocessed.
-        let mut admitted_best_effort = 0usize;
-        for (job, lane) in batch.drain(..) {
-            match lane {
-                Lane::Trusted => admitted.push(job),
-                Lane::BestEffort if admitted_best_effort < config.best_effort_batch_quota => {
-                    admitted_best_effort = admitted_best_effort.saturating_add(1);
-                    admitted.push(job);
-                }
-                Lane::BestEffort => {
-                    shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    shared.shed.inc();
-                    shared.recycle(job.buf);
-                }
-            }
-        }
-
-        // Phase 4: one datagram and idle workers means nothing to overlap
+        // Phase 3: one datagram and idle workers means nothing to overlap
         // with, so a hand-off would buy a wake-up and a context switch and
         // nothing else. Anything more goes to the pool.
-        let lone = admitted.len() == 1 && shared.handed_off.load(Ordering::Relaxed) == 0;
+        let lone = batch.len() == 1 && shared.handed_off.load(Ordering::Relaxed) == 0;
         if lone {
-            if let Some(job) = admitted.pop() {
+            if let Some(job) = batch.pop() {
                 // Nothing is parked (`handed_off` is zero) and nothing is
                 // read while the receiver is here: a pending decision has
                 // nothing to overlap with, and the receiver waits it out.
@@ -566,14 +500,10 @@ fn drain_socket(
                 }
             }
         } else {
-            enqueue(shared, &mut admitted);
+            enqueue(shared, &mut batch);
         }
     }
     Ok(())
-}
-
-fn classify(classifier: Option<&LaneClassifier>, peer: &SocketAddr, data: &[u8]) -> Lane {
-    classifier.map_or(Lane::Trusted, |c| c(peer, data))
 }
 
 /// Push a batch's jobs under one hold of the queue lock, blocking while

@@ -19,9 +19,13 @@
 #   parked replies     no reply outruns its sync, no ingest thread sleeps on the
 #                      pump while a sync is held (counted, not timed), the end of
 #                      a sync led outside the ingest rouses a worker (first reply
-#                      within 25 ms, against the workers' 50 ms poll), and a
-#                      compaction among 2 000 logins with 64 in flight strands
-#                      none: a deadlock runs into the timeout and fails by name
+#                      within 25 ms, against the workers' 50 ms poll), a staff
+#                      reset in the shard of a parked SMS finish answers within
+#                      5 s, 400 parked logins denied by failing syncs are all
+#                      answered from a 256 KiB stack (denial rows released one
+#                      after another, not nested), and a compaction among 2 000
+#                      logins with 64 in flight strands none: a deadlock runs
+#                      into the timeout and fails by name
 #   compaction trigger a snapshot only once the WAL holds an eighth of the last
 #                      one, across a recovery too, with the record floor kept
 #   hash core, OTP     their known answers in the only profile a login runs them in
@@ -34,10 +38,14 @@
 #                      failed syncs among them, whose live store, reads and
 #                      (no sync failed) audit ring equal what a reload from
 #                      storage rebuilds, by name
-#   group machine      every interleaving of ≤ 4 commits over ≤ 3 actors (inline,
-#                      parked and waited for, parked and nudged, compactor,
-#                      reload) against the six invariants (the sixth: rows
-#                      reach the audit ring in WAL order)
+#   group machine      every interleaving of ≤ 4 commits over ≤ 3 actors (parked
+#                      and driven waiting, parked and driven at once then
+#                      nudged, a staff commit behind the fence, a commit whose
+#                      caller keeps its pass, compactor, reload; a denied
+#                      finish's denial row, driven until covered) against the
+#                      six invariants (the fourth: no finish runs inside
+#                      another; the sixth: rows reach the audit ring in WAL
+#                      order, with no exception)
 #   audit ring         compaction's bytes equal the encoded exports, users in
 #                      shard order; hostile audit frames never reach the ring;
 #                      a validate hit allocates nothing; a day of forced
@@ -120,7 +128,9 @@ guard 20 --release -p hpcmfa-radius --test udp --
 guard 30 --release -p hpcmfa-otpserver --test group_commit -- \
     no_reply_outruns_its_sync a_failed_sync_denies_parked the_compactor_cannot_strand \
     a_held_sync_puts_no_ingest_thread_to_sleep_on_the_pump \
-    a_sync_led_outside_the_ingest_rouses_its_workers_when_it_ends
+    a_sync_led_outside_the_ingest_rouses_its_workers_when_it_ends \
+    a_staff_change_cannot_hang_on_a_parked_finish_in_its_shard \
+    parked_denials_are_released_one_after_another
 guard 30 --release -p hpcmfa-otpserver --test compaction_trigger -- \
     compaction_waits_for_an_eighth_of_the_snapshot_in_wal_bytes \
     a_floor_above_an_eighth_of_the_snapshot_still_governs \
